@@ -105,9 +105,12 @@ func All2(a, b float64, op Op) Query { return constraint.Query2(constraint.ALL, 
 
 // The dual-representation index (the paper's contribution).
 type (
-	// Index is the 2-D dual-representation index.
+	// Index is the dual-representation index: one engine — bulk load,
+	// atomic commits, snapshot reads, T1/T2 query processing — for every
+	// dimension. NewIndex/BuildIndex create it over a 2-D slope set,
+	// NewIndexD/BuildIndexD over a site set in E^{d−1}.
 	Index = core.Index
-	// IndexOptions configures an Index.
+	// IndexOptions configures a 2-D Index.
 	IndexOptions = core.Options
 	// Technique selects T1, T2 or restricted-only processing.
 	Technique = core.Technique
@@ -141,9 +144,12 @@ const (
 
 // d-dimensional index (Section 4.4) and generalized-tuple selections.
 type (
-	// IndexD is the d-dimensional dual index (Section 4.4).
+	// IndexD is the Index as the d-dimensional constructors return it
+	// (Section 4.4) — the same type, so Begin/Commit, Snapshot and
+	// QueryBatch apply. Save, T1 and the line, tuple and vertical
+	// selections are 2-D-only and return an error in dimension > 2.
 	IndexD = core.IndexD
-	// IndexDOptions configures an IndexD.
+	// IndexDOptions configures a d-dimensional Index.
 	IndexDOptions = core.OptionsD
 	// TupleResult is the answer of a generalized-tuple selection.
 	TupleResult = core.TupleResult

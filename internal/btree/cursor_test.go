@@ -4,6 +4,8 @@ import (
 	"math"
 	"sort"
 	"testing"
+
+	"dualcdb/internal/pagestore"
 )
 
 func TestVisitLeavesAsc(t *testing.T) {
@@ -249,5 +251,68 @@ func TestSweepIOCost(t *testing.T) {
 	maxIO := uint64(leaves + tr.Height())
 	if st.PhysicalReads > maxIO {
 		t.Fatalf("sweep cost %d reads for %d leaves, height %d", st.PhysicalReads, leaves, tr.Height())
+	}
+}
+
+// TestSweepsAllocateNothing pins the zero-copy read path: a leaf sweep that
+// reads every key, tuple id and handicap through the borrowed LeafView
+// allocates nothing — neither out of a warm pool nor when every page is a
+// buffer-pool miss served from a file (frames and the decoded-view cache
+// are recycled, not reallocated).
+func TestSweepsAllocateNothing(t *testing.T) {
+	const n = 20000
+	entries := make([]Entry, n)
+	for i := range entries {
+		entries[i] = Entry{Key: float64(i), TID: uint32(i + 1)}
+	}
+	file, err := pagestore.OpenFileStore(t.TempDir()+"/sweep.db", 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	for _, tc := range []struct {
+		name  string
+		store pagestore.Store
+		cold  bool
+	}{
+		{"warm", pagestore.NewMemStore(1024), false},
+		{"cold", file, true},
+	} {
+		pool := pagestore.NewPool(tc.store, 1<<12)
+		tr, err := New(pool, Config{HandicapKinds: []SlotKind{MinSlot, MaxSlot}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.BulkLoad(entries); err != nil {
+			t.Fatal(err)
+		}
+		sum, leaves := 0.0, 0
+		visit := func(lv LeafView) bool {
+			leaves++
+			sum += lv.Handicap(0)
+			for i, m := 0, lv.Len(); i < m; i++ {
+				sum += lv.Key(i) + float64(lv.TID(i))
+			}
+			return true
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if tc.cold {
+				if err := pool.EvictAll(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tr.VisitLeavesAsc(n*0.9, visit); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.VisitLeavesDesc(n*0.1, visit); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if leaves == 0 || sum == 0 {
+			t.Fatalf("%s: sweeps visited nothing", tc.name)
+		}
+		if allocs != 0 {
+			t.Errorf("%s sweeps allocate %.1f objects per run, want 0", tc.name, allocs)
+		}
 	}
 }

@@ -133,12 +133,12 @@ func (c *Commit) Insert(t *constraint.Tuple) (constraint.TupleID, error) {
 	if !t.IsSatisfiable() {
 		return id, nil // empty extensions match nothing and are not indexed
 	}
-	top, bot := t.TopEnv(), t.BotEnv()
-	for i, a := range ix.slopes {
-		if err := ix.up[i].Insert(top.Eval(a), uint32(id)); err != nil {
+	for i := range ix.up {
+		top, bot := ix.geo.keys(t, i)
+		if err := ix.up[i].Insert(top, uint32(id)); err != nil {
 			return id, c.fail(err)
 		}
-		if err := ix.down[i].Insert(bot.Eval(a), uint32(id)); err != nil {
+		if err := ix.down[i].Insert(bot, uint32(id)); err != nil {
 			return id, c.fail(err)
 		}
 	}
@@ -151,7 +151,7 @@ func (c *Commit) Insert(t *constraint.Tuple) (constraint.TupleID, error) {
 			return id, c.fail(err)
 		}
 	}
-	if err := ix.mergeHandicaps(top, bot); err != nil {
+	if err := ix.mergeHandicaps(t); err != nil {
 		return id, c.fail(err)
 	}
 	c.indexed[id] = true
@@ -172,12 +172,12 @@ func (c *Commit) Delete(id constraint.TupleID) error {
 		return c.fail(err)
 	}
 	if c.indexed[id] {
-		top, bot := t.TopEnv(), t.BotEnv()
-		for i, a := range ix.slopes {
-			if _, err := ix.up[i].Delete(top.Eval(a), uint32(id)); err != nil {
+		for i := range ix.up {
+			top, bot := ix.geo.keys(t, i)
+			if _, err := ix.up[i].Delete(top, uint32(id)); err != nil {
 				return c.fail(err)
 			}
-			if _, err := ix.down[i].Delete(bot.Eval(a), uint32(id)); err != nil {
+			if _, err := ix.down[i].Delete(bot, uint32(id)); err != nil {
 				return c.fail(err)
 			}
 		}
@@ -217,7 +217,7 @@ func (c *Commit) RebuildHandicaps() error {
 // the staleness counter trips the threshold).
 func (c *Commit) rebuildHandicaps() error {
 	ix := c.ix
-	for i := range ix.slopes {
+	for i := range ix.up {
 		if err := ix.up[i].ResetHandicaps(); err != nil {
 			return err
 		}
@@ -230,7 +230,7 @@ func (c *Commit) rebuildHandicaps() error {
 		if !c.indexed[t.ID()] {
 			return true
 		}
-		if e := ix.mergeHandicaps(t.TopEnv(), t.BotEnv()); e != nil {
+		if e := ix.mergeHandicaps(t); e != nil {
 			err = e
 			return false
 		}

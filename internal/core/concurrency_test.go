@@ -70,12 +70,14 @@ func TestConcurrentQueries(t *testing.T) {
 // version with one atomic load and must see internally consistent
 // answers no matter how commits interleave.
 func TestConcurrentReadersWithWriter(t *testing.T) {
+	for _, c := range engineCases {
+		t.Run(c.name, func(t *testing.T) { testConcurrentReadersWithWriter(t, c) })
+	}
+}
+
+func testConcurrentReadersWithWriter(t *testing.T, ec engineCase) {
 	rng := rand.New(rand.NewSource(71))
-	_, ix := buildRandomIndex(t, rng, 200, Options{
-		Slopes:    EquiangularSlopes(3),
-		Technique: T2,
-		PoolPages: 1 << 12,
-	}, false)
+	_, ix := buildCase(t, ec, rng, 200, nil)
 
 	const (
 		readers          = 4
@@ -98,7 +100,7 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 		for op := 0; op < writerOps; op++ {
 			switch {
 			case len(ids) < 50 || wrng.Intn(3) > 0:
-				id, err := ix.Insert(randTuple(wrng, false))
+				id, err := ix.Insert(ec.tuple(wrng, false))
 				if err != nil {
 					t.Errorf("writer insert: %v", err)
 					return
@@ -139,7 +141,7 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 			defer wg.Done()
 			rrng := rand.New(rand.NewSource(seed))
 			for i := 0; i < queriesPerReader; i++ {
-				q := randQuery(rrng)
+				q := ec.query(rrng)
 				switch i % 4 {
 				case 0: // per-call snapshot
 					if _, err := ix.Query(q); err != nil {
@@ -166,7 +168,7 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 					}
 					s.Release()
 				case 2: // batch sharing one pinned version
-					qs := []constraint.Query{q, randQuery(rrng), randQuery(rrng)}
+					qs := []constraint.Query{q, ec.query(rrng), ec.query(rrng)}
 					if _, err := ix.QueryBatch(qs, BatchOptions{Workers: 2}); err != nil {
 						t.Errorf("reader batch: %v", err)
 						return
@@ -191,7 +193,7 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 	// of its own surviving relation.
 	rs := ix.roots.Load()
 	for i := 0; i < 20; i++ {
-		q := randQuery(rng)
+		q := ec.query(rng)
 		var want []constraint.TupleID
 		rs.relScan(func(tp *constraint.Tuple) bool {
 			ok, err := q.Matches(tp)

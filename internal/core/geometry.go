@@ -1,0 +1,409 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"sort"
+
+	"dualcdb/internal/btree"
+	"dualcdb/internal/constraint"
+	"dualcdb/internal/geom"
+)
+
+// slopeSpace is the geometry of the predefined set S the engine is built
+// over: S as sites in slope space E^{d−1}, each owning a cell — the region
+// of query slopes it approximates with T2 handicaps (Section 4.3 in E²,
+// Section 4.4 in E^d). The engine (trees, commits, versions, sweeps,
+// refinement) is dimension-blind; these four answers are all it asks.
+//
+// Two geometries exist. slopeSet is the paper's 2-D construction: cells are
+// the strips around each slope, split into a prev and a next half so every
+// leaf carries four handicaps with exact strip extrema. siteSet is the
+// E^d construction: cells are clamped Voronoi cells with one low/high pair
+// over the whole cell. A strip is the Voronoi cell of a site in E¹, so the
+// first is the second specialised — with the tighter half-strip bounds and
+// the cached envelopes E² affords.
+type slopeSpace interface {
+	// sites is |S|; site i owns the tree pair up[i]/down[i].
+	sites() int
+	// slotKinds lists the handicap slots every leaf of every tree carries.
+	slotKinds() []btree.SlotKind
+	// keys returns the satisfiable tuple t's tree keys at site i:
+	// TOP^P and BOT^P evaluated there.
+	keys(t *constraint.Tuple, i int) (top, bot float64)
+	// routes returns, per handicap slot, the key by which t's value at site
+	// i is routed to a leaf of the up and of the down tree: a bound on
+	// TOP^P resp. BOT^P over the part of the cell the slot covers.
+	routes(t *constraint.Tuple, i int) (up, down [numSlots]float64)
+	// route maps a query slope to the site that serves it.
+	route(slope []float64, sweepsUp bool) (routing, error)
+}
+
+// routing is where and how a query slope is served.
+type routing struct {
+	site   int
+	exact  bool // the slope is the site itself: Section 3's restricted path
+	inCell bool // the slope lies in the site's cell: T2 applies
+	slot   int  // handicap slot bounding T2's second sweep
+}
+
+// Handicap slots of the slope geometry (Section 4.3: "each leaf node in
+// B_i^up and B_i^down is extended with four handicap values").
+//
+// For B^up (keys TOP^P(a_i)):
+//
+//	slotLowPrev/slotLowNext  bound the downward second sweep of
+//	                         EXIST(q(≥)) queries approximated from the
+//	                         left/right neighbour strip (min of TOP(a_i)
+//	                         over tuples routed by the strip max of TOP);
+//	slotHighPrev/slotHighNext bound the upward second sweep of ALL(q(≤))
+//	                         queries (max of TOP(a_i) over tuples routed
+//	                         by the strip min of TOP).
+//
+// For B^down (keys BOT^P(a_i)) the same four slots serve ALL(q(≥)) (low
+// slots, routed by strip max of BOT) and EXIST(q(≤)) (high slots, routed
+// by strip min of BOT).
+const (
+	slotLowPrev = iota
+	slotLowNext
+	slotHighPrev
+	slotHighNext
+	numSlots
+)
+
+// Handicap slots of the site geometry: one pair over the whole cell.
+const (
+	slotCellLow  = 0 // MinSlot: min surface value at the site over tuples routed by the cell max
+	slotCellHigh = 1 // MaxSlot: max surface value at the site over tuples routed by the cell min
+)
+
+var (
+	stripSlotKinds = []btree.SlotKind{btree.MinSlot, btree.MinSlot, btree.MaxSlot, btree.MaxSlot}
+	cellSlotKinds  = []btree.SlotKind{btree.MinSlot, btree.MaxSlot}
+)
+
+// slopeSet is the 2-D geometry: sorted slopes, strips as cells.
+type slopeSet struct {
+	s []float64
+	// outer is the half-width of the two outermost strips
+	// (Options.OuterHalfWidth).
+	outer float64
+}
+
+func (g *slopeSet) sites() int                  { return len(g.s) }
+func (g *slopeSet) slotKinds() []btree.SlotKind { return stripSlotKinds }
+
+func (g *slopeSet) keys(t *constraint.Tuple, i int) (top, bot float64) {
+	return t.TopEnv().Eval(g.s[i]), t.BotEnv().Eval(g.s[i])
+}
+
+// stripBounds returns the left and right strip limits of slope i:
+// [leftLo, a_i] toward the previous slope and [a_i, rightHi] toward the
+// next one. The outermost strips extend by the outer half-width.
+func (g *slopeSet) stripBounds(i int) (leftLo, rightHi float64) {
+	a := g.s[i]
+	if i > 0 {
+		leftLo = (g.s[i-1] + a) / 2
+	} else {
+		leftLo = a - g.outer
+	}
+	if i < len(g.s)-1 {
+		rightHi = (a + g.s[i+1]) / 2
+	} else {
+		rightHi = a + g.outer
+	}
+	return leftLo, rightHi
+}
+
+// routes are the exact half-strip extrema of the tuple's envelopes
+// (DESIGN.md §4.3): low slots route by the strip max (TOP convex ⇒ exact
+// at strip endpoints), high slots by the strip min.
+func (g *slopeSet) routes(t *constraint.Tuple, i int) (up, down [numSlots]float64) {
+	a := g.s[i]
+	leftLo, rightHi := g.stripBounds(i)
+	halfStripExtrema := func(e geom.Envelope) [numSlots]float64 {
+		return [numSlots]float64{
+			slotLowPrev:  e.MaxOn(leftLo, a),
+			slotLowNext:  e.MaxOn(a, rightHi),
+			slotHighPrev: e.MinOn(leftLo, a),
+			slotHighNext: e.MinOn(a, rightHi),
+		}
+	}
+	return halfStripExtrema(t.TopEnv()), halfStripExtrema(t.BotEnv())
+}
+
+// nearest returns the index of the S-member closest to a (ties break
+// toward the lower slope) and whether a coincides with it within Eps.
+func (g *slopeSet) nearest(a float64) (int, bool) {
+	i := sort.SearchFloat64s(g.s, a)
+	best := -1
+	bestDist := math.Inf(1)
+	for _, j := range []int{i - 1, i} {
+		if j < 0 || j >= len(g.s) {
+			continue
+		}
+		if d := math.Abs(g.s[j] - a); d < bestDist {
+			best, bestDist = j, d
+		}
+	}
+	return best, bestDist <= geom.Eps
+}
+
+func (g *slopeSet) route(slope []float64, sweepsUp bool) (routing, error) {
+	a := slope[0]
+	i, exact := g.nearest(a)
+	leftLo, rightHi := g.stripBounds(i)
+	r := routing{site: i, exact: exact, inCell: a >= leftLo && a <= rightHi, slot: slotHighPrev}
+	if sweepsUp {
+		r.slot = slotLowPrev
+	}
+	if a >= g.s[i] {
+		r.slot++ // the next-side half strip
+	}
+	return r, nil
+}
+
+// siteSet is the d-dimensional geometry: sites in E^{d−1}, clamped Voronoi
+// cells.
+//
+// Design note (DESIGN.md §4.9): instead of one handicap per Voronoi edge
+// (4d per leaf), each leaf carries one low/high pair per tree computed
+// over the site's whole cell. That is the edge-wise scheme's conservative
+// envelope: strictly sound, marginally more second-sweep I/O, and it keeps
+// the leaf layout independent of the cell's edge count. Cells are clamped
+// to a slope-space box; query slopes outside every cell are answered by an
+// exhaustive scan (the structure has no covering app-query construction in
+// E^d without the paper's "d searches" machinery, whose covering sets are
+// only sketched).
+type siteSet struct {
+	s     []geom.Point
+	cells []geom.Polyhedron
+}
+
+func (g *siteSet) sites() int                  { return len(g.s) }
+func (g *siteSet) slotKinds() []btree.SlotKind { return cellSlotKinds }
+
+func (g *siteSet) keys(t *constraint.Tuple, i int) (top, bot float64) {
+	ext, _ := t.Extension() // satisfiable: the cached extension has no error
+	return ext.Top(g.s[i]), ext.Bot(g.s[i])
+}
+
+func (g *siteSet) routes(t *constraint.Tuple, i int) (up, down [numSlots]float64) {
+	ext, _ := t.Extension()
+	// B^up: EXIST(≥) second sweeps are bounded via the cell max of TOP;
+	// ALL(≤) via (a lower bound of) the cell min — a lower bound routes to
+	// an earlier leaf, which the first (downward) sweep still visits.
+	up[slotCellLow], up[slotCellHigh] = cellTopExtrema(ext, g.cells[i])
+	// B^down: EXIST(≤) via the cell min of BOT, ALL(≥) via (an upper bound
+	// of) the cell max.
+	down[slotCellHigh], down[slotCellLow] = cellBotExtrema(ext, g.cells[i])
+	return up, down
+}
+
+func (g *siteSet) route(slope []float64, sweepsUp bool) (routing, error) {
+	p := geom.Point(slope)
+	best, bestDist := -1, math.Inf(1)
+	for i, s := range g.s {
+		if d := s.Dist(p); d < bestDist {
+			best, bestDist = i, d
+		}
+	}
+	r := routing{site: best, exact: bestDist <= geom.Eps, slot: slotCellHigh}
+	if sweepsUp {
+		r.slot = slotCellLow
+	}
+	var err error
+	if !r.exact {
+		r.inCell, err = g.cells[best].Contains(p)
+	}
+	return r, err
+}
+
+// cellTopExtrema returns the exact maximum and a sound lower bound of the
+// minimum of TOP^P over the cell. TOP is convex over slope space, so its
+// max over the cell is attained at a cell vertex. For the min, TOP(b) =
+// max_v g_v(b) ≥ g_v(b) for every tuple vertex v, so
+// max_v (min over cell vertices of g_v) is a valid lower bound (rays only
+// raise TOP, keeping the bound valid).
+func cellTopExtrema(ext geom.Polyhedron, cell geom.Polyhedron) (maxTop, minTopLB float64) {
+	maxTop = math.Inf(-1)
+	for _, b := range cell.Verts {
+		if v := ext.Top(b); v > maxTop {
+			maxTop = v
+		}
+	}
+	minTopLB = math.Inf(-1)
+	for _, v := range ext.Verts {
+		minG := math.Inf(1)
+		for _, b := range cell.Verts {
+			if g := geom.FDual(v, b); g < minG {
+				minG = g
+			}
+		}
+		if minG > minTopLB {
+			minTopLB = minG
+		}
+	}
+	return maxTop, minTopLB
+}
+
+// cellBotExtrema returns the exact minimum and a sound upper bound of the
+// maximum of BOT^P over the cell (the concave mirror of cellTopExtrema).
+func cellBotExtrema(ext geom.Polyhedron, cell geom.Polyhedron) (minBot, maxBotUB float64) {
+	minBot = math.Inf(1)
+	for _, b := range cell.Verts {
+		if v := ext.Bot(b); v < minBot {
+			minBot = v
+		}
+	}
+	maxBotUB = math.Inf(1)
+	for _, v := range ext.Verts {
+		maxG := math.Inf(-1)
+		for _, b := range cell.Verts {
+			if g := geom.FDual(v, b); g > maxG {
+				maxG = g
+			}
+		}
+		if maxG < maxBotUB {
+			maxBotUB = maxG
+		}
+	}
+	return minBot, maxBotUB
+}
+
+// newSiteSet validates S ⊂ E^{sdim} and computes the clamped Voronoi cell
+// of each site: the points of the slope box [lo, hi] nearer to it than to
+// any other site.
+func newSiteSet(sites []geom.Point, sdim int, lo, hi []float64) (*siteSet, error) {
+	if len(sites) == 0 {
+		return nil, fmt.Errorf("core: empty site set S")
+	}
+	for i, s := range sites {
+		if s.Dim() != sdim {
+			return nil, fmt.Errorf("core: site %v has dimension %d, want %d", s, s.Dim(), sdim)
+		}
+		for _, t := range sites[:i] {
+			if s.Eq(t) {
+				return nil, fmt.Errorf("core: duplicate site %v", s)
+			}
+		}
+	}
+	lo, hi, err := slopeBox(sites, sdim, lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	g := &siteSet{s: append([]geom.Point(nil), sites...)}
+	for i, s := range g.s {
+		var hs []geom.HalfSpace
+		for j, t := range g.s {
+			if i == j {
+				continue
+			}
+			// |x−s|² ≤ |x−t|²  ⇔  2(t−s)·x ≤ |t|² − |s|².
+			a := make([]float64, sdim)
+			for k := 0; k < sdim; k++ {
+				a[k] = 2 * (t[k] - s[k])
+			}
+			hs = append(hs, geom.HalfSpace{A: a, C: s.Dot(s) - t.Dot(t), Op: geom.LE})
+		}
+		for k := 0; k < sdim; k++ {
+			axis := make([]float64, sdim)
+			axis[k] = 1
+			hs = append(hs,
+				geom.HalfSpace{A: append([]float64(nil), axis...), C: -hi[k], Op: geom.LE},
+				geom.HalfSpace{A: axis, C: -lo[k], Op: geom.GE},
+			)
+		}
+		cell, err := geom.FromHalfSpaces(hs, sdim)
+		if err != nil {
+			return nil, fmt.Errorf("core: cell of site %v: %w", s, err)
+		}
+		if cell.IsEmpty() || len(cell.Verts) == 0 {
+			return nil, fmt.Errorf("core: empty Voronoi cell for site %v (outside the slope box?)", s)
+		}
+		g.cells = append(g.cells, cell)
+	}
+	return g, nil
+}
+
+// slopeBox validates an explicit clamping box or derives the default: the
+// sites' bounding box expanded by the largest inter-site distance.
+func slopeBox(sites []geom.Point, sdim int, lo, hi []float64) ([]float64, []float64, error) {
+	if lo != nil || hi != nil {
+		if len(lo) != sdim || len(hi) != sdim {
+			return nil, nil, fmt.Errorf("core: slope box dimension mismatch")
+		}
+		for i := range lo {
+			if lo[i] >= hi[i] {
+				return nil, nil, fmt.Errorf("core: empty slope box on axis %d", i)
+			}
+		}
+		return lo, hi, nil
+	}
+	lo = make([]float64, sdim)
+	hi = make([]float64, sdim)
+	for i := range lo {
+		lo[i] = math.Inf(1)
+		hi[i] = math.Inf(-1)
+	}
+	maxDist := 0.0
+	for i, s := range sites {
+		for k, c := range s {
+			lo[k] = math.Min(lo[k], c)
+			hi[k] = math.Max(hi[k], c)
+		}
+		for _, t := range sites[i+1:] {
+			maxDist = math.Max(maxDist, s.Dist(t))
+		}
+	}
+	if maxDist == 0 {
+		maxDist = 1 // single site
+	}
+	for i := range lo {
+		lo[i] -= maxDist
+		hi[i] += maxDist
+	}
+	return lo, hi, nil
+}
+
+// LatticeSites returns a regular grid of k^sdim sites in [−extent, extent]^sdim,
+// a natural S for uniformly distributed query slopes in E^{d−1}.
+func LatticeSites(sdim, perAxis int, extent float64) []geom.Point {
+	if perAxis < 1 || sdim < 1 {
+		return nil
+	}
+	coords := make([]float64, perAxis)
+	for i := range coords {
+		if perAxis == 1 {
+			coords[i] = 0
+		} else {
+			coords[i] = -extent + 2*extent*float64(i)/float64(perAxis-1)
+		}
+	}
+	total := 1
+	for i := 0; i < sdim; i++ {
+		total *= perAxis
+	}
+	out := make([]geom.Point, 0, total)
+	idx := make([]int, sdim)
+	for {
+		p := make(geom.Point, sdim)
+		for i, j := range idx {
+			p[i] = coords[j]
+		}
+		out = append(out, p)
+		k := 0
+		for k < sdim {
+			idx[k]++
+			if idx[k] < perAxis {
+				break
+			}
+			idx[k] = 0
+			k++
+		}
+		if k == sdim {
+			break
+		}
+	}
+	return out
+}

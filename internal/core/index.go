@@ -3,9 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -15,20 +13,25 @@ import (
 	"dualcdb/internal/pagestore"
 )
 
-// Index is the 2-D dual-representation index over a generalized relation:
-// 2·k B⁺-trees (one TOP tree and one BOT tree per slope in S) plus the
-// handicap metadata of technique T2.
+// Index is the dual-representation index over a generalized relation: per
+// site of the predefined set S one TOP tree and one BOT tree, plus the
+// handicap metadata of technique T2. The engine — bulk load, atomic
+// commits, versioned root sets, snapshots, sweeps, refinement, tracing — is
+// the same in every dimension; what differs between the 2-D slope-set
+// index (New/Build, Sections 3–4.3) and the d-dimensional site-set index
+// (NewD/BuildD, Section 4.4) is the slopeSpace geometry it holds.
 //
 // The index holds a reference to the relation it indexes; the relation
 // supplies tuple geometry for handicap computation and for the refinement
 // step. Mutate the relation only through the index (Insert/Delete) once it
 // is built.
 type Index struct {
-	rel    *constraint.Relation
-	opt    Options
-	slopes []float64
-	pool   *pagestore.Pool
-	// up/down hold per slope the TOP^P(a_i) / BOT^P(a_i) trees.
+	rel  *constraint.Relation
+	opt  Options
+	dim  int // ambient dimension d of the relation
+	geo  slopeSpace
+	pool *pagestore.Pool
+	// up/down hold per site the TOP^P(s_i) / BOT^P(s_i) trees.
 	up   []*btree.Tree //dualvet:guarded=writeMu
 	down []*btree.Tree //dualvet:guarded=writeMu
 	// Optional vertical pair (footnote 4 / Options.IndexVertical): supX
@@ -53,7 +56,12 @@ type Index struct {
 	dataPages  int
 }
 
-// New creates an empty dual index over rel with the given options.
+// IndexD is the name the d-dimensional constructors return the engine
+// under; what is 2-D-only (Save/Open, T1, line, tuple and vertical
+// selections) returns an error on an index of dimension > 2.
+type IndexD = Index
+
+// New creates an empty 2-D dual index over rel with the given options.
 func New(rel *constraint.Relation, opt Options) (*Index, error) {
 	if rel.Dim() != 2 {
 		return nil, fmt.Errorf("core: Index is 2-dimensional; use NewD for dimension %d", rel.Dim())
@@ -62,6 +70,36 @@ func New(rel *constraint.Relation, opt Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newIndex(rel, opt, &slopeSet{s: slopes, outer: opt.OuterHalfWidth})
+}
+
+// NewD creates an empty d-dimensional dual index (d ≥ 2 works, but the
+// slope-set geometry of New is tighter there).
+func NewD(rel *constraint.Relation, opt OptionsD) (*IndexD, error) {
+	d := rel.Dim()
+	if d < 2 {
+		return nil, fmt.Errorf("core: dimension %d < 2", d)
+	}
+	geo, err := newSiteSet(opt.Sites, d-1, opt.SlopeBoxLo, opt.SlopeBoxHi)
+	if err != nil {
+		return nil, err
+	}
+	o := Options{
+		Technique:             T2,
+		PageSize:              opt.PageSize,
+		PoolPages:             opt.PoolPages,
+		Pool:                  opt.Pool,
+		FillFactor:            opt.FillFactor,
+		RebuildHandicapsEvery: opt.RebuildHandicapsEvery,
+		Observe:               opt.Observe,
+	}
+	o.storageDefaults()
+	return newIndex(rel, o, geo)
+}
+
+// newIndex creates the empty engine over a geometry: the page pool, one
+// tree pair per site and the first published version.
+func newIndex(rel *constraint.Relation, opt Options, geo slopeSpace) (*Index, error) {
 	pool := opt.Pool
 	owned := pool == nil
 	if owned {
@@ -75,12 +113,7 @@ func New(rel *constraint.Relation, opt Options) (*Index, error) {
 			PlainLRU: opt.PlainLRU,
 		})
 	}
-	ix := &Index{
-		rel:    rel,
-		opt:    opt,
-		slopes: slopes,
-		pool:   pool,
-	}
+	ix := &Index{rel: rel, opt: opt, dim: rel.Dim(), geo: geo, pool: pool}
 	if owned {
 		// Reserve the catalog page (page 1 of the dedicated store) so the
 		// database can be persisted with Save (see persist.go).
@@ -91,9 +124,8 @@ func New(rel *constraint.Relation, opt Options) (*Index, error) {
 		ix.catalog = f.ID()
 		f.Release()
 	}
-	kinds := []btree.SlotKind{btree.MinSlot, btree.MinSlot, btree.MaxSlot, btree.MaxSlot}
-	cfg := opt.treeConfig(kinds)
-	for range slopes {
+	cfg := opt.treeConfig(geo.slotKinds())
+	for i := 0; i < geo.sites(); i++ {
 		u, err := btree.New(pool, cfg)
 		if err != nil {
 			return nil, err
@@ -115,89 +147,94 @@ func New(rel *constraint.Relation, opt Options) (*Index, error) {
 	return ix, nil
 }
 
-// tupleSurface is one satisfiable tuple's build-time geometry: its id and
-// its TOP/BOT dual envelopes.
-type tupleSurface struct {
-	id  constraint.TupleID
-	top geom.Envelope
-	bot geom.Envelope
-}
-
-// Build bulk-loads the index from every satisfiable tuple currently in the
-// relation. The index must be empty.
+// Build bulk-loads a 2-D index from every satisfiable tuple currently in
+// the relation.
 //
-// With Options.BuildWorkers > 1 the per-slope work — key evaluation,
-// sorting, bulk-loading B_i^up/B_i^down and folding that slope's handicap
+// With Options.BuildWorkers > 1 the per-site work — key evaluation,
+// sorting, bulk-loading B_i^up/B_i^down and folding that site's handicap
 // extrema — fans out across a worker pool. Each worker owns whole trees
 // (disjoint page sets), so only buffer-pool shard locks are contended and
 // the loaded trees are bit-identical in shape to a serial build; only page
 // id assignment differs.
 func Build(rel *constraint.Relation, opt Options) (*Index, error) {
-	ix, err := New(rel, opt)
+	return bulkLoaded(New(rel, opt))
+}
+
+// BuildD bulk-loads a d-dimensional dual index from the relation.
+func BuildD(rel *constraint.Relation, opt OptionsD) (*IndexD, error) {
+	return bulkLoaded(NewD(rel, opt))
+}
+
+// bulkLoaded fills a freshly created, not yet shared index from its
+// relation (and passes a constructor error through).
+func bulkLoaded(ix *Index, err error) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ts []tupleSurface
+	var ts []*constraint.Tuple
 	var buildErr error
-	rel.Scan(func(t *constraint.Tuple) bool {
+	ix.rel.Scan(func(t *constraint.Tuple) bool {
 		if _, err := t.Extension(); err != nil {
 			buildErr = err
 			return false
 		}
-		if !t.IsSatisfiable() {
-			return true // empty extensions match nothing and are not indexed
+		if t.IsSatisfiable() { // empty extensions match nothing and are not indexed
+			ts = append(ts, t)
 		}
-		ts = append(ts, tupleSurface{id: t.ID(), top: t.TopEnv(), bot: t.BotEnv()})
 		return true
 	})
 	if buildErr != nil {
 		return nil, buildErr
 	}
 
-	// One task per slope pair, plus one for the optional vertical pair.
-	tasks := make([]func() error, 0, len(ix.slopes)+1)
-	for i := range ix.slopes {
-		i := i
-		tasks = append(tasks, func() error { return ix.buildSlope(i, ts) })
+	// One task per site's tree pair, plus one for the optional vertical pair.
+	tasks := make([]func() error, 0, len(ix.up)+1)
+	for i := range ix.up {
+		tasks = append(tasks, func() error { return ix.buildSite(i, ts) })
 	}
 	if ix.vup != nil {
-		tasks = append(tasks, func() error { return ix.buildVertical(rel, ts) })
+		tasks = append(tasks, func() error { return ix.buildVertical(ts) })
 	}
-	if err := runTasks(tasks, opt.BuildWorkers); err != nil {
+	if err := runTasks(tasks, ix.opt.BuildWorkers); err != nil {
 		return nil, err
 	}
 	// Re-publish version 1 over the bulk-loaded trees. The index has not
 	// escaped to any reader yet, so mutating the trees in place between
-	// New's publish and this one is unobservable.
+	// newIndex's publish and this one is unobservable.
 	indexed := make(map[constraint.TupleID]bool, len(ts))
 	for _, t := range ts {
-		indexed[t.id] = true
+		indexed[t.ID()] = true
 	}
 	ix.republishLocked(1, indexed, 0)
 	return ix, nil
 }
 
-// buildSlope bulk-loads the tree pair of slope index i and folds every
-// tuple's strip extrema into that pair's handicap slots (the paper's
-// preprocessing step, restricted to one slope so builds parallelize).
-func (ix *Index) buildSlope(i int, ts []tupleSurface) error {
-	a := ix.slopes[i]
+// bulkLoadPair sorts and bulk-loads one tree pair.
+func bulkLoadPair(up, down *btree.Tree, upEntries, downEntries []btree.Entry) error {
+	slices.SortFunc(upEntries, btree.Entry.Compare)
+	slices.SortFunc(downEntries, btree.Entry.Compare)
+	if err := up.BulkLoad(upEntries); err != nil {
+		return err
+	}
+	return down.BulkLoad(downEntries)
+}
+
+// buildSite bulk-loads the tree pair of site i and folds every tuple's
+// cell extrema into that pair's handicap slots (the paper's preprocessing
+// step, restricted to one site so builds parallelize).
+func (ix *Index) buildSite(i int, ts []*constraint.Tuple) error {
 	upEntries := make([]btree.Entry, 0, len(ts))
 	downEntries := make([]btree.Entry, 0, len(ts))
 	for _, t := range ts {
-		upEntries = append(upEntries, btree.Entry{Key: t.top.Eval(a), TID: uint32(t.id)})
-		downEntries = append(downEntries, btree.Entry{Key: t.bot.Eval(a), TID: uint32(t.id)})
+		top, bot := ix.geo.keys(t, i)
+		upEntries = append(upEntries, btree.Entry{Key: top, TID: uint32(t.ID())})
+		downEntries = append(downEntries, btree.Entry{Key: bot, TID: uint32(t.ID())})
 	}
-	slices.SortFunc(upEntries, btree.Entry.Compare)
-	slices.SortFunc(downEntries, btree.Entry.Compare)
-	if err := ix.up[i].BulkLoad(upEntries); err != nil {
-		return err
-	}
-	if err := ix.down[i].BulkLoad(downEntries); err != nil {
+	if err := bulkLoadPair(ix.up[i], ix.down[i], upEntries, downEntries); err != nil {
 		return err
 	}
 	for _, t := range ts {
-		if err := ix.mergeHandicapsAt(i, t.top, t.bot); err != nil {
+		if err := ix.mergeHandicapsAt(i, t); err != nil {
 			return err
 		}
 	}
@@ -206,27 +243,18 @@ func (ix *Index) buildSlope(i int, ts []tupleSurface) error {
 
 // buildVertical bulk-loads the optional V^up/V^down pair over horizontal
 // support values.
-func (ix *Index) buildVertical(rel *constraint.Relation, ts []tupleSurface) error {
+func (ix *Index) buildVertical(ts []*constraint.Tuple) error {
 	vupEntries := make([]btree.Entry, 0, len(ts))
 	vdownEntries := make([]btree.Entry, 0, len(ts))
 	for _, t := range ts {
-		tup, err := rel.Get(t.id)
+		ext, err := t.Extension()
 		if err != nil {
 			return err
 		}
-		ext, err := tup.Extension()
-		if err != nil {
-			return err
-		}
-		vupEntries = append(vupEntries, btree.Entry{Key: supX(ext), TID: uint32(t.id)})
-		vdownEntries = append(vdownEntries, btree.Entry{Key: infX(ext), TID: uint32(t.id)})
+		vupEntries = append(vupEntries, btree.Entry{Key: supX(ext), TID: uint32(t.ID())})
+		vdownEntries = append(vdownEntries, btree.Entry{Key: infX(ext), TID: uint32(t.ID())})
 	}
-	slices.SortFunc(vupEntries, btree.Entry.Compare)
-	slices.SortFunc(vdownEntries, btree.Entry.Compare)
-	if err := ix.vup.BulkLoad(vupEntries); err != nil {
-		return err
-	}
-	return ix.vdown.BulkLoad(vdownEntries)
+	return bulkLoadPair(ix.vup, ix.vdown, vupEntries, vdownEntries)
 }
 
 // runTasks executes the tasks on a pool of `workers` goroutines (≤ 1 runs
@@ -263,29 +291,11 @@ func runTasks(tasks []func() error, workers int) error {
 	return errors.Join(errs...)
 }
 
-// stripBounds returns the left and right strip limits of slope i:
-// [leftLo, a_i] toward the previous slope and [a_i, rightHi] toward the
-// next one. The outermost strips extend by OuterHalfWidth.
-func (ix *Index) stripBounds(i int) (leftLo, rightHi float64) {
-	a := ix.slopes[i]
-	if i > 0 {
-		leftLo = (ix.slopes[i-1] + a) / 2
-	} else {
-		leftLo = a - ix.opt.OuterHalfWidth
-	}
-	if i < len(ix.slopes)-1 {
-		rightHi = (a + ix.slopes[i+1]) / 2
-	} else {
-		rightHi = a + ix.opt.OuterHalfWidth
-	}
-	return leftLo, rightHi
-}
-
 // mergeHandicaps folds one tuple's contribution into every tree's handicap
 // slots.
-func (ix *Index) mergeHandicaps(top, bot geom.Envelope) error {
-	for i := range ix.slopes {
-		if err := ix.mergeHandicapsAt(i, top, bot); err != nil {
+func (ix *Index) mergeHandicaps(t *constraint.Tuple) error {
+	for i := range ix.up {
+		if err := ix.mergeHandicapsAt(i, t); err != nil {
 			return err
 		}
 	}
@@ -293,43 +303,25 @@ func (ix *Index) mergeHandicaps(top, bot geom.Envelope) error {
 }
 
 // mergeHandicapsAt folds one tuple's contribution into the handicap slots
-// of slope i's tree pair. topV/botV are the tree keys; the routing keys are
-// the exact strip extrema of the tuple's TOP/BOT envelopes (DESIGN.md
-// §4.3). Calls for distinct slopes touch disjoint trees, which is what
-// lets Build fan handicap folding across its per-slope workers.
-func (ix *Index) mergeHandicapsAt(i int, top, bot geom.Envelope) error {
-	a := ix.slopes[i]
-	leftLo, rightHi := ix.stripBounds(i)
-	topV, botV := top.Eval(a), bot.Eval(a)
-
-	// B_i^up: low slots route by strip max of TOP (convex ⇒ exact at
-	// strip endpoints), high slots by strip min.
-	u := ix.up[i]
-	if err := u.MergeHandicap(top.MaxOn(leftLo, a), slotLowPrev, topV); err != nil {
-		return err
+// of site i's tree pair: per slot, the tuple's tree key is combined into
+// the leaf its routing key (the geometry's cell extremum) selects. Calls
+// for distinct sites touch disjoint trees, which is what lets Build fan
+// handicap folding across its per-site workers.
+func (ix *Index) mergeHandicapsAt(i int, t *constraint.Tuple) error {
+	topV, botV := ix.geo.keys(t, i)
+	upRoutes, downRoutes := ix.geo.routes(t, i)
+	u, d := ix.up[i], ix.down[i]
+	for slot := 0; slot < u.NumHandicaps(); slot++ {
+		if err := u.MergeHandicap(upRoutes[slot], slot, topV); err != nil {
+			return err
+		}
 	}
-	if err := u.MergeHandicap(top.MaxOn(a, rightHi), slotLowNext, topV); err != nil {
-		return err
+	for slot := 0; slot < d.NumHandicaps(); slot++ {
+		if err := d.MergeHandicap(downRoutes[slot], slot, botV); err != nil {
+			return err
+		}
 	}
-	if err := u.MergeHandicap(top.MinOn(leftLo, a), slotHighPrev, topV); err != nil {
-		return err
-	}
-	if err := u.MergeHandicap(top.MinOn(a, rightHi), slotHighNext, topV); err != nil {
-		return err
-	}
-
-	// B_i^down: the same four slots over the BOT surface.
-	d := ix.down[i]
-	if err := d.MergeHandicap(bot.MaxOn(leftLo, a), slotLowPrev, botV); err != nil {
-		return err
-	}
-	if err := d.MergeHandicap(bot.MaxOn(a, rightHi), slotLowNext, botV); err != nil {
-		return err
-	}
-	if err := d.MergeHandicap(bot.MinOn(leftLo, a), slotHighPrev, botV); err != nil {
-		return err
-	}
-	return d.MergeHandicap(bot.MinOn(a, rightHi), slotHighNext, botV)
+	return nil
 }
 
 // Insert adds a tuple to the relation and the index as one atomic commit:
@@ -377,7 +369,7 @@ func (ix *Index) RebuildHandicaps() error {
 	return c.Commit()
 }
 
-// Pages returns the total number of pages occupied by all 2·k trees at
+// Pages returns the total number of pages occupied by all 2·|S| trees at
 // the current version — the space metric of Figure 10.
 func (ix *Index) Pages() int {
 	rs := ix.roots.Load()
@@ -425,26 +417,29 @@ func (ix *Index) DecodeCacheStats() btree.DecodeStats {
 	return s
 }
 
-// Slopes returns the sorted slope set S.
-func (ix *Index) Slopes() []float64 { return append([]float64(nil), ix.slopes...) }
+// Slopes returns the sorted slope set S of a 2-D slope-set index (nil on a
+// site-set index).
+func (ix *Index) Slopes() []float64 {
+	if g, ok := ix.geo.(*slopeSet); ok {
+		return append([]float64(nil), g.s...)
+	}
+	return nil
+}
+
+// Sites returns a copy of the site set S ⊂ E^{d−1} of a site-set index (nil
+// on a slope-set index).
+func (ix *Index) Sites() []geom.Point {
+	g, ok := ix.geo.(*siteSet)
+	if !ok {
+		return nil
+	}
+	out := make([]geom.Point, len(g.s))
+	for i, s := range g.s {
+		out[i] = s.Clone()
+	}
+	return out
+}
 
 // Len returns the number of indexed (satisfiable) tuples at the current
 // version.
 func (ix *Index) Len() int { return len(ix.roots.Load().indexed) }
-
-// nearestSlope returns the index of the S-member closest to a (ties break
-// toward the lower slope) and whether a coincides with it within Eps.
-func (ix *Index) nearestSlope(a float64) (int, bool) {
-	i := sort.SearchFloat64s(ix.slopes, a)
-	best := -1
-	bestDist := math.Inf(1)
-	for _, j := range []int{i - 1, i} {
-		if j < 0 || j >= len(ix.slopes) {
-			continue
-		}
-		if d := math.Abs(ix.slopes[j] - a); d < bestDist {
-			best, bestDist = j, d
-		}
-	}
-	return best, bestDist <= geom.Eps
-}

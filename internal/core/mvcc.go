@@ -38,7 +38,7 @@ import (
 type rootSet struct {
 	version uint64
 
-	up, down   []*btree.Tree // frozen read handles, one pair per slope
+	up, down   []*btree.Tree // frozen read handles, one pair per site
 	vup, vdown *btree.Tree   // optional vertical pair (nil when off)
 
 	// indexed is the satisfiable-tuple set of this version;
@@ -56,7 +56,7 @@ type rootSet struct {
 	live   int
 }
 
-// tree returns the B⁺-tree serving queries of q's shape at slope index i:
+// tree returns the B⁺-tree serving queries of q's shape at site i:
 // B^up for EXIST(≥)/ALL(≤), B^down for ALL(≥)/EXIST(≤) (Section 3).
 func (rs *rootSet) tree(i int, q constraint.Query) *btree.Tree {
 	if q.UsesTop() {
@@ -82,6 +82,17 @@ func (rs *rootSet) relScan(fn func(*constraint.Tuple) bool) {
 			return
 		}
 	}
+}
+
+// allIDs appends the id of every tuple of this version to buf — the
+// candidate set of the paths that have no tree to sweep.
+func (rs *rootSet) allIDs(buf []uint32) []uint32 {
+	for i, t := range rs.tuples {
+		if t != nil {
+			buf = append(buf, uint32(i+1))
+		}
+	}
+	return buf
 }
 
 // relLen returns the relation size at this version.

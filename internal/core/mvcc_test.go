@@ -31,26 +31,19 @@ func probeAnswers(t *testing.T, s *Snapshot, qs []constraint.Query) [][]constrai
 // aborting is invisible: the published version still answers every query
 // exactly as before the attempt.
 func TestInsertFaultLeavesSnapshotIntact(t *testing.T) {
+	for _, c := range engineCases {
+		t.Run(c.name, func(t *testing.T) { testInsertFaultLeavesSnapshotIntact(t, c) })
+	}
+}
+
+func testInsertFaultLeavesSnapshotIntact(t *testing.T, c engineCase) {
 	store := pagestore.NewFaultStore(pagestore.NewMemStore(1024))
 	rng := rand.New(rand.NewSource(17))
-	rel := constraint.NewRelation(2)
-	for i := 0; i < 120; i++ {
-		if _, err := rel.Insert(randTuple(rng, false)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ix, err := Build(rel, Options{
-		Slopes:    EquiangularSlopes(3),
-		Technique: T2,
-		Store:     store,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rel, ix := buildCase(t, c, rng, 120, store)
 
 	qs := make([]constraint.Query, 24)
 	for i := range qs {
-		qs[i] = randQuery(rng)
+		qs[i] = c.query(rng)
 	}
 	before := ix.Snapshot()
 	defer before.Release()
@@ -64,7 +57,7 @@ func TestInsertFaultLeavesSnapshotIntact(t *testing.T) {
 	// already took the entry on their shadow pages, others never saw it.
 	for _, allocs := range []int{1, 2, 5, 9} {
 		store.FailAllocAfter(allocs)
-		_, err := ix.Insert(randTuple(rng, false))
+		_, err := ix.Insert(c.tuple(rng, false))
 		store.Disarm()
 		if !errors.Is(err, pagestore.ErrInjected) {
 			t.Fatalf("FailAllocAfter(%d): Insert error = %v, want injected fault", allocs, err)
@@ -91,7 +84,7 @@ func TestInsertFaultLeavesSnapshotIntact(t *testing.T) {
 
 	// The index stays fully usable: a disarmed insert commits and is seen
 	// by new snapshots.
-	id, err := ix.Insert(randTuple(rng, false))
+	id, err := ix.Insert(c.tuple(rng, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,26 +101,41 @@ func TestInsertFaultLeavesSnapshotIntact(t *testing.T) {
 // identically before, between and after concurrent commits, while fresh
 // snapshots track the live relation exactly.
 func TestSnapshotStableAcrossCommits(t *testing.T) {
+	for _, c := range engineCases {
+		t.Run(c.name, func(t *testing.T) { testSnapshotStableAcrossCommits(t, c) })
+	}
+}
+
+func testSnapshotStableAcrossCommits(t *testing.T, c engineCase) {
 	rng := rand.New(rand.NewSource(29))
-	rel, ix := buildRandomIndex(t, rng, 200, Options{
-		Slopes:    EquiangularSlopes(3),
-		Technique: T2,
-	}, false)
+	rel, ix := buildCase(t, c, rng, 200, nil)
 
 	qs := make([]constraint.Query, 30)
 	for i := range qs {
-		qs[i] = randQuery(rng)
+		qs[i] = c.query(rng)
 	}
 	pinned := ix.Snapshot()
 	defer pinned.Release()
+	if c.scan.Slope != nil {
+		// The scan path has no tree to shield it: it must evaluate against
+		// the pinned version's frozen tuples, not the live relation.
+		res, err := pinned.Query(c.scan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Path != "scan" || len(res.IDs) == 0 {
+			t.Fatalf("%v: path %q with %d results, want a non-empty scan", c.scan, res.Stats.Path, len(res.IDs))
+		}
+		qs = append(qs, c.scan)
+	}
 	want := probeAnswers(t, pinned, qs)
 
 	ids := rel.IDs()
 	for round := 0; round < 6; round++ {
 		// One commit batch per round: a few inserts and deletes.
-		c := ix.Begin()
+		b := ix.Begin()
 		for i := 0; i < 10; i++ {
-			id, err := c.Insert(randTuple(rng, false))
+			id, err := b.Insert(c.tuple(rng, false))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,12 +143,12 @@ func TestSnapshotStableAcrossCommits(t *testing.T) {
 		}
 		for i := 0; i < 8 && len(ids) > 0; i++ {
 			j := rng.Intn(len(ids))
-			if err := c.Delete(ids[j]); err != nil {
+			if err := b.Delete(ids[j]); err != nil {
 				t.Fatal(err)
 			}
 			ids = append(ids[:j], ids[j+1:]...)
 		}
-		if err := c.Commit(); err != nil {
+		if err := b.Commit(); err != nil {
 			t.Fatal(err)
 		}
 
@@ -156,7 +164,7 @@ func TestSnapshotStableAcrossCommits(t *testing.T) {
 		// the live relation.
 		fresh := ix.Snapshot()
 		for i := 0; i < 5; i++ {
-			q := randQuery(rng)
+			q := c.query(rng)
 			wantLive, err := q.Eval(rel)
 			if err != nil {
 				t.Fatal(err)

@@ -243,8 +243,8 @@ func TestNilObserverCommitAddsNoAllocs(t *testing.T) {
 
 // BenchmarkCommitBare and BenchmarkCommitObserved are the write-side
 // perf guard: the observed insert+delete commit pair must track the bare
-// one (benchsnap gates the allocation delta; the latency ratio is the
-// issue's 5% acceptance bar).
+// one (TestNilObserverCommitAddsNoAllocs pins the bare path's
+// allocations; the latency ratio is PR 9's 5% acceptance bar).
 func BenchmarkCommitBare(b *testing.B)     { benchCommit(b, false) }
 func BenchmarkCommitObserved(b *testing.B) { benchCommit(b, true) }
 

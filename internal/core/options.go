@@ -56,7 +56,7 @@ func (t Technique) String() string {
 	}
 }
 
-// Options configures a 2-D dual index.
+// Options configures a 2-D dual index over a slope set.
 type Options struct {
 	// Slopes is the predefined set S of angular coefficients. At least one;
 	// at least two for T1/T2 approximation. Sorted internally.
@@ -130,6 +130,27 @@ type Options struct {
 	Observe *obs.Observer
 }
 
+// OptionsD configures a d-dimensional dual index (Section 4.4): the same
+// engine over a site set in slope space E^{d−1} instead of a slope set.
+type OptionsD struct {
+	// Sites is the predefined set S of slope points in E^{d−1}.
+	Sites []geom.Point
+	// SlopeBoxLo/SlopeBoxHi clamp the Voronoi cells (and hence the region
+	// where T2 approximation applies). Defaults to the sites' bounding box
+	// expanded by the largest inter-site distance.
+	SlopeBoxLo, SlopeBoxHi []float64
+	// PageSize / PoolPages / Pool / FillFactor as in Options.
+	PageSize   int
+	PoolPages  int
+	Pool       *pagestore.Pool
+	FillFactor float64
+	// RebuildHandicapsEvery as in Options.
+	RebuildHandicapsEvery int
+	// Observe as in Options: attaches per-query metrics and tracing; nil
+	// keeps the query path allocation-free.
+	Observe *obs.Observer
+}
+
 // treeConfig is the btree configuration every tree of the index shares,
 // with the given handicap slots.
 func (o *Options) treeConfig(kinds []btree.SlotKind) btree.Config {
@@ -138,6 +159,20 @@ func (o *Options) treeConfig(kinds []btree.SlotKind) btree.Config {
 		FillFactor:    o.FillFactor,
 		NoDecodeCache: o.NoDecodeCache,
 		Readahead:     o.Readahead,
+	}
+}
+
+// storageDefaults fills the page-store and tree defaults both constructors
+// share.
+func (o *Options) storageDefaults() {
+	if o.PageSize <= 0 {
+		o.PageSize = pagestore.DefaultPageSize
+	}
+	if o.PoolPages <= 0 {
+		o.PoolPages = 512
+	}
+	if o.FillFactor <= 0 || o.FillFactor > 1 {
+		o.FillFactor = 0.9
 	}
 }
 
@@ -166,15 +201,7 @@ func (o *Options) normalize() ([]float64, error) {
 	if o.Technique != RestrictedOnly && len(s) < 2 {
 		return nil, fmt.Errorf("core: techniques T1/T2 need at least two slopes, got %d", len(s))
 	}
-	if o.PageSize <= 0 {
-		o.PageSize = pagestore.DefaultPageSize
-	}
-	if o.PoolPages <= 0 {
-		o.PoolPages = 512
-	}
-	if o.FillFactor <= 0 || o.FillFactor > 1 {
-		o.FillFactor = 0.9
-	}
+	o.storageDefaults()
 	if o.OuterHalfWidth <= 0 {
 		if len(s) >= 2 {
 			maxGap := 0.0
@@ -205,27 +232,3 @@ func EquiangularSlopes(k int) []float64 {
 	}
 	return out
 }
-
-// Handicap slot indices. Each tree carries four slots (Section 4.3: "each
-// leaf node in B_i^up and B_i^down is extended with four handicap values").
-//
-// For B^up (keys TOP^P(a_i)):
-//
-//	slotLowPrev/slotLowNext  bound the downward second sweep of
-//	                         EXIST(q(≥)) queries approximated from the
-//	                         left/right neighbour strip (min of TOP(a_i)
-//	                         over tuples routed by the strip max of TOP);
-//	slotHighPrev/slotHighNext bound the upward second sweep of ALL(q(≤))
-//	                         queries (max of TOP(a_i) over tuples routed
-//	                         by the strip min of TOP).
-//
-// For B^down (keys BOT^P(a_i)) the same four slots serve ALL(q(≥)) (low
-// slots, routed by strip max of BOT) and EXIST(q(≤)) (high slots, routed
-// by strip min of BOT).
-const (
-	slotLowPrev = iota
-	slotLowNext
-	slotHighPrev
-	slotHighNext
-	numSlots
-)

@@ -47,8 +47,13 @@ func (ix *Index) Save() error {
 	if ix.catalog == pagestore.InvalidPage {
 		return fmt.Errorf("core: index has no catalog page (built on a shared pool?)")
 	}
-	if len(ix.slopes) > maxPersistK {
-		return fmt.Errorf("core: cannot persist k=%d > %d slope sets", len(ix.slopes), maxPersistK)
+	g, ok := ix.geo.(*slopeSet)
+	if !ok {
+		return fmt.Errorf("core: only the 2-D slope-set index can be persisted")
+	}
+	slopes := g.s
+	if len(slopes) > maxPersistK {
+		return fmt.Errorf("core: cannot persist k=%d > %d slope sets", len(slopes), maxPersistK)
 	}
 	if c := ix.pool.SnapshotCensus(); c.Active > 0 {
 		return fmt.Errorf("core: Save with %d active snapshots", c.Active)
@@ -91,7 +96,7 @@ func (ix *Index) Save() error {
 	if ix.vup != nil {
 		d[9] = 1 // flags: bit 0 = vertical pair present
 	}
-	binary.LittleEndian.PutUint16(d[10:12], uint16(len(ix.slopes)))
+	binary.LittleEndian.PutUint16(d[10:12], uint16(len(slopes)))
 	binary.LittleEndian.PutUint32(d[12:16], uint32(ix.opt.RebuildHandicapsEvery))
 	binary.LittleEndian.PutUint64(d[16:24], math.Float64bits(ix.opt.PivotX))
 	binary.LittleEndian.PutUint64(d[24:32], math.Float64bits(ix.opt.OuterHalfWidth))
@@ -100,7 +105,7 @@ func (ix *Index) Save() error {
 	binary.LittleEndian.PutUint32(d[44:48], uint32(count))
 	binary.LittleEndian.PutUint32(d[48:52], uint32(ix.rel.Dim()))
 	off := 52
-	for _, s := range ix.slopes {
+	for _, s := range slopes {
 		binary.LittleEndian.PutUint64(d[off:off+8], math.Float64bits(s))
 		off += 8
 	}
@@ -111,7 +116,7 @@ func (ix *Index) Save() error {
 		binary.LittleEndian.PutUint32(d[off+12:off+16], uint32(m.Pages))
 		off += 16
 	}
-	for i := range ix.slopes {
+	for i := range slopes {
 		writeMeta(ix.up[i].Meta())
 		writeMeta(ix.down[i].Meta())
 	}
@@ -190,14 +195,14 @@ func Open(pool *pagestore.Pool) (*constraint.Relation, *Index, error) {
 	ix := &Index{
 		rel:        rel,
 		opt:        opt,
-		slopes:     slopes,
+		dim:        dim,
+		geo:        &slopeSet{s: slopes, outer: opt.OuterHalfWidth},
 		pool:       pool,
 		catalog:    catalogPage,
 		tupleChain: head,
 	}
 	ix.dataPages = chainPages
-	kinds := []btree.SlotKind{btree.MinSlot, btree.MinSlot, btree.MaxSlot, btree.MaxSlot}
-	cfg := opt.treeConfig(kinds)
+	cfg := opt.treeConfig(ix.geo.slotKinds())
 	for i := 0; i < k; i++ {
 		u, err := btree.Restore(pool, cfg, metas[2*i])
 		if err != nil {

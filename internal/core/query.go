@@ -16,9 +16,9 @@ import (
 
 // QueryStats describes how one selection was executed.
 type QueryStats struct {
-	// Path is the execution route: "restricted", "t1", "t2", or
-	// "t1(fallback)" when a T2 query slope fell outside every handicap
-	// strip.
+	// Path is the execution route: "restricted", "t1", "t2", and for a T2
+	// query slope outside every cell "t1(fallback)" on a slope-set index or
+	// "scan" on a site-set one.
 	Path string
 	// Candidates is the number of tuple references retrieved from the
 	// trees before refinement (T1 counts duplicates once each).
@@ -178,36 +178,51 @@ func (ix *Index) query(q constraint.Query, ec *execCtx) (Result, error) {
 	return ix.queryExec(q, ec)
 }
 
-// queryExec validates, routes and dispatches one half-plane selection.
+// queryExec validates and routes one half-plane selection, collects its
+// candidates on the path the routing selects and refines them through the
+// exact Proposition 2.2 predicate.
 func (ix *Index) queryExec(q constraint.Query, ec *execCtx) (Result, error) {
-	if q.Dim() != 2 {
-		return Result{}, fmt.Errorf("core: query dimension %d on a 2-D index", q.Dim())
+	if q.Dim() != ix.dim {
+		return Result{}, fmt.Errorf("core: query dimension %d, index dimension %d", q.Dim(), ix.dim)
 	}
-	a := q.Slope[0]
-	if math.IsNaN(a) || math.IsInf(a, 0) {
-		return Result{}, fmt.Errorf("core: invalid query slope %v", a)
-	}
-	sp := ec.span(obs.StageRoute)
-	i, exact := ix.nearestSlope(a)
-	ec.endSpan(sp, 0)
-
-	var res Result
-	var err error
-	switch {
-	case exact:
-		res, err = ix.runRestricted(i, q, ec)
-	case ix.opt.Technique == RestrictedOnly:
-		return Result{}, fmt.Errorf("core: slope %g not in S and technique is restricted-only", a)
-	case ix.opt.Technique == T1:
-		res, err = ix.runT1(q, "t1", ec)
-	default: // T2
-		leftLo, rightHi := ix.stripBounds(i)
-		if a >= leftLo && a <= rightHi {
-			res, err = ix.runT2(i, q, ec)
-		} else {
-			res, err = ix.runT1(q, "t1(fallback)", ec)
+	for _, a := range q.Slope {
+		if math.IsNaN(a) || math.IsInf(a, 0) {
+			return Result{}, fmt.Errorf("core: invalid query slope %v", q.Slope)
 		}
 	}
+	sp := ec.span(obs.StageRoute)
+	r, err := ix.geo.route(q.Slope, q.SweepsUp())
+	ec.endSpan(sp, 0)
+	if err != nil {
+		return Result{}, err
+	}
+
+	var cands []uint32
+	var st QueryStats
+	slopes, _ := ix.geo.(*slopeSet)
+	switch {
+	case r.exact:
+		cands, st, err = ix.collectRestricted(r.site, q, ec)
+	case ix.opt.Technique == RestrictedOnly:
+		return Result{}, fmt.Errorf("core: slope %v not in S and technique is restricted-only", q.Slope)
+	case ix.opt.Technique == T2 && r.inCell:
+		cands, st, err = ix.collectT2(r, q, ec)
+	case slopes == nil:
+		// No covering app-query construction in E^d: outside every
+		// clamped cell each tuple of the pinned version is a candidate.
+		st = QueryStats{Path: "scan"}
+		cands = ec.rs.allIDs(ec.getBuf())
+		st.Candidates = len(cands)
+	case ix.opt.Technique == T1:
+		cands, st, err = ix.collectT1(q, slopes.s, "t1", ec)
+	default: // T2 outside the strips
+		cands, st, err = ix.collectT1(q, slopes.s, "t1(fallback)", ec)
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	res, err := ec.refine(q.Matches, cands, st)
+	ec.putBuf(cands)
 	if err != nil {
 		return Result{}, err
 	}
@@ -215,56 +230,100 @@ func (ix *Index) queryExec(q constraint.Query, ec *execCtx) (Result, error) {
 	return res, nil
 }
 
-// collectRestricted gathers the candidate tuple ids for a query whose
-// slope is exactly S[i]: one search plus a one-directional leaf sweep.
-// Candidates are appended to cands (which may carry pooled capacity); page
-// reads are charged to rc.
-//
-// Boundary semantics: candidate filters tolerate ±geom.Eps around the
-// intercept (matching the Eps-tolerant refinement predicate), and the
-// sweep therefore also *starts* one tolerance before b — a key within Eps
-// of b can be stored in the leaf preceding the one that owns b, and a
-// sweep starting at b would never visit it.
-func (rs *rootSet) collectRestricted(i int, q constraint.Query, st *QueryStats, rc *pagestore.ReadCounter, cands []uint32) ([]uint32, error) {
-	tr := rs.tree(i, q)
-	b := q.Intercept
-	var err error
-	if q.SweepsUp() {
-		err = tr.VisitLeavesAscTracked(b-geom.Eps, rc, func(lv btree.LeafView) bool {
-			st.LeavesSwept++
-			for i, n := 0, lv.Len(); i < n; i++ {
-				if lv.Key(i) >= b-geom.Eps {
-					cands = append(cands, lv.TID(i))
-				}
-			}
-			return true
-		})
-	} else {
-		err = tr.VisitLeavesDescTracked(b+geom.Eps, rc, func(lv btree.LeafView) bool {
-			st.LeavesSwept++
-			for i, n := 0, lv.Len(); i < n; i++ {
-				if lv.Key(i) <= b+geom.Eps {
-					cands = append(cands, lv.TID(i))
-				}
-			}
-			return true
-		})
-	}
-	return cands, err
+// sweep is the engine's one leaf sweep: from the leaf owning `from`, in one
+// direction, it collects the tuple id of every entry whose key lies in
+// [lo, hi] and stops after the first leaf holding a key beyond the range's
+// far end. Every path — restricted, T1's app-queries, both T2 sweeps, the
+// vertical pair, in any dimension — is one or two of these.
+type sweep struct {
+	from   float64
+	asc    bool
+	lo, hi float64
+	// slot ≥ 0 folds that handicap slot over the visited leaves: the
+	// minimum on an ascending sweep, the maximum on a descending one.
+	slot int
 }
 
-// runRestricted answers a query whose slope is in S (Section 3).
-func (ix *Index) runRestricted(i int, q constraint.Query, ec *execCtx) (Result, error) {
+// firstSweep is the sweep every path starts with, in the direction of the
+// answer set (upward for ≥ selections): it keeps keys ≥ b−Eps, resp.
+// ≤ b+Eps, to the end of the chain.
+//
+// Boundary semantics: the filter tolerates ±geom.Eps around the intercept
+// (matching the Eps-tolerant refinement predicate), and the sweep therefore
+// also *starts* one tolerance before b — a key within Eps of b can be
+// stored in the leaf preceding the one that owns b, and a sweep starting at
+// b would never visit it.
+func firstSweep(b float64, up bool, slot int) sweep {
+	if up {
+		return sweep{from: b - geom.Eps, asc: true, lo: b - geom.Eps, hi: math.Inf(1), slot: slot}
+	}
+	return sweep{from: b + geom.Eps, asc: false, lo: math.Inf(-1), hi: b + geom.Eps, slot: slot}
+}
+
+// secondSweep is T2's: from b against the direction of the first sweep, as
+// far as the handicap bound h (one tolerance past it). It keeps exactly the
+// keys the first sweep's filter rejected — the open end of its range is the
+// float64 neighbour of the first sweep's closed one — so the two sweeps are
+// disjoint and no duplicates arise.
+func secondSweep(b float64, up bool, h float64) sweep {
+	if up {
+		return sweep{from: b, asc: false, lo: h - geom.Eps, hi: math.Nextafter(b-geom.Eps, math.Inf(-1)), slot: -1}
+	}
+	return sweep{from: b, asc: true, lo: math.Nextafter(b+geom.Eps, math.Inf(1)), hi: h + geom.Eps, slot: -1}
+}
+
+// run executes the sweep on tr, appending to cands (which may carry pooled
+// capacity), counting visited leaves in st and charging page reads to rc.
+// It returns the grown candidate slice and the folded handicap.
+func (s sweep) run(tr *btree.Tree, rc *pagestore.ReadCounter, cands []uint32, st *QueryStats) ([]uint32, float64, error) {
+	h := math.Inf(1)
+	if !s.asc {
+		h = math.Inf(-1)
+	}
+	visit := func(lv btree.LeafView) bool {
+		st.LeavesSwept++
+		if s.slot >= 0 {
+			if s.asc {
+				h = min(h, lv.Handicap(s.slot))
+			} else {
+				h = max(h, lv.Handicap(s.slot))
+			}
+		}
+		n := lv.Len()
+		for i := 0; i < n; i++ {
+			if k := lv.Key(i); k >= s.lo && k <= s.hi {
+				cands = append(cands, lv.TID(i))
+			}
+		}
+		// Keys are sorted within a leaf, so its last (first) key tells
+		// whether an ascending (descending) sweep has left the range.
+		switch {
+		case n == 0:
+			return true
+		case s.asc:
+			return lv.Key(n-1) <= s.hi
+		default:
+			return lv.Key(0) >= s.lo
+		}
+	}
+	var err error
+	if s.asc {
+		err = tr.VisitLeavesAscTracked(s.from, rc, visit)
+	} else {
+		err = tr.VisitLeavesDescTracked(s.from, rc, visit)
+	}
+	return cands, h, err
+}
+
+// collectRestricted gathers the candidates of a query whose slope is site
+// i itself (Section 3): one search plus a one-directional leaf sweep.
+func (ix *Index) collectRestricted(i int, q constraint.Query, ec *execCtx) ([]uint32, QueryStats, error) {
 	st := QueryStats{Path: "restricted"}
 	sp := ec.span(obs.StageSweep)
-	cands, err := ec.rs.collectRestricted(i, q, &st, ec.rc, ec.getBuf())
+	cands, _, err := firstSweep(q.Intercept, q.SweepsUp(), -1).run(ec.rs.tree(i, q), ec.rc, ec.getBuf(), &st)
 	ec.endSpan(sp, len(cands))
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := ix.refine(q, cands, st, ec)
-	ec.putBuf(cands)
-	return res, err
+	st.Candidates = len(cands)
+	return cands, st, err
 }
 
 // PlanT1 rewrites a query with slope a ∉ S into the two app-queries of
@@ -312,24 +371,36 @@ func PlanT1(q constraint.Query, slopes []float64, pivotX float64) ([2]AppQuery, 
 	}, nil
 }
 
-// runT1 executes the two-app-query technique and refines against the
-// original query. The two app-queries sweep independent trees, so with
-// ec.parallelSweeps they run concurrently, each with its own stats and
-// its own ReadCounter (merged into the shared per-query counter after
-// the join) so per-stage page attribution stays exact.
-func (ix *Index) runT1(q constraint.Query, path string, ec *execCtx) (Result, error) {
+// appSweep is the outcome of one T1 app-query's restricted sweep.
+type appSweep struct {
+	st    QueryStats
+	cands []uint32
+	err   error
+}
+
+// run sweeps app-query aq's tree, charging page reads (and the sweep span)
+// to rc.
+func (a *appSweep) run(aq AppQuery, rc *pagestore.ReadCounter, ec *execCtx) {
+	sw := ec.spanRC(obs.StageSweep, rc)
+	a.cands, _, a.err = firstSweep(aq.Query.Intercept, aq.Query.SweepsUp(), -1).run(
+		ec.rs.tree(aq.SlopeIndex, aq.Query), rc, ec.getBuf(), &a.st)
+	ec.endSpanRC(sw, rc, len(a.cands))
+}
+
+// collectT1 executes the two app-queries of technique T1. They sweep
+// independent trees, so with ec.parallelSweeps they run concurrently, each
+// with its own stats and its own ReadCounter (merged into the shared
+// per-query counter after the join) so per-stage page attribution stays
+// exact. The returned candidates are deduplicated.
+func (ix *Index) collectT1(q constraint.Query, slopes []float64, path string, ec *execCtx) ([]uint32, QueryStats, error) {
 	sp := ec.span(obs.StageRoute)
-	plan, err := PlanT1(q, ix.slopes, ix.opt.PivotX)
+	plan, err := PlanT1(q, slopes, ix.opt.PivotX)
 	ec.endSpan(sp, 0)
 	if err != nil {
-		return Result{}, err
+		return nil, QueryStats{}, err
 	}
 	st := QueryStats{Path: path}
-	var sweeps [2]struct {
-		st    QueryStats
-		cands []uint32
-		err   error
-	}
+	var sweeps [2]appSweep
 	if ec.parallelSweeps {
 		// Each goroutine charges its reads to a private counter so the
 		// two concurrent sweep spans don't see each other's page faults;
@@ -338,14 +409,10 @@ func (ix *Index) runT1(q constraint.Query, path string, ec *execCtx) (Result, er
 		var wg sync.WaitGroup
 		for s := range plan {
 			wg.Add(1)
-			go func(s int) {
+			go func() {
 				defer wg.Done()
-				src := &srcs[s]
-				sw := ec.spanRC(obs.StageSweep, src)
-				sweeps[s].cands, sweeps[s].err = ec.rs.collectRestricted(
-					plan[s].SlopeIndex, plan[s].Query, &sweeps[s].st, src, ec.getBuf())
-				ec.endSpanRC(sw, src, len(sweeps[s].cands))
-			}(s)
+				sweeps[s].run(plan[s], &srcs[s], ec)
+			}()
 		}
 		wg.Wait()
 		for s := range srcs {
@@ -354,15 +421,12 @@ func (ix *Index) runT1(q constraint.Query, path string, ec *execCtx) (Result, er
 		}
 	} else {
 		for s := range plan {
-			sw := ec.span(obs.StageSweep)
-			sweeps[s].cands, sweeps[s].err = ec.rs.collectRestricted(
-				plan[s].SlopeIndex, plan[s].Query, &sweeps[s].st, ec.rc, ec.getBuf())
-			ec.endSpan(sw, len(sweeps[s].cands))
+			sweeps[s].run(plan[s], ec.rc, ec)
 		}
 	}
 	for s := range sweeps {
 		if sweeps[s].err != nil {
-			return Result{}, sweeps[s].err
+			return nil, QueryStats{}, sweeps[s].err
 		}
 		st.LeavesSwept += sweeps[s].st.LeavesSwept
 	}
@@ -392,230 +456,120 @@ func (ix *Index) runT1(q constraint.Query, path string, ec *execCtx) (Result, er
 		uniq = append(uniq, tid)
 	}
 	ec.endSpan(dd, st.Duplicates)
-	res, err := ix.refineKeepCandidates(q, uniq, st, ec)
-	ec.putBuf(uniq)
 	ec.putBuf(sweeps[0].cands)
 	ec.putBuf(sweeps[1].cands)
-	return res, err
+	return uniq, st, nil
 }
 
-// runT2 executes the single-tree handicap technique of Section 4.2/4.3.
-func (ix *Index) runT2(i int, q constraint.Query, ec *execCtx) (Result, error) {
+// collectT2 executes the single-tree handicap technique of Sections
+// 4.2–4.4: the restricted sweep in the routed site's tree, tracking the
+// extreme handicap of the visited leaves, then — when some tuple that the
+// first sweep's filter rejected can still match somewhere in the cell — a
+// second sweep the other way, bounded by that handicap.
+func (ix *Index) collectT2(r routing, q constraint.Query, ec *execCtx) ([]uint32, QueryStats, error) {
 	st := QueryStats{Path: "t2"}
-	tr := ec.rs.tree(i, q)
-	a, b := q.Slope[0], q.Intercept
-	right := a >= ix.slopes[i]
+	tr := ec.rs.tree(r.site, q)
+	b, up := q.Intercept, q.SweepsUp()
 
-	cands := ec.getBuf()
-	if q.SweepsUp() {
-		slot := slotLowPrev
-		if right {
-			slot = slotLowNext
-		}
-		// First sweep: upward from one tolerance below the query intercept
-		// (the same Eps-tolerant boundary convention as collectRestricted),
-		// collecting every key ≥ b−Eps and tracking the lowest handicap of
-		// the visited leaves.
-		low := math.Inf(1)
-		sw := ec.span(obs.StageSweep)
-		err := tr.VisitLeavesAscTracked(b-geom.Eps, ec.rc, func(lv btree.LeafView) bool {
-			st.LeavesSwept++
-			if h := lv.Handicap(slot); h < low {
-				low = h
-			}
-			for i, n := 0, lv.Len(); i < n; i++ {
-				if lv.Key(i) >= b-geom.Eps {
-					cands = append(cands, lv.TID(i))
-				}
-			}
-			return true
-		})
-		ec.endSpan(sw, len(cands))
-		if err != nil {
-			return Result{}, err
-		}
-		// Second sweep: downward from b to low(q); keys in [low, b−Eps) —
-		// the exact complement of the first sweep's filter, so the two
-		// sweeps stay disjoint and no duplicates arise.
-		if low < b-geom.Eps {
-			n1 := len(cands)
-			sw2 := ec.span(obs.StageSweepSecond)
-			err = tr.VisitLeavesDescTracked(b, ec.rc, func(lv btree.LeafView) bool {
-				st.LeavesSwept++
-				done := false
-				for i, n := 0, lv.Len(); i < n; i++ {
-					if lv.Key(i) >= b-geom.Eps {
-						continue
-					}
-					if lv.Key(i) < low-geom.Eps {
-						done = true
-						continue
-					}
-					cands = append(cands, lv.TID(i))
-				}
-				return !done
-			})
-			ec.endSpan(sw2, len(cands)-n1)
-			if err != nil {
-				return Result{}, err
-			}
-		}
-	} else {
-		slot := slotHighPrev
-		if right {
-			slot = slotHighNext
-		}
-		high := math.Inf(-1)
-		sw := ec.span(obs.StageSweep)
-		err := tr.VisitLeavesDescTracked(b+geom.Eps, ec.rc, func(lv btree.LeafView) bool {
-			st.LeavesSwept++
-			if h := lv.Handicap(slot); h > high {
-				high = h
-			}
-			for i, n := 0, lv.Len(); i < n; i++ {
-				if lv.Key(i) <= b+geom.Eps {
-					cands = append(cands, lv.TID(i))
-				}
-			}
-			return true
-		})
-		ec.endSpan(sw, len(cands))
-		if err != nil {
-			return Result{}, err
-		}
-		if high > b+geom.Eps {
-			n1 := len(cands)
-			sw2 := ec.span(obs.StageSweepSecond)
-			err = tr.VisitLeavesAscTracked(b, ec.rc, func(lv btree.LeafView) bool {
-				st.LeavesSwept++
-				done := false
-				for i, n := 0, lv.Len(); i < n; i++ {
-					if lv.Key(i) <= b+geom.Eps {
-						continue
-					}
-					if lv.Key(i) > high+geom.Eps {
-						done = true
-						continue
-					}
-					cands = append(cands, lv.TID(i))
-				}
-				return !done
-			})
-			ec.endSpan(sw2, len(cands)-n1)
-			if err != nil {
-				return Result{}, err
-			}
-		}
+	sw := ec.span(obs.StageSweep)
+	cands, h, err := firstSweep(b, up, r.slot).run(tr, ec.rc, ec.getBuf(), &st)
+	ec.endSpan(sw, len(cands))
+	if err != nil {
+		return nil, st, err
 	}
-	res, err := ix.refine(q, cands, st, ec)
-	ec.putBuf(cands)
-	return res, err
-}
-
-// refine filters candidates through the exact Proposition 2.2 predicate.
-func (ix *Index) refine(q constraint.Query, cands []uint32, st QueryStats, ec *execCtx) (Result, error) {
+	if (up && h < b-geom.Eps) || (!up && h > b+geom.Eps) {
+		n1 := len(cands)
+		sw2 := ec.span(obs.StageSweepSecond)
+		cands, _, err = secondSweep(b, up, h).run(tr, ec.rc, cands, &st)
+		ec.endSpan(sw2, len(cands)-n1)
+	}
 	st.Candidates = len(cands)
-	return ix.refineKeepCandidates(q, cands, st, ec)
+	return cands, st, err
 }
 
-// refineKeepCandidates is refine with st.Candidates already set by the
-// caller (T1 counts duplicated references before deduplication). Above
-// ec.refineThreshold candidates the predicate evaluation fans out across
-// ec.refineWorkers goroutines — Tuple extensions are sync.Once-cached and
-// Matches is read-only, so chunks are independent.
-func (ix *Index) refineKeepCandidates(q constraint.Query, cands []uint32, st QueryStats, ec *execCtx) (Result, error) {
-	sp := ec.span(obs.StageRefine)
-	res, err := ix.refineExec(q, cands, st, ec)
-	ec.endSpan(sp, len(cands))
-	return res, err
+// refined is one chunk's refinement outcome.
+type refined struct {
+	ids       []constraint.TupleID
+	falseHits int
+	err       error
 }
 
-// refineExec is the refinement body, split out so the observation span
-// wrapper above stays branch-free on the unobserved path.
-func (ix *Index) refineExec(q constraint.Query, cands []uint32, st QueryStats, ec *execCtx) (Result, error) {
-	workers := ec.refineWorkers
-	if workers > 1 && len(cands) >= ec.refineThreshold && ec.refineThreshold > 0 {
-		return refineParallel(ec.rs, q, cands, st, workers)
-	}
-	ids := make([]constraint.TupleID, 0, len(cands))
+// refineChunk runs the exact predicate over one chunk of candidates
+// against this version's frozen tuples, appending the matches to ids.
+func (rs *rootSet) refineChunk(match func(*constraint.Tuple) (bool, error), cands []uint32, ids []constraint.TupleID) refined {
+	out := refined{ids: ids}
 	for _, tid := range cands {
-		t, err := ec.rs.relGet(constraint.TupleID(tid))
+		t, err := rs.relGet(constraint.TupleID(tid))
 		if err != nil {
-			return Result{}, fmt.Errorf("core: candidate %d not in relation: %w", tid, err)
+			out.err = fmt.Errorf("core: candidate %d not in relation: %w", tid, err)
+			return out
 		}
-		ok, err := q.Matches(t)
+		ok, err := match(t)
 		if err != nil {
-			return Result{}, err
+			out.err = err
+			return out
 		}
 		if ok {
-			ids = append(ids, constraint.TupleID(tid))
+			out.ids = append(out.ids, constraint.TupleID(tid))
 		} else {
-			st.FalseHits++
+			out.falseHits++
 		}
 	}
-	slices.Sort(ids)
-	st.Results = len(ids)
-	return Result{IDs: ids, Stats: st}, nil
+	return out
 }
 
-// refineParallel splits the candidate set into contiguous chunks, refines
-// each on its own goroutine and merges the per-chunk answers. The final
-// sort makes the result identical to sequential refinement.
-func refineParallel(rs *rootSet, q constraint.Query, cands []uint32, st QueryStats, workers int) (Result, error) {
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	type chunkOut struct {
-		ids       []constraint.TupleID
-		falseHits int
-		err       error
-	}
-	outs := make([]chunkOut, workers)
-	var wg sync.WaitGroup
-	per := (len(cands) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * per
-		hi := lo + per
-		if hi > len(cands) {
-			hi = len(cands)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			out := &outs[w]
-			out.ids = make([]constraint.TupleID, 0, hi-lo)
-			for _, tid := range cands[lo:hi] {
-				t, err := rs.relGet(constraint.TupleID(tid))
-				if err != nil {
-					out.err = fmt.Errorf("core: candidate %d not in relation: %w", tid, err)
-					return
-				}
-				ok, err := q.Matches(t)
-				if err != nil {
-					out.err = err
-					return
-				}
-				if ok {
-					out.ids = append(out.ids, constraint.TupleID(tid))
-				} else {
-					out.falseHits++
-				}
+// refine is the engine's one refinement loop: it filters candidates
+// through the exact predicate — Proposition 2.2's Query.Matches, or the
+// vertical test — and returns the sorted answer. st.Candidates is the
+// caller's (T1 counts duplicated references before deduplication).
+//
+// The candidates are refined in contiguous chunks: one, on the calling
+// goroutine, unless ec.refineWorkers > 1 and the set reaches
+// ec.refineThreshold, when the chunks after the first fan out across
+// goroutines — Tuple extensions are sync.Once-cached and the predicates
+// read-only, so chunks are independent, and the final sort makes the
+// result identical either way.
+func (ec *execCtx) refine(match func(*constraint.Tuple) (bool, error), cands []uint32, st QueryStats) (Result, error) {
+	sp := ec.span(obs.StageRefine)
+	per := len(cands)
+	var tails []refined
+	wait := func() {}
+	if ec.refineWorkers > 1 && ec.refineThreshold > 0 && len(cands) >= ec.refineThreshold {
+		workers := min(ec.refineWorkers, len(cands))
+		per = (len(cands) + workers - 1) / workers
+		// What the goroutines share is declared in this branch, so the
+		// one-chunk case allocates nothing for the fan-out.
+		outs := make([]refined, workers-1)
+		var wg sync.WaitGroup
+		for w := range outs {
+			lo := (w + 1) * per
+			hi := min(lo+per, len(cands))
+			if lo >= hi {
+				continue
 			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	ids := make([]constraint.TupleID, 0, len(cands))
-	for w := range outs {
-		if outs[w].err != nil {
-			return Result{}, outs[w].err
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				outs[w] = ec.rs.refineChunk(match, cands[lo:hi], make([]constraint.TupleID, 0, hi-lo))
+			}()
 		}
-		ids = append(ids, outs[w].ids...)
-		st.FalseHits += outs[w].falseHits
+		tails, wait = outs, wg.Wait
 	}
-	slices.Sort(ids)
-	st.Results = len(ids)
-	return Result{IDs: ids, Stats: st}, nil
+	all := ec.rs.refineChunk(match, cands[:per], make([]constraint.TupleID, 0, len(cands)))
+	wait()
+	for _, t := range tails {
+		if all.err == nil {
+			all.err = t.err
+		}
+		all.ids = append(all.ids, t.ids...)
+		all.falseHits += t.falseHits
+	}
+	ec.endSpan(sp, len(cands))
+	if all.err != nil {
+		return Result{}, all.err
+	}
+	slices.Sort(all.ids)
+	st.FalseHits = all.falseHits
+	st.Results = len(all.ids)
+	return Result{IDs: all.ids, Stats: st}, nil
 }

@@ -78,8 +78,8 @@ func (ix *Index) queryTupleTraced(kind constraint.QueryKind, qt *constraint.Tupl
 // tuple query (racy before/after deltas on the shared pool counters would
 // absorb concurrent queries' misses).
 func (ix *Index) queryTuple(kind constraint.QueryKind, qt *constraint.Tuple, ec *execCtx) (TupleResult, error) {
-	if qt.Dim() != 2 {
-		return TupleResult{}, fmt.Errorf("core: query tuple dimension %d on a 2-D index", qt.Dim())
+	if qt.Dim() != 2 || ix.dim != 2 {
+		return TupleResult{}, fmt.Errorf("core: query tuples are 2-D only; tuple dimension %d, index dimension %d", qt.Dim(), ix.dim)
 	}
 	qext, err := qt.Extension()
 	if err != nil {

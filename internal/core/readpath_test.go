@@ -31,73 +31,89 @@ func pointTuple(px, py float64) *constraint.Tuple {
 // tiny page size the b−δ keys span many leaves, so this fails loudly
 // against the historical behaviour of starting the sweep at b.
 func TestBoundaryKeysSpanningLeaves(t *testing.T) {
-	const b = 10.0
-	const delta = 5e-10 // < geom.Eps, so b−δ and b+δ both match the filters
-
-	for _, dir := range []struct {
-		name string
-		y    float64 // packed boundary cluster, many leaves of equal keys
+	for _, geo := range []struct {
+		name  string
+		build func(*constraint.Relation) (*Index, error)
 	}{
-		{"asc-cluster-below-b", b - delta},
-		{"desc-cluster-above-b", b + delta},
+		{"slopes", func(rel *constraint.Relation) (*Index, error) {
+			return Build(rel, Options{Slopes: []float64{-1, 0, 1}, Technique: T2, PageSize: 256})
+		}},
+		// The same S as sites in E¹: the strips become clamped Voronoi cells.
+		{"sites", func(rel *constraint.Relation) (*Index, error) {
+			return BuildD(rel, OptionsD{Sites: []geom.Point{{-1}, {0}, {1}}, PageSize: 256})
+		}},
 	} {
-		t.Run(dir.name, func(t *testing.T) {
-			rel := constraint.NewRelation(2)
-			// 150 boundary points: with PageSize 256 their TOP/BOT keys
-			// occupy several leaves on their own.
-			for i := 0; i < 150; i++ {
-				if _, err := rel.Insert(pointTuple(float64(i-75), dir.y)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// Interior points on both sides of the boundary so each sweep
-			// direction has leaves beyond the cluster.
-			for i := 0; i < 30; i++ {
-				if _, err := rel.Insert(pointTuple(float64(i), b+2+float64(i))); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := rel.Insert(pointTuple(float64(i), b-2-float64(i))); err != nil {
-					t.Fatal(err)
-				}
-			}
-			ix, err := Build(rel, Options{
-				Slopes:    []float64{-1, 0, 1},
-				Technique: T2,
-				PageSize:  256,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			queries := []constraint.Query{
-				// Restricted path, slope 0 ∈ S: TOP/BOT of a point (x, y)
-				// at slope 0 is y, so the cluster keys sit exactly δ away
-				// from the intercept.
-				constraint.Query2(constraint.EXIST, 0, b, geom.GE), // asc sweep in B^up
-				constraint.Query2(constraint.ALL, 0, b, geom.LE),   // desc sweep in B^up
-				constraint.Query2(constraint.ALL, 0, b, geom.GE),   // asc sweep in B^down
-				constraint.Query2(constraint.EXIST, 0, b, geom.LE), // desc sweep in B^down
-				// T2 handicap path (slope outside S, inside the strips).
-				constraint.Query2(constraint.EXIST, 0.01, b, geom.GE),
-				constraint.Query2(constraint.ALL, -0.01, b, geom.LE),
-			}
-			for _, q := range queries {
-				want, err := q.Eval(rel)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := ix.Query(q)
-				if err != nil {
-					t.Fatalf("%v: %v", q, err)
-				}
-				if got.Stats.Path == "scan" {
-					t.Fatalf("%v: unexpectedly fell back to scan", q)
-				}
-				if !sameIDs(got.IDs, want) {
-					t.Fatalf("%v [path %s]: got %d ids, want %d (boundary keys missed)",
-						q, got.Stats.Path, len(got.IDs), len(want))
-				}
-			}
-		})
+		for _, dir := range []struct {
+			name string
+			y    float64 // packed boundary cluster, many leaves of equal keys
+		}{
+			{"asc-cluster-below-b", boundaryB - boundaryDelta},
+			{"desc-cluster-above-b", boundaryB + boundaryDelta},
+		} {
+			t.Run(geo.name+"/"+dir.name, func(t *testing.T) { testBoundaryCluster(t, geo.build, dir.y) })
+		}
+	}
+}
+
+const (
+	boundaryB     = 10.0
+	boundaryDelta = 5e-10 // < geom.Eps, so b−δ and b+δ both match the filters
+)
+
+// testBoundaryCluster indexes a cluster of point tuples at height y through
+// build and checks the restricted and T2 paths at intercept boundaryB.
+func testBoundaryCluster(t *testing.T, build func(*constraint.Relation) (*Index, error), y float64) {
+	const b = boundaryB
+	rel := constraint.NewRelation(2)
+	// 150 boundary points: with PageSize 256 their TOP/BOT keys
+	// occupy several leaves on their own.
+	for i := 0; i < 150; i++ {
+		if _, err := rel.Insert(pointTuple(float64(i-75), y)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Interior points on both sides of the boundary so each sweep
+	// direction has leaves beyond the cluster.
+	for i := 0; i < 30; i++ {
+		if _, err := rel.Insert(pointTuple(float64(i), b+2+float64(i))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rel.Insert(pointTuple(float64(i), b-2-float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ix, err := build(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []constraint.Query{
+		// Restricted path, slope 0 ∈ S: TOP/BOT of a point (x, y)
+		// at slope 0 is y, so the cluster keys sit exactly δ away
+		// from the intercept.
+		constraint.Query2(constraint.EXIST, 0, b, geom.GE), // asc sweep in B^up
+		constraint.Query2(constraint.ALL, 0, b, geom.LE),   // desc sweep in B^up
+		constraint.Query2(constraint.ALL, 0, b, geom.GE),   // asc sweep in B^down
+		constraint.Query2(constraint.EXIST, 0, b, geom.LE), // desc sweep in B^down
+		// T2 handicap path (slope outside S, inside the strips).
+		constraint.Query2(constraint.EXIST, 0.01, b, geom.GE),
+		constraint.Query2(constraint.ALL, -0.01, b, geom.LE),
+	}
+	for _, q := range queries {
+		want, err := q.Eval(rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ix.Query(q)
+		if err != nil {
+			t.Fatalf("%v: %v", q, err)
+		}
+		if got.Stats.Path == "scan" {
+			t.Fatalf("%v: unexpectedly fell back to scan", q)
+		}
+		if !sameIDs(got.IDs, want) {
+			t.Fatalf("%v [path %s]: got %d ids, want %d (boundary keys missed)",
+				q, got.Stats.Path, len(got.IDs), len(want))
+		}
 	}
 }
 

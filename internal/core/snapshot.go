@@ -126,7 +126,7 @@ func (ix *Index) StatsSnapshot() StatsSnapshot {
 		Tuples:      rs.relLen(),
 		Indexed:     len(rs.indexed),
 		Pages:       ix.Pages(),
-		Slopes:      len(ix.slopes),
+		Slopes:      ix.geo.sites(),
 		Technique:   ix.opt.Technique.String(),
 		Pool:        ix.pool.Stats(),
 		Residency:   ix.pool.Residency(),

@@ -9,8 +9,8 @@ import (
 )
 
 // buildSlopesIndex builds a small index over explicit slopes/options so the
-// strip geometry is known exactly.
-func buildSlopesIndex(t *testing.T, opt Options) *Index {
+// strip geometry is known exactly, and returns its slope geometry.
+func buildSlopesIndex(t *testing.T, opt Options) *slopeSet {
 	t.Helper()
 	rng := rand.New(rand.NewSource(31))
 	rel := constraint.NewRelation(2)
@@ -23,7 +23,7 @@ func buildSlopesIndex(t *testing.T, opt Options) *Index {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ix
+	return ix.geo.(*slopeSet)
 }
 
 // TestNearestSlopeTieBreak: a query slope exactly midway between two
@@ -31,25 +31,25 @@ func buildSlopesIndex(t *testing.T, opt Options) *Index {
 // strict < comparison keeps the first candidate examined, which is i-1).
 func TestNearestSlopeTieBreak(t *testing.T) {
 	ix := buildSlopesIndex(t, Options{Slopes: []float64{-1, 1}, Technique: T2})
-	i, exact := ix.nearestSlope(0) // equidistant from -1 and 1
+	i, exact := ix.nearest(0) // equidistant from -1 and 1
 	if exact {
 		t.Fatal("slope 0 must not be exact in S = {-1, 1}")
 	}
 	if i != 0 {
-		t.Fatalf("tie broke to index %d (slope %g), want 0 (lower slope)", i, ix.slopes[i])
+		t.Fatalf("tie broke to index %d (slope %g), want 0 (lower slope)", i, ix.s[i])
 	}
 	// Off-tie slopes still pick the genuinely nearest member.
-	if j, _ := ix.nearestSlope(0.25); j != 1 {
+	if j, _ := ix.nearest(0.25); j != 1 {
 		t.Fatalf("nearestSlope(0.25) = %d, want 1", j)
 	}
-	if j, _ := ix.nearestSlope(-0.25); j != 0 {
+	if j, _ := ix.nearest(-0.25); j != 0 {
 		t.Fatalf("nearestSlope(-0.25) = %d, want 0", j)
 	}
 	// Members themselves are exact, including under Eps perturbation.
-	if j, exact := ix.nearestSlope(-1); !exact || j != 0 {
+	if j, exact := ix.nearest(-1); !exact || j != 0 {
 		t.Fatalf("nearestSlope(-1) = %d, %v", j, exact)
 	}
-	if j, exact := ix.nearestSlope(1 + geom.Eps/2); !exact || j != 1 {
+	if j, exact := ix.nearest(1 + geom.Eps/2); !exact || j != 1 {
 		t.Fatalf("nearestSlope(1+eps/2) = %d, %v", j, exact)
 	}
 }

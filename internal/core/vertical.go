@@ -106,83 +106,41 @@ func (ix *Index) queryVerticalTraced(kind constraint.QueryKind, op geom.Op, c fl
 // generalized query tuple can charge the sweep to its own counter and
 // trace.
 func (ix *Index) queryVertical(kind constraint.QueryKind, op geom.Op, c float64, ec *execCtx) (Result, error) {
+	if ix.dim != 2 {
+		return Result{}, fmt.Errorf("core: vertical selections are 2-D only; index dimension %d", ix.dim)
+	}
 	if math.IsNaN(c) || math.IsInf(c, 0) {
 		return Result{}, fmt.Errorf("core: invalid vertical intercept %v", c)
 	}
 	rs := ec.rs
+	st := QueryStats{Path: "scan"}
+	var cands []uint32
 	if rs.vup == nil {
-		ids, err := evalVerticalScan(kind, op, c, rs)
+		cands = rs.allIDs(nil)
+	} else {
+		st.Path = "restricted-vertical"
+		// Route: EXIST(≥)/ALL(≤) read V^up; ALL(≥)/EXIST(≤) read V^down.
+		tr := rs.vdown
+		if (kind == constraint.EXIST) == (op == geom.GE) {
+			tr = rs.vup
+		}
+		sw := ec.span(obs.StageSweep)
+		var err error
+		cands, _, err = firstSweep(c, op == geom.GE, -1).run(tr, ec.rc, nil, &st)
+		ec.endSpan(sw, len(cands))
 		if err != nil {
 			return Result{}, err
 		}
-		st := QueryStats{Path: "scan", Candidates: rs.relLen(), Results: len(ids)}
-		st.FalseHits = st.Candidates - st.Results
-		return Result{IDs: ids, Stats: st}, nil
 	}
-	st := QueryStats{Path: "restricted-vertical"}
-	// Route: EXIST(≥)/ALL(≤) read V^up; ALL(≥)/EXIST(≤) read V^down.
-	useUp := (kind == constraint.EXIST) == (op == geom.GE)
-	tr := rs.vdown
-	if useUp {
-		tr = rs.vup
-	}
-	// ec.rc gives this query exact PagesRead attribution under concurrency;
-	// the sweeps start one tolerance below/above c so that boundary keys
-	// within Eps of c are reached even when they live in an earlier leaf
-	// than the one owning c (the same convention as collectRestricted).
-	var cands []uint32
-	var err error
-	sw := ec.span(obs.StageSweep)
-	if op == geom.GE {
-		err = tr.VisitLeavesAscTracked(c-geom.Eps, ec.rc, func(lv btree.LeafView) bool {
-			st.LeavesSwept++
-			for i, n := 0, lv.Len(); i < n; i++ {
-				if lv.Key(i) >= c-geom.Eps {
-					cands = append(cands, lv.TID(i))
-				}
-			}
-			return true
-		})
-	} else {
-		err = tr.VisitLeavesDescTracked(c+geom.Eps, ec.rc, func(lv btree.LeafView) bool {
-			st.LeavesSwept++
-			for i, n := 0, lv.Len(); i < n; i++ {
-				if lv.Key(i) <= c+geom.Eps {
-					cands = append(cands, lv.TID(i))
-				}
-			}
-			return true
-		})
-	}
-	ec.endSpan(sw, len(cands))
+	st.Candidates = len(cands)
+	res, err := ec.refine(func(t *constraint.Tuple) (bool, error) {
+		return matchesVertical(kind, op, c, t)
+	}, cands, st)
 	if err != nil {
 		return Result{}, err
 	}
-	st.Candidates = len(cands)
-	rf := ec.span(obs.StageRefine)
-	ids := make([]constraint.TupleID, 0, len(cands))
-	for _, tid := range cands {
-		t, err := rs.relGet(constraint.TupleID(tid))
-		if err != nil {
-			ec.endSpan(rf, 0)
-			return Result{}, err
-		}
-		ok, err := matchesVertical(kind, op, c, t)
-		if err != nil {
-			ec.endSpan(rf, 0)
-			return Result{}, err
-		}
-		if ok {
-			ids = append(ids, constraint.TupleID(tid))
-		} else {
-			st.FalseHits++
-		}
-	}
-	slices.Sort(ids)
-	ec.endSpan(rf, len(cands))
-	st.Results = len(ids)
-	st.PagesRead = ec.rc.Physical.Load()
-	return Result{IDs: ids, Stats: st}, nil
+	res.Stats.PagesRead = ec.rc.Physical.Load()
+	return res, nil
 }
 
 // matchesVertical is the exact predicate for Kind(x op c).
@@ -204,30 +162,6 @@ func matchesVertical(kind constraint.QueryKind, op geom.Op, c float64, t *constr
 	default: // ALL, LE
 		return supX(ext) <= c+geom.Eps, nil
 	}
-}
-
-// evalVerticalScan is the scan fallback over one frozen version — the
-// same predicate as EvalVertical, run against the snapshot's relation
-// view so a concurrent commit cannot tear the scan.
-func evalVerticalScan(kind constraint.QueryKind, op geom.Op, c float64, rs *rootSet) ([]constraint.TupleID, error) {
-	var out []constraint.TupleID
-	var scanErr error
-	rs.relScan(func(t *constraint.Tuple) bool {
-		ok, err := matchesVertical(kind, op, c, t)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		if ok {
-			out = append(out, t.ID())
-		}
-		return true
-	})
-	if scanErr != nil {
-		return nil, scanErr
-	}
-	slices.Sort(out)
-	return out, nil
 }
 
 // EvalVertical is the exhaustive ground truth for vertical selections.
