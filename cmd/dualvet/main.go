@@ -19,7 +19,6 @@
 package main
 
 import (
-	"dualcdb/internal/analysis/atomicfield"
 	"dualcdb/internal/analysis/atomicpub"
 	"dualcdb/internal/analysis/errsink"
 	"dualcdb/internal/analysis/floatcmp"
@@ -37,7 +36,6 @@ func main() {
 	unitdriver.Main(
 		floatcmp.Analyzer,
 		infguard.Analyzer,
-		atomicfield.Analyzer,
 		lockorder.Analyzer,
 		lockset.Analyzer,
 		atomicpub.Analyzer,

@@ -2,7 +2,12 @@
 // field annotated `//dualvet:guarded=<mutex>` may only be written while
 // that mutex is held in write mode, and typed atomic fields (atomic.Bool,
 // atomic.Pointer[T], ...) may only be accessed through their methods —
-// never copied or overwritten as plain values.
+// never copied or overwritten as plain values. The same rule covers the
+// legacy call-style API: an integer field passed to a sync/atomic function
+// (atomic.AddUint64(&s.n, 1)) anywhere in the package may not also be read
+// or written plainly — the plain access is invisible to the atomic one, and
+// the race detector only catches schedules that actually interleave. Typed
+// atomics make that mix unrepresentable and are the recommended fix.
 //
 // The guard annotation names a sibling field path relative to the same
 // struct value: `guarded=mu` for a plain mutex field, `guarded=Mutex` for
@@ -33,9 +38,10 @@ import (
 
 // Analyzer is the atomicpub check.
 var Analyzer = &framework.Analyzer{
-	Name: "atomicpub",
-	Doc:  "flag writes to //dualvet:guarded fields without the guard held, and plain access to typed atomic fields",
-	Run:  run,
+	Name:    "atomicpub",
+	Doc:     "flag writes to //dualvet:guarded fields without the guard held, and plain access to atomic fields (typed cells or fields used with sync/atomic calls)",
+	Version: 2, // v2: the mixed call-style/plain rule
+	Run:     run,
 }
 
 // guardDirective is the annotation prefix on struct field declarations.
@@ -97,6 +103,7 @@ func run(pass *framework.Pass) error {
 		}
 		checkPlainAtomics(pass, f)
 	}
+	checkMixedAtomics(pass)
 	return nil
 }
 
@@ -279,4 +286,71 @@ func atomicCellType(info *types.Info, sel *ast.SelectorExpr) bool {
 	}
 	obj := named.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic"
+}
+
+// checkMixedAtomics flags integer struct fields of this package that are
+// accessed both through sync/atomic call-style operations and through plain
+// loads or stores: it reports every plain access to a field some
+// atomic.XxxT(&x.f, ...) call in the package touches.
+func checkMixedAtomics(pass *framework.Pass) {
+	atomicAt := make(map[types.Object]token.Pos)
+	plain := make(map[types.Object][]*ast.SelectorExpr)
+	for _, f := range pass.Files {
+		if framework.IsTestFile(pass.Fset, f) {
+			continue
+		}
+		// Selector expressions consumed as &x.f by a sync/atomic call; the
+		// walk reaches a call before the selectors among its arguments.
+		inAtomicCall := make(map[*ast.SelectorExpr]bool)
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && isAtomicFuncCall(pass.TypesInfo, call) {
+				for _, arg := range call.Args {
+					un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
+					if !ok || un.Op != token.AND {
+						continue
+					}
+					if sel, ok := ast.Unparen(un.X).(*ast.SelectorExpr); ok {
+						inAtomicCall[sel] = true
+					}
+				}
+			}
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			fld := fieldObj(pass.TypesInfo, sel)
+			if fld == nil || fld.Pkg() != pass.Pkg {
+				return true
+			}
+			if b, ok := fld.Type().Underlying().(*types.Basic); !ok || b.Info()&types.IsInteger == 0 {
+				return true
+			}
+			if !inAtomicCall[sel] {
+				plain[fld] = append(plain[fld], sel)
+			} else if _, seen := atomicAt[fld]; !seen {
+				atomicAt[fld] = sel.Sel.Pos()
+			}
+			return true
+		})
+	}
+	for fld, sels := range plain {
+		at, mixed := atomicAt[fld]
+		if !mixed {
+			continue
+		}
+		for _, sel := range sels {
+			pass.Reportf(sel.Sel.Pos(),
+				"field %s is accessed atomically at %s but plainly here; use a typed sync/atomic cell or make every access atomic",
+				fld.Name(), pass.Fset.Position(at))
+		}
+	}
+}
+
+func isAtomicFuncCall(info *types.Info, call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic"
 }

@@ -1,5 +1,5 @@
-// Golden cases for the atomicfield analyzer.
-package atomicfield
+// Golden cases for atomicpub's mixed call-style/plain rule.
+package atomicpub
 
 import "sync/atomic"
 
@@ -36,7 +36,7 @@ type ctor struct {
 
 func newCtor() *ctor {
 	c := &ctor{}
-	c.n = 1 //dualvet:allow atomicfield — value has not escaped yet
+	c.n = 1 //dualvet:allow atomicpub — value has not escaped yet
 	return c
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 
-	"dualcdb/internal/btree"
 	"dualcdb/internal/constraint"
 	"dualcdb/internal/obs"
 	"dualcdb/internal/pagestore"
@@ -26,14 +25,13 @@ type Commit struct {
 	base *rootSet
 	// indexed and deletes are this batch's working copies of the base
 	// version's bookkeeping; they fold into the next rootSet at Commit.
-	indexed map[constraint.TupleID]bool
+	indexed int
 	deletes int
-	// Relation rollback staging: ids inserted (and their tuples, for the
-	// next version's frozen view) and tuples removed by this batch.
-	inserted       []constraint.TupleID
-	insertedTuples []*constraint.Tuple
-	removed        []*constraint.Tuple
-	done           bool
+	// Relation rollback staging, and the next version's deltas: tuples
+	// inserted and tuples removed by this batch.
+	inserted []*constraint.Tuple
+	removed  []*constraint.Tuple
+	done     bool
 
 	// Observability (all zero when Options.Observe is nil, and the bare
 	// write path stays allocation-free): the commit trace, the open
@@ -53,14 +51,10 @@ var errCommitDone = errors.New("core: use of a finished commit batch")
 func (ix *Index) Begin() *Commit {
 	ix.writeMu.Lock()
 	base := ix.roots.Load()
-	for _, t := range ix.allTrees() {
+	for _, t := range ix.trees {
 		t.BeginCOW()
 	}
-	indexed := make(map[constraint.TupleID]bool, len(base.indexed)+1)
-	for id := range base.indexed {
-		indexed[id] = true
-	}
-	c := &Commit{ix: ix, base: base, indexed: indexed, deletes: base.deletesSinceRebuild}
+	c := &Commit{ix: ix, base: base, indexed: base.indexed, deletes: base.deletesSinceRebuild}
 	if o := ix.opt.Observe; o != nil {
 		c.tr = o.StartCommit()
 		c.span = c.beginSpan(obs.CommitStageStage)
@@ -102,16 +96,22 @@ func (c *Commit) fail(err error) error {
 	return err
 }
 
-// allTrees lists every live tree of the index (the writer's set; handles
-// in published root sets are separate views over the same pages).
-func (ix *Index) allTrees() []*btree.Tree {
-	ts := make([]*btree.Tree, 0, 2*len(ix.up)+2)
-	ts = append(ts, ix.up...)
-	ts = append(ts, ix.down...)
-	if ix.vup != nil {
-		ts = append(ts, ix.vup, ix.vdown)
+// treeKeys returns the key t is stored under in every live tree, in tree
+// order: TOP and BOT at each site, then supX and infX for the vertical pair.
+func (ix *Index) treeKeys(t *constraint.Tuple) ([]float64, error) {
+	keys := make([]float64, 0, len(ix.trees))
+	for i := 0; i < ix.geo.sites(); i++ {
+		top, bot := ix.geo.keys(t, i)
+		keys = append(keys, top, bot)
 	}
-	return ts
+	if len(keys) < len(ix.trees) {
+		ext, err := t.Extension()
+		if err != nil {
+			return nil, err
+		}
+		keys = append(keys, supX(ext), infX(ext))
+	}
+	return keys, nil
 }
 
 // Insert stages one tuple insertion: the relation takes the tuple
@@ -128,33 +128,23 @@ func (c *Commit) Insert(t *constraint.Tuple) (constraint.TupleID, error) {
 	if err != nil {
 		return 0, c.fail(err)
 	}
-	c.inserted = append(c.inserted, id)
-	c.insertedTuples = append(c.insertedTuples, t)
+	c.inserted = append(c.inserted, t)
 	if !t.IsSatisfiable() {
 		return id, nil // empty extensions match nothing and are not indexed
 	}
-	for i := range ix.up {
-		top, bot := ix.geo.keys(t, i)
-		if err := ix.up[i].Insert(top, uint32(id)); err != nil {
-			return id, c.fail(err)
-		}
-		if err := ix.down[i].Insert(bot, uint32(id)); err != nil {
-			return id, c.fail(err)
-		}
+	keys, err := ix.treeKeys(t)
+	if err != nil {
+		return id, c.fail(err)
 	}
-	if ix.vup != nil {
-		ext, err := t.Extension()
-		if err != nil {
-			return id, c.fail(err)
-		}
-		if err := ix.insertVertical(ext, id); err != nil {
+	for j, tr := range ix.trees {
+		if err := tr.Insert(keys[j], uint32(id)); err != nil {
 			return id, c.fail(err)
 		}
 	}
 	if err := ix.mergeHandicaps(t); err != nil {
 		return id, c.fail(err)
 	}
-	c.indexed[id] = true
+	c.indexed++
 	return id, nil
 }
 
@@ -171,26 +161,17 @@ func (c *Commit) Delete(id constraint.TupleID) error {
 	if err != nil {
 		return c.fail(err)
 	}
-	if c.indexed[id] {
-		for i := range ix.up {
-			top, bot := ix.geo.keys(t, i)
-			if _, err := ix.up[i].Delete(top, uint32(id)); err != nil {
-				return c.fail(err)
-			}
-			if _, err := ix.down[i].Delete(bot, uint32(id)); err != nil {
+	if t.IsSatisfiable() { // exactly the satisfiable tuples are indexed
+		keys, err := ix.treeKeys(t)
+		if err != nil {
+			return c.fail(err)
+		}
+		for j, tr := range ix.trees {
+			if _, err := tr.Delete(keys[j], uint32(id)); err != nil {
 				return c.fail(err)
 			}
 		}
-		if ix.vup != nil {
-			ext, err := t.Extension()
-			if err != nil {
-				return c.fail(err)
-			}
-			if err := ix.deleteVertical(ext, id); err != nil {
-				return c.fail(err)
-			}
-		}
-		delete(c.indexed, id)
+		c.indexed--
 		c.deletes++
 	}
 	if err := ix.rel.Delete(id); err != nil {
@@ -217,17 +198,14 @@ func (c *Commit) RebuildHandicaps() error {
 // the staleness counter trips the threshold).
 func (c *Commit) rebuildHandicaps() error {
 	ix := c.ix
-	for i := range ix.up {
-		if err := ix.up[i].ResetHandicaps(); err != nil {
-			return err
-		}
-		if err := ix.down[i].ResetHandicaps(); err != nil {
+	for _, tr := range ix.trees[:2*ix.geo.sites()] {
+		if err := tr.ResetHandicaps(); err != nil {
 			return err
 		}
 	}
 	var err error
 	ix.rel.Scan(func(t *constraint.Tuple) bool {
-		if !c.indexed[t.ID()] {
+		if !t.IsSatisfiable() {
 			return true
 		}
 		if e := ix.mergeHandicaps(t); e != nil {
@@ -268,7 +246,7 @@ func (c *Commit) Commit() error {
 
 	shadowSpan := c.beginSpan(obs.CommitStageShadow)
 	var superseded []pagestore.PageID
-	for _, t := range ix.allTrees() {
+	for _, t := range ix.trees {
 		superseded = append(superseded, t.CommitCOW()...)
 	}
 	c.endSpan(shadowSpan, len(superseded))
@@ -279,14 +257,14 @@ func (c *Commit) Commit() error {
 	// copy plus the batch's deltas (ids are never reused, so an id
 	// inserted then deleted in the same batch nets out by apply order).
 	maxID := constraint.TupleID(len(c.base.tuples))
-	for _, t := range c.insertedTuples {
+	for _, t := range c.inserted {
 		if t.ID() > maxID {
 			maxID = t.ID()
 		}
 	}
 	tuples := make([]*constraint.Tuple, maxID)
 	copy(tuples, c.base.tuples)
-	for _, t := range c.insertedTuples {
+	for _, t := range c.inserted {
 		tuples[t.ID()-1] = t
 	}
 	for _, t := range c.removed {
@@ -341,7 +319,7 @@ func (c *Commit) Abort() error {
 			firstErr = err
 		}
 	}
-	for _, t := range ix.allTrees() {
+	for _, t := range ix.trees {
 		keep(t.AbortCOW())
 	}
 	// Restore staged deletes first, then undo staged inserts: a tuple
@@ -350,8 +328,8 @@ func (c *Commit) Abort() error {
 	for _, t := range c.removed {
 		keep(ix.rel.Reattach(t))
 	}
-	for _, id := range c.inserted {
-		keep(ix.rel.Delete(id))
+	for _, t := range c.inserted {
+		keep(ix.rel.Delete(t.ID()))
 	}
 	ix.writeMu.Unlock()
 	if o := ix.opt.Observe; o != nil {

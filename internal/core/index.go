@@ -31,19 +31,18 @@ type Index struct {
 	dim  int // ambient dimension d of the relation
 	geo  slopeSpace
 	pool *pagestore.Pool
-	// up/down hold per site the TOP^P(s_i) / BOT^P(s_i) trees.
-	up   []*btree.Tree //dualvet:guarded=writeMu
-	down []*btree.Tree //dualvet:guarded=writeMu
-	// Optional vertical pair (footnote 4 / Options.IndexVertical): supX
-	// and infX values for x θ c selections.
-	vup   *btree.Tree //dualvet:guarded=writeMu
-	vdown *btree.Tree //dualvet:guarded=writeMu
+	// trees is the writer's live tree list, in the order the catalog page
+	// persists it: per site i the TOP^P(s_i) tree at 2i and the BOT^P(s_i)
+	// tree at 2i+1, then the optional vertical pair (footnote 4 /
+	// Options.IndexVertical) over supX and infX for x θ c selections. A
+	// rootSet lists a version's frozen handles in the same order.
+	trees []*btree.Tree //dualvet:guarded=writeMu
 
 	// roots is the current published rootSet (mvcc.go): readers load it
 	// with one atomic pointer read and never lock. writeMu serializes
 	// writers; the live trees above are the writer's working set and are
 	// only mutated under it (copy-on-write, so published versions are
-	// never dirtied). The indexed-tuple set and the handicap-staleness
+	// never dirtied). The indexed-tuple count and the handicap-staleness
 	// counter live inside the rootSet, versioned with the trees.
 	roots   atomic.Pointer[rootSet]
 	writeMu sync.Mutex
@@ -124,25 +123,14 @@ func newIndex(rel *constraint.Relation, opt Options, geo slopeSpace) (*Index, er
 		ix.catalog = f.ID()
 		f.Release()
 	}
-	cfg := opt.treeConfig(geo.slotKinds())
-	for i := 0; i < geo.sites(); i++ {
-		u, err := btree.New(pool, cfg)
+	for _, cfg := range opt.treeConfigs(geo) {
+		t, err := btree.New(pool, cfg)
 		if err != nil {
 			return nil, err
 		}
-		d, err := btree.New(pool, cfg)
-		if err != nil {
-			return nil, err
-		}
-		ix.up = append(ix.up, u)
-		ix.down = append(ix.down, d)
+		ix.trees = append(ix.trees, t)
 	}
-	if opt.IndexVertical {
-		if err := ix.ensureVerticalTrees(); err != nil {
-			return nil, err
-		}
-	}
-	ix.republishLocked(1, make(map[constraint.TupleID]bool), 0)
+	ix.republishLocked(1, 0, 0)
 	ix.registerGauges()
 	return ix, nil
 }
@@ -188,12 +176,12 @@ func bulkLoaded(ix *Index, err error) (*Index, error) {
 	}
 
 	// One task per site's tree pair, plus one for the optional vertical pair.
-	tasks := make([]func() error, 0, len(ix.up)+1)
-	for i := range ix.up {
+	tasks := make([]func() error, 0, ix.geo.sites()+1)
+	for i := 0; i < ix.geo.sites(); i++ {
 		tasks = append(tasks, func() error { return ix.buildSite(i, ts) })
 	}
-	if ix.vup != nil {
-		tasks = append(tasks, func() error { return ix.buildVertical(ts) })
+	if v := ix.vertical(ix.trees); len(v) > 0 {
+		tasks = append(tasks, func() error { return buildVertical(v, ts) })
 	}
 	if err := runTasks(tasks, ix.opt.BuildWorkers); err != nil {
 		return nil, err
@@ -201,11 +189,7 @@ func bulkLoaded(ix *Index, err error) (*Index, error) {
 	// Re-publish version 1 over the bulk-loaded trees. The index has not
 	// escaped to any reader yet, so mutating the trees in place between
 	// newIndex's publish and this one is unobservable.
-	indexed := make(map[constraint.TupleID]bool, len(ts))
-	for _, t := range ts {
-		indexed[t.ID()] = true
-	}
-	ix.republishLocked(1, indexed, 0)
+	ix.republishLocked(1, len(ts), 0)
 	return ix, nil
 }
 
@@ -230,7 +214,7 @@ func (ix *Index) buildSite(i int, ts []*constraint.Tuple) error {
 		upEntries = append(upEntries, btree.Entry{Key: top, TID: uint32(t.ID())})
 		downEntries = append(downEntries, btree.Entry{Key: bot, TID: uint32(t.ID())})
 	}
-	if err := bulkLoadPair(ix.up[i], ix.down[i], upEntries, downEntries); err != nil {
+	if err := bulkLoadPair(ix.trees[2*i], ix.trees[2*i+1], upEntries, downEntries); err != nil {
 		return err
 	}
 	for _, t := range ts {
@@ -241,9 +225,9 @@ func (ix *Index) buildSite(i int, ts []*constraint.Tuple) error {
 	return nil
 }
 
-// buildVertical bulk-loads the optional V^up/V^down pair over horizontal
+// buildVertical bulk-loads the optional V^up/V^down pair v over horizontal
 // support values.
-func (ix *Index) buildVertical(ts []*constraint.Tuple) error {
+func buildVertical(v []*btree.Tree, ts []*constraint.Tuple) error {
 	vupEntries := make([]btree.Entry, 0, len(ts))
 	vdownEntries := make([]btree.Entry, 0, len(ts))
 	for _, t := range ts {
@@ -254,7 +238,7 @@ func (ix *Index) buildVertical(ts []*constraint.Tuple) error {
 		vupEntries = append(vupEntries, btree.Entry{Key: supX(ext), TID: uint32(t.ID())})
 		vdownEntries = append(vdownEntries, btree.Entry{Key: infX(ext), TID: uint32(t.ID())})
 	}
-	return bulkLoadPair(ix.vup, ix.vdown, vupEntries, vdownEntries)
+	return bulkLoadPair(v[0], v[1], vupEntries, vdownEntries)
 }
 
 // runTasks executes the tasks on a pool of `workers` goroutines (≤ 1 runs
@@ -294,7 +278,7 @@ func runTasks(tasks []func() error, workers int) error {
 // mergeHandicaps folds one tuple's contribution into every tree's handicap
 // slots.
 func (ix *Index) mergeHandicaps(t *constraint.Tuple) error {
-	for i := range ix.up {
+	for i := 0; i < ix.geo.sites(); i++ {
 		if err := ix.mergeHandicapsAt(i, t); err != nil {
 			return err
 		}
@@ -310,7 +294,7 @@ func (ix *Index) mergeHandicaps(t *constraint.Tuple) error {
 func (ix *Index) mergeHandicapsAt(i int, t *constraint.Tuple) error {
 	topV, botV := ix.geo.keys(t, i)
 	upRoutes, downRoutes := ix.geo.routes(t, i)
-	u, d := ix.up[i], ix.down[i]
+	u, d := ix.trees[2*i], ix.trees[2*i+1]
 	for slot := 0; slot < u.NumHandicaps(); slot++ {
 		if err := u.MergeHandicap(upRoutes[slot], slot, topV); err != nil {
 			return err
@@ -372,13 +356,9 @@ func (ix *Index) RebuildHandicaps() error {
 // Pages returns the total number of pages occupied by all 2·|S| trees at
 // the current version — the space metric of Figure 10.
 func (ix *Index) Pages() int {
-	rs := ix.roots.Load()
 	n := 0
-	for i := range rs.up {
-		n += rs.up[i].Pages() + rs.down[i].Pages()
-	}
-	if rs.vup != nil {
-		n += rs.vup.Pages() + rs.vdown.Pages()
+	for _, t := range ix.roots.Load().trees {
+		n += t.Pages()
 	}
 	return n
 }
@@ -387,13 +367,18 @@ func (ix *Index) Pages() int {
 func (ix *Index) Pool() *pagestore.Pool { return ix.pool }
 
 // CheckInvariants validates the structural invariants of every live tree
-// (a test and debugging aid). It excludes writers for the duration.
+// and that each holds exactly the tuples the current version counts as
+// indexed (a test and debugging aid). It excludes writers for the duration.
 func (ix *Index) CheckInvariants() error {
 	ix.writeMu.Lock()
 	defer ix.writeMu.Unlock()
-	for _, t := range ix.allTrees() {
+	indexed := ix.roots.Load().indexed
+	for j, t := range ix.trees {
 		if err := t.CheckInvariants(); err != nil {
 			return err
+		}
+		if size := t.Meta().Size; size != indexed {
+			return fmt.Errorf("core: tree %d holds %d entries, version counts %d indexed tuples", j, size, indexed)
 		}
 	}
 	return nil
@@ -404,15 +389,8 @@ func (ix *Index) CheckInvariants() error {
 // read-path cache layer.
 func (ix *Index) DecodeCacheStats() btree.DecodeStats {
 	var s btree.DecodeStats
-	for _, t := range ix.up {
+	for _, t := range ix.trees {
 		s.Add(t.DecodeCacheStats())
-	}
-	for _, t := range ix.down {
-		s.Add(t.DecodeCacheStats())
-	}
-	if ix.vup != nil {
-		s.Add(ix.vup.DecodeCacheStats())
-		s.Add(ix.vdown.DecodeCacheStats())
 	}
 	return s
 }
@@ -442,4 +420,4 @@ func (ix *Index) Sites() []geom.Point {
 
 // Len returns the number of indexed (satisfiable) tuples at the current
 // version.
-func (ix *Index) Len() int { return len(ix.roots.Load().indexed) }
+func (ix *Index) Len() int { return ix.roots.Load().indexed }

@@ -245,6 +245,13 @@ func TestIndexDValidation(t *testing.T) {
 	if _, err := ix.Query(q); err == nil {
 		t.Error("NaN slope must be rejected")
 	}
+	q = constraint.NewQuery(constraint.EXIST, []float64{0.2, 0}, math.NaN(), geom.GE)
+	if _, err := ix.Query(q); err == nil {
+		t.Error("NaN intercept must be rejected")
+	}
+	if _, err := ix.QueryBatch([]constraint.Query{q}, BatchOptions{}); err == nil {
+		t.Error("NaN intercept must be rejected by QueryBatch")
+	}
 	t2, _ := constraint.ParseTuple("x >= 0", 2)
 	if _, err := ix.Insert(t2); err == nil {
 		t.Error("dimension-mismatched tuple must be rejected")

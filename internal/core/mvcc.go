@@ -14,7 +14,7 @@ import (
 //
 // Every query runs against a rootSet: one immutable, version-stamped view
 // of the whole index — frozen read handles for all 2k trees (plus the
-// vertical pair), the indexed-tuple set, and the relation contents. The
+// vertical pair), the indexed-tuple count, and the relation contents. The
 // current rootSet is published through ix.roots with a single atomic
 // pointer swap, so readers acquire a consistent view with one load and no
 // lock; writers batch their mutations into a Commit (commit.go) that
@@ -38,15 +38,16 @@ import (
 type rootSet struct {
 	version uint64
 
-	up, down   []*btree.Tree // frozen read handles, one pair per site
-	vup, vdown *btree.Tree   // optional vertical pair (nil when off)
+	// trees holds the frozen read handles in the order of Index.trees.
+	trees []*btree.Tree
 
-	// indexed is the satisfiable-tuple set of this version;
-	// deletesSinceRebuild is the handicap-staleness counter carried from
-	// commit to commit. Folding both into the rootSet is what makes them
-	// readable without a lock: a reader sees the pair that matches the
-	// trees it sweeps, never a torn intermediate.
-	indexed             map[constraint.TupleID]bool
+	// indexed counts the satisfiable tuples of this version — exactly the
+	// tuples every site tree holds; deletesSinceRebuild is the
+	// handicap-staleness counter. Both are carried from commit to commit
+	// inside the rootSet, which is what makes them readable without a lock:
+	// a reader sees the pair that matches the trees it sweeps, never a torn
+	// intermediate.
+	indexed             int
 	deletesSinceRebuild int
 
 	// tuples freezes the relation: slot id−1 holds the tuple with that id
@@ -60,9 +61,9 @@ type rootSet struct {
 // B^up for EXIST(≥)/ALL(≤), B^down for ALL(≥)/EXIST(≤) (Section 3).
 func (rs *rootSet) tree(i int, q constraint.Query) *btree.Tree {
 	if q.UsesTop() {
-		return rs.up[i]
+		return rs.trees[2*i]
 	}
-	return rs.down[i]
+	return rs.trees[2*i+1]
 }
 
 // relGet resolves a tuple id against this version of the relation.
@@ -129,26 +130,17 @@ func relSnapshot(rel *constraint.Relation) ([]*constraint.Tuple, int) {
 // publishLocked freezes the live trees and the given relation view into a
 // new rootSet and publishes it. Requires writeMu (or a not-yet-shared
 // index during construction).
-func (ix *Index) publishLocked(version uint64, indexed map[constraint.TupleID]bool,
-	deletes int, tuples []*constraint.Tuple, live int) *rootSet {
+func (ix *Index) publishLocked(version uint64, indexed, deletes int, tuples []*constraint.Tuple, live int) *rootSet {
 	rs := &rootSet{
 		version:             version,
-		up:                  make([]*btree.Tree, len(ix.up)),
-		down:                make([]*btree.Tree, len(ix.down)),
+		trees:               make([]*btree.Tree, len(ix.trees)),
 		indexed:             indexed,
 		deletesSinceRebuild: deletes,
 		tuples:              tuples,
 		live:                live,
 	}
-	for i, t := range ix.up {
-		rs.up[i] = handleOf(t)
-	}
-	for i, t := range ix.down {
-		rs.down[i] = handleOf(t)
-	}
-	if ix.vup != nil {
-		rs.vup = handleOf(ix.vup)
-		rs.vdown = handleOf(ix.vdown)
+	for i, t := range ix.trees {
+		rs.trees[i] = handleOf(t)
 	}
 	ix.roots.Store(rs)
 	return rs
@@ -157,7 +149,7 @@ func (ix *Index) publishLocked(version uint64, indexed map[constraint.TupleID]bo
 // republishLocked re-freezes the live trees and relation under the
 // current version's bookkeeping — the initial publish and the publish
 // after bulk operations that mutate trees in place (Build, Open).
-func (ix *Index) republishLocked(version uint64, indexed map[constraint.TupleID]bool, deletes int) *rootSet {
+func (ix *Index) republishLocked(version uint64, indexed, deletes int) *rootSet {
 	tuples, live := relSnapshot(ix.rel)
 	return ix.publishLocked(version, indexed, deletes, tuples, live)
 }
@@ -229,7 +221,7 @@ func (s *Snapshot) Release() {
 func (s *Snapshot) Version() uint64 { return s.rs.version }
 
 // Len returns the number of indexed (satisfiable) tuples at this version.
-func (s *Snapshot) Len() int { return len(s.rs.indexed) }
+func (s *Snapshot) Len() int { return s.rs.indexed }
 
 // Tuples returns the relation size at this version.
 func (s *Snapshot) Tuples() int { return s.rs.relLen() }

@@ -3,9 +3,11 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"dualcdb/internal/constraint"
+	"dualcdb/internal/geom"
 	"dualcdb/internal/pagestore"
 )
 
@@ -264,5 +266,133 @@ func TestSupersededPagesReclaimed(t *testing.T) {
 	}
 	if err := ix.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCountsTrackRelationAcrossBatches drives random commit batches —
+// satisfiable and unsatisfiable inserts, deletes (of tuples the same batch
+// inserted, too), aborts — and after each one checks every count a version
+// carries against a scan of the relation: nothing but the counter itself
+// records how many tuples are indexed, so it has to survive every path.
+func TestCountsTrackRelationAcrossBatches(t *testing.T) {
+	for _, c := range engineCases {
+		t.Run(c.name, func(t *testing.T) { testCountsTrackRelationAcrossBatches(t, c) })
+	}
+}
+
+func testCountsTrackRelationAcrossBatches(t *testing.T, c engineCase) {
+	rng := rand.New(rand.NewSource(53))
+	rel, ix := buildCase(t, c, rng, 120, nil)
+	unsatisfiable := func() *constraint.Tuple {
+		e1 := make([]float64, c.dim)
+		e1[0] = 1
+		tu, err := constraint.NewTuple(c.dim, []geom.HalfSpace{
+			geom.NewHalfSpace(e1, -1, geom.GE), geom.NewHalfSpace(e1, 0, geom.LE), // x₁ ≥ 1 ∧ x₁ ≤ 0
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tu
+	}
+	check := func(step int, how string) {
+		t.Helper()
+		tuples, indexed := 0, 0
+		rel.Scan(func(tu *constraint.Tuple) bool {
+			tuples++
+			if tu.IsSatisfiable() {
+				indexed++
+			}
+			return true
+		})
+		s := ix.Snapshot()
+		defer s.Release()
+		st := ix.StatsSnapshot()
+		if ix.Len() != indexed || s.Len() != indexed || st.Indexed != indexed || s.Tuples() != tuples || st.Tuples != tuples {
+			t.Fatalf("step %d (%s): Len %d, Snapshot.Len %d, Stats.Indexed %d, want %d; Snapshot.Tuples %d, Stats.Tuples %d, want %d",
+				step, how, ix.Len(), s.Len(), st.Indexed, indexed, s.Tuples(), st.Tuples, tuples)
+		}
+		if err := ix.CheckInvariants(); err != nil {
+			t.Fatalf("step %d (%s): %v", step, how, err)
+		}
+	}
+	check(0, "build")
+
+	live := rel.IDs()
+	for step := 1; step <= 60; step++ {
+		b := ix.Begin()
+		staged := append([]constraint.TupleID(nil), live...)
+		insert := func(tu *constraint.Tuple) {
+			id, err := b.Insert(tu)
+			if err != nil {
+				t.Fatal(err)
+			}
+			staged = append(staged, id)
+		}
+		remove := func(j int) {
+			if err := b.Delete(staged[j]); err != nil {
+				t.Fatal(err)
+			}
+			staged = append(staged[:j], staged[j+1:]...)
+		}
+		for ops := 1 + rng.Intn(5); ops > 0; ops-- {
+			switch r := rng.Intn(5); {
+			case r == 0:
+				insert(unsatisfiable())
+			case r <= 2 && len(staged) > 0:
+				remove(rng.Intn(len(staged)))
+			default:
+				insert(c.tuple(rng, false))
+			}
+		}
+		if step%4 == 0 { // a tuple inserted and deleted by one batch
+			insert(c.tuple(rng, step%8 == 0))
+			remove(len(staged) - 1)
+		}
+		if rng.Intn(3) == 0 {
+			if err := b.Abort(); err != nil {
+				t.Fatal(err)
+			}
+			check(step, "abort")
+			continue
+		}
+		if err := b.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		live = staged
+		check(step, "commit")
+	}
+}
+
+// TestCommitGarbageIsOnePointerPerTuple pins the one per-version O(N)
+// allocation a commit makes — the next version's dense tuple-pointer slice:
+// growing the relation by 14 000 tuples may grow the bytes a one-op commit
+// allocates by no more than 8 B per tuple (plus a quarter for the deeper
+// trees' extra clones).
+func TestCommitGarbageIsOnePointerPerTuple(t *testing.T) {
+	perCommit := func(n int) float64 {
+		rng := rand.New(rand.NewSource(61))
+		_, ix := buildRandomIndex(t, rng, n, Options{Slopes: EquiangularSlopes(2), Technique: T2, PoolPages: 1 << 14}, false)
+		churn := func(pairs int) {
+			for i := 0; i < pairs; i++ {
+				id, err := ix.Insert(randTuple(rng, false))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ix.Delete(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		churn(20) // warm the pool and the free list
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		churn(100)
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / 200
+	}
+	small, large := perCommit(2000), perCommit(16000)
+	t.Logf("bytes per one-op commit: %.0f at N = 2 000, %.0f at N = 16 000", small, large)
+	if limit := 1.25 * 8 * 14000; large-small > limit {
+		t.Errorf("a commit at N = 16 000 allocates %.0f B more than at N = 2 000, want ≤ %.0f (one pointer per tuple)", large-small, limit)
 	}
 }

@@ -249,7 +249,9 @@ func BenchmarkCommitBare(b *testing.B)     { benchCommit(b, false) }
 func BenchmarkCommitObserved(b *testing.B) { benchCommit(b, true) }
 
 func benchCommit(b *testing.B, observed bool) {
-	_, ix, _ := benchIndex(b, 1000, 3, T2, 0)
+	// The paper's §5 scale (as bench/ builds it): a smaller relation hides
+	// every per-commit cost that grows with N.
+	_, ix, _ := benchIndex(b, 12000, 4, T2, 0)
 	if observed {
 		ix.SetObserver(obs.New(obs.Options{Name: "bench"}))
 	}

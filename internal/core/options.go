@@ -151,15 +151,25 @@ type OptionsD struct {
 	Observe *obs.Observer
 }
 
-// treeConfig is the btree configuration every tree of the index shares,
-// with the given handicap slots.
-func (o *Options) treeConfig(kinds []btree.SlotKind) btree.Config {
-	return btree.Config{
-		HandicapKinds: kinds,
+// treeConfigs lists the btree configuration of every entry of Index.trees:
+// the 2k site trees carry the geometry's handicap slots, the vertical pair
+// (Options.IndexVertical) carries none.
+func (o *Options) treeConfigs(geo slopeSpace) []btree.Config {
+	cfg := btree.Config{
+		HandicapKinds: geo.slotKinds(),
 		FillFactor:    o.FillFactor,
 		NoDecodeCache: o.NoDecodeCache,
 		Readahead:     o.Readahead,
 	}
+	cfgs := make([]btree.Config, 2*geo.sites(), 2*geo.sites()+2)
+	for j := range cfgs {
+		cfgs[j] = cfg
+	}
+	if o.IndexVertical {
+		cfg.HandicapKinds = nil
+		cfgs = append(cfgs, cfg, cfg)
+	}
+	return cfgs
 }
 
 // storageDefaults fills the page-store and tree defaults both constructors

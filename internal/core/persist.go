@@ -58,7 +58,7 @@ func (ix *Index) Save() error {
 	if c := ix.pool.SnapshotCensus(); c.Active > 0 {
 		return fmt.Errorf("core: Save with %d active snapshots", c.Active)
 	}
-	for _, t := range ix.allTrees() {
+	for _, t := range ix.trees {
 		if err := t.FlattenChainOverrides(); err != nil {
 			return err
 		}
@@ -93,7 +93,7 @@ func (ix *Index) Save() error {
 	}
 	copy(d[0:8], catalogMagic)
 	d[8] = byte(ix.opt.Technique)
-	if ix.vup != nil {
+	if ix.opt.IndexVertical {
 		d[9] = 1 // flags: bit 0 = vertical pair present
 	}
 	binary.LittleEndian.PutUint16(d[10:12], uint16(len(slopes)))
@@ -109,20 +109,13 @@ func (ix *Index) Save() error {
 		binary.LittleEndian.PutUint64(d[off:off+8], math.Float64bits(s))
 		off += 8
 	}
-	writeMeta := func(m btree.Meta) {
+	for _, t := range ix.trees {
+		m := t.Meta()
 		binary.LittleEndian.PutUint32(d[off:off+4], uint32(m.Root))
 		binary.LittleEndian.PutUint32(d[off+4:off+8], uint32(m.Height))
 		binary.LittleEndian.PutUint32(d[off+8:off+12], uint32(m.Size))
 		binary.LittleEndian.PutUint32(d[off+12:off+16], uint32(m.Pages))
 		off += 16
-	}
-	for i := range slopes {
-		writeMeta(ix.up[i].Meta())
-		writeMeta(ix.down[i].Meta())
-	}
-	if ix.vup != nil {
-		writeMeta(ix.vup.Meta())
-		writeMeta(ix.vdown.Meta())
 	}
 	f.MarkDirty()
 	return ix.pool.Flush()
@@ -140,10 +133,9 @@ func Open(pool *pagestore.Pool) (*constraint.Relation, *Index, error) {
 		f.Release()
 		return nil, nil, fmt.Errorf("core: bad catalog magic %q", d[0:8])
 	}
-	hasVertical := d[9]&1 != 0
 	opt := Options{
 		Technique:             Technique(d[8]),
-		IndexVertical:         hasVertical,
+		IndexVertical:         d[9]&1 != 0,
 		RebuildHandicapsEvery: int(binary.LittleEndian.Uint32(d[12:16])),
 		PivotX:                math.Float64frombits(binary.LittleEndian.Uint64(d[16:24])),
 		OuterHalfWidth:        math.Float64frombits(binary.LittleEndian.Uint64(d[24:32])),
@@ -165,11 +157,9 @@ func Open(pool *pagestore.Pool) (*constraint.Relation, *Index, error) {
 		off += 8
 	}
 	opt.Slopes = slopes
-	nMetas := 2 * k
-	if hasVertical {
-		nMetas += 2
-	}
-	metas := make([]btree.Meta, nMetas)
+	geo := &slopeSet{s: slopes, outer: opt.OuterHalfWidth}
+	cfgs := opt.treeConfigs(geo)
+	metas := make([]btree.Meta, len(cfgs))
 	for i := range metas {
 		metas[i] = btree.Meta{
 			Root:   pagestore.PageID(binary.LittleEndian.Uint32(d[off : off+4])),
@@ -196,39 +186,24 @@ func Open(pool *pagestore.Pool) (*constraint.Relation, *Index, error) {
 		rel:        rel,
 		opt:        opt,
 		dim:        dim,
-		geo:        &slopeSet{s: slopes, outer: opt.OuterHalfWidth},
+		geo:        geo,
 		pool:       pool,
 		catalog:    catalogPage,
 		tupleChain: head,
 	}
 	ix.dataPages = chainPages
-	cfg := opt.treeConfig(ix.geo.slotKinds())
-	for i := 0; i < k; i++ {
-		u, err := btree.Restore(pool, cfg, metas[2*i])
+	for j, cfg := range cfgs {
+		t, err := btree.Restore(pool, cfg, metas[j])
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: restore B_%d^up: %w", i, err)
+			return nil, nil, fmt.Errorf("core: restore tree %d: %w", j, err)
 		}
-		dn, err := btree.Restore(pool, cfg, metas[2*i+1])
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: restore B_%d^down: %w", i, err)
-		}
-		ix.up = append(ix.up, u)
-		ix.down = append(ix.down, dn)
+		ix.trees = append(ix.trees, t)
 	}
-	if hasVertical {
-		vcfg := opt.treeConfig(nil)
-		if ix.vup, err = btree.Restore(pool, vcfg, metas[2*k]); err != nil {
-			return nil, nil, fmt.Errorf("core: restore V^up: %w", err)
-		}
-		if ix.vdown, err = btree.Restore(pool, vcfg, metas[2*k+1]); err != nil {
-			return nil, nil, fmt.Errorf("core: restore V^down: %w", err)
-		}
-	}
-	// Indexed set: exactly the satisfiable tuples (Insert's invariant).
-	indexed := make(map[constraint.TupleID]bool)
+	// Indexed count: exactly the satisfiable tuples (Insert's invariant).
+	indexed := 0
 	rel.Scan(func(t *constraint.Tuple) bool {
 		if t.IsSatisfiable() {
-			indexed[t.ID()] = true
+			indexed++
 		}
 		return true
 	})

@@ -163,19 +163,29 @@ func queryInfo(st QueryStats, err error) obs.QueryInfo {
 	}
 }
 
-// query is the shared execution core of Query and QueryBatch. When an
-// observer is attached and no trace is active yet, this call owns the
-// query's trace; sub-selections sharing the execCtx (compound queries)
-// record into the already-open trace instead.
-func (ix *Index) query(q constraint.Query, ec *execCtx) (Result, error) {
-	if ec.obs != nil && ec.tr == nil {
-		ec.tr = ec.obs.StartQuery(q.String())
-		res, err := ix.queryExec(q, ec)
-		ec.obs.FinishQuery(ec.tr, queryInfo(res.Stats, err))
-		ec.tr = nil
-		return res, err
+func (r Result) queryStats() QueryStats      { return r.Stats }
+func (r TupleResult) queryStats() QueryStats { return r.Stats.QueryStats }
+
+// traced runs one selection as the owner of its query trace. When an
+// observer is attached and no trace is active yet, it opens one under
+// label() and reports the selection's stats when run returns;
+// sub-selections sharing the execCtx (a compound query's) find the trace
+// already open and record their stage spans into it instead. The label is
+// only built for an observer, so the bare path allocates nothing.
+func traced[R interface{ queryStats() QueryStats }](ec *execCtx, label func() string, run func() (R, error)) (R, error) {
+	if ec.obs == nil || ec.tr != nil {
+		return run()
 	}
-	return ix.queryExec(q, ec)
+	ec.tr = ec.obs.StartQuery(label())
+	res, err := run()
+	ec.obs.FinishQuery(ec.tr, queryInfo(res.queryStats(), err))
+	ec.tr = nil
+	return res, err
+}
+
+// query is the shared execution core of Query and QueryBatch.
+func (ix *Index) query(q constraint.Query, ec *execCtx) (Result, error) {
+	return traced(ec, q.String, func() (Result, error) { return ix.queryExec(q, ec) })
 }
 
 // queryExec validates and routes one half-plane selection, collects its
@@ -189,6 +199,9 @@ func (ix *Index) queryExec(q constraint.Query, ec *execCtx) (Result, error) {
 		if math.IsNaN(a) || math.IsInf(a, 0) {
 			return Result{}, fmt.Errorf("core: invalid query slope %v", q.Slope)
 		}
+	}
+	if math.IsNaN(q.Intercept) { // ±Inf is a legal intercept: Query.Matches orders it
+		return Result{}, fmt.Errorf("core: invalid query intercept %v", q.Intercept)
 	}
 	sp := ec.span(obs.StageRoute)
 	r, err := ix.geo.route(q.Slope, q.SweepsUp())

@@ -240,6 +240,19 @@ func TestQueryRejectsBadInput(t *testing.T) {
 	if _, err := ix.Query(constraint.Query2(constraint.EXIST, math.NaN(), 0, geom.GE)); err == nil {
 		t.Error("NaN slope must be rejected")
 	}
+	nanB := constraint.Query2(constraint.EXIST, 0.3, math.NaN(), geom.GE)
+	if _, err := ix.Query(nanB); err == nil {
+		t.Error("NaN intercept must be rejected")
+	}
+	if _, err := ix.QueryLine(0.3, math.NaN()); err == nil {
+		t.Error("NaN intercept must be rejected by QueryLine")
+	}
+	if _, err := ix.QueryBatch([]constraint.Query{nanB}, BatchOptions{}); err == nil {
+		t.Error("NaN intercept must be rejected by QueryBatch")
+	}
+	if _, err := ix.Query(constraint.Query2(constraint.EXIST, 0.3, math.Inf(-1), geom.GE)); err != nil {
+		t.Errorf("an infinite intercept is legal: %v", err)
+	}
 	if _, err := ix.Query(constraint.Query2(constraint.EXIST, math.Inf(1), 0, geom.GE)); err == nil {
 		t.Error("infinite slope must be rejected")
 	}

@@ -19,7 +19,7 @@ import (
 func (ix *Index) QueryLine(a, b float64) (Result, error) {
 	rs := ix.pinRoots()
 	defer ix.unpinRoots(rs)
-	return ix.queryLineTraced(a, b, ix.execCtxFor(rs))
+	return ix.queryLine(a, b, ix.execCtxFor(rs))
 }
 
 // QueryLine retrieves the tuples whose extension intersects the line
@@ -28,61 +28,51 @@ func (s *Snapshot) QueryLine(a, b float64) (Result, error) {
 	if err := s.guard(); err != nil {
 		return Result{}, err
 	}
-	return s.ix.queryLineTraced(a, b, s.execCtx())
-}
-
-// queryLineTraced wraps queryLine in its own query trace.
-func (ix *Index) queryLineTraced(a, b float64, ec *execCtx) (Result, error) {
-	if ec.obs != nil {
-		// The line stab owns one trace; both EXIST sub-queries share the
-		// execCtx and record their stage spans into it.
-		ec.tr = ec.obs.StartQuery(fmt.Sprintf("line y = %g*x + %g", a, b))
-		res, err := ix.queryLine(a, b, ec)
-		ec.obs.FinishQuery(ec.tr, queryInfo(res.Stats, err))
-		ec.tr = nil
-		return res, err
-	}
-	return ix.queryLine(a, b, ec)
+	return s.ix.queryLine(a, b, s.execCtx())
 }
 
 // queryLine runs the two EXIST selections on the shared execCtx, so the
-// stab's I/O is counted once on one exact per-query ReadCounter.
+// stab's I/O is counted once on one exact per-query ReadCounter and both
+// record their stage spans into the one trace the stab owns.
 func (ix *Index) queryLine(a, b float64, ec *execCtx) (Result, error) {
-	upper, err := ix.query(constraint.Query2(constraint.EXIST, a, b, geom.GE), ec)
-	if err != nil {
-		return Result{}, err
-	}
-	lower, err := ix.query(constraint.Query2(constraint.EXIST, a, b, geom.LE), ec)
-	if err != nil {
-		return Result{}, err
-	}
-	dd := ec.span(obs.StageDedup)
-	inUpper := make(map[constraint.TupleID]bool, len(upper.IDs))
-	for _, id := range upper.IDs {
-		inUpper[id] = true
-	}
-	var ids []constraint.TupleID
-	for _, id := range lower.IDs {
-		if inUpper[id] {
-			ids = append(ids, id)
+	label := func() string { return fmt.Sprintf("line y = %g*x + %g", a, b) }
+	return traced(ec, label, func() (Result, error) {
+		upper, err := ix.query(constraint.Query2(constraint.EXIST, a, b, geom.GE), ec)
+		if err != nil {
+			return Result{}, err
 		}
-	}
-	slices.Sort(ids)
-	ec.endSpan(dd, len(ids))
-	st := QueryStats{
-		Path:        fmt.Sprintf("line(%s∩%s)", upper.Stats.Path, lower.Stats.Path),
-		Candidates:  upper.Stats.Candidates + lower.Stats.Candidates,
-		Results:     len(ids),
-		FalseHits:   upper.Stats.FalseHits + lower.Stats.FalseHits,
-		Duplicates:  upper.Stats.Duplicates + lower.Stats.Duplicates,
-		LeavesSwept: upper.Stats.LeavesSwept + lower.Stats.LeavesSwept,
-		// The shared ReadCounter accumulates across both sub-queries, so
-		// its final value is the stab's exact physical-read total (summing
-		// the sub-results would double-count: each sub-query's PagesRead
-		// is a cumulative snapshot of the same counter).
-		PagesRead: ec.rc.Physical.Load(),
-	}
-	return Result{IDs: ids, Stats: st}, nil
+		lower, err := ix.query(constraint.Query2(constraint.EXIST, a, b, geom.LE), ec)
+		if err != nil {
+			return Result{}, err
+		}
+		dd := ec.span(obs.StageDedup)
+		inUpper := make(map[constraint.TupleID]bool, len(upper.IDs))
+		for _, id := range upper.IDs {
+			inUpper[id] = true
+		}
+		var ids []constraint.TupleID
+		for _, id := range lower.IDs {
+			if inUpper[id] {
+				ids = append(ids, id)
+			}
+		}
+		slices.Sort(ids)
+		ec.endSpan(dd, len(ids))
+		st := QueryStats{
+			Path:        fmt.Sprintf("line(%s∩%s)", upper.Stats.Path, lower.Stats.Path),
+			Candidates:  upper.Stats.Candidates + lower.Stats.Candidates,
+			Results:     len(ids),
+			FalseHits:   upper.Stats.FalseHits + lower.Stats.FalseHits,
+			Duplicates:  upper.Stats.Duplicates + lower.Stats.Duplicates,
+			LeavesSwept: upper.Stats.LeavesSwept + lower.Stats.LeavesSwept,
+			// The shared ReadCounter accumulates across both sub-queries, so
+			// its final value is the stab's exact physical-read total (summing
+			// the sub-results would double-count: each sub-query's PagesRead
+			// is a cumulative snapshot of the same counter).
+			PagesRead: ec.rc.Physical.Load(),
+		}
+		return Result{IDs: ids, Stats: st}, nil
+	})
 }
 
 // EvalLine is the exhaustive ground truth for line-stabbing selections.

@@ -47,7 +47,7 @@ type TupleResult struct {
 func (ix *Index) QueryTuple(kind constraint.QueryKind, qt *constraint.Tuple) (TupleResult, error) {
 	rs := ix.pinRoots()
 	defer ix.unpinRoots(rs)
-	return ix.queryTupleTraced(kind, qt, ix.execCtxFor(rs))
+	return ix.queryTuple(kind, qt, ix.execCtxFor(rs))
 }
 
 // QueryTuple executes ALL(qt, r) or EXIST(qt, r) against this snapshot's
@@ -56,21 +56,7 @@ func (s *Snapshot) QueryTuple(kind constraint.QueryKind, qt *constraint.Tuple) (
 	if err := s.guard(); err != nil {
 		return TupleResult{}, err
 	}
-	return s.ix.queryTupleTraced(kind, qt, s.execCtx())
-}
-
-// queryTupleTraced wraps queryTuple in its own query trace.
-func (ix *Index) queryTupleTraced(kind constraint.QueryKind, qt *constraint.Tuple, ec *execCtx) (TupleResult, error) {
-	if ec.obs != nil {
-		// The tuple selection owns one trace; every per-constraint
-		// sub-query shares the execCtx and records into it.
-		ec.tr = ec.obs.StartQuery(fmt.Sprintf("%s(tuple, %d constraints)", kind, len(qt.Constraints())))
-		res, err := ix.queryTuple(kind, qt, ec)
-		ec.obs.FinishQuery(ec.tr, queryInfo(res.Stats.QueryStats, err))
-		ec.tr = nil
-		return res, err
-	}
-	return ix.queryTuple(kind, qt, ec)
+	return s.ix.queryTuple(kind, qt, s.execCtx())
 }
 
 // queryTuple decomposes, intersects and refines on a caller-supplied
@@ -78,129 +64,134 @@ func (ix *Index) queryTupleTraced(kind constraint.QueryKind, qt *constraint.Tupl
 // tuple query (racy before/after deltas on the shared pool counters would
 // absorb concurrent queries' misses).
 func (ix *Index) queryTuple(kind constraint.QueryKind, qt *constraint.Tuple, ec *execCtx) (TupleResult, error) {
-	if qt.Dim() != 2 || ix.dim != 2 {
-		return TupleResult{}, fmt.Errorf("core: query tuples are 2-D only; tuple dimension %d, index dimension %d", qt.Dim(), ix.dim)
-	}
-	qext, err := qt.Extension()
-	if err != nil {
-		return TupleResult{}, err
-	}
-	if qext.IsEmpty() {
-		// An unsatisfiable query tuple denotes the empty set: nothing is
-		// contained in it and nothing intersects it.
-		return TupleResult{Stats: QueryTupleStats{QueryStats: QueryStats{Path: "empty-query"}}}, nil
-	}
-	st := QueryTupleStats{QueryStats: QueryStats{Path: "tuple-" + kind.String()}}
-
-	// Decompose into per-constraint selections. Non-vertical constraints
-	// run as half-plane queries; vertical ones run on the V^up/V^down pair
-	// when the index carries it (Options.IndexVertical) and are otherwise
-	// left to the refinement step.
-	type runner func() (Result, error)
-	var selections []runner
-	for _, h := range qt.Constraints() {
-		if h.IsTrivial() {
-			st.ConstraintsSkipped++
-			continue
+	// The tuple selection owns one trace; every per-constraint sub-query
+	// shares the execCtx and records into it.
+	label := func() string { return fmt.Sprintf("%s(tuple, %d constraints)", kind, len(qt.Constraints())) }
+	return traced(ec, label, func() (TupleResult, error) {
+		if qt.Dim() != 2 || ix.dim != 2 {
+			return TupleResult{}, fmt.Errorf("core: query tuples are 2-D only; tuple dimension %d, index dimension %d", qt.Dim(), ix.dim)
 		}
-		slope, icpt, op, err := h.SlopeForm()
+		qext, err := qt.Extension()
 		if err != nil {
-			if ec.rs.vup != nil {
-				// Vertical constraint a·x + c θ 0 with a ≠ 0: normalize to
-				// x θ' −c/a.
-				a, c := h.A[0], h.C
-				vop := h.Op
-				if a < 0 {
-					vop = vop.Negate()
-				}
-				cutoff := -c / a
-				selections = append(selections, func() (Result, error) {
-					return ix.queryVertical(kind, vop, cutoff, ec)
-				})
+			return TupleResult{}, err
+		}
+		if qext.IsEmpty() {
+			// An unsatisfiable query tuple denotes the empty set: nothing is
+			// contained in it and nothing intersects it.
+			return TupleResult{Stats: QueryTupleStats{QueryStats: QueryStats{Path: "empty-query"}}}, nil
+		}
+		st := QueryTupleStats{QueryStats: QueryStats{Path: "tuple-" + kind.String()}}
+
+		// Decompose into per-constraint selections. Non-vertical constraints
+		// run as half-plane queries; vertical ones run on the V^up/V^down pair
+		// when the index carries it (Options.IndexVertical) and are otherwise
+		// left to the refinement step.
+		type runner func() (Result, error)
+		var selections []runner
+		for _, h := range qt.Constraints() {
+			if h.IsTrivial() {
+				st.ConstraintsSkipped++
 				continue
 			}
-			st.ConstraintsSkipped++ // vertical without the pair: refinement-only
-			continue
-		}
-		q := constraint.NewQuery(kind, slope, icpt, op)
-		selections = append(selections, func() (Result, error) { return ix.query(q, ec) })
-	}
-	st.ConstraintsIndexed = len(selections)
-
-	var candidate map[constraint.TupleID]bool
-	if len(selections) == 0 {
-		// Nothing usable on the index: scan.
-		st.Path = "tuple-scan"
-		candidate = make(map[constraint.TupleID]bool)
-		ec.rs.relScan(func(t *constraint.Tuple) bool {
-			candidate[t.ID()] = true
-			return true
-		})
-	} else {
-		// Intersect the per-constraint selections (each exact for ALL, a
-		// filter for EXIST).
-		for i, run := range selections {
-			res, err := run()
+			slope, icpt, op, err := h.SlopeForm()
 			if err != nil {
-				return TupleResult{}, err
+				if ix.opt.IndexVertical {
+					// Vertical constraint a·x + c θ 0 with a ≠ 0: normalize to
+					// x θ' −c/a.
+					a, c := h.A[0], h.C
+					vop := h.Op
+					if a < 0 {
+						vop = vop.Negate()
+					}
+					cutoff := -c / a
+					selections = append(selections, func() (Result, error) {
+						return ix.queryVertical(kind, vop, cutoff, ec)
+					})
+					continue
+				}
+				st.ConstraintsSkipped++ // vertical without the pair: refinement-only
+				continue
 			}
-			st.LeavesSwept += res.Stats.LeavesSwept
-			st.Candidates += res.Stats.Candidates
-			if i == 0 {
-				candidate = make(map[constraint.TupleID]bool, len(res.IDs))
+			q := constraint.NewQuery(kind, slope, icpt, op)
+			selections = append(selections, func() (Result, error) { return ix.query(q, ec) })
+		}
+		st.ConstraintsIndexed = len(selections)
+
+		var candidate map[constraint.TupleID]bool
+		if len(selections) == 0 {
+			// Nothing usable on the index: scan.
+			st.Path = "tuple-scan"
+			candidate = make(map[constraint.TupleID]bool)
+			ec.rs.relScan(func(t *constraint.Tuple) bool {
+				candidate[t.ID()] = true
+				return true
+			})
+		} else {
+			// Intersect the per-constraint selections (each exact for ALL, a
+			// filter for EXIST).
+			for i, run := range selections {
+				res, err := run()
+				if err != nil {
+					return TupleResult{}, err
+				}
+				st.LeavesSwept += res.Stats.LeavesSwept
+				st.Candidates += res.Stats.Candidates
+				if i == 0 {
+					candidate = make(map[constraint.TupleID]bool, len(res.IDs))
+					for _, id := range res.IDs {
+						candidate[id] = true
+					}
+					continue
+				}
+				next := make(map[constraint.TupleID]bool, len(res.IDs))
 				for _, id := range res.IDs {
-					candidate[id] = true
+					if candidate[id] {
+						next[id] = true
+					}
 				}
-				continue
-			}
-			next := make(map[constraint.TupleID]bool, len(res.IDs))
-			for _, id := range res.IDs {
-				if candidate[id] {
-					next[id] = true
+				candidate = next
+				if len(candidate) == 0 {
+					break
 				}
-			}
-			candidate = next
-			if len(candidate) == 0 {
-				break
 			}
 		}
-	}
 
-	// Refine. For ALL with no skipped constraints the intersection is
-	// already exact; otherwise (EXIST, or vertical constraints present)
-	// test the exact polyhedral predicate.
-	needRefine := kind == constraint.EXIST || st.ConstraintsSkipped > 0 || len(selections) == 0
-	rf := ec.span(obs.StageRefine)
-	ids := make([]constraint.TupleID, 0, len(candidate))
-	for id := range candidate {
-		if needRefine {
-			t, err := ec.rs.relGet(id)
-			if err != nil {
-				ec.endSpan(rf, 0)
-				return TupleResult{}, err
+		// Refine. For ALL with no skipped constraints the intersection is
+		// already exact; otherwise (EXIST, or vertical constraints present)
+		// test the exact polyhedral predicate.
+		needRefine := kind == constraint.EXIST || st.ConstraintsSkipped > 0 || len(selections) == 0
+		rf := ec.span(obs.StageRefine)
+		ids := make([]constraint.TupleID, 0, len(candidate))
+		for id := range candidate {
+			if needRefine {
+				t, err := ec.rs.relGet(id)
+				if err != nil {
+					ec.endSpan(rf, 0)
+					return TupleResult{}, err
+				}
+				var ok bool
+				if kind == constraint.ALL {
+					ok, err = constraint.TupleALL(qt, t)
+				} else {
+					ok, err = constraint.TupleEXIST(qt, t)
+				}
+				if err != nil {
+					ec.endSpan(rf, 0)
+					return TupleResult{}, err
+				}
+				if !ok {
+					st.FalseHits++
+					continue
+				}
 			}
-			var ok bool
-			if kind == constraint.ALL {
-				ok, err = constraint.TupleALL(qt, t)
-			} else {
-				ok, err = constraint.TupleEXIST(qt, t)
-			}
-			if err != nil {
-				ec.endSpan(rf, 0)
-				return TupleResult{}, err
-			}
-			if !ok {
-				st.FalseHits++
-				continue
-			}
+			ids = append(ids, id)
 		}
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	ec.endSpan(rf, len(candidate))
-	st.Results = len(ids)
-	st.PagesRead = ec.rc.Physical.Load()
-	return TupleResult{IDs: ids, Stats: st}, nil
+		slices.Sort(ids)
+		ec.endSpan(rf, len(candidate))
+		st.Results = len(ids)
+		st.PagesRead = ec.rc.Physical.Load()
+		return TupleResult{IDs: ids, Stats: st}, nil
+	})
 }
 
 // EvalTuple is the exhaustive ground truth for generalized-tuple

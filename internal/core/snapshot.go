@@ -81,19 +81,9 @@ func (ix *Index) MVCCStats() MVCCStats {
 // at publication, so reading them is race-free against the writer.
 func chainOverrideLen(rs *rootSet) int {
 	n := 0
-	count := func(t *btree.Tree) {
+	for _, t := range rs.trees {
 		ovn, ovp := t.ChainOverrides()
 		n += len(ovn) + len(ovp)
-	}
-	for _, t := range rs.up {
-		count(t)
-	}
-	for _, t := range rs.down {
-		count(t)
-	}
-	if rs.vup != nil {
-		count(rs.vup)
-		count(rs.vdown)
 	}
 	return n
 }
@@ -102,15 +92,8 @@ func chainOverrideLen(rs *rootSet) int {
 // the index (the vertical pair included).
 func (ix *Index) SweepStats() btree.SweepStats {
 	var s btree.SweepStats
-	for _, t := range ix.up {
+	for _, t := range ix.trees {
 		s.Add(t.SweepStats())
-	}
-	for _, t := range ix.down {
-		s.Add(t.SweepStats())
-	}
-	if ix.vup != nil {
-		s.Add(ix.vup.SweepStats())
-		s.Add(ix.vdown.SweepStats())
 	}
 	return s
 }
@@ -124,7 +107,7 @@ func (ix *Index) StatsSnapshot() StatsSnapshot {
 	rs := ix.roots.Load()
 	return StatsSnapshot{
 		Tuples:      rs.relLen(),
-		Indexed:     len(rs.indexed),
+		Indexed:     rs.indexed,
 		Pages:       ix.Pages(),
 		Slopes:      ix.geo.sites(),
 		Technique:   ix.opt.Technique.String(),

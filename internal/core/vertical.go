@@ -28,20 +28,10 @@ import (
 // (Options.IndexVertical); without it vertical selections fall back to an
 // exhaustive scan.
 
-// ensureVerticalTrees creates the V^up/V^down pair.
-func (ix *Index) ensureVerticalTrees() error {
-	if ix.vup != nil {
-		return nil
-	}
-	cfg := ix.opt.treeConfig(nil)
-	var err error
-	if ix.vup, err = btree.New(ix.pool, cfg); err != nil {
-		return err
-	}
-	if ix.vdown, err = btree.New(ix.pool, cfg); err != nil {
-		return err
-	}
-	return nil
+// vertical returns the V^up/V^down pair at the tail of a tree list — the
+// writer's live one or a version's frozen one; empty when the index has none.
+func (ix *Index) vertical(trees []*btree.Tree) []*btree.Tree {
+	return trees[2*ix.geo.sites():]
 }
 
 // supX and infX are the tuple's horizontal support values (±Inf for
@@ -49,36 +39,13 @@ func (ix *Index) ensureVerticalTrees() error {
 func supX(ext geom.Polyhedron) float64 { return ext.Support(geom.Point{1, 0}) }
 func infX(ext geom.Polyhedron) float64 { return -ext.Support(geom.Point{-1, 0}) }
 
-// insertVertical indexes one tuple in the vertical pair.
-func (ix *Index) insertVertical(ext geom.Polyhedron, id constraint.TupleID) error {
-	if ix.vup == nil {
-		return nil
-	}
-	if err := ix.vup.Insert(supX(ext), uint32(id)); err != nil {
-		return err
-	}
-	return ix.vdown.Insert(infX(ext), uint32(id))
-}
-
-// deleteVertical removes one tuple from the vertical pair.
-func (ix *Index) deleteVertical(ext geom.Polyhedron, id constraint.TupleID) error {
-	if ix.vup == nil {
-		return nil
-	}
-	if _, err := ix.vup.Delete(supX(ext), uint32(id)); err != nil {
-		return err
-	}
-	_, err := ix.vdown.Delete(infX(ext), uint32(id))
-	return err
-}
-
 // QueryVertical executes the selection Kind(x op c) against the current
 // version. With IndexVertical it runs one exact tree sweep; otherwise it
 // scans.
 func (ix *Index) QueryVertical(kind constraint.QueryKind, op geom.Op, c float64) (Result, error) {
 	rs := ix.pinRoots()
 	defer ix.unpinRoots(rs)
-	return ix.queryVerticalTraced(kind, op, c, ix.execCtxFor(rs))
+	return ix.queryVertical(kind, op, c, ix.execCtxFor(rs))
 }
 
 // QueryVertical executes the selection Kind(x op c) against this
@@ -87,60 +54,50 @@ func (s *Snapshot) QueryVertical(kind constraint.QueryKind, op geom.Op, c float6
 	if err := s.guard(); err != nil {
 		return Result{}, err
 	}
-	return s.ix.queryVerticalTraced(kind, op, c, s.execCtx())
-}
-
-// queryVerticalTraced wraps queryVertical in its own query trace.
-func (ix *Index) queryVerticalTraced(kind constraint.QueryKind, op geom.Op, c float64, ec *execCtx) (Result, error) {
-	if ec.obs != nil {
-		ec.tr = ec.obs.StartQuery(fmt.Sprintf("%s(x %s %g)", kind, op, c))
-		res, err := ix.queryVertical(kind, op, c, ec)
-		ec.obs.FinishQuery(ec.tr, queryInfo(res.Stats, err))
-		ec.tr = nil
-		return res, err
-	}
-	return ix.queryVertical(kind, op, c, ec)
+	return s.ix.queryVertical(kind, op, c, s.execCtx())
 }
 
 // queryVertical is QueryVertical on a caller-supplied execCtx, so a
 // generalized query tuple can charge the sweep to its own counter and
 // trace.
 func (ix *Index) queryVertical(kind constraint.QueryKind, op geom.Op, c float64, ec *execCtx) (Result, error) {
-	if ix.dim != 2 {
-		return Result{}, fmt.Errorf("core: vertical selections are 2-D only; index dimension %d", ix.dim)
-	}
-	if math.IsNaN(c) || math.IsInf(c, 0) {
-		return Result{}, fmt.Errorf("core: invalid vertical intercept %v", c)
-	}
-	rs := ec.rs
-	st := QueryStats{Path: "scan"}
-	var cands []uint32
-	if rs.vup == nil {
-		cands = rs.allIDs(nil)
-	} else {
-		st.Path = "restricted-vertical"
-		// Route: EXIST(≥)/ALL(≤) read V^up; ALL(≥)/EXIST(≤) read V^down.
-		tr := rs.vdown
-		if (kind == constraint.EXIST) == (op == geom.GE) {
-			tr = rs.vup
+	label := func() string { return fmt.Sprintf("%s(x %s %g)", kind, op, c) }
+	return traced(ec, label, func() (Result, error) {
+		if ix.dim != 2 {
+			return Result{}, fmt.Errorf("core: vertical selections are 2-D only; index dimension %d", ix.dim)
 		}
-		sw := ec.span(obs.StageSweep)
-		var err error
-		cands, _, err = firstSweep(c, op == geom.GE, -1).run(tr, ec.rc, nil, &st)
-		ec.endSpan(sw, len(cands))
+		if math.IsNaN(c) || math.IsInf(c, 0) {
+			return Result{}, fmt.Errorf("core: invalid vertical intercept %v", c)
+		}
+		st := QueryStats{Path: "scan"}
+		var cands []uint32
+		if v := ix.vertical(ec.rs.trees); len(v) == 0 {
+			cands = ec.rs.allIDs(nil)
+		} else {
+			st.Path = "restricted-vertical"
+			// Route: EXIST(≥)/ALL(≤) read V^up; ALL(≥)/EXIST(≤) read V^down.
+			tr := v[1]
+			if (kind == constraint.EXIST) == (op == geom.GE) {
+				tr = v[0]
+			}
+			sw := ec.span(obs.StageSweep)
+			var err error
+			cands, _, err = firstSweep(c, op == geom.GE, -1).run(tr, ec.rc, nil, &st)
+			ec.endSpan(sw, len(cands))
+			if err != nil {
+				return Result{}, err
+			}
+		}
+		st.Candidates = len(cands)
+		res, err := ec.refine(func(t *constraint.Tuple) (bool, error) {
+			return matchesVertical(kind, op, c, t)
+		}, cands, st)
 		if err != nil {
 			return Result{}, err
 		}
-	}
-	st.Candidates = len(cands)
-	res, err := ec.refine(func(t *constraint.Tuple) (bool, error) {
-		return matchesVertical(kind, op, c, t)
-	}, cands, st)
-	if err != nil {
-		return Result{}, err
-	}
-	res.Stats.PagesRead = ec.rc.Physical.Load()
-	return res, nil
+		res.Stats.PagesRead = ec.rc.Physical.Load()
+		return res, nil
+	})
 }
 
 // matchesVertical is the exact predicate for Kind(x op c).
