@@ -152,8 +152,7 @@ func (s *session) stats() {
 		fmt.Fprintf(s.out, "decode cache: %d hits, %d misses, %d invalidations, %d resident\n",
 			snap.DecodeCache.Hits, snap.DecodeCache.Misses,
 			snap.DecodeCache.Invalidations, snap.DecodeCache.Resident)
-		fmt.Fprintf(s.out, "readahead: %d batches, %d pages; sweeps: %d descents, %d leaves visited\n",
-			snap.Pool.ReadaheadBatches, snap.Pool.ReadaheadPages,
+		fmt.Fprintf(s.out, "sweeps: %d descents, %d leaves visited\n",
 			snap.Sweeps.Descents, snap.Sweeps.LeavesVisited)
 		m := snap.MVCC
 		fmt.Fprintf(s.out, "mvcc: version %d, watermark %d (lag %d), %d pinned snapshots, %d backlog pages, %d cloned, %d reclaimed, %d chain overrides\n",

@@ -8,8 +8,6 @@
 //	fig10  — occupied disk pages vs N
 //	table1 — verification of the app-query operator rules (Table 1)
 //	batchsweep — QueryBatch throughput scaling vs worker count
-//	readpath — ablation of the buffered read path (decode cache,
-//	           leaf readahead, midpoint LRU) on a small pool
 //
 // Usage:
 //
@@ -35,7 +33,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id: fig8a|fig8b|fig9a|fig9b|fig10|table1|sizesweep|dimsweep|selsweep|techniques|batchsweep|readpath|all")
+	exp := flag.String("exp", "all", "experiment id: fig8a|fig8b|fig9a|fig9b|fig10|table1|sizesweep|dimsweep|selsweep|techniques|batchsweep|all")
 	quick := flag.Bool("quick", false, "reduced cardinalities (fast smoke run)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	seed := flag.Int64("seed", 1999, "workload seed")
@@ -146,21 +144,7 @@ func main() {
 			}
 			fmt.Println("batchsweep — QueryBatch throughput vs worker count (Fig. 9 medium workload):")
 			fmt.Print(harness.FormatBatchSweep(rows))
-			fmt.Printf("shape: the 2·k trees, sweeps and refinement parallelize; speedup tracks available cores (GOMAXPROCS=%d here, ≈1.0x expected on a single core).\n", runtime.GOMAXPROCS(0))
-			fmt.Println()
-		case "readpath":
-			rc := harness.ReadPathConfig{Seed: *seed}
-			if *quick {
-				rc.N = 800
-				rc.Passes = 2
-			}
-			rows, err := harness.RunReadPath(rc)
-			if err != nil {
-				return err
-			}
-			fmt.Println("readpath — read-path ablation (decode cache, readahead, midpoint LRU) on a pool far smaller than the leaf level:")
-			fmt.Print(harness.FormatReadPath(rows))
-			fmt.Println("shape: the cache removes repeat decodes, readahead batches sibling reads into fewer calls, and the midpoint LRU keeps inner nodes resident across sweeps (old-region evictions ≈ 0).")
+			fmt.Printf("shape: queries run in parallel over the shared trees; speedup tracks available cores (GOMAXPROCS=%d here, ≈1.0x expected on a single core).\n", runtime.GOMAXPROCS(0))
 			fmt.Println()
 		case "sizesweep":
 			sc := harness.SizeSweepConfig{Seed: *seed, QueriesPerPoint: *queries}
@@ -184,7 +168,7 @@ func main() {
 
 	ids := []string{*exp}
 	if *exp == "all" {
-		ids = []string{"table1", "fig8a", "fig8b", "fig9a", "fig9b", "fig10", "sizesweep", "dimsweep", "selsweep", "techniques", "batchsweep", "readpath"}
+		ids = []string{"table1", "fig8a", "fig8b", "fig9a", "fig9b", "fig10", "sizesweep", "dimsweep", "selsweep", "techniques", "batchsweep"}
 	}
 	for _, id := range ids {
 		if err := run(id); err != nil {

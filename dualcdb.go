@@ -118,8 +118,8 @@ type (
 	Result = core.Result
 	// QueryStats describes how a selection executed.
 	QueryStats = core.QueryStats
-	// BatchOptions tunes Index.QueryBatch's worker pool and intra-query
-	// parallelism; the zero value selects sensible defaults.
+	// BatchOptions tunes Index.QueryBatch's worker pool; the zero value
+	// selects GOMAXPROCS workers.
 	BatchOptions = core.BatchOptions
 	// Snapshot is a pinned, immutable read view of one committed index
 	// version: queries on it are repeatable and unaffected by concurrent

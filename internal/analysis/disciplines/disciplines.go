@@ -52,7 +52,6 @@ var Spans = Registry{
 var Pins = Registry{
 	{Pkg: "pagestore", BeginType: "Pool", Begin: "Get", CloseType: "Frame", Close: "Release", ErrIdx: 1},
 	{Pkg: "pagestore", BeginType: "Pool", Begin: "GetTracked", CloseType: "Frame", Close: "Release", ErrIdx: 1},
-	{Pkg: "pagestore", BeginType: "Pool", Begin: "GetChainTracked", CloseType: "Frame", Close: "Release", ErrIdx: 1},
 	{Pkg: "pagestore", BeginType: "Pool", Begin: "NewPage", CloseType: "Frame", Close: "Release", ErrIdx: 1},
 }
 

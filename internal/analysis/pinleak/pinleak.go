@@ -1,7 +1,7 @@
 // Package pinleak flags page-frame pins that can escape release.
 //
 // The buffer pool's contract (internal/pagestore) is strict: every frame
-// handed out pinned — by Get, GetTracked, GetChainTracked or NewPage — must
+// handed out pinned — by Get, GetTracked or NewPage — must
 // be Released exactly once. A pin that never reaches Release wedges its
 // frame in the pool forever: the clock hand skips pinned frames, so each
 // leak permanently shrinks the effective pool until Get fails with "no

@@ -26,5 +26,5 @@ func handled(p *pagestore.Pool) error {
 }
 
 func annotated(p *pagestore.Pool) {
-	p.Flush() //dualvet:allow errsink — best-effort prefetch
+	p.Flush() //dualvet:allow errsink — best-effort flush
 }

@@ -146,17 +146,16 @@ func benchSweepWarm(b *testing.B, noCache bool) {
 func BenchmarkSweepWarm(b *testing.B)        { benchSweepWarm(b, false) }
 func BenchmarkSweepWarmNoCache(b *testing.B) { benchSweepWarm(b, true) }
 
-// benchSweepCold sweeps a file-backed tree whose pool is evicted before
-// every iteration, so each sweep pays the full physical read cost. The
-// readahead variant batches sibling fetches; PhysicalReads stays equal.
-func benchSweepCold(b *testing.B, readahead int) {
+// BenchmarkSweepCold sweeps a file-backed tree whose pool is evicted before
+// every iteration, so each sweep pays the full physical read cost.
+func BenchmarkSweepCold(b *testing.B) {
 	store, err := pagestore.OpenFileStore(b.TempDir()+"/bench.db", 1024)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer store.Close()
 	pool := pagestore.NewPool(store, 1<<16)
-	tr, err := New(pool, Config{Readahead: readahead})
+	tr, err := New(pool, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -189,11 +188,7 @@ func benchSweepCold(b *testing.B, readahead int) {
 	b.StopTimer()
 	st := pool.Stats()
 	b.ReportMetric(float64(st.PhysicalReads)/float64(b.N), "physreads/op")
-	b.ReportMetric(float64(st.ReadaheadBatches)/float64(b.N), "rabatches/op")
 }
-
-func BenchmarkSweepCold(b *testing.B)          { benchSweepCold(b, 0) }
-func BenchmarkSweepColdReadahead(b *testing.B) { benchSweepCold(b, 8) }
 
 func BenchmarkMergeHandicap(b *testing.B) {
 	tr := benchTree(b, []SlotKind{MinSlot, MinSlot, MaxSlot, MaxSlot})

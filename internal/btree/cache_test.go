@@ -3,7 +3,6 @@ package btree
 import (
 	"math"
 	"math/rand"
-	"path/filepath"
 	"sort"
 	"testing"
 
@@ -260,85 +259,5 @@ func TestDecodeCacheRetainsHotInnerNodes(t *testing.T) {
 	tr.cache.mu.Unlock()
 	if !rootCached {
 		t.Fatalf("root %d evicted despite being touched by every descent: %+v", tr.root, st)
-	}
-}
-
-func TestSweepReadaheadMatchesPlainSweep(t *testing.T) {
-	dir := t.TempDir()
-	build := func(name string, readahead int) (*Tree, *pagestore.Pool) {
-		store, err := pagestore.OpenFileStore(filepath.Join(dir, name), 256)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { store.Close() })
-		pool := pagestore.NewPool(store, 4096)
-		tr, err := New(pool, Config{HandicapKinds: []SlotKind{MinSlot}, Readahead: readahead})
-		if err != nil {
-			t.Fatal(err)
-		}
-		entries := make([]Entry, 3000)
-		for i := range entries {
-			entries[i] = Entry{Key: float64(i), TID: uint32(i + 1)}
-		}
-		if err := tr.BulkLoad(entries); err != nil {
-			t.Fatal(err)
-		}
-		if err := pool.EvictAll(); err != nil {
-			t.Fatal(err)
-		}
-		pool.ResetStats()
-		return tr, pool
-	}
-
-	plain, plainPool := build("plain.db", 0)
-	ra, raPool := build("ra.db", 8)
-
-	for _, from := range []float64{math.Inf(-1), 1500} {
-		for _, tc := range []struct {
-			tr   *Tree
-			pool *pagestore.Pool
-		}{{plain, plainPool}, {ra, raPool}} {
-			if err := tc.pool.EvictAll(); err != nil {
-				t.Fatal(err)
-			}
-			tc.pool.ResetStats()
-		}
-		collect := func(tr *Tree) (asc, desc []Entry) {
-			if err := tr.VisitLeavesAsc(from, func(lv LeafView) bool {
-				asc = lv.AppendEntries(asc)
-				return true
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if err := tr.VisitLeavesDesc(from, func(lv LeafView) bool {
-				desc = lv.AppendEntries(desc)
-				return true
-			}); err != nil {
-				t.Fatal(err)
-			}
-			return
-		}
-		pa, pd := collect(plain)
-		ra1, rd1 := collect(ra)
-		if len(pa) != len(ra1) || len(pd) != len(rd1) {
-			t.Fatalf("from %v: sweep lengths differ: asc %d/%d desc %d/%d", from, len(pa), len(ra1), len(pd), len(rd1))
-		}
-		for i := range pa {
-			if pa[i] != ra1[i] {
-				t.Fatalf("from %v: asc entry %d: %v vs %v", from, i, pa[i], ra1[i])
-			}
-		}
-		for i := range pd {
-			if pd[i] != rd1[i] {
-				t.Fatalf("from %v: desc entry %d: %v vs %v", from, i, pd[i], rd1[i])
-			}
-		}
-		ps, rs := plainPool.Stats(), raPool.Stats()
-		if ps.PhysicalReads != rs.PhysicalReads {
-			t.Fatalf("from %v: physical reads differ: plain %d, readahead %d", from, ps.PhysicalReads, rs.PhysicalReads)
-		}
-		if rs.ReadaheadBatches == 0 {
-			t.Fatalf("from %v: readahead sweep recorded no batches: %+v", from, rs)
-		}
 	}
 }

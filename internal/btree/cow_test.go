@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -317,5 +318,75 @@ func TestCOWBatchesCompose(t *testing.T) {
 	pool.UnpinVersion(1)
 	if c := pool.SnapshotCensus(); c.Active != 0 || c.DeferredPages != 0 {
 		t.Fatalf("census after release: %+v", c)
+	}
+}
+
+// TestColdSweepReadsEachPageOnce pins the buffered read path's cost model:
+// a cold sweep over a COW-churned tree — leaves scattered across page ids,
+// links resolved through chain overrides — charges its ReadCounter exactly
+// one physical read per distinct page: the descent's inner nodes plus every
+// leaf visited, in either direction.
+func TestColdSweepReadsEachPageOnce(t *testing.T) {
+	tr, pool := newTestTree(t, 256, []SlotKind{MinSlot})
+	entries := make([]Entry, 600)
+	for i := range entries {
+		entries[i] = Entry{Key: float64(2 * i), TID: uint32(i + 1)}
+	}
+	if err := tr.BulkLoad(entries); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	for v := uint64(2); v < 8; v++ {
+		tr.BeginCOW()
+		for j := 0; j < 40; j++ {
+			i := rng.Intn(len(entries))
+			if _, err := tr.Delete(float64(2*i), uint32(i+1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Insert(float64(2*rng.Intn(len(entries))+1), uint32(10000*int(v)+j)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pool.DeferFrees(v, tr.CommitCOW())
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	h := handleOf(tr)
+	if len(h.ovNext)+len(h.ovPrev) == 0 {
+		t.Fatal("churn left no chain overrides; the sweep would not exercise them")
+	}
+
+	for _, asc := range []bool{true, false} {
+		if err := pool.EvictAll(); err != nil {
+			t.Fatal(err)
+		}
+		pool.ResetStats()
+		var rc pagestore.ReadCounter
+		leaves := map[pagestore.PageID]bool{}
+		visit := func(lv LeafView) bool {
+			leaves[lv.Page] = true
+			return true
+		}
+		var err error
+		if asc {
+			err = h.VisitLeavesAscTracked(math.Inf(-1), &rc, visit)
+		} else {
+			err = h.VisitLeavesDescTracked(math.Inf(1), &rc, visit)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := uint64(h.Height() - 1 + len(leaves))
+		if got := rc.Physical.Load(); got != want {
+			t.Errorf("asc=%v: ReadCounter charged %d physical reads, want %d (%d inner + %d leaves)",
+				asc, got, want, h.Height()-1, len(leaves))
+		}
+		if got := pool.Stats().PhysicalReads; got != want {
+			t.Errorf("asc=%v: pool read %d pages, want %d", asc, got, want)
+		}
+		if got := rc.Logical.Load(); got != want {
+			t.Errorf("asc=%v: ReadCounter charged %d logical reads, want %d", asc, got, want)
+		}
 	}
 }

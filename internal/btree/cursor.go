@@ -1,7 +1,6 @@
 package btree
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -23,42 +22,6 @@ func (t *Tree) leafView(leaf node) (LeafView, viewMeta) {
 		m = parseMeta(leaf.data, leaf.frame.Version())
 	}
 	return LeafView{Page: leaf.id(), v: leaf.view(m)}, m
-}
-
-// chainNextAsc and chainNextDesc extract a leaf's forward link from its
-// raw page image for pool chain readahead; anything that is not a leaf
-// page of the current layout ends the chain.
-func chainNextAsc(page []byte) pagestore.PageID {
-	if len(page) < headerSize || page[offType] != typeLeaf || page[offLayout] != layoutVersion {
-		return pagestore.InvalidPage
-	}
-	return pagestore.PageID(binary.LittleEndian.Uint32(page[offNext : offNext+4]))
-}
-
-func chainNextDesc(page []byte) pagestore.PageID {
-	if len(page) < headerSize || page[offType] != typeLeaf || page[offLayout] != layoutVersion {
-		return pagestore.InvalidPage
-	}
-	return pagestore.PageID(binary.LittleEndian.Uint32(page[offPrev : offPrev+4]))
-}
-
-// nextLeafTracked pins the sweep's next leaf. With Config.Readahead > 1
-// the pool speculatively batch-reads the upcoming sibling run in the sweep
-// direction (dir = +1 ascending, −1 descending), along chain links it has
-// learned from prior sweeps where known.
-func (t *Tree) nextLeafTracked(id pagestore.PageID, dir int, rc *pagestore.ReadCounter) (node, error) {
-	if t.cfg.Readahead > 1 {
-		next := chainNextAsc
-		if dir < 0 {
-			next = chainNextDesc
-		}
-		f, err := t.pool.GetChainTracked(id, t.cfg.Readahead, dir, next, rc)
-		if err != nil {
-			return node{}, err
-		}
-		return wrap(f), nil
-	}
-	return t.getTracked(id, rc)
 }
 
 // VisitLeavesAsc visits leaves in ascending key order starting at the leaf
@@ -83,15 +46,12 @@ func (t *Tree) VisitLeavesAscTracked(from float64, rc *pagestore.ReadCounter, vi
 		// Resolve the forward link through this version's chain overrides:
 		// a shared leaf's bytes may predate a neighbor's clone.
 		next := t.effNext(leaf.id(), m.next)
-		if t.cfg.Readahead > 1 {
-			t.pool.NoteChainLink(leaf.id(), next, +1)
-		}
 		more := visit(lv)
 		leaf.release()
 		if !more || next == pagestore.InvalidPage {
 			return nil
 		}
-		if leaf, err = t.nextLeafTracked(next, +1, rc); err != nil {
+		if leaf, err = t.getTracked(next, rc); err != nil {
 			return err
 		}
 	}
@@ -114,15 +74,12 @@ func (t *Tree) VisitLeavesDescTracked(from float64, rc *pagestore.ReadCounter, v
 	for {
 		lv, m := t.leafView(leaf)
 		prev := t.effPrev(leaf.id(), m.prev)
-		if t.cfg.Readahead > 1 {
-			t.pool.NoteChainLink(leaf.id(), prev, -1)
-		}
 		more := visit(lv)
 		leaf.release()
 		if !more || prev == pagestore.InvalidPage {
 			return nil
 		}
-		if leaf, err = t.nextLeafTracked(prev, -1, rc); err != nil {
+		if leaf, err = t.getTracked(prev, rc); err != nil {
 			return err
 		}
 	}
@@ -239,9 +196,12 @@ func (t *Tree) BulkLoad(entries []Entry) error {
 		if rem := len(entries) - i; rem < n {
 			n = rem
 		}
-		// Avoid a dangling underfull final leaf: balance the last two.
+		// Avoid a dangling underfull final leaf: balance the last two, or
+		// keep the remainder in one leaf when it cannot fill two.
 		if rem := len(entries) - i; rem > n && rem-n < t.minLeaf() {
-			n = rem - t.minLeaf()
+			if n = rem - t.minLeaf(); n < t.minLeaf() {
+				n = rem // < 2·minLeaf ≤ leafCap
+			}
 		}
 		for j := 0; j < n; j++ {
 			cur.setEntry(j, entries[i+j])

@@ -25,13 +25,6 @@ type Config struct {
 	// DecodeCacheNodes bounds the number of parsed headers kept per tree;
 	// ≤ 0 selects the default 4096.
 	DecodeCacheNodes int
-	// Readahead is the number of sibling leaves fetched per vectored chain
-	// read during leaf sweeps (including the demanded one); values ≤ 1
-	// disable readahead (the default). Enabling it changes when pages are
-	// read, not how many distinct pages a full sweep touches, but
-	// early-terminated sweeps may prefetch pages they never visit — keep
-	// it off when reproducing the paper's exact per-query I/O counts.
-	Readahead int
 }
 
 // Tree is a disk-based B⁺-tree over (float64, uint32) composite keys.

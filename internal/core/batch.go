@@ -9,37 +9,13 @@ import (
 	"dualcdb/internal/pagestore"
 )
 
-// BatchOptions tunes QueryBatch's worker pool. The zero value asks for
-// sensible defaults: GOMAXPROCS query workers, intra-query parallelism on,
-// refinement fan-out above 256 candidates.
+// BatchOptions tunes QueryBatch's worker pool: its one level of
+// parallelism is across queries, each of which runs on one goroutine.
 type BatchOptions struct {
 	// Workers is the number of queries executed concurrently (≤ 0 selects
 	// GOMAXPROCS). Workers = 1 degenerates to sequential execution and is
 	// the baseline the scaling benchmarks compare against.
 	Workers int
-	// DisableIntraQuery turns off per-query parallelism (T1's two
-	// app-query sweeps and large-candidate refinement fan-out). Useful
-	// when the batch already saturates every core.
-	DisableIntraQuery bool
-	// RefineThreshold is the candidate count at which refinement fans out
-	// across RefineWorkers goroutines (default 256; candidate sets in the
-	// paper's medium workloads routinely reach hundreds of tuples).
-	RefineThreshold int
-	// RefineWorkers is the refinement fan-out width (default
-	// min(4, GOMAXPROCS)).
-	RefineWorkers int
-}
-
-func (o *BatchOptions) defaults() {
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.RefineThreshold <= 0 {
-		o.RefineThreshold = 256
-	}
-	if o.RefineWorkers <= 0 {
-		o.RefineWorkers = min(4, runtime.GOMAXPROCS(0))
-	}
 }
 
 // QueryBatch executes a batch of 2-D selections across a bounded worker
@@ -74,11 +50,13 @@ func (s *Snapshot) QueryBatch(qs []constraint.Query, opts BatchOptions) ([]Resul
 
 // queryBatch runs the batch against one pinned version.
 func (ix *Index) queryBatch(rs *rootSet, qs []constraint.Query, opts BatchOptions) ([]Result, error) {
-	opts.defaults()
 	if len(qs) == 0 {
 		return []Result{}, nil
 	}
 	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers > len(qs) {
 		workers = len(qs)
 	}
@@ -102,15 +80,10 @@ func (ix *Index) queryBatch(rs *rootSet, qs []constraint.Query, opts BatchOption
 					return
 				}
 				ec := &execCtx{
-					rs:              rs,
-					rc:              &pagestore.ReadCounter{},
-					parallelSweeps:  !opts.DisableIntraQuery,
-					refineThreshold: opts.RefineThreshold,
-					bufs:            bufs,
-					obs:             ix.opt.Observe,
-				}
-				if !opts.DisableIntraQuery {
-					ec.refineWorkers = opts.RefineWorkers
+					rs:   rs,
+					rc:   &pagestore.ReadCounter{},
+					bufs: bufs,
+					obs:  ix.opt.Observe,
 				}
 				res, err := ix.query(qs[i], ec)
 				if err != nil {

@@ -10,14 +10,18 @@ import (
 	"dualcdb/internal/pagestore"
 )
 
-// TestQueryBatchMatchesSequential: for every option combination — default,
-// single worker, intra-query parallelism off, refinement fan-out forced on
-// every candidate list — QueryBatch must return exactly the sequential
-// Query answers, in order.
+// shardedPool is a MemStore-backed pool with an explicit shard count, for
+// tests that need cross-shard contention whatever GOMAXPROCS is.
+func shardedPool(pages, shards int) *pagestore.Pool {
+	return pagestore.NewShardedPool(pagestore.NewMemStore(pagestore.DefaultPageSize), pages, shards)
+}
+
+// TestQueryBatchMatchesSequential: at the default, one and several workers
+// QueryBatch must return exactly the sequential Query answers, in order.
 func TestQueryBatchMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(402))
 	_, ix := buildRandomIndex(t, rng, 300, Options{
-		Slopes: EquiangularSlopes(3), Technique: T2, PoolPages: 1 << 12, PoolShards: 4,
+		Slopes: EquiangularSlopes(3), Technique: T2, Pool: shardedPool(1<<12, 4),
 	}, true)
 	qs := make([]constraint.Query, 40)
 	want := make([][]constraint.TupleID, len(qs))
@@ -30,10 +34,9 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 		want[i] = res.IDs
 	}
 	for name, opts := range map[string]BatchOptions{
-		"default":       {},
-		"one-worker":    {Workers: 1},
-		"no-intraquery": {Workers: 4, DisableIntraQuery: true},
-		"force-refine":  {Workers: 4, RefineThreshold: 1, RefineWorkers: 4},
+		"default":      {},
+		"one-worker":   {Workers: 1},
+		"four-workers": {Workers: 4},
 	} {
 		t.Run(name, func(t *testing.T) {
 			got, err := ix.QueryBatch(qs, opts)
@@ -59,7 +62,7 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 func TestQueryBatchStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(811))
 	_, ix := buildRandomIndex(t, rng, 250, Options{
-		Slopes: EquiangularSlopes(3), Technique: T2, PoolPages: 512, PoolShards: 0,
+		Slopes: EquiangularSlopes(3), Technique: T2, PoolPages: 512,
 	}, true)
 	qs := make([]constraint.Query, 24)
 	want := make([][]constraint.TupleID, len(qs))
@@ -125,7 +128,7 @@ func TestQueryBatchStress(t *testing.T) {
 func TestQueryBatchPagesReadExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(523))
 	_, ix := buildRandomIndex(t, rng, 400, Options{
-		Slopes: EquiangularSlopes(3), Technique: T2, PoolPages: 1 << 14, PoolShards: 8,
+		Slopes: EquiangularSlopes(3), Technique: T2, Pool: shardedPool(1<<14, 8),
 	}, true)
 	qs := make([]constraint.Query, 32)
 	for i := range qs {
@@ -135,7 +138,7 @@ func TestQueryBatchPagesReadExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix.Pool().ResetStats()
-	got, err := ix.QueryBatch(qs, BatchOptions{Workers: 8, RefineThreshold: 1})
+	got, err := ix.QueryBatch(qs, BatchOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +238,7 @@ func TestBuildParallelMatchesSerial(t *testing.T) {
 		}
 		parallel, err := Build(rel, Options{
 			Slopes: EquiangularSlopes(4), Technique: tech, IndexVertical: true,
-			BuildWorkers: 8, PoolShards: 4,
+			BuildWorkers: 8, Pool: shardedPool(512, 4),
 		})
 		if err != nil {
 			t.Fatal(err)

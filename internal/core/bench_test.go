@@ -127,59 +127,51 @@ func BenchmarkQueryTupleWindow(b *testing.B) {
 }
 
 // BenchmarkQueryFileStore measures cold T2 queries against a file-backed
-// index — the workload the read-path machinery targets. The pool is
-// evicted before every query so each iteration pays the full physical
-// read cost; physreads/op reports the per-query page accesses.
+// index. The pool is evicted before every query so each iteration pays the
+// full physical read cost; physreads/op reports the per-query page
+// accesses.
 func BenchmarkQueryFileStore(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		ra   int
-	}{{"plain", 0}, {"readahead", 8}} {
-		b.Run(bc.name, func(b *testing.B) {
-			store, err := pagestore.OpenFileStore(b.TempDir()+"/bench.db", 1024)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer store.Close()
-			rng := rand.New(rand.NewSource(79))
-			rel := constraint.NewRelation(2)
-			for i := 0; i < 2000; i++ {
-				if _, err := rel.Insert(randTuple(rng, false)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			ix, err := Build(rel, Options{
-				Slopes:    EquiangularSlopes(3),
-				Technique: T2,
-				Store:     store,
-				PoolPages: 1 << 14,
-				Readahead: bc.ra,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			queries := make([]constraint.Query, 64)
-			for i := range queries {
-				queries[i] = randQuery(rng)
-			}
-			var pages uint64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				if err := ix.Pool().EvictAll(); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				res, err := ix.Query(queries[i%len(queries)])
-				if err != nil {
-					b.Fatal(err)
-				}
-				pages += res.Stats.PagesRead
-			}
-			b.ReportMetric(float64(pages)/float64(b.N), "physreads/op")
-		})
+	store, err := pagestore.OpenFileStore(b.TempDir()+"/bench.db", 1024)
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer store.Close()
+	rng := rand.New(rand.NewSource(79))
+	rel := constraint.NewRelation(2)
+	for i := 0; i < 2000; i++ {
+		if _, err := rel.Insert(randTuple(rng, false)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ix, err := Build(rel, Options{
+		Slopes:    EquiangularSlopes(3),
+		Technique: T2,
+		Store:     store,
+		PoolPages: 1 << 14,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	queries := make([]constraint.Query, 64)
+	for i := range queries {
+		queries[i] = randQuery(rng)
+	}
+	var pages uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := ix.Pool().EvictAll(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		res, err := ix.Query(queries[i%len(queries)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		pages += res.Stats.PagesRead
+	}
+	b.ReportMetric(float64(pages)/float64(b.N), "physreads/op")
 }
 
 // BenchmarkIndexD3Query measures the d-dimensional path.

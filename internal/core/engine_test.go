@@ -62,6 +62,23 @@ func buildCase(t *testing.T, c engineCase, rng *rand.Rand, n int, store pagestor
 	return rel, ix
 }
 
+// TestBuildJustAboveOneLeafIsLegal builds every relation size around one
+// leaf's bulk load (75 entries at 1 KiB pages and the 0.9 fill factor,
+// fewer per leaf with more handicap slots): the trees must pass
+// CheckInvariants, where BulkLoad used to leave an underfull first leaf.
+func TestBuildJustAboveOneLeafIsLegal(t *testing.T) {
+	for _, c := range engineCases {
+		t.Run(c.name, func(t *testing.T) {
+			for n := 70; n <= 90; n++ {
+				_, ix := buildCase(t, c, rand.New(rand.NewSource(int64(n))), n, nil)
+				if err := ix.CheckInvariants(); err != nil {
+					t.Fatalf("%d tuples: %v", n, err)
+				}
+			}
+		})
+	}
+}
+
 // TestEngineMatchesScanAcrossGeometries is the whole-engine differential
 // test: one random 2-D relation (bounded and unbounded tuples) indexed
 // through the slope geometry (T2 and T1) and through sites in E¹, plus a

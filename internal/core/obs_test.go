@@ -41,10 +41,8 @@ func obsIndex(t *testing.T, n int, tech Technique) (*Index, *obs.Observer, []con
 // TestObservedBatchReconciles is the acceptance check of the observability
 // layer: after an observed QueryBatch, the observer's aggregates must agree
 // exactly with the per-result QueryStats and with the pool's physical-read
-// counter. DisableIntraQuery keeps every query's stages sequential; the
-// per-span page attribution must sum to the query's exact PagesRead.
-// (TestObservedParallelSweepSpansReconcile covers the intra-query
-// parallel case, which is exact too via per-goroutine sweep counters.)
+// counter, and the per-span page attribution must sum to each query's
+// exact PagesRead.
 func TestObservedBatchReconciles(t *testing.T) {
 	ix, o, queries := obsIndex(t, 800, T2)
 
@@ -54,7 +52,7 @@ func TestObservedBatchReconciles(t *testing.T) {
 	if err := ix.Pool().EvictAll(); err != nil {
 		t.Fatal(err)
 	}
-	results, err := ix.QueryBatch(queries, BatchOptions{Workers: 4, DisableIntraQuery: true})
+	results, err := ix.QueryBatch(queries, BatchOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,12 +132,10 @@ func TestObservedBatchReconciles(t *testing.T) {
 	}
 }
 
-// TestObservedParallelSweepSpansReconcile pins the per-goroutine sweep
-// counters: with intra-query parallelism ON and the T1 technique running
-// both app-query sweeps concurrently, per-span page attribution must
-// still partition each query's exact PagesRead. Before the sweep
-// goroutines got private ReadCounters the two concurrent spans read the
-// shared counter and double-charged each other's page faults.
+// TestObservedParallelSweepSpansReconcile is the T1 twin of
+// TestObservedBatchReconciles: in a batch of parallel queries each T1 query
+// records one sweep span per app-query, and those spans' page attribution
+// must still partition the query's exact PagesRead.
 func TestObservedParallelSweepSpansReconcile(t *testing.T) {
 	ix, o, queries := obsIndex(t, 800, T1)
 
@@ -147,8 +143,6 @@ func TestObservedParallelSweepSpansReconcile(t *testing.T) {
 	if err := ix.Pool().EvictAll(); err != nil {
 		t.Fatal(err)
 	}
-	// Intra-query parallelism stays enabled: T1 queries run their two
-	// sweeps on concurrent goroutines.
 	results, err := ix.QueryBatch(queries, BatchOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +161,7 @@ func TestObservedParallelSweepSpansReconcile(t *testing.T) {
 		t.Fatal("batch read no pages; reconciliation is vacuous")
 	}
 	if t1Queries == 0 {
-		t.Fatal("no query took the t1 path; parallel sweeps never ran")
+		t.Fatal("no query took the t1 path; no query recorded two sweep spans")
 	}
 	if poolDelta != wantPages {
 		t.Errorf("pool physical reads %d != sum of per-query PagesRead %d", poolDelta, wantPages)

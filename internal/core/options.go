@@ -66,15 +66,10 @@ type Options struct {
 	// PageSize is the page size of the backing store in bytes (default
 	// 1024, the paper's setting). Ignored when Pool is set.
 	PageSize int
-	// PoolPages is the buffer-pool capacity in frames (default 512).
-	// Ignored when Pool is set.
+	// PoolPages is the buffer-pool capacity in frames (default 512),
+	// spread over nextPow2(GOMAXPROCS) shards so concurrent queries don't
+	// serialize on one pool mutex. Ignored when Pool is set.
 	PoolPages int
-	// PoolShards is the number of buffer-pool shards, rounded up to a
-	// power of two. 0 (the default) selects nextPow2(GOMAXPROCS) so
-	// concurrent queries don't serialize on one pool mutex; 1 keeps the
-	// historical single-shard pool (one global LRU order). Ignored when
-	// Pool is set.
-	PoolShards int
 	// BuildWorkers is the number of goroutines Build uses to bulk-load
 	// the 2·k slope trees and fold handicaps (each worker owns whole
 	// trees, so only buffer-pool shard locks contend). ≤ 1 builds
@@ -109,18 +104,9 @@ type Options struct {
 	// this many deletions (conservative drift otherwise only costs I/O,
 	// never correctness). 0 disables automatic rebuilds.
 	RebuildHandicapsEvery int
-	// PlainLRU restores the historical single-list LRU eviction in the
-	// buffer pool instead of the scan-resistant midpoint LRU (useful as a
-	// comparison baseline). Ignored when Pool is set.
-	PlainLRU bool
 	// NoDecodeCache disables the per-tree decoded-node cache, so every
 	// leaf visit re-parses page bytes into fresh slices.
 	NoDecodeCache bool
-	// Readahead is the leaf-sweep readahead window: the number of sibling
-	// leaves fetched per vectored batch read; ≤ 1 disables readahead (the
-	// default, which keeps per-query PagesRead exactly the paper's page
-	// accesses even for early-terminated sweeps).
-	Readahead int
 	// Observe attaches a metrics-and-tracing observer to every query this
 	// index executes: per-path counters and latency histograms, stage
 	// spans (routing, sweeps, dedup, refinement), a slow-query log and a
@@ -159,7 +145,6 @@ func (o *Options) treeConfigs(geo slopeSpace) []btree.Config {
 		HandicapKinds: geo.slotKinds(),
 		FillFactor:    o.FillFactor,
 		NoDecodeCache: o.NoDecodeCache,
-		Readahead:     o.Readahead,
 	}
 	cfgs := make([]btree.Config, 2*geo.sites(), 2*geo.sites()+2)
 	for j := range cfgs {
@@ -194,22 +179,8 @@ func (o *Options) normalize() ([]float64, error) {
 	}
 	s := append([]float64(nil), o.Slopes...)
 	sort.Float64s(s)
-	// Reject slopes closer than the geometric tolerance, not just exact
-	// duplicates: two trees for indistinguishable slopes waste pages, and
-	// T2's nearest-slope selection and handicap bounds divide by slope
-	// differences that must stay well clear of Eps.
-	for i := 1; i < len(s); i++ {
-		if s[i]-s[i-1] <= geom.Eps {
-			return nil, fmt.Errorf("core: slopes %g and %g in S are closer than the tolerance %g", s[i-1], s[i], geom.Eps)
-		}
-	}
-	for _, a := range s {
-		if math.IsNaN(a) || math.IsInf(a, 0) {
-			return nil, fmt.Errorf("core: invalid slope %v in S", a)
-		}
-	}
-	if o.Technique != RestrictedOnly && len(s) < 2 {
-		return nil, fmt.Errorf("core: techniques T1/T2 need at least two slopes, got %d", len(s))
+	if err := checkSlopes(s, o.Technique); err != nil {
+		return nil, err
 	}
 	o.storageDefaults()
 	if o.OuterHalfWidth <= 0 {
@@ -226,6 +197,29 @@ func (o *Options) normalize() ([]float64, error) {
 		}
 	}
 	return s, nil
+}
+
+// checkSlopes validates a slope set given in ascending order — as
+// normalize sorts it and as the catalog persists it — for technique tech.
+func checkSlopes(s []float64, tech Technique) error {
+	for _, a := range s {
+		if math.IsNaN(a) || math.IsInf(a, 0) {
+			return fmt.Errorf("core: invalid slope %v in S", a)
+		}
+	}
+	// Reject slopes closer than the geometric tolerance, not just exact
+	// duplicates: two trees for indistinguishable slopes waste pages, and
+	// T2's nearest-slope selection and handicap bounds divide by slope
+	// differences that must stay well clear of Eps.
+	for i := 1; i < len(s); i++ {
+		if s[i]-s[i-1] <= geom.Eps {
+			return fmt.Errorf("core: slopes %g and %g in S are out of order or closer than the tolerance %g", s[i-1], s[i], geom.Eps)
+		}
+	}
+	if tech != RestrictedOnly && len(s) < 2 {
+		return fmt.Errorf("core: techniques T1/T2 need at least two slopes, got %d", len(s))
+	}
+	return nil
 }
 
 // EquiangularSlopes returns k slopes spread as the tangents of k equally

@@ -28,6 +28,7 @@ const (
 	// (btree/node.go); DCDB0001 pages are not readable.
 	catalogMagic   = "DCDB0002"
 	catalogPage    = pagestore.PageID(1)
+	catalogFixed   = 52 // bytes before the slope table
 	maxPersistK    = 23 // catalog page capacity bound at 1 KiB pages (incl. vertical pair)
 	chainHeaderLen = 4  // next-page pointer
 )
@@ -104,7 +105,7 @@ func (ix *Index) Save() error {
 	binary.LittleEndian.PutUint32(d[40:44], uint32(head))
 	binary.LittleEndian.PutUint32(d[44:48], uint32(count))
 	binary.LittleEndian.PutUint32(d[48:52], uint32(ix.rel.Dim()))
-	off := 52
+	off := catalogFixed
 	for _, s := range slopes {
 		binary.LittleEndian.PutUint64(d[off:off+8], math.Float64bits(s))
 		off += 8
@@ -121,47 +122,60 @@ func (ix *Index) Save() error {
 	return ix.pool.Flush()
 }
 
-// Open reopens a saved database from its store: it rebuilds the relation
-// (original tuple ids preserved) and reattaches the index trees.
-func Open(pool *pagestore.Pool) (*constraint.Relation, *Index, error) {
-	f, err := pool.Get(catalogPage)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: read catalog: %w", err)
+// catalog is the decoded catalog page.
+type catalog struct {
+	opt   Options
+	head  pagestore.PageID // tuple chain
+	count int              // tuples in the chain
+	metas []btree.Meta     // one per tree, in Index.trees order
+}
+
+// parseCatalog decodes and validates a catalog page image: a damaged page
+// is an error here, never an out-of-range index or an index over a slope
+// set the constructors would have rejected.
+func parseCatalog(d []byte) (catalog, error) {
+	if len(d) < catalogFixed || string(d[0:8]) != catalogMagic {
+		return catalog{}, fmt.Errorf("core: bad catalog magic %q", d[0:min(8, len(d))])
 	}
-	d := f.Data()
-	if string(d[0:8]) != catalogMagic {
-		f.Release()
-		return nil, nil, fmt.Errorf("core: bad catalog magic %q", d[0:8])
+	c := catalog{
+		opt: Options{
+			Technique:             Technique(d[8]),
+			IndexVertical:         d[9]&1 != 0,
+			RebuildHandicapsEvery: int(binary.LittleEndian.Uint32(d[12:16])),
+			PivotX:                math.Float64frombits(binary.LittleEndian.Uint64(d[16:24])),
+			OuterHalfWidth:        math.Float64frombits(binary.LittleEndian.Uint64(d[24:32])),
+			FillFactor:            math.Float64frombits(binary.LittleEndian.Uint64(d[32:40])),
+			PageSize:              len(d),
+		},
+		head:  pagestore.PageID(binary.LittleEndian.Uint32(d[40:44])),
+		count: int(binary.LittleEndian.Uint32(d[44:48])),
 	}
-	opt := Options{
-		Technique:             Technique(d[8]),
-		IndexVertical:         d[9]&1 != 0,
-		RebuildHandicapsEvery: int(binary.LittleEndian.Uint32(d[12:16])),
-		PivotX:                math.Float64frombits(binary.LittleEndian.Uint64(d[16:24])),
-		OuterHalfWidth:        math.Float64frombits(binary.LittleEndian.Uint64(d[24:32])),
-		FillFactor:            math.Float64frombits(binary.LittleEndian.Uint64(d[32:40])),
-		PageSize:              pool.PageSize(),
+	if dim := binary.LittleEndian.Uint32(d[48:52]); dim != 2 {
+		return catalog{}, fmt.Errorf("core: persisted dimension %d (the 2-D Open only)", dim)
+	}
+	if c.opt.Technique > RestrictedOnly {
+		return catalog{}, fmt.Errorf("core: corrupt catalog: unknown technique %d", d[8])
 	}
 	k := int(binary.LittleEndian.Uint16(d[10:12]))
-	head := pagestore.PageID(binary.LittleEndian.Uint32(d[40:44]))
-	count := int(binary.LittleEndian.Uint32(d[44:48]))
-	dim := int(binary.LittleEndian.Uint32(d[48:52]))
-	if dim != 2 {
-		f.Release()
-		return nil, nil, fmt.Errorf("core: persisted dimension %d (the 2-D Open only)", dim)
+	trees := 2 * k
+	if c.opt.IndexVertical {
+		trees += 2
 	}
-	off := 52
-	slopes := make([]float64, k)
-	for i := range slopes {
-		slopes[i] = math.Float64frombits(binary.LittleEndian.Uint64(d[off : off+8]))
+	if k < 1 || k > maxPersistK || catalogFixed+8*k+16*trees > len(d) {
+		return catalog{}, fmt.Errorf("core: corrupt catalog: %d slopes do not fit a %d-byte page", k, len(d))
+	}
+	off := catalogFixed
+	c.opt.Slopes = make([]float64, k)
+	for i := range c.opt.Slopes {
+		c.opt.Slopes[i] = math.Float64frombits(binary.LittleEndian.Uint64(d[off : off+8]))
 		off += 8
 	}
-	opt.Slopes = slopes
-	geo := &slopeSet{s: slopes, outer: opt.OuterHalfWidth}
-	cfgs := opt.treeConfigs(geo)
-	metas := make([]btree.Meta, len(cfgs))
-	for i := range metas {
-		metas[i] = btree.Meta{
+	if err := checkSlopes(c.opt.Slopes, c.opt.Technique); err != nil {
+		return catalog{}, fmt.Errorf("core: corrupt catalog: %w", err)
+	}
+	c.metas = make([]btree.Meta, trees)
+	for i := range c.metas {
+		c.metas[i] = btree.Meta{
 			Root:   pagestore.PageID(binary.LittleEndian.Uint32(d[off : off+4])),
 			Height: int(binary.LittleEndian.Uint32(d[off+4 : off+8])),
 			Size:   int(binary.LittleEndian.Uint32(d[off+8 : off+12])),
@@ -169,14 +183,30 @@ func Open(pool *pagestore.Pool) (*constraint.Relation, *Index, error) {
 		}
 		off += 16
 	}
-	f.Release()
+	return c, nil
+}
 
-	// Rebuild the relation from the tuple chain.
-	data, chainPages, err := readChain(pool, head)
+// Open reopens a saved database from its store: it rebuilds the relation
+// (original tuple ids preserved) and reattaches the index trees. A damaged
+// catalog or tuple chain is an error.
+func Open(pool *pagestore.Pool) (*constraint.Relation, *Index, error) {
+	f, err := pool.Get(catalogPage)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: read catalog: %w", err)
+	}
+	cat, err := parseCatalog(f.Data())
+	f.Release()
 	if err != nil {
 		return nil, nil, err
 	}
-	rel, err := decodeRelation(data, count, dim)
+	geo := &slopeSet{s: cat.opt.Slopes, outer: cat.opt.OuterHalfWidth}
+
+	// Rebuild the relation from the tuple chain.
+	data, chainPages, err := readChain(pool, cat.head)
+	if err != nil {
+		return nil, nil, err
+	}
+	rel, err := decodeRelation(data, cat.count, 2)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -184,16 +214,16 @@ func Open(pool *pagestore.Pool) (*constraint.Relation, *Index, error) {
 	// Reattach the trees.
 	ix := &Index{
 		rel:        rel,
-		opt:        opt,
-		dim:        dim,
+		opt:        cat.opt,
+		dim:        rel.Dim(),
 		geo:        geo,
 		pool:       pool,
 		catalog:    catalogPage,
-		tupleChain: head,
+		tupleChain: cat.head,
+		dataPages:  chainPages,
 	}
-	ix.dataPages = chainPages
-	for j, cfg := range cfgs {
-		t, err := btree.Restore(pool, cfg, metas[j])
+	for j, cfg := range cat.opt.treeConfigs(geo) {
+		t, err := btree.Restore(pool, cfg, cat.metas[j])
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: restore tree %d: %w", j, err)
 		}
@@ -339,38 +369,53 @@ func writeChain(pool *pagestore.Pool, data []byte) (pagestore.PageID, int, error
 	return head, pages, nil
 }
 
+// walkChain visits the payload of every page of the chain starting at
+// head, in order, and returns the page ids. A chain longer than the store's
+// live page count can only be a cyclic next pointer in a damaged file, so
+// the walk stops there with an error instead of spinning.
+func walkChain(pool *pagestore.Pool, head pagestore.PageID, visit func(payload []byte)) ([]pagestore.PageID, error) {
+	limit := pool.Store().NumAllocated()
+	var ids []pagestore.PageID
+	for id := head; id != pagestore.InvalidPage; {
+		if len(ids) >= limit {
+			return nil, fmt.Errorf("core: corrupt page chain at %d: longer than the store's %d live pages", head, limit)
+		}
+		f, err := pool.Get(id)
+		if err != nil {
+			return nil, err
+		}
+		next := pagestore.PageID(binary.LittleEndian.Uint32(f.Data()[0:4]))
+		if visit != nil {
+			visit(f.Data()[chainHeaderLen:])
+		}
+		f.Release()
+		ids = append(ids, id)
+		id = next
+	}
+	return ids, nil
+}
+
 // readChain concatenates a page chain's payload, returning the data and
 // the number of chain pages.
 func readChain(pool *pagestore.Pool, head pagestore.PageID) ([]byte, int, error) {
 	var out []byte
-	pages := 0
-	for id := head; id != pagestore.InvalidPage; {
-		f, err := pool.Get(id)
-		if err != nil {
-			return nil, 0, err
-		}
-		next := pagestore.PageID(binary.LittleEndian.Uint32(f.Data()[0:4]))
-		out = append(out, f.Data()[chainHeaderLen:]...)
-		f.Release()
-		id = next
-		pages++
+	ids, err := walkChain(pool, head, func(payload []byte) { out = append(out, payload...) })
+	if err != nil {
+		return nil, 0, err
 	}
-	return out, pages, nil
+	return out, len(ids), nil
 }
 
 // freeChain releases a page chain.
 func freeChain(pool *pagestore.Pool, head pagestore.PageID) error {
-	for id := head; id != pagestore.InvalidPage; {
-		f, err := pool.Get(id)
-		if err != nil {
-			return err
-		}
-		next := pagestore.PageID(binary.LittleEndian.Uint32(f.Data()[0:4]))
-		f.Release()
+	ids, err := walkChain(pool, head, nil)
+	if err != nil {
+		return err
+	}
+	for _, id := range ids {
 		if err := pool.FreePage(id); err != nil {
 			return err
 		}
-		id = next
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -193,6 +195,76 @@ func TestOpenRejectsGarbage(t *testing.T) {
 	// Entirely empty store: page 1 absent.
 	if _, _, err := Open(pagestore.NewPool(pagestore.NewMemStore(1024), 64)); err == nil {
 		t.Fatal("Open must reject an empty store")
+	}
+}
+
+// TestOpenRejectsDamagedCatalog corrupts one catalog field (or the tuple
+// chain's next pointer) of a saved database at a time: Open must return an
+// error — not panic, not loop — after reading no more pages than the store
+// holds.
+func TestOpenRejectsDamagedCatalog(t *testing.T) {
+	const slope0 = catalogFixed // offset of the slope table
+	putF := func(d []byte, off int, v float64) {
+		binary.LittleEndian.PutUint64(d[off:off+8], math.Float64bits(v))
+	}
+	getF := func(d []byte, off int) float64 {
+		return math.Float64frombits(binary.LittleEndian.Uint64(d[off : off+8]))
+	}
+	for name, damage := range map[string]func(catalog, chainHead []byte){
+		"k-beyond-page":     func(d, _ []byte) { binary.LittleEndian.PutUint16(d[10:12], 0xFFFF) },
+		"k-above-max":       func(d, _ []byte) { binary.LittleEndian.PutUint16(d[10:12], maxPersistK+1) },
+		"k-zero":            func(d, _ []byte) { binary.LittleEndian.PutUint16(d[10:12], 0) },
+		"slope-nan":         func(d, _ []byte) { putF(d, slope0+8, math.NaN()) },
+		"slope-inf":         func(d, _ []byte) { putF(d, slope0+16, math.Inf(1)) },
+		"slopes-unsorted":   func(d, _ []byte) { putF(d, slope0, getF(d, slope0+16)+1) },
+		"slopes-within-eps": func(d, _ []byte) { putF(d, slope0+8, getF(d, slope0)) },
+		"technique":         func(d, _ []byte) { d[8] = 7 },
+		"chain-cycle": func(d, head []byte) {
+			// The first chain page points back at itself.
+			copy(head[0:4], d[40:44])
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(604))
+			store := pagestore.NewMemStore(1024)
+			rel := constraint.NewRelation(2)
+			for i := 0; i < 120; i++ {
+				if _, err := rel.Insert(randTuple(rng, true)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ix, err := Build(rel, Options{Slopes: EquiangularSlopes(3), Technique: T2, Store: store})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.Save(); err != nil {
+				t.Fatal(err)
+			}
+			cat, err := ix.Pool().Get(catalogPage)
+			if err != nil {
+				t.Fatal(err)
+			}
+			head, err := ix.Pool().Get(ix.tupleChain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			damage(cat.Data(), head.Data())
+			cat.MarkDirty()
+			head.MarkDirty()
+			cat.Release()
+			head.Release()
+			if err := ix.Pool().Flush(); err != nil {
+				t.Fatal(err)
+			}
+
+			pool := pagestore.NewPool(store, 64)
+			if _, _, err := Open(pool); err == nil {
+				t.Fatal("Open accepted the damaged database")
+			}
+			if reads, budget := pool.Stats().LogicalReads, uint64(store.NumAllocated())+1; reads > budget {
+				t.Fatalf("Open read %d pages before failing, budget %d", reads, budget)
+			}
+		})
 	}
 }
 

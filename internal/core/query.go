@@ -59,21 +59,13 @@ type AppQuery struct {
 }
 
 // execCtx carries one query's execution state: the pinned root set it
-// reads, its exact I/O counter and the intra-query parallelism knobs
-// QueryBatch enables.
+// reads and its exact I/O counter.
 type execCtx struct {
 	// rs is the version this query executes against — every tree sweep
 	// and every relation lookup resolves through it, so a query is
 	// consistent even while commits land concurrently.
 	rs *rootSet
 	rc *pagestore.ReadCounter
-	// parallelSweeps runs T1's two app-query sweeps concurrently (they
-	// visit independent trees).
-	parallelSweeps bool
-	// refineWorkers fans refinement across this many goroutines once a
-	// candidate set reaches refineThreshold (0/1 disables).
-	refineWorkers   int
-	refineThreshold int
 	// bufs, when non-nil, recycles candidate slices across the batch.
 	bufs *sync.Pool
 	// obs is the attached observer (nil: observation off). tr is the
@@ -88,38 +80,24 @@ type execCtx struct {
 // path it costs one nil check and returns the zero timer, whose End is
 // a no-op — no allocation, no atomic traffic.
 func (ec *execCtx) span(stage obs.Stage) obs.SpanTimer {
-	return ec.spanRC(stage, ec.rc)
-}
-
-// spanRC is span against an explicit read counter. T1's parallel sweep
-// goroutines pass private counters so concurrent spans never observe
-// each other's reads; everything else passes ec.rc through span().
-func (ec *execCtx) spanRC(stage obs.Stage, rc *pagestore.ReadCounter) obs.SpanTimer {
 	if ec.tr == nil {
 		return obs.SpanTimer{}
 	}
-	return ec.tr.Begin(stage, rc.Physical.Load())
+	return ec.tr.Begin(stage, ec.rc.Physical.Load())
 }
 
 // endSpan closes sp, attributing the physical reads since span() and
-// the stage's payload size. Span page attribution is exact on every
-// path: sequential stages share ec.rc, and T1's parallel sweeps charge
-// their reads to per-goroutine counters (merged into ec.rc afterwards),
-// so the per-stage pages always partition the query's exact total.
-func (ec *execCtx) endSpan(sp obs.SpanTimer, items int) {
-	ec.endSpanRC(sp, ec.rc, items)
-}
-
-// endSpanRC is endSpan against the counter the span was opened on. The
+// the stage's payload size. A query's stages run one after another on
+// ec.rc, so the per-stage pages partition the query's exact total. The
 // close is unconditional — a zero timer's End is a no-op, so every span
 // handed in reaches End on every path; the bare (untraced) path only
 // skips the counter read, keeping it free of atomic traffic.
-func (ec *execCtx) endSpanRC(sp obs.SpanTimer, rc *pagestore.ReadCounter, items int) {
+func (ec *execCtx) endSpan(sp obs.SpanTimer, items int) {
 	if ec.tr == nil {
 		sp.End(0, items)
 		return
 	}
-	sp.End(rc.Physical.Load(), items)
+	sp.End(ec.rc.Physical.Load(), items)
 }
 
 // getBuf returns a zero-length candidate slice, reusing pooled capacity.
@@ -384,27 +362,8 @@ func PlanT1(q constraint.Query, slopes []float64, pivotX float64) ([2]AppQuery, 
 	}, nil
 }
 
-// appSweep is the outcome of one T1 app-query's restricted sweep.
-type appSweep struct {
-	st    QueryStats
-	cands []uint32
-	err   error
-}
-
-// run sweeps app-query aq's tree, charging page reads (and the sweep span)
-// to rc.
-func (a *appSweep) run(aq AppQuery, rc *pagestore.ReadCounter, ec *execCtx) {
-	sw := ec.spanRC(obs.StageSweep, rc)
-	a.cands, _, a.err = firstSweep(aq.Query.Intercept, aq.Query.SweepsUp(), -1).run(
-		ec.rs.tree(aq.SlopeIndex, aq.Query), rc, ec.getBuf(), &a.st)
-	ec.endSpanRC(sw, rc, len(a.cands))
-}
-
-// collectT1 executes the two app-queries of technique T1. They sweep
-// independent trees, so with ec.parallelSweeps they run concurrently, each
-// with its own stats and its own ReadCounter (merged into the shared
-// per-query counter after the join) so per-stage page attribution stays
-// exact. The returned candidates are deduplicated.
+// collectT1 executes the two app-queries of technique T1, one restricted
+// sweep each, and returns their deduplicated candidates.
 func (ix *Index) collectT1(q constraint.Query, slopes []float64, path string, ec *execCtx) ([]uint32, QueryStats, error) {
 	sp := ec.span(obs.StageRoute)
 	plan, err := PlanT1(q, slopes, ix.opt.PivotX)
@@ -413,46 +372,26 @@ func (ix *Index) collectT1(q constraint.Query, slopes []float64, path string, ec
 		return nil, QueryStats{}, err
 	}
 	st := QueryStats{Path: path}
-	var sweeps [2]appSweep
-	if ec.parallelSweeps {
-		// Each goroutine charges its reads to a private counter so the
-		// two concurrent sweep spans don't see each other's page faults;
-		// the privates merge into the query counter after the join.
-		var srcs [2]pagestore.ReadCounter
-		var wg sync.WaitGroup
-		for s := range plan {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sweeps[s].run(plan[s], &srcs[s], ec)
-			}()
+	var sweeps [2][]uint32
+	for s, aq := range plan {
+		sw := ec.span(obs.StageSweep)
+		sweeps[s], _, err = firstSweep(aq.Query.Intercept, aq.Query.SweepsUp(), -1).run(
+			ec.rs.tree(aq.SlopeIndex, aq.Query), ec.rc, ec.getBuf(), &st)
+		ec.endSpan(sw, len(sweeps[s]))
+		if err != nil {
+			return nil, QueryStats{}, err
 		}
-		wg.Wait()
-		for s := range srcs {
-			ec.rc.Logical.Add(srcs[s].Logical.Load())
-			ec.rc.Physical.Add(srcs[s].Physical.Load())
-		}
-	} else {
-		for s := range plan {
-			sweeps[s].run(plan[s], ec.rc, ec)
-		}
-	}
-	for s := range sweeps {
-		if sweeps[s].err != nil {
-			return nil, QueryStats{}, sweeps[s].err
-		}
-		st.LeavesSwept += sweeps[s].st.LeavesSwept
 	}
 	// Deduplicate before refinement; Candidates still counts every
 	// retrieved reference (the paper's T1/T2 comparison is about exactly
 	// this redundancy). Pre-sizing seen to the total reference count
 	// avoids rehashing on the hot path.
 	dd := ec.span(obs.StageDedup)
-	total := len(sweeps[0].cands) + len(sweeps[1].cands)
+	total := len(sweeps[0]) + len(sweeps[1])
 	st.Candidates = total
 	seen := make(map[uint32]int, total)
-	for s := range sweeps {
-		for _, tid := range sweeps[s].cands {
+	for _, cands := range sweeps {
+		for _, tid := range cands {
 			seen[tid]++
 		}
 	}
@@ -469,8 +408,8 @@ func (ix *Index) collectT1(q constraint.Query, slopes []float64, path string, ec
 		uniq = append(uniq, tid)
 	}
 	ec.endSpan(dd, st.Duplicates)
-	ec.putBuf(sweeps[0].cands)
-	ec.putBuf(sweeps[1].cands)
+	ec.putBuf(sweeps[0])
+	ec.putBuf(sweeps[1])
 	return uniq, st, nil
 }
 
@@ -500,89 +439,35 @@ func (ix *Index) collectT2(r routing, q constraint.Query, ec *execCtx) ([]uint32
 	return cands, st, err
 }
 
-// refined is one chunk's refinement outcome.
-type refined struct {
-	ids       []constraint.TupleID
-	falseHits int
-	err       error
-}
-
-// refineChunk runs the exact predicate over one chunk of candidates
-// against this version's frozen tuples, appending the matches to ids.
-func (rs *rootSet) refineChunk(match func(*constraint.Tuple) (bool, error), cands []uint32, ids []constraint.TupleID) refined {
-	out := refined{ids: ids}
-	for _, tid := range cands {
-		t, err := rs.relGet(constraint.TupleID(tid))
-		if err != nil {
-			out.err = fmt.Errorf("core: candidate %d not in relation: %w", tid, err)
-			return out
-		}
-		ok, err := match(t)
-		if err != nil {
-			out.err = err
-			return out
-		}
-		if ok {
-			out.ids = append(out.ids, constraint.TupleID(tid))
-		} else {
-			out.falseHits++
-		}
-	}
-	return out
-}
-
 // refine is the engine's one refinement loop: it filters candidates
 // through the exact predicate — Proposition 2.2's Query.Matches, or the
-// vertical test — and returns the sorted answer. st.Candidates is the
-// caller's (T1 counts duplicated references before deduplication).
-//
-// The candidates are refined in contiguous chunks: one, on the calling
-// goroutine, unless ec.refineWorkers > 1 and the set reaches
-// ec.refineThreshold, when the chunks after the first fan out across
-// goroutines — Tuple extensions are sync.Once-cached and the predicates
-// read-only, so chunks are independent, and the final sort makes the
-// result identical either way.
+// vertical test — against this version's frozen tuples and returns the
+// sorted answer. st.Candidates is the caller's (T1 counts duplicated
+// references before deduplication).
 func (ec *execCtx) refine(match func(*constraint.Tuple) (bool, error), cands []uint32, st QueryStats) (Result, error) {
 	sp := ec.span(obs.StageRefine)
-	per := len(cands)
-	var tails []refined
-	wait := func() {}
-	if ec.refineWorkers > 1 && ec.refineThreshold > 0 && len(cands) >= ec.refineThreshold {
-		workers := min(ec.refineWorkers, len(cands))
-		per = (len(cands) + workers - 1) / workers
-		// What the goroutines share is declared in this branch, so the
-		// one-chunk case allocates nothing for the fan-out.
-		outs := make([]refined, workers-1)
-		var wg sync.WaitGroup
-		for w := range outs {
-			lo := (w + 1) * per
-			hi := min(lo+per, len(cands))
-			if lo >= hi {
-				continue
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				outs[w] = ec.rs.refineChunk(match, cands[lo:hi], make([]constraint.TupleID, 0, hi-lo))
-			}()
+	ids := make([]constraint.TupleID, 0, len(cands))
+	var err error
+	for _, tid := range cands {
+		var t *constraint.Tuple
+		if t, err = ec.rs.relGet(constraint.TupleID(tid)); err != nil {
+			err = fmt.Errorf("core: candidate %d not in relation: %w", tid, err)
+			break
 		}
-		tails, wait = outs, wg.Wait
-	}
-	all := ec.rs.refineChunk(match, cands[:per], make([]constraint.TupleID, 0, len(cands)))
-	wait()
-	for _, t := range tails {
-		if all.err == nil {
-			all.err = t.err
+		var ok bool
+		if ok, err = match(t); err != nil {
+			break
 		}
-		all.ids = append(all.ids, t.ids...)
-		all.falseHits += t.falseHits
+		if ok {
+			ids = append(ids, constraint.TupleID(tid))
+		}
 	}
 	ec.endSpan(sp, len(cands))
-	if all.err != nil {
-		return Result{}, all.err
+	if err != nil {
+		return Result{}, err
 	}
-	slices.Sort(all.ids)
-	st.FalseHits = all.falseHits
-	st.Results = len(all.ids)
-	return Result{IDs: all.ids, Stats: st}, nil
+	slices.Sort(ids)
+	st.FalseHits = len(cands) - len(ids)
+	st.Results = len(ids)
+	return Result{IDs: ids, Stats: st}, nil
 }

@@ -128,8 +128,7 @@ func TestConcurrentPagesReadAttribution(t *testing.T) {
 	rel, ix := buildRandomIndex(t, rng, 300, Options{
 		Slopes:        EquiangularSlopes(3),
 		Technique:     T2,
-		PoolPages:     1 << 14,
-		PoolShards:    8,
+		Pool:          shardedPool(1<<14, 8),
 		IndexVertical: true,
 	}, true)
 

@@ -131,7 +131,7 @@ func (ix *Index) SetObserver(o *obs.Observer) {
 
 // registerGauges bridges the storage-layer counters into the observer's
 // registry as snapshot-time funcs, so /debug/metrics shows pool,
-// decode-cache, readahead and sweep state next to the query metrics
+// decode-cache and sweep state next to the query metrics
 // without mirroring every mutation into the registry.
 func (ix *Index) registerGauges() {
 	r := ix.opt.Observe.Registry()
@@ -143,8 +143,6 @@ func (ix *Index) registerGauges() {
 	r.Func("pool.writes", func() any { return ix.pool.Stats().Writes })
 	r.Func("pool.evictions.young", func() any { return ix.pool.Stats().YoungEvictions })
 	r.Func("pool.evictions.old", func() any { return ix.pool.Stats().OldEvictions })
-	r.Func("pool.readahead.batches", func() any { return ix.pool.Stats().ReadaheadBatches })
-	r.Func("pool.readahead.pages", func() any { return ix.pool.Stats().ReadaheadPages })
 	r.Func("pool.residency", func() any { return ix.pool.Residency() })
 	r.Func("pool.snapshots", func() any { return ix.pool.SnapshotCensus() })
 	r.Func("mvcc", func() any { return ix.MVCCStats() })

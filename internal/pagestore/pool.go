@@ -20,13 +20,6 @@ type Stats struct {
 	Frees         uint64 // pages freed
 	Clones        uint64 // copy-on-write page clones (ClonePage calls)
 
-	// ReadaheadBatches counts chain-readahead reads that admitted at least
-	// one extra page beyond the demanded one; ReadaheadPages counts those
-	// extra pages. Every admitted page is also a PhysicalRead, so the two
-	// metrics stay directly comparable with the non-readahead path.
-	ReadaheadBatches uint64
-	ReadaheadPages   uint64
-
 	// YoungEvictions and OldEvictions split evictions by the midpoint-LRU
 	// region the victim came from. A leaf sweep over a working set larger
 	// than the pool drains through the young region; OldEvictions staying
@@ -38,8 +31,7 @@ type Stats struct {
 // ReadCounter is a per-caller I/O counter threaded through GetTracked so a
 // single query can account exactly for the page reads it caused, without
 // the before/after delta on the shared pool counters that is racy when
-// several queries run concurrently. The fields are atomics because one
-// query may fan its tree sweeps across goroutines.
+// several queries run concurrently.
 type ReadCounter struct {
 	Logical  atomic.Uint64 // Get calls attributed to this counter
 	Physical atomic.Uint64 // cache misses this counter's Gets triggered
@@ -57,8 +49,7 @@ type ReadCounter struct {
 // region only on a later pin spaced at least tenureAge distinct-page
 // accesses after its first one, so neither a single long leaf sweep nor a
 // tight re-pin loop can evict the hot inner nodes that every query
-// re-touches. PoolOptions.PlainLRU restores the historical single-list
-// order for comparison.
+// re-touches.
 //
 // Evicted frames (struct and page buffer alike) are recycled through a
 // per-shard freelist, so a steady-state miss/evict cycle — the cold-sweep
@@ -71,17 +62,6 @@ type Pool struct {
 	store  Store
 	shards []*poolShard
 	shift  uint // 32 - log2(len(shards)); hash>>shift indexes the shard
-
-	// Leaf-chain link hints learned from swept pages, keyed by direction.
-	// GetChainTracked batches along these exact links when known and only
-	// falls back to contiguity speculation past the last learned link, so
-	// readahead keeps paying after split churn scatters a chain across
-	// non-adjacent ids. Advisory only: a stale hint costs one wasted
-	// speculative read, never a wrong admission (admission still requires
-	// chain confirmation from the demanded page's own links).
-	hintMu    sync.Mutex
-	hintsAsc  map[PageID]PageID //dualvet:guarded=hintMu
-	hintsDesc map[PageID]PageID //dualvet:guarded=hintMu
 
 	// MVCC snapshot bookkeeping (snapshot.go): reference counts per pinned
 	// commit version and pages superseded by copy-on-write commits, held
@@ -101,20 +81,14 @@ type Pool struct {
 	deferredTotal atomic.Uint64
 	reclaimed     atomic.Uint64
 
-	logicalReads     atomic.Uint64
-	physicalReads    atomic.Uint64
-	writes           atomic.Uint64
-	allocs           atomic.Uint64
-	frees            atomic.Uint64
-	readaheadBatches atomic.Uint64
-	readaheadPages   atomic.Uint64
-	youngEvictions   atomic.Uint64
-	oldEvictions     atomic.Uint64
+	logicalReads   atomic.Uint64
+	physicalReads  atomic.Uint64
+	writes         atomic.Uint64
+	allocs         atomic.Uint64
+	frees          atomic.Uint64
+	youngEvictions atomic.Uint64
+	oldEvictions   atomic.Uint64
 }
-
-// maxChainHints bounds the per-direction hint maps; when full, the map is
-// reset rather than grown (hints are advisory and re-learned in one sweep).
-const maxChainHints = 1 << 15
 
 // poolShard is one independently locked slice of the pool. Its eviction
 // state is two intrusive LRU lists of resident frames: young holds pages
@@ -123,14 +97,12 @@ const maxChainHints = 1 << 15
 // release, so the steady-state pin/release cycle allocates nothing.
 // Victims come from the first unpinned frame off the young tail, then the
 // old tail; the old region is capped at oldCap frames, beyond which its
-// tail is demoted back to young. oldCap == 0 selects the plain single-list
-// LRU (everything stays young, no tenuring).
+// tail is demoted back to young.
 type poolShard struct {
-	mu        sync.Mutex
-	capacity  int
-	oldCap    int
-	tenureAge uint64
-	frames    map[PageID]*Frame //dualvet:guarded=mu
+	mu       sync.Mutex
+	capacity int
+	oldCap   int
+	frames   map[PageID]*Frame //dualvet:guarded=mu
 	// young/old order most-recently released frames first.
 	young frameList //dualvet:guarded=mu
 	old   frameList //dualvet:guarded=mu
@@ -177,7 +149,6 @@ type Frame struct {
 
 	lruPrev, lruNext *Frame // intrusive young/old list links; guarded by shard.mu
 	region           uint8  // guarded by shard.mu
-	prefetch         bool   // guarded by shard.mu; admitted by readahead, not yet demanded
 	firstTick        uint64 // shard tick at first access; guarded by shard.mu
 
 	// dirty and version are atomics because MarkDirty is called while
@@ -237,9 +208,16 @@ func (l *frameList) len() int     { return l.n }
 // and a new page is requested.
 var ErrPoolFull = errors.New("pagestore: all buffer frames pinned")
 
-// defaultTenureAge is the distinct-page access spacing a repeat pin needs
-// before it tenures a young frame into the old region.
-const defaultTenureAge = 8
+// The midpoint-LRU policy, fixed by the recorded read-path ablation
+// (EXPERIMENTS.md): a repeat pin tenures a young frame into the old region
+// only when spaced at least tenureAge distinct-page accesses (per shard)
+// after the frame's first one, and the old region holds at most
+// oldNum/oldDen of each shard's frames.
+const (
+	tenureAge = 8
+	oldNum    = 5
+	oldDen    = 8
+)
 
 // PoolOptions configures a buffer pool beyond the store and capacity.
 type PoolOptions struct {
@@ -249,18 +227,6 @@ type PoolOptions struct {
 	// Shards is rounded up to a power of two; ≤ 0 selects
 	// nextPow2(GOMAXPROCS).
 	Shards int
-	// PlainLRU disables the midpoint young/old split and restores the
-	// historical single-list LRU eviction order.
-	PlainLRU bool
-	// OldFraction is the fraction of each shard's capacity reserved for
-	// the old (tenured) region, in (0,1); 0 selects the default 5/8.
-	OldFraction float64
-	// TenureAge is the minimum number of distinct-page accesses (per
-	// shard) between a frame's first access and the repeat pin that
-	// tenures it into the old region. 0 selects the default (8); a
-	// negative value tenures on any repeat pin (the historical behavior,
-	// vulnerable to tight re-pin loops).
-	TenureAge int
 }
 
 // NewPool creates a single-shard buffer pool with the given frame capacity
@@ -279,7 +245,7 @@ func NewShardedPool(store Store, capacity, shards int) *Pool {
 	return NewPoolWithOptions(store, PoolOptions{Capacity: capacity, Shards: shards})
 }
 
-// NewPoolWithOptions creates a buffer pool with explicit eviction options.
+// NewPoolWithOptions creates a buffer pool from opt.
 func NewPoolWithOptions(store Store, opt PoolOptions) *Pool {
 	shards := opt.Shards
 	if shards <= 0 {
@@ -290,41 +256,18 @@ func NewPoolWithOptions(store Store, opt PoolOptions) *Pool {
 	if per < 8 {
 		per = 8
 	}
-	frac := opt.OldFraction
-	if frac <= 0 || frac >= 1 {
-		frac = 5.0 / 8.0
-	}
-	oldCap := int(float64(per) * frac)
-	if oldCap >= per {
-		oldCap = per - 1
-	}
-	if oldCap < 1 {
-		oldCap = 1
-	}
-	if opt.PlainLRU {
-		oldCap = 0
-	}
-	age := uint64(defaultTenureAge)
-	if opt.TenureAge > 0 {
-		age = uint64(opt.TenureAge)
-	} else if opt.TenureAge < 0 {
-		age = 0
-	}
 	p := &Pool{
-		store:     store,
-		shards:    make([]*poolShard, n),
-		shift:     32 - log2(n),
-		hintsAsc:  make(map[PageID]PageID),
-		hintsDesc: make(map[PageID]PageID),
-		snapRefs:  make(map[uint64]int),
+		store:    store,
+		shards:   make([]*poolShard, n),
+		shift:    32 - log2(n),
+		snapRefs: make(map[uint64]int),
 	}
 	for i := range p.shards {
 		p.shards[i] = &poolShard{
-			capacity:  per,
-			oldCap:    oldCap,
-			tenureAge: age,
-			frames:    make(map[PageID]*Frame),
-			versions:  make(map[PageID]uint64),
+			capacity: per,
+			oldCap:   per * oldNum / oldDen, // per ≥ 8, so 1 ≤ oldCap < per
+			frames:   make(map[PageID]*Frame),
+			versions: make(map[PageID]uint64),
 		}
 	}
 	return p
@@ -399,11 +342,6 @@ func (p *Pool) GetTracked(id PageID, rc *ReadCounter) (*Frame, error) {
 	if rc != nil {
 		rc.Logical.Add(1)
 	}
-	return p.getPinned(id, rc)
-}
-
-// getPinned pins id without logical-read accounting (the caller did that).
-func (p *Pool) getPinned(id PageID, rc *ReadCounter) (*Frame, error) {
 	sh := p.shardOf(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -423,220 +361,8 @@ func (p *Pool) getPinned(id PageID, rc *ReadCounter) (*Frame, error) {
 	if rc != nil {
 		rc.Physical.Add(1)
 	}
-	sh.installLocked(f, id, 1)
+	sh.installLocked(f, id)
 	return f, nil
-}
-
-// ChainNextFunc extracts the forward link from a raw page image during
-// chain readahead, returning InvalidPage when the image is not a chain
-// node or the chain ends there. It must not retain or mutate the page.
-type ChainNextFunc func(page []byte) PageID
-
-// NoteChainLink records that page id's successor in sweep direction dir
-// (+1 ascending, −1 descending) is next — a sibling link observed in an
-// already-decoded chain page. GetChainTracked batches future reads along
-// these learned links instead of guessing contiguity, so readahead keeps
-// batching after splits scatter a chain. Stale links are harmless: a
-// mis-batched page fails chain confirmation and is simply not admitted.
-func (p *Pool) NoteChainLink(id, next PageID, dir int) {
-	if id == InvalidPage || next == InvalidPage || id == next || dir == 0 {
-		return
-	}
-	hints := p.hintsAsc
-	if dir < 0 {
-		hints = p.hintsDesc
-	}
-	p.hintMu.Lock()
-	if len(hints) >= maxChainHints {
-		if _, ok := hints[id]; !ok {
-			clear(hints)
-		}
-	}
-	hints[id] = next
-	p.hintMu.Unlock()
-}
-
-// chainIDs assembles the speculative batch for a chain read starting at
-// id: first along learned links, then contiguously past the last known
-// one. The result has no duplicates and always starts with id.
-func (p *Pool) chainIDs(id PageID, lookahead, dir int) []PageID {
-	ids := make([]PageID, 1, lookahead)
-	ids[0] = id
-	contains := func(q PageID) bool {
-		for _, x := range ids {
-			if x == q {
-				return true
-			}
-		}
-		return false
-	}
-	hints := p.hintsAsc
-	if dir < 0 {
-		hints = p.hintsDesc
-	}
-	p.hintMu.Lock()
-	cur := id
-	for len(ids) < lookahead {
-		h, ok := hints[cur]
-		if !ok || contains(h) {
-			break
-		}
-		ids = append(ids, h)
-		cur = h
-	}
-	p.hintMu.Unlock()
-	for len(ids) < lookahead {
-		q := ids[len(ids)-1]
-		if dir > 0 {
-			q++
-		} else {
-			if q <= 1 {
-				break
-			}
-			q--
-		}
-		if contains(q) {
-			break
-		}
-		ids = append(ids, q)
-	}
-	return ids
-}
-
-// GetChainTracked is GetTracked for sweeps along a linked page chain: on a
-// miss it speculatively reads up to lookahead pages — along previously
-// learned chain links where known (see NoteChainLink), contiguously in the
-// sweep direction past them — with one vectored store read, then admits
-// only the pages the chain itself confirms: it walks next() through the
-// fetched images starting from the demanded page, and a true chain node's
-// link always points at the next true chain node, so an unrelated page
-// that merely sits at a guessed id is discarded unread. Confirmed links
-// are fed back into the hint maps, so the first sweep over a churned chain
-// teaches the batches for every later sweep in either direction.
-//
-// Every admitted page is counted as a PhysicalRead (charged to rc), which
-// keeps per-query I/O totals for a full sweep identical to the
-// single-page path; admitted extras enter the pool unpinned in the young
-// region, flagged so their first demand pin does not tenure them.
-// Readahead beyond the demanded page is best-effort: faults or a full
-// shard only surface when the demanded page itself is affected.
-func (p *Pool) GetChainTracked(id PageID, lookahead, dir int, next ChainNextFunc, rc *ReadCounter) (*Frame, error) {
-	if lookahead <= 1 || next == nil || dir == 0 {
-		return p.GetTracked(id, rc)
-	}
-	if id == InvalidPage {
-		return nil, errors.New("pagestore: Get(InvalidPage)")
-	}
-	p.logicalReads.Add(1)
-	if rc != nil {
-		rc.Logical.Add(1)
-	}
-	sh := p.shardOf(id)
-	sh.mu.Lock()
-	if f, ok := sh.frames[id]; ok {
-		sh.pinLocked(f)
-		sh.mu.Unlock()
-		return f, nil
-	}
-	sh.mu.Unlock()
-
-	// Speculative batch read, without holding any shard lock across the
-	// I/O.
-	ids := p.chainIDs(id, lookahead, dir)
-	ps := p.store.PageSize()
-	raw := make([]byte, len(ids)*ps)
-	bufs := make([][]byte, len(ids))
-	for i := range bufs {
-		bufs[i] = raw[i*ps : (i+1)*ps : (i+1)*ps]
-	}
-	n, err := p.store.ReadPages(ids, bufs)
-	if n == 0 {
-		if err != nil {
-			return nil, fmt.Errorf("pagestore: readahead batch at page %d: %w", id, err)
-		}
-		// The demanded page is not readable as part of a batch (e.g. it
-		// was freed); let the single-page path produce its usual error.
-		return p.getPinned(id, rc)
-	}
-
-	// Walk the chain inside the fetched prefix. sel collects confirmed
-	// batch positions in chain order, always starting with the demanded
-	// page at position 0. The walk must strictly advance through the batch
-	// (pos > k), which also rules out link cycles.
-	pos := func(nid PageID, after int) int {
-		for j := after + 1; j < n; j++ {
-			if ids[j] == nid {
-				return j
-			}
-		}
-		return -1
-	}
-	sel := make([]int, 1, n)
-	for k := 0; ; {
-		nid := next(bufs[k])
-		if nid == InvalidPage {
-			break
-		}
-		d := pos(nid, k)
-		if d < 0 {
-			break
-		}
-		k = d
-		sel = append(sel, k)
-	}
-	// Teach the hint maps every confirmed link, including the one past the
-	// batch's end.
-	for _, j := range sel {
-		p.NoteChainLink(ids[j], next(bufs[j]), dir)
-	}
-
-	var out *Frame
-	admitted := 0
-	for _, j := range sel {
-		pid := ids[j]
-		shj := p.shardOf(pid)
-		shj.mu.Lock()
-		if f, ok := shj.frames[pid]; ok {
-			// Raced with another reader that inserted the page first; its
-			// copy is at least as fresh as ours.
-			if j == 0 {
-				shj.pinLocked(f)
-				out = f
-			}
-			shj.mu.Unlock()
-			continue
-		}
-		if roomErr := shj.ensureRoomLocked(p); roomErr != nil {
-			shj.mu.Unlock()
-			if j == 0 {
-				return nil, roomErr
-			}
-			continue
-		}
-		pins := 0
-		if j == 0 {
-			pins = 1
-		}
-		f := shj.takeFrameLocked(ps)
-		copy(f.data, bufs[j])
-		shj.installLocked(f, pid, pins)
-		f.prefetch = j != 0
-		shj.mu.Unlock()
-		p.physicalReads.Add(1)
-		if rc != nil {
-			rc.Physical.Add(1)
-		}
-		if j == 0 {
-			out = f
-		} else {
-			admitted++
-		}
-	}
-	if admitted > 0 {
-		p.readaheadBatches.Add(1)
-		p.readaheadPages.Add(uint64(admitted))
-	}
-	return out, nil
 }
 
 // takeFrameLocked pops a recycled frame off the shard's freelist — buffer
@@ -661,7 +387,6 @@ func (sh *poolShard) recycleLocked(f *Frame) {
 	f.id = 0
 	f.pins.Store(0)
 	f.region = regionYoung
-	f.prefetch = false
 	f.firstTick = 0
 	f.dirty.Store(false)
 	f.version.Store(0)
@@ -673,14 +398,13 @@ func (sh *poolShard) recycleLocked(f *Frame) {
 
 // installLocked registers a frame (fresh or recycled, its data already
 // holding the page image) for id: version resumes from the shard's
-// persisted map, the frame enters the front of the young list, and the
-// shard's access clock advances. Callers hold sh.mu.
-func (sh *poolShard) installLocked(f *Frame, id PageID, pins int) {
+// persisted map, the frame enters the front of the young list pinned once,
+// and the shard's access clock advances. Callers hold sh.mu.
+func (sh *poolShard) installLocked(f *Frame, id PageID) {
 	sh.touchLocked(id)
 	f.id = id
-	f.pins.Store(int32(pins))
+	f.pins.Store(1)
 	f.region = regionYoung
-	f.prefetch = false
 	f.firstTick = sh.tick
 	f.dirty.Store(false)
 	f.version.Store(sh.versions[id])
@@ -714,7 +438,7 @@ func (p *Pool) NewPage() (*Frame, error) {
 	p.allocs.Add(1)
 	f := sh.takeFrameLocked(p.store.PageSize())
 	clear(f.data)
-	sh.installLocked(f, id, 1)
+	sh.installLocked(f, id)
 	// A reused page id starts a new life: advance past any version a stale
 	// decode of the previous occupant could be keyed under.
 	v := sh.versions[id] + 1
@@ -745,16 +469,11 @@ func (p *Pool) FreePage(id PageID) error {
 
 // pinLocked pins an in-shard frame. The frame keeps its list position; a
 // repeat pin tenures it into the old region only when spaced at least
-// tenureAge distinct-page accesses after the frame's first one — except
-// the first demand pin of a readahead page, which is the read the
-// prefetch anticipated, not evidence of reuse.
+// tenureAge distinct-page accesses after the frame's first one.
 func (sh *poolShard) pinLocked(f *Frame) {
 	sh.touchLocked(f.id)
 	f.pins.Add(1)
-	if f.prefetch {
-		f.prefetch = false
-		f.firstTick = sh.tick
-	} else if f.region == regionYoung && sh.oldCap > 0 && sh.tick-f.firstTick >= sh.tenureAge {
+	if f.region == regionYoung && sh.tick-f.firstTick >= tenureAge {
 		f.region = regionOld
 		sh.young.remove(f)
 		sh.old.pushFront(f)
@@ -827,7 +546,7 @@ func (sh *poolShard) dropLocked(f *Frame) {
 // region while the old region exceeds its cap, keeping a bounded share of
 // the shard for tenured pages.
 func (sh *poolShard) rebalanceLocked() {
-	for sh.oldCap > 0 && sh.old.len() > sh.oldCap {
+	for sh.old.len() > sh.oldCap {
 		f := sh.old.back()
 		sh.old.remove(f)
 		f.region = regionYoung
@@ -886,23 +605,21 @@ func (p *Pool) EvictAll() error {
 // deltas of this snapshot.
 func (p *Pool) Stats() Stats {
 	return Stats{
-		LogicalReads:     p.logicalReads.Load(),
-		PhysicalReads:    p.physicalReads.Load(),
-		Writes:           p.writes.Load(),
-		Allocs:           p.allocs.Load(),
-		Frees:            p.frees.Load(),
-		Clones:           p.clones.Load(),
-		ReadaheadBatches: p.readaheadBatches.Load(),
-		ReadaheadPages:   p.readaheadPages.Load(),
-		YoungEvictions:   p.youngEvictions.Load(),
-		OldEvictions:     p.oldEvictions.Load(),
+		LogicalReads:   p.logicalReads.Load(),
+		PhysicalReads:  p.physicalReads.Load(),
+		Writes:         p.writes.Load(),
+		Allocs:         p.allocs.Load(),
+		Frees:          p.frees.Load(),
+		Clones:         p.clones.Load(),
+		YoungEvictions: p.youngEvictions.Load(),
+		OldEvictions:   p.oldEvictions.Load(),
 	}
 }
 
 // Residency is a point-in-time census of the pool's frames — the gauge
 // complement to the monotone Stats counters. Young/Old split the
-// resident frames by midpoint-LRU region (with PlainLRU everything is
-// young); Pinned counts frames currently held by a caller.
+// resident frames by midpoint-LRU region; Pinned counts frames currently
+// held by a caller.
 type Residency struct {
 	Frames   int `json:"frames"`
 	Young    int `json:"young"`
@@ -940,8 +657,6 @@ func (p *Pool) ResetStats() {
 	p.allocs.Store(0)
 	p.frees.Store(0)
 	p.clones.Store(0)
-	p.readaheadBatches.Store(0)
-	p.readaheadPages.Store(0)
 	p.youngEvictions.Store(0)
 	p.oldEvictions.Store(0)
 }

@@ -2,11 +2,8 @@ package pagestore
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"path/filepath"
-	"sync"
 	"testing"
 )
 
@@ -270,41 +267,6 @@ func TestMidpointLRUScanResistance(t *testing.T) {
 	}
 }
 
-func TestPlainLRUScanEvictsHotPages(t *testing.T) {
-	store := NewMemStore(64)
-	pool := NewPoolWithOptions(store, PoolOptions{Capacity: 16, Shards: 1, PlainLRU: true})
-	const total = 64
-	for i := 0; i < total; i++ {
-		if _, err := store.Alloc(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	hot := []PageID{1, 2, 3}
-	tenureAll(t, pool, hot, []PageID{4, 5, 6, 7, 8, 9, 10, 11})
-	for id := PageID(12); id <= total; id++ {
-		f, err := pool.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.Release()
-	}
-	st := pool.Stats()
-	if st.OldEvictions != 0 {
-		t.Fatalf("plain LRU reported %d old evictions; the old region should be unused", st.OldEvictions)
-	}
-	pool.ResetStats()
-	for _, id := range hot {
-		f, err := pool.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.Release()
-	}
-	if pr := pool.Stats().PhysicalReads; pr == 0 {
-		t.Fatal("plain LRU kept hot pages resident through a full scan; expected them evicted (the baseline behavior the midpoint LRU fixes)")
-	}
-}
-
 func TestOldRegionCapDemotesToYoung(t *testing.T) {
 	store := NewMemStore(64)
 	pool := NewPoolWithOptions(store, PoolOptions{Capacity: 16, Shards: 1})
@@ -336,200 +298,9 @@ func TestOldRegionCapDemotesToYoung(t *testing.T) {
 	}
 }
 
-// chainStore lays out a synthetic page chain: page n links to n+1 (asc) at
-// offset 4 and to n−1 (desc) at offset 8, mimicking the btree leaf header.
-func buildChain(t *testing.T, s Store, n int) []PageID {
-	t.Helper()
-	ids := make([]PageID, n)
-	for i := 0; i < n; i++ {
-		id, err := s.Alloc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = id
-	}
-	for i, id := range ids {
-		buf := make([]byte, s.PageSize())
-		buf[0] = 1 // "leaf" tag
-		var next, prev PageID
-		if i+1 < n {
-			next = ids[i+1]
-		}
-		if i > 0 {
-			prev = ids[i-1]
-		}
-		binary.LittleEndian.PutUint32(buf[4:8], uint32(next))
-		binary.LittleEndian.PutUint32(buf[8:12], uint32(prev))
-		fillPattern(buf[16:], id)
-		if err := s.WritePage(id, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return ids
-}
-
-func chainNext(page []byte) PageID {
-	if len(page) < 16 || page[0] != 1 {
-		return InvalidPage
-	}
-	return PageID(binary.LittleEndian.Uint32(page[4:8]))
-}
-
-func chainPrev(page []byte) PageID {
-	if len(page) < 16 || page[0] != 1 {
-		return InvalidPage
-	}
-	return PageID(binary.LittleEndian.Uint32(page[8:12]))
-}
-
-func TestGetChainTrackedReadahead(t *testing.T) {
-	for _, dir := range []int{+1, -1} {
-		t.Run(fmt.Sprintf("dir=%+d", dir), func(t *testing.T) {
-			store := NewMemStore(64)
-			pool := NewPoolWithOptions(store, PoolOptions{Capacity: 64, Shards: 1})
-			ids := buildChain(t, store, 16)
-			next := chainNext
-			order := ids
-			if dir < 0 {
-				next = chainPrev
-				order = make([]PageID, len(ids))
-				for i, id := range ids {
-					order[len(ids)-1-i] = id
-				}
-			}
-			rc := &ReadCounter{}
-			for _, id := range order {
-				f, err := pool.GetChainTracked(id, 4, dir, next, rc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if f.ID() != id {
-					t.Fatalf("got page %d, want %d", f.ID(), id)
-				}
-				var want [64]byte
-				want[0] = 1
-				fillPattern(want[16:], id)
-				if !bytes.Equal(f.Data()[16:], want[16:]) {
-					t.Fatalf("page %d contents differ", id)
-				}
-				f.Release()
-			}
-			st := pool.Stats()
-			// A full sweep reads each chain page exactly once, readahead or
-			// not — that is the PhysicalReads-unchanged contract.
-			if st.PhysicalReads != uint64(len(ids)) {
-				t.Fatalf("PhysicalReads = %d, want %d", st.PhysicalReads, len(ids))
-			}
-			if rc.Physical.Load() != uint64(len(ids)) {
-				t.Fatalf("rc.Physical = %d, want %d", rc.Physical.Load(), len(ids))
-			}
-			if st.ReadaheadBatches == 0 || st.ReadaheadPages == 0 {
-				t.Fatalf("no readahead recorded: %+v", st)
-			}
-		})
-	}
-}
-
-func TestGetChainTrackedDoesNotAdmitOffChainPages(t *testing.T) {
-	store := NewMemStore(64)
-	pool := NewPoolWithOptions(store, PoolOptions{Capacity: 64, Shards: 1})
-	ids := buildChain(t, store, 2) // pages 1,2 chained
-	// Page 3 is allocated but NOT on the chain (page 2's next is 0).
-	loner, err := store.Alloc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := pool.GetChainTracked(ids[0], 4, +1, chainNext, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Release()
-	// The loner page must not be in the pool: fetching it now must be a
-	// physical read.
-	pool.ResetStats()
-	g, err := pool.Get(loner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Release()
-	if pr := pool.Stats().PhysicalReads; pr != 1 {
-		t.Fatalf("off-chain page was admitted by readahead (physical reads = %d, want 1)", pr)
-	}
-}
-
-func TestGetChainTrackedFaults(t *testing.T) {
-	inner := NewMemStore(64)
-	ids := buildChain(t, inner, 8)
-	fs := NewFaultStore(inner)
-	pool := NewPoolWithOptions(fs, PoolOptions{Capacity: 64, Shards: 1})
-
-	// Fault on a readahead page (second of the batch): the demanded page
-	// must still be served; the batch is just truncated.
-	fs.FailReadAfter(2)
-	f, err := pool.GetChainTracked(ids[0], 4, +1, chainNext, nil)
-	if err != nil {
-		t.Fatalf("demanded page should survive a readahead-only fault: %v", err)
-	}
-	f.Release()
-	fs.Disarm()
-	if err := pool.EvictAll(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Fault on the demanded page itself: the error must surface.
-	fs.FailReadAfter(1)
-	if _, err := pool.GetChainTracked(ids[4], 4, +1, chainNext, nil); !errors.Is(err, ErrInjected) {
-		t.Fatalf("err = %v, want ErrInjected", err)
-	}
-	fs.Disarm()
-}
-
-func TestGetChainTrackedConcurrentSweeps(t *testing.T) {
-	store := NewMemStore(64)
-	pool := NewPoolWithOptions(store, PoolOptions{Capacity: 32, Shards: 4})
-	ids := buildChain(t, store, 48)
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(dir int) {
-			defer wg.Done()
-			rc := &ReadCounter{}
-			order := ids
-			next := chainNext
-			if dir < 0 {
-				next = chainPrev
-				order = make([]PageID, len(ids))
-				for i, id := range ids {
-					order[len(ids)-1-i] = id
-				}
-			}
-			for _, id := range order {
-				f, err := pool.GetChainTracked(id, 4, dir, next, rc)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if f.ID() != id {
-					errs <- fmt.Errorf("got page %d, want %d", f.ID(), id)
-					return
-				}
-				f.Release()
-			}
-		}(1 - 2*(w%2))
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-}
-
 // TestTenureWindowResistsTightRePinLoops pins the tenure-age fix: a page
 // re-pinned in a tight loop never accumulates distinct-page accesses, so
-// it must stay in the young region however often it is touched. A
-// negative TenureAge restores the historical tenure-on-any-re-pin
-// behavior for comparison.
+// it must stay in the young region however often it is touched.
 func TestTenureWindowResistsTightRePinLoops(t *testing.T) {
 	store := NewMemStore(64)
 	for i := 0; i < 8; i++ {
@@ -547,86 +318,5 @@ func TestTenureWindowResistsTightRePinLoops(t *testing.T) {
 	sh.mu.Unlock()
 	if oldLen != 0 {
 		t.Fatalf("tight re-pin loop tenured %d pages; the age window should keep them young", oldLen)
-	}
-
-	legacy := NewPoolWithOptions(store, PoolOptions{Capacity: 16, Shards: 1, TenureAge: -1})
-	pinOnce(t, legacy, 1)
-	pinOnce(t, legacy, 1)
-	sh = legacy.shards[0]
-	sh.mu.Lock()
-	oldLen = sh.old.len()
-	sh.mu.Unlock()
-	if oldLen != 1 {
-		t.Fatalf("TenureAge<0 should tenure on any re-pin; old region holds %d", oldLen)
-	}
-}
-
-// TestChainHintsDriveReadaheadAfterScatter exercises hint-driven chain
-// readahead on a chain whose on-disk page order is scrambled, the state a
-// split-churned leaf level ends up in: contiguity speculation confirms
-// nothing, but the first sweep teaches the pool the real links, so the
-// second sweep batches along them — with per-sweep physical reads still
-// exactly one per chain page.
-func TestChainHintsDriveReadaheadAfterScatter(t *testing.T) {
-	store := NewMemStore(64)
-	pool := NewPoolWithOptions(store, PoolOptions{Capacity: 64, Shards: 1})
-	const n = 12
-	ids := make([]PageID, n)
-	for i := range ids {
-		id, err := store.Alloc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = id
-	}
-	// Chain order visits the allocated ids far from sequentially.
-	order := []int{0, 7, 2, 9, 4, 11, 6, 1, 8, 3, 10, 5}
-	chain := make([]PageID, n)
-	for pos, idx := range order {
-		chain[pos] = ids[idx]
-	}
-	for pos, id := range chain {
-		buf := make([]byte, store.PageSize())
-		buf[0] = 1
-		var next, prev PageID
-		if pos+1 < n {
-			next = chain[pos+1]
-		}
-		if pos > 0 {
-			prev = chain[pos-1]
-		}
-		binary.LittleEndian.PutUint32(buf[4:8], uint32(next))
-		binary.LittleEndian.PutUint32(buf[8:12], uint32(prev))
-		fillPattern(buf[16:], id)
-		if err := store.WritePage(id, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sweep := func() Stats {
-		if err := pool.EvictAll(); err != nil {
-			t.Fatal(err)
-		}
-		pool.ResetStats()
-		for _, id := range chain {
-			f, err := pool.GetChainTracked(id, 4, +1, chainNext, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if f.ID() != id {
-				t.Fatalf("got page %d, want %d", f.ID(), id)
-			}
-			f.Release()
-		}
-		return pool.Stats()
-	}
-	first := sweep()
-	second := sweep()
-	if first.PhysicalReads != n || second.PhysicalReads != n {
-		t.Fatalf("physical reads per sweep = %d/%d, want %d each (paper-exact I/O)",
-			first.PhysicalReads, second.PhysicalReads, n)
-	}
-	if second.ReadaheadPages <= first.ReadaheadPages {
-		t.Fatalf("learned links did not improve batching: readahead pages %d -> %d",
-			first.ReadaheadPages, second.ReadaheadPages)
 	}
 }

@@ -261,8 +261,8 @@ func (s *FileStore) ReadPage(id PageID, buf []byte) error {
 // ReadPages reads a maximal live prefix of the pages, coalescing each run
 // of consecutive ids — ascending or descending, as leaf sweeps in either
 // direction produce — into a single ReadAt over the covered byte range,
-// so a readahead batch over a bulk-loaded leaf chain costs one syscall
-// instead of one per page.
+// so a batch over a bulk-loaded leaf chain costs one syscall instead of
+// one per page.
 func (s *FileStore) ReadPages(ids []PageID, bufs [][]byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
