@@ -74,25 +74,19 @@ func (q Query) String() string {
 // an unsatisfiable tuple denotes no points and is not "contained" in any
 // useful sense for retrieval).
 func (q Query) Matches(t *Tuple) (bool, error) {
-	if t.Dim() != q.Dim() {
-		return false, fmt.Errorf("constraint: query dimension %d != tuple dimension %d", q.Dim(), t.Dim())
-	}
-	ext, err := t.Extension()
-	if err != nil {
+	g, err := t.generators(q.Dim())
+	if err != nil || g.IsEmpty() {
 		return false, err
-	}
-	if ext.IsEmpty() {
-		return false, nil
 	}
 	switch {
 	case q.Kind == ALL && q.Op == geom.GE:
-		return q.Intercept <= ext.Bot(q.Slope)+geom.Eps, nil
+		return q.Intercept <= g.Bot(q.Slope)+geom.Eps, nil
 	case q.Kind == ALL && q.Op == geom.LE:
-		return q.Intercept >= ext.Top(q.Slope)-geom.Eps, nil
+		return q.Intercept >= g.Top(q.Slope)-geom.Eps, nil
 	case q.Kind == EXIST && q.Op == geom.GE:
-		return q.Intercept <= ext.Top(q.Slope)+geom.Eps, nil
+		return q.Intercept <= g.Top(q.Slope)+geom.Eps, nil
 	default: // EXIST, LE
-		return q.Intercept >= ext.Bot(q.Slope)-geom.Eps, nil
+		return q.Intercept >= g.Bot(q.Slope)-geom.Eps, nil
 	}
 }
 
@@ -125,24 +119,25 @@ func (q Query) Eval(r *Relation) ([]TupleID, error) {
 // support function decides exactly. Empty t is reported as not contained
 // (consistent with Query.Matches).
 func TupleALL(q, t *Tuple) (bool, error) {
-	text, err := t.Extension()
-	if err != nil {
-		return false, err
+	if q.Dim() != t.Dim() {
+		return false, fmt.Errorf("constraint: dimension mismatch %d vs %d", q.Dim(), t.Dim())
 	}
-	if text.IsEmpty() {
-		return false, nil
+	if !t.IsSatisfiable() {
+		return false, t.resolve()
 	}
+	dir := make([]float64, t.dim)
 	for _, h := range q.Constraints() {
-		// ext(t) ⊆ {x: a·x + c ≤ 0} ⇔ sup_{x∈t}(a·x) ≤ −c.
-		a := geom.Point(h.A)
-		if h.Op == geom.LE {
-			if text.Support(a) > -h.C+geom.Eps {
-				return false, nil
-			}
-		} else {
-			if -text.Support(a.Scale(-1)) < -h.C-geom.Eps {
-				return false, nil
-			}
+		// ext(t) ⊆ {x: a·x + c ≤ 0} ⇔ sup_{x∈t}(a·x) ≤ −c, and a·x + c ≥ 0
+		// is that constraint of (−a, −c).
+		sign := 1.0
+		if h.Op == geom.GE {
+			sign = -1
+		}
+		for i, a := range h.A {
+			dir[i] = sign * a
+		}
+		if sup, _ := t.Support(dir); sup > -sign*h.C+geom.Eps {
+			return false, nil
 		}
 	}
 	return true, nil
@@ -213,17 +208,16 @@ func (q Query) Selectivity(r *Relation) (float64, error) {
 // two — i.e. the key under which the tuple appears in the B⁺-tree that
 // serves this query (Section 3 of the paper).
 func (q Query) SurfaceValue(t *Tuple) (float64, error) {
-	ext, err := t.Extension()
-	if err != nil {
+	g, err := t.generators(q.Dim())
+	switch {
+	case err != nil:
 		return 0, err
-	}
-	if ext.IsEmpty() {
+	case g.IsEmpty():
 		return math.NaN(), nil
+	case q.UsesTop():
+		return g.Top(q.Slope), nil
 	}
-	if q.UsesTop() {
-		return ext.Top(q.Slope), nil
-	}
-	return ext.Bot(q.Slope), nil
+	return g.Bot(q.Slope), nil
 }
 
 // UsesTop reports whether the query is answered from TOP^P values (the

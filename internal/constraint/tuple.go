@@ -22,16 +22,19 @@ type TupleID uint32
 // Its extension — the set of solution points — is a convex polyhedron,
 // possibly unbounded or empty.
 //
-// A Tuple caches its extension and (in E²) its TOP/BOT dual envelopes; it
-// is immutable after creation and safe for concurrent use.
+// A Tuple caches its extension, the extension's packed generators (what
+// refinement evaluates TOP^P/BOT^P on) and (in E²) its TOP/BOT dual
+// envelopes; it is immutable after creation and safe for concurrent use.
 type Tuple struct {
-	id   TupleID
+	// dim, once and gen lead the struct: they are all Query.Matches reads.
 	dim  int
-	cons []geom.HalfSpace
-
 	once sync.Once
-	ext  geom.Polyhedron
+	gen  geom.Generators
 	err  error
+
+	id   TupleID
+	cons []geom.HalfSpace
+	ext  geom.Polyhedron
 
 	envOnce sync.Once
 	topEnv  geom.Envelope
@@ -56,9 +59,8 @@ func NewTuple(dim int, cons []geom.HalfSpace) (*Tuple, error) {
 // FromPolyhedron wraps an existing polyhedron as a tuple. The polyhedron
 // should carry an H-representation if exact predicates are needed.
 func FromPolyhedron(p geom.Polyhedron) *Tuple {
-	t := &Tuple{dim: p.Dim(), cons: append([]geom.HalfSpace(nil), p.HS...)}
-	t.once.Do(func() {}) // mark resolved
-	t.ext = p
+	t := &Tuple{dim: p.Dim(), cons: append([]geom.HalfSpace(nil), p.HS...), ext: p}
+	t.once.Do(t.pack)
 	return t
 }
 
@@ -71,44 +73,73 @@ func (t *Tuple) Dim() int { return t.dim }
 // Constraints returns the defining constraints (not to be modified).
 func (t *Tuple) Constraints() []geom.HalfSpace { return t.cons }
 
+// resolve computes the extension and its packed generators once.
+func (t *Tuple) resolve() error {
+	t.once.Do(func() {
+		if t.ext, t.err = geom.FromHalfSpaces(t.cons, t.dim); t.err == nil {
+			t.pack()
+		}
+	})
+	return t.err
+}
+
+// pack packs the extension's generators; its vertices and rays then point
+// into that array and its H-representation aliases t.cons: no second copy.
+func (t *Tuple) pack() {
+	t.gen = t.ext.Pack()
+	if t.ext.HS != nil {
+		t.ext.HS = t.cons
+	}
+}
+
 // Extension returns the tuple's extension as a polyhedron in V- and
 // H-representation. The computation runs once and is cached.
 func (t *Tuple) Extension() (geom.Polyhedron, error) {
-	t.once.Do(func() {
-		t.ext, t.err = geom.FromHalfSpaces(t.cons, t.dim)
-	})
-	return t.ext, t.err
+	err := t.resolve()
+	return t.ext, err
 }
 
 // IsSatisfiable reports whether the tuple's extension is non-empty.
 func (t *Tuple) IsSatisfiable() bool {
-	ext, err := t.Extension()
-	return err == nil && !ext.IsEmpty()
+	return t.resolve() == nil && !t.gen.IsEmpty()
 }
 
 // IsBounded reports whether the tuple's extension is bounded (a finite
 // object in the paper's terminology).
 func (t *Tuple) IsBounded() bool {
-	ext, err := t.Extension()
-	return err == nil && ext.IsBounded()
+	return t.resolve() == nil && t.ext.IsBounded()
 }
 
-// Top evaluates TOP^P at the query slope vector (length dim−1).
-func (t *Tuple) Top(slope []float64) (float64, error) {
-	ext, err := t.Extension()
-	if err != nil {
-		return 0, err
+// generators resolves the tuple for an evaluation in a direction of n
+// coordinates, the tuple's dimension; on error they are the empty set's.
+func (t *Tuple) generators(n int) (*geom.Generators, error) {
+	if n != t.dim {
+		return new(geom.Generators), fmt.Errorf("constraint: direction of dimension %d, tuple dimension %d", n, t.dim)
 	}
-	return ext.Top(slope), nil
+	return &t.gen, t.resolve()
+}
+
+// Top evaluates TOP^P at the query slope vector (length dim−1), with the
+// bits of Extension().Top and no allocation.
+func (t *Tuple) Top(slope []float64) (float64, error) {
+	g, err := t.generators(len(slope) + 1)
+	return g.Top(slope), err
 }
 
 // Bot evaluates BOT^P at the query slope vector (length dim−1).
 func (t *Tuple) Bot(slope []float64) (float64, error) {
-	ext, err := t.Extension()
+	g, err := t.generators(len(slope) + 1)
+	return g.Bot(slope), err
+}
+
+// Support returns sup c·p over the tuple's extension for a direction c of
+// length dim: +Inf along a recession ray, −Inf for an empty extension.
+func (t *Tuple) Support(c []float64) (float64, error) {
+	g, err := t.generators(len(c))
 	if err != nil {
 		return 0, err
 	}
-	return ext.Bot(slope), nil
+	return g.Support(c), nil
 }
 
 // TopEnv returns the exact TOP^P envelope of a 2-D tuple as a function of

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"dualcdb/internal/constraint"
-	"dualcdb/internal/pagestore"
 )
 
 // BatchOptions tunes QueryBatch's worker pool: its one level of
@@ -63,7 +62,6 @@ func (ix *Index) queryBatch(rs *rootSet, qs []constraint.Query, opts BatchOption
 
 	bt := ix.opt.Observe.StartBatch()
 	results := make([]Result, len(qs))
-	bufs := &sync.Pool{}
 	var next atomic.Int64
 	var failed atomic.Bool
 	var errOnce sync.Once
@@ -79,13 +77,7 @@ func (ix *Index) queryBatch(rs *rootSet, qs []constraint.Query, opts BatchOption
 				if i >= len(qs) || failed.Load() {
 					return
 				}
-				ec := &execCtx{
-					rs:   rs,
-					rc:   &pagestore.ReadCounter{},
-					bufs: bufs,
-					obs:  ix.opt.Observe,
-				}
-				res, err := ix.query(qs[i], ec)
+				res, err := ix.query(qs[i], ix.execCtxFor(rs))
 				if err != nil {
 					errOnce.Do(func() { firstErr = err })
 					failed.Store(true)

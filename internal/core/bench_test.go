@@ -200,3 +200,40 @@ func BenchmarkIndexD3Query(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRefineKernel measures one refinement evaluation per workload
+// tuple — TOP^P at a query slope — on the packed generator kernel
+// (Tuple.Top) against the reference it must equal bit for bit
+// (Polyhedron.Top on the cached extension).
+func BenchmarkRefineKernel(b *testing.B) {
+	rel, _, _ := benchIndex(b, 2000, 3, T2, 0)
+	var tuples []*constraint.Tuple
+	rel.Scan(func(t *constraint.Tuple) bool {
+		tuples = append(tuples, t)
+		return true
+	})
+	slope := []float64{0.37}
+	b.Run("kernel", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, t := range tuples {
+				v, _ := t.Top(slope)
+				kernelSink += v
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tuples)), "ns/tuple")
+	})
+	b.Run("reference", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, t := range tuples {
+				ext, _ := t.Extension()
+				kernelSink += ext.Top(slope)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tuples)), "ns/tuple")
+	})
+}
+
+// kernelSink keeps the compiler from discarding BenchmarkRefineKernel's calls.
+var kernelSink float64

@@ -105,11 +105,11 @@ func (ix *Index) treeKeys(t *constraint.Tuple) ([]float64, error) {
 		keys = append(keys, top, bot)
 	}
 	if len(keys) < len(ix.trees) {
-		ext, err := t.Extension()
+		sup, inf, err := xSupport(t)
 		if err != nil {
 			return nil, err
 		}
-		keys = append(keys, supX(ext), infX(ext))
+		keys = append(keys, sup, inf)
 	}
 	return keys, nil
 }

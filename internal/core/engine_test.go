@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -189,4 +190,210 @@ func TestEngineMatchesScanAcrossGeometries(t *testing.T) {
 			t.Errorf("path %q never exercised (saw %v)", p, paths)
 		}
 	}
+}
+
+// steepCone is {y ≥ 0, y ≤ 1000x}: apex (0,0), rays (1,0) and ≈(1e-3, 1).
+// At slope 999.9999995 the steep ray gains 5e-10 per unit — under the
+// support scan's Eps, so TOP^P is the apex's 0 — while the envelope's
+// domain already ended Eps before the critical slope 1000: key +Inf.
+func steepCone(t *testing.T) *constraint.Tuple {
+	t.Helper()
+	tp, err := constraint.NewTuple(2, []geom.HalfSpace{
+		{A: []float64{0, -1}, C: 0, Op: geom.LE},
+		{A: []float64{-1000, 1}, C: 0, Op: geom.LE},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tp
+}
+
+// alignedVertices is the region under three vertices whose x differ by at
+// most Eps: upperHullLines merges their dual lines into the one with the
+// largest intercept, so at negative slopes the envelope (the tree key) reads
+// up to 2·Eps·|a| below the support scan (the predicate).
+func alignedVertices(t *testing.T) *constraint.Tuple {
+	t.Helper()
+	p, err := geom.FromVertices(
+		[]geom.Point{{0, 10}, {5e-10, 10 - 1e-10}, {1e-9, 10 - 2e-10}, {-3, 2}},
+		[]geom.Point{{0, -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return constraint.FromPolyhedron(p)
+}
+
+// TestRestrictedBoundaryMatchesScan pins the restricted path's
+// decided-by-key rule at its edges. For every site slope × ALL/EXIST × ≥/≤
+// it queries intercepts on, one tolerance and one band width δ either side
+// of stored keys, each also one ulp further in and out, over relations that
+// hold the two shapes whose key and predicate disagree (steepCone,
+// alignedVertices), unbounded tuples with keys ±Inf, and a 3-D lattice
+// index; and once more through a snapshot pinned before a delete. Answers
+// must be the naive scan's, and the entries the path reports as rejected
+// must be exactly those the exact predicate rejects among the keys the
+// sweep keeps.
+func TestRestrictedBoundaryMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261001))
+	const steep = 999.9999995
+	slopes := []float64{-1.5, -0.25, 0.5, 2, steep}
+	rel2, rel3 := constraint.NewRelation(2), constraint.NewRelation(3)
+	insert := func(rel *constraint.Relation, tp *constraint.Tuple) constraint.TupleID {
+		id, err := rel.Insert(tp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	cone := steepCone(t)
+	insert(rel2, cone)
+	insert(rel2, alignedVertices(t))
+	for i := 0; i < 40; i++ {
+		insert(rel2, randTuple(rng, true))
+		insert(rel3, randTuple3(rng, true))
+	}
+	if key, top := cone.TopEnv().Eval(steep), mustTop(t, cone, steep); !math.IsInf(key, 1) || top != 0 {
+		t.Fatalf("steep cone at %v: key %v, TOP %v; want +Inf and 0", steep, key, top)
+	}
+
+	ix2, err := Build(rel2, Options{Slopes: slopes, Technique: T2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites3 := LatticeSites(2, 3, 1.5)
+	ix3, err := BuildD(rel3, OptionsD{Sites: sites3})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// tuplesOf freezes a relation's contents, the oracle for a snapshot.
+	tuplesOf := func(rel *constraint.Relation) (ts []*constraint.Tuple) {
+		rel.Scan(func(tp *constraint.Tuple) bool {
+			ts = append(ts, tp)
+			return true
+		})
+		return ts
+	}
+	queries := 0
+	check := func(name string, ix *Index, run func(constraint.Query) (Result, error), ts []*constraint.Tuple, site int, q constraint.Query) {
+		t.Helper()
+		queries++
+		got, err := run(q)
+		if err != nil {
+			t.Fatalf("%s %v: %v", name, q, err)
+		}
+		if got.Stats.Path != "restricted" {
+			t.Fatalf("%s %v: path %q", name, q, got.Stats.Path)
+		}
+		sw := firstSweep(q.Intercept, geom.Eps+geom.EnvelopeSlack(q.Slope[0]), q.SweepsUp(), -1)
+		var want []constraint.TupleID
+		kept, rejected := 0, 0
+		for _, tp := range ts {
+			ok, err := q.Matches(tp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok {
+				want = append(want, tp.ID())
+			}
+			if !tp.IsSatisfiable() {
+				continue
+			}
+			key, bot := ix.geo.keys(tp, site)
+			if !q.UsesTop() {
+				key = bot
+			}
+			if key >= sw.lo && key <= sw.hi {
+				kept++
+				if !ok {
+					rejected++
+				}
+			}
+		}
+		if !sameIDs(got.IDs, want) {
+			t.Fatalf("%s %v: got %v, want %v", name, q, got.IDs, want)
+		}
+		st := got.Stats
+		if st.Candidates != kept || st.Candidates-st.Results != rejected || st.FalseHits != rejected {
+			t.Fatalf("%s %v: %d candidates, %d results, %d false hits; the sweep keeps %d keys of which the predicate rejects %d",
+				name, q, st.Candidates, st.Results, st.FalseHits, kept, rejected)
+		}
+	}
+	// around lists the intercepts at every edge the path has near key.
+	around := func(key, delta float64) []float64 {
+		bs := []float64{key}
+		for _, off := range []float64{geom.Eps, delta, geom.Eps + delta} {
+			for _, b := range []float64{key - off, key + off} {
+				bs = append(bs, b, math.Nextafter(b, math.Inf(-1)), math.Nextafter(b, math.Inf(1)))
+			}
+		}
+		return bs
+	}
+	sweepSite := func(name string, ix *Index, run func(constraint.Query) (Result, error), ts []*constraint.Tuple, site int, slope []float64, sampled []*constraint.Tuple) {
+		for _, kind := range []constraint.QueryKind{constraint.ALL, constraint.EXIST} {
+			for _, op := range []geom.Op{geom.GE, geom.LE} {
+				q := constraint.NewQuery(kind, slope, 0, op)
+				for _, tp := range sampled {
+					key, bot := ix.geo.keys(tp, site)
+					if !q.UsesTop() {
+						key = bot
+					}
+					if math.IsInf(key, 0) {
+						continue
+					}
+					for _, b := range around(key, geom.EnvelopeSlack(slope[0])) {
+						q.Intercept = b
+						check(name, ix, run, ts, site, q)
+					}
+				}
+			}
+		}
+	}
+
+	// Not at the steep site: there the cone's key is +Inf where its TOP is
+	// 0, so a downward sweep (ALL ≤) never meets the entry the predicate
+	// would accept — a divergence of the stored key itself, older than this
+	// path and out of its reach (ROADMAP direction 2).
+	ts2, ts3 := tuplesOf(rel2), tuplesOf(rel3)
+	for i, a := range slopes[:4] {
+		sweepSite("2-D", ix2, ix2.Query, ts2, i, []float64{a}, ts2[:12])
+	}
+	for i, s := range sites3 {
+		sweepSite("3-D", ix3, ix3.Query, ts3, i, s, ts3[:6])
+	}
+	// The issue's two named cases.
+	check("steep cone", ix2, ix2.Query, ts2, 4, constraint.Query2(constraint.EXIST, steep, 5, geom.GE))
+	check("aligned vertices", ix2, ix2.Query, ts2, 0, constraint.Query2(constraint.EXIST, -1.5, 10+geom.Eps+2e-10, geom.GE))
+
+	// A slope within Eps of a site, but not the site: routed to the
+	// restricted path, nothing decided on its key.
+	for i := 0; i < 20; i++ {
+		q := constraint.Query2(constraint.EXIST, slopes[2]+geom.Eps/2, rng.Float64()*120-60, geom.GE)
+		res, err := ix2.Query(q)
+		want, _ := q.Eval(rel2)
+		if err != nil || res.Stats.Path != "restricted" || !sameIDs(res.IDs, want) {
+			t.Fatalf("%v: got %v (path %s, err %v), want %v", q, res.IDs, res.Stats.Path, err, want)
+		}
+	}
+
+	// A snapshot pinned before a delete still answers with the deleted
+	// tuple, on its key where that decides.
+	snap := ix2.Snapshot()
+	defer snap.Release()
+	victim := ts2[5]
+	if err := ix2.Delete(victim.ID()); err != nil {
+		t.Fatal(err)
+	}
+	sweepSite("snapshot", ix2, snap.Query, ts2, 1, []float64{slopes[1]}, []*constraint.Tuple{victim})
+	sweepSite("after delete", ix2, ix2.Query, tuplesOf(rel2), 1, []float64{slopes[1]}, []*constraint.Tuple{victim})
+	t.Logf("%d boundary queries", queries)
+}
+
+func mustTop(t *testing.T, tp *constraint.Tuple, a float64) float64 {
+	t.Helper()
+	v, err := tp.Top([]float64{a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }

@@ -43,6 +43,7 @@ type slopeSpace interface {
 type routing struct {
 	site   int
 	exact  bool // the slope is the site itself: Section 3's restricted path
+	onSite bool // … exactly, not within Eps: the site's keys were computed at this very slope
 	inCell bool // the slope lies in the site's cell: T2 applies
 	slot   int  // handicap slot bounding T2's second sweep
 }
@@ -153,7 +154,8 @@ func (g *slopeSet) route(slope []float64, sweepsUp bool) (routing, error) {
 	a := slope[0]
 	i, exact := g.nearest(a)
 	leftLo, rightHi := g.stripBounds(i)
-	r := routing{site: i, exact: exact, inCell: a >= leftLo && a <= rightHi, slot: slotHighPrev}
+	onSite := a == g.s[i] //dualvet:allow floatcmp — exact on purpose: only then were the site's keys computed at this slope
+	r := routing{site: i, exact: exact, onSite: onSite, inCell: a >= leftLo && a <= rightHi, slot: slotHighPrev}
 	if sweepsUp {
 		r.slot = slotLowPrev
 	}
@@ -184,19 +186,19 @@ func (g *siteSet) sites() int                  { return len(g.s) }
 func (g *siteSet) slotKinds() []btree.SlotKind { return cellSlotKinds }
 
 func (g *siteSet) keys(t *constraint.Tuple, i int) (top, bot float64) {
-	ext, _ := t.Extension() // satisfiable: the cached extension has no error
-	return ext.Top(g.s[i]), ext.Bot(g.s[i])
+	top, _ = t.Top(g.s[i]) // satisfiable: the cached extension has no error
+	bot, _ = t.Bot(g.s[i])
+	return top, bot
 }
 
 func (g *siteSet) routes(t *constraint.Tuple, i int) (up, down [numSlots]float64) {
-	ext, _ := t.Extension()
 	// B^up: EXIST(≥) second sweeps are bounded via the cell max of TOP;
 	// ALL(≤) via (a lower bound of) the cell min — a lower bound routes to
 	// an earlier leaf, which the first (downward) sweep still visits.
-	up[slotCellLow], up[slotCellHigh] = cellTopExtrema(ext, g.cells[i])
+	up[slotCellLow], up[slotCellHigh] = cellTopExtrema(t, g.cells[i])
 	// B^down: EXIST(≤) via the cell min of BOT, ALL(≥) via (an upper bound
 	// of) the cell max.
-	down[slotCellHigh], down[slotCellLow] = cellBotExtrema(ext, g.cells[i])
+	down[slotCellHigh], down[slotCellLow] = cellBotExtrema(t, g.cells[i])
 	return up, down
 }
 
@@ -208,7 +210,7 @@ func (g *siteSet) route(slope []float64, sweepsUp bool) (routing, error) {
 			best, bestDist = i, d
 		}
 	}
-	r := routing{site: best, exact: bestDist <= geom.Eps, slot: slotCellHigh}
+	r := routing{site: best, exact: bestDist <= geom.Eps, onSite: bestDist == 0, slot: slotCellHigh}
 	if sweepsUp {
 		r.slot = slotCellLow
 	}
@@ -225,10 +227,11 @@ func (g *siteSet) route(slope []float64, sweepsUp bool) (routing, error) {
 // max_v g_v(b) ≥ g_v(b) for every tuple vertex v, so
 // max_v (min over cell vertices of g_v) is a valid lower bound (rays only
 // raise TOP, keeping the bound valid).
-func cellTopExtrema(ext geom.Polyhedron, cell geom.Polyhedron) (maxTop, minTopLB float64) {
+func cellTopExtrema(t *constraint.Tuple, cell geom.Polyhedron) (maxTop, minTopLB float64) {
+	ext, _ := t.Extension() // satisfiable: the cached extension has no error
 	maxTop = math.Inf(-1)
 	for _, b := range cell.Verts {
-		if v := ext.Top(b); v > maxTop {
+		if v, _ := t.Top(b); v > maxTop {
 			maxTop = v
 		}
 	}
@@ -249,10 +252,11 @@ func cellTopExtrema(ext geom.Polyhedron, cell geom.Polyhedron) (maxTop, minTopLB
 
 // cellBotExtrema returns the exact minimum and a sound upper bound of the
 // maximum of BOT^P over the cell (the concave mirror of cellTopExtrema).
-func cellBotExtrema(ext geom.Polyhedron, cell geom.Polyhedron) (minBot, maxBotUB float64) {
+func cellBotExtrema(t *constraint.Tuple, cell geom.Polyhedron) (minBot, maxBotUB float64) {
+	ext, _ := t.Extension()
 	minBot = math.Inf(1)
 	for _, b := range cell.Verts {
-		if v := ext.Bot(b); v < minBot {
+		if v, _ := t.Bot(b); v < minBot {
 			minBot = v
 		}
 	}

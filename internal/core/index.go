@@ -227,12 +227,12 @@ func buildVertical(v []*btree.Tree, ts []*constraint.Tuple) error {
 	vupEntries := make([]btree.Entry, 0, len(ts))
 	vdownEntries := make([]btree.Entry, 0, len(ts))
 	for _, t := range ts {
-		ext, err := t.Extension()
+		sup, inf, err := xSupport(t)
 		if err != nil {
 			return err
 		}
-		vupEntries = append(vupEntries, btree.Entry{Key: supX(ext), TID: uint32(t.ID())})
-		vdownEntries = append(vdownEntries, btree.Entry{Key: infX(ext), TID: uint32(t.ID())})
+		vupEntries = append(vupEntries, btree.Entry{Key: sup, TID: uint32(t.ID())})
+		vdownEntries = append(vdownEntries, btree.Entry{Key: inf, TID: uint32(t.ID())})
 	}
 	return bulkLoadPair(v[0], v[1], vupEntries, vdownEntries)
 }

@@ -47,20 +47,17 @@ func BuildLineIndex(rel *constraint.Relation, slopes []float64, pool *pagestore.
 	for _, a := range s {
 		var ivs []interval.Interval
 		var scanErr error
+		slope := []float64{a}
 		rel.Scan(func(t *constraint.Tuple) bool {
-			ext, err := t.Extension()
+			lo, err := t.Bot(slope)
 			if err != nil {
 				scanErr = err
 				return false
 			}
-			if ext.IsEmpty() {
-				return true
+			if t.IsSatisfiable() {
+				hi, _ := t.Top(slope)
+				ivs = append(ivs, interval.Interval{Lo: lo, Hi: hi, TID: uint32(t.ID())})
 			}
-			ivs = append(ivs, interval.Interval{
-				Lo:  ext.Bot([]float64{a}),
-				Hi:  ext.Top([]float64{a}),
-				TID: uint32(t.ID()),
-			})
 			return true
 		})
 		if scanErr != nil {

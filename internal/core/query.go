@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -66,8 +66,6 @@ type execCtx struct {
 	// consistent even while commits land concurrently.
 	rs *rootSet
 	rc *pagestore.ReadCounter
-	// bufs, when non-nil, recycles candidate slices across the batch.
-	bufs *sync.Pool
 	// obs is the attached observer (nil: observation off). tr is the
 	// active query trace; when a compound selection (query tuple, line
 	// stab) owns the trace, its sub-queries find tr already set and record
@@ -100,22 +98,54 @@ func (ec *execCtx) endSpan(sp obs.SpanTimer, items int) {
 	sp.End(ec.rc.Physical.Load(), items)
 }
 
-// getBuf returns a zero-length candidate slice, reusing pooled capacity.
-func (ec *execCtx) getBuf() []uint32 {
-	if ec.bufs != nil {
-		if v := ec.bufs.Get(); v != nil {
-			return (*v.(*[]uint32))[:0]
-		}
-	}
-	return nil
+// scratch is one query's working memory, recycled through scratchPool by
+// every path, so a query's allocations do not grow with its candidates.
+type scratch struct {
+	// cands are the retrieved references the exact predicate must evaluate,
+	// sure those a restricted sweep decided on their key alone.
+	cands, sure []uint32
+	// bits is a bitset over the pinned version's dense tuple ids: T1 marks a
+	// reference on first sight (a set bit is a duplicate), refinement leaves
+	// the matches set and reads them out in id order. All zero when pooled.
+	bits []uint64
 }
 
-// putBuf returns a candidate slice to the pool once refinement is done
-// with it.
-func (ec *execCtx) putBuf(s []uint32) {
-	if ec.bufs != nil && cap(s) > 0 {
-		ec.bufs.Put(&s)
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// getScratch returns an empty scratch whose bitset covers every id of rs.
+func getScratch(rs *rootSet) *scratch {
+	sc := scratchPool.Get().(*scratch)
+	if words := len(rs.tuples)>>6 + 1; cap(sc.bits) < words {
+		sc.bits = make([]uint64, words)
+	} else {
+		sc.bits = sc.bits[:words]
 	}
+	return sc
+}
+
+// putScratch recycles sc. A query that failed midway may have left bits
+// set: it drops its scratch instead.
+func putScratch(sc *scratch) {
+	sc.cands, sc.sure = sc.cands[:0], sc.sure[:0]
+	scratchPool.Put(sc)
+}
+
+// intersect returns the ids of b that are also in a, in b's order, reusing
+// b's storage; both must be ids of rs (answers of queries on it are).
+func intersect(rs *rootSet, a, b []constraint.TupleID) []constraint.TupleID {
+	sc := getScratch(rs)
+	for _, id := range a {
+		sc.bits[id>>6] |= 1 << (id & 63)
+	}
+	out := b[:0]
+	for _, id := range b {
+		if sc.bits[id>>6]&(1<<(id&63)) != 0 {
+			out = append(out, id)
+		}
+	}
+	clear(sc.bits)
+	putScratch(sc)
+	return out
 }
 
 // Query executes an ALL or EXIST half-plane selection against the
@@ -188,37 +218,31 @@ func (ix *Index) queryExec(q constraint.Query, ec *execCtx) (Result, error) {
 		return Result{}, err
 	}
 
-	var cands []uint32
+	sc := getScratch(ec.rs)
 	var st QueryStats
 	slopes, _ := ix.geo.(*slopeSet)
 	switch {
 	case r.exact:
-		cands, st, err = ix.collectRestricted(r.site, q, ec)
+		st, err = ix.collectRestricted(r, q, ec, sc)
 	case ix.opt.Technique == RestrictedOnly:
-		return Result{}, fmt.Errorf("core: slope %v not in S and technique is restricted-only", q.Slope)
+		err = fmt.Errorf("core: slope %v not in S and technique is restricted-only", q.Slope)
 	case ix.opt.Technique == T2 && r.inCell:
-		cands, st, err = ix.collectT2(r, q, ec)
+		st, err = ix.collectT2(r, q, ec, sc)
 	case slopes == nil:
 		// No covering app-query construction in E^d: outside every
 		// clamped cell each tuple of the pinned version is a candidate.
 		st = QueryStats{Path: "scan"}
-		cands = ec.rs.allIDs(ec.getBuf())
-		st.Candidates = len(cands)
+		sc.cands = ec.rs.allIDs(sc.cands)
+		st.Candidates = len(sc.cands)
 	case ix.opt.Technique == T1:
-		cands, st, err = ix.collectT1(q, slopes.s, "t1", ec)
+		st, err = ix.collectT1(q, slopes.s, "t1", ec, sc)
 	default: // T2 outside the strips
-		cands, st, err = ix.collectT1(q, slopes.s, "t1(fallback)", ec)
+		st, err = ix.collectT1(q, slopes.s, "t1(fallback)", ec, sc)
 	}
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := ec.refine(q.Matches, cands, st)
-	ec.putBuf(cands)
-	if err != nil {
-		return Result{}, err
-	}
-	res.Stats.PagesRead = ec.rc.Physical.Load()
-	return res, nil
+	return ec.refine(q.Matches, sc, st)
 }
 
 // sweep is the engine's one leaf sweep: from the leaf owning `from`, in one
@@ -233,22 +257,26 @@ type sweep struct {
 	// slot ≥ 0 folds that handicap slot over the visited leaves: the
 	// minimum on an ascending sweep, the maximum on a descending one.
 	slot int
+	// An entry whose key lies strictly inside (sureLo, sureHi) is in the
+	// answer on its key alone and goes to scratch.sure, not scratch.cands;
+	// the zero value is the empty interval.
+	sureLo, sureHi float64
 }
 
 // firstSweep is the sweep every path starts with, in the direction of the
-// answer set (upward for ≥ selections): it keeps keys ≥ b−Eps, resp.
-// ≤ b+Eps, to the end of the chain.
+// answer set (upward for ≥ selections): it keeps keys ≥ b−tol, resp.
+// ≤ b+tol, to the end of the chain.
 //
-// Boundary semantics: the filter tolerates ±geom.Eps around the intercept
-// (matching the Eps-tolerant refinement predicate), and the sweep therefore
-// also *starts* one tolerance before b — a key within Eps of b can be
-// stored in the leaf preceding the one that owns b, and a sweep starting at
-// b would never visit it.
-func firstSweep(b float64, up bool, slot int) sweep {
+// Boundary semantics: the filter tolerates tol ≥ geom.Eps around the
+// intercept (matching the Eps-tolerant refinement predicate), and the sweep
+// therefore also *starts* one tolerance before b — a key within tol of b
+// can be stored in the leaf preceding the one that owns b, and a sweep
+// starting at b would never visit it.
+func firstSweep(b, tol float64, up bool, slot int) sweep {
 	if up {
-		return sweep{from: b - geom.Eps, asc: true, lo: b - geom.Eps, hi: math.Inf(1), slot: slot}
+		return sweep{from: b - tol, asc: true, lo: b - tol, hi: math.Inf(1), slot: slot}
 	}
-	return sweep{from: b + geom.Eps, asc: false, lo: math.Inf(-1), hi: b + geom.Eps, slot: slot}
+	return sweep{from: b + tol, asc: false, lo: math.Inf(-1), hi: b + tol, slot: slot}
 }
 
 // secondSweep is T2's: from b against the direction of the first sweep, as
@@ -263,14 +291,15 @@ func secondSweep(b float64, up bool, h float64) sweep {
 	return sweep{from: b, asc: true, lo: math.Nextafter(b+geom.Eps, math.Inf(1)), hi: h + geom.Eps, slot: -1}
 }
 
-// run executes the sweep on tr, appending to cands (which may carry pooled
-// capacity), counting visited leaves in st and charging page reads to rc.
-// It returns the grown candidate slice and the folded handicap.
-func (s sweep) run(tr *btree.Tree, rc *pagestore.ReadCounter, cands []uint32, st *QueryStats) ([]uint32, float64, error) {
+// run executes the sweep on tr, appending to sc.cands and sc.sure, counting
+// visited leaves in st and charging page reads to rc. It returns the number
+// of entries kept and the folded handicap.
+func (s sweep) run(tr *btree.Tree, rc *pagestore.ReadCounter, sc *scratch, st *QueryStats) (int, float64, error) {
 	h := math.Inf(1)
 	if !s.asc {
 		h = math.Inf(-1)
 	}
+	before := len(sc.cands) + len(sc.sure)
 	visit := func(lv btree.LeafView) bool {
 		st.LeavesSwept++
 		if s.slot >= 0 {
@@ -282,8 +311,12 @@ func (s sweep) run(tr *btree.Tree, rc *pagestore.ReadCounter, cands []uint32, st
 		}
 		n := lv.Len()
 		for i := 0; i < n; i++ {
-			if k := lv.Key(i); k >= s.lo && k <= s.hi {
-				cands = append(cands, lv.TID(i))
+			switch k := lv.Key(i); {
+			case !(k >= s.lo && k <= s.hi):
+			case k > s.sureLo && k < s.sureHi:
+				sc.sure = append(sc.sure, lv.TID(i))
+			default:
+				sc.cands = append(sc.cands, lv.TID(i))
 			}
 		}
 		// Keys are sorted within a leaf, so its last (first) key tells
@@ -303,18 +336,31 @@ func (s sweep) run(tr *btree.Tree, rc *pagestore.ReadCounter, cands []uint32, st
 	} else {
 		err = tr.VisitLeavesDescTracked(s.from, rc, visit)
 	}
-	return cands, h, err
+	return len(sc.cands) + len(sc.sure) - before, h, err
 }
 
-// collectRestricted gathers the candidates of a query whose slope is site
-// i itself (Section 3): one search plus a one-directional leaf sweep.
-func (ix *Index) collectRestricted(i int, q constraint.Query, ec *execCtx) ([]uint32, QueryStats, error) {
+// collectRestricted gathers the entries of a query whose slope is site
+// r.site itself (Section 3): one search plus a one-directional leaf sweep.
+// By Theorem 3.1 the keys are the answer: where they were computed at the
+// query slope exactly (r.onSite, not merely within Eps), a finite key farther than
+// δ = geom.EnvelopeSlack from b is decided on the spot; keys within δ of b
+// and non-finite ones go to the exact predicate, and the filter widens by
+// δ so that no tuple it accepts is cut off by its key (DESIGN.md §16).
+func (ix *Index) collectRestricted(r routing, q constraint.Query, ec *execCtx, sc *scratch) (QueryStats, error) {
 	st := QueryStats{Path: "restricted"}
+	b, up := q.Intercept, q.SweepsUp()
+	delta := geom.EnvelopeSlack(q.Slope[0])
+	sw := firstSweep(b, geom.Eps+delta, up, -1)
+	if r.onSite && up {
+		sw.sureLo, sw.sureHi = b+delta, math.Inf(1)
+	} else if r.onSite {
+		sw.sureLo, sw.sureHi = math.Inf(-1), b-delta
+	}
 	sp := ec.span(obs.StageSweep)
-	cands, _, err := firstSweep(q.Intercept, q.SweepsUp(), -1).run(ec.rs.tree(i, q), ec.rc, ec.getBuf(), &st)
-	ec.endSpan(sp, len(cands))
-	st.Candidates = len(cands)
-	return cands, st, err
+	n, _, err := sw.run(ec.rs.tree(r.site, q), ec.rc, sc, &st)
+	ec.endSpan(sp, n)
+	st.Candidates = n
+	return st, err
 }
 
 // PlanT1 rewrites a query with slope a ∉ S into the two app-queries of
@@ -363,54 +409,45 @@ func PlanT1(q constraint.Query, slopes []float64, pivotX float64) ([2]AppQuery, 
 }
 
 // collectT1 executes the two app-queries of technique T1, one restricted
-// sweep each, and returns their deduplicated candidates.
-func (ix *Index) collectT1(q constraint.Query, slopes []float64, path string, ec *execCtx) ([]uint32, QueryStats, error) {
+// sweep each, and leaves their deduplicated candidates in sc.cands, each
+// with its bit set.
+func (ix *Index) collectT1(q constraint.Query, slopes []float64, path string, ec *execCtx, sc *scratch) (QueryStats, error) {
 	sp := ec.span(obs.StageRoute)
 	plan, err := PlanT1(q, slopes, ix.opt.PivotX)
 	ec.endSpan(sp, 0)
 	if err != nil {
-		return nil, QueryStats{}, err
+		return QueryStats{}, err
 	}
 	st := QueryStats{Path: path}
-	var sweeps [2][]uint32
-	for s, aq := range plan {
+	for _, aq := range plan {
 		sw := ec.span(obs.StageSweep)
-		sweeps[s], _, err = firstSweep(aq.Query.Intercept, aq.Query.SweepsUp(), -1).run(
-			ec.rs.tree(aq.SlopeIndex, aq.Query), ec.rc, ec.getBuf(), &st)
-		ec.endSpan(sw, len(sweeps[s]))
+		n, _, err := firstSweep(aq.Query.Intercept, geom.Eps, aq.Query.SweepsUp(), -1).run(
+			ec.rs.tree(aq.SlopeIndex, aq.Query), ec.rc, sc, &st)
+		ec.endSpan(sw, n)
 		if err != nil {
-			return nil, QueryStats{}, err
+			return QueryStats{}, err
 		}
 	}
 	// Deduplicate before refinement; Candidates still counts every
 	// retrieved reference (the paper's T1/T2 comparison is about exactly
-	// this redundancy). Pre-sizing seen to the total reference count
-	// avoids rehashing on the hot path.
+	// this redundancy).
 	dd := ec.span(obs.StageDedup)
-	total := len(sweeps[0]) + len(sweeps[1])
-	st.Candidates = total
-	seen := make(map[uint32]int, total)
-	for _, cands := range sweeps {
-		for _, tid := range cands {
-			seen[tid]++
+	st.Candidates = len(sc.cands)
+	uniq := sc.cands[:0]
+	for _, tid := range sc.cands {
+		// A reference past the relation goes unmarked; refine reports it.
+		if w, m := tid>>6, uint64(1)<<(tid&63); int(w) < len(sc.bits) {
+			if sc.bits[w]&m != 0 {
+				continue
+			}
+			sc.bits[w] |= m
 		}
-	}
-	for _, n := range seen {
-		if n > 1 {
-			st.Duplicates += n - 1
-		}
-	}
-	uniq := ec.getBuf()
-	if uniq == nil {
-		uniq = make([]uint32, 0, len(seen))
-	}
-	for tid := range seen {
 		uniq = append(uniq, tid)
 	}
+	st.Duplicates = len(sc.cands) - len(uniq)
+	sc.cands = uniq
 	ec.endSpan(dd, st.Duplicates)
-	ec.putBuf(sweeps[0])
-	ec.putBuf(sweeps[1])
-	return uniq, st, nil
+	return st, nil
 }
 
 // collectT2 executes the single-tree handicap technique of Sections
@@ -418,56 +455,92 @@ func (ix *Index) collectT1(q constraint.Query, slopes []float64, path string, ec
 // extreme handicap of the visited leaves, then — when some tuple that the
 // first sweep's filter rejected can still match somewhere in the cell — a
 // second sweep the other way, bounded by that handicap.
-func (ix *Index) collectT2(r routing, q constraint.Query, ec *execCtx) ([]uint32, QueryStats, error) {
+func (ix *Index) collectT2(r routing, q constraint.Query, ec *execCtx, sc *scratch) (QueryStats, error) {
 	st := QueryStats{Path: "t2"}
 	tr := ec.rs.tree(r.site, q)
 	b, up := q.Intercept, q.SweepsUp()
 
 	sw := ec.span(obs.StageSweep)
-	cands, h, err := firstSweep(b, up, r.slot).run(tr, ec.rc, ec.getBuf(), &st)
-	ec.endSpan(sw, len(cands))
+	n, h, err := firstSweep(b, geom.Eps, up, r.slot).run(tr, ec.rc, sc, &st)
+	ec.endSpan(sw, n)
 	if err != nil {
-		return nil, st, err
+		return st, err
 	}
 	if (up && h < b-geom.Eps) || (!up && h > b+geom.Eps) {
-		n1 := len(cands)
 		sw2 := ec.span(obs.StageSweepSecond)
-		cands, _, err = secondSweep(b, up, h).run(tr, ec.rc, cands, &st)
-		ec.endSpan(sw2, len(cands)-n1)
+		n, _, err = secondSweep(b, up, h).run(tr, ec.rc, sc, &st)
+		ec.endSpan(sw2, n)
 	}
-	st.Candidates = len(cands)
-	return cands, st, err
+	st.Candidates = len(sc.cands)
+	return st, err
 }
 
-// refine is the engine's one refinement loop: it filters candidates
-// through the exact predicate — Proposition 2.2's Query.Matches, or the
-// vertical test — against this version's frozen tuples and returns the
-// sorted answer. st.Candidates is the caller's (T1 counts duplicated
+// refine is the engine's one refinement loop: it filters sc.cands through
+// the exact predicate — Proposition 2.2's Query.Matches, or the vertical
+// test — against this version's frozen tuples, adds the references in
+// sc.sure unevaluated, recycles sc and returns the answer in id order.
+// Matches are bits in sc.bits, so the order costs one walk over the touched
+// words, not a sort. st.Candidates is the caller's (T1 counts duplicated
 // references before deduplication).
-func (ec *execCtx) refine(match func(*constraint.Tuple) (bool, error), cands []uint32, st QueryStats) (Result, error) {
+func (ec *execCtx) refine(match func(*constraint.Tuple) (bool, error), sc *scratch, st QueryStats) (Result, error) {
 	sp := ec.span(obs.StageRefine)
-	ids := make([]constraint.TupleID, 0, len(cands))
-	var err error
-	for _, tid := range cands {
-		var t *constraint.Tuple
-		if t, err = ec.rs.relGet(constraint.TupleID(tid)); err != nil {
-			err = fmt.Errorf("core: candidate %d not in relation: %w", tid, err)
-			break
-		}
-		var ok bool
-		if ok, err = match(t); err != nil {
-			break
-		}
-		if ok {
-			ids = append(ids, constraint.TupleID(tid))
-		}
-	}
-	ec.endSpan(sp, len(cands))
+	lo, hi, hits, err := ec.mark(match, sc)
+	ec.endSpan(sp, len(sc.cands))
 	if err != nil {
 		return Result{}, err
 	}
-	slices.Sort(ids)
-	st.FalseHits = len(cands) - len(ids)
+	ids := make([]constraint.TupleID, 0, hits)
+	for w := int(lo >> 6); w <= int(hi>>6); w++ {
+		for word := sc.bits[w]; word != 0; word &= word - 1 {
+			ids = append(ids, constraint.TupleID(w<<6+bits.TrailingZeros64(word)))
+		}
+		sc.bits[w] = 0
+	}
 	st.Results = len(ids)
+	st.FalseHits = len(sc.cands) + len(sc.sure) - len(ids)
+	st.PagesRead = ec.rc.Physical.Load()
+	putScratch(sc)
 	return Result{IDs: ids, Stats: st}, nil
+}
+
+// mark leaves exactly the answer's bits set in sc.bits and returns their
+// count and the smallest and largest id among them (lo > hi: none).
+func (ec *execCtx) mark(match func(*constraint.Tuple) (bool, error), sc *scratch) (lo, hi uint32, hits int, err error) {
+	lo, hits = math.MaxUint32, len(sc.sure)
+	for _, tid := range sc.sure {
+		// Not evaluated, but still resolved: a reference to a tuple this
+		// version does not hold is a corrupt tree, not an answer.
+		if _, err := ec.rs.candidate(tid); err != nil {
+			return 0, 0, 0, err
+		}
+		sc.bits[tid>>6] |= 1 << (tid & 63)
+		lo, hi = min(lo, tid), max(hi, tid)
+	}
+	for _, tid := range sc.cands {
+		t, err := ec.rs.candidate(tid)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		ok, err := match(t)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		if ok {
+			sc.bits[tid>>6] |= 1 << (tid & 63)
+			lo, hi = min(lo, tid), max(hi, tid)
+			hits++
+		} else {
+			sc.bits[tid>>6] &^= 1 << (tid & 63) // T1's first-sight mark
+		}
+	}
+	return lo, hi, hits, nil
+}
+
+// candidate resolves a tuple reference retrieved from a tree.
+func (rs *rootSet) candidate(tid uint32) (*constraint.Tuple, error) {
+	t, err := rs.relGet(constraint.TupleID(tid))
+	if err != nil {
+		return nil, fmt.Errorf("core: candidate %d not in relation: %w", tid, err)
+	}
+	return t, nil
 }

@@ -279,3 +279,44 @@ func TestEmptyIndexQueries(t *testing.T) {
 		}
 	}
 }
+
+// TestQueryAllocsIndependentOfCandidates: a warm Index.Query allocates the
+// same small number of objects — its execution context and the result
+// slice — whether it refines a few hundred candidates or several thousand,
+// on the T2, the T1-fallback and the restricted path: candidates, dedup
+// state and the ordered answer all live in pooled scratch.
+func TestQueryAllocsIndependentOfCandidates(t *testing.T) {
+	slopes := EquiangularSlopes(3)
+	queries := []struct {
+		path string
+		q    constraint.Query
+	}{
+		{"t2", constraint.Query2(constraint.EXIST, slopes[1]+0.05, 0, geom.GE)},
+		{"t1(fallback)", constraint.Query2(constraint.EXIST, 500, 0, geom.GE)},
+		{"restricted", constraint.Query2(constraint.ALL, slopes[1], 0, geom.LE)},
+	}
+	var allocs [2][3]float64
+	for i, n := range []int{500, 5000} {
+		_, ix := buildRandomIndex(t, rand.New(rand.NewSource(5)), n, Options{Slopes: slopes, Technique: T2, PoolPages: 1 << 14}, true)
+		for j, c := range queries {
+			res, err := ix.Query(c.q) // warms the pool, the extensions and the scratch
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.Path != c.path || res.Stats.Candidates < n/10 {
+				t.Fatalf("N=%d %v: path %q with %d candidates; want %q and at least %d", n, c.q, res.Stats.Path, res.Stats.Candidates, c.path, n/10)
+			}
+			allocs[i][j] = steadyAllocs(func() {
+				if _, err := ix.Query(c.q); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+	t.Logf("allocs/query at N=500: %v, at N=5000: %v", allocs[0], allocs[1])
+	for j, c := range queries {
+		if allocs[0][j] != allocs[1][j] || allocs[1][j] > 6 {
+			t.Errorf("%s: %v allocs/query at N=500, %v at N=5000; want the same small constant", c.path, allocs[0][j], allocs[1][j])
+		}
+	}
+}

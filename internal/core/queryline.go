@@ -46,17 +46,7 @@ func (ix *Index) queryLine(a, b float64, ec *execCtx) (Result, error) {
 			return Result{}, err
 		}
 		dd := ec.span(obs.StageDedup)
-		inUpper := make(map[constraint.TupleID]bool, len(upper.IDs))
-		for _, id := range upper.IDs {
-			inUpper[id] = true
-		}
-		var ids []constraint.TupleID
-		for _, id := range lower.IDs {
-			if inUpper[id] {
-				ids = append(ids, id)
-			}
-		}
-		slices.Sort(ids)
+		ids := intersect(ec.rs, upper.IDs, lower.IDs) // ascending, as lower.IDs is
 		ec.endSpan(dd, len(ids))
 		st := QueryStats{
 			Path:        fmt.Sprintf("line(%s∩%s)", upper.Stats.Path, lower.Stats.Path),
@@ -79,17 +69,15 @@ func (ix *Index) queryLine(a, b float64, ec *execCtx) (Result, error) {
 func EvalLine(a, b float64, rel *constraint.Relation) ([]constraint.TupleID, error) {
 	var out []constraint.TupleID
 	var scanErr error
+	slope := []float64{a}
 	rel.Scan(func(t *constraint.Tuple) bool {
-		ext, err := t.Extension()
+		// An empty extension has BOT = +Inf and TOP = −Inf: no line stabs it.
+		bot, err := t.Bot(slope)
 		if err != nil {
 			scanErr = err
 			return false
 		}
-		if ext.IsEmpty() {
-			return true
-		}
-		slope := []float64{a}
-		if ext.Bot(slope) <= b+geom.Eps && b <= ext.Top(slope)+geom.Eps {
+		if top, _ := t.Top(slope); bot <= b+geom.Eps && b <= top+geom.Eps {
 			out = append(out, t.ID())
 		}
 		return true

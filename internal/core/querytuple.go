@@ -117,13 +117,14 @@ func (ix *Index) queryTuple(kind constraint.QueryKind, qt *constraint.Tuple, ec 
 		}
 		st.ConstraintsIndexed = len(selections)
 
-		var candidate map[constraint.TupleID]bool
+		// candidate stays in ascending id order throughout: a scan yields
+		// it, every selection's answer has it and intersect keeps it.
+		var candidate []constraint.TupleID
 		if len(selections) == 0 {
 			// Nothing usable on the index: scan.
 			st.Path = "tuple-scan"
-			candidate = make(map[constraint.TupleID]bool)
 			ec.rs.relScan(func(t *constraint.Tuple) bool {
-				candidate[t.ID()] = true
+				candidate = append(candidate, t.ID())
 				return true
 			})
 		} else {
@@ -137,19 +138,10 @@ func (ix *Index) queryTuple(kind constraint.QueryKind, qt *constraint.Tuple, ec 
 				st.LeavesSwept += res.Stats.LeavesSwept
 				st.Candidates += res.Stats.Candidates
 				if i == 0 {
-					candidate = make(map[constraint.TupleID]bool, len(res.IDs))
-					for _, id := range res.IDs {
-						candidate[id] = true
-					}
-					continue
+					candidate = res.IDs
+				} else {
+					candidate = intersect(ec.rs, res.IDs, candidate)
 				}
-				next := make(map[constraint.TupleID]bool, len(res.IDs))
-				for _, id := range res.IDs {
-					if candidate[id] {
-						next[id] = true
-					}
-				}
-				candidate = next
 				if len(candidate) == 0 {
 					break
 				}
@@ -161,8 +153,8 @@ func (ix *Index) queryTuple(kind constraint.QueryKind, qt *constraint.Tuple, ec 
 		// test the exact polyhedral predicate.
 		needRefine := kind == constraint.EXIST || st.ConstraintsSkipped > 0 || len(selections) == 0
 		rf := ec.span(obs.StageRefine)
-		ids := make([]constraint.TupleID, 0, len(candidate))
-		for id := range candidate {
+		ids := candidate[:0]
+		for _, id := range candidate {
 			if needRefine {
 				t, err := ec.rs.relGet(id)
 				if err != nil {
@@ -186,7 +178,6 @@ func (ix *Index) queryTuple(kind constraint.QueryKind, qt *constraint.Tuple, ec 
 			}
 			ids = append(ids, id)
 		}
-		slices.Sort(ids)
 		ec.endSpan(rf, len(candidate))
 		st.Results = len(ids)
 		st.PagesRead = ec.rc.Physical.Load()

@@ -34,10 +34,13 @@ func (ix *Index) vertical(trees []*btree.Tree) []*btree.Tree {
 	return trees[2*ix.geo.sites():]
 }
 
-// supX and infX are the tuple's horizontal support values (±Inf for
-// horizontally unbounded extensions).
-func supX(ext geom.Polyhedron) float64 { return ext.Support(geom.Point{1, 0}) }
-func infX(ext geom.Polyhedron) float64 { return -ext.Support(geom.Point{-1, 0}) }
+// xSupport returns the tuple's horizontal support values supX and infX
+// (±Inf for horizontally unbounded extensions).
+func xSupport(t *constraint.Tuple) (sup, inf float64, err error) {
+	sup, err = t.Support([]float64{1, 0})
+	inf, _ = t.Support([]float64{-1, 0}) // fails only where the first does
+	return sup, -inf, err
+}
 
 // QueryVertical executes the selection Kind(x op c) against the current
 // version. With IndexVertical it runs one exact tree sweep; otherwise it
@@ -70,9 +73,9 @@ func (ix *Index) queryVertical(kind constraint.QueryKind, op geom.Op, c float64,
 			return Result{}, fmt.Errorf("core: invalid vertical intercept %v", c)
 		}
 		st := QueryStats{Path: "scan"}
-		var cands []uint32
+		sc := getScratch(ec.rs)
 		if v := ix.vertical(ec.rs.trees); len(v) == 0 {
-			cands = ec.rs.allIDs(nil)
+			sc.cands = ec.rs.allIDs(sc.cands)
 		} else {
 			st.Path = "restricted-vertical"
 			// Route: EXIST(≥)/ALL(≤) read V^up; ALL(≥)/EXIST(≤) read V^down.
@@ -81,44 +84,34 @@ func (ix *Index) queryVertical(kind constraint.QueryKind, op geom.Op, c float64,
 				tr = v[0]
 			}
 			sw := ec.span(obs.StageSweep)
-			var err error
-			cands, _, err = firstSweep(c, op == geom.GE, -1).run(tr, ec.rc, nil, &st)
-			ec.endSpan(sw, len(cands))
+			n, _, err := firstSweep(c, geom.Eps, op == geom.GE, -1).run(tr, ec.rc, sc, &st)
+			ec.endSpan(sw, n)
 			if err != nil {
 				return Result{}, err
 			}
 		}
-		st.Candidates = len(cands)
-		res, err := ec.refine(func(t *constraint.Tuple) (bool, error) {
+		st.Candidates = len(sc.cands)
+		return ec.refine(func(t *constraint.Tuple) (bool, error) {
 			return matchesVertical(kind, op, c, t)
-		}, cands, st)
-		if err != nil {
-			return Result{}, err
-		}
-		res.Stats.PagesRead = ec.rc.Physical.Load()
-		return res, nil
+		}, sc, st)
 	})
 }
 
-// matchesVertical is the exact predicate for Kind(x op c).
+// matchesVertical is the exact predicate for Kind(x op c): EXIST(≥) and
+// ALL(≤) compare supX, ALL(≥) and EXIST(≤) infX = −sup(−x).
 func matchesVertical(kind constraint.QueryKind, op geom.Op, c float64, t *constraint.Tuple) (bool, error) {
-	ext, err := t.Extension()
-	if err != nil {
+	sign := 1.0
+	if (kind == constraint.EXIST) != (op == geom.GE) {
+		sign = -1
+	}
+	x, err := t.Support([]float64{sign, 0})
+	if err != nil || !t.IsSatisfiable() {
 		return false, err
 	}
-	if ext.IsEmpty() {
-		return false, nil
+	if x *= sign; op == geom.GE {
+		return x >= c-geom.Eps, nil
 	}
-	switch {
-	case kind == constraint.EXIST && op == geom.GE:
-		return supX(ext) >= c-geom.Eps, nil
-	case kind == constraint.EXIST && op == geom.LE:
-		return infX(ext) <= c+geom.Eps, nil
-	case kind == constraint.ALL && op == geom.GE:
-		return infX(ext) >= c-geom.Eps, nil
-	default: // ALL, LE
-		return supX(ext) <= c+geom.Eps, nil
-	}
+	return x <= c+geom.Eps, nil
 }
 
 // EvalVertical is the exhaustive ground truth for vertical selections.

@@ -226,3 +226,9 @@ func (e Envelope) MinOn(lo, hi float64) float64 {
 	}
 	return best
 }
+
+// EnvelopeSlack is δ(a): a bound on |Envelope.Eval(a) − Polyhedron.Top/Bot
+// at a| wherever Eval is finite (the support value then is too), for
+// generators with |coordinate| ≤ 1e6: the lines upperHullLines merged cost
+// ≤ n·Eps·|a|, rounding at breakpoints < 2·Eps·(1+|a|) (DESIGN.md §16).
+func EnvelopeSlack(a float64) float64 { return 32 * Eps * (1 + math.Abs(a)) }

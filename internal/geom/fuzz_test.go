@@ -56,5 +56,21 @@ func FuzzTOPBOTEnvelope(f *testing.F) {
 		if math.IsInf(gb, -1) && !(rayMin < Eps) {
 			t.Fatalf("BOT(%v)=−Inf but no recession ray demands it (min ray objective %v)", a, rayMin)
 		}
+		// The refinement kernel is the support scan, bit for bit.
+		slope := []float64{a}
+		st, sb := p.Top(slope), p.Bot(slope)
+		packed := p
+		g := packed.Pack()
+		if kt, kb := g.Top(slope), g.Bot(slope); math.Float64bits(kt) != math.Float64bits(st) || math.Float64bits(kb) != math.Float64bits(sb) {
+			t.Fatalf("kernel TOP/BOT(%v) = %v/%v, support scan %v/%v", a, kt, kb, st, sb)
+		}
+		// What the restricted path's decided-by-key rule rests on: a finite
+		// envelope value (the tree key) is within δ(a) of the support scan
+		// (the predicate).
+		if d := EnvelopeSlack(a); !math.IsInf(gt, 0) && !(math.Abs(gt-st) <= d) {
+			t.Fatalf("TOP(%v): envelope %v, support scan %v, apart by more than δ = %v", a, gt, st, d)
+		} else if !math.IsInf(gb, 0) && !(math.Abs(gb-sb) <= d) {
+			t.Fatalf("BOT(%v): envelope %v, support scan %v, apart by more than δ = %v", a, gb, sb, d)
+		}
 	})
 }
