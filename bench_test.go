@@ -232,7 +232,7 @@ func BenchmarkBuildParallel(b *testing.B) {
 }
 
 // BenchmarkTable1PlanT1 measures the Table 1 app-query planner (the
-// rewrite every out-of-set T1/fallback query pays).
+// rewrite every out-of-set T1 query pays).
 func BenchmarkTable1PlanT1(b *testing.B) {
 	slopes := dualcdb.EquiangularSlopes(5)
 	rng := rand.New(rand.NewSource(3))

@@ -271,8 +271,12 @@ func (c *Commit) Commit() error {
 		tuples[t.ID()-1] = nil
 	}
 	live := c.base.live + len(c.inserted) - len(c.removed)
+	xext := c.base.xext
+	if xext != nil {
+		xext = extendExtents(xext, len(tuples), c.inserted)
+	}
 
-	rs := ix.publishLocked(c.base.version+1, c.indexed, c.deletes, tuples, live)
+	rs := ix.publishLocked(c.base.version+1, c.indexed, c.deletes, tuples, live, xext)
 	c.endSpan(publishSpan, live)
 
 	reclaimSpan := c.beginSpan(obs.CommitStageReclaim)

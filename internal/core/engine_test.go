@@ -185,7 +185,7 @@ func TestEngineMatchesScanAcrossGeometries(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("paths exercised: %v", paths)
-	for _, p := range []string{"restricted", "t2", "t1", "t1(fallback)", "scan"} {
+	for _, p := range []string{"restricted", "t2", "t2(outside)", "t1", "scan"} {
 		if paths[p] == 0 {
 			t.Errorf("path %q never exercised (saw %v)", p, paths)
 		}
@@ -196,7 +196,7 @@ func TestEngineMatchesScanAcrossGeometries(t *testing.T) {
 // At slope 999.9999995 the steep ray gains 5e-10 per unit — under the
 // support scan's Eps, so TOP^P is the apex's 0 — while the envelope's
 // domain already ended Eps before the critical slope 1000: key +Inf.
-func steepCone(t *testing.T) *constraint.Tuple {
+func steepCone(t testing.TB) *constraint.Tuple {
 	t.Helper()
 	tp, err := constraint.NewTuple(2, []geom.HalfSpace{
 		{A: []float64{0, -1}, C: 0, Op: geom.LE},
@@ -212,7 +212,7 @@ func steepCone(t *testing.T) *constraint.Tuple {
 // most Eps: upperHullLines merges their dual lines into the one with the
 // largest intercept, so at negative slopes the envelope (the tree key) reads
 // up to 2·Eps·|a| below the support scan (the predicate).
-func alignedVertices(t *testing.T) *constraint.Tuple {
+func alignedVertices(t testing.TB) *constraint.Tuple {
 	t.Helper()
 	p, err := geom.FromVertices(
 		[]geom.Point{{0, 10}, {5e-10, 10 - 1e-10}, {1e-9, 10 - 2e-10}, {-3, 2}},

@@ -44,8 +44,11 @@ type routing struct {
 	site   int
 	exact  bool // the slope is the site itself: Section 3's restricted path
 	onSite bool // … exactly, not within Eps: the site's keys were computed at this very slope
-	inCell bool // the slope lies in the site's cell: T2 applies
+	inCell bool // the slope lies in the site's cell: handicaps bound T2's second sweep
 	slot   int  // handicap slot bounding T2's second sweep
+	// shift is the query slope minus the site's, in E² — what keyRule
+	// brackets the surface value at the query slope by; unset for d > 2.
+	shift float64
 }
 
 // Handicap slots of the slope geometry (Section 4.3: "each leaf node in
@@ -155,7 +158,7 @@ func (g *slopeSet) route(slope []float64, sweepsUp bool) (routing, error) {
 	i, exact := g.nearest(a)
 	leftLo, rightHi := g.stripBounds(i)
 	onSite := a == g.s[i] //dualvet:allow floatcmp — exact on purpose: only then were the site's keys computed at this slope
-	r := routing{site: i, exact: exact, onSite: onSite, inCell: a >= leftLo && a <= rightHi, slot: slotHighPrev}
+	r := routing{site: i, exact: exact, onSite: onSite, inCell: a >= leftLo && a <= rightHi, slot: slotHighPrev, shift: a - g.s[i]}
 	if sweepsUp {
 		r.slot = slotLowPrev
 	}
@@ -213,6 +216,9 @@ func (g *siteSet) route(slope []float64, sweepsUp bool) (routing, error) {
 	r := routing{site: best, exact: bestDist <= geom.Eps, onSite: bestDist == 0, slot: slotCellHigh}
 	if sweepsUp {
 		r.slot = slotCellLow
+	}
+	if len(slope) == 1 {
+		r.shift = slope[0] - g.s[best][0]
 	}
 	var err error
 	if !r.exact {

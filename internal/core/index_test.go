@@ -155,13 +155,15 @@ func TestT2NeverDuplicates(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	opt := Options{Slopes: EquiangularSlopes(3), Technique: T2}
 	_, ix := buildRandomIndex(t, rng, 300, opt, true)
+	paths := map[string]int{}
 	for qi := 0; qi < 100; qi++ {
 		q := randQuery(rng)
 		got, err := ix.Query(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Stats.Path == "t2" || got.Stats.Path == "restricted" {
+		paths[got.Stats.Path]++
+		if got.Stats.Path == "t2" || got.Stats.Path == "t2(outside)" || got.Stats.Path == "restricted" {
 			if got.Stats.Duplicates != 0 {
 				t.Fatalf("%v [%s]: produced %d duplicates", q, got.Stats.Path, got.Stats.Duplicates)
 			}
@@ -171,6 +173,13 @@ func TestT2NeverDuplicates(t *testing.T) {
 				t.Fatalf("%v: candidate accounting broken: %+v", q, got.Stats)
 			}
 		}
+		// One tree swept whole retrieves every indexed tuple exactly once.
+		if got.Stats.Path == "t2(outside)" && got.Stats.Candidates != ix.Len() {
+			t.Fatalf("%v: %d candidates from a whole tree of %d", q, got.Stats.Candidates, ix.Len())
+		}
+	}
+	if paths["t2"] == 0 || paths["t2(outside)"] == 0 || paths["t1"] != 0 {
+		t.Fatalf("paths taken: %v; want t2 and t2(outside), never T1", paths)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -55,6 +56,58 @@ type rootSet struct {
 	// Tuples are immutable once inserted, so versions share the pointers.
 	tuples []*constraint.Tuple
 	live   int
+
+	// xext[id−1] is the x-extent {infX, supX} of the tuple with that id (nil
+	// on an index of dimension > 2) — what keyRule turns a site key into a
+	// bracket at another slope with. Ids are never reused and a tuple never
+	// changes, so an entry is written once and the table is append-only: all
+	// versions hold slice headers over one backing array, a commit appends
+	// its inserts past every published length (extendExtents) and a deleted
+	// tuple's entry simply stays — no tree of a version without the tuple
+	// refers to it, and older versions still read it.
+	xext [][2]float64
+}
+
+// noExtent is the table entry of an id that is unassigned or whose tuple is
+// unsatisfiable: no key of such an id is ever decided.
+var noExtent = [2]float64{math.Inf(-1), math.Inf(1)}
+
+// xExtent returns the 2-D tuple's {infX, supX} over its vertices, infinite
+// on the side any ray leans to — strictly, where xSupport tolerates Eps:
+// with no ray leaving the vertical, rays fire at every slope or at none, and
+// only then do the vertices alone carry the surface from slope to slope.
+func xExtent(t *constraint.Tuple) [2]float64 {
+	ext, err := t.Extension()
+	if err != nil || ext.IsEmpty() {
+		return noExtent
+	}
+	x := [2]float64{math.Inf(1), math.Inf(-1)}
+	for _, v := range ext.Verts {
+		x[0], x[1] = min(x[0], v[0]), max(x[1], v[0])
+	}
+	for _, r := range ext.Rays {
+		if r[0] < 0 {
+			x[0] = math.Inf(-1)
+		} else if r[0] > 0 {
+			x[1] = math.Inf(1)
+		}
+	}
+	return x
+}
+
+// extendExtents grows a 2-D version's table to n ids — gaps (ids an aborted
+// batch burned) get noExtent — and enters the given tuples, all of whose ids
+// lie past len(xext): it writes nothing a published version can read.
+func extendExtents(xext [][2]float64, n int, ts []*constraint.Tuple) [][2]float64 {
+	for len(xext) < n {
+		xext = append(xext, noExtent)
+	}
+	for _, t := range ts {
+		if t != nil {
+			xext[t.ID()-1] = xExtent(t)
+		}
+	}
+	return xext
 }
 
 // tree returns the B⁺-tree serving queries of q's shape at site i:
@@ -130,7 +183,7 @@ func relSnapshot(rel *constraint.Relation) ([]*constraint.Tuple, int) {
 // publishLocked freezes the live trees and the given relation view into a
 // new rootSet and publishes it. Requires writeMu (or a not-yet-shared
 // index during construction).
-func (ix *Index) publishLocked(version uint64, indexed, deletes int, tuples []*constraint.Tuple, live int) *rootSet {
+func (ix *Index) publishLocked(version uint64, indexed, deletes int, tuples []*constraint.Tuple, live int, xext [][2]float64) *rootSet {
 	rs := &rootSet{
 		version:             version,
 		trees:               make([]*btree.Tree, len(ix.trees)),
@@ -138,6 +191,7 @@ func (ix *Index) publishLocked(version uint64, indexed, deletes int, tuples []*c
 		deletesSinceRebuild: deletes,
 		tuples:              tuples,
 		live:                live,
+		xext:                xext,
 	}
 	for i, t := range ix.trees {
 		rs.trees[i] = handleOf(t)
@@ -151,7 +205,11 @@ func (ix *Index) publishLocked(version uint64, indexed, deletes int, tuples []*c
 // after bulk operations that mutate trees in place (Build, Open).
 func (ix *Index) republishLocked(version uint64, indexed, deletes int) *rootSet {
 	tuples, live := relSnapshot(ix.rel)
-	return ix.publishLocked(version, indexed, deletes, tuples, live)
+	var xext [][2]float64
+	if ix.dim == 2 {
+		xext = extendExtents(make([][2]float64, 0, len(tuples)), len(tuples), tuples)
+	}
+	return ix.publishLocked(version, indexed, deletes, tuples, live, xext)
 }
 
 // errSnapshotReleased is returned by every query method of a Snapshot

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"dualcdb/internal/constraint"
@@ -395,4 +396,239 @@ func TestCommitGarbageIsOnePointerPerTuple(t *testing.T) {
 	if limit := 1.25 * 8 * 14000; large-small > limit {
 		t.Errorf("a commit at N = 16 000 allocates %.0f B more than at N = 2 000, want ≤ %.0f (one pointer per tuple)", large-small, limit)
 	}
+}
+
+// TestExtentTableAcrossVersions drives the shared, append-only x-extent
+// table through everything that can move it — a commit growing it past its
+// capacity, an aborted batch burning ids, an insert and delete of one tuple
+// in one batch, an unsatisfiable insert, RebuildHandicaps, readers beside a
+// writer (run it under -race), Save → Open — and requires every snapshot
+// pinned along the way, re-queried after all later commits on the paths
+// that decide entries from the table, to answer as the scan of its own
+// version does.
+func TestExtentTableAcrossVersions(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	store := pagestore.NewMemStore(1024)
+	rel := constraint.NewRelation(2)
+	for i := 0; i < 64; i++ {
+		if _, err := rel.Insert(randTuple(rng, true)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slopes := EquiangularSlopes(3)
+	ix, err := Build(rel, Options{Slopes: slopes, Technique: T2, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var qs []constraint.Query
+	for _, a := range []float64{slopes[0] - 0.05, slopes[1] + 0.07, slopes[2] + 0.2, 25, -25} {
+		for _, kind := range []constraint.QueryKind{constraint.ALL, constraint.EXIST} {
+			for _, op := range []geom.Op{geom.GE, geom.LE} {
+				for _, b := range []float64{-30, -5, 10, 40} {
+					qs = append(qs, constraint.Query2(kind, a, b, op))
+				}
+			}
+		}
+	}
+
+	// A pin is a snapshot with the tuples of its version, its own oracle.
+	type pin struct {
+		what string
+		snap *Snapshot
+		ts   []*constraint.Tuple
+	}
+	var pins []pin
+	pinNow := func(what string) {
+		p := pin{what: what, snap: ix.Snapshot()}
+		rel.Scan(func(tp *constraint.Tuple) bool {
+			p.ts = append(p.ts, tp)
+			return true
+		})
+		pins = append(pins, p)
+	}
+	// verify reports through t.Errorf only: readers call it off the test's
+	// goroutine.
+	verify := func(p pin) (decided int) {
+		for _, q := range qs {
+			res, err := p.snap.Query(q)
+			if err != nil {
+				t.Errorf("%s %v: %v", p.what, q, err)
+				return
+			}
+			var want []constraint.TupleID
+			for _, tp := range p.ts {
+				if ok, _ := q.Matches(tp); ok {
+					want = append(want, tp.ID())
+				}
+			}
+			if !sameIDs(res.IDs, want) {
+				t.Errorf("snapshot %q (version %d) %v [%s]: got %v, want %v", p.what, p.snap.Version(), q, res.Stats.Path, res.IDs, want)
+				return
+			}
+			decided += res.Stats.Decided
+		}
+		return decided
+	}
+	verifyAll := func() {
+		t.Helper()
+		for _, p := range pins {
+			if verify(p) == 0 {
+				t.Errorf("snapshot %q: no entry decided from the table", p.what)
+			}
+		}
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
+	insert := func(tp *constraint.Tuple) constraint.TupleID {
+		t.Helper()
+		id, err := ix.Insert(tp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	entry := func(id constraint.TupleID) [2]float64 { return ix.roots.Load().xext[id-1] }
+
+	// A commit that grows the table past its capacity: Build sized it exactly.
+	built := ix.roots.Load().xext
+	if len(built) != 64 || cap(built) != 64 {
+		t.Fatalf("built table: len %d cap %d, want 64/64", len(built), cap(built))
+	}
+	pinNow("built")
+	insert(randTuple(rng, false))
+	if grown := ix.roots.Load().xext; len(grown) != 65 || &grown[0] == &built[0] {
+		t.Fatalf("table after one insert: len %d, moved %v; want 65 on a new array", len(grown), &grown[0] != &built[0])
+	}
+	pinNow("grown")
+	verifyAll()
+
+	// An aborted batch burns ids: their entries must decide nothing.
+	b := ix.Begin()
+	var burned []constraint.TupleID
+	for i := 0; i < 3; i++ {
+		id, err := b.Insert(randTuple(rng, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		burned = append(burned, id)
+	}
+	if err := b.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	kept := randTuple(rng, false)
+	if id := insert(kept); id != burned[2]+1 {
+		t.Fatalf("id after the aborted batch: %d, want %d", id, burned[2]+1)
+	} else if entry(id) != xExtent(kept) {
+		t.Fatalf("entry of %d: %v, want %v", id, entry(id), xExtent(kept))
+	}
+	for _, id := range burned {
+		if entry(id) != noExtent {
+			t.Fatalf("burned id %d: entry %v, want %v", id, entry(id), noExtent)
+		}
+	}
+	pinNow("after abort")
+
+	// One batch: a tuple inserted and deleted again, an unsatisfiable one,
+	// a plain insert and the delete of an old tuple.
+	b = ix.Begin()
+	gone, err := b.Insert(randTuple(rng, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Delete(gone); err != nil {
+		t.Fatal(err)
+	}
+	empty, err := constraint.ParseTuple("x >= 1 && x <= 0", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unsat, err := b.Insert(empty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Insert(randTuple(rng, true)); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Delete(7); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if entry(unsat) != noExtent {
+		t.Fatalf("unsatisfiable id %d: entry %v, want %v", unsat, entry(unsat), noExtent)
+	}
+	pinNow("same-batch")
+	if err := ix.RebuildHandicaps(); err != nil {
+		t.Fatal(err)
+	}
+	pinNow("rebuilt")
+	verifyAll()
+
+	// Readers re-query the pinned snapshots while a writer grows the table
+	// through several more capacities.
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := r; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+					verify(pins[i%len(pins)])
+				}
+			}
+		}()
+	}
+	live := rel.IDs()
+	for i := 0; i < 300; i++ {
+		live = append(live, insert(randTuple(rng, i%7 == 0)))
+		if i%3 == 0 {
+			j := rng.Intn(len(live))
+			if err := ix.Delete(live[j]); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live[:j], live[j+1:]...)
+		}
+	}
+	close(done)
+	wg.Wait()
+	pinNow("churned")
+	verifyAll()
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Save → Open rebuilds the table from the relation: nothing persisted.
+	for _, p := range pins {
+		p.snap.Release()
+	}
+	if err := ix.Save(); err != nil {
+		t.Fatal(err)
+	}
+	rel2, ix2, err := Open(pagestore.NewPool(store, 512))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopened := ix2.roots.Load().xext
+	if len(reopened) != len(ix.roots.Load().xext) {
+		t.Fatalf("reopened table holds %d ids, live one %d", len(reopened), len(ix.roots.Load().xext))
+	}
+	for i, x := range reopened {
+		want := noExtent
+		if tp, err := rel2.Get(constraint.TupleID(i + 1)); err == nil {
+			want = xExtent(tp)
+		}
+		if x != want {
+			t.Fatalf("reopened entry of id %d: %v, want %v", i+1, x, want)
+		}
+	}
+	rel, ix, pins = rel2, ix2, nil
+	pinNow("reopened")
+	defer pins[0].snap.Release()
+	verifyAll()
 }

@@ -59,12 +59,13 @@ func TestObservedBatchReconciles(t *testing.T) {
 	}
 	poolDelta := ix.Pool().Stats().PhysicalReads - poolBefore
 
-	var wantPages, gotCand, gotRes, gotFalse, gotDup, gotLeaves uint64
+	var wantPages, gotCand, gotRes, gotFalse, gotDecided, gotDup, gotLeaves uint64
 	for _, r := range results {
 		wantPages += r.Stats.PagesRead
 		gotCand += uint64(r.Stats.Candidates)
 		gotRes += uint64(r.Stats.Results)
 		gotFalse += uint64(r.Stats.FalseHits)
+		gotDecided += uint64(r.Stats.Decided)
 		gotDup += uint64(r.Stats.Duplicates)
 		gotLeaves += uint64(r.Stats.LeavesSwept)
 	}
@@ -91,10 +92,13 @@ func TestObservedBatchReconciles(t *testing.T) {
 		t.Errorf("observer pages %d != sum of per-query PagesRead %d", s.Totals.Pages, wantPages)
 	}
 	if s.Totals.Candidates != gotCand || s.Totals.Results != gotRes ||
-		s.Totals.FalseHits != gotFalse || s.Totals.Duplicates != gotDup ||
+		s.Totals.FalseHits != gotFalse || s.Totals.Decided != gotDecided || s.Totals.Duplicates != gotDup ||
 		s.Totals.LeavesSwept != gotLeaves {
-		t.Errorf("observer totals %+v disagree with result sums (cand %d res %d false %d dup %d leaves %d)",
-			s.Totals, gotCand, gotRes, gotFalse, gotDup, gotLeaves)
+		t.Errorf("observer totals %+v disagree with result sums (cand %d res %d false %d decided %d dup %d leaves %d)",
+			s.Totals, gotCand, gotRes, gotFalse, gotDecided, gotDup, gotLeaves)
+	}
+	if gotDecided == 0 {
+		t.Error("no entry of the batch was decided on its key; the Decided reconciliation is vacuous")
 	}
 	// Histogram counts must agree with the counters they accompany.
 	var histCount uint64

@@ -91,7 +91,8 @@ type Options struct {
 	// the data window is a good default).
 	PivotX float64
 	// OuterHalfWidth is the half-width of the two outer handicap strips
-	// beyond min(S) and max(S). Query slopes farther out fall back to T1.
+	// beyond min(S) and max(S). T2 query slopes farther out have no
+	// handicap to stop at and sweep the nearest slope's whole tree.
 	// Default: half the largest gap between consecutive slopes (or 1.0
 	// when S has a single element).
 	OuterHalfWidth float64

@@ -17,7 +17,7 @@ import (
 // QueryStats describes how one selection was executed.
 type QueryStats struct {
 	// Path is the execution route: "restricted", "t1", "t2", and for a T2
-	// query slope outside every cell "t1(fallback)" on a slope-set index or
+	// query slope outside every cell "t2(outside)" on a slope-set index or
 	// "scan" on a site-set one.
 	Path string
 	// Candidates is the number of tuple references retrieved from the
@@ -25,8 +25,13 @@ type QueryStats struct {
 	Candidates int
 	// Results is the number of tuples in the final answer.
 	Results int
-	// FalseHits is the number of candidates discarded by refinement.
+	// FalseHits is the number of distinct candidates not in the answer:
+	// Candidates − Duplicates − Results.
 	FalseHits int
+	// Decided is the number of candidates a sweep settled on their key —
+	// into the answer or out of it — without evaluating the predicate; the
+	// other Candidates − Duplicates − Decided were evaluated.
+	Decided int
 	// Duplicates is the number of tuple references retrieved more than
 	// once (only T1 can produce them; T2 is duplicate-free by design).
 	Duplicates int
@@ -102,7 +107,7 @@ func (ec *execCtx) endSpan(sp obs.SpanTimer, items int) {
 // every path, so a query's allocations do not grow with its candidates.
 type scratch struct {
 	// cands are the retrieved references the exact predicate must evaluate,
-	// sure those a restricted sweep decided on their key alone.
+	// sure those a sweep put into the answer on their key alone.
 	cands, sure []uint32
 	// bits is a bitset over the pinned version's dense tuple ids: T1 marks a
 	// reference on first sight (a set bit is a duplicate), refinement leaves
@@ -165,6 +170,7 @@ func queryInfo(st QueryStats, err error) obs.QueryInfo {
 		Candidates:  st.Candidates,
 		Results:     st.Results,
 		FalseHits:   st.FalseHits,
+		Decided:     st.Decided,
 		Duplicates:  st.Duplicates,
 		LeavesSwept: st.LeavesSwept,
 		Err:         err,
@@ -226,7 +232,9 @@ func (ix *Index) queryExec(q constraint.Query, ec *execCtx) (Result, error) {
 		st, err = ix.collectRestricted(r, q, ec, sc)
 	case ix.opt.Technique == RestrictedOnly:
 		err = fmt.Errorf("core: slope %v not in S and technique is restricted-only", q.Slope)
-	case ix.opt.Technique == T2 && r.inCell:
+	case ix.opt.Technique == T2 && (r.inCell || slopes != nil):
+		// Outside every strip the nearest slope's tree still holds every
+		// tuple: it is swept whole, with no handicap to stop at.
 		st, err = ix.collectT2(r, q, ec, sc)
 	case slopes == nil:
 		// No covering app-query construction in E^d: outside every
@@ -234,10 +242,8 @@ func (ix *Index) queryExec(q constraint.Query, ec *execCtx) (Result, error) {
 		st = QueryStats{Path: "scan"}
 		sc.cands = ec.rs.allIDs(sc.cands)
 		st.Candidates = len(sc.cands)
-	case ix.opt.Technique == T1:
-		st, err = ix.collectT1(q, slopes.s, "t1", ec, sc)
-	default: // T2 outside the strips
-		st, err = ix.collectT1(q, slopes.s, "t1(fallback)", ec, sc)
+	default:
+		st, err = ix.collectT1(q, slopes.s, ec, sc)
 	}
 	if err != nil {
 		return Result{}, err
@@ -246,10 +252,10 @@ func (ix *Index) queryExec(q constraint.Query, ec *execCtx) (Result, error) {
 }
 
 // sweep is the engine's one leaf sweep: from the leaf owning `from`, in one
-// direction, it collects the tuple id of every entry whose key lies in
-// [lo, hi] and stops after the first leaf holding a key beyond the range's
-// far end. Every path — restricted, T1's app-queries, both T2 sweeps, the
-// vertical pair, in any dimension — is one or two of these.
+// direction, it retrieves every entry whose key lies in [lo, hi] and stops
+// after the first leaf holding a key beyond the range's far end. Every path —
+// restricted, T1's app-queries, both T2 sweeps, the vertical pair, in any
+// dimension — is one or two of these.
 type sweep struct {
 	from   float64
 	asc    bool
@@ -258,9 +264,70 @@ type sweep struct {
 	// minimum on an ascending sweep, the maximum on a descending one.
 	slot int
 	// An entry whose key lies strictly inside (sureLo, sureHi) is in the
-	// answer on its key alone and goes to scratch.sure, not scratch.cands;
-	// the zero value is the empty interval.
+	// answer on its key alone (the restricted path, DESIGN.md §16); the zero
+	// value is the empty interval.
 	sureLo, sureHi float64
+	// rule settles the other entries from key and x-extent when the keys
+	// were computed off the query slope (T2); the zero value settles none.
+	rule keyRule
+}
+
+// keyRule decides a retrieved entry from its key k — the tuple's surface
+// value at the site slope s — and its x-extent, without evaluating the
+// predicate at the query slope a = s + shift. Every dual line of the tuple
+// has a slope in [−supX, −infX], so the surface value at a lies in
+//
+//	[k − max(shift·infX, shift·supX), k − min(shift·infX, shift·supX)]
+//
+// (DESIGN.md §17). An interval wholly beyond `above` or `below` — the
+// intercept plus and minus the margin that absorbs the key's distance from
+// the predicate's value — is decided; everything else, and every non-finite
+// key or extent, is the predicate's.
+type keyRule struct {
+	// xext is the pinned version's x-extent table (rootSet.xext); nil: no
+	// rule.
+	xext  [][2]float64
+	shift float64
+	far   int // index of the extent end with the larger shift·x: 1 when shift > 0
+	// above and below bracket the intercept; a value beyond them gets
+	// ifAbove resp. ifBelow: accept and reject for a ≥ selection, the other
+	// way round for a ≤ one.
+	above, below     float64
+	ifAbove, ifBelow verdict
+}
+
+// slopeRule is the rule of a query at intercept b (up: a ≥ selection) whose
+// slope is shift away from the slope the keys were computed at.
+func slopeRule(xext [][2]float64, b, margin, shift float64, up bool) keyRule {
+	r := keyRule{xext: xext, shift: shift, above: b + margin, below: b - margin, ifAbove: reject, ifBelow: accept}
+	if up {
+		r.ifAbove, r.ifBelow = accept, reject
+	}
+	if shift > 0 {
+		r.far = 1
+	}
+	return r
+}
+
+type verdict uint8
+
+const (
+	evaluate verdict = iota // the exact predicate decides
+	accept                  // in the answer on the key alone
+	reject                  // out of it on the key alone
+)
+
+func (r *keyRule) decide(k float64, x [2]float64) verdict {
+	lo, hi := k-r.shift*x[r.far], k-r.shift*x[1-r.far]
+	switch {
+	case !(hi-lo < math.MaxFloat64): // ±Inf key or extent (Inf − Inf is NaN), NaN
+		return evaluate
+	case lo > r.above:
+		return r.ifAbove
+	case hi < r.below:
+		return r.ifBelow
+	}
+	return evaluate
 }
 
 // firstSweep is the sweep every path starts with, in the direction of the
@@ -284,22 +351,24 @@ func firstSweep(b, tol float64, up bool, slot int) sweep {
 // keys the first sweep's filter rejected — the open end of its range is the
 // float64 neighbour of the first sweep's closed one — so the two sweeps are
 // disjoint and no duplicates arise.
-func secondSweep(b float64, up bool, h float64) sweep {
+func secondSweep(b, tol float64, up bool, h float64) sweep {
 	if up {
-		return sweep{from: b, asc: false, lo: h - geom.Eps, hi: math.Nextafter(b-geom.Eps, math.Inf(-1)), slot: -1}
+		return sweep{from: b, asc: false, lo: h - tol, hi: math.Nextafter(b-tol, math.Inf(-1)), slot: -1}
 	}
-	return sweep{from: b, asc: true, lo: math.Nextafter(b+geom.Eps, math.Inf(1)), hi: h + geom.Eps, slot: -1}
+	return sweep{from: b, asc: true, lo: math.Nextafter(b+tol, math.Inf(1)), hi: h + tol, slot: -1}
 }
 
-// run executes the sweep on tr, appending to sc.cands and sc.sure, counting
-// visited leaves in st and charging page reads to rc. It returns the number
-// of entries kept and the folded handicap.
+// run executes the sweep on tr: every retrieved entry counts into
+// st.Candidates, those settled on their key into st.Decided — the accepted
+// ones go to sc.sure, the rejected ones nowhere — and the rest go to
+// sc.cands; visited leaves count into st and page reads are charged to rc.
+// It returns the number of entries retrieved and the folded handicap.
 func (s sweep) run(tr *btree.Tree, rc *pagestore.ReadCounter, sc *scratch, st *QueryStats) (int, float64, error) {
 	h := math.Inf(1)
 	if !s.asc {
 		h = math.Inf(-1)
 	}
-	before := len(sc.cands) + len(sc.sure)
+	cands0, sure0, rejected := len(sc.cands), len(sc.sure), 0
 	visit := func(lv btree.LeafView) bool {
 		st.LeavesSwept++
 		if s.slot >= 0 {
@@ -315,8 +384,24 @@ func (s sweep) run(tr *btree.Tree, rc *pagestore.ReadCounter, sc *scratch, st *Q
 			case !(k >= s.lo && k <= s.hi):
 			case k > s.sureLo && k < s.sureHi:
 				sc.sure = append(sc.sure, lv.TID(i))
-			default:
+			case s.rule.xext == nil:
 				sc.cands = append(sc.cands, lv.TID(i))
+			default:
+				tid := lv.TID(i)
+				v := evaluate
+				// A reference past the table is past the relation: it stays
+				// undecided and refinement reports it.
+				if j := int(tid) - 1; uint(j) < uint(len(s.rule.xext)) {
+					v = s.rule.decide(k, s.rule.xext[j])
+				}
+				switch v {
+				case accept:
+					sc.sure = append(sc.sure, tid)
+				case reject:
+					rejected++
+				default:
+					sc.cands = append(sc.cands, tid)
+				}
 			}
 		}
 		// Keys are sorted within a leaf, so its last (first) key tells
@@ -336,7 +421,11 @@ func (s sweep) run(tr *btree.Tree, rc *pagestore.ReadCounter, sc *scratch, st *Q
 	} else {
 		err = tr.VisitLeavesDescTracked(s.from, rc, visit)
 	}
-	return len(sc.cands) + len(sc.sure) - before, h, err
+	decided := len(sc.sure) - sure0 + rejected
+	retrieved := len(sc.cands) - cands0 + decided
+	st.Candidates += retrieved
+	st.Decided += decided
+	return retrieved, h, err
 }
 
 // collectRestricted gathers the entries of a query whose slope is site
@@ -359,7 +448,6 @@ func (ix *Index) collectRestricted(r routing, q constraint.Query, ec *execCtx, s
 	sp := ec.span(obs.StageSweep)
 	n, _, err := sw.run(ec.rs.tree(r.site, q), ec.rc, sc, &st)
 	ec.endSpan(sp, n)
-	st.Candidates = n
 	return st, err
 }
 
@@ -411,14 +499,14 @@ func PlanT1(q constraint.Query, slopes []float64, pivotX float64) ([2]AppQuery, 
 // collectT1 executes the two app-queries of technique T1, one restricted
 // sweep each, and leaves their deduplicated candidates in sc.cands, each
 // with its bit set.
-func (ix *Index) collectT1(q constraint.Query, slopes []float64, path string, ec *execCtx, sc *scratch) (QueryStats, error) {
+func (ix *Index) collectT1(q constraint.Query, slopes []float64, ec *execCtx, sc *scratch) (QueryStats, error) {
 	sp := ec.span(obs.StageRoute)
 	plan, err := PlanT1(q, slopes, ix.opt.PivotX)
 	ec.endSpan(sp, 0)
 	if err != nil {
 		return QueryStats{}, err
 	}
-	st := QueryStats{Path: path}
+	st := QueryStats{Path: "t1"}
 	for _, aq := range plan {
 		sw := ec.span(obs.StageSweep)
 		n, _, err := firstSweep(aq.Query.Intercept, geom.Eps, aq.Query.SweepsUp(), -1).run(
@@ -432,7 +520,6 @@ func (ix *Index) collectT1(q constraint.Query, slopes []float64, path string, ec
 	// retrieved reference (the paper's T1/T2 comparison is about exactly
 	// this redundancy).
 	dd := ec.span(obs.StageDedup)
-	st.Candidates = len(sc.cands)
 	uniq := sc.cands[:0]
 	for _, tid := range sc.cands {
 		// A reference past the relation goes unmarked; refine reports it.
@@ -454,24 +541,47 @@ func (ix *Index) collectT1(q constraint.Query, slopes []float64, path string, ec
 // 4.2–4.4: the restricted sweep in the routed site's tree, tracking the
 // extreme handicap of the visited leaves, then — when some tuple that the
 // first sweep's filter rejected can still match somewhere in the cell — a
-// second sweep the other way, bounded by that handicap.
+// second sweep the other way, bounded by that handicap. Outside every cell
+// no handicap bounds anything and the second sweep runs to the end of the
+// chain: the one tree is swept whole. In E² both sweeps settle most entries
+// by keyRule; the tolerance of filter, trigger and rule is Eps plus the
+// envelope's slack at the site (its keys) and at the query slope (the
+// routing keys behind the handicaps).
 func (ix *Index) collectT2(r routing, q constraint.Query, ec *execCtx, sc *scratch) (QueryStats, error) {
-	st := QueryStats{Path: "t2"}
+	st, slot := QueryStats{Path: "t2"}, r.slot
+	if !r.inCell {
+		st.Path, slot = "t2(outside)", -1
+	}
 	tr := ec.rs.tree(r.site, q)
 	b, up := q.Intercept, q.SweepsUp()
+	tol, rule := geom.Eps, keyRule{}
+	if xext := ec.rs.xext; xext != nil {
+		a := q.Slope[0]
+		tol += geom.EnvelopeSlack(a-r.shift) + geom.EnvelopeSlack(a)
+		rule = slopeRule(xext, b, tol, r.shift, up)
+	}
+	first := firstSweep(b, tol, up, slot)
+	first.rule = rule
 
 	sw := ec.span(obs.StageSweep)
-	n, h, err := firstSweep(b, geom.Eps, up, r.slot).run(tr, ec.rc, sc, &st)
+	n, h, err := first.run(tr, ec.rc, sc, &st)
 	ec.endSpan(sw, n)
 	if err != nil {
 		return st, err
 	}
-	if (up && h < b-geom.Eps) || (!up && h > b+geom.Eps) {
+	if !r.inCell { // no handicap: the bound is the chain's far end
+		h = math.Inf(-1)
+		if !up {
+			h = math.Inf(1)
+		}
+	}
+	if (up && h < b-tol) || (!up && h > b+tol) {
+		second := secondSweep(b, tol, up, h)
+		second.rule = rule
 		sw2 := ec.span(obs.StageSweepSecond)
-		n, _, err = secondSweep(b, up, h).run(tr, ec.rc, sc, &st)
+		n, _, err = second.run(tr, ec.rc, sc, &st)
 		ec.endSpan(sw2, n)
 	}
-	st.Candidates = len(sc.cands)
 	return st, err
 }
 
@@ -480,8 +590,7 @@ func (ix *Index) collectT2(r routing, q constraint.Query, ec *execCtx, sc *scrat
 // test — against this version's frozen tuples, adds the references in
 // sc.sure unevaluated, recycles sc and returns the answer in id order.
 // Matches are bits in sc.bits, so the order costs one walk over the touched
-// words, not a sort. st.Candidates is the caller's (T1 counts duplicated
-// references before deduplication).
+// words, not a sort. st.Candidates and st.Duplicates are the collector's.
 func (ec *execCtx) refine(match func(*constraint.Tuple) (bool, error), sc *scratch, st QueryStats) (Result, error) {
 	sp := ec.span(obs.StageRefine)
 	lo, hi, hits, err := ec.mark(match, sc)
@@ -497,7 +606,7 @@ func (ec *execCtx) refine(match func(*constraint.Tuple) (bool, error), sc *scrat
 		sc.bits[w] = 0
 	}
 	st.Results = len(ids)
-	st.FalseHits = len(sc.cands) + len(sc.sure) - len(ids)
+	st.FalseHits = st.Candidates - st.Duplicates - len(ids)
 	st.PagesRead = ec.rc.Physical.Load()
 	putScratch(sc)
 	return Result{IDs: ids, Stats: st}, nil

@@ -7,6 +7,7 @@ import (
 
 	"dualcdb/internal/constraint"
 	"dualcdb/internal/geom"
+	"dualcdb/internal/obs"
 )
 
 // TestTable1Covering verifies the covering property behind Table 1: the
@@ -94,8 +95,9 @@ func TestAppQueryLinesShareAPoint(t *testing.T) {
 	}
 }
 
-// TestT2FallbackPath: query slopes beyond the outer strips must fall back
-// to T1 and still be exact.
+// TestT2FallbackPath: query slopes beyond the outer strips have no handicap
+// to stop at — the nearest slope's tree is swept whole, entries are settled
+// on key and x-extent — and must still be exact.
 func TestT2FallbackPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 	opt := Options{Slopes: []float64{-0.5, 0, 0.5}, Technique: T2, OuterHalfWidth: 0.25}
@@ -105,12 +107,15 @@ func TestT2FallbackPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Stats.Path != "t1(fallback)" {
-		t.Fatalf("path = %q, want t1(fallback)", got.Stats.Path)
+	if got.Stats.Path != "t2(outside)" {
+		t.Fatalf("path = %q, want t2(outside)", got.Stats.Path)
 	}
 	want, _ := q.Eval(rel)
 	if !sameIDs(got.IDs, want) {
-		t.Fatalf("fallback wrong: %v vs %v", got.IDs, want)
+		t.Fatalf("outside the strips: %v vs %v", got.IDs, want)
+	}
+	if st := got.Stats; st.Candidates != ix.Len() || st.Duplicates != 0 || st.Decided == 0 {
+		t.Fatalf("one whole tree, no duplicate, some entries decided on their key; got %+v over %d tuples", st, ix.Len())
 	}
 }
 
@@ -210,7 +215,10 @@ func TestFigure1WindowClippingUnsound(t *testing.T) {
 // on arbitrary queries.
 func TestQueryStatsConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(205))
-	_, ix := buildRandomIndex(t, rng, 250, Options{Slopes: EquiangularSlopes(4), Technique: T2}, true)
+	// A one-slot ring with a 1 ns threshold holds the latest query's trace.
+	o := obs.New(obs.Options{SlowThreshold: 1, TraceCapacity: 1})
+	_, ix := buildRandomIndex(t, rng, 250, Options{Slopes: EquiangularSlopes(4), Technique: T2, Observe: o}, true)
+	decided := 0
 	for qi := 0; qi < 60; qi++ {
 		q := randQuery(rng)
 		got, err := ix.Query(q)
@@ -227,6 +235,21 @@ func TestQueryStatsConsistency(t *testing.T) {
 		if st.Candidates != st.Results+st.FalseHits+st.Duplicates {
 			t.Fatalf("accounting: %+v", st)
 		}
+		// Candidates − Duplicates = Decided + evaluated, the evaluated ones
+		// being what the refine span reports as its items.
+		evaluated := -1
+		for _, sp := range o.SlowTraces()[0].Spans {
+			if sp.Stage == obs.StageRefine.String() {
+				evaluated = sp.Items
+			}
+		}
+		if st.Candidates-st.Duplicates != st.Decided+evaluated {
+			t.Fatalf("%v: %d distinct candidates, %d decided, %d evaluated: %+v", q, st.Candidates-st.Duplicates, st.Decided, evaluated, st)
+		}
+		decided += st.Decided
+	}
+	if decided == 0 {
+		t.Fatal("no entry was ever decided on its key")
 	}
 }
 
@@ -283,8 +306,9 @@ func TestEmptyIndexQueries(t *testing.T) {
 // TestQueryAllocsIndependentOfCandidates: a warm Index.Query allocates the
 // same small number of objects — its execution context and the result
 // slice — whether it refines a few hundred candidates or several thousand,
-// on the T2, the T1-fallback and the restricted path: candidates, dedup
-// state and the ordered answer all live in pooled scratch.
+// on the T2 path inside and outside the strips and on the restricted path:
+// candidates, decided entries and the ordered answer all live in pooled
+// scratch.
 func TestQueryAllocsIndependentOfCandidates(t *testing.T) {
 	slopes := EquiangularSlopes(3)
 	queries := []struct {
@@ -292,7 +316,7 @@ func TestQueryAllocsIndependentOfCandidates(t *testing.T) {
 		q    constraint.Query
 	}{
 		{"t2", constraint.Query2(constraint.EXIST, slopes[1]+0.05, 0, geom.GE)},
-		{"t1(fallback)", constraint.Query2(constraint.EXIST, 500, 0, geom.GE)},
+		{"t2(outside)", constraint.Query2(constraint.EXIST, 500, 0, geom.GE)},
 		{"restricted", constraint.Query2(constraint.ALL, slopes[1], 0, geom.LE)},
 	}
 	var allocs [2][3]float64

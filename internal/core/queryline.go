@@ -53,6 +53,7 @@ func (ix *Index) queryLine(a, b float64, ec *execCtx) (Result, error) {
 			Candidates:  upper.Stats.Candidates + lower.Stats.Candidates,
 			Results:     len(ids),
 			FalseHits:   upper.Stats.FalseHits + lower.Stats.FalseHits,
+			Decided:     upper.Stats.Decided + lower.Stats.Decided,
 			Duplicates:  upper.Stats.Duplicates + lower.Stats.Duplicates,
 			LeavesSwept: upper.Stats.LeavesSwept + lower.Stats.LeavesSwept,
 			// The shared ReadCounter accumulates across both sub-queries, so

@@ -1,0 +1,402 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+	"testing/quick"
+
+	"dualcdb/internal/constraint"
+	"dualcdb/internal/geom"
+)
+
+// shapes2 lists one 2-D tuple per kind of extension keyRule must get right:
+// bounded polygons, a wedge and a half-plane (x-unbounded: never decided), a
+// region under vertices (vertical ray: x-bounded, BOT −Inf), a segment and
+// a point (TOP and BOT on one dual line), and the two shapes whose envelope
+// key and support value disagree (engine_test.go).
+func shapes2(t testing.TB, rng *rand.Rand) []*constraint.Tuple {
+	t.Helper()
+	fromVerts := func(verts, rays []geom.Point) *constraint.Tuple {
+		p, err := geom.FromVertices(verts, rays)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return constraint.FromPolyhedron(p)
+	}
+	parse := func(s string) *constraint.Tuple {
+		tp, err := constraint.ParseTuple(s, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tp
+	}
+	ts := []*constraint.Tuple{
+		parse("y >= 2x - 3 && y >= -x + 1"),                                     // wedge
+		parse("y <= 0.3x + 4"),                                                  // half-plane
+		parse("y >= x - 100 && y <= x - 99"),                                    // strip
+		parse("x >= 1 && x <= 3 && y >= 2"),                                     // vertical rays up
+		fromVerts([]geom.Point{{-4, 1}, {6, -2}}, nil),                          // segment
+		fromVerts([]geom.Point{{2, 2}, {2, 9}}, nil),                            // vertical segment
+		fromVerts([]geom.Point{{7, -3}}, nil),                                   // point
+		fromVerts([]geom.Point{{-2, 5}, {0, 8}, {3, 4}}, []geom.Point{{0, -1}}), // region under vertices
+		steepCone(t),
+		alignedVertices(t),
+	}
+	for i := 0; i < 12; i++ {
+		ts = append(ts, randTuple(rng, false))
+	}
+	for i := 0; i < 12; i++ {
+		ts = append(ts, randTuple(rng, true))
+	}
+	return ts
+}
+
+// surfaceOf is the predicate's value for q's shape: TOP^P or BOT^P of the
+// satisfiable tuple tp at q's slope, by the support scan.
+func surfaceOf(tp *constraint.Tuple, q constraint.Query) float64 {
+	v, _ := tp.Bot(q.Slope)
+	if q.UsesTop() {
+		v, _ = tp.Top(q.Slope)
+	}
+	return v
+}
+
+// t2Margin is collectT2's tolerance for a query at slope a served from the
+// keys of slope s.
+func t2Margin(s, a float64) float64 {
+	return geom.Eps + geom.EnvelopeSlack(s) + geom.EnvelopeSlack(a)
+}
+
+// TestT2BoundaryMatchesScan pins T2's filter, second-sweep trigger and
+// decided-by-key rule at their edges. For slopes inside every strip half,
+// a hair beyond a site, on strip borders and outside every strip × ALL/EXIST
+// × ≥/≤ it queries intercepts on, and one Eps, one δ and one margin either
+// side of, every tuple's surface value at the query slope — each also one
+// ulp further in and out — over every shape of shapes2. Answers must be the
+// naive scan's, no reference may come twice, and a whole-tree sweep must
+// retrieve every indexed tuple.
+func TestT2BoundaryMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261002))
+	slopes := []float64{-1.5, -0.25, 0.5, 2}
+	rel := constraint.NewRelation(2)
+	ts := shapes2(t, rng)
+	for _, tp := range ts {
+		if _, err := rel.Insert(tp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ix, err := Build(rel, Options{Slopes: slopes, Technique: T2, OuterHalfWidth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type at struct {
+		a    float64
+		path string
+	}
+	var probes []at
+	strips := ix.geo.(*slopeSet)
+	for i, s := range slopes {
+		lo, hi := strips.stripBounds(i)
+		probes = append(probes,
+			at{s - 0.1, "t2"}, at{s + 0.1, "t2"}, // both strip halves
+			at{s + 3*geom.Eps, "t2"}, at{s - 1e-6, "t2"}, // a hair off the site
+			at{lo, "t2"}, at{hi, "t2"}) // on the strip's borders
+	}
+	probes = append(probes,
+		at{3 + 1e-9, "t2(outside)"}, at{-2.5 - 1e-9, "t2(outside)"}, // just past the outer strips
+		at{40, "t2(outside)"}, at{-40, "t2(outside)"})
+
+	queries, decided := 0, 0
+	for _, p := range probes {
+		site, _ := strips.nearest(p.a)
+		m := t2Margin(slopes[site], p.a)
+		for _, kind := range []constraint.QueryKind{constraint.ALL, constraint.EXIST} {
+			for _, op := range []geom.Op{geom.GE, geom.LE} {
+				q := constraint.Query2(kind, p.a, 0, op)
+				for _, tp := range ts {
+					v := surfaceOf(tp, q)
+					if math.IsInf(v, 0) {
+						continue
+					}
+					bs := []float64{v}
+					for _, off := range []float64{geom.Eps, geom.EnvelopeSlack(p.a), m} {
+						for _, b := range []float64{v - off, v + off} {
+							bs = append(bs, b, math.Nextafter(b, math.Inf(-1)), math.Nextafter(b, math.Inf(1)))
+						}
+					}
+					for _, b := range bs {
+						q.Intercept = b
+						queries++
+						got, err := ix.Query(q)
+						if err != nil {
+							t.Fatalf("%v: %v", q, err)
+						}
+						want, err := q.Eval(rel)
+						if err != nil {
+							t.Fatal(err)
+						}
+						st := got.Stats
+						if st.Path != p.path {
+							t.Fatalf("%v: path %q, want %q", q, st.Path, p.path)
+						}
+						if !sameIDs(got.IDs, want) {
+							t.Fatalf("%v [%s, site %v, tuple %d at value %v]: got %v, want %v", q, st.Path, slopes[site], tp.ID(), v, got.IDs, want)
+						}
+						if st.Duplicates != 0 || st.Candidates != st.Results+st.FalseHits || st.Decided > st.Candidates {
+							t.Fatalf("%v: accounting %+v", q, st)
+						}
+						if st.Path == "t2(outside)" && st.Candidates != ix.Len() {
+							t.Fatalf("%v: %d candidates from a whole tree of %d", q, st.Candidates, ix.Len())
+						}
+						decided += st.Decided
+					}
+				}
+			}
+		}
+	}
+	if decided == 0 {
+		t.Fatal("no entry was ever decided on its key")
+	}
+	t.Logf("%d boundary queries, %d entries decided on their key", queries, decided)
+}
+
+// slopeBoundHolds checks keyRule against the predicate for one tuple whose
+// keys were computed at slope s, queried at slope a and intercept b, in all
+// four shapes: a decision must be the predicate's, and a non-finite key or
+// extent must never be decided. It returns how many shapes were decided.
+func slopeBoundHolds(tp *constraint.Tuple, s, a, b float64) (int, error) {
+	x := xExtent(tp)
+	decided := 0
+	for _, kind := range []constraint.QueryKind{constraint.ALL, constraint.EXIST} {
+		for _, op := range []geom.Op{geom.GE, geom.LE} {
+			q := constraint.Query2(kind, a, b, op)
+			key := tp.BotEnv().Eval(s)
+			if q.UsesTop() {
+				key = tp.TopEnv().Eval(s)
+			}
+			rule := slopeRule(nil, b, t2Margin(s, a), a-s, q.SweepsUp())
+			v := rule.decide(key, x)
+			if v == evaluate {
+				continue
+			}
+			decided++
+			if math.IsInf(key, 0) || math.IsNaN(key) || math.IsInf(x[0], 0) || math.IsInf(x[1], 0) {
+				return decided, fmt.Errorf("%v at site %v: key %v with extent %v was decided", q, s, key, x)
+			}
+			ok, err := q.Matches(tp)
+			if err != nil {
+				return decided, err
+			}
+			if ok != (v == accept) {
+				return decided, fmt.Errorf("%v at site %v: key %v, extent %v: rule says %v, predicate %v (value %v)",
+					q, s, key, x, v == accept, ok, surfaceOf(tp, q))
+			}
+		}
+	}
+	return decided, nil
+}
+
+// TestKeyRuleLeavesNonFiniteToThePredicate: NaN and ±Inf, as key or as
+// either end of the extent, never decide — on any side of any intercept.
+func TestKeyRuleLeavesNonFiniteToThePredicate(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, shift := range []float64{-2, 1e-9, 0.5} {
+		for _, up := range []bool{true, false} {
+			for _, b := range []float64{-1e9, 0, 1e9, inf, -inf} {
+				rule := slopeRule(nil, b, 1e-6, shift, up)
+				for _, c := range []struct {
+					k float64
+					x [2]float64
+				}{
+					{nan, [2]float64{0, 1}}, {inf, [2]float64{0, 1}}, {-inf, [2]float64{0, 1}},
+					{5, [2]float64{nan, 1}}, {5, [2]float64{0, nan}}, {5, [2]float64{nan, nan}},
+					{5, [2]float64{-inf, 1}}, {5, [2]float64{0, inf}}, {5, noExtent},
+					{inf, noExtent}, {nan, noExtent},
+				} {
+					if v := rule.decide(c.k, c.x); v != evaluate {
+						t.Errorf("shift %v, up %v, b %v: key %v extent %v decided (%v)", shift, up, b, c.k, c.x, v)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSlopeBoundSound is the seeded testing/quick twin of FuzzSlopeBound:
+// over every shape, sites and query slopes near and far, and intercepts on
+// and around the surface value at the query slope, whenever keyRule decides
+// the predicate agrees.
+func TestSlopeBoundSound(t *testing.T) {
+	decided, undecided := 0, 0
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		for _, tp := range shapes2(t, rng) {
+			s := math.Tan((rng.Float64() - 0.5) * (math.Pi - 0.2))
+			for _, a := range []float64{
+				s + 3*geom.Eps, s - 1e-6, s + rng.Float64()*0.5, s - rng.Float64()*0.5,
+				s + rng.NormFloat64()*20, math.Tan((rng.Float64() - 0.5) * (math.Pi - 0.02)),
+			} {
+				m := t2Margin(s, a)
+				for _, q := range []constraint.Query{
+					constraint.Query2(constraint.EXIST, a, 0, geom.GE),
+					constraint.Query2(constraint.EXIST, a, 0, geom.LE),
+				} {
+					v := surfaceOf(tp, q)
+					if math.IsInf(v, 0) {
+						v = 0
+					}
+					w := math.Abs(a-s) * 10 // the bracket's order of magnitude
+					for _, off := range []float64{0, geom.Eps, -geom.Eps, m, -m, 2 * m, -2 * m,
+						w * rng.Float64(), -w * rng.Float64(), rng.NormFloat64() * 50} {
+						n, err := slopeBoundHolds(tp, s, a, v+off)
+						if err != nil {
+							t.Errorf("seed %d: %v", seed, err)
+							return false
+						}
+						decided += n
+						undecided += 4 - n
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(20261003))}); err != nil {
+		t.Fatal(err)
+	}
+	if decided == 0 || undecided == 0 {
+		t.Fatalf("%d decided, %d left to the predicate: the property is vacuous on one side", decided, undecided)
+	}
+	t.Logf("%d decided, %d left to the predicate", decided, undecided)
+}
+
+// FuzzSlopeBound checks keyRule's soundness on arbitrary triangles with an
+// optional ray — degenerate ones included: whenever the rule decides an
+// entry from its envelope key at site s and its x-extent, for a query at
+// slope a and an intercept off away from the surface value there, the exact
+// predicate agrees, and non-finite keys and extents are never decided.
+func FuzzSlopeBound(f *testing.F) {
+	f.Add(0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.5, 0.7, 0.0)
+	f.Add(-1.0, 2.0, 3.0, -4.0, 0.5, 0.5, 1.0, 1.0, -2.0, -1.0, 1e-9)
+	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 3.0, 2.5, -3.0)
+	f.Add(2.0, 3.0, 2.0, 3.0, 2.0, 3.0, 0.0, 0.0, 0.0, 40.0, 100.0)
+	f.Add(0.0, 10.0, 5e-10, 10-1e-10, -3.0, 2.0, 0.0, -1.0, -1.5, -1.2, 4e-9)
+	f.Add(0.0, 0.0, 1e-300, 1.0, 1.0, 0.0, 1e-10, -1.0, 1.0, -1e6, 0.0)
+	f.Fuzz(func(t *testing.T, x0, y0, x1, y1, x2, y2, rx, ry, s, a, off float64) {
+		for _, v := range []float64{x0, y0, x1, y1, x2, y2, rx, ry, s, a, off} {
+			if math.IsNaN(v) || math.Abs(v) > 1e6 {
+				t.Skip("outside the modeled coordinate range")
+			}
+		}
+		var rays []geom.Point
+		if rx != 0 || ry != 0 {
+			rays = append(rays, geom.Point{rx, ry})
+		}
+		p, err := geom.FromVertices([]geom.Point{{x0, y0}, {x1, y1}, {x2, y2}}, rays)
+		if err != nil {
+			t.Skip(err)
+		}
+		tp := constraint.FromPolyhedron(p)
+		if !tp.IsSatisfiable() {
+			t.Skip("empty extension")
+		}
+		for _, q := range []constraint.Query{
+			constraint.Query2(constraint.EXIST, a, 0, geom.GE),
+			constraint.Query2(constraint.EXIST, a, 0, geom.LE),
+		} {
+			v := surfaceOf(tp, q)
+			if math.IsInf(v, 0) {
+				v = 0
+			}
+			if _, err := slopeBoundHolds(tp, s, a, v+off); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
+// TestLeaningRayIsNeverDecided is why the table's extent is stricter than
+// xSupport: a ray within Eps of the vertical leaves the tuple x-bounded to
+// the support scan, yet beyond slopes of 1/Eps it fires — TOP is +Inf where
+// the vertices alone would bracket it finite.
+func TestLeaningRayIsNeverDecided(t *testing.T) {
+	p, err := geom.FromVertices([]geom.Point{{0, 0}, {1, 0}, {0, 1}}, []geom.Point{{1e-10, -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp := constraint.FromPolyhedron(p)
+	if sup, inf, err := xSupport(tp); err != nil || sup != 1 || inf != 0 {
+		t.Fatalf("xSupport = (%v, %v, %v), want the vertices' (1, 0)", sup, inf, err)
+	}
+	if x := xExtent(tp); x != [2]float64{0, math.Inf(1)} {
+		t.Fatalf("xExtent = %v, want [0 +Inf]", x)
+	}
+	rel := constraint.NewRelation(2)
+	if _, err := rel.Insert(tp); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Build(rel, Options{Slopes: []float64{-1, 0, 1}, Technique: T2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := constraint.Query2(constraint.EXIST, -2e10, 1e11, geom.GE)
+	got, err := ix.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := q.Eval(rel); len(want) != 1 || !sameIDs(got.IDs, want) || got.Stats.Decided != 0 {
+		t.Fatalf("%v: got %v (%+v), want %v undecided", q, got.IDs, got.Stats, want)
+	}
+}
+
+// TestT2KeyBelowValueIsNotCutOff is the T2 half of the boundary bug the
+// restricted path lost in PR 18: alignedVertices' envelope — its tree key
+// and its routing key — reads 10 where the support scan reads 10 + 1.8e-9
+// at slope −2, so a query the predicate accepts at that value plus Eps used
+// to start its first sweep past the tuple's key, and when a leaf boundary
+// fell between the two (some filler count puts one there) past its routing
+// leaf too: the handicap no longer covered it and the second sweep stopped
+// short. The tolerance now spans the envelope's slack.
+func TestT2KeyBelowValueIsNotCutOff(t *testing.T) {
+	point := func(y float64) *constraint.Tuple {
+		p, err := geom.FromVertices([]geom.Point{{0, y}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return constraint.FromPolyhedron(p)
+	}
+	const a = -2.0
+	top := surfaceOf(alignedVertices(t), constraint.Query2(constraint.EXIST, a, 0, geom.GE))
+	if key := alignedVertices(t).TopEnv().Eval(-1.5); !(key < top-geom.Eps) {
+		t.Fatalf("key %v at the site, value %v at the query slope: want the key more than Eps below", key, top)
+	}
+	for fillers := 40; fillers <= 120; fillers++ {
+		rel := constraint.NewRelation(2)
+		ts := []*constraint.Tuple{alignedVertices(t)}
+		for i := 0; i < fillers; i++ {
+			ts = append(ts, point(float64(i)*0.1)) // keys below the tuple's
+		}
+		for j := 0; j < 100; j++ {
+			ts = append(ts, point(10+1.5e-9+float64(j))) // keys between its key and its value, and above
+		}
+		for _, tp := range ts {
+			if _, err := rel.Insert(tp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ix, err := Build(rel, Options{Slopes: []float64{-1.5, -0.25, 0.5, 2}, Technique: T2, OuterHalfWidth: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := constraint.Query2(constraint.EXIST, a, top+geom.Eps, geom.GE)
+		got, err := ix.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := q.Eval(rel); got.Stats.Path != "t2" || !sameIDs(got.IDs, want) {
+			t.Fatalf("%d fillers, %v [%s]: got %d tuples, the scan %d", fillers, q, got.Stats.Path, len(got.IDs), len(want))
+		}
+	}
+}

@@ -81,8 +81,8 @@ func TestStripBoundsOuterHalfWidth(t *testing.T) {
 }
 
 // TestT2FallbackAtStripEdge: a T2 query inside the widened outer strip runs
-// the handicap path; just past the edge it falls back to the two-app-query
-// plan. Both must still return the ground-truth answer.
+// the handicap path; just past the edge no handicap applies and the whole
+// tree is swept. Both must still return the ground-truth answer.
 func TestT2FallbackAtStripEdge(t *testing.T) {
 	rng := rand.New(rand.NewSource(58))
 	rel := constraint.NewRelation(2)
@@ -101,10 +101,10 @@ func TestT2FallbackAtStripEdge(t *testing.T) {
 		slope float64
 		path  string
 	}{
-		{5.9, "t2"},           // inside the widened outer strip of slope 1
-		{6.1, "t1(fallback)"}, // just past rightHi = 6
-		{-5.9, "t2"},          // inside the outer strip of slope -1
-		{-6.1, "t1(fallback)"},
+		{5.9, "t2"},          // inside the widened outer strip of slope 1
+		{6.1, "t2(outside)"}, // just past rightHi = 6
+		{-5.9, "t2"},         // inside the outer strip of slope -1
+		{-6.1, "t2(outside)"},
 	} {
 		q := constraint.Query2(constraint.EXIST, tc.slope, 2, geom.GE)
 		res, err := ix.Query(q)

@@ -76,6 +76,7 @@ func (ix *Index) queryVertical(kind constraint.QueryKind, op geom.Op, c float64,
 		sc := getScratch(ec.rs)
 		if v := ix.vertical(ec.rs.trees); len(v) == 0 {
 			sc.cands = ec.rs.allIDs(sc.cands)
+			st.Candidates = len(sc.cands)
 		} else {
 			st.Path = "restricted-vertical"
 			// Route: EXIST(≥)/ALL(≤) read V^up; ALL(≥)/EXIST(≤) read V^down.
@@ -90,7 +91,6 @@ func (ix *Index) queryVertical(kind constraint.QueryKind, op geom.Op, c float64,
 				return Result{}, err
 			}
 		}
-		st.Candidates = len(sc.cands)
 		return ec.refine(func(t *constraint.Tuple) (bool, error) {
 			return matchesVertical(kind, op, c, t)
 		}, sc, st)

@@ -18,6 +18,7 @@ type QueryInfo struct {
 	Candidates  int
 	Results     int
 	FalseHits   int
+	Decided     int // candidates settled on their key, never evaluated
 	Duplicates  int
 	LeavesSwept int
 	Err         error
@@ -105,6 +106,7 @@ type pathMetrics struct {
 	candidates  *Counter
 	results     *Counter
 	falseHits   *Counter
+	decided     *Counter
 	duplicates  *Counter
 	leavesSwept *Counter
 }
@@ -209,6 +211,7 @@ func (o *Observer) FinishQuery(tr *QueryTrace, info QueryInfo) {
 	pm.candidates.Add(uint64(info.Candidates))
 	pm.results.Add(uint64(info.Results))
 	pm.falseHits.Add(uint64(info.FalseHits))
+	pm.decided.Add(uint64(info.Decided))
 	pm.duplicates.Add(uint64(info.Duplicates))
 	pm.leavesSwept.Add(uint64(info.LeavesSwept))
 
@@ -252,6 +255,7 @@ func (o *Observer) path(name string) *pathMetrics {
 		candidates:  o.reg.Counter("path." + name + ".candidates"),
 		results:     o.reg.Counter("path." + name + ".results"),
 		falseHits:   o.reg.Counter("path." + name + ".false_hits"),
+		decided:     o.reg.Counter("path." + name + ".decided"),
 		duplicates:  o.reg.Counter("path." + name + ".duplicates"),
 		leavesSwept: o.reg.Counter("path." + name + ".leaves_swept"),
 	}
@@ -280,6 +284,7 @@ func (o *Observer) logSlow(tr *QueryTrace, total time.Duration, info QueryInfo) 
 		slog.Int("candidates", info.Candidates),
 		slog.Int("results", info.Results),
 		slog.Int("false_hits", info.FalseHits),
+		slog.Int("decided", info.Decided),
 		slog.Int("duplicates", info.Duplicates),
 		slog.Int("leaves_swept", info.LeavesSwept),
 	}
@@ -362,6 +367,7 @@ type PathSnapshot struct {
 	Candidates  uint64            `json:"candidates"`
 	Results     uint64            `json:"results"`
 	FalseHits   uint64            `json:"false_hits"`
+	Decided     uint64            `json:"decided"`
 	Duplicates  uint64            `json:"duplicates"`
 	LeavesSwept uint64            `json:"leaves_swept"`
 	Latency     HistogramSnapshot `json:"latency"`
@@ -438,6 +444,7 @@ func (o *Observer) ObserverSnapshot() *Snapshot {
 			Candidates:  pm.candidates.Load(),
 			Results:     pm.results.Load(),
 			FalseHits:   pm.falseHits.Load(),
+			Decided:     pm.decided.Load(),
 			Duplicates:  pm.duplicates.Load(),
 			LeavesSwept: pm.leavesSwept.Load(),
 			Latency:     pm.ns.Snapshot(),
@@ -448,6 +455,7 @@ func (o *Observer) ObserverSnapshot() *Snapshot {
 		s.Totals.Candidates += ps.Candidates
 		s.Totals.Results += ps.Results
 		s.Totals.FalseHits += ps.FalseHits
+		s.Totals.Decided += ps.Decided
 		s.Totals.Duplicates += ps.Duplicates
 		s.Totals.LeavesSwept += ps.LeavesSwept
 		s.PathNames = append(s.PathNames, name)

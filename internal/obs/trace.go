@@ -65,6 +65,7 @@ type QueryTrace struct {
 	candidates  int
 	results     int
 	falseHits   int
+	decided     int
 	duplicates  int
 	leavesSwept int
 	err         string
@@ -123,6 +124,7 @@ func (t *QueryTrace) finish(total time.Duration, info QueryInfo) {
 	t.candidates = info.Candidates
 	t.results = info.Results
 	t.falseHits = info.FalseHits
+	t.decided = info.Decided
 	t.duplicates = info.Duplicates
 	t.leavesSwept = info.LeavesSwept
 	if info.Err != nil {
@@ -150,6 +152,7 @@ type TraceSnapshot struct {
 	Candidates  int            `json:"candidates"`
 	Results     int            `json:"results"`
 	FalseHits   int            `json:"false_hits"`
+	Decided     int            `json:"decided"`
 	Duplicates  int            `json:"duplicates"`
 	LeavesSwept int            `json:"leaves_swept"`
 	Err         string         `json:"err,omitempty"`
@@ -169,6 +172,7 @@ func (t *QueryTrace) Snapshot() TraceSnapshot {
 		Candidates:  t.candidates,
 		Results:     t.results,
 		FalseHits:   t.falseHits,
+		Decided:     t.decided,
 		Duplicates:  t.duplicates,
 		LeavesSwept: t.leavesSwept,
 		Err:         t.err,
