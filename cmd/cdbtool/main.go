@@ -364,8 +364,8 @@ func (s *session) query(kind dualcdb.QueryKind, rest string) error {
 			return err
 		}
 		st := res.Stats
-		fmt.Fprintf(s.out, "%v: %v  (path=%s, candidates=%d, falseHits=%d, duplicates=%d, pages=%d)\n",
-			q, res.IDs, st.Path, st.Candidates, st.FalseHits, st.Duplicates, st.PagesRead)
+		fmt.Fprintf(s.out, "%v: %v  (path=%s, candidates=%d, decided=%d, falseHits=%d, duplicates=%d, pages=%d)\n",
+			q, res.IDs, st.Path, st.Candidates, st.Decided, st.FalseHits, st.Duplicates, st.PagesRead)
 	case s.rplus != nil:
 		res, err := s.rplus.Query(q)
 		if err != nil {

@@ -155,9 +155,9 @@ func (s *session) stats() {
 		fmt.Fprintf(s.out, "sweeps: %d descents, %d leaves visited\n",
 			snap.Sweeps.Descents, snap.Sweeps.LeavesVisited)
 		m := snap.MVCC
-		fmt.Fprintf(s.out, "mvcc: version %d, watermark %d (lag %d), %d pinned snapshots, %d backlog pages, %d cloned, %d reclaimed, %d chain overrides\n",
+		fmt.Fprintf(s.out, "mvcc: version %d, watermark %d (lag %d), %d pinned snapshots, %d backlog pages, %d cloned, %d reclaimed\n",
 			m.Version, m.Watermark, m.VersionLag, m.PinnedSnapshots,
-			m.ReclaimBacklogPages, m.PagesCloned, m.PagesReclaimed, m.ChainOverrides)
+			m.ReclaimBacklogPages, m.PagesCloned, m.PagesReclaimed)
 		if o := snap.Observer; o != nil {
 			rate := 0.0
 			if o.UptimeSec > 0 {

@@ -7,10 +7,7 @@ package btree
 
 import "pagestore"
 
-type viewMeta struct {
-	next  uint32
-	count uint16
-}
+type viewMeta struct{ count uint16 }
 
 // node wraps a pinned frame, as in the real package.
 type node struct {
@@ -38,13 +35,19 @@ func (lv LeafView) TID(i int) uint32  { return 0 }
 
 type Tree struct{ pool *pagestore.Pool }
 
-func (t *Tree) leafView(leaf node) (LeafView, viewMeta) {
+func (t *Tree) leafView(leaf node) LeafView {
 	// Returning the borrow transfers it to the caller: no release happens
 	// in this body, so this is clean.
-	return LeafView{v: leaf.view(viewMeta{})}, viewMeta{}
+	return LeafView{v: leaf.view(viewMeta{})}
 }
 
-func (t *Tree) nextLeaf(id uint32) (node, error) { return node{}, nil }
+func (t *Tree) getNode(id uint32) (node, error) { return node{}, nil }
+
+// cursor mirrors the real package's root-to-leaf path: step hands out the
+// next leaf pinned.
+type cursor struct{ t *Tree }
+
+func (c *cursor) step() (node, bool, error) { return node{}, false, nil }
 
 func sinkEntry(float64) {}
 
@@ -53,38 +56,36 @@ func sinkEntry(float64) {}
 // releaseAfterVisit is the sweep protocol: every read of the view happens
 // before the frame goes back to the pool.
 func releaseAfterVisit(t *Tree, leaf node, visit func(LeafView) bool) {
-	lv, m := t.leafView(leaf)
+	lv := t.leafView(leaf)
 	more := visit(lv)
 	leaf.release()
 	_ = more
-	_ = m
 }
 
 // deferredRelease runs after the return value is computed; the view is
 // readable throughout the body.
 func deferredRelease(t *Tree, leaf node) float64 {
-	lv, _ := t.leafView(leaf)
+	lv := t.leafView(leaf)
 	defer leaf.release()
 	return lv.Key(0)
 }
 
-// reBorrowLoop rebinds both the view and the lender each iteration, so the
-// stale pair from the previous round never reaches a read.
-func reBorrowLoop(t *Tree, leaf node) error {
-	for i := 0; i < 3; i++ {
-		lv, m := t.leafView(leaf)
-		sinkEntry(lv.Key(0))
+// reBorrowLoop mirrors Tree.sweep: the view is built, handed to visit and
+// dead before the release, and the cursor rebinds the lender each round, so
+// the stale pair from the previous round never reaches a read.
+func reBorrowLoop(t *Tree, c *cursor, leaf node, visit func(LeafView) bool) error {
+	var err error
+	for ok := true; err == nil && ok; leaf, ok, err = c.step() {
+		more := visit(t.leafView(leaf))
 		leaf.release()
-		var err error
-		if leaf, err = t.nextLeaf(m.next); err != nil {
-			return err
+		if !more {
+			break
 		}
 	}
-	leaf.release()
-	return nil
+	return err
 }
 
-// descentView mirrors findLeafTracked: the internal-node view is consumed
+// descentView mirrors Tree.route inside findLeafTracked: the internal-node view is consumed
 // before the node is released and the loop re-borrows.
 func descentView(t *Tree, n node) uint32 {
 	var child uint32
@@ -92,7 +93,7 @@ func descentView(t *Tree, n node) uint32 {
 		v := n.view(viewMeta{})
 		child = v.child(v.childIndex(0))
 		n.release()
-		n, _ = t.nextLeaf(child)
+		n, _ = t.getNode(child)
 	}
 	n.release()
 	return child
@@ -101,20 +102,20 @@ func descentView(t *Tree, n node) uint32 {
 // handedToCaller transfers the borrow out: the caller owns the release
 // ordering now.
 func handedToCaller(t *Tree, leaf node) LeafView {
-	lv, _ := t.leafView(leaf)
+	lv := t.leafView(leaf)
 	return lv
 }
 
 // --- violations -------------------------------------------------------
 
 func useAfterRelease(t *Tree, leaf node) float64 {
-	lv, _ := t.leafView(leaf)
+	lv := t.leafView(leaf)
 	leaf.release()
 	return lv.Key(0) // want `view lv \(borrowed by t\.leafView\) is read after its frame's release`
 }
 
 func useAfterReleaseOneBranch(t *Tree, leaf node, cond bool) float64 {
-	lv, _ := t.leafView(leaf)
+	lv := t.leafView(leaf)
 	if cond {
 		leaf.release()
 	}
@@ -122,14 +123,14 @@ func useAfterReleaseOneBranch(t *Tree, leaf node, cond bool) float64 {
 }
 
 func aliasUseAfterRelease(t *Tree, leaf node) float64 {
-	lv, _ := t.leafView(leaf)
+	lv := t.leafView(leaf)
 	lv2 := lv
 	leaf.release()
 	return lv2.Key(0) // want `view lv2 \(borrowed by t\.leafView\) is read after its frame's release`
 }
 
 func copyOfDeadView(t *Tree, leaf node) LeafView {
-	lv, _ := t.leafView(leaf)
+	lv := t.leafView(leaf)
 	leaf.release()
 	dead := lv // want `view lv \(borrowed by t\.leafView\) is read after its frame's release`
 	return dead
@@ -148,7 +149,7 @@ func frameReleaseKillsView(n node) uint32 {
 }
 
 func escapeAfterRelease(t *Tree, leaf node, visit func(LeafView) bool) {
-	lv, _ := t.leafView(leaf)
+	lv := t.leafView(leaf)
 	leaf.release()
 	visit(lv) // want `view lv \(borrowed by t\.leafView\) is read after its frame's release`
 }
@@ -156,7 +157,7 @@ func escapeAfterRelease(t *Tree, leaf node, visit func(LeafView) bool) {
 func staleLoopCarry(t *Tree, leaf node) {
 	var last LeafView
 	for i := 0; i < 3; i++ {
-		lv, _ := t.leafView(leaf)
+		lv := t.leafView(leaf)
 		last = lv
 		leaf.release()
 	}
@@ -168,7 +169,7 @@ func staleLoopCarry(t *Tree, leaf node) {
 // viewOf returns a borrow of its leaf parameter: the computed summary
 // records the result→parameter provenance, so callers track views created
 // through this helper exactly like direct leafView calls.
-func viewOf(t *Tree, leaf node) (LeafView, viewMeta) {
+func viewOf(t *Tree, leaf node) LeafView {
 	return t.leafView(leaf)
 }
 
@@ -178,7 +179,7 @@ func finish(leaf node) { leaf.release() }
 
 // helperBorrowClean reads the summarized borrow before the release.
 func helperBorrowClean(t *Tree, leaf node) float64 {
-	lv, _ := viewOf(t, leaf)
+	lv := viewOf(t, leaf)
 	k := lv.Key(0)
 	leaf.release()
 	return k
@@ -187,7 +188,7 @@ func helperBorrowClean(t *Tree, leaf node) float64 {
 // helperBorrowDead reads the summarized borrow after its lender's release:
 // the view outlived the lender even though no leafView call is in sight.
 func helperBorrowDead(t *Tree, leaf node) float64 {
-	lv, _ := viewOf(t, leaf)
+	lv := viewOf(t, leaf)
 	leaf.release()
 	return lv.Key(0) // want `view lv \(borrowed by viewOf\) is read after its frame's release`
 }
@@ -195,14 +196,14 @@ func helperBorrowDead(t *Tree, leaf node) float64 {
 // helperReleaseKills: a helper whose summary releases the lender kills the
 // view just like a direct release would.
 func helperReleaseKills(t *Tree, leaf node) float64 {
-	lv, _ := t.leafView(leaf)
+	lv := t.leafView(leaf)
 	finish(leaf)
 	return lv.Key(0) // want `view lv \(borrowed by t\.leafView\) is read after its frame's release`
 }
 
 // helperReleaseOrdered: every read precedes the releasing helper. Clean.
 func helperReleaseOrdered(t *Tree, leaf node) float64 {
-	lv, _ := t.leafView(leaf)
+	lv := t.leafView(leaf)
 	k := lv.Key(0)
 	finish(leaf)
 	return k

@@ -53,8 +53,7 @@ type cacheEntry struct {
 //
 // Under the flat layout this cache holds no page content: entries,
 // handicaps and separators are read in place through nodeView, and the
-// cache's job shrinks to skipping the header parse plus recording the
-// chain links a sweep needs after the frame is gone. Each entry is a few
+// cache's job shrinks to skipping the header parse. Each entry is a few
 // dozen bytes with no heap slices, so the cache itself never contributes
 // to sweep allocation.
 //

@@ -17,19 +17,12 @@ import (
 // batch; the originals they replace are "superseded" and handed to the
 // pool's deferred free list at commit, tagged with the new version.
 //
-// The one structure COW cannot shadow cheaply is the doubly linked leaf
-// chain: cloning leaf P changes the page its neighbors should link to,
-// but the neighbors may themselves be shared with published versions —
-// cloning them would cascade across the whole chain (and their parents).
-// Instead each version carries a pair of chain-override maps ovNext and
-// ovPrev: an entry (P → Q) means "P's effective next (prev) leaf is Q,
-// whatever P's bytes say". Entries exist only for un-owned pages whose
-// effective neighbor changed this version, so the maps are empty on a
-// freshly built tree and stay tiny under steady writes; sweeps consult
-// them through effNext/effPrev at a nil-map lookup's cost. Owned pages
-// never need entries — their bytes are private and kept current. The maps
-// are immutable once published (BeginCOW copies before mutating), so read
-// handles share them without synchronization.
+// A version is therefore nothing but its Meta — one root pointer and three
+// counts: every page it can reach hangs off that root, and no page points
+// sideways. Leaves carry no sibling links (cloning leaf P would otherwise
+// have to repoint neighbours that older versions share), so a sweep moves
+// from leaf to leaf through the parents on its cursor's path (cursor.go),
+// and BeginCOW, CommitCOW and Handle copy nothing that grows with the tree.
 
 // cowState is an open copy-on-write batch.
 type cowState struct {
@@ -40,10 +33,8 @@ type cowState struct {
 	// removed while still reachable from a published root; the commit hands
 	// them to the pool's deferred free list.
 	superseded []pagestore.PageID
-	// Rollback state for AbortCOW.
-	savedMeta   Meta
-	savedOvNext map[pagestore.PageID]pagestore.PageID
-	savedOvPrev map[pagestore.PageID]pagestore.PageID
+	// savedMeta is the version AbortCOW returns to.
+	savedMeta Meta
 }
 
 // BeginCOW opens a copy-on-write batch: until CommitCOW or AbortCOW, every
@@ -54,14 +45,7 @@ func (t *Tree) BeginCOW() {
 	if t.cow != nil {
 		panic("btree: BeginCOW with a batch already open")
 	}
-	t.cow = &cowState{
-		owned:       make(map[pagestore.PageID]bool),
-		savedMeta:   t.Meta(),
-		savedOvNext: t.ovNext,
-		savedOvPrev: t.ovPrev,
-	}
-	t.ovNext = copyOverrides(t.ovNext)
-	t.ovPrev = copyOverrides(t.ovPrev)
+	t.cow = &cowState{owned: make(map[pagestore.PageID]bool), savedMeta: t.Meta()}
 }
 
 // CommitCOW closes the batch keeping its mutations and returns the
@@ -78,8 +62,8 @@ func (t *Tree) CommitCOW() []pagestore.PageID {
 }
 
 // AbortCOW discards the batch: every batch-owned page is freed and the
-// root metadata and chain overrides revert to their BeginCOW values. The
-// published tree was never touched, so aborting is invisible to readers.
+// root metadata reverts to its BeginCOW value. The published tree was never
+// touched, so aborting is invisible to readers.
 func (t *Tree) AbortCOW() error {
 	if t.cow == nil {
 		panic("btree: AbortCOW without an open batch")
@@ -92,7 +76,6 @@ func (t *Tree) AbortCOW() error {
 	}
 	m := t.cow.savedMeta
 	t.root, t.hgt, t.size, t.pages = m.Root, m.Height, m.Size, m.Pages
-	t.ovNext, t.ovPrev = t.cow.savedOvNext, t.cow.savedOvPrev
 	t.pendingFree = t.pendingFree[:0]
 	t.cow = nil
 	return err
@@ -101,18 +84,10 @@ func (t *Tree) AbortCOW() error {
 // InCOW reports whether a copy-on-write batch is open.
 func (t *Tree) InCOW() bool { return t.cow != nil }
 
-// ChainOverrides returns the tree's current chain-override maps. They are
-// immutable once captured by a published root set: the next BeginCOW
-// copies before mutating.
-func (t *Tree) ChainOverrides() (ovNext, ovPrev map[pagestore.PageID]pagestore.PageID) {
-	return t.ovNext, t.ovPrev
-}
-
-// Handle returns a read-only view of the tree frozen at root metadata m
-// with the given chain-override maps — the per-version tree a snapshot
-// sweeps. It shares the pool, config, view cache and traversal counters
-// with t; it must not be mutated.
-func (t *Tree) Handle(m Meta, ovNext, ovPrev map[pagestore.PageID]pagestore.PageID) *Tree {
+// Handle returns a read-only view of the tree frozen at root metadata m —
+// the per-version tree a snapshot sweeps. It shares the pool, config, view
+// cache and traversal counters with t; it must not be mutated.
+func (t *Tree) Handle(m Meta) *Tree {
 	return &Tree{
 		pool:    t.pool,
 		cfg:     t.cfg,
@@ -122,49 +97,16 @@ func (t *Tree) Handle(m Meta, ovNext, ovPrev map[pagestore.PageID]pagestore.Page
 		pages:   m.Pages,
 		cache:   t.cache,
 		stats:   t.stats,
-		ovNext:  ovNext,
-		ovPrev:  ovPrev,
 		leafCap: t.leafCap,
 		intCap:  t.intCap,
 	}
 }
 
-func copyOverrides(m map[pagestore.PageID]pagestore.PageID) map[pagestore.PageID]pagestore.PageID {
-	if len(m) == 0 {
-		return nil
-	}
-	c := make(map[pagestore.PageID]pagestore.PageID, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
-}
-
-// effNext resolves a leaf's effective forward chain link: the override for
-// id when this version carries one, the raw bytes link otherwise. Owned
-// and freshly written pages never have override entries, so their bytes
-// are authoritative.
-func (t *Tree) effNext(id, raw pagestore.PageID) pagestore.PageID {
-	if v, ok := t.ovNext[id]; ok {
-		return v
-	}
-	return raw
-}
-
-// effPrev is effNext for the backward link.
-func (t *Tree) effPrev(id, raw pagestore.PageID) pagestore.PageID {
-	if v, ok := t.ovPrev[id]; ok {
-		return v
-	}
-	return raw
-}
-
 // writable returns a node of the open batch that is safe to mutate in
 // place: n itself when no batch is open (legacy in-place mode) or when the
-// batch already owns it, and otherwise a fresh clone with n's effective
-// chain links resolved into its bytes and both chain neighbors repointed
-// at it. On success the returned node replaces n (whose frame is released
-// if a clone was made); on error n is released.
+// batch already owns it, and otherwise a fresh clone, which the caller
+// links into its (writable) parent. On success the returned node replaces
+// n (whose frame is released if a clone was made); on error n is released.
 func (t *Tree) writable(n node) (node, error) {
 	if t.cow == nil || t.cow.owned[n.id()] {
 		return n, nil
@@ -178,69 +120,8 @@ func (t *Tree) writable(n node) (node, error) {
 	c := wrap(f)
 	t.cow.owned[c.id()] = true
 	t.cow.superseded = append(t.cow.superseded, old)
-	if n.isLeaf() {
-		prv := t.effPrev(old, n.prev())
-		nxt := t.effNext(old, n.next())
-		c.setPrev(prv)
-		c.setNext(nxt)
-		if prv != pagestore.InvalidPage {
-			if err := t.setChainNext(prv, c.id()); err != nil {
-				n.release()
-				c.release()
-				return node{}, err
-			}
-		}
-		if nxt != pagestore.InvalidPage {
-			if err := t.setChainPrev(nxt, c.id()); err != nil {
-				n.release()
-				c.release()
-				return node{}, err
-			}
-		}
-		delete(t.ovNext, old)
-		delete(t.ovPrev, old)
-	}
 	n.release()
 	return c, nil
-}
-
-// setChainNext points the forward chain link of leaf id at `to`. Outside a
-// batch, and for batch-owned pages, the edit lands in the page bytes; for
-// pages a published version may still reach it lands in the override map,
-// leaving the shared bytes untouched.
-func (t *Tree) setChainNext(id, to pagestore.PageID) error {
-	if t.cow != nil && !t.cow.owned[id] {
-		if t.ovNext == nil {
-			t.ovNext = make(map[pagestore.PageID]pagestore.PageID)
-		}
-		t.ovNext[id] = to
-		return nil
-	}
-	n, err := t.get(id)
-	if err != nil {
-		return err
-	}
-	n.setNext(to)
-	n.release()
-	return nil
-}
-
-// setChainPrev is setChainNext for the backward link.
-func (t *Tree) setChainPrev(id, to pagestore.PageID) error {
-	if t.cow != nil && !t.cow.owned[id] {
-		if t.ovPrev == nil {
-			t.ovPrev = make(map[pagestore.PageID]pagestore.PageID)
-		}
-		t.ovPrev[id] = to
-		return nil
-	}
-	n, err := t.get(id)
-	if err != nil {
-		return err
-	}
-	n.setPrev(to)
-	n.release()
-	return nil
 }
 
 // freeOrSupersede disposes of a page the tree no longer references:
@@ -290,78 +171,6 @@ func (t *Tree) findLeafWritable(e Entry) (node, error) {
 		n = child
 	}
 	return n, nil
-}
-
-// resetHandicapsCOW restores identity handicaps under an open batch. The
-// in-place chain walk of ResetHandicaps would both dirty shared leaves and
-// orphan parent→child links when a mid-chain leaf is cloned, so under COW
-// the reset walks the tree top-down, cloning every node and repointing the
-// child links as it unwinds.
-func (t *Tree) resetHandicapsCOW() error {
-	var walk func(id pagestore.PageID, height int) (pagestore.PageID, error)
-	walk = func(id pagestore.PageID, height int) (pagestore.PageID, error) {
-		n, err := t.get(id)
-		if err != nil {
-			return id, err
-		}
-		if n, err = t.writable(n); err != nil {
-			return id, err
-		}
-		self := n.id()
-		defer n.release()
-		if height == 1 {
-			for s, k := range t.cfg.HandicapKinds {
-				n.setHandicap(s, k.Identity())
-			}
-			return self, nil
-		}
-		for i := 0; i <= n.count(); i++ {
-			nc, err := walk(n.child(i), height-1)
-			if err != nil {
-				return self, err
-			}
-			if nc != n.child(i) {
-				n.setChild(i, nc)
-			}
-		}
-		return self, nil
-	}
-	nr, err := walk(t.root, t.hgt)
-	if nr != t.root && nr != pagestore.InvalidPage {
-		t.root = nr
-	}
-	return err
-}
-
-// FlattenChainOverrides writes every chain-override entry into its page's
-// bytes and clears the maps, so the raw leaf chain becomes authoritative
-// again — the precondition for persisting the tree (Meta carries no
-// override state). Writing those bytes would corrupt older versions that
-// still mask them, so the caller must guarantee no snapshot is active;
-// the current version is unaffected (the overrides it still carries then
-// agree with the bytes). Must not be called inside a batch.
-func (t *Tree) FlattenChainOverrides() error {
-	if t.cow != nil {
-		return fmt.Errorf("btree: FlattenChainOverrides inside a copy-on-write batch")
-	}
-	for id, to := range t.ovNext {
-		n, err := t.get(id)
-		if err != nil {
-			return err
-		}
-		n.setNext(to)
-		n.release()
-	}
-	for id, to := range t.ovPrev {
-		n, err := t.get(id)
-		if err != nil {
-			return err
-		}
-		n.setPrev(to)
-		n.release()
-	}
-	t.ovNext, t.ovPrev = nil, nil
-	return nil
 }
 
 // cowSanity is a debug helper for tests: it verifies that no batch-owned

@@ -10,10 +10,7 @@ import (
 
 // handleOf freezes the tree's current version as a read handle, the way a
 // published root set does.
-func handleOf(tr *Tree) *Tree {
-	ovn, ovp := tr.ChainOverrides()
-	return tr.Handle(tr.Meta(), ovn, ovp)
-}
+func handleOf(tr *Tree) *Tree { return tr.Handle(tr.Meta()) }
 
 func entriesOf(t *testing.T, tr *Tree) []Entry {
 	t.Helper()
@@ -91,8 +88,8 @@ func TestCOWInsertPreservesPublishedHandle(t *testing.T) {
 	}
 }
 
-// TestCOWDeletePreservesPublishedHandle drives merges and the chain
-// overrides they create, then checks both versions.
+// TestCOWDeletePreservesPublishedHandle drives borrows and merges under a
+// batch, then checks both versions.
 func TestCOWDeletePreservesPublishedHandle(t *testing.T) {
 	tr, pool := newTestTree(t, 256, nil)
 	const n = 300
@@ -321,11 +318,13 @@ func TestCOWBatchesCompose(t *testing.T) {
 	}
 }
 
-// TestColdSweepReadsEachPageOnce pins the buffered read path's cost model:
-// a cold sweep over a COW-churned tree — leaves scattered across page ids,
-// links resolved through chain overrides — charges its ReadCounter exactly
-// one physical read per distinct page: the descent's inner nodes plus every
-// leaf visited, in either direction.
+// TestColdSweepReadsEachPageOnce pins the cursor's cost model: a cold sweep
+// over a COW-churned tree — leaves scattered across page ids — charges its
+// ReadCounter exactly one physical read per distinct page: the descent
+// path, every leaf visited, and each further internal node the sweep
+// crosses into, once. A whole-tree sweep therefore reads every page of the
+// version once, and a sweep that stops early reads nothing beyond the
+// paths of the leaves it visited. A higher count is a page read twice.
 func TestColdSweepReadsEachPageOnce(t *testing.T) {
 	tr, pool := newTestTree(t, 256, []SlotKind{MinSlot})
 	entries := make([]Entry, 600)
@@ -353,40 +352,90 @@ func TestColdSweepReadsEachPageOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := handleOf(tr)
-	if len(h.ovNext)+len(h.ovPrev) == 0 {
-		t.Fatal("churn left no chain overrides; the sweep would not exercise them")
+	if h.Height() < 3 {
+		t.Fatalf("height %d: the sweep would cross no internal node below the root", h.Height())
+	}
+	leaves := walkLeaves(t, h)
+	pos := map[pagestore.PageID]int{}
+	for i, l := range leaves {
+		pos[l.page] = i
 	}
 
-	for _, asc := range []bool{true, false} {
+	// start is the leaf position the sweep begins at (−1: the far end for its
+	// direction), limit the number of leaves it visits (0: all).
+	for _, tc := range []struct {
+		name         string
+		asc          bool
+		start, limit int
+	}{
+		{"asc/whole", true, -1, 0},
+		{"desc/whole", false, -1, 0},
+		{"asc/from-middle", true, len(leaves) / 3, 0},
+		{"desc/from-middle", false, 2 * len(leaves) / 3, 0},
+		{"asc/early-stop", true, len(leaves) / 4, len(leaves) / 2},
+		{"desc/early-stop", false, 3 * len(leaves) / 4, len(leaves) / 2},
+		{"asc/one-leaf", true, len(leaves) / 2, 1},
+	} {
+		from := math.Inf(-1)
+		if !tc.asc {
+			from = math.Inf(1)
+		}
+		if tc.start >= 0 {
+			es := leaves[tc.start].entries
+			from = es[len(es)/2].Key
+		}
 		if err := pool.EvictAll(); err != nil {
 			t.Fatal(err)
 		}
 		pool.ResetStats()
 		var rc pagestore.ReadCounter
-		leaves := map[pagestore.PageID]bool{}
+		var visited []pagestore.PageID
 		visit := func(lv LeafView) bool {
-			leaves[lv.Page] = true
-			return true
+			visited = append(visited, lv.Page)
+			return len(visited) != tc.limit
 		}
 		var err error
-		if asc {
-			err = h.VisitLeavesAscTracked(math.Inf(-1), &rc, visit)
+		if tc.asc {
+			err = h.VisitLeavesAscTracked(from, &rc, visit)
 		} else {
-			err = h.VisitLeavesDescTracked(math.Inf(1), &rc, visit)
+			err = h.VisitLeavesDescTracked(from, &rc, visit)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := uint64(h.Height() - 1 + len(leaves))
+		distinct := map[pagestore.PageID]bool{}
+		for i, id := range visited {
+			if distinct[id] {
+				t.Fatalf("%s: leaf %d visited twice", tc.name, id)
+			}
+			distinct[id] = true
+			step := 1
+			if !tc.asc {
+				step = -1
+			}
+			if i > 0 && pos[id] != pos[visited[i-1]]+step {
+				t.Fatalf("%s: leaf %d follows leaf %d out of key order", tc.name, id, visited[i-1])
+			}
+			for _, in := range leaves[pos[id]].path {
+				distinct[in] = true
+			}
+		}
+		if tc.start >= 0 && visited[0] != leaves[tc.start].page {
+			t.Fatalf("%s: sweep began at leaf %d, want %d", tc.name, visited[0], leaves[tc.start].page)
+		}
+		if tc.limit == 0 && tc.start < 0 && len(distinct) != h.Pages() {
+			t.Fatalf("%s: whole sweep met %d distinct pages, the version has %d", tc.name, len(distinct), h.Pages())
+		}
+		want := uint64(len(distinct))
 		if got := rc.Physical.Load(); got != want {
-			t.Errorf("asc=%v: ReadCounter charged %d physical reads, want %d (%d inner + %d leaves)",
-				asc, got, want, h.Height()-1, len(leaves))
+			t.Errorf("%s: ReadCounter charged %d physical reads, want %d (%d leaves + %d inner)",
+				tc.name, got, want, len(visited), len(distinct)-len(visited))
 		}
 		if got := pool.Stats().PhysicalReads; got != want {
-			t.Errorf("asc=%v: pool read %d pages, want %d", asc, got, want)
+			t.Errorf("%s: pool read %d pages, want %d", tc.name, got, want)
 		}
 		if got := rc.Logical.Load(); got != want {
-			t.Errorf("asc=%v: ReadCounter charged %d logical reads, want %d", asc, got, want)
+			t.Errorf("%s: ReadCounter charged %d logical reads, want %d", tc.name, got, want)
 		}
 	}
 }

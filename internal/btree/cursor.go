@@ -11,9 +11,8 @@ import (
 // routing the header parse through the view cache when enabled. The
 // returned LeafView borrows leaf's frame: the caller must not release the
 // frame until it is done with the view (sweeps call visit first, release
-// after). The meta is returned alongside so the sweep can follow the
-// chain links after the frame is gone — PageIDs are values, not borrows.
-func (t *Tree) leafView(leaf node) (LeafView, viewMeta) {
+// after).
+func (t *Tree) leafView(leaf node) LeafView {
 	t.stats.leavesVisited.Add(1)
 	var m viewMeta
 	if t.cache != nil {
@@ -21,7 +20,105 @@ func (t *Tree) leafView(leaf node) (LeafView, viewMeta) {
 	} else {
 		m = parseMeta(leaf.data, leaf.frame.Version())
 	}
-	return LeafView{Page: leaf.id(), v: leaf.view(m)}, m
+	return LeafView{Page: leaf.id(), v: leaf.view(m)}
+}
+
+// maxDepth bounds the internal levels above a leaf. Every internal node has
+// at least two children, so a tree of height h occupies at least 2^h − 1
+// pages, and page ids are 32 bits: no tree is deeper.
+const maxDepth = 32
+
+// cursor is a root-to-leaf path through one version of the tree: the pinned
+// internal nodes from the root down, each with the index of the child the
+// path continues into. A version's pages are never rewritten while a reader
+// can reach them (cow.go), so the path stays valid for as long as it is
+// pinned, and a sweep steps from leaf to leaf through it without sibling
+// links. It holds depth ≤ height − 1 pins next to the sweep's one leaf; the
+// fixed array keeps it off the heap.
+type cursor struct {
+	t    *Tree
+	rc   *pagestore.ReadCounter
+	path [maxDepth]struct {
+		n   node
+		idx int
+	}
+	depth int
+}
+
+// push extends the path by internal node n, continued into child idx, and
+// pins that child. On error n is released with the rest of the path.
+func (c *cursor) push(n node, idx int, child pagestore.PageID) (node, error) {
+	if c.depth == maxDepth {
+		id := n.id()
+		n.release()
+		return node{}, fmt.Errorf("btree: page %d lies deeper than any tree: corrupt child links", id)
+	}
+	c.path[c.depth].n, c.path[c.depth].idx = n, idx
+	c.depth++
+	return c.t.getTracked(child, c.rc)
+}
+
+// seek descends from the root to the leaf that owns e and returns it pinned.
+func (c *cursor) seek(e Entry) (node, error) {
+	c.t.stats.descents.Add(1)
+	n, err := c.t.getTracked(c.t.root, c.rc)
+	for err == nil && !n.isLeaf() {
+		idx, child := c.t.route(n, e)
+		n, err = c.push(n, idx, child)
+	}
+	return n, err
+}
+
+// step returns, pinned, the leaf after (asc) or before the one the path
+// leads to: it climbs to the deepest node with a further child on that
+// side, releasing the exhausted ones, and descends that child's near edge.
+// ok is false past the last leaf.
+func (c *cursor) step(asc bool) (leaf node, ok bool, err error) {
+	for ; c.depth > 0; c.depth-- {
+		top := &c.path[c.depth-1]
+		if asc && top.idx < top.n.count() {
+			top.idx++
+		} else if !asc && top.idx > 0 {
+			top.idx--
+		} else {
+			top.n.release()
+			continue
+		}
+		leaf, err = c.t.getTracked(top.n.child(top.idx), c.rc)
+		for err == nil && !leaf.isLeaf() {
+			idx := 0
+			if !asc {
+				idx = leaf.count()
+			}
+			leaf, err = c.push(leaf, idx, leaf.child(idx))
+		}
+		return leaf, err == nil, err
+	}
+	return node{}, false, nil
+}
+
+// close releases the path.
+func (c *cursor) close() {
+	for ; c.depth > 0; c.depth-- {
+		c.path[c.depth-1].n.release()
+	}
+}
+
+// sweep is the one leaf sweep behind VisitLeaves{Asc,Desc}[Tracked]: from
+// the leaf that owns `from`, leaf by leaf in one direction, while visit
+// returns true.
+func (t *Tree) sweep(from Entry, asc bool, rc *pagestore.ReadCounter, visit func(LeafView) bool) error {
+	c := cursor{t: t, rc: rc}
+	defer c.close()
+	leaf, err := c.seek(from)
+	for ok := true; err == nil && ok; leaf, ok, err = c.step(asc) {
+		more := visit(t.leafView(leaf))
+		leaf.release()
+		if !more {
+			break
+		}
+	}
+	return err
 }
 
 // VisitLeavesAsc visits leaves in ascending key order starting at the leaf
@@ -33,28 +130,12 @@ func (t *Tree) VisitLeavesAsc(from float64, visit func(LeafView) bool) error {
 	return t.VisitLeavesAscTracked(from, nil, visit)
 }
 
-// VisitLeavesAscTracked is VisitLeavesAsc with every page read of the
-// descent and the leaf chain charged to rc — the per-query accounting that
-// stays exact when several sweeps share the buffer pool.
+// VisitLeavesAscTracked is VisitLeavesAsc with every page read of the sweep
+// charged to rc — the per-query accounting that stays exact when several
+// sweeps share the buffer pool: the descent path, every leaf visited, and
+// each further internal node the sweep crosses into, once each.
 func (t *Tree) VisitLeavesAscTracked(from float64, rc *pagestore.ReadCounter, visit func(LeafView) bool) error {
-	leaf, err := t.findLeafTracked(Entry{Key: from, TID: 0}, rc)
-	if err != nil {
-		return err
-	}
-	for {
-		lv, m := t.leafView(leaf)
-		// Resolve the forward link through this version's chain overrides:
-		// a shared leaf's bytes may predate a neighbor's clone.
-		next := t.effNext(leaf.id(), m.next)
-		more := visit(lv)
-		leaf.release()
-		if !more || next == pagestore.InvalidPage {
-			return nil
-		}
-		if leaf, err = t.getTracked(next, rc); err != nil {
-			return err
-		}
-	}
+	return t.sweep(Entry{Key: from, TID: 0}, true, rc, visit)
 }
 
 // VisitLeavesDesc visits leaves in descending key order starting at the
@@ -67,22 +148,7 @@ func (t *Tree) VisitLeavesDesc(from float64, visit func(LeafView) bool) error {
 // VisitLeavesDescTracked is VisitLeavesDesc with per-query I/O accounting
 // (see VisitLeavesAscTracked).
 func (t *Tree) VisitLeavesDescTracked(from float64, rc *pagestore.ReadCounter, visit func(LeafView) bool) error {
-	leaf, err := t.findLeafTracked(Entry{Key: from, TID: math.MaxUint32}, rc)
-	if err != nil {
-		return err
-	}
-	for {
-		lv, m := t.leafView(leaf)
-		prev := t.effPrev(leaf.id(), m.prev)
-		more := visit(lv)
-		leaf.release()
-		if !more || prev == pagestore.InvalidPage {
-			return nil
-		}
-		if leaf, err = t.getTracked(prev, rc); err != nil {
-			return err
-		}
-	}
+	return t.sweep(Entry{Key: from, TID: math.MaxUint32}, false, rc, visit)
 }
 
 // AscendRange calls fn for every entry with from ≤ key ≤ to in ascending
@@ -137,30 +203,42 @@ func (t *Tree) MergeHandicap(routeKey float64, slot int, value float64) error {
 }
 
 // ResetHandicaps restores every leaf's handicap slots to their identity
-// values, ahead of an exact rebuild. Under an open copy-on-write batch the
-// whole tree is shadowed (resetHandicapsCOW): a chain walk cannot clone
-// leaves without orphaning their parents' child links.
+// values, ahead of an exact rebuild. The walk is top-down with every node
+// made writable on the way: under an open copy-on-write batch that shadows
+// the whole tree, each clone linked into its parent as the walk unwinds;
+// outside a batch writable is the identity and the leaves are reset in place.
 func (t *Tree) ResetHandicaps() error {
-	if t.cow != nil {
-		return t.resetHandicapsCOW()
-	}
-	leaf, err := t.findLeaf(Entry{Key: math.Inf(-1), TID: 0})
-	if err != nil {
-		return err
-	}
-	for {
-		for s, k := range t.cfg.HandicapKinds {
-			leaf.setHandicap(s, k.Identity())
+	var walk func(id pagestore.PageID) (pagestore.PageID, error)
+	walk = func(id pagestore.PageID) (pagestore.PageID, error) {
+		n, err := t.get(id)
+		if err != nil {
+			return id, err
 		}
-		next := t.effNext(leaf.id(), leaf.next())
-		leaf.release()
-		if next == pagestore.InvalidPage {
-			return nil
+		if n, err = t.writable(n); err != nil {
+			return id, err
 		}
-		if leaf, err = t.get(next); err != nil {
-			return err
+		self := n.id()
+		defer n.release()
+		if n.isLeaf() {
+			for s, k := range t.cfg.HandicapKinds {
+				n.setHandicap(s, k.Identity())
+			}
+			return self, nil
 		}
+		for i := 0; i <= n.count(); i++ {
+			nc, err := walk(n.child(i))
+			if nc != n.child(i) {
+				n.setChild(i, nc)
+			}
+			if err != nil {
+				return self, err
+			}
+		}
+		return self, nil
 	}
+	root, err := walk(t.root)
+	t.root = root
+	return err
 }
 
 // BulkLoad builds the tree from entries that are already sorted in
@@ -215,8 +293,6 @@ func (t *Tree) BulkLoad(entries []Entry) error {
 				cur.release()
 				return err
 			}
-			cur.setNext(next.id())
-			next.setPrev(cur.id())
 			cur.release()
 			cur = next
 		}
@@ -261,10 +337,9 @@ func (t *Tree) BulkLoad(entries []Entry) error {
 }
 
 // CheckInvariants walks the whole tree verifying ordering, occupancy,
-// separator consistency and leaf chaining; it returns a descriptive error
-// on the first violation. Test-support API.
+// and separator consistency; it returns a descriptive error on the first
+// violation. Test-support API.
 func (t *Tree) CheckInvariants() error {
-	var prevLeaf pagestore.PageID
 	var lastEntry *Entry
 	count := 0
 	var walk func(id pagestore.PageID, height int, lo, hi *Entry) error
@@ -281,9 +356,6 @@ func (t *Tree) CheckInvariants() error {
 			if id != t.root && n.count() < t.minLeaf() {
 				return errf("leaf %d underfull: %d < %d", id, n.count(), t.minLeaf())
 			}
-			if got := t.effPrev(id, n.prev()); got != prevLeaf {
-				return errf("leaf %d: prev = %d, want %d", id, got, prevLeaf)
-			}
 			for i := 0; i < n.count(); i++ {
 				e := n.entry(i)
 				if lastEntry != nil && e.Less(*lastEntry) {
@@ -299,7 +371,6 @@ func (t *Tree) CheckInvariants() error {
 				lastEntry = &ec
 				count++
 			}
-			prevLeaf = id
 			return nil
 		}
 		if n.isLeaf() {

@@ -93,3 +93,132 @@ func TestDeleteSurfacesReadFault(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSweepFaultReleasesItsPath fails the n-th page read of a cold sweep for
+// every n the sweep makes, in both directions: the fault must surface and the
+// cursor must hand back every frame it pinned — leaf and path alike.
+func TestSweepFaultReleasesItsPath(t *testing.T) {
+	tr, fs, pool := newFaultTree(t)
+	for i := 0; i < 1500; i++ {
+		if err := tr.Insert(float64(i), uint32(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tr.Height() < 3 {
+		t.Fatalf("height %d: no path below the root to release", tr.Height())
+	}
+	for _, asc := range []bool{true, false} {
+		for n := 1; n <= tr.Pages(); n++ {
+			if err := pool.EvictAll(); err != nil {
+				t.Fatal(err)
+			}
+			fs.FailReadAfter(n)
+			var err error
+			if asc {
+				err = tr.VisitLeavesAsc(math.Inf(-1), func(LeafView) bool { return true })
+			} else {
+				err = tr.VisitLeavesDesc(math.Inf(1), func(LeafView) bool { return true })
+			}
+			fs.Disarm()
+			if !errors.Is(err, pagestore.ErrInjected) {
+				t.Fatalf("asc=%v, read %d: want injected fault, got %v", asc, n, err)
+			}
+			if r := pool.Residency(); r.Pinned != 0 {
+				t.Fatalf("asc=%v, read %d: %d frames still pinned after the fault", asc, n, r.Pinned)
+			}
+		}
+	}
+}
+
+// TestForeignLayoutIsRejected flips the layout byte of a leaf and of the
+// root: every descent and sweep that reaches the page returns ErrLayout
+// with nothing left pinned, and Restore refuses the root.
+func TestForeignLayoutIsRejected(t *testing.T) {
+	tr, pool := newTestTree(t, 256, nil)
+	for i := 0; i < 500; i++ {
+		if err := tr.Insert(float64(i), uint32(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flip := func(id pagestore.PageID) {
+		f, err := pool.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Data()[offLayout] ^= 0xFF
+		f.MarkDirty()
+		f.Release()
+	}
+	leaf, err := tr.findLeaf(Entry{Key: 250, TID: 251})
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := leaf.id()
+	leaf.release()
+	flip(foreign)
+
+	if _, err := tr.Contains(250, 251); !errors.Is(err, ErrLayout) {
+		t.Fatalf("Contains through a foreign leaf: %v", err)
+	}
+	for _, asc := range []bool{true, false} {
+		seen := 0
+		visit := func(lv LeafView) bool {
+			if lv.Page == foreign {
+				t.Fatal("sweep handed out the foreign leaf")
+			}
+			seen++
+			return true
+		}
+		if asc {
+			err = tr.VisitLeavesAsc(math.Inf(-1), visit)
+		} else {
+			err = tr.VisitLeavesDesc(math.Inf(1), visit)
+		}
+		if !errors.Is(err, ErrLayout) || seen == 0 {
+			t.Fatalf("asc=%v: sweep across a foreign leaf: %d leaves, then %v", asc, seen, err)
+		}
+		if r := pool.Residency(); r.Pinned != 0 {
+			t.Fatalf("asc=%v: %d frames still pinned", asc, r.Pinned)
+		}
+	}
+	if err := tr.CheckInvariants(); !errors.Is(err, ErrLayout) {
+		t.Fatalf("CheckInvariants over a foreign leaf: %v", err)
+	}
+	flip(foreign)
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	flip(tr.Meta().Root)
+	if _, err := Restore(pool, Config{}, tr.Meta()); !errors.Is(err, ErrLayout) {
+		t.Fatalf("Restore over a foreign root: %v", err)
+	}
+}
+
+// TestSweepOverCyclicLinksStops points an internal node's child link back at
+// the node: the cursor's path is bounded, so the sweep returns an error with
+// nothing left pinned instead of descending forever.
+func TestSweepOverCyclicLinksStops(t *testing.T) {
+	tr, pool := newTestTree(t, 256, nil)
+	for i := 0; i < 500; i++ {
+		if err := tr.Insert(float64(i), uint32(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	root, err := tr.get(tr.root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root.setChild(0, root.id())
+	root.setChild(root.count(), root.id())
+	root.release()
+	if err := tr.VisitLeavesAsc(math.Inf(-1), func(LeafView) bool { return true }); err == nil {
+		t.Fatal("ascending sweep into a cycle returned no error")
+	}
+	if err := tr.VisitLeavesDesc(math.Inf(1), func(LeafView) bool { return true }); err == nil {
+		t.Fatal("descending sweep into a cycle returned no error")
+	}
+	if r := pool.Residency(); r.Pinned != 0 {
+		t.Fatalf("%d frames still pinned", r.Pinned)
+	}
+}

@@ -1,9 +1,9 @@
 // Package btree implements the disk-based B⁺-tree underlying the paper's
 // dual-representation index (Sections 3 and 4): float64 keys with duplicate
-// support via (key, tuple-id) composites, doubly linked leaves for upward
-// and downward sweeps, bulk loading, and a configurable number of per-leaf
-// auxiliary slots that hold the "handicap values" of technique T2
-// (Section 4.2).
+// support via (key, tuple-id) composites, upward and downward leaf sweeps
+// from a root-to-leaf cursor (cursor.go), bulk loading, and a configurable
+// number of per-leaf auxiliary slots that hold the "handicap values" of
+// technique T2 (Section 4.2).
 //
 // Pages are managed through pagestore.Pool, so every traversal is charged
 // to the shared I/O counters that the experiment harness reports. Sweeps
@@ -75,19 +75,18 @@ func (k SlotKind) Combine(a, b float64) float64 {
 	return math.Max(a, b)
 }
 
-// Page layout (format "DCDB0002"). Every node starts with a 16-byte header
+// Page layout (format "DCDB0003"). Every node starts with a 16-byte header
 // whose region offsets make the body self-describing — a reader slices the
 // page in place instead of re-deriving offsets from a slot count:
 //
 //	[0]     node type (1 = leaf, 2 = internal)
-//	[1]     layout version (currently 1)
+//	[1]     layout version (currently 2; any other value is ErrLayout)
 //	[2:4]   count (uint16): entries in a leaf, separators in an internal node
 //	[4:6]   hOff (uint16): offset of the handicap region (leaves) or of the
 //	        leftmost child pointer (internal nodes); today always 16
 //	[6:8]   eOff (uint16): offset of the entry region (leaves: hOff + 8·H,
 //	        so H = (eOff−hOff)/8) or of the separator records (internal: 20)
-//	[8:12]  next leaf page id (leaves only)
-//	[12:16] prev leaf page id (leaves only)
+//	[8:16]  reserved: written as zero, never read
 //
 // Leaf body:     handicap region at hOff (H × 8-byte floats), entry region
 //
@@ -105,15 +104,14 @@ const (
 	intRecSize    = 16
 	typeLeaf      = 1
 	typeInternal  = 2
-	layoutVersion = 1
+	layoutVersion = 2
 
 	offType   = 0
 	offLayout = 1
 	offCount  = 2
 	offHOff   = 4
 	offEOff   = 6
-	offNext   = 8
-	offPrev   = 12
+	offRsvd   = 8
 )
 
 type node struct {
@@ -141,9 +139,8 @@ func (n node) initLeaf(numHandicaps int, kinds []SlotKind) {
 	n.data[offLayout] = layoutVersion
 	binary.LittleEndian.PutUint16(n.data[offHOff:offHOff+2], uint16(headerSize))
 	binary.LittleEndian.PutUint16(n.data[offEOff:offEOff+2], uint16(headerSize+8*numHandicaps))
+	clear(n.data[offRsvd:headerSize])
 	n.setCount(0)
-	n.setNext(pagestore.InvalidPage)
-	n.setPrev(pagestore.InvalidPage)
 	for i := 0; i < numHandicaps; i++ {
 		n.setHandicap(i, kinds[i].Identity())
 	}
@@ -151,21 +148,6 @@ func (n node) initLeaf(numHandicaps int, kinds []SlotKind) {
 }
 
 func (n node) numHandicaps() int { return (n.eOff() - n.hOff()) / 8 }
-
-func (n node) next() pagestore.PageID {
-	return pagestore.PageID(binary.LittleEndian.Uint32(n.data[offNext : offNext+4]))
-}
-func (n node) setNext(p pagestore.PageID) {
-	binary.LittleEndian.PutUint32(n.data[offNext:offNext+4], uint32(p))
-	n.frame.MarkDirty()
-}
-func (n node) prev() pagestore.PageID {
-	return pagestore.PageID(binary.LittleEndian.Uint32(n.data[offPrev : offPrev+4]))
-}
-func (n node) setPrev(p pagestore.PageID) {
-	binary.LittleEndian.PutUint32(n.data[offPrev:offPrev+4], uint32(p))
-	n.frame.MarkDirty()
-}
 
 func (n node) handicap(i int) float64 {
 	off := n.hOff() + i*8
@@ -232,6 +214,7 @@ func (n node) initInternal() {
 	n.data[offLayout] = layoutVersion
 	binary.LittleEndian.PutUint16(n.data[offHOff:offHOff+2], uint16(headerSize))
 	binary.LittleEndian.PutUint16(n.data[offEOff:offEOff+2], uint16(headerSize+4))
+	clear(n.data[offRsvd:headerSize])
 	n.setCount(0)
 	n.frame.MarkDirty()
 }

@@ -49,11 +49,6 @@ type Tree struct {
 	// pointer).
 	stats *treeStats
 
-	// ovNext/ovPrev are this version's leaf-chain overrides (see cow.go):
-	// effective next/prev links for un-owned pages whose neighbor was
-	// cloned. Nil or empty on a tree that has never been shadowed.
-	ovNext, ovPrev map[pagestore.PageID]pagestore.PageID
-
 	// cow, when non-nil, is the open copy-on-write batch; nil selects the
 	// legacy in-place mutation mode.
 	cow *cowState
@@ -64,7 +59,7 @@ type Tree struct {
 
 // treeStats holds the traversal counters (atomics: sweeps run
 // concurrently). descents counts root-to-leaf searches, leavesVisited the
-// leaves snapshotted by chain sweeps.
+// leaves snapshotted by sweeps.
 type treeStats struct {
 	descents      atomic.Uint64
 	leavesVisited atomic.Uint64
@@ -75,6 +70,10 @@ var ErrDuplicate = errors.New("btree: duplicate entry")
 
 // ErrNotEmpty is returned when bulk loading a non-empty tree.
 var ErrNotEmpty = errors.New("btree: tree not empty")
+
+// ErrLayout is returned when a page read as a node does not carry the
+// current layout version: a file written by another format, or damage.
+var ErrLayout = errors.New("btree: node layout version mismatch")
 
 // New creates an empty tree whose pages are allocated from pool.
 func New(pool *pagestore.Pool, cfg Config) (*Tree, error) {
@@ -157,11 +156,10 @@ func Restore(pool *pagestore.Pool, cfg Config, m Meta) (*Tree, error) {
 		return nil, fmt.Errorf("btree: page size %d too small", ps)
 	}
 	// Sanity: the root page must exist and carry a plausible node type.
-	f, err := pool.Get(m.Root)
+	n, err := t.get(m.Root)
 	if err != nil {
 		return nil, fmt.Errorf("btree: restore root: %w", err)
 	}
-	n := wrap(f)
 	defer n.release()
 	if typ := n.data[0]; typ != typeLeaf && typ != typeInternal {
 		return nil, fmt.Errorf("btree: page %d is not a node (type %d)", m.Root, typ)
@@ -183,14 +181,20 @@ func (t *Tree) get(id pagestore.PageID) (node, error) {
 	return t.getTracked(id, nil)
 }
 
-// getTracked pins a page, attributing a cache miss to rc when non-nil (the
-// per-query I/O accounting of concurrent sweeps).
+// getTracked pins a page as a node, attributing a cache miss to rc when
+// non-nil (the per-query I/O accounting of concurrent sweeps). A page of
+// another layout version is ErrLayout: its offsets mean something else.
 func (t *Tree) getTracked(id pagestore.PageID, rc *pagestore.ReadCounter) (node, error) {
 	f, err := t.pool.GetTracked(id, rc)
 	if err != nil {
 		return node{}, err
 	}
-	return wrap(f), nil
+	n := wrap(f)
+	if v := n.data[offLayout]; v != layoutVersion {
+		n.release()
+		return node{}, fmt.Errorf("%w: page %d has version %d, want %d", ErrLayout, id, v, layoutVersion)
+	}
+	return n, nil
 }
 
 func (t *Tree) newLeaf() (node, error) {
@@ -227,9 +231,6 @@ func (t *Tree) findLeaf(e Entry) (node, error) {
 }
 
 // findLeafTracked is findLeaf with the descent's page reads charged to rc.
-// Internal nodes are routed through the view cache when enabled, so
-// repeated descents skip the header parse; the separator search itself
-// always reads the pinned page bytes in place.
 func (t *Tree) findLeafTracked(e Entry, rc *pagestore.ReadCounter) (node, error) {
 	t.stats.descents.Add(1)
 	n, err := t.getTracked(t.root, rc)
@@ -237,19 +238,27 @@ func (t *Tree) findLeafTracked(e Entry, rc *pagestore.ReadCounter) (node, error)
 		return node{}, err
 	}
 	for !n.isLeaf() {
-		var child pagestore.PageID
-		if t.cache != nil {
-			v := n.view(t.cache.lookup(n))
-			child = v.child(v.childIndex(e))
-		} else {
-			child = n.child(n.childIndex(e))
-		}
+		_, child := t.route(n, e)
 		n.release()
 		if n, err = t.getTracked(child, rc); err != nil {
 			return node{}, err
 		}
 	}
 	return n, nil
+}
+
+// route returns the position and page of the child of internal node n that
+// owns e. The header parse goes through the view cache when enabled, so
+// repeated descents skip it; the separator search itself always reads the
+// pinned page bytes in place.
+func (t *Tree) route(n node, e Entry) (int, pagestore.PageID) {
+	if t.cache != nil {
+		v := n.view(t.cache.lookup(n))
+		i := v.childIndex(e)
+		return i, v.child(i)
+	}
+	i := n.childIndex(e)
+	return i, n.child(i)
 }
 
 // DecodeCacheStats returns the view-meta cache counters (zero when the
@@ -263,7 +272,7 @@ func (t *Tree) DecodeCacheStats() DecodeStats {
 
 // SweepStats counts tree-traversal activity: root-to-leaf descents
 // (searches, sweep starts, handicap routing) and leaves snapshotted by
-// chain sweeps. Monotone over the tree's lifetime.
+// sweeps. Monotone over the tree's lifetime.
 type SweepStats struct {
 	Descents      uint64 `json:"descents"`
 	LeavesVisited uint64 `json:"leaves_visited"`
@@ -366,19 +375,6 @@ func (t *Tree) insertInto(id pagestore.PageID, height int, e Entry) (self pagest
 		n.setCount(mid)
 		for s := 0; s < n.numHandicaps(); s++ {
 			r.setHandicap(s, n.handicap(s))
-		}
-		// Chain: n <-> r <-> oldNext. n is writable, so its bytes carry
-		// the batch's effective links already; oldNext may be shared with
-		// a published version, so its back link goes through the
-		// override-aware setter.
-		oldNext := n.next()
-		r.setNext(oldNext)
-		r.setPrev(n.id())
-		n.setNext(r.id())
-		if oldNext != pagestore.InvalidPage {
-			if err := t.setChainPrev(oldNext, r.id()); err != nil {
-				return self, Entry{}, pagestore.InvalidPage, err
-			}
 		}
 		sp := r.entry(0)
 		if e.Less(sp) {
@@ -628,17 +624,17 @@ func (t *Tree) rebalanceChild(n node, ci, childHeight int) error {
 		if n.child(ci-1) != left.id() {
 			n.setChild(ci-1, left.id())
 		}
-		err = t.mergeNodes(n, ci-1, left, child, childHeight)
+		t.mergeNodes(n, ci-1, left, child, childHeight)
 		left.release()
-		return err
+		return nil
 	}
 	right, err := t.get(n.child(ci + 1))
 	if err != nil {
 		return err
 	}
-	err = t.mergeNodes(n, ci, child, right, childHeight)
+	t.mergeNodes(n, ci, child, right, childHeight)
 	right.release()
-	return err
+	return nil
 }
 
 // prependToInternal rebuilds an internal node with (sep, leftmostChild)
@@ -664,7 +660,7 @@ func (t *Tree) prependToInternal(n node, sep Entry, newChild0 pagestore.PageID) 
 // mergeNodes folds right into left (children ci and ci+1 of n) and removes
 // the separating key from n. For leaves the handicap slots combine in the
 // conservative direction of their kind.
-func (t *Tree) mergeNodes(n node, sepIdx int, left, right node, childHeight int) error {
+func (t *Tree) mergeNodes(n node, sepIdx int, left, right node, childHeight int) {
 	if childHeight == 1 {
 		base := left.count()
 		for j := 0; j < right.count(); j++ {
@@ -673,16 +669,6 @@ func (t *Tree) mergeNodes(n node, sepIdx int, left, right node, childHeight int)
 		left.setCount(base + right.count())
 		for s := 0; s < left.numHandicaps(); s++ {
 			left.setHandicap(s, t.cfg.HandicapKinds[s].Combine(left.handicap(s), right.handicap(s)))
-		}
-		// Unlink right from the leaf chain, resolving its forward link
-		// through the overrides (an un-owned right's bytes may predate
-		// this batch's moves).
-		rn := t.effNext(right.id(), right.next())
-		left.setNext(rn)
-		if rn != pagestore.InvalidPage {
-			if err := t.setChainPrev(rn, left.id()); err != nil {
-				return err
-			}
 		}
 	} else {
 		down := n.sep(sepIdx)
@@ -694,19 +680,14 @@ func (t *Tree) mergeNodes(n node, sepIdx int, left, right node, childHeight int)
 	}
 	rid := right.id()
 	n.removeSepAt(sepIdx)
-	if t.cow != nil {
-		delete(t.ovNext, rid)
-		delete(t.ovPrev, rid)
-		if !t.cow.owned[rid] {
-			// A published version may still sweep onto right: retire it
-			// with the commit instead of freeing it now.
-			t.cow.superseded = append(t.cow.superseded, rid)
-			t.pages--
-			return nil
-		}
+	if t.cow != nil && !t.cow.owned[rid] {
+		// A published version may still sweep onto right: retire it with
+		// the commit instead of freeing it now.
+		t.cow.superseded = append(t.cow.superseded, rid)
+		t.pages--
+		return
 	}
 	// right is released by the caller; freeing a pinned page is an error,
 	// so defer the free until after release by remembering it.
 	t.pendingFree = append(t.pendingFree, rid)
-	return nil
 }

@@ -14,7 +14,6 @@ import (
 // it (see viewCache) costs no heap slices, unlike the old decodedNode.
 type viewMeta struct {
 	version    uint64
-	next, prev pagestore.PageID
 	count      uint16
 	hOff, eOff uint16
 	leaf       bool
@@ -24,8 +23,6 @@ type viewMeta struct {
 func parseMeta(data []byte, version uint64) viewMeta {
 	return viewMeta{
 		version: version,
-		next:    pagestore.PageID(binary.LittleEndian.Uint32(data[offNext : offNext+4])),
-		prev:    pagestore.PageID(binary.LittleEndian.Uint32(data[offPrev : offPrev+4])),
 		count:   binary.LittleEndian.Uint16(data[offCount : offCount+2]),
 		hOff:    binary.LittleEndian.Uint16(data[offHOff : offHOff+2]),
 		eOff:    binary.LittleEndian.Uint16(data[offEOff : offEOff+2]),

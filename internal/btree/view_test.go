@@ -16,8 +16,7 @@ import (
 type refLeaf struct {
 	entries   []Entry
 	handicaps []float64
-	next      pagestore.PageID
-	prev      pagestore.PageID
+	reserved  [8]byte
 }
 
 func refDecodeLeaf(t *testing.T, data []byte) refLeaf {
@@ -31,10 +30,8 @@ func refDecodeLeaf(t *testing.T, data []byte) refLeaf {
 	count := int(binary.LittleEndian.Uint16(data[2:4]))
 	hOff := int(binary.LittleEndian.Uint16(data[4:6]))
 	eOff := int(binary.LittleEndian.Uint16(data[6:8]))
-	r := refLeaf{
-		next: pagestore.PageID(binary.LittleEndian.Uint32(data[8:12])),
-		prev: pagestore.PageID(binary.LittleEndian.Uint32(data[12:16])),
-	}
+	var r refLeaf
+	copy(r.reserved[:], data[8:16])
 	for off := hOff; off < eOff; off += 8 {
 		r.handicaps = append(r.handicaps, math.Float64frombits(binary.LittleEndian.Uint64(data[off:off+8])))
 	}
@@ -112,40 +109,44 @@ func TestQuickViewMatchesDecode(t *testing.T) {
 	}
 }
 
-// TestViewChainLinksMatchReference checks the meta side of the parse —
-// next/prev links and the internal-node view — against the byte-level
-// reference, by walking the leaf chain manually.
-func TestViewChainLinksMatchReference(t *testing.T) {
+// TestViewMetaMatchesReference checks the meta side of the parse — count
+// and region offsets — against the byte-level reference on every leaf of a
+// tree grown by splits and thinned by merges, and that header bytes [8:16],
+// where layout 1 kept sibling links, are zero on all of them.
+func TestViewMetaMatchesReference(t *testing.T) {
 	tr, pool := newTestTree(t, 256, []SlotKind{MinSlot})
 	for i := 0; i < 2000; i++ {
 		_ = tr.Insert(float64(i), uint32(i+1))
 	}
-	leaf, err := tr.findLeaf(Entry{Key: math.Inf(-1)})
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2000; i += 3 {
+		if _, err := tr.Delete(float64(i), uint32(i+1)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	visited := 0
-	for {
-		m := parseMeta(leaf.data, leaf.frame.Version())
-		ref := refDecodeLeaf(t, leaf.data)
-		if m.next != ref.next || m.prev != ref.prev || int(m.count) != len(ref.entries) {
-			t.Fatalf("page %d: meta (next %d, prev %d, count %d) vs reference (next %d, prev %d, count %d)",
-				leaf.id(), m.next, m.prev, m.count, ref.next, ref.prev, len(ref.entries))
-		}
-		visited++
-		next := m.next
-		leaf.release()
-		if next == pagestore.InvalidPage {
-			break
-		}
-		f, err := pool.Get(next)
+	err := tr.VisitLeavesAsc(math.Inf(-1), func(lv LeafView) bool {
+		f, err := pool.Get(lv.Page)
 		if err != nil {
 			t.Fatal(err)
 		}
-		leaf = wrap(f)
+		defer f.Release()
+		m := parseMeta(f.Data(), f.Version())
+		ref := refDecodeLeaf(t, f.Data())
+		if !m.leaf || int(m.count) != len(ref.entries) || int(m.eOff-m.hOff)/8 != len(ref.handicaps) {
+			t.Fatalf("page %d: meta (leaf %v, count %d, %d slots) vs reference (count %d, %d slots)",
+				lv.Page, m.leaf, m.count, (m.eOff-m.hOff)/8, len(ref.entries), len(ref.handicaps))
+		}
+		if ref.reserved != [8]byte{} {
+			t.Fatalf("page %d: reserved header bytes %x, want zero", lv.Page, ref.reserved)
+		}
+		visited++
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if visited < 2 {
-		t.Fatalf("tree too small for a chain walk: %d leaves", visited)
+		t.Fatalf("tree too small to cross a leaf boundary: %d leaves", visited)
 	}
 }
 

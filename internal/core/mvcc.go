@@ -152,13 +152,6 @@ func (rs *rootSet) allIDs(buf []uint32) []uint32 {
 // relLen returns the relation size at this version.
 func (rs *rootSet) relLen() int { return rs.live }
 
-// handleOf freezes a live tree's current state as an immutable read
-// handle for the rootSet being published.
-func handleOf(t *btree.Tree) *btree.Tree {
-	ovn, ovp := t.ChainOverrides()
-	return t.Handle(t.Meta(), ovn, ovp)
-}
-
 // relSnapshot freezes the relation into the dense-by-id slice a rootSet
 // carries. Used for the initial publish (New/Build/Open); commits derive
 // the next slice incrementally from the base version instead.
@@ -194,7 +187,7 @@ func (ix *Index) publishLocked(version uint64, indexed, deletes int, tuples []*c
 		xext:                xext,
 	}
 	for i, t := range ix.trees {
-		rs.trees[i] = handleOf(t)
+		rs.trees[i] = t.Handle(t.Meta())
 	}
 	ix.roots.Store(rs)
 	return rs

@@ -24,9 +24,10 @@ import (
 // reattaches the trees.
 
 const (
-	// DCDB0002: flat node layout with self-describing header offsets
-	// (btree/node.go); DCDB0001 pages are not readable.
-	catalogMagic   = "DCDB0002"
+	// DCDB0003: flat node layout with self-describing header offsets and no
+	// leaf sibling links (btree/node.go, layout version 2); DCDB0001 and
+	// DCDB0002 files are refused.
+	catalogMagic   = "DCDB0003"
 	catalogPage    = pagestore.PageID(1)
 	catalogFixed   = 52 // bytes before the slope table
 	maxPersistK    = 23 // catalog page capacity bound at 1 KiB pages (incl. vertical pair)
@@ -37,11 +38,12 @@ const (
 // index must own its store (created via New/Build without a shared Pool),
 // so that the catalog sits at page 1.
 //
-// Save requires a quiescent index: it excludes writers for its duration
-// and refuses to run while any snapshot is active, because it flattens
-// the MVCC chain-override maps into the page bytes (the persisted format
-// has no override sidecar) — an edit an older pinned version could
-// otherwise observe.
+// Save excludes writers for its duration and runs beside readers: a version
+// is its trees' root metadata and nothing else, so the catalog records the
+// current one as it stands and no page a snapshot can reach is touched.
+// Pages that pinned snapshots still hold back from reclamation are
+// allocated in the saved file and referenced by nothing in it: they leak
+// there exactly as freed pages do (OpenExistingFileStore's trade-off).
 func (ix *Index) Save() error {
 	ix.writeMu.Lock()
 	defer ix.writeMu.Unlock()
@@ -55,14 +57,6 @@ func (ix *Index) Save() error {
 	slopes := g.s
 	if len(slopes) > maxPersistK {
 		return fmt.Errorf("core: cannot persist k=%d > %d slope sets", len(slopes), maxPersistK)
-	}
-	if c := ix.pool.SnapshotCensus(); c.Active > 0 {
-		return fmt.Errorf("core: Save with %d active snapshots", c.Active)
-	}
-	for _, t := range ix.trees {
-		if err := t.FlattenChainOverrides(); err != nil {
-			return err
-		}
 	}
 	// Serialize the relation.
 	data, count, err := encodeRelation(ix.rel)

@@ -2,11 +2,15 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 
+	"dualcdb/internal/btree"
 	"dualcdb/internal/constraint"
 	"dualcdb/internal/pagestore"
 )
@@ -219,6 +223,7 @@ func TestOpenRejectsDamagedCatalog(t *testing.T) {
 		"slopes-unsorted":   func(d, _ []byte) { putF(d, slope0, getF(d, slope0+16)+1) },
 		"slopes-within-eps": func(d, _ []byte) { putF(d, slope0+8, getF(d, slope0)) },
 		"technique":         func(d, _ []byte) { d[8] = 7 },
+		"previous-format":   func(d, _ []byte) { copy(d[0:8], "DCDB0002") },
 		"chain-cycle": func(d, head []byte) {
 			// The first chain page points back at itself.
 			copy(head[0:4], d[40:44])
@@ -266,6 +271,221 @@ func TestOpenRejectsDamagedCatalog(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSaveBesideSnapshot saves while a snapshot of an older version is
+// pinned and two goroutines keep re-querying it: Save must succeed, the
+// snapshot must answer the same before, during and after, and the saved
+// store must reopen as the current version, not the pinned one.
+func TestSaveBesideSnapshot(t *testing.T) {
+	rng := rand.New(rand.NewSource(607))
+	store := pagestore.NewMemStore(1024)
+	rel := constraint.NewRelation(2)
+	for i := 0; i < 600; i++ {
+		if _, err := rel.Insert(randTuple(rng, true)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ix, err := Build(rel, Options{Slopes: EquiangularSlopes(4), Technique: T2, Store: store, IndexVertical: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := make([]constraint.Query, 40)
+	for i := range queries {
+		queries[i] = randQuery(rng)
+		if i%5 == 0 {
+			queries[i].Slope[0] = ix.Slopes()[i/5%4] // restricted path
+		}
+	}
+	type answer struct {
+		ids                []constraint.TupleID
+		candidates, leaves int
+	}
+	ask := func(q interface {
+		Query(constraint.Query) (Result, error)
+	}) ([]answer, error) {
+		out := make([]answer, len(queries))
+		for i, qu := range queries {
+			res, err := q.Query(qu)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = answer{res.IDs, res.Stats.Candidates, res.Stats.LeavesSwept}
+		}
+		return out, nil
+	}
+	same := func(a, b []answer) bool {
+		return slices.EqualFunc(a, b, func(x, y answer) bool {
+			return sameIDs(x.ids, y.ids) && x.candidates == y.candidates && x.leaves == y.leaves
+		})
+	}
+
+	snap := ix.Snapshot()
+	defer snap.Release()
+	before, err := ask(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := rel.IDs()
+	for i := 0; i < 160; i++ {
+		if i%8 == 7 { // a batch now and then, the rest one-op commits
+			c := ix.Begin()
+			for j := 0; j < 4; j++ {
+				if _, err := c.Insert(randTuple(rng, true)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		} else if i%3 == 0 {
+			j := rng.Intn(len(ids))
+			if err := ix.Delete(ids[j]); err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids[:j], ids[j+1:]...)
+		} else if _, err := ix.Insert(randTuple(rng, true)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if got, err := ask(snap); err != nil || !same(got, before) {
+					t.Errorf("snapshot drifted beside Save (err %v)", err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 3; i++ { // the second and third Save also free and rewrite the tuple chain
+		if err := ix.Save(); err != nil {
+			t.Errorf("Save beside a pinned snapshot: %v", err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	if after, err := ask(snap); err != nil || !same(after, before) {
+		t.Fatalf("snapshot answers changed across Save (err %v)", err)
+	}
+
+	rel2, ix2, err := Open(pagestore.NewPool(store, 512))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix2.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if !sameIDs(rel2.IDs(), rel.IDs()) || ix2.Len() != ix.Len() || ix2.Pages() != ix.Pages() {
+		t.Fatalf("reopened: %d tuples, %d indexed, %d pages; current version %d, %d, %d",
+			rel2.Len(), ix2.Len(), ix2.Pages(), rel.Len(), ix.Len(), ix.Pages())
+	}
+	current, err := ask(ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := ask(ix2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !same(reopened, current) || same(current, before) {
+		t.Fatal("the saved store does not answer as the current version")
+	}
+	for i, q := range queries {
+		if want, _ := q.Eval(rel2); !sameIDs(reopened[i].ids, want) {
+			t.Fatalf("%v: reopened index and scan of the reopened relation disagree", q)
+		}
+	}
+}
+
+// TestForeignNodeLayoutFailsLoudly flips the layout byte of saved tree nodes
+// — what a page of another format version, or a damaged one, looks like. On
+// a root Open fails; on the nodes below, Open may succeed but every query
+// that reaches one returns btree.ErrLayout and no answer.
+func TestForeignNodeLayoutFailsLoudly(t *testing.T) {
+	saved := func(t *testing.T) (*pagestore.MemStore, *Index) {
+		rng := rand.New(rand.NewSource(605))
+		store := pagestore.NewMemStore(1024)
+		rel := constraint.NewRelation(2)
+		for i := 0; i < 400; i++ {
+			if _, err := rel.Insert(randTuple(rng, true)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ix, err := Build(rel, Options{Slopes: EquiangularSlopes(3), Technique: T2, Store: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.Save(); err != nil {
+			t.Fatal(err)
+		}
+		return store, ix
+	}
+	flip := func(t *testing.T, ix *Index, pages []pagestore.PageID) {
+		for _, id := range pages {
+			f, err := ix.Pool().Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Data()[1] ^= 0xFF // btree/node.go: byte 1 is the layout version
+			f.MarkDirty()
+			f.Release()
+		}
+		if err := ix.Pool().Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("root", func(t *testing.T) {
+		store, ix := saved(t)
+		flip(t, ix, []pagestore.PageID{ix.trees[len(ix.trees)-1].Meta().Root})
+		if _, _, err := Open(pagestore.NewPool(store, 64)); !errors.Is(err, btree.ErrLayout) {
+			t.Fatalf("Open over a foreign root: %v, want btree.ErrLayout", err)
+		}
+	})
+	t.Run("below-the-root", func(t *testing.T) {
+		store, ix := saved(t)
+		var pages []pagestore.PageID
+		for _, tr := range ix.trees {
+			if tr.Height() != 2 {
+				t.Fatalf("tree of height %d: the leaves are not all the nodes below the root", tr.Height())
+			}
+			if err := tr.VisitLeavesAsc(math.Inf(-1), func(lv btree.LeafView) bool {
+				pages = append(pages, lv.Page)
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		flip(t, ix, pages)
+		_, ix2, err := Open(pagestore.NewPool(store, 64))
+		if err != nil {
+			t.Fatal(err) // the roots are intact
+		}
+		rng := rand.New(rand.NewSource(606))
+		for qi := 0; qi < 40; qi++ {
+			q := randQuery(rng)
+			if qi%4 == 0 {
+				q.Slope[0] = ix2.Slopes()[qi/4%3] // restricted path
+			}
+			if res, err := ix2.Query(q); !errors.Is(err, btree.ErrLayout) || res.IDs != nil {
+				t.Fatalf("%v: answered %v, err %v; want btree.ErrLayout and no answer", q, res.IDs, err)
+			}
+		}
+	})
 }
 
 // TestInsertWithID covers the relation restore primitive.

@@ -332,7 +332,7 @@ func (r *keyRule) decide(k float64, x [2]float64) verdict {
 
 // firstSweep is the sweep every path starts with, in the direction of the
 // answer set (upward for ≥ selections): it keeps keys ≥ b−tol, resp.
-// ≤ b+tol, to the end of the chain.
+// ≤ b+tol, to the last leaf on that side.
 //
 // Boundary semantics: the filter tolerates tol ≥ geom.Eps around the
 // intercept (matching the Eps-tolerant refinement predicate), and the sweep
@@ -498,7 +498,9 @@ func PlanT1(q constraint.Query, slopes []float64, pivotX float64) ([2]AppQuery, 
 
 // collectT1 executes the two app-queries of technique T1, one restricted
 // sweep each, and leaves their deduplicated candidates in sc.cands, each
-// with its bit set.
+// with its bit set. As on the restricted path the filter widens by the
+// envelope's slack at the app-query's slope, so that no tuple the app-query
+// accepts is cut off by its key.
 func (ix *Index) collectT1(q constraint.Query, slopes []float64, ec *execCtx, sc *scratch) (QueryStats, error) {
 	sp := ec.span(obs.StageRoute)
 	plan, err := PlanT1(q, slopes, ix.opt.PivotX)
@@ -509,7 +511,8 @@ func (ix *Index) collectT1(q constraint.Query, slopes []float64, ec *execCtx, sc
 	st := QueryStats{Path: "t1"}
 	for _, aq := range plan {
 		sw := ec.span(obs.StageSweep)
-		n, _, err := firstSweep(aq.Query.Intercept, geom.Eps, aq.Query.SweepsUp(), -1).run(
+		tol := geom.Eps + geom.EnvelopeSlack(slopes[aq.SlopeIndex])
+		n, _, err := firstSweep(aq.Query.Intercept, tol, aq.Query.SweepsUp(), -1).run(
 			ec.rs.tree(aq.SlopeIndex, aq.Query), ec.rc, sc, &st)
 		ec.endSpan(sw, n)
 		if err != nil {
@@ -542,8 +545,8 @@ func (ix *Index) collectT1(q constraint.Query, slopes []float64, ec *execCtx, sc
 // extreme handicap of the visited leaves, then — when some tuple that the
 // first sweep's filter rejected can still match somewhere in the cell — a
 // second sweep the other way, bounded by that handicap. Outside every cell
-// no handicap bounds anything and the second sweep runs to the end of the
-// chain: the one tree is swept whole. In E² both sweeps settle most entries
+// no handicap bounds anything and the second sweep runs to the tree's far
+// end: the one tree is swept whole. In E² both sweeps settle most entries
 // by keyRule; the tolerance of filter, trigger and rule is Eps plus the
 // envelope's slack at the site (its keys) and at the query slope (the
 // routing keys behind the handicaps).
@@ -569,7 +572,7 @@ func (ix *Index) collectT2(r routing, q constraint.Query, ec *execCtx, sc *scrat
 	if err != nil {
 		return st, err
 	}
-	if !r.inCell { // no handicap: the bound is the chain's far end
+	if !r.inCell { // no handicap: the bound is the tree's far end
 		h = math.Inf(-1)
 		if !up {
 			h = math.Inf(1)

@@ -400,3 +400,53 @@ func TestT2KeyBelowValueIsNotCutOff(t *testing.T) {
 		}
 	}
 }
+
+// TestT1KeyBelowValueIsNotCutOff is the T1 twin: both app-queries of a query
+// at slope −1 pass through the pivot (0, b) and run at sites −1.5 and −0.25,
+// where alignedVertices' key reads 10 while the predicate accepts it up to
+// b = 10 + 1.8e-9. Filtering the app-queries at bare Eps dropped the key
+// from both sweeps, wherever the leaf boundaries fell.
+func TestT1KeyBelowValueIsNotCutOff(t *testing.T) {
+	point := func(y float64) *constraint.Tuple {
+		p, err := geom.FromVertices([]geom.Point{{0, y}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return constraint.FromPolyhedron(p)
+	}
+	const a = -1.0
+	slopes := []float64{-1.5, -0.25, 0.5, 2}
+	top := surfaceOf(alignedVertices(t), constraint.Query2(constraint.EXIST, a, 0, geom.GE))
+	for _, s := range slopes[:2] {
+		if key := alignedVertices(t).TopEnv().Eval(s); !(key < top) {
+			t.Fatalf("key %v at site %v, value %v at the query slope: want the key below", key, s, top)
+		}
+	}
+	for fillers := 40; fillers <= 120; fillers++ {
+		rel := constraint.NewRelation(2)
+		ts := []*constraint.Tuple{alignedVertices(t)}
+		for i := 0; i < fillers; i++ {
+			ts = append(ts, point(float64(i)*0.1)) // keys below the tuple's
+		}
+		for j := 0; j < 100; j++ {
+			ts = append(ts, point(10+1.5e-9+float64(j))) // keys between its key and its value, and above
+		}
+		for _, tp := range ts {
+			if _, err := rel.Insert(tp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ix, err := Build(rel, Options{Slopes: slopes, Technique: T1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := constraint.Query2(constraint.EXIST, a, top+geom.Eps, geom.GE)
+		got, err := ix.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := q.Eval(rel); got.Stats.Path != "t1" || !sameIDs(got.IDs, want) {
+			t.Fatalf("%d fillers, %v [%s]: got %d tuples, the scan %d", fillers, q, got.Stats.Path, len(got.IDs), len(want))
+		}
+	}
+}

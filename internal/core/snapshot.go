@@ -48,10 +48,6 @@ type MVCCStats struct {
 	// clones and watermark-freed pages.
 	PagesCloned    uint64 `json:"pages_cloned"`
 	PagesReclaimed uint64 `json:"pages_reclaimed"`
-	// ChainOverrides counts sibling-link override entries across the
-	// published version's tree handles; it grows with COW churn since
-	// the last Save flattened the chains.
-	ChainOverrides int `json:"chain_overrides"`
 }
 
 // MVCCStats assembles the MVCC health view from the published root set
@@ -68,24 +64,11 @@ func (ix *Index) MVCCStats() MVCCStats {
 		ReclaimBacklogPages: c.DeferredPages,
 		PagesCloned:         ix.pool.CloneCount(),
 		PagesReclaimed:      c.Reclaimed,
-		ChainOverrides:      chainOverrideLen(rs),
 	}
 	if c.Active > 0 && rs.version > c.Oldest {
 		m.VersionLag = rs.version - c.Oldest
 	}
 	return m
-}
-
-// chainOverrideLen sums the sibling-link override map sizes over the
-// published root set's tree handles. Handles freeze their override maps
-// at publication, so reading them is race-free against the writer.
-func chainOverrideLen(rs *rootSet) int {
-	n := 0
-	for _, t := range rs.trees {
-		ovn, ovp := t.ChainOverrides()
-		n += len(ovn) + len(ovp)
-	}
-	return n
 }
 
 // SweepStats sums the descent and leaf-visit counters over every tree of
