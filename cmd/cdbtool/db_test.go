@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -43,6 +45,52 @@ func TestSessionDBSaveRequiresIndex(t *testing.T) {
 	out := captureErr(t, []string{"gen 10 small 1"}, "dbsave "+path)
 	if !strings.Contains(out, "build a dual index first") {
 		t.Errorf("error missing:\n%s", out)
+	}
+}
+
+// TestSessionDBOpenRefusesPreviousFormat: a DCDB0003 file has the same page
+// layout and envelope keys; dbopen reports its magic instead of reading it.
+func TestSessionDBOpenRefusesPreviousFormat(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.cdb")
+	runScript(t, []string{"gen 20 small 4", "index 3 t2", "dbsave " + path})
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(data, []byte("DCDB0004"))
+	if at < 0 {
+		t.Fatal("the saved file does not carry the current magic")
+	}
+	copy(data[at:], "DCDB0003")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out := captureErr(t, nil, "dbopen "+path); !strings.Contains(out, "bad catalog magic") || !strings.Contains(out, "DCDB0003") {
+		t.Errorf("dbopen of a previous-format file: %s", out)
+	}
+}
+
+// TestSessionQueryStatsLine: on a stored slope every retrieved entry is
+// decided on its key and none is a false hit; within Eps of one the query is
+// an ordinary T2 query.
+func TestSessionQueryStatsLine(t *testing.T) {
+	out := runScript(t, []string{
+		"insert x >= 0 && y >= 0 && x + y <= 4",
+		"insert y >= 8",
+		"insert y <= -3",
+		"index 3 t2", // S = {−1, 0, 1}
+		"exist y >= 1",
+		"all y <= 5",
+		"exist y >= 0.0000000005x + 1",
+	})
+	for _, want := range []string{
+		"EXIST(y >= 0x + 1): [1 2]  (path=restricted, candidates=2, decided=2, falseHits=0, duplicates=0,",
+		"ALL(y <= 0x + 5): [1 3]  (path=restricted, candidates=2, decided=2, falseHits=0, duplicates=0,",
+		"EXIST(y >= 5e-10x + 1): [1 2]  (path=t2, candidates=",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
 	}
 }
 

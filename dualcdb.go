@@ -142,6 +142,12 @@ const (
 	RestrictedOnly = core.RestrictedOnly
 )
 
+// ErrTupleRange is what Insert, the Build functions and OpenDatabase return
+// (wrapped; test with errors.Is) for a tuple with a vertex or ray coordinate
+// that is not finite or beyond 1e6 in magnitude, or with more than 30
+// vertices within 1e-9 of one another in x. Such a tuple is never indexed.
+var ErrTupleRange = core.ErrTupleRange
+
 // d-dimensional index (Section 4.4) and generalized-tuple selections.
 type (
 	// IndexD is the Index as the d-dimensional constructors return it

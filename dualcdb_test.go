@@ -1,6 +1,7 @@
 package dualcdb_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -116,4 +117,24 @@ func Example() {
 	// ids: 1 2
 	// EXIST(y>=6): [2]
 	// ALL(y>=6):   [2]
+}
+
+// TestFacadeRefusesTupleOutOfRange: the typed range error is reachable
+// through the facade, and a refused tuple leaves relation and index alone.
+func TestFacadeRefusesTupleOutOfRange(t *testing.T) {
+	rel := dualcdb.NewRelation(2)
+	idx, err := dualcdb.NewIndex(rel, dualcdb.IndexOptions{Slopes: dualcdb.EquiangularSlopes(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	far, err := dualcdb.ParseTuple("x >= 0 && x <= 1 && y >= 0 && y <= 3000000", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := idx.Insert(far); !errors.Is(err, dualcdb.ErrTupleRange) {
+		t.Fatalf("Insert: %v, want ErrTupleRange", err)
+	}
+	if rel.Len() != 0 || idx.Len() != 0 {
+		t.Fatalf("the refused tuple left %d tuples in the relation, %d in the index", rel.Len(), idx.Len())
+	}
 }

@@ -196,8 +196,9 @@ func TestForeignLayoutIsRejected(t *testing.T) {
 }
 
 // TestSweepOverCyclicLinksStops points an internal node's child link back at
-// the node: the cursor's path is bounded, so the sweep returns an error with
-// nothing left pinned instead of descending forever.
+// the node: the cursor's path is bounded, so a sweep — and a point lookup or
+// an in-place handicap merge, which descend through the same cursor — returns
+// an error with nothing left pinned instead of descending forever.
 func TestSweepOverCyclicLinksStops(t *testing.T) {
 	tr, pool := newTestTree(t, 256, nil)
 	for i := 0; i < 500; i++ {
@@ -217,6 +218,12 @@ func TestSweepOverCyclicLinksStops(t *testing.T) {
 	}
 	if err := tr.VisitLeavesDesc(math.Inf(1), func(LeafView) bool { return true }); err == nil {
 		t.Fatal("descending sweep into a cycle returned no error")
+	}
+	if _, err := tr.Contains(0, 1); err == nil {
+		t.Fatal("Contains into a cycle returned no error")
+	}
+	if err := tr.MergeHandicap(499, 0, 1); err == nil {
+		t.Fatal("MergeHandicap into a cycle returned no error")
 	}
 	if r := pool.Residency(); r.Pinned != 0 {
 		t.Fatalf("%d frames still pinned", r.Pinned)

@@ -75,8 +75,8 @@ func (k SlotKind) Combine(a, b float64) float64 {
 	return math.Max(a, b)
 }
 
-// Page layout (format "DCDB0003"). Every node starts with a 16-byte header
-// whose region offsets make the body self-describing — a reader slices the
+// Page layout (version 2, catalog format "DCDB0004"). Every node starts with a
+// 16-byte header whose region offsets make the body self-describing — a reader slices the
 // page in place instead of re-deriving offsets from a slot count:
 //
 //	[0]     node type (1 = leaf, 2 = internal)

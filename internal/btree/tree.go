@@ -225,26 +225,13 @@ func (t *Tree) newInternal() (node, error) {
 	return n, nil
 }
 
-// findLeaf descends to the leaf that owns entry e, returning it pinned.
+// findLeaf descends to the leaf that owns entry e, returning it pinned: the
+// cursor's descent, so a child-link cycle or a page of another layout is the
+// same error here as in a sweep.
 func (t *Tree) findLeaf(e Entry) (node, error) {
-	return t.findLeafTracked(e, nil)
-}
-
-// findLeafTracked is findLeaf with the descent's page reads charged to rc.
-func (t *Tree) findLeafTracked(e Entry, rc *pagestore.ReadCounter) (node, error) {
-	t.stats.descents.Add(1)
-	n, err := t.getTracked(t.root, rc)
-	if err != nil {
-		return node{}, err
-	}
-	for !n.isLeaf() {
-		_, child := t.route(n, e)
-		n.release()
-		if n, err = t.getTracked(child, rc); err != nil {
-			return node{}, err
-		}
-	}
-	return n, nil
+	c := cursor{t: t}
+	defer c.close()
+	return c.seek(e)
 }
 
 // route returns the position and page of the child of internal node n that

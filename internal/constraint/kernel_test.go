@@ -129,7 +129,7 @@ func TestSurfaceKernelBitIdentical(t *testing.T) {
 				if q.UsesTop() {
 					v = wantTop
 				}
-				want := !ext.IsEmpty() && ((q.Op == geom.GE && b <= v+geom.Eps) || (q.Op == geom.LE && b >= v-geom.Eps))
+				want := !ext.IsEmpty() && ((q.Op == geom.GE && b-geom.Eps <= v) || (q.Op == geom.LE && b+geom.Eps >= v))
 				if got, err := q.Matches(tp); err != nil || got != want {
 					t.Fatalf("%v on %v: Matches = %v, %v; Proposition 2.2 on the reference says %v", q, tp, got, err, want)
 				}

@@ -69,6 +69,10 @@ func (q Query) String() string {
 //	EXIST(q(≥), t) ⇔ b_d ≤ TOP^P(slope)
 //	EXIST(q(≤), t) ⇔ b_d ≥ BOT^P(slope)
 //
+// The tolerance sits on the intercept: b_d ∓ Eps is one float per query, the
+// very bound an index sweep filters keys by, so over keys that are surface
+// values at this slope key order and predicate agree to the bit.
+//
 // Empty tuples match nothing (their TOP is −Inf and BOT is +Inf, which
 // makes the ALL comparisons vacuously true; we exclude them explicitly —
 // an unsatisfiable tuple denotes no points and is not "contained" in any
@@ -80,13 +84,13 @@ func (q Query) Matches(t *Tuple) (bool, error) {
 	}
 	switch {
 	case q.Kind == ALL && q.Op == geom.GE:
-		return q.Intercept <= g.Bot(q.Slope)+geom.Eps, nil
+		return q.Intercept-geom.Eps <= g.Bot(q.Slope), nil
 	case q.Kind == ALL && q.Op == geom.LE:
-		return q.Intercept >= g.Top(q.Slope)-geom.Eps, nil
+		return q.Intercept+geom.Eps >= g.Top(q.Slope), nil
 	case q.Kind == EXIST && q.Op == geom.GE:
-		return q.Intercept <= g.Top(q.Slope)+geom.Eps, nil
+		return q.Intercept-geom.Eps <= g.Top(q.Slope), nil
 	default: // EXIST, LE
-		return q.Intercept >= g.Bot(q.Slope)-geom.Eps, nil
+		return q.Intercept+geom.Eps >= g.Bot(q.Slope), nil
 	}
 }
 

@@ -101,7 +101,7 @@ func (c *Commit) fail(err error) error {
 func (ix *Index) treeKeys(t *constraint.Tuple) ([]float64, error) {
 	keys := make([]float64, 0, len(ix.trees))
 	for i := 0; i < ix.geo.sites(); i++ {
-		top, bot := ix.geo.keys(t, i)
+		top, bot := ix.keys(t, i)
 		keys = append(keys, top, bot)
 	}
 	if len(keys) < len(ix.trees) {
@@ -118,12 +118,17 @@ func (ix *Index) treeKeys(t *constraint.Tuple) ([]float64, error) {
 // immediately (rolled back on Abort) and the trees take it under the
 // batch's copy-on-write shadow. On error the caller must Abort; the
 // tuple is then removed again, but — as with a plain Relation.Insert
-// failure — it keeps its assigned id and cannot be re-inserted.
+// failure — it keeps its assigned id and cannot be re-inserted. A tuple
+// outside the indexable range is refused with ErrTupleRange before the
+// relation sees it.
 func (c *Commit) Insert(t *constraint.Tuple) (constraint.TupleID, error) {
 	if c.done {
 		return 0, errCommitDone
 	}
 	ix := c.ix
+	if err := checkRange(t); err != nil {
+		return 0, c.fail(err)
+	}
 	id, err := ix.rel.Insert(t)
 	if err != nil {
 		return 0, c.fail(err)

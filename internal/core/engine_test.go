@@ -34,6 +34,12 @@ var engineCases = []engineCase{
 		},
 	},
 	{
+		name: "2d-slopes-t1", dim: 2, tuple: randTuple, query: randQuery,
+		build: func(rel *constraint.Relation, store pagestore.Store) (*Index, error) {
+			return Build(rel, Options{Slopes: EquiangularSlopes(3), Technique: T1, Store: store, PoolPages: 1 << 12})
+		},
+	},
+	{
 		name: "3d-sites", dim: 3, tuple: randTuple3, query: randQuery3,
 		build: func(rel *constraint.Relation, store pagestore.Store) (*Index, error) {
 			opt := OptionsD{Sites: LatticeSites(2, 3, 1.5), PoolPages: 1 << 12}
@@ -195,7 +201,7 @@ func TestEngineMatchesScanAcrossGeometries(t *testing.T) {
 // steepCone is {y ≥ 0, y ≤ 1000x}: apex (0,0), rays (1,0) and ≈(1e-3, 1).
 // At slope 999.9999995 the steep ray gains 5e-10 per unit — under the
 // support scan's Eps, so TOP^P is the apex's 0 — while the envelope's
-// domain already ended Eps before the critical slope 1000: key +Inf.
+// domain already ended Eps before the critical slope 1000 and reads +Inf.
 func steepCone(t testing.TB) *constraint.Tuple {
 	t.Helper()
 	tp, err := constraint.NewTuple(2, []geom.HalfSpace{
@@ -210,8 +216,8 @@ func steepCone(t testing.TB) *constraint.Tuple {
 
 // alignedVertices is the region under three vertices whose x differ by at
 // most Eps: upperHullLines merges their dual lines into the one with the
-// largest intercept, so at negative slopes the envelope (the tree key) reads
-// up to 2·Eps·|a| below the support scan (the predicate).
+// largest intercept, so at negative slopes the envelope reads up to
+// 2·Eps·|a| below the support scan (the predicate, and the tree key).
 func alignedVertices(t testing.TB) *constraint.Tuple {
 	t.Helper()
 	p, err := geom.FromVertices(
@@ -223,16 +229,15 @@ func alignedVertices(t testing.TB) *constraint.Tuple {
 	return constraint.FromPolyhedron(p)
 }
 
-// TestRestrictedBoundaryMatchesScan pins the restricted path's
-// decided-by-key rule at its edges. For every site slope × ALL/EXIST × ≥/≤
-// it queries intercepts on, one tolerance and one band width δ either side
-// of stored keys, each also one ulp further in and out, over relations that
-// hold the two shapes whose key and predicate disagree (steepCone,
-// alignedVertices), unbounded tuples with keys ±Inf, and a 3-D lattice
+// TestRestrictedBoundaryMatchesScan pins Theorem 3.1 at its edges. For
+// every site slope × ALL/EXIST × ≥/≤ it queries intercepts on, one tolerance
+// and one former band width δ either side of stored keys, each also one ulp
+// further in and out, over relations that hold the two shapes whose envelope
+// and support scan disagree (steepCone — at its own steep site too —
+// and alignedVertices), unbounded tuples with keys ±Inf, and a 3-D lattice
 // index; and once more through a snapshot pinned before a delete. Answers
-// must be the naive scan's, and the entries the path reports as rejected
-// must be exactly those the exact predicate rejects among the keys the
-// sweep keeps.
+// must be the naive scan's, settled on the keys alone: every retrieved entry
+// is a result, none is a false hit, none is evaluated.
 func TestRestrictedBoundaryMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261001))
 	const steep = 999.9999995
@@ -252,8 +257,8 @@ func TestRestrictedBoundaryMatchesScan(t *testing.T) {
 		insert(rel2, randTuple(rng, true))
 		insert(rel3, randTuple3(rng, true))
 	}
-	if key, top := cone.TopEnv().Eval(steep), mustTop(t, cone, steep); !math.IsInf(key, 1) || top != 0 {
-		t.Fatalf("steep cone at %v: key %v, TOP %v; want +Inf and 0", steep, key, top)
+	if env, top := cone.TopEnv().Eval(steep), mustTop(t, cone, steep); !math.IsInf(env, 1) || top != 0 {
+		t.Fatalf("steep cone at %v: envelope %v, TOP %v; want +Inf and 0", steep, env, top)
 	}
 
 	ix2, err := Build(rel2, Options{Slopes: slopes, Technique: T2})
@@ -275,7 +280,7 @@ func TestRestrictedBoundaryMatchesScan(t *testing.T) {
 		return ts
 	}
 	queries := 0
-	check := func(name string, ix *Index, run func(constraint.Query) (Result, error), ts []*constraint.Tuple, site int, q constraint.Query) {
+	check := func(name string, run func(constraint.Query) (Result, error), ts []*constraint.Tuple, q constraint.Query) {
 		t.Helper()
 		queries++
 		got, err := run(q)
@@ -285,9 +290,7 @@ func TestRestrictedBoundaryMatchesScan(t *testing.T) {
 		if got.Stats.Path != "restricted" {
 			t.Fatalf("%s %v: path %q", name, q, got.Stats.Path)
 		}
-		sw := firstSweep(q.Intercept, geom.Eps+geom.EnvelopeSlack(q.Slope[0]), q.SweepsUp(), -1)
 		var want []constraint.TupleID
-		kept, rejected := 0, 0
 		for _, tp := range ts {
 			ok, err := q.Matches(tp)
 			if err != nil {
@@ -296,30 +299,15 @@ func TestRestrictedBoundaryMatchesScan(t *testing.T) {
 			if ok {
 				want = append(want, tp.ID())
 			}
-			if !tp.IsSatisfiable() {
-				continue
-			}
-			key, bot := ix.geo.keys(tp, site)
-			if !q.UsesTop() {
-				key = bot
-			}
-			if key >= sw.lo && key <= sw.hi {
-				kept++
-				if !ok {
-					rejected++
-				}
-			}
 		}
 		if !sameIDs(got.IDs, want) {
 			t.Fatalf("%s %v: got %v, want %v", name, q, got.IDs, want)
 		}
-		st := got.Stats
-		if st.Candidates != kept || st.Candidates-st.Results != rejected || st.FalseHits != rejected {
-			t.Fatalf("%s %v: %d candidates, %d results, %d false hits; the sweep keeps %d keys of which the predicate rejects %d",
-				name, q, st.Candidates, st.Results, st.FalseHits, kept, rejected)
+		if st := got.Stats; st.Candidates != len(want) || st.Decided != len(want) || st.Results != len(want) || st.FalseHits != 0 || st.Duplicates != 0 {
+			t.Fatalf("%s %v: %+v; want %d entries retrieved, all decided on their key, all results", name, q, st, len(want))
 		}
 	}
-	// around lists the intercepts at every edge the path has near key.
+	// around lists the intercepts at every edge the path has, or had, near key.
 	around := func(key, delta float64) []float64 {
 		bs := []float64{key}
 		for _, off := range []float64{geom.Eps, delta, geom.Eps + delta} {
@@ -334,50 +322,52 @@ func TestRestrictedBoundaryMatchesScan(t *testing.T) {
 			for _, op := range []geom.Op{geom.GE, geom.LE} {
 				q := constraint.NewQuery(kind, slope, 0, op)
 				for _, tp := range sampled {
-					key, bot := ix.geo.keys(tp, site)
+					key, bot := ix.keys(tp, site)
 					if !q.UsesTop() {
 						key = bot
 					}
 					if math.IsInf(key, 0) {
-						continue
+						key = 0 // any intercept: an infinite key is settled like a finite one
 					}
 					for _, b := range around(key, geom.EnvelopeSlack(slope[0])) {
 						q.Intercept = b
-						check(name, ix, run, ts, site, q)
+						check(name, run, ts, q)
 					}
 				}
 			}
 		}
 	}
 
-	// Not at the steep site: there the cone's key is +Inf where its TOP is
-	// 0, so a downward sweep (ALL ≤) never meets the entry the predicate
-	// would accept — a divergence of the stored key itself, older than this
-	// path and out of its reach (ROADMAP direction 2).
 	ts2, ts3 := tuplesOf(rel2), tuplesOf(rel3)
-	for i, a := range slopes[:4] {
+	for i, a := range slopes {
 		sweepSite("2-D", ix2, ix2.Query, ts2, i, []float64{a}, ts2[:12])
 	}
 	for i, s := range sites3 {
 		sweepSite("3-D", ix3, ix3.Query, ts3, i, s, ts3[:6])
 	}
-	// The issue's two named cases.
-	check("steep cone", ix2, ix2.Query, ts2, 4, constraint.Query2(constraint.EXIST, steep, 5, geom.GE))
-	check("aligned vertices", ix2, ix2.Query, ts2, 0, constraint.Query2(constraint.EXIST, -1.5, 10+geom.Eps+2e-10, geom.GE))
+	// The two named cases, and an infinite intercept either way.
+	check("steep cone", ix2.Query, ts2, constraint.Query2(constraint.EXIST, steep, 5, geom.GE))
+	check("aligned vertices", ix2.Query, ts2, constraint.Query2(constraint.EXIST, -1.5, 10+geom.Eps+2e-10, geom.GE))
+	for _, b := range []float64{math.Inf(-1), math.Inf(1)} {
+		for _, op := range []geom.Op{geom.GE, geom.LE} {
+			check("infinite intercept", ix2.Query, ts2, constraint.Query2(constraint.EXIST, 0.5, b, op))
+			check("infinite intercept", ix2.Query, ts2, constraint.Query2(constraint.ALL, 0.5, b, op))
+		}
+	}
 
-	// A slope within Eps of a site, but not the site: routed to the
-	// restricted path, nothing decided on its key.
+	// A slope within Eps of a site, but not the site, is an ordinary T2
+	// query: its keys were computed Eps/2 away.
 	for i := 0; i < 20; i++ {
 		q := constraint.Query2(constraint.EXIST, slopes[2]+geom.Eps/2, rng.Float64()*120-60, geom.GE)
 		res, err := ix2.Query(q)
 		want, _ := q.Eval(rel2)
-		if err != nil || res.Stats.Path != "restricted" || !sameIDs(res.IDs, want) {
+		if err != nil || res.Stats.Path != "t2" || !sameIDs(res.IDs, want) {
 			t.Fatalf("%v: got %v (path %s, err %v), want %v", q, res.IDs, res.Stats.Path, err, want)
 		}
 	}
 
 	// A snapshot pinned before a delete still answers with the deleted
-	// tuple, on its key where that decides.
+	// tuple, on its key.
 	snap := ix2.Snapshot()
 	defer snap.Release()
 	victim := ts2[5]
@@ -387,6 +377,95 @@ func TestRestrictedBoundaryMatchesScan(t *testing.T) {
 	sweepSite("snapshot", ix2, snap.Query, ts2, 1, []float64{slopes[1]}, []*constraint.Tuple{victim})
 	sweepSite("after delete", ix2, ix2.Query, tuplesOf(rel2), 1, []float64{slopes[1]}, []*constraint.Tuple{victim})
 	t.Logf("%d boundary queries", queries)
+}
+
+// TestSteepSiteMatchesScan: a site within Eps/r_x of a ray's critical slope,
+// where the merged-line envelope already reads +Inf and the support scan
+// still reads the apex. The stored key is the scan's, so a downward sweep
+// meets the cone where the predicate accepts it.
+func TestSteepSiteMatchesScan(t *testing.T) {
+	const steep = 999.9999995
+	rel := constraint.NewRelation(2)
+	if _, err := rel.Insert(steepCone(t)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tech := range []Technique{T2, T1, RestrictedOnly} {
+		ix, err := Build(rel, Options{Slopes: []float64{-1.5, 0.5, steep}, Technique: tech})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range []constraint.QueryKind{constraint.ALL, constraint.EXIST} {
+			for _, op := range []geom.Op{geom.GE, geom.LE} {
+				for _, b := range []float64{5, -5, 0, geom.Eps, -geom.Eps, math.Nextafter(geom.Eps, 1), math.Nextafter(-geom.Eps, -1)} {
+					q := constraint.Query2(kind, steep, b, op)
+					got, err := ix.Query(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, _ := q.Eval(rel)
+					if st := got.Stats; !sameIDs(got.IDs, want) || st.Path != "restricted" || st.FalseHits != 0 || st.Decided != st.Candidates {
+						t.Fatalf("%v, %v: got %v (%+v), the scan %v", tech, q, got.IDs, st, want)
+					}
+				}
+			}
+		}
+		q := constraint.Query2(constraint.ALL, steep, 5, geom.LE) // the issue's query
+		if got, _ := ix.Query(q); len(got.IDs) != 1 {
+			t.Fatalf("%v, %v: got %v, want the cone", tech, q, got.IDs)
+		}
+	}
+}
+
+// TestNearSiteSlopeMatchesScan: a slope within Eps of a site is not the
+// site. Eps/2 of slope moves the value of a triangle 9e5 out by 4.5e-4, so
+// it is served as any other slope of the strip — through the x-extent
+// bracket — and refused where only the stored slopes are answered.
+func TestNearSiteSlopeMatchesScan(t *testing.T) {
+	p, err := geom.FromVertices([]geom.Point{{9e5, 0}, {9e5 + 1, 0}, {9e5, 1}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tri := constraint.FromPolyhedron(p)
+	rel := constraint.NewRelation(2)
+	if _, err := rel.Insert(tri); err != nil {
+		t.Fatal(err)
+	}
+	slopes := []float64{-1.5, 0.5, 2}
+	for tech, path := range map[Technique]string{T2: "t2", T1: "t1"} {
+		ix, err := Build(rel, Options{Slopes: slopes, Technique: tech})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range []float64{0.5 + geom.Eps/2, 0.5 - geom.Eps/2, math.Nextafter(0.5, 1), math.Nextafter(0.5, 0)} {
+			top := mustTop(t, tri, a)
+			for _, kind := range []constraint.QueryKind{constraint.ALL, constraint.EXIST} {
+				for _, op := range []geom.Op{geom.GE, geom.LE} {
+					q := constraint.Query2(kind, a, 0, op)
+					v, _ := q.SurfaceValue(tri)
+					for _, b := range []float64{v, v - geom.Eps, v + geom.Eps, v - 2*geom.Eps, v + 2*geom.Eps, v - 1e-4, v + 1e-4} {
+						q.Intercept = b
+						got, err := ix.Query(q)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if want, _ := q.Eval(rel); !sameIDs(got.IDs, want) || got.Stats.Path != path {
+							t.Fatalf("%v, %v [%s]: got %v, the scan %v (TOP %v)", tech, q, got.Stats.Path, got.IDs, want, top)
+						}
+					}
+				}
+			}
+		}
+	}
+	ix, err := Build(rel, Options{Slopes: slopes, Technique: RestrictedOnly})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ix.Query(constraint.Query2(constraint.ALL, 0.5+geom.Eps/2, 0, geom.LE)); err == nil {
+		t.Fatal("restricted-only answered a slope that is not in S")
+	}
+	if _, err := ix.Query(constraint.Query2(constraint.ALL, 0.5, 0, geom.LE)); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func mustTop(t *testing.T, tp *constraint.Tuple, a float64) float64 {

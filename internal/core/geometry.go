@@ -14,23 +14,22 @@ import (
 // over: S as sites in slope space E^{d−1}, each owning a cell — the region
 // of query slopes it approximates with T2 handicaps (Section 4.3 in E²,
 // Section 4.4 in E^d). The engine (trees, commits, versions, sweeps,
-// refinement) is dimension-blind; these four answers are all it asks.
+// refinement) is dimension-blind; these answers are all it asks.
 //
 // Two geometries exist. slopeSet is the paper's 2-D construction: cells are
 // the strips around each slope, split into a prev and a next half so every
 // leaf carries four handicaps with exact strip extrema. siteSet is the
 // E^d construction: cells are clamped Voronoi cells with one low/high pair
 // over the whole cell. A strip is the Voronoi cell of a site in E¹, so the
-// first is the second specialised — with the tighter half-strip bounds and
-// the cached envelopes E² affords.
+// first is the second specialised — with the tighter half-strip bounds the
+// envelopes of E² afford.
 type slopeSpace interface {
 	// sites is |S|; site i owns the tree pair up[i]/down[i].
 	sites() int
+	// site returns site i's slope vector (length d−1, not to be modified).
+	site(i int) []float64
 	// slotKinds lists the handicap slots every leaf of every tree carries.
 	slotKinds() []btree.SlotKind
-	// keys returns the satisfiable tuple t's tree keys at site i:
-	// TOP^P and BOT^P evaluated there.
-	keys(t *constraint.Tuple, i int) (top, bot float64)
 	// routes returns, per handicap slot, the key by which t's value at site
 	// i is routed to a leaf of the up and of the down tree: a bound on
 	// TOP^P resp. BOT^P over the part of the cell the slot covers.
@@ -39,11 +38,24 @@ type slopeSpace interface {
 	route(slope []float64, sweepsUp bool) (routing, error)
 }
 
+// keys returns the satisfiable tuple t's tree keys at site i: TOP^P and
+// BOT^P there, by the very kernel Query.Matches runs. At a query slope that
+// equals the site a stored key is the predicate's operand, bit for bit
+// (Theorem 3.1; DESIGN.md §19).
+func (ix *Index) keys(t *constraint.Tuple, i int) (top, bot float64) {
+	s := ix.geo.site(i)
+	top, _ = t.Top(s) // satisfiable: the cached extension has no error
+	bot, _ = t.Bot(s)
+	return top, bot
+}
+
 // routing is where and how a query slope is served.
 type routing struct {
-	site   int
-	exact  bool // the slope is the site itself: Section 3's restricted path
-	onSite bool // … exactly, not within Eps: the site's keys were computed at this very slope
+	site int
+	// onSite: the slope equals the site, bit for bit — the site's keys were
+	// computed at this very slope and are the predicate's operands (Section
+	// 3's restricted path). A slope merely within Eps of a site is not on it.
+	onSite bool
 	inCell bool // the slope lies in the site's cell: handicaps bound T2's second sweep
 	slot   int  // handicap slot bounding T2's second sweep
 	// shift is the query slope minus the site's, in E² — what keyRule
@@ -95,11 +107,8 @@ type slopeSet struct {
 }
 
 func (g *slopeSet) sites() int                  { return len(g.s) }
+func (g *slopeSet) site(i int) []float64        { return g.s[i : i+1 : i+1] }
 func (g *slopeSet) slotKinds() []btree.SlotKind { return stripSlotKinds }
-
-func (g *slopeSet) keys(t *constraint.Tuple, i int) (top, bot float64) {
-	return t.TopEnv().Eval(g.s[i]), t.BotEnv().Eval(g.s[i])
-}
 
 // stripBounds returns the left and right strip limits of slope i:
 // [leftLo, a_i] toward the previous slope and [a_i, rightHi] toward the
@@ -121,7 +130,9 @@ func (g *slopeSet) stripBounds(i int) (leftLo, rightHi float64) {
 
 // routes are the exact half-strip extrema of the tuple's envelopes
 // (DESIGN.md §4.3): low slots route by the strip max (TOP convex ⇒ exact
-// at strip endpoints), high slots by the strip min.
+// at strip endpoints), high slots by the strip min. This is the one place a
+// function over a strip is needed, and so the one place the engine asks the
+// envelope; its values lie within geom.EnvelopeSlack of the kernel's.
 func (g *slopeSet) routes(t *constraint.Tuple, i int) (up, down [numSlots]float64) {
 	a := g.s[i]
 	leftLo, rightHi := g.stripBounds(i)
@@ -137,28 +148,21 @@ func (g *slopeSet) routes(t *constraint.Tuple, i int) (up, down [numSlots]float6
 }
 
 // nearest returns the index of the S-member closest to a (ties break
-// toward the lower slope) and whether a coincides with it within Eps.
-func (g *slopeSet) nearest(a float64) (int, bool) {
+// toward the lower slope).
+func (g *slopeSet) nearest(a float64) int {
 	i := sort.SearchFloat64s(g.s, a)
-	best := -1
-	bestDist := math.Inf(1)
-	for _, j := range []int{i - 1, i} {
-		if j < 0 || j >= len(g.s) {
-			continue
-		}
-		if d := math.Abs(g.s[j] - a); d < bestDist {
-			best, bestDist = j, d
-		}
+	if i == len(g.s) || (i > 0 && a-g.s[i-1] <= g.s[i]-a) {
+		i--
 	}
-	return best, bestDist <= geom.Eps
+	return i
 }
 
 func (g *slopeSet) route(slope []float64, sweepsUp bool) (routing, error) {
 	a := slope[0]
-	i, exact := g.nearest(a)
+	i := g.nearest(a)
 	leftLo, rightHi := g.stripBounds(i)
 	onSite := a == g.s[i] //dualvet:allow floatcmp — exact on purpose: only then were the site's keys computed at this slope
-	r := routing{site: i, exact: exact, onSite: onSite, inCell: a >= leftLo && a <= rightHi, slot: slotHighPrev, shift: a - g.s[i]}
+	r := routing{site: i, onSite: onSite, inCell: a >= leftLo && a <= rightHi, slot: slotHighPrev, shift: a - g.s[i]}
 	if sweepsUp {
 		r.slot = slotLowPrev
 	}
@@ -186,13 +190,8 @@ type siteSet struct {
 }
 
 func (g *siteSet) sites() int                  { return len(g.s) }
+func (g *siteSet) site(i int) []float64        { return g.s[i] }
 func (g *siteSet) slotKinds() []btree.SlotKind { return cellSlotKinds }
-
-func (g *siteSet) keys(t *constraint.Tuple, i int) (top, bot float64) {
-	top, _ = t.Top(g.s[i]) // satisfiable: the cached extension has no error
-	bot, _ = t.Bot(g.s[i])
-	return top, bot
-}
 
 func (g *siteSet) routes(t *constraint.Tuple, i int) (up, down [numSlots]float64) {
 	// B^up: EXIST(≥) second sweeps are bounded via the cell max of TOP;
@@ -213,7 +212,7 @@ func (g *siteSet) route(slope []float64, sweepsUp bool) (routing, error) {
 			best, bestDist = i, d
 		}
 	}
-	r := routing{site: best, exact: bestDist <= geom.Eps, onSite: bestDist == 0, slot: slotCellHigh}
+	r := routing{site: best, onSite: bestDist == 0, slot: slotCellHigh}
 	if sweepsUp {
 		r.slot = slotCellLow
 	}
@@ -221,7 +220,7 @@ func (g *siteSet) route(slope []float64, sweepsUp bool) (routing, error) {
 		r.shift = slope[0] - g.s[best][0]
 	}
 	var err error
-	if !r.exact {
+	if !r.onSite {
 		r.inCell, err = g.cells[best].Contains(p)
 	}
 	return r, err

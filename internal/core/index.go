@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -131,6 +132,46 @@ func newIndex(rel *constraint.Relation, opt Options, geo slopeSpace) (*Index, er
 	return ix, nil
 }
 
+// ErrTupleRange is returned by Commit.Insert, Build, BuildD and Open for a
+// tuple outside the range the index's tolerances are bounds over
+// (geom.EnvelopeSlack): a generator coordinate that is not finite or beyond
+// geom.MaxCoord, or, in E², more than geom.MaxMergedLines vertices whose x
+// chain within Eps. Such a tuple is never indexed.
+var ErrTupleRange = errors.New("core: tuple outside the indexable range")
+
+// checkRange reports a tuple the index must refuse as an ErrTupleRange; an
+// unsatisfiable one has no generators and passes.
+func checkRange(t *constraint.Tuple) error {
+	ext, _ := t.Extension() // on error: no generators
+	for _, gens := range [2][]geom.Point{ext.Verts, ext.Rays} {
+		for _, g := range gens {
+			for _, c := range g {
+				if !(math.Abs(c) <= geom.MaxCoord) { // NaN fails too
+					return fmt.Errorf("%w: generator %v beyond ±%g", ErrTupleRange, g, float64(geom.MaxCoord))
+				}
+			}
+		}
+	}
+	if t.Dim() != 2 || len(ext.Verts) <= geom.MaxMergedLines {
+		return nil
+	}
+	xs := make([]float64, len(ext.Verts))
+	for i, v := range ext.Verts {
+		xs[i] = v[0]
+	}
+	slices.Sort(xs)
+	run := 1 // vertices in the chain that ends at xs[i]
+	for i := 1; i < len(xs); i++ {
+		if xs[i]-xs[i-1] > geom.Eps {
+			run = 0
+		}
+		if run++; run > geom.MaxMergedLines {
+			return fmt.Errorf("%w: over %d vertices within Eps of one another in x", ErrTupleRange, geom.MaxMergedLines)
+		}
+	}
+	return nil
+}
+
 // Build bulk-loads a 2-D index from every satisfiable tuple currently in
 // the relation.
 //
@@ -165,7 +206,8 @@ func bulkLoaded(ix *Index, err error) (*Index, error) {
 		if t.IsSatisfiable() { // empty extensions match nothing and are not indexed
 			ts = append(ts, t)
 		}
-		return true
+		buildErr = checkRange(t)
+		return buildErr == nil
 	})
 	if buildErr != nil {
 		return nil, buildErr
@@ -206,7 +248,7 @@ func (ix *Index) buildSite(i int, ts []*constraint.Tuple) error {
 	upEntries := make([]btree.Entry, 0, len(ts))
 	downEntries := make([]btree.Entry, 0, len(ts))
 	for _, t := range ts {
-		top, bot := ix.geo.keys(t, i)
+		top, bot := ix.keys(t, i)
 		upEntries = append(upEntries, btree.Entry{Key: top, TID: uint32(t.ID())})
 		downEntries = append(downEntries, btree.Entry{Key: bot, TID: uint32(t.ID())})
 	}
@@ -288,7 +330,7 @@ func (ix *Index) mergeHandicaps(t *constraint.Tuple) error {
 // for distinct sites touch disjoint trees, which is what lets Build fan
 // handicap folding across its per-site workers.
 func (ix *Index) mergeHandicapsAt(i int, t *constraint.Tuple) error {
-	topV, botV := ix.geo.keys(t, i)
+	topV, botV := ix.keys(t, i)
 	upRoutes, downRoutes := ix.geo.routes(t, i)
 	u, d := ix.trees[2*i], ix.trees[2*i+1]
 	for slot := 0; slot < u.NumHandicaps(); slot++ {

@@ -24,10 +24,11 @@ import (
 // reattaches the trees.
 
 const (
-	// DCDB0003: flat node layout with self-describing header offsets and no
-	// leaf sibling links (btree/node.go, layout version 2); DCDB0001 and
-	// DCDB0002 files are refused.
-	catalogMagic   = "DCDB0003"
+	// DCDB0004: node layout version 2 (btree/node.go) with every site key the
+	// kernel's TOP^P/BOT^P at the site — what Query.Matches compares against;
+	// DCDB0003 files hold envelope keys in the same layout and are refused,
+	// as are DCDB0001 and DCDB0002.
+	catalogMagic   = "DCDB0004"
 	catalogPage    = pagestore.PageID(1)
 	catalogFixed   = 52 // bytes before the slope table
 	maxPersistK    = 23 // catalog page capacity bound at 1 KiB pages (incl. vertical pair)
@@ -223,14 +224,19 @@ func Open(pool *pagestore.Pool) (*constraint.Relation, *Index, error) {
 		}
 		ix.trees = append(ix.trees, t)
 	}
-	// Indexed count: exactly the satisfiable tuples (Insert's invariant).
+	// Indexed count: exactly the satisfiable tuples (Insert's invariant),
+	// none of which Insert would have refused.
 	indexed := 0
 	rel.Scan(func(t *constraint.Tuple) bool {
 		if t.IsSatisfiable() {
 			indexed++
 		}
-		return true
+		err = checkRange(t)
+		return err == nil
 	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: corrupt tuple stream: %w", err)
+	}
 	ix.republishLocked(1, indexed, 0)
 	ix.registerGauges()
 	return rel, ix, nil

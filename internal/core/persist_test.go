@@ -223,7 +223,7 @@ func TestOpenRejectsDamagedCatalog(t *testing.T) {
 		"slopes-unsorted":   func(d, _ []byte) { putF(d, slope0, getF(d, slope0+16)+1) },
 		"slopes-within-eps": func(d, _ []byte) { putF(d, slope0+8, getF(d, slope0)) },
 		"technique":         func(d, _ []byte) { d[8] = 7 },
-		"previous-format":   func(d, _ []byte) { copy(d[0:8], "DCDB0002") },
+		"previous-format":   func(d, _ []byte) { copy(d[0:8], "DCDB0003") },
 		"chain-cycle": func(d, head []byte) {
 			// The first chain page points back at itself.
 			copy(head[0:4], d[40:44])

@@ -228,7 +228,7 @@ func (ix *Index) queryExec(q constraint.Query, ec *execCtx) (Result, error) {
 	var st QueryStats
 	slopes, _ := ix.geo.(*slopeSet)
 	switch {
-	case r.exact:
+	case r.onSite:
 		st, err = ix.collectRestricted(r, q, ec, sc)
 	case ix.opt.Technique == RestrictedOnly:
 		err = fmt.Errorf("core: slope %v not in S and technique is restricted-only", q.Slope)
@@ -263,12 +263,12 @@ type sweep struct {
 	// slot ≥ 0 folds that handicap slot over the visited leaves: the
 	// minimum on an ascending sweep, the maximum on a descending one.
 	slot int
-	// An entry whose key lies strictly inside (sureLo, sureHi) is in the
-	// answer on its key alone (the restricted path, DESIGN.md §16); the zero
-	// value is the empty interval.
-	sureLo, sureHi float64
-	// rule settles the other entries from key and x-extent when the keys
-	// were computed off the query slope (T2); the zero value settles none.
+	// sure: the keys were computed at the query's slope and [lo, hi] is the
+	// predicate's own bound, so every retrieved entry is in the answer on its
+	// key alone (the restricted path, DESIGN.md §16).
+	sure bool
+	// rule settles entries from key and x-extent when the keys were computed
+	// off the query slope (T2); the zero value settles none.
 	rule keyRule
 }
 
@@ -280,9 +280,8 @@ type sweep struct {
 //	[k − max(shift·infX, shift·supX), k − min(shift·infX, shift·supX)]
 //
 // (DESIGN.md §17). An interval wholly beyond `above` or `below` — the
-// intercept plus and minus the margin that absorbs the key's distance from
-// the predicate's value — is decided; everything else, and every non-finite
-// key or extent, is the predicate's.
+// intercept plus and minus the margin collectT2 states — is decided;
+// everything else, and every non-finite key or extent, is the predicate's.
 type keyRule struct {
 	// xext is the pinned version's x-extent table (rootSet.xext); nil: no
 	// rule.
@@ -335,10 +334,11 @@ func (r *keyRule) decide(k float64, x [2]float64) verdict {
 // ≤ b+tol, to the last leaf on that side.
 //
 // Boundary semantics: the filter tolerates tol ≥ geom.Eps around the
-// intercept (matching the Eps-tolerant refinement predicate), and the sweep
-// therefore also *starts* one tolerance before b — a key within tol of b
-// can be stored in the leaf preceding the one that owns b, and a sweep
-// starting at b would never visit it.
+// intercept, and the sweep therefore also *starts* one tolerance before b —
+// a key within tol of b can be stored in the leaf preceding the one that
+// owns b, and a sweep starting at b would never visit it. At tol = geom.Eps
+// the bound is the very float Query.Matches compares a surface value with,
+// so over keys computed at the query's slope the filter is the predicate.
 func firstSweep(b, tol float64, up bool, slot int) sweep {
 	if up {
 		return sweep{from: b - tol, asc: true, lo: b - tol, hi: math.Inf(1), slot: slot}
@@ -382,7 +382,7 @@ func (s sweep) run(tr *btree.Tree, rc *pagestore.ReadCounter, sc *scratch, st *Q
 		for i := 0; i < n; i++ {
 			switch k := lv.Key(i); {
 			case !(k >= s.lo && k <= s.hi):
-			case k > s.sureLo && k < s.sureHi:
+			case s.sure:
 				sc.sure = append(sc.sure, lv.TID(i))
 			case s.rule.xext == nil:
 				sc.cands = append(sc.cands, lv.TID(i))
@@ -428,23 +428,14 @@ func (s sweep) run(tr *btree.Tree, rc *pagestore.ReadCounter, sc *scratch, st *Q
 	return retrieved, h, err
 }
 
-// collectRestricted gathers the entries of a query whose slope is site
-// r.site itself (Section 3): one search plus a one-directional leaf sweep.
-// By Theorem 3.1 the keys are the answer: where they were computed at the
-// query slope exactly (r.onSite, not merely within Eps), a finite key farther than
-// δ = geom.EnvelopeSlack from b is decided on the spot; keys within δ of b
-// and non-finite ones go to the exact predicate, and the filter widens by
-// δ so that no tuple it accepts is cut off by its key (DESIGN.md §16).
+// collectRestricted answers a query whose slope is site r.site itself
+// (Section 3): one search plus a one-directional leaf sweep. By Theorem 3.1
+// the keys are the answer — every entry is settled on its key, finite or
+// not, and no tuple is evaluated (DESIGN.md §16).
 func (ix *Index) collectRestricted(r routing, q constraint.Query, ec *execCtx, sc *scratch) (QueryStats, error) {
 	st := QueryStats{Path: "restricted"}
-	b, up := q.Intercept, q.SweepsUp()
-	delta := geom.EnvelopeSlack(q.Slope[0])
-	sw := firstSweep(b, geom.Eps+delta, up, -1)
-	if r.onSite && up {
-		sw.sureLo, sw.sureHi = b+delta, math.Inf(1)
-	} else if r.onSite {
-		sw.sureLo, sw.sureHi = math.Inf(-1), b-delta
-	}
+	sw := firstSweep(q.Intercept, geom.Eps, q.SweepsUp(), -1)
+	sw.sure = true
 	sp := ec.span(obs.StageSweep)
 	n, _, err := sw.run(ec.rs.tree(r.site, q), ec.rc, sc, &st)
 	ec.endSpan(sp, n)
@@ -496,11 +487,10 @@ func PlanT1(q constraint.Query, slopes []float64, pivotX float64) ([2]AppQuery, 
 	}, nil
 }
 
-// collectT1 executes the two app-queries of technique T1, one restricted
-// sweep each, and leaves their deduplicated candidates in sc.cands, each
-// with its bit set. As on the restricted path the filter widens by the
-// envelope's slack at the app-query's slope, so that no tuple the app-query
-// accepts is cut off by its key.
+// collectT1 executes the two app-queries of technique T1 — their slopes are
+// sites, so one sweep each at the predicate's own tolerance retrieves
+// exactly what the app-query accepts — and leaves their deduplicated
+// answers, the candidates of q, in sc.cands, each with its bit set.
 func (ix *Index) collectT1(q constraint.Query, slopes []float64, ec *execCtx, sc *scratch) (QueryStats, error) {
 	sp := ec.span(obs.StageRoute)
 	plan, err := PlanT1(q, slopes, ix.opt.PivotX)
@@ -511,8 +501,7 @@ func (ix *Index) collectT1(q constraint.Query, slopes []float64, ec *execCtx, sc
 	st := QueryStats{Path: "t1"}
 	for _, aq := range plan {
 		sw := ec.span(obs.StageSweep)
-		tol := geom.Eps + geom.EnvelopeSlack(slopes[aq.SlopeIndex])
-		n, _, err := firstSweep(aq.Query.Intercept, tol, aq.Query.SweepsUp(), -1).run(
+		n, _, err := firstSweep(aq.Query.Intercept, geom.Eps, aq.Query.SweepsUp(), -1).run(
 			ec.rs.tree(aq.SlopeIndex, aq.Query), ec.rc, sc, &st)
 		ec.endSpan(sw, n)
 		if err != nil {
@@ -547,9 +536,12 @@ func (ix *Index) collectT1(q constraint.Query, slopes []float64, ec *execCtx, sc
 // second sweep the other way, bounded by that handicap. Outside every cell
 // no handicap bounds anything and the second sweep runs to the tree's far
 // end: the one tree is swept whole. In E² both sweeps settle most entries
-// by keyRule; the tolerance of filter, trigger and rule is Eps plus the
-// envelope's slack at the site (its keys) and at the query slope (the
-// routing keys behind the handicaps).
+// by keyRule. One tolerance serves filter, trigger, far end and rule: Eps,
+// the predicate's own, plus δ = geom.EnvelopeSlack at |a| + |Δ|, which
+// absorbs the routing keys behind the handicaps — envelope values at the
+// query slope a, within δ(a) of the kernel's — and the rounding of the
+// products the rule brackets with: the kernel's at a and at the site a − Δ,
+// and the rule's own Δ·x (DESIGN.md §17).
 func (ix *Index) collectT2(r routing, q constraint.Query, ec *execCtx, sc *scratch) (QueryStats, error) {
 	st, slot := QueryStats{Path: "t2"}, r.slot
 	if !r.inCell {
@@ -559,8 +551,7 @@ func (ix *Index) collectT2(r routing, q constraint.Query, ec *execCtx, sc *scrat
 	b, up := q.Intercept, q.SweepsUp()
 	tol, rule := geom.Eps, keyRule{}
 	if xext := ec.rs.xext; xext != nil {
-		a := q.Slope[0]
-		tol += geom.EnvelopeSlack(a-r.shift) + geom.EnvelopeSlack(a)
+		tol += geom.EnvelopeSlack(math.Abs(q.Slope[0]) + math.Abs(r.shift))
 		rule = slopeRule(xext, b, tol, r.shift, up)
 	}
 	first := firstSweep(b, tol, up, slot)

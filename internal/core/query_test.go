@@ -251,6 +251,23 @@ func TestQueryStatsConsistency(t *testing.T) {
 	if decided == 0 {
 		t.Fatal("no entry was ever decided on its key")
 	}
+	// On a site the keys are the answer (Theorem 3.1): no tuple is evaluated.
+	for qi, a := range ix.Slopes() {
+		q := randQuery(rng)
+		q.Slope[0], q.Intercept = a, float64(qi*7-10)
+		got, err := ix.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range o.SlowTraces()[0].Spans {
+			if sp.Stage == obs.StageRefine.String() && sp.Items != 0 {
+				t.Fatalf("%v: %d tuples evaluated on a site", q, sp.Items)
+			}
+		}
+		if st := got.Stats; st.Path != "restricted" || st.Candidates == 0 || st.FalseHits != 0 || st.Decided != st.Candidates || st.Results != st.Candidates {
+			t.Fatalf("%v: %+v; want every retrieved entry decided and in the answer", q, st)
+		}
+	}
 }
 
 // TestQueryRejectsBadInput exercises input validation.

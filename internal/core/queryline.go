@@ -78,7 +78,8 @@ func EvalLine(a, b float64, rel *constraint.Relation) ([]constraint.TupleID, err
 			scanErr = err
 			return false
 		}
-		if top, _ := t.Top(slope); bot <= b+geom.Eps && b <= top+geom.Eps {
+		// EXIST(≤) and EXIST(≥), as Query.Matches compares them.
+		if top, _ := t.Top(slope); bot <= b+geom.Eps && b-geom.Eps <= top {
 			out = append(out, t.ID())
 		}
 		return true

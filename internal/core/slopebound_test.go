@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -15,7 +16,7 @@ import (
 // bounded polygons, a wedge and a half-plane (x-unbounded: never decided), a
 // region under vertices (vertical ray: x-bounded, BOT −Inf), a segment and
 // a point (TOP and BOT on one dual line), and the two shapes whose envelope
-// key and support value disagree (engine_test.go).
+// and support value disagree (engine_test.go).
 func shapes2(t testing.TB, rng *rand.Rand) []*constraint.Tuple {
 	t.Helper()
 	fromVerts := func(verts, rays []geom.Point) *constraint.Tuple {
@@ -63,10 +64,10 @@ func surfaceOf(tp *constraint.Tuple, q constraint.Query) float64 {
 	return v
 }
 
-// t2Margin is collectT2's tolerance for a query at slope a served from the
+// t2Margin is collectT2's tolerance μ for a query at slope a served from the
 // keys of slope s.
 func t2Margin(s, a float64) float64 {
-	return geom.Eps + geom.EnvelopeSlack(s) + geom.EnvelopeSlack(a)
+	return geom.Eps + geom.EnvelopeSlack(math.Abs(a)+math.Abs(a-s))
 }
 
 // TestT2BoundaryMatchesScan pins T2's filter, second-sweep trigger and
@@ -110,7 +111,7 @@ func TestT2BoundaryMatchesScan(t *testing.T) {
 
 	queries, decided := 0, 0
 	for _, p := range probes {
-		site, _ := strips.nearest(p.a)
+		site := strips.nearest(p.a)
 		m := t2Margin(slopes[site], p.a)
 		for _, kind := range []constraint.QueryKind{constraint.ALL, constraint.EXIST} {
 			for _, op := range []geom.Op{geom.GE, geom.LE} {
@@ -172,10 +173,7 @@ func slopeBoundHolds(tp *constraint.Tuple, s, a, b float64) (int, error) {
 	for _, kind := range []constraint.QueryKind{constraint.ALL, constraint.EXIST} {
 		for _, op := range []geom.Op{geom.GE, geom.LE} {
 			q := constraint.Query2(kind, a, b, op)
-			key := tp.BotEnv().Eval(s)
-			if q.UsesTop() {
-				key = tp.TopEnv().Eval(s)
-			}
+			key := surfaceOf(tp, constraint.Query2(kind, s, b, op)) // the tree key: the kernel's value at the site
 			rule := slopeRule(nil, b, t2Margin(s, a), a-s, q.SweepsUp())
 			v := rule.decide(key, x)
 			if v == evaluate {
@@ -274,9 +272,11 @@ func TestSlopeBoundSound(t *testing.T) {
 
 // FuzzSlopeBound checks keyRule's soundness on arbitrary triangles with an
 // optional ray — degenerate ones included: whenever the rule decides an
-// entry from its envelope key at site s and its x-extent, for a query at
-// slope a and an intercept off away from the surface value there, the exact
-// predicate agrees, and non-finite keys and extents are never decided.
+// entry from its key at site s and its x-extent, for a query at slope a and
+// an intercept off away from the surface value there, the exact predicate
+// agrees, and non-finite keys and extents are never decided. A triangle
+// outside the range the margin is a bound over must be refused by the index
+// instead.
 func FuzzSlopeBound(f *testing.F) {
 	f.Add(0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.5, 0.7, 0.0)
 	f.Add(-1.0, 2.0, 3.0, -4.0, 0.5, 0.5, 1.0, 1.0, -2.0, -1.0, 1e-9)
@@ -284,10 +284,11 @@ func FuzzSlopeBound(f *testing.F) {
 	f.Add(2.0, 3.0, 2.0, 3.0, 2.0, 3.0, 0.0, 0.0, 0.0, 40.0, 100.0)
 	f.Add(0.0, 10.0, 5e-10, 10-1e-10, -3.0, 2.0, 0.0, -1.0, -1.5, -1.2, 4e-9)
 	f.Add(0.0, 0.0, 1e-300, 1.0, 1.0, 0.0, 1e-10, -1.0, 1.0, -1e6, 0.0)
+	f.Add(0.0, 0.0, 2e6, 0.0, 0.0, 1.0, 0.0, 0.0, 0.5, 0.7, 0.0)
 	f.Fuzz(func(t *testing.T, x0, y0, x1, y1, x2, y2, rx, ry, s, a, off float64) {
-		for _, v := range []float64{x0, y0, x1, y1, x2, y2, rx, ry, s, a, off} {
+		for _, v := range []float64{s, a, off} {
 			if math.IsNaN(v) || math.Abs(v) > 1e6 {
-				t.Skip("outside the modeled coordinate range")
+				t.Skip("slope or offset outside the modeled range")
 			}
 		}
 		var rays []geom.Point
@@ -301,6 +302,17 @@ func FuzzSlopeBound(f *testing.F) {
 		tp := constraint.FromPolyhedron(p)
 		if !tp.IsSatisfiable() {
 			t.Skip("empty extension")
+		}
+		inRange := true
+		for _, g := range append(append([]geom.Point(nil), p.Verts...), p.Rays...) {
+			inRange = inRange && math.Abs(g[0]) <= geom.MaxCoord && math.Abs(g[1]) <= geom.MaxCoord
+		}
+		// What Insert, Build and Open return before they index anything.
+		if err := checkRange(tp); inRange != (err == nil) || (err != nil && !errors.Is(err, ErrTupleRange)) {
+			t.Fatalf("generators %v %v in range: %v; refused with: %v", p.Verts, p.Rays, inRange, err)
+		}
+		if !inRange {
+			return
 		}
 		for _, q := range []constraint.Query{
 			constraint.Query2(constraint.EXIST, a, 0, geom.GE),
@@ -351,14 +363,52 @@ func TestLeaningRayIsNeverDecided(t *testing.T) {
 	}
 }
 
-// TestT2KeyBelowValueIsNotCutOff is the T2 half of the boundary bug the
-// restricted path lost in PR 18: alignedVertices' envelope — its tree key
-// and its routing key — reads 10 where the support scan reads 10 + 1.8e-9
-// at slope −2, so a query the predicate accepts at that value plus Eps used
-// to start its first sweep past the tuple's key, and when a leaf boundary
-// fell between the two (some filler count puts one there) past its routing
-// leaf too: the handicap no longer covered it and the second sweep stopped
-// short. The tolerance now spans the envelope's slack.
+// TestSiteRoundingIsNotDecided is why the margin grows with the distance to
+// the site and not with the query slope alone: the point's key at site 1000
+// is a difference of magnitude 1e9, rounded to 6e-8, and the bracket at slope
+// 0 — where the value is the point's y, exactly — inherits that error. With
+// μ = Eps + δ(0) = 3.3e-8 the rule accepts the point for an intercept 1e-8
+// above its value, which the predicate rejects.
+func TestSiteRoundingIsNotDecided(t *testing.T) {
+	const x, y = 999000.09589999996, 123.46300000000001
+	p, err := geom.FromVertices([]geom.Point{{x, y}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp := constraint.FromPolyhedron(p)
+	if bracket := mustTop(t, tp, 1000) + 1000*x; !(bracket-y > 5e-8) {
+		t.Fatalf("bracket %v at slope 0 from the key at 1000, value %v: want 5e-8 of rounding between them", bracket, y)
+	}
+	rel := constraint.NewRelation(2)
+	if _, err := rel.Insert(tp); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Build(rel, Options{Slopes: []float64{1000, 2000, 3000}, Technique: T2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, off := range []float64{1e-8, -1e-8, 4e-8, -4e-8} {
+		for _, op := range []geom.Op{geom.GE, geom.LE} {
+			q := constraint.Query2(constraint.EXIST, 0, y+off, op)
+			got, err := ix.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, _ := q.Eval(rel); got.Stats.Path != "t2(outside)" || !sameIDs(got.IDs, want) {
+				t.Fatalf("%v [%s]: got %v, the scan %v", q, got.Stats.Path, got.IDs, want)
+			}
+		}
+	}
+}
+
+// TestT2KeyBelowValueIsNotCutOff guards the δ(a) in T2's tolerance:
+// alignedVertices' envelope — its routing key over the strip half — reads
+// 10 where the support scan reads 10 + 1.8e-9 at slope −2 and the tree key
+// 10 + 1.3e-9 at the site, so a query the predicate accepts at that value
+// plus Eps, filtered at bare Eps, starts its first sweep past the tuple's
+// key, and when a leaf boundary falls between the two (some filler count
+// puts one there) past its routing leaf too: no visited handicap covers it
+// and the second sweep stops short.
 func TestT2KeyBelowValueIsNotCutOff(t *testing.T) {
 	point := func(y float64) *constraint.Tuple {
 		p, err := geom.FromVertices([]geom.Point{{0, y}}, nil)
@@ -369,8 +419,8 @@ func TestT2KeyBelowValueIsNotCutOff(t *testing.T) {
 	}
 	const a = -2.0
 	top := surfaceOf(alignedVertices(t), constraint.Query2(constraint.EXIST, a, 0, geom.GE))
-	if key := alignedVertices(t).TopEnv().Eval(-1.5); !(key < top-geom.Eps) {
-		t.Fatalf("key %v at the site, value %v at the query slope: want the key more than Eps below", key, top)
+	if route := alignedVertices(t).TopEnv().MaxOn(-2.5, -1.5); !(route < top-geom.Eps) {
+		t.Fatalf("routing key %v over the strip half, value %v at the query slope: want the routing key more than Eps below", route, top)
 	}
 	for fillers := 40; fillers <= 120; fillers++ {
 		rel := constraint.NewRelation(2)
@@ -403,9 +453,11 @@ func TestT2KeyBelowValueIsNotCutOff(t *testing.T) {
 
 // TestT1KeyBelowValueIsNotCutOff is the T1 twin: both app-queries of a query
 // at slope −1 pass through the pivot (0, b) and run at sites −1.5 and −0.25,
-// where alignedVertices' key reads 10 while the predicate accepts it up to
-// b = 10 + 1.8e-9. Filtering the app-queries at bare Eps dropped the key
-// from both sweeps, wherever the leaf boundaries fell.
+// where alignedVertices' envelope reads 10 while the predicate accepts the
+// tuple up to b = 10 + 1.8e-9. With envelope keys, app-queries filtered at
+// bare Eps dropped it from both sweeps wherever the leaf boundaries fell;
+// the keys are the app-query predicate's own operands now, and its Eps is
+// all the filter needs.
 func TestT1KeyBelowValueIsNotCutOff(t *testing.T) {
 	point := func(y float64) *constraint.Tuple {
 		p, err := geom.FromVertices([]geom.Point{{0, y}}, nil)
@@ -418,9 +470,12 @@ func TestT1KeyBelowValueIsNotCutOff(t *testing.T) {
 	slopes := []float64{-1.5, -0.25, 0.5, 2}
 	top := surfaceOf(alignedVertices(t), constraint.Query2(constraint.EXIST, a, 0, geom.GE))
 	for _, s := range slopes[:2] {
-		if key := alignedVertices(t).TopEnv().Eval(s); !(key < top) {
-			t.Fatalf("key %v at site %v, value %v at the query slope: want the key below", key, s, top)
+		if env := alignedVertices(t).TopEnv().Eval(s); !(env < top) {
+			t.Fatalf("envelope %v at site %v, value %v at the query slope: want the envelope below", env, s, top)
 		}
+	}
+	if key := mustTop(t, alignedVertices(t), slopes[0]); !(key >= top) {
+		t.Fatalf("key %v at site %v, value %v at the query slope: want the first app-query to keep the key", key, slopes[0], top)
 	}
 	for fillers := 40; fillers <= 120; fillers++ {
 		rel := constraint.NewRelation(2)

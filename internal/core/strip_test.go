@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -31,26 +32,26 @@ func buildSlopesIndex(t *testing.T, opt Options) *slopeSet {
 // strict < comparison keeps the first candidate examined, which is i-1).
 func TestNearestSlopeTieBreak(t *testing.T) {
 	ix := buildSlopesIndex(t, Options{Slopes: []float64{-1, 1}, Technique: T2})
-	i, exact := ix.nearest(0) // equidistant from -1 and 1
-	if exact {
-		t.Fatal("slope 0 must not be exact in S = {-1, 1}")
-	}
-	if i != 0 {
+	if i := ix.nearest(0); i != 0 { // equidistant from -1 and 1
 		t.Fatalf("tie broke to index %d (slope %g), want 0 (lower slope)", i, ix.s[i])
 	}
-	// Off-tie slopes still pick the genuinely nearest member.
-	if j, _ := ix.nearest(0.25); j != 1 {
-		t.Fatalf("nearestSlope(0.25) = %d, want 1", j)
+	// Off-tie slopes still pick the genuinely nearest member, and slopes
+	// beyond S its ends.
+	for a, want := range map[float64]int{0.25: 1, -0.25: 0, -7: 0, 7: 1} {
+		if j := ix.nearest(a); j != want {
+			t.Fatalf("nearest(%v) = %d, want %d", a, j, want)
+		}
 	}
-	if j, _ := ix.nearest(-0.25); j != 0 {
-		t.Fatalf("nearestSlope(-0.25) = %d, want 0", j)
-	}
-	// Members themselves are exact, including under Eps perturbation.
-	if j, exact := ix.nearest(-1); !exact || j != 0 {
-		t.Fatalf("nearestSlope(-1) = %d, %v", j, exact)
-	}
-	if j, exact := ix.nearest(1 + geom.Eps/2); !exact || j != 1 {
-		t.Fatalf("nearestSlope(1+eps/2) = %d, %v", j, exact)
+	// Only a member itself is on its site; Eps away is an ordinary slope of
+	// that site's strip.
+	for _, c := range []struct {
+		a      float64
+		site   int
+		onSite bool
+	}{{-1, 0, true}, {1, 1, true}, {0, 0, false}, {1 + geom.Eps/2, 1, false}, {math.Nextafter(-1, 0), 0, false}} {
+		if r, err := ix.route([]float64{c.a}, true); err != nil || r.site != c.site || r.onSite != c.onSite || !r.inCell {
+			t.Fatalf("route(%v) = %+v, %v; want site %d, onSite %v, in its cell", c.a, r, err, c.site, c.onSite)
+		}
 	}
 }
 

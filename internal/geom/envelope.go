@@ -227,8 +227,17 @@ func (e Envelope) MinOn(lo, hi float64) float64 {
 	return best
 }
 
+// MaxCoord and MaxMergedLines are the range EnvelopeSlack is a bound over: no
+// generator coordinate beyond MaxCoord in magnitude, no more than
+// MaxMergedLines vertices whose x — their dual lines' slopes — chain within
+// Eps, which is as many lines as upperHullLines can merge into one piece.
+const (
+	MaxCoord       = 1e6
+	MaxMergedLines = 30
+)
+
 // EnvelopeSlack is δ(a): a bound on |Envelope.Eval(a) − Polyhedron.Top/Bot
-// at a| wherever Eval is finite (the support value then is too), for
-// generators with |coordinate| ≤ 1e6: the lines upperHullLines merged cost
-// ≤ n·Eps·|a|, rounding at breakpoints < 2·Eps·(1+|a|) (DESIGN.md §16).
+// at a| wherever Eval is finite (the support value then is too), within
+// MaxCoord and MaxMergedLines: the n lines upperHullLines merged cost
+// ≤ n·Eps·|a|, rounding at breakpoints < 2·Eps·(1+|a|) (DESIGN.md §17).
 func EnvelopeSlack(a float64) float64 { return 32 * Eps * (1 + math.Abs(a)) }
