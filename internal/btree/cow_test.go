@@ -439,3 +439,80 @@ func TestColdSweepReadsEachPageOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestMergeHandicapClonesOnlyWhenSlotMoves pins the read-first rule: under a
+// batch a merge that leaves the slot's bits where they were clones nothing —
+// not on a shared path, not on an owned one — and one that moves the slot
+// clones the root-to-leaf path, once.
+func TestMergeHandicapClonesOnlyWhenSlotMoves(t *testing.T) {
+	tr, pool := newTestTree(t, 256, []SlotKind{MinSlot, MaxSlot})
+	for i := 0; i < 400; i++ {
+		if err := tr.Insert(float64(i), uint32(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tr.Height() < 3 {
+		t.Fatalf("height %d, want a path of at least 3 pages", tr.Height())
+	}
+	for _, m := range []HandicapMerge{{200, 0, -5}, {200, 1, 5}} {
+		if err := tr.MergeHandicap(m.RouteKey, m.Slot, m.Value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := handleOf(tr)
+	before := slotsOf(walkLeaves(t, h))
+
+	tr.BeginCOW()
+	clones := func(m HandicapMerge) uint64 {
+		t.Helper()
+		c := pool.CloneCount()
+		if err := tr.MergeHandicap(m.RouteKey, m.Slot, m.Value); err != nil {
+			t.Fatal(err)
+		}
+		return pool.CloneCount() - c
+	}
+	for _, m := range []HandicapMerge{
+		{200, 0, -5}, {200, 0, 3}, {200, 0, math.Inf(1)}, // min keeps −5
+		{200, 1, 5}, {200, 1, -3}, {200, 1, math.Inf(-1)}, // max keeps 5
+		{10, 0, math.Inf(1)}, {399, 1, math.Inf(-1)}, // identities into identities
+	} {
+		if n := clones(m); n != 0 {
+			t.Errorf("merge %+v moves no slot and cloned %d pages", m, n)
+		}
+	}
+	if n := clones(HandicapMerge{200, 0, -6}); n != uint64(tr.Height()) {
+		t.Errorf("a merge that moves the slot cloned %d pages, want the path's %d", n, tr.Height())
+	}
+	for _, m := range []HandicapMerge{{200, 0, -6}, {200, 1, 4}, {200, 1, 6}} { // the path is the batch's now
+		if n := clones(m); n != 0 {
+			t.Errorf("merge %+v on an owned path cloned %d pages", m, n)
+		}
+	}
+	// −0 is below +0 for a min slot: the bits move, so the write happens.
+	if err := tr.MergeHandicap(10, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := clones(HandicapMerge{10, 0, math.Copysign(0, -1)}); n != 0 {
+		t.Errorf("−0 into an owned +0 cloned %d pages", n)
+	}
+	tr.CommitCOW()
+
+	if got := slotsOf(walkLeaves(t, h)); !sameSlots(got, before) {
+		t.Errorf("the frozen version's slots moved: %v, were %v", got, before)
+	}
+	leaf, err := tr.findLeaf(Entry{Key: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo, hi := leaf.handicap(0), leaf.handicap(1); lo != -6 || hi != 6 {
+		t.Errorf("live slots (%g, %g), want (-6, 6)", lo, hi)
+	}
+	leaf.release()
+	if leaf, err = tr.findLeaf(Entry{Key: 10}); err != nil {
+		t.Fatal(err)
+	}
+	if got := leaf.handicap(0); !math.Signbit(got) || got != 0 {
+		t.Errorf("min(+0, −0) stored as %g (signbit %v), want −0", got, math.Signbit(got))
+	}
+	leaf.release()
+}

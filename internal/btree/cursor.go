@@ -3,6 +3,7 @@ package btree
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"dualcdb/internal/pagestore"
 )
@@ -184,22 +185,123 @@ func (t *Tree) ScanAll() ([]Entry, error) {
 // routeKey — the leaf whose key interval the paper associates the value
 // with. The slot's kind decides the merge (min for low_j, max for high_j).
 func (t *Tree) MergeHandicap(routeKey float64, slot int, value float64) error {
-	var leaf node
-	var err error
-	if t.cow != nil {
-		// Shadow the descent path so the handicap write lands on a
-		// batch-owned copy of the leaf.
-		leaf, err = t.findLeafWritable(Entry{Key: routeKey, TID: 0})
-	} else {
-		leaf, err = t.findLeaf(Entry{Key: routeKey, TID: 0})
+	var vals [maxHandicaps]float64
+	for s, k := range t.cfg.HandicapKinds {
+		vals[s] = k.Identity()
 	}
+	vals[slot] = value
+	return t.mergeSlots(Entry{Key: routeKey, TID: 0}, vals[:len(t.cfg.HandicapKinds)])
+}
+
+// mergeSlots combines vals[s] into handicap slot s of the leaf that owns e,
+// for every slot. It reads the leaf through the ordinary descent first and
+// writes only when some slot's bits would move: almost every merge leaves a
+// slot — the extremum of everything routed to the leaf — where it was, and
+// under a batch such a merge clones nothing. The bits written are those the
+// unconditional write would have left, so page contents do not depend on the
+// check (DESIGN.md §20).
+func (t *Tree) mergeSlots(e Entry, vals []float64) error {
+	leaf, err := t.findLeaf(e)
 	if err != nil {
 		return err
 	}
-	defer leaf.release()
-	kind := t.cfg.HandicapKinds[slot]
-	leaf.setHandicap(slot, kind.Combine(leaf.handicap(slot), value))
+	var merged [maxHandicaps]float64
+	moves := false
+	for s, k := range t.cfg.HandicapKinds {
+		old := leaf.handicap(s)
+		merged[s] = k.Combine(old, vals[s])
+		moves = moves || math.Float64bits(merged[s]) != math.Float64bits(old)
+	}
+	if !moves {
+		leaf.release()
+		return nil
+	}
+	if t.cow != nil {
+		// Shadow the descent path so the write lands on a batch-owned copy
+		// of the leaf.
+		leaf.release()
+		if leaf, err = t.findLeafWritable(e); err != nil {
+			return err
+		}
+	}
+	for s := range t.cfg.HandicapKinds {
+		leaf.setHandicap(s, merged[s])
+	}
+	leaf.release()
 	return nil
+}
+
+// HandicapMerge is one MergeHandicap call held back for FoldHandicaps.
+type HandicapMerge struct {
+	RouteKey float64
+	Slot     int
+	Value    float64
+}
+
+// FoldHandicaps leaves every slot with the bits that calling MergeHandicap
+// for each element of ms, in any order, would — min and max are associative,
+// commutative and idempotent over these values — without a descent per
+// element. It bins each route key over the tree's separators in key order by
+// route's own rule (a leaf owns the entries not less than the separator
+// before it and less than the one after), combines the values per leaf and
+// slot, and writes each leaf that received any once, through mergeSlots.
+func (t *Tree) FoldHandicaps(ms []HandicapMerge) error {
+	seps, err := t.appendSeparators(nil, t.root, t.hgt)
+	if err != nil {
+		return err
+	}
+	kinds := t.cfg.HandicapKinds
+	acc := make([]float64, (len(seps)+1)*len(kinds))
+	for i := range acc {
+		acc[i] = kinds[i%len(kinds)].Identity()
+	}
+	routed := make([]bool, len(seps)+1)
+	for _, m := range ms {
+		e := Entry{Key: m.RouteKey, TID: 0}
+		leaf := sort.Search(len(seps), func(i int) bool { return e.Less(seps[i]) })
+		at := leaf*len(kinds) + m.Slot
+		acc[at] = kinds[m.Slot].Combine(acc[at], m.Value)
+		routed[leaf] = true
+	}
+	for leaf, hit := range routed {
+		if !hit {
+			continue
+		}
+		owner := Entry{Key: math.Inf(-1), TID: 0}
+		if leaf > 0 {
+			owner = seps[leaf-1] // route sends a separator to the leaf on its right
+		}
+		if err := t.mergeSlots(owner, acc[leaf*len(kinds):(leaf+1)*len(kinds)]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// appendSeparators appends the separators of the subtree at id, height levels
+// tall, in key order: one between every two neighbouring leaves. Leaves are
+// not read.
+func (t *Tree) appendSeparators(seps []Entry, id pagestore.PageID, height int) ([]Entry, error) {
+	if height <= 1 {
+		return seps, nil
+	}
+	n, err := t.get(id)
+	if err != nil {
+		return nil, err
+	}
+	defer n.release()
+	if n.isLeaf() {
+		return nil, fmt.Errorf("btree: page %d is a leaf %d levels above the leaves: corrupt child links", id, height-1)
+	}
+	for i := 0; i <= n.count(); i++ {
+		if i > 0 {
+			seps = append(seps, n.sep(i-1))
+		}
+		if seps, err = t.appendSeparators(seps, n.child(i), height-1); err != nil {
+			return nil, err
+		}
+	}
+	return seps, nil
 }
 
 // ResetHandicaps restores every leaf's handicap slots to their identity

@@ -2,6 +2,7 @@ package btree
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -316,5 +317,98 @@ func TestSweepsAllocateNothing(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s sweeps allocate %.1f objects per run, want 0", tc.name, allocs)
 		}
+	}
+}
+
+// TestFoldHandicapsMatchesMerges folds a few thousand merges — route keys at
+// both infinities, between keys, on stored keys and on every separator's own
+// key — and requires every slot of every leaf to carry the bits that one
+// MergeHandicap call per merge leaves in a twin tree: in place, in a batch
+// over shared pages (where the version frozen before keeps its slots), and
+// when nothing is left to move (no page may be cloned).
+func TestFoldHandicapsMatchesMerges(t *testing.T) {
+	kinds := []SlotKind{MinSlot, MinSlot, MaxSlot, MaxSlot}
+	build := func() (*Tree, *pagestore.Pool) {
+		tr, pool := newTestTree(t, 256, kinds)
+		for i := 0; i < 600; i++ {
+			if err := tr.Insert(float64(i%200), uint32(i+1)); err != nil { // each key spans entries, some across leaves
+				t.Fatal(err)
+			}
+		}
+		return tr, pool
+	}
+	folded, pool := build()
+	merged, _ := build()
+	leaves := walkLeaves(t, folded)
+	if folded.Height() < 3 || len(leaves) < 20 {
+		t.Fatalf("height %d with %d leaves: too small to bin over", folded.Height(), len(leaves))
+	}
+
+	rng := rand.New(rand.NewSource(22))
+	batch := func(n int) []HandicapMerge {
+		ms := []HandicapMerge{{math.Inf(-1), 0, 1}, {math.Inf(1), 2, -1}, {math.Inf(1), 1, math.Inf(-1)}, {math.Inf(-1), 3, math.Inf(1)}}
+		for _, l := range leaves[1:] {
+			ms = append(ms, HandicapMerge{l.lo.Key, rng.Intn(4), rng.NormFloat64()})
+		}
+		for len(ms) < n {
+			key := float64(rng.Intn(202) - 1)
+			if rng.Intn(2) == 0 {
+				key += rng.Float64()
+			}
+			ms = append(ms, HandicapMerge{key, rng.Intn(4), math.Round(rng.NormFloat64()*8) / 4}) // ties are common
+		}
+		return ms
+	}
+	apply := func(ms []HandicapMerge) {
+		t.Helper()
+		if err := folded.FoldHandicaps(ms); err != nil {
+			t.Fatal(err)
+		}
+		rng.Shuffle(len(ms), func(i, j int) { ms[i], ms[j] = ms[j], ms[i] }) // the order must not matter
+		for _, m := range ms {
+			if err := merged.MergeHandicap(m.RouteKey, m.Slot, m.Value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := slotsOf(walkLeaves(t, folded)), slotsOf(walkLeaves(t, merged)); !sameSlots(got, want) {
+			t.Fatalf("folded slots %v, merged one by one %v", got, want)
+		}
+	}
+
+	first := batch(3000)
+	apply(first)
+	frozen := handleOf(folded)
+	was := slotsOf(walkLeaves(t, frozen))
+
+	folded.BeginCOW()
+	clones := pool.CloneCount()
+	if err := folded.FoldHandicaps(first); err != nil { // every value is already in its slot
+		t.Fatal(err)
+	}
+	if n := pool.CloneCount() - clones; n != 0 {
+		t.Errorf("a fold that moves no slot cloned %d pages", n)
+	}
+	apply(batch(500))
+	if n, all := int(pool.CloneCount()-clones), folded.Pages(); n == 0 || n >= all {
+		t.Errorf("a fold of 500 merges over settled slots cloned %d of %d pages", n, all)
+	}
+	folded.CommitCOW()
+	if got := slotsOf(walkLeaves(t, frozen)); !sameSlots(got, was) {
+		t.Errorf("the frozen version's slots moved under the batch's fold")
+	}
+	if err := folded.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	// An empty fold and a fold over a single leaf.
+	if err := folded.FoldHandicaps(nil); err != nil {
+		t.Fatal(err)
+	}
+	one, _ := newTestTree(t, 256, kinds)
+	if err := one.FoldHandicaps([]HandicapMerge{{7, 0, 2}, {-7, 0, 1}, {math.Inf(1), 3, 9}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := slotsOf(walkLeaves(t, one)); !sameSlots(got, [][]float64{{1, math.Inf(1), math.Inf(-1), 9}}) {
+		t.Errorf("single leaf after a fold: %v", got)
 	}
 }

@@ -17,7 +17,10 @@ import (
 // internal node) over a 16-frame pool, so a few dozen operations cross leaf
 // and internal splits, borrows, merges, root growth and collapse, and every
 // version's pages go through the store: a page freed while a handle can
-// still reach it reads as ErrPageNotFound.
+// still reach it reads as ErrPageNotFound. Leaves carry a min and a max
+// handicap slot: merges and folds must leave every leaf of the live tree the
+// bits a reference fold over the walk's leaf ranges gives, and a pinned
+// version or an aborted batch the bits it had.
 
 const (
 	opBegin = iota
@@ -33,6 +36,7 @@ const (
 	opUnpin
 	opSweep // direction+stop, from-selector, from-argument
 	opReset
+	opFold // mode, n, then n × (route selector, route argument, slot+value)
 	numOps
 )
 
@@ -43,6 +47,7 @@ const maxPins = 4
 type pinnedVersion struct {
 	h     *Tree
 	model []Entry
+	slots [][]float64 // per leaf in key order, at the pin
 	ver   uint64
 }
 
@@ -51,6 +56,7 @@ type coverage struct {
 	maxHeight                       int
 	collapsed, emptied, merged      bool
 	sweptPinned, stoppedEarly, dups bool
+	folded, onSeparator             bool
 }
 
 type cowHistory struct {
@@ -59,8 +65,9 @@ type cowHistory struct {
 	store   *pagestore.MemStore
 	pool    *pagestore.Pool
 	tr      *Tree
-	live    []Entry // the live tree's entries, sorted
-	saved   []Entry // live at BeginCOW
+	live    []Entry     // the live tree's entries, sorted
+	saved   []Entry     // live at BeginCOW
+	slots   [][]float64 // the live tree's slots at BeginCOW
 	ver     uint64
 	nextTID uint32
 	pins    []pinnedVersion
@@ -102,6 +109,7 @@ func (h *cowHistory) delete(i int) {
 func (h *cowHistory) begin() {
 	h.tr.BeginCOW()
 	h.saved = slices.Clone(h.live)
+	h.slots = slotsOf(walkLeaves(h.t, h.tr))
 }
 
 func (h *cowHistory) commit() {
@@ -129,13 +137,35 @@ func (h *cowHistory) unpin(i int) {
 }
 
 // refLeafRange is one leaf as an independent top-down walk finds it: its
-// entries, the separator bounds lo ≤ e < hi of the entries it owns (nil:
-// open) and the internal pages on its path from the root.
+// entries and handicap slots, the separator bounds lo ≤ e < hi of the
+// entries it owns (nil: open) and the internal pages on its path from the
+// root.
 type refLeafRange struct {
 	page    pagestore.PageID
 	entries []Entry
+	slots   []float64
 	lo, hi  *Entry
 	path    []pagestore.PageID
+}
+
+// owns reports whether a descent for e ends in this leaf.
+func (l refLeafRange) owns(e Entry) bool {
+	return (l.lo == nil || !e.Less(*l.lo)) && (l.hi == nil || e.Less(*l.hi))
+}
+
+func slotsOf(leaves []refLeafRange) [][]float64 {
+	out := make([][]float64, len(leaves))
+	for i, l := range leaves {
+		out[i] = l.slots
+	}
+	return out
+}
+
+// sameSlots compares slot for slot by bit pattern.
+func sameSlots(a, b [][]float64) bool {
+	return slices.EqualFunc(a, b, func(x, y []float64) bool {
+		return slices.EqualFunc(x, y, func(u, v float64) bool { return math.Float64bits(u) == math.Float64bits(v) })
+	})
 }
 
 // walkLeaves returns tr's leaves in key order — the reference the cursor's
@@ -153,6 +183,9 @@ func walkLeaves(t testing.TB, tr *Tree) []refLeafRange {
 			l := refLeafRange{page: id, lo: lo, hi: hi, path: path}
 			for i := 0; i < n.count(); i++ {
 				l.entries = append(l.entries, n.entry(i))
+			}
+			for s := 0; s < n.numHandicaps(); s++ {
+				l.slots = append(l.slots, n.handicap(s))
 			}
 			n.release()
 			out = append(out, l)
@@ -214,7 +247,9 @@ func firstDiff(a, b []Entry) int {
 func (h *cowHistory) checkAll() {
 	h.check("live", h.tr, h.live)
 	for _, p := range h.pins {
-		h.check("pinned", p.h, p.model)
+		if got := slotsOf(h.check("pinned", p.h, p.model)); !sameSlots(got, p.slots) {
+			h.t.Fatalf("pinned version %d: slots %v, at the pin %v", p.ver, got, p.slots)
+		}
 	}
 	if r := h.pool.Residency(); r.Pinned != 0 {
 		h.t.Fatalf("%d frames left pinned", r.Pinned)
@@ -248,12 +283,7 @@ func (h *cowHistory) sweep(what string, tr *Tree, model []Entry, asc bool, sel, 
 	if !asc {
 		probe.TID = math.MaxUint32
 	}
-	start := -1
-	for i, l := range leaves {
-		if (l.lo == nil || !probe.Less(*l.lo)) && (l.hi == nil || probe.Less(*l.hi)) {
-			start = i
-		}
-	}
+	start := slices.IndexFunc(leaves, func(l refLeafRange) bool { return l.owns(probe) })
 	if start < 0 {
 		h.t.Fatalf("%s: no leaf owns %v", what, probe)
 	}
@@ -290,13 +320,66 @@ func (h *cowHistory) sweep(what string, tr *Tree, model []Entry, asc bool, sel, 
 	}
 }
 
+// fold decodes n merges — route keys at −Inf, +Inf, between stored keys, on a
+// stored key, on a separator — applies them through FoldHandicaps (or, mode
+// odd, one MergeHandicap each) and requires of every leaf the bits of a
+// reference fold: each value combined into the leaf whose separator bounds
+// own (routeKey, 0).
+func (h *cowHistory) fold(mode, n int) {
+	before := walkLeaves(h.t, h.tr)
+	want := make([][]float64, len(before))
+	for i, l := range before {
+		want[i] = slices.Clone(l.slots)
+	}
+	ms := make([]HandicapMerge, n)
+	for j := range ms {
+		sel, arg, sv := h.next(), h.next(), h.next()
+		m := HandicapMerge{Slot: sv & 1, Value: float64(sv>>1) - 64}
+		switch sel % 5 {
+		case 0:
+			m.RouteKey = math.Inf(-1)
+		case 1:
+			m.RouteKey = math.Inf(1)
+		case 2:
+			m.RouteKey = float64(arg) - 0.5
+		case 3:
+			m.RouteKey = float64(arg)
+		case 4:
+			if l := before[arg*len(before)/256]; l.lo != nil {
+				m.RouteKey = l.lo.Key
+				h.cov.onSeparator = true
+			}
+		}
+		ms[j] = m
+		at := slices.IndexFunc(before, func(l refLeafRange) bool { return l.owns(Entry{Key: m.RouteKey}) })
+		want[at][m.Slot] = h.tr.cfg.HandicapKinds[m.Slot].Combine(want[at][m.Slot], m.Value)
+	}
+	h.mutate(func() {
+		if mode&1 == 0 {
+			if err := h.tr.FoldHandicaps(ms); err != nil {
+				h.t.Fatalf("fold: %v", err)
+			}
+			return
+		}
+		for _, m := range ms {
+			if err := h.tr.MergeHandicap(m.RouteKey, m.Slot, m.Value); err != nil {
+				h.t.Fatalf("merge: %v", err)
+			}
+		}
+	})
+	if got := slotsOf(walkLeaves(h.t, h.tr)); !sameSlots(got, want) {
+		h.t.Fatalf("fold (mode %d) of %v over slots %v: got %v, want %v", mode&1, ms, slotsOf(before), got, want)
+	}
+	h.cov.folded = h.cov.folded || (n > 0 && !sameSlots(want, slotsOf(before)))
+}
+
 // runCOWHistory decodes data into operations and checks every version
 // against the model after each; operations that do not apply in the current
 // state (Commit outside a batch, Delete on an empty tree, …) are skipped.
 func runCOWHistory(t testing.TB, data []byte, cov *coverage) {
 	store := pagestore.NewMemStore(128)
 	pool := pagestore.NewPool(store, 16)
-	tr, err := New(pool, Config{HandicapKinds: []SlotKind{MinSlot}})
+	tr, err := New(pool, Config{HandicapKinds: []SlotKind{MinSlot, MaxSlot}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,6 +400,9 @@ func runCOWHistory(t testing.TB, data []byte, cov *coverage) {
 					t.Fatalf("abort: %v", err)
 				}
 				h.live = h.saved
+				if got := slotsOf(walkLeaves(t, tr)); !sameSlots(got, h.slots) {
+					t.Fatalf("abort: slots %v, at the batch's start %v", got, h.slots)
+				}
 			}
 		case opInsert:
 			key := float64(h.next())
@@ -364,7 +450,7 @@ func runCOWHistory(t testing.TB, data []byte, cov *coverage) {
 					h.unpin(0)
 				}
 				pool.PinVersion(h.ver)
-				h.pins = append(h.pins, pinnedVersion{h: tr.Handle(tr.Meta()), model: slices.Clone(h.live), ver: h.ver})
+				h.pins = append(h.pins, pinnedVersion{h: tr.Handle(tr.Meta()), model: slices.Clone(h.live), slots: slotsOf(walkLeaves(t, tr)), ver: h.ver})
 			}
 		case opUnpin:
 			if len(h.pins) > 0 {
@@ -384,6 +470,9 @@ func runCOWHistory(t testing.TB, data []byte, cov *coverage) {
 					t.Fatalf("reset: %v", err)
 				}
 			})
+		case opFold:
+			mode, n := h.next(), h.next()%24
+			h.fold(mode, n)
 		}
 		h.cov.maxHeight = max(h.cov.maxHeight, tr.Height())
 		h.checkAll()
@@ -411,6 +500,11 @@ func cowSeeds() [][]byte {
 	}
 	grow := []byte{opInsertRun, 0, 1, 47, opInsertRun, 47, 1, 47, opInsertRun, 94, 1, 47, opInsertRun, 141, 1, 47}
 	shrink := []byte{opDeleteRun, 128, 47, opDeleteRun, 0, 47, opDeleteRun, 255, 47, opDeleteRun, 100, 47}
+	folds := []byte{
+		opFold, 0, 6, 0, 0, 10, 1, 0, 201, 2, 90, 30, 3, 91, 251, 4, 60, 20, 4, 200, 131,
+		opFold, 1, 4, 4, 128, 0, 4, 128, 255, 3, 17, 40, 2, 17, 41,
+		opFold, 0, 2, 0, 0, 10, 1, 0, 201, // nothing moves: the same values again
+	}
 	cat := func(parts ...[]byte) []byte { return slices.Concat(parts...) }
 	return [][]byte{
 		// The empty tree, swept, pinned, and grown under the pin.
@@ -429,13 +523,19 @@ func cowSeeds() [][]byte {
 			[]byte{opBegin, opInsertDup, 200, opDeleteMiss, 3, opCommit, opPin, opBegin}, grow, []byte{opAbort}, sweeps),
 		// Whole-tree shadowing under a pin, in a batch and in place.
 		cat(grow, []byte{opPin, opBegin, opReset, opCommit, opPin, opReset}, sweeps, []byte{opBegin, opReset, opAbort}, sweeps),
+		// Folds and single merges at both ends, between keys, on keys and on
+		// separators: in place, under pins, in a batch that aborts and in one
+		// that splits and merges leaves around them.
+		cat(grow, folds, []byte{opPin}, folds, []byte{opBegin}, folds, grow, []byte{opAbort, opBegin}, folds, shrink, folds,
+			[]byte{opCommit, opPin, opBegin, opReset}, folds, []byte{opCommit}, sweeps),
 	}
 }
 
 // TestCOWSweepMatchesModel runs the hand-written histories and a few hundred
 // seeded random ones, and requires that together they reached what the model
 // is for: height 3, merges, root collapse, the empty tree, duplicate keys
-// across leaves, early stops, and sweeps of a version older than the live one.
+// across leaves, early stops, sweeps of a version older than the live one,
+// and folds that move slots, some routed by a separator's own key.
 func TestCOWSweepMatchesModel(t *testing.T) {
 	var cov coverage
 	for _, seed := range cowSeeds() {
@@ -447,7 +547,7 @@ func TestCOWSweepMatchesModel(t *testing.T) {
 		rng.Read(data)
 		runCOWHistory(t, data, &cov)
 	}
-	if cov.maxHeight < 3 || !cov.collapsed || !cov.emptied || !cov.merged || !cov.sweptPinned || !cov.stoppedEarly || !cov.dups {
+	if cov.maxHeight < 3 || !cov.collapsed || !cov.emptied || !cov.merged || !cov.sweptPinned || !cov.stoppedEarly || !cov.dups || !cov.folded || !cov.onSeparator {
 		t.Fatalf("histories missed part of the state space: %+v", cov)
 	}
 }

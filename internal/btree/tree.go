@@ -12,7 +12,7 @@ import (
 type Config struct {
 	// HandicapKinds declares the per-leaf auxiliary slots: one entry per
 	// slot, fixing how values merge (MinSlot or MaxSlot). May be empty for
-	// a plain B⁺-tree. At most 8 slots.
+	// a plain B⁺-tree. At most maxHandicaps slots.
 	HandicapKinds []SlotKind
 	// FillFactor is the target leaf occupancy for bulk loading, in (0, 1];
 	// the default is 0.9.
@@ -26,6 +26,9 @@ type Config struct {
 	// ≤ 0 selects the default 4096.
 	DecodeCacheNodes int
 }
+
+// maxHandicaps bounds Config.HandicapKinds.
+const maxHandicaps = 8
 
 // Tree is a disk-based B⁺-tree over (float64, uint32) composite keys.
 type Tree struct {
@@ -77,7 +80,7 @@ var ErrLayout = errors.New("btree: node layout version mismatch")
 
 // New creates an empty tree whose pages are allocated from pool.
 func New(pool *pagestore.Pool, cfg Config) (*Tree, error) {
-	if len(cfg.HandicapKinds) > 8 {
+	if len(cfg.HandicapKinds) > maxHandicaps {
 		return nil, fmt.Errorf("btree: too many handicap slots (%d)", len(cfg.HandicapKinds))
 	}
 	if cfg.FillFactor <= 0 || cfg.FillFactor > 1 {
@@ -136,7 +139,7 @@ func (t *Tree) Meta() Meta {
 // must match the one the tree was created with (same handicap slots and
 // page size); this is checked against the root page where possible.
 func Restore(pool *pagestore.Pool, cfg Config, m Meta) (*Tree, error) {
-	if len(cfg.HandicapKinds) > 8 {
+	if len(cfg.HandicapKinds) > maxHandicaps {
 		return nil, fmt.Errorf("btree: too many handicap slots (%d)", len(cfg.HandicapKinds))
 	}
 	if cfg.FillFactor <= 0 || cfg.FillFactor > 1 {

@@ -39,6 +39,9 @@ type Tuple struct {
 	envOnce sync.Once
 	topEnv  geom.Envelope
 	botEnv  geom.Envelope
+
+	// noHRep: cons does not define ext (FromPolyhedron over generators only).
+	noHRep bool
 }
 
 // NewTuple builds a generalized tuple in E^dim from the given constraints.
@@ -56,10 +59,12 @@ func NewTuple(dim int, cons []geom.HalfSpace) (*Tuple, error) {
 	return &Tuple{dim: dim, cons: append([]geom.HalfSpace(nil), cons...)}, nil
 }
 
-// FromPolyhedron wraps an existing polyhedron as a tuple. The polyhedron
-// should carry an H-representation if exact predicates are needed.
+// FromPolyhedron wraps an existing polyhedron as a tuple. One without an
+// H-representation (geom.FromVertices with a ray) makes a tuple without
+// constraints: it evaluates exactly, from its generators, but cannot be
+// written down — HasHRep reports false and String says "true".
 func FromPolyhedron(p geom.Polyhedron) *Tuple {
-	t := &Tuple{dim: p.Dim(), cons: append([]geom.HalfSpace(nil), p.HS...), ext: p}
+	t := &Tuple{dim: p.Dim(), cons: append([]geom.HalfSpace(nil), p.HS...), ext: p, noHRep: p.HS == nil}
 	t.once.Do(t.pack)
 	return t
 }
@@ -72,6 +77,11 @@ func (t *Tuple) Dim() int { return t.dim }
 
 // Constraints returns the defining constraints (not to be modified).
 func (t *Tuple) Constraints() []geom.HalfSpace { return t.cons }
+
+// HasHRep reports whether Constraints defines the tuple's extension: always,
+// except for a FromPolyhedron tuple over a polyhedron with no
+// H-representation.
+func (t *Tuple) HasHRep() bool { return !t.noHRep }
 
 // resolve computes the extension and its packed generators once.
 func (t *Tuple) resolve() error {

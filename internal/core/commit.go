@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 
+	"dualcdb/internal/btree"
 	"dualcdb/internal/constraint"
 	"dualcdb/internal/obs"
 	"dualcdb/internal/pagestore"
@@ -146,7 +147,7 @@ func (c *Commit) Insert(t *constraint.Tuple) (constraint.TupleID, error) {
 			return id, c.fail(err)
 		}
 	}
-	if err := ix.mergeHandicaps(t); err != nil {
+	if err := ix.mergeHandicaps(t, keys); err != nil {
 		return id, c.fail(err)
 	}
 	c.indexed++
@@ -208,19 +209,23 @@ func (c *Commit) rebuildHandicaps() error {
 			return err
 		}
 	}
-	var err error
+	var ts []*constraint.Tuple
 	ix.rel.Scan(func(t *constraint.Tuple) bool {
-		if !t.IsSatisfiable() {
-			return true
-		}
-		if e := ix.mergeHandicaps(t); e != nil {
-			err = e
-			return false
+		if t.IsSatisfiable() {
+			ts = append(ts, t)
 		}
 		return true
 	})
-	if err != nil {
-		return err
+	var up, down []btree.HandicapMerge
+	for i := 0; i < ix.geo.sites(); i++ {
+		up, down = up[:0], down[:0]
+		for _, t := range ts {
+			top, bot := ix.keys(t, i)
+			up, down = ix.handicapMerges(up, down, i, t, top, bot)
+		}
+		if err := ix.foldHandicaps(i, up, down); err != nil {
+			return err
+		}
 	}
 	c.deletes = 0
 	return nil
@@ -258,27 +263,12 @@ func (c *Commit) Commit() error {
 
 	publishSpan := c.beginSpan(obs.CommitStagePublish)
 
-	// Derive the next frozen relation from the base version: one slice
-	// copy plus the batch's deltas (ids are never reused, so an id
-	// inserted then deleted in the same batch nets out by apply order).
-	maxID := constraint.TupleID(len(c.base.tuples))
-	for _, t := range c.inserted {
-		if t.ID() > maxID {
-			maxID = t.ID()
-		}
-	}
-	tuples := make([]*constraint.Tuple, maxID)
-	copy(tuples, c.base.tuples)
-	for _, t := range c.inserted {
-		tuples[t.ID()-1] = t
-	}
-	for _, t := range c.removed {
-		tuples[t.ID()-1] = nil
-	}
+	// The next frozen relation is the base version's plus the batch's deltas.
+	tuples := c.base.tuples.with(c.inserted, c.removed)
 	live := c.base.live + len(c.inserted) - len(c.removed)
 	xext := c.base.xext
 	if xext != nil {
-		xext = extendExtents(xext, len(tuples), c.inserted)
+		xext = extendExtents(xext, tuples.n, c.inserted)
 	}
 
 	rs := ix.publishLocked(c.base.version+1, c.indexed, c.deletes, tuples, live, xext)

@@ -247,20 +247,19 @@ func bulkLoadPair(up, down *btree.Tree, upEntries, downEntries []btree.Entry) er
 func (ix *Index) buildSite(i int, ts []*constraint.Tuple) error {
 	upEntries := make([]btree.Entry, 0, len(ts))
 	downEntries := make([]btree.Entry, 0, len(ts))
+	slots := len(ix.geo.slotKinds())
+	up := make([]btree.HandicapMerge, 0, slots*len(ts))
+	down := make([]btree.HandicapMerge, 0, slots*len(ts))
 	for _, t := range ts {
 		top, bot := ix.keys(t, i)
 		upEntries = append(upEntries, btree.Entry{Key: top, TID: uint32(t.ID())})
 		downEntries = append(downEntries, btree.Entry{Key: bot, TID: uint32(t.ID())})
+		up, down = ix.handicapMerges(up, down, i, t, top, bot)
 	}
 	if err := bulkLoadPair(ix.trees[2*i], ix.trees[2*i+1], upEntries, downEntries); err != nil {
 		return err
 	}
-	for _, t := range ts {
-		if err := ix.mergeHandicapsAt(i, t); err != nil {
-			return err
-		}
-	}
-	return nil
+	return ix.foldHandicaps(i, up, down)
 }
 
 // buildVertical bulk-loads the optional V^up/V^down pair v over horizontal
@@ -313,34 +312,43 @@ func runTasks(tasks []func() error, workers int) error {
 	return errors.Join(errs...)
 }
 
-// mergeHandicaps folds one tuple's contribution into every tree's handicap
-// slots.
-func (ix *Index) mergeHandicaps(t *constraint.Tuple) error {
-	for i := 0; i < ix.geo.sites(); i++ {
-		if err := ix.mergeHandicapsAt(i, t); err != nil {
-			return err
-		}
+// handicapMerges appends t's contribution to the handicap slots of site i's
+// tree pair to up and down: per slot, the tuple's tree key (top in B^up, bot
+// in B^down — its keys at site i) goes to the leaf its routing key, the
+// geometry's cell extremum, selects.
+func (ix *Index) handicapMerges(up, down []btree.HandicapMerge, i int, t *constraint.Tuple, top, bot float64) ([]btree.HandicapMerge, []btree.HandicapMerge) {
+	upRoutes, downRoutes := ix.geo.routes(t, i)
+	for slot := range ix.geo.slotKinds() {
+		up = append(up, btree.HandicapMerge{RouteKey: upRoutes[slot], Slot: slot, Value: top})
+		down = append(down, btree.HandicapMerge{RouteKey: downRoutes[slot], Slot: slot, Value: bot})
 	}
-	return nil
+	return up, down
 }
 
-// mergeHandicapsAt folds one tuple's contribution into the handicap slots
-// of site i's tree pair: per slot, the tuple's tree key is combined into
-// the leaf its routing key (the geometry's cell extremum) selects. Calls
-// for distinct sites touch disjoint trees, which is what lets Build fan
-// handicap folding across its per-site workers.
-func (ix *Index) mergeHandicapsAt(i int, t *constraint.Tuple) error {
-	topV, botV := ix.keys(t, i)
-	upRoutes, downRoutes := ix.geo.routes(t, i)
-	u, d := ix.trees[2*i], ix.trees[2*i+1]
-	for slot := 0; slot < u.NumHandicaps(); slot++ {
-		if err := u.MergeHandicap(upRoutes[slot], slot, topV); err != nil {
-			return err
-		}
+// foldHandicaps folds the merges of many tuples into the handicap slots of
+// site i's tree pair, one pass per tree. Calls for distinct sites touch
+// disjoint trees, which is what lets Build fan handicap folding across its
+// per-site workers.
+func (ix *Index) foldHandicaps(i int, up, down []btree.HandicapMerge) error {
+	if err := ix.trees[2*i].FoldHandicaps(up); err != nil {
+		return err
 	}
-	for slot := 0; slot < d.NumHandicaps(); slot++ {
-		if err := d.MergeHandicap(downRoutes[slot], slot, botV); err != nil {
-			return err
+	return ix.trees[2*i+1].FoldHandicaps(down)
+}
+
+// mergeHandicaps folds one tuple's contribution (handicapMerges) into every
+// site tree's handicap slots, a descent per slot; keys are its tree keys in
+// tree order (treeKeys).
+func (ix *Index) mergeHandicaps(t *constraint.Tuple, keys []float64) error {
+	for i := 0; i < ix.geo.sites(); i++ {
+		upRoutes, downRoutes := ix.geo.routes(t, i)
+		for slot := range ix.geo.slotKinds() {
+			if err := ix.trees[2*i].MergeHandicap(upRoutes[slot], slot, keys[2*i]); err != nil {
+				return err
+			}
+			if err := ix.trees[2*i+1].MergeHandicap(downRoutes[slot], slot, keys[2*i+1]); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -72,6 +72,7 @@ type engineCoverage struct {
 	paths                                 map[string]int
 	technique                             Technique
 	reopened, aborted, refused, sameBatch bool
+	refusedSave                           bool
 	sweptPinned, twoLevels, onSite        bool
 }
 
@@ -447,11 +448,15 @@ func (h *engineHistory) queryBatch(n int) {
 
 // reopen saves the index, closes its file and opens it again: the reopened
 // relation must hold the same tuples under the same ids, and becomes the
-// model. Not while alignedVertices is live: a tuple given by vertices and a
-// ray has no constraints to persist (FromPolyhedron's caveat).
+// model. While alignedVertices is live — a tuple given by vertices and a ray
+// has no constraints to persist — Save must refuse and change nothing.
 func (h *engineHistory) reopen() {
 	for _, tp := range h.live {
-		if len(tp.Constraints()) == 0 {
+		if !tp.HasHRep() {
+			if err := h.ix.Save(); !errors.Is(err, geom.ErrNoHRep) {
+				h.fatalf("save with tuple %d, which has no constraints: %v, want geom.ErrNoHRep", tp.ID(), err)
+			}
+			h.cov.refusedSave = true
 			return
 		}
 	}
@@ -641,7 +646,7 @@ func engineSeeds() [][]byte {
 			eoQuery, 0, 7, 64, onOldest|abovByEps, 0) // … and between the first two sites
 	}
 	return [][]byte{
-		cat([]byte{0, 1}, named, shapes, refused, probes, []byte{eoDelete, 0, eoReopen}, probes),
+		cat([]byte{0, 1}, named, shapes, refused, probes, []byte{eoReopen, eoDelete, 0, eoReopen}, probes), // the first Save is refused
 		cat([]byte{0, 2}, fillers, []byte{eoDelete, 0, eoReopen, eoRebuild}, probes[:len(probes)/8]),
 		// Batches: insert and delete in one, an abort, a refused tuple ending
 		// its batch, snapshots across commits and a rebuild.
@@ -656,8 +661,8 @@ func engineSeeds() [][]byte {
 // TestEngineOpsMatchScan runs the hand-written histories and seeded random
 // ones over every engine case, and requires that together they reached what
 // the model is for: every execution path, trees of more than one level, a
-// reopen, an abort, a refused tuple, an insert and delete of one tuple in one
-// batch, and a pinned snapshot queried after a later commit.
+// reopen, a refused Save, an abort, a refused tuple, an insert and delete of
+// one tuple in one batch, and a pinned snapshot queried after a later commit.
 func TestEngineOpsMatchScan(t *testing.T) {
 	for _, c := range engineCases {
 		t.Run(c.name, func(t *testing.T) {
@@ -684,7 +689,7 @@ func TestEngineOpsMatchScan(t *testing.T) {
 					t.Errorf("path %q never taken", p)
 				}
 			}
-			if !cov.aborted || !cov.refused || !cov.sameBatch || !cov.sweptPinned || !cov.twoLevels || !cov.onSite || cov.reopened != (c.dim == 2) {
+			if !cov.aborted || !cov.refused || !cov.sameBatch || !cov.sweptPinned || !cov.twoLevels || !cov.onSite || cov.reopened != (c.dim == 2) || cov.refusedSave != (c.dim == 2) {
 				t.Errorf("histories missed part of the state space: %+v", cov)
 			}
 		})

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -361,40 +360,6 @@ func testCountsTrackRelationAcrossBatches(t *testing.T, c engineCase) {
 		}
 		live = staged
 		check(step, "commit")
-	}
-}
-
-// TestCommitGarbageIsOnePointerPerTuple pins the one per-version O(N)
-// allocation a commit makes — the next version's dense tuple-pointer slice:
-// growing the relation by 14 000 tuples may grow the bytes a one-op commit
-// allocates by no more than 8 B per tuple (plus a quarter for the deeper
-// trees' extra clones).
-func TestCommitGarbageIsOnePointerPerTuple(t *testing.T) {
-	perCommit := func(n int) float64 {
-		rng := rand.New(rand.NewSource(61))
-		_, ix := buildRandomIndex(t, rng, n, Options{Slopes: EquiangularSlopes(2), Technique: T2, PoolPages: 1 << 14}, false)
-		churn := func(pairs int) {
-			for i := 0; i < pairs; i++ {
-				id, err := ix.Insert(randTuple(rng, false))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := ix.Delete(id); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		churn(20) // warm the pool and the free list
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		churn(100)
-		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / 200
-	}
-	small, large := perCommit(2000), perCommit(16000)
-	t.Logf("bytes per one-op commit: %.0f at N = 2 000, %.0f at N = 16 000", small, large)
-	if limit := 1.25 * 8 * 14000; large-small > limit {
-		t.Errorf("a commit at N = 16 000 allocates %.0f B more than at N = 2 000, want ≤ %.0f (one pointer per tuple)", large-small, limit)
 	}
 }
 

@@ -39,6 +39,11 @@ const (
 // index must own its store (created via New/Build without a shared Pool),
 // so that the catalog sits at page 1.
 //
+// A tuple whose constraints do not define it (constraint.FromPolyhedron over
+// vertices and a ray) would reopen as the whole plane under the keys of what
+// it was: Save refuses the relation with geom.ErrNoHRep before it writes
+// anything.
+//
 // Save excludes writers for its duration and runs beside readers: a version
 // is its trees' root metadata and nothing else, so the catalog records the
 // current one as it stands and no page a snapshot can reach is touched.
@@ -243,7 +248,8 @@ func Open(pool *pagestore.Pool) (*constraint.Relation, *Index, error) {
 }
 
 // encodeRelation serializes every tuple: id, constraint count, then per
-// constraint op, constant and coefficients.
+// constraint op, constant and coefficients. A tuple with no H-representation
+// has nothing to serialize: geom.ErrNoHRep.
 func encodeRelation(rel *constraint.Relation) ([]byte, int, error) {
 	var buf []byte
 	put32 := func(v uint32) {
@@ -258,7 +264,12 @@ func encodeRelation(rel *constraint.Relation) ([]byte, int, error) {
 	}
 	count := 0
 	dim := rel.Dim()
+	var err error
 	rel.Scan(func(t *constraint.Tuple) bool {
+		if !t.HasHRep() {
+			err = fmt.Errorf("core: save tuple %d: %w", t.ID(), geom.ErrNoHRep)
+			return false
+		}
 		put32(uint32(t.ID()))
 		cons := t.Constraints()
 		put32(uint32(len(cons)))
@@ -276,7 +287,7 @@ func encodeRelation(rel *constraint.Relation) ([]byte, int, error) {
 		count++
 		return true
 	})
-	return buf, count, nil
+	return buf, count, err
 }
 
 // decodeRelation reverses encodeRelation.
