@@ -48,7 +48,11 @@ type (
 	Tuple = constraint.Tuple
 	// TupleID identifies a tuple within a relation.
 	TupleID = constraint.TupleID
-	// Relation is a set of generalized tuples over one variable space.
+	// Relation is a set of generalized tuples over one variable space, held
+	// once: an index over it publishes each version as a frozen view of the
+	// relation's own table and aborts a batch by setting the relation back to
+	// the last one. Once a relation is indexed, write to it only through that
+	// one index. Scan and IDs go in id order; ids are never reused.
 	Relation = constraint.Relation
 	// Query is an ALL/EXIST half-plane selection.
 	Query = constraint.Query
@@ -147,6 +151,11 @@ const (
 // that is not finite or beyond 1e6 in magnitude, or with more than 30
 // vertices within 1e-9 of one another in x. Such a tuple is never indexed.
 var ErrTupleRange = core.ErrTupleRange
+
+// ErrIDLimit is what Relation.Insert, Index.Insert and OpenDatabase return
+// (wrapped; test with errors.Is) for a tuple id past 1<<24: a relation has
+// assigned that many, or a damaged file claims one.
+var ErrIDLimit = constraint.ErrIDLimit
 
 // d-dimensional index (Section 4.4) and generalized-tuple selections.
 type (

@@ -138,41 +138,6 @@ func (t *Tree) freeOrSupersede(id pagestore.PageID) error {
 	return t.pool.FreePage(id)
 }
 
-// findLeafWritable descends to the leaf owning e with every node on the
-// path made writable, patching each parent's child link as the descent
-// goes (the parent is already owned by the time its child is cloned).
-func (t *Tree) findLeafWritable(e Entry) (node, error) {
-	t.stats.descents.Add(1)
-	n, err := t.get(t.root)
-	if err != nil {
-		return node{}, err
-	}
-	if n, err = t.writable(n); err != nil {
-		return node{}, err
-	}
-	if n.id() != t.root {
-		t.root = n.id()
-	}
-	for !n.isLeaf() {
-		ci := n.childIndex(e)
-		child, err := t.get(n.child(ci))
-		if err != nil {
-			n.release()
-			return node{}, err
-		}
-		if child, err = t.writable(child); err != nil {
-			n.release()
-			return node{}, err
-		}
-		if n.child(ci) != child.id() {
-			n.setChild(ci, child.id())
-		}
-		n.release()
-		n = child
-	}
-	return n, nil
-}
-
 // cowSanity is a debug helper for tests: it verifies that no batch-owned
 // page appears in the superseded list.
 func (t *Tree) cowSanity() error {

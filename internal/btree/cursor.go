@@ -105,6 +105,39 @@ func (c *cursor) close() {
 	}
 }
 
+// shadow makes the path and the leaf it leads to writable under the open
+// batch, top-down: a node the batch does not own is cloned and the clone
+// linked into its parent — owned by then — or, for the first, into t.root, so
+// a partly shadowed path stays linked. On error leaf is released too.
+func (c *cursor) shadow(leaf node) (node, error) {
+	for d := 0; d <= c.depth; d++ {
+		n := &leaf
+		if d < c.depth {
+			n = &c.path[d].n
+		}
+		w, err := c.t.writable(*n)
+		if err != nil {
+			// writable released *n: release what lies below it and cut the
+			// path above it, which close releases.
+			if d < c.depth {
+				leaf.release()
+			}
+			for i := d + 1; i < c.depth; i++ {
+				c.path[i].n.release()
+			}
+			c.depth = d
+			return node{}, err
+		}
+		*n = w
+		if d == 0 {
+			c.t.root = w.id()
+		} else if up := c.path[d-1]; up.n.child(up.idx) != w.id() {
+			up.n.setChild(up.idx, w.id())
+		}
+	}
+	return leaf, nil
+}
+
 // sweep is the one leaf sweep behind VisitLeaves{Asc,Desc}[Tracked]: from
 // the leaf that owns `from`, leaf by leaf in one direction, while visit
 // returns true.
@@ -194,14 +227,17 @@ func (t *Tree) MergeHandicap(routeKey float64, slot int, value float64) error {
 }
 
 // mergeSlots combines vals[s] into handicap slot s of the leaf that owns e,
-// for every slot. It reads the leaf through the ordinary descent first and
-// writes only when some slot's bits would move: almost every merge leaves a
-// slot — the extremum of everything routed to the leaf — where it was, and
-// under a batch such a merge clones nothing. The bits written are those the
-// unconditional write would have left, so page contents do not depend on the
-// check (DESIGN.md §20).
+// for every slot. It reads the leaf first and writes only when some slot's
+// bits would move: almost every merge leaves a slot — the extremum of
+// everything routed to the leaf — where it was, and under a batch such a
+// merge clones nothing; one that moves a slot shadows the path the read
+// descent still holds. The bits written are those the unconditional write
+// would have left, so page contents do not depend on the check (DESIGN.md
+// §20).
 func (t *Tree) mergeSlots(e Entry, vals []float64) error {
-	leaf, err := t.findLeaf(e)
+	c := cursor{t: t}
+	defer c.close()
+	leaf, err := c.seek(e)
 	if err != nil {
 		return err
 	}
@@ -217,10 +253,8 @@ func (t *Tree) mergeSlots(e Entry, vals []float64) error {
 		return nil
 	}
 	if t.cow != nil {
-		// Shadow the descent path so the write lands on a batch-owned copy
-		// of the leaf.
-		leaf.release()
-		if leaf, err = t.findLeafWritable(e); err != nil {
+		// The write must land on a batch-owned copy of the leaf.
+		if leaf, err = c.shadow(leaf); err != nil {
 			return err
 		}
 	}

@@ -130,6 +130,51 @@ func TestSweepFaultReleasesItsPath(t *testing.T) {
 	}
 }
 
+// TestMergeFaultReleasesItsPath fails the n-th clone of a slot-moving merge
+// under a batch, for every page of the path it shadows: the fault must
+// surface with nothing left pinned — the cursor's path, the leaf and the
+// clones already made — and the aborted batch must leave slots and pages as
+// they were.
+func TestMergeFaultReleasesItsPath(t *testing.T) {
+	fs := pagestore.NewFaultStore(pagestore.NewMemStore(256))
+	pool := pagestore.NewPool(fs, 64)
+	tr, err := New(pool, Config{HandicapKinds: []SlotKind{MinSlot}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1500; i++ {
+		if err := tr.Insert(float64(i), uint32(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tr.Height() < 3 {
+		t.Fatalf("height %d: no path below the root to shadow", tr.Height())
+	}
+	before := slotsOf(walkLeaves(t, tr))
+	allocated := fs.NumAllocated()
+	for n := 1; n <= tr.Height(); n++ {
+		tr.BeginCOW()
+		fs.FailAllocAfter(n)
+		err := tr.MergeHandicap(700, 0, -1)
+		fs.Disarm()
+		if !errors.Is(err, pagestore.ErrInjected) {
+			t.Fatalf("clone %d: want injected fault, got %v", n, err)
+		}
+		if r := pool.Residency(); r.Pinned != 0 {
+			t.Fatalf("clone %d: %d frames still pinned after the fault", n, r.Pinned)
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("clone %d: the partly shadowed path is not a tree: %v", n, err)
+		}
+		if err := tr.AbortCOW(); err != nil {
+			t.Fatal(err)
+		}
+		if got := slotsOf(walkLeaves(t, tr)); !sameSlots(got, before) || fs.NumAllocated() != allocated {
+			t.Fatalf("clone %d: the aborted merge left slots %v (were %v) in %d pages (were %d)", n, got, before, fs.NumAllocated(), allocated)
+		}
+	}
+}
+
 // TestForeignLayoutIsRejected flips the layout byte of a leaf and of the
 // root: every descent and sweep that reaches the page returns ErrLayout
 // with nothing left pinned, and Restore refuses the root.

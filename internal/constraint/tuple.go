@@ -194,39 +194,153 @@ func (t *Tuple) String() string {
 // ErrNotFound is returned when a tuple id is absent from a relation.
 var ErrNotFound = errors.New("constraint: tuple not found")
 
+// maxTupleID is the largest id a relation assigns or accepts. Everything
+// sized by the largest id — a relation's spine, and an index's x-extent table
+// and candidate bitset — is therefore bounded (512 KB, 256 MB and 2 MB at the
+// limit), whatever id a damaged file claims.
+const maxTupleID TupleID = 1 << 24
+
+// ErrIDLimit is returned by Insert and InsertWithID for an id past the limit
+// of 1<<24.
+var ErrIDLimit = errors.New("constraint: tuple id beyond the relation's id limit")
+
+// The store of a relation is a persistent id → tuple table: fixed-size chunks
+// of pointers under a spine, slot (id−1) mod chunkSize of chunk
+// (id−1) / chunkSize holding the tuple with that id (nil: deleted, or never
+// assigned). A chunk a View can reach is never written.
+const (
+	chunkBits = 8
+	chunkSize = 1 << chunkBits
+)
+
+// chunk is an array, not a slice: a lookup is two dependent loads.
+type chunk [chunkSize]*Tuple
+
+// noTuples stands in the spine for every chunk nothing was ever written to:
+// shared by all relations, never written.
+var noTuples chunk
+
+// View is one immutable state of a relation (Relation.Freeze): safe for
+// concurrent use, unaffected by later writes to the relation, and sharing
+// every chunk those writes do not touch with the states before and after it.
+// It is two words over a slice so that it stays in registers when passed by
+// value; the tuple count travels beside it (Relation.Len at the freeze).
+type View struct {
+	spine []*chunk
+	n     int // ids 1..n have a slot
+}
+
+// MaxID returns the largest id the view has a slot for: every tuple's id is
+// in 1..MaxID.
+func (v View) MaxID() int { return v.n }
+
+// Get returns the tuple with the given id, nil when the view holds none.
+func (v View) Get(id TupleID) *Tuple {
+	i := int(id) - 1
+	if uint(i) >= uint(v.n) {
+		return nil
+	}
+	return v.spine[i>>chunkBits][i&(chunkSize-1)]
+}
+
+// Scan calls fn for every tuple in id order until it returns false.
+func (v View) Scan(fn func(*Tuple) bool) {
+	for _, ch := range v.spine {
+		for _, t := range ch {
+			if t != nil && !fn(t) {
+				return
+			}
+		}
+	}
+}
+
 // Relation is a generalized relation: a mutable set of generalized tuples
 // sharing one variable space. Tuple IDs are assigned on insertion and never
 // reused.
+//
+// It is the mutable head of the table its Views are frozen states of: a write
+// copies the chunk it lands in unless the head has copied or created that
+// chunk since the last Freeze, so it costs one chunk at most and no View ever
+// changes. A Relation is not safe for concurrent use; its Views are.
 type Relation struct {
 	dim    int
 	nextID TupleID
-	tuples map[TupleID]*Tuple
-	order  []TupleID // insertion order, for deterministic scans
+	head   View // the spine is the head's own: no View shares it
+	live   int
+	// frozen is the spine of the last View handed out or restored: a chunk the
+	// head still shares with it (or with noTuples) is copied before a write.
+	frozen []*chunk
 }
 
 // NewRelation creates an empty relation over E^dim.
 func NewRelation(dim int) *Relation {
-	return &Relation{dim: dim, nextID: 1, tuples: make(map[TupleID]*Tuple)}
+	return &Relation{dim: dim, nextID: 1}
 }
 
 // Dim returns the dimension of the relation's variable space.
 func (r *Relation) Dim() int { return r.dim }
 
 // Len returns the number of tuples.
-func (r *Relation) Len() int { return len(r.tuples) }
+func (r *Relation) Len() int { return r.live }
+
+// Freeze returns the relation's current state. Later writes leave it as it is.
+func (r *Relation) Freeze() View {
+	r.frozen = make([]*chunk, len(r.head.spine))
+	copy(r.frozen, r.head.spine)
+	return View{spine: r.frozen, n: r.head.n}
+}
+
+// Restore sets the relation back to a state Freeze returned, live being Len
+// at that freeze — how an index aborts a batch. Every write since is dropped,
+// whoever made it: only one index may write to a relation. Ids assigned since
+// stay consumed.
+func (r *Relation) Restore(v View, live int) {
+	r.head = View{spine: append([]*chunk(nil), v.spine...), n: v.n}
+	r.frozen = v.spine
+	r.live = live
+}
+
+// set writes slot id of the head, growing the spine to reach it and copying
+// the chunk first when a View may share it.
+func (r *Relation) set(id TupleID, t *Tuple) {
+	i := int(id) - 1
+	c := i >> chunkBits
+	for len(r.head.spine) <= c {
+		r.head.spine = append(r.head.spine, &noTuples)
+	}
+	r.head.n = max(r.head.n, int(id))
+	ch := r.head.spine[c]
+	if ch == &noTuples || c < len(r.frozen) && ch == r.frozen[c] {
+		own := *ch
+		ch = &own
+		r.head.spine[c] = ch
+	}
+	ch[i&(chunkSize-1)] = t
+}
+
+// admit checks that t may enter the relation.
+func (r *Relation) admit(t *Tuple) error {
+	if t.dim != r.dim {
+		return fmt.Errorf("constraint: tuple dimension %d != relation dimension %d", t.dim, r.dim)
+	}
+	if t.id != 0 {
+		return fmt.Errorf("constraint: tuple %d already belongs to a relation", t.id)
+	}
+	return nil
+}
 
 // Insert adds a tuple and assigns it a fresh ID, which is also returned.
 func (r *Relation) Insert(t *Tuple) (TupleID, error) {
-	if t.dim != r.dim {
-		return 0, fmt.Errorf("constraint: tuple dimension %d != relation dimension %d", t.dim, r.dim)
+	if err := r.admit(t); err != nil {
+		return 0, err
 	}
-	if t.id != 0 {
-		return 0, fmt.Errorf("constraint: tuple %d already belongs to a relation", t.id)
+	if r.nextID > maxTupleID {
+		return 0, fmt.Errorf("%w: %d ids assigned", ErrIDLimit, maxTupleID)
 	}
 	t.id = r.nextID
 	r.nextID++
-	r.tuples[t.id] = t
-	r.order = append(r.order, t.id)
+	r.set(t.id, t)
+	r.live++
 	return t.id, nil
 }
 
@@ -234,85 +348,55 @@ func (r *Relation) Insert(t *Tuple) (TupleID, error) {
 // persisted relation, so references from saved indexes stay valid. The id
 // must be unused; the internal id counter advances past it.
 func (r *Relation) InsertWithID(t *Tuple, id TupleID) error {
-	if t.dim != r.dim {
-		return fmt.Errorf("constraint: tuple dimension %d != relation dimension %d", t.dim, r.dim)
-	}
-	if t.id != 0 {
-		return fmt.Errorf("constraint: tuple %d already belongs to a relation", t.id)
+	if err := r.admit(t); err != nil {
+		return err
 	}
 	if id == 0 {
 		return fmt.Errorf("constraint: id 0 is reserved")
 	}
-	if _, ok := r.tuples[id]; ok {
+	if id > maxTupleID {
+		return fmt.Errorf("%w: id %d > %d", ErrIDLimit, id, maxTupleID)
+	}
+	if r.head.Get(id) != nil {
 		return fmt.Errorf("constraint: id %d already in use", id)
 	}
 	t.id = id
-	r.tuples[id] = t
-	r.order = append(r.order, id)
+	r.set(id, t)
+	r.live++
 	if id >= r.nextID {
 		r.nextID = id + 1
 	}
 	return nil
 }
 
-// Reattach re-inserts a tuple that already carries an id, undoing an
-// earlier Delete — the rollback path of an aborted index commit. The id
-// must not be in use.
-func (r *Relation) Reattach(t *Tuple) error {
-	if t.dim != r.dim {
-		return fmt.Errorf("constraint: tuple dimension %d != relation dimension %d", t.dim, r.dim)
-	}
-	if t.id == 0 {
-		return fmt.Errorf("constraint: Reattach of a tuple that never had an id")
-	}
-	if _, ok := r.tuples[t.id]; ok {
-		return fmt.Errorf("constraint: id %d already in use", t.id)
-	}
-	r.tuples[t.id] = t
-	r.order = append(r.order, t.id)
-	if t.id >= r.nextID {
-		r.nextID = t.id + 1
-	}
-	return nil
-}
-
 // Delete removes the tuple with the given id.
 func (r *Relation) Delete(id TupleID) error {
-	if _, ok := r.tuples[id]; !ok {
+	if r.head.Get(id) == nil {
 		return ErrNotFound
 	}
-	delete(r.tuples, id)
-	for i, x := range r.order {
-		if x == id {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
+	r.set(id, nil)
+	r.live--
 	return nil
 }
 
 // Get returns the tuple with the given id.
 func (r *Relation) Get(id TupleID) (*Tuple, error) {
-	t, ok := r.tuples[id]
-	if !ok {
-		return nil, ErrNotFound
+	if t := r.head.Get(id); t != nil {
+		return t, nil
 	}
-	return t, nil
+	return nil, ErrNotFound
 }
 
-// Scan calls fn for every tuple in insertion order; a false return stops
-// the scan early.
-func (r *Relation) Scan(fn func(*Tuple) bool) {
-	for _, id := range r.order {
-		if t, ok := r.tuples[id]; ok {
-			if !fn(t) {
-				return
-			}
-		}
-	}
-}
+// Scan calls fn for every tuple in id order; a false return stops the scan
+// early.
+func (r *Relation) Scan(fn func(*Tuple) bool) { r.head.Scan(fn) }
 
-// IDs returns all tuple ids in insertion order.
+// IDs returns all tuple ids in increasing order.
 func (r *Relation) IDs() []TupleID {
-	return append([]TupleID(nil), r.order...)
+	ids := make([]TupleID, 0, r.live)
+	r.head.Scan(func(t *Tuple) bool {
+		ids = append(ids, t.id)
+		return true
+	})
+	return ids
 }

@@ -15,7 +15,7 @@ import (
 // snapshot readers are oblivious to the batch. Commit publishes the new
 // root set with a single atomic pointer swap and hands the superseded
 // pages to the pool's deferred free list; Abort frees the shadow pages
-// and rolls the relation back, leaving no trace.
+// and restores the relation to the base version's view, leaving no trace.
 //
 // A batch is single-writer by construction: Begin holds the index write
 // lock until Commit or Abort. Mutating methods return errors without
@@ -28,11 +28,9 @@ type Commit struct {
 	// version's bookkeeping; they fold into the next rootSet at Commit.
 	indexed int
 	deletes int
-	// Relation rollback staging, and the next version's deltas: tuples
-	// inserted and tuples removed by this batch.
-	inserted []*constraint.Tuple
-	removed  []*constraint.Tuple
-	done     bool
+	// inserted and removed count the batch's operations for the observer.
+	inserted, removed int
+	done              bool
 
 	// Observability (all zero when Options.Observe is nil, and the bare
 	// write path stays allocation-free): the commit trace, the open
@@ -116,7 +114,7 @@ func (ix *Index) treeKeys(t *constraint.Tuple) ([]float64, error) {
 }
 
 // Insert stages one tuple insertion: the relation takes the tuple
-// immediately (rolled back on Abort) and the trees take it under the
+// immediately (Abort restores it) and the trees take it under the
 // batch's copy-on-write shadow. On error the caller must Abort; the
 // tuple is then removed again, but — as with a plain Relation.Insert
 // failure — it keeps its assigned id and cannot be re-inserted. A tuple
@@ -134,7 +132,7 @@ func (c *Commit) Insert(t *constraint.Tuple) (constraint.TupleID, error) {
 	if err != nil {
 		return 0, c.fail(err)
 	}
-	c.inserted = append(c.inserted, t)
+	c.inserted++
 	if !t.IsSatisfiable() {
 		return id, nil // empty extensions match nothing and are not indexed
 	}
@@ -183,7 +181,7 @@ func (c *Commit) Delete(id constraint.TupleID) error {
 	if err := ix.rel.Delete(id); err != nil {
 		return c.fail(err)
 	}
-	c.removed = append(c.removed, t)
+	c.removed++
 	return nil
 }
 
@@ -251,7 +249,7 @@ func (c *Commit) Commit() error {
 	// The mutation-staging span ends here: every COW clone the batch
 	// will make has been made. Zero it so a hypothetical later Abort
 	// cannot double-close it.
-	c.endSpan(c.span, len(c.inserted)+len(c.removed))
+	c.endSpan(c.span, c.inserted+c.removed)
 	c.span = obs.CommitSpanTimer{}
 
 	shadowSpan := c.beginSpan(obs.CommitStageShadow)
@@ -262,17 +260,8 @@ func (c *Commit) Commit() error {
 	c.endSpan(shadowSpan, len(superseded))
 
 	publishSpan := c.beginSpan(obs.CommitStagePublish)
-
-	// The next frozen relation is the base version's plus the batch's deltas.
-	tuples := c.base.tuples.with(c.inserted, c.removed)
-	live := c.base.live + len(c.inserted) - len(c.removed)
-	xext := c.base.xext
-	if xext != nil {
-		xext = extendExtents(xext, tuples.n, c.inserted)
-	}
-
-	rs := ix.publishLocked(c.base.version+1, c.indexed, c.deletes, tuples, live, xext)
-	c.endSpan(publishSpan, live)
+	rs := ix.publishLocked(c.base.version+1, c.indexed, c.deletes, c.base.xext)
+	c.endSpan(publishSpan, rs.live)
 
 	reclaimSpan := c.beginSpan(obs.CommitStageReclaim)
 	freed := ix.pool.DeferFrees(rs.version, superseded)
@@ -283,8 +272,8 @@ func (c *Commit) Commit() error {
 		o.FinishCommit(c.tr, obs.CommitInfo{
 			Op:         c.opLabel(),
 			Version:    rs.version,
-			Inserts:    len(c.inserted),
-			Deletes:    len(c.removed),
+			Inserts:    c.inserted,
+			Deletes:    c.removed,
 			Superseded: len(superseded),
 		})
 	}
@@ -300,8 +289,8 @@ func (c *Commit) opLabel() string {
 	return c.op
 }
 
-// Abort discards the batch: shadow pages are freed, the relation rolls
-// back to its pre-batch contents, and the published root set — which the
+// Abort discards the batch: shadow pages are freed, the relation is set
+// back to the base version's view, and the published root set — which the
 // batch never touched — stays current. Tuples staged by Insert keep
 // their consumed ids.
 func (c *Commit) Abort() error {
@@ -310,26 +299,15 @@ func (c *Commit) Abort() error {
 	}
 	c.done = true
 	ix := c.ix
-	c.endSpan(c.span, len(c.inserted)+len(c.removed))
+	c.endSpan(c.span, c.inserted+c.removed)
 	c.span = obs.CommitSpanTimer{}
 	var firstErr error
-	keep := func(err error) {
-		if err != nil && firstErr == nil {
+	for _, t := range ix.trees {
+		if err := t.AbortCOW(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	for _, t := range ix.trees {
-		keep(t.AbortCOW())
-	}
-	// Restore staged deletes first, then undo staged inserts: a tuple
-	// inserted and deleted in the same batch reattaches and is removed
-	// again, netting to absent.
-	for _, t := range c.removed {
-		keep(ix.rel.Reattach(t))
-	}
-	for _, t := range c.inserted {
-		keep(ix.rel.Delete(t.ID()))
-	}
+	ix.rel.Restore(c.base.tuples, c.base.live)
 	ix.writeMu.Unlock()
 	if o := ix.opt.Observe; o != nil {
 		cause, err := obs.AbortExplicit, c.failErr
@@ -340,8 +318,8 @@ func (c *Commit) Abort() error {
 		}
 		o.FinishCommit(c.tr, obs.CommitInfo{
 			Op:      c.opLabel(),
-			Inserts: len(c.inserted),
-			Deletes: len(c.removed),
+			Inserts: c.inserted,
+			Deletes: c.removed,
 			Aborted: true,
 			Cause:   cause,
 			Err:     err,

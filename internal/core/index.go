@@ -22,10 +22,12 @@ import (
 // index (New/Build, Sections 3–4.3) and the d-dimensional site-set index
 // (NewD/BuildD, Section 4.4) is the slopeSpace geometry it holds.
 //
-// The index holds a reference to the relation it indexes; the relation
-// supplies tuple geometry for handicap computation and for the refinement
-// step. Mutate the relation only through the index (Insert/Delete) once it
-// is built.
+// The index holds no copy of the relation it indexes: a batch writes the
+// caller's Relation, Commit publishes Relation.Freeze() as the version's
+// tuples and Abort sets the relation back to the base version's view with
+// Relation.Restore — which drops every write since, so once an index is
+// built over a relation, that one index is the only thing that may write
+// to it (Insert/Delete).
 type Index struct {
 	rel  *constraint.Relation
 	opt  Options
@@ -127,7 +129,7 @@ func newIndex(rel *constraint.Relation, opt Options, geo slopeSpace) (*Index, er
 		}
 		ix.trees = append(ix.trees, t)
 	}
-	ix.republishLocked(1, 0, 0)
+	ix.publishLocked(1, 0, 0, nil)
 	ix.registerGauges()
 	return ix, nil
 }
@@ -227,7 +229,7 @@ func bulkLoaded(ix *Index, err error) (*Index, error) {
 	// Re-publish version 1 over the bulk-loaded trees. The index has not
 	// escaped to any reader yet, so mutating the trees in place between
 	// newIndex's publish and this one is unobservable.
-	ix.republishLocked(1, len(ts), 0)
+	ix.publishLocked(1, len(ts), 0, nil)
 	return ix, nil
 }
 

@@ -2,12 +2,10 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
 	"dualcdb/internal/constraint"
-	"dualcdb/internal/geom"
 	"dualcdb/internal/interval"
 	"dualcdb/internal/pagestore"
 )
@@ -73,15 +71,12 @@ func BuildLineIndex(rel *constraint.Relation, slopes []float64, pool *pagestore.
 }
 
 // QueryLine reports the tuples intersecting the line y = a·x + b; the
-// slope must belong to S (this is the restricted structure).
+// slope must be a member of S exactly (this is the restricted structure: a
+// slope one ulp off has other intervals).
 func (li *LineIndex) QueryLine(a, b float64) ([]constraint.TupleID, QueryStats, error) {
-	idx := -1
-	for i, s := range li.slopes {
-		if math.Abs(s-a) <= geom.Eps {
-			idx = i
-			break
-		}
-	}
+	idx := slices.IndexFunc(li.slopes, func(s float64) bool {
+		return s == a //dualvet:allow floatcmp — exact on purpose: only then were the member's intervals computed at this slope
+	})
 	if idx < 0 {
 		return nil, QueryStats{}, fmt.Errorf("core: slope %g not in the LineIndex slope set", a)
 	}

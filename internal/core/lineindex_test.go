@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"dualcdb/internal/constraint"
+	"dualcdb/internal/geom"
 )
 
 // TestLineIndexMatchesGroundTruth: the interval-tree realization must
@@ -57,6 +59,43 @@ func TestLineIndexRejectsOutOfSetSlopes(t *testing.T) {
 	}
 	if _, err := BuildLineIndex(rel, nil, nil); err == nil {
 		t.Fatal("empty slope set must be rejected")
+	}
+}
+
+// TestLineIndexRefusesSlopeWithinEps: a slope Eps/2 off a member of S used to
+// be answered from the member's intervals, computed at another slope. Half a
+// million out in x that moves TOP^P by 2.5e-4 — the line below stabs the box
+// at slope 1 and misses it at 1 + Eps/2 — so the only right answers are
+// EvalLine's or a refusal, and the restricted structure refuses.
+func TestLineIndexRefusesSlopeWithinEps(t *testing.T) {
+	rel := constraint.NewRelation(2)
+	box, err := constraint.ParseTuple("x >= 500000 && x <= 500001 && y >= 500000 && y <= 500001", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rel.Insert(box); err != nil {
+		t.Fatal(err)
+	}
+	li, err := BuildLineIndex(rel, []float64{-1, 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const b = 0.9999 // TOP^P is 1 at slope 1 and 0.99975 at 1 + Eps/2
+	off := 1 + geom.Eps/2
+	if at, _ := EvalLine(1, b, rel); len(at) != 1 {
+		t.Fatalf("EvalLine at the member: %v, want the box", at)
+	}
+	if near, _ := EvalLine(off, b, rel); len(near) != 0 {
+		t.Fatalf("EvalLine Eps/2 off the member: %v, want nothing", near)
+	}
+	if got, _, err := li.QueryLine(1, b); err != nil || len(got) != 1 {
+		t.Fatalf("QueryLine at the member: %v, %v; want the box", got, err)
+	}
+	if got, _, err := li.QueryLine(off, b); err == nil {
+		t.Fatalf("QueryLine Eps/2 off the member answered %v from the member's intervals; want a refusal", got)
+	}
+	if _, _, err := li.QueryLine(math.Nextafter(1, 2), b); err == nil {
+		t.Fatal("QueryLine one ulp off the member must be refused")
 	}
 }
 

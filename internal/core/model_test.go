@@ -83,6 +83,7 @@ type engineHistory struct {
 	rng  *rand.Rand
 	path string // the 2-D cases' page file
 	file *pagestore.FileStore
+	rel  *constraint.Relation // the caller's: what ix was built over or Open returned
 	ix   *Index
 	obs  *obs.Observer
 
@@ -483,7 +484,6 @@ func (h *engineHistory) reopen() {
 		reopened = append(reopened, tp)
 		return true
 	})
-	slices.SortFunc(reopened, func(a, b *constraint.Tuple) int { return int(a.ID()) - int(b.ID()) })
 	if len(reopened) != len(h.live) {
 		h.fatalf("reopened %d tuples, saved %d", len(reopened), len(h.live))
 	}
@@ -492,7 +492,7 @@ func (h *engineHistory) reopen() {
 			h.fatalf("reopened tuple %d: %v, saved %d: %v", tp.ID(), tp, was.ID(), was)
 		}
 	}
-	h.ix, h.live, h.cov.reopened = ix, reopened, true
+	h.rel, h.ix, h.live, h.cov.reopened = rel, ix, reopened, true
 	ix.SetObserver(h.obs)
 }
 
@@ -515,7 +515,53 @@ func (h *engineHistory) checkAll() {
 	if r := h.ix.Pool().Residency(); r.Pinned != 0 {
 		h.fatalf("%d frames left pinned", r.Pinned)
 	}
+	// One store: the caller's relation is the open batch's state or, with none
+	// open — after a commit, an abort, a refused tuple — the published
+	// version's, and no later write moves a pinned version.
+	h.checkStore("relation", h.rel.Len(), func(id constraint.TupleID) *constraint.Tuple {
+		tp, _ := h.rel.Get(id)
+		return tp
+	}, h.rel.Scan, *h.current())
+	rs := h.ix.roots.Load()
+	h.checkStore("published version", rs.relLen(), rs.tuples.Get, rs.relScan, h.live)
+	for _, p := range h.pins {
+		h.checkStore(fmt.Sprintf("snapshot %d", p.snap.Version()), p.snap.Tuples(), p.snap.rs.tuples.Get, p.snap.rs.relScan, p.model)
+	}
 	h.cov.twoLevels = h.cov.twoLevels || h.ix.trees[0].Height() > 1
+}
+
+// checkStore requires one state of the relation to hold exactly the model's
+// tuples (kept in id order): its count, Scan in id order and Get, pointer for
+// pointer, with nothing under any other id.
+func (h *engineHistory) checkStore(what string, n int, get func(constraint.TupleID) *constraint.Tuple, scan func(func(*constraint.Tuple) bool), model []*constraint.Tuple) {
+	if n != len(model) {
+		h.fatalf("%s counts %d tuples, the model %d", what, n, len(model))
+	}
+	i := 0
+	scan(func(tp *constraint.Tuple) bool {
+		if i == len(model) || model[i] != tp {
+			h.fatalf("%s: Scan gave tuple %d at position %d of the model's %d", what, tp.ID(), i, len(model))
+		}
+		i++
+		return true
+	})
+	if i != len(model) {
+		h.fatalf("%s: Scan gave %d tuples, the model %d", what, i, len(model))
+	}
+	last := constraint.TupleID(1)
+	if len(model) > 0 {
+		last = model[len(model)-1].ID() + 2
+	}
+	i = 0
+	for id := constraint.TupleID(0); id <= last; id++ {
+		var want *constraint.Tuple
+		if i < len(model) && model[i].ID() == id {
+			want, i = model[i], i+1
+		}
+		if got := get(id); got != want {
+			h.fatalf("%s: Get(%d) = %p, the model holds %p", what, id, got, want)
+		}
+	}
 }
 
 // runEngineHistory decodes data into operations over an index of case c and
@@ -548,7 +594,7 @@ func runEngineHistory(t testing.TB, c engineCase, data []byte, cov *engineCovera
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.ix, cov.technique = ix, ix.opt.Technique
+	h.rel, h.ix, cov.technique = rel, ix, ix.opt.Technique
 	h.obs = obs.New(obs.Options{SlowThreshold: 1, TraceCapacity: 1})
 	ix.SetObserver(h.obs)
 	h.checkAll()

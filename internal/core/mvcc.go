@@ -51,10 +51,11 @@ type rootSet struct {
 	indexed             int
 	deletesSinceRebuild int
 
-	// tuples freezes the relation: the tuple of every id this version holds;
-	// live counts them. Tuples are immutable once inserted, and versions
-	// share the pointers and every part of the table a commit did not touch.
-	tuples tupleTable
+	// tuples is the relation frozen at this version (constraint.View): the
+	// tuple of every id the version holds; live counts them. Tuples are
+	// immutable once inserted, and versions share the pointers and every chunk
+	// of the relation's table a commit did not write.
+	tuples constraint.View
 	live   int
 
 	// xext[id−1] is the x-extent {infX, supX} of the tuple with that id (nil
@@ -95,17 +96,20 @@ func xExtent(t *constraint.Tuple) [2]float64 {
 	return x
 }
 
-// extendExtents grows a 2-D version's table to n ids — gaps (ids an aborted
-// batch burned) get noExtent — and enters the given tuples, all of whose ids
-// lie past len(xext): it writes nothing a published version can read.
-func extendExtents(xext [][2]float64, n int, ts []*constraint.Tuple) [][2]float64 {
-	for len(xext) < n {
-		xext = append(xext, noExtent)
+// extendExtents grows a 2-D version's table (nil: a first one, sized exactly)
+// to the ids of tuples — gaps (ids deleted since, or that an aborted batch
+// burned) get noExtent — and enters the tuples past len(xext): it writes
+// nothing a published version can read.
+func extendExtents(xext [][2]float64, tuples constraint.View) [][2]float64 {
+	if xext == nil {
+		xext = make([][2]float64, 0, tuples.MaxID())
 	}
-	for _, t := range ts {
-		if t != nil {
-			xext[t.ID()-1] = xExtent(t)
+	for id := len(xext) + 1; id <= tuples.MaxID(); id++ {
+		x := noExtent
+		if t := tuples.Get(constraint.TupleID(id)); t != nil {
+			x = xExtent(t)
 		}
+		xext = append(xext, x)
 	}
 	return xext
 }
@@ -119,88 +123,9 @@ func (rs *rootSet) tree(i int, q constraint.Query) *btree.Tree {
 	return rs.trees[2*i+1]
 }
 
-// tupleTable is a persistent id → tuple table: fixed-size chunks of pointers
-// under a spine, slot (id−1) mod chunkSize of chunk (id−1) / chunkSize holding
-// the tuple with that id (nil: deleted, or never assigned). A published table
-// is never written. The next version's (with) copies the spine and the chunks
-// its inserts and deletes fall into and shares every other chunk, so a commit
-// allocates for what it changes, not one pointer per tuple, and a deleted
-// tuple is garbage once the last version holding its chunk is — which is why
-// the table is path-copied where xext, which only ever grows, is append-only.
-type tupleTable struct {
-	chunks []*tupleChunk
-	n      int // ids 1..n have a slot
-}
-
-const (
-	chunkBits = 8
-	chunkSize = 1 << chunkBits
-)
-
-// tupleChunk is an array, not a slice: a lookup is two dependent loads, as
-// into the flat slice the table replaced plus one.
-type tupleChunk [chunkSize]*constraint.Tuple
-
-// noTuples is the chunk of ids past the base table's: shared, never written.
-var noTuples tupleChunk
-
-func (tb tupleTable) get(id constraint.TupleID) *constraint.Tuple {
-	i := int(id) - 1
-	if uint(i) >= uint(tb.n) {
-		return nil
-	}
-	return tb.chunks[i>>chunkBits][i&(chunkSize-1)]
-}
-
-// scan calls fn for every tuple in id order until it returns false.
-func (tb tupleTable) scan(fn func(*constraint.Tuple) bool) {
-	for _, ch := range tb.chunks {
-		for _, t := range ch {
-			if t != nil && !fn(t) {
-				return
-			}
-		}
-	}
-}
-
-// with returns the table after inserting the tuples of inserted and then
-// removing those of removed (ids are never reused, so a tuple in both nets
-// out by that order). The receiver is not written: a chunk is copied before
-// its first change.
-func (tb tupleTable) with(inserted, removed []*constraint.Tuple) tupleTable {
-	n := tb.n
-	for _, t := range inserted {
-		n = max(n, int(t.ID()))
-	}
-	next := tupleTable{chunks: make([]*tupleChunk, (n+chunkSize-1)>>chunkBits), n: n}
-	for c := copy(next.chunks, tb.chunks); c < len(next.chunks); c++ {
-		next.chunks[c] = &noTuples
-	}
-	set := func(id constraint.TupleID, t *constraint.Tuple) {
-		i := int(id) - 1
-		c := i >> chunkBits
-		shared := &noTuples
-		if c < len(tb.chunks) {
-			shared = tb.chunks[c]
-		}
-		if next.chunks[c] == shared {
-			own := *shared
-			next.chunks[c] = &own
-		}
-		next.chunks[c][i&(chunkSize-1)] = t
-	}
-	for _, t := range inserted {
-		set(t.ID(), t)
-	}
-	for _, t := range removed {
-		set(t.ID(), nil)
-	}
-	return next
-}
-
 // relGet resolves a tuple id against this version of the relation.
 func (rs *rootSet) relGet(id constraint.TupleID) (*constraint.Tuple, error) {
-	if t := rs.tuples.get(id); t != nil {
+	if t := rs.tuples.Get(id); t != nil {
 		return t, nil
 	}
 	return nil, constraint.ErrNotFound
@@ -208,12 +133,12 @@ func (rs *rootSet) relGet(id constraint.TupleID) (*constraint.Tuple, error) {
 
 // relScan calls fn for every tuple of this version in id order; a false
 // return stops the scan early.
-func (rs *rootSet) relScan(fn func(*constraint.Tuple) bool) { rs.tuples.scan(fn) }
+func (rs *rootSet) relScan(fn func(*constraint.Tuple) bool) { rs.tuples.Scan(fn) }
 
 // allIDs appends the id of every tuple of this version to buf — the
 // candidate set of the paths that have no tree to sweep.
 func (rs *rootSet) allIDs(buf []uint32) []uint32 {
-	rs.tuples.scan(func(t *constraint.Tuple) bool {
+	rs.tuples.Scan(func(t *constraint.Tuple) bool {
 		buf = append(buf, uint32(t.ID()))
 		return true
 	})
@@ -223,41 +148,28 @@ func (rs *rootSet) allIDs(buf []uint32) []uint32 {
 // relLen returns the relation size at this version.
 func (rs *rootSet) relLen() int { return rs.live }
 
-// publishLocked freezes the live trees and the given relation view into a
-// new rootSet and publishes it. Requires writeMu (or a not-yet-shared
-// index during construction).
-func (ix *Index) publishLocked(version uint64, indexed, deletes int, tuples tupleTable, live int, xext [][2]float64) *rootSet {
+// publishLocked freezes the live trees and the relation into a new rootSet
+// and publishes it. xext is the base version's x-extent table to extend, nil
+// when there is none: the first publish, and the one after a bulk operation
+// filled the trees in place (Build, Open). Requires writeMu (or a
+// not-yet-shared index during construction).
+func (ix *Index) publishLocked(version uint64, indexed, deletes int, xext [][2]float64) *rootSet {
 	rs := &rootSet{
 		version:             version,
 		trees:               make([]*btree.Tree, len(ix.trees)),
 		indexed:             indexed,
 		deletesSinceRebuild: deletes,
-		tuples:              tuples,
-		live:                live,
-		xext:                xext,
+		tuples:              ix.rel.Freeze(),
+		live:                ix.rel.Len(),
+	}
+	if ix.dim == 2 {
+		rs.xext = extendExtents(xext, rs.tuples)
 	}
 	for i, t := range ix.trees {
 		rs.trees[i] = t.Handle(t.Meta())
 	}
 	ix.roots.Store(rs)
 	return rs
-}
-
-// republishLocked re-freezes the live trees and relation under the
-// current version's bookkeeping — the initial publish and the publish
-// after bulk operations that mutate trees in place (Build, Open).
-func (ix *Index) republishLocked(version uint64, indexed, deletes int) *rootSet {
-	var ts []*constraint.Tuple
-	ix.rel.Scan(func(t *constraint.Tuple) bool {
-		ts = append(ts, t)
-		return true
-	})
-	tuples := tupleTable{}.with(ts, nil)
-	var xext [][2]float64
-	if ix.dim == 2 {
-		xext = extendExtents(make([][2]float64, 0, tuples.n), tuples.n, ts)
-	}
-	return ix.publishLocked(version, indexed, deletes, tuples, len(ts), xext)
 }
 
 // errSnapshotReleased is returned by every query method of a Snapshot

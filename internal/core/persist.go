@@ -208,7 +208,7 @@ func Open(pool *pagestore.Pool) (*constraint.Relation, *Index, error) {
 	}
 	rel, err := decodeRelation(data, cat.count, 2)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("core: corrupt tuple stream: %w", err)
 	}
 
 	// Reattach the trees.
@@ -242,7 +242,7 @@ func Open(pool *pagestore.Pool) (*constraint.Relation, *Index, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: corrupt tuple stream: %w", err)
 	}
-	ix.republishLocked(1, indexed, 0)
+	ix.publishLocked(1, indexed, 0, nil)
 	ix.registerGauges()
 	return rel, ix, nil
 }
@@ -290,13 +290,14 @@ func encodeRelation(rel *constraint.Relation) ([]byte, int, error) {
 	return buf, count, err
 }
 
-// decodeRelation reverses encodeRelation.
+// decodeRelation reverses encodeRelation. An id past the relation's limit is
+// refused (constraint.ErrIDLimit) before anything is sized by it.
 func decodeRelation(data []byte, count, dim int) (*constraint.Relation, error) {
 	rel := constraint.NewRelation(dim)
 	off := 0
 	need := func(n int) error {
 		if off+n > len(data) {
-			return fmt.Errorf("core: truncated tuple stream at byte %d", off)
+			return fmt.Errorf("truncated at byte %d", off)
 		}
 		return nil
 	}
@@ -308,7 +309,7 @@ func decodeRelation(data []byte, count, dim int) (*constraint.Relation, error) {
 		m := int(binary.LittleEndian.Uint32(data[off+4 : off+8]))
 		off += 8
 		if m < 0 || m > 1<<16 {
-			return nil, fmt.Errorf("core: implausible constraint count %d", m)
+			return nil, fmt.Errorf("implausible constraint count %d", m)
 		}
 		cons := make([]geom.HalfSpace, 0, m)
 		for j := 0; j < m; j++ {

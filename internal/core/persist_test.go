@@ -3,10 +3,13 @@ package core
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -270,6 +273,40 @@ func TestOpenRejectsDamagedCatalog(t *testing.T) {
 				t.Fatalf("Open read %d pages before failing, budget %d", reads, budget)
 			}
 		})
+	}
+}
+
+// TestOpenRefusesDamagedTupleID: one tuple id of a saved file overwritten
+// with 0x7fffffff used to end the process — the relation's spine and the
+// x-extent table are sized by the largest id, 32 GB here. Open must refuse the
+// stream with constraint.ErrIDLimit before anything is sized by the id.
+func TestOpenRefusesDamagedTupleID(t *testing.T) {
+	rng := rand.New(rand.NewSource(605))
+	store := pagestore.NewMemStore(1024)
+	_, ix := buildRandomIndex(t, rng, 120, Options{Slopes: EquiangularSlopes(3), Technique: T2, Store: store}, true)
+	if err := ix.Save(); err != nil {
+		t.Fatal(err)
+	}
+	head, err := ix.Pool().Get(ix.tupleChain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(head.Data()[chainHeaderLen:], 0x7fffffff) // the stream's first id
+	head.MarkDirty()
+	head.Release()
+	if err := ix.Pool().Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err = Open(pagestore.NewPool(store, 64))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, constraint.ErrIDLimit) || !strings.Contains(fmt.Sprint(err), "corrupt tuple stream") {
+		t.Fatalf("Open: %v; want constraint.ErrIDLimit wrapped in \"corrupt tuple stream\"", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("Open allocated %d bytes before refusing the id, want ≤ 1 MB", grew)
 	}
 }
 

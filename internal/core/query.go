@@ -120,7 +120,7 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // getScratch returns an empty scratch whose bitset covers every id of rs.
 func getScratch(rs *rootSet) *scratch {
 	sc := scratchPool.Get().(*scratch)
-	if words := rs.tuples.n>>6 + 1; cap(sc.bits) < words {
+	if words := rs.tuples.MaxID()>>6 + 1; cap(sc.bits) < words {
 		sc.bits = make([]uint64, words)
 	} else {
 		sc.bits = sc.bits[:words]
