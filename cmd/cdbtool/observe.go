@@ -149,9 +149,6 @@ func (s *session) stats() {
 		fmt.Fprintf(s.out, "pool: %d logical / %d physical reads, %d writes; %d/%d frames resident (%d pinned)\n",
 			snap.Pool.LogicalReads, snap.Pool.PhysicalReads, snap.Pool.Writes,
 			snap.Residency.Frames, snap.Residency.Capacity, snap.Residency.Pinned)
-		fmt.Fprintf(s.out, "decode cache: %d hits, %d misses, %d invalidations, %d resident\n",
-			snap.DecodeCache.Hits, snap.DecodeCache.Misses,
-			snap.DecodeCache.Invalidations, snap.DecodeCache.Resident)
 		fmt.Fprintf(s.out, "sweeps: %d descents, %d leaves visited\n",
 			snap.Sweeps.Descents, snap.Sweeps.LeavesVisited)
 		m := snap.MVCC

@@ -165,7 +165,7 @@ func TestServeSmoke(t *testing.T) {
 	}
 	s.out.Flush()
 	out := sb.String()
-	for _, want := range []string{"pool:", "decode cache:", "queries: 2 total", "mvcc: version 4", "commits: 3 total"} {
+	for _, want := range []string{"pool:", "queries: 2 total", "mvcc: version 4", "commits: 3 total"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("stats output missing %q:\n%s", want, out)
 		}

@@ -75,7 +75,7 @@ const (
 // of a pinned frame. The map value is the index of the lender among the
 // call's operands: -1 for the receiver, n for argument n.
 var ViewSources = map[string]int{
-	"view":     -1, // (node).view(meta) — lender is the receiver node
+	"view":     -1, // (node).view() — lender is the receiver node
 	"leafView": 0,  // (*Tree).leafView(leaf) — lender is the leaf argument
 }
 

@@ -85,7 +85,7 @@ func reBorrowLoop(t *Tree, c *cursor, leaf node, visit func(LeafView) bool) erro
 	return err
 }
 
-// descentView mirrors Tree.route inside a hand-over-hand descent: the internal-node view is
+// descentView routes through views in a hand-over-hand descent: the internal-node view is
 // consumed before the node is released and the loop re-borrows.
 func descentView(t *Tree, n node) uint32 {
 	var child uint32

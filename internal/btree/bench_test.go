@@ -108,15 +108,10 @@ func BenchmarkSweepAscend(b *testing.B) {
 	}
 }
 
-// benchSweepWarm sweeps the last 10% of a 50000-entry tree out of a warm
-// pool, with or without the decoded-node cache. The Warm/WarmNoCache pair
-// is the allocs/op acceptance comparison for the read-path overhaul.
-func benchSweepWarm(b *testing.B, noCache bool) {
-	pool := pagestore.NewPool(pagestore.NewMemStore(1024), 1<<16)
-	tr, err := New(pool, Config{NoDecodeCache: noCache})
-	if err != nil {
-		b.Fatal(err)
-	}
+// BenchmarkSweepWarm sweeps the last 10% of a 50000-entry tree out of a warm
+// pool: the allocs/op acceptance check of the zero-copy read path.
+func BenchmarkSweepWarm(b *testing.B) {
+	tr := benchTree(b, nil)
 	const n = 50000
 	entries := make([]Entry, n)
 	for i := range entries {
@@ -125,7 +120,7 @@ func benchSweepWarm(b *testing.B, noCache bool) {
 	if err := tr.BulkLoad(entries); err != nil {
 		b.Fatal(err)
 	}
-	// Prime pool and cache so the loop measures the steady state.
+	// Prime the pool so the loop measures the steady state.
 	if _, err := tr.ScanAll(); err != nil {
 		b.Fatal(err)
 	}
@@ -142,9 +137,6 @@ func benchSweepWarm(b *testing.B, noCache bool) {
 		}
 	}
 }
-
-func BenchmarkSweepWarm(b *testing.B)        { benchSweepWarm(b, false) }
-func BenchmarkSweepWarmNoCache(b *testing.B) { benchSweepWarm(b, true) }
 
 // BenchmarkSweepCold sweeps a file-backed tree whose pool is evicted before
 // every iteration, so each sweep pays the full physical read cost.

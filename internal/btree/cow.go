@@ -11,8 +11,7 @@ import (
 // A batch (BeginCOW … CommitCOW/AbortCOW) shadows every mutated path from
 // leaf to root into fresh pages: a page reachable from a published root is
 // never rewritten in place, so a reader holding that root sweeps a frozen
-// tree without locks, and the view cache's (PageID, frame-version) keys
-// stay valid for free. Pages the batch allocates ("owned") are invisible
+// tree without locks. Pages the batch allocates ("owned") are invisible
 // to all published versions and are mutated in place for the rest of the
 // batch; the originals they replace are "superseded" and handed to the
 // pool's deferred free list at commit, tagged with the new version.
@@ -85,8 +84,8 @@ func (t *Tree) AbortCOW() error {
 func (t *Tree) InCOW() bool { return t.cow != nil }
 
 // Handle returns a read-only view of the tree frozen at root metadata m —
-// the per-version tree a snapshot sweeps. It shares the pool, config, view
-// cache and traversal counters with t; it must not be mutated.
+// the per-version tree a snapshot sweeps. It shares the pool, config and
+// traversal counters with t; it must not be mutated.
 func (t *Tree) Handle(m Meta) *Tree {
 	return &Tree{
 		pool:    t.pool,
@@ -95,7 +94,6 @@ func (t *Tree) Handle(m Meta) *Tree {
 		hgt:     m.Height,
 		size:    m.Size,
 		pages:   m.Pages,
-		cache:   t.cache,
 		stats:   t.stats,
 		leafCap: t.leafCap,
 		intCap:  t.intCap,

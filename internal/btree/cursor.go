@@ -8,20 +8,13 @@ import (
 	"dualcdb/internal/pagestore"
 )
 
-// leafView builds the zero-copy view of a pinned leaf for a sweep,
-// routing the header parse through the view cache when enabled. The
+// leafView builds the zero-copy view of a pinned leaf for a sweep. The
 // returned LeafView borrows leaf's frame: the caller must not release the
 // frame until it is done with the view (sweeps call visit first, release
 // after).
 func (t *Tree) leafView(leaf node) LeafView {
 	t.stats.leavesVisited.Add(1)
-	var m viewMeta
-	if t.cache != nil {
-		m = t.cache.lookup(leaf)
-	} else {
-		m = parseMeta(leaf.data, leaf.frame.Version())
-	}
-	return LeafView{Page: leaf.id(), v: leaf.view(m)}
+	return LeafView{Page: leaf.id(), v: leaf.view()}
 }
 
 // maxDepth bounds the internal levels above a leaf. Every internal node has
@@ -64,8 +57,8 @@ func (c *cursor) seek(e Entry) (node, error) {
 	c.t.stats.descents.Add(1)
 	n, err := c.t.getTracked(c.t.root, c.rc)
 	for err == nil && !n.isLeaf() {
-		idx, child := c.t.route(n, e)
-		n, err = c.push(n, idx, child)
+		idx := n.childIndex(e)
+		n, err = c.push(n, idx, n.child(idx))
 	}
 	return n, err
 }
@@ -276,7 +269,7 @@ type HandicapMerge struct {
 // for each element of ms, in any order, would — min and max are associative,
 // commutative and idempotent over these values — without a descent per
 // element. It bins each route key over the tree's separators in key order by
-// route's own rule (a leaf owns the entries not less than the separator
+// the descent's own rule (a leaf owns the entries not less than the separator
 // before it and less than the one after), combines the values per leaf and
 // slot, and writes each leaf that received any once, through mergeSlots.
 func (t *Tree) FoldHandicaps(ms []HandicapMerge) error {
@@ -303,7 +296,7 @@ func (t *Tree) FoldHandicaps(ms []HandicapMerge) error {
 		}
 		owner := Entry{Key: math.Inf(-1), TID: 0}
 		if leaf > 0 {
-			owner = seps[leaf-1] // route sends a separator to the leaf on its right
+			owner = seps[leaf-1] // a descent sends a separator to the leaf on its right
 		}
 		if err := t.mergeSlots(owner, acc[leaf*len(kinds):(leaf+1)*len(kinds)]); err != nil {
 			return err
@@ -319,14 +312,11 @@ func (t *Tree) appendSeparators(seps []Entry, id pagestore.PageID, height int) (
 	if height <= 1 {
 		return seps, nil
 	}
-	n, err := t.get(id)
+	n, err := t.getAt(id, height)
 	if err != nil {
 		return nil, err
 	}
 	defer n.release()
-	if n.isLeaf() {
-		return nil, fmt.Errorf("btree: page %d is a leaf %d levels above the leaves: corrupt child links", id, height-1)
-	}
 	for i := 0; i <= n.count(); i++ {
 		if i > 0 {
 			seps = append(seps, n.sep(i-1))
@@ -344,9 +334,9 @@ func (t *Tree) appendSeparators(seps []Entry, id pagestore.PageID, height int) (
 // the whole tree, each clone linked into its parent as the walk unwinds;
 // outside a batch writable is the identity and the leaves are reset in place.
 func (t *Tree) ResetHandicaps() error {
-	var walk func(id pagestore.PageID) (pagestore.PageID, error)
-	walk = func(id pagestore.PageID) (pagestore.PageID, error) {
-		n, err := t.get(id)
+	var walk func(id pagestore.PageID, height int) (pagestore.PageID, error)
+	walk = func(id pagestore.PageID, height int) (pagestore.PageID, error) {
+		n, err := t.getAt(id, height)
 		if err != nil {
 			return id, err
 		}
@@ -362,7 +352,7 @@ func (t *Tree) ResetHandicaps() error {
 			return self, nil
 		}
 		for i := 0; i <= n.count(); i++ {
-			nc, err := walk(n.child(i))
+			nc, err := walk(n.child(i), height-1)
 			if nc != n.child(i) {
 				n.setChild(i, nc)
 			}
@@ -372,7 +362,7 @@ func (t *Tree) ResetHandicaps() error {
 		}
 		return self, nil
 	}
-	root, err := walk(t.root)
+	root, err := walk(t.root, t.hgt)
 	t.root = root
 	return err
 }

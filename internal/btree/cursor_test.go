@@ -260,8 +260,8 @@ func TestSweepIOCost(t *testing.T) {
 // TestSweepsAllocateNothing pins the zero-copy read path: a leaf sweep that
 // reads every key, tuple id and handicap through the borrowed LeafView
 // allocates nothing — neither out of a warm pool nor when every page is a
-// buffer-pool miss served from a file (frames and the decoded-view cache
-// are recycled, not reallocated).
+// buffer-pool miss served from a file (frames are recycled, not
+// reallocated).
 func TestSweepsAllocateNothing(t *testing.T) {
 	const n = 20000
 	entries := make([]Entry, n)

@@ -17,14 +17,6 @@ type Config struct {
 	// FillFactor is the target leaf occupancy for bulk loading, in (0, 1];
 	// the default is 0.9.
 	FillFactor float64
-	// NoDecodeCache disables the view-meta cache, so every visit re-parses
-	// the page header (useful as a benchmark baseline; the name predates
-	// the zero-copy layout, under which no visit materializes slices
-	// either way).
-	NoDecodeCache bool
-	// DecodeCacheNodes bounds the number of parsed headers kept per tree;
-	// ≤ 0 selects the default 4096.
-	DecodeCacheNodes int
 }
 
 // maxHandicaps bounds Config.HandicapKinds.
@@ -42,10 +34,6 @@ type Tree struct {
 	// pendingFree holds pages emptied by merges; they are still pinned when
 	// the merge runs, so Delete frees them after the recursion unwinds.
 	pendingFree []pagestore.PageID
-
-	// cache holds parsed page headers (view metadata), validated against
-	// frame version stamps; nil when Config.NoDecodeCache is set.
-	cache *viewCache
 
 	// stats is shared between a tree and every read handle derived from it
 	// (the atomics make treeStats non-copyable, so it lives behind one
@@ -75,8 +63,9 @@ var ErrDuplicate = errors.New("btree: duplicate entry")
 var ErrNotEmpty = errors.New("btree: tree not empty")
 
 // ErrLayout is returned when a page read as a node does not carry the
-// current layout version: a file written by another format, or damage.
-var ErrLayout = errors.New("btree: node layout version mismatch")
+// current layout version, or carries a header this tree cannot have written
+// (Tree.getTracked): a file written by another format, or damage.
+var ErrLayout = errors.New("btree: node header does not match the layout")
 
 // New creates an empty tree whose pages are allocated from pool.
 func New(pool *pagestore.Pool, cfg Config) (*Tree, error) {
@@ -87,9 +76,6 @@ func New(pool *pagestore.Pool, cfg Config) (*Tree, error) {
 		cfg.FillFactor = 0.9
 	}
 	t := &Tree{pool: pool, cfg: cfg, stats: &treeStats{}}
-	if !cfg.NoDecodeCache {
-		t.cache = newViewCache(cfg.DecodeCacheNodes, pool)
-	}
 	ps := pool.PageSize()
 	t.leafCap = (ps - headerSize - 8*len(cfg.HandicapKinds)) / entrySize
 	t.intCap = (ps - headerSize - 4) / intRecSize
@@ -149,31 +135,19 @@ func Restore(pool *pagestore.Pool, cfg Config, m Meta) (*Tree, error) {
 		return nil, fmt.Errorf("btree: invalid metadata %+v", m)
 	}
 	t := &Tree{pool: pool, cfg: cfg, root: m.Root, hgt: m.Height, size: m.Size, pages: m.Pages, stats: &treeStats{}}
-	if !cfg.NoDecodeCache {
-		t.cache = newViewCache(cfg.DecodeCacheNodes, pool)
-	}
 	ps := pool.PageSize()
 	t.leafCap = (ps - headerSize - 8*len(cfg.HandicapKinds)) / entrySize
 	t.intCap = (ps - headerSize - 4) / intRecSize
 	if t.leafCap < 3 || t.intCap < 3 {
 		return nil, fmt.Errorf("btree: page size %d too small", ps)
 	}
-	// Sanity: the root page must exist and carry a plausible node type.
-	n, err := t.get(m.Root)
+	// Sanity: the root page must be a node of this tree's header at the
+	// metadata's height.
+	n, err := t.getAt(m.Root, m.Height)
 	if err != nil {
 		return nil, fmt.Errorf("btree: restore root: %w", err)
 	}
-	defer n.release()
-	if typ := n.data[0]; typ != typeLeaf && typ != typeInternal {
-		return nil, fmt.Errorf("btree: page %d is not a node (type %d)", m.Root, typ)
-	}
-	if n.isLeaf() != (m.Height == 1) {
-		return nil, fmt.Errorf("btree: root type inconsistent with height %d", m.Height)
-	}
-	if n.isLeaf() && n.numHandicaps() != len(cfg.HandicapKinds) {
-		return nil, fmt.Errorf("btree: handicap slot mismatch: stored %d, config %d",
-			n.numHandicaps(), len(cfg.HandicapKinds))
-	}
+	n.release()
 	return t, nil
 }
 
@@ -185,19 +159,56 @@ func (t *Tree) get(id pagestore.PageID) (node, error) {
 }
 
 // getTracked pins a page as a node, attributing a cache miss to rc when
-// non-nil (the per-query I/O accounting of concurrent sweeps). A page of
-// another layout version is ErrLayout: its offsets mean something else.
+// non-nil (the per-query I/O accounting of concurrent sweeps). Every pin
+// checks the whole header against what this tree writes — layout version,
+// type, region offsets and a count that fits the page — so a page of another
+// layout, or a damaged one, is ErrLayout here and every accessor after it
+// stays inside the page.
 func (t *Tree) getTracked(id pagestore.PageID, rc *pagestore.ReadCounter) (node, error) {
 	f, err := t.pool.GetTracked(id, rc)
 	if err != nil {
 		return node{}, err
 	}
 	n := wrap(f)
-	if v := n.data[offLayout]; v != layoutVersion {
+	if err := t.checkHeader(n); err != nil {
 		n.release()
-		return node{}, fmt.Errorf("%w: page %d has version %d, want %d", ErrLayout, id, v, layoutVersion)
+		return node{}, fmt.Errorf("%w: page %d %s", ErrLayout, id, err)
 	}
 	return n, nil
+}
+
+// checkHeader describes how n's header differs from every header this tree
+// writes (initLeaf, initInternal and the count bounds of splits and bulk
+// loads), or returns nil.
+func (t *Tree) checkHeader(n node) error {
+	if v := n.data[offLayout]; v != layoutVersion {
+		return fmt.Errorf("has layout version %d, want %d", v, layoutVersion)
+	}
+	eOff, capacity := headerSize+8*len(t.cfg.HandicapKinds), t.leafCap
+	switch n.data[offType] {
+	case typeLeaf:
+	case typeInternal:
+		eOff, capacity = headerSize+4, t.intCap
+	default:
+		return fmt.Errorf("has node type %d", n.data[offType])
+	}
+	if n.hOff() != headerSize || n.eOff() != eOff || n.count() > capacity {
+		return fmt.Errorf("header (type %d, hOff %d, eOff %d, count %d) is not one of this tree's (hOff %d, eOff %d, count ≤ %d)",
+			n.data[offType], n.hOff(), n.eOff(), n.count(), headerSize, eOff, capacity)
+	}
+	return nil
+}
+
+// getAt pins the node at id that a descent expects at height (1 = a leaf):
+// a node of the other type there is a corrupt child link, caught before
+// leaf offsets are read as separators or the reverse.
+func (t *Tree) getAt(id pagestore.PageID, height int) (node, error) {
+	n, err := t.get(id)
+	if err != nil || n.isLeaf() == (height == 1) {
+		return n, err
+	}
+	n.release()
+	return node{}, fmt.Errorf("%w: page %d is the wrong node type for height %d: corrupt child links", ErrLayout, id, height)
 }
 
 func (t *Tree) newLeaf() (node, error) {
@@ -235,29 +246,6 @@ func (t *Tree) findLeaf(e Entry) (node, error) {
 	c := cursor{t: t}
 	defer c.close()
 	return c.seek(e)
-}
-
-// route returns the position and page of the child of internal node n that
-// owns e. The header parse goes through the view cache when enabled, so
-// repeated descents skip it; the separator search itself always reads the
-// pinned page bytes in place.
-func (t *Tree) route(n node, e Entry) (int, pagestore.PageID) {
-	if t.cache != nil {
-		v := n.view(t.cache.lookup(n))
-		i := v.childIndex(e)
-		return i, v.child(i)
-	}
-	i := n.childIndex(e)
-	return i, n.child(i)
-}
-
-// DecodeCacheStats returns the view-meta cache counters (zero when the
-// cache is disabled). The name predates the zero-copy layout.
-func (t *Tree) DecodeCacheStats() DecodeStats {
-	if t.cache == nil {
-		return DecodeStats{}
-	}
-	return t.cache.stats()
 }
 
 // SweepStats counts tree-traversal activity: root-to-leaf descents
@@ -330,7 +318,7 @@ func (t *Tree) Insert(key float64, tid uint32) error {
 // copy-on-write batch the whole descent path is shadowed, so ids move —
 // and reports a split as (separator, newRightPage).
 func (t *Tree) insertInto(id pagestore.PageID, height int, e Entry) (self pagestore.PageID, sep Entry, right pagestore.PageID, err error) {
-	n, err := t.get(id)
+	n, err := t.getAt(id, height)
 	if err != nil {
 		return id, Entry{}, pagestore.InvalidPage, err
 	}
@@ -474,7 +462,7 @@ func (t *Tree) minInt() int  { return (t.intCap - 1) / 2 }
 // underflow tells the parent the node fell below minimum occupancy. When
 // the entry is absent nothing is cloned.
 func (t *Tree) deleteFrom(id pagestore.PageID, height int, e Entry) (self pagestore.PageID, found, underflow bool, err error) {
-	n, err := t.get(id)
+	n, err := t.getAt(id, height)
 	if err != nil {
 		return id, false, false, err
 	}
@@ -525,7 +513,7 @@ func (t *Tree) deleteFrom(id pagestore.PageID, height int, e Entry) (self pagest
 // made writable before they are mutated, with n's child link patched to
 // any clone.
 func (t *Tree) rebalanceChild(n node, ci, childHeight int) error {
-	child, err := t.get(n.child(ci))
+	child, err := t.getAt(n.child(ci), childHeight)
 	if err != nil {
 		return err
 	}
@@ -533,7 +521,7 @@ func (t *Tree) rebalanceChild(n node, ci, childHeight int) error {
 
 	// Try borrowing from the left sibling, then the right.
 	if ci > 0 {
-		left, err := t.get(n.child(ci - 1))
+		left, err := t.getAt(n.child(ci-1), childHeight)
 		if err != nil {
 			return err
 		}
@@ -567,7 +555,7 @@ func (t *Tree) rebalanceChild(n node, ci, childHeight int) error {
 		left.release()
 	}
 	if ci < n.count() {
-		right, err := t.get(n.child(ci + 1))
+		right, err := t.getAt(n.child(ci+1), childHeight)
 		if err != nil {
 			return err
 		}
@@ -604,7 +592,7 @@ func (t *Tree) rebalanceChild(n node, ci, childHeight int) error {
 	// The surviving (left) node is mutated and must be writable; the dying
 	// (right) node is only read, then superseded or freed by mergeNodes.
 	if ci > 0 {
-		left, err := t.get(n.child(ci - 1))
+		left, err := t.getAt(n.child(ci-1), childHeight)
 		if err != nil {
 			return err
 		}
@@ -618,7 +606,7 @@ func (t *Tree) rebalanceChild(n node, ci, childHeight int) error {
 		left.release()
 		return nil
 	}
-	right, err := t.get(n.child(ci + 1))
+	right, err := t.getAt(n.child(ci+1), childHeight)
 	if err != nil {
 		return err
 	}

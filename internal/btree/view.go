@@ -10,23 +10,20 @@ import (
 )
 
 // viewMeta is the parsed header of one page: everything a zero-copy reader
-// needs that is not a per-record field. It is a small value type — caching
-// it (see viewCache) costs no heap slices, unlike the old decodedNode.
+// needs that is not a per-record field. Parsing it is three 16-bit loads off
+// a header Tree.getTracked has already checked, so every view parses its own
+// (DESIGN.md §8.1: why there is no header cache).
 type viewMeta struct {
-	version    uint64
 	count      uint16
 	hOff, eOff uint16
-	leaf       bool
 }
 
-// parseMeta reads a page header under the given frame version stamp.
-func parseMeta(data []byte, version uint64) viewMeta {
+// parseMeta reads a page header.
+func parseMeta(data []byte) viewMeta {
 	return viewMeta{
-		version: version,
-		count:   binary.LittleEndian.Uint16(data[offCount : offCount+2]),
-		hOff:    binary.LittleEndian.Uint16(data[offHOff : offHOff+2]),
-		eOff:    binary.LittleEndian.Uint16(data[offEOff : offEOff+2]),
-		leaf:    data[offType] == typeLeaf,
+		count: binary.LittleEndian.Uint16(data[offCount : offCount+2]),
+		hOff:  binary.LittleEndian.Uint16(data[offHOff : offHOff+2]),
+		eOff:  binary.LittleEndian.Uint16(data[offEOff : offEOff+2]),
 	}
 }
 
@@ -42,17 +39,18 @@ func parseMeta(data []byte, version uint64) viewMeta {
 // this lifecycle (a view must not be used after, or escape past, its
 // frame's release); EnableViewGuard adds a runtime check for tests.
 type nodeView struct {
-	frame *pagestore.Frame
-	data  []byte
-	page  pagestore.PageID
-	meta  viewMeta
+	frame    *pagestore.Frame
+	data     []byte
+	page     pagestore.PageID
+	installs uint32 // the frame's install count when the view was built
+	meta     viewMeta
 }
 
-// view overlays a parsed header onto the pinned node n. All view
+// view overlays the pinned node n's parsed header onto its bytes. All view
 // construction funnels through here (and through Tree.leafView), which is
 // what lets the borrow analyzer tie each view to the frame it borrows.
-func (n node) view(m viewMeta) nodeView {
-	return nodeView{frame: n.frame, data: n.data, page: n.frame.ID(), meta: m}
+func (n node) view() nodeView {
+	return nodeView{frame: n.frame, data: n.data, page: n.frame.ID(), installs: n.frame.Installs(), meta: parseMeta(n.data)}
 }
 
 // viewGuard enables the runtime borrow check on every LeafView accessor.
@@ -68,10 +66,10 @@ var viewGuard atomic.Bool
 func EnableViewGuard(on bool) { viewGuard.Store(on) }
 
 // check panics when the view's borrow has ended: the frame is gone,
-// unpinned, recycled for a different page, or mutated past the version
-// the view was parsed under.
+// unpinned, holding another page, or recycled since the view was built —
+// re-pinned for the same page id included, which the install count tells.
 func (v nodeView) check() {
-	if v.frame == nil || !v.frame.Pinned() || v.frame.ID() != v.page || v.frame.Version() != v.meta.version {
+	if v.frame == nil || !v.frame.Pinned() || v.frame.ID() != v.page || v.frame.Installs() != v.installs {
 		panic(fmt.Sprintf("btree: view of page %d used after its frame was released", v.page))
 	}
 }
@@ -101,37 +99,6 @@ func (v nodeView) numHandicaps() int { return int(v.meta.eOff-v.meta.hOff) / 8 }
 func (v nodeView) handicap(i int) float64 {
 	off := int(v.meta.hOff) + i*8
 	return math.Float64frombits(binary.LittleEndian.Uint64(v.data[off : off+8]))
-}
-
-func (v nodeView) child(i int) pagestore.PageID {
-	if i == 0 {
-		h := int(v.meta.hOff)
-		return pagestore.PageID(binary.LittleEndian.Uint32(v.data[h : h+4]))
-	}
-	off := int(v.meta.eOff) + (i-1)*intRecSize + 12
-	return pagestore.PageID(binary.LittleEndian.Uint32(v.data[off : off+4]))
-}
-
-func (v nodeView) sep(i int) Entry {
-	off := int(v.meta.eOff) + i*intRecSize
-	return Entry{
-		Key: math.Float64frombits(binary.LittleEndian.Uint64(v.data[off : off+8])),
-		TID: binary.LittleEndian.Uint32(v.data[off+8 : off+12]),
-	}
-}
-
-// childIndex mirrors node.childIndex through the view.
-func (v nodeView) childIndex(e Entry) int {
-	lo, hi := 0, v.len()
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if e.Less(v.sep(mid)) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
 }
 
 // LeafView is the zero-copy window onto one leaf handed to sweep

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -130,11 +131,11 @@ func TestViewMetaMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer f.Release()
-		m := parseMeta(f.Data(), f.Version())
+		m := parseMeta(f.Data())
 		ref := refDecodeLeaf(t, f.Data())
-		if !m.leaf || int(m.count) != len(ref.entries) || int(m.eOff-m.hOff)/8 != len(ref.handicaps) {
-			t.Fatalf("page %d: meta (leaf %v, count %d, %d slots) vs reference (count %d, %d slots)",
-				lv.Page, m.leaf, m.count, (m.eOff-m.hOff)/8, len(ref.entries), len(ref.handicaps))
+		if int(m.count) != len(ref.entries) || int(m.eOff-m.hOff)/8 != len(ref.handicaps) {
+			t.Fatalf("page %d: meta (count %d, %d slots) vs reference (count %d, %d slots)",
+				lv.Page, m.count, (m.eOff-m.hOff)/8, len(ref.entries), len(ref.handicaps))
 		}
 		if ref.reserved != [8]byte{} {
 			t.Fatalf("page %d: reserved header bytes %x, want zero", lv.Page, ref.reserved)
@@ -152,15 +153,14 @@ func TestViewMetaMatchesReference(t *testing.T) {
 
 // TestViewGuardCatchesUseAfterRelease is the regression test for the view
 // borrow discipline: with the runtime guard on, a LeafView smuggled out of
-// its sweep callback must panic when read after the sweep released (and
-// the pool recycled) its frame, instead of silently returning another
-// page's bytes.
+// its sweep callback must panic when read after the sweep released its
+// frame, instead of silently returning another page's bytes — whether the
+// frame merely sits unpinned, or was recycled and is pinned again at read
+// time, for another page or for the same page id read back after EvictAll.
 func TestViewGuardCatchesUseAfterRelease(t *testing.T) {
 	EnableViewGuard(true)
 	defer EnableViewGuard(false)
 
-	// A tiny pool guarantees the released frame is recycled promptly, but
-	// the guard must fire even while the frame merely sits unpinned.
 	pool := pagestore.NewPool(pagestore.NewMemStore(256), 8)
 	tr, err := New(pool, Config{HandicapKinds: []SlotKind{MinSlot}})
 	if err != nil {
@@ -169,21 +169,62 @@ func TestViewGuardCatchesUseAfterRelease(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		_ = tr.Insert(float64(i), uint32(i+1))
 	}
-
-	var leaked LeafView
-	if err := tr.VisitLeavesAsc(math.Inf(-1), func(lv LeafView) bool {
-		leaked = lv // escapes the callback: the borrow ends when visit returns
-		return false
-	}); err != nil {
-		t.Fatal(err)
+	leak := func() LeafView {
+		var leaked LeafView
+		if err := tr.VisitLeavesAsc(math.Inf(-1), func(lv LeafView) bool {
+			leaked = lv // escapes the callback: the borrow ends when visit returns
+			return false
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return leaked
+	}
+	// repin recycles the leaked view's frame for page id and returns it
+	// pinned: with only that frame resident, EvictAll pushes it last onto
+	// the shard's freelist, and the next miss pops it.
+	repin := func(lv LeafView, id pagestore.PageID) *pagestore.Frame {
+		held, err := pool.Get(lv.Page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pool.EvictAll(); err != nil { // everything but lv's frame
+			t.Fatal(err)
+		}
+		held.Release()
+		if err := pool.EvictAll(); err != nil { // lv's frame, last
+			t.Fatal(err)
+		}
+		f, err := pool.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f != lv.v.frame || !f.Pinned() || f.ID() != id {
+			t.Fatalf("page %d did not land in the leaked view's frame", id)
+		}
+		return f
+	}
+	mustPanic := func(what string, read func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("reading a LeafView after %s did not panic under the view guard", what)
+			}
+		}()
+		read()
 	}
 
-	defer func() {
-		if recover() == nil {
-			t.Fatal("reading a LeafView after its frame was released did not panic under the view guard")
-		}
-	}()
-	_ = leaked.Len()
+	released := leak()
+	mustPanic("its frame was released", func() { _ = released.Len() })
+
+	other := leak()
+	f := repin(other, tr.root) // the root is not the first leaf: height ≥ 2
+	mustPanic("its frame was recycled for another page", func() { _ = other.Key(0) })
+	f.Release()
+
+	same := leak()
+	f = repin(same, same.Page)
+	mustPanic("its frame was recycled for the same page", func() { _ = same.TID(0) })
+	f.Release()
 }
 
 // TestViewGuardAllowsUseWhilePinned is the counterpart: inside the
@@ -207,5 +248,114 @@ func TestViewGuardAllowsUseWhilePinned(t *testing.T) {
 	}
 	if want := 100 * 101 / 2; total != want {
 		t.Fatalf("guarded sweep sum = %d, want %d", total, want)
+	}
+}
+
+func scanKeys(t *testing.T, tr *Tree) []Entry {
+	t.Helper()
+	out, err := tr.ScanAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestDirtiedPageStaleDecodeNeverServed: once a page is mutated, a sweep
+// that already read it must observe the new contents — every pin parses the
+// header in place, so no parse from before the write can be served.
+func TestDirtiedPageStaleDecodeNeverServed(t *testing.T) {
+	tr, _ := newTestTree(t, 256, []SlotKind{MinSlot})
+	entries := make([]Entry, 400)
+	for i := range entries {
+		entries[i] = Entry{Key: float64(2 * i), TID: uint32(i + 1)}
+	}
+	if err := tr.BulkLoad(entries); err != nil {
+		t.Fatal(err)
+	}
+	// Read every leaf and inner node once.
+	_ = scanKeys(t, tr)
+
+	// Mutate: new entries landing in the middle of existing leaves, plus a
+	// handicap update routed through an inner path already read.
+	for i := 0; i < 50; i++ {
+		if err := tr.Insert(float64(2*i+1), uint32(10000+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.MergeHandicap(100, 0, -42); err != nil {
+		t.Fatal(err)
+	}
+
+	got := scanKeys(t, tr)
+	if len(got) != 450 {
+		t.Fatalf("scan after mutation returned %d entries, want 450 (stale header served?)", len(got))
+	}
+	for i := 0; i < 50; i++ {
+		ok, err := tr.Contains(float64(2*i+1), uint32(10000+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			t.Fatalf("inserted entry (%d, %d) invisible after an earlier sweep", 2*i+1, 10000+i)
+		}
+	}
+	seen := math.Inf(1)
+	err := tr.VisitLeavesAsc(math.Inf(-1), func(lv LeafView) bool {
+		if lv.Handicap(0) < seen {
+			seen = lv.Handicap(0)
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seen != -42 {
+		t.Fatalf("handicap update invisible to a later sweep: min slot = %v, want -42", seen)
+	}
+}
+
+// TestDecodeCacheAcrossEviction (named for the header cache it once guarded)
+// drives the ABA hazard: mutate a page, let the pool evict it (writing it
+// back), then re-read it into a recycled frame. The tree must read the page
+// as written, never a header parsed before the eviction.
+func TestDecodeCacheAcrossEviction(t *testing.T) {
+	// A pool far smaller than the tree forces constant eviction.
+	pool := pagestore.NewPool(pagestore.NewMemStore(256), 8)
+	tr, err := New(pool, Config{HandicapKinds: []SlotKind{MinSlot}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := map[Entry]bool{}
+	rng := rand.New(rand.NewSource(11))
+	for op := 0; op < 2000; op++ {
+		e := Entry{Key: float64(rng.Intn(200)), TID: uint32(rng.Intn(4) + 1)}
+		if rng.Intn(3) > 0 {
+			if err := tr.Insert(e.Key, e.TID); err == nil {
+				ref[e] = true
+			}
+		} else {
+			ok, err := tr.Delete(e.Key, e.TID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok != ref[e] {
+				t.Fatalf("op %d: delete(%v) = %v, ref %v", op, e, ok, ref[e])
+			}
+			delete(ref, e)
+		}
+	}
+	got := scanKeys(t, tr)
+	want := make([]Entry, 0, len(ref))
+	for e := range ref {
+		want = append(want, e)
+	}
+	sort.Slice(want, func(i, j int) bool { return want[i].Less(want[j]) })
+	if len(got) != len(want) {
+		t.Fatalf("scan length %d, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("entry %d: %v, want %v", i, got[i], want[i])
+		}
 	}
 }

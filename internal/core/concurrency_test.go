@@ -93,7 +93,7 @@ func testConcurrentReadersWithWriter(t *testing.T, ec engineCase) {
 		defer wg.Done()
 		wrng := rand.New(rand.NewSource(72))
 		var ids []constraint.TupleID
-		ix.roots.Load().relScan(func(t *constraint.Tuple) bool {
+		ix.roots.Load().tuples.Scan(func(t *constraint.Tuple) bool {
 			ids = append(ids, t.ID())
 			return true
 		})
@@ -195,7 +195,7 @@ func testConcurrentReadersWithWriter(t *testing.T, ec engineCase) {
 	for i := 0; i < 20; i++ {
 		q := ec.query(rng)
 		var want []constraint.TupleID
-		rs.relScan(func(tp *constraint.Tuple) bool {
+		rs.tuples.Scan(func(tp *constraint.Tuple) bool {
 			ok, err := q.Matches(tp)
 			if err != nil {
 				t.Fatal(err)

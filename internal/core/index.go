@@ -91,7 +91,6 @@ func NewD(rel *constraint.Relation, opt OptionsD) (*IndexD, error) {
 		PageSize:              opt.PageSize,
 		PoolPages:             opt.PoolPages,
 		Pool:                  opt.Pool,
-		FillFactor:            opt.FillFactor,
 		RebuildHandicapsEvery: opt.RebuildHandicapsEvery,
 		Observe:               opt.Observe,
 	}
@@ -432,15 +431,14 @@ func (ix *Index) CheckInvariants() error {
 	return nil
 }
 
-// DecodeCacheStats sums the decoded-node cache counters over every tree of
-// the index (the vertical pair included) — the observability hook for the
-// read-path cache layer.
-func (ix *Index) DecodeCacheStats() btree.DecodeStats {
-	var s btree.DecodeStats
-	for _, t := range ix.trees {
-		s.Add(t.DecodeCacheStats())
-	}
-	return s
+// DecodeCacheStats reads the counters of a node-header cache the index no
+// longer has: every pin parses the header in place (DESIGN.md §8.1).
+//
+// Deprecated: always zero. It exists only because bench/, which only a
+// [benchmark] PR may edit, still reads it; ROADMAP direction 2(b) deletes
+// both.
+func (ix *Index) DecodeCacheStats() struct{ Hits, Misses, Invalidations uint64 } {
+	return struct{ Hits, Misses, Invalidations uint64 }{}
 }
 
 // Slopes returns the sorted slope set S of a 2-D slope-set index (nil on a

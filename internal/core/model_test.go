@@ -523,9 +523,9 @@ func (h *engineHistory) checkAll() {
 		return tp
 	}, h.rel.Scan, *h.current())
 	rs := h.ix.roots.Load()
-	h.checkStore("published version", rs.relLen(), rs.tuples.Get, rs.relScan, h.live)
+	h.checkStore("published version", rs.live, rs.tuples.Get, rs.tuples.Scan, h.live)
 	for _, p := range h.pins {
-		h.checkStore(fmt.Sprintf("snapshot %d", p.snap.Version()), p.snap.Tuples(), p.snap.rs.tuples.Get, p.snap.rs.relScan, p.model)
+		h.checkStore(fmt.Sprintf("snapshot %d", p.snap.Version()), p.snap.Tuples(), p.snap.rs.tuples.Get, p.snap.rs.tuples.Scan, p.model)
 	}
 	h.cov.twoLevels = h.cov.twoLevels || h.ix.trees[0].Height() > 1
 }

@@ -123,18 +123,6 @@ func (rs *rootSet) tree(i int, q constraint.Query) *btree.Tree {
 	return rs.trees[2*i+1]
 }
 
-// relGet resolves a tuple id against this version of the relation.
-func (rs *rootSet) relGet(id constraint.TupleID) (*constraint.Tuple, error) {
-	if t := rs.tuples.Get(id); t != nil {
-		return t, nil
-	}
-	return nil, constraint.ErrNotFound
-}
-
-// relScan calls fn for every tuple of this version in id order; a false
-// return stops the scan early.
-func (rs *rootSet) relScan(fn func(*constraint.Tuple) bool) { rs.tuples.Scan(fn) }
-
 // allIDs appends the id of every tuple of this version to buf — the
 // candidate set of the paths that have no tree to sweep.
 func (rs *rootSet) allIDs(buf []uint32) []uint32 {
@@ -144,9 +132,6 @@ func (rs *rootSet) allIDs(buf []uint32) []uint32 {
 	})
 	return buf
 }
-
-// relLen returns the relation size at this version.
-func (rs *rootSet) relLen() int { return rs.live }
 
 // publishLocked freezes the live trees and the relation into a new rootSet
 // and publishes it. xext is the base version's x-extent table to extend, nil
@@ -242,7 +227,7 @@ func (s *Snapshot) Version() uint64 { return s.rs.version }
 func (s *Snapshot) Len() int { return s.rs.indexed }
 
 // Tuples returns the relation size at this version.
-func (s *Snapshot) Tuples() int { return s.rs.relLen() }
+func (s *Snapshot) Tuples() int { return s.rs.live }
 
 // guard rejects use after Release.
 func (s *Snapshot) guard() error {

@@ -84,8 +84,6 @@ type Options struct {
 	// pagestore.FileStore for an on-disk database); ignored when Pool is
 	// set. The store must be fresh — its page 1 becomes the catalog.
 	Store pagestore.Store
-	// FillFactor is the bulk-load leaf occupancy in (0,1]; default 0.9.
-	FillFactor float64
 	// PivotX is the x-coordinate of the point P shared by the two T1
 	// app-query lines (Section 4.1 leaves the choice open; the center of
 	// the data window is a good default).
@@ -105,9 +103,6 @@ type Options struct {
 	// this many deletions (conservative drift otherwise only costs I/O,
 	// never correctness). 0 disables automatic rebuilds.
 	RebuildHandicapsEvery int
-	// NoDecodeCache disables the per-tree decoded-node cache, so every
-	// leaf visit re-parses page bytes into fresh slices.
-	NoDecodeCache bool
 	// Observe attaches a metrics-and-tracing observer to every query this
 	// index executes: per-path counters and latency histograms, stage
 	// spans (routing, sweeps, dedup, refinement), a slow-query log and a
@@ -126,11 +121,10 @@ type OptionsD struct {
 	// where T2 approximation applies). Defaults to the sites' bounding box
 	// expanded by the largest inter-site distance.
 	SlopeBoxLo, SlopeBoxHi []float64
-	// PageSize / PoolPages / Pool / FillFactor as in Options.
-	PageSize   int
-	PoolPages  int
-	Pool       *pagestore.Pool
-	FillFactor float64
+	// PageSize / PoolPages / Pool as in Options.
+	PageSize  int
+	PoolPages int
+	Pool      *pagestore.Pool
 	// RebuildHandicapsEvery as in Options.
 	RebuildHandicapsEvery int
 	// Observe as in Options: attaches per-query metrics and tracing; nil
@@ -142,11 +136,7 @@ type OptionsD struct {
 // the 2k site trees carry the geometry's handicap slots, the vertical pair
 // (Options.IndexVertical) carries none.
 func (o *Options) treeConfigs(geo slopeSpace) []btree.Config {
-	cfg := btree.Config{
-		HandicapKinds: geo.slotKinds(),
-		FillFactor:    o.FillFactor,
-		NoDecodeCache: o.NoDecodeCache,
-	}
+	cfg := btree.Config{HandicapKinds: geo.slotKinds()}
 	cfgs := make([]btree.Config, 2*geo.sites(), 2*geo.sites()+2)
 	for j := range cfgs {
 		cfgs[j] = cfg
@@ -158,17 +148,13 @@ func (o *Options) treeConfigs(geo slopeSpace) []btree.Config {
 	return cfgs
 }
 
-// storageDefaults fills the page-store and tree defaults both constructors
-// share.
+// storageDefaults fills the page-store defaults both constructors share.
 func (o *Options) storageDefaults() {
 	if o.PageSize <= 0 {
 		o.PageSize = pagestore.DefaultPageSize
 	}
 	if o.PoolPages <= 0 {
 		o.PoolPages = 512
-	}
-	if o.FillFactor <= 0 || o.FillFactor > 1 {
-		o.FillFactor = 0.9
 	}
 }
 

@@ -101,7 +101,7 @@ func (ix *Index) Save() error {
 	binary.LittleEndian.PutUint32(d[12:16], uint32(ix.opt.RebuildHandicapsEvery))
 	binary.LittleEndian.PutUint64(d[16:24], math.Float64bits(ix.opt.PivotX))
 	binary.LittleEndian.PutUint64(d[24:32], math.Float64bits(ix.opt.OuterHalfWidth))
-	binary.LittleEndian.PutUint64(d[32:40], math.Float64bits(ix.opt.FillFactor))
+	binary.LittleEndian.PutUint64(d[32:40], math.Float64bits(0.9)) // fill factor: btree's default, never read
 	binary.LittleEndian.PutUint32(d[40:44], uint32(head))
 	binary.LittleEndian.PutUint32(d[44:48], uint32(count))
 	binary.LittleEndian.PutUint32(d[48:52], uint32(ix.rel.Dim()))
@@ -144,7 +144,6 @@ func parseCatalog(d []byte) (catalog, error) {
 			RebuildHandicapsEvery: int(binary.LittleEndian.Uint32(d[12:16])),
 			PivotX:                math.Float64frombits(binary.LittleEndian.Uint64(d[16:24])),
 			OuterHalfWidth:        math.Float64frombits(binary.LittleEndian.Uint64(d[24:32])),
-			FillFactor:            math.Float64frombits(binary.LittleEndian.Uint64(d[32:40])),
 			PageSize:              len(d),
 		},
 		head:  pagestore.PageID(binary.LittleEndian.Uint32(d[40:44])),

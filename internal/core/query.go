@@ -639,11 +639,11 @@ func (ec *execCtx) mark(match func(*constraint.Tuple) (bool, error), sc *scratch
 	return lo, hi, hits, nil
 }
 
-// candidate resolves a tuple reference retrieved from a tree.
+// candidate resolves a tuple reference retrieved from a tree against this
+// version of the relation.
 func (rs *rootSet) candidate(tid uint32) (*constraint.Tuple, error) {
-	t, err := rs.relGet(constraint.TupleID(tid))
-	if err != nil {
-		return nil, fmt.Errorf("core: candidate %d not in relation: %w", tid, err)
+	if t := rs.tuples.Get(constraint.TupleID(tid)); t != nil {
+		return t, nil
 	}
-	return t, nil
+	return nil, fmt.Errorf("core: candidate %d not in relation: %w", tid, constraint.ErrNotFound)
 }

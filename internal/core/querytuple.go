@@ -123,7 +123,7 @@ func (ix *Index) queryTuple(kind constraint.QueryKind, qt *constraint.Tuple, ec 
 		if len(selections) == 0 {
 			// Nothing usable on the index: scan.
 			st.Path = "tuple-scan"
-			ec.rs.relScan(func(t *constraint.Tuple) bool {
+			ec.rs.tuples.Scan(func(t *constraint.Tuple) bool {
 				candidate = append(candidate, t.ID())
 				return true
 			})
@@ -157,7 +157,7 @@ func (ix *Index) queryTuple(kind constraint.QueryKind, qt *constraint.Tuple, ec 
 		ids := candidate[:0]
 		for _, id := range candidate {
 			if needRefine {
-				t, err := ec.rs.relGet(id)
+				t, err := ec.rs.candidate(uint32(id))
 				if err != nil {
 					ec.endSpan(rf, 0)
 					return TupleResult{}, err

@@ -7,8 +7,8 @@ import (
 )
 
 // StatsSnapshot is the unified observability view of one index: its shape,
-// the buffer-pool counters and frame residency, the decoded-node cache and
-// tree-traversal counters, and — when an observer is attached — the
+// the buffer-pool counters and frame residency, the tree-traversal
+// counters, and — when an observer is attached — the
 // per-path query metrics, stage latencies and slow traces. The struct
 // marshals to the JSON served at /debug/stats by the debug server.
 type StatsSnapshot struct {
@@ -18,12 +18,11 @@ type StatsSnapshot struct {
 	Slopes    int    `json:"slopes"`    // |S|
 	Technique string `json:"technique"` // approximation technique
 
-	Pool        pagestore.Stats          `json:"pool"`
-	Residency   pagestore.Residency      `json:"residency"`
-	Snapshots   pagestore.SnapshotCensus `json:"snapshots"`
-	MVCC        MVCCStats                `json:"mvcc"`
-	DecodeCache btree.DecodeStats        `json:"decode_cache"`
-	Sweeps      btree.SweepStats         `json:"sweeps"`
+	Pool      pagestore.Stats          `json:"pool"`
+	Residency pagestore.Residency      `json:"residency"`
+	Snapshots pagestore.SnapshotCensus `json:"snapshots"`
+	MVCC      MVCCStats                `json:"mvcc"`
+	Sweeps    btree.SweepStats         `json:"sweeps"`
 
 	Observer *obs.Snapshot `json:"observer,omitempty"`
 }
@@ -89,18 +88,17 @@ func (ix *Index) SweepStats() btree.SweepStats {
 func (ix *Index) StatsSnapshot() StatsSnapshot {
 	rs := ix.roots.Load()
 	return StatsSnapshot{
-		Tuples:      rs.relLen(),
-		Indexed:     rs.indexed,
-		Pages:       ix.Pages(),
-		Slopes:      ix.geo.sites(),
-		Technique:   ix.opt.Technique.String(),
-		Pool:        ix.pool.Stats(),
-		Residency:   ix.pool.Residency(),
-		Snapshots:   ix.pool.SnapshotCensus(),
-		MVCC:        ix.MVCCStats(),
-		DecodeCache: ix.DecodeCacheStats(),
-		Sweeps:      ix.SweepStats(),
-		Observer:    ix.opt.Observe.ObserverSnapshot(),
+		Tuples:    rs.live,
+		Indexed:   rs.indexed,
+		Pages:     ix.Pages(),
+		Slopes:    ix.geo.sites(),
+		Technique: ix.opt.Technique.String(),
+		Pool:      ix.pool.Stats(),
+		Residency: ix.pool.Residency(),
+		Snapshots: ix.pool.SnapshotCensus(),
+		MVCC:      ix.MVCCStats(),
+		Sweeps:    ix.SweepStats(),
+		Observer:  ix.opt.Observe.ObserverSnapshot(),
 	}
 }
 
@@ -113,9 +111,9 @@ func (ix *Index) SetObserver(o *obs.Observer) {
 }
 
 // registerGauges bridges the storage-layer counters into the observer's
-// registry as snapshot-time funcs, so /debug/metrics shows pool,
-// decode-cache and sweep state next to the query metrics
-// without mirroring every mutation into the registry.
+// registry as snapshot-time funcs, so /debug/metrics shows pool, MVCC and
+// sweep state next to the query metrics without mirroring every mutation
+// into the registry.
 func (ix *Index) registerGauges() {
 	r := ix.opt.Observe.Registry()
 	if r == nil {
@@ -129,7 +127,6 @@ func (ix *Index) registerGauges() {
 	r.Func("pool.residency", func() any { return ix.pool.Residency() })
 	r.Func("pool.snapshots", func() any { return ix.pool.SnapshotCensus() })
 	r.Func("mvcc", func() any { return ix.MVCCStats() })
-	r.Func("decode_cache", func() any { return ix.DecodeCacheStats() })
 	r.Func("sweeps", func() any { return ix.SweepStats() })
 }
 

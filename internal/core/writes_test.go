@@ -239,9 +239,9 @@ func TestTupleTableAcrossChunkBoundaries(t *testing.T) {
 		rs := p.snap.rs
 		var want []constraint.TupleID
 		for id := constraint.TupleID(0); int(id) <= rs.tuples.MaxID()+256; id++ {
-			got, err := rs.relGet(id)
+			got, err := rs.candidate(uint32(id))
 			if tp := p.ts[id]; tp != got || (tp == nil) != errors.Is(err, constraint.ErrNotFound) {
-				t.Errorf("%s: relGet(%d) = %p, %v; the version holds %p", p.what, id, got, err, tp)
+				t.Errorf("%s: candidate(%d) = %p, %v; the version holds %p", p.what, id, got, err, tp)
 				return
 			}
 			if p.ts[id] != nil {
@@ -249,7 +249,7 @@ func TestTupleTableAcrossChunkBoundaries(t *testing.T) {
 			}
 		}
 		var scanned []constraint.TupleID
-		rs.relScan(func(tp *constraint.Tuple) bool {
+		rs.tuples.Scan(func(tp *constraint.Tuple) bool {
 			scanned = append(scanned, tp.ID())
 			return true
 		})
@@ -262,8 +262,8 @@ func TestTupleTableAcrossChunkBoundaries(t *testing.T) {
 			t.Errorf("%s: %v", p.what, err)
 			return
 		}
-		if !sameIDs(scanned, want) || !sameIDs(ids, want) || !sameIDs(res.IDs, want) || rs.relLen() != len(want) {
-			t.Errorf("%s: relScan %d ids, allIDs %d, query %d, relLen %d; the version holds %d", p.what, len(scanned), len(ids), len(res.IDs), rs.relLen(), len(want))
+		if !sameIDs(scanned, want) || !sameIDs(ids, want) || !sameIDs(res.IDs, want) || rs.live != len(want) {
+			t.Errorf("%s: Scan %d ids, allIDs %d, query %d, live %d; the version holds %d", p.what, len(scanned), len(ids), len(res.IDs), rs.live, len(want))
 		}
 	}
 	verifyAll := func() {

@@ -120,12 +120,6 @@ type poolShard struct {
 	// their page buffers; bounded by capacity.
 	free  *Frame //dualvet:guarded=mu
 	freeN int    //dualvet:guarded=mu
-
-	// versions seeds Frame.version across evictions: dropLocked saves the
-	// frame's stamp here and the next fetch of the same id resumes from it,
-	// so a page that is modified, evicted, and re-read never repeats a
-	// version a stale decoded copy could still be keyed under (no ABA).
-	versions map[PageID]uint64 //dualvet:guarded=mu
 }
 
 // Frame region tags for the midpoint LRU.
@@ -143,19 +137,19 @@ type Frame struct {
 	id    PageID
 	data  []byte
 
-	// pins is written only under shard.mu but read lock-free by Pinned,
-	// the runtime anchor of the view borrow guard.
-	pins atomic.Int32
+	// pins and installs are written only under shard.mu but read lock-free
+	// by Pinned and Installs, the runtime anchors of the view borrow guard.
+	pins     atomic.Int32
+	installs atomic.Uint32
 
 	lruPrev, lruNext *Frame // intrusive young/old list links; guarded by shard.mu
 	region           uint8  // guarded by shard.mu
 	firstTick        uint64 // shard tick at first access; guarded by shard.mu
 
-	// dirty and version are atomics because MarkDirty is called while
-	// pinned without the shard lock, potentially concurrently with another
-	// pinner of the same frame.
-	dirty   atomic.Bool
-	version atomic.Uint64
+	// dirty is atomic because MarkDirty is called while pinned without the
+	// shard lock, potentially concurrently with another pinner of the same
+	// frame.
+	dirty atomic.Bool
 }
 
 // frameList is an intrusive doubly linked list of frames: front is the
@@ -267,7 +261,6 @@ func NewPoolWithOptions(store Store, opt PoolOptions) *Pool {
 			capacity: per,
 			oldCap:   per * oldNum / oldDen, // per ≥ 8, so 1 ≤ oldCap < per
 			frames:   make(map[PageID]*Frame),
-			versions: make(map[PageID]uint64),
 		}
 	}
 	return p
@@ -307,24 +300,6 @@ func (p *Pool) Store() Store { return p.store }
 
 // PageSize returns the page size in bytes.
 func (p *Pool) PageSize() int { return p.store.PageSize() }
-
-// Resident reports whether id currently holds a frame in the pool,
-// without faulting it in, pinning it or touching the eviction lists. The
-// answer is advisory — a concurrent Get or eviction can change it right
-// after the shard unlocks — which suits its caller, the btree view-meta
-// cache's eviction policy: a cached parse whose backing page has already
-// left the pool is a cheap victim, and a stale answer only costs one
-// re-parse.
-func (p *Pool) Resident(id PageID) bool {
-	if id == InvalidPage {
-		return false
-	}
-	sh := p.shardOf(id)
-	sh.mu.Lock()
-	_, ok := sh.frames[id]
-	sh.mu.Unlock()
-	return ok
-}
 
 // Get pins the page with the given id, reading it from the store on a miss.
 func (p *Pool) Get(id PageID) (*Frame, error) { return p.GetTracked(id, nil) }
@@ -389,7 +364,6 @@ func (sh *poolShard) recycleLocked(f *Frame) {
 	f.region = regionYoung
 	f.firstTick = 0
 	f.dirty.Store(false)
-	f.version.Store(0)
 	f.lruPrev = nil
 	f.lruNext = sh.free
 	sh.free = f
@@ -397,17 +371,17 @@ func (sh *poolShard) recycleLocked(f *Frame) {
 }
 
 // installLocked registers a frame (fresh or recycled, its data already
-// holding the page image) for id: version resumes from the shard's
-// persisted map, the frame enters the front of the young list pinned once,
-// and the shard's access clock advances. Callers hold sh.mu.
+// holding the page image) for id: the frame counts one more install, enters
+// the front of the young list pinned once, and the shard's access clock
+// advances. Callers hold sh.mu.
 func (sh *poolShard) installLocked(f *Frame, id PageID) {
 	sh.touchLocked(id)
 	f.id = id
+	f.installs.Add(1)
 	f.pins.Store(1)
 	f.region = regionYoung
 	f.firstTick = sh.tick
 	f.dirty.Store(false)
-	f.version.Store(sh.versions[id])
 	sh.young.pushFront(f)
 	sh.frames[id] = f
 }
@@ -439,11 +413,6 @@ func (p *Pool) NewPage() (*Frame, error) {
 	f := sh.takeFrameLocked(p.store.PageSize())
 	clear(f.data)
 	sh.installLocked(f, id)
-	// A reused page id starts a new life: advance past any version a stale
-	// decode of the previous occupant could be keyed under.
-	v := sh.versions[id] + 1
-	sh.versions[id] = v
-	f.version.Store(v)
 	f.dirty.Store(true)
 	return f, nil
 }
@@ -460,8 +429,6 @@ func (p *Pool) FreePage(id PageID) error {
 		}
 		sh.dropLocked(f)
 	}
-	// Invalidate any decoded copy keyed under the page's last version.
-	sh.versions[id]++
 	sh.mu.Unlock()
 	p.frees.Add(1)
 	return p.store.Free(id)
@@ -532,12 +499,10 @@ func (sh *poolShard) ensureRoomLocked(p *Pool) error {
 	return nil
 }
 
-// dropLocked removes a resident frame from its list and the frame table,
-// persists its version stamp so a later re-read of the id resumes where
-// the frame left off, and recycles the frame through the freelist.
+// dropLocked removes a resident frame from its list and the frame table and
+// recycles the frame through the freelist.
 func (sh *poolShard) dropLocked(f *Frame) {
 	sh.listFor(f).remove(f)
-	sh.versions[f.id] = f.version.Load()
 	delete(sh.frames, f.id)
 	sh.recycleLocked(f)
 }
@@ -675,19 +640,15 @@ func (f *Frame) Data() []byte { return f.data }
 // whose frame reports Pinned()==false has certainly outlived its borrow.
 func (f *Frame) Pinned() bool { return f.pins.Load() > 0 }
 
-// MarkDirty records that the page bytes changed and advances the page's
-// version stamp, invalidating any decoded copy keyed under the old stamp.
-func (f *Frame) MarkDirty() {
-	f.dirty.Store(true)
-	f.version.Add(1)
-}
+// Installs counts the pages this frame has held: it grows each time the pool
+// installs a page in the frame — a miss or a NewPage — and never otherwise,
+// so a borrow that recorded it at pin time sees a different count once the
+// frame was recycled, even for the same page id read back. Like Pinned it
+// reads without the shard lock, for the btree view guard.
+func (f *Frame) Installs() uint32 { return f.installs.Load() }
 
-// Version returns the page's current version stamp. The stamp changes on
-// every MarkDirty and whenever the page id is freed or reallocated, and it
-// never repeats across evictions, so (ID, Version) is a stable key for
-// caching decoded page contents: serve a cached decode only while the
-// pinned frame still reports the version it was decoded under.
-func (f *Frame) Version() uint64 { return f.version.Load() }
+// MarkDirty records that the page bytes changed.
+func (f *Frame) MarkDirty() { f.dirty.Store(true) }
 
 // Release unpins the frame. Unpinned frames become eviction candidates,
 // and any view over the frame's bytes dies with the pin.

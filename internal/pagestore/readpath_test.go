@@ -133,66 +133,6 @@ func TestFaultStoreReadPagesPerPageAccounting(t *testing.T) {
 	}
 }
 
-func TestFrameVersionBumpsOnMarkDirtyAndSurvivesEviction(t *testing.T) {
-	store := NewMemStore(64)
-	pool := NewPool(store, 16)
-	f, err := pool.NewPage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := f.ID()
-	v0 := f.Version()
-	f.MarkDirty()
-	if v := f.Version(); v <= v0 {
-		t.Fatalf("MarkDirty did not advance version: %d -> %d", v0, v)
-	}
-	f.MarkDirty()
-	v1 := f.Version()
-	f.Release()
-
-	// Evict and re-read: the version must resume at (not below) the saved
-	// stamp, so a decode cached under v1 can never be revalidated by a
-	// fresh frame that restarted at zero.
-	if err := pool.EvictAll(); err != nil {
-		t.Fatal(err)
-	}
-	g, err := pool.Get(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Version() < v1 {
-		t.Fatalf("version regressed across eviction: %d < %d", g.Version(), v1)
-	}
-	g.Release()
-}
-
-func TestFreedPageIDGetsNewVersionOnReuse(t *testing.T) {
-	store := NewMemStore(64)
-	pool := NewPool(store, 16)
-	f, err := pool.NewPage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := f.ID()
-	f.MarkDirty()
-	vOld := f.Version()
-	f.Release()
-	if err := pool.FreePage(id); err != nil {
-		t.Fatal(err)
-	}
-	g, err := pool.NewPage() // MemStore reuses the freed id
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Release()
-	if g.ID() != id {
-		t.Skipf("store did not reuse id %d (got %d)", id, g.ID())
-	}
-	if g.Version() <= vOld {
-		t.Fatalf("reused page id %d kept version %d (old %d); stale decodes would revalidate", id, g.Version(), vOld)
-	}
-}
-
 // pinOnce fetches and releases a page.
 func pinOnce(t *testing.T, pool *Pool, id PageID) {
 	t.Helper()

@@ -15,9 +15,9 @@ package pagestore
 // +∞ and superseded pages free immediately.
 
 // ClonePage allocates a fresh page, copies src's current bytes into it,
-// and returns the clone pinned and dirty. The source page's contents and
-// version are untouched, which is what keeps decoded views of the original
-// valid for concurrent snapshot readers.
+// and returns the clone pinned and dirty. The source page is untouched,
+// which is what keeps views of the original valid for concurrent snapshot
+// readers.
 func (p *Pool) ClonePage(src PageID) (*Frame, error) {
 	sf, err := p.Get(src)
 	if err != nil {
