@@ -48,8 +48,8 @@ func TestSessionDBSaveRequiresIndex(t *testing.T) {
 	}
 }
 
-// TestSessionDBOpenRefusesPreviousFormat: a DCDB0003 file has the same page
-// layout and envelope keys; dbopen reports its magic instead of reading it.
+// TestSessionDBOpenRefusesPreviousFormat: a DCDB0004 file has 12-byte leaf
+// entries and unrounded keys; dbopen reports its magic instead of reading it.
 func TestSessionDBOpenRefusesPreviousFormat(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "old.cdb")
 	runScript(t, []string{"gen 20 small 4", "index 3 t2", "dbsave " + path})
@@ -57,15 +57,15 @@ func TestSessionDBOpenRefusesPreviousFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	at := bytes.Index(data, []byte("DCDB0004"))
+	at := bytes.Index(data, []byte("DCDB0005"))
 	if at < 0 {
 		t.Fatal("the saved file does not carry the current magic")
 	}
-	copy(data[at:], "DCDB0003")
+	copy(data[at:], "DCDB0004")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if out := captureErr(t, nil, "dbopen "+path); !strings.Contains(out, "bad catalog magic") || !strings.Contains(out, "DCDB0003") {
+	if out := captureErr(t, nil, "dbopen "+path); !strings.Contains(out, "bad catalog magic") || !strings.Contains(out, "DCDB0004") {
 		t.Errorf("dbopen of a previous-format file: %s", out)
 	}
 }

@@ -157,6 +157,11 @@ var ErrTupleRange = core.ErrTupleRange
 // assigned that many, or a damaged file claims one.
 var ErrIDLimit = constraint.ErrIDLimit
 
+// ErrCatalog is what OpenDatabase returns (wrapped; test with errors.Is) for
+// a file whose catalog this version did not write: another format — a
+// DCDB0004 or older file — or a damaged catalog page.
+var ErrCatalog = core.ErrCatalog
+
 // d-dimensional index (Section 4.4) and generalized-tuple selections.
 type (
 	// IndexD is the Index as the d-dimensional constructors return it

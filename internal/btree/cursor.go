@@ -3,6 +3,7 @@ package btree
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"dualcdb/internal/pagestore"
@@ -149,7 +150,7 @@ func (t *Tree) sweep(from Entry, asc bool, rc *pagestore.ReadCounter, visit func
 }
 
 // VisitLeavesAsc visits leaves in ascending key order starting at the leaf
-// that owns key `from` (with the smallest TID), continuing while visit
+// that owns key RoundKey(from) (with the smallest TID), continuing while visit
 // returns true. This is the paper's upward leaf sweep; each visited leaf
 // costs one page access. The LeafView passed to visit is valid only for
 // the duration of the call — its frame is released when visit returns.
@@ -162,11 +163,12 @@ func (t *Tree) VisitLeavesAsc(from float64, visit func(LeafView) bool) error {
 // sweeps share the buffer pool: the descent path, every leaf visited, and
 // each further internal node the sweep crosses into, once each.
 func (t *Tree) VisitLeavesAscTracked(from float64, rc *pagestore.ReadCounter, visit func(LeafView) bool) error {
-	return t.sweep(Entry{Key: from, TID: 0}, true, rc, visit)
+	return t.sweep(Entry{Key: RoundKey(from), TID: 0}, true, rc, visit)
 }
 
 // VisitLeavesDesc visits leaves in descending key order starting at the
-// leaf that owns key `from` (with the largest TID) — the downward sweep.
+// leaf that owns key RoundKey(from) (with the largest TID) — the downward
+// sweep.
 // The LeafView lifetime rule of VisitLeavesAsc applies.
 func (t *Tree) VisitLeavesDesc(from float64, visit func(LeafView) bool) error {
 	return t.VisitLeavesDescTracked(from, nil, visit)
@@ -175,12 +177,14 @@ func (t *Tree) VisitLeavesDesc(from float64, visit func(LeafView) bool) error {
 // VisitLeavesDescTracked is VisitLeavesDesc with per-query I/O accounting
 // (see VisitLeavesAscTracked).
 func (t *Tree) VisitLeavesDescTracked(from float64, rc *pagestore.ReadCounter, visit func(LeafView) bool) error {
-	return t.sweep(Entry{Key: from, TID: math.MaxUint32}, false, rc, visit)
+	return t.sweep(Entry{Key: RoundKey(from), TID: math.MaxUint32}, false, rc, visit)
 }
 
-// AscendRange calls fn for every entry with from ≤ key ≤ to in ascending
-// order; fn returning false stops the scan.
+// AscendRange calls fn for every entry whose stored key lies in
+// [RoundKey(from), RoundKey(to)], in ascending order; fn returning false
+// stops the scan.
 func (t *Tree) AscendRange(from, to float64, fn func(Entry) bool) error {
+	from, to = RoundKey(from), RoundKey(to)
 	return t.VisitLeavesAsc(from, func(lv LeafView) bool {
 		for i, n := 0, lv.Len(); i < n; i++ {
 			if lv.Key(i) < from {
@@ -208,15 +212,16 @@ func (t *Tree) ScanAll() ([]Entry, error) {
 }
 
 // MergeHandicap folds value into handicap slot `slot` of the leaf that owns
-// routeKey — the leaf whose key interval the paper associates the value
-// with. The slot's kind decides the merge (min for low_j, max for high_j).
+// RoundKey(routeKey) — the leaf whose key interval the paper associates the
+// value with. The slot's kind decides the merge (min for low_j, max for
+// high_j); the value itself is stored as the float64 it is.
 func (t *Tree) MergeHandicap(routeKey float64, slot int, value float64) error {
 	var vals [maxHandicaps]float64
 	for s, k := range t.cfg.HandicapKinds {
 		vals[s] = k.Identity()
 	}
 	vals[slot] = value
-	return t.mergeSlots(Entry{Key: routeKey, TID: 0}, vals[:len(t.cfg.HandicapKinds)])
+	return t.mergeSlots(Entry{Key: RoundKey(routeKey), TID: 0}, vals[:len(t.cfg.HandicapKinds)])
 }
 
 // mergeSlots combines vals[s] into handicap slot s of the leaf that owns e,
@@ -284,7 +289,7 @@ func (t *Tree) FoldHandicaps(ms []HandicapMerge) error {
 	}
 	routed := make([]bool, len(seps)+1)
 	for _, m := range ms {
-		e := Entry{Key: m.RouteKey, TID: 0}
+		e := Entry{Key: RoundKey(m.RouteKey), TID: 0}
 		leaf := sort.Search(len(seps), func(i int) bool { return e.Less(seps[i]) })
 		at := leaf*len(kinds) + m.Slot
 		acc[at] = kinds[m.Slot].Combine(acc[at], m.Value)
@@ -367,9 +372,10 @@ func (t *Tree) ResetHandicaps() error {
 	return err
 }
 
-// BulkLoad builds the tree from entries that are already sorted in
-// composite order. The tree must be empty. Leaves are packed to the
-// configured fill factor, which is how the experiment trees are built.
+// BulkLoad builds the tree from entries in any order: it rounds their keys in
+// place (RoundKey) and sorts them in composite order of the stored keys. The
+// tree must be empty. Leaves are packed to the configured fill factor, which
+// is how the experiment trees are built.
 func (t *Tree) BulkLoad(entries []Entry) error {
 	if t.size != 0 {
 		return ErrNotEmpty
@@ -380,6 +386,10 @@ func (t *Tree) BulkLoad(entries []Entry) error {
 	if len(entries) == 0 {
 		return nil
 	}
+	for i := range entries {
+		entries[i].Key = RoundKey(entries[i].Key)
+	}
+	slices.SortFunc(entries, Entry.Compare)
 	perLeaf := int(float64(t.leafCap) * t.cfg.FillFactor)
 	if perLeaf < 1 {
 		perLeaf = 1

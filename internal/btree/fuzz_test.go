@@ -8,23 +8,24 @@ import (
 )
 
 // FuzzPageDecode is the node half of page-decode fuzzing: it overwrites the
-// start of one page of a small three-level tree — the root, an inner node or
-// a leaf, chosen by sel — with arbitrary bytes and drives every reader and
-// writer over the result. Whatever the bytes, nothing may panic or hang and
-// no frame may stay pinned; a page whose header this tree cannot have written
-// is Tree.getTracked's ErrLayout. testdata/fuzz/FuzzPageDecode holds one
-// input per header check that dropping the check would let through to an
-// out-of-range read.
+// start of one page of a three-level tree in the index's own shape — 1 KiB
+// pages, four handicap slots, so 122 entries a leaf and 83 separators an
+// internal node — the root, an inner node or a leaf, chosen by sel, with
+// arbitrary bytes and drives every reader and writer over the result.
+// Whatever the bytes, nothing may panic or hang and no frame may stay pinned;
+// a page whose header this tree cannot have written is Tree.getTracked's
+// ErrLayout. testdata/fuzz/FuzzPageDecode holds one input per header check
+// that dropping the check would let through to an out-of-range read.
 func FuzzPageDecode(f *testing.F) {
 	f.Add(uint8(0), []byte{})
 	f.Fuzz(func(t *testing.T, sel uint8, data []byte) {
-		kinds := []SlotKind{MinSlot, MaxSlot}
-		pool := pagestore.NewPool(pagestore.NewMemStore(256), 256)
+		kinds := []SlotKind{MinSlot, MinSlot, MaxSlot, MaxSlot}
+		pool := pagestore.NewPool(pagestore.NewMemStore(1024), 256)
 		tr, err := New(pool, Config{HandicapKinds: kinds})
 		if err != nil {
 			t.Fatal(err)
 		}
-		entries := make([]Entry, 400)
+		entries := make([]Entry, 10000) // 92 leaves under two internal nodes
 		for i := range entries {
 			entries[i] = Entry{Key: float64(i), TID: uint32(i + 1)}
 		}

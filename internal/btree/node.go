@@ -1,9 +1,10 @@
 // Package btree implements the disk-based B⁺-tree underlying the paper's
-// dual-representation index (Sections 3 and 4): float64 keys with duplicate
-// support via (key, tuple-id) composites, upward and downward leaf sweeps
-// from a root-to-leaf cursor (cursor.go), bulk loading, and a configurable
-// number of per-leaf auxiliary slots that hold the "handicap values" of
-// technique T2 (Section 4.2).
+// dual-representation index (Sections 3 and 4): float32 keys — the paper's
+// 4-byte values, rounded from float64 by RoundKey on the way in — with
+// duplicate support via (key, tuple-id) composites, upward and downward leaf
+// sweeps from a root-to-leaf cursor (cursor.go), bulk loading, and a
+// configurable number of per-leaf auxiliary slots that hold the "handicap
+// values" of technique T2 (Section 4.2).
 //
 // Pages are managed through pagestore.Pool, so every traversal is charged
 // to the shared I/O counters that the experiment harness reports. Sweeps
@@ -20,11 +21,27 @@ import (
 
 // Entry is one indexed value: a surface value (TOP^P or BOT^P at some
 // slope) and the tuple it belongs to. Entries are ordered by (Key, TID);
-// the TID tiebreak makes duplicates well ordered.
+// the TID tiebreak makes duplicates well ordered. The tree stores
+// RoundKey(Key), and every key it hands back is such a stored one.
 type Entry struct {
 	Key float64
 	TID uint32
 }
+
+// RoundKey is the key the tree stores for k: k rounded to the nearest
+// float32, widened back to float64. Every key that enters a tree — inserted,
+// deleted, bulk-loaded, a sweep's start, a handicap's route — goes through
+// it, so a stored key reads back bit-exact. Rounding to nearest is monotone
+// (k ≤ k' ⇒ RoundKey(k) ≤ RoundKey(k')): a key range [lo, hi] rounded at both
+// ends retrieves every key the unrounded range holds. A finite k beyond
+// float32's range becomes ±Inf.
+func RoundKey(k float64) float64 { return float64(float32(k)) }
+
+// RoundingError bounds |k − RoundKey(k)| for every k whose stored key has
+// magnitude at most m: one float32 ulp relative to m — twice the
+// round-to-nearest error — plus float32's smallest subnormal, which covers
+// keys rounded to or within the subnormal range.
+func RoundingError(m float64) float64 { return m*0x1p-23 + 0x1p-149 }
 
 // Less reports whether e precedes o in composite order.
 func (e Entry) Less(o Entry) bool {
@@ -75,12 +92,12 @@ func (k SlotKind) Combine(a, b float64) float64 {
 	return math.Max(a, b)
 }
 
-// Page layout (version 2, catalog format "DCDB0004"). Every node starts with a
+// Page layout (version 3, catalog format "DCDB0005"). Every node starts with a
 // 16-byte header whose region offsets make the body self-describing — a reader slices the
 // page in place instead of re-deriving offsets from a slot count:
 //
 //	[0]     node type (1 = leaf, 2 = internal)
-//	[1]     layout version (currently 2; any other value is ErrLayout)
+//	[1]     layout version (currently 3; any other value is ErrLayout)
 //	[2:4]   count (uint16): entries in a leaf, separators in an internal node
 //	[4:6]   hOff (uint16): offset of the handicap region (leaves) or of the
 //	        leftmost child pointer (internal nodes); today always 16
@@ -88,23 +105,25 @@ func (k SlotKind) Combine(a, b float64) float64 {
 //	        so H = (eOff−hOff)/8) or of the separator records (internal: 20)
 //	[8:16]  reserved: written as zero, never read
 //
-// Leaf body:     handicap region at hOff (H × 8-byte floats), entry region
+// Leaf body:     handicap region at hOff (H × 8-byte float64s), entry region
 //
-//	at eOff (count × 12-byte entries: key 8, tid 4).
+//	at eOff (count × 8-byte entries: float32 key 4, tid 4).
 //
-// Internal body: child0 (4 bytes) at hOff, then count × 16-byte separator
+// Internal body: child0 (4 bytes) at hOff, then count × 12-byte separator
 //
-//	records (sepKey 8, sepTID 4, rightChild 4) at eOff.
+//	records (float32 sepKey 4, sepTID 4, rightChild 4) at eOff.
 //
-// All regions are fixed-width and offset-addressed, so nodeView (view.go)
-// reads any field with one bounds-checked load off the pinned frame.
+// At 1 KiB with four handicap slots a leaf holds 122 entries and an internal
+// node 83 separators. All regions are fixed-width and offset-addressed, so
+// nodeView (view.go) reads any field with one bounds-checked load off the
+// pinned frame.
 const (
 	headerSize    = 16
-	entrySize     = 12
-	intRecSize    = 16
+	entrySize     = 8
+	intRecSize    = 12
 	typeLeaf      = 1
 	typeInternal  = 2
-	layoutVersion = 2
+	layoutVersion = 3
 
 	offType   = 0
 	offLayout = 1
@@ -162,18 +181,27 @@ func (n node) setHandicap(i int, v float64) {
 func (n node) entriesOff() int { return n.eOff() }
 
 func (n node) entry(i int) Entry {
-	off := n.entriesOff() + i*entrySize
+	return getRecord(n.data, n.entriesOff()+i*entrySize)
+}
+
+// setEntry writes e, whose key must be a stored one (RoundKey's).
+func (n node) setEntry(i int, e Entry) {
+	putRecord(n.data, n.entriesOff()+i*entrySize, e)
+	n.frame.MarkDirty()
+}
+
+// getRecord and putRecord read and write the (float32 key, tid) pair that
+// starts a leaf entry and a separator record at off.
+func getRecord(data []byte, off int) Entry {
 	return Entry{
-		Key: math.Float64frombits(binary.LittleEndian.Uint64(n.data[off : off+8])),
-		TID: binary.LittleEndian.Uint32(n.data[off+8 : off+12]),
+		Key: float64(math.Float32frombits(binary.LittleEndian.Uint32(data[off : off+4]))),
+		TID: binary.LittleEndian.Uint32(data[off+4 : off+8]),
 	}
 }
 
-func (n node) setEntry(i int, e Entry) {
-	off := n.entriesOff() + i*entrySize
-	binary.LittleEndian.PutUint64(n.data[off:off+8], math.Float64bits(e.Key))
-	binary.LittleEndian.PutUint32(n.data[off+8:off+12], e.TID)
-	n.frame.MarkDirty()
+func putRecord(data []byte, off int, e Entry) {
+	binary.LittleEndian.PutUint32(data[off:off+4], math.Float32bits(float32(e.Key)))
+	binary.LittleEndian.PutUint32(data[off+4:off+8], e.TID)
 }
 
 // insertEntryAt shifts entries [i:count) right by one and writes e at i.
@@ -224,7 +252,7 @@ func (n node) child(i int) pagestore.PageID {
 		h := n.hOff()
 		return pagestore.PageID(binary.LittleEndian.Uint32(n.data[h : h+4]))
 	}
-	off := n.eOff() + (i-1)*intRecSize + 12
+	off := n.eOff() + (i-1)*intRecSize + 8
 	return pagestore.PageID(binary.LittleEndian.Uint32(n.data[off : off+4]))
 }
 
@@ -233,24 +261,16 @@ func (n node) setChild(i int, p pagestore.PageID) {
 		h := n.hOff()
 		binary.LittleEndian.PutUint32(n.data[h:h+4], uint32(p))
 	} else {
-		off := n.eOff() + (i-1)*intRecSize + 12
+		off := n.eOff() + (i-1)*intRecSize + 8
 		binary.LittleEndian.PutUint32(n.data[off:off+4], uint32(p))
 	}
 	n.frame.MarkDirty()
 }
 
-func (n node) sep(i int) Entry {
-	off := n.eOff() + i*intRecSize
-	return Entry{
-		Key: math.Float64frombits(binary.LittleEndian.Uint64(n.data[off : off+8])),
-		TID: binary.LittleEndian.Uint32(n.data[off+8 : off+12]),
-	}
-}
+func (n node) sep(i int) Entry { return getRecord(n.data, n.eOff()+i*intRecSize) }
 
 func (n node) setSep(i int, e Entry) {
-	off := n.eOff() + i*intRecSize
-	binary.LittleEndian.PutUint64(n.data[off:off+8], math.Float64bits(e.Key))
-	binary.LittleEndian.PutUint32(n.data[off+8:off+12], e.TID)
+	putRecord(n.data, n.eOff()+i*intRecSize, e)
 	n.frame.MarkDirty()
 }
 

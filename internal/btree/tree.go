@@ -15,14 +15,19 @@ type Config struct {
 	// a plain B⁺-tree. At most maxHandicaps slots.
 	HandicapKinds []SlotKind
 	// FillFactor is the target leaf occupancy for bulk loading, in (0, 1];
-	// the default is 0.9.
+	// the default is DefaultFillFactor.
 	FillFactor float64
 }
+
+// DefaultFillFactor is the bulk-load leaf occupancy of a Config that names
+// none.
+const DefaultFillFactor = 0.9
 
 // maxHandicaps bounds Config.HandicapKinds.
 const maxHandicaps = 8
 
-// Tree is a disk-based B⁺-tree over (float64, uint32) composite keys.
+// Tree is a disk-based B⁺-tree over (float32, uint32) composite keys; its API
+// takes float64 keys and stores RoundKey of each.
 type Tree struct {
 	pool  *pagestore.Pool
 	cfg   Config
@@ -69,18 +74,9 @@ var ErrLayout = errors.New("btree: node header does not match the layout")
 
 // New creates an empty tree whose pages are allocated from pool.
 func New(pool *pagestore.Pool, cfg Config) (*Tree, error) {
-	if len(cfg.HandicapKinds) > maxHandicaps {
-		return nil, fmt.Errorf("btree: too many handicap slots (%d)", len(cfg.HandicapKinds))
-	}
-	if cfg.FillFactor <= 0 || cfg.FillFactor > 1 {
-		cfg.FillFactor = 0.9
-	}
 	t := &Tree{pool: pool, cfg: cfg, stats: &treeStats{}}
-	ps := pool.PageSize()
-	t.leafCap = (ps - headerSize - 8*len(cfg.HandicapKinds)) / entrySize
-	t.intCap = (ps - headerSize - 4) / intRecSize
-	if t.leafCap < 3 || t.intCap < 3 {
-		return nil, fmt.Errorf("btree: page size %d too small", ps)
+	if err := t.configure(); err != nil {
+		return nil, err
 	}
 	f, err := pool.NewPage()
 	if err != nil {
@@ -95,6 +91,24 @@ func New(pool *pagestore.Pool, cfg Config) (*Tree, error) {
 	return t, nil
 }
 
+// configure validates the config, defaults its fill factor and sizes the
+// nodes for the pool's pages.
+func (t *Tree) configure() error {
+	if len(t.cfg.HandicapKinds) > maxHandicaps {
+		return fmt.Errorf("btree: too many handicap slots (%d)", len(t.cfg.HandicapKinds))
+	}
+	if t.cfg.FillFactor <= 0 || t.cfg.FillFactor > 1 {
+		t.cfg.FillFactor = DefaultFillFactor
+	}
+	ps := t.pool.PageSize()
+	t.leafCap = (ps - headerSize - 8*len(t.cfg.HandicapKinds)) / entrySize
+	t.intCap = (ps - headerSize - 4) / intRecSize
+	if t.leafCap < 3 || t.intCap < 3 {
+		return fmt.Errorf("btree: page size %d too small", ps)
+	}
+	return nil
+}
+
 // Len returns the number of entries.
 func (t *Tree) Len() int { return t.size }
 
@@ -106,6 +120,10 @@ func (t *Tree) Pages() int { return t.pages }
 
 // LeafCapacity returns the per-leaf entry capacity (for tests and sizing).
 func (t *Tree) LeafCapacity() int { return t.leafCap }
+
+// InternalCapacity returns the separators an internal node holds; it has one
+// child more.
+func (t *Tree) InternalCapacity() int { return t.intCap }
 
 // Meta is the tree's persistent root metadata: everything needed to
 // reattach to its pages after a restart.
@@ -125,21 +143,12 @@ func (t *Tree) Meta() Meta {
 // must match the one the tree was created with (same handicap slots and
 // page size); this is checked against the root page where possible.
 func Restore(pool *pagestore.Pool, cfg Config, m Meta) (*Tree, error) {
-	if len(cfg.HandicapKinds) > maxHandicaps {
-		return nil, fmt.Errorf("btree: too many handicap slots (%d)", len(cfg.HandicapKinds))
-	}
-	if cfg.FillFactor <= 0 || cfg.FillFactor > 1 {
-		cfg.FillFactor = 0.9
-	}
 	if m.Root == pagestore.InvalidPage || m.Height < 1 {
 		return nil, fmt.Errorf("btree: invalid metadata %+v", m)
 	}
 	t := &Tree{pool: pool, cfg: cfg, root: m.Root, hgt: m.Height, size: m.Size, pages: m.Pages, stats: &treeStats{}}
-	ps := pool.PageSize()
-	t.leafCap = (ps - headerSize - 8*len(cfg.HandicapKinds)) / entrySize
-	t.intCap = (ps - headerSize - 4) / intRecSize
-	if t.leafCap < 3 || t.intCap < 3 {
-		return nil, fmt.Errorf("btree: page size %d too small", ps)
+	if err := t.configure(); err != nil {
+		return nil, err
 	}
 	// Sanity: the root page must be a node of this tree's header at the
 	// metadata's height.
@@ -270,9 +279,9 @@ func (t *Tree) SweepStats() SweepStats {
 	}
 }
 
-// Contains reports whether the exact entry (key, tid) is present.
+// Contains reports whether the entry (RoundKey(key), tid) is present.
 func (t *Tree) Contains(key float64, tid uint32) (bool, error) {
-	e := Entry{Key: key, TID: tid}
+	e := Entry{Key: RoundKey(key), TID: tid}
 	leaf, err := t.findLeaf(e)
 	if err != nil {
 		return false, err
@@ -282,12 +291,12 @@ func (t *Tree) Contains(key float64, tid uint32) (bool, error) {
 	return i < leaf.count() && leaf.entry(i) == e, nil
 }
 
-// Insert adds (key, tid). ErrDuplicate if the exact pair is present.
+// Insert adds (RoundKey(key), tid). ErrDuplicate if that pair is present.
 // Under an open copy-on-write batch the mutated path is shadowed into
 // batch-owned pages and the tree's root moves to the shadow copy; the
 // previously published root is untouched.
 func (t *Tree) Insert(key float64, tid uint32) error {
-	e := Entry{Key: key, TID: tid}
+	e := Entry{Key: RoundKey(key), TID: tid}
 	self, sep, right, err := t.insertInto(t.root, t.hgt, e)
 	if self != pagestore.InvalidPage && self != t.root {
 		// Adopt the shadowed root even on error, so a partially cloned
@@ -399,10 +408,11 @@ func (t *Tree) insertInto(id pagestore.PageID, height int, e Entry) (self pagest
 	return self, up, r.id(), nil
 }
 
-// Delete removes (key, tid), reporting whether it was present. Under an
-// open copy-on-write batch the mutated path is shadowed (see Insert).
+// Delete removes (RoundKey(key), tid), reporting whether it was present.
+// Under an open copy-on-write batch the mutated path is shadowed (see
+// Insert).
 func (t *Tree) Delete(key float64, tid uint32) (bool, error) {
-	e := Entry{Key: key, TID: tid}
+	e := Entry{Key: RoundKey(key), TID: tid}
 	self, found, _, err := t.deleteFrom(t.root, t.hgt, e)
 	if self != pagestore.InvalidPage && self != t.root {
 		t.root = self

@@ -87,7 +87,7 @@ func TestInsertManyRandomWithInvariants(t *testing.T) {
 		if err := tr.Insert(e.Key, e.TID); err != nil {
 			t.Fatal(err)
 		}
-		ref[e] = true
+		ref[Entry{Key: RoundKey(e.Key), TID: e.TID}] = true
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func TestMixedInsertDeleteAgainstReference(t *testing.T) {
 			if err := tr.Insert(e.Key, e.TID); err != nil {
 				t.Fatal(err)
 			}
-			ref[e] = true
+			ref[Entry{Key: RoundKey(e.Key), TID: e.TID}] = true
 			live = append(live, e)
 		} else {
 			i := rng.Intn(len(live))
@@ -184,7 +184,7 @@ func TestMixedInsertDeleteAgainstReference(t *testing.T) {
 			if err != nil || !found {
 				t.Fatalf("delete %v: %v %v", e, found, err)
 			}
-			delete(ref, e)
+			delete(ref, Entry{Key: RoundKey(e.Key), TID: e.TID})
 		}
 		if step%500 == 499 {
 			if err := tr.CheckInvariants(); err != nil {

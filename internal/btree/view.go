@@ -78,21 +78,15 @@ func (v nodeView) len() int { return int(v.meta.count) }
 
 func (v nodeView) key(i int) float64 {
 	off := int(v.meta.eOff) + i*entrySize
-	return math.Float64frombits(binary.LittleEndian.Uint64(v.data[off : off+8]))
+	return float64(math.Float32frombits(binary.LittleEndian.Uint32(v.data[off : off+4])))
 }
 
 func (v nodeView) tid(i int) uint32 {
 	off := int(v.meta.eOff) + i*entrySize
-	return binary.LittleEndian.Uint32(v.data[off+8 : off+12])
+	return binary.LittleEndian.Uint32(v.data[off+4 : off+8])
 }
 
-func (v nodeView) entry(i int) Entry {
-	off := int(v.meta.eOff) + i*entrySize
-	return Entry{
-		Key: math.Float64frombits(binary.LittleEndian.Uint64(v.data[off : off+8])),
-		TID: binary.LittleEndian.Uint32(v.data[off+8 : off+12]),
-	}
-}
+func (v nodeView) entry(i int) Entry { return getRecord(v.data, int(v.meta.eOff)+i*entrySize) }
 
 func (v nodeView) numHandicaps() int { return int(v.meta.eOff-v.meta.hOff) / 8 }
 
@@ -130,7 +124,8 @@ func (lv LeafView) Entry(i int) Entry {
 	return lv.v.entry(i)
 }
 
-// Key returns entry i's key without decoding its tuple id.
+// Key returns entry i's stored key — a float32, RoundKey of the key it was
+// inserted under — without decoding its tuple id.
 func (lv LeafView) Key(i int) float64 {
 	if viewGuard.Load() {
 		lv.v.check()

@@ -39,8 +39,8 @@ func refDecodeLeaf(t *testing.T, data []byte) refLeaf {
 	for i := 0; i < count; i++ {
 		off := eOff + i*entrySize
 		r.entries = append(r.entries, Entry{
-			Key: math.Float64frombits(binary.LittleEndian.Uint64(data[off : off+8])),
-			TID: binary.LittleEndian.Uint32(data[off+8 : off+12]),
+			Key: float64(math.Float32frombits(binary.LittleEndian.Uint32(data[off : off+4]))),
+			TID: binary.LittleEndian.Uint32(data[off+4 : off+8]),
 		})
 	}
 	return r

@@ -232,10 +232,8 @@ func bulkLoaded(ix *Index, err error) (*Index, error) {
 	return ix, nil
 }
 
-// bulkLoadPair sorts and bulk-loads one tree pair.
+// bulkLoadPair bulk-loads one tree pair.
 func bulkLoadPair(up, down *btree.Tree, upEntries, downEntries []btree.Entry) error {
-	slices.SortFunc(upEntries, btree.Entry.Compare)
-	slices.SortFunc(downEntries, btree.Entry.Compare)
 	if err := up.BulkLoad(upEntries); err != nil {
 		return err
 	}

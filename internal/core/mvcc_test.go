@@ -41,7 +41,7 @@ func TestInsertFaultLeavesSnapshotIntact(t *testing.T) {
 func testInsertFaultLeavesSnapshotIntact(t *testing.T, c engineCase) {
 	store := pagestore.NewFaultStore(pagestore.NewMemStore(1024))
 	rng := rand.New(rand.NewSource(17))
-	rel, ix := buildCase(t, c, rng, 120, store)
+	rel, ix := buildCase(t, c, rng, 250, store) // two leaves a tree: an insert clones a leaf and its parent
 
 	qs := make([]constraint.Query, 24)
 	for i := range qs {

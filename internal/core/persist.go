@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -24,11 +25,11 @@ import (
 // reattaches the trees.
 
 const (
-	// DCDB0004: node layout version 2 (btree/node.go) with every site key the
-	// kernel's TOP^P/BOT^P at the site — what Query.Matches compares against;
-	// DCDB0003 files hold envelope keys in the same layout and are refused,
-	// as are DCDB0001 and DCDB0002.
-	catalogMagic   = "DCDB0004"
+	// DCDB0005: node layout version 3 (btree/node.go) — 8-byte leaf entries,
+	// every site key the kernel's TOP^P/BOT^P at the site rounded to float32.
+	// DCDB0004 files hold the same keys unrounded in layout 2's 12-byte
+	// entries and are refused, as are DCDB0001 to DCDB0003.
+	catalogMagic   = "DCDB0005"
 	catalogPage    = pagestore.PageID(1)
 	catalogFixed   = 52 // bytes before the slope table
 	maxPersistK    = 23 // catalog page capacity bound at 1 KiB pages (incl. vertical pair)
@@ -101,7 +102,7 @@ func (ix *Index) Save() error {
 	binary.LittleEndian.PutUint32(d[12:16], uint32(ix.opt.RebuildHandicapsEvery))
 	binary.LittleEndian.PutUint64(d[16:24], math.Float64bits(ix.opt.PivotX))
 	binary.LittleEndian.PutUint64(d[24:32], math.Float64bits(ix.opt.OuterHalfWidth))
-	binary.LittleEndian.PutUint64(d[32:40], math.Float64bits(0.9)) // fill factor: btree's default, never read
+	binary.LittleEndian.PutUint64(d[32:40], math.Float64bits(btree.DefaultFillFactor)) // never read
 	binary.LittleEndian.PutUint32(d[40:44], uint32(head))
 	binary.LittleEndian.PutUint32(d[44:48], uint32(count))
 	binary.LittleEndian.PutUint32(d[48:52], uint32(ix.rel.Dim()))
@@ -122,6 +123,12 @@ func (ix *Index) Save() error {
 	return ix.pool.Flush()
 }
 
+// ErrCatalog is returned by Open when page 1 is not a catalog this version
+// writes: another format's magic — a DCDB0004 or older file, whose trees
+// have another node layout — or a damaged field. A node of another layout
+// under a current catalog is btree.ErrLayout.
+var ErrCatalog = errors.New("core: bad catalog")
+
 // catalog is the decoded catalog page.
 type catalog struct {
 	opt   Options
@@ -135,7 +142,7 @@ type catalog struct {
 // set the constructors would have rejected.
 func parseCatalog(d []byte) (catalog, error) {
 	if len(d) < catalogFixed || string(d[0:8]) != catalogMagic {
-		return catalog{}, fmt.Errorf("core: bad catalog magic %q", d[0:min(8, len(d))])
+		return catalog{}, fmt.Errorf("%w magic %q", ErrCatalog, d[0:min(8, len(d))])
 	}
 	c := catalog{
 		opt: Options{
@@ -150,10 +157,10 @@ func parseCatalog(d []byte) (catalog, error) {
 		count: int(binary.LittleEndian.Uint32(d[44:48])),
 	}
 	if dim := binary.LittleEndian.Uint32(d[48:52]); dim != 2 {
-		return catalog{}, fmt.Errorf("core: persisted dimension %d (the 2-D Open only)", dim)
+		return catalog{}, fmt.Errorf("%w: persisted dimension %d (the 2-D Open only)", ErrCatalog, dim)
 	}
 	if c.opt.Technique > RestrictedOnly {
-		return catalog{}, fmt.Errorf("core: corrupt catalog: unknown technique %d", d[8])
+		return catalog{}, fmt.Errorf("%w: unknown technique %d", ErrCatalog, d[8])
 	}
 	k := int(binary.LittleEndian.Uint16(d[10:12]))
 	trees := 2 * k
@@ -161,7 +168,7 @@ func parseCatalog(d []byte) (catalog, error) {
 		trees += 2
 	}
 	if k < 1 || k > maxPersistK || catalogFixed+8*k+16*trees > len(d) {
-		return catalog{}, fmt.Errorf("core: corrupt catalog: %d slopes do not fit a %d-byte page", k, len(d))
+		return catalog{}, fmt.Errorf("%w: %d slopes do not fit a %d-byte page", ErrCatalog, k, len(d))
 	}
 	off := catalogFixed
 	c.opt.Slopes = make([]float64, k)
@@ -170,7 +177,7 @@ func parseCatalog(d []byte) (catalog, error) {
 		off += 8
 	}
 	if err := checkSlopes(c.opt.Slopes, c.opt.Technique); err != nil {
-		return catalog{}, fmt.Errorf("core: corrupt catalog: %w", err)
+		return catalog{}, fmt.Errorf("%w: %w", ErrCatalog, err)
 	}
 	c.metas = make([]btree.Meta, trees)
 	for i := range c.metas {

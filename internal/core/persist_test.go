@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -226,7 +227,7 @@ func TestOpenRejectsDamagedCatalog(t *testing.T) {
 		"slopes-unsorted":   func(d, _ []byte) { putF(d, slope0, getF(d, slope0+16)+1) },
 		"slopes-within-eps": func(d, _ []byte) { putF(d, slope0+8, getF(d, slope0)) },
 		"technique":         func(d, _ []byte) { d[8] = 7 },
-		"previous-format":   func(d, _ []byte) { copy(d[0:8], "DCDB0003") },
+		"previous-format":   func(d, _ []byte) { copy(d[0:8], "DCDB0004") },
 		"chain-cycle": func(d, head []byte) {
 			// The first chain page points back at itself.
 			copy(head[0:4], d[40:44])
@@ -266,8 +267,12 @@ func TestOpenRejectsDamagedCatalog(t *testing.T) {
 			}
 
 			pool := pagestore.NewPool(store, 64)
-			if _, _, err := Open(pool); err == nil {
+			_, _, err = Open(pool)
+			if err == nil {
 				t.Fatal("Open accepted the damaged database")
+			}
+			if name != "chain-cycle" && !errors.Is(err, ErrCatalog) {
+				t.Fatalf("Open of a damaged catalog: %v, want ErrCatalog", err)
 			}
 			if reads, budget := pool.Stats().LogicalReads, uint64(store.NumAllocated())+1; reads > budget {
 				t.Fatalf("Open read %d pages before failing, budget %d", reads, budget)
@@ -523,6 +528,42 @@ func TestForeignNodeLayoutFailsLoudly(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestOpenRefusesPreviousFormatFile opens testdata/dcdb0004.cdb, a file the
+// previous format wrote — 100 tuples, k = 3, trees of layout-2 nodes with
+// 12-byte entries. Open must refuse its catalog with ErrCatalog, and with the
+// catalog's magic patched to the current one, refuse the first layout-2 root
+// with btree.ErrLayout: a typed error either way, never a panic or an index.
+func TestOpenRefusesPreviousFormatFile(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "dcdb0004.cdb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func(data []byte) error {
+		path := filepath.Join(t.TempDir(), "old.cdb")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		store, err := pagestore.OpenExistingFileStore(path, pagestore.DefaultPageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store.Close()
+		_, ix, err := Open(pagestore.NewPool(store, 64))
+		if ix != nil {
+			t.Fatal("Open returned an index over a previous-format file")
+		}
+		return err
+	}
+	if err := open(old); !errors.Is(err, ErrCatalog) || !strings.Contains(err.Error(), "DCDB0004") {
+		t.Fatalf("Open of a DCDB0004 file: %v, want ErrCatalog naming its magic", err)
+	}
+	patched := slices.Clone(old)
+	copy(patched, catalogMagic) // page 1, the catalog, is the file's first
+	if err := open(patched); !errors.Is(err, btree.ErrLayout) || !strings.Contains(err.Error(), "layout version 2") {
+		t.Fatalf("Open of layout-2 trees under a current catalog: %v, want btree.ErrLayout", err)
+	}
 }
 
 // TestInsertWithID covers the relation restore primitive.

@@ -252,10 +252,13 @@ func (ix *Index) queryExec(q constraint.Query, ec *execCtx) (Result, error) {
 }
 
 // sweep is the engine's one leaf sweep: from the leaf owning `from`, in one
-// direction, it retrieves every entry whose key lies in [lo, hi] and stops
-// after the first leaf holding a key beyond the range's far end. Every path —
-// restricted, T1's app-queries, both T2 sweeps, the vertical pair, in any
-// dimension — is one or two of these.
+// direction, it retrieves every entry whose stored key lies in
+// [RoundKey(lo), RoundKey(hi)] and stops after the first leaf holding a key
+// beyond the range's far end. A stored key is its value rounded to float32
+// (btree.RoundKey), and rounding is monotone, so the range holds every entry
+// whose value lies in [lo, hi], and perhaps a few more whose value rounds to
+// an end. Every path — restricted, T1's app-queries, both T2 sweeps, the
+// vertical pair, in any dimension — is one or two of these.
 type sweep struct {
 	from   float64
 	asc    bool
@@ -263,9 +266,12 @@ type sweep struct {
 	// slot ≥ 0 folds that handicap slot over the visited leaves: the
 	// minimum on an ascending sweep, the maximum on a descending one.
 	slot int
-	// sure: the keys were computed at the query's slope and [lo, hi] is the
-	// predicate's own bound, so every retrieved entry is in the answer on its
-	// key alone (the restricted path, DESIGN.md §16).
+	// sure: the keys were computed at the query's slope and the range's near
+	// end — lo ascending, hi descending — is the predicate's own bound, so an
+	// entry whose stored key lies strictly inside it is in the answer on its
+	// key alone; one whose stored key equals the rounded bound may have a
+	// value on either side of it and is evaluated (the restricted path,
+	// DESIGN.md §16).
 	sure bool
 	// rule settles entries from key and x-extent when the keys were computed
 	// off the query slope (T2); the zero value settles none.
@@ -280,8 +286,9 @@ type sweep struct {
 //	[k − max(shift·infX, shift·supX), k − min(shift·infX, shift·supX)]
 //
 // (DESIGN.md §17). An interval wholly beyond `above` or `below` — the
-// intercept plus and minus the margin collectT2 states — is decided;
-// everything else, and every non-finite key or extent, is the predicate's.
+// intercept plus and minus the margin collectT2 states, widened per leaf by
+// the key's own rounding (atLeaf) — is decided; everything else, and every
+// non-finite key or extent, is the predicate's.
 type keyRule struct {
 	// xext is the pinned version's x-extent table (rootSet.xext); nil: no
 	// rule.
@@ -316,6 +323,34 @@ const (
 	reject                  // out of it on the key alone
 )
 
+// atLeaf is the rule for the entries of one leaf whose finite stored keys
+// have magnitude at most m: a stored key is within btree.RoundingError(m) of
+// the kernel value it was rounded from, so above and below move out by that
+// much. Once per leaf, so the per-entry test stays two products and two
+// comparisons.
+func (r keyRule) atLeaf(m float64) keyRule {
+	e := btree.RoundingError(m)
+	r.above, r.below = r.above+e, r.below-e
+	return r
+}
+
+// finiteKeyBound returns the largest magnitude of a finite key of the leaf:
+// keys are sorted, so it is one of the first and last finite ones. The ±Inf
+// keys it steps over are the predicate's anyway.
+func finiteKeyBound(lv btree.LeafView, n int) float64 {
+	i, j := 0, n-1
+	for i < j && math.IsInf(lv.Key(i), 0) {
+		i++
+	}
+	for j > i && math.IsInf(lv.Key(j), 0) {
+		j--
+	}
+	if m := max(math.Abs(lv.Key(i)), math.Abs(lv.Key(j))); !math.IsInf(m, 0) {
+		return m
+	}
+	return 0 // every key is infinite: none is decided
+}
+
 func (r *keyRule) decide(k float64, x [2]float64) verdict {
 	lo, hi := k-r.shift*x[r.far], k-r.shift*x[1-r.far]
 	switch {
@@ -338,7 +373,9 @@ func (r *keyRule) decide(k float64, x [2]float64) verdict {
 // a key within tol of b can be stored in the leaf preceding the one that
 // owns b, and a sweep starting at b would never visit it. At tol = geom.Eps
 // the bound is the very float Query.Matches compares a surface value with,
-// so over keys computed at the query's slope the filter is the predicate.
+// so over keys computed at the query's slope the filter is the predicate up
+// to the keys' rounding: it keeps every value the predicate accepts, and
+// past that only values whose stored key equals the rounded bound.
 func firstSweep(b, tol float64, up bool, slot int) sweep {
 	if up {
 		return sweep{from: b - tol, asc: true, lo: b - tol, hi: math.Inf(1), slot: slot}
@@ -348,14 +385,19 @@ func firstSweep(b, tol float64, up bool, slot int) sweep {
 
 // secondSweep is T2's: from b against the direction of the first sweep, as
 // far as the handicap bound h (one tolerance past it). It keeps exactly the
-// keys the first sweep's filter rejected — the open end of its range is the
-// float64 neighbour of the first sweep's closed one — so the two sweeps are
-// disjoint and no duplicates arise.
+// stored keys the first sweep's filter rejected — the open end of its range
+// is the float32 neighbour of the first sweep's rounded closed end — so the
+// two sweeps are disjoint and no duplicates arise.
 func secondSweep(b, tol float64, up bool, h float64) sweep {
 	if up {
-		return sweep{from: b, asc: false, lo: h - tol, hi: math.Nextafter(b-tol, math.Inf(-1)), slot: -1}
+		return sweep{from: b, asc: false, lo: h - tol, hi: float32Next(b-tol, math.Inf(-1)), slot: -1}
 	}
-	return sweep{from: b, asc: true, lo: math.Nextafter(b+tol, math.Inf(1)), hi: h + tol, slot: -1}
+	return sweep{from: b, asc: true, lo: float32Next(b+tol, math.Inf(1)), hi: h + tol, slot: -1}
+}
+
+// float32Next is the stored key after RoundKey(k) in the direction of dir.
+func float32Next(k, dir float64) float64 {
+	return float64(math.Nextafter32(float32(btree.RoundKey(k)), float32(dir)))
 }
 
 // run executes the sweep on tr: every retrieved entry counts into
@@ -368,6 +410,11 @@ func (s sweep) run(tr *btree.Tree, rc *pagestore.ReadCounter, sc *scratch, st *Q
 	if !s.asc {
 		h = math.Inf(-1)
 	}
+	lo, hi := btree.RoundKey(s.lo), btree.RoundKey(s.hi)
+	bound := lo // the predicate's end of a sure sweep
+	if !s.asc {
+		bound = hi
+	}
 	cands0, sure0, rejected := len(sc.cands), len(sc.sure), 0
 	visit := func(lv btree.LeafView) bool {
 		st.LeavesSwept++
@@ -379,20 +426,24 @@ func (s sweep) run(tr *btree.Tree, rc *pagestore.ReadCounter, sc *scratch, st *Q
 			}
 		}
 		n := lv.Len()
+		var rule keyRule
+		if s.rule.xext != nil && n > 0 {
+			rule = s.rule.atLeaf(finiteKeyBound(lv, n))
+		}
 		for i := 0; i < n; i++ {
 			switch k := lv.Key(i); {
-			case !(k >= s.lo && k <= s.hi):
-			case s.sure:
+			case !(k >= lo && k <= hi):
+			case s.sure && k != bound: //dualvet:allow floatcmp — a stored key equal to the rounded bound may stand for a value on either side of it
 				sc.sure = append(sc.sure, lv.TID(i))
-			case s.rule.xext == nil:
+			case rule.xext == nil:
 				sc.cands = append(sc.cands, lv.TID(i))
 			default:
 				tid := lv.TID(i)
 				v := evaluate
 				// A reference past the table is past the relation: it stays
 				// undecided and refinement reports it.
-				if j := int(tid) - 1; uint(j) < uint(len(s.rule.xext)) {
-					v = s.rule.decide(k, s.rule.xext[j])
+				if j := int(tid) - 1; uint(j) < uint(len(rule.xext)) {
+					v = rule.decide(k, rule.xext[j])
 				}
 				switch v {
 				case accept:
@@ -410,9 +461,9 @@ func (s sweep) run(tr *btree.Tree, rc *pagestore.ReadCounter, sc *scratch, st *Q
 		case n == 0:
 			return true
 		case s.asc:
-			return lv.Key(n-1) <= s.hi
+			return lv.Key(n-1) <= hi
 		default:
-			return lv.Key(0) >= s.lo
+			return lv.Key(0) >= lo
 		}
 	}
 	var err error
@@ -430,8 +481,9 @@ func (s sweep) run(tr *btree.Tree, rc *pagestore.ReadCounter, sc *scratch, st *Q
 
 // collectRestricted answers a query whose slope is site r.site itself
 // (Section 3): one search plus a one-directional leaf sweep. By Theorem 3.1
-// the keys are the answer — every entry is settled on its key, finite or
-// not, and no tuple is evaluated (DESIGN.md §16).
+// the keys are the answer — every entry whose stored key lies strictly
+// inside the rounded bound is settled on its key, finite or not, and only
+// those whose stored key equals it are evaluated (DESIGN.md §16).
 func (ix *Index) collectRestricted(r routing, q constraint.Query, ec *execCtx, sc *scratch) (QueryStats, error) {
 	st := QueryStats{Path: "restricted"}
 	sw := firstSweep(q.Intercept, geom.Eps, q.SweepsUp(), -1)
@@ -541,7 +593,8 @@ func (ix *Index) collectT1(q constraint.Query, slopes []float64, ec *execCtx, sc
 // absorbs the routing keys behind the handicaps — envelope values at the
 // query slope a, within δ(a) of the kernel's — and the rounding of the
 // products the rule brackets with: the kernel's at a and at the site a − Δ,
-// and the rule's own Δ·x (DESIGN.md §17).
+// and the rule's own Δ·x. The rule widens it once per leaf by the keys'
+// rounding to float32 (keyRule.atLeaf; DESIGN.md §17).
 func (ix *Index) collectT2(r routing, q constraint.Query, ec *execCtx, sc *scratch) (QueryStats, error) {
 	st, slot := QueryStats{Path: "t2"}, r.slot
 	if !r.inCell {

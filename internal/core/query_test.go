@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dualcdb/internal/btree"
 	"dualcdb/internal/constraint"
 	"dualcdb/internal/geom"
 	"dualcdb/internal/obs"
@@ -137,30 +138,100 @@ func TestT2PathForInStripSlopes(t *testing.T) {
 	}
 }
 
-// TestRestrictedIOCost checks Theorem 3.1's shape: the restricted query
-// cost is bounded by height + leaves holding the answer (plus one).
+// TestRestrictedIOCost checks Theorem 3.1's shape, with bounds derived from
+// the layout: a restricted query sweeps the leaves that hold the entries it
+// retrieves — ⌈entries / per leaf⌉ at a bulk load's fill, plus the leaf it
+// starts in and a short last one — and reads each of them and the root once.
 func TestRestrictedIOCost(t *testing.T) {
 	rng := rand.New(rand.NewSource(204))
 	opt := Options{Slopes: []float64{0}, Technique: RestrictedOnly, PoolPages: 2048}
-	rel, ix := buildRandomIndex(t, rng, 2000, opt, false)
-	_ = rel
-	if err := ix.Pool().EvictAll(); err != nil {
-		t.Fatal(err)
+	_, ix := buildRandomIndex(t, rng, 2000, opt, false)
+	tr := ix.trees[0]
+	perLeaf := int(float64(tr.LeafCapacity()) * btree.DefaultFillFactor)
+	if tr.Height() != 2 {
+		t.Fatalf("height %d: the bound below counts one internal level", tr.Height())
 	}
-	// A very selective query: few results, so few leaves.
-	q := constraint.Query2(constraint.EXIST, 0, 49.5, geom.GE)
-	got, err := ix.Query(q)
-	if err != nil {
-		t.Fatal(err)
+	for _, b := range []float64{49.5, 0, math.Inf(-1)} { // a few results, some, all
+		if err := ix.Pool().EvictAll(); err != nil {
+			t.Fatal(err)
+		}
+		q := constraint.Query2(constraint.EXIST, 0, b, geom.GE)
+		got, err := ix.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := got.Stats
+		if maxLeaves := (st.Candidates+perLeaf-1)/perLeaf + 2; st.LeavesSwept > maxLeaves {
+			t.Fatalf("%v: swept %d leaves for %d entries, at most %d at %d a leaf", q, st.LeavesSwept, st.Candidates, maxLeaves, perLeaf)
+		}
+		if st.PagesRead != uint64(st.LeavesSwept+1) {
+			t.Fatalf("%v: read %d pages for %d leaves under one root", q, st.PagesRead, st.LeavesSwept)
+		}
 	}
-	perLeaf := 70 // conservative lower bound on leaf fan-out at 1 KiB pages
-	maxLeaves := got.Stats.Results/perLeaf + 2
-	if got.Stats.LeavesSwept > maxLeaves+4 {
-		t.Fatalf("swept %d leaves for %d results", got.Stats.LeavesSwept, got.Stats.Results)
+}
+
+// TestIndexPagesFollowLayout: a bulk-loaded index is 2k trees of exactly the
+// pages BulkLoad packs at the layout's capacities. At 1 KiB with four slots a
+// leaf holds 122 entries and an internal node 83 separators, so N = 12 000 at
+// k = 4 — the benchmark's index — is 8 × (110 leaves + 2 internal nodes + the
+// root) = 904 pages.
+func TestIndexPagesFollowLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for _, n := range []int{2000, 12000} {
+		rel := constraint.NewRelation(2)
+		for rel.Len() < n {
+			if _, err := rel.Insert(randTuple(rng, false)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, k := range []int{2, 4} {
+			ix, err := Build(rel, Options{Slopes: EquiangularSlopes(k), Technique: T2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := ix.trees[0]
+			if tr.LeafCapacity() != 122 || tr.InternalCapacity() != 83 || ix.Len() != n {
+				t.Fatalf("capacities %d/%d with %d tuples indexed; want 122/83 and %d", tr.LeafCapacity(), tr.InternalCapacity(), ix.Len(), n)
+			}
+			want := 2 * k * bulkLoadedPages(n, tr.LeafCapacity(), tr.InternalCapacity())
+			if n == 12000 && k == 4 && want != 904 {
+				t.Fatalf("the model gives %d pages at N = 12 000, k = 4; want 904", want)
+			}
+			if got := ix.Pages(); got != want {
+				t.Fatalf("N = %d, k = %d: %d pages, the layout's %d", n, k, got, want)
+			}
+		}
 	}
-	if got.Stats.PagesRead > uint64(maxLeaves+8) {
-		t.Fatalf("read %d pages for %d results", got.Stats.PagesRead, got.Stats.Results)
+}
+
+// bulkLoadedPages models BulkLoad's packing of n entries: leaves of
+// int(leafCap · fill) entries, internal nodes of intCap + 1 children, each
+// level's last two nodes balanced so that neither is below the minimum fill.
+func bulkLoadedPages(n, leafCap, intCap int) int {
+	perLeaf, minLeaf, minChildren := int(float64(leafCap)*btree.DefaultFillFactor), leafCap/2, (intCap-1)/2+1
+	nodes := 0
+	for i := 0; i < n; nodes++ {
+		take := min(perLeaf, n-i)
+		if rem := n - i; rem > take && rem-take < minLeaf {
+			if take = rem - minLeaf; take < minLeaf {
+				take = rem
+			}
+		}
+		i += take
 	}
+	pages := nodes
+	for nodes > 1 {
+		level := 0
+		for i := 0; i < nodes; level++ {
+			take := min(intCap+1, nodes-i)
+			if rem := nodes - i; rem > take && rem-take < minChildren {
+				take = rem - minChildren
+			}
+			i += take
+		}
+		nodes, pages = level, pages+level
+	}
+	return pages
 }
 
 // TestFigure1WindowClippingUnsound reproduces the paper's Figure 1
@@ -251,7 +322,13 @@ func TestQueryStatsConsistency(t *testing.T) {
 	if decided == 0 {
 		t.Fatal("no entry was ever decided on its key")
 	}
-	// On a site the keys are the answer (Theorem 3.1): no tuple is evaluated.
+	// On a site the keys are the answer (Theorem 3.1): only an entry whose
+	// stored key equals the rounded bound is evaluated.
+	var ts []*constraint.Tuple
+	ix.rel.Scan(func(tp *constraint.Tuple) bool {
+		ts = append(ts, tp)
+		return true
+	})
 	for qi, a := range ix.Slopes() {
 		q := randQuery(rng)
 		q.Slope[0], q.Intercept = a, float64(qi*7-10)
@@ -259,15 +336,44 @@ func TestQueryStatsConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		slack := atRoundedBound(q, ts)
 		for _, sp := range o.SlowTraces()[0].Spans {
-			if sp.Stage == obs.StageRefine.String() && sp.Items != 0 {
-				t.Fatalf("%v: %d tuples evaluated on a site", q, sp.Items)
+			if sp.Stage == obs.StageRefine.String() && sp.Items > slack {
+				t.Fatalf("%v: %d tuples evaluated on a site, %d stored keys at the rounded bound", q, sp.Items, slack)
 			}
 		}
-		if st := got.Stats; st.Path != "restricted" || st.Candidates == 0 || st.FalseHits != 0 || st.Decided != st.Candidates || st.Results != st.Candidates {
-			t.Fatalf("%v: %+v; want every retrieved entry decided and in the answer", q, st)
+		if st := got.Stats; st.Candidates == 0 || st.Results < st.Candidates-slack || !onSiteSettled(st, slack) {
+			t.Fatalf("%v: %+v; want every retrieved entry but those at the rounded bound decided and in the answer", q, st)
 		}
 	}
+}
+
+// atRoundedBound counts the satisfiable tuples of ts whose stored key for q —
+// the surface value at q's slope, rounded as the tree stores it
+// (btree.RoundKey) — equals q's rounded bound b ∓ Eps: on a site the only
+// entries a restricted sweep evaluates instead of settling on their key, so
+// the most evaluations and false hits it may report.
+func atRoundedBound(q constraint.Query, ts []*constraint.Tuple) int {
+	bound := q.Intercept - geom.Eps
+	if !q.SweepsUp() {
+		bound = q.Intercept + geom.Eps
+	}
+	n := 0
+	for _, tp := range ts {
+		if tp.IsSatisfiable() && btree.RoundKey(surfaceOf(tp, q)) == btree.RoundKey(bound) {
+			n++
+		}
+	}
+	return n
+}
+
+// onSiteSettled reports whether a query's stats keep the on-site rule: it ran
+// the restricted path, with no duplicates, evaluating at most the slack
+// entries whose stored key equals the rounded bound and settling every other
+// on its key, and any false hit is among the evaluated.
+func onSiteSettled(st QueryStats, slack int) bool {
+	evaluated := st.Candidates - st.Duplicates - st.Decided
+	return st.Path == "restricted" && st.Duplicates == 0 && evaluated <= slack && st.FalseHits <= evaluated
 }
 
 // TestQueryRejectsBadInput exercises input validation.

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dualcdb/internal/btree"
 	"dualcdb/internal/constraint"
 	"dualcdb/internal/geom"
 )
@@ -164,17 +165,24 @@ func TestT2BoundaryMatchesScan(t *testing.T) {
 }
 
 // slopeBoundHolds checks keyRule against the predicate for one tuple whose
-// keys were computed at slope s, queried at slope a and intercept b, in all
-// four shapes: a decision must be the predicate's, and a non-finite key or
-// extent must never be decided. It returns how many shapes were decided.
+// keys were computed at slope s and stored rounded to float32, queried at
+// slope a and intercept b, in all four shapes: a decision — by the rule a
+// sweep applies to a leaf holding that key alone — must be the predicate's,
+// and a non-finite key or extent must never be decided. It returns how many
+// shapes were decided.
 func slopeBoundHolds(tp *constraint.Tuple, s, a, b float64) (int, error) {
 	x := xExtent(tp)
 	decided := 0
 	for _, kind := range []constraint.QueryKind{constraint.ALL, constraint.EXIST} {
 		for _, op := range []geom.Op{geom.GE, geom.LE} {
 			q := constraint.Query2(kind, a, b, op)
-			key := surfaceOf(tp, constraint.Query2(kind, s, b, op)) // the tree key: the kernel's value at the site
-			rule := slopeRule(nil, b, t2Margin(s, a), a-s, q.SweepsUp())
+			// The tree key: the kernel's value at the site, as the tree stores it.
+			key := btree.RoundKey(surfaceOf(tp, constraint.Query2(kind, s, b, op)))
+			m := math.Abs(key)
+			if math.IsInf(m, 0) {
+				m = 0 // finiteKeyBound of a leaf with no finite key
+			}
+			rule := slopeRule(nil, b, t2Margin(s, a), a-s, q.SweepsUp()).atLeaf(m)
 			v := rule.decide(key, x)
 			if v == evaluate {
 				continue
@@ -285,6 +293,14 @@ func FuzzSlopeBound(f *testing.F) {
 	f.Add(0.0, 10.0, 5e-10, 10-1e-10, -3.0, 2.0, 0.0, -1.0, -1.5, -1.2, 4e-9)
 	f.Add(0.0, 0.0, 1e-300, 1.0, 1.0, 0.0, 1e-10, -1.0, 1.0, -1e6, 0.0)
 	f.Add(0.0, 0.0, 2e6, 0.0, 0.0, 1.0, 0.0, 0.0, 0.5, 0.7, 0.0)
+	// Points whose stored key is their value rounded 5e-7 down, resp. 4e-7
+	// up — fifteen margins — queried 1e-9 off the site, where the bracket
+	// has no width: the intercept 2e-7 inside the value decides only if the
+	// leaf's rounding widens the rule. testdata's key-rounding-decides-bracket
+	// is the same with a bracket of width 0.53: a triangle keyed at 1/6,
+	// queried at 0.7 on its value.
+	f.Add(0.0, 16+5e-7, 0.0, 16+5e-7, 0.0, 16+5e-7, 0.0, 0.0, 0.0, 1e-9, -2e-7)
+	f.Add(0.0, 16-4e-7, 0.0, 16-4e-7, 0.0, 16-4e-7, 0.0, 0.0, 0.0, -1e-9, 2e-7)
 	f.Fuzz(func(t *testing.T, x0, y0, x1, y1, x2, y2, rx, ry, s, a, off float64) {
 		for _, v := range []float64{s, a, off} {
 			if math.IsNaN(v) || math.Abs(v) > 1e6 {
