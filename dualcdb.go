@@ -148,8 +148,8 @@ const (
 
 // ErrTupleRange is what Insert, the Build functions and OpenDatabase return
 // (wrapped; test with errors.Is) for a tuple with a vertex or ray coordinate
-// that is not finite or beyond 1e6 in magnitude, or with more than 30
-// vertices within 1e-9 of one another in x. Such a tuple is never indexed.
+// that is not finite or beyond 1e6 in magnitude. Such a tuple is never
+// indexed.
 var ErrTupleRange = core.ErrTupleRange
 
 // ErrIDLimit is what Relation.Insert, Index.Insert and OpenDatabase return

@@ -22,9 +22,10 @@ type TupleID uint32
 // Its extension — the set of solution points — is a convex polyhedron,
 // possibly unbounded or empty.
 //
-// A Tuple caches its extension, the extension's packed generators (what
-// refinement evaluates TOP^P/BOT^P on) and (in E²) its TOP/BOT dual
-// envelopes; it is immutable after creation and safe for concurrent use.
+// A Tuple caches its extension and the extension's packed generators, which
+// every value the index needs is computed from: refinement's TOP^P/BOT^P,
+// the tree keys and (in E²) the handicap routing keys over half strips
+// (StripExtrema). It is immutable after creation and safe for concurrent use.
 type Tuple struct {
 	// dim, once and gen lead the struct: they are all Query.Matches reads.
 	dim  int
@@ -35,10 +36,6 @@ type Tuple struct {
 	id   TupleID
 	cons []geom.HalfSpace
 	ext  geom.Polyhedron
-
-	envOnce sync.Once
-	topEnv  geom.Envelope
-	botEnv  geom.Envelope
 
 	// noHRep: cons does not define ext (FromPolyhedron over generators only).
 	noHRep bool
@@ -152,31 +149,35 @@ func (t *Tuple) Support(c []float64) (float64, error) {
 	return g.Support(c), nil
 }
 
-// TopEnv returns the exact TOP^P envelope of a 2-D tuple as a function of
-// the query slope. It panics for dim ≠ 2.
-func (t *Tuple) TopEnv() geom.Envelope {
-	t.ensureEnvelopes()
-	return t.topEnv
+// StripExtrema returns the extrema of TOP^P and BOT^P of a 2-D tuple over the
+// half strips [lo, a] and [a, hi], from the same generators as Top and Bot
+// and without allocating (geom.Generators.StripExtrema).
+func (t *Tuple) StripExtrema(lo, a, hi float64) (top, bot geom.HalfStrips, err error) {
+	g, err := t.generators(2)
+	top, bot = g.StripExtrema(lo, a, hi)
+	return top, bot, err
 }
 
-// BotEnv returns the exact BOT^P envelope of a 2-D tuple.
-func (t *Tuple) BotEnv() geom.Envelope {
-	t.ensureEnvelopes()
-	return t.botEnv
-}
+// TopEnv returns the TOP^P envelope of a 2-D tuple as a function of the
+// query slope, built on every call: nothing in the engine evaluates one. It
+// is the reference tests and bench/ compare the kernel with, until bench/
+// replays Tuple.Top instead (ROADMAP 2(h)). It panics for dim ≠ 2.
+func (t *Tuple) TopEnv() geom.Envelope { return geom.TopEnvelope2(t.extension2()) }
 
-func (t *Tuple) ensureEnvelopes() {
+// BotEnv returns the BOT^P envelope of a 2-D tuple, built on every call like
+// TopEnv's.
+func (t *Tuple) BotEnv() geom.Envelope { return geom.BotEnvelope2(t.extension2()) }
+
+// extension2 is the extension of a 2-D tuple, empty on error.
+func (t *Tuple) extension2() geom.Polyhedron {
 	if t.dim != 2 {
 		panic("constraint: TOP/BOT envelopes are defined for 2-D tuples only")
 	}
-	t.envOnce.Do(func() {
-		ext, err := t.Extension()
-		if err != nil {
-			ext = geom.EmptyPolyhedron(2)
-		}
-		t.topEnv = geom.TopEnvelope2(ext)
-		t.botEnv = geom.BotEnvelope2(ext)
-	})
+	ext, err := t.Extension()
+	if err != nil {
+		return geom.EmptyPolyhedron(2)
+	}
+	return ext
 }
 
 // String renders the tuple in the textual constraint syntax.

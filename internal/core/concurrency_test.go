@@ -12,8 +12,9 @@ import (
 var errMismatch = errors.New("concurrent query returned a wrong answer")
 
 // TestConcurrentQueries: the index supports concurrent readers — queries
-// only pin pages (mutex-protected pool), evaluate cached envelopes
-// (sync.Once) and read immutable index state. Run under -race to verify
+// only pin pages (mutex-protected pool), evaluate the kernel over each
+// tuple's cached generators (sync.Once) and read immutable index state.
+// Run under -race to verify
 // (`go test -race ./internal/core -run Concurrent`).
 func TestConcurrentQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(801))

@@ -21,8 +21,8 @@ import (
 // leaf carries four handicaps with exact strip extrema. siteSet is the
 // E^d construction: cells are clamped Voronoi cells with one low/high pair
 // over the whole cell. A strip is the Voronoi cell of a site in E¹, so the
-// first is the second specialised — with the tighter half-strip bounds the
-// envelopes of E² afford.
+// first is the second specialised — with the tighter half-strip bounds that
+// E²'s one-dimensional slope space affords.
 type slopeSpace interface {
 	// sites is |S|; site i owns the tree pair up[i]/down[i].
 	sites() int
@@ -128,23 +128,25 @@ func (g *slopeSet) stripBounds(i int) (leftLo, rightHi float64) {
 	return leftLo, rightHi
 }
 
-// routes are the exact half-strip extrema of the tuple's envelopes
-// (DESIGN.md §4.3): low slots route by the strip max (TOP convex ⇒ exact
-// at strip endpoints), high slots by the strip min. This is the one place a
-// function over a strip is needed, and so the one place the engine asks the
-// envelope; its values lie within geom.EnvelopeSlack of the kernel's.
+// routes are the half-strip extrema of the tuple's surfaces (DESIGN.md §4.3),
+// from the generator kernel the keys come from: low slots route by the strip
+// max, high slots by the strip min. The max of convex TOP (the min of concave
+// BOT) is the kernel's value at a strip end, bit for bit; the other extremum
+// is the kernel's at an end or at a breakpoint inside (DESIGN.md §19).
 func (g *slopeSet) routes(t *constraint.Tuple, i int) (up, down [numSlots]float64) {
-	a := g.s[i]
 	leftLo, rightHi := g.stripBounds(i)
-	halfStripExtrema := func(e geom.Envelope) [numSlots]float64 {
-		return [numSlots]float64{
-			slotLowPrev:  e.MaxOn(leftLo, a),
-			slotLowNext:  e.MaxOn(a, rightHi),
-			slotHighPrev: e.MinOn(leftLo, a),
-			slotHighNext: e.MinOn(a, rightHi),
-		}
+	top, bot, _ := t.StripExtrema(leftLo, g.s[i], rightHi) // satisfiable: the cached extension has no error
+	return halfStripSlots(top), halfStripSlots(bot)
+}
+
+// halfStripSlots lays a surface's half-strip extrema out in slot order.
+func halfStripSlots(e geom.HalfStrips) [numSlots]float64 {
+	return [numSlots]float64{
+		slotLowPrev:  e.MaxPrev,
+		slotLowNext:  e.MaxNext,
+		slotHighPrev: e.MinPrev,
+		slotHighNext: e.MinNext,
 	}
-	return halfStripExtrema(t.TopEnv()), halfStripExtrema(t.BotEnv())
 }
 
 // nearest returns the index of the S-member closest to a (ties break

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -134,10 +133,9 @@ func newIndex(rel *constraint.Relation, opt Options, geo slopeSpace) (*Index, er
 }
 
 // ErrTupleRange is returned by Commit.Insert, Build, BuildD and Open for a
-// tuple outside the range the index's tolerances are bounds over
-// (geom.EnvelopeSlack): a generator coordinate that is not finite or beyond
-// geom.MaxCoord, or, in E², more than geom.MaxMergedLines vertices whose x
-// chain within Eps. Such a tuple is never indexed.
+// tuple outside the range T2's margin is a bound over (DESIGN.md §17): a
+// generator coordinate that is not finite or beyond geom.MaxCoord. Such a
+// tuple is never indexed.
 var ErrTupleRange = errors.New("core: tuple outside the indexable range")
 
 // checkRange reports a tuple the index must refuse as an ErrTupleRange; an
@@ -151,23 +149,6 @@ func checkRange(t *constraint.Tuple) error {
 					return fmt.Errorf("%w: generator %v beyond ±%g", ErrTupleRange, g, float64(geom.MaxCoord))
 				}
 			}
-		}
-	}
-	if t.Dim() != 2 || len(ext.Verts) <= geom.MaxMergedLines {
-		return nil
-	}
-	xs := make([]float64, len(ext.Verts))
-	for i, v := range ext.Verts {
-		xs[i] = v[0]
-	}
-	slices.Sort(xs)
-	run := 1 // vertices in the chain that ends at xs[i]
-	for i := 1; i < len(xs); i++ {
-		if xs[i]-xs[i-1] > geom.Eps {
-			run = 0
-		}
-		if run++; run > geom.MaxMergedLines {
-			return fmt.Errorf("%w: over %d vertices within Eps of one another in x", ErrTupleRange, geom.MaxMergedLines)
 		}
 	}
 	return nil

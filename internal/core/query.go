@@ -581,6 +581,10 @@ func (ix *Index) collectT1(q constraint.Query, slopes []float64, ec *execCtx, sc
 	return st, nil
 }
 
+// t2Slack is δ, what T2's margin adds to Eps at slope magnitude m = |a| + |Δ|
+// (DESIGN.md §17).
+func t2Slack(m float64) float64 { return 32 * geom.Eps * (1 + m) }
+
 // collectT2 executes the single-tree handicap technique of Sections
 // 4.2–4.4: the restricted sweep in the routed site's tree, tracking the
 // extreme handicap of the visited leaves, then — when some tuple that the
@@ -589,12 +593,13 @@ func (ix *Index) collectT1(q constraint.Query, slopes []float64, ec *execCtx, sc
 // no handicap bounds anything and the second sweep runs to the tree's far
 // end: the one tree is swept whole. In E² both sweeps settle most entries
 // by keyRule. One tolerance serves filter, trigger, far end and rule: Eps,
-// the predicate's own, plus δ = geom.EnvelopeSlack at |a| + |Δ|, which
-// absorbs the routing keys behind the handicaps — envelope values at the
-// query slope a, within δ(a) of the kernel's — and the rounding of the
-// products the rule brackets with: the kernel's at a and at the site a − Δ,
-// and the rule's own Δ·x. The rule widens it once per leaf by the keys'
-// rounding to float32 (keyRule.atLeaf; DESIGN.md §17).
+// the predicate's own, plus δ = t2Slack(|a| + |Δ|), which absorbs the
+// routing keys behind the handicaps — the kernel's half-strip extrema, which
+// bound its value at the query slope a up to its rounding at the strip ends
+// and breakpoints — and the rounding of the products the rule brackets with:
+// the kernel's at a and at the site a − Δ, and the rule's own Δ·x. The rule
+// widens it once per leaf by the keys' rounding to float32 (keyRule.atLeaf;
+// DESIGN.md §17).
 func (ix *Index) collectT2(r routing, q constraint.Query, ec *execCtx, sc *scratch) (QueryStats, error) {
 	st, slot := QueryStats{Path: "t2"}, r.slot
 	if !r.inCell {
@@ -604,7 +609,7 @@ func (ix *Index) collectT2(r routing, q constraint.Query, ec *execCtx, sc *scrat
 	b, up := q.Intercept, q.SweepsUp()
 	tol, rule := geom.Eps, keyRule{}
 	if xext := ec.rs.xext; xext != nil {
-		tol += geom.EnvelopeSlack(math.Abs(q.Slope[0]) + math.Abs(r.shift))
+		tol += t2Slack(math.Abs(q.Slope[0]) + math.Abs(r.shift))
 		rule = slopeRule(xext, b, tol, r.shift, up)
 	}
 	first := firstSweep(b, tol, up, slot)

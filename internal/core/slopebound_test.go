@@ -68,7 +68,7 @@ func surfaceOf(tp *constraint.Tuple, q constraint.Query) float64 {
 // t2Margin is collectT2's tolerance μ for a query at slope a served from the
 // keys of slope s.
 func t2Margin(s, a float64) float64 {
-	return geom.Eps + geom.EnvelopeSlack(math.Abs(a)+math.Abs(a-s))
+	return geom.Eps + t2Slack(math.Abs(a)+math.Abs(a-s))
 }
 
 // TestT2BoundaryMatchesScan pins T2's filter, second-sweep trigger and
@@ -123,7 +123,7 @@ func TestT2BoundaryMatchesScan(t *testing.T) {
 						continue
 					}
 					bs := []float64{v}
-					for _, off := range []float64{geom.Eps, geom.EnvelopeSlack(p.a), m} {
+					for _, off := range []float64{geom.Eps, t2Slack(math.Abs(p.a)), m} {
 						for _, b := range []float64{v - off, v + off} {
 							bs = append(bs, b, math.Nextafter(b, math.Inf(-1)), math.Nextafter(b, math.Inf(1)))
 						}
@@ -417,14 +417,17 @@ func TestSiteRoundingIsNotDecided(t *testing.T) {
 	}
 }
 
-// TestT2KeyBelowValueIsNotCutOff guards the δ(a) in T2's tolerance:
-// alignedVertices' envelope — its routing key over the strip half — reads
-// 10 where the support scan reads 10 + 1.8e-9 at slope −2 and the tree key
-// 10 + 1.3e-9 at the site, so a query the predicate accepts at that value
-// plus Eps, filtered at bare Eps, starts its first sweep past the tuple's
-// key, and when a leaf boundary falls between the two (some filler count
-// puts one there) past its routing leaf too: no visited handicap covers it
-// and the second sweep stops short.
+// TestT2KeyBelowValueIsNotCutOff: alignedVertices' key at site −1.5 is
+// 10 + 1.3e-9 and its value at slope −2 is 10 + 1.8e-9, so a query the
+// predicate accepts at that value plus Eps starts its first sweep at or past
+// the tuple's key, and when a leaf boundary falls between the two (some
+// filler count puts one there) past its leaf. The tuple is reached through
+// its routing key, TOP's max over the half strip [−2.5, −1.5]: the kernel at
+// −2.5, at or above its value at every slope of the half strip, so the
+// routing leaf is one the first sweep visits and its handicap takes the
+// second sweep down to the key. The envelope's routing key merged the three
+// aligned dual lines and read 10, below the value; with it, only T2's margin
+// kept the routing leaf in the first sweep.
 func TestT2KeyBelowValueIsNotCutOff(t *testing.T) {
 	point := func(y float64) *constraint.Tuple {
 		p, err := geom.FromVertices([]geom.Point{{0, y}}, nil)
@@ -434,9 +437,14 @@ func TestT2KeyBelowValueIsNotCutOff(t *testing.T) {
 		return constraint.FromPolyhedron(p)
 	}
 	const a = -2.0
-	top := surfaceOf(alignedVertices(t), constraint.Query2(constraint.EXIST, a, 0, geom.GE))
-	if route := alignedVertices(t).TopEnv().MaxOn(-2.5, -1.5); !(route < top-geom.Eps) {
-		t.Fatalf("routing key %v over the strip half, value %v at the query slope: want the routing key more than Eps below", route, top)
+	aligned := alignedVertices(t)
+	top := surfaceOf(aligned, constraint.Query2(constraint.EXIST, a, 0, geom.GE))
+	route, _, err := aligned.StripExtrema(-2.5, -1.5, -0.875)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key := mustTop(t, aligned, -1.5); !(key < top && route.MaxPrev >= top) {
+		t.Fatalf("key %v at the site, routing key %v over the half strip, value %v at the query slope: want the key below the value and the routing key not", key, route.MaxPrev, top)
 	}
 	for fillers := 40; fillers <= 120; fillers++ {
 		rel := constraint.NewRelation(2)

@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -78,6 +79,30 @@ func BenchmarkEnvelopeMinOn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchSink = envs[i%len(envs)].MinOn(-1, 2)
+	}
+}
+
+// BenchmarkStripExtrema routes one tuple at the four equiangular sites: the
+// half-strip extrema of both surfaces around each, as Build does per tuple.
+func BenchmarkStripExtrema(b *testing.B) {
+	polys := benchPolys(64)
+	gens := make([]Generators, len(polys))
+	for i := range polys {
+		gens[i] = polys[i].Pack()
+	}
+	// S = tan(−54°), tan(−18°), tan(18°), tan(54°); strips end halfway to the
+	// neighbours and half the widest gap past the outer slopes.
+	s0, s1 := math.Tan(-0.3*math.Pi), math.Tan(-0.1*math.Pi)
+	m, out := (s0+s1)/2, (s1-s0)/2
+	strips := [4][3]float64{{s0 - out, s0, m}, {m, s1, 0}, {0, -s1, -m}, {-m, -s0, out - s0}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g := &gens[i%len(gens)]
+		for _, s := range strips {
+			top, bot := g.StripExtrema(s[0], s[1], s[2])
+			benchSink += top.MinPrev + bot.MaxNext
+		}
 	}
 }
 

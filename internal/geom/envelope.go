@@ -18,6 +18,9 @@ func (l Line2) Eval(a float64) float64 { return l.M*a + l.B }
 // Envelope is the exact piecewise-linear TOP^P or BOT^P surface of a 2-D
 // polyhedron as a function of the query slope a (Section 2.1 of the paper).
 // An upper envelope (TOP) is convex; a lower envelope (BOT) is concave.
+// No index evaluates one — handicap routes come from
+// Generators.StripExtrema — it is the reference tests and bench/ compare the
+// kernel with.
 //
 // Unbounded polyhedra restrict the finite domain to [DomLo, DomHi]; outside
 // it the surface is +Inf (TOP) or −Inf (BOT). An empty finite domain means
@@ -231,13 +234,15 @@ func (e Envelope) MinOn(lo, hi float64) float64 {
 // generator coordinate beyond MaxCoord in magnitude, no more than
 // MaxMergedLines vertices whose x — their dual lines' slopes — chain within
 // Eps, which is as many lines as upperHullLines can merge into one piece.
+// MaxCoord is also the range an index accepts (T2's margin is a bound over
+// it); MaxMergedLines is the envelope's alone, since no index evaluates one.
 const (
 	MaxCoord       = 1e6
 	MaxMergedLines = 30
 )
 
-// EnvelopeSlack is δ(a): a bound on |Envelope.Eval(a) − Polyhedron.Top/Bot
-// at a| wherever Eval is finite (the support value then is too), within
-// MaxCoord and MaxMergedLines: the n lines upperHullLines merged cost
-// ≤ n·Eps·|a|, rounding at breakpoints < 2·Eps·(1+|a|) (DESIGN.md §17).
+// EnvelopeSlack is a bound on |Envelope.Eval(a) − Polyhedron.Top/Bot at a|
+// wherever Eval is finite (the support value then is too), within MaxCoord
+// and MaxMergedLines: the n lines upperHullLines merged cost ≤ n·Eps·|a|,
+// rounding at breakpoints < 2·Eps·(1+|a|).
 func EnvelopeSlack(a float64) float64 { return 32 * Eps * (1 + math.Abs(a)) }
