@@ -1,9 +1,10 @@
 // Command dualvet is the multichecker for the repository's machine-checked
-// invariants (DESIGN.md §7, §10, §15): float comparison discipline, ±Inf
-// sentinel arithmetic, atomic/plain field mixing, shard-lock re-entrancy,
-// dropped I/O errors, leaked page-frame pins, leaked observability
-// spans, leaked MVCC snapshots, mutex lock-set balance, declared field
-// guards, and frozen-after-publish immutability.
+// invariants (DESIGN.md §7, §10, §15): float comparison discipline, dropped
+// I/O errors, leaked page-frame pins, leaked observability spans, leaked
+// MVCC snapshots, mutex discipline (re-entry directly or through a callee,
+// unbalanced unlocks, divergent holds), declared field guards, and
+// frozen-after-publish immutability. Each analyzer catches a bug no test
+// does (scripts/dualvet_audit.sh, DESIGN.md §7.4).
 //
 // Run it through the go command, which supplies type information for every
 // compilation unit:
@@ -13,9 +14,8 @@
 //
 // or directly — `dualvet ./...` re-executes itself under go vet. A single
 // analyzer runs with its enable flag: `go vet -vettool=/tmp/dualvet
-// -floatcmp ./...`. `dualvet -json ./...` emits machine-readable
-// diagnostics; `dualvet -annotations ./...` emits GitHub Actions ::error
-// lines.
+// -floatcmp ./...`. `dualvet -annotations ./...` also prints every
+// diagnostic as a GitHub Actions ::error line.
 package main
 
 import (
@@ -23,8 +23,6 @@ import (
 	"dualcdb/internal/analysis/errsink"
 	"dualcdb/internal/analysis/floatcmp"
 	"dualcdb/internal/analysis/frozen"
-	"dualcdb/internal/analysis/infguard"
-	"dualcdb/internal/analysis/lockorder"
 	"dualcdb/internal/analysis/lockset"
 	"dualcdb/internal/analysis/pinleak"
 	"dualcdb/internal/analysis/snapleak"
@@ -35,8 +33,6 @@ import (
 func main() {
 	unitdriver.Main(
 		floatcmp.Analyzer,
-		infguard.Analyzer,
-		lockorder.Analyzer,
 		lockset.Analyzer,
 		atomicpub.Analyzer,
 		frozen.Analyzer,

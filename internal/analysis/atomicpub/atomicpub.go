@@ -38,10 +38,9 @@ import (
 
 // Analyzer is the atomicpub check.
 var Analyzer = &framework.Analyzer{
-	Name:    "atomicpub",
-	Doc:     "flag writes to //dualvet:guarded fields without the guard held, and plain access to atomic fields (typed cells or fields used with sync/atomic calls)",
-	Version: 2, // v2: the mixed call-style/plain rule
-	Run:     run,
+	Name: "atomicpub",
+	Doc:  "flag writes to //dualvet:guarded fields without the guard held, and plain access to atomic fields (typed cells or fields used with sync/atomic calls)",
+	Run:  run,
 }
 
 // guardDirective is the annotation prefix on struct field declarations.

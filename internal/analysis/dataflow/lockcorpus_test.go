@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"go/types"
 	"testing"
 	"time"
 )
@@ -11,7 +12,10 @@ import (
 // scan over every declared function. Any panic, SCC bail or blown time
 // budget here is an engine bug: the corpus includes the repository's real
 // concurrency shapes (MVCC commit path, pagestore shards, obs rings),
-// which is exactly the code the analyzers must converge on.
+// which is exactly the code the analyzers must converge on. The converged
+// lock bank must be a fixpoint — re-summarizing any function against it
+// gives its summary back, Takes included — and no lock is both taken and
+// handed back held.
 func TestConcurrencyCorpusConverges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("typechecks the whole repository against stdlib source")
@@ -29,7 +33,7 @@ func TestConcurrencyCorpusConverges(t *testing.T) {
 		t.Fatalf("suspiciously few packages: %v", paths)
 	}
 
-	var funcs, escapes, maxIters, maxComp int
+	var funcs, escapes, takes, maxIters, maxComp int
 	var sumTime time.Duration
 	for _, path := range paths {
 		lp, err := ld.load(path)
@@ -43,7 +47,11 @@ func TestConcurrencyCorpusConverges(t *testing.T) {
 				maxComp = len(comp)
 			}
 		}
-		_, lstats := ComputeLockSummaries(cg, ld.info, LockSpec{}, nil)
+		lsums, lstats := ComputeLockSummaries(cg, ld.info, LockSpec{}, nil)
+		bank := LockSpec{Summaries: func(fn *types.Func) (LockSummary, bool) {
+			s, ok := lsums[fn]
+			return s, ok
+		}}
 		_, fstats := ComputeFreezeSummaries(cg, ld.info, FreezeSpec{}, nil)
 		for _, st := range []SummaryStats{lstats, fstats} {
 			if st.Bailed != 0 {
@@ -63,9 +71,27 @@ func TestConcurrencyCorpusConverges(t *testing.T) {
 			eng.Run()
 			eng.Replay(&LockHooks{})
 			_ = eng.Summary()
+			if s, ok := lsums[fi.Fn]; ok {
+				if again := summarizeLocks(fi, ld.info, bank); !again.sameShape(s) {
+					t.Errorf("%s: lock summary is not a fixpoint: %+v, then %+v", fi.Fn.FullName(), s, again)
+				}
+				for _, tk := range s.Takes {
+					for _, a := range s.Acquires {
+						if tk.Param == a.Param && tk.Path == a.Path {
+							t.Errorf("%s: %+v is both taken and acquired", fi.Fn.FullName(), tk)
+						}
+					}
+				}
+				takes += len(s.Takes)
+			}
 			funcs++
 		}
 		sumTime += time.Since(start)
+	}
+	// The pool's PinVersion and the obs rings take their own mutexes: a
+	// corpus with no Takes at all means the effect went missing.
+	if takes == 0 {
+		t.Fatal("no function in the repository takes a parameter-rooted lock")
 	}
 	if funcs < 400 {
 		t.Fatalf("concurrency corpus suspiciously small: %d functions (did the loader lose packages?)", funcs)
@@ -78,6 +104,6 @@ func TestConcurrencyCorpusConverges(t *testing.T) {
 	if sumTime > 10*time.Second {
 		t.Fatalf("concurrency analysis over the repo took %v, budget 10s", sumTime)
 	}
-	t.Logf("concurrency corpus: %d packages, %d functions, %d escapes, max %d sweeps, %v total",
-		len(paths), funcs, escapes, maxIters, sumTime)
+	t.Logf("concurrency corpus: %d packages, %d functions, %d escapes, %d taken locks, max %d sweeps, %v total",
+		len(paths), funcs, escapes, takes, maxIters, sumTime)
 }

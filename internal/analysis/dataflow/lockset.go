@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -25,12 +26,13 @@ import (
 // are subtracted only at the exit balance.
 //
 // Interprocedurally a LockSummary records, per function, the locks it
-// acquires net of release (Begin), releases without acquiring (Commit,
-// Abort — the caller must hold them) and requires held at entry (the
-// *Locked helper idiom: a guarded write whose guard the function neither
-// takes nor declares is charged to its callers). All three are expressed
-// as field paths from a flattened parameter, so they survive vetx
-// serialization across packages.
+// acquires net of release (Begin), acquires and releases again before it
+// returns (an exported method taking its receiver's lock), releases
+// without acquiring (Commit, Abort — the caller must hold them) and
+// requires held at entry (the *Locked helper idiom: a guarded write whose
+// guard the function neither takes nor declares is charged to its
+// callers). All four are expressed as field paths from a flattened
+// parameter, so they survive vetx serialization across packages.
 
 // LockMode distinguishes exclusive (Lock) from shared (RLock) holds.
 type LockMode uint8
@@ -70,12 +72,6 @@ type LockFact struct {
 	Rel map[string]token.Pos
 	// DeferRel records unlocks deferred to function return on some path.
 	DeferRel map[string]token.Pos
-}
-
-// MustHeld returns the must-held acquisition of the canonical lock path.
-func (f *LockFact) MustHeld(canon string) (LockAcq, bool) {
-	a, ok := f.Must[canon]
-	return a, ok
 }
 
 type lockLattice struct{}
@@ -193,6 +189,11 @@ type LockSummary struct {
 	// Acquires lists locks held at every normal return without a balancing
 	// release (Begin holds writeMu for the caller).
 	Acquires []LockEffect `json:"acquires,omitempty"`
+	// Takes lists locks the function acquires on some path and does not
+	// hold at return (Stats locking and unlocking its receiver's mutex),
+	// plus those inherited from its callees. Calling the function while one
+	// of them may be held re-acquires it.
+	Takes []LockEffect `json:"takes,omitempty"`
 	// Releases lists locks the function unlocks without having acquired
 	// them locally — the caller (or its caller) must hold them (Commit).
 	Releases []LockEffect `json:"releases,omitempty"`
@@ -203,11 +204,12 @@ type LockSummary struct {
 }
 
 func (s LockSummary) interesting() bool {
-	return len(s.Acquires) > 0 || len(s.Releases) > 0 || len(s.Requires) > 0
+	return len(s.Acquires) > 0 || len(s.Takes) > 0 || len(s.Releases) > 0 || len(s.Requires) > 0
 }
 
 func (s LockSummary) sameShape(o LockSummary) bool {
 	return sameEffects(s.Acquires, o.Acquires) &&
+		sameEffects(s.Takes, o.Takes) &&
 		sameEffects(s.Releases, o.Releases) &&
 		sameEffects(s.Requires, o.Requires)
 }
@@ -254,11 +256,11 @@ type LockSpec struct {
 // LockHooks receives the engine's events during a Replay pass, with the
 // converged fact in effect before each event. All callbacks are optional.
 type LockHooks struct {
-	// Node fires before a CFG node's effects are applied.
-	Node func(n ast.Node, f *LockFact)
-	// Acquire fires for every direct Lock/RLock; already is the prior
-	// acquisition when the lock is must-held at the call (re-entry).
-	Acquire func(call *ast.CallExpr, canon string, acq LockAcq, already *LockAcq)
+	// Acquire fires for every direct Lock/RLock (via nil) and for every
+	// lock a callee's summary acquires (via the callee); already is the
+	// prior acquisition when the lock is held at the call — must-held for a
+	// direct Lock, may-held for a callee — which makes the call a re-entry.
+	Acquire func(call *ast.CallExpr, via *types.Func, canon string, acq LockAcq, already *LockAcq)
 	// Release fires for every direct Unlock/RUnlock and for summary-applied
 	// releases. held is nil when the lock is not may-held; prevRel is the
 	// earlier release position when the lock was already locally released
@@ -303,10 +305,11 @@ type LockEngine struct {
 	// goroutines.
 	escaped map[string]token.Pos
 
-	// requires/contractRel accumulate parameter-rooted lock effects across
-	// transfer sweeps (keyed, so re-transfers are idempotent; both only
-	// grow as facts weaken, mirroring the Must meet).
+	// requires/takes/contractRel accumulate parameter-rooted lock effects
+	// across transfer sweeps (keyed, so re-transfers are idempotent; all
+	// only grow as facts weaken, mirroring the Must meet).
 	requires    map[LockEffect]bool
+	takes       map[LockEffect]bool
 	contractRel map[LockEffect]bool
 }
 
@@ -324,6 +327,7 @@ func NewLockEngine(body *ast.BlockStmt, info *types.Info, al *Aliases, spec Lock
 		localKeys:   make(map[string]bool),
 		freshKeys:   make(map[string]bool),
 		requires:    make(map[LockEffect]bool),
+		takes:       make(map[LockEffect]bool),
 		contractRel: make(map[LockEffect]bool),
 	}
 	for _, p := range params {
@@ -389,8 +393,9 @@ func (e *LockEngine) Replay(h *LockHooks) {
 func (e *LockEngine) ExitFact() LockFact { return e.in[e.cfg.Exit.Index] }
 
 // Summary reads the function's lock summary off the converged facts:
-// Acquires from the exit balance, Releases and Requires from the
-// parameter-rooted effects collected during the fixpoint.
+// Acquires from the exit balance, Takes, Releases and Requires from the
+// parameter-rooted effects collected during the fixpoint (Takes net of
+// Acquires: a lock still held at return is the caller's to release).
 func (e *LockEngine) Summary() LockSummary {
 	var s LockSummary
 	exit := e.ExitFact()
@@ -407,6 +412,11 @@ func (e *LockEngine) Summary() LockSummary {
 			}
 		}
 	}
+	for eff := range e.takes {
+		if !slices.ContainsFunc(s.Acquires, func(a LockEffect) bool { return a.Param == eff.Param && a.Path == eff.Path }) {
+			s.Takes = append(s.Takes, eff)
+		}
+	}
 	for eff := range e.contractRel {
 		s.Releases = append(s.Releases, eff)
 	}
@@ -414,6 +424,7 @@ func (e *LockEngine) Summary() LockSummary {
 		s.Requires = append(s.Requires, eff)
 	}
 	s.Acquires = sortEffects(s.Acquires)
+	s.Takes = sortEffects(s.Takes)
 	s.Releases = sortEffects(s.Releases)
 	s.Requires = sortEffects(s.Requires)
 	return s
@@ -483,9 +494,6 @@ func (e *LockEngine) transfer(b *Block, f LockFact, h *LockHooks) LockFact {
 }
 
 func (e *LockEngine) node(f *LockFact, n ast.Node, h *LockHooks) {
-	if h != nil && h.Node != nil {
-		h.Node(n, f)
-	}
 	switch n := n.(type) {
 	case *Assume:
 		e.refine(f, n)
@@ -630,8 +638,9 @@ func (e *LockEngine) applyCall(f *LockFact, call *ast.CallExpr, h *LockHooks) {
 				if prev, held := f.Must[canon]; held {
 					already = &prev
 				}
-				h.Acquire(call, canon, acq, already)
+				h.Acquire(call, nil, canon, acq, already)
 			}
+			e.take(canon, mode)
 			if prev, held := f.Must[canon]; held {
 				acq.Pos = prev.Pos // keep the original window for reports
 			}
@@ -657,6 +666,22 @@ func (e *LockEngine) applyCall(f *LockFact, call *ast.CallExpr, h *LockHooks) {
 	sum, ok := e.spec.Summaries(fn)
 	if !ok {
 		return
+	}
+	// Every lock the callee acquires — and releases again (Takes) or hands
+	// back held (Acquires) — is re-entered if this call may hold it.
+	for _, effs := range [2][]LockEffect{sum.Takes, sum.Acquires} {
+		for _, eff := range effs {
+			canon, ok := e.effectCanon(call, fn, eff)
+			if !ok {
+				continue
+			}
+			if h != nil && h.Acquire != nil {
+				if prev, held := f.May[canon]; held {
+					h.Acquire(call, fn, canon, LockAcq{Pos: call.Pos(), Mode: eff.mode()}, &prev)
+				}
+			}
+			e.take(canon, eff.mode())
+		}
 	}
 	for _, eff := range sum.Acquires {
 		if canon, ok := e.effectCanon(call, fn, eff); ok {
@@ -711,6 +736,14 @@ func (e *LockEngine) applyCall(f *LockFact, call *ast.CallExpr, h *LockHooks) {
 		if h != nil && h.UnmetRequire != nil {
 			h.UnmetRequire(call, fn, eff, canon)
 		}
+	}
+}
+
+// take records an acquisition of a parameter-rooted lock for the summary's
+// Takes.
+func (e *LockEngine) take(canon string, mode LockMode) {
+	if i, path, ok := e.paramRoot(canon); ok {
+		e.takes[LockEffect{Param: i, Path: path, Mode: modeStr(mode)}] = true
 	}
 }
 

@@ -170,61 +170,18 @@ func (s BorrowSummary) sameShape(o BorrowSummary) bool {
 	return true
 }
 
-// TaintFlow describes how one result of a function acquires numeric taint.
-type TaintFlow struct {
-	// Intrinsic: the result may be non-finite regardless of the arguments
-	// (the function manufactures an Inf internally).
-	Intrinsic bool `json:"intrinsic,omitempty"`
-	// Params lists flattened parameter indices whose taint flows into the
-	// result.
-	Params []int `json:"params,omitempty"`
-}
-
-func (f TaintFlow) empty() bool { return !f.Intrinsic && len(f.Params) == 0 }
-
-// TaintSummary is a function's Inf-taint transfer: one flow per result.
-type TaintSummary struct {
-	Results []TaintFlow `json:"results,omitempty"`
-}
-
-func (s TaintSummary) interesting() bool {
-	for _, f := range s.Results {
-		if !f.empty() {
-			return true
-		}
-	}
-	return false
-}
-
-func (s TaintSummary) sameShape(o TaintSummary) bool {
-	if len(s.Results) != len(o.Results) {
-		return false
-	}
-	for i := range s.Results {
-		a, b := s.Results[i], o.Results[i]
-		if a.Intrinsic != b.Intrinsic || len(a.Params) != len(b.Params) {
-			return false
-		}
-		for j := range a.Params {
-			if a.Params[j] != b.Params[j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // PackageSummaries is the serializable bank of function summaries one package
 // unit exports into its vetx record and imports from its dependencies'.
 // Functions are keyed by types.Func.FullName (e.g.
 // "(dualcdb/internal/pagestore.Pool).Get"); obligation summaries are
 // additionally keyed by discipline name so pinleak and spanleak do not collide.
 // Only "interesting" summaries appear — a missing entry means TopEffect, which
-// keeps records small and byte-stable for the warm-replay gate.
+// keeps records small and byte-stable: the go command keys a unit's vet run
+// on its dependencies' vetx bytes, so a record that changed from run to run
+// would re-run every dependent.
 type PackageSummaries struct {
 	Obligations map[string]map[string]ObSummary `json:"obligations,omitempty"`
 	Borrows     map[string]BorrowSummary        `json:"borrows,omitempty"`
-	Taint       map[string]TaintSummary         `json:"taint,omitempty"`
 	// Locks holds lock summaries keyed by discipline (lockset and atomicpub
 	// compute under different guard specs, so their banks stay apart).
 	Locks map[string]map[string]LockSummary `json:"locks,omitempty"`
@@ -233,7 +190,7 @@ type PackageSummaries struct {
 }
 
 func (p *PackageSummaries) Empty() bool {
-	return p == nil || (len(p.Obligations) == 0 && len(p.Borrows) == 0 && len(p.Taint) == 0 &&
+	return p == nil || (len(p.Obligations) == 0 && len(p.Borrows) == 0 &&
 		len(p.Locks) == 0 && len(p.Publish) == 0)
 }
 
@@ -264,14 +221,6 @@ func (p *PackageSummaries) Merge(q *PackageSummaries) {
 		}
 		if _, dup := p.Borrows[name]; !dup {
 			p.Borrows[name] = s
-		}
-	}
-	for name, s := range q.Taint {
-		if p.Taint == nil {
-			p.Taint = make(map[string]TaintSummary)
-		}
-		if _, dup := p.Taint[name]; !dup {
-			p.Taint[name] = s
 		}
 	}
 	for disc, funcs := range q.Locks {
@@ -326,19 +275,6 @@ func (p *PackageSummaries) AddBorrows(sums map[*types.Func]BorrowSummary) {
 			p.Borrows = make(map[string]BorrowSummary)
 		}
 		p.Borrows[fn.FullName()] = s
-	}
-}
-
-// AddTaint records the interesting entries of a computed taint summary map.
-func (p *PackageSummaries) AddTaint(sums map[*types.Func]TaintSummary) {
-	for fn, s := range sums {
-		if !s.interesting() {
-			continue
-		}
-		if p.Taint == nil {
-			p.Taint = make(map[string]TaintSummary)
-		}
-		p.Taint[fn.FullName()] = s
 	}
 }
 
@@ -407,14 +343,6 @@ func (p *PackageSummaries) BorrowBank() map[string]BorrowSummary {
 	return p.Borrows
 }
 
-// TaintBank returns the imported taint summaries (nil-safe).
-func (p *PackageSummaries) TaintBank() map[string]TaintSummary {
-	if p == nil {
-		return nil
-	}
-	return p.Taint
-}
-
 // SummaryStats reports how summary computation over one package converged,
 // for tests that bound the fixpoint.
 type SummaryStats struct {
@@ -438,14 +366,6 @@ func (s *SummaryStats) observe(iters int, bailed bool) {
 // Effect bits only ever turn on, so |lattice height| sweeps always suffice;
 // the bound is a generous multiple that still catches a non-monotone bug.
 func sccIterBound(n int) int { return 4 + 3*n }
-
-// SCCIterBound is the exported fixpoint sweep budget, shared by analyzers
-// that run their own summary fixpoints (infguard) and convergence tests.
-func SCCIterBound(n int) int { return sccIterBound(n) }
-
-// SameShape reports convergence-relevant equality, for analyzers running
-// their own summary fixpoints.
-func (s TaintSummary) SameShape(o TaintSummary) bool { return s.sameShape(o) }
 
 // FlatParams returns the flattened parameter variables of fn (receiver
 // first for methods) — the indexing every summary uses.

@@ -32,21 +32,8 @@ type Analyzer struct {
 	Name string
 	// Doc is the help text.
 	Doc string
-	// Version participates in the vetx cache key: bump it when the check's
-	// semantics change so stale warm records are invalidated instead of
-	// replayed. The zero value reads as version 1.
-	Version int
 	// Run executes the check and reports findings via pass.Report.
 	Run func(pass *Pass) error
-}
-
-// CacheVersion returns the analyzer's effective cache version (zero reads
-// as 1, so existing analyzers did not all need an explicit field).
-func (a *Analyzer) CacheVersion() int {
-	if a.Version <= 0 {
-		return 1
-	}
-	return a.Version
 }
 
 // A Pass provides one analyzer with the syntax and type information of a

@@ -1,7 +1,8 @@
 // Package lockset checks mutex discipline over the CFG: re-entrant
-// acquisition (sync mutexes self-deadlock), unlock of a lock that is not
-// held, double unlock, read/write mode mismatches on RWMutex, and locks
-// held on some but not all paths to return.
+// acquisition (sync mutexes self-deadlock), directly or through a callee
+// that takes the lock, unlock of a lock that is not held, double unlock,
+// read/write mode mismatches on RWMutex, and locks held on some but not
+// all paths to return.
 //
 // The check runs the lock-set engine from internal/analysis/dataflow: a
 // must/may-held analysis, alias-aware (after `s := p.shards[i]`, `s.mu`
@@ -10,7 +11,10 @@
 // Functions that intentionally return holding a lock (Begin) or unlock a
 // caller's lock (Commit, Abort) are not reported: the imbalance becomes
 // part of their lock summary, serialized through vetx, and call sites are
-// checked against it. Unknown callees are presumed lock-neutral.
+// checked against it. So are the locks a function takes and drops again
+// (an exported Stats locking its receiver): calling it while one of them
+// may be held is a re-entry, reported at the call, in this package or any
+// importer. Unknown callees are presumed lock-neutral.
 // Escape hatch: //dualvet:allow lockset on the flagged line. _test.go
 // files are exempt.
 package lockset
@@ -81,23 +85,27 @@ func checkBody(pass *framework.Pass, body *ast.BlockStmt, al *dataflow.Aliases, 
 	show := dataflow.DisplayPath
 
 	hooks := &dataflow.LockHooks{
-		Acquire: func(call *ast.CallExpr, canon string, acq dataflow.LockAcq, already *dataflow.LockAcq) {
+		Acquire: func(call *ast.CallExpr, via *types.Func, canon string, acq dataflow.LockAcq, already *dataflow.LockAcq) {
 			if already == nil {
 				return
+			}
+			through := ""
+			if via != nil {
+				through = " through " + types.ExprString(call.Fun) + "()"
 			}
 			switch {
 			case already.Mode == dataflow.LockExcl:
 				pass.Reportf(call.Pos(),
-					"%s is acquired again while already locked (since line %d); sync mutexes are not reentrant, this deadlocks (//dualvet:allow lockset if the receiver differs at runtime)",
-					show(canon), line(already.Pos))
+					"%s is acquired again%s while already locked (since line %d); sync mutexes are not reentrant, this deadlocks (//dualvet:allow lockset if the receiver differs at runtime)",
+					show(canon), through, line(already.Pos))
 			case acq.Mode == dataflow.LockExcl:
 				pass.Reportf(call.Pos(),
-					"%s write-lock upgrade while read-locked (RLock at line %d) deadlocks; release the read lock first",
-					show(canon), line(already.Pos))
+					"%s write-lock upgrade%s while read-locked (RLock at line %d) deadlocks; release the read lock first",
+					show(canon), through, line(already.Pos))
 			default:
 				pass.Reportf(call.Pos(),
-					"recursive read lock of %s (RLock at line %d) can deadlock with a pending writer (//dualvet:allow lockset if no writer exists)",
-					show(canon), line(already.Pos))
+					"recursive read lock of %s%s (RLock at line %d) can deadlock with a pending writer (//dualvet:allow lockset if no writer exists)",
+					show(canon), through, line(already.Pos))
 			}
 		},
 		Release: func(call *ast.CallExpr, canon string, mode dataflow.LockMode, held *dataflow.LockAcq, prevRel token.Pos, localRoot bool, paramIdx int) {

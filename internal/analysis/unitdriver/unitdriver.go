@@ -12,16 +12,13 @@
 // through go/importer with a lookup into those files, runs the analyzers and
 // prints diagnostics to stderr (exit status 1 when there are any).
 //
-// The fact file (.vetx) this driver writes records a fingerprint of the
-// unit's inputs, the diagnostics the analyzers produced, and the unit's
-// function-summary bank (obligation/borrow/taint transfer per function —
-// see cache.go). Dependency vetx files arrive back through
-// Config.PackageVetx: their summaries feed the interprocedural analyzers,
-// and their byte hashes feed the fingerprint, so a changed callee summary
-// re-analyzes exactly the dependent units. The same record is mirrored in
-// an external cache ($DUALVET_CACHE) so a repeat run over an unchanged
-// package replays the recorded diagnostics instead of re-type-checking and
-// re-analyzing, even when GOCACHE was discarded.
+// The fact file (.vetx) this driver writes is how function summaries cross
+// packages: it holds the unit's import path and the summary bank its
+// analyzers exported (obligation, borrow and lock transfer per function).
+// Dependency vetx files arrive back through Config.PackageVetx and feed the
+// interprocedural analyzers. Caching is the go command's: it keys each vet
+// action on the tool's -V=full identity and the unit's inputs, dependency
+// vetx files included, so an unchanged unit is not re-run at all.
 //
 // Invoked with package patterns instead of a .cfg file, the driver re-executes
 // itself through `go vet -vettool=<self>`, which provides the standalone
@@ -29,6 +26,8 @@
 package unitdriver
 
 import (
+	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"flag"
@@ -43,8 +42,11 @@ import (
 	"log"
 	"os"
 	"os/exec"
+	"regexp"
+	"sort"
 	"strings"
 
+	"dualcdb/internal/analysis/dataflow"
 	"dualcdb/internal/analysis/framework"
 )
 
@@ -70,32 +72,34 @@ type Config struct {
 	SucceedOnTypecheckFailure bool
 }
 
+// vetxRecord is the JSON body of a vetx file. Summaries holds only
+// "interesting" entries (anything a caller could not assume from the
+// unknown-callee default); a VetxOnly unit writes the record without them.
+type vetxRecord struct {
+	ImportPath string                     `json:"import_path"`
+	Summaries  *dataflow.PackageSummaries `json:"summaries,omitempty"`
+}
+
 // Main is the entry point of a dualvet-style vet tool.
 func Main(analyzers ...*framework.Analyzer) {
 	progname := "dualvet"
 	log.SetFlags(0)
 	log.SetPrefix(progname + ": ")
 
-	// Standalone output-mode flags are peeled before the go vet protocol
-	// check: they only make sense on the human-facing invocation and must
-	// not reach go vet as package patterns.
-	jsonOut, annotations := false, false
+	// -annotations is peeled before the go vet protocol check: it only
+	// makes sense on the human-facing invocation and must not reach go vet
+	// as a package pattern.
+	annotations := false
 	rest := make([]string, 0, len(os.Args)-1)
 	for _, a := range os.Args[1:] {
-		switch a {
-		case "-json", "--json":
-			jsonOut = true
-		case "-annotations", "--annotations":
+		if a == "-annotations" || a == "--annotations" {
 			annotations = true
-		default:
-			rest = append(rest, a)
+			continue
 		}
+		rest = append(rest, a)
 	}
-	if standalone(rest) && len(rest) > 0 {
-		if jsonOut || annotations {
-			os.Exit(reexecGoVetMachine(rest, jsonOut, annotations))
-		}
-		os.Exit(reexecGoVet(rest))
+	if standalone(rest) {
+		os.Exit(reexecGoVet(rest, annotations))
 	}
 
 	fs := flag.NewFlagSet(progname, flag.ExitOnError)
@@ -114,11 +118,10 @@ func Main(analyzers ...*framework.Analyzer) {
 	}
 	args := fs.Args()
 	if len(args) != 1 || !strings.HasSuffix(args[0], ".cfg") {
-		fmt.Fprintf(os.Stderr, `%[1]s enforces the dualcdb float/Inf/concurrency invariants.
+		fmt.Fprintf(os.Stderr, `%[1]s enforces the dualcdb resource and concurrency invariants.
 
 Usage:
 	%[1]s [packages]               # runs go vet -vettool=%[1]s [packages]
-	%[1]s -json [packages]         # same, plus a JSON diagnostic array on stdout
 	%[1]s -annotations [packages]  # same, plus GitHub Actions ::error lines
 	%[1]s unit.cfg                 # invoked by go vet on one compilation unit
 `, progname)
@@ -153,21 +156,51 @@ func standalone(args []string) bool {
 	return true
 }
 
-func reexecGoVet(args []string) int {
+// reexecGoVet runs `go vet -vettool=<self> args...`. With annotations, it
+// also renders every diagnostic go vet relayed on stderr as a GitHub
+// Actions ::error line on stdout, so findings surface inline on a pull
+// request; the exit code is go vet's either way.
+func reexecGoVet(args []string, annotations bool) int {
 	self, err := os.Executable()
 	if err != nil {
 		log.Fatal(err)
 	}
+	var relayed bytes.Buffer
 	cmd := exec.Command("go", append([]string{"vet", "-vettool=" + self}, args...)...)
 	cmd.Stdout = os.Stdout
 	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		if ee, ok := err.(*exec.ExitError); ok {
-			return ee.ExitCode()
-		}
-		log.Fatal(err)
+	if annotations {
+		cmd.Stderr = io.MultiWriter(os.Stderr, &relayed)
 	}
-	return 0
+	code := 0
+	if err := cmd.Run(); err != nil {
+		ee, ok := err.(*exec.ExitError)
+		if !ok {
+			log.Fatal(err)
+		}
+		code = ee.ExitCode()
+	}
+	if annotations {
+		printAnnotations(&relayed)
+	}
+	return code
+}
+
+// diagLine matches one diagnostic as runUnit prints it (go vet passes the
+// tool's stderr through, with file names made relative to its working
+// directory): "file:line:col: message [dualvet:analyzer]".
+var diagLine = regexp.MustCompile(`^(.+?):(\d+):(\d+): (.*) \[dualvet:(\w+)\]$`)
+
+func printAnnotations(r io.Reader) {
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		m := diagLine.FindStringSubmatch(sc.Text())
+		if m == nil {
+			continue
+		}
+		fmt.Printf("::error file=%s,line=%s,col=%s,title=dualvet %s::%s\n",
+			strings.TrimPrefix(m[1], "./"), m[2], m[3], m[5], m[4])
+	}
 }
 
 func anySet(m map[string]*bool) bool {
@@ -184,49 +217,13 @@ func runUnit(cfgFile string, analyzers []*framework.Analyzer) int {
 	if err != nil {
 		log.Fatal(err)
 	}
-	names := make([]string, len(analyzers))
-	ids := make([]string, len(analyzers))
-	for i, a := range analyzers {
-		names[i] = a.Name
-		ids[i] = fmt.Sprintf("%s@v%d", a.Name, a.CacheVersion())
-	}
-	fp := fingerprint(cfg, ids)
-	rec := vetxRecord{Version: vetxVersion, Fingerprint: fp, ImportPath: cfg.ImportPath}
-
+	rec := vetxRecord{ImportPath: cfg.ImportPath}
 	if cfg.VetxOnly {
-		// Dependency unit: the go command only wants the fact file. The
-		// fingerprint alone is the fact — it hashes this package's sources,
-		// so dependents' fingerprints change when this package does.
-		if err := writeVetx(cfg, rec); err != nil {
-			log.Fatal(err)
-		}
-		trace("vetxonly", cfg.ImportPath)
+		// Dependency unit outside the patterns: the go command only wants
+		// the fact file, and nothing was analyzed to fill it.
+		writeVetx(cfg, rec)
 		return 0
 	}
-
-	if cached, ok := cacheLookup(fp); ok {
-		// Warm: replay the recorded diagnostics, skipping parse,
-		// type-check and analysis entirely.
-		if err := writeVetx(cfg, cached); err != nil {
-			log.Fatal(err)
-		}
-		trace("warm", cfg.ImportPath)
-		for _, d := range cached.Diagnostics {
-			fmt.Fprintf(os.Stderr, "%s: %s [dualvet:%s]\n", d.Position, d.Message, d.Analyzer)
-		}
-		emitJSONDiags(cached.Diagnostics)
-		if len(cached.Diagnostics) > 0 {
-			return 1
-		}
-		return 0
-	}
-
-	// Cold: write a provisional fact file so it exists even if a parse or
-	// type-check failure aborts the process, then analyze for real.
-	if err := writeVetx(cfg, rec); err != nil {
-		log.Fatal(err)
-	}
-	trace("cold", cfg.ImportPath)
 
 	fset := token.NewFileSet()
 	var files []*ast.File
@@ -234,6 +231,7 @@ func runUnit(cfgFile string, analyzers []*framework.Analyzer) int {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
 		if err != nil {
 			if cfg.SucceedOnTypecheckFailure {
+				writeVetx(cfg, rec)
 				return 0
 			}
 			log.Fatal(err)
@@ -249,6 +247,7 @@ func runUnit(cfgFile string, analyzers []*framework.Analyzer) int {
 	pkg, err := tc.Check(cfg.ImportPath, fset, files, info)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
+			writeVetx(cfg, rec)
 			return 0
 		}
 		log.Fatal(err)
@@ -258,27 +257,56 @@ func runUnit(cfgFile string, analyzers []*framework.Analyzer) int {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rec.Analyzers = names
 	rec.Summaries = exported
+	writeVetx(cfg, rec)
 	for _, d := range diags {
-		rec.Diagnostics = append(rec.Diagnostics, diagRecord{
-			Position: fset.Position(d.Pos).String(),
-			Message:  d.Message,
-			Analyzer: d.Analyzer,
-		})
+		fmt.Fprintf(os.Stderr, "%s: %s [dualvet:%s]\n", fset.Position(d.Pos), d.Message, d.Analyzer)
 	}
-	if err := writeVetx(cfg, rec); err != nil {
-		log.Fatal(err)
-	}
-	cacheStore(rec)
-	for _, d := range rec.Diagnostics {
-		fmt.Fprintf(os.Stderr, "%s: %s [dualvet:%s]\n", d.Position, d.Message, d.Analyzer)
-	}
-	emitJSONDiags(rec.Diagnostics)
-	if len(rec.Diagnostics) > 0 {
+	if len(diags) > 0 {
 		return 1
 	}
 	return 0
+}
+
+// depSummaries decodes and merges the summary banks of every dependency
+// vetx record the go command handed us. An unreadable record contributes
+// nothing: its functions degrade to unknown callees, which every analyzer
+// treats soundly.
+func depSummaries(cfg *Config) *dataflow.PackageSummaries {
+	deps := make([]string, 0, len(cfg.PackageVetx))
+	for dep := range cfg.PackageVetx {
+		deps = append(deps, dep)
+	}
+	sort.Strings(deps)
+	merged := &dataflow.PackageSummaries{}
+	for _, dep := range deps {
+		data, err := os.ReadFile(cfg.PackageVetx[dep])
+		if err != nil {
+			continue
+		}
+		var rec vetxRecord
+		if json.Unmarshal(data, &rec) == nil {
+			merged.Merge(rec.Summaries)
+		}
+	}
+	if merged.Empty() {
+		return nil
+	}
+	return merged
+}
+
+// writeVetx persists rec as the unit's fact file for the go command.
+func writeVetx(cfg *Config, rec vetxRecord) {
+	if cfg.VetxOutput == "" {
+		return
+	}
+	data, err := json.Marshal(rec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := os.WriteFile(cfg.VetxOutput, data, 0o666); err != nil {
+		log.Fatal(err)
+	}
 }
 
 func readConfig(filename string) (*Config, error) {

@@ -297,7 +297,8 @@ func encodeRelation(rel *constraint.Relation) ([]byte, int, error) {
 }
 
 // decodeRelation reverses encodeRelation. An id past the relation's limit is
-// refused (constraint.ErrIDLimit) before anything is sized by it.
+// refused (constraint.ErrIDLimit), and a constraint count the stream has no
+// bytes for is refused, before anything is sized by either.
 func decodeRelation(data []byte, count, dim int) (*constraint.Relation, error) {
 	rel := constraint.NewRelation(dim)
 	off := 0
@@ -317,11 +318,11 @@ func decodeRelation(data []byte, count, dim int) (*constraint.Relation, error) {
 		if m < 0 || m > 1<<16 {
 			return nil, fmt.Errorf("implausible constraint count %d", m)
 		}
+		if err := need(m * (1 + 8 + 8*dim)); err != nil {
+			return nil, err
+		}
 		cons := make([]geom.HalfSpace, 0, m)
 		for j := 0; j < m; j++ {
-			if err := need(1 + 8 + 8*dim); err != nil {
-				return nil, err
-			}
 			op := geom.LE
 			if data[off] == 1 {
 				op = geom.GE

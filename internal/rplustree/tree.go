@@ -207,15 +207,15 @@ func (t *Tree) buildGrid(items []Item) (pagestore.PageID, error) {
 	minX, maxX := math.Inf(1), math.Inf(-1)
 	minY, maxY := math.Inf(1), math.Inf(-1)
 	for _, it := range items {
-		ex += it.R.MaxX - it.R.MinX                                //dualvet:allow infguard — item rects are validated bounded at Insert/Bulk
-		ey += it.R.MaxY - it.R.MinY                                //dualvet:allow infguard — item rects are validated bounded at Insert/Bulk
-		cx, cy := (it.R.MinX+it.R.MaxX)/2, (it.R.MinY+it.R.MaxY)/2 //dualvet:allow infguard — item rects are validated bounded at Insert/Bulk
+		ex += it.R.MaxX - it.R.MinX
+		ey += it.R.MaxY - it.R.MinY
+		cx, cy := (it.R.MinX+it.R.MaxX)/2, (it.R.MinY+it.R.MaxY)/2
 		minX, maxX = math.Min(minX, cx), math.Max(maxX, cx)
 		minY, maxY = math.Min(minY, cy), math.Max(maxY, cy)
 	}
 	n := float64(len(items))
 	ex, ey = ex/n, ey/n
-	spanX, spanY := maxX-minX, maxY-minY //dualvet:allow infguard — len(items) > 0, so the ∓Inf seeds were replaced by finite centers
+	spanX, spanY := maxX-minX, maxY-minY
 
 	// Per-axis resolution cap: g cuts of spacing span/g are each crossed by
 	// ≈ extent·g/span of the objects, so keeping g ≤ (bound−1)·span/extent
@@ -334,9 +334,9 @@ func sliceSlabs(items []Item, region Rect, axis, k int) ([][]Item, []Rect) {
 	centers := make([]float64, len(items))
 	for i, it := range items {
 		if axis == 0 {
-			centers[i] = (it.R.MinX + it.R.MaxX) / 2 //dualvet:allow infguard — item rects are validated bounded at Insert/Bulk
+			centers[i] = (it.R.MinX + it.R.MaxX) / 2
 		} else {
-			centers[i] = (it.R.MinY + it.R.MaxY) / 2 //dualvet:allow infguard — item rects are validated bounded at Insert/Bulk
+			centers[i] = (it.R.MinY + it.R.MaxY) / 2
 		}
 	}
 	sort.Float64s(centers)
