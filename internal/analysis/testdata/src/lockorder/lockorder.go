@@ -1,9 +1,9 @@
-package lockset
+package lockorder
 
 import (
 	"sync"
 
-	"lockset/shards"
+	"lockorder/shards"
 )
 
 // --- re-entry through a callee: calling a function that takes a lock the

@@ -1,6 +1,6 @@
-// Package shards is the cross-package half of lockset's re-entry cases: its
-// Stats takes the shard's exported mutex, and a caller in another package
-// knows that only from Stats' lock summary.
+// Package shards is the cross-package half of the re-entry golden cases:
+// its Stats takes the shard's exported mutex, and a caller in another
+// package knows that only from Stats' lock summary.
 package shards
 
 import "sync"
