@@ -127,7 +127,7 @@ func newIndex(rel *constraint.Relation, opt Options, geo slopeSpace) (*Index, er
 		}
 		ix.trees = append(ix.trees, t)
 	}
-	ix.publishLocked(1, 0, 0, nil)
+	ix.publishLocked(1, 0, 0, extents{})
 	ix.registerGauges()
 	return ix, nil
 }
@@ -209,7 +209,7 @@ func bulkLoaded(ix *Index, err error) (*Index, error) {
 	// Re-publish version 1 over the bulk-loaded trees. The index has not
 	// escaped to any reader yet, so mutating the trees in place between
 	// newIndex's publish and this one is unobservable.
-	ix.publishLocked(1, len(ts), 0, nil)
+	ix.publishLocked(1, len(ts), 0, extents{})
 	return ix, nil
 }
 
@@ -392,19 +392,23 @@ func (ix *Index) Pages() int {
 // Pool exposes the buffer pool (for I/O accounting in experiments).
 func (ix *Index) Pool() *pagestore.Pool { return ix.pool }
 
-// CheckInvariants validates the structural invariants of every live tree
-// and that each holds exactly the tuples the current version counts as
-// indexed (a test and debugging aid). It excludes writers for the duration.
+// CheckInvariants validates the structural invariants of every live tree,
+// that each holds exactly the tuples the current version counts as indexed
+// and that the version's x-extent span holds each of their extents (a test
+// and debugging aid). It excludes writers for the duration.
 func (ix *Index) CheckInvariants() error {
 	ix.writeMu.Lock()
 	defer ix.writeMu.Unlock()
-	indexed := ix.roots.Load().indexed
+	rs := ix.roots.Load()
+	if err := rs.checkExtents(); err != nil {
+		return err
+	}
 	for j, t := range ix.trees {
 		if err := t.CheckInvariants(); err != nil {
 			return err
 		}
-		if size := t.Meta().Size; size != indexed {
-			return fmt.Errorf("core: tree %d holds %d entries, version counts %d indexed tuples", j, size, indexed)
+		if size := t.Meta().Size; size != rs.indexed {
+			return fmt.Errorf("core: tree %d holds %d entries, version counts %d indexed tuples", j, size, rs.indexed)
 		}
 	}
 	return nil

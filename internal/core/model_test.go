@@ -522,10 +522,17 @@ func (h *engineHistory) checkAll() {
 		tp, _ := h.rel.Get(id)
 		return tp
 	}, h.rel.Scan, *h.current())
+	// Each version's x-extent span holds the extent of every tuple it indexes.
 	rs := h.ix.roots.Load()
 	h.checkStore("published version", rs.live, rs.tuples.Get, rs.tuples.Scan, h.live)
+	if err := rs.checkExtents(); err != nil {
+		h.fatalf("%v", err)
+	}
 	for _, p := range h.pins {
 		h.checkStore(fmt.Sprintf("snapshot %d", p.snap.Version()), p.snap.Tuples(), p.snap.rs.tuples.Get, p.snap.rs.tuples.Scan, p.model)
+		if err := p.snap.rs.checkExtents(); err != nil {
+			h.fatalf("%v", err)
+		}
 	}
 	h.cov.twoLevels = h.cov.twoLevels || h.ix.trees[0].Height() > 1
 }
@@ -567,8 +574,11 @@ func (h *engineHistory) checkStore(what string, n int, get func(constraint.Tuple
 // runEngineHistory decodes data into operations over an index of case c and
 // checks every version against the model after each; operations that do not
 // apply in the current state are skipped. The first byte sizes the initial
-// bulk-loaded relation, the second seeds the random shapes.
+// bulk-loaded relation, the second seeds the random shapes. cov may be nil.
 func runEngineHistory(t testing.TB, c engineCase, data []byte, cov *engineCoverage) {
+	if cov == nil {
+		cov = &engineCoverage{paths: map[string]int{}}
+	}
 	h := &engineHistory{t: t, c: c, data: data, cov: cov}
 	n := h.next() % 120
 	h.rng = rand.New(rand.NewSource(int64(h.next())))
@@ -740,4 +750,15 @@ func TestEngineOpsMatchScan(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzEngineOps runs arbitrary operation histories over every engine case:
+// whatever the bytes decode to, every version must answer as the scan. Its
+// checked-in corpus (testdata/fuzz/FuzzEngineOps) starts from engineSeeds.
+func FuzzEngineOps(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, c := range engineCases {
+			runEngineHistory(t, c, data, nil)
+		}
+	})
 }

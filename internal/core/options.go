@@ -90,7 +90,9 @@ type Options struct {
 	PivotX float64
 	// OuterHalfWidth is the half-width of the two outer handicap strips
 	// beyond min(S) and max(S). T2 query slopes farther out have no
-	// handicap to stop at and sweep the nearest slope's whole tree.
+	// handicap to stop at: they sweep the nearest slope's tree as far as the
+	// linear stop of the relation's x-extent, the whole tree when some tuple
+	// is unbounded in x.
 	// Default: half the largest gap between consecutive slopes (or 1.0
 	// when S has a single element).
 	OuterHalfWidth float64

@@ -248,7 +248,7 @@ func Open(pool *pagestore.Pool) (*constraint.Relation, *Index, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: corrupt tuple stream: %w", err)
 	}
-	ix.publishLocked(1, indexed, 0, nil)
+	ix.publishLocked(1, indexed, 0, extents{})
 	ix.registerGauges()
 	return rel, ix, nil
 }

@@ -149,8 +149,8 @@ func TestT2BoundaryMatchesScan(t *testing.T) {
 						if st.Duplicates != 0 || st.Candidates != st.Results+st.FalseHits || st.Decided > st.Candidates {
 							t.Fatalf("%v: accounting %+v", q, st)
 						}
-						if st.Path == "t2(outside)" && st.Candidates != ix.Len() {
-							t.Fatalf("%v: %d candidates from a whole tree of %d", q, st.Candidates, ix.Len())
+						if st.Path == "t2(outside)" && st.Candidates > ix.Len() {
+							t.Fatalf("%v: %d candidates from a tree of %d", q, st.Candidates, ix.Len())
 						}
 						decided += st.Decided
 					}
