@@ -16,7 +16,7 @@ import (
 // session. "observe slow 10ms" additionally logs queries at or over the
 // threshold to stderr as structured JSON and retains their traces.
 func (s *session) observe(rest string) error {
-	opt := dualcdb.ObserverOptions{Name: "cdbtool", TraceCapacity: 64}
+	opt := dualcdb.ObserverOptions{Name: "cdbtool"}
 	fields := strings.Fields(rest)
 	for i := 0; i < len(fields); i++ {
 		switch fields[i] {

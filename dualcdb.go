@@ -307,8 +307,10 @@ type (
 	// *Observer is valid everywhere and costs nothing on the query or
 	// commit path.
 	Observer = obs.Observer
-	// ObserverOptions configures an Observer (slow threshold, logger,
-	// trace-ring and flight-recorder capacities).
+	// ObserverOptions configures an Observer: its name, the slow
+	// threshold and the slow-record logger. Every trace ring (slow
+	// queries, the commit flight recorder, slow commits) keeps the
+	// newest 64 traces.
 	ObserverOptions = obs.Options
 	// ObserverSnapshot is a point-in-time read of an Observer.
 	ObserverSnapshot = obs.Snapshot

@@ -42,9 +42,8 @@ type Registry []Pair
 // Spans are the observability interval disciplines: every begun interval
 // must be closed or the telemetry silently lies (spanleak).
 var Spans = Registry{
-	{Pkg: "obs", BeginType: "QueryTrace", Begin: "Begin", CloseType: "SpanTimer", Close: "End", ErrIdx: -1},
+	{Pkg: "obs", BeginType: "Trace", Begin: "Begin", CloseType: "SpanTimer", Close: "End", ErrIdx: -1},
 	{Pkg: "obs", BeginType: "Observer", Begin: "StartBatch", CloseType: "BatchTimer", Close: "Done", ErrIdx: -1},
-	{Pkg: "obs", BeginType: "CommitTrace", Begin: "Begin", CloseType: "CommitSpanTimer", Close: "End", ErrIdx: -1},
 }
 
 // Pins are the buffer-pool frame disciplines: every pinned frame must be

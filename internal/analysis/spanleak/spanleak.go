@@ -2,7 +2,7 @@
 // escape their End/Done.
 //
 // The obs layer's accounting assumes every begun interval is closed:
-// QueryTrace.Begin returns a SpanTimer that must reach End (the span is
+// Trace.Begin returns a SpanTimer that must reach End (the span is
 // appended to the trace only there — a dropped timer silently loses the
 // stage from per-stage attribution and breaks the reconciliation
 // invariants), and Observer.StartBatch returns a BatchTimer whose Done

@@ -28,18 +28,18 @@ type Stage int
 
 type SpanTimer struct{ ok bool }
 
-func (t SpanTimer) End(pages1 uint64, items int) {}
+func (t SpanTimer) End(c0, c1 uint64, items int) {}
 
-type QueryTrace struct{ n int }
+type Trace struct{ n int }
 
-func (tr *QueryTrace) Begin(stage Stage, pages0 uint64) SpanTimer { return SpanTimer{true} }
+func (tr *Trace) Begin(stage Stage, c0, c1 uint64) SpanTimer { return SpanTimer{true} }
 `
 	const helpersSrc = `package helpers
 
 import "fake/obs"
 
 // Close discharges the timer on every path.
-func Close(st obs.SpanTimer) { st.End(0, 0) }
+func Close(st obs.SpanTimer) { st.End(0, 0, 0) }
 
 // Keep only reads the timer; the obligation stays with the caller.
 func Keep(st obs.SpanTimer) { _ = st }
@@ -51,18 +51,18 @@ import (
 	"fake/obs"
 )
 
-func leaky(tr *obs.QueryTrace) {
-	st := tr.Begin(0, 0)
+func leaky(tr *obs.Trace) {
+	st := tr.Begin(0, 0, 0)
 	helpers.Keep(st)
 }
 
-func clean(tr *obs.QueryTrace) {
-	st := tr.Begin(0, 0)
+func clean(tr *obs.Trace) {
+	st := tr.Begin(0, 0, 0)
 	helpers.Close(st)
 }
 
-func allowed(tr *obs.QueryTrace) {
-	st := tr.Begin(0, 0) //dualvet:allow spanleak — keeper registry records the interval
+func allowed(tr *obs.Trace) {
+	st := tr.Begin(0, 0, 0) //dualvet:allow spanleak — keeper registry records the interval
 	helpers.Keep(st)
 }
 `

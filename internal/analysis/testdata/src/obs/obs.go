@@ -5,13 +5,13 @@ package obs
 
 type Stage string
 
-type QueryTrace struct{}
+type Trace struct{}
 
-func (t *QueryTrace) Begin(stage Stage, pages0 uint64) SpanTimer { return SpanTimer{} }
+func (t *Trace) Begin(stage Stage, c0, c1 uint64) SpanTimer { return SpanTimer{} }
 
 type SpanTimer struct{ open bool }
 
-func (s SpanTimer) End(pages1 uint64, items int) {}
+func (s SpanTimer) End(c0, c1 uint64, items int) {}
 
 type Observer struct{}
 

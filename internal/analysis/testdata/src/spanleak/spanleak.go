@@ -5,22 +5,22 @@ import "obs"
 
 func work() {}
 
-func balanced(tr *obs.QueryTrace) {
-	st := tr.Begin("sweep", 0)
+func balanced(tr *obs.Trace) {
+	st := tr.Begin("sweep", 0, 0)
 	work()
-	st.End(1, 2)
+	st.End(1, 0, 2)
 }
 
-func leakOneBranch(tr *obs.QueryTrace, cond bool) {
-	st := tr.Begin("sweep", 0) // want `timer started by tr\.Begin may not reach End on every return path`
+func leakOneBranch(tr *obs.Trace, cond bool) {
+	st := tr.Begin("sweep", 0, 0) // want `timer started by tr\.Begin may not reach End on every return path`
 	if cond {
 		return
 	}
-	st.End(1, 2)
+	st.End(1, 0, 2)
 }
 
-func discarded(tr *obs.QueryTrace) {
-	tr.Begin("sweep", 0) // want `timer started by tr\.Begin is discarded without End`
+func discarded(tr *obs.Trace) {
+	tr.Begin("sweep", 0, 0) // want `timer started by tr\.Begin is discarded without End`
 }
 
 func batchBalancedDefer(o *obs.Observer) {
@@ -38,26 +38,26 @@ func batchLeak(o *obs.Observer, cond bool) {
 }
 
 // returned transfers the obligation to the caller: allowed.
-func returned(tr *obs.QueryTrace) obs.SpanTimer {
-	return tr.Begin("route", 0)
+func returned(tr *obs.Trace) obs.SpanTimer {
+	return tr.Begin("route", 0, 0)
 }
 
 // zeroValue is the nil-observer idiom: a zero SpanTimer is no obligation.
-func zeroValue(tr *obs.QueryTrace, enabled bool) obs.SpanTimer {
+func zeroValue(tr *obs.Trace, enabled bool) obs.SpanTimer {
 	if !enabled {
 		return obs.SpanTimer{}
 	}
-	return tr.Begin("refine", 0)
+	return tr.Begin("refine", 0, 0)
 }
 
-func aliasEnd(tr *obs.QueryTrace) {
-	st := tr.Begin("dedup", 0)
+func aliasEnd(tr *obs.Trace) {
+	st := tr.Begin("dedup", 0, 0)
 	cp := st
-	cp.End(0, 0)
+	cp.End(0, 0, 0)
 }
 
-func annotated(tr *obs.QueryTrace) {
-	tr.Begin("sweep", 0) //dualvet:allow spanleak — fire-and-forget probe
+func annotated(tr *obs.Trace) {
+	tr.Begin("sweep", 0, 0) //dualvet:allow spanleak — fire-and-forget probe
 }
 
 // --- cross-function (summary-driven) shapes ---------------------------
@@ -65,7 +65,7 @@ func annotated(tr *obs.QueryTrace) {
 // closeSpan ends its timer on every path; its summary discharges the
 // obligation at call sites.
 func closeSpan(st obs.SpanTimer, pages uint64, items int) {
-	st.End(pages, items)
+	st.End(pages, 0, items)
 }
 
 // readSpan merely inspects the timer: the obligation stays with the caller.
@@ -76,56 +76,56 @@ func readSpan(st obs.SpanTimer) {
 // maybeClose ends the timer on one arm only.
 func maybeClose(st obs.SpanTimer, ok bool) {
 	if ok {
-		st.End(0, 0)
+		st.End(0, 0, 0)
 	}
 }
 
 // closedByHelper hands the span to a closing helper. Allowed.
-func closedByHelper(tr *obs.QueryTrace) {
-	st := tr.Begin("sweep", 0)
+func closedByHelper(tr *obs.Trace) {
+	st := tr.Begin("sweep", 0, 0)
 	work()
 	closeSpan(st, 1, 2)
 }
 
 // droppedByHelper hands the span to a helper that never closes it: the
 // stage silently vanishes from the trace.
-func droppedByHelper(tr *obs.QueryTrace) {
-	st := tr.Begin("sweep", 0) // want `timer started by tr\.Begin is passed to readSpan, which does not close it`
+func droppedByHelper(tr *obs.Trace) {
+	st := tr.Begin("sweep", 0, 0) // want `timer started by tr\.Begin is passed to readSpan, which does not close it`
 	work()
 	readSpan(st)
 }
 
 // conditionallyClosed: the helper closes only on its success arm.
-func conditionallyClosed(tr *obs.QueryTrace, ok bool) {
-	st := tr.Begin("sweep", 0) // want `timer started by tr\.Begin is passed to maybeClose, which closes it on only some paths`
+func conditionallyClosed(tr *obs.Trace, ok bool) {
+	st := tr.Begin("sweep", 0, 0) // want `timer started by tr\.Begin is passed to maybeClose, which closes it on only some paths`
 	work()
 	maybeClose(st, ok)
 }
 
 // beginVia returns a fresh timer; its summary makes it a source.
-func beginVia(tr *obs.QueryTrace, stage obs.Stage) obs.SpanTimer {
-	return tr.Begin(stage, 0)
+func beginVia(tr *obs.Trace, stage obs.Stage) obs.SpanTimer {
+	return tr.Begin(stage, 0, 0)
 }
 
 // helperSourceLeaked: a timer acquired through a helper still carries the
 // obligation.
-func helperSourceLeaked(tr *obs.QueryTrace, cond bool) {
+func helperSourceLeaked(tr *obs.Trace, cond bool) {
 	st := beginVia(tr, "route") // want `timer started by beginVia may not reach End on every return path`
 	if cond {
 		return
 	}
-	st.End(0, 0)
+	st.End(0, 0, 0)
 }
 
 // helperSourceBalanced closes the helper-acquired timer. Allowed.
-func helperSourceBalanced(tr *obs.QueryTrace) {
+func helperSourceBalanced(tr *obs.Trace) {
 	st := beginVia(tr, "route")
-	defer st.End(0, 0)
+	defer st.End(0, 0, 0)
 	work()
 }
 
 // allowedHandoff suppresses the cross-function finding at the call site.
-func allowedHandoff(tr *obs.QueryTrace) {
-	st := tr.Begin("probe", 0) //dualvet:allow spanleak — probe helper records elsewhere
+func allowedHandoff(tr *obs.Trace) {
+	st := tr.Begin("probe", 0, 0) //dualvet:allow spanleak — probe helper records elsewhere
 	readSpan(st)
 }

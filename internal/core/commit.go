@@ -41,8 +41,8 @@ type Commit struct {
 	// mutation-staging span, the op label the one-op wrappers stamp for
 	// the flight recorder, and the first mutation fault — what lets
 	// Abort report its cause (fault vs explicit).
-	tr      *obs.CommitTrace
-	span    obs.CommitSpanTimer
+	tr      *obs.Trace
+	span    obs.SpanTimer
 	op      string
 	failErr error
 }
@@ -60,7 +60,7 @@ func (ix *Index) Begin() *Commit {
 	c := &Commit{ix: ix, base: base, indexed: base.indexed, deletes: base.deletesSinceRebuild, ext: base.extents}
 	if o := ix.opt.Observe; o != nil {
 		c.tr = o.StartCommit()
-		c.span = c.beginSpan(obs.CommitStageStage)
+		c.span = c.beginSpan(obs.StageStaging)
 	}
 	return c
 }
@@ -70,9 +70,9 @@ func (ix *Index) Begin() *Commit {
 // which this batch holds — so the counter deltas endSpan records are
 // exact per-stage attribution. Free on the bare path: with no trace the
 // zero timer comes back and the pool counters are never read.
-func (c *Commit) beginSpan(stage obs.CommitStage) obs.CommitSpanTimer {
+func (c *Commit) beginSpan(stage obs.Stage) obs.SpanTimer {
 	if c.tr == nil {
-		return obs.CommitSpanTimer{}
+		return obs.SpanTimer{}
 	}
 	pool := c.ix.pool
 	return c.tr.Begin(stage, pool.CloneCount(), pool.ReclaimedCount())
@@ -81,7 +81,7 @@ func (c *Commit) beginSpan(stage obs.CommitStage) obs.CommitSpanTimer {
 // endSpan closes a commit-stage span with the pool counters now. On the
 // bare path the span is the zero timer and End returns immediately, so
 // the pool counters are never read and no stage is recorded.
-func (c *Commit) endSpan(sp obs.CommitSpanTimer, items int) {
+func (c *Commit) endSpan(sp obs.SpanTimer, items int) {
 	if c.tr == nil {
 		sp.End(0, 0, 0)
 		return
@@ -258,20 +258,20 @@ func (c *Commit) Commit() error {
 	// will make has been made. Zero it so a hypothetical later Abort
 	// cannot double-close it.
 	c.endSpan(c.span, c.inserted+c.removed)
-	c.span = obs.CommitSpanTimer{}
+	c.span = obs.SpanTimer{}
 
-	shadowSpan := c.beginSpan(obs.CommitStageShadow)
+	shadowSpan := c.beginSpan(obs.StageShadow)
 	var superseded []pagestore.PageID
 	for _, t := range ix.trees {
 		superseded = append(superseded, t.CommitCOW()...)
 	}
 	c.endSpan(shadowSpan, len(superseded))
 
-	publishSpan := c.beginSpan(obs.CommitStagePublish)
+	publishSpan := c.beginSpan(obs.StagePublish)
 	rs := ix.publishLocked(c.base.version+1, c.indexed, c.deletes, c.ext)
 	c.endSpan(publishSpan, rs.live)
 
-	reclaimSpan := c.beginSpan(obs.CommitStageReclaim)
+	reclaimSpan := c.beginSpan(obs.StageReclaim)
 	freed := ix.pool.DeferFrees(rs.version, superseded)
 	c.endSpan(reclaimSpan, freed)
 	c.done = true
@@ -308,7 +308,7 @@ func (c *Commit) Abort() error {
 	c.done = true
 	ix := c.ix
 	c.endSpan(c.span, c.inserted+c.removed)
-	c.span = obs.CommitSpanTimer{}
+	c.span = obs.SpanTimer{}
 	var firstErr error
 	for _, t := range ix.trees {
 		if err := t.AbortCOW(); err != nil && firstErr == nil {

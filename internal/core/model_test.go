@@ -605,7 +605,7 @@ func runEngineHistory(t testing.TB, c engineCase, data []byte, cov *engineCovera
 		t.Fatal(err)
 	}
 	h.rel, h.ix, cov.technique = rel, ix, ix.opt.Technique
-	h.obs = obs.New(obs.Options{SlowThreshold: 1, TraceCapacity: 1})
+	h.obs = obs.New(obs.Options{SlowThreshold: 1})
 	ix.SetObserver(h.obs)
 	h.checkAll()
 

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
+	"net/http/httptest"
+	"sort"
+	"strings"
 	"testing"
 
 	"dualcdb/internal/constraint"
@@ -22,7 +26,7 @@ func obsIndex(t *testing.T, n int, tech Technique) (*Index, *obs.Observer, []con
 			t.Fatal(err)
 		}
 	}
-	o := obs.New(obs.Options{Name: "test", SlowThreshold: 1, TraceCapacity: 256})
+	o := obs.New(obs.Options{Name: "test", SlowThreshold: 1})
 	ix, err := Build(rel, Options{
 		Slopes:    EquiangularSlopes(3),
 		Technique: tech,
@@ -221,7 +225,7 @@ func TestObservedCompoundQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	o := obs.New(obs.Options{SlowThreshold: 1, TraceCapacity: 16})
+	o := obs.New(obs.Options{SlowThreshold: 1})
 	ix, err := Build(rel, Options{
 		Slopes:        EquiangularSlopes(3),
 		Technique:     T2,
@@ -287,7 +291,7 @@ func TestFailedQueryClosesRefineSpan(t *testing.T) {
 		}
 		last = id
 	}
-	o := obs.New(obs.Options{SlowThreshold: 1, TraceCapacity: 16})
+	o := obs.New(obs.Options{SlowThreshold: 1})
 	ix, err := Build(rel, Options{
 		Slopes:        EquiangularSlopes(3),
 		Technique:     T2,
@@ -301,7 +305,7 @@ func TestFailedQueryClosesRefineSpan(t *testing.T) {
 	// Without a vertical index the window's x-constraints are left to the
 	// tuple refinement itself, exercising queryTuple's own error return
 	// (on ix, the failure fires inside the vertical sub-selection instead).
-	o2 := obs.New(obs.Options{SlowThreshold: 1, TraceCapacity: 16})
+	o2 := obs.New(obs.Options{SlowThreshold: 1})
 	ix2, err := Build(rel, Options{
 		Slopes:    EquiangularSlopes(3),
 		Technique: T2,
@@ -362,6 +366,117 @@ func TestFailedQueryClosesRefineSpan(t *testing.T) {
 			t.Fatalf("%s: retained %d failed traces, want %d", name, failed, c.want)
 		}
 	}
+}
+
+// TestObservedDocumentShapes pins what a consumer of the debug documents
+// and the Prometheus exposition sees after one observed query and one
+// observed commit: the exact key set of a /debug/traces entry and of its
+// spans, of a /debug/flight commit and of its spans, of the values in
+// ObserverSnapshot's stages and commit_stages, and the sorted registry
+// names the Prometheus names are derived from.
+func TestObservedDocumentShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(94))
+	o := obs.New(obs.Options{Name: "shape", SlowThreshold: 1})
+	_, ix := buildRandomIndex(t, rng, 200, Options{Slopes: EquiangularSlopes(3), Technique: T2, Observe: o}, false)
+	if _, err := ix.Query(randQuery(rng)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ix.Insert(randTuple(rng, false)); err != nil {
+		t.Fatal(err)
+	}
+
+	srv := httptest.NewServer(obs.DebugMux(nil, o))
+	defer srv.Close()
+	get := func(path string, v any) {
+		t.Helper()
+		resp, err := srv.Client().Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+	}
+	keys := func(m map[string]any) string {
+		var ks []string
+		for k := range m {
+			ks = append(ks, k)
+		}
+		sort.Strings(ks)
+		return strings.Join(ks, " ")
+	}
+	// first returns the single-entry list's element and its first span.
+	first := func(what string, list []map[string]any) (map[string]any, map[string]any) {
+		t.Helper()
+		if len(list) != 1 {
+			t.Fatalf("%s: %d entries, want 1", what, len(list))
+		}
+		spans, _ := list[0]["spans"].([]any)
+		if len(spans) == 0 {
+			t.Fatalf("%s: no spans", what)
+		}
+		return list[0], spans[0].(map[string]any)
+	}
+	check := func(what, got, want string) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s keys:\n got %s\nwant %s", what, got, want)
+		}
+	}
+
+	var traces []map[string]any
+	get("/debug/traces", &traces)
+	tr, sp := first("/debug/traces", traces)
+	check("trace", keys(tr), "candidates decided duplicates false_hits leaves_swept pages path query results spans start total_us")
+	check("trace span", keys(sp), "dur_us items pages stage start_us")
+
+	var flight struct {
+		Commits []map[string]any `json:"commits"`
+	}
+	get("/debug/flight", &flight)
+	cm, csp := first("/debug/flight", flight.Commits)
+	check("flight commit", keys(cm), "cloned deletes freed inserts op spans start superseded total_us version")
+	check("flight span", keys(csp), "cloned dur_us freed items stage start_us")
+
+	data, err := json.Marshal(o.ObserverSnapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Stages       map[string]map[string]any `json:"stages"`
+		CommitStages map[string]map[string]any `json:"commit_stages"`
+	}
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range snap.Stages {
+		check("stages."+name, keys(st), "count items latency pages")
+	}
+	for name, st := range snap.CommitStages {
+		check("commit_stages."+name, keys(st), "cloned count freed items latency")
+	}
+	if len(snap.Stages) == 0 || len(snap.CommitStages) != 4 {
+		t.Errorf("%d query stages, %d commit stages; want some and 4", len(snap.Stages), len(snap.CommitStages))
+	}
+
+	// The Prometheus names are derived from the registry's.
+	check("registry", strings.Join(o.Registry().Names(), " "), strings.Join(strings.Fields(`
+		batches.latency_ns batches.total commits.aborted commits.aborted.explicit
+		commits.aborted.fault commits.clone_fanout commits.inflight commits.latency_ns
+		commits.slow commits.superseded_pages commits.total cstage.publish.cloned
+		cstage.publish.freed cstage.publish.items cstage.publish.ns cstage.reclaim.cloned
+		cstage.reclaim.freed cstage.reclaim.items cstage.reclaim.ns cstage.shadow.cloned
+		cstage.shadow.freed cstage.shadow.items cstage.shadow.ns cstage.stage.cloned
+		cstage.stage.freed cstage.stage.items cstage.stage.ns mvcc mvcc.snapshot_age_ns
+		path.t2.candidates path.t2.count path.t2.decided path.t2.duplicates path.t2.false_hits
+		path.t2.leaves_swept path.t2.ns path.t2.pages path.t2.results pool.evictions.old
+		pool.evictions.young pool.logical_reads pool.physical_reads pool.residency pool.snapshots
+		pool.writes queries.errors queries.inflight queries.slow queries.total stage.dedup.items
+		stage.dedup.ns stage.dedup.pages stage.refine.items stage.refine.ns stage.refine.pages
+		stage.route.items stage.route.ns stage.route.pages stage.sweep.items stage.sweep.ns
+		stage.sweep.pages stage.sweep2.items stage.sweep2.ns stage.sweep2.pages sweeps
+	`), " "))
 }
 
 // TestNilObserverAddsNoAllocs pins the zero-overhead invariant: a query

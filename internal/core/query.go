@@ -14,39 +14,9 @@ import (
 	"dualcdb/internal/pagestore"
 )
 
-// QueryStats describes how one selection was executed.
-type QueryStats struct {
-	// Path is the execution route: "restricted", "t1", "t2", and for a T2
-	// query slope outside every cell "t2(outside)" on a slope-set index or
-	// "scan" on a site-set one.
-	Path string
-	// Candidates is the number of tuple references retrieved from the
-	// trees before refinement (T1 counts duplicates once each).
-	Candidates int
-	// Results is the number of tuples in the final answer.
-	Results int
-	// FalseHits is the number of distinct candidates not in the answer:
-	// Candidates − Duplicates − Results.
-	FalseHits int
-	// Decided is the number of candidates a sweep settled on their key —
-	// into the answer or out of it — without evaluating the predicate; the
-	// other Candidates − Duplicates − Decided were evaluated.
-	Decided int
-	// Duplicates is the number of tuple references retrieved more than
-	// once (only T1 can produce them; T2 is duplicate-free by design).
-	Duplicates int
-	// LeavesSwept is the number of leaf pages visited across all sweeps.
-	LeavesSwept int
-	// PagesRead is the number of physical page reads this query's own
-	// tree traversals triggered, counted exactly via a per-query read
-	// counter (never a delta on the shared pool counters, which would be
-	// racy under concurrent queries). With a cold buffer pool and the
-	// query running alone it equals the number of distinct pages touched;
-	// in a concurrent batch over a warm shared pool it reports the misses
-	// this query itself faulted in — pages another in-flight query loaded
-	// first are, by design, charged to that query.
-	PagesRead uint64
-}
+// QueryStats describes how one selection was executed; the observer
+// aggregates the same struct per path.
+type QueryStats = obs.QueryStats
 
 // Result is a selection answer: matching tuple ids in ascending order plus
 // execution statistics.
@@ -76,7 +46,7 @@ type execCtx struct {
 	// stab) owns the trace, its sub-queries find tr already set and record
 	// their stage spans into it instead of opening traces of their own.
 	obs *obs.Observer
-	tr  *obs.QueryTrace
+	tr  *obs.Trace
 }
 
 // span opens a stage span when this execution is traced. On the bare
@@ -86,7 +56,7 @@ func (ec *execCtx) span(stage obs.Stage) obs.SpanTimer {
 	if ec.tr == nil {
 		return obs.SpanTimer{}
 	}
-	return ec.tr.Begin(stage, ec.rc.Physical.Load())
+	return ec.tr.Begin(stage, ec.rc.Physical.Load(), 0)
 }
 
 // endSpan closes sp, attributing the physical reads since span() and
@@ -97,10 +67,10 @@ func (ec *execCtx) span(stage obs.Stage) obs.SpanTimer {
 // skips the counter read, keeping it free of atomic traffic.
 func (ec *execCtx) endSpan(sp obs.SpanTimer, items int) {
 	if ec.tr == nil {
-		sp.End(0, items)
+		sp.End(0, 0, items)
 		return
 	}
-	sp.End(ec.rc.Physical.Load(), items)
+	sp.End(ec.rc.Physical.Load(), 0, items)
 }
 
 // scratch is one query's working memory, recycled through scratchPool by
@@ -162,21 +132,6 @@ func (ix *Index) Query(q constraint.Query) (Result, error) {
 	return ix.query(q, ix.execCtxFor(rs))
 }
 
-// queryInfo maps a finished query's stats onto the observer's report.
-func queryInfo(st QueryStats, err error) obs.QueryInfo {
-	return obs.QueryInfo{
-		Path:        st.Path,
-		PagesRead:   st.PagesRead,
-		Candidates:  st.Candidates,
-		Results:     st.Results,
-		FalseHits:   st.FalseHits,
-		Decided:     st.Decided,
-		Duplicates:  st.Duplicates,
-		LeavesSwept: st.LeavesSwept,
-		Err:         err,
-	}
-}
-
 func (r Result) queryStats() QueryStats      { return r.Stats }
 func (r TupleResult) queryStats() QueryStats { return r.Stats.QueryStats }
 
@@ -192,7 +147,7 @@ func traced[R interface{ queryStats() QueryStats }](ec *execCtx, label func() st
 	}
 	ec.tr = ec.obs.StartQuery(label())
 	res, err := run()
-	ec.obs.FinishQuery(ec.tr, queryInfo(res.queryStats(), err))
+	ec.obs.FinishQuery(ec.tr, res.queryStats(), err)
 	ec.tr = nil
 	return res, err
 }

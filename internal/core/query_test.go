@@ -486,7 +486,7 @@ func TestFigure1WindowClippingUnsound(t *testing.T) {
 func TestQueryStatsConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(205))
 	// A one-slot ring with a 1 ns threshold holds the latest query's trace.
-	o := obs.New(obs.Options{SlowThreshold: 1, TraceCapacity: 1})
+	o := obs.New(obs.Options{SlowThreshold: 1})
 	_, ix := buildRandomIndex(t, rng, 250, Options{Slopes: EquiangularSlopes(4), Technique: T2, Observe: o}, true)
 	decided := 0
 	for qi := 0; qi < 60; qi++ {

@@ -1,92 +1,59 @@
 package obs
 
 import (
-	"context"
 	"log/slog"
-	"sync"
 	"time"
 )
 
-// commitStageMetrics aggregates one commit stage across all observed
-// commits.
-type commitStageMetrics struct {
-	ns     *Histogram
-	cloned *Counter
-	freed  *Counter
-	items  *Counter
-}
+// AbortCause distinguishes why a commit batch was abandoned: a mutation
+// fault mid-batch (the engine aborted to keep the published version
+// intact) versus the caller explicitly calling Abort.
+type AbortCause string
 
-// commitRing is a fixed ring of finished commit traces: the flight
-// recorder keeps every recent commit, the slow ring keeps only
-// threshold-slow or aborted ones. Same overwrite-oldest semantics as
-// the slow-query ring.
-type commitRing struct {
-	mu   sync.Mutex
-	buf  []*CommitTrace //dualvet:guarded=mu
-	next int            //dualvet:guarded=mu
-	seen int            //dualvet:guarded=mu
-}
+// The abort causes recorded on aborted commit traces.
+const (
+	AbortFault    AbortCause = "fault"
+	AbortExplicit AbortCause = "explicit"
+)
 
-func (r *commitRing) add(tr *CommitTrace) {
-	r.mu.Lock()
-	r.buf[r.next] = tr
-	r.next = (r.next + 1) % len(r.buf)
-	r.seen++
-	r.mu.Unlock()
-}
-
-// snapshots returns the retained traces rendered newest first.
-func (r *commitRing) snapshots() []CommitTraceSnapshot {
-	r.mu.Lock()
-	n := len(r.buf)
-	trs := make([]*CommitTrace, 0, n)
-	for i := 1; i <= n; i++ {
-		if tr := r.buf[(r.next-i+n)%n]; tr != nil {
-			trs = append(trs, tr)
-		}
-	}
-	r.mu.Unlock()
-	out := make([]CommitTraceSnapshot, 0, len(trs))
-	for _, tr := range trs {
-		out = append(out, tr.Snapshot())
-	}
-	return out
+// CommitInfo is what the write path reports when a commit batch
+// finishes (published or aborted). The counts mirror the commit's exact
+// bookkeeping so the write-side reconciliation test can compare
+// observer totals against the pool's counters.
+type CommitInfo struct {
+	Op         string // "insert", "delete", "rebuild", or "batch"
+	Version    uint64 // published version (0 when aborted)
+	Inserts    int
+	Deletes    int
+	Superseded int // pages handed to DeferFrees
+	Aborted    bool
+	Cause      AbortCause // set when Aborted
+	Err        error      // the mutation fault, when Cause is AbortFault
 }
 
 // StartCommit opens a trace for one commit batch. Pair with
 // FinishCommit (the write path calls it from both Commit and Abort).
-func (o *Observer) StartCommit() *CommitTrace {
+func (o *Observer) StartCommit() *Trace {
 	if o == nil {
 		return nil
 	}
 	o.commitInflight.Add(1)
-	return newCommitTrace()
+	return newTrace("")
 }
 
 // FinishCommit closes a trace opened by StartCommit, folding the
 // commit-level counts and every recorded stage span into the metric
 // registry, retaining the trace in the flight ring, and routing slow or
 // aborted commits to the slow-commit ring and log.
-func (o *Observer) FinishCommit(tr *CommitTrace, info CommitInfo) {
+func (o *Observer) FinishCommit(tr *Trace, info CommitInfo) {
 	if o == nil || tr == nil {
 		return
 	}
 	o.commitInflight.Add(-1)
-	total := time.Since(tr.begun)
-	tr.finish(total, info)
-
-	var cloned, freed uint64
-	for _, sp := range tr.spansCopy() {
-		m := &o.cstages[sp.Stage]
-		m.ns.RecordDuration(sp.Dur)
-		m.cloned.Add(sp.Cloned)
-		m.freed.Add(sp.Freed)
-		if sp.Items > 0 {
-			m.items.Add(uint64(sp.Items))
-		}
-		cloned += sp.Cloned
-		freed += sp.Freed
-	}
+	tr.commit = info
+	spans := tr.finish()
+	sum := o.fold(spans)
+	cloned, freed := sum[0], sum[1]
 
 	// commits.total and the latency/fan-out histograms cover published
 	// commits only; aborted batches count under commits.aborted and its
@@ -101,22 +68,38 @@ func (o *Observer) FinishCommit(tr *CommitTrace, info CommitInfo) {
 		}
 	} else {
 		o.commits.Inc()
-		o.commitNs.RecordDuration(total)
+		o.commitNs.RecordDuration(tr.total)
 		o.cloneFanout.Record(cloned)
 		o.supersededPg.Record(uint64(info.Superseded))
 	}
 
 	o.flight.add(tr)
-	slow := o.slowThreshold > 0 && total >= o.slowThreshold
-	if slow || info.Aborted {
-		if slow {
-			o.slowCommits.Inc()
-		}
-		o.slowCommitRing.add(tr)
-		if o.logger != nil {
-			o.logSlowCommit(tr, total, info, cloned, freed)
-		}
+	slow := o.slowThreshold > 0 && tr.total >= o.slowThreshold
+	if !slow && !info.Aborted {
+		return
 	}
+	if slow {
+		o.slowCommits.Inc()
+	}
+	o.slowCommitRing.add(tr)
+	// Aborted commits always name their cause — fault (mid-batch mutation
+	// error) or explicit (caller Abort) — so aborts are never invisible in
+	// the log.
+	msg, attrs := "slow commit", []slog.Attr{
+		slog.String("op", info.Op),
+		slog.Uint64("version", info.Version),
+		slog.Duration("total", tr.total),
+		slog.Int("inserts", info.Inserts),
+		slog.Int("deletes", info.Deletes),
+		slog.Int("superseded", info.Superseded),
+		slog.Uint64("cloned", cloned),
+		slog.Uint64("freed", freed),
+	}
+	if info.Aborted {
+		msg = "aborted commit"
+		attrs = append(attrs, slog.Bool("aborted", true), slog.String("cause", string(info.Cause)))
+	}
+	o.logSlow(msg, spans, info.Err, attrs...)
 }
 
 // RecordSnapshotAge records how long a reader held a pinned snapshot
@@ -135,7 +118,7 @@ func (o *Observer) FlightRecords() []CommitTraceSnapshot {
 	if o == nil {
 		return nil
 	}
-	return o.flight.snapshots()
+	return commitSnapshots(o.flight.traces())
 }
 
 // SlowCommits returns the retained slow or aborted commit traces,
@@ -144,48 +127,15 @@ func (o *Observer) SlowCommits() []CommitTraceSnapshot {
 	if o == nil {
 		return nil
 	}
-	return o.slowCommitRing.snapshots()
+	return commitSnapshots(o.slowCommitRing.traces())
 }
 
-// logSlowCommit emits one structured record per slow or aborted commit,
-// with the stage breakdown as a nested group. Aborted commits always
-// name their cause — fault (mid-batch mutation error) or explicit
-// (caller Abort) — so aborts are never invisible in the log.
-func (o *Observer) logSlowCommit(tr *CommitTrace, total time.Duration, info CommitInfo, cloned, freed uint64) {
-	msg := "slow commit"
-	if info.Aborted {
-		msg = "aborted commit"
+func commitSnapshots(trs []*Trace) []CommitTraceSnapshot {
+	out := make([]CommitTraceSnapshot, 0, len(trs))
+	for _, tr := range trs {
+		out = append(out, tr.commitSnapshot())
 	}
-	attrs := []slog.Attr{
-		slog.String("index", o.name),
-		slog.String("op", info.Op),
-		slog.Uint64("version", info.Version),
-		slog.Duration("total", total),
-		slog.Int("inserts", info.Inserts),
-		slog.Int("deletes", info.Deletes),
-		slog.Int("superseded", info.Superseded),
-		slog.Uint64("cloned", cloned),
-		slog.Uint64("freed", freed),
-	}
-	if info.Aborted {
-		attrs = append(attrs, slog.Bool("aborted", true), slog.String("cause", string(info.Cause)))
-	}
-	var stageAttrs []any
-	for _, sp := range tr.spansCopy() {
-		stageAttrs = append(stageAttrs, slog.Group(sp.Stage.String(),
-			slog.Duration("dur", sp.Dur),
-			slog.Uint64("cloned", sp.Cloned),
-			slog.Uint64("freed", sp.Freed),
-			slog.Int("items", sp.Items),
-		))
-	}
-	if len(stageAttrs) > 0 {
-		attrs = append(attrs, slog.Group("stages", stageAttrs...))
-	}
-	if info.Err != nil {
-		attrs = append(attrs, slog.String("err", info.Err.Error()))
-	}
-	o.logger.LogAttrs(context.Background(), slog.LevelWarn, msg, attrs...)
+	return out
 }
 
 // CommitStageSnapshot aggregates one commit stage across all observed

@@ -77,7 +77,7 @@ type HistogramSnapshot struct {
 }
 
 // Snapshot reads the histogram and computes mean and interpolated
-// p50/p95/p99.
+// p50/p95/p99, each at most Max.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var counts [numBuckets]uint64
 	var total uint64
@@ -90,9 +90,12 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		return s
 	}
 	s.Mean = float64(s.Sum) / float64(total)
-	s.P50 = quantile(&counts, total, 0.50)
-	s.P95 = quantile(&counts, total, 0.95)
-	s.P99 = quantile(&counts, total, 0.99)
+	// Interpolating inside the top bucket can land past the largest
+	// sample; no quantile exceeds Max.
+	m := float64(s.Max)
+	s.P50 = min(quantile(&counts, total, 0.50), m)
+	s.P95 = min(quantile(&counts, total, 0.95), m)
+	s.P99 = min(quantile(&counts, total, 0.99), m)
 	for i, c := range counts {
 		if c > 0 {
 			s.Buckets = append(s.Buckets, Bucket{Lo: bucketLo(i), Hi: bucketHi(i), Count: c})

@@ -58,6 +58,30 @@ func TestHistogramRecordDurationClampsNegative(t *testing.T) {
 // distributions. Log2 buckets guarantee the estimate is within a
 // factor of 2 of the true sample quantile; assert with headroom for
 // interpolation at bucket edges.
+// TestHistogramQuantilesNeverExceedMax pins the clamp on interpolation
+// inside the top bucket: a lone 5 sits in [4, 8), and a thousand-valued
+// bucket [512, 1024) interpolates p99 past 1000.
+func TestHistogramQuantilesNeverExceedMax(t *testing.T) {
+	for _, c := range []struct {
+		v uint64
+		n int
+	}{{5, 1}, {1000, 100}} {
+		var h Histogram
+		for i := 0; i < c.n; i++ {
+			h.Record(c.v)
+		}
+		s := h.Snapshot()
+		if s.Max != c.v {
+			t.Fatalf("%d×%d: max %d", c.n, c.v, s.Max)
+		}
+		for _, q := range []float64{s.P50, s.P95, s.P99} {
+			if q > float64(s.Max) {
+				t.Errorf("%d×%d: quantile %g exceeds max %d (p50 %g p95 %g p99 %g)", c.n, c.v, q, s.Max, s.P50, s.P95, s.P99)
+			}
+		}
+	}
+}
+
 func TestHistogramQuantileAccuracy(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	dists := map[string]func() uint64{

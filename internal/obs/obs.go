@@ -1,7 +1,8 @@
 // Package obs is the unified observability layer: atomic counters and
 // gauges, lock-free log2-bucketed latency histograms, named per-index
-// registries, and a per-query trace that attributes latency and page
-// I/O to execution stages (slope routing, envelope sweeps, refinement).
+// registries, and one trace type that attributes latency and page work
+// to the stages of a query (slope routing, envelope sweeps, refinement)
+// or of a commit (staging, shadow, publish, reclaim).
 //
 // The package is stdlib-only and designed around one invariant: when no
 // Observer is attached (core's Options.Observe is nil) the query path

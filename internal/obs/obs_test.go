@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"net/http/httptest"
 	"strings"
@@ -82,9 +83,9 @@ func TestNilObserverAndTraceAreNoOps(t *testing.T) {
 	if tr != nil {
 		t.Fatal("nil observer returned a trace")
 	}
-	sp := tr.Begin(StageSweep, 0)
-	sp.End(5, 1) // must not panic
-	o.FinishQuery(tr, QueryInfo{})
+	sp := tr.Begin(StageSweep, 0, 0)
+	sp.End(5, 0, 1) // must not panic
+	o.FinishQuery(tr, QueryStats{}, nil)
 	o.StartBatch().Done()
 	if o.ObserverSnapshot() != nil {
 		t.Fatal("nil observer snapshot not nil")
@@ -101,17 +102,17 @@ func TestObserverAggregates(t *testing.T) {
 	o := New(Options{Name: "ix"})
 	for i := 0; i < 3; i++ {
 		tr := o.StartQuery("exist y >= x")
-		sp := tr.Begin(StageSweep, 10)
-		sp.End(14, 20)
-		sp = tr.Begin(StageRefine, 14)
-		sp.End(14, 6)
-		o.FinishQuery(tr, QueryInfo{
+		sp := tr.Begin(StageSweep, 10, 0)
+		sp.End(14, 0, 20)
+		sp = tr.Begin(StageRefine, 14, 0)
+		sp.End(14, 0, 6)
+		o.FinishQuery(tr, QueryStats{
 			Path: "t2", PagesRead: 4, Candidates: 20, Results: 17,
 			FalseHits: 3, LeavesSwept: 2,
-		})
+		}, nil)
 	}
 	tr := o.StartQuery("all y <= 0")
-	o.FinishQuery(tr, QueryInfo{Path: "restricted", PagesRead: 1, Candidates: 5, Results: 5})
+	o.FinishQuery(tr, QueryStats{Path: "restricted", PagesRead: 1, Candidates: 5, Results: 5}, nil)
 
 	s := o.ObserverSnapshot()
 	if s.Queries != 4 || s.Inflight != 0 {
@@ -144,38 +145,39 @@ func TestSlowQueryLogAndRing(t *testing.T) {
 		Name:          "ix",
 		SlowThreshold: time.Nanosecond, // everything is slow
 		Logger:        logger,
-		TraceCapacity: 2,
 	})
-	for i, q := range []string{"q0", "q1", "q2"} {
-		tr := o.StartQuery(q)
-		sp := tr.Begin(StageSweep, 0)
-		sp.End(uint64(i), i)
-		o.FinishQuery(tr, QueryInfo{Path: "t2", PagesRead: uint64(i)})
+	// One query more than the ring holds, so it wraps.
+	const n = ringCapacity + 1
+	for i := 0; i < n; i++ {
+		tr := o.StartQuery(fmt.Sprintf("q%d", i))
+		sp := tr.Begin(StageSweep, 0, 0)
+		sp.End(uint64(i), 0, i)
+		o.FinishQuery(tr, QueryStats{Path: "t2", PagesRead: uint64(i)}, nil)
 	}
-	if got := o.ObserverSnapshot().Slow; got != 3 {
-		t.Fatalf("slow count = %d, want 3", got)
+	if got := o.ObserverSnapshot().Slow; got != n {
+		t.Fatalf("slow count = %d, want %d", got, n)
 	}
 	trs := o.SlowTraces()
-	if len(trs) != 2 { // capacity 2 keeps the newest two
-		t.Fatalf("ring kept %d traces, want 2", len(trs))
+	if len(trs) != ringCapacity { // the ring keeps the newest ringCapacity
+		t.Fatalf("ring kept %d traces, want %d", len(trs), ringCapacity)
 	}
-	if trs[0].Query != "q2" || trs[1].Query != "q1" {
-		t.Fatalf("ring order: %q, %q", trs[0].Query, trs[1].Query)
+	if trs[0].Query != fmt.Sprintf("q%d", n-1) || trs[ringCapacity-1].Query != "q1" {
+		t.Fatalf("ring order: %q ... %q", trs[0].Query, trs[ringCapacity-1].Query)
 	}
 	if len(trs[0].Spans) != 1 || trs[0].Spans[0].Stage != "sweep" {
 		t.Fatalf("trace spans: %+v", trs[0].Spans)
 	}
 
-	// Three JSON log lines, each with the structured fields.
+	// One JSON log line per query, each with the structured fields.
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("log lines = %d, want 3:\n%s", len(lines), buf.String())
+	if len(lines) != n {
+		t.Fatalf("log lines = %d, want %d:\n%s", len(lines), n, buf.String())
 	}
 	var rec map[string]any
-	if err := json.Unmarshal([]byte(lines[2]), &rec); err != nil {
+	if err := json.Unmarshal([]byte(lines[n-1]), &rec); err != nil {
 		t.Fatal(err)
 	}
-	if rec["msg"] != "slow query" || rec["query"] != "q2" || rec["path"] != "t2" {
+	if rec["msg"] != "slow query" || rec["query"] != fmt.Sprintf("q%d", n-1) || rec["path"] != "t2" {
 		t.Fatalf("log record: %v", rec)
 	}
 	if _, ok := rec["stages"]; !ok {
@@ -184,7 +186,7 @@ func TestSlowQueryLogAndRing(t *testing.T) {
 }
 
 func TestObserverConcurrent(t *testing.T) {
-	o := New(Options{SlowThreshold: time.Nanosecond, TraceCapacity: 4})
+	o := New(Options{SlowThreshold: time.Nanosecond})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -193,9 +195,9 @@ func TestObserverConcurrent(t *testing.T) {
 			paths := []string{"restricted", "t1", "t2"}
 			for i := 0; i < 500; i++ {
 				tr := o.StartQuery("q")
-				sp := tr.Begin(StageSweep, 0)
-				sp.End(1, 1)
-				o.FinishQuery(tr, QueryInfo{Path: paths[i%3], PagesRead: 1})
+				sp := tr.Begin(StageSweep, 0, 0)
+				sp.End(1, 0, 1)
+				o.FinishQuery(tr, QueryStats{Path: paths[i%3], PagesRead: 1}, nil)
 				if i%50 == 0 {
 					_ = o.ObserverSnapshot()
 					_ = o.SlowTraces()
@@ -213,7 +215,7 @@ func TestObserverConcurrent(t *testing.T) {
 func TestDebugMux(t *testing.T) {
 	o := New(Options{SlowThreshold: time.Nanosecond})
 	tr := o.StartQuery("exist y >= 2x")
-	o.FinishQuery(tr, QueryInfo{Path: "t2", PagesRead: 7})
+	o.FinishQuery(tr, QueryStats{Path: "t2", PagesRead: 7}, nil)
 	mux := DebugMux(func() any { return map[string]int{"pages": 42} }, o)
 
 	srv := httptest.NewServer(mux)

@@ -8,20 +8,39 @@ import (
 	"time"
 )
 
-// QueryInfo is what the execution engine reports when a query
-// finishes. The counts mirror core.QueryStats exactly so the
-// reconciliation test can compare observer totals against the exact
-// per-query counters.
-type QueryInfo struct {
-	Path        string // technique route taken: "restricted", "t1", "t2", ...
-	PagesRead   uint64
-	Candidates  int
-	Results     int
-	FalseHits   int
-	Decided     int // candidates settled on their key, never evaluated
-	Duplicates  int
+// QueryStats describes how one selection was executed: what the engine
+// returns with every answer and what the observer aggregates per path.
+type QueryStats struct {
+	// Path is the execution route: "restricted", "t1", "t2", and for a T2
+	// query slope outside every cell "t2(outside)" on a slope-set index or
+	// "scan" on a site-set one.
+	Path string
+	// Candidates is the number of tuple references retrieved from the
+	// trees before refinement (T1 counts duplicates once each).
+	Candidates int
+	// Results is the number of tuples in the final answer.
+	Results int
+	// FalseHits is the number of distinct candidates not in the answer:
+	// Candidates − Duplicates − Results.
+	FalseHits int
+	// Decided is the number of candidates a sweep settled on their key —
+	// into the answer or out of it — without evaluating the predicate; the
+	// other Candidates − Duplicates − Decided were evaluated.
+	Decided int
+	// Duplicates is the number of tuple references retrieved more than
+	// once (only T1 can produce them; T2 is duplicate-free by design).
+	Duplicates int
+	// LeavesSwept is the number of leaf pages visited across all sweeps.
 	LeavesSwept int
-	Err         error
+	// PagesRead is the number of physical page reads this query's own
+	// tree traversals triggered, counted exactly via a per-query read
+	// counter (never a delta on the shared pool counters, which would be
+	// racy under concurrent queries). With a cold buffer pool and the
+	// query running alone it equals the number of distinct pages touched;
+	// in a concurrent batch over a warm shared pool it reports the misses
+	// this query itself faulted in — pages another in-flight query loaded
+	// first are, by design, charged to that query.
+	PagesRead uint64
 }
 
 // Options configures an Observer.
@@ -36,18 +55,13 @@ type Options struct {
 	// (nil: traces are still retained in the rings but nothing is
 	// logged).
 	Logger *slog.Logger
-	// TraceCapacity bounds the slow-query and slow-commit rings
-	// (default 32).
-	TraceCapacity int
-	// FlightCapacity bounds the commit flight recorder — the ring that
-	// keeps every recent commit trace, slow or not (default 64).
-	FlightCapacity int
 }
 
-// Observer aggregates query-level observations for one index: global
-// and per-path counters, latency histograms, per-stage span metrics, a
-// slow-query trace ring, and an optional slog slow-query log. All
-// methods are safe for concurrent use; a nil *Observer is valid
+// Observer aggregates the observations of one index: global and per-path
+// query counters, commit counters, latency histograms, per-stage span
+// metrics, the slow-query ring, the commit flight recorder and slow-commit
+// ring (each keeps the newest 64 traces), and an optional slog slow log.
+// All methods are safe for concurrent use; a nil *Observer is valid
 // everywhere and does nothing.
 type Observer struct {
 	name          string
@@ -65,9 +79,8 @@ type Observer struct {
 
 	stages [NumStages]stageMetrics
 
-	// Write-path aggregates (commit.go): commit counters, per-stage
-	// commit metrics, the COW clone fan-out and snapshot-age
-	// histograms, the flight recorder and the slow-commit ring.
+	// Write-path aggregates (commit.go): commit counters, the COW clone
+	// fan-out and snapshot-age histograms.
 	commits        *Counter
 	commitAborts   *Counter
 	abortFault     *Counter
@@ -78,25 +91,22 @@ type Observer struct {
 	cloneFanout    *Histogram
 	supersededPg   *Histogram
 	snapAgeNs      *Histogram
-	cstages        [NumCommitStages]commitStageMetrics
-	flight         commitRing
-	slowCommitRing commitRing
+
+	slowQueries    ring
+	flight         ring
+	slowCommitRing ring
 
 	mu    sync.RWMutex
 	paths map[string]*pathMetrics //dualvet:guarded=mu
-
-	ring struct {
-		sync.Mutex
-		buf  []*QueryTrace //dualvet:guarded=Mutex
-		next int           //dualvet:guarded=Mutex
-		seen int           //dualvet:guarded=Mutex
-	}
 }
 
+// stageMetrics aggregates one stage across all observed queries or
+// commits: its latency, the sums of its spans' counter deltas (nil where
+// the stage carries one counter) and its payload.
 type stageMetrics struct {
-	ns    *Histogram
-	pages *Counter
-	items *Counter
+	ns       *Histogram
+	counters [2]*Counter
+	items    *Counter
 }
 
 type pathMetrics struct {
@@ -117,12 +127,6 @@ func New(opt Options) *Observer {
 	if opt.Name == "" {
 		opt.Name = "index"
 	}
-	if opt.TraceCapacity <= 0 {
-		opt.TraceCapacity = 32
-	}
-	if opt.FlightCapacity <= 0 {
-		opt.FlightCapacity = 64
-	}
 	o := &Observer{
 		name:          opt.Name,
 		reg:           NewRegistry(opt.Name),
@@ -138,11 +142,16 @@ func New(opt Options) *Observer {
 	o.batches = o.reg.Counter("batches.total")
 	o.batchNs = o.reg.Histogram("batches.latency_ns")
 	for s := Stage(0); s < NumStages; s++ {
-		o.stages[s] = stageMetrics{
-			ns:    o.reg.Histogram("stage." + s.String() + ".ns"),
-			pages: o.reg.Counter("stage." + s.String() + ".pages"),
-			items: o.reg.Counter("stage." + s.String() + ".items"),
+		prefix, counters := s.metrics()
+		name := prefix + s.String() + "."
+		m := &o.stages[s]
+		m.ns = o.reg.Histogram(name + "ns")
+		for i, c := range counters {
+			if c != "" {
+				m.counters[i] = o.reg.Counter(name + c)
+			}
 		}
+		m.items = o.reg.Counter(name + "items")
 	}
 	o.commits = o.reg.Counter("commits.total")
 	o.commitAborts = o.reg.Counter("commits.aborted")
@@ -154,17 +163,6 @@ func New(opt Options) *Observer {
 	o.cloneFanout = o.reg.Histogram("commits.clone_fanout")
 	o.supersededPg = o.reg.Histogram("commits.superseded_pages")
 	o.snapAgeNs = o.reg.Histogram("mvcc.snapshot_age_ns")
-	for s := CommitStage(0); s < NumCommitStages; s++ {
-		o.cstages[s] = commitStageMetrics{
-			ns:     o.reg.Histogram("cstage." + s.String() + ".ns"),
-			cloned: o.reg.Counter("cstage." + s.String() + ".cloned"),
-			freed:  o.reg.Counter("cstage." + s.String() + ".freed"),
-			items:  o.reg.Counter("cstage." + s.String() + ".items"),
-		}
-	}
-	o.flight.buf = make([]*CommitTrace, opt.FlightCapacity)
-	o.slowCommitRing.buf = make([]*CommitTrace, opt.TraceCapacity)
-	o.ring.buf = make([]*QueryTrace, opt.TraceCapacity)
 	return o
 }
 
@@ -180,7 +178,7 @@ func (o *Observer) Registry() *Registry {
 // StartQuery opens a trace for one query execution. query is a
 // human-readable description (constraint.Query.String()). Pair with
 // FinishQuery.
-func (o *Observer) StartQuery(query string) *QueryTrace {
+func (o *Observer) StartQuery(query string) *Trace {
 	if o == nil {
 		return nil
 	}
@@ -188,49 +186,69 @@ func (o *Observer) StartQuery(query string) *QueryTrace {
 	return newTrace(query)
 }
 
-// FinishQuery closes a trace opened by StartQuery, folding the
-// query-level counts and every recorded stage span into the metric
+// FinishQuery closes a trace opened by StartQuery, folding the query's
+// stats, its error and every recorded stage span into the metric
 // registry, and retaining the trace in the slow ring when the total
 // latency crosses the threshold.
-func (o *Observer) FinishQuery(tr *QueryTrace, info QueryInfo) {
+func (o *Observer) FinishQuery(tr *Trace, st QueryStats, err error) {
 	if o == nil || tr == nil {
 		return
 	}
 	o.inflight.Add(-1)
-	total := time.Since(tr.begun)
-	tr.finish(total, info)
+	tr.stats, tr.err = st, err
+	spans := tr.finish()
+	o.fold(spans)
 
 	o.queries.Inc()
-	if info.Err != nil {
+	if err != nil {
 		o.errors.Inc()
 	}
-	pm := o.path(info.Path)
+	pm := o.path(st.Path)
 	pm.count.Inc()
-	pm.ns.RecordDuration(total)
-	pm.pages.Add(info.PagesRead)
-	pm.candidates.Add(uint64(info.Candidates))
-	pm.results.Add(uint64(info.Results))
-	pm.falseHits.Add(uint64(info.FalseHits))
-	pm.decided.Add(uint64(info.Decided))
-	pm.duplicates.Add(uint64(info.Duplicates))
-	pm.leavesSwept.Add(uint64(info.LeavesSwept))
+	pm.ns.RecordDuration(tr.total)
+	pm.pages.Add(st.PagesRead)
+	pm.candidates.Add(uint64(st.Candidates))
+	pm.results.Add(uint64(st.Results))
+	pm.falseHits.Add(uint64(st.FalseHits))
+	pm.decided.Add(uint64(st.Decided))
+	pm.duplicates.Add(uint64(st.Duplicates))
+	pm.leavesSwept.Add(uint64(st.LeavesSwept))
 
-	for _, sp := range tr.spansCopy() {
-		st := &o.stages[sp.Stage]
-		st.ns.RecordDuration(sp.Dur)
-		st.pages.Add(sp.Pages)
-		if sp.Items > 0 {
-			st.items.Add(uint64(sp.Items))
-		}
-	}
-
-	if o.slowThreshold > 0 && total >= o.slowThreshold {
+	if o.slowThreshold > 0 && tr.total >= o.slowThreshold {
 		o.slow.Inc()
-		o.ringAdd(tr)
-		if o.logger != nil {
-			o.logSlow(tr, total, info)
+		o.slowQueries.add(tr)
+		o.logSlow("slow query", spans, err,
+			slog.String("query", tr.query),
+			slog.String("path", st.Path),
+			slog.Duration("total", tr.total),
+			slog.Uint64("pages_read", st.PagesRead),
+			slog.Int("candidates", st.Candidates),
+			slog.Int("results", st.Results),
+			slog.Int("false_hits", st.FalseHits),
+			slog.Int("decided", st.Decided),
+			slog.Int("duplicates", st.Duplicates),
+			slog.Int("leaves_swept", st.LeavesSwept),
+		)
+	}
+}
+
+// fold adds finished spans to the per-stage metrics and returns the sums
+// of their counter deltas.
+func (o *Observer) fold(spans []Span) (sum [2]uint64) {
+	for _, sp := range spans {
+		m := &o.stages[sp.Stage]
+		m.ns.RecordDuration(sp.Dur)
+		for i, c := range m.counters {
+			if c != nil {
+				c.Add(sp.Delta[i])
+			}
+			sum[i] += sp.Delta[i]
+		}
+		if sp.Items > 0 {
+			m.items.Add(uint64(sp.Items))
 		}
 	}
+	return sum
 }
 
 func (o *Observer) path(name string) *pathMetrics {
@@ -263,46 +281,33 @@ func (o *Observer) path(name string) *pathMetrics {
 	return pm
 }
 
-func (o *Observer) ringAdd(tr *QueryTrace) {
-	o.ring.Lock()
-	o.ring.buf[o.ring.next] = tr
-	o.ring.next = (o.ring.next + 1) % len(o.ring.buf)
-	o.ring.seen++
-	o.ring.Unlock()
-}
-
-// logSlow emits one structured record per slow query, with the stage
-// breakdown as a nested group so log processors can aggregate per
-// stage without parsing the trace dump.
-func (o *Observer) logSlow(tr *QueryTrace, total time.Duration, info QueryInfo) {
-	attrs := []slog.Attr{
-		slog.String("index", o.name),
-		slog.String("query", tr.query),
-		slog.String("path", info.Path),
-		slog.Duration("total", total),
-		slog.Uint64("pages_read", info.PagesRead),
-		slog.Int("candidates", info.Candidates),
-		slog.Int("results", info.Results),
-		slog.Int("false_hits", info.FalseHits),
-		slog.Int("decided", info.Decided),
-		slog.Int("duplicates", info.Duplicates),
-		slog.Int("leaves_swept", info.LeavesSwept),
+// logSlow emits one structured record for a slow query or a slow or
+// aborted commit: the index, the caller's outcome attributes, the stage
+// breakdown as a nested group so log processors can aggregate per stage
+// without parsing the trace dump, and the error. No-op without a logger.
+func (o *Observer) logSlow(msg string, spans []Span, err error, outcome ...slog.Attr) {
+	if o.logger == nil {
+		return
 	}
-	var stageAttrs []any
-	for _, sp := range tr.spansCopy() {
-		stageAttrs = append(stageAttrs, slog.Group(sp.Stage.String(),
-			slog.Duration("dur", sp.Dur),
-			slog.Uint64("pages", sp.Pages),
-			slog.Int("items", sp.Items),
-		))
+	attrs := append([]slog.Attr{slog.String("index", o.name)}, outcome...)
+	var stages []any
+	for _, sp := range spans {
+		_, counters := sp.Stage.metrics()
+		group := []any{slog.Duration("dur", sp.Dur)}
+		for i, c := range counters {
+			if c != "" {
+				group = append(group, slog.Uint64(c, sp.Delta[i]))
+			}
+		}
+		stages = append(stages, slog.Group(sp.Stage.String(), append(group, slog.Int("items", sp.Items))...))
 	}
-	if len(stageAttrs) > 0 {
-		attrs = append(attrs, slog.Group("stages", stageAttrs...))
+	if len(stages) > 0 {
+		attrs = append(attrs, slog.Group("stages", stages...))
 	}
-	if info.Err != nil {
-		attrs = append(attrs, slog.String("err", info.Err.Error()))
+	if err != nil {
+		attrs = append(attrs, slog.String("err", err.Error()))
 	}
-	o.logger.LogAttrs(context.Background(), slog.LevelWarn, "slow query", attrs...)
+	o.logger.LogAttrs(context.Background(), slog.LevelWarn, msg, attrs...)
 }
 
 // BatchTimer measures one QueryBatch run. The zero value's Done is a
@@ -334,18 +339,10 @@ func (o *Observer) SlowTraces() []TraceSnapshot {
 	if o == nil {
 		return nil
 	}
-	o.ring.Lock()
-	n := len(o.ring.buf)
-	trs := make([]*QueryTrace, 0, n)
-	for i := 1; i <= n; i++ {
-		if tr := o.ring.buf[(o.ring.next-i+n)%n]; tr != nil {
-			trs = append(trs, tr)
-		}
-	}
-	o.ring.Unlock()
+	trs := o.slowQueries.traces()
 	out := make([]TraceSnapshot, 0, len(trs))
 	for _, tr := range trs {
-		out = append(out, tr.Snapshot())
+		out = append(out, tr.querySnapshot())
 	}
 	return out
 }
@@ -461,31 +458,27 @@ func (o *Observer) ObserverSnapshot() *Snapshot {
 		s.PathNames = append(s.PathNames, name)
 	}
 	sort.Strings(s.PathNames)
-	for st := Stage(0); st < NumStages; st++ {
+	for st := StageRoute; st < StageStaging; st++ {
 		m := &o.stages[st]
-		lat := m.ns.Snapshot()
-		if lat.Count == 0 && m.pages.Load() == 0 {
-			continue
-		}
-		s.Stages[st.String()] = StageSnapshot{
-			Count:   lat.Count,
-			Pages:   m.pages.Load(),
-			Items:   m.items.Load(),
-			Latency: lat,
+		if lat := m.ns.Snapshot(); lat.Count > 0 {
+			s.Stages[st.String()] = StageSnapshot{
+				Count:   lat.Count,
+				Pages:   m.counters[0].Load(),
+				Items:   m.items.Load(),
+				Latency: lat,
+			}
 		}
 	}
-	for st := CommitStage(0); st < NumCommitStages; st++ {
-		m := &o.cstages[st]
-		lat := m.ns.Snapshot()
-		if lat.Count == 0 {
-			continue
-		}
-		s.CommitStages[st.String()] = CommitStageSnapshot{
-			Count:   lat.Count,
-			Cloned:  m.cloned.Load(),
-			Freed:   m.freed.Load(),
-			Items:   m.items.Load(),
-			Latency: lat,
+	for st := StageStaging; st < NumStages; st++ {
+		m := &o.stages[st]
+		if lat := m.ns.Snapshot(); lat.Count > 0 {
+			s.CommitStages[st.String()] = CommitStageSnapshot{
+				Count:   lat.Count,
+				Cloned:  m.counters[0].Load(),
+				Freed:   m.counters[1].Load(),
+				Items:   m.items.Load(),
+				Latency: lat,
+			}
 		}
 	}
 	return s

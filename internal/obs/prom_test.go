@@ -192,7 +192,7 @@ func TestWriteRuntimeMetrics(t *testing.T) {
 // finishOne runs one observed commit batch through the trace lifecycle.
 func finishOne(o *Observer, op string, version uint64, aborted bool, cause AbortCause, err error) {
 	tr := o.StartCommit()
-	sp := tr.Begin(CommitStageStage, 10, 2)
+	sp := tr.Begin(StageStaging, 10, 2)
 	sp.End(14, 5, 3) // cloned 4, freed 3
 	o.FinishCommit(tr, CommitInfo{
 		Op: op, Version: version, Inserts: 3,
@@ -201,17 +201,19 @@ func finishOne(o *Observer, op string, version uint64, aborted bool, cause Abort
 }
 
 func TestCommitFlightRing(t *testing.T) {
-	o := New(Options{Name: "t", FlightCapacity: 8})
-	for i := 0; i < 11; i++ {
+	// Three commits more than the ring holds, so it wraps.
+	const n = ringCapacity + 3
+	o := New(Options{Name: "t"})
+	for i := 0; i < n; i++ {
 		finishOne(o, fmt.Sprintf("op%d", i), uint64(i+1), false, "", nil)
 	}
 	recs := o.FlightRecords()
-	if len(recs) != 8 {
-		t.Fatalf("flight ring retained %d, want capacity 8", len(recs))
+	if len(recs) != ringCapacity {
+		t.Fatalf("flight ring retained %d, want capacity %d", len(recs), ringCapacity)
 	}
-	// Newest first: op10 down to op3.
+	// Newest first: op(n-1) down to op3.
 	for i, r := range recs {
-		if want := fmt.Sprintf("op%d", 10-i); r.Op != want {
+		if want := fmt.Sprintf("op%d", n-1-i); r.Op != want {
 			t.Errorf("recs[%d].Op = %q, want %q", i, r.Op, want)
 		}
 	}
@@ -219,8 +221,8 @@ func TestCommitFlightRing(t *testing.T) {
 		t.Errorf("trace span attribution cloned=%d freed=%d, want 4/3", recs[0].Cloned, recs[0].Freed)
 	}
 	snap := o.ObserverSnapshot()
-	if snap.Commits != 11 || snap.CommitAborts != 0 {
-		t.Errorf("commits=%d aborts=%d, want 11/0", snap.Commits, snap.CommitAborts)
+	if snap.Commits != n || snap.CommitAborts != 0 {
+		t.Errorf("commits=%d aborts=%d, want %d/0", snap.Commits, snap.CommitAborts, n)
 	}
 }
 

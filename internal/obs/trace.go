@@ -5,25 +5,37 @@ import (
 	"time"
 )
 
-// Stage labels one phase of dual-index query execution. The taxonomy
-// mirrors the paper's cost decomposition: route picks the slope a_i
+// Stage labels one phase of a traced query or commit batch. The query
+// stages mirror the paper's cost decomposition: route picks the slope a_i
 // (and plans T1's two approximating queries), sweep is the first
 // B^up/B^down leaf walk, sweep2 is T2's handicap-bounded second walk,
 // dedup is T1's duplicate elimination across the two app-queries, and
-// refine is the exact-predicate pass that removes false hits.
+// refine is the exact-predicate pass that removes false hits. The commit
+// stages mirror the write path: stage is the mutation window from
+// Index.Begin to the Commit call, where every copy-on-write page clone
+// happens; shadow closes the trees' COW batches and collects the
+// superseded originals; publish derives the frozen relation view and
+// swaps the new root set in; reclaim hands the superseded pages to the
+// pool's deferred-free queue and frees whatever the snapshot watermark
+// already allows.
 type Stage uint8
 
-// The stage-span taxonomy. NumStages bounds per-stage metric arrays.
+// The stage taxonomy: the query stages, then from StageStaging on the
+// commit stages. NumStages bounds per-stage metric arrays.
 const (
 	StageRoute Stage = iota
 	StageSweep
 	StageSweepSecond
 	StageDedup
 	StageRefine
+	StageStaging
+	StageShadow
+	StagePublish
+	StageReclaim
 	NumStages
 )
 
-var stageNames = [NumStages]string{"route", "sweep", "sweep2", "dedup", "refine"}
+var stageNames = [NumStages]string{"route", "sweep", "sweep2", "dedup", "refine", "stage", "shadow", "publish", "reclaim"}
 
 // String returns the short stage name used in metrics and trace dumps.
 func (s Stage) String() string {
@@ -33,71 +45,78 @@ func (s Stage) String() string {
 	return "unknown"
 }
 
-// Span is one recorded stage interval within a query trace. Start is
-// the offset from the trace's begin time; Pages is the physical page
-// reads attributed to the span (a ReadCounter delta); Items is the
-// stage-specific payload size — entries swept, candidates refined,
-// duplicates dropped.
+// metrics returns the registry prefix of the stage's metrics and the names
+// of the counters its spans carry ("" for an unused one): a query stage
+// counts the query's physical page reads, a commit stage the pool's page
+// clones and reclaimed pages.
+func (s Stage) metrics() (prefix string, counters [2]string) {
+	if s < StageStaging {
+		return "stage.", [2]string{"pages"}
+	}
+	return "cstage.", [2]string{"cloned", "freed"}
+}
+
+// Span is one recorded stage interval within a trace. Start is the offset
+// from the trace's begin time; Delta holds the changes of the counters the
+// caller passed to Begin and End (see Stage.metrics) — exact attribution,
+// because a query's stages run one after another on its own read counter
+// and commit clones happen only under the index's single-writer lock;
+// Items is the stage-specific payload size — entries swept, candidates
+// refined, duplicates dropped, mutations staged, pages freed.
 type Span struct {
 	Stage Stage
 	Start time.Duration
 	Dur   time.Duration
-	Pages uint64
+	Delta [2]uint64
 	Items int
 }
 
-// QueryTrace accumulates the stage spans of one query execution. The
-// engine appends spans through SpanTimer; T1's parallel sweeps append
-// concurrently, hence the mutex. A nil *QueryTrace is valid everywhere
-// and records nothing, which is how the zero-overhead bare path works.
-type QueryTrace struct {
-	query string
+// Trace accumulates the stage spans of one query execution or one commit
+// batch. The engine appends spans through SpanTimer; T1's parallel sweeps
+// append concurrently, hence the mutex. A nil *Trace is valid everywhere
+// and records nothing, which is how the zero-overhead bare paths work.
+type Trace struct {
+	query string // the query's text; empty on a commit trace
 	begun time.Time
 
 	mu    sync.Mutex
 	spans []Span //dualvet:guarded=mu
 
-	// Filled by Observer.FinishQuery.
-	done        bool
-	path        string
-	total       time.Duration
-	pages       uint64
-	candidates  int
-	results     int
-	falseHits   int
-	decided     int
-	duplicates  int
-	leavesSwept int
-	err         string
+	// The outcome, stamped by FinishQuery or FinishCommit before the trace
+	// enters a ring, and not written after.
+	total  time.Duration
+	stats  QueryStats
+	err    error
+	commit CommitInfo
 }
 
-func newTrace(query string) *QueryTrace {
-	return &QueryTrace{query: query, begun: time.Now(), spans: make([]Span, 0, 8)}
+func newTrace(query string) *Trace {
+	return &Trace{query: query, begun: time.Now(), spans: make([]Span, 0, 8)}
 }
 
-// Begin opens a stage span; pages0 is the caller's current physical
-// read count (the span records the delta at End). Safe on a nil trace:
-// the returned zero timer's End is a no-op.
-func (t *QueryTrace) Begin(stage Stage, pages0 uint64) SpanTimer {
+// Begin opens a stage span; c0 and c1 are the caller's current counts of
+// the stage's counters (the span records the deltas at End). Safe on a nil
+// trace: the returned zero timer's End is a no-op.
+func (t *Trace) Begin(stage Stage, c0, c1 uint64) SpanTimer {
 	if t == nil {
 		return SpanTimer{}
 	}
-	return SpanTimer{tr: t, stage: stage, start: time.Now(), pages0: pages0}
+	return SpanTimer{tr: t, stage: stage, start: time.Now(), base: [2]uint64{c0, c1}}
 }
 
-// SpanTimer measures one stage span. It is a plain value — obtaining
-// one allocates nothing — and the zero value's End is a no-op, so call
-// sites need no nil checks beyond the one in QueryTrace.Begin.
+// SpanTimer measures one stage span. It is a plain value — obtaining one
+// allocates nothing — and the zero value's End is a no-op, so call sites
+// need no nil checks beyond the one in Trace.Begin.
 type SpanTimer struct {
-	tr     *QueryTrace
-	stage  Stage
-	start  time.Time
-	pages0 uint64
+	tr    *Trace
+	stage Stage
+	start time.Time
+	base  [2]uint64 // the counts passed to Begin
 }
 
-// End closes the span: pages1 is the caller's physical read count now
-// (Pages = pages1 - pages0), items the stage payload size.
-func (s SpanTimer) End(pages1 uint64, items int) {
+// End closes the span: c0 and c1 are the caller's counts now (Delta =
+// now - at Begin), items the stage payload size.
+func (s SpanTimer) End(c0, c1 uint64, items int) {
 	if s.tr == nil {
 		return
 	}
@@ -105,7 +124,7 @@ func (s SpanTimer) End(pages1 uint64, items int) {
 		Stage: s.stage,
 		Start: s.start.Sub(s.tr.begun),
 		Dur:   time.Since(s.start),
-		Pages: pages1 - s.pages0,
+		Delta: [2]uint64{c0 - s.base[0], c1 - s.base[1]},
 		Items: items,
 	}
 	s.tr.mu.Lock()
@@ -113,26 +132,49 @@ func (s SpanTimer) End(pages1 uint64, items int) {
 	s.tr.mu.Unlock()
 }
 
-// finish stamps the query-level outcome onto the trace.
-func (t *QueryTrace) finish(total time.Duration, info QueryInfo) {
+// finish stamps the total latency and returns the recorded spans. An
+// operation finishes after its last stage ends, so nothing appends to the
+// returned slice.
+func (t *Trace) finish() []Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.done = true
-	t.path = info.Path
-	t.total = total
-	t.pages = info.PagesRead
-	t.candidates = info.Candidates
-	t.results = info.Results
-	t.falseHits = info.FalseHits
-	t.decided = info.Decided
-	t.duplicates = info.Duplicates
-	t.leavesSwept = info.LeavesSwept
-	if info.Err != nil {
-		t.err = info.Err.Error()
-	}
+	t.total = time.Since(t.begun)
+	return t.spans
 }
 
-// SpanSnapshot is the JSON form of one span in a trace dump.
+// ringCapacity is how many finished traces each ring keeps: the slow-query
+// ring, the commit flight recorder and the slow-commit ring.
+const ringCapacity = 64
+
+// ring keeps the newest ringCapacity finished traces, overwriting the
+// oldest.
+type ring struct {
+	mu   sync.Mutex
+	buf  [ringCapacity]*Trace //dualvet:guarded=mu
+	next int                  //dualvet:guarded=mu
+}
+
+func (r *ring) add(tr *Trace) {
+	r.mu.Lock()
+	r.buf[r.next] = tr
+	r.next = (r.next + 1) % ringCapacity
+	r.mu.Unlock()
+}
+
+// traces returns the retained traces, newest first.
+func (r *ring) traces() []*Trace {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	trs := make([]*Trace, 0, ringCapacity)
+	for i := 1; i <= ringCapacity; i++ {
+		if tr := r.buf[(r.next-i+ringCapacity)%ringCapacity]; tr != nil {
+			trs = append(trs, tr)
+		}
+	}
+	return trs
+}
+
+// SpanSnapshot is the JSON form of one span in a query trace dump.
 type SpanSnapshot struct {
 	Stage   string `json:"stage"`
 	StartUs int64  `json:"start_us"`
@@ -142,7 +184,7 @@ type SpanSnapshot struct {
 }
 
 // TraceSnapshot is the JSON form of a finished query trace, served at
-// /debug/traces and attached to slow-query log records.
+// /debug/traces.
 type TraceSnapshot struct {
 	Query       string         `json:"query"`
 	Path        string         `json:"path"`
@@ -159,23 +201,24 @@ type TraceSnapshot struct {
 	Spans       []SpanSnapshot `json:"spans"`
 }
 
-// Snapshot renders the trace for serialization.
-func (t *QueryTrace) Snapshot() TraceSnapshot {
+// querySnapshot renders a finished query trace for serialization.
+func (t *Trace) querySnapshot() TraceSnapshot {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	st := t.stats
 	ts := TraceSnapshot{
 		Query:       t.query,
-		Path:        t.path,
+		Path:        st.Path,
 		Start:       t.begun,
 		TotalUs:     t.total.Microseconds(),
-		Pages:       t.pages,
-		Candidates:  t.candidates,
-		Results:     t.results,
-		FalseHits:   t.falseHits,
-		Decided:     t.decided,
-		Duplicates:  t.duplicates,
-		LeavesSwept: t.leavesSwept,
-		Err:         t.err,
+		Pages:       st.PagesRead,
+		Candidates:  st.Candidates,
+		Results:     st.Results,
+		FalseHits:   st.FalseHits,
+		Decided:     st.Decided,
+		Duplicates:  st.Duplicates,
+		LeavesSwept: st.LeavesSwept,
+		Err:         errString(t.err),
 		Spans:       make([]SpanSnapshot, 0, len(t.spans)),
 	}
 	for _, sp := range t.spans {
@@ -183,19 +226,79 @@ func (t *QueryTrace) Snapshot() TraceSnapshot {
 			Stage:   sp.Stage.String(),
 			StartUs: sp.Start.Microseconds(),
 			DurUs:   sp.Dur.Microseconds(),
-			Pages:   sp.Pages,
+			Pages:   sp.Delta[0],
 			Items:   sp.Items,
 		})
 	}
 	return ts
 }
 
-// spansCopy returns the recorded spans; used by FinishQuery to fold
-// them into per-stage metrics.
-func (t *QueryTrace) spansCopy() []Span {
+// CommitSpanSnapshot is the JSON form of one commit-stage span.
+type CommitSpanSnapshot struct {
+	Stage   string `json:"stage"`
+	StartUs int64  `json:"start_us"`
+	DurUs   int64  `json:"dur_us"`
+	Cloned  uint64 `json:"cloned"`
+	Freed   uint64 `json:"freed"`
+	Items   int    `json:"items"`
+}
+
+// CommitTraceSnapshot is the JSON form of a finished commit trace, served
+// at /debug/flight.
+type CommitTraceSnapshot struct {
+	Op         string               `json:"op"`
+	Version    uint64               `json:"version,omitempty"`
+	Start      time.Time            `json:"start"`
+	TotalUs    int64                `json:"total_us"`
+	Inserts    int                  `json:"inserts"`
+	Deletes    int                  `json:"deletes"`
+	Superseded int                  `json:"superseded"`
+	Cloned     uint64               `json:"cloned"`
+	Freed      uint64               `json:"freed"`
+	Aborted    bool                 `json:"aborted,omitempty"`
+	Cause      string               `json:"cause,omitempty"`
+	Err        string               `json:"err,omitempty"`
+	Spans      []CommitSpanSnapshot `json:"spans"`
+}
+
+// commitSnapshot renders a finished commit trace for serialization.
+// Cloned and Freed are the span sums — the commit's whole-batch
+// attribution.
+func (t *Trace) commitSnapshot() CommitTraceSnapshot {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Span, len(t.spans))
-	copy(out, t.spans)
-	return out
+	info := t.commit
+	ts := CommitTraceSnapshot{
+		Op:         info.Op,
+		Version:    info.Version,
+		Start:      t.begun,
+		TotalUs:    t.total.Microseconds(),
+		Inserts:    info.Inserts,
+		Deletes:    info.Deletes,
+		Superseded: info.Superseded,
+		Aborted:    info.Aborted,
+		Cause:      string(info.Cause),
+		Err:        errString(info.Err),
+		Spans:      make([]CommitSpanSnapshot, 0, len(t.spans)),
+	}
+	for _, sp := range t.spans {
+		ts.Cloned += sp.Delta[0]
+		ts.Freed += sp.Delta[1]
+		ts.Spans = append(ts.Spans, CommitSpanSnapshot{
+			Stage:   sp.Stage.String(),
+			StartUs: sp.Start.Microseconds(),
+			DurUs:   sp.Dur.Microseconds(),
+			Cloned:  sp.Delta[0],
+			Freed:   sp.Delta[1],
+			Items:   sp.Items,
+		})
+	}
+	return ts
+}
+
+func errString(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }

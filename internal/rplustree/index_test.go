@@ -3,6 +3,7 @@ package rplustree
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dualcdb/internal/constraint"
@@ -70,6 +71,42 @@ func TestIndexMatchesGroundTruth(t *testing.T) {
 		for i := range want {
 			if got.IDs[i] != want[i] {
 				t.Fatalf("%v: got %v, want %v", q, got.IDs, want)
+			}
+		}
+	}
+}
+
+// TestIndexZeroSlopeMatchesGroundTruth queries at slope exactly 0, where
+// the half-plane's x coefficient is 0: evalCorner must read 0·(±Inf) as
+// 0, not NaN, or a node whose region is unbounded in x is pruned with its
+// whole subtree.
+func TestIndexZeroSlopeMatchesGroundTruth(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	rel := constraint.NewRelation(2)
+	for i := 0; i < 3000; i++ {
+		if _, err := rel.Insert(randBoundedTuple(rng, 8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ix, err := Build(rel, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []constraint.QueryKind{constraint.ALL, constraint.EXIST} {
+		for _, op := range []geom.Op{geom.GE, geom.LE} {
+			for _, b := range []float64{-40, 0, 40} {
+				q := constraint.Query2(kind, 0, b, op)
+				want, err := q.Eval(rel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := ix.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got.IDs, want) {
+					t.Errorf("%v: got %d ids, want %d", q, len(got.IDs), len(want))
+				}
 			}
 		}
 	}

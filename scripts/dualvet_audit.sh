@@ -330,12 +330,12 @@ mut evict-tick internal/pagestore/pool.go "atomicpub: \`EvictAll\` resets a guar
 		sh.lastPinned = 0
 EOF
 
-mut ring-seen internal/obs/observer.go "atomicpub: the slow-query ring's count bumped after unlocking" <<'EOF'
-	o.ring.seen++
-	o.ring.Unlock()
+mut ring-next internal/obs/trace.go "atomicpub: the trace ring's \`next\` advanced after unlocking" <<'EOF'
+	r.next = (r.next + 1) % ringCapacity
+	r.mu.Unlock()
 ----
-	o.ring.Unlock()
-	o.ring.seen++
+	r.mu.Unlock()
+	r.next = (r.next + 1) % ringCapacity
 EOF
 
 mut flush-drop internal/pagestore/pool.go "atomicpub: \`Flush\` drops a frame it could not write after unlocking" <<'EOF'
