@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -48,24 +47,19 @@ func TestSessionDBSaveRequiresIndex(t *testing.T) {
 	}
 }
 
-// TestSessionDBOpenRefusesPreviousFormat: a DCDB0004 file has 12-byte leaf
-// entries and unrounded keys; dbopen reports its magic instead of reading it.
+// TestSessionDBOpenRefusesPreviousFormat: a DCDB0005 file — the real one in
+// internal/core/testdata, whose nodes have float64 handicap slots and no
+// child bounds — is refused by its magic instead of read.
 func TestSessionDBOpenRefusesPreviousFormat(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "old.cdb")
-	runScript(t, []string{"gen 20 small 4", "index 3 t2", "dbsave " + path})
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(filepath.Join("..", "..", "internal", "core", "testdata", "dcdb0005.cdb"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	at := bytes.Index(data, []byte("DCDB0005"))
-	if at < 0 {
-		t.Fatal("the saved file does not carry the current magic")
-	}
-	copy(data[at:], "DCDB0004")
+	path := filepath.Join(t.TempDir(), "old.cdb")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if out := captureErr(t, nil, "dbopen "+path); !strings.Contains(out, "bad catalog magic") || !strings.Contains(out, "DCDB0004") {
+	if out := captureErr(t, nil, "dbopen "+path); !strings.Contains(out, "bad catalog magic") || !strings.Contains(out, "DCDB0005") {
 		t.Errorf("dbopen of a previous-format file: %s", out)
 	}
 }

@@ -159,7 +159,7 @@ var ErrIDLimit = constraint.ErrIDLimit
 
 // ErrCatalog is what OpenDatabase returns (wrapped; test with errors.Is) for
 // a file whose catalog this version did not write: another format — a
-// DCDB0004 or older file — or a damaged catalog page.
+// DCDB0005 or older file — or a damaged catalog page.
 var ErrCatalog = core.ErrCatalog
 
 // d-dimensional index (Section 4.4) and generalized-tuple selections.

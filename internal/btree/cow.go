@@ -32,8 +32,9 @@ type cowState struct {
 	// removed while still reachable from a published root; the commit hands
 	// them to the pool's deferred free list.
 	superseded []pagestore.PageID
-	// savedMeta is the version AbortCOW returns to.
+	// savedMeta is the version AbortCOW returns to, savedExt its root bound.
 	savedMeta Meta
+	savedExt  [2]float64
 }
 
 // BeginCOW opens a copy-on-write batch: until CommitCOW or AbortCOW, every
@@ -44,7 +45,7 @@ func (t *Tree) BeginCOW() {
 	if t.cow != nil {
 		panic("btree: BeginCOW with a batch already open")
 	}
-	t.cow = &cowState{owned: make(map[pagestore.PageID]bool), savedMeta: t.Meta()}
+	t.cow = &cowState{owned: make(map[pagestore.PageID]bool), savedMeta: t.Meta(), savedExt: t.rootExt}
 }
 
 // CommitCOW closes the batch keeping its mutations and returns the
@@ -74,7 +75,7 @@ func (t *Tree) AbortCOW() error {
 		}
 	}
 	m := t.cow.savedMeta
-	t.root, t.hgt, t.size, t.pages = m.Root, m.Height, m.Size, m.Pages
+	t.root, t.hgt, t.size, t.pages, t.rootExt = m.Root, m.Height, m.Size, m.Pages, t.cow.savedExt
 	t.pendingFree = t.pendingFree[:0]
 	t.cow = nil
 	return err
@@ -85,7 +86,8 @@ func (t *Tree) InCOW() bool { return t.cow != nil }
 
 // Handle returns a read-only view of the tree frozen at root metadata m —
 // the per-version tree a snapshot sweeps. It shares the pool, config and
-// traversal counters with t; it must not be mutated.
+// traversal counters with t; it must not be mutated. Its root bound is
+// NoExtent: a sweep never reads the root's bound, only its children's.
 func (t *Tree) Handle(m Meta) *Tree {
 	return &Tree{
 		pool:    t.pool,
@@ -94,6 +96,7 @@ func (t *Tree) Handle(m Meta) *Tree {
 		hgt:     m.Height,
 		size:    m.Size,
 		pages:   m.Pages,
+		rootExt: NoExtent,
 		stats:   t.stats,
 		leafCap: t.leafCap,
 		intCap:  t.intCap,

@@ -220,7 +220,7 @@ func TestCOWHandicapsShadow(t *testing.T) {
 	h := handleOf(tr)
 
 	tr.BeginCOW()
-	if err := tr.ResetHandicaps(); err != nil {
+	if err := tr.ResetHandicaps(nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.MergeHandicap(10, 0, -7); err != nil {

@@ -9,13 +9,13 @@ import (
 	"dualcdb/internal/pagestore"
 )
 
-// leafView builds the zero-copy view of a pinned leaf for a sweep. The
-// returned LeafView borrows leaf's frame: the caller must not release the
-// frame until it is done with the view (sweeps call visit first, release
-// after).
-func (t *Tree) leafView(leaf node) LeafView {
+// leafView builds the zero-copy view of a pinned leaf for a sweep, with its
+// bound x. The returned LeafView borrows leaf's frame: the caller must not
+// release the frame until it is done with the view (sweeps call visit first,
+// release after).
+func (t *Tree) leafView(leaf node, x [2]float64) LeafView {
 	t.stats.leavesVisited.Add(1)
-	return LeafView{Page: leaf.id(), v: leaf.view()}
+	return LeafView{Page: leaf.id(), v: leaf.view(), ext: x}
 }
 
 // maxDepth bounds the internal levels above a leaf. Every internal node has
@@ -23,73 +23,179 @@ func (t *Tree) leafView(leaf node) LeafView {
 // pages, and page ids are 32 bits: no tree is deeper.
 const maxDepth = 32
 
+// Bound is what a sweep knows of a subtree before it reads it: every entry
+// the subtree holds has a stored key in [Lo, Hi] — the separators around it,
+// ±Inf at the tree's ends — and an x-extent inside X, its parent's record.
+type Bound struct {
+	Lo, Hi float64
+	X      [2]float64
+}
+
+// Step is a skip test's verdict on a subtree.
+type Step uint8
+
+const (
+	// Enter reads the subtree.
+	Enter Step = iota
+	// Pass goes on past the subtree without reading it.
+	Pass
+	// Stop ends the sweep before the subtree.
+	Stop
+)
+
 // cursor is a root-to-leaf path through one version of the tree: the pinned
 // internal nodes from the root down, each with the index of the child the
-// path continues into. A version's pages are never rewritten while a reader
-// can reach them (cow.go), so the path stays valid for as long as it is
-// pinned, and a sweep steps from leaf to leaf through it without sibling
-// links. It holds depth ≤ height − 1 pins next to the sweep's one leaf; the
-// fixed array keeps it off the heap.
+// path continues into and, under a skip test, the key range the node's own
+// subtree covers. A version's pages are never rewritten while a reader can
+// reach them (cow.go), so the path stays valid for as long as it is pinned,
+// and a sweep steps from leaf to leaf through it without sibling links. It
+// holds depth ≤ height − 1 pins next to the sweep's one leaf; the fixed array
+// keeps it off the heap.
 type cursor struct {
 	t    *Tree
 	rc   *pagestore.ReadCounter
 	path [maxDepth]struct {
-		n   node
-		idx int
+		n      node
+		idx    int
+		lo, hi float64
 	}
 	depth int
+	// bounded: a skip test judges each child before the cursor pins it, so
+	// the path keeps the nodes' key ranges. The test itself is an argument of
+	// seek and step — stored here, it would escape to the heap.
+	bounded bool
 }
 
-// push extends the path by internal node n, continued into child idx, and
-// pins that child. On error n is released with the rest of the path.
-func (c *cursor) push(n node, idx int, child pagestore.PageID) (node, error) {
+// push extends the path by internal node n, continued into child idx. On
+// error n is released with the rest of the path.
+func (c *cursor) push(n node, idx int) error {
 	if c.depth == maxDepth {
 		id := n.id()
 		n.release()
-		return node{}, fmt.Errorf("btree: page %d lies deeper than any tree: corrupt child links", id)
+		return fmt.Errorf("btree: page %d lies deeper than any tree: corrupt child links", id)
 	}
-	c.path[c.depth].n, c.path[c.depth].idx = n, idx
+	p := &c.path[c.depth]
+	p.n, p.idx = n, idx
+	if c.bounded {
+		p.lo, p.hi = math.Inf(-1), math.Inf(1)
+		if c.depth > 0 {
+			b := c.bound()
+			p.lo, p.hi = b.Lo, b.Hi
+		}
+	}
 	c.depth++
-	return c.t.getTracked(child, c.rc)
+	return nil
+}
+
+// bound is the Bound of the child the path leads to.
+func (c *cursor) bound() Bound {
+	top := &c.path[c.depth-1]
+	b := Bound{Lo: top.lo, Hi: top.hi, X: top.n.childExt(top.idx)}
+	if top.idx > 0 {
+		b.Lo = top.n.sep(top.idx - 1).Key
+	}
+	if top.idx < top.n.count() {
+		b.Hi = top.n.sep(top.idx).Key
+	}
+	return b
+}
+
+// leafExt is the bound of the leaf the path leads to.
+func (c *cursor) leafExt() [2]float64 {
+	if c.depth == 0 {
+		return NoExtent
+	}
+	top := &c.path[c.depth-1]
+	return top.n.childExt(top.idx)
 }
 
 // seek descends from the root to the leaf that owns e and returns it pinned.
-func (c *cursor) seek(e Entry) (node, error) {
+// Under a skip test (skip non-nil, c.bounded) a child it passes sends it on
+// to the next leaf in the sweep's direction (asc: ascending); ok is false
+// when no leaf is left.
+func (c *cursor) seek(e Entry, asc bool, skip func(Bound) Step) (leaf node, ok bool, err error) {
 	c.t.stats.descents.Add(1)
 	n, err := c.t.getTracked(c.t.root, c.rc)
-	for err == nil && !n.isLeaf() {
-		idx := n.childIndex(e)
-		n, err = c.push(n, idx, n.child(idx))
+	if err != nil || n.isLeaf() {
+		return n, err == nil, err
 	}
-	return n, err
+	if err := c.push(n, n.childIndex(e)); err != nil {
+		return node{}, false, err
+	}
+	return c.land(asc, &e, skip)
+}
+
+// land pins the child the path leads to and descends from it — towards e,
+// or along the near edge in the sweep's direction when e is nil — to a leaf,
+// which it returns pinned. A child the skip test passes moves the path on
+// (advance); one it stops at ends the sweep (ok false).
+func (c *cursor) land(asc bool, e *Entry, skip func(Bound) Step) (leaf node, ok bool, err error) {
+	for c.depth > 0 {
+		if skip != nil {
+			switch skip(c.bound()) {
+			case Pass:
+				if !c.advance(asc) {
+					return node{}, false, nil
+				}
+				e = nil
+				continue
+			case Stop:
+				return node{}, false, nil
+			}
+		}
+		top := &c.path[c.depth-1]
+		n, err := c.t.getTracked(top.n.child(top.idx), c.rc)
+		if err != nil || n.isLeaf() {
+			return n, err == nil, err
+		}
+		idx := 0
+		switch {
+		case e != nil:
+			idx = n.childIndex(*e)
+		case !asc:
+			idx = n.count()
+		}
+		if err := c.push(n, idx); err != nil {
+			return node{}, false, err
+		}
+	}
+	return node{}, false, nil
+}
+
+// advance moves the path to the next child in the sweep's direction of its
+// deepest node that has one, releasing the exhausted nodes below; false past
+// the last child of the root.
+func (c *cursor) advance(asc bool) bool {
+	for ; c.depth > 0; c.depth-- {
+		top := &c.path[c.depth-1]
+		if asc && top.idx < top.n.count() {
+			top.idx++
+			return true
+		} else if !asc && top.idx > 0 {
+			top.idx--
+			return true
+		}
+		top.n.release()
+	}
+	return false
 }
 
 // step returns, pinned, the leaf after (asc) or before the one the path
 // leads to: it climbs to the deepest node with a further child on that
 // side, releasing the exhausted ones, and descends that child's near edge.
 // ok is false past the last leaf.
-func (c *cursor) step(asc bool) (leaf node, ok bool, err error) {
-	for ; c.depth > 0; c.depth-- {
-		top := &c.path[c.depth-1]
-		if asc && top.idx < top.n.count() {
-			top.idx++
-		} else if !asc && top.idx > 0 {
-			top.idx--
-		} else {
-			top.n.release()
-			continue
-		}
-		leaf, err = c.t.getTracked(top.n.child(top.idx), c.rc)
-		for err == nil && !leaf.isLeaf() {
-			idx := 0
-			if !asc {
-				idx = leaf.count()
-			}
-			leaf, err = c.push(leaf, idx, leaf.child(idx))
-		}
-		return leaf, err == nil, err
+func (c *cursor) step(asc bool, skip func(Bound) Step) (leaf node, ok bool, err error) {
+	if !c.advance(asc) {
+		return node{}, false, nil
 	}
-	return node{}, false, nil
+	return c.land(asc, nil, skip)
+}
+
+// find descends to the leaf that owns e and returns it pinned; without a
+// skip test there always is one.
+func (c *cursor) find(e Entry) (node, error) {
+	leaf, _, err := c.seek(e, true, nil)
+	return leaf, err
 }
 
 // close releases the path.
@@ -132,15 +238,24 @@ func (c *cursor) shadow(leaf node) (node, error) {
 	return leaf, nil
 }
 
-// sweep is the one leaf sweep behind VisitLeaves{Asc,Desc}[Tracked]: from
-// the leaf that owns `from`, leaf by leaf in one direction, while visit
-// returns true.
-func (t *Tree) sweep(from Entry, asc bool, rc *pagestore.ReadCounter, visit func(LeafView) bool) error {
-	c := cursor{t: t, rc: rc}
+// Sweep is the one leaf sweep behind VisitLeaves{Asc,Desc}[Tracked], with a
+// skip test: from the leaf that owns RoundKey(from) — with the smallest TID
+// ascending, the largest descending — leaf by leaf in one direction while
+// visit returns true, with page reads charged to rc (nil: none). Before it
+// pins a child — a leaf or a whole subtree — it asks skip about the child's
+// Bound, and passes it unread or ends the sweep there when skip says so. A
+// skip test must pass only subtrees none of whose entries the caller wants;
+// nil passes none.
+func (t *Tree) Sweep(from float64, asc bool, rc *pagestore.ReadCounter, skip func(Bound) Step, visit func(LeafView) bool) error {
+	e := Entry{Key: RoundKey(from), TID: 0}
+	if !asc {
+		e.TID = math.MaxUint32
+	}
+	c := cursor{t: t, rc: rc, bounded: skip != nil}
 	defer c.close()
-	leaf, err := c.seek(from)
-	for ok := true; err == nil && ok; leaf, ok, err = c.step(asc) {
-		more := visit(t.leafView(leaf))
+	leaf, ok, err := c.seek(e, asc, skip)
+	for ; err == nil && ok; leaf, ok, err = c.step(asc, skip) {
+		more := visit(t.leafView(leaf, c.leafExt()))
 		leaf.release()
 		if !more {
 			break
@@ -163,7 +278,7 @@ func (t *Tree) VisitLeavesAsc(from float64, visit func(LeafView) bool) error {
 // sweeps share the buffer pool: the descent path, every leaf visited, and
 // each further internal node the sweep crosses into, once each.
 func (t *Tree) VisitLeavesAscTracked(from float64, rc *pagestore.ReadCounter, visit func(LeafView) bool) error {
-	return t.sweep(Entry{Key: RoundKey(from), TID: 0}, true, rc, visit)
+	return t.Sweep(from, true, rc, nil, visit)
 }
 
 // VisitLeavesDesc visits leaves in descending key order starting at the
@@ -177,7 +292,7 @@ func (t *Tree) VisitLeavesDesc(from float64, visit func(LeafView) bool) error {
 // VisitLeavesDescTracked is VisitLeavesDesc with per-query I/O accounting
 // (see VisitLeavesAscTracked).
 func (t *Tree) VisitLeavesDescTracked(from float64, rc *pagestore.ReadCounter, visit func(LeafView) bool) error {
-	return t.sweep(Entry{Key: RoundKey(from), TID: math.MaxUint32}, false, rc, visit)
+	return t.Sweep(from, false, rc, nil, visit)
 }
 
 // AscendRange calls fn for every entry whose stored key lies in
@@ -214,7 +329,8 @@ func (t *Tree) ScanAll() ([]Entry, error) {
 // MergeHandicap folds value into handicap slot `slot` of the leaf that owns
 // RoundKey(routeKey) — the leaf whose key interval the paper associates the
 // value with. The slot's kind decides the merge (min for low_j, max for
-// high_j); the value itself is stored as the float64 it is.
+// high_j); the value is stored as a float32 rounded outward, down for a
+// MinSlot and up for a MaxSlot, so the slot still bounds it.
 func (t *Tree) MergeHandicap(routeKey float64, slot int, value float64) error {
 	var vals [maxHandicaps]float64
 	for s, k := range t.cfg.HandicapKinds {
@@ -226,16 +342,16 @@ func (t *Tree) MergeHandicap(routeKey float64, slot int, value float64) error {
 
 // mergeSlots combines vals[s] into handicap slot s of the leaf that owns e,
 // for every slot. It reads the leaf first and writes only when some slot's
-// bits would move: almost every merge leaves a slot — the extremum of
-// everything routed to the leaf — where it was, and under a batch such a
-// merge clones nothing; one that moves a slot shadows the path the read
-// descent still holds. The bits written are those the unconditional write
+// bits would move, each value rounded outward as its slot stores it: almost
+// every merge leaves a slot — the extremum of everything routed to the leaf —
+// where it was, and under a batch such a merge clones nothing; one that moves
+// a slot shadows the path the read descent still holds. The bits written are those the unconditional write
 // would have left, so page contents do not depend on the check (DESIGN.md
 // §20).
 func (t *Tree) mergeSlots(e Entry, vals []float64) error {
 	c := cursor{t: t}
 	defer c.close()
-	leaf, err := c.seek(e)
+	leaf, err := c.find(e)
 	if err != nil {
 		return err
 	}
@@ -243,7 +359,7 @@ func (t *Tree) mergeSlots(e Entry, vals []float64) error {
 	moves := false
 	for s, k := range t.cfg.HandicapKinds {
 		old := leaf.handicap(s)
-		merged[s] = k.Combine(old, vals[s])
+		merged[s] = k.Combine(old, k.round(vals[s]))
 		moves = moves || math.Float64bits(merged[s]) != math.Float64bits(old)
 	}
 	if !moves {
@@ -334,19 +450,23 @@ func (t *Tree) appendSeparators(seps []Entry, id pagestore.PageID, height int) (
 }
 
 // ResetHandicaps restores every leaf's handicap slots to their identity
-// values, ahead of an exact rebuild. The walk is top-down with every node
-// made writable on the way: under an open copy-on-write batch that shadows
-// the whole tree, each clone linked into its parent as the walk unwinds;
-// outside a batch writable is the identity and the leaves are reset in place.
-func (t *Tree) ResetHandicaps() error {
-	var walk func(id pagestore.PageID, height int) (pagestore.PageID, error)
-	walk = func(id pagestore.PageID, height int) (pagestore.PageID, error) {
+// values, ahead of an exact rebuild, and derives every child's bound exactly
+// from ext, the x-extent of the entry with each tuple id — the union over the
+// subtree, rounded outward; with ext nil it leaves the bounds as they are.
+// The walk is top-down with every node made writable on the way: under an
+// open copy-on-write batch that shadows the whole tree, each clone linked
+// into its parent as the walk unwinds; outside a batch writable is the
+// identity and the nodes are rewritten in place.
+func (t *Tree) ResetHandicaps(ext func(tid uint32) [2]float64) error {
+	var walk func(id pagestore.PageID, height int) (pagestore.PageID, [2]float64, error)
+	walk = func(id pagestore.PageID, height int) (pagestore.PageID, [2]float64, error) {
+		x := emptyExtent
 		n, err := t.getAt(id, height)
 		if err != nil {
-			return id, err
+			return id, x, err
 		}
 		if n, err = t.writable(n); err != nil {
-			return id, err
+			return id, x, err
 		}
 		self := n.id()
 		defer n.release()
@@ -354,29 +474,45 @@ func (t *Tree) ResetHandicaps() error {
 			for s, k := range t.cfg.HandicapKinds {
 				n.setHandicap(s, k.Identity())
 			}
-			return self, nil
+			if ext != nil {
+				for i := 0; i < n.count(); i++ {
+					x = Union(x, ext(n.entry(i).TID))
+				}
+			}
+			return self, x, nil
 		}
 		for i := 0; i <= n.count(); i++ {
-			nc, err := walk(n.child(i), height-1)
+			nc, cx, err := walk(n.child(i), height-1)
 			if nc != n.child(i) {
 				n.setChild(i, nc)
 			}
 			if err != nil {
-				return self, err
+				return self, x, err
+			}
+			if ext != nil {
+				n.setChildExt(i, cx)
+				x = Union(x, cx)
 			}
 		}
-		return self, nil
+		return self, x, nil
 	}
-	root, err := walk(t.root, t.hgt)
+	root, x, err := walk(t.root, t.hgt)
 	t.root = root
+	if ext != nil && err == nil {
+		t.rootExt = roundOut(x)
+	}
 	return err
 }
 
 // BulkLoad builds the tree from entries in any order: it rounds their keys in
 // place (RoundKey) and sorts them in composite order of the stored keys. The
 // tree must be empty. Leaves are packed to the configured fill factor, which
-// is how the experiment trees are built.
-func (t *Tree) BulkLoad(entries []Entry) error {
+// is how the experiment trees are built. Every bound is NoExtent.
+func (t *Tree) BulkLoad(entries []Entry) error { return t.BulkLoadExt(entries, nil) }
+
+// BulkLoadExt is BulkLoad with every child's bound derived exactly from ext,
+// the x-extent of the entry with each tuple id (nil: NoExtent for all).
+func (t *Tree) BulkLoadExt(entries []Entry, ext func(tid uint32) [2]float64) error {
 	if t.size != 0 {
 		return ErrNotEmpty
 	}
@@ -402,6 +538,7 @@ func (t *Tree) BulkLoad(entries []Entry) error {
 	type levelEntry struct {
 		sep  Entry // smallest entry in the subtree (first leaf entry)
 		page pagestore.PageID
+		x    [2]float64 // the subtree's bound
 	}
 	var leaves []levelEntry
 	cur := first
@@ -417,11 +554,18 @@ func (t *Tree) BulkLoad(entries []Entry) error {
 				n = rem // < 2·minLeaf ≤ leafCap
 			}
 		}
+		x := NoExtent
+		if ext != nil {
+			x = emptyExtent
+		}
 		for j := 0; j < n; j++ {
 			cur.setEntry(j, entries[i+j])
+			if ext != nil {
+				x = Union(x, ext(entries[i+j].TID))
+			}
 		}
 		cur.setCount(n)
-		leaves = append(leaves, levelEntry{sep: entries[i], page: cur.id()})
+		leaves = append(leaves, levelEntry{sep: entries[i], page: cur.id(), x: x})
 		i += n
 		if i < len(entries) {
 			next, err := t.newLeaf()
@@ -458,28 +602,32 @@ func (t *Tree) BulkLoad(entries []Entry) error {
 				return err
 			}
 			in.setChild(0, level[i].page)
+			in.setChildExt(0, level[i].x)
+			x := level[i].x
 			for j := 1; j < n; j++ {
-				in.insertSepAt(j-1, level[i+j].sep, level[i+j].page)
+				in.insertSepAt(j-1, level[i+j].sep, level[i+j].page, level[i+j].x)
+				x = Union(x, level[i+j].x)
 			}
-			up = append(up, levelEntry{sep: level[i].sep, page: in.id()})
+			up = append(up, levelEntry{sep: level[i].sep, page: in.id(), x: x})
 			in.release()
 			i += n
 		}
 		level = up
 		t.hgt++
 	}
-	t.root = level[0].page
+	t.root, t.rootExt = level[0].page, roundOut(level[0].x)
 	return nil
 }
 
 // CheckInvariants walks the whole tree verifying ordering, occupancy,
-// and separator consistency; it returns a descriptive error on the first
-// violation. Test-support API.
+// separator consistency and that every child's bound holds the bounds its
+// own node keeps — the root's, the tree's root bound; it returns a
+// descriptive error on the first violation. Test-support API.
 func (t *Tree) CheckInvariants() error {
 	var lastEntry *Entry
 	count := 0
-	var walk func(id pagestore.PageID, height int, lo, hi *Entry) error
-	walk = func(id pagestore.PageID, height int, lo, hi *Entry) error {
+	var walk func(id pagestore.PageID, height int, lo, hi *Entry, x [2]float64) error
+	walk = func(id pagestore.PageID, height int, lo, hi *Entry, x [2]float64) error {
 		n, err := t.get(id)
 		if err != nil {
 			return err
@@ -532,13 +680,17 @@ func (t *Tree) CheckInvariants() error {
 			} else {
 				chi = hi
 			}
-			if err := walk(n.child(i), height-1, clo, chi); err != nil {
+			cx := n.childExt(i)
+			if !Holds(x, cx) {
+				return errf("internal %d: child %d's bound %v outside its own %v", id, i, cx, x)
+			}
+			if err := walk(n.child(i), height-1, clo, chi, cx); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := walk(t.root, t.hgt, nil, nil); err != nil {
+	if err := walk(t.root, t.hgt, nil, nil, t.rootExt); err != nil {
 		return err
 	}
 	if count != t.size {

@@ -220,7 +220,7 @@ func TestResetHandicaps(t *testing.T) {
 	}
 	_ = tr.MergeHandicap(0, 0, -100)
 	_ = tr.MergeHandicap(299, 1, 100)
-	if err := tr.ResetHandicaps(); err != nil {
+	if err := tr.ResetHandicaps(nil); err != nil {
 		t.Fatal(err)
 	}
 	_ = tr.VisitLeavesAsc(math.Inf(-1), func(lv LeafView) bool {

@@ -9,9 +9,10 @@ import (
 
 // FuzzPageDecode is the node half of page-decode fuzzing: it overwrites the
 // start of one page of a three-level tree in the index's own shape — 1 KiB
-// pages, four handicap slots, so 122 entries a leaf and 83 separators an
-// internal node — the root, an inner node or a leaf, chosen by sel, with
-// arbitrary bytes and drives every reader and writer over the result.
+// pages, four handicap slots, so 124 entries a leaf and 49 separators an
+// internal node, every child bounded — the root, an inner node or a leaf,
+// chosen by sel, with arbitrary bytes and drives every reader and writer over
+// the result, a sweep under a skip test that reads every bound among them.
 // Whatever the bytes, nothing may panic or hang and no frame may stay pinned;
 // a page whose header this tree cannot have written is Tree.getTracked's
 // ErrLayout. testdata/fuzz/FuzzPageDecode holds one input per header check
@@ -25,11 +26,12 @@ func FuzzPageDecode(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		entries := make([]Entry, 10000) // 92 leaves under two internal nodes
+		entries := make([]Entry, 10000) // 91 leaves under two internal nodes
 		for i := range entries {
 			entries[i] = Entry{Key: float64(i), TID: uint32(i + 1)}
 		}
-		if err := tr.BulkLoad(entries); err != nil {
+		ext := func(tid uint32) [2]float64 { return [2]float64{float64(tid%97) / 3, float64(tid%97)/3 + 1} }
+		if err := tr.BulkLoadExt(entries, ext); err != nil {
 			t.Fatal(err)
 		}
 		levels := nodesByLevel(t, tr)
@@ -68,10 +70,17 @@ func FuzzPageDecode(f *testing.F) {
 		pinned("the ascending sweep")
 		_ = tr.VisitLeavesDesc(math.Inf(1), read)
 		pinned("the descending sweep")
+		_ = tr.Sweep(5000, true, nil, func(b Bound) Step {
+			if b.X[0] > 20 || b.Hi < b.Lo {
+				return Pass
+			}
+			return Enter
+		}, read)
+		pinned("the sweep under a skip test")
 		_, _ = tr.Contains(200, 201)
 		pinned("Contains")
 		tr.BeginCOW()
-		_ = tr.Insert(200.5, 1000)
+		_ = tr.InsertExt(200.5, 1000, [2]float64{-1, 1})
 		_, _ = tr.Delete(100, 101)
 		pinned("the batch's insert and delete")
 		if err := tr.AbortCOW(); err != nil {

@@ -13,14 +13,17 @@ import (
 // Model test for versioned sweeps: a byte string is a history of batches,
 // mutations, pinned handles and sweeps over one copy-on-write tree, and
 // after every step the live tree and every pinned handle must equal a
-// sorted-slice model. Pages are 128 bytes (9 entries a leaf, 7 children an
+// sorted-slice model. Pages are 128 bytes (13 entries a leaf, 6 children an
 // internal node) over a 16-frame pool, so a few dozen operations cross leaf
 // and internal splits, borrows, merges, root growth and collapse, and every
 // version's pages go through the store: a page freed while a handle can
 // still reach it reads as ErrPageNotFound. Leaves carry a min and a max
 // handicap slot: merges and folds must leave every leaf of the live tree the
 // bits a reference fold over the walk's leaf ranges gives, and a pinned
-// version or an aborted batch the bits it had.
+// version or an aborted batch the bits it had. Every entry has an x-extent
+// (extOf): each leaf's bound must hold its entries' extents, in every version,
+// and a sweep under a random skip test must hand out every entry the test
+// would keep.
 
 const (
 	opBegin = iota
@@ -57,6 +60,7 @@ type coverage struct {
 	collapsed, emptied, merged      bool
 	sweptPinned, stoppedEarly, dups bool
 	folded, onSeparator             bool
+	passed                          bool // a skip test passed a subtree
 }
 
 type cowHistory struct {
@@ -83,10 +87,21 @@ func (h *cowHistory) next() int {
 	return int(b)
 }
 
+// extOf is the x-extent the model gives the entry with id tid: none (the
+// whole line) for one in 61, from the 60th on, else an interval of width 0 to
+// 4/3 whose ends are mostly thirds, which no float32 holds.
+func extOf(tid uint32) [2]float64 {
+	if tid%61 == 60 {
+		return NoExtent
+	}
+	lo := float64(int(tid*37%201)-100) / 3
+	return [2]float64{lo, lo + float64(tid%5)/3}
+}
+
 func (h *cowHistory) insert(key float64) {
 	h.nextTID++
 	e := Entry{Key: key, TID: h.nextTID}
-	if err := h.tr.Insert(e.Key, e.TID); err != nil {
+	if err := h.tr.InsertExt(e.Key, e.TID, extOf(e.TID)); err != nil {
 		h.t.Fatalf("insert %v: %v", e, err)
 	}
 	i, _ := slices.BinarySearchFunc(h.live, e, Entry.Compare)
@@ -138,13 +153,14 @@ func (h *cowHistory) unpin(i int) {
 
 // refLeafRange is one leaf as an independent top-down walk finds it: its
 // entries and handicap slots, the separator bounds lo ≤ e < hi of the
-// entries it owns (nil: open) and the internal pages on its path from the
-// root.
+// entries it owns (nil: open), its bound as its parent keeps it (NoExtent at
+// the root) and the internal pages on its path from the root.
 type refLeafRange struct {
 	page    pagestore.PageID
 	entries []Entry
 	slots   []float64
 	lo, hi  *Entry
+	x       [2]float64
 	path    []pagestore.PageID
 }
 
@@ -173,14 +189,14 @@ func sameSlots(a, b [][]float64) bool {
 func walkLeaves(t testing.TB, tr *Tree) []refLeafRange {
 	t.Helper()
 	var out []refLeafRange
-	var rec func(id pagestore.PageID, lo, hi *Entry, path []pagestore.PageID)
-	rec = func(id pagestore.PageID, lo, hi *Entry, path []pagestore.PageID) {
+	var rec func(id pagestore.PageID, lo, hi *Entry, x [2]float64, path []pagestore.PageID)
+	rec = func(id pagestore.PageID, lo, hi *Entry, x [2]float64, path []pagestore.PageID) {
 		n, err := tr.get(id)
 		if err != nil {
 			t.Fatalf("walk: page %d: %v", id, err)
 		}
 		if n.isLeaf() {
-			l := refLeafRange{page: id, lo: lo, hi: hi, path: path}
+			l := refLeafRange{page: id, lo: lo, hi: hi, x: x, path: path}
 			for i := 0; i < n.count(); i++ {
 				l.entries = append(l.entries, n.entry(i))
 			}
@@ -193,11 +209,12 @@ func walkLeaves(t testing.TB, tr *Tree) []refLeafRange {
 		}
 		seps := make([]Entry, n.count())
 		kids := make([]pagestore.PageID, n.count()+1)
+		exts := make([][2]float64, n.count()+1)
 		for i := range seps {
 			seps[i] = n.sep(i)
 		}
 		for i := range kids {
-			kids[i] = n.child(i)
+			kids[i], exts[i] = n.child(i), n.childExt(i)
 		}
 		n.release() // the recursion must fit a 16-frame pool
 		path = append(path[:len(path):len(path)], id)
@@ -209,10 +226,10 @@ func walkLeaves(t testing.TB, tr *Tree) []refLeafRange {
 			if i < len(seps) {
 				chi = &seps[i]
 			}
-			rec(kid, clo, chi, path)
+			rec(kid, clo, chi, exts[i], path)
 		}
 	}
-	rec(tr.root, nil, nil, nil)
+	rec(tr.root, nil, nil, NoExtent, nil)
 	return out
 }
 
@@ -228,6 +245,11 @@ func (h *cowHistory) check(what string, tr *Tree, model []Entry) []refLeafRange 
 	var got []Entry
 	for _, l := range leaves {
 		got = append(got, l.entries...)
+		for _, e := range l.entries {
+			if !Holds(l.x, extOf(e.TID)) {
+				h.t.Fatalf("%s: leaf %d's bound %v does not hold entry %v's extent %v", what, l.page, l.x, e, extOf(e.TID))
+			}
+		}
 	}
 	if !slices.Equal(got, model) {
 		h.t.Fatalf("%s: tree holds %d entries, model %d; first difference at %d", what, len(got), len(model), firstDiff(got, model))
@@ -317,6 +339,71 @@ func (h *cowHistory) sweep(what string, tr *Tree, model []Entry, asc bool, sel, 
 	}
 	if err != nil || calls != len(want) {
 		h.t.Fatalf("%s: sweep(asc=%v, from=%v, stop=%d) visited %d of %d leaves, err %v", what, asc, from, stop, calls, len(want), err)
+	}
+}
+
+// skipSweep runs one sweep on tr from `from` under a skip test that keeps
+// the entries with a key in [kl, kl + 64] whose extent meets [xl, xl + 10]:
+// it passes a child whose Bound rules every such entry out and stops at one
+// wholly past the key range. The leaves it visits must come in the walk's
+// order, and among their entries must be every entry of the model the test
+// keeps on the sweep's side of its start.
+func (h *cowHistory) skipSweep(what string, tr *Tree, model []Entry, asc bool, from, kl, xl float64) {
+	leaves := h.check(what, tr, model)
+	kh, xh := kl+64, xl+10
+	keep := func(e Entry) bool {
+		x := extOf(e.TID)
+		return e.Key >= kl && e.Key <= kh && x[1] >= xl && x[0] <= xh
+	}
+	skip := func(b Bound) Step {
+		switch {
+		case asc && b.Lo > kh, !asc && b.Hi < kl:
+			return Stop
+		case b.Hi < kl || b.Lo > kh || b.X[1] < xl || b.X[0] > xh:
+			h.cov.passed = true
+			return Pass
+		}
+		return Enter
+	}
+	probe := Entry{Key: RoundKey(from)}
+	if !asc {
+		probe.TID = math.MaxUint32
+	}
+	start := slices.IndexFunc(leaves, func(l refLeafRange) bool { return l.owns(probe) })
+	order := leaves[start:]
+	if !asc {
+		order = slices.Clone(leaves[:start+1])
+		slices.Reverse(order)
+	}
+	var want, got []Entry
+	for _, l := range order {
+		for _, e := range l.entries {
+			if keep(e) {
+				want = append(want, e)
+			}
+		}
+	}
+	at := 0
+	err := tr.Sweep(from, asc, nil, skip, func(lv LeafView) bool {
+		for at < len(order) && order[at].page != lv.Page {
+			at++
+		}
+		if at == len(order) {
+			h.t.Fatalf("%s: skip sweep(asc=%v, from=%v) visited page %d out of order", what, asc, from, lv.Page)
+		}
+		if lv.Extent() != order[at].x {
+			h.t.Fatalf("%s: leaf %d's Extent %v, its parent's record %v", what, lv.Page, lv.Extent(), order[at].x)
+		}
+		for _, e := range lv.AppendEntries(nil) {
+			if keep(e) {
+				got = append(got, e)
+			}
+		}
+		return true
+	})
+	if err != nil || !slices.Equal(got, want) {
+		h.t.Fatalf("%s: skip sweep(asc=%v, from=%v, keys [%v, %v], x [%v, %v]) kept %d entries, the model %d; err %v",
+			what, asc, from, kl, kh, xl, xh, len(got), len(want), err)
 	}
 }
 
@@ -464,9 +551,19 @@ func runCOWHistory(t testing.TB, data []byte, cov *coverage) {
 				h.sweep("pinned", p.h, p.model, asc, sel, arg, stop)
 				h.cov.sweptPinned = h.cov.sweptPinned || p.ver < h.ver
 			}
+			// The same bytes pick a skip test: its key range starts near
+			// arg, its x range anywhere in the model's [−34, 34].
+			from, kl, xl := float64(arg), float64(arg)-float64(sel%48), float64(int(sel*7%68)-34)
+			if mode&8 != 0 {
+				from = math.Inf(-1 + 2*(mode&1))
+			}
+			h.skipSweep("live", tr, h.live, asc, from, kl, xl)
+			for _, p := range h.pins {
+				h.skipSweep("pinned", p.h, p.model, asc, from, kl, xl)
+			}
 		case opReset:
 			h.mutate(func() {
-				if err := tr.ResetHandicaps(); err != nil {
+				if err := tr.ResetHandicaps(nil); err != nil {
 					t.Fatalf("reset: %v", err)
 				}
 			})
@@ -535,7 +632,8 @@ func cowSeeds() [][]byte {
 // seeded random ones, and requires that together they reached what the model
 // is for: height 3, merges, root collapse, the empty tree, duplicate keys
 // across leaves, early stops, sweeps of a version older than the live one,
-// and folds that move slots, some routed by a separator's own key.
+// folds that move slots, some routed by a separator's own key, and skip tests
+// that passed a subtree.
 func TestCOWSweepMatchesModel(t *testing.T) {
 	var cov coverage
 	for _, seed := range cowSeeds() {
@@ -547,7 +645,7 @@ func TestCOWSweepMatchesModel(t *testing.T) {
 		rng.Read(data)
 		runCOWHistory(t, data, &cov)
 	}
-	if cov.maxHeight < 3 || !cov.collapsed || !cov.emptied || !cov.merged || !cov.sweptPinned || !cov.stoppedEarly || !cov.dups || !cov.folded || !cov.onSeparator {
+	if cov.maxHeight < 3 || !cov.collapsed || !cov.emptied || !cov.merged || !cov.sweptPinned || !cov.stoppedEarly || !cov.dups || !cov.folded || !cov.onSeparator || !cov.passed {
 		t.Fatalf("histories missed part of the state space: %+v", cov)
 	}
 }

@@ -92,38 +92,95 @@ func (k SlotKind) Combine(a, b float64) float64 {
 	return math.Max(a, b)
 }
 
-// Page layout (version 3, catalog format "DCDB0005"). Every node starts with a
+// round returns the float32 the slot stores for v, rounded outward — down for
+// a MinSlot, up for a MaxSlot — so a stored slot bounds v on the side its kind
+// bounds values. Rounding either way is monotone, so combining rounded values
+// equals rounding the combined value.
+func (k SlotKind) round(v float64) float64 {
+	if k == MinSlot {
+		return float64(down32(v))
+	}
+	return float64(up32(v))
+}
+
+// down32 and up32 round x to a float32 at or below, at or above it.
+func down32(x float64) float32 {
+	f := float32(x)
+	if float64(f) > x {
+		f = math.Nextafter32(f, float32(math.Inf(-1)))
+	}
+	return f
+}
+
+func up32(x float64) float32 {
+	f := float32(x)
+	if float64(f) < x {
+		f = math.Nextafter32(f, float32(math.Inf(1)))
+	}
+	return f
+}
+
+// NoExtent is the x-extent of an entry inserted without one: the whole line,
+// which no bound can exclude.
+var NoExtent = [2]float64{math.Inf(-1), math.Inf(1)}
+
+// emptyExtent is the extent of no entry, the identity of Union.
+var emptyExtent = [2]float64{math.Inf(1), math.Inf(-1)}
+
+// Union returns the smallest extent holding both a and b.
+func Union(a, b [2]float64) [2]float64 {
+	return [2]float64{min(a[0], b[0]), max(a[1], b[1])}
+}
+
+// roundOut rounds x outward to the float32s a bound stores: infX down, supX
+// up.
+func roundOut(x [2]float64) [2]float64 { return [2]float64{float64(down32(x[0])), float64(up32(x[1]))} }
+
+// Holds reports whether extent a holds extent b; an empty b is held by any a.
+func Holds(a, b [2]float64) bool {
+	return b[0] > b[1] || (a[0] <= b[0] && b[1] <= a[1])
+}
+
+// Page layout (version 4, catalog format "DCDB0006"). Every node starts with a
 // 16-byte header whose region offsets make the body self-describing — a reader slices the
 // page in place instead of re-deriving offsets from a slot count:
 //
 //	[0]     node type (1 = leaf, 2 = internal)
-//	[1]     layout version (currently 3; any other value is ErrLayout)
+//	[1]     layout version (currently 4; any other value is ErrLayout)
 //	[2:4]   count (uint16): entries in a leaf, separators in an internal node
 //	[4:6]   hOff (uint16): offset of the handicap region (leaves) or of the
-//	        leftmost child pointer (internal nodes); today always 16
-//	[6:8]   eOff (uint16): offset of the entry region (leaves: hOff + 8·H,
-//	        so H = (eOff−hOff)/8) or of the separator records (internal: 20)
+//	        leftmost child's record (internal nodes); today always 16
+//	[6:8]   eOff (uint16): offset of the entry region (leaves: hOff + 4·H,
+//	        so H = (eOff−hOff)/4) or of the separator records (internal: 28)
 //	[8:16]  reserved: written as zero, never read
 //
-// Leaf body:     handicap region at hOff (H × 8-byte float64s), entry region
+// Leaf body:     handicap region at hOff (H × float32, each rounded outward:
 //
-//	at eOff (count × 8-byte entries: float32 key 4, tid 4).
+//	a MinSlot down, a MaxSlot up), entry region at eOff (count × 8-byte
+//	entries: float32 key 4, tid 4).
 //
-// Internal body: child0 (4 bytes) at hOff, then count × 12-byte separator
+// Internal body: child0's record at hOff (child 4, infX 4, supX 4), then
 //
-//	records (float32 sepKey 4, sepTID 4, rightChild 4) at eOff.
+//	count × 20-byte separator records at eOff (float32 sepKey 4, sepTID 4,
+//	rightChild 4, then the right child's float32 infX 4 and supX 4).
 //
-// At 1 KiB with four handicap slots a leaf holds 122 entries and an internal
-// node 83 separators. All regions are fixed-width and offset-addressed, so
+// A child's [infX, supX] — its bound — holds the x-extent of every entry of
+// its subtree, rounded outward (infX down, supX up): what lets a sweep pass a
+// subtree it need not read (cursor.go).
+//
+// At 1 KiB with four handicap slots a leaf holds 124 entries and an internal
+// node 49 separators. All regions are fixed-width and offset-addressed, so
 // nodeView (view.go) reads any field with one bounds-checked load off the
 // pinned frame.
 const (
 	headerSize    = 16
 	entrySize     = 8
-	intRecSize    = 12
+	slotSize      = 4
+	childRecSize  = 12 // child, infX, supX
+	intRecSize    = 8 + childRecSize
 	typeLeaf      = 1
 	typeInternal  = 2
-	layoutVersion = 3
+	layoutVersion = 4
 
 	offType   = 0
 	offLayout = 1
@@ -157,7 +214,7 @@ func (n node) initLeaf(numHandicaps int, kinds []SlotKind) {
 	n.data[offType] = typeLeaf
 	n.data[offLayout] = layoutVersion
 	binary.LittleEndian.PutUint16(n.data[offHOff:offHOff+2], uint16(headerSize))
-	binary.LittleEndian.PutUint16(n.data[offEOff:offEOff+2], uint16(headerSize+8*numHandicaps))
+	binary.LittleEndian.PutUint16(n.data[offEOff:offEOff+2], uint16(headerSize+slotSize*numHandicaps))
 	clear(n.data[offRsvd:headerSize])
 	n.setCount(0)
 	for i := 0; i < numHandicaps; i++ {
@@ -166,16 +223,22 @@ func (n node) initLeaf(numHandicaps int, kinds []SlotKind) {
 	n.frame.MarkDirty()
 }
 
-func (n node) numHandicaps() int { return (n.eOff() - n.hOff()) / 8 }
+func (n node) numHandicaps() int { return (n.eOff() - n.hOff()) / slotSize }
 
-func (n node) handicap(i int) float64 {
-	off := n.hOff() + i*8
-	return math.Float64frombits(binary.LittleEndian.Uint64(n.data[off : off+8]))
-}
+func (n node) handicap(i int) float64 { return getF32(n.data, n.hOff()+i*slotSize) }
+
+// setHandicap stores v, which must be a float32 (SlotKind.round's).
 func (n node) setHandicap(i int, v float64) {
-	off := n.hOff() + i*8
-	binary.LittleEndian.PutUint64(n.data[off:off+8], math.Float64bits(v))
+	putF32(n.data, n.hOff()+i*slotSize, float32(v))
 	n.frame.MarkDirty()
+}
+
+func getF32(data []byte, off int) float64 {
+	return float64(math.Float32frombits(binary.LittleEndian.Uint32(data[off : off+4])))
+}
+
+func putF32(data []byte, off int, f float32) {
+	binary.LittleEndian.PutUint32(data[off:off+4], math.Float32bits(f))
 }
 
 func (n node) entriesOff() int { return n.eOff() }
@@ -241,30 +304,50 @@ func (n node) initInternal() {
 	n.data[offType] = typeInternal
 	n.data[offLayout] = layoutVersion
 	binary.LittleEndian.PutUint16(n.data[offHOff:offHOff+2], uint16(headerSize))
-	binary.LittleEndian.PutUint16(n.data[offEOff:offEOff+2], uint16(headerSize+4))
+	binary.LittleEndian.PutUint16(n.data[offEOff:offEOff+2], uint16(headerSize+childRecSize))
 	clear(n.data[offRsvd:headerSize])
 	n.setCount(0)
 	n.frame.MarkDirty()
 }
 
-func (n node) child(i int) pagestore.PageID {
+// childOff is the offset of child i's pointer, followed by its bound.
+func (n node) childOff(i int) int {
 	if i == 0 {
-		h := n.hOff()
-		return pagestore.PageID(binary.LittleEndian.Uint32(n.data[h : h+4]))
+		return n.hOff()
 	}
-	off := n.eOff() + (i-1)*intRecSize + 8
+	return n.eOff() + (i-1)*intRecSize + 8
+}
+
+func (n node) child(i int) pagestore.PageID {
+	off := n.childOff(i)
 	return pagestore.PageID(binary.LittleEndian.Uint32(n.data[off : off+4]))
 }
 
 func (n node) setChild(i int, p pagestore.PageID) {
-	if i == 0 {
-		h := n.hOff()
-		binary.LittleEndian.PutUint32(n.data[h:h+4], uint32(p))
-	} else {
-		off := n.eOff() + (i-1)*intRecSize + 8
-		binary.LittleEndian.PutUint32(n.data[off:off+4], uint32(p))
-	}
+	off := n.childOff(i)
+	binary.LittleEndian.PutUint32(n.data[off:off+4], uint32(p))
 	n.frame.MarkDirty()
+}
+
+// childExt returns child i's bound: [infX, supX] over its subtree.
+func (n node) childExt(i int) [2]float64 {
+	off := n.childOff(i) + 4
+	return [2]float64{getF32(n.data, off), getF32(n.data, off+4)}
+}
+
+// setChildExt stores x as child i's bound, rounded outward.
+func (n node) setChildExt(i int, x [2]float64) {
+	off, x := n.childOff(i)+4, roundOut(x)
+	putF32(n.data, off, float32(x[0]))
+	putF32(n.data, off+4, float32(x[1]))
+	n.frame.MarkDirty()
+}
+
+// widenChild widens child i's bound to hold x, writing only when it moves.
+func (n node) widenChild(i int, x [2]float64) {
+	if old := n.childExt(i); !Holds(old, x) {
+		n.setChildExt(i, Union(old, x))
+	}
 }
 
 func (n node) sep(i int) Entry { return getRecord(n.data, n.eOff()+i*intRecSize) }
@@ -274,17 +357,20 @@ func (n node) setSep(i int, e Entry) {
 	n.frame.MarkDirty()
 }
 
-// insertSepAt inserts separator e with right child rc at separator slot i.
-func (n node) insertSepAt(i int, e Entry, rc pagestore.PageID) {
+// insertSepAt inserts separator e with right child rc, bounded by x, at
+// separator slot i.
+func (n node) insertSepAt(i int, e Entry, rc pagestore.PageID, x [2]float64) {
 	c := n.count()
 	base := n.eOff()
 	copy(n.data[base+(i+1)*intRecSize:base+(c+1)*intRecSize], n.data[base+i*intRecSize:base+c*intRecSize])
 	n.setSep(i, e)
 	n.setChild(i+1, rc)
+	n.setChildExt(i+1, x)
 	n.setCount(c + 1)
 }
 
-// removeSepAt removes separator i together with its right child pointer.
+// removeSepAt removes separator i together with its right child pointer and
+// that child's bound.
 func (n node) removeSepAt(i int) {
 	c := n.count()
 	base := n.eOff()

@@ -36,6 +36,11 @@ type Tree struct {
 	size  int
 	pages int // pages owned by this tree
 
+	// rootExt is the root's bound, which no parent record keeps, rounded
+	// outward as a record is: what a root split gives both halves. Insert
+	// widens it; a delete leaves it as it is.
+	rootExt [2]float64
+
 	// pendingFree holds pages emptied by merges; they are still pinned when
 	// the merge runs, so Delete frees them after the recursion unwinds.
 	pendingFree []pagestore.PageID
@@ -74,7 +79,7 @@ var ErrLayout = errors.New("btree: node header does not match the layout")
 
 // New creates an empty tree whose pages are allocated from pool.
 func New(pool *pagestore.Pool, cfg Config) (*Tree, error) {
-	t := &Tree{pool: pool, cfg: cfg, stats: &treeStats{}}
+	t := &Tree{pool: pool, cfg: cfg, stats: &treeStats{}, rootExt: emptyExtent}
 	if err := t.configure(); err != nil {
 		return nil, err
 	}
@@ -101,8 +106,8 @@ func (t *Tree) configure() error {
 		t.cfg.FillFactor = DefaultFillFactor
 	}
 	ps := t.pool.PageSize()
-	t.leafCap = (ps - headerSize - 8*len(t.cfg.HandicapKinds)) / entrySize
-	t.intCap = (ps - headerSize - 4) / intRecSize
+	t.leafCap = (ps - headerSize - slotSize*len(t.cfg.HandicapKinds)) / entrySize
+	t.intCap = (ps - headerSize - childRecSize) / intRecSize
 	if t.leafCap < 3 || t.intCap < 3 {
 		return fmt.Errorf("btree: page size %d too small", ps)
 	}
@@ -151,10 +156,18 @@ func Restore(pool *pagestore.Pool, cfg Config, m Meta) (*Tree, error) {
 		return nil, err
 	}
 	// Sanity: the root page must be a node of this tree's header at the
-	// metadata's height.
+	// metadata's height. Its bound is the union of its children's, or the
+	// whole line for a leaf, whose entries' extents the tree does not keep.
 	n, err := t.getAt(m.Root, m.Height)
 	if err != nil {
 		return nil, fmt.Errorf("btree: restore root: %w", err)
+	}
+	t.rootExt = NoExtent
+	if !n.isLeaf() {
+		t.rootExt = emptyExtent
+		for i := 0; i <= n.count(); i++ {
+			t.rootExt = Union(t.rootExt, n.childExt(i))
+		}
 	}
 	n.release()
 	return t, nil
@@ -193,11 +206,11 @@ func (t *Tree) checkHeader(n node) error {
 	if v := n.data[offLayout]; v != layoutVersion {
 		return fmt.Errorf("has layout version %d, want %d", v, layoutVersion)
 	}
-	eOff, capacity := headerSize+8*len(t.cfg.HandicapKinds), t.leafCap
+	eOff, capacity := headerSize+slotSize*len(t.cfg.HandicapKinds), t.leafCap
 	switch n.data[offType] {
 	case typeLeaf:
 	case typeInternal:
-		eOff, capacity = headerSize+4, t.intCap
+		eOff, capacity = headerSize+childRecSize, t.intCap
 	default:
 		return fmt.Errorf("has node type %d", n.data[offType])
 	}
@@ -254,7 +267,7 @@ func (t *Tree) newInternal() (node, error) {
 func (t *Tree) findLeaf(e Entry) (node, error) {
 	c := cursor{t: t}
 	defer c.close()
-	return c.seek(e)
+	return c.find(e)
 }
 
 // SweepStats counts tree-traversal activity: root-to-leaf descents
@@ -294,10 +307,16 @@ func (t *Tree) Contains(key float64, tid uint32) (bool, error) {
 // Insert adds (RoundKey(key), tid). ErrDuplicate if that pair is present.
 // Under an open copy-on-write batch the mutated path is shadowed into
 // batch-owned pages and the tree's root moves to the shadow copy; the
-// previously published root is untouched.
-func (t *Tree) Insert(key float64, tid uint32) error {
+// previously published root is untouched. The entry has no extent: every
+// bound on its path becomes NoExtent.
+func (t *Tree) Insert(key float64, tid uint32) error { return t.InsertExt(key, tid, NoExtent) }
+
+// InsertExt is Insert of an entry whose x-extent is x: it widens the bound of
+// every child on the entry's path, and the root's, to hold x.
+func (t *Tree) InsertExt(key float64, tid uint32, x [2]float64) error {
 	e := Entry{Key: RoundKey(key), TID: tid}
-	self, sep, right, err := t.insertInto(t.root, t.hgt, e)
+	t.rootExt = roundOut(Union(t.rootExt, x))
+	self, sep, right, err := t.insertInto(t.root, t.hgt, e, x)
 	if self != pagestore.InvalidPage && self != t.root {
 		// Adopt the shadowed root even on error, so a partially cloned
 		// path stays linked until the batch commits or aborts.
@@ -307,13 +326,14 @@ func (t *Tree) Insert(key float64, tid uint32) error {
 		return err
 	}
 	if right != pagestore.InvalidPage {
-		// Root split: grow the tree.
+		// Root split: grow the tree; both halves get the root's bound.
 		nr, err := t.newInternal()
 		if err != nil {
 			return err
 		}
 		nr.setChild(0, t.root)
-		nr.insertSepAt(0, sep, right)
+		nr.setChildExt(0, t.rootExt)
+		nr.insertSepAt(0, sep, right, t.rootExt)
 		t.root = nr.id()
 		t.hgt++
 		nr.release()
@@ -322,11 +342,13 @@ func (t *Tree) Insert(key float64, tid uint32) error {
 	return nil
 }
 
-// insertInto inserts e under the subtree rooted at id (at the given
-// height). It returns the subtree's possibly changed root page — under a
-// copy-on-write batch the whole descent path is shadowed, so ids move —
-// and reports a split as (separator, newRightPage).
-func (t *Tree) insertInto(id pagestore.PageID, height int, e Entry) (self pagestore.PageID, sep Entry, right pagestore.PageID, err error) {
+// insertInto inserts e, of x-extent x, under the subtree rooted at id (at the
+// given height). It returns the subtree's possibly changed root page — under
+// a copy-on-write batch the whole descent path is shadowed, so ids move — and
+// reports a split as (separator, newRightPage). Every bound on the path is
+// widened to hold x (the root's by the caller); a split gives both halves the
+// bound of the node that split.
+func (t *Tree) insertInto(id pagestore.PageID, height int, e Entry, x [2]float64) (self pagestore.PageID, sep Entry, right pagestore.PageID, err error) {
 	n, err := t.getAt(id, height)
 	if err != nil {
 		return id, Entry{}, pagestore.InvalidPage, err
@@ -373,16 +395,18 @@ func (t *Tree) insertInto(id pagestore.PageID, height int, e Entry) (self pagest
 	}
 
 	ci := n.childIndex(e)
+	n.widenChild(ci, x)
 	oldChild := n.child(ci)
-	newChild, sp, grand, err := t.insertInto(oldChild, height-1, e)
+	newChild, sp, grand, err := t.insertInto(oldChild, height-1, e, x)
 	if newChild != pagestore.InvalidPage && newChild != oldChild {
 		n.setChild(ci, newChild)
 	}
 	if err != nil || grand == pagestore.InvalidPage {
 		return self, Entry{}, pagestore.InvalidPage, err
 	}
+	gx := n.childExt(ci)
 	if n.count() < t.intCap {
-		n.insertSepAt(ci, sp, grand)
+		n.insertSepAt(ci, sp, grand, gx)
 		return self, Entry{}, pagestore.InvalidPage, nil
 	}
 	// Split the internal node around its median separator.
@@ -395,15 +419,16 @@ func (t *Tree) insertInto(id pagestore.PageID, height int, e Entry) (self pagest
 	mid := c / 2
 	up := n.sep(mid)
 	r.setChild(0, n.child(mid+1))
+	r.setChildExt(0, n.childExt(mid+1))
 	for j := mid + 1; j < c; j++ {
-		r.insertSepAt(j-mid-1, n.sep(j), n.child(j+1))
+		r.insertSepAt(j-mid-1, n.sep(j), n.child(j+1), n.childExt(j+1))
 	}
 	n.setCount(mid)
 	// Route the pending separator into the correct half.
 	if sp.Less(up) {
-		n.insertSepAt(n.childIndex(sp), sp, grand)
+		n.insertSepAt(n.childIndex(sp), sp, grand, gx)
 	} else {
-		r.insertSepAt(r.childIndex(sp), sp, grand)
+		r.insertSepAt(r.childIndex(sp), sp, grand, gx)
 	}
 	return self, up, r.id(), nil
 }
@@ -521,7 +546,9 @@ func (t *Tree) deleteFrom(id pagestore.PageID, height int, e Entry) (self pagest
 // from a sibling or merging with one. n is writable; the underflowing child
 // is too (deleteFrom shadowed it when it removed the entry). Siblings are
 // made writable before they are mutated, with n's child link patched to
-// any clone.
+// any clone. A child that takes a subtree from a sibling widens its bound by
+// that subtree's, one that takes a leaf entry — whose extent no page keeps —
+// by the sibling's; a sibling that gives keeps its bound.
 func (t *Tree) rebalanceChild(n node, ci, childHeight int) error {
 	child, err := t.getAt(n.child(ci), childHeight)
 	if err != nil {
@@ -549,15 +576,17 @@ func (t *Tree) rebalanceChild(n node, ci, childHeight int) error {
 				left.setCount(left.count() - 1)
 				child.insertEntryAt(0, e)
 				n.setSep(ci-1, e)
+				n.widenChild(ci, n.childExt(ci-1))
 			} else {
 				// Rotate through the parent separator: the left sibling's
 				// last child moves over, guarded by the old parent
 				// separator; the sibling's last separator moves up.
 				e := left.sep(left.count() - 1)
-				lc := left.child(left.count())
+				lc, lcx := left.child(left.count()), left.childExt(left.count())
 				left.setCount(left.count() - 1)
-				t.prependToInternal(child, n.sep(ci-1), lc)
+				t.prependToInternal(child, n.sep(ci-1), lc, lcx)
 				n.setSep(ci-1, e)
+				n.widenChild(ci, lcx)
 			}
 			left.release()
 			return nil
@@ -583,14 +612,17 @@ func (t *Tree) rebalanceChild(n node, ci, childHeight int) error {
 				right.removeEntryAt(0)
 				child.insertEntryAt(child.count(), e)
 				n.setSep(ci, right.entry(0))
+				n.widenChild(ci, n.childExt(ci+1))
 			} else {
 				oldSep := n.sep(ci)
-				rc := right.child(0)
+				rc, rcx := right.child(0), right.childExt(0)
 				up := right.sep(0)
 				right.setChild(0, right.child(1))
+				right.setChildExt(0, right.childExt(1))
 				right.removeSepAt(0)
-				child.insertSepAt(child.count(), oldSep, rc)
+				child.insertSepAt(child.count(), oldSep, rc, rcx)
 				n.setSep(ci, up)
+				n.widenChild(ci, rcx)
 			}
 			right.release()
 			return nil
@@ -625,30 +657,34 @@ func (t *Tree) rebalanceChild(n node, ci, childHeight int) error {
 	return nil
 }
 
-// prependToInternal rebuilds an internal node with (sep, leftmostChild)
-// prepended. Counts are small (≤ intCap), so copying is fine.
-func (t *Tree) prependToInternal(n node, sep Entry, newChild0 pagestore.PageID) {
+// prependToInternal rebuilds an internal node with (sep, leftmostChild of
+// bound x0) prepended. Counts are small (≤ intCap), so copying is fine.
+func (t *Tree) prependToInternal(n node, sep Entry, newChild0 pagestore.PageID, x0 [2]float64) {
 	c := n.count()
 	seps := make([]Entry, c)
 	children := make([]pagestore.PageID, c+1)
+	exts := make([][2]float64, c+1)
 	for i := 0; i < c; i++ {
 		seps[i] = n.sep(i)
 	}
 	for i := 0; i <= c; i++ {
-		children[i] = n.child(i)
+		children[i], exts[i] = n.child(i), n.childExt(i)
 	}
 	n.setCount(0)
 	n.setChild(0, newChild0)
-	n.insertSepAt(0, sep, children[0])
+	n.setChildExt(0, x0)
+	n.insertSepAt(0, sep, children[0], exts[0])
 	for i := 0; i < c; i++ {
-		n.insertSepAt(i+1, seps[i], children[i+1])
+		n.insertSepAt(i+1, seps[i], children[i+1], exts[i+1])
 	}
 }
 
 // mergeNodes folds right into left (children ci and ci+1 of n) and removes
 // the separating key from n. For leaves the handicap slots combine in the
-// conservative direction of their kind.
+// conservative direction of their kind; left's bound becomes the union of
+// both.
 func (t *Tree) mergeNodes(n node, sepIdx int, left, right node, childHeight int) {
+	n.widenChild(sepIdx, n.childExt(sepIdx+1))
 	if childHeight == 1 {
 		base := left.count()
 		for j := 0; j < right.count(); j++ {
@@ -661,9 +697,9 @@ func (t *Tree) mergeNodes(n node, sepIdx int, left, right node, childHeight int)
 	} else {
 		down := n.sep(sepIdx)
 		base := left.count()
-		left.insertSepAt(base, down, right.child(0))
+		left.insertSepAt(base, down, right.child(0), right.childExt(0))
 		for j := 0; j < right.count(); j++ {
-			left.insertSepAt(base+1+j, right.sep(j), right.child(j+1))
+			left.insertSepAt(base+1+j, right.sep(j), right.child(j+1), right.childExt(j+1))
 		}
 	}
 	rid := right.id()

@@ -88,12 +88,9 @@ func (v nodeView) tid(i int) uint32 {
 
 func (v nodeView) entry(i int) Entry { return getRecord(v.data, int(v.meta.eOff)+i*entrySize) }
 
-func (v nodeView) numHandicaps() int { return int(v.meta.eOff-v.meta.hOff) / 8 }
+func (v nodeView) numHandicaps() int { return int(v.meta.eOff-v.meta.hOff) / slotSize }
 
-func (v nodeView) handicap(i int) float64 {
-	off := int(v.meta.hOff) + i*8
-	return math.Float64frombits(binary.LittleEndian.Uint64(v.data[off : off+8]))
-}
+func (v nodeView) handicap(i int) float64 { return getF32(v.data, int(v.meta.hOff)+i*slotSize) }
 
 // LeafView is the zero-copy window onto one leaf handed to sweep
 // callbacks: accessors read the pinned page bytes in place, so a sweep
@@ -106,6 +103,7 @@ func (v nodeView) handicap(i int) float64 {
 type LeafView struct {
 	Page pagestore.PageID
 	v    nodeView
+	ext  [2]float64 // the leaf's bound, read off its parent's record
 }
 
 // Len returns the number of entries in the leaf.
@@ -156,6 +154,12 @@ func (lv LeafView) Handicap(slot int) float64 {
 	}
 	return lv.v.handicap(slot)
 }
+
+// Extent returns the leaf's bound: an [infX, supX] holding the x-extent of
+// every entry in it, as its parent's record keeps it; NoExtent for a leaf
+// that is the root. It is a value, not a view of the page, so it needs no
+// guard.
+func (lv LeafView) Extent() [2]float64 { return lv.ext }
 
 // AppendEntries appends the leaf's entries to dst and returns it — the
 // copy-out primitive for callers that need the entries to outlive the

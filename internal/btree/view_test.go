@@ -33,8 +33,8 @@ func refDecodeLeaf(t *testing.T, data []byte) refLeaf {
 	eOff := int(binary.LittleEndian.Uint16(data[6:8]))
 	var r refLeaf
 	copy(r.reserved[:], data[8:16])
-	for off := hOff; off < eOff; off += 8 {
-		r.handicaps = append(r.handicaps, math.Float64frombits(binary.LittleEndian.Uint64(data[off:off+8])))
+	for off := hOff; off < eOff; off += 4 {
+		r.handicaps = append(r.handicaps, float64(math.Float32frombits(binary.LittleEndian.Uint32(data[off:off+4]))))
 	}
 	for i := 0; i < count; i++ {
 		off := eOff + i*entrySize
@@ -133,9 +133,9 @@ func TestViewMetaMatchesReference(t *testing.T) {
 		defer f.Release()
 		m := parseMeta(f.Data())
 		ref := refDecodeLeaf(t, f.Data())
-		if int(m.count) != len(ref.entries) || int(m.eOff-m.hOff)/8 != len(ref.handicaps) {
+		if int(m.count) != len(ref.entries) || int(m.eOff-m.hOff)/4 != len(ref.handicaps) {
 			t.Fatalf("page %d: meta (count %d, %d slots) vs reference (count %d, %d slots)",
-				lv.Page, m.count, (m.eOff-m.hOff)/8, len(ref.entries), len(ref.handicaps))
+				lv.Page, m.count, (m.eOff-m.hOff)/4, len(ref.entries), len(ref.handicaps))
 		}
 		if ref.reserved != [8]byte{} {
 			t.Fatalf("page %d: reserved header bytes %x, want zero", lv.Page, ref.reserved)

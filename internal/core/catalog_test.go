@@ -24,13 +24,13 @@ import (
 // names (ids themselves are capped by constraint.ErrIDLimit).
 //
 // The seeds are the catalog page and tuple stream of a fresh Save and the
-// catalog page of testdata/dcdb0004.cdb (a previous-format file, refused by
+// catalog page of testdata/dcdb0005.cdb (a previous-format file, refused by
 // its magic), in the checked-in corpus too, which adds a stream claiming
 // 65 536 constraints it has no bytes for and one naming an id near the limit.
 func FuzzCatalogDecode(f *testing.F) {
 	page, stream := savedCatalog(f)
 	f.Add(page, stream)
-	old, err := os.ReadFile(filepath.Join("testdata", "dcdb0004.cdb"))
+	old, err := os.ReadFile(filepath.Join("testdata", "dcdb0005.cdb"))
 	if err != nil {
 		f.Fatal(err)
 	}

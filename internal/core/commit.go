@@ -29,8 +29,7 @@ type Commit struct {
 	indexed int
 	deletes int
 	// ext is what Commit extends by the batch's inserts: the base version's
-	// extents, or after a handicap rebuild the zero value, which Commit
-	// derives from the live tuples afresh.
+	// extents, or after a handicap rebuild the table it derived afresh.
 	ext extents
 	// inserted and removed count the batch's operations for the observer.
 	inserted, removed int
@@ -144,8 +143,18 @@ func (c *Commit) Insert(t *constraint.Tuple) (constraint.TupleID, error) {
 	if err != nil {
 		return id, c.fail(err)
 	}
+	// The site trees of E² bound their children by x-extent; the vertical
+	// pair and every tree in E^d keep no bound.
+	sx := btree.NoExtent
+	if ix.dim == 2 {
+		sx = xExtent(t)
+	}
 	for j, tr := range ix.trees {
-		if err := tr.Insert(keys[j], uint32(id)); err != nil {
+		x := sx
+		if j >= 2*ix.geo.sites() {
+			x = btree.NoExtent
+		}
+		if err := tr.InsertExt(keys[j], uint32(id), x); err != nil {
 			return id, c.fail(err)
 		}
 	}
@@ -189,7 +198,7 @@ func (c *Commit) Delete(id constraint.TupleID) error {
 	return nil
 }
 
-// RebuildHandicaps recomputes every handicap slot and the x-extent span
+// RebuildHandicaps recomputes every handicap slot and every child bound
 // exactly from the batch's current contents and resets the staleness
 // counter. On error the caller must Abort.
 func (c *Commit) RebuildHandicaps() error {
@@ -206,8 +215,16 @@ func (c *Commit) RebuildHandicaps() error {
 // the staleness counter trips the threshold).
 func (c *Commit) rebuildHandicaps() error {
 	ix := c.ix
+	// The extent table is derived afresh from the live tuples, and the bounds
+	// from it: O(N), as the scan below is, and older versions keep the old
+	// table's backing array.
+	var ext func(uint32) [2]float64
+	if ix.dim == 2 {
+		c.ext = extents{}.extend(ix.rel.Freeze())
+		ext = c.ext.of
+	}
 	for _, tr := range ix.trees[:2*ix.geo.sites()] {
-		if err := tr.ResetHandicaps(); err != nil {
+		if err := tr.ResetHandicaps(ext); err != nil {
 			return err
 		}
 	}
@@ -218,10 +235,6 @@ func (c *Commit) rebuildHandicaps() error {
 		}
 		return true
 	})
-	// Publishing then rebuilds the extent table, and so the span, from the
-	// live tuples: O(N), as this scan is, and older versions keep the old
-	// table's backing array.
-	c.ext = extents{}
 	var up, down []btree.HandicapMerge
 	for i := 0; i < ix.geo.sites(); i++ {
 		up, down = up[:0], down[:0]

@@ -195,10 +195,15 @@ func bulkLoaded(ix *Index, err error) (*Index, error) {
 		return nil, buildErr
 	}
 
+	// The site trees' bounds come from the extent table, in E².
+	var ext extents
+	if ix.dim == 2 {
+		ext = ext.extend(ix.rel.Freeze())
+	}
 	// One task per site's tree pair, plus one for the optional vertical pair.
 	tasks := make([]func() error, 0, ix.geo.sites()+1)
 	for i := 0; i < ix.geo.sites(); i++ {
-		tasks = append(tasks, func() error { return ix.buildSite(i, ts) })
+		tasks = append(tasks, func() error { return ix.buildSite(i, ts, ext) })
 	}
 	if v := ix.vertical(ix.trees); len(v) > 0 {
 		tasks = append(tasks, func() error { return buildVertical(v, ts) })
@@ -209,22 +214,23 @@ func bulkLoaded(ix *Index, err error) (*Index, error) {
 	// Re-publish version 1 over the bulk-loaded trees. The index has not
 	// escaped to any reader yet, so mutating the trees in place between
 	// newIndex's publish and this one is unobservable.
-	ix.publishLocked(1, len(ts), 0, extents{})
+	ix.publishLocked(1, len(ts), 0, ext)
 	return ix, nil
 }
 
-// bulkLoadPair bulk-loads one tree pair.
-func bulkLoadPair(up, down *btree.Tree, upEntries, downEntries []btree.Entry) error {
-	if err := up.BulkLoad(upEntries); err != nil {
+// bulkLoadPair bulk-loads one tree pair, its bounds from ext (nil: none).
+func bulkLoadPair(up, down *btree.Tree, upEntries, downEntries []btree.Entry, ext func(uint32) [2]float64) error {
+	if err := up.BulkLoadExt(upEntries, ext); err != nil {
 		return err
 	}
-	return down.BulkLoad(downEntries)
+	return down.BulkLoadExt(downEntries, ext)
 }
 
-// buildSite bulk-loads the tree pair of site i and folds every tuple's
-// cell extrema into that pair's handicap slots (the paper's preprocessing
-// step, restricted to one site so builds parallelize).
-func (ix *Index) buildSite(i int, ts []*constraint.Tuple) error {
+// buildSite bulk-loads the tree pair of site i, bounded by the extents in
+// ext, and folds every tuple's cell extrema into that pair's handicap slots
+// (the paper's preprocessing step, restricted to one site so builds
+// parallelize).
+func (ix *Index) buildSite(i int, ts []*constraint.Tuple, ext extents) error {
 	upEntries := make([]btree.Entry, 0, len(ts))
 	downEntries := make([]btree.Entry, 0, len(ts))
 	slots := len(ix.geo.slotKinds())
@@ -236,7 +242,11 @@ func (ix *Index) buildSite(i int, ts []*constraint.Tuple) error {
 		downEntries = append(downEntries, btree.Entry{Key: bot, TID: uint32(t.ID())})
 		up, down = ix.handicapMerges(up, down, i, t, top, bot)
 	}
-	if err := bulkLoadPair(ix.trees[2*i], ix.trees[2*i+1], upEntries, downEntries); err != nil {
+	var of func(uint32) [2]float64
+	if ext.xext != nil {
+		of = ext.of
+	}
+	if err := bulkLoadPair(ix.trees[2*i], ix.trees[2*i+1], upEntries, downEntries, of); err != nil {
 		return err
 	}
 	return ix.foldHandicaps(i, up, down)
@@ -255,7 +265,7 @@ func buildVertical(v []*btree.Tree, ts []*constraint.Tuple) error {
 		vupEntries = append(vupEntries, btree.Entry{Key: sup, TID: uint32(t.ID())})
 		vdownEntries = append(vdownEntries, btree.Entry{Key: inf, TID: uint32(t.ID())})
 	}
-	return bulkLoadPair(v[0], v[1], vupEntries, vdownEntries)
+	return bulkLoadPair(v[0], v[1], vupEntries, vdownEntries, nil)
 }
 
 // runTasks executes the tasks on a pool of `workers` goroutines (≤ 1 runs
@@ -394,8 +404,8 @@ func (ix *Index) Pool() *pagestore.Pool { return ix.pool }
 
 // CheckInvariants validates the structural invariants of every live tree,
 // that each holds exactly the tuples the current version counts as indexed
-// and that the version's x-extent span holds each of their extents (a test
-// and debugging aid). It excludes writers for the duration.
+// and that each entry's leaf bound holds its tuple's x-extent (a test and
+// debugging aid). It excludes writers for the duration.
 func (ix *Index) CheckInvariants() error {
 	ix.writeMu.Lock()
 	defer ix.writeMu.Unlock()

@@ -3,8 +3,10 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"dualcdb/internal/btree"
 	"dualcdb/internal/constraint"
 	"dualcdb/internal/geom"
 )
@@ -396,58 +398,101 @@ func TestRebuildHandicapsPreservesAnswers(t *testing.T) {
 	}
 }
 
-// TestRebuildHandicapsDerivesSpan: a delete leaves the version's x-extent
-// span as it is, a handicap rebuild derives it exactly from the live tuples
-// again, and a commit widens it by its inserts.
-func TestRebuildHandicapsDerivesSpan(t *testing.T) {
+// TestRebuildHandicapsDerivesBounds: Build bounds every leaf by exactly the
+// union of its entries' x-extents, rounded outward to float32; a delete
+// leaves the bounds as they are; a handicap rebuild derives them exactly from
+// the live tuples again; and an insert widens the bounds on its path by its
+// extent.
+func TestRebuildHandicapsDerivesBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(108))
-	rel, ix := buildRandomIndex(t, rng, 200, Options{Slopes: EquiangularSlopes(3), Technique: T2}, false)
-	exact := func() [2]float64 {
-		span := emptySpan
-		rel.Scan(func(tp *constraint.Tuple) bool {
-			span = widen(span, xExtent(tp))
-			return true
-		})
-		return span
-	}
-	span := func() [2]float64 { return ix.roots.Load().xspan }
-	if span() != exact() {
-		t.Fatalf("built span %v, the tuples' %v", span(), exact())
-	}
-	var lowest constraint.TupleID
-	rel.Scan(func(tp *constraint.Tuple) bool {
-		if xExtent(tp)[0] == span()[0] {
-			lowest = tp.ID()
+	rel, ix := buildRandomIndex(t, rng, 600, Options{Slopes: EquiangularSlopes(3), Technique: T2}, false)
+	// bounds returns every leaf's bound in tree and key order, and beside it
+	// the union of its entries' extents rounded outward.
+	bounds := func() (got, exact [][2]float64) {
+		for _, tr := range ix.roots.Load().trees {
+			if err := tr.VisitLeavesAsc(math.Inf(-1), func(lv btree.LeafView) bool {
+				x := [2]float64{math.Inf(1), math.Inf(-1)}
+				for i := 0; i < lv.Len(); i++ {
+					tp, err := rel.Get(constraint.TupleID(lv.TID(i)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					x = btree.Union(x, xExtent(tp))
+				}
+				got, exact = append(got, lv.Extent()), append(exact, outward(x))
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
 		}
-		return lowest == 0
+		return got, exact
+	}
+	if ix.trees[0].Height() < 2 {
+		t.Fatal("one leaf a tree: no bound to check")
+	}
+	if got, exact := bounds(); !slices.Equal(got, exact) {
+		t.Fatalf("built bounds %v, the entries' %v", got, exact)
+	}
+	// The tuple with the lowest infX: its leaves' bounds reach that far.
+	var lowest constraint.TupleID
+	low := math.Inf(1)
+	rel.Scan(func(tp *constraint.Tuple) bool {
+		if x := xExtent(tp)[0]; x < low {
+			lowest, low = tp.ID(), x
+		}
+		return true
 	})
-	was := span()
+	was, _ := bounds()
 	if err := ix.Delete(lowest); err != nil {
 		t.Fatal(err)
 	}
-	if span() != was {
-		t.Fatalf("span after a delete %v, want it kept at %v", span(), was)
+	if got, _ := bounds(); !slices.Equal(got, was) {
+		t.Fatalf("bounds after a delete %v, want them kept at %v", got, was)
 	}
 	if err := ix.RebuildHandicaps(); err != nil {
 		t.Fatal(err)
 	}
-	if got := span(); got != exact() || got[0] <= was[0] {
-		t.Fatalf("rebuilt span %v, the live tuples' %v; it was %v", got, exact(), was)
+	got, exact := bounds()
+	if !slices.Equal(got, exact) || slices.Equal(got, was) {
+		t.Fatalf("rebuilt bounds %v, the live tuples' %v; they were %v", got, exact, was)
 	}
 	b := ix.Begin()
 	if err := b.RebuildHandicaps(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Insert(box2(t, was[0]-1, was[0], 0, 1)); err != nil {
+	if _, err := b.Insert(box2(t, low-1, low, 0, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := span(); got != exact() || got[0] != was[0]-1 {
-		t.Fatalf("span after a rebuild and an insert in one batch %v, want %v", got, exact())
+	got, exact = bounds()
+	reached := 0
+	for i := range got {
+		if !btree.Holds(got[i], exact[i]) {
+			t.Fatalf("leaf %d's bound %v after a rebuild and an insert in one batch, its entries' %v", i, got[i], exact[i])
+		}
+		if got[i][0] <= low-1 {
+			reached++
+		}
+	}
+	if reached != 2*len(ix.Slopes()) {
+		t.Fatalf("%d leaves bounded by the insert's infX %v, want one a tree", reached, low-1)
 	}
 	if err := ix.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// outward rounds an extent to the float32s a bound stores: infX down, supX
+// up.
+func outward(x [2]float64) [2]float64 {
+	lo, hi := float32(x[0]), float32(x[1])
+	if float64(lo) > x[0] {
+		lo = math.Nextafter32(lo, float32(math.Inf(-1)))
+	}
+	if float64(hi) < x[1] {
+		hi = math.Nextafter32(hi, float32(math.Inf(1)))
+	}
+	return [2]float64{float64(lo), float64(hi)}
 }

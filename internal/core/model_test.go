@@ -17,10 +17,13 @@ import (
 
 // Model test for engine histories, in the shape of btree/model_test.go: a
 // byte string is a history of batches, inserts of every kind of tuple,
-// deletes, pinned snapshots, queries, handicap rebuilds and Save + Open over
-// one index, and after every step the current version and every pinned
-// snapshot must answer exactly as the naive Proposition 2.2 scan over a
-// model of that version's tuples does. There is no exception for any slope,
+// deletes, pinned snapshots, queries — half-plane, line-stabbing,
+// generalized-tuple and vertical ones — handicap rebuilds and Save + Open
+// over one index, and after every step the current version and every pinned
+// snapshot must answer exactly as a naive scan over a model of that
+// version's tuples does: Proposition 2.2's, or the exact predicate of the
+// other selections. At the end of a history the store holds the live
+// version's pages and nothing else. There is no exception for any slope,
 // intercept or shape: on a site, one ulp or Eps/2 off it, on strip borders
 // and outside, at a tuple's surface value ± Eps ± one ulp, for tuples whose
 // envelope and support scan disagree and for a triangle 9e5 out, where
@@ -38,6 +41,9 @@ const (
 	eoBatch // n, then n queries
 	eoRebuild
 	eoReopen
+	eoLine     // shape, slope selector, slope argument, intercept selector, intercept argument
+	eoTuple    // kind, n, then n × (shape, slope selector, slope argument, intercept selector, intercept argument)
+	eoVertical // shape, position, intercept selector
 	numEngineOps
 )
 
@@ -74,6 +80,7 @@ type engineCoverage struct {
 	reopened, aborted, refused, sameBatch bool
 	refusedSave                           bool
 	sweptPinned, twoLevels, onSite        bool
+	lines, tuples, verticals              int // answers with some id
 }
 
 type engineHistory struct {
@@ -86,6 +93,10 @@ type engineHistory struct {
 	rel  *constraint.Relation // the caller's: what ix was built over or Open returned
 	ix   *Index
 	obs  *obs.Observer
+
+	// leaked counts the pages a reopened file holds that no structure
+	// references: OpenExistingFileStore counts every page of the file live.
+	leaked int
 
 	batch  *Commit
 	live   []*constraint.Tuple // the published version's tuples, ascending by id
@@ -493,7 +504,143 @@ func (h *engineHistory) reopen() {
 		}
 	}
 	h.rel, h.ix, h.live, h.cov.reopened = rel, ix, reopened, true
+	h.leaked = file.NumAllocated() - h.storedPages()
 	ix.SetObserver(h.obs)
+}
+
+// storedPages is what the index references in its store: its trees' pages,
+// the catalog page and the saved tuple chain.
+func (h *engineHistory) storedPages() int {
+	n := h.ix.Pages() + h.ix.dataPages
+	if h.ix.catalog != pagestore.InvalidPage {
+		n++
+	}
+	return n
+}
+
+// answers runs one selection on the published version and on every pinned
+// snapshot, and compares each answer with eval over that version's model.
+func (h *engineHistory) answers(what string, run func(querier) ([]constraint.TupleID, error), eval func(*constraint.Tuple) (bool, error)) int {
+	check := func(who string, q querier, model []*constraint.Tuple) int {
+		got, err := run(q)
+		if err != nil {
+			h.fatalf("%s %s: %v", who, what, err)
+		}
+		var want []constraint.TupleID
+		for _, tp := range model {
+			ok, err := eval(tp)
+			if err != nil {
+				h.fatalf("%s on tuple %d: %v", what, tp.ID(), err)
+			}
+			if ok {
+				want = append(want, tp.ID())
+			}
+		}
+		if !sameIDs(got, want) {
+			h.fatalf("%s %s: got %v, the scan %v", who, what, got, want)
+		}
+		return len(want)
+	}
+	n := check("live", h.ix, h.live)
+	for _, p := range h.pins {
+		check(fmt.Sprintf("snapshot %d", p.snap.Version()), p.snap, p.model)
+	}
+	return n
+}
+
+// querier is what an Index and a Snapshot share of the compound selections.
+type querier interface {
+	QueryLine(a, b float64) (Result, error)
+	QueryTuple(kind constraint.QueryKind, qt *constraint.Tuple) (TupleResult, error)
+	QueryVertical(kind constraint.QueryKind, op geom.Op, c float64) (Result, error)
+}
+
+// line decodes and checks a line stab: its slope as a query's, its intercept
+// on the edge of a tuple's TOP (shape even) or BOT at that slope.
+func (h *engineHistory) line() {
+	q := h.decodeQuery()
+	if h.c.dim != 2 {
+		return
+	}
+	a, b := q.Slope[0], q.Intercept
+	n := h.answers(fmt.Sprintf("line y = %v·x + %v", a, b), func(qr querier) ([]constraint.TupleID, error) {
+		r, err := qr.QueryLine(a, b)
+		return r.IDs, err
+	}, func(tp *constraint.Tuple) (bool, error) {
+		bot, err := tp.Bot([]float64{a})
+		top, _ := tp.Top([]float64{a})
+		return bot <= b+geom.Eps && b-geom.Eps <= top, err
+	})
+	h.cov.lines += min(n, 1)
+}
+
+// tuple decodes and checks a generalized-tuple selection: ALL or EXIST of a
+// conjunction of one to three constraints, each a decoded query's half-plane
+// y op a·x + b or, shape bit 2, the vertical x op b.
+func (h *engineHistory) tupleQuery() {
+	kind := constraint.QueryKind(h.next() & 1)
+	n := 1 + h.next()%3
+	var hs []geom.HalfSpace
+	for i := 0; i < n; i++ {
+		shape := h.data
+		q := h.decodeQuery()
+		if math.IsInf(q.Intercept, 0) {
+			q.Intercept = 0 // a constraint's constant is finite
+		}
+		switch {
+		case len(shape) > 0 && shape[0]&4 != 0:
+			hs = append(hs, geom.HalfPlane2(1, 0, -q.Intercept, q.Op))
+		default:
+			hs = append(hs, geom.HalfPlane2(-q.Slope[0], 1, -q.Intercept, q.Op))
+		}
+	}
+	if h.c.dim != 2 {
+		return
+	}
+	qt, err := constraint.NewTuple(2, hs)
+	if err != nil {
+		h.fatalf("query tuple over %v: %v", hs, err)
+	}
+	qext, err := qt.Extension()
+	if err != nil {
+		h.fatalf("query tuple %v: %v", qt, err)
+	}
+	c := h.answers(fmt.Sprintf("%v(%v)", kind, qt), func(qr querier) ([]constraint.TupleID, error) {
+		r, err := qr.QueryTuple(kind, qt)
+		return r.IDs, err
+	}, func(tp *constraint.Tuple) (bool, error) {
+		switch {
+		case qext.IsEmpty():
+			return false, nil
+		case kind == constraint.ALL:
+			return constraint.TupleALL(qt, tp)
+		}
+		return constraint.TupleEXIST(qt, tp)
+	})
+	h.cov.tuples += min(c, 1)
+}
+
+// vertical decodes and checks a vertical selection Kind(x op c): c on the
+// edge of a tuple's infX or supX — plus or minus Eps — or anywhere.
+func (h *engineHistory) vertical() {
+	shape, at, sel := h.next(), h.next(), h.next()
+	kind, op := constraint.QueryKind(shape&1), geom.Op(shape>>1&1)
+	c := float64(at-128) * 0.5
+	if len(h.live) > 0 && sel&3 != 0 {
+		x := xExtent(h.live[at*len(h.live)/256])
+		c = x[sel>>2&1] + float64(sel&3-2)*geom.Eps
+		if math.IsInf(c, 0) {
+			c = 0
+		}
+	}
+	if h.c.dim != 2 {
+		return
+	}
+	n := h.answers(fmt.Sprintf("%v(x %v %v)", kind, op, c), func(qr querier) ([]constraint.TupleID, error) {
+		r, err := qr.QueryVertical(kind, op, c)
+		return r.IDs, err
+	}, func(tp *constraint.Tuple) (bool, error) { return matchesVertical(kind, op, c, tp) })
+	h.cov.verticals += min(n, 1)
 }
 
 // checkAll is what must hold after every step.
@@ -654,6 +801,12 @@ func runEngineHistory(t testing.TB, c engineCase, data []byte, cov *engineCovera
 			if h.batch == nil && h.file != nil {
 				h.reopen()
 			}
+		case eoLine:
+			h.line()
+		case eoTuple:
+			h.tupleQuery()
+		case eoVertical:
+			h.vertical()
 		}
 		h.checkAll()
 	}
@@ -664,6 +817,11 @@ func runEngineHistory(t testing.TB, c engineCase, data []byte, cov *engineCovera
 		h.unpin(0)
 	}
 	h.checkAll()
+	// With no batch open and no snapshot pinned every superseded page is
+	// reclaimed: the store holds the live version's pages and nothing else.
+	if got, want := h.ix.Pool().Store().NumAllocated(), h.storedPages()+h.leaked; got != want {
+		h.fatalf("store holds %d pages; the live version references %d, and a reopen leaked %d", got, want-h.leaked, h.leaked)
+	}
 }
 
 // engineSeeds are hand-written histories. They start from an empty relation
@@ -688,6 +846,16 @@ func engineSeeds() [][]byte {
 		eoInsert, tkVerticalRay, 5, eoInsert, tkUnsatisfiable, 0, eoInsert, tkUnbounded, 0,
 	}
 	refused := []byte{eoInsert, tkOutOfRange, 0}
+	// Line stabs, tuple selections and vertical ones at the edges of the
+	// oldest tuples' values and extents.
+	var compound []byte
+	for i := 0; i < 24; i++ {
+		b := byte(i)
+		compound = append(compound,
+			eoLine, b, b%8, b%3, onOldest|[]byte{atValue, abovByEps, belowByEps | ulpUp}[i%3], b,
+			eoTuple, b, 2, b&6, 5, b%3, onOldest|abovByEps, b, 1+b, 7, b, onOldest|belowByEps, b+1, 2, 0, 0, 0, b,
+			eoVertical, b, b*11, 1+b%4|(b&1)<<2)
+	}
 	// alignedVertices first, then fillers one at a time: above its key at the
 	// site and below, so that leaf boundaries pass between its key, its
 	// routing key and a sweep's start — queried in its strip's lower half at
@@ -702,7 +870,7 @@ func engineSeeds() [][]byte {
 			eoQuery, 0, 7, 64, onOldest|abovByEps, 0) // … and between the first two sites
 	}
 	return [][]byte{
-		cat([]byte{0, 1}, named, shapes, refused, probes, []byte{eoReopen, eoDelete, 0, eoReopen}, probes), // the first Save is refused
+		cat([]byte{0, 1}, named, shapes, refused, probes, compound, []byte{eoReopen, eoDelete, 0, eoReopen}, probes, compound), // the first Save is refused
 		cat([]byte{0, 2}, fillers, []byte{eoDelete, 0, eoReopen, eoRebuild}, probes[:len(probes)/8]),
 		// Batches: insert and delete in one, an abort, a refused tuple ending
 		// its batch, snapshots across commits and a rebuild.
@@ -718,7 +886,8 @@ func engineSeeds() [][]byte {
 // ones over every engine case, and requires that together they reached what
 // the model is for: every execution path, trees of more than one level, a
 // reopen, a refused Save, an abort, a refused tuple, an insert and delete of
-// one tuple in one batch, and a pinned snapshot queried after a later commit.
+// one tuple in one batch, a pinned snapshot queried after a later commit,
+// and in E² line, tuple and vertical selections with a non-empty answer.
 func TestEngineOpsMatchScan(t *testing.T) {
 	for _, c := range engineCases {
 		t.Run(c.name, func(t *testing.T) {
@@ -745,7 +914,8 @@ func TestEngineOpsMatchScan(t *testing.T) {
 					t.Errorf("path %q never taken", p)
 				}
 			}
-			if !cov.aborted || !cov.refused || !cov.sameBatch || !cov.sweptPinned || !cov.twoLevels || !cov.onSite || cov.reopened != (c.dim == 2) || cov.refusedSave != (c.dim == 2) {
+			compound := cov.lines > 0 && cov.tuples > 0 && cov.verticals > 0
+			if !cov.aborted || !cov.refused || !cov.sameBatch || !cov.sweptPinned || !cov.twoLevels || !cov.onSite || cov.reopened != (c.dim == 2) || cov.refusedSave != (c.dim == 2) || compound != (c.dim == 2) {
 				t.Errorf("histories missed part of the state space: %+v", cov)
 			}
 		})

@@ -65,18 +65,14 @@ type rootSet struct {
 // extents are a 2-D version's x-extents (zero on an index of dimension > 2).
 type extents struct {
 	// xext[id−1] is the x-extent {infX, supX} of the tuple with that id — what
-	// keyRule turns a site key into a bracket at another slope with. Ids are
-	// never reused and a tuple never changes, so an entry is written once and
-	// the table is append-only: all versions hold slice headers over one
-	// backing array, a commit appends its inserts past every published length
-	// (extend) and a deleted tuple's entry simply stays — no tree of a version
-	// without the tuple refers to it, and older versions still read it.
+	// keyRule turns a site key into a bracket at another slope with, and what
+	// the site trees' child bounds are unions of. Ids are never reused and a
+	// tuple never changes, so an entry is written once and the table is
+	// append-only: all versions hold slice headers over one backing array, a
+	// commit appends its inserts past every published length (extend) and a
+	// deleted tuple's entry simply stays — no tree of a version without the
+	// tuple refers to it, and older versions still read it.
 	xext [][2]float64
-	// xspan is [xlo, xhi], a superset of the extent of every tuple the version
-	// indexes — what linearStop bounds T2's second sweep with. A commit widens
-	// it by its inserts; a delete leaves it as it is, which stays sound, and
-	// only a handicap rebuild, Build and Open derive it exactly.
-	xspan [2]float64
 }
 
 // noExtent is the table entry of an id that is unassigned or whose tuple is
@@ -106,72 +102,61 @@ func xExtent(t *constraint.Tuple) [2]float64 {
 	return x
 }
 
-// emptySpan is the span of a version that indexes no tuple.
-var emptySpan = [2]float64{math.Inf(1), math.Inf(-1)}
-
-// widen returns the span that also holds the extent x.
-func widen(span, x [2]float64) [2]float64 {
-	return [2]float64{min(span[0], x[0]), max(span[1], x[1])}
-}
-
-// extend grows the table (nil: a first one, sized exactly, whose span starts
-// empty) to the ids of tuples — gaps (ids deleted since, or that an aborted
-// batch burned) get noExtent — and enters the tuples past len(xext), widening
-// the span by the satisfiable ones: O(inserts), and it writes nothing a
-// published version can read.
+// extend grows the table (nil: a first one, sized exactly) to the ids of
+// tuples — gaps (ids deleted since, or that an aborted batch burned) get
+// noExtent — and enters the tuples past len(xext): O(inserts), and it writes
+// nothing a published version can read.
 func (e extents) extend(tuples constraint.View) extents {
 	if e.xext == nil {
-		e.xext, e.xspan = make([][2]float64, 0, tuples.MaxID()), emptySpan
+		e.xext = make([][2]float64, 0, tuples.MaxID())
 	}
 	for id := len(e.xext) + 1; id <= tuples.MaxID(); id++ {
 		x := noExtent
 		if t := tuples.Get(constraint.TupleID(id)); t != nil {
-			if x = xExtent(t); t.IsSatisfiable() {
-				e.xspan = widen(e.xspan, x)
-			}
+			x = xExtent(t)
 		}
 		e.xext = append(e.xext, x)
 	}
 	return e
 }
 
-// linearStop is the key past which T2's second sweep, for a selection at
-// intercept b whose slope lies shift = Δ from the swept site, meets no match
-// (DESIGN.md §17). Every indexed tuple's surface at the query slope lies in
-// [k − M, k − m] for its key k, with m ≤ Δ·x ≤ M over its x-extent, and that
-// extent lies in xspan: a match of a ≥ selection has k ≥ b + min(Δ·xlo,
-// Δ·xhi), one of a ≤ selection k ≤ b + max(Δ·xlo, Δ·xhi), both up to the
-// tolerance the sweep adds. ok is false when the product is not finite — an
-// unbounded extent, an empty span, or 0·Inf at Δ = 0, which is NaN.
-func (e *extents) linearStop(b, shift float64, up bool) (stop float64, ok bool) {
-	lo, hi := shift*e.xspan[0], shift*e.xspan[1]
-	c := max(lo, hi)
-	if up {
-		c = min(lo, hi)
-	}
-	return b + c, math.Abs(c) < math.Inf(1) // NaN fails too
-}
+// of returns the extent of the tuple with id tid: what the site trees bound
+// their children with.
+func (e extents) of(tid uint32) [2]float64 { return e.xext[tid-1] }
 
-// checkExtents reports an indexed tuple of the version whose extent the span
-// does not hold, or whose table entry is not its extent.
+// checkExtents reports a tuple of the version whose table entry is not its
+// extent, or an entry of one of the version's trees whose tuple's extent its
+// leaf's bound does not hold.
 func (rs *rootSet) checkExtents() error {
 	if rs.xext == nil {
 		return nil
 	}
 	var err error
 	rs.tuples.Scan(func(t *constraint.Tuple) bool {
-		if !t.IsSatisfiable() {
-			return true
-		}
-		x := xExtent(t)
-		switch {
-		case int(t.ID()) > len(rs.xext) || rs.xext[t.ID()-1] != x: //dualvet:allow floatcmp — an entry is a copy of the extent, bit for bit
+		if x := xExtent(t); int(t.ID()) > len(rs.xext) || rs.xext[t.ID()-1] != x { //dualvet:allow floatcmp — an entry is a copy of the extent, bit for bit
 			err = fmt.Errorf("core: version %d: tuple %d has extent %v, its table entry is not that", rs.version, t.ID(), x)
-		case !(rs.xspan[0] <= x[0] && x[1] <= rs.xspan[1]):
-			err = fmt.Errorf("core: version %d: tuple %d has extent %v outside the span %v", rs.version, t.ID(), x, rs.xspan)
 		}
 		return err == nil
 	})
+	for j, tr := range rs.trees {
+		if err != nil {
+			break
+		}
+		verr := tr.VisitLeavesAsc(math.Inf(-1), func(lv btree.LeafView) bool {
+			for i := 0; i < lv.Len() && err == nil; i++ {
+				tid := lv.TID(i)
+				if uint(tid-1) >= uint(len(rs.xext)) {
+					err = fmt.Errorf("core: version %d: tree %d holds tuple %d, past the extent table", rs.version, j, tid)
+				} else if x := rs.xext[tid-1]; !btree.Holds(lv.Extent(), x) {
+					err = fmt.Errorf("core: version %d: tree %d, leaf %d: tuple %d's extent %v outside the leaf's bound %v", rs.version, j, lv.Page, tid, x, lv.Extent())
+				}
+			}
+			return err == nil
+		})
+		if err == nil {
+			err = verr
+		}
+	}
 	return err
 }
 
@@ -195,10 +180,9 @@ func (rs *rootSet) allIDs(buf []uint32) []uint32 {
 }
 
 // publishLocked freezes the live trees and the relation into a new rootSet
-// and publishes it. ext holds the base version's x-extent table to extend and
-// the span to widen, the zero value when there is none: the first publish,
-// the one after a bulk operation filled the trees in place (Build, Open), and
-// a commit that rebuilt the handicaps.
+// and publishes it. ext holds the x-extent table to extend: the base
+// version's, one a bulk operation or a handicap rebuild derived, or the zero
+// value, from which it is derived afresh.
 // Requires writeMu (or a not-yet-shared index during construction).
 func (ix *Index) publishLocked(version uint64, indexed, deletes int, ext extents) *rootSet {
 	rs := &rootSet{

@@ -25,11 +25,13 @@ import (
 // reattaches the trees.
 
 const (
-	// DCDB0005: node layout version 3 (btree/node.go) — 8-byte leaf entries,
-	// every site key the kernel's TOP^P/BOT^P at the site rounded to float32.
-	// DCDB0004 files hold the same keys unrounded in layout 2's 12-byte
-	// entries and are refused, as are DCDB0001 to DCDB0003.
-	catalogMagic   = "DCDB0005"
+	// DCDB0006: node layout version 4 (btree/node.go) — 8-byte leaf entries,
+	// every site key the kernel's TOP^P/BOT^P at the site rounded to float32,
+	// float32 handicap slots, and 20-byte separator records carrying each
+	// child's x-extent bound. DCDB0005 files (layout 3: float64 slots,
+	// 12-byte separator records, no bounds) are refused, as are DCDB0001 to
+	// DCDB0004.
+	catalogMagic   = "DCDB0006"
 	catalogPage    = pagestore.PageID(1)
 	catalogFixed   = 52 // bytes before the slope table
 	maxPersistK    = 23 // catalog page capacity bound at 1 KiB pages (incl. vertical pair)
@@ -124,7 +126,7 @@ func (ix *Index) Save() error {
 }
 
 // ErrCatalog is returned by Open when page 1 is not a catalog this version
-// writes: another format's magic — a DCDB0004 or older file, whose trees
+// writes: another format's magic — a DCDB0005 or older file, whose trees
 // have another node layout — or a damaged field. A node of another layout
 // under a current catalog is btree.ErrLayout.
 var ErrCatalog = errors.New("core: bad catalog")

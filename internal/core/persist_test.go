@@ -227,7 +227,7 @@ func TestOpenRejectsDamagedCatalog(t *testing.T) {
 		"slopes-unsorted":   func(d, _ []byte) { putF(d, slope0, getF(d, slope0+16)+1) },
 		"slopes-within-eps": func(d, _ []byte) { putF(d, slope0+8, getF(d, slope0)) },
 		"technique":         func(d, _ []byte) { d[8] = 7 },
-		"previous-format":   func(d, _ []byte) { copy(d[0:8], "DCDB0004") },
+		"previous-format":   func(d, _ []byte) { copy(d[0:8], "DCDB0005") },
 		"chain-cycle": func(d, head []byte) {
 			// The first chain page points back at itself.
 			copy(head[0:4], d[40:44])
@@ -530,13 +530,14 @@ func TestForeignNodeLayoutFailsLoudly(t *testing.T) {
 	})
 }
 
-// TestOpenRefusesPreviousFormatFile opens testdata/dcdb0004.cdb, a file the
-// previous format wrote — 100 tuples, k = 3, trees of layout-2 nodes with
-// 12-byte entries. Open must refuse its catalog with ErrCatalog, and with the
-// catalog's magic patched to the current one, refuse the first layout-2 root
-// with btree.ErrLayout: a typed error either way, never a panic or an index.
+// TestOpenRefusesPreviousFormatFile opens testdata/dcdb0005.cdb, a file the
+// previous format wrote — 100 tuples, k = 3, trees of layout-3 nodes with
+// float64 handicap slots and no child bounds. Open must refuse its catalog
+// with ErrCatalog, and with the catalog's magic patched to the current one,
+// refuse the first layout-3 root with btree.ErrLayout: a typed error either
+// way, never a panic or an index.
 func TestOpenRefusesPreviousFormatFile(t *testing.T) {
-	old, err := os.ReadFile(filepath.Join("testdata", "dcdb0004.cdb"))
+	old, err := os.ReadFile(filepath.Join("testdata", "dcdb0005.cdb"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,13 +557,13 @@ func TestOpenRefusesPreviousFormatFile(t *testing.T) {
 		}
 		return err
 	}
-	if err := open(old); !errors.Is(err, ErrCatalog) || !strings.Contains(err.Error(), "DCDB0004") {
-		t.Fatalf("Open of a DCDB0004 file: %v, want ErrCatalog naming its magic", err)
+	if err := open(old); !errors.Is(err, ErrCatalog) || !strings.Contains(err.Error(), "DCDB0005") {
+		t.Fatalf("Open of a DCDB0005 file: %v, want ErrCatalog naming its magic", err)
 	}
 	patched := slices.Clone(old)
 	copy(patched, catalogMagic) // page 1, the catalog, is the file's first
-	if err := open(patched); !errors.Is(err, btree.ErrLayout) || !strings.Contains(err.Error(), "layout version 2") {
-		t.Fatalf("Open of layout-2 trees under a current catalog: %v, want btree.ErrLayout", err)
+	if err := open(patched); !errors.Is(err, btree.ErrLayout) || !strings.Contains(err.Error(), "layout version 3") {
+		t.Fatalf("Open of layout-3 trees under a current catalog: %v, want btree.ErrLayout", err)
 	}
 }
 

@@ -189,7 +189,7 @@ func (ix *Index) queryExec(q constraint.Query, ec *execCtx) (Result, error) {
 		err = fmt.Errorf("core: slope %v not in S and technique is restricted-only", q.Slope)
 	case ix.opt.Technique == T2 && (r.inCell || slopes != nil):
 		// Outside every strip the nearest slope's tree still holds every
-		// tuple: with no handicap to stop at, the x-extent span alone bounds
+		// tuple: with no handicap to stop at, the child bounds alone bound
 		// the second sweep.
 		st, err = ix.collectT2(r, q, ec, sc)
 	case slopes == nil:
@@ -230,7 +230,10 @@ type sweep struct {
 	// DESIGN.md §16).
 	sure bool
 	// rule settles entries from key and x-extent when the keys were computed
-	// off the query slope (T2); the zero value settles none.
+	// off the query slope (T2); the zero value settles none. With a rule, a
+	// leaf whose key range and bound the rule settles one way is settled
+	// whole, and a sweep that folds no handicap passes, unread, every subtree
+	// whose key range and bound the rule rejects (skip).
 	rule keyRule
 }
 
@@ -290,6 +293,37 @@ func (r keyRule) atLeaf(m float64) keyRule {
 	return r
 }
 
+// step is the skip test of a sweep over the stored-key range [lo, hi] in the
+// direction asc: a subtree with no key in the range is passed on the near
+// side and ends the sweep on the far one; one whose keys in range the rule
+// rejects whole is passed; every other subtree is read. Rejection looks at
+// one end of the keys only — the high end for a ≥ selection — so a subtree
+// open at the other end (the tree's first or last) can still be passed. A
+// stored key k ≤ khi was rounded from a value of at most
+// khi + btree.RoundingError(|khi|), as in atLeaf, and symmetrically below.
+func (r *keyRule) step(b btree.Bound, lo, hi float64, asc bool) btree.Step {
+	klo, khi := max(b.Lo, lo), min(b.Hi, hi)
+	switch {
+	case asc && b.Lo > hi, !asc && b.Hi < lo:
+		return btree.Stop
+	case klo > khi:
+		return btree.Pass
+	}
+	// A bound whose products are not ordered — 0·Inf is NaN at Δ = 0, an empty
+	// bound is Inf − Inf — rules nothing out, nor does NaN below.
+	if !(r.shift*b.X[r.far]-r.shift*b.X[1-r.far] >= 0) {
+		return btree.Enter
+	}
+	if r.ifBelow == reject {
+		if khi+btree.RoundingError(math.Abs(khi))-r.shift*b.X[1-r.far] < r.below {
+			return btree.Pass
+		}
+	} else if klo-btree.RoundingError(math.Abs(klo))-r.shift*b.X[r.far] > r.above {
+		return btree.Pass
+	}
+	return btree.Enter
+}
+
 // finiteKeyBound returns the largest magnitude of a finite key of the leaf:
 // keys are sorted, so it is one of the first and last finite ones. The ±Inf
 // keys it steps over are the predicate's anyway.
@@ -307,8 +341,13 @@ func finiteKeyBound(lv btree.LeafView, n int) float64 {
 	return 0 // every key is infinite: none is decided
 }
 
-func (r *keyRule) decide(k float64, x [2]float64) verdict {
-	lo, hi := k-r.shift*x[r.far], k-r.shift*x[1-r.far]
+func (r *keyRule) decide(k float64, x [2]float64) verdict { return r.decideRange(k, k, x) }
+
+// decideRange is decide for every entry with a key in [klo, khi] and an
+// extent inside x at once: their values at the query slope all lie in
+// [klo − max(shift·x), khi − min(shift·x)].
+func (r *keyRule) decideRange(klo, khi float64, x [2]float64) verdict {
+	lo, hi := klo-r.shift*x[r.far], khi-r.shift*x[1-r.far]
 	switch {
 	case !(hi-lo < math.MaxFloat64): // ±Inf key or extent (Inf − Inf is NaN), NaN
 		return evaluate
@@ -340,8 +379,8 @@ func firstSweep(b, tol float64, up bool, slot int) sweep {
 }
 
 // secondSweep is T2's: from b against the direction of the first sweep, as
-// far as the bound h — a handicap or a linear stop — and one tolerance past
-// it. It keeps exactly the stored keys the first sweep's filter rejected —
+// far as the bound h — a handicap, or the tree's far end — and one tolerance
+// past it. It keeps exactly the stored keys the first sweep's filter rejected —
 // the open end of its range is the float32 neighbour of the first sweep's
 // rounded closed end — so the two sweeps are disjoint and no duplicates
 // arise.
@@ -373,6 +412,10 @@ func (s sweep) run(tr *btree.Tree, rc *pagestore.ReadCounter, sc *scratch, st *Q
 		bound = hi
 	}
 	cands0, sure0, rejected := len(sc.cands), len(sc.sure), 0
+	var skip func(btree.Bound) btree.Step
+	if s.rule.xext != nil && s.slot < 0 {
+		skip = func(b btree.Bound) btree.Step { return s.rule.step(b, lo, hi, s.asc) }
+	}
 	visit := func(lv btree.LeafView) bool {
 		st.LeavesSwept++
 		if s.slot >= 0 {
@@ -384,8 +427,10 @@ func (s sweep) run(tr *btree.Tree, rc *pagestore.ReadCounter, sc *scratch, st *Q
 		}
 		n := lv.Len()
 		var rule keyRule
+		whole := evaluate // the rule's verdict on every entry of the leaf in range
 		if s.rule.xext != nil && n > 0 {
 			rule = s.rule.atLeaf(finiteKeyBound(lv, n))
+			whole = rule.decideRange(max(lv.Key(0), lo), min(lv.Key(n-1), hi), lv.Extent())
 		}
 		for i := 0; i < n; i++ {
 			switch k := lv.Key(i); {
@@ -394,6 +439,10 @@ func (s sweep) run(tr *btree.Tree, rc *pagestore.ReadCounter, sc *scratch, st *Q
 				sc.sure = append(sc.sure, lv.TID(i))
 			case rule.xext == nil:
 				sc.cands = append(sc.cands, lv.TID(i))
+			case whole == accept:
+				sc.sure = append(sc.sure, lv.TID(i))
+			case whole == reject:
+				rejected++
 			default:
 				tid := lv.TID(i)
 				v := evaluate
@@ -423,12 +472,7 @@ func (s sweep) run(tr *btree.Tree, rc *pagestore.ReadCounter, sc *scratch, st *Q
 			return lv.Key(0) >= lo
 		}
 	}
-	var err error
-	if s.asc {
-		err = tr.VisitLeavesAscTracked(s.from, rc, visit)
-	} else {
-		err = tr.VisitLeavesDescTracked(s.from, rc, visit)
-	}
+	err := tr.Sweep(s.from, s.asc, rc, skip, visit)
 	decided := len(sc.sure) - sure0 + rejected
 	retrieved := len(sc.cands) - cands0 + decided
 	st.Candidates += retrieved
@@ -542,24 +586,35 @@ func (ix *Index) collectT1(q constraint.Query, slopes []float64, ec *execCtx, sc
 // (DESIGN.md §17).
 func t2Slack(m float64) float64 { return 32 * geom.Eps * (1 + m) }
 
+// t2Rule returns T2's tolerance and key rule for q, routed by r, over the
+// extent table xext; with no table (d > 2) the tolerance is Eps and the rule
+// settles nothing.
+func t2Rule(r routing, q constraint.Query, xext [][2]float64) (float64, keyRule) {
+	if xext == nil {
+		return geom.Eps, keyRule{}
+	}
+	tol := geom.Eps + t2Slack(math.Abs(q.Slope[0])+math.Abs(r.shift))
+	return tol, slopeRule(xext, q.Intercept, tol, r.shift, q.SweepsUp())
+}
+
 // collectT2 executes the single-tree handicap technique of Sections
 // 4.2–4.4: the restricted sweep in the routed site's tree, tracking the
 // extreme handicap of the visited leaves, then — when some tuple that the
 // first sweep's filter rejected can still match — a second sweep the other
-// way. It stops at the tighter of that handicap and, in E², the linear stop
-// of the version's x-extent span (extents.linearStop), past which keyRule
-// would reject every entry. Outside every cell only the linear stop is left;
-// with no finite one (an x-unbounded tuple) the second sweep runs to the
-// tree's far end and the one tree is swept whole. In E² both sweeps settle
-// most entries by keyRule. One tolerance serves filter, trigger, both stops
-// and rule: Eps, the predicate's own, plus δ = t2Slack(|a| + |Δ|), which
-// absorbs the routing keys behind the handicaps — the kernel's half-strip
-// extrema, which bound its value at the query slope a up to its rounding at
-// the strip ends and breakpoints — and the rounding of the products the rule
-// and the linear stop bracket with: the kernel's at a and at the site a − Δ,
-// and their own Δ·x. The rule widens it once per leaf by the keys' rounding
-// to float32 (keyRule.atLeaf); the stops need no such widening, since
-// rounding is monotone (DESIGN.md §17).
+// way as far as that handicap. Outside every cell there is no handicap and
+// the second sweep runs towards the tree's far end. In E² both sweeps settle
+// most entries, and whole leaves, by keyRule, and the second passes every
+// subtree whose child bound and key range the rule rejects (sweep.rule): far
+// enough out every subtree is passed, so no sweep reads the whole tree unless
+// its x-unbounded tuples spread over it. One tolerance serves filter,
+// trigger, handicap stop and rule: Eps, the predicate's own, plus
+// δ = t2Slack(|a| + |Δ|), which absorbs the routing keys behind the
+// handicaps — the kernel's half-strip extrema, which bound its value at the
+// query slope a up to its rounding at the strip ends and breakpoints — and
+// the rounding of the products the rule brackets with: the kernel's at a and
+// at the site a − Δ, and its own Δ·x. The rule widens it by the keys'
+// rounding to float32 (keyRule.atLeaf), once per leaf and once per subtree
+// it judges (DESIGN.md §17).
 func (ix *Index) collectT2(r routing, q constraint.Query, ec *execCtx, sc *scratch) (QueryStats, error) {
 	st, slot := QueryStats{Path: "t2"}, r.slot
 	if !r.inCell {
@@ -567,11 +622,7 @@ func (ix *Index) collectT2(r routing, q constraint.Query, ec *execCtx, sc *scrat
 	}
 	tr := ec.rs.tree(r.site, q)
 	b, up := q.Intercept, q.SweepsUp()
-	tol, rule := geom.Eps, keyRule{}
-	if xext := ec.rs.xext; xext != nil {
-		tol += t2Slack(math.Abs(q.Slope[0]) + math.Abs(r.shift))
-		rule = slopeRule(xext, b, tol, r.shift, up)
-	}
+	tol, rule := t2Rule(r, q, ec.rs.xext)
 	first := firstSweep(b, tol, up, slot)
 	first.rule = rule
 
@@ -587,19 +638,7 @@ func (ix *Index) collectT2(r routing, q constraint.Query, ec *execCtx, sc *scrat
 			h = math.Inf(1)
 		}
 	}
-	// The handicap, a stored key, bounds a missed match's key exactly; the
-	// stop only up to tol. So the stop shortens the second sweep, and skips it
-	// only when it leaves the sweep's range — [stop − tol, b − tol) for a ≥
-	// selection — empty.
-	run := (up && h < b-tol) || (!up && h > b+tol)
-	if stop, ok := ec.rs.linearStop(b, r.shift, up); ok && rule.xext != nil {
-		if up {
-			h, run = max(h, stop), run && stop < b
-		} else {
-			h, run = min(h, stop), run && stop > b
-		}
-	}
-	if run {
+	if (up && h < b-tol) || (!up && h > b+tol) {
 		second := secondSweep(b, tol, up, h)
 		second.rule = rule
 		sw2 := ec.span(obs.StageSweepSecond)

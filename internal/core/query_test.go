@@ -98,8 +98,9 @@ func TestAppQueryLinesShareAPoint(t *testing.T) {
 }
 
 // TestT2FallbackPath: query slopes beyond the outer strips have no handicap
-// to stop at — the nearest slope's tree is swept as far as the linear stop,
-// entries are settled on key and x-extent — and must still be exact.
+// to stop at — the nearest slope's tree is swept past every subtree its child
+// bounds rule out, entries are settled on key and x-extent — and must still
+// be exact.
 func TestT2FallbackPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 	opt := Options{Slopes: []float64{-0.5, 0, 0.5}, Technique: T2, OuterHalfWidth: 0.25}
@@ -121,16 +122,17 @@ func TestT2FallbackPath(t *testing.T) {
 	}
 }
 
-// TestLinearStopBoundsSecondSweep: outside every strip T2's second sweep
-// stops at the version's linear stop (extents.linearStop). Over tuples
-// within x ∈ [−10, 10] a query outside the strips at a middling intercept
-// reads fewer leaves than the tree holds and answers as the scan; a tuple
-// whose key lies Eps/2 past the stop and matches is found, because the stop
-// keeps the sweep's tolerance; a committed tuple beyond the old span is found
-// while a snapshot pinned before the commit keeps its own span; and one
-// horizontal slab, whose extent is the whole line, makes the sweep read the
-// whole tree again.
-func TestLinearStopBoundsSecondSweep(t *testing.T) {
+// TestChildBoundsBoundSecondSweep: outside every strip T2's second sweep
+// passes, unread, every subtree whose child bound and key range the key rule
+// rejects (sweep.step). Over tuples within x ∈ [−10, 10] a query outside the
+// strips at a middling intercept reads fewer leaves than the tree holds and
+// answers as the scan; a tuple whose key lies Eps/2 past where the bound
+// [−10, 10] rules a match out, and which matches, is found, because the skip
+// test keeps the sweep's tolerance; a committed tuple far outside the bounds
+// is found while a snapshot pinned before the commit keeps its own bounds and
+// reads fewer leaves; and one horizontal slab, whose extent is the whole
+// line, disables the skip only in the subtrees that hold it.
+func TestChildBoundsBoundSecondSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	rel := constraint.NewRelation(2)
 	insert := func(tp *constraint.Tuple) {
@@ -142,16 +144,30 @@ func TestLinearStopBoundsSecondSweep(t *testing.T) {
 		x, y := rng.Float64()*18-9, rng.Float64()*200-100
 		insert(box2(t, x, x+rng.Float64(), y, y+rng.Float64()*4))
 	}
-	// Both hold an end of the span, with their keys at site 0.5 Eps/2 on the
-	// far side of the stop of the queries below: they match by Eps/2.
+	// Both hold an end of x ∈ [−10, 10], with their keys at site 0.5 Eps/2 on
+	// the far side of where that extent rules out a match of the queries
+	// below: they match by Eps/2.
 	insert(box2(t, -10, -10, -5-geom.Eps/2, -5-geom.Eps/2)) // TOP(0.5) = −Eps/2
 	insert(box2(t, 10, 10, 5+geom.Eps/2, 5+geom.Eps/2))     // BOT(0.5) = +Eps/2
 	ix, err := Build(rel, Options{Slopes: []float64{-0.5, 0, 0.5}, Technique: T2, OuterHalfWidth: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if span := ix.roots.Load().xspan; span != [2]float64{-10, 10} {
-		t.Fatalf("built span %v, want [-10, 10]", span)
+	// span is the union of the bounds of every leaf of rs's trees.
+	span := func(rs *rootSet) [2]float64 {
+		x := [2]float64{math.Inf(1), math.Inf(-1)}
+		for _, tr := range rs.trees {
+			if err := tr.VisitLeavesAsc(math.Inf(-1), func(lv btree.LeafView) bool {
+				x = btree.Union(x, lv.Extent())
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return x
+	}
+	if got := span(ix.roots.Load()); got != [2]float64{-10, 10} {
+		t.Fatalf("built bounds span %v, want [-10, 10]", got)
 	}
 	leaves := func(q constraint.Query) int {
 		n := 0
@@ -187,7 +203,7 @@ func TestLinearStopBoundsSecondSweep(t *testing.T) {
 		return got.Stats
 	}
 
-	// A middling intercept: both sweeps together stop well short of the tree.
+	// A middling intercept: both sweeps together read well short of the tree.
 	for _, a := range []float64{2, -3, 1.5} {
 		for _, p := range probes {
 			q := constraint.Query2(p.kind, a, 0, p.op)
@@ -196,36 +212,35 @@ func TestLinearStopBoundsSecondSweep(t *testing.T) {
 			}
 		}
 	}
-	// At slope 2 (Δ = 1.5 from site 0.5) the stop of EXIST y ≥ 2x + 15 is
-	// 15 + 1.5·(−10) = 0, and the tuple at x = −10 has TOP(2) = 15 − Eps/2;
-	// the stop of EXIST y ≤ 2x − 15 is −15 + 1.5·10 = 0, and the one at x = 10
-	// has BOT(2) = −15 + Eps/2.
+	// At slope 2 (Δ = 1.5 from site 0.5) a bound reaching x = −10 rules out
+	// every key of EXIST y ≥ 2x + 15 below 15 + 1.5·(−10) = 0, and the tuple at
+	// x = −10 has TOP(2) = 15 − Eps/2; one reaching x = 10 rules out every key
+	// of EXIST y ≤ 2x − 15 above −15 + 1.5·10 = 0, and the one at x = 10 has
+	// BOT(2) = −15 + Eps/2.
 	for _, q := range []constraint.Query{
 		constraint.Query2(constraint.EXIST, 2, 15, geom.GE),
 		constraint.Query2(constraint.EXIST, 2, -15, geom.LE),
 	} {
-		if st := query("at the stop", q, rel); st.Results == 0 {
-			t.Fatalf("%v: no answer, want the tuple at the end of the span", q)
+		if st := query("at the bound", q, rel); st.Results == 0 {
+			t.Fatalf("%v: no answer, want the tuple at the end of the bounds", q)
 		}
 	}
-	if stop, ok := ix.roots.Load().linearStop(15, 1.5, true); !ok || stop != 0 {
-		t.Fatalf("linear stop %v (ok %v), want 0", stop, ok)
-	}
 
-	// Δ = 0 over an unbounded span is 0·Inf: no stop, not a NaN one.
-	for _, span := range [][2]float64{{math.Inf(-1), 5}, {-5, math.Inf(1)}, noExtent, emptySpan} {
-		for _, up := range []bool{true, false} {
-			if stop, ok := (&extents{xspan: span}).linearStop(1, 0, up); ok {
-				t.Fatalf("span %v, Δ = 0, up %v: stop %v", span, up, stop)
-			}
+	// Δ = 0 over an unbounded bound is 0·Inf: no subtree is passed on it, not
+	// even one whose keys the intercept rules out; over a finite one the keys
+	// alone decide.
+	r := slopeRule([][2]float64{}, 1, geom.Eps, 0, true)
+	for _, x := range [][2]float64{{math.Inf(-1), 5}, {-5, math.Inf(1)}, noExtent} {
+		if got := r.step(btree.Bound{Lo: -3, Hi: -2, X: x}, math.Inf(-1), 0, false); got != btree.Enter {
+			t.Fatalf("bound %v, Δ = 0: step %v, want Enter", x, got)
 		}
 	}
-	if stop, ok := (&extents{xspan: [2]float64{-5, 5}}).linearStop(1, 0, true); !ok || stop != 1 {
-		t.Fatalf("finite span, Δ = 0: stop %v (ok %v), want the intercept", stop, ok)
+	if got := r.step(btree.Bound{Lo: -3, Hi: -2, X: [2]float64{-5, 5}}, math.Inf(-1), 0, false); got != btree.Pass {
+		t.Fatalf("finite bound, Δ = 0, keys below the intercept: step %v, want Pass", got)
 	}
 
-	// A committed tuple beyond the span: its key at 0.5 is 100 below the
-	// intercept, its value at 2 is 1400 above it.
+	// A committed tuple far outside the bounds: its key at 0.5 is 100 below
+	// the intercept, its value at 2 is 1400 above it.
 	snap := ix.Snapshot()
 	defer snap.Release()
 	var before []constraint.TupleID
@@ -242,11 +257,11 @@ func TestLinearStopBoundsSecondSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if span := ix.roots.Load().xspan; span != [2]float64{-1000, 10} {
-		t.Fatalf("span after the commit %v, want [-1000, 10]", span)
+	if got := span(ix.roots.Load()); got != [2]float64{-1000, 10} {
+		t.Fatalf("bounds span %v after the commit, want [-1000, 10]", got)
 	}
-	if span := snap.rs.xspan; span != [2]float64{-10, 10} {
-		t.Fatalf("pinned span %v, want [-10, 10]", span)
+	if got := span(snap.rs); got != [2]float64{-10, 10} {
+		t.Fatalf("pinned bounds span %v, want [-10, 10]", got)
 	}
 	got, err := ix.Query(q)
 	if err != nil {
@@ -263,7 +278,8 @@ func TestLinearStopBoundsSecondSweep(t *testing.T) {
 		t.Fatalf("%v on the pinned version: got %v (%d leaves), want %v in fewer than %d", q, old.IDs, old.Stats.LeavesSwept, before, got.Stats.LeavesSwept)
 	}
 
-	// One horizontal slab: no finite stop, one whole tree.
+	// One horizontal slab: its extent is the whole line, so no subtree that
+	// holds it is passed, but the others still are.
 	slab, err := constraint.ParseTuple("y >= 0 && y <= 1", 2)
 	if err != nil {
 		t.Fatal(err)
@@ -273,8 +289,8 @@ func TestLinearStopBoundsSecondSweep(t *testing.T) {
 	}
 	for _, p := range probes {
 		q := constraint.Query2(p.kind, 2, 0, p.op)
-		if st := query("with a slab", q, rel); st.Candidates != ix.Len() {
-			t.Fatalf("%v: %d candidates, want the whole tree of %d", q, st.Candidates, ix.Len())
+		if st := query("with a slab", q, rel); st.LeavesSwept >= leaves(q) {
+			t.Errorf("%v with a slab: %d leaves swept of %d", q, st.LeavesSwept, leaves(q))
 		}
 	}
 	if err := ix.CheckInvariants(); err != nil {
@@ -282,25 +298,30 @@ func TestLinearStopBoundsSecondSweep(t *testing.T) {
 	}
 }
 
-// TestLinearStopKeepsItsMargin: the linear stop bounds a match's key only up
-// to the sweep's tolerance, so it may end the second sweep early but may skip
-// it only when nothing lies between the two sweeps' ends. At slope 3.28e-9
-// (site 0, Δ = 3.28e-9) over the span [−10, 10] the stop of y ≥ a·x is
+// TestChildBoundsKeepTheirMargin: a child bound rules a match out only up to
+// the sweep's tolerance, so the skip test must not pass a subtree whose
+// entries lie between the two sweeps' ends. At slope 3.28e-9 (site 0,
+// Δ = 3.28e-9) a subtree bounded by x = −10 rules out keys of y ≥ a·x below
 // −3.28e-8, within the tolerance of the intercept, yet the point
 // (−10, −3.35e-8), keyed below the first sweep's end, matches by 7e-10. The
 // ≤ selection mirrors it with the point (10, 3.35e-8); both points match
-// either selection.
-func TestLinearStopKeepsItsMargin(t *testing.T) {
+// either selection. Each query answers as the scan, and the second sweep's
+// skip test enters a subtree that holds either point alone.
+func TestChildBoundsKeepTheirMargin(t *testing.T) {
 	rel := constraint.NewRelation(2)
+	var points []*constraint.Tuple
 	for _, p := range [][2]float64{{-10, -3.35e-8}, {10, 3.35e-8}} {
-		if _, err := rel.Insert(box2(t, p[0], p[0], p[1], p[1])); err != nil {
+		tp := box2(t, p[0], p[0], p[1], p[1])
+		if _, err := rel.Insert(tp); err != nil {
 			t.Fatal(err)
 		}
+		points = append(points, tp)
 	}
 	ix, err := Build(rel, Options{Slopes: []float64{-0.5, 0, 0.5}, Technique: T2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	xext := ix.roots.Load().xext
 	for _, kind := range []constraint.QueryKind{constraint.EXIST, constraint.ALL} {
 		for _, op := range []geom.Op{geom.GE, geom.LE} {
 			q := constraint.Query2(kind, 3.28e-9, 0, op)
@@ -314,6 +335,121 @@ func TestLinearStopKeepsItsMargin(t *testing.T) {
 			}
 			if got.Stats.Path != "t2" || len(want) != 2 || !sameIDs(got.IDs, want) {
 				t.Fatalf("%v [%s]: got %v, the scan %v", q, got.Stats.Path, got.IDs, want)
+			}
+			r, err := ix.geo.route(q.Slope, q.SweepsUp())
+			if err != nil {
+				t.Fatal(err)
+			}
+			tol, rule := t2Rule(r, q, xext)
+			far := math.Inf(-1) // the tree's far end: no handicap bounds the sweep
+			if !q.SweepsUp() {
+				far = math.Inf(1)
+			}
+			second := secondSweep(q.Intercept, tol, q.SweepsUp(), far)
+			lo, hi := btree.RoundKey(second.lo), btree.RoundKey(second.hi)
+			for _, tp := range points {
+				top, bot := ix.keys(tp, r.site)
+				k := btree.RoundKey(bot)
+				if q.UsesTop() {
+					k = btree.RoundKey(top)
+				}
+				if k < lo || k > hi {
+					continue // the first sweep's
+				}
+				if step := rule.step(btree.Bound{Lo: k, Hi: k, X: outward(xExtent(tp))}, lo, hi, second.asc); step != btree.Enter {
+					t.Fatalf("%v: the second sweep's skip test gives %v on a subtree holding only tuple %d (key %v), want Enter", q, step, tp.ID(), k)
+				}
+			}
+		}
+	}
+}
+
+// TestSkipKeepsKeyRounding: the skip test judges stored keys, each within
+// btree.RoundingError of the key it was rounded from, and must widen by that
+// as atLeaf does. 601 points at x = −10 (resp. 10) keyed at site 0.5 exactly
+// 100 (−100), and among them one whose key 100 + 3e-6 (−100 − 3e-6) rounds
+// to the same float32: at slope 2, outside the strips, the selection at that
+// point's own value matches it alone, though every stored key of its leaf
+// and both separators around it read 15 + 3e-6 short of the intercept.
+func TestSkipKeepsKeyRounding(t *testing.T) {
+	for _, c := range []struct {
+		x, y float64
+		op   geom.Op
+	}{{-10, 95, geom.GE}, {10, -95, geom.LE}} {
+		rel := constraint.NewRelation(2)
+		point := func(y float64) *constraint.Tuple {
+			tp := box2(t, c.x, c.x, y, y)
+			if _, err := rel.Insert(tp); err != nil {
+				t.Fatal(err)
+			}
+			return tp
+		}
+		for i := 0; i < 300; i++ {
+			point(c.y)
+		}
+		target := point(c.y + math.Copysign(3e-6, c.y))
+		for i := 0; i < 300; i++ {
+			point(c.y)
+		}
+		ix, err := Build(rel, Options{Slopes: []float64{-0.5, 0, 0.5}, Technique: T2, OuterHalfWidth: 0.25})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := constraint.Query2(constraint.EXIST, 2, 0, c.op)
+		if q.Intercept, err = q.SurfaceValue(target); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ix.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := q.Eval(rel); got.Stats.Path != "t2(outside)" || !sameIDs(got.IDs, want) || !slices.Equal(want, []constraint.TupleID{target.ID()}) {
+			t.Fatalf("%v [%s]: got %v, the scan %v; want tuple %d alone", q, got.Stats.Path, got.IDs, want, target.ID())
+		}
+	}
+}
+
+// TestT2MarginCoversProductRounding: T2's margin is Eps plus
+// δ = t2Slack(|a| + |Δ|) because the key rule brackets a value it does not
+// compute: k − Δ·x rounds differently from the kernel's value at the query
+// slope, by an ulp of |Δ·x|, which at x near 1e6 and |Δ| in the hundreds is
+// ten times Eps. Points on the line y = 0.5x, up to 1e-3, keep their keys at
+// site 0.5 — and so the keys' own rounding, atLeaf's widening — tiny; at
+// steep slopes outside the strips every selection at such a point's own
+// value, an ulp either side of it and Eps off it must answer as the scan.
+// With the margin cut back to bare Eps the rule rejects some of them.
+func TestT2MarginCoversProductRounding(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	rel := constraint.NewRelation(2)
+	var pts []*constraint.Tuple
+	for i := 0; i < 300; i++ {
+		x := 1e5 + rng.Float64()*8e5
+		tp := box2(t, x, x, 0.5*x+(rng.Float64()*2-1)*1e-3, 0.5*x+(rng.Float64()*2-1)*1e-3)
+		if _, err := rel.Insert(tp); err != nil {
+			t.Fatal(err)
+		}
+		pts = append(pts, tp)
+	}
+	ix, err := Build(rel, Options{Slopes: []float64{-0.5, 0, 0.5}, Technique: T2, OuterHalfWidth: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 400; i++ {
+		a := (20 + rng.Float64()*980) * float64(1-2*rng.Intn(2))
+		kind, op := constraint.QueryKind(rng.Intn(2)), geom.Op(rng.Intn(2))
+		q := constraint.Query2(kind, a, 0, op)
+		v, err := q.SurfaceValue(pts[rng.Intn(len(pts))])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range []float64{v, math.Nextafter(v, math.Inf(1)), math.Nextafter(v, math.Inf(-1)), v + geom.Eps, v - geom.Eps} {
+			q.Intercept = b
+			got, err := ix.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, _ := q.Eval(rel); !sameIDs(got.IDs, want) {
+				t.Fatalf("%v [%s]: got %d ids, the scan %d", q, got.Stats.Path, len(got.IDs), len(want))
 			}
 		}
 	}
@@ -371,9 +507,9 @@ func TestRestrictedIOCost(t *testing.T) {
 
 // TestIndexPagesFollowLayout: a bulk-loaded index is 2k trees of exactly the
 // pages BulkLoad packs at the layout's capacities. At 1 KiB with four slots a
-// leaf holds 122 entries and an internal node 83 separators, so N = 12 000 at
-// k = 4 — the benchmark's index — is 8 × (110 leaves + 2 internal nodes + the
-// root) = 904 pages.
+// leaf holds 124 entries and an internal node 49 separators, so N = 12 000 at
+// k = 4 — the benchmark's index — is 8 × (108 leaves + 3 internal nodes + the
+// root) = 896 pages.
 func TestIndexPagesFollowLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	for _, n := range []int{2000, 12000} {
@@ -389,12 +525,12 @@ func TestIndexPagesFollowLayout(t *testing.T) {
 				t.Fatal(err)
 			}
 			tr := ix.trees[0]
-			if tr.LeafCapacity() != 122 || tr.InternalCapacity() != 83 || ix.Len() != n {
-				t.Fatalf("capacities %d/%d with %d tuples indexed; want 122/83 and %d", tr.LeafCapacity(), tr.InternalCapacity(), ix.Len(), n)
+			if tr.LeafCapacity() != 124 || tr.InternalCapacity() != 49 || ix.Len() != n {
+				t.Fatalf("capacities %d/%d with %d tuples indexed; want 124/49 and %d", tr.LeafCapacity(), tr.InternalCapacity(), ix.Len(), n)
 			}
 			want := 2 * k * bulkLoadedPages(n, tr.LeafCapacity(), tr.InternalCapacity())
-			if n == 12000 && k == 4 && want != 904 {
-				t.Fatalf("the model gives %d pages at N = 12 000, k = 4; want 904", want)
+			if n == 12000 && k == 4 && want != 896 {
+				t.Fatalf("the model gives %d pages at N = 12 000, k = 4; want 896", want)
 			}
 			if got := ix.Pages(); got != want {
 				t.Fatalf("N = %d, k = %d: %d pages, the layout's %d", n, k, got, want)

@@ -56,7 +56,7 @@ func leafSlots(t *testing.T, ix *Index) (slots [][]uint64, sepKeys map[float64]b
 func TestHandicapFoldsAreBitIdentical(t *testing.T) {
 	reference := func(ix *Index) {
 		for _, tr := range ix.trees[:2*ix.geo.sites()] {
-			if err := tr.ResetHandicaps(); err != nil {
+			if err := tr.ResetHandicaps(nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -103,7 +103,7 @@ func TestHandicapFoldsAreBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			built, sepKeys := leafSlots(t, ix)
-			if perTree := len(built) / len(ix.trees); perTree < 5 {
+			if perTree := len(built) / (2 * ix.geo.sites()); perTree < 5 {
 				t.Fatalf("%d leaves a tree: nothing to bin over", perTree)
 			}
 

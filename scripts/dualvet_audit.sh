@@ -194,8 +194,9 @@ EOF
 # --- ROADMAP direction 1: boundary fixes, copy-on-write, header checks ---
 
 mut t2-bare-eps internal/core/query.go "direction 1: T2's margin back to bare Eps (M4)" <<'EOF'
-		tol += t2Slack(math.Abs(q.Slope[0]) + math.Abs(r.shift))
+	tol := geom.Eps + t2Slack(math.Abs(q.Slope[0])+math.Abs(r.shift))
 ----
+	tol := geom.Eps
 EOF
 
 mut predicate-eps internal/constraint/query.go "direction 1: predicate back to \`b ≤ k + Eps\` (M3)" <<'EOF'
@@ -238,6 +239,42 @@ mut header-type internal/btree/tree.go "direction 1: \`getAt\`'s node type at a 
 	if err != nil || n.isLeaf() == (height == 1) {
 ----
 	if err != nil || true {
+EOF
+
+# --- child bounds (layout 4): the write path's bound upkeep and the skip test ---
+
+mut split-record internal/btree/tree.go "child bounds: a split does not copy the record to the new half" <<'EOF'
+		n.insertSepAt(ci, sp, grand, gx)
+		return self, Entry{}, pagestore.InvalidPage, nil
+----
+		n.insertSepAt(ci, sp, grand, [2]float64{})
+		return self, Entry{}, pagestore.InvalidPage, nil
+EOF
+
+mut insert-widen internal/btree/tree.go "child bounds: an insert does not widen its ancestors" <<'EOF'
+	n.widenChild(ci, x)
+----
+EOF
+
+mut skip-rounding internal/core/query.go "child bounds: the skip test without the keys' rounding widening" <<'EOF'
+		if khi+btree.RoundingError(math.Abs(khi))-r.shift*b.X[1-r.far] < r.below {
+----
+		if khi-r.shift*b.X[1-r.far] < r.below {
+====
+	} else if klo-btree.RoundingError(math.Abs(klo))-r.shift*b.X[r.far] > r.above {
+----
+	} else if klo-r.shift*b.X[r.far] > r.above {
+EOF
+
+mut round-nearest internal/btree/node.go "child bounds: extents rounded to nearest instead of outward" <<'EOF'
+func roundOut(x [2]float64) [2]float64 { return [2]float64{float64(down32(x[0])), float64(up32(x[1]))} }
+----
+func roundOut(x [2]float64) [2]float64 { return [2]float64{float64(float32(x[0])), float64(float32(x[1]))} }
+EOF
+
+mut merge-union internal/btree/tree.go "child bounds: a merge keeps one side's record" <<'EOF'
+	n.widenChild(sepIdx, n.childExt(sepIdx+1))
+----
 EOF
 
 # --- one bug or more of each analyzer's class ---
