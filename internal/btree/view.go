@@ -76,14 +76,11 @@ func (v nodeView) check() {
 
 func (v nodeView) len() int { return int(v.meta.count) }
 
-func (v nodeView) key(i int) float64 {
-	off := int(v.meta.eOff) + i*entrySize
-	return float64(math.Float32frombits(binary.LittleEndian.Uint32(v.data[off : off+4])))
-}
-
-func (v nodeView) tid(i int) uint32 {
-	off := int(v.meta.eOff) + i*entrySize
-	return binary.LittleEndian.Uint32(v.data[off+4 : off+8])
+// entries is the node's entry region: count records of entrySize bytes from
+// the header's entry offset, capped so that nothing past them is reachable.
+func (v nodeView) entries() EntryRegion {
+	off, end := int(v.meta.eOff), int(v.meta.eOff)+int(v.meta.count)*entrySize
+	return EntryRegion(v.data[off:end:end])
 }
 
 func (v nodeView) entry(i int) Entry { return getRecord(v.data, int(v.meta.eOff)+i*entrySize) }
@@ -128,7 +125,7 @@ func (lv LeafView) Key(i int) float64 {
 	if viewGuard.Load() {
 		lv.v.check()
 	}
-	return lv.v.key(i)
+	return lv.v.entries().Key(i)
 }
 
 // TID returns entry i's tuple id without decoding its key.
@@ -136,7 +133,40 @@ func (lv LeafView) TID(i int) uint32 {
 	if viewGuard.Load() {
 		lv.v.check()
 	}
-	return lv.v.tid(i)
+	return lv.v.entries().TID(i)
+}
+
+// Entries returns the leaf's entry region: the pinned page's bytes in place,
+// not a copy, for a loop over every entry that pays no per-entry call. The
+// view guard is checked here, at the call, and at no read of the region, so
+// the region obeys the view's borrow rule with nothing to catch a breach: it
+// is valid only inside the sweep callback that got the view, and must not be
+// retained past it — copy out what must outlive the callback.
+func (lv LeafView) Entries() EntryRegion {
+	if viewGuard.Load() {
+		lv.v.check()
+	}
+	return lv.v.entries()
+}
+
+// EntryRegion is a leaf's entries as they lie on the page, in composite key
+// order: entry i is its stored key, a little-endian float32, and its tuple
+// id, a little-endian uint32, at byte i·8. Its accessors are fixed-offset
+// loads small enough to inline, so a loop over the region costs no call per
+// entry.
+type EntryRegion []byte
+
+// Len returns the number of entries in the region.
+func (r EntryRegion) Len() int { return len(r) / entrySize }
+
+// Key returns entry i's stored key, widened to float64.
+func (r EntryRegion) Key(i int) float64 {
+	return float64(math.Float32frombits(binary.LittleEndian.Uint32(r[i*entrySize : i*entrySize+4])))
+}
+
+// TID returns entry i's tuple id.
+func (r EntryRegion) TID(i int) uint32 {
+	return binary.LittleEndian.Uint32(r[i*entrySize+4 : i*entrySize+8])
 }
 
 // NumHandicaps returns the number of handicap slots stored on the leaf.

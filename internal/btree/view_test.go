@@ -215,6 +215,8 @@ func TestViewGuardCatchesUseAfterRelease(t *testing.T) {
 
 	released := leak()
 	mustPanic("its frame was released", func() { _ = released.Len() })
+	// The entry region is checked when it is taken, not when it is read.
+	mustPanic("its frame was released (entry region)", func() { _ = released.Entries() })
 
 	other := leak()
 	f := repin(other, tr.root) // the root is not the first leaf: height ≥ 2
@@ -224,11 +226,13 @@ func TestViewGuardCatchesUseAfterRelease(t *testing.T) {
 	same := leak()
 	f = repin(same, same.Page)
 	mustPanic("its frame was recycled for the same page", func() { _ = same.TID(0) })
+	mustPanic("its frame was recycled for the same page (entry region)", func() { _ = same.Entries() })
 	f.Release()
 }
 
 // TestViewGuardAllowsUseWhilePinned is the counterpart: inside the
-// callback, with the frame pinned, guarded accessors must work normally.
+// callback, with the frame pinned, guarded accessors and the entry region
+// must work normally and agree.
 func TestViewGuardAllowsUseWhilePinned(t *testing.T) {
 	EnableViewGuard(true)
 	defer EnableViewGuard(false)
@@ -236,18 +240,28 @@ func TestViewGuardAllowsUseWhilePinned(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		_ = tr.Insert(float64(i), uint32(i+1))
 	}
-	total := 0
+	total, inPlace := 0, 0
 	if err := tr.VisitLeavesAsc(math.Inf(-1), func(lv LeafView) bool {
 		for i := 0; i < lv.Len(); i++ {
 			total += int(lv.TID(i))
+		}
+		es := lv.Entries()
+		if es.Len() != lv.Len() {
+			t.Fatalf("entry region holds %d entries, the leaf %d", es.Len(), lv.Len())
+		}
+		for i := 0; i < es.Len(); i++ {
+			if es.Key(i) != lv.Key(i) {
+				t.Fatalf("entry region key %d = %v, the leaf's %v", i, es.Key(i), lv.Key(i))
+			}
+			inPlace += int(es.TID(i))
 		}
 		_ = lv.Handicap(0)
 		return true
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if want := 100 * 101 / 2; total != want {
-		t.Fatalf("guarded sweep sum = %d, want %d", total, want)
+	if want := 100 * 101 / 2; total != want || inPlace != want {
+		t.Fatalf("guarded sweep sum = %d through the accessors, %d through the entry region, want %d", total, inPlace, want)
 	}
 }
 

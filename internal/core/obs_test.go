@@ -523,18 +523,31 @@ func steadyAllocs(f func()) float64 {
 }
 
 // BenchmarkQueryBare and BenchmarkQueryObserved are the perf guard the
-// nil-hook invariant is judged by: the bare run must report 0 B/op on the
-// warm path, and the observed run shows the cost of full tracing.
-func BenchmarkQueryBare(b *testing.B)     { benchObserved(b, false) }
-func BenchmarkQueryObserved(b *testing.B) { benchObserved(b, true) }
-
-func benchObserved(b *testing.B, observed bool) {
+// nil-hook invariant is judged by: the bare run allocates only the answer
+// and its stats on the warm path (2 allocs/op), and the observed run shows
+// the cost of full tracing. The bare run's sub-benchmarks split the mix by
+// path — restricted, t2 and t2(outside) — and report the entries the sweeps
+// retrieve per query (entries/op) and the query time per retrieved entry
+// (ns/entry): the sweep kernel's cost on each path.
+func BenchmarkQueryBare(b *testing.B) {
 	_, ix, queries := benchIndex(b, 2000, 3, T2, 0)
-	if observed {
-		ix.SetObserver(obs.New(obs.Options{Name: "bench"}))
+	b.Run("mixed", func(b *testing.B) { benchQueries(b, ix, queries) })
+	for _, path := range []string{"restricted", "t2", "t2(outside)"} {
+		qs := pathQueries(b, ix, path)
+		b.Run(path, func(b *testing.B) { benchQueries(b, ix, qs) })
 	}
-	// Warm the pool and caches so allocation numbers reflect the steady
-	// state, not first-touch decode work.
+}
+
+func BenchmarkQueryObserved(b *testing.B) {
+	_, ix, queries := benchIndex(b, 2000, 3, T2, 0)
+	ix.SetObserver(obs.New(obs.Options{Name: "bench"}))
+	benchQueries(b, ix, queries)
+}
+
+// benchQueries runs queries round-robin on a warm index, so allocation
+// numbers reflect the steady state, not first-touch work, and reports the
+// entries retrieved per query and the time per entry.
+func benchQueries(b *testing.B, ix *Index, queries []constraint.Query) {
 	for _, q := range queries {
 		if _, err := ix.Query(q); err != nil {
 			b.Fatal(err)
@@ -542,9 +555,43 @@ func benchObserved(b *testing.B, observed bool) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	entries := 0
 	for i := 0; i < b.N; i++ {
-		if _, err := ix.Query(queries[i%len(queries)]); err != nil {
+		res, err := ix.Query(queries[i%len(queries)])
+		if err != nil {
 			b.Fatal(err)
 		}
+		entries += res.Stats.Candidates
 	}
+	b.StopTimer()
+	if entries > 0 {
+		b.ReportMetric(float64(entries)/float64(b.N), "entries/op")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(entries), "ns/entry")
+	}
+}
+
+// pathQueries returns 64 random queries that ix answers on path; a
+// restricted query takes its slope from ix's S.
+func pathQueries(b *testing.B, ix *Index, path string) []constraint.Query {
+	b.Helper()
+	rng := rand.New(rand.NewSource(78))
+	slopes := ix.geo.(*slopeSet).s
+	var qs []constraint.Query
+	for tries := 0; len(qs) < 64; tries++ {
+		if tries == 1<<14 {
+			b.Fatalf("%d random queries gave only %d on path %s", tries, len(qs), path)
+		}
+		q := randQuery(rng)
+		if path == "restricted" {
+			q.Slope[0] = slopes[rng.Intn(len(slopes))]
+		}
+		res, err := ix.Query(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Stats.Path == path {
+			qs = append(qs, q)
+		}
+	}
+	return qs
 }

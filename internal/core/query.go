@@ -227,7 +227,7 @@ type sweep struct {
 	// entry whose stored key lies strictly inside it is in the answer on its
 	// key alone; one whose stored key equals the rounded bound may have a
 	// value on either side of it and is evaluated (the restricted path,
-	// DESIGN.md §16).
+	// DESIGN.md §16). A sure sweep carries no rule.
 	sure bool
 	// rule settles entries from key and x-extent when the keys were computed
 	// off the query slope (T2); the zero value settles none. With a rule, a
@@ -324,18 +324,18 @@ func (r *keyRule) step(b btree.Bound, lo, hi float64, asc bool) btree.Step {
 	return btree.Enter
 }
 
-// finiteKeyBound returns the largest magnitude of a finite key of the leaf:
-// keys are sorted, so it is one of the first and last finite ones. The ±Inf
-// keys it steps over are the predicate's anyway.
-func finiteKeyBound(lv btree.LeafView, n int) float64 {
-	i, j := 0, n-1
-	for i < j && math.IsInf(lv.Key(i), 0) {
+// finiteKeyBound returns the largest magnitude of a finite key of the
+// non-empty leaf es: keys are sorted, so it is one of the first and last
+// finite ones. The ±Inf keys it steps over are the predicate's anyway.
+func finiteKeyBound(es btree.EntryRegion) float64 {
+	i, j := 0, es.Len()-1
+	for i < j && math.IsInf(es.Key(i), 0) {
 		i++
 	}
-	for j > i && math.IsInf(lv.Key(j), 0) {
+	for j > i && math.IsInf(es.Key(j), 0) {
 		j--
 	}
-	if m := max(math.Abs(lv.Key(i)), math.Abs(lv.Key(j))); !math.IsInf(m, 0) {
+	if m := max(math.Abs(es.Key(i)), math.Abs(es.Key(j))); !math.IsInf(m, 0) {
 		return m
 	}
 	return 0 // every key is infinite: none is decided
@@ -401,6 +401,10 @@ func float32Next(k, dir float64) float64 {
 // ones go to sc.sure, the rejected ones nowhere — and the rest go to
 // sc.cands; visited leaves count into st and page reads are charged to rc.
 // It returns the number of entries retrieved and the folded handicap.
+//
+// A leaf is read in place (btree.LeafView.Entries): its verdict — sure, no
+// rule, or the rule's on the whole leaf — is taken once, and one loop per
+// verdict settles its entries in range (DESIGN.md §17 "The leaf kernel").
 func (s sweep) run(tr *btree.Tree, rc *pagestore.ReadCounter, sc *scratch, st *QueryStats) (int, float64, error) {
 	h := math.Inf(1)
 	if !s.asc {
@@ -425,52 +429,76 @@ func (s sweep) run(tr *btree.Tree, rc *pagestore.ReadCounter, sc *scratch, st *Q
 				h = max(h, lv.Handicap(s.slot))
 			}
 		}
-		n := lv.Len()
-		var rule keyRule
-		whole := evaluate // the rule's verdict on every entry of the leaf in range
-		if s.rule.xext != nil && n > 0 {
-			rule = s.rule.atLeaf(finiteKeyBound(lv, n))
-			whole = rule.decideRange(max(lv.Key(0), lo), min(lv.Key(n-1), hi), lv.Extent())
+		es := lv.Entries()
+		n := es.Len()
+		if n == 0 {
+			return true
 		}
-		for i := 0; i < n; i++ {
-			switch k := lv.Key(i); {
-			case !(k >= lo && k <= hi):
-			case s.sure && k != bound: //dualvet:allow floatcmp — a stored key equal to the rounded bound may stand for a value on either side of it
-				sc.sure = append(sc.sure, lv.TID(i))
-			case rule.xext == nil:
-				sc.cands = append(sc.cands, lv.TID(i))
-			case whole == accept:
-				sc.sure = append(sc.sure, lv.TID(i))
-			case whole == reject:
-				rejected++
-			default:
-				tid := lv.TID(i)
-				v := evaluate
-				// A reference past the table is past the relation: it stays
-				// undecided and refinement reports it.
-				if j := int(tid) - 1; uint(j) < uint(len(rule.xext)) {
-					v = rule.decide(k, rule.xext[j])
+		cands, sure := sc.cands, sc.sure
+		switch {
+		case s.sure:
+			for i := 0; i < n; i++ {
+				if k := es.Key(i); k >= lo && k <= hi {
+					if k != bound { //dualvet:allow floatcmp — a stored key equal to the rounded bound may stand for a value on either side of it
+						sure = append(sure, es.TID(i))
+					} else {
+						cands = append(cands, es.TID(i))
+					}
 				}
-				switch v {
-				case accept:
-					sc.sure = append(sc.sure, tid)
-				case reject:
-					rejected++
-				default:
-					sc.cands = append(sc.cands, tid)
+			}
+		case s.rule.xext == nil:
+			for i := 0; i < n; i++ {
+				if k := es.Key(i); k >= lo && k <= hi {
+					cands = append(cands, es.TID(i))
+				}
+			}
+		default:
+			rule := s.rule.atLeaf(finiteKeyBound(es))
+			switch rule.decideRange(max(es.Key(0), lo), min(es.Key(n-1), hi), lv.Extent()) {
+			case accept:
+				for i := 0; i < n; i++ {
+					if k := es.Key(i); k >= lo && k <= hi {
+						sure = append(sure, es.TID(i))
+					}
+				}
+			case reject:
+				for i := 0; i < n; i++ {
+					if k := es.Key(i); k >= lo && k <= hi {
+						rejected++
+					}
+				}
+			default:
+				xext := rule.xext
+				for i := 0; i < n; i++ {
+					k := es.Key(i)
+					if !(k >= lo && k <= hi) {
+						continue
+					}
+					tid := es.TID(i)
+					v := evaluate
+					// A reference past the table is past the relation: it
+					// stays undecided and refinement reports it.
+					if j := int(tid) - 1; uint(j) < uint(len(xext)) {
+						v = rule.decide(k, xext[j])
+					}
+					switch v {
+					case accept:
+						sure = append(sure, tid)
+					case reject:
+						rejected++
+					default:
+						cands = append(cands, tid)
+					}
 				}
 			}
 		}
+		sc.cands, sc.sure = cands, sure
 		// Keys are sorted within a leaf, so its last (first) key tells
 		// whether an ascending (descending) sweep has left the range.
-		switch {
-		case n == 0:
-			return true
-		case s.asc:
-			return lv.Key(n-1) <= hi
-		default:
-			return lv.Key(0) >= lo
+		if s.asc {
+			return es.Key(n-1) <= hi
 		}
+		return es.Key(0) >= lo
 	}
 	err := tr.Sweep(s.from, s.asc, rc, skip, visit)
 	decided := len(sc.sure) - sure0 + rejected

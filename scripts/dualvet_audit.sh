@@ -277,6 +277,34 @@ mut merge-union internal/btree/tree.go "child bounds: a merge keeps one side's r
 ----
 EOF
 
+# --- the sweep kernel: one loop per leaf verdict over the entry region ---
+
+mut kernel-bound internal/core/query.go "sweep kernel: the sure loop settles the bound key unevaluated" <<'EOF'
+					if k != bound {
+----
+					if k != bound || true {
+EOF
+
+mut kernel-range internal/core/query.go "sweep kernel: the whole-accept loop drops its \`[lo, hi]\` test" <<'EOF'
+			case accept:
+				for i := 0; i < n; i++ {
+					if k := es.Key(i); k >= lo && k <= hi {
+						sure = append(sure, es.TID(i))
+					}
+				}
+----
+			case accept:
+				for i := 0; i < n; i++ {
+					sure = append(sure, es.TID(i))
+				}
+EOF
+
+mut kernel-stop internal/core/query.go "sweep kernel: the ascending continue test reads the first key, not the last" <<'EOF'
+			return es.Key(n-1) <= hi
+----
+			return es.Key(0) <= hi
+EOF
+
 # --- one bug or more of each analyzer's class ---
 
 mut publish-xext internal/core/mvcc.go "frozen: \`xext\` filled after \`ix.roots.Store\`" <<'EOF'
