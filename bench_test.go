@@ -176,7 +176,7 @@ func BenchmarkQueryBatchParallel(b *testing.B) {
 	}
 	idx, err := dualcdb.BuildIndex(rel, dualcdb.IndexOptions{
 		Slopes: dualcdb.EquiangularSlopes(3), Technique: dualcdb.T2,
-		PoolPages: 1 << 16, BuildWorkers: 8,
+		PoolPages: 1 << 16,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -195,38 +195,6 @@ func BenchmarkQueryBatchParallel(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.N*len(queries))/b.Elapsed().Seconds(), "queries/sec")
-		})
-	}
-}
-
-// BenchmarkBuildParallel measures bulk-loading the 2·k slope trees across
-// a build worker pool at 1/2/4/8 workers (k = 4, so eight independent
-// trees plus per-slope handicap folding are available to parallelize).
-func BenchmarkBuildParallel(b *testing.B) {
-	rel, err := dualcdb.GenerateRelation(dualcdb.WorkloadConfig{
-		N: benchN, Size: dualcdb.MediumObjects, Seed: 7,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Resolve every tuple extension up front so the rows time tree
-	// construction, not the once-per-relation geometry cache fill.
-	if _, err := dualcdb.BuildIndex(rel, dualcdb.IndexOptions{
-		Slopes: dualcdb.EquiangularSlopes(4), Technique: dualcdb.T2,
-	}); err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := dualcdb.BuildIndex(rel, dualcdb.IndexOptions{
-					Slopes: dualcdb.EquiangularSlopes(4), Technique: dualcdb.T2,
-					BuildWorkers: w,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
 		})
 	}
 }

@@ -40,7 +40,7 @@ func main() {
 	queries := flag.Int("queries", 6, "queries averaged per data point")
 	flag.Parse()
 
-	cfg := dualcdb.FigureConfig{Seed: *seed, QueriesPerPoint: *queries}
+	cfg := harness.Config{Seed: *seed, QueriesPerPoint: *queries}
 	if *quick {
 		cfg.Ns = []int{500, 2000, 4000}
 		cfg.Ks = []int{2, 3}
@@ -62,7 +62,7 @@ func main() {
 			}
 			title := fmt.Sprintf("%s selections, %s objects: avg page accesses per query",
 				c.Kind, c.Size)
-			fig, err := dualcdb.RunQueryFigure(id, title, c)
+			fig, err := harness.RunQueryFigure(id, title, c)
 			if err != nil {
 				return err
 			}
@@ -71,7 +71,7 @@ func main() {
 			fmt.Printf("shape: T2 beats R+-tree at %d/%d points; win factor min %.2f, mean %.2f\n\n",
 				rep.PointsT2Wins, rep.PointsTotal, rep.MinWinFactor, rep.MeanWinFactor)
 		case "fig10":
-			fig, err := dualcdb.RunSpaceFigure(cfg)
+			fig, err := harness.RunSpaceFigure(cfg)
 			if err != nil {
 				return err
 			}
@@ -178,7 +178,7 @@ func main() {
 	}
 }
 
-func emit(fig dualcdb.Figure, csv bool) {
+func emit(fig harness.Figure, csv bool) {
 	if csv {
 		fmt.Printf("# %s — %s\n%s", fig.ID, fig.Title, fig.CSV())
 		return

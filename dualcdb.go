@@ -13,9 +13,9 @@
 //
 // both in O(log_B n + t) page accesses when the query slope belongs to a
 // predefined set S, and by two approximation techniques (T1 and T2, the
-// paper's contribution) otherwise. An R⁺-tree baseline, the paper's
-// workload generators and an experiment harness that regenerates every
-// figure are included.
+// paper's contribution) otherwise. An R⁺-tree baseline and the paper's
+// workload generators are included; cmd/experiments regenerates every
+// figure.
 //
 // Quick start:
 //
@@ -35,7 +35,6 @@ import (
 	"dualcdb/internal/constraint"
 	"dualcdb/internal/core"
 	"dualcdb/internal/geom"
-	"dualcdb/internal/harness"
 	"dualcdb/internal/obs"
 	"dualcdb/internal/pagestore"
 	"dualcdb/internal/rplustree"
@@ -278,22 +277,6 @@ type LineIndex = core.LineIndex
 func BuildLineIndex(rel *Relation, slopes []float64) (*LineIndex, error) {
 	return core.BuildLineIndex(rel, slopes, nil)
 }
-
-// Experiment harness (regenerates the paper's figures).
-type (
-	// Figure is a regenerated experiment table.
-	Figure = harness.Figure
-	// FigureConfig parameterizes a figure run.
-	FigureConfig = harness.Config
-)
-
-// RunQueryFigure regenerates one of Figures 8(a/b)/9(a/b).
-func RunQueryFigure(id, title string, cfg FigureConfig) (Figure, error) {
-	return harness.RunQueryFigure(id, title, cfg)
-}
-
-// RunSpaceFigure regenerates Figure 10.
-func RunSpaceFigure(cfg FigureConfig) (Figure, error) { return harness.RunSpaceFigure(cfg) }
 
 // Observability layer (metrics registry, per-query and per-commit
 // tracing, slow-query and slow-commit logs, commit flight recorder,

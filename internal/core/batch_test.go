@@ -217,52 +217,3 @@ func TestQueryBatchEmpty(t *testing.T) {
 		t.Fatalf("len = %d", len(got))
 	}
 }
-
-// TestBuildParallelMatchesSerial: Build with a worker pool must produce an
-// index that answers every query identically to the serial build, with the
-// same number of leaves swept (identical tree shapes).
-func TestBuildParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(642))
-	rel := constraint.NewRelation(2)
-	for i := 0; i < 300; i++ {
-		if _, err := rel.Insert(randTuple(rng, true)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, tech := range []Technique{T1, T2} {
-		serial, err := Build(rel, Options{
-			Slopes: EquiangularSlopes(4), Technique: tech, IndexVertical: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		parallel, err := Build(rel, Options{
-			Slopes: EquiangularSlopes(4), Technique: tech, IndexVertical: true,
-			BuildWorkers: 8, Pool: shardedPool(512, 4),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if serial.Pages() != parallel.Pages() {
-			t.Fatalf("tech %v: pages %d (serial) != %d (parallel)", tech, serial.Pages(), parallel.Pages())
-		}
-		for i := 0; i < 60; i++ {
-			q := randQuery(rng)
-			a, err := serial.Query(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := parallel.Query(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameIDs(a.IDs, b.IDs) {
-				t.Fatalf("tech %v query %v: %v != %v", tech, q, a.IDs, b.IDs)
-			}
-			if a.Stats.LeavesSwept != b.Stats.LeavesSwept {
-				t.Fatalf("tech %v: leaves %d != %d (tree shapes differ)",
-					tech, a.Stats.LeavesSwept, b.Stats.LeavesSwept)
-			}
-		}
-	}
-}

@@ -10,11 +10,11 @@ import (
 )
 
 // Ablation benchmarks for the design choices DESIGN.md calls out: the
-// technique (T1 vs T2), the slope-set cardinality k, and the T1 pivot
-// choice. Each reports the figures' currency — candidates, false hits and
-// duplicates per query — alongside time.
+// technique (T1 vs T2) and the slope-set cardinality k. Each reports the
+// figures' currency — candidates, false hits and duplicates per query —
+// alongside time.
 
-func benchIndex(b *testing.B, n, k int, tech Technique, pivotX float64) (*constraint.Relation, *Index, []constraint.Query) {
+func benchIndex(b *testing.B, n, k int, tech Technique) (*constraint.Relation, *Index, []constraint.Query) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(77))
 	rel := constraint.NewRelation(2)
@@ -26,7 +26,6 @@ func benchIndex(b *testing.B, n, k int, tech Technique, pivotX float64) (*constr
 	ix, err := Build(rel, Options{
 		Slopes:    EquiangularSlopes(k),
 		Technique: tech,
-		PivotX:    pivotX,
 		PoolPages: 1 << 16,
 	})
 	if err != nil {
@@ -45,7 +44,7 @@ func benchIndex(b *testing.B, n, k int, tech Technique, pivotX float64) (*constr
 func BenchmarkAblationTechnique(b *testing.B) {
 	for _, tech := range []Technique{T1, T2} {
 		b.Run(tech.String(), func(b *testing.B) {
-			_, ix, queries := benchIndex(b, 2000, 3, tech, 0)
+			_, ix, queries := benchIndex(b, 2000, 3, tech)
 			var cands, dups, falseHits, results int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -70,7 +69,7 @@ func BenchmarkAblationTechnique(b *testing.B) {
 func BenchmarkAblationK(b *testing.B) {
 	for _, k := range []int{2, 3, 5, 9} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			_, ix, queries := benchIndex(b, 2000, k, T2, 0)
+			_, ix, queries := benchIndex(b, 2000, k, T2)
 			var falseHits int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -86,30 +85,9 @@ func BenchmarkAblationK(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPivot varies the T1 pivot point P (the paper leaves its
-// choice open): centred pivots minimize the false-hit wedge area over a
-// centred workload.
-func BenchmarkAblationPivot(b *testing.B) {
-	for _, pivot := range []float64{-50, 0, 50} {
-		b.Run(fmt.Sprintf("pivotX=%g", pivot), func(b *testing.B) {
-			_, ix, queries := benchIndex(b, 2000, 3, T1, pivot)
-			var falseHits int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := ix.Query(queries[i%len(queries)])
-				if err != nil {
-					b.Fatal(err)
-				}
-				falseHits += res.Stats.FalseHits
-			}
-			b.ReportMetric(float64(falseHits)/float64(b.N), "falseHits/query")
-		})
-	}
-}
-
 // BenchmarkQueryTupleWindow measures generalized-tuple (window) queries.
 func BenchmarkQueryTupleWindow(b *testing.B) {
-	_, ix, _ := benchIndex(b, 2000, 3, T2, 0)
+	_, ix, _ := benchIndex(b, 2000, 3, T2)
 	window, err := constraint.ParseTuple("x >= -20 && x <= 20 && y >= -20 && y <= 20", 2)
 	if err != nil {
 		b.Fatal(err)
@@ -206,7 +184,7 @@ func BenchmarkIndexD3Query(b *testing.B) {
 // (Tuple.Top) against the reference it must equal bit for bit
 // (Polyhedron.Top on the cached extension).
 func BenchmarkRefineKernel(b *testing.B) {
-	rel, _, _ := benchIndex(b, 2000, 3, T2, 0)
+	rel, _, _ := benchIndex(b, 2000, 3, T2)
 	var tuples []*constraint.Tuple
 	rel.Scan(func(t *constraint.Tuple) bool {
 		tuples = append(tuples, t)

@@ -101,9 +101,27 @@ var (
 // slopeSet is the 2-D geometry: sorted slopes, strips as cells.
 type slopeSet struct {
 	s []float64
-	// outer is the half-width of the two outermost strips
-	// (Options.OuterHalfWidth).
+	// outer is the half-width of the two outermost strips, derived from s
+	// alone (newSlopeSet). T2 query slopes beyond them have no handicap to
+	// stop at: path t2(outside).
 	outer float64
+}
+
+// newSlopeSet is the geometry of the sorted slope set s. The outer strips
+// are half the largest gap in S wide, or 1 when |S| = 1; the catalog
+// records the width and Open refuses a file whose width is not this one.
+func newSlopeSet(s []float64) *slopeSet {
+	outer := 1.0
+	if len(s) >= 2 {
+		maxGap := 0.0
+		for i := 1; i < len(s); i++ {
+			if g := s[i] - s[i-1]; g > maxGap {
+				maxGap = g
+			}
+		}
+		outer = maxGap / 2
+	}
+	return &slopeSet{s: s, outer: outer}
 }
 
 func (g *slopeSet) sites() int                  { return len(g.s) }

@@ -71,7 +71,7 @@ func New(rel *constraint.Relation, opt Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newIndex(rel, opt, &slopeSet{s: slopes, outer: opt.OuterHalfWidth})
+	return newIndex(rel, opt, newSlopeSet(slopes))
 }
 
 // NewD creates an empty d-dimensional dual index (d ≥ 2 works, but the
@@ -156,13 +156,6 @@ func checkRange(t *constraint.Tuple) error {
 
 // Build bulk-loads a 2-D index from every satisfiable tuple currently in
 // the relation.
-//
-// With Options.BuildWorkers > 1 the per-site work — key evaluation,
-// sorting, bulk-loading B_i^up/B_i^down and folding that site's handicap
-// extrema — fans out across a worker pool. Each worker owns whole trees
-// (disjoint page sets), so only buffer-pool shard locks are contended and
-// the loaded trees are bit-identical in shape to a serial build; only page
-// id assignment differs.
 func Build(rel *constraint.Relation, opt Options) (*Index, error) {
 	return bulkLoaded(New(rel, opt))
 }
@@ -200,16 +193,15 @@ func bulkLoaded(ix *Index, err error) (*Index, error) {
 	if ix.dim == 2 {
 		ext = ext.extend(ix.rel.Freeze())
 	}
-	// One task per site's tree pair, plus one for the optional vertical pair.
-	tasks := make([]func() error, 0, ix.geo.sites()+1)
 	for i := 0; i < ix.geo.sites(); i++ {
-		tasks = append(tasks, func() error { return ix.buildSite(i, ts, ext) })
+		if err := ix.buildSite(i, ts, ext); err != nil {
+			return nil, err
+		}
 	}
 	if v := ix.vertical(ix.trees); len(v) > 0 {
-		tasks = append(tasks, func() error { return buildVertical(v, ts) })
-	}
-	if err := runTasks(tasks, ix.opt.BuildWorkers); err != nil {
-		return nil, err
+		if err := buildVertical(v, ts); err != nil {
+			return nil, err
+		}
 	}
 	// Re-publish version 1 over the bulk-loaded trees. The index has not
 	// escaped to any reader yet, so mutating the trees in place between
@@ -228,8 +220,7 @@ func bulkLoadPair(up, down *btree.Tree, upEntries, downEntries []btree.Entry, ex
 
 // buildSite bulk-loads the tree pair of site i, bounded by the extents in
 // ext, and folds every tuple's cell extrema into that pair's handicap slots
-// (the paper's preprocessing step, restricted to one site so builds
-// parallelize).
+// (the paper's preprocessing step, restricted to one site).
 func (ix *Index) buildSite(i int, ts []*constraint.Tuple, ext extents) error {
 	upEntries := make([]btree.Entry, 0, len(ts))
 	downEntries := make([]btree.Entry, 0, len(ts))
@@ -268,40 +259,6 @@ func buildVertical(v []*btree.Tree, ts []*constraint.Tuple) error {
 	return bulkLoadPair(v[0], v[1], vupEntries, vdownEntries, nil)
 }
 
-// runTasks executes the tasks on a pool of `workers` goroutines (≤ 1 runs
-// them inline) and returns the first error.
-func runTasks(tasks []func() error, workers int) error {
-	if workers <= 1 || len(tasks) <= 1 {
-		for _, task := range tasks {
-			if err := task(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	var next atomic.Int64
-	errs := make([]error, len(tasks))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(tasks) {
-					return
-				}
-				errs[i] = tasks[i]()
-			}
-		}()
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
 // handicapMerges appends t's contribution to the handicap slots of site i's
 // tree pair to up and down: per slot, the tuple's tree key (top in B^up, bot
 // in B^down — its keys at site i) goes to the leaf its routing key, the
@@ -316,9 +273,7 @@ func (ix *Index) handicapMerges(up, down []btree.HandicapMerge, i int, t *constr
 }
 
 // foldHandicaps folds the merges of many tuples into the handicap slots of
-// site i's tree pair, one pass per tree. Calls for distinct sites touch
-// disjoint trees, which is what lets Build fan handicap folding across its
-// per-site workers.
+// site i's tree pair, one pass per tree.
 func (ix *Index) foldHandicaps(i int, up, down []btree.HandicapMerge) error {
 	if err := ix.trees[2*i].FoldHandicaps(up); err != nil {
 		return err

@@ -530,7 +530,7 @@ func steadyAllocs(f func()) float64 {
 // retrieve per query (entries/op) and the query time per retrieved entry
 // (ns/entry): the sweep kernel's cost on each path.
 func BenchmarkQueryBare(b *testing.B) {
-	_, ix, queries := benchIndex(b, 2000, 3, T2, 0)
+	_, ix, queries := benchIndex(b, 2000, 3, T2)
 	b.Run("mixed", func(b *testing.B) { benchQueries(b, ix, queries) })
 	for _, path := range []string{"restricted", "t2", "t2(outside)"} {
 		qs := pathQueries(b, ix, path)
@@ -539,7 +539,7 @@ func BenchmarkQueryBare(b *testing.B) {
 }
 
 func BenchmarkQueryObserved(b *testing.B) {
-	_, ix, queries := benchIndex(b, 2000, 3, T2, 0)
+	_, ix, queries := benchIndex(b, 2000, 3, T2)
 	ix.SetObserver(obs.New(obs.Options{Name: "bench"}))
 	benchQueries(b, ix, queries)
 }

@@ -251,7 +251,7 @@ func BenchmarkCommitObserved(b *testing.B) { benchCommit(b, true) }
 func benchCommit(b *testing.B, observed bool) {
 	// The paper's §5 scale (as bench/ builds it): a smaller relation hides
 	// every per-commit cost that grows with N.
-	_, ix, _ := benchIndex(b, 12000, 4, T2, 0)
+	_, ix, _ := benchIndex(b, 12000, 4, T2)
 	if observed {
 		ix.SetObserver(obs.New(obs.Options{Name: "bench"}))
 	}

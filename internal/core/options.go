@@ -70,11 +70,6 @@ type Options struct {
 	// spread over nextPow2(GOMAXPROCS) shards so concurrent queries don't
 	// serialize on one pool mutex. Ignored when Pool is set.
 	PoolPages int
-	// BuildWorkers is the number of goroutines Build uses to bulk-load
-	// the 2·k slope trees and fold handicaps (each worker owns whole
-	// trees, so only buffer-pool shard locks contend). ≤ 1 builds
-	// serially.
-	BuildWorkers int
 	// Pool optionally supplies a shared buffer pool (so several structures
 	// can be compared on one store); when nil a MemStore-backed pool is
 	// created from PageSize/PoolPages. Indexes on shared pools cannot be
@@ -84,18 +79,6 @@ type Options struct {
 	// pagestore.FileStore for an on-disk database); ignored when Pool is
 	// set. The store must be fresh — its page 1 becomes the catalog.
 	Store pagestore.Store
-	// PivotX is the x-coordinate of the point P shared by the two T1
-	// app-query lines (Section 4.1 leaves the choice open; the center of
-	// the data window is a good default).
-	PivotX float64
-	// OuterHalfWidth is the half-width of the two outer handicap strips
-	// beyond min(S) and max(S). T2 query slopes farther out have no
-	// handicap to stop at: they sweep the nearest slope's tree as far as the
-	// linear stop of the relation's x-extent, the whole tree when some tuple
-	// is unbounded in x.
-	// Default: half the largest gap between consecutive slopes (or 1.0
-	// when S has a single element).
-	OuterHalfWidth float64
 	// IndexVertical adds a V^up/V^down tree pair over the tuples'
 	// horizontal support values so that vertical selections Kind(x θ c) —
 	// outside the dual transform, footnote 4 — run an exact tree sweep
@@ -172,19 +155,6 @@ func (o *Options) normalize() ([]float64, error) {
 		return nil, err
 	}
 	o.storageDefaults()
-	if o.OuterHalfWidth <= 0 {
-		if len(s) >= 2 {
-			maxGap := 0.0
-			for i := 1; i < len(s); i++ {
-				if g := s[i] - s[i-1]; g > maxGap {
-					maxGap = g
-				}
-			}
-			o.OuterHalfWidth = maxGap / 2
-		} else {
-			o.OuterHalfWidth = 1.0
-		}
-	}
 	return s, nil
 }
 

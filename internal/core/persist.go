@@ -102,8 +102,8 @@ func (ix *Index) Save() error {
 	}
 	binary.LittleEndian.PutUint16(d[10:12], uint16(len(slopes)))
 	binary.LittleEndian.PutUint32(d[12:16], uint32(ix.opt.RebuildHandicapsEvery))
-	binary.LittleEndian.PutUint64(d[16:24], math.Float64bits(ix.opt.PivotX))
-	binary.LittleEndian.PutUint64(d[24:32], math.Float64bits(ix.opt.OuterHalfWidth))
+	binary.LittleEndian.PutUint64(d[16:24], math.Float64bits(t1PivotX))
+	binary.LittleEndian.PutUint64(d[24:32], math.Float64bits(g.outer))
 	binary.LittleEndian.PutUint64(d[32:40], math.Float64bits(btree.DefaultFillFactor)) // never read
 	binary.LittleEndian.PutUint32(d[40:44], uint32(head))
 	binary.LittleEndian.PutUint32(d[44:48], uint32(count))
@@ -134,6 +134,7 @@ var ErrCatalog = errors.New("core: bad catalog")
 // catalog is the decoded catalog page.
 type catalog struct {
 	opt   Options
+	geo   *slopeSet        // from the slope table
 	head  pagestore.PageID // tuple chain
 	count int              // tuples in the chain
 	metas []btree.Meta     // one per tree, in Index.trees order
@@ -151,8 +152,6 @@ func parseCatalog(d []byte) (catalog, error) {
 			Technique:             Technique(d[8]),
 			IndexVertical:         d[9]&1 != 0,
 			RebuildHandicapsEvery: int(binary.LittleEndian.Uint32(d[12:16])),
-			PivotX:                math.Float64frombits(binary.LittleEndian.Uint64(d[16:24])),
-			OuterHalfWidth:        math.Float64frombits(binary.LittleEndian.Uint64(d[24:32])),
 			PageSize:              len(d),
 		},
 		head:  pagestore.PageID(binary.LittleEndian.Uint32(d[40:44])),
@@ -181,6 +180,16 @@ func parseCatalog(d []byte) (catalog, error) {
 	if err := checkSlopes(c.opt.Slopes, c.opt.Technique); err != nil {
 		return catalog{}, fmt.Errorf("%w: %w", ErrCatalog, err)
 	}
+	// T1's pivot and the outer strip width are fixed by S: a file that
+	// records other bits planned T1 or folded its handicaps for strips this
+	// index does not serve.
+	c.geo = newSlopeSet(c.opt.Slopes)
+	if pivot := binary.LittleEndian.Uint64(d[16:24]); pivot != math.Float64bits(t1PivotX) {
+		return catalog{}, fmt.Errorf("%w: T1 pivot x = %v, want %v", ErrCatalog, math.Float64frombits(pivot), t1PivotX)
+	}
+	if outer := binary.LittleEndian.Uint64(d[24:32]); outer != math.Float64bits(c.geo.outer) {
+		return catalog{}, fmt.Errorf("%w: outer strip half-width %v, want %v derived from S", ErrCatalog, math.Float64frombits(outer), c.geo.outer)
+	}
 	c.metas = make([]btree.Meta, trees)
 	for i := range c.metas {
 		c.metas[i] = btree.Meta{
@@ -207,7 +216,6 @@ func Open(pool *pagestore.Pool) (*constraint.Relation, *Index, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	geo := &slopeSet{s: cat.opt.Slopes, outer: cat.opt.OuterHalfWidth}
 
 	// Rebuild the relation from the tuple chain.
 	data, chainPages, err := readChain(pool, cat.head)
@@ -224,13 +232,13 @@ func Open(pool *pagestore.Pool) (*constraint.Relation, *Index, error) {
 		rel:        rel,
 		opt:        cat.opt,
 		dim:        rel.Dim(),
-		geo:        geo,
+		geo:        cat.geo,
 		pool:       pool,
 		catalog:    catalogPage,
 		tupleChain: cat.head,
 		dataPages:  chainPages,
 	}
-	for j, cfg := range cat.opt.treeConfigs(geo) {
+	for j, cfg := range cat.opt.treeConfigs(cat.geo) {
 		t, err := btree.Restore(pool, cfg, cat.metas[j])
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: restore tree %d: %w", j, err)

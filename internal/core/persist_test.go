@@ -31,7 +31,7 @@ func TestSaveOpenRoundTripMem(t *testing.T) {
 		}
 	}
 	ix, err := Build(rel, Options{
-		Slopes: EquiangularSlopes(3), Technique: T2, Store: store, PivotX: 2.5,
+		Slopes: EquiangularSlopes(3), Technique: T2, Store: store,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -50,8 +50,14 @@ func TestSaveOpenRoundTripMem(t *testing.T) {
 	if ix2.Len() != ix.Len() {
 		t.Fatalf("reopened index has %d tuples, want %d", ix2.Len(), ix.Len())
 	}
-	if len(ix2.Slopes()) != 3 || ix2.opt.PivotX != 2.5 {
-		t.Fatalf("options not restored: slopes=%v pivot=%v", ix2.Slopes(), ix2.opt.PivotX)
+	if !slices.Equal(ix2.Slopes(), ix.Slopes()) {
+		t.Fatalf("slopes not restored: %v, want %v", ix2.Slopes(), ix.Slopes())
+	}
+	for i := range ix.Slopes() {
+		lo, hi := ix.geo.(*slopeSet).stripBounds(i)
+		if lo2, hi2 := ix2.geo.(*slopeSet).stripBounds(i); lo2 != lo || hi2 != hi {
+			t.Fatalf("strip %d restored as [%v, %v], want [%v, %v]", i, lo2, hi2, lo, hi)
+		}
 	}
 	for qi := 0; qi < 60; qi++ {
 		q := randQuery(rng)
@@ -228,6 +234,10 @@ func TestOpenRejectsDamagedCatalog(t *testing.T) {
 		"slopes-within-eps": func(d, _ []byte) { putF(d, slope0+8, getF(d, slope0)) },
 		"technique":         func(d, _ []byte) { d[8] = 7 },
 		"previous-format":   func(d, _ []byte) { copy(d[0:8], "DCDB0005") },
+		"pivot-nan":         func(d, _ []byte) { putF(d, 16, math.NaN()) },
+		"pivot-moved":       func(d, _ []byte) { putF(d, 16, 2.5) },
+		"outer-width-nan":   func(d, _ []byte) { putF(d, 24, math.NaN()) },
+		"outer-width-wide":  func(d, _ []byte) { putF(d, 24, 80*getF(d, 24)) },
 		"chain-cycle": func(d, head []byte) {
 			// The first chain page points back at itself.
 			copy(head[0:4], d[40:44])

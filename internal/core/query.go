@@ -523,6 +523,11 @@ func (ix *Index) collectRestricted(r routing, q constraint.Query, ec *execCtx, s
 	return st, err
 }
 
+// t1PivotX is the x-coordinate of T1's pivot P: x = 0, the centre of the
+// workload window (Section 4.1 leaves P open). The catalog records it and
+// Open refuses a file that records another.
+const t1PivotX = 0.0
+
 // PlanT1 rewrites a query with slope a ∉ S into the two app-queries of
 // Section 4.1. The slopes are the S-members nearest to a; the operators
 // follow Table 1; both lines pass through the pivot point
@@ -574,7 +579,7 @@ func PlanT1(q constraint.Query, slopes []float64, pivotX float64) ([2]AppQuery, 
 // answers, the candidates of q, in sc.cands, each with its bit set.
 func (ix *Index) collectT1(q constraint.Query, slopes []float64, ec *execCtx, sc *scratch) (QueryStats, error) {
 	sp := ec.span(obs.StageRoute)
-	plan, err := PlanT1(q, slopes, ix.opt.PivotX)
+	plan, err := PlanT1(q, slopes, t1PivotX)
 	ec.endSpan(sp, 0)
 	if err != nil {
 		return QueryStats{}, err

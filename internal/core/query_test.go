@@ -97,13 +97,59 @@ func TestAppQueryLinesShareAPoint(t *testing.T) {
 	}
 }
 
+// TestT1FixedPivotMatchesScan: a T1 index plans every query slope outside S
+// through the pivot at x = 0 — the two sweeps retrieve exactly the tuples
+// the app-queries of PlanT1(q, S, 0) accept — and answers as the scan does.
+func TestT1FixedPivotMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(212))
+	opt := Options{Slopes: EquiangularSlopes(3), Technique: T1}
+	rel, ix := buildRandomIndex(t, rng, 300, opt, true)
+	planned := 0
+	for qi := 0; qi < 200; qi++ {
+		q := randQuery(rng)
+		got, err := ix.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := q.Eval(rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameIDs(got.IDs, want) {
+			t.Fatalf("%v [%s]: got %v, the scan %v", q, got.Stats.Path, got.IDs, want)
+		}
+		if got.Stats.Path != "t1" {
+			continue // a slope in S: the restricted path
+		}
+		plan, err := PlanT1(q, ix.Slopes(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		retrieved := 0
+		for _, app := range plan {
+			ids, err := app.Query.Eval(rel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			retrieved += len(ids)
+		}
+		if got.Stats.Candidates != retrieved {
+			t.Fatalf("%v: %d candidates, the app-queries through (0, %v) accept %d", q, got.Stats.Candidates, q.Intercept, retrieved)
+		}
+		planned++
+	}
+	if planned == 0 {
+		t.Fatal("no query took the T1 path")
+	}
+}
+
 // TestT2FallbackPath: query slopes beyond the outer strips have no handicap
 // to stop at — the nearest slope's tree is swept past every subtree its child
 // bounds rule out, entries are settled on key and x-extent — and must still
 // be exact.
 func TestT2FallbackPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
-	opt := Options{Slopes: []float64{-0.5, 0, 0.5}, Technique: T2, OuterHalfWidth: 0.25}
+	opt := Options{Slopes: []float64{-0.5, 0, 0.5}, Technique: T2}
 	rel, ix := buildRandomIndex(t, rng, 150, opt, false)
 	q := constraint.Query2(constraint.EXIST, 5.0, 0, geom.GE) // far outside S
 	got, err := ix.Query(q)
@@ -149,7 +195,7 @@ func TestChildBoundsBoundSecondSweep(t *testing.T) {
 	// below: they match by Eps/2.
 	insert(box2(t, -10, -10, -5-geom.Eps/2, -5-geom.Eps/2)) // TOP(0.5) = −Eps/2
 	insert(box2(t, 10, 10, 5+geom.Eps/2, 5+geom.Eps/2))     // BOT(0.5) = +Eps/2
-	ix, err := Build(rel, Options{Slopes: []float64{-0.5, 0, 0.5}, Technique: T2, OuterHalfWidth: 0.25})
+	ix, err := Build(rel, Options{Slopes: []float64{-0.5, 0, 0.5}, Technique: T2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +437,7 @@ func TestSkipKeepsKeyRounding(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			point(c.y)
 		}
-		ix, err := Build(rel, Options{Slopes: []float64{-0.5, 0, 0.5}, Technique: T2, OuterHalfWidth: 0.25})
+		ix, err := Build(rel, Options{Slopes: []float64{-0.5, 0, 0.5}, Technique: T2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -430,7 +476,7 @@ func TestT2MarginCoversProductRounding(t *testing.T) {
 		}
 		pts = append(pts, tp)
 	}
-	ix, err := Build(rel, Options{Slopes: []float64{-0.5, 0, 0.5}, Technique: T2, OuterHalfWidth: 0.25})
+	ix, err := Build(rel, Options{Slopes: []float64{-0.5, 0, 0.5}, Technique: T2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,7 @@ func TestT2BoundaryMatchesScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ix, err := Build(rel, Options{Slopes: slopes, Technique: T2, OuterHalfWidth: 1})
+	ix, err := Build(rel, Options{Slopes: slopes, Technique: T2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +106,10 @@ func TestT2BoundaryMatchesScan(t *testing.T) {
 			at{s + 3*geom.Eps, "t2"}, at{s - 1e-6, "t2"}, // a hair off the site
 			at{lo, "t2"}, at{hi, "t2"}) // on the strip's borders
 	}
+	first, _ := strips.stripBounds(0)
+	_, last := strips.stripBounds(len(slopes) - 1)
 	probes = append(probes,
-		at{3 + 1e-9, "t2(outside)"}, at{-2.5 - 1e-9, "t2(outside)"}, // just past the outer strips
+		at{last + 1e-9, "t2(outside)"}, at{first - 1e-9, "t2(outside)"}, // just past the outer strips
 		at{40, "t2(outside)"}, at{-40, "t2(outside)"})
 
 	queries, decided := 0, 0
@@ -422,8 +424,8 @@ func TestSiteRoundingIsNotDecided(t *testing.T) {
 // predicate accepts at that value plus Eps starts its first sweep at or past
 // the tuple's key, and when a leaf boundary falls between the two (some
 // filler count puts one there) past its leaf. The tuple is reached through
-// its routing key, TOP's max over the half strip [−2.5, −1.5]: the kernel at
-// −2.5, at or above its value at every slope of the half strip, so the
+// its routing key, TOP's max over the half strip [−2.25, −1.5]: the kernel at
+// −2.25, at or above its value at every slope of the half strip, so the
 // routing leaf is one the first sweep visits and its handicap takes the
 // second sweep down to the key. The envelope's routing key merged the three
 // aligned dual lines and read 10, below the value; with it, only T2's margin
@@ -437,13 +439,15 @@ func TestT2KeyBelowValueIsNotCutOff(t *testing.T) {
 		return constraint.FromPolyhedron(p)
 	}
 	const a = -2.0
+	slopes := []float64{-1.5, -0.25, 0.5, 2}
 	aligned := alignedVertices(t)
 	top := surfaceOf(aligned, constraint.Query2(constraint.EXIST, a, 0, geom.GE))
-	route, _, err := aligned.StripExtrema(-2.5, -1.5, -0.875)
+	lo, hi := newSlopeSet(slopes).stripBounds(0)
+	route, _, err := aligned.StripExtrema(lo, slopes[0], hi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if key := mustTop(t, aligned, -1.5); !(key < top && route.MaxPrev >= top) {
+	if key := mustTop(t, aligned, slopes[0]); !(key < top && route.MaxPrev >= top) {
 		t.Fatalf("key %v at the site, routing key %v over the half strip, value %v at the query slope: want the key below the value and the routing key not", key, route.MaxPrev, top)
 	}
 	for fillers := 40; fillers <= 120; fillers++ {
@@ -460,7 +464,7 @@ func TestT2KeyBelowValueIsNotCutOff(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ix, err := Build(rel, Options{Slopes: []float64{-1.5, -0.25, 0.5, 2}, Technique: T2, OuterHalfWidth: 1})
+		ix, err := Build(rel, Options{Slopes: slopes, Technique: T2})
 		if err != nil {
 			t.Fatal(err)
 		}

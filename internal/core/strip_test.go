@@ -55,35 +55,43 @@ func TestNearestSlopeTieBreak(t *testing.T) {
 	}
 }
 
-// TestStripBoundsOuterHalfWidth: interior strip edges sit midway between
-// adjacent slopes; the outermost strips extend by exactly OuterHalfWidth.
-func TestStripBoundsOuterHalfWidth(t *testing.T) {
-	ix := buildSlopesIndex(t, Options{
-		Slopes: []float64{-1, 1}, Technique: T2, OuterHalfWidth: 5,
-	})
-	lo, hi := ix.stripBounds(0)
-	if lo != -6 || hi != 0 {
-		t.Fatalf("stripBounds(0) = (%g, %g), want (-6, 0)", lo, hi)
-	}
-	lo, hi = ix.stripBounds(1)
-	if lo != 0 || hi != 6 {
-		t.Fatalf("stripBounds(1) = (%g, %g), want (0, 6)", lo, hi)
-	}
-	// A single-slope set has no interior edges: both sides are outer.
-	// (T1/T2 need two slopes, so build the restricted-only structure; the
-	// strip geometry is technique-independent.)
-	ix1 := buildSlopesIndex(t, Options{
-		Slopes: []float64{2}, Technique: RestrictedOnly, OuterHalfWidth: 3,
-	})
-	lo, hi = ix1.stripBounds(0)
-	if lo != -1 || hi != 5 {
-		t.Fatalf("stripBounds(0) single slope = (%g, %g), want (-1, 5)", lo, hi)
+// TestStripBoundsOuterWidthDerived: interior strip edges sit midway between
+// adjacent slopes; the outermost strips extend by half the largest gap in S,
+// or by 1 when S has a single slope.
+func TestStripBoundsOuterWidthDerived(t *testing.T) {
+	for _, c := range []struct {
+		slopes []float64
+		outer  float64
+		bounds [][2]float64
+	}{
+		{[]float64{-1, 1}, 1, [][2]float64{{-2, 0}, {0, 2}}},
+		// Gaps 1.25, 0.75, 1.5: the largest, not the outermost, sets the width.
+		{[]float64{-1.5, -0.25, 0.5, 2}, 0.75, [][2]float64{{-2.25, -0.875}, {-0.875, 0.125}, {0.125, 1.25}, {1.25, 2.75}}},
+		// A single-slope set has no interior edges: both sides are outer.
+		// (T1/T2 need two slopes, so build the restricted-only structure; the
+		// strip geometry is technique-independent.)
+		{[]float64{2}, 1, [][2]float64{{1, 3}}},
+	} {
+		tech := T2
+		if len(c.slopes) == 1 {
+			tech = RestrictedOnly
+		}
+		ix := buildSlopesIndex(t, Options{Slopes: c.slopes, Technique: tech})
+		if ix.outer != c.outer {
+			t.Fatalf("S = %v: outer half-width %g, want %g", c.slopes, ix.outer, c.outer)
+		}
+		for i, want := range c.bounds {
+			if lo, hi := ix.stripBounds(i); lo != want[0] || hi != want[1] {
+				t.Fatalf("S = %v: stripBounds(%d) = (%g, %g), want %v", c.slopes, i, lo, hi, want)
+			}
+		}
 	}
 }
 
-// TestT2FallbackAtStripEdge: a T2 query inside the widened outer strip runs
-// the handicap path; just past the edge no handicap applies and the whole
-// tree is swept. Both must still return the ground-truth answer.
+// TestT2FallbackAtStripEdge: a T2 query inside an outer strip runs the
+// handicap path; just past the edge no handicap applies and the nearest
+// slope's tree is swept outside every strip. Both must still return the
+// ground-truth answer.
 func TestT2FallbackAtStripEdge(t *testing.T) {
 	rng := rand.New(rand.NewSource(58))
 	rel := constraint.NewRelation(2)
@@ -92,20 +100,21 @@ func TestT2FallbackAtStripEdge(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ix, err := Build(rel, Options{
-		Slopes: []float64{-1, 1}, Technique: T2, OuterHalfWidth: 5,
-	})
+	ix, err := Build(rel, Options{Slopes: []float64{-1, 1}, Technique: T2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	strips := ix.geo.(*slopeSet)
+	lo, _ := strips.stripBounds(0)
+	_, hi := strips.stripBounds(1)
 	for _, tc := range []struct {
 		slope float64
 		path  string
 	}{
-		{5.9, "t2"},          // inside the widened outer strip of slope 1
-		{6.1, "t2(outside)"}, // just past rightHi = 6
-		{-5.9, "t2"},         // inside the outer strip of slope -1
-		{-6.1, "t2(outside)"},
+		{hi - 0.1, "t2"},          // inside the outer strip of slope 1
+		{hi + 0.1, "t2(outside)"}, // just past its edge
+		{lo + 0.1, "t2"},          // inside the outer strip of slope -1
+		{lo - 0.1, "t2(outside)"},
 	} {
 		q := constraint.Query2(constraint.EXIST, tc.slope, 2, geom.GE)
 		res, err := ix.Query(q)

@@ -81,10 +81,9 @@ func RunBatchSweep(cfg BatchSweepConfig) ([]BatchSweepRow, error) {
 		return nil, err
 	}
 	ix, err := core.Build(rel, core.Options{
-		Slopes:       core.EquiangularSlopes(cfg.K),
-		Technique:    core.T2,
-		PoolPages:    1 << 16,
-		BuildWorkers: maxWorkers(cfg.Workers),
+		Slopes:    core.EquiangularSlopes(cfg.K),
+		Technique: core.T2,
+		PoolPages: 1 << 16,
 	})
 	if err != nil {
 		return nil, err
@@ -134,16 +133,6 @@ func RunBatchSweep(cfg BatchSweepConfig) ([]BatchSweepRow, error) {
 		}
 	}
 	return rows, nil
-}
-
-func maxWorkers(ws []int) int {
-	m := 1
-	for _, w := range ws {
-		if w > m {
-			m = w
-		}
-	}
-	return m
 }
 
 func equalIDs(a, b []constraint.TupleID) bool {

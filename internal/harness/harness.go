@@ -8,7 +8,6 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 
 	"dualcdb/internal/constraint"
@@ -146,11 +145,10 @@ func RunQueryFigure(id, title string, cfg Config) (Figure, error) {
 		// Dual index, technique T2, for each k.
 		for _, k := range cfg.Ks {
 			ix, err := core.Build(rel, core.Options{
-				Slopes:       core.EquiangularSlopes(k),
-				Technique:    core.T2,
-				PageSize:     cfg.PageSize,
-				PoolPages:    1 << 16,
-				BuildWorkers: runtime.GOMAXPROCS(0),
+				Slopes:    core.EquiangularSlopes(k),
+				Technique: core.T2,
+				PageSize:  cfg.PageSize,
+				PoolPages: 1 << 16,
 			})
 			if err != nil {
 				return Figure{}, err
@@ -208,11 +206,10 @@ func RunSpaceFigure(cfg Config) (Figure, error) {
 		series["R+-tree"].Y = append(series["R+-tree"].Y, float64(rix.Pages()))
 		for _, k := range cfg.Ks {
 			ix, err := core.Build(rel, core.Options{
-				Slopes:       core.EquiangularSlopes(k),
-				Technique:    core.T2,
-				PageSize:     cfg.PageSize,
-				PoolPages:    1 << 16,
-				BuildWorkers: runtime.GOMAXPROCS(0),
+				Slopes:    core.EquiangularSlopes(k),
+				Technique: core.T2,
+				PageSize:  cfg.PageSize,
+				PoolPages: 1 << 16,
 			})
 			if err != nil {
 				return Figure{}, err

@@ -305,6 +305,24 @@ mut kernel-stop internal/core/query.go "sweep kernel: the ascending continue tes
 			return es.Key(0) <= hi
 EOF
 
+# --- derived options: T1's pivot and the outer strip width ---
+
+mut catalog-derived-unchecked internal/core/persist.go "derived options: \`Open\` skips comparing the catalog's pivot and outer width with the derived ones" <<'EOF'
+	if pivot := binary.LittleEndian.Uint64(d[16:24]); pivot != math.Float64bits(t1PivotX) {
+		return catalog{}, fmt.Errorf("%w: T1 pivot x = %v, want %v", ErrCatalog, math.Float64frombits(pivot), t1PivotX)
+	}
+	if outer := binary.LittleEndian.Uint64(d[24:32]); outer != math.Float64bits(c.geo.outer) {
+		return catalog{}, fmt.Errorf("%w: outer strip half-width %v, want %v derived from S", ErrCatalog, math.Float64frombits(outer), c.geo.outer)
+	}
+----
+EOF
+
+mut pivot-nonzero internal/core/query.go "derived options: T1 plans through the pivot at x = 1, not x = 0" <<'EOF'
+	plan, err := PlanT1(q, slopes, t1PivotX)
+----
+	plan, err := PlanT1(q, slopes, 1)
+EOF
+
 # --- one bug or more of each analyzer's class ---
 
 mut publish-xext internal/core/mvcc.go "frozen: \`xext\` filled after \`ix.roots.Store\`" <<'EOF'
