@@ -65,8 +65,8 @@ func TestSessionDBOpenRefusesPreviousFormat(t *testing.T) {
 }
 
 // TestSessionQueryStatsLine: on a stored slope every retrieved entry is
-// decided on its key and none is a false hit; within Eps of one the query is
-// an ordinary T2 query.
+// decided on its key and put into the answer, none is evaluated and none is a
+// false hit; within Eps of one the query is an ordinary T2 query.
 func TestSessionQueryStatsLine(t *testing.T) {
 	out := runScript(t, []string{
 		"insert x >= 0 && y >= 0 && x + y <= 4",
@@ -81,6 +81,7 @@ func TestSessionQueryStatsLine(t *testing.T) {
 		"EXIST(y >= 0x + 1): [1 2]  (path=restricted, candidates=2, decided=2, falseHits=0, duplicates=0,",
 		"ALL(y <= 0x + 5): [1 3]  (path=restricted, candidates=2, decided=2, falseHits=0, duplicates=0,",
 		"EXIST(y >= 5e-10x + 1): [1 2]  (path=t2, candidates=",
+		"funnel: candidates 2 → duplicates 0 → sure 2 / rejected on key 0 → evaluated 0 → false hits 0 → results 2",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)

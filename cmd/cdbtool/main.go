@@ -366,6 +366,11 @@ func (s *session) query(kind dualcdb.QueryKind, rest string) error {
 		st := res.Stats
 		fmt.Fprintf(s.out, "%v: %v  (path=%s, candidates=%d, decided=%d, falseHits=%d, duplicates=%d, pages=%d)\n",
 			q, res.IDs, st.Path, st.Candidates, st.Decided, st.FalseHits, st.Duplicates, st.PagesRead)
+		// The funnel: what the sweeps retrieved, what they settled on the key
+		// (into the answer or out of it), and what the predicate decided.
+		evaluated := st.Candidates - st.Duplicates - st.Decided
+		fmt.Fprintf(s.out, "  funnel: candidates %d → duplicates %d → sure %d / rejected on key %d → evaluated %d → false hits %d → results %d\n",
+			st.Candidates, st.Duplicates, st.Sure, st.Decided-st.Sure, evaluated, evaluated-(st.Results-st.Sure), st.Results)
 	case s.rplus != nil:
 		res, err := s.rplus.Query(q)
 		if err != nil {

@@ -38,8 +38,8 @@ func freezeState(r *Relation, what string) frozenState {
 }
 
 // verify checks Get over every id the view could hold and a chunk past it,
-// Scan's ids and order, and MaxID. It reports through t.Errorf only: readers
-// call it off the test's goroutine.
+// LiveWord against Get over the same ids, Scan's ids and order, and MaxID. It
+// reports through t.Errorf only: readers call it off the test's goroutine.
 func (s frozenState) verify(t *testing.T) {
 	var want []TupleID
 	for id := TupleID(0); int(id) <= s.view.MaxID()+chunkSize; id++ {
@@ -49,6 +49,18 @@ func (s frozenState) verify(t *testing.T) {
 		}
 		if s.ts[id] != nil {
 			want = append(want, id)
+		}
+	}
+	for w := -1; w <= (s.view.MaxID()+chunkSize)/64; w++ { // word −1 reads 0
+		var live uint64
+		for j := 0; j < 64 && w >= 0; j++ {
+			if s.view.Get(TupleID(64*w+j)) != nil {
+				live |= 1 << j
+			}
+		}
+		if got := s.view.LiveWord(w); got != live {
+			t.Errorf("%s: LiveWord(%d) = %#x, Get holds %#x", s.what, w, got, live)
+			return
 		}
 	}
 	var scanned []TupleID
@@ -68,10 +80,11 @@ func (s frozenState) verify(t *testing.T) {
 // chunks — Insert across ids 255, 256 and 257, Delete under views that share
 // the chunk, InsertWithID across a gap of never-written chunks and back into
 // it — and requires every view taken along the way to hold exactly what the
-// relation held then, after all later writes and beside them (run it under
-// -race: two readers re-read the views while the head keeps writing). Restore
-// must give back Len, Get, Scan and IDs of the view it is handed, leave that
-// view alone under the writes that follow, and not hand back a burned id.
+// relation held then, tuples and live bits, after all later writes and beside
+// them (run it under -race: two readers re-read the views while the head
+// keeps writing). Restore must give back Len, Get, Scan and IDs of the view it
+// is handed, leave that view alone under the writes that follow, and not hand
+// back a burned id.
 func TestFreezeRestoreCopyOnWrite(t *testing.T) {
 	r := NewRelation(2)
 	var states []frozenState
@@ -110,10 +123,14 @@ func TestFreezeRestoreCopyOnWrite(t *testing.T) {
 	for id := TupleID(1); id <= 254; id++ {
 		insert(id)
 	}
-	// The first chunk's last two slots, then the second chunk's first.
+	// A slot is the id itself: the first chunk's last slot (live bit 63 of
+	// word 3), then the second chunk's first two (bits 0 and 1 of word 4).
 	for id := TupleID(255); id <= 257; id++ {
 		freeze("before an insert")
 		insert(id)
+		if got, want := len(r.head.spine), int(id)/chunkSize+1; got != want {
+			t.Fatalf("id %d under a spine of %d chunks, want %d", id, got, want)
+		}
 		verifyAll()
 	}
 	freeze("257 ids")

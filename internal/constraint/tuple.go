@@ -206,16 +206,25 @@ const maxTupleID TupleID = 1 << 24
 var ErrIDLimit = errors.New("constraint: tuple id beyond the relation's id limit")
 
 // The store of a relation is a persistent id → tuple table: fixed-size chunks
-// of pointers under a spine, slot (id−1) mod chunkSize of chunk
-// (id−1) / chunkSize holding the tuple with that id (nil: deleted, or never
-// assigned). A chunk a View can reach is never written.
+// under a spine, slot id mod chunkSize of chunk id / chunkSize holding the
+// tuple with that id (nil: deleted, or never assigned; slot 0 of chunk 0,
+// id 0, is never written) and its live bit. A chunk a View can reach is never
+// written.
 const (
 	chunkBits = 8
 	chunkSize = 1 << chunkBits
+	// chunkWords is the number of live words a chunk holds: word w of a View
+	// (LiveWord) is word w mod chunkWords of chunk w / chunkWords.
+	chunkWords = chunkSize / 64
 )
 
-// chunk is an array, not a slice: a lookup is two dependent loads.
-type chunk [chunkSize]*Tuple
+// chunk holds arrays, not slices: a lookup is two dependent loads. Bit i mod
+// 64 of live[i / 64] is set exactly when t[i] is not nil, so live word w of a
+// View covers ids 64w … 64w+63 — the words of a bitset over ids.
+type chunk struct {
+	t    [chunkSize]*Tuple
+	live [chunkWords]uint64
+}
 
 // noTuples stands in the spine for every chunk nothing was ever written to:
 // shared by all relations, never written.
@@ -237,17 +246,26 @@ func (v View) MaxID() int { return v.n }
 
 // Get returns the tuple with the given id, nil when the view holds none.
 func (v View) Get(id TupleID) *Tuple {
-	i := int(id) - 1
-	if uint(i) >= uint(v.n) {
+	if uint(id)-1 >= uint(v.n) {
 		return nil
 	}
-	return v.spine[i>>chunkBits][i&(chunkSize-1)]
+	return v.spine[id>>chunkBits].t[id&(chunkSize-1)]
+}
+
+// LiveWord returns the view's live bits for ids 64w … 64w+63: bit j is set
+// exactly when Get(64w+j) is not nil. It is 0 past the spine.
+func (v View) LiveWord(w int) uint64 {
+	c := w >> (chunkBits - 6)
+	if uint(c) >= uint(len(v.spine)) {
+		return 0
+	}
+	return v.spine[c].live[w&(chunkWords-1)]
 }
 
 // Scan calls fn for every tuple in id order until it returns false.
 func (v View) Scan(fn func(*Tuple) bool) {
 	for _, ch := range v.spine {
-		for _, t := range ch {
+		for _, t := range ch.t {
 			if t != nil && !fn(t) {
 				return
 			}
@@ -301,11 +319,10 @@ func (r *Relation) Restore(v View, live int) {
 	r.live = live
 }
 
-// set writes slot id of the head, growing the spine to reach it and copying
-// the chunk first when a View may share it.
+// set writes slot id of the head and its live bit, growing the spine to
+// reach it and copying the chunk first when a View may share it.
 func (r *Relation) set(id TupleID, t *Tuple) {
-	i := int(id) - 1
-	c := i >> chunkBits
+	c := int(id >> chunkBits)
 	for len(r.head.spine) <= c {
 		r.head.spine = append(r.head.spine, &noTuples)
 	}
@@ -316,7 +333,13 @@ func (r *Relation) set(id TupleID, t *Tuple) {
 		ch = &own
 		r.head.spine[c] = ch
 	}
-	ch[i&(chunkSize-1)] = t
+	i := id & (chunkSize - 1)
+	ch.t[i] = t
+	if t != nil {
+		ch.live[i/64] |= 1 << (i % 64)
+	} else {
+		ch.live[i/64] &^= 1 << (i % 64)
+	}
 }
 
 // admit checks that t may enter the relation.

@@ -124,10 +124,22 @@ func (e extents) extend(tuples constraint.View) extents {
 // their children with.
 func (e extents) of(tid uint32) [2]float64 { return e.xext[tid-1] }
 
-// checkExtents reports a tuple of the version whose table entry is not its
-// extent, or an entry of one of the version's trees whose tuple's extent its
-// leaf's bound does not hold.
+// checkExtents reports a live word of the version that disagrees with its
+// tuples (what refinement checks sure references by), a tuple of the version
+// whose table entry is not its extent, or an entry of one of the version's
+// trees whose tuple's extent its leaf's bound does not hold.
 func (rs *rootSet) checkExtents() error {
+	for w := 0; w <= rs.tuples.MaxID()>>6+1; w++ {
+		var live uint64
+		for j := 0; j < 64; j++ {
+			if rs.tuples.Get(constraint.TupleID(w<<6+j)) != nil {
+				live |= 1 << j
+			}
+		}
+		if got := rs.tuples.LiveWord(w); got != live {
+			return fmt.Errorf("core: version %d: live word %d is %#x, the tuples %#x", rs.version, w, got, live)
+		}
+	}
 	if rs.xext == nil {
 		return nil
 	}

@@ -398,9 +398,10 @@ func float32Next(k, dir float64) float64 {
 
 // run executes the sweep on tr: every retrieved entry counts into
 // st.Candidates, those settled on their key into st.Decided — the accepted
-// ones go to sc.sure, the rejected ones nowhere — and the rest go to
-// sc.cands; visited leaves count into st and page reads are charged to rc.
-// It returns the number of entries retrieved and the folded handicap.
+// ones go to sc.sure and count into st.Sure, the rejected ones go nowhere —
+// and the rest go to sc.cands; visited leaves count into st and page reads
+// are charged to rc. It returns the number of entries retrieved and the
+// folded handicap.
 //
 // A leaf is read in place (btree.LeafView.Entries): its verdict — sure, no
 // rule, or the rule's on the whole leaf — is taken once, and one loop per
@@ -501,10 +502,12 @@ func (s sweep) run(tr *btree.Tree, rc *pagestore.ReadCounter, sc *scratch, st *Q
 		return es.Key(0) >= lo
 	}
 	err := tr.Sweep(s.from, s.asc, rc, skip, visit)
-	decided := len(sc.sure) - sure0 + rejected
+	sure := len(sc.sure) - sure0
+	decided := sure + rejected
 	retrieved := len(sc.cands) - cands0 + decided
 	st.Candidates += retrieved
 	st.Decided += decided
+	st.Sure += sure
 	return retrieved, h, err
 }
 
@@ -713,13 +716,22 @@ func (ec *execCtx) refine(match func(*constraint.Tuple) (bool, error), sc *scrat
 func (ec *execCtx) mark(match func(*constraint.Tuple) (bool, error), sc *scratch) (lo, hi uint32, hits int, err error) {
 	lo, hits = math.MaxUint32, len(sc.sure)
 	for _, tid := range sc.sure {
-		// Not evaluated, but still resolved: a reference to a tuple this
-		// version does not hold is a corrupt tree, not an answer.
-		if _, err := ec.rs.candidate(tid); err != nil {
-			return 0, 0, 0, err
+		if int(tid>>6) >= len(sc.bits) {
+			return 0, 0, 0, notInRelation(tid)
 		}
 		sc.bits[tid>>6] |= 1 << (tid & 63)
 		lo, hi = min(lo, tid), max(hi, tid)
+	}
+	// Not evaluated, but still checked, a word at a time against the
+	// version's live bits: a reference to a tuple this version does not hold
+	// is a corrupt tree, not an answer. Only sure bits are set in lo … hi:
+	// T1, the one path that marks bits before refinement, settles nothing
+	// on its key.
+	tuples := ec.rs.tuples
+	for w := int(lo >> 6); w <= int(hi>>6); w++ {
+		if dead := sc.bits[w] &^ tuples.LiveWord(w); dead != 0 {
+			return 0, 0, 0, notInRelation(uint32(w<<6 + bits.TrailingZeros64(dead)))
+		}
 	}
 	for _, tid := range sc.cands {
 		t, err := ec.rs.candidate(tid)
@@ -747,5 +759,11 @@ func (rs *rootSet) candidate(tid uint32) (*constraint.Tuple, error) {
 	if t := rs.tuples.Get(constraint.TupleID(tid)); t != nil {
 		return t, nil
 	}
-	return nil, fmt.Errorf("core: candidate %d not in relation: %w", tid, constraint.ErrNotFound)
+	return nil, notInRelation(tid)
+}
+
+// notInRelation is the error of a tree reference to a tuple the pinned
+// version does not hold.
+func notInRelation(tid uint32) error {
+	return fmt.Errorf("core: candidate %d not in relation: %w", tid, constraint.ErrNotFound)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
@@ -698,6 +699,11 @@ func TestQueryStatsConsistency(t *testing.T) {
 		if st.Candidates-st.Duplicates != st.Decided+evaluated {
 			t.Fatalf("%v: %d distinct candidates, %d decided, %d evaluated: %+v", q, st.Candidates-st.Duplicates, st.Decided, evaluated, st)
 		}
+		// The sure ones are the decided ones in the answer; the rest of the
+		// answer was evaluated.
+		if st.Sure > st.Decided || st.Sure > st.Results || st.Results-st.Sure > evaluated {
+			t.Fatalf("%v: %d sure of %d decided, %d evaluated, %d results: %+v", q, st.Sure, st.Decided, evaluated, st.Results, st)
+		}
 		decided += st.Decided
 	}
 	if decided == 0 {
@@ -785,6 +791,95 @@ func TestQueryRejectsBadInput(t *testing.T) {
 	}
 	if _, err := ix.Query(constraint.NewQuery(constraint.EXIST, []float64{0, 0}, 0, geom.GE)); err == nil {
 		t.Error("3-D query must be rejected by a 2-D index")
+	}
+}
+
+// TestSureReferenceToDeadTupleFails: a site tree of a published version that
+// holds a reference to a tuple the version does not hold fails every query
+// that puts the reference into the answer on its key — the restricted path,
+// and T2 where the key rule accepts the reference's leaf whole — with
+// ErrNotFound, never with an answer. The references are a deleted tuple's id
+// (its x-extent stays in the append-only table, so a bound on the table or on
+// MaxID lets it through), id 0, the id just past MaxID and one far past it.
+func TestSureReferenceToDeadTupleFails(t *testing.T) {
+	queries := []struct {
+		path string
+		q    constraint.Query
+	}{
+		{"restricted", constraint.Query2(constraint.EXIST, 0, -100, geom.GE)},
+		{"t2", constraint.Query2(constraint.EXIST, 0.3, -100, geom.GE)},
+	}
+	// Enough tuples for two levels: a root leaf has no bound to settle it by.
+	const n = 300
+	build := func(t *testing.T) *Index {
+		rel := constraint.NewRelation(2)
+		for i := 0; i < n; i++ {
+			x, y := float64(i%5)*0.3, 1+float64(i)*0.003
+			if _, err := rel.Insert(box2(t, x, x+0.5, y, y+0.5)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ix, err := Build(rel, Options{Slopes: []float64{-1, 0, 1}, Technique: T2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix
+	}
+	const dead = 7 // MaxID stays n after its delete
+	for _, c := range []struct {
+		what string
+		tid  uint32
+	}{
+		{"deleted", dead},
+		{"id 0", 0},
+		{"past MaxID", n + 1},
+		{"far past MaxID", 1 << 20},
+	} {
+		t.Run(c.what, func(t *testing.T) {
+			ix := build(t)
+			for _, qc := range queries {
+				if res, err := ix.Query(qc.q); err != nil || res.Stats.Path != qc.path || len(res.IDs) != n {
+					t.Fatalf("%v before the damage: %d ids on path %q, %v; want all %d on %q", qc.q, len(res.IDs), res.Stats.Path, err, n, qc.path)
+				}
+			}
+			if err := ix.Delete(dead); err != nil {
+				t.Fatal(err)
+			}
+			tid := c.tid
+			cm := ix.Begin()
+			for j := 0; j < 2*ix.geo.sites(); j++ {
+				if err := ix.trees[j].InsertExt(1.5, tid, [2]float64{0.5, 0.5}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := cm.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			for _, qc := range queries {
+				// The reference reaches refinement as a sure one, not as a
+				// candidate refinement resolves anyway.
+				rs := ix.pinRoots()
+				r, err := ix.geo.route(qc.q.Slope, qc.q.SweepsUp())
+				if err != nil {
+					t.Fatal(err)
+				}
+				sc := getScratch(rs)
+				if r.onSite {
+					_, err = ix.collectRestricted(r, qc.q, ix.execCtxFor(rs), sc)
+				} else {
+					_, err = ix.collectT2(r, qc.q, ix.execCtxFor(rs), sc)
+				}
+				if err != nil || !slices.Contains(sc.sure, tid) {
+					t.Fatalf("%v: reference %d not settled on its key (%v; sure %v, cands %v)", qc.q, tid, err, sc.sure, sc.cands)
+				}
+				putScratch(sc)
+				ix.unpinRoots(rs)
+
+				if res, err := ix.Query(qc.q); !errors.Is(err, constraint.ErrNotFound) {
+					t.Errorf("%v with a reference to %d: ids %v, %v; want ErrNotFound", qc.q, tid, res.IDs, err)
+				}
+			}
+		})
 	}
 }
 

@@ -54,6 +54,7 @@ func (ix *Index) queryLine(a, b float64, ec *execCtx) (Result, error) {
 			Results:     len(ids),
 			FalseHits:   upper.Stats.FalseHits + lower.Stats.FalseHits,
 			Decided:     upper.Stats.Decided + lower.Stats.Decided,
+			Sure:        upper.Stats.Sure + lower.Stats.Sure,
 			Duplicates:  upper.Stats.Duplicates + lower.Stats.Duplicates,
 			LeavesSwept: upper.Stats.LeavesSwept + lower.Stats.LeavesSwept,
 			// The shared ReadCounter accumulates across both sub-queries, so

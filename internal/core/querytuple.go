@@ -138,6 +138,7 @@ func (ix *Index) queryTuple(kind constraint.QueryKind, qt *constraint.Tuple, ec 
 				st.LeavesSwept += res.Stats.LeavesSwept
 				st.Candidates += res.Stats.Candidates
 				st.Decided += res.Stats.Decided
+				st.Sure += res.Stats.Sure
 				if i == 0 {
 					candidate = res.IDs
 				} else {

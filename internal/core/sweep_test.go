@@ -88,6 +88,7 @@ func (s sweep) refRun(tr *btree.Tree, rc *pagestore.ReadCounter, sc *scratch, st
 	retrieved := len(sc.cands) - cands0 + decided
 	st.Candidates += retrieved
 	st.Decided += decided
+	st.Sure += len(sc.sure) - sure0
 	return retrieved, h, err
 }
 

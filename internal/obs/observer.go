@@ -27,6 +27,9 @@ type QueryStats struct {
 	// into the answer or out of it — without evaluating the predicate; the
 	// other Candidates − Duplicates − Decided were evaluated.
 	Decided int
+	// Sure is the number of Decided candidates a sweep put into the answer
+	// unevaluated; the other Decided − Sure were rejected on their key.
+	Sure int
 	// Duplicates is the number of tuple references retrieved more than
 	// once (only T1 can produce them; T2 is duplicate-free by design).
 	Duplicates int
@@ -117,6 +120,7 @@ type pathMetrics struct {
 	results     *Counter
 	falseHits   *Counter
 	decided     *Counter
+	sure        *Counter
 	duplicates  *Counter
 	leavesSwept *Counter
 }
@@ -211,6 +215,7 @@ func (o *Observer) FinishQuery(tr *Trace, st QueryStats, err error) {
 	pm.results.Add(uint64(st.Results))
 	pm.falseHits.Add(uint64(st.FalseHits))
 	pm.decided.Add(uint64(st.Decided))
+	pm.sure.Add(uint64(st.Sure))
 	pm.duplicates.Add(uint64(st.Duplicates))
 	pm.leavesSwept.Add(uint64(st.LeavesSwept))
 
@@ -226,6 +231,7 @@ func (o *Observer) FinishQuery(tr *Trace, st QueryStats, err error) {
 			slog.Int("results", st.Results),
 			slog.Int("false_hits", st.FalseHits),
 			slog.Int("decided", st.Decided),
+			slog.Int("sure", st.Sure),
 			slog.Int("duplicates", st.Duplicates),
 			slog.Int("leaves_swept", st.LeavesSwept),
 		)
@@ -274,6 +280,7 @@ func (o *Observer) path(name string) *pathMetrics {
 		results:     o.reg.Counter("path." + name + ".results"),
 		falseHits:   o.reg.Counter("path." + name + ".false_hits"),
 		decided:     o.reg.Counter("path." + name + ".decided"),
+		sure:        o.reg.Counter("path." + name + ".sure"),
 		duplicates:  o.reg.Counter("path." + name + ".duplicates"),
 		leavesSwept: o.reg.Counter("path." + name + ".leaves_swept"),
 	}
@@ -365,6 +372,7 @@ type PathSnapshot struct {
 	Results     uint64            `json:"results"`
 	FalseHits   uint64            `json:"false_hits"`
 	Decided     uint64            `json:"decided"`
+	Sure        uint64            `json:"sure"`
 	Duplicates  uint64            `json:"duplicates"`
 	LeavesSwept uint64            `json:"leaves_swept"`
 	Latency     HistogramSnapshot `json:"latency"`
@@ -442,6 +450,7 @@ func (o *Observer) ObserverSnapshot() *Snapshot {
 			Results:     pm.results.Load(),
 			FalseHits:   pm.falseHits.Load(),
 			Decided:     pm.decided.Load(),
+			Sure:        pm.sure.Load(),
 			Duplicates:  pm.duplicates.Load(),
 			LeavesSwept: pm.leavesSwept.Load(),
 			Latency:     pm.ns.Snapshot(),
@@ -453,6 +462,7 @@ func (o *Observer) ObserverSnapshot() *Snapshot {
 		s.Totals.Results += ps.Results
 		s.Totals.FalseHits += ps.FalseHits
 		s.Totals.Decided += ps.Decided
+		s.Totals.Sure += ps.Sure
 		s.Totals.Duplicates += ps.Duplicates
 		s.Totals.LeavesSwept += ps.LeavesSwept
 		s.PathNames = append(s.PathNames, name)

@@ -195,6 +195,7 @@ type TraceSnapshot struct {
 	Results     int            `json:"results"`
 	FalseHits   int            `json:"false_hits"`
 	Decided     int            `json:"decided"`
+	Sure        int            `json:"sure"`
 	Duplicates  int            `json:"duplicates"`
 	LeavesSwept int            `json:"leaves_swept"`
 	Err         string         `json:"err,omitempty"`
@@ -216,6 +217,7 @@ func (t *Trace) querySnapshot() TraceSnapshot {
 		Results:     st.Results,
 		FalseHits:   st.FalseHits,
 		Decided:     st.Decided,
+		Sure:        st.Sure,
 		Duplicates:  st.Duplicates,
 		LeavesSwept: st.LeavesSwept,
 		Err:         errString(t.err),

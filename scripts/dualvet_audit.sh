@@ -305,6 +305,32 @@ mut kernel-stop internal/core/query.go "sweep kernel: the ascending continue tes
 			return es.Key(0) <= hi
 EOF
 
+# --- sure references: checked a word at a time against the version's live bits ---
+
+mut sure-unchecked internal/core/query.go "sure references: \`mark\` drops the live-word pass" <<'EOF'
+	tuples := ec.rs.tuples
+	for w := int(lo >> 6); w <= int(hi>>6); w++ {
+		if dead := sc.bits[w] &^ tuples.LiveWord(w); dead != 0 {
+			return 0, 0, 0, notInRelation(uint32(w<<6 + bits.TrailingZeros64(dead)))
+		}
+	}
+----
+EOF
+
+mut sure-id-bound internal/core/query.go "sure references: the live-word pass becomes \`tid ≤ MaxID\`" <<'EOF'
+	for w := int(lo >> 6); w <= int(hi>>6); w++ {
+		if dead := sc.bits[w] &^ tuples.LiveWord(w); dead != 0 {
+			return 0, 0, 0, notInRelation(uint32(w<<6 + bits.TrailingZeros64(dead)))
+		}
+	}
+----
+	for _, tid := range sc.sure {
+		if int(tid) > tuples.MaxID() {
+			return 0, 0, 0, notInRelation(tid)
+		}
+	}
+EOF
+
 # --- derived options: T1's pivot and the outer strip width ---
 
 mut catalog-derived-unchecked internal/core/persist.go "derived options: \`Open\` skips comparing the catalog's pivot and outer width with the derived ones" <<'EOF'
