@@ -6,12 +6,7 @@
 // A test package lives in <testdata>/src/<importpath>/. Imports are resolved
 // first against sibling testdata packages, then against the standard library
 // via the source importer (go/importer "source"), so golden files can model
-// cross-package shapes (a fake pagestore for errsink) without a module
-// proxy. Those shared fakes are stand-ins with stub bodies; a golden
-// package's own sub-packages (<importpath>/...) are real dependencies: the
-// analyzer runs over them first, and the summaries those runs export are the
-// golden package's imported bank — what the unit driver reads from
-// dependency vetx files.
+// cross-package shapes without a module proxy.
 //
 // Expectations are trailing comments on the offending line:
 //
@@ -39,7 +34,6 @@ import (
 	"sync"
 	"testing"
 
-	"dualcdb/internal/analysis/dataflow"
 	"dualcdb/internal/analysis/framework"
 )
 
@@ -73,38 +67,11 @@ func Run(t *testing.T, testdata string, a *framework.Analyzer, pkgpath string) {
 	if lp.err != nil {
 		t.Fatalf("loading %s: %v", pkgpath, lp.err)
 	}
-	imported := &dataflow.PackageSummaries{}
-	if err := importSummaries(testdata, pkgpath, lp.pkg, a, map[string]bool{}, imported); err != nil {
-		t.Fatalf("summarizing the imports of %s: %v", pkgpath, err)
-	}
-	diags, _, err := framework.RunPackage(fset, lp.files, lp.pkg, lp.info, []*framework.Analyzer{a}, imported)
+	diags, err := framework.RunPackage(fset, lp.files, lp.pkg, lp.info, []*framework.Analyzer{a})
 	if err != nil {
 		t.Fatalf("running %s on %s: %v", a.Name, pkgpath, err)
 	}
 	checkWants(t, lp.files, diags)
-}
-
-// importSummaries runs a over every sub-package of golden that pkg
-// imports, transitively and dependencies first, and merges the summaries
-// each run exports into out. Their diagnostics are not checked here.
-func importSummaries(testdata, golden string, pkg *types.Package, a *framework.Analyzer, seen map[string]bool, out *dataflow.PackageSummaries) error {
-	for _, imp := range pkg.Imports() {
-		path := imp.Path()
-		if !strings.HasPrefix(path, golden+"/") || seen[path] {
-			continue
-		}
-		seen[path] = true
-		dep := pkgCache[testdata+"\x00"+path]
-		if err := importSummaries(testdata, golden, dep.pkg, a, seen, out); err != nil {
-			return err
-		}
-		_, exported, err := framework.RunPackage(fset, dep.files, dep.pkg, dep.info, []*framework.Analyzer{a}, out)
-		if err != nil {
-			return err
-		}
-		out.Merge(exported)
-	}
-	return nil
 }
 
 func load(testdata, pkgpath string) *loadedPkg {

@@ -49,7 +49,7 @@ func exact(a, b float64) bool {
 			if err != nil {
 				t.Fatal(err)
 			}
-			diags, _, err := framework.RunPackage(fset, []*ast.File{f}, pkg, info, []*framework.Analyzer{floatcmp.Analyzer}, nil)
+			diags, err := framework.RunPackage(fset, []*ast.File{f}, pkg, info, []*framework.Analyzer{floatcmp.Analyzer})
 			if err != nil {
 				t.Fatal(err)
 			}

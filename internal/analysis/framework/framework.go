@@ -7,11 +7,7 @@
 // offline), so the subset of the go/analysis contract that dualvet needs is
 // implemented here against the standard library only: analyzers receive
 // parsed, type-checked syntax for one package and report position-anchored
-// diagnostics. The cross-package channel is the function-summary bank
-// (dataflow.PackageSummaries): the unit driver feeds each pass the summaries
-// decoded from its dependencies' vetx records, and analyzers export their own
-// package's summaries back for the unit's record — the stdlib-only stand-in
-// for go/analysis facts.
+// diagnostics.
 package framework
 
 import (
@@ -21,8 +17,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-
-	"dualcdb/internal/analysis/dataflow"
 )
 
 // An Analyzer describes one static check.
@@ -47,26 +41,6 @@ type Pass struct {
 	// Report records one diagnostic. Diagnostics suppressed by a
 	// //dualvet:allow comment are filtered by the engine, not by Report.
 	Report func(Diagnostic)
-	// Summaries holds the function summaries imported from this package's
-	// dependencies (decoded from their vetx records by the unit driver).
-	// Nil outside the driver; analyzers treat missing entries as unknown
-	// callees, which degrades to the intra-procedural behavior.
-	Summaries *dataflow.PackageSummaries
-	// exported accumulates the summaries this pass computed for its own
-	// package, destined for the unit's vetx record.
-	exported *dataflow.PackageSummaries
-}
-
-// Export merges s into the pass's exported summary bank, for the unit
-// driver to serialize into the vetx record.
-func (p *Pass) Export(s *dataflow.PackageSummaries) {
-	if s.Empty() {
-		return
-	}
-	if p.exported == nil {
-		p.exported = &dataflow.PackageSummaries{}
-	}
-	p.exported.Merge(s)
 }
 
 // Reportf reports a diagnostic at pos with a formatted message.
@@ -87,15 +61,12 @@ type Diagnostic struct {
 const AllowDirective = "//dualvet:allow"
 
 // RunPackage executes the analyzers over one type-checked package and
-// returns the surviving diagnostics in file/position order, plus the merged
-// summary bank the analyzers exported for this package (nil when none).
-// imported supplies cross-package summaries from the package's dependencies
-// (nil outside the unit driver). Diagnostics on lines carrying (or directly
-// below) a matching //dualvet:allow comment are dropped.
-func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer, imported *dataflow.PackageSummaries) ([]Diagnostic, *dataflow.PackageSummaries, error) {
+// returns the surviving diagnostics in file/position order. Diagnostics on
+// lines carrying (or directly below) a matching //dualvet:allow comment are
+// dropped.
+func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Diagnostic, error) {
 	allow := collectAllows(fset, files)
 	var out []Diagnostic
-	var exported *dataflow.PackageSummaries
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer:  a,
@@ -103,7 +74,6 @@ func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info
 			Files:     files,
 			Pkg:       pkg,
 			TypesInfo: info,
-			Summaries: imported,
 		}
 		name := a.Name
 		pass.Report = func(d Diagnostic) {
@@ -114,13 +84,7 @@ func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info
 			out = append(out, d)
 		}
 		if err := a.Run(pass); err != nil {
-			return nil, nil, fmt.Errorf("analyzer %s: %w", a.Name, err)
-		}
-		if pass.exported != nil {
-			if exported == nil {
-				exported = &dataflow.PackageSummaries{}
-			}
-			exported.Merge(pass.exported)
+			return nil, fmt.Errorf("analyzer %s: %w", a.Name, err)
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool {
@@ -133,7 +97,7 @@ func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info
 		}
 		return pi.Column < pj.Column
 	})
-	return out, exported, nil
+	return out, nil
 }
 
 // allowSet maps filename → line → analyzer names allowed on that line.
@@ -205,9 +169,9 @@ func NewInfo() *types.Info {
 	}
 }
 
-// IsTestFile reports whether the file's name ends in _test.go. Analyzers
-// whose invariants do not apply to test assertions (floatcmp, errsink) use
-// it to skip test files.
+// IsTestFile reports whether the file's name ends in _test.go. floatcmp,
+// whose invariant does not apply to test assertions, uses it to skip test
+// files.
 func IsTestFile(fset *token.FileSet, f *ast.File) bool {
 	return strings.HasSuffix(fset.Position(f.Package).Filename, "_test.go")
 }

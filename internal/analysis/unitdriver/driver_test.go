@@ -8,12 +8,12 @@ import (
 	"testing"
 )
 
-// TestVetxCarriesSummariesAcrossPackages drives the built tool end to end
-// through the go command on a two-package module: package b calls a's Stats
-// while holding the mutex Stats takes, which lockset can see only through
-// the lock summary a's vetx file carries. The standalone -annotations form
-// must print that finding as a ::error line, and the run must fail.
-func TestVetxCarriesSummariesAcrossPackages(t *testing.T) {
+// TestAnnotationsReportFloatcmp drives the built tool end to end through the
+// go command on a two-package module: package b compares two floats exactly.
+// The standalone -annotations form must print that finding as a ::error
+// line, and the run must fail; package a, which compares within a tolerance,
+// must stay silent.
+func TestAnnotationsReportFloatcmp(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the tool and runs go vet")
 	}
@@ -27,27 +27,17 @@ func TestVetxCarriesSummariesAcrossPackages(t *testing.T) {
 		"go.mod": "module tmpmod\n\ngo 1.22\n",
 		"a/a.go": `package a
 
-import "sync"
-
-type Shard struct {
-	Mu sync.Mutex
-	n  int
-}
-
-func (s *Shard) Stats() int {
-	s.Mu.Lock()
-	defer s.Mu.Unlock()
-	return s.n
+func Near(x, y float64) bool {
+	d := x - y
+	return d < 1e-9 && -d < 1e-9
 }
 `,
 		"b/b.go": `package b
 
 import "tmpmod/a"
 
-func Locked(s *a.Shard) int {
-	s.Mu.Lock()
-	defer s.Mu.Unlock()
-	return s.Stats()
+func Same(x, y float64) bool {
+	return a.Near(x, y) || x == y
 }
 `,
 	} {
@@ -66,10 +56,13 @@ func Locked(s *a.Shard) int {
 	cmd.Stdout = &stdout
 	err := cmd.Run()
 	if _, failed := err.(*exec.ExitError); !failed {
-		t.Fatalf("dualvet on a re-entrant call: %v, want a failing exit", err)
+		t.Fatalf("dualvet on an exact float comparison: %v, want a failing exit", err)
 	}
-	want := "::error file=b/b.go,line=8,col=9,title=dualvet lockset::s.Mu is acquired again through s.Stats()"
-	if !strings.Contains(stdout.String(), want) {
-		t.Fatalf("stdout lacks %q:\n%s", want, stdout.String())
+	out := stdout.String()
+	if want := "::error file=b/b.go,line=6,col="; !strings.Contains(out, want) || !strings.Contains(out, "title=dualvet floatcmp::") {
+		t.Fatalf("stdout lacks a floatcmp ::error line for b/b.go:6:\n%s", out)
+	}
+	if strings.Contains(out, "a/a.go") {
+		t.Fatalf("a diagnostic on a/a.go, which compares within a tolerance:\n%s", out)
 	}
 }

@@ -12,13 +12,10 @@
 // through go/importer with a lookup into those files, runs the analyzers and
 // prints diagnostics to stderr (exit status 1 when there are any).
 //
-// The fact file (.vetx) this driver writes is how function summaries cross
-// packages: it holds the unit's import path and the summary bank its
-// analyzers exported (obligation, borrow and lock transfer per function).
-// Dependency vetx files arrive back through Config.PackageVetx and feed the
-// interprocedural analyzers. Caching is the go command's: it keys each vet
-// action on the tool's -V=full identity and the unit's inputs, dependency
-// vetx files included, so an unchanged unit is not re-run at all.
+// The go vet protocol expects a fact file (.vetx) from every unit; the
+// analyzers here export no facts, so it holds only the unit's import path.
+// Caching is the go command's: it keys each vet action on the tool's -V=full
+// identity and the unit's inputs, so an unchanged unit is not re-run at all.
 //
 // Invoked with package patterns instead of a .cfg file, the driver re-executes
 // itself through `go vet -vettool=<self>`, which provides the standalone
@@ -43,10 +40,8 @@ import (
 	"os"
 	"os/exec"
 	"regexp"
-	"sort"
 	"strings"
 
-	"dualcdb/internal/analysis/dataflow"
 	"dualcdb/internal/analysis/framework"
 )
 
@@ -72,12 +67,9 @@ type Config struct {
 	SucceedOnTypecheckFailure bool
 }
 
-// vetxRecord is the JSON body of a vetx file. Summaries holds only
-// "interesting" entries (anything a caller could not assume from the
-// unknown-callee default); a VetxOnly unit writes the record without them.
+// vetxRecord is the JSON body of a vetx file.
 type vetxRecord struct {
-	ImportPath string                     `json:"import_path"`
-	Summaries  *dataflow.PackageSummaries `json:"summaries,omitempty"`
+	ImportPath string `json:"import_path"`
 }
 
 // Main is the entry point of a dualvet-style vet tool.
@@ -118,7 +110,7 @@ func Main(analyzers ...*framework.Analyzer) {
 	}
 	args := fs.Args()
 	if len(args) != 1 || !strings.HasSuffix(args[0], ".cfg") {
-		fmt.Fprintf(os.Stderr, `%[1]s enforces the dualcdb resource and concurrency invariants.
+		fmt.Fprintf(os.Stderr, `%[1]s enforces the dualcdb float comparison discipline.
 
 Usage:
 	%[1]s [packages]               # runs go vet -vettool=%[1]s [packages]
@@ -220,7 +212,7 @@ func runUnit(cfgFile string, analyzers []*framework.Analyzer) int {
 	rec := vetxRecord{ImportPath: cfg.ImportPath}
 	if cfg.VetxOnly {
 		// Dependency unit outside the patterns: the go command only wants
-		// the fact file, and nothing was analyzed to fill it.
+		// the fact file.
 		writeVetx(cfg, rec)
 		return 0
 	}
@@ -253,11 +245,10 @@ func runUnit(cfgFile string, analyzers []*framework.Analyzer) int {
 		log.Fatal(err)
 	}
 
-	diags, exported, err := framework.RunPackage(fset, files, pkg, info, analyzers, depSummaries(cfg))
+	diags, err := framework.RunPackage(fset, files, pkg, info, analyzers)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rec.Summaries = exported
 	writeVetx(cfg, rec)
 	for _, d := range diags {
 		fmt.Fprintf(os.Stderr, "%s: %s [dualvet:%s]\n", fset.Position(d.Pos), d.Message, d.Analyzer)
@@ -266,33 +257,6 @@ func runUnit(cfgFile string, analyzers []*framework.Analyzer) int {
 		return 1
 	}
 	return 0
-}
-
-// depSummaries decodes and merges the summary banks of every dependency
-// vetx record the go command handed us. An unreadable record contributes
-// nothing: its functions degrade to unknown callees, which every analyzer
-// treats soundly.
-func depSummaries(cfg *Config) *dataflow.PackageSummaries {
-	deps := make([]string, 0, len(cfg.PackageVetx))
-	for dep := range cfg.PackageVetx {
-		deps = append(deps, dep)
-	}
-	sort.Strings(deps)
-	merged := &dataflow.PackageSummaries{}
-	for _, dep := range deps {
-		data, err := os.ReadFile(cfg.PackageVetx[dep])
-		if err != nil {
-			continue
-		}
-		var rec vetxRecord
-		if json.Unmarshal(data, &rec) == nil {
-			merged.Merge(rec.Summaries)
-		}
-	}
-	if merged.Empty() {
-		return nil
-	}
-	return merged
 }
 
 // writeVetx persists rec as the unit's fact file for the go command.

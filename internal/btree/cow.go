@@ -63,17 +63,25 @@ func (t *Tree) CommitCOW() []pagestore.PageID {
 
 // AbortCOW discards the batch: every batch-owned page is freed and the
 // root metadata reverts to its BeginCOW value. The published tree was never
-// touched, so aborting is invisible to readers.
+// touched, so aborting is invisible to readers. A page that fails to free is
+// handed to the pool's reclamation, which retries it, and the first such
+// error is returned.
 func (t *Tree) AbortCOW() error {
 	if t.cow == nil {
 		panic("btree: AbortCOW without an open batch")
 	}
 	var err error
+	var failed []pagestore.PageID
 	for id := range t.cow.owned {
-		if ferr := t.pool.FreePage(id); ferr != nil && err == nil {
-			err = ferr
+		if ferr := t.pool.FreePage(id); ferr != nil {
+			failed = append(failed, id)
+			if err == nil {
+				err = ferr
+			}
 		}
 	}
+	// No version ever reached these pages: reclamation may free them at once.
+	t.pool.DeferFrees(0, failed)
 	m := t.cow.savedMeta
 	t.root, t.hgt, t.size, t.pages, t.rootExt = m.Root, m.Height, m.Size, m.Pages, t.cow.savedExt
 	t.pendingFree = t.pendingFree[:0]
@@ -134,7 +142,12 @@ func (t *Tree) freeOrSupersede(id pagestore.PageID) error {
 			t.cow.superseded = append(t.cow.superseded, id)
 			return nil
 		}
+		// Owned until freed: AbortCOW frees it if this fails.
+		if err := t.pool.FreePage(id); err != nil {
+			return err
+		}
 		delete(t.cow.owned, id)
+		return nil
 	}
 	return t.pool.FreePage(id)
 }

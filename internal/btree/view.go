@@ -35,9 +35,9 @@ func parseMeta(data []byte) viewMeta {
 // A view BORROWS the frame it was built from. It is valid only while that
 // pin is held: Release hands the frame back to the pool, which recycles
 // the buffer for other pages, so a view used after its frame's Release
-// reads another page's bytes. The dualvet pinleak analyzer machine-checks
-// this lifecycle (a view must not be used after, or escape past, its
-// frame's release); EnableViewGuard adds a runtime check for tests.
+// reads another page's bytes. EnableViewGuard checks this lifecycle at run
+// time (a view must not be used after its frame's release); every btree and
+// core test runs with it on.
 type nodeView struct {
 	frame    *pagestore.Frame
 	data     []byte
@@ -54,8 +54,8 @@ func (n node) view() nodeView {
 }
 
 // viewGuard enables the runtime borrow check on every LeafView accessor.
-// Off by default: the guard costs one atomic load per accessor, and the
-// static analyzer is the primary enforcement.
+// Off by default: the guard costs one atomic load per accessor. The btree
+// and core tests turn it on in TestMain.
 var viewGuard atomic.Bool
 
 // EnableViewGuard switches the runtime view-borrow guard on or off

@@ -158,8 +158,6 @@ func TestViewMetaMatchesReference(t *testing.T) {
 // frame merely sits unpinned, or was recycled and is pinned again at read
 // time, for another page or for the same page id read back after EvictAll.
 func TestViewGuardCatchesUseAfterRelease(t *testing.T) {
-	EnableViewGuard(true)
-	defer EnableViewGuard(false)
 
 	pool := pagestore.NewPool(pagestore.NewMemStore(256), 8)
 	tr, err := New(pool, Config{HandicapKinds: []SlotKind{MinSlot}})
@@ -234,8 +232,6 @@ func TestViewGuardCatchesUseAfterRelease(t *testing.T) {
 // callback, with the frame pinned, guarded accessors and the entry region
 // must work normally and agree.
 func TestViewGuardAllowsUseWhilePinned(t *testing.T) {
-	EnableViewGuard(true)
-	defer EnableViewGuard(false)
 	tr, _ := newTestTree(t, 256, []SlotKind{MinSlot})
 	for i := 0; i < 100; i++ {
 		_ = tr.Insert(float64(i), uint32(i+1))

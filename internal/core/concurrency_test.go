@@ -66,10 +66,13 @@ func TestConcurrentQueries(t *testing.T) {
 // TestConcurrentReadersWithWriter is the MVCC stress test, meant to run
 // under -race: one writer goroutine commits inserts and deletes while
 // reader goroutines run single queries, batches, pinned snapshots and
-// stats reads. Before the copy-on-write root sets this raced on the
-// trees' pages, ix.indexed and the relation map; now every reader pins a
-// version with one atomic load and must see internally consistent
-// answers no matter how commits interleave.
+// stats reads for as long as the writer runs. Before the copy-on-write root
+// sets this raced on the trees' pages, ix.indexed and the relation map; now
+// every reader pins a version with one atomic load and must see internally
+// consistent answers no matter how commits interleave. One reader runs only
+// 2-D queries at slopes outside every strip, whose sweeps read the pinned
+// version's x-extent table: a field a commit wrote after publishing the
+// version races with it.
 func TestConcurrentReadersWithWriter(t *testing.T) {
 	for _, c := range engineCases {
 		t.Run(c.name, func(t *testing.T) { testConcurrentReadersWithWriter(t, c) })
@@ -81,17 +84,18 @@ func testConcurrentReadersWithWriter(t *testing.T, ec engineCase) {
 	_, ix := buildCase(t, ec, rng, 200, nil)
 
 	const (
-		readers          = 4
-		queriesPerReader = 100
-		writerOps        = 250
+		readers   = 4
+		writerOps = 250
 	)
 	var wg sync.WaitGroup
+	writing := make(chan struct{})
 
 	// Writer: mostly single-op commits, with the occasional multi-op
 	// batch, against the live index.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer close(writing)
 		wrng := rand.New(rand.NewSource(72))
 		var ids []constraint.TupleID
 		ix.roots.Load().tuples.Scan(func(t *constraint.Tuple) bool {
@@ -133,6 +137,34 @@ func testConcurrentReadersWithWriter(t *testing.T, ec engineCase) {
 		}
 	}()
 
+	// The outside reader: queries at slopes outside every strip of the 2-D
+	// slope set, on the t2(outside) path where the index runs T2.
+	if ec.dim == 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rrng := rand.New(rand.NewSource(99))
+			for {
+				select {
+				case <-writing:
+					return
+				default:
+				}
+				q := ec.query(rrng)
+				q.Slope[0] = (30 + 20*rrng.Float64()) * float64(1-2*rrng.Intn(2))
+				res, err := ix.Query(q)
+				if err != nil {
+					t.Errorf("outside reader: %v", err)
+					return
+				}
+				if ix.opt.Technique == T2 && res.Stats.Path != "t2(outside)" {
+					t.Errorf("outside reader: %v ran on path %q", q, res.Stats.Path)
+					return
+				}
+			}
+		}()
+	}
+
 	// Readers: every query path pins a version (explicitly or per call),
 	// and re-running a query on a pinned snapshot must be bit-identical
 	// even while commits land underneath.
@@ -141,7 +173,12 @@ func testConcurrentReadersWithWriter(t *testing.T, ec engineCase) {
 		go func(seed int64) {
 			defer wg.Done()
 			rrng := rand.New(rand.NewSource(seed))
-			for i := 0; i < queriesPerReader; i++ {
+			for i := 0; ; i++ {
+				select {
+				case <-writing:
+					return
+				default:
+				}
 				q := ec.query(rrng)
 				switch i % 4 {
 				case 0: // per-call snapshot

@@ -38,7 +38,7 @@ type Index struct {
 	// tree at 2i+1, then the optional vertical pair (footnote 4 /
 	// Options.IndexVertical) over supX and infX for x θ c selections. A
 	// rootSet lists a version's frozen handles in the same order.
-	trees []*btree.Tree //dualvet:guarded=writeMu
+	trees []*btree.Tree // guarded by writeMu
 
 	// roots is the current published rootSet (mvcc.go): readers load it
 	// with one atomic pointer read and never lock. writeMu serializes
@@ -51,10 +51,13 @@ type Index struct {
 
 	// Persistence bookkeeping (see persist.go). catalog is the catalog
 	// page (InvalidPage when the index shares a pool and cannot persist);
-	// tupleChain heads the serialized-relation page chain after a Save.
+	// tupleChain heads the serialized-relation page chain after a Save, of
+	// dataPages pages; staleChain holds pages of superseded chains a Save
+	// has yet to free.
 	catalog    pagestore.PageID
 	tupleChain pagestore.PageID
 	dataPages  int
+	staleChain []pagestore.PageID
 }
 
 // IndexD is the name the d-dimensional constructors return the engine

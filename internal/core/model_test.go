@@ -504,15 +504,15 @@ func (h *engineHistory) reopen() {
 		}
 	}
 	h.rel, h.ix, h.live, h.cov.reopened = rel, ix, reopened, true
-	h.leaked = file.NumAllocated() - h.storedPages()
+	h.leaked = file.NumAllocated() - storedPages(h.ix)
 	ix.SetObserver(h.obs)
 }
 
-// storedPages is what the index references in its store: its trees' pages,
+// storedPages is what an index references in its store: its trees' pages,
 // the catalog page and the saved tuple chain.
-func (h *engineHistory) storedPages() int {
-	n := h.ix.Pages() + h.ix.dataPages
-	if h.ix.catalog != pagestore.InvalidPage {
+func storedPages(ix *Index) int {
+	n := ix.Pages() + ix.dataPages
+	if ix.catalog != pagestore.InvalidPage {
 		n++
 	}
 	return n
@@ -819,7 +819,7 @@ func runEngineHistory(t testing.TB, c engineCase, data []byte, cov *engineCovera
 	h.checkAll()
 	// With no batch open and no snapshot pinned every superseded page is
 	// reclaimed: the store holds the live version's pages and nothing else.
-	if got, want := h.ix.Pool().Store().NumAllocated(), h.storedPages()+h.leaked; got != want {
+	if got, want := h.ix.Pool().Store().NumAllocated(), storedPages(h.ix)+h.leaked; got != want {
 		h.fatalf("store holds %d pages; the live version references %d, and a reopen leaked %d", got, want-h.leaked, h.leaked)
 	}
 }

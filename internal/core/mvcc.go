@@ -222,8 +222,8 @@ var errSnapshotReleased = errors.New("core: use of released snapshot")
 // Snapshot is a pinned, immutable view of the index: every query it runs
 // sees exactly the tuples and tree contents of one committed version,
 // regardless of concurrent commits. A Snapshot holds superseded pages of
-// later commits in memory until Release — release it promptly (the
-// dualvet snapleak analyzer flags paths that don't).
+// later commits in memory until Release — release it promptly
+// (SnapshotCensus counts the snapshots still held).
 type Snapshot struct {
 	ix       *Index
 	rs       *rootSet

@@ -274,10 +274,9 @@ func TestObservedCompoundQueries(t *testing.T) {
 	}
 }
 
-// TestFailedQueryClosesRefineSpan pins the error-path span discipline the
-// interprocedural spanleak sweep enforces: a refinement that aborts on a
-// tuple-fetch error must still End its span, so the failed query's trace
-// records the refine stage instead of dropping it. The dangling id comes
+// TestFailedQueryClosesRefineSpan pins the error-path span discipline: a
+// refinement that aborts on a tuple-fetch error must still End its span, so
+// the failed query's trace records the refine stage instead of dropping it. The dangling id comes
 // from deleting a tuple after the build — the index still sweeps it up as
 // a candidate, and refinement's Relation.Get fails.
 func TestFailedQueryClosesRefineSpan(t *testing.T) {
@@ -472,7 +471,7 @@ func TestObservedDocumentShapes(t *testing.T) {
 		path.t2.candidates path.t2.count path.t2.decided path.t2.duplicates path.t2.false_hits
 		path.t2.leaves_swept path.t2.ns path.t2.pages path.t2.results path.t2.sure pool.evictions.old
 		pool.evictions.young pool.logical_reads pool.physical_reads pool.residency pool.snapshots
-		pool.writes queries.errors queries.inflight queries.slow queries.total stage.dedup.items
+		pool.writes queries.errors queries.inflight queries.slow queries.total spans.unclosed stage.dedup.items
 		stage.dedup.ns stage.dedup.pages stage.refine.items stage.refine.ns stage.refine.pages
 		stage.route.items stage.route.ns stage.route.pages stage.sweep.items stage.sweep.ns
 		stage.sweep.pages stage.sweep2.items stage.sweep2.ns stage.sweep2.pages sweeps

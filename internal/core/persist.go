@@ -72,25 +72,26 @@ func (ix *Index) Save() error {
 	if err != nil {
 		return err
 	}
-	head, pages, err := writeChain(ix.pool, data)
-	if err != nil {
-		return err
-	}
-	// Free the previous tuple chain, if any.
-	if ix.tupleChain != pagestore.InvalidPage {
-		if err := freeChain(ix.pool, ix.tupleChain); err != nil {
-			return err
-		}
-		ix.dataPages = 0
-	}
-	ix.tupleChain = head
-	ix.dataPages = pages
-
 	f, err := ix.pool.Get(ix.catalog)
 	if err != nil {
 		return err
 	}
 	defer f.Release()
+	// The previous tuple chain is freed only once the catalog that replaces
+	// it is flushed; until then the store's saved state is the previous one.
+	if ix.tupleChain != pagestore.InvalidPage {
+		old, err := walkChain(ix.pool, ix.tupleChain, nil)
+		if err != nil {
+			return err
+		}
+		ix.staleChain, ix.tupleChain, ix.dataPages = append(ix.staleChain, old...), pagestore.InvalidPage, 0
+	}
+	head, pages, err := writeChain(ix.pool, data)
+	if err != nil {
+		return err
+	}
+	ix.tupleChain, ix.dataPages = head, pages
+
 	d := f.Data()
 	for i := range d {
 		d[i] = 0
@@ -122,7 +123,22 @@ func (ix *Index) Save() error {
 		off += 16
 	}
 	f.MarkDirty()
-	return ix.pool.Flush()
+	if err := ix.pool.Flush(); err != nil {
+		return err
+	}
+	return ix.freeStaleChain()
+}
+
+// freeStaleChain frees the pages of superseded tuple chains. A page that
+// fails to free stays queued, with those after it, for the next Save.
+func (ix *Index) freeStaleChain() error {
+	for len(ix.staleChain) > 0 {
+		if err := ix.pool.FreePage(ix.staleChain[0]); err != nil {
+			return err
+		}
+		ix.staleChain = ix.staleChain[1:]
+	}
+	return nil
 }
 
 // ErrCatalog is returned by Open when page 1 is not a catalog this version
@@ -359,21 +375,24 @@ func decodeRelation(data []byte, count, dim int) (*constraint.Relation, error) {
 }
 
 // writeChain stores data in a linked chain of pages: each page holds a
-// 4-byte next pointer followed by payload bytes.
+// 4-byte next pointer followed by payload bytes. On error it frees the pages
+// it allocated.
 func writeChain(pool *pagestore.Pool, data []byte) (pagestore.PageID, int, error) {
 	payload := pool.PageSize() - chainHeaderLen
-	var head, prevID pagestore.PageID
+	var ids []pagestore.PageID
 	var prev *pagestore.Frame
-	pages := 0
 	for off := 0; off == 0 || off < len(data); off += payload {
 		f, err := pool.NewPage()
 		if err != nil {
+			if prev != nil {
+				prev.Release()
+			}
+			for _, id := range ids {
+				err = errors.Join(err, pool.FreePage(id))
+			}
 			return pagestore.InvalidPage, 0, err
 		}
-		pages++
-		if head == pagestore.InvalidPage {
-			head = f.ID()
-		}
+		ids = append(ids, f.ID())
 		if prev != nil {
 			binary.LittleEndian.PutUint32(prev.Data()[0:4], uint32(f.ID()))
 			prev.MarkDirty()
@@ -387,15 +406,12 @@ func writeChain(pool *pagestore.Pool, data []byte) (pagestore.PageID, int, error
 			copy(f.Data()[chainHeaderLen:], data[off:end])
 		}
 		f.MarkDirty()
-		prev, prevID = f, f.ID()
+		prev = f
 	}
-	_ = prevID
-	if prev != nil {
-		binary.LittleEndian.PutUint32(prev.Data()[0:4], 0)
-		prev.MarkDirty()
-		prev.Release()
-	}
-	return head, pages, nil
+	binary.LittleEndian.PutUint32(prev.Data()[0:4], 0)
+	prev.MarkDirty()
+	prev.Release()
+	return ids[0], len(ids), nil
 }
 
 // walkChain visits the payload of every page of the chain starting at
@@ -433,18 +449,4 @@ func readChain(pool *pagestore.Pool, head pagestore.PageID) ([]byte, int, error)
 		return nil, 0, err
 	}
 	return out, len(ids), nil
-}
-
-// freeChain releases a page chain.
-func freeChain(pool *pagestore.Pool, head pagestore.PageID) error {
-	ids, err := walkChain(pool, head, nil)
-	if err != nil {
-		return err
-	}
-	for _, id := range ids {
-		if err := pool.FreePage(id); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -158,15 +158,15 @@ func (ix *Index) queryTuple(kind constraint.QueryKind, qt *constraint.Tuple, ec 
 		ids := candidate[:0]
 		for _, id := range candidate {
 			if needRefine {
-				t, err := ec.rs.candidate(uint32(id))
-				if err != nil {
-					ec.endSpan(rf, 0)
-					return TupleResult{}, err
-				}
+				// The lookup and the predicate share one error return, which
+				// closes the refine span.
 				var ok bool
-				if kind == constraint.ALL {
+				t, err := ec.rs.candidate(uint32(id))
+				switch {
+				case err != nil:
+				case kind == constraint.ALL:
 					ok, err = constraint.TupleALL(qt, t)
-				} else {
+				default:
 					ok, err = constraint.TupleEXIST(qt, t)
 				}
 				if err != nil {

@@ -51,8 +51,7 @@ func (o *Observer) FinishCommit(tr *Trace, info CommitInfo) {
 	}
 	o.commitInflight.Add(-1)
 	tr.commit = info
-	spans := tr.finish()
-	sum := o.fold(spans)
+	spans, sum := o.finish(tr)
 	cloned, freed := sum[0], sum[1]
 
 	// commits.total and the latency/fan-out histograms cover published

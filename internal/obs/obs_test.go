@@ -138,6 +138,33 @@ func TestObserverAggregates(t *testing.T) {
 	}
 }
 
+// TestUnclosedSpansCounted: a span begun and never ended shows up in the
+// observer's count when its query or commit finishes; ended spans do not.
+func TestUnclosedSpansCounted(t *testing.T) {
+	o := New(Options{})
+	tr := o.StartQuery("exist y >= x")
+	tr.Begin(StageSweep, 0, 0).End(1, 0, 3)
+	tr.Begin(StageRefine, 1, 0) // an error path that skipped End
+	o.FinishQuery(tr, QueryStats{Path: "t2"}, fmt.Errorf("boom"))
+	if n := o.ObserverSnapshot().UnclosedSpans; n != 1 {
+		t.Fatalf("after a query with one span left open: %d unclosed, want 1", n)
+	}
+	tr = o.StartCommit()
+	tr.Begin(StageStaging, 0, 0).End(0, 0, 1)
+	tr.Begin(StagePublish, 0, 0)
+	tr.Begin(StageReclaim, 0, 0)
+	o.FinishCommit(tr, CommitInfo{Op: "insert", Version: 2})
+	if n := o.ObserverSnapshot().UnclosedSpans; n != 3 {
+		t.Fatalf("after a commit with two spans left open: %d unclosed, want 3", n)
+	}
+	tr = o.StartQuery("all y <= 0")
+	tr.Begin(StageRoute, 0, 0).End(0, 0, 0)
+	o.FinishQuery(tr, QueryStats{Path: "restricted"}, nil)
+	if n := o.Registry().Counter("spans.unclosed").Load(); n != 3 {
+		t.Fatalf("a query that ended its spans moved the count to %d", n)
+	}
+}
+
 func TestSlowQueryLogAndRing(t *testing.T) {
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewJSONHandler(&buf, nil))

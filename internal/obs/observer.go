@@ -81,6 +81,8 @@ type Observer struct {
 	batchNs  *Histogram
 
 	stages [NumStages]stageMetrics
+	// unclosed sums, over finished traces, the spans begun and never ended.
+	unclosed *Counter
 
 	// Write-path aggregates (commit.go): commit counters, the COW clone
 	// fan-out and snapshot-age histograms.
@@ -100,7 +102,7 @@ type Observer struct {
 	slowCommitRing ring
 
 	mu    sync.RWMutex
-	paths map[string]*pathMetrics //dualvet:guarded=mu
+	paths map[string]*pathMetrics // guarded by mu
 }
 
 // stageMetrics aggregates one stage across all observed queries or
@@ -157,6 +159,7 @@ func New(opt Options) *Observer {
 		}
 		m.items = o.reg.Counter(name + "items")
 	}
+	o.unclosed = o.reg.Counter("spans.unclosed")
 	o.commits = o.reg.Counter("commits.total")
 	o.commitAborts = o.reg.Counter("commits.aborted")
 	o.abortFault = o.reg.Counter("commits.aborted.fault")
@@ -200,8 +203,7 @@ func (o *Observer) FinishQuery(tr *Trace, st QueryStats, err error) {
 	}
 	o.inflight.Add(-1)
 	tr.stats, tr.err = st, err
-	spans := tr.finish()
-	o.fold(spans)
+	spans, _ := o.finish(tr)
 
 	o.queries.Inc()
 	if err != nil {
@@ -236,6 +238,17 @@ func (o *Observer) FinishQuery(tr *Trace, st QueryStats, err error) {
 			slog.Int("leaves_swept", st.LeavesSwept),
 		)
 	}
+}
+
+// finish finishes tr, counts its unclosed spans and folds its spans into
+// the per-stage metrics; it returns the spans and the sums of their counter
+// deltas.
+func (o *Observer) finish(tr *Trace) ([]Span, [2]uint64) {
+	spans, unclosed := tr.finish()
+	if unclosed > 0 {
+		o.unclosed.Add(uint64(unclosed))
+	}
+	return spans, o.fold(spans)
 }
 
 // fold adds finished spans to the per-stage metrics and returns the sums
@@ -393,6 +406,9 @@ type Snapshot struct {
 	Paths        map[string]PathSnapshot  `json:"paths"`
 	Stages       map[string]StageSnapshot `json:"stages"`
 	PathNames    []string                 `json:"-"`
+	// UnclosedSpans counts the stage spans finished queries and commits
+	// began and never ended: nonzero only if an error path skipped an End.
+	UnclosedSpans uint64 `json:"unclosed_spans"`
 
 	// Write-path aggregates. AbortsFault/AbortsExplicit split
 	// CommitAborts by cause; CommitStages is keyed by stage name
@@ -423,6 +439,7 @@ func (o *Observer) ObserverSnapshot() *Snapshot {
 		Inflight:       o.inflight.Load(),
 		Batches:        o.batches.Load(),
 		BatchLatency:   o.batchNs.Snapshot(),
+		UnclosedSpans:  o.unclosed.Load(),
 		Paths:          make(map[string]PathSnapshot),
 		Stages:         make(map[string]StageSnapshot),
 		Commits:        o.commits.Load(),

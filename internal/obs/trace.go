@@ -2,6 +2,7 @@ package obs
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -79,8 +80,12 @@ type Trace struct {
 	query string // the query's text; empty on a commit trace
 	begun time.Time
 
+	// opened counts the spans Begin opened; those not among spans when the
+	// trace finishes were never ended (an error path that skipped End).
+	opened atomic.Int32
+
 	mu    sync.Mutex
-	spans []Span //dualvet:guarded=mu
+	spans []Span // guarded by mu
 
 	// The outcome, stamped by FinishQuery or FinishCommit before the trace
 	// enters a ring, and not written after.
@@ -101,6 +106,7 @@ func (t *Trace) Begin(stage Stage, c0, c1 uint64) SpanTimer {
 	if t == nil {
 		return SpanTimer{}
 	}
+	t.opened.Add(1)
 	return SpanTimer{tr: t, stage: stage, start: time.Now(), base: [2]uint64{c0, c1}}
 }
 
@@ -132,14 +138,14 @@ func (s SpanTimer) End(c0, c1 uint64, items int) {
 	s.tr.mu.Unlock()
 }
 
-// finish stamps the total latency and returns the recorded spans. An
-// operation finishes after its last stage ends, so nothing appends to the
-// returned slice.
-func (t *Trace) finish() []Span {
+// finish stamps the total latency and returns the recorded spans and the
+// number of spans begun and not ended. An operation finishes after its last
+// stage ends, so nothing appends to the returned slice.
+func (t *Trace) finish() ([]Span, int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.total = time.Since(t.begun)
-	return t.spans
+	return t.spans, int(t.opened.Load()) - len(t.spans)
 }
 
 // ringCapacity is how many finished traces each ring keeps: the slow-query
@@ -150,8 +156,8 @@ const ringCapacity = 64
 // oldest.
 type ring struct {
 	mu   sync.Mutex
-	buf  [ringCapacity]*Trace //dualvet:guarded=mu
-	next int                  //dualvet:guarded=mu
+	buf  [ringCapacity]*Trace // guarded by mu
+	next int                  // guarded by mu
 }
 
 func (r *ring) add(tr *Trace) {

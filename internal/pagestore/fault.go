@@ -22,6 +22,7 @@ type FaultStore struct {
 	readAfter  int
 	writeAfter int
 	allocAfter int
+	freeAfter  int
 }
 
 // NewFaultStore wraps inner.
@@ -48,11 +49,18 @@ func (s *FaultStore) FailAllocAfter(n int) {
 	s.allocAfter = n
 }
 
+// FailFreeAfter arms the free fault.
+func (s *FaultStore) FailFreeAfter(n int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.freeAfter = n
+}
+
 // Disarm clears all pending faults.
 func (s *FaultStore) Disarm() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.readAfter, s.writeAfter, s.allocAfter = 0, 0, 0
+	s.readAfter, s.writeAfter, s.allocAfter, s.freeAfter = 0, 0, 0, 0
 }
 
 func trip(counter *int) bool {
@@ -77,8 +85,17 @@ func (s *FaultStore) Alloc() (PageID, error) {
 	return s.inner.Alloc()
 }
 
-// Free forwards to the inner store.
-func (s *FaultStore) Free(id PageID) error { return s.inner.Free(id) }
+// Free forwards to the inner store unless the free fault trips; a tripped
+// free leaves the page allocated.
+func (s *FaultStore) Free(id PageID) error {
+	s.mu.Lock()
+	tripped := trip(&s.freeAfter)
+	s.mu.Unlock()
+	if tripped {
+		return ErrInjected
+	}
+	return s.inner.Free(id)
+}
 
 // ReadPage forwards unless the read fault trips.
 func (s *FaultStore) ReadPage(id PageID, buf []byte) error {

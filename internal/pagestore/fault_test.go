@@ -42,6 +42,29 @@ func TestFaultStoreWriteAndAllocFaults(t *testing.T) {
 	}
 }
 
+func TestFaultStoreFreeFault(t *testing.T) {
+	fs := NewFaultStore(NewMemStore(64))
+	a, _ := fs.Alloc()
+	b, _ := fs.Alloc()
+	fs.FailFreeAfter(1)
+	if err := fs.Free(a); !errors.Is(err, ErrInjected) {
+		t.Fatalf("free fault: %v", err)
+	}
+	if n := fs.NumAllocated(); n != 2 {
+		t.Fatalf("a failed free released its page: %d allocated, want 2", n)
+	}
+	fs.FailFreeAfter(2)
+	fs.Disarm()
+	for _, id := range []PageID{a, b} {
+		if err := fs.Free(id); err != nil {
+			t.Fatalf("disarmed free of %d: %v", id, err)
+		}
+	}
+	if n := fs.NumAllocated(); n != 0 {
+		t.Fatalf("%d pages allocated after freeing both", n)
+	}
+}
+
 func TestPoolSurfacesReadFault(t *testing.T) {
 	fs := NewFaultStore(NewMemStore(64))
 	pool := NewPool(fs, 8)

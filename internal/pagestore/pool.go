@@ -56,8 +56,8 @@ type ReadCounter struct {
 // read path — allocates nothing. Recycling is what makes the view borrow
 // discipline strict: a []byte view over a frame's buffer observes the
 // *next* occupant's bytes once the frame is released and reused, which is
-// why views must never outlive their frame's Release (machine-checked by
-// the dualvet pinleak analyzer, and at runtime by the btree view guard).
+// why views must never outlive their frame's Release (checked at runtime by
+// the btree view guard, which every btree and core test runs with).
 type Pool struct {
 	store  Store
 	shards []*poolShard
@@ -68,8 +68,8 @@ type Pool struct {
 	// back until the min-referenced-version watermark passes their death
 	// version. Guarded by snapMu; snapMu never nests inside a shard lock.
 	snapMu       sync.Mutex
-	snapRefs     map[uint64]int  //dualvet:guarded=snapMu
-	deferred     []deferredFrees //dualvet:guarded=snapMu
+	snapRefs     map[uint64]int  // guarded by snapMu
+	deferred     []deferredFrees // guarded by snapMu
 	reclaimFails atomic.Uint64
 	// clones/deferredTotal/reclaimed are the write-path attribution
 	// counters: pages cloned by ClonePage, pages ever handed to
@@ -102,10 +102,10 @@ type poolShard struct {
 	mu       sync.Mutex
 	capacity int
 	oldCap   int
-	frames   map[PageID]*Frame //dualvet:guarded=mu
+	frames   map[PageID]*Frame // guarded by mu
 	// young/old order most-recently released frames first.
-	young frameList //dualvet:guarded=mu
-	old   frameList //dualvet:guarded=mu
+	young frameList // guarded by mu
+	old   frameList // guarded by mu
 
 	// tick is the shard's access clock: it advances on each pin or fetch of
 	// a page different from the immediately preceding one, so a tight
@@ -113,13 +113,13 @@ type poolShard struct {
 	// re-pin to arrive at least tenureAge ticks after the frame's first
 	// access (InnoDB-style), which keeps both scans and busy loops out of
 	// the old region.
-	tick       uint64 //dualvet:guarded=mu
-	lastPinned PageID //dualvet:guarded=mu
+	tick       uint64 // guarded by mu
+	lastPinned PageID // guarded by mu
 
 	// free recycles evicted frames (chained through lruNext) together with
 	// their page buffers; bounded by capacity.
-	free  *Frame //dualvet:guarded=mu
-	freeN int    //dualvet:guarded=mu
+	free  *Frame // guarded by mu
+	freeN int    // guarded by mu
 }
 
 // Frame region tags for the midpoint LRU.

@@ -18,9 +18,10 @@
 #
 # Usage: bash scripts/dualvet_audit.sh [mutation-id ...]
 #
-# The whole list takes about 27 minutes on a 2-core x86-64 container, most
+# The whole list takes about 40 minutes on a 2-core x86-64 container, most
 # of it in the -race runs of internal/core and in the timeouts of the
-# mutations that deadlock; CI does not run it.
+# mutations that deadlock every Save; CI's "Mutation smoke" step runs ten of
+# its rows.
 set -euo pipefail
 repo=$(cd "$(dirname "$0")/.." && pwd)
 work=$(mktemp -d)
@@ -162,19 +163,6 @@ mut parser-inf internal/constraint/parser.go "credited: non-finite coefficients 
 			if math.IsInf(v, 0) || math.IsNaN(v) {
 ----
 			if math.IsNaN(v) {
-EOF
-
-mut qtuple-span internal/core/querytuple.go "credited: \`querytuple\`'s refine span on a fetch error (spanleak)" <<'EOF'
-				t, err := ec.rs.candidate(uint32(id))
-				if err != nil {
-					ec.endSpan(rf, 0)
-					return TupleResult{}, err
-				}
-----
-				t, err := ec.rs.candidate(uint32(id))
-				if err != nil {
-					return TupleResult{}, err
-				}
 EOF
 
 mut refine-span internal/core/query.go "credited: \`vertical\`'s refine span on an error (spanleak; the refine loop is shared since)" <<'EOF'
@@ -351,9 +339,9 @@ EOF
 
 # --- one bug or more of each analyzer's class ---
 
-mut publish-xext internal/core/mvcc.go "frozen: \`xext\` filled after \`ix.roots.Store\`" <<'EOF'
+mut publish-xext internal/core/mvcc.go "frozen: the x-extents filled after \`ix.roots.Store\`" <<'EOF'
 	if ix.dim == 2 {
-		rs.xext = extendExtents(xext, rs.tuples)
+		rs.extents = ext.extend(rs.tuples)
 	}
 	for i, t := range ix.trees {
 		rs.trees[i] = t.Handle(t.Meta())
@@ -365,7 +353,7 @@ mut publish-xext internal/core/mvcc.go "frozen: \`xext\` filled after \`ix.roots
 	}
 	ix.roots.Store(rs)
 	if ix.dim == 2 {
-		rs.xext = extendExtents(xext, rs.tuples)
+		rs.extents = ext.extend(rs.tuples)
 	}
 EOF
 
@@ -491,25 +479,24 @@ mut getat-pin internal/btree/tree.go "pinleak: \`getAt\` keeps a wrong-type node
 	return node{}, fmt.Errorf("%w: page %d is the wrong node type for height %d: corrupt child links", ErrLayout, id, height)
 EOF
 
-mut freechain-err internal/core/persist.go "errsink: \`freeChain\` swallows a \`FreePage\` error" <<'EOF'
-		if err := pool.FreePage(id); err != nil {
+mut freechain-err internal/core/persist.go "errsink: \`Save\` swallows a \`FreePage\` error of the superseded tuple chain" <<'EOF'
+		if err := ix.pool.FreePage(ix.staleChain[0]); err != nil {
 			return err
 		}
-	}
-	return nil
 ----
-		pool.FreePage(id)
-	}
-	return nil
+		ix.pool.FreePage(ix.staleChain[0])
 EOF
 
 mut save-flush internal/core/persist.go "errsink: \`Save\` swallows the pool's \`Flush\` error" <<'EOF'
 	f.MarkDirty()
-	return ix.pool.Flush()
+	if err := ix.pool.Flush(); err != nil {
+		return err
+	}
+	return ix.freeStaleChain()
 ----
 	f.MarkDirty()
 	ix.pool.Flush()
-	return nil
+	return ix.freeStaleChain()
 EOF
 
 mut batch-snapshot internal/core/batch.go "snapleak: \`QueryBatch\` pins through \`Snapshot\` and never releases" <<'EOF'
@@ -546,6 +533,15 @@ mut qtuple-span-match internal/core/querytuple.go "spanleak: \`querytuple\`'s re
 					return TupleResult{}, err
 				}
 				if !ok {
+EOF
+
+mut view-after-release internal/btree/cursor.go "view guard: a sweep releases its leaf before the visit callback" <<'EOF'
+		more := visit(t.leafView(leaf, c.leafExt()))
+		leaf.release()
+----
+		lv := t.leafView(leaf, c.leafExt())
+		leaf.release()
+		more := visit(lv)
 EOF
 
 mut corner-zero-inf internal/rplustree/rect.go "infguard's class: \`evalCorner\`'s 0·Inf guard on unbounded node regions" <<'EOF'
