@@ -295,27 +295,6 @@ func (t *Tree) VisitLeavesDescTracked(from float64, rc *pagestore.ReadCounter, v
 	return t.Sweep(from, false, rc, nil, visit)
 }
 
-// AscendRange calls fn for every entry whose stored key lies in
-// [RoundKey(from), RoundKey(to)], in ascending order; fn returning false
-// stops the scan.
-func (t *Tree) AscendRange(from, to float64, fn func(Entry) bool) error {
-	from, to = RoundKey(from), RoundKey(to)
-	return t.VisitLeavesAsc(from, func(lv LeafView) bool {
-		for i, n := 0, lv.Len(); i < n; i++ {
-			if lv.Key(i) < from {
-				continue
-			}
-			if lv.Key(i) > to {
-				return false
-			}
-			if !fn(lv.Entry(i)) {
-				return false
-			}
-		}
-		return true
-	})
-}
-
 // ScanAll returns every entry in key order (tests and rebuilds).
 func (t *Tree) ScanAll() ([]Entry, error) {
 	var out []Entry

@@ -93,27 +93,6 @@ func TestSweepEarlyStop(t *testing.T) {
 	}
 }
 
-func TestAscendRange(t *testing.T) {
-	tr, _ := newTestTree(t, 256, nil)
-	for i := 0; i < 1000; i++ {
-		_ = tr.Insert(float64(i)/10, uint32(i+1))
-	}
-	var keys []float64
-	err := tr.AscendRange(25, 50, func(e Entry) bool {
-		keys = append(keys, e.Key)
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) == 0 || keys[0] != 25 || keys[len(keys)-1] != 50 {
-		t.Fatalf("range = [%v..%v] over %d keys", keys[0], keys[len(keys)-1], len(keys))
-	}
-	if len(keys) != 251 {
-		t.Fatalf("got %d keys, want 251", len(keys))
-	}
-}
-
 func TestHandicapIdentityAndMerge(t *testing.T) {
 	tr, _ := newTestTree(t, 256, []SlotKind{MinSlot, MaxSlot})
 	for i := 0; i < 100; i++ {

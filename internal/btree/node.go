@@ -45,7 +45,7 @@ func RoundingError(m float64) float64 { return m*0x1p-23 + 0x1p-149 }
 
 // Less reports whether e precedes o in composite order.
 func (e Entry) Less(o Entry) bool {
-	if e.Key != o.Key { //dualvet:allow floatcmp — tree order must be an exact total order over the stored key bits
+	if e.Key != o.Key { // tree order must be an exact total order over the stored key bits
 		return e.Key < o.Key
 	}
 	return e.TID < o.TID

@@ -288,15 +288,15 @@ func formatConstraint(h geom.HalfSpace) string {
 			continue
 		}
 		switch {
-		case !wrote && a == 1: //dualvet:allow floatcmp — formatting elides the coefficient only when it is exactly ±1
+		case !wrote && a == 1: // formatting elides the coefficient only when it is exactly ±1
 			sb.WriteString(varName(i, dim))
-		case !wrote && a == -1: //dualvet:allow floatcmp — formatting elides the coefficient only when it is exactly ±1
+		case !wrote && a == -1: // formatting elides the coefficient only when it is exactly ±1
 			sb.WriteString("-" + varName(i, dim))
 		case !wrote:
 			fmt.Fprintf(&sb, "%g%s", a, varName(i, dim))
-		case a == 1: //dualvet:allow floatcmp — formatting elides the coefficient only when it is exactly ±1
+		case a == 1: // formatting elides the coefficient only when it is exactly ±1
 			sb.WriteString(" + " + varName(i, dim))
-		case a == -1: //dualvet:allow floatcmp — formatting elides the coefficient only when it is exactly ±1
+		case a == -1: // formatting elides the coefficient only when it is exactly ±1
 			sb.WriteString(" - " + varName(i, dim))
 		case a > 0:
 			fmt.Fprintf(&sb, " + %g%s", a, varName(i, dim))

@@ -24,10 +24,9 @@ import (
 type Commit struct {
 	ix   *Index
 	base *rootSet
-	// indexed and deletes are this batch's working copies of the base
-	// version's bookkeeping; they fold into the next rootSet at Commit.
+	// indexed is this batch's working copy of the base version's count of
+	// indexed tuples; it folds into the next rootSet at Commit.
 	indexed int
-	deletes int
 	// ext is what Commit extends by the batch's inserts: the base version's
 	// extents, or after a handicap rebuild the table it derived afresh.
 	ext extents
@@ -56,7 +55,7 @@ func (ix *Index) Begin() *Commit {
 	for _, t := range ix.trees {
 		t.BeginCOW()
 	}
-	c := &Commit{ix: ix, base: base, indexed: base.indexed, deletes: base.deletesSinceRebuild, ext: base.extents}
+	c := &Commit{ix: ix, base: base, indexed: base.indexed, ext: base.extents}
 	if o := ix.opt.Observe; o != nil {
 		c.tr = o.StartCommit()
 		c.span = c.beginSpan(obs.StageStaging)
@@ -166,9 +165,8 @@ func (c *Commit) Insert(t *constraint.Tuple) (constraint.TupleID, error) {
 }
 
 // Delete stages one tuple removal. Handicap slots are left conservatively
-// stale (sound; costs only I/O); once the batch's deletion counter
-// reaches Options.RebuildHandicapsEvery, Commit recomputes them exactly
-// before publishing. On error the caller must Abort.
+// stale (sound; costs only I/O) until RebuildHandicaps recomputes them.
+// On error the caller must Abort.
 func (c *Commit) Delete(id constraint.TupleID) error {
 	if c.done {
 		return errCommitDone
@@ -189,7 +187,6 @@ func (c *Commit) Delete(id constraint.TupleID) error {
 			}
 		}
 		c.indexed--
-		c.deletes++
 	}
 	if err := ix.rel.Delete(id); err != nil {
 		return c.fail(err)
@@ -199,21 +196,11 @@ func (c *Commit) Delete(id constraint.TupleID) error {
 }
 
 // RebuildHandicaps recomputes every handicap slot and every child bound
-// exactly from the batch's current contents and resets the staleness
-// counter. On error the caller must Abort.
+// exactly from the batch's current contents. On error the caller must Abort.
 func (c *Commit) RebuildHandicaps() error {
 	if c.done {
 		return errCommitDone
 	}
-	if err := c.rebuildHandicaps(); err != nil {
-		return c.fail(err)
-	}
-	return nil
-}
-
-// rebuildHandicaps is the shared rebuild body (also run by Commit when
-// the staleness counter trips the threshold).
-func (c *Commit) rebuildHandicaps() error {
 	ix := c.ix
 	// The extent table is derived afresh from the live tuples, and the bounds
 	// from it: O(N), as the scan below is, and older versions keep the old
@@ -225,7 +212,7 @@ func (c *Commit) rebuildHandicaps() error {
 	}
 	for _, tr := range ix.trees[:2*ix.geo.sites()] {
 		if err := tr.ResetHandicaps(ext); err != nil {
-			return err
+			return c.fail(err)
 		}
 	}
 	var ts []*constraint.Tuple
@@ -243,10 +230,9 @@ func (c *Commit) rebuildHandicaps() error {
 			up, down = ix.handicapMerges(up, down, i, t, top, bot)
 		}
 		if err := ix.foldHandicaps(i, up, down); err != nil {
-			return err
+			return c.fail(err)
 		}
 	}
-	c.deletes = 0
 	return nil
 }
 
@@ -260,13 +246,6 @@ func (c *Commit) Commit() error {
 		return errCommitDone
 	}
 	ix := c.ix
-	if n := ix.opt.RebuildHandicapsEvery; n > 0 && c.deletes >= n {
-		if err := c.rebuildHandicaps(); err != nil {
-			c.fail(err)
-			c.Abort()
-			return err
-		}
-	}
 	// The mutation-staging span ends here: every COW clone the batch
 	// will make has been made. Zero it so a hypothetical later Abort
 	// cannot double-close it.
@@ -281,7 +260,7 @@ func (c *Commit) Commit() error {
 	c.endSpan(shadowSpan, len(superseded))
 
 	publishSpan := c.beginSpan(obs.StagePublish)
-	rs := ix.publishLocked(c.base.version+1, c.indexed, c.deletes, c.ext)
+	rs := ix.publishLocked(c.base.version+1, c.indexed, c.ext)
 	c.endSpan(publishSpan, rs.live)
 
 	reclaimSpan := c.beginSpan(obs.StageReclaim)

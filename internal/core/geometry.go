@@ -181,7 +181,7 @@ func (g *slopeSet) route(slope []float64, sweepsUp bool) (routing, error) {
 	a := slope[0]
 	i := g.nearest(a)
 	leftLo, rightHi := g.stripBounds(i)
-	onSite := a == g.s[i] //dualvet:allow floatcmp — exact on purpose: only then were the site's keys computed at this slope
+	onSite := a == g.s[i] // exact on purpose: only then were the site's keys computed at this slope
 	r := routing{site: i, onSite: onSite, inCell: a >= leftLo && a <= rightHi, slot: slotHighPrev, shift: a - g.s[i]}
 	if sweepsUp {
 		r.slot = slotLowPrev

@@ -44,8 +44,8 @@ type Index struct {
 	// with one atomic pointer read and never lock. writeMu serializes
 	// writers; the live trees above are the writer's working set and are
 	// only mutated under it (copy-on-write, so published versions are
-	// never dirtied). The indexed-tuple count and the handicap-staleness
-	// counter live inside the rootSet, versioned with the trees.
+	// never dirtied). The indexed-tuple count lives inside the rootSet,
+	// versioned with the trees.
 	roots   atomic.Pointer[rootSet]
 	writeMu sync.Mutex
 
@@ -89,12 +89,11 @@ func NewD(rel *constraint.Relation, opt OptionsD) (*IndexD, error) {
 		return nil, err
 	}
 	o := Options{
-		Technique:             T2,
-		PageSize:              opt.PageSize,
-		PoolPages:             opt.PoolPages,
-		Pool:                  opt.Pool,
-		RebuildHandicapsEvery: opt.RebuildHandicapsEvery,
-		Observe:               opt.Observe,
+		Technique: T2,
+		PageSize:  opt.PageSize,
+		PoolPages: opt.PoolPages,
+		Pool:      opt.Pool,
+		Observe:   opt.Observe,
 	}
 	o.storageDefaults()
 	return newIndex(rel, o, geo)
@@ -130,7 +129,7 @@ func newIndex(rel *constraint.Relation, opt Options, geo slopeSpace) (*Index, er
 		}
 		ix.trees = append(ix.trees, t)
 	}
-	ix.publishLocked(1, 0, 0, extents{})
+	ix.publishLocked(1, 0, extents{})
 	ix.registerGauges()
 	return ix, nil
 }
@@ -209,7 +208,7 @@ func bulkLoaded(ix *Index, err error) (*Index, error) {
 	// Re-publish version 1 over the bulk-loaded trees. The index has not
 	// escaped to any reader yet, so mutating the trees in place between
 	// newIndex's publish and this one is unobservable.
-	ix.publishLocked(1, len(ts), 0, ext)
+	ix.publishLocked(1, len(ts), ext)
 	return ix, nil
 }
 
@@ -324,7 +323,7 @@ func (ix *Index) Insert(t *constraint.Tuple) (constraint.TupleID, error) {
 
 // Delete removes a tuple from the index and the relation as one atomic
 // commit. Handicap slots are left conservatively stale (sound; costs
-// only I/O) and recomputed exactly every RebuildHandicapsEvery deletions.
+// only I/O) until RebuildHandicaps recomputes them.
 func (ix *Index) Delete(id constraint.TupleID) error {
 	c := ix.Begin()
 	c.op = "delete"

@@ -206,16 +206,18 @@ func TestT1DuplicatesHappen(t *testing.T) {
 }
 
 // TestInsertDeleteMaintainsCorrectness exercises incremental maintenance:
-// interleave inserts and deletes, querying against ground truth throughout.
+// interleave inserts and deletes, and a handicap rebuild every 64 deletions,
+// querying against ground truth throughout.
 func TestInsertDeleteMaintainsCorrectness(t *testing.T) {
 	rng := rand.New(rand.NewSource(105))
 	rel := constraint.NewRelation(2)
-	opt := Options{Slopes: EquiangularSlopes(3), Technique: T2, RebuildHandicapsEvery: 64}
+	opt := Options{Slopes: EquiangularSlopes(3), Technique: T2}
 	ix, err := New(rel, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var live []constraint.TupleID
+	deletes := 0
 	for step := 0; step < 400; step++ {
 		if len(live) == 0 || rng.Intn(3) > 0 {
 			id, err := ix.Insert(randTuple(rng, true))
@@ -230,6 +232,11 @@ func TestInsertDeleteMaintainsCorrectness(t *testing.T) {
 			}
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
+			if deletes++; deletes%64 == 0 {
+				if err := ix.RebuildHandicaps(); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 		if step%20 == 19 {
 			q := randQuery(rng)
@@ -370,7 +377,7 @@ func TestPagesAndPool(t *testing.T) {
 func TestRebuildHandicapsPreservesAnswers(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
 	rel, ix := buildRandomIndex(t, rng, 200, Options{Slopes: EquiangularSlopes(3), Technique: T2}, true)
-	// Delete a third of the tuples without automatic rebuild.
+	// Delete a third of the tuples, leaving the handicaps stale.
 	ids := rel.IDs()
 	for i := 0; i < len(ids)/3; i++ {
 		if err := ix.Delete(ids[i*3]); err != nil {

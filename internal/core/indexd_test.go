@@ -181,15 +181,17 @@ func TestIndexDScanFallback(t *testing.T) {
 	}
 }
 
-// TestIndexDInsertDelete: incremental maintenance in E^3.
+// TestIndexDInsertDelete: incremental maintenance in E^3, with a handicap
+// rebuild every 32 deletions.
 func TestIndexDInsertDelete(t *testing.T) {
 	rng := rand.New(rand.NewSource(305))
 	rel := constraint.NewRelation(3)
-	ix, err := NewD(rel, OptionsD{Sites: LatticeSites(2, 2, 1), RebuildHandicapsEvery: 32})
+	ix, err := NewD(rel, OptionsD{Sites: LatticeSites(2, 2, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var live []constraint.TupleID
+	deletes := 0
 	for step := 0; step < 200; step++ {
 		if len(live) == 0 || rng.Intn(3) > 0 {
 			id, err := ix.Insert(randTuple3(rng, true))
@@ -204,6 +206,11 @@ func TestIndexDInsertDelete(t *testing.T) {
 			}
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
+			if deletes++; deletes%32 == 0 {
+				if err := ix.RebuildHandicaps(); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 		if step%25 == 24 {
 			q := randQuery3(rng)

@@ -75,7 +75,7 @@ func BuildLineIndex(rel *constraint.Relation, slopes []float64, pool *pagestore.
 // slope one ulp off has other intervals).
 func (li *LineIndex) QueryLine(a, b float64) ([]constraint.TupleID, QueryStats, error) {
 	idx := slices.IndexFunc(li.slopes, func(s float64) bool {
-		return s == a //dualvet:allow floatcmp — exact on purpose: only then were the member's intervals computed at this slope
+		return s == a // exact on purpose: only then were the member's intervals computed at this slope
 	})
 	if idx < 0 {
 		return nil, QueryStats{}, fmt.Errorf("core: slope %g not in the LineIndex slope set", a)

@@ -44,13 +44,11 @@ type rootSet struct {
 	trees []*btree.Tree
 
 	// indexed counts the satisfiable tuples of this version — exactly the
-	// tuples every site tree holds; deletesSinceRebuild is the
-	// handicap-staleness counter. Both are carried from commit to commit
-	// inside the rootSet, which is what makes them readable without a lock:
-	// a reader sees the pair that matches the trees it sweeps, never a torn
-	// intermediate.
-	indexed             int
-	deletesSinceRebuild int
+	// tuples every site tree holds. It is carried from commit to commit
+	// inside the rootSet, which is what makes it readable without a lock:
+	// a reader sees the count that matches the trees it sweeps, never a
+	// torn intermediate.
+	indexed int
 
 	// tuples is the relation frozen at this version (constraint.View): the
 	// tuple of every id the version holds; live counts them. Tuples are
@@ -145,7 +143,7 @@ func (rs *rootSet) checkExtents() error {
 	}
 	var err error
 	rs.tuples.Scan(func(t *constraint.Tuple) bool {
-		if x := xExtent(t); int(t.ID()) > len(rs.xext) || rs.xext[t.ID()-1] != x { //dualvet:allow floatcmp — an entry is a copy of the extent, bit for bit
+		if x := xExtent(t); int(t.ID()) > len(rs.xext) || rs.xext[t.ID()-1] != x { // an entry is a copy of the extent, bit for bit
 			err = fmt.Errorf("core: version %d: tuple %d has extent %v, its table entry is not that", rs.version, t.ID(), x)
 		}
 		return err == nil
@@ -196,14 +194,13 @@ func (rs *rootSet) allIDs(buf []uint32) []uint32 {
 // version's, one a bulk operation or a handicap rebuild derived, or the zero
 // value, from which it is derived afresh.
 // Requires writeMu (or a not-yet-shared index during construction).
-func (ix *Index) publishLocked(version uint64, indexed, deletes int, ext extents) *rootSet {
+func (ix *Index) publishLocked(version uint64, indexed int, ext extents) *rootSet {
 	rs := &rootSet{
-		version:             version,
-		trees:               make([]*btree.Tree, len(ix.trees)),
-		indexed:             indexed,
-		deletesSinceRebuild: deletes,
-		tuples:              ix.rel.Freeze(),
-		live:                ix.rel.Len(),
+		version: version,
+		trees:   make([]*btree.Tree, len(ix.trees)),
+		indexed: indexed,
+		tuples:  ix.rel.Freeze(),
+		live:    ix.rel.Len(),
 	}
 	if ix.dim == 2 {
 		rs.extents = ext.extend(rs.tuples)

@@ -322,7 +322,7 @@ func TestFailedQueryClosesRefineSpan(t *testing.T) {
 	// next publish. Re-publish both indexes to make the id dangle.
 	for _, x := range []*Index{ix, ix2} {
 		rs := x.roots.Load()
-		x.publishLocked(rs.version+1, rs.indexed, rs.deletesSinceRebuild, rs.extents)
+		x.publishLocked(rs.version+1, rs.indexed, rs.extents)
 	}
 
 	window, err := constraint.ParseTuple(

@@ -84,10 +84,6 @@ type Options struct {
 	// outside the dual transform, footnote 4 — run an exact tree sweep
 	// instead of a scan. Costs two extra trees of space.
 	IndexVertical bool
-	// RebuildHandicapsEvery triggers an exact handicap recomputation after
-	// this many deletions (conservative drift otherwise only costs I/O,
-	// never correctness). 0 disables automatic rebuilds.
-	RebuildHandicapsEvery int
 	// Observe attaches a metrics-and-tracing observer to every query this
 	// index executes: per-path counters and latency histograms, stage
 	// spans (routing, sweeps, dedup, refinement), a slow-query log and a
@@ -110,8 +106,6 @@ type OptionsD struct {
 	PageSize  int
 	PoolPages int
 	Pool      *pagestore.Pool
-	// RebuildHandicapsEvery as in Options.
-	RebuildHandicapsEvery int
 	// Observe as in Options: attaches per-query metrics and tracing; nil
 	// keeps the query path allocation-free.
 	Observe *obs.Observer

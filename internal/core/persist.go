@@ -102,7 +102,7 @@ func (ix *Index) Save() error {
 		d[9] = 1 // flags: bit 0 = vertical pair present
 	}
 	binary.LittleEndian.PutUint16(d[10:12], uint16(len(slopes)))
-	binary.LittleEndian.PutUint32(d[12:16], uint32(ix.opt.RebuildHandicapsEvery))
+	// d[12:16] is unused and stays zero; Open does not read it.
 	binary.LittleEndian.PutUint64(d[16:24], math.Float64bits(t1PivotX))
 	binary.LittleEndian.PutUint64(d[24:32], math.Float64bits(g.outer))
 	binary.LittleEndian.PutUint64(d[32:40], math.Float64bits(btree.DefaultFillFactor)) // never read
@@ -165,10 +165,9 @@ func parseCatalog(d []byte) (catalog, error) {
 	}
 	c := catalog{
 		opt: Options{
-			Technique:             Technique(d[8]),
-			IndexVertical:         d[9]&1 != 0,
-			RebuildHandicapsEvery: int(binary.LittleEndian.Uint32(d[12:16])),
-			PageSize:              len(d),
+			Technique:     Technique(d[8]),
+			IndexVertical: d[9]&1 != 0,
+			PageSize:      len(d),
 		},
 		head:  pagestore.PageID(binary.LittleEndian.Uint32(d[40:44])),
 		count: int(binary.LittleEndian.Uint32(d[44:48])),
@@ -274,7 +273,7 @@ func Open(pool *pagestore.Pool) (*constraint.Relation, *Index, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: corrupt tuple stream: %w", err)
 	}
-	ix.publishLocked(1, indexed, 0, extents{})
+	ix.publishLocked(1, indexed, extents{})
 	ix.registerGauges()
 	return rel, ix, nil
 }

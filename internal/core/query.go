@@ -440,7 +440,7 @@ func (s sweep) run(tr *btree.Tree, rc *pagestore.ReadCounter, sc *scratch, st *Q
 		case s.sure:
 			for i := 0; i < n; i++ {
 				if k := es.Key(i); k >= lo && k <= hi {
-					if k != bound { //dualvet:allow floatcmp — a stored key equal to the rounded bound may stand for a value on either side of it
+					if k != bound { // a stored key equal to the rounded bound may stand for a value on either side of it
 						sure = append(sure, es.TID(i))
 					} else {
 						cands = append(cands, es.TID(i))

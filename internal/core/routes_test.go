@@ -59,7 +59,7 @@ func TestKernelRoutesMatchEnvelope(t *testing.T) {
 						if math.Float64bits(got[slot]) != math.Float64bits(kernel[slot]) || btree.RoundKey(got[slot]) != btree.RoundKey(env[slot]) {
 							t.Fatalf("seed %d, tuple %d, site %v, tree %d, slot %d: route %v, kernel %v, envelope %v", seed, tp.ID(), a, k, slot, got[slot], kernel[slot], env[slot])
 						}
-						if got[slot] != env[slot] { //dualvet:allow floatcmp — counting the routes that moved at all
+						if got[slot] != env[slot] { // counting the routes that moved at all
 							differ++
 							worst = max(worst, math.Abs(got[slot]-env[slot]))
 						}

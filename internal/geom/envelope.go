@@ -97,7 +97,7 @@ func upperHullLines(lines []Line2) ([]Line2, []float64) {
 	}
 	ls := append([]Line2(nil), lines...)
 	sort.Slice(ls, func(i, j int) bool {
-		if ls[i].M != ls[j].M { //dualvet:allow floatcmp — sort needs a strict weak order over the raw bits
+		if ls[i].M != ls[j].M { // sort needs a strict weak order over the raw bits
 			return ls[i].M < ls[j].M
 		}
 		return ls[i].B < ls[j].B

@@ -14,7 +14,7 @@ func ConvexHull2(pts []Point) []Point {
 	ps := make([]Point, len(pts))
 	copy(ps, pts)
 	sort.Slice(ps, func(i, j int) bool {
-		if ps[i][0] != ps[j][0] { //dualvet:allow floatcmp — sort needs a strict weak order over the raw bits
+		if ps[i][0] != ps[j][0] { // sort needs a strict weak order over the raw bits
 			return ps[i][0] < ps[j][0]
 		}
 		return ps[i][1] < ps[j][1]
@@ -69,33 +69,4 @@ func PolygonArea2(verts []Point) float64 {
 		s = -s
 	}
 	return s / 2
-}
-
-// Centroid2 returns the centroid of the convex polygon with the given
-// vertices in order. For degenerate inputs (fewer than 3 vertices) the
-// arithmetic mean of the vertices is returned.
-func Centroid2(verts []Point) Point {
-	if len(verts) == 0 {
-		return nil
-	}
-	if len(verts) < 3 {
-		c := Point{0, 0}
-		for _, v := range verts {
-			c[0] += v[0]
-			c[1] += v[1]
-		}
-		return Point{c[0] / float64(len(verts)), c[1] / float64(len(verts))}
-	}
-	var cx, cy, a float64
-	for i := range verts {
-		j := (i + 1) % len(verts)
-		w := verts[i][0]*verts[j][1] - verts[j][0]*verts[i][1]
-		cx += (verts[i][0] + verts[j][0]) * w
-		cy += (verts[i][1] + verts[j][1]) * w
-		a += w
-	}
-	if a == 0 {
-		return Centroid2(verts[:2])
-	}
-	return Point{cx / (3 * a), cy / (3 * a)}
 }

@@ -33,6 +33,11 @@ func TestConvexHull2Degenerate(t *testing.T) {
 	if h := ConvexHull2([]Point{{1, 2}, {1, 2}, {1, 2}}); len(h) != 1 {
 		t.Errorf("hull of repeated point = %v", h)
 	}
+	// Two points within Eps are one point: a segment between them would
+	// give edgesToHalfPlanes a near-zero direction.
+	if h := ConvexHull2([]Point{{0.3, 0.4}, {0.3 + 1e-12, 0.4}}); len(h) != 1 {
+		t.Errorf("hull of two points within Eps = %v", h)
+	}
 	h := ConvexHull2([]Point{{0, 0}, {1, 1}, {2, 2}, {3, 3}})
 	if len(h) != 2 || !h[0].Eq(Point{0, 0}) || !h[1].Eq(Point{3, 3}) {
 		t.Errorf("hull of collinear points = %v", h)
@@ -79,19 +84,5 @@ func TestPolygonArea2(t *testing.T) {
 	}
 	if a := PolygonArea2(sq[:2]); a != 0 {
 		t.Errorf("degenerate area = %v", a)
-	}
-}
-
-func TestCentroid2(t *testing.T) {
-	sq := []Point{{0, 0}, {2, 0}, {2, 2}, {0, 2}}
-	c := Centroid2(sq)
-	if !c.Eq(Point{1, 1}) {
-		t.Errorf("centroid = %v", c)
-	}
-	if c := Centroid2([]Point{{1, 1}, {3, 3}}); !c.Eq(Point{2, 2}) {
-		t.Errorf("segment centroid = %v", c)
-	}
-	if Centroid2(nil) != nil {
-		t.Error("centroid of nothing must be nil")
 	}
 }

@@ -48,86 +48,3 @@ func SolveLinear(a [][]float64, b []float64) ([]float64, bool) {
 	}
 	return x, true
 }
-
-// NullSpace1 returns a non-zero vector in the null space of the (n−1)×n
-// matrix A (one fewer row than columns), or (nil, false) when the rows are
-// linearly dependent so the null space has dimension > 1. The returned
-// vector is normalized to unit length.
-//
-// It is used to enumerate candidate extreme-ray directions of recession
-// cones: a direction lying on d−1 constraint boundaries solves d−1
-// homogeneous equations in d unknowns.
-func NullSpace1(a [][]float64) ([]float64, bool) {
-	rows := len(a)
-	n := rows + 1
-	// Row-reduce a copy, tracking pivot columns.
-	m := make([][]float64, rows)
-	for i := range a {
-		m[i] = append([]float64(nil), a[i]...)
-	}
-	pivotCol := make([]int, 0, rows)
-	r := 0
-	for c := 0; c < n && r < rows; c++ {
-		pivot := -1
-		best := Eps
-		for i := r; i < rows; i++ {
-			if math.Abs(m[i][c]) > best {
-				best = math.Abs(m[i][c])
-				pivot = i
-			}
-		}
-		if pivot < 0 {
-			continue
-		}
-		m[r], m[pivot] = m[pivot], m[r]
-		inv := 1 / m[r][c]
-		for i := 0; i < rows; i++ {
-			if i == r {
-				continue
-			}
-			f := m[i][c] * inv
-			if f == 0 {
-				continue
-			}
-			for j := c; j < n; j++ {
-				m[i][j] -= f * m[r][j]
-			}
-		}
-		pivotCol = append(pivotCol, c)
-		r++
-	}
-	if r < rows {
-		// Rank-deficient: null space dimension ≥ 2.
-		return nil, false
-	}
-	// The single free column is the one not in pivotCol.
-	isPivot := make([]bool, n)
-	for _, c := range pivotCol {
-		isPivot[c] = true
-	}
-	free := -1
-	for c := 0; c < n; c++ {
-		if !isPivot[c] {
-			free = c
-			break
-		}
-	}
-	x := make([]float64, n)
-	x[free] = 1
-	for i, c := range pivotCol {
-		x[c] = -m[i][free] / m[i][c]
-	}
-	// Normalize.
-	var norm float64
-	for _, v := range x {
-		norm += v * v
-	}
-	norm = math.Sqrt(norm)
-	if norm <= Eps {
-		return nil, false
-	}
-	for i := range x {
-		x[i] /= norm
-	}
-	return x, true
-}

@@ -22,13 +22,6 @@ const Eps = 1e-9
 // Point is a point in E^d, represented by its d coordinates.
 type Point []float64
 
-// NewPoint returns a copy of the given coordinates as a Point.
-func NewPoint(coords ...float64) Point {
-	p := make(Point, len(coords))
-	copy(p, coords)
-	return p
-}
-
 // Dim returns the dimension of the point.
 func (p Point) Dim() int { return len(p) }
 

@@ -7,8 +7,8 @@ import (
 )
 
 func TestPointBasicOps(t *testing.T) {
-	p := NewPoint(1, 2)
-	q := NewPoint(3, -1)
+	p := Point{1, 2}
+	q := Point{3, -1}
 	if got := p.Add(q); !got.Eq(Point{4, 1}) {
 		t.Errorf("Add = %v", got)
 	}
@@ -21,16 +21,16 @@ func TestPointBasicOps(t *testing.T) {
 	if got := p.Dot(q); got != 1 {
 		t.Errorf("Dot = %v", got)
 	}
-	if got := NewPoint(3, 4).Norm(); math.Abs(got-5) > Eps {
+	if got := (Point{3, 4}).Norm(); math.Abs(got-5) > Eps {
 		t.Errorf("Norm = %v", got)
 	}
-	if got := NewPoint(0, 0).Dist(NewPoint(3, 4)); math.Abs(got-5) > Eps {
+	if got := (Point{0, 0}).Dist(Point{3, 4}); math.Abs(got-5) > Eps {
 		t.Errorf("Dist = %v", got)
 	}
 }
 
 func TestPointCloneIndependent(t *testing.T) {
-	p := NewPoint(1, 2)
+	p := Point{1, 2}
 	q := p.Clone()
 	q[0] = 99
 	if p[0] != 1 {

@@ -626,7 +626,7 @@ func (p Polyhedron) SortedVerts2() []Point {
 	vs := make([]Point, len(p.Verts))
 	copy(vs, p.Verts)
 	sort.Slice(vs, func(i, j int) bool {
-		if vs[i][0] != vs[j][0] { //dualvet:allow floatcmp — sort needs a strict weak order over the raw bits
+		if vs[i][0] != vs[j][0] { // sort needs a strict weak order over the raw bits
 			return vs[i][0] < vs[j][0]
 		}
 		return vs[i][1] < vs[j][1]

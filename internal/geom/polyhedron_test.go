@@ -410,12 +410,69 @@ func TestSolveLinearRandomRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNullSpace1(t *testing.T) {
-	v, ok := NullSpace1([][]float64{{1, 1}})
-	if !ok {
-		t.Fatal("null space of (1,1) in E² must exist")
+// TestFromHalfSpacesListsEachVertexOnce: a vertex where more than d
+// constraint boundaries meet is the solution of several d-subsets, and
+// each solve rounds it to slightly different bits. FromHalfSpaces must
+// still list it once: TOP and BOT are extremes over the vertex list.
+func TestFromHalfSpacesListsEachVertexOnce(t *testing.T) {
+	// line is y ≤ m·(x − 0.7) + 3.1, a boundary through (0.7, 3.1).
+	line := func(m float64) HalfSpace { return HalfPlane2(-m, 1, 0.7*m-3.1, LE) }
+	// face is z ≤ 2.9 − s·(a·(x − 0.3) + b·(y − 0.7)), a plane through
+	// (0.3, 0.7, 2.9) falling away in the direction (a, b).
+	face := func(a, b, s float64) HalfSpace {
+		return NewHalfSpace([]float64{s * a, s * b, 1}, -2.9-s*(0.3*a+0.7*b), LE)
 	}
-	if math.Abs(v[0]+v[1]) > 1e-9 {
-		t.Fatalf("(%v) not orthogonal to (1,1)", v)
+	cases := []struct {
+		name string
+		hs   []HalfSpace
+		dim  int
+		want []Point
+	}{
+		{
+			// A wedge below two lines through (0.7, 3.1), cut by a third
+			// line through its apex.
+			name: "wedge apex on three lines",
+			hs:   []HalfSpace{line(-2.3), line(3.7), line(0.3)},
+			dim:  2,
+			want: []Point{{0.7, 3.1}},
+		},
+		{
+			// A pyramid over a rectangle in z = 0: its four tilted faces, of
+			// four different slopes, meet at the apex (0.3, 0.7, 2.9), and
+			// each of the four face triples solves it to different bits.
+			name: "pyramid apex on four faces",
+			hs: []HalfSpace{
+				NewHalfSpace([]float64{0, 0, 1}, 0, GE),
+				face(1, 0, 1.3), face(-1, 0, 2.1), face(0, 1, 1.7), face(0, -1, 0.9),
+			},
+			dim: 3,
+			want: []Point{
+				{0.3, 0.7, 2.9},
+				{0.3 + 2.9/1.3, 0.7 + 2.9/1.7, 0}, {0.3 + 2.9/1.3, 0.7 - 2.9/0.9, 0},
+				{0.3 - 2.9/2.1, 0.7 + 2.9/1.7, 0}, {0.3 - 2.9/2.1, 0.7 - 2.9/0.9, 0},
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := FromHalfSpaces(tc.hs, tc.dim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range tc.want {
+				n := 0
+				for _, v := range p.Verts {
+					if v.Eq(w) {
+						n++
+					}
+				}
+				if n != 1 {
+					t.Errorf("vertex %v listed %d times in %v", w, n, p.Verts)
+				}
+			}
+			if len(p.Verts) != len(tc.want) {
+				t.Errorf("%d vertices %v, want %d", len(p.Verts), p.Verts, len(tc.want))
+			}
+		})
 	}
 }

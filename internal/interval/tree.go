@@ -263,7 +263,7 @@ func (t *Tree) Stab(x float64, emit func(Interval)) (int, error) {
 			if err != nil {
 				return visited, err
 			}
-			if x == med { //dualvet:allow floatcmp — med is a stored endpoint; only an exact hit makes the left subtree redundant
+			if x == med { // med is a stored endpoint; only an exact hit makes the left subtree redundant
 				id = pagestore.InvalidPage
 			} else {
 				id = left

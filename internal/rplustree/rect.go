@@ -69,7 +69,7 @@ func (r Rect) Area() float64 {
 		return 0
 	}
 	if math.IsInf(r.MinX, 0) || math.IsInf(r.MaxX, 0) || math.IsInf(r.MinY, 0) || math.IsInf(r.MaxY, 0) {
-		if r.MinX == r.MaxX || r.MinY == r.MaxY { //dualvet:allow floatcmp — exact sentinel equality on ±Inf coordinates
+		if r.MinX == r.MaxX || r.MinY == r.MaxY { // exact sentinel equality on ±Inf coordinates
 			return 0
 		}
 		return math.Inf(1)
