@@ -7,7 +7,6 @@
 //	fig9b  — ALL selections, medium objects
 //	fig10  — occupied disk pages vs N
 //	table1 — verification of the app-query operator rules (Table 1)
-//	batchsweep — QueryBatch throughput scaling vs worker count
 //
 // Usage:
 //
@@ -22,18 +21,16 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"runtime"
 
 	"dualcdb"
 	"dualcdb/internal/constraint"
 	"dualcdb/internal/core"
 	"dualcdb/internal/geom"
 	"dualcdb/internal/harness"
-	"dualcdb/internal/workload"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id: fig8a|fig8b|fig9a|fig9b|fig10|table1|sizesweep|dimsweep|selsweep|techniques|batchsweep|all")
+	exp := flag.String("exp", "all", "experiment id: fig8a|fig8b|fig9a|fig9b|fig10|table1|sizesweep|dimsweep|selsweep|techniques|all")
 	quick := flag.Bool("quick", false, "reduced cardinalities (fast smoke run)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	seed := flag.Int64("seed", 1999, "workload seed")
@@ -131,21 +128,6 @@ func main() {
 			fmt.Print(harness.FormatDimSweep(rows))
 			fmt.Println("shape: the index always deals with single surface values, so I/O is flat in d.")
 			fmt.Println()
-		case "batchsweep":
-			bc := harness.BatchSweepConfig{Seed: *seed, Size: workload.Medium}
-			if *quick {
-				bc.N = 1500
-				bc.Queries = 24
-				bc.Workers = []int{1, 2, 4}
-			}
-			rows, err := harness.RunBatchSweep(bc)
-			if err != nil {
-				return err
-			}
-			fmt.Println("batchsweep — QueryBatch throughput vs worker count (Fig. 9 medium workload):")
-			fmt.Print(harness.FormatBatchSweep(rows))
-			fmt.Printf("shape: queries run in parallel over the shared trees; speedup tracks available cores (GOMAXPROCS=%d here, ≈1.0x expected on a single core).\n", runtime.GOMAXPROCS(0))
-			fmt.Println()
 		case "sizesweep":
 			sc := harness.SizeSweepConfig{Seed: *seed, QueriesPerPoint: *queries}
 			if *quick {
@@ -168,7 +150,7 @@ func main() {
 
 	ids := []string{*exp}
 	if *exp == "all" {
-		ids = []string{"table1", "fig8a", "fig8b", "fig9a", "fig9b", "fig10", "sizesweep", "dimsweep", "selsweep", "techniques", "batchsweep"}
+		ids = []string{"table1", "fig8a", "fig8b", "fig9a", "fig9b", "fig10", "sizesweep", "dimsweep", "selsweep", "techniques"}
 	}
 	for _, id := range ids {
 		if err := run(id); err != nil {

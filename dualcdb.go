@@ -158,7 +158,8 @@ var ErrIDLimit = constraint.ErrIDLimit
 
 // ErrCatalog is what OpenDatabase returns (wrapped; test with errors.Is) for
 // a file whose catalog this version did not write: another format — a
-// DCDB0005 or older file — or a damaged catalog page.
+// DCDB0005 or older file — a file that holds a vertical tree pair (rebuild
+// it), or a damaged catalog page.
 var ErrCatalog = core.ErrCatalog
 
 // d-dimensional index (Section 4.4) and generalized-tuple selections.
@@ -262,8 +263,8 @@ func GenerateQueriesD(rel *Relation, qc QueryWorkloadConfig, slopeExtent float64
 func EvalLine(a, b float64, rel *Relation) ([]TupleID, error) { return core.EvalLine(a, b, rel) }
 
 // EvalVertical is the exhaustive ground truth for vertical selections
-// Kind(x op c) (Index.QueryVertical; enable IndexOptions.IndexVertical for
-// the indexed path).
+// Kind(x op c) (Index.QueryVertical, which scans the same way: a vertical
+// line has no dual point).
 func EvalVertical(kind QueryKind, op Op, c float64, rel *Relation) ([]TupleID, error) {
 	return core.EvalVertical(kind, op, c, rel)
 }

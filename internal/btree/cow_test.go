@@ -396,9 +396,9 @@ func TestColdSweepReadsEachPageOnce(t *testing.T) {
 		}
 		var err error
 		if tc.asc {
-			err = h.VisitLeavesAscTracked(from, &rc, visit)
+			err = h.Sweep(from, true, &rc, nil, visit)
 		} else {
-			err = h.VisitLeavesDescTracked(from, &rc, visit)
+			err = h.Sweep(from, false, &rc, nil, visit)
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -238,14 +238,13 @@ func (c *cursor) shadow(leaf node) (node, error) {
 	return leaf, nil
 }
 
-// Sweep is the one leaf sweep behind VisitLeaves{Asc,Desc}[Tracked], with a
-// skip test: from the leaf that owns RoundKey(from) — with the smallest TID
-// ascending, the largest descending — leaf by leaf in one direction while
-// visit returns true, with page reads charged to rc (nil: none). Before it
-// pins a child — a leaf or a whole subtree — it asks skip about the child's
-// Bound, and passes it unread or ends the sweep there when skip says so. A
-// skip test must pass only subtrees none of whose entries the caller wants;
-// nil passes none.
+// Sweep is the one leaf sweep: from the leaf that owns RoundKey(from) — with
+// the smallest TID ascending, the largest descending — leaf by leaf in one
+// direction while visit returns true, with page reads charged to rc (nil:
+// none). Before it pins a child — a leaf or a whole subtree — it asks skip
+// about the child's Bound, and passes it unread or ends the sweep there when
+// skip says so. A skip test must pass only subtrees none of whose entries the
+// caller wants; nil passes none.
 func (t *Tree) Sweep(from float64, asc bool, rc *pagestore.ReadCounter, skip func(Bound) Step, visit func(LeafView) bool) error {
 	e := Entry{Key: RoundKey(from), TID: 0}
 	if !asc {
@@ -266,33 +265,11 @@ func (t *Tree) Sweep(from float64, asc bool, rc *pagestore.ReadCounter, skip fun
 
 // VisitLeavesAsc visits leaves in ascending key order starting at the leaf
 // that owns key RoundKey(from) (with the smallest TID), continuing while visit
-// returns true. This is the paper's upward leaf sweep; each visited leaf
-// costs one page access. The LeafView passed to visit is valid only for
-// the duration of the call — its frame is released when visit returns.
+// returns true: Sweep upward with no read counter and no skip test. The
+// LeafView passed to visit is valid only for the duration of the call — its
+// frame is released when visit returns.
 func (t *Tree) VisitLeavesAsc(from float64, visit func(LeafView) bool) error {
-	return t.VisitLeavesAscTracked(from, nil, visit)
-}
-
-// VisitLeavesAscTracked is VisitLeavesAsc with every page read of the sweep
-// charged to rc — the per-query accounting that stays exact when several
-// sweeps share the buffer pool: the descent path, every leaf visited, and
-// each further internal node the sweep crosses into, once each.
-func (t *Tree) VisitLeavesAscTracked(from float64, rc *pagestore.ReadCounter, visit func(LeafView) bool) error {
-	return t.Sweep(from, true, rc, nil, visit)
-}
-
-// VisitLeavesDesc visits leaves in descending key order starting at the
-// leaf that owns key RoundKey(from) (with the largest TID) — the downward
-// sweep.
-// The LeafView lifetime rule of VisitLeavesAsc applies.
-func (t *Tree) VisitLeavesDesc(from float64, visit func(LeafView) bool) error {
-	return t.VisitLeavesDescTracked(from, nil, visit)
-}
-
-// VisitLeavesDescTracked is VisitLeavesDesc with per-query I/O accounting
-// (see VisitLeavesAscTracked).
-func (t *Tree) VisitLeavesDescTracked(from float64, rc *pagestore.ReadCounter, visit func(LeafView) bool) error {
-	return t.Sweep(from, false, rc, nil, visit)
+	return t.Sweep(from, true, nil, nil, visit)
 }
 
 // ScanAll returns every entry in key order (tests and rebuilds).

@@ -44,13 +44,13 @@ func TestVisitLeavesAsc(t *testing.T) {
 	}
 }
 
-func TestVisitLeavesDesc(t *testing.T) {
+func TestSweepDesc(t *testing.T) {
 	tr, _ := newTestTree(t, 256, nil)
 	for i := 0; i < 500; i++ {
 		_ = tr.Insert(float64(i), uint32(i+1))
 	}
 	var seen []float64
-	err := tr.VisitLeavesDesc(250, func(lv LeafView) bool {
+	err := tr.Sweep(250, false, nil, nil, func(lv LeafView) bool {
 		for i := lv.Len() - 1; i >= 0; i-- {
 			seen = append(seen, lv.Key(i))
 		}
@@ -286,7 +286,7 @@ func TestSweepsAllocateNothing(t *testing.T) {
 			if err := tr.VisitLeavesAsc(n*0.9, visit); err != nil {
 				t.Fatal(err)
 			}
-			if err := tr.VisitLeavesDesc(n*0.1, visit); err != nil {
+			if err := tr.Sweep(n*0.1, false, nil, nil, visit); err != nil {
 				t.Fatal(err)
 			}
 		})

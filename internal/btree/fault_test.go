@@ -117,7 +117,7 @@ func TestSweepFaultReleasesItsPath(t *testing.T) {
 			if asc {
 				err = tr.VisitLeavesAsc(math.Inf(-1), func(LeafView) bool { return true })
 			} else {
-				err = tr.VisitLeavesDesc(math.Inf(1), func(LeafView) bool { return true })
+				err = tr.Sweep(math.Inf(1), false, nil, nil, func(LeafView) bool { return true })
 			}
 			fs.Disarm()
 			if !errors.Is(err, pagestore.ErrInjected) {
@@ -217,7 +217,7 @@ func TestForeignLayoutIsRejected(t *testing.T) {
 		if asc {
 			err = tr.VisitLeavesAsc(math.Inf(-1), visit)
 		} else {
-			err = tr.VisitLeavesDesc(math.Inf(1), visit)
+			err = tr.Sweep(math.Inf(1), false, nil, nil, visit)
 		}
 		if !errors.Is(err, ErrLayout) || seen == 0 {
 			t.Fatalf("asc=%v: sweep across a foreign leaf: %d leaves, then %v", asc, seen, err)
@@ -261,7 +261,7 @@ func TestSweepOverCyclicLinksStops(t *testing.T) {
 	if err := tr.VisitLeavesAsc(math.Inf(-1), func(LeafView) bool { return true }); err == nil {
 		t.Fatal("ascending sweep into a cycle returned no error")
 	}
-	if err := tr.VisitLeavesDesc(math.Inf(1), func(LeafView) bool { return true }); err == nil {
+	if err := tr.Sweep(math.Inf(1), false, nil, nil, func(LeafView) bool { return true }); err == nil {
 		t.Fatal("descending sweep into a cycle returned no error")
 	}
 	if _, err := tr.Contains(0, 1); err == nil {

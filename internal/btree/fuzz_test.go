@@ -57,10 +57,9 @@ func FuzzPageDecode(f *testing.F) {
 		}
 		_, _ = Restore(pool, Config{HandicapKinds: kinds}, tr.Meta())
 		pinned("Restore")
+		var leaf []Entry
 		read := func(lv LeafView) bool {
-			for i := 0; i < lv.Len(); i++ {
-				_ = lv.Entry(i)
-			}
+			leaf = lv.AppendEntries(leaf[:0])
 			for s := 0; s < lv.NumHandicaps(); s++ {
 				_ = lv.Handicap(s)
 			}
@@ -68,7 +67,7 @@ func FuzzPageDecode(f *testing.F) {
 		}
 		_ = tr.VisitLeavesAsc(math.Inf(-1), read)
 		pinned("the ascending sweep")
-		_ = tr.VisitLeavesDesc(math.Inf(1), read)
+		_ = tr.Sweep(math.Inf(1), false, nil, nil, read)
 		pinned("the descending sweep")
 		_ = tr.Sweep(5000, true, nil, func(b Bound) Step {
 			if b.X[0] > 20 || b.Hi < b.Lo {

@@ -335,7 +335,7 @@ func (h *cowHistory) sweep(what string, tr *Tree, model []Entry, asc bool, sel, 
 	if asc {
 		err = tr.VisitLeavesAsc(from, visit)
 	} else {
-		err = tr.VisitLeavesDesc(from, visit)
+		err = tr.Sweep(from, false, nil, nil, visit)
 	}
 	if err != nil || calls != len(want) {
 		h.t.Fatalf("%s: sweep(asc=%v, from=%v, stop=%d) visited %d of %d leaves, err %v", what, asc, from, stop, calls, len(want), err)

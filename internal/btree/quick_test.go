@@ -2,6 +2,7 @@ package btree
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -101,10 +102,10 @@ func TestQuickSweepOrder(t *testing.T) {
 			return false
 		}
 		var desc []Entry
-		if err := tr.VisitLeavesDesc(math.Inf(1), func(lv LeafView) bool {
-			for i := lv.Len() - 1; i >= 0; i-- {
-				desc = append(desc, lv.Entry(i))
-			}
+		if err := tr.Sweep(math.Inf(1), false, nil, nil, func(lv LeafView) bool {
+			leaf := lv.AppendEntries(nil)
+			slices.Reverse(leaf)
+			desc = append(desc, leaf...)
 			return true
 		}); err != nil {
 			return false

@@ -111,14 +111,6 @@ func (lv LeafView) Len() int {
 	return lv.v.len()
 }
 
-// Entry returns entry i in composite key order.
-func (lv LeafView) Entry(i int) Entry {
-	if viewGuard.Load() {
-		lv.v.check()
-	}
-	return lv.v.entry(i)
-}
-
 // Key returns entry i's stored key — a float32, RoundKey of the key it was
 // inserted under — without decoding its tuple id.
 func (lv LeafView) Key(i int) float64 {

@@ -77,8 +77,9 @@ func TestQuickViewMatchesDecode(t *testing.T) {
 				ok = false
 				return false
 			}
+			entries := lv.AppendEntries(nil)
 			for i, e := range ref.entries {
-				if lv.Entry(i) != e || lv.Key(i) != e.Key || lv.TID(i) != e.TID {
+				if entries[i] != e || lv.Key(i) != e.Key || lv.TID(i) != e.TID {
 					ok = false
 					return false
 				}

@@ -45,7 +45,7 @@ func FuzzCatalogDecode(f *testing.F) {
 			t.Fatalf("parseCatalog: %v, want ErrCatalog", err)
 		case err == nil:
 			count = cat.count
-			if want := len(cat.opt.Slopes); want < 1 || want > maxPersistK || len(cat.metas) < 2*want {
+			if want := len(cat.opt.Slopes); want < 1 || want > maxPersistK || len(cat.metas) != 2*want {
 				t.Fatalf("parseCatalog accepted %d slopes and %d trees", want, len(cat.metas))
 			}
 		}
@@ -85,7 +85,7 @@ func savedCatalog(tb testing.TB) (page, stream []byte) {
 			tb.Fatal(err)
 		}
 	}
-	ix, err := Build(rel, Options{Slopes: EquiangularSlopes(3), Technique: T2, IndexVertical: true})
+	ix, err := Build(rel, Options{Slopes: EquiangularSlopes(3), Technique: T2})
 	if err != nil {
 		tb.Fatal(err)
 	}

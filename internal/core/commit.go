@@ -98,21 +98,14 @@ func (c *Commit) fail(err error) error {
 }
 
 // treeKeys returns the key t is stored under in every live tree, in tree
-// order: TOP and BOT at each site, then supX and infX for the vertical pair.
-func (ix *Index) treeKeys(t *constraint.Tuple) ([]float64, error) {
+// order: TOP and BOT at each site.
+func (ix *Index) treeKeys(t *constraint.Tuple) []float64 {
 	keys := make([]float64, 0, len(ix.trees))
 	for i := 0; i < ix.geo.sites(); i++ {
 		top, bot := ix.keys(t, i)
 		keys = append(keys, top, bot)
 	}
-	if len(keys) < len(ix.trees) {
-		sup, inf, err := xSupport(t)
-		if err != nil {
-			return nil, err
-		}
-		keys = append(keys, sup, inf)
-	}
-	return keys, nil
+	return keys
 }
 
 // Insert stages one tuple insertion: the relation takes the tuple
@@ -138,22 +131,15 @@ func (c *Commit) Insert(t *constraint.Tuple) (constraint.TupleID, error) {
 	if !t.IsSatisfiable() {
 		return id, nil // empty extensions match nothing and are not indexed
 	}
-	keys, err := ix.treeKeys(t)
-	if err != nil {
-		return id, c.fail(err)
-	}
-	// The site trees of E² bound their children by x-extent; the vertical
-	// pair and every tree in E^d keep no bound.
+	keys := ix.treeKeys(t)
+	// The trees of E² bound their children by x-extent; the trees in E^d
+	// keep no bound.
 	sx := btree.NoExtent
 	if ix.dim == 2 {
 		sx = xExtent(t)
 	}
 	for j, tr := range ix.trees {
-		x := sx
-		if j >= 2*ix.geo.sites() {
-			x = btree.NoExtent
-		}
-		if err := tr.InsertExt(keys[j], uint32(id), x); err != nil {
+		if err := tr.InsertExt(keys[j], uint32(id), sx); err != nil {
 			return id, c.fail(err)
 		}
 	}
@@ -177,10 +163,7 @@ func (c *Commit) Delete(id constraint.TupleID) error {
 		return c.fail(err)
 	}
 	if t.IsSatisfiable() { // exactly the satisfiable tuples are indexed
-		keys, err := ix.treeKeys(t)
-		if err != nil {
-			return c.fail(err)
-		}
+		keys := ix.treeKeys(t)
 		for j, tr := range ix.trees {
 			if _, err := tr.Delete(keys[j], uint32(id)); err != nil {
 				return c.fail(err)
@@ -210,7 +193,7 @@ func (c *Commit) RebuildHandicaps() error {
 		c.ext = extents{}.extend(ix.rel.Freeze())
 		ext = c.ext.of
 	}
-	for _, tr := range ix.trees[:2*ix.geo.sites()] {
+	for _, tr := range ix.trees {
 		if err := tr.ResetHandicaps(ext); err != nil {
 			return c.fail(err)
 		}

@@ -31,7 +31,7 @@ var engineCases = []engineCase{
 	{
 		name: "2d-slopes", dim: 2, tuple: randTuple, query: randQuery,
 		build: func(rel *constraint.Relation, store pagestore.Store) (*Index, error) {
-			return Build(rel, Options{Slopes: EquiangularSlopes(3), Technique: T2, IndexVertical: true, Store: store, PoolPages: 1 << 12})
+			return Build(rel, Options{Slopes: EquiangularSlopes(3), Technique: T2, Store: store, PoolPages: 1 << 12})
 		},
 	},
 	{

@@ -115,7 +115,7 @@ func (h *faultHistory) build() error {
 		}
 	}
 	h.next = sweepN
-	ix, err := Build(rel, Options{Slopes: EquiangularSlopes(3), Technique: T2, IndexVertical: true, Store: h.store, PoolPages: sweepPool, Observe: h.obs})
+	ix, err := Build(rel, Options{Slopes: EquiangularSlopes(3), Technique: T2, Store: h.store, PoolPages: sweepPool, Observe: h.obs})
 	if err != nil {
 		return err
 	}

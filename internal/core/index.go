@@ -35,9 +35,9 @@ type Index struct {
 	pool *pagestore.Pool
 	// trees is the writer's live tree list, in the order the catalog page
 	// persists it: per site i the TOP^P(s_i) tree at 2i and the BOT^P(s_i)
-	// tree at 2i+1, then the optional vertical pair (footnote 4 /
-	// Options.IndexVertical) over supX and infX for x θ c selections. A
-	// rootSet lists a version's frozen handles in the same order.
+	// tree at 2i+1, and nothing else: vertical selections x θ c have no
+	// dual point (footnote 4) and scan. A rootSet lists a version's frozen
+	// handles in the same order.
 	trees []*btree.Tree // guarded by writeMu
 
 	// roots is the current published rootSet (mvcc.go): readers load it
@@ -122,7 +122,8 @@ func newIndex(rel *constraint.Relation, opt Options, geo slopeSpace) (*Index, er
 		ix.catalog = f.ID()
 		f.Release()
 	}
-	for _, cfg := range opt.treeConfigs(geo) {
+	cfg := btree.Config{HandicapKinds: geo.slotKinds()}
+	for range 2 * geo.sites() {
 		t, err := btree.New(pool, cfg)
 		if err != nil {
 			return nil, err
@@ -200,24 +201,11 @@ func bulkLoaded(ix *Index, err error) (*Index, error) {
 			return nil, err
 		}
 	}
-	if v := ix.vertical(ix.trees); len(v) > 0 {
-		if err := buildVertical(v, ts); err != nil {
-			return nil, err
-		}
-	}
 	// Re-publish version 1 over the bulk-loaded trees. The index has not
 	// escaped to any reader yet, so mutating the trees in place between
 	// newIndex's publish and this one is unobservable.
 	ix.publishLocked(1, len(ts), ext)
 	return ix, nil
-}
-
-// bulkLoadPair bulk-loads one tree pair, its bounds from ext (nil: none).
-func bulkLoadPair(up, down *btree.Tree, upEntries, downEntries []btree.Entry, ext func(uint32) [2]float64) error {
-	if err := up.BulkLoadExt(upEntries, ext); err != nil {
-		return err
-	}
-	return down.BulkLoadExt(downEntries, ext)
 }
 
 // buildSite bulk-loads the tree pair of site i, bounded by the extents in
@@ -239,26 +227,13 @@ func (ix *Index) buildSite(i int, ts []*constraint.Tuple, ext extents) error {
 	if ext.xext != nil {
 		of = ext.of
 	}
-	if err := bulkLoadPair(ix.trees[2*i], ix.trees[2*i+1], upEntries, downEntries, of); err != nil {
+	if err := ix.trees[2*i].BulkLoadExt(upEntries, of); err != nil {
+		return err
+	}
+	if err := ix.trees[2*i+1].BulkLoadExt(downEntries, of); err != nil {
 		return err
 	}
 	return ix.foldHandicaps(i, up, down)
-}
-
-// buildVertical bulk-loads the optional V^up/V^down pair v over horizontal
-// support values.
-func buildVertical(v []*btree.Tree, ts []*constraint.Tuple) error {
-	vupEntries := make([]btree.Entry, 0, len(ts))
-	vdownEntries := make([]btree.Entry, 0, len(ts))
-	for _, t := range ts {
-		sup, inf, err := xSupport(t)
-		if err != nil {
-			return err
-		}
-		vupEntries = append(vupEntries, btree.Entry{Key: sup, TID: uint32(t.ID())})
-		vdownEntries = append(vdownEntries, btree.Entry{Key: inf, TID: uint32(t.ID())})
-	}
-	return bulkLoadPair(v[0], v[1], vupEntries, vdownEntries, nil)
 }
 
 // handicapMerges appends t's contribution to the handicap slots of site i's

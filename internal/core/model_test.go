@@ -61,6 +61,7 @@ const (
 	tkFarTriangle
 	tkTinyPoint // (0, −5e-26): an ulp of the key is far finer than one of key + Eps
 	tkOutOfRange
+	tkFarOnSite // (x, s·x ± 1e-3) for a site s, x in [1e5, 9e5): a key at s below 1e-3, while Δ·x rounds by an ulp of 1e8
 	numTupleKinds
 )
 
@@ -172,6 +173,10 @@ func (h *engineHistory) tuple(kind, arg int) *constraint.Tuple {
 		return point(geom.Point{0, -5e-26})
 	case tkOutOfRange:
 		return box(geom.Point{0, 0}, geom.Point{2e6, 1})
+	case tkFarOnSite:
+		sites := h.ix.Slopes()
+		s, x := sites[arg%len(sites)], 1e5+h.rng.Float64()*8e5
+		return point(geom.Point{x, s*x + (h.rng.Float64()*2-1)*1e-3})
 	}
 	return h.c.tuple(h.rng, false)
 }
@@ -869,6 +874,19 @@ func engineSeeds() [][]byte {
 			eoQuery, 0, 5, 0, onOldest|abovByEps, 0, // EXIST ≥, low in site 0's strip, tuple 0's value + Eps
 			eoQuery, 0, 7, 64, onOldest|abovByEps, 0) // … and between the first two sites
 	}
+	// Points far out in x on the line through the origin at each site, as in
+	// TestT2MarginCoversProductRounding: their keys at that site stay below
+	// 1e-3, so a leaf of them widens T2's key rule by next to nothing, while
+	// the rule's Δ·x rounds by an ulp of 1e8. Queried outside every strip and
+	// anywhere, at their values, ± Eps, ± an ulp.
+	var far []byte
+	for i := 0; i < 300; i++ {
+		far = append(far, eoInsert, tkFarOnSite, byte(i))
+	}
+	for i := 0; i < 200; i++ {
+		b := byte(i)
+		far = append(far, eoQuery, b%4, 6|b>>2&1, b, []byte{atValue, abovByEps, belowByEps, atValue | ulpUp, abovByEps | ulpDown}[i%5], b*37)
+	}
 	return [][]byte{
 		cat([]byte{0, 1}, named, shapes, refused, probes, compound, []byte{eoReopen, eoDelete, 0, eoReopen}, probes, compound), // the first Save is refused
 		cat([]byte{0, 2}, fillers, []byte{eoDelete, 0, eoReopen, eoRebuild}, probes[:len(probes)/8]),
@@ -879,6 +897,7 @@ func engineSeeds() [][]byte {
 			[]byte{eoBegin, eoDelete, 10, eoRebuild, eoCommit, eoPin},
 			probes[len(probes)/8:len(probes)/4], []byte{eoBatch, 3}, probes[1:6], probes[7:12], probes[13:18], probes[19:24],
 			[]byte{eoUnpin, 0, eoReopen, eoDelete, 100, eoBatch, 1, 1, 0, 0, 2, 7}),
+		cat([]byte{0, 4}, far),
 	}
 }
 

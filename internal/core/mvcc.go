@@ -78,9 +78,10 @@ type extents struct {
 var noExtent = [2]float64{math.Inf(-1), math.Inf(1)}
 
 // xExtent returns the 2-D tuple's {infX, supX} over its vertices, infinite
-// on the side any ray leans to — strictly, where xSupport tolerates Eps:
-// with no ray leaving the vertical, rays fire at every slope or at none, and
-// only then do the vertices alone carry the surface from slope to slope.
+// on the side any ray leans to — strictly, where the support matchesVertical
+// reads tolerates Eps: with no ray leaving the vertical, rays fire at every
+// slope or at none, and only then do the vertices alone carry the surface
+// from slope to slope.
 func xExtent(t *constraint.Tuple) [2]float64 {
 	ext, err := t.Extension()
 	if err != nil || ext.IsEmpty() {

@@ -227,11 +227,10 @@ func TestObservedCompoundQueries(t *testing.T) {
 	}
 	o := obs.New(obs.Options{SlowThreshold: 1})
 	ix, err := Build(rel, Options{
-		Slopes:        EquiangularSlopes(3),
-		Technique:     T2,
-		IndexVertical: true,
-		PoolPages:     1 << 14,
-		Observe:       o,
+		Slopes:    EquiangularSlopes(3),
+		Technique: T2,
+		PoolPages: 1 << 14,
+		Observe:   o,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -292,24 +291,10 @@ func TestFailedQueryClosesRefineSpan(t *testing.T) {
 	}
 	o := obs.New(obs.Options{SlowThreshold: 1})
 	ix, err := Build(rel, Options{
-		Slopes:        EquiangularSlopes(3),
-		Technique:     T2,
-		IndexVertical: true,
-		PoolPages:     1 << 14,
-		Observe:       o,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Without a vertical index the window's x-constraints are left to the
-	// tuple refinement itself, exercising queryTuple's own error return
-	// (on ix, the failure fires inside the vertical sub-selection instead).
-	o2 := obs.New(obs.Options{SlowThreshold: 1})
-	ix2, err := Build(rel, Options{
 		Slopes:    EquiangularSlopes(3),
 		Technique: T2,
 		PoolPages: 1 << 14,
-		Observe:   o2,
+		Observe:   o,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -319,11 +304,9 @@ func TestFailedQueryClosesRefineSpan(t *testing.T) {
 	}
 	// The MVCC query path reads the relation view frozen in the published
 	// root set, so an out-of-band relation mutation is invisible until the
-	// next publish. Re-publish both indexes to make the id dangle.
-	for _, x := range []*Index{ix, ix2} {
-		rs := x.roots.Load()
-		x.publishLocked(rs.version+1, rs.indexed, rs.extents)
-	}
+	// next publish. Re-publish to make the id dangle.
+	rs := ix.roots.Load()
+	ix.publishLocked(rs.version+1, rs.indexed, rs.extents)
 
 	window, err := constraint.ParseTuple(
 		"x >= -1000000 && x <= 1000000 && y >= -1000000 && y <= 1000000", 2)
@@ -333,37 +316,35 @@ func TestFailedQueryClosesRefineSpan(t *testing.T) {
 	if _, err := ix.QueryTuple(constraint.EXIST, window); err == nil {
 		t.Fatal("tuple query over a dangling id succeeded; refine error path unexercised")
 	}
-	if _, err := ix.QueryVertical(constraint.EXIST, geom.GE, -1e6); err == nil {
-		t.Fatal("vertical query over a dangling id succeeded; refine error path unexercised")
+
+	// A vertical selection scans the version's tuples, which no longer
+	// hold the id: it answers as the exhaustive evaluation does.
+	got, err := ix.QueryVertical(constraint.EXIST, geom.GE, -1e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := EvalVertical(constraint.EXIST, geom.GE, -1e6, rel); !sameIDs(got.IDs, want) {
+		t.Fatalf("vertical query after the delete: got %v, want %v", got.IDs, want)
 	}
 
-	if _, err := ix2.QueryTuple(constraint.EXIST, window); err == nil {
-		t.Fatal("tuple query over a dangling id succeeded; tuple refine error path unexercised")
+	failed := 0
+	for _, tr := range o.SlowTraces() {
+		if tr.Err == "" {
+			continue
+		}
+		failed++
+		refines := 0
+		for _, sp := range tr.Spans {
+			if sp.Stage == obs.StageRefine.String() {
+				refines++
+			}
+		}
+		if refines == 0 {
+			t.Errorf("failed trace %q has no refine span; the error return dropped it", tr.Query)
+		}
 	}
-
-	for name, c := range map[string]struct {
-		o    *obs.Observer
-		want int
-	}{"vertical-indexed": {o, 2}, "tuple-refine": {o2, 1}} {
-		failed := 0
-		for _, tr := range c.o.SlowTraces() {
-			if tr.Err == "" {
-				continue
-			}
-			failed++
-			refines := 0
-			for _, sp := range tr.Spans {
-				if sp.Stage == obs.StageRefine.String() {
-					refines++
-				}
-			}
-			if refines == 0 {
-				t.Errorf("%s: failed trace %q has no refine span; the error return dropped it", name, tr.Query)
-			}
-		}
-		if failed != c.want {
-			t.Fatalf("%s: retained %d failed traces, want %d", name, failed, c.want)
-		}
+	if failed != 1 {
+		t.Fatalf("retained %d failed traces, want 1", failed)
 	}
 }
 

@@ -26,7 +26,6 @@ import (
 	"math"
 	"sort"
 
-	"dualcdb/internal/btree"
 	"dualcdb/internal/geom"
 	"dualcdb/internal/obs"
 	"dualcdb/internal/pagestore"
@@ -79,11 +78,6 @@ type Options struct {
 	// pagestore.FileStore for an on-disk database); ignored when Pool is
 	// set. The store must be fresh — its page 1 becomes the catalog.
 	Store pagestore.Store
-	// IndexVertical adds a V^up/V^down tree pair over the tuples'
-	// horizontal support values so that vertical selections Kind(x θ c) —
-	// outside the dual transform, footnote 4 — run an exact tree sweep
-	// instead of a scan. Costs two extra trees of space.
-	IndexVertical bool
 	// Observe attaches a metrics-and-tracing observer to every query this
 	// index executes: per-path counters and latency histograms, stage
 	// spans (routing, sweeps, dedup, refinement), a slow-query log and a
@@ -109,22 +103,6 @@ type OptionsD struct {
 	// Observe as in Options: attaches per-query metrics and tracing; nil
 	// keeps the query path allocation-free.
 	Observe *obs.Observer
-}
-
-// treeConfigs lists the btree configuration of every entry of Index.trees:
-// the 2k site trees carry the geometry's handicap slots, the vertical pair
-// (Options.IndexVertical) carries none.
-func (o *Options) treeConfigs(geo slopeSpace) []btree.Config {
-	cfg := btree.Config{HandicapKinds: geo.slotKinds()}
-	cfgs := make([]btree.Config, 2*geo.sites(), 2*geo.sites()+2)
-	for j := range cfgs {
-		cfgs[j] = cfg
-	}
-	if o.IndexVertical {
-		cfg.HandicapKinds = nil
-		cfgs = append(cfgs, cfg, cfg)
-	}
-	return cfgs
 }
 
 // storageDefaults fills the page-store defaults both constructors share.

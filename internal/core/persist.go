@@ -34,7 +34,7 @@ const (
 	catalogMagic   = "DCDB0006"
 	catalogPage    = pagestore.PageID(1)
 	catalogFixed   = 52 // bytes before the slope table
-	maxPersistK    = 23 // catalog page capacity bound at 1 KiB pages (incl. vertical pair)
+	maxPersistK    = 23 // every DCDB0006 reader's bound (a 1 KiB catalog fits 24)
 	chainHeaderLen = 4  // next-page pointer
 )
 
@@ -98,9 +98,7 @@ func (ix *Index) Save() error {
 	}
 	copy(d[0:8], catalogMagic)
 	d[8] = byte(ix.opt.Technique)
-	if ix.opt.IndexVertical {
-		d[9] = 1 // flags: bit 0 = vertical pair present
-	}
+	// d[9], the flags byte, stays zero: Open refuses any flag.
 	binary.LittleEndian.PutUint16(d[10:12], uint16(len(slopes)))
 	// d[12:16] is unused and stays zero; Open does not read it.
 	binary.LittleEndian.PutUint64(d[16:24], math.Float64bits(t1PivotX))
@@ -143,8 +141,9 @@ func (ix *Index) freeStaleChain() error {
 
 // ErrCatalog is returned by Open when page 1 is not a catalog this version
 // writes: another format's magic — a DCDB0005 or older file, whose trees
-// have another node layout — or a damaged field. A node of another layout
-// under a current catalog is btree.ErrLayout.
+// have another node layout — a flags byte recording a vertical tree pair,
+// or a damaged field. A node of another layout under a current catalog is
+// btree.ErrLayout.
 var ErrCatalog = errors.New("core: bad catalog")
 
 // catalog is the decoded catalog page.
@@ -165,9 +164,8 @@ func parseCatalog(d []byte) (catalog, error) {
 	}
 	c := catalog{
 		opt: Options{
-			Technique:     Technique(d[8]),
-			IndexVertical: d[9]&1 != 0,
-			PageSize:      len(d),
+			Technique: Technique(d[8]),
+			PageSize:  len(d),
 		},
 		head:  pagestore.PageID(binary.LittleEndian.Uint32(d[40:44])),
 		count: int(binary.LittleEndian.Uint32(d[44:48])),
@@ -178,11 +176,11 @@ func parseCatalog(d []byte) (catalog, error) {
 	if c.opt.Technique > RestrictedOnly {
 		return catalog{}, fmt.Errorf("%w: unknown technique %d", ErrCatalog, d[8])
 	}
+	if d[9] != 0 {
+		return catalog{}, fmt.Errorf("%w: flags %#x: the file holds a vertical tree pair this version does not keep; rebuild the index", ErrCatalog, d[9])
+	}
 	k := int(binary.LittleEndian.Uint16(d[10:12]))
 	trees := 2 * k
-	if c.opt.IndexVertical {
-		trees += 2
-	}
 	if k < 1 || k > maxPersistK || catalogFixed+8*k+16*trees > len(d) {
 		return catalog{}, fmt.Errorf("%w: %d slopes do not fit a %d-byte page", ErrCatalog, k, len(d))
 	}
@@ -253,8 +251,9 @@ func Open(pool *pagestore.Pool) (*constraint.Relation, *Index, error) {
 		tupleChain: cat.head,
 		dataPages:  chainPages,
 	}
-	for j, cfg := range cat.opt.treeConfigs(cat.geo) {
-		t, err := btree.Restore(pool, cfg, cat.metas[j])
+	cfg := btree.Config{HandicapKinds: cat.geo.slotKinds()}
+	for j, m := range cat.metas {
+		t, err := btree.Restore(pool, cfg, m)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: restore tree %d: %w", j, err)
 		}

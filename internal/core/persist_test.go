@@ -291,6 +291,50 @@ func TestOpenRejectsDamagedCatalog(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesVerticalPairCatalog: catalog byte [9] once flagged a
+// V^up/V^down tree pair stored after the site trees. A file that records it
+// has trees this index does not keep, so Open refuses it with ErrCatalog
+// and leaves no frame pinned.
+func TestOpenRefusesVerticalPairCatalog(t *testing.T) {
+	rng := rand.New(rand.NewSource(606))
+	store := pagestore.NewMemStore(1024)
+	rel := constraint.NewRelation(2)
+	for i := 0; i < 60; i++ {
+		if _, err := rel.Insert(randTuple(rng, true)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ix, err := Build(rel, Options{Slopes: EquiangularSlopes(3), Technique: T2, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Save(); err != nil {
+		t.Fatal(err)
+	}
+	cat, err := ix.Pool().Get(catalogPage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := cat.Data(); d[9] != 0 {
+		t.Fatalf("Save wrote catalog byte [9] = %#x, want 0", d[9])
+	}
+	cat.Data()[9] = 1
+	cat.MarkDirty()
+	cat.Release()
+	if err := ix.Pool().Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	pool := pagestore.NewPool(store, 64)
+	_, reopened, err := Open(pool)
+	if !errors.Is(err, ErrCatalog) || !strings.Contains(err.Error(), "vertical") || reopened != nil {
+		t.Fatalf("Open of a catalog recording a vertical pair: %v, want ErrCatalog naming the pair", err)
+	}
+	if r := pool.Residency(); r.Pinned != 0 {
+		t.Fatalf("the refused Open left %d frames pinned", r.Pinned)
+	}
+}
+
 // TestOpenRefusesDamagedTupleID: one tuple id of a saved file overwritten
 // with 0x7fffffff used to end the process — the relation's spine and the
 // x-extent table are sized by the largest id, 32 GB here. Open must refuse the
@@ -338,7 +382,7 @@ func TestSaveBesideSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ix, err := Build(rel, Options{Slopes: EquiangularSlopes(4), Technique: T2, Store: store, IndexVertical: true})
+	ix, err := Build(rel, Options{Slopes: EquiangularSlopes(4), Technique: T2, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,37 +83,16 @@ func (ix *Index) queryTuple(kind constraint.QueryKind, qt *constraint.Tuple, ec 
 		st := QueryTupleStats{QueryStats: QueryStats{Path: "tuple-" + kind.String()}}
 
 		// Decompose into per-constraint selections. Non-vertical constraints
-		// run as half-plane queries; vertical ones run on the V^up/V^down pair
-		// when the index carries it (Options.IndexVertical) and are otherwise
-		// left to the refinement step.
-		type runner func() (Result, error)
-		var selections []runner
+		// run as half-plane queries; vertical ones — trivial ones included —
+		// have no slope form and are left to the refinement step.
+		var selections []constraint.Query
 		for _, h := range qt.Constraints() {
-			if h.IsTrivial() {
+			slope, icpt, op, err := h.SlopeForm()
+			if err != nil {
 				st.ConstraintsSkipped++
 				continue
 			}
-			slope, icpt, op, err := h.SlopeForm()
-			if err != nil {
-				if ix.opt.IndexVertical {
-					// Vertical constraint a·x + c θ 0 with a ≠ 0: normalize to
-					// x θ' −c/a.
-					a, c := h.A[0], h.C
-					vop := h.Op
-					if a < 0 {
-						vop = vop.Negate()
-					}
-					cutoff := -c / a
-					selections = append(selections, func() (Result, error) {
-						return ix.queryVertical(kind, vop, cutoff, ec)
-					})
-					continue
-				}
-				st.ConstraintsSkipped++ // vertical without the pair: refinement-only
-				continue
-			}
-			q := constraint.NewQuery(kind, slope, icpt, op)
-			selections = append(selections, func() (Result, error) { return ix.query(q, ec) })
+			selections = append(selections, constraint.NewQuery(kind, slope, icpt, op))
 		}
 		st.ConstraintsIndexed = len(selections)
 
@@ -130,8 +109,8 @@ func (ix *Index) queryTuple(kind constraint.QueryKind, qt *constraint.Tuple, ec 
 		} else {
 			// Intersect the per-constraint selections (each exact for ALL, a
 			// filter for EXIST).
-			for i, run := range selections {
-				res, err := run()
+			for i, q := range selections {
+				res, err := ix.query(q, ec)
 				if err != nil {
 					return TupleResult{}, err
 				}

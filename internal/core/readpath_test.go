@@ -117,7 +117,7 @@ func testBoundaryCluster(t *testing.T, build func(*constraint.Relation) (*Index,
 	}
 }
 
-// TestConcurrentPagesReadAttribution: QueryLine and QueryVertical report
+// TestConcurrentPagesReadAttribution: QueryLine and QueryTuple report
 // per-query PagesRead from their own ReadCounter, so under concurrency
 // (a) the per-query numbers never exceed the query's serial cold cost, and
 // (b) they partition the pool's physical reads exactly. The historical
@@ -126,30 +126,33 @@ func testBoundaryCluster(t *testing.T, build func(*constraint.Relation) (*Index,
 func TestConcurrentPagesReadAttribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(907))
 	rel, ix := buildRandomIndex(t, rng, 300, Options{
-		Slopes:        EquiangularSlopes(3),
-		Technique:     T2,
-		Pool:          shardedPool(1<<14, 8),
-		IndexVertical: true,
+		Slopes:    EquiangularSlopes(3),
+		Technique: T2,
+		Pool:      shardedPool(1<<14, 8),
 	}, true)
 
 	type workload struct {
 		line bool
 		a, b float64 // line params
 		kind constraint.QueryKind
-		op   geom.Op
-		c    float64 // vertical intercept
+		qt   string // query tuple
 	}
 	cases := []workload{
 		{line: true, a: 0.3, b: 4},
 		{line: true, a: -1.7, b: -12},
-		{kind: constraint.EXIST, op: geom.GE, c: 3},
-		{kind: constraint.ALL, op: geom.LE, c: 25},
+		{kind: constraint.EXIST, qt: "y >= 0.3x - 5 && y <= 2x + 8"},
+		{kind: constraint.ALL, qt: "y >= -1.1x - 40 && y <= 0.8x + 30"},
 	}
 	run := func(w workload) (Result, error) {
 		if w.line {
 			return ix.QueryLine(w.a, w.b)
 		}
-		return ix.QueryVertical(w.kind, w.op, w.c)
+		qt, err := constraint.ParseTuple(w.qt, 2)
+		if err != nil {
+			return Result{}, err
+		}
+		res, err := ix.QueryTuple(w.kind, qt)
+		return Result{IDs: res.IDs, Stats: res.Stats.QueryStats}, err
 	}
 
 	// Serial cold baselines (and ground truth).
@@ -170,7 +173,11 @@ func TestConcurrentPagesReadAttribution(t *testing.T) {
 		if w.line {
 			truth, err = EvalLine(w.a, w.b, rel)
 		} else {
-			truth, err = EvalVertical(w.kind, w.op, w.c, rel)
+			qt, perr := constraint.ParseTuple(w.qt, 2)
+			if perr != nil {
+				t.Fatal(perr)
+			}
+			truth, err = EvalTuple(w.kind, qt, rel)
 		}
 		if err != nil {
 			t.Fatal(err)

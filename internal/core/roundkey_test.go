@@ -19,8 +19,9 @@ import (
 // on its neighbours: the restricted path (which may evaluate only the
 // entries whose stored key equals the rounded bound), T2 in a strip — a
 // shift of 1e-9, where the rule's bracket is the rounding alone — and
-// outside every strip, T1, the vertical pair, and a 3-D site set. Answers
-// must be the scan's and no reference may come twice.
+// outside every strip, T1, and a 3-D site set; vertical selections at the
+// same intercepts scan. Answers must be the scan's and no reference may
+// come twice.
 func TestFloat32KeyBoundary(t *testing.T) {
 	const K = 16.0
 	lo32 := float64(math.Nextafter32(K, 0))   // K − 9.5e-7
@@ -103,7 +104,7 @@ func TestFloat32KeyBoundary(t *testing.T) {
 	}
 
 	// E²: points (0, v) — value v at every slope, so every site's key is
-	// RoundKey(v) — and points (v, 0), whose x is v: the vertical pair's key.
+	// RoundKey(v) — and points (v, 0), whose x is v: a vertical bound's value.
 	rel := constraint.NewRelation(2)
 	for copies := 0; copies < 12; copies++ {
 		for _, v := range values {
@@ -120,7 +121,7 @@ func TestFloat32KeyBoundary(t *testing.T) {
 		return true
 	})
 	slopes := []float64{-1, 0, 1}
-	ix, err := Build(rel, Options{Slopes: slopes, Technique: T2, IndexVertical: true})
+	ix, err := Build(rel, Options{Slopes: slopes, Technique: T2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestFloat32KeyBoundary(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st := got.Stats; st.Path != "restricted-vertical" || !sameIDs(got.IDs, want) || st.Duplicates != 0 {
+			if st := got.Stats; st.Path != "scan" || !sameIDs(got.IDs, want) || st.Duplicates != 0 {
 				t.Fatalf("vertical %v(x %v %v) [%s]: got %v, the scan %v", sh.kind, sh.op, c, st.Path, got.IDs, want)
 			}
 		}

@@ -348,17 +348,22 @@ func FuzzSlopeBound(f *testing.F) {
 }
 
 // TestLeaningRayIsNeverDecided is why the table's extent is stricter than
-// xSupport: a ray within Eps of the vertical leaves the tuple x-bounded to
-// the support scan, yet beyond slopes of 1/Eps it fires — TOP is +Inf where
-// the vertices alone would bracket it finite.
+// the support matchesVertical reads: a ray within Eps of the vertical leaves
+// the tuple x-bounded to the support scan, yet beyond slopes of 1/Eps it
+// fires — TOP is +Inf where the vertices alone would bracket it finite.
 func TestLeaningRayIsNeverDecided(t *testing.T) {
 	p, err := geom.FromVertices([]geom.Point{{0, 0}, {1, 0}, {0, 1}}, []geom.Point{{1e-10, -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tp := constraint.FromPolyhedron(p)
-	if sup, inf, err := xSupport(tp); err != nil || sup != 1 || inf != 0 {
-		t.Fatalf("xSupport = (%v, %v, %v), want the vertices' (1, 0)", sup, inf, err)
+	sup, err := tp.Support([]float64{1, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inf, err := tp.Support([]float64{-1, 0})
+	if err != nil || sup != 1 || -inf != 0 {
+		t.Fatalf("x support = (%v, %v, %v), want the vertices' (1, 0)", sup, -inf, err)
 	}
 	if x := xExtent(tp); x != [2]float64{0, math.Inf(1)} {
 		t.Fatalf("xExtent = %v, want [0 +Inf]", x)

@@ -5,46 +5,20 @@ import (
 	"math"
 	"slices"
 
-	"dualcdb/internal/btree"
 	"dualcdb/internal/constraint"
 	"dualcdb/internal/geom"
-	"dualcdb/internal/obs"
 )
 
-// Vertical half-planes x θ c fall outside the dual transform (footnote 4:
-// "the proposed transformation can be extended to deal with vertical
-// hyperplanes"). The extension is the degenerate-direction analogue of the
-// TOP/BOT trees: index every tuple's horizontal support interval
-// [infX, supX] in one B⁺-tree pair, and the four selections reduce to the
-// familiar sweeps:
+// Vertical half-planes x θ c fall outside the dual transform: a vertical
+// line has no point in the dual plane (footnote 4). No tree orders the
+// tuples by their horizontal support, so a vertical selection scans the
+// version's tuples and decides each with the exact predicate:
 //
-//	EXIST(x ≥ c) ⇔ supX ≥ c     (V^up,   upward sweep)
-//	ALL(x ≤ c)   ⇔ supX ≤ c     (V^up,   downward sweep)
-//	ALL(x ≥ c)   ⇔ infX ≥ c     (V^down, upward sweep)
-//	EXIST(x ≤ c) ⇔ infX ≤ c     (V^down, downward sweep)
-//
-// No approximation is ever needed — there is only one vertical direction —
-// so vertical queries always run the restricted path. The pair is optional
-// (Options.IndexVertical); without it vertical selections fall back to an
-// exhaustive scan.
-
-// vertical returns the V^up/V^down pair at the tail of a tree list — the
-// writer's live one or a version's frozen one; empty when the index has none.
-func (ix *Index) vertical(trees []*btree.Tree) []*btree.Tree {
-	return trees[2*ix.geo.sites():]
-}
-
-// xSupport returns the tuple's horizontal support values supX and infX
-// (±Inf for horizontally unbounded extensions).
-func xSupport(t *constraint.Tuple) (sup, inf float64, err error) {
-	sup, err = t.Support([]float64{1, 0})
-	inf, _ = t.Support([]float64{-1, 0}) // fails only where the first does
-	return sup, -inf, err
-}
+//	EXIST(x ≥ c) ⇔ supX ≥ c     ALL(x ≤ c)   ⇔ supX ≤ c
+//	ALL(x ≥ c)   ⇔ infX ≥ c     EXIST(x ≤ c) ⇔ infX ≤ c
 
 // QueryVertical executes the selection Kind(x op c) against the current
-// version. With IndexVertical it runs one exact tree sweep; otherwise it
-// scans.
+// version by a scan.
 func (ix *Index) QueryVertical(kind constraint.QueryKind, op geom.Op, c float64) (Result, error) {
 	rs := ix.pinRoots()
 	defer ix.unpinRoots(rs)
@@ -60,9 +34,7 @@ func (s *Snapshot) QueryVertical(kind constraint.QueryKind, op geom.Op, c float6
 	return s.ix.queryVertical(kind, op, c, s.execCtx())
 }
 
-// queryVertical is QueryVertical on a caller-supplied execCtx, so a
-// generalized query tuple can charge the sweep to its own counter and
-// trace.
+// queryVertical is QueryVertical on a caller-supplied execCtx.
 func (ix *Index) queryVertical(kind constraint.QueryKind, op geom.Op, c float64, ec *execCtx) (Result, error) {
 	label := func() string { return fmt.Sprintf("%s(x %s %g)", kind, op, c) }
 	return traced(ec, label, func() (Result, error) {
@@ -72,25 +44,9 @@ func (ix *Index) queryVertical(kind constraint.QueryKind, op geom.Op, c float64,
 		if math.IsNaN(c) || math.IsInf(c, 0) {
 			return Result{}, fmt.Errorf("core: invalid vertical intercept %v", c)
 		}
-		st := QueryStats{Path: "scan"}
 		sc := getScratch(ec.rs)
-		if v := ix.vertical(ec.rs.trees); len(v) == 0 {
-			sc.cands = ec.rs.allIDs(sc.cands)
-			st.Candidates = len(sc.cands)
-		} else {
-			st.Path = "restricted-vertical"
-			// Route: EXIST(≥)/ALL(≤) read V^up; ALL(≥)/EXIST(≤) read V^down.
-			tr := v[1]
-			if (kind == constraint.EXIST) == (op == geom.GE) {
-				tr = v[0]
-			}
-			sw := ec.span(obs.StageSweep)
-			n, _, err := firstSweep(c, geom.Eps, op == geom.GE, -1).run(tr, ec.rc, sc, &st)
-			ec.endSpan(sw, n)
-			if err != nil {
-				return Result{}, err
-			}
-		}
+		sc.cands = ec.rs.allIDs(sc.cands)
+		st := QueryStats{Path: "scan", Candidates: len(sc.cands)}
 		return ec.refine(func(t *constraint.Tuple) (bool, error) {
 			return matchesVertical(kind, op, c, t)
 		}, sc, st)

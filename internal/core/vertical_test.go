@@ -9,60 +9,58 @@ import (
 	"dualcdb/internal/pagestore"
 )
 
-// TestVerticalMatchesGroundTruth: indexed vertical selections against the
-// exhaustive evaluation, with and without the vertical pair.
+// TestVerticalMatchesGroundTruth: vertical selections, on the index and on
+// a snapshot, against the exhaustive evaluation; both take the scan path.
 func TestVerticalMatchesGroundTruth(t *testing.T) {
 	rng := rand.New(rand.NewSource(901))
-	for _, indexed := range []bool{true, false} {
-		rel := constraint.NewRelation(2)
-		for i := 0; i < 200; i++ {
-			if _, err := rel.Insert(randTuple(rng, true)); err != nil {
-				t.Fatal(err)
-			}
+	rel := constraint.NewRelation(2)
+	for i := 0; i < 200; i++ {
+		if _, err := rel.Insert(randTuple(rng, true)); err != nil {
+			t.Fatal(err)
 		}
-		ix, err := Build(rel, Options{
-			Slopes: EquiangularSlopes(3), Technique: T2, IndexVertical: indexed,
-		})
+	}
+	ix, err := Build(rel, Options{Slopes: EquiangularSlopes(3), Technique: T2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := ix.Snapshot()
+	defer snap.Release()
+	for qi := 0; qi < 60; qi++ {
+		kind := constraint.EXIST
+		if rng.Intn(2) == 0 {
+			kind = constraint.ALL
+		}
+		op := geom.GE
+		if rng.Intn(2) == 0 {
+			op = geom.LE
+		}
+		c := rng.Float64()*160 - 80
+		want, err := EvalVertical(kind, op, c, rel)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for qi := 0; qi < 60; qi++ {
-			kind := constraint.EXIST
-			if rng.Intn(2) == 0 {
-				kind = constraint.ALL
-			}
-			op := geom.GE
-			if rng.Intn(2) == 0 {
-				op = geom.LE
-			}
-			c := rng.Float64()*160 - 80
-			want, err := EvalVertical(kind, op, c, rel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := ix.QueryVertical(kind, op, c)
+		for name, q := range map[string]func(constraint.QueryKind, geom.Op, float64) (Result, error){
+			"index": ix.QueryVertical, "snapshot": snap.QueryVertical,
+		} {
+			got, err := q(kind, op, c)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !sameIDs(got.IDs, want) {
-				t.Fatalf("indexed=%v %v(x %v %v): got %v, want %v", indexed, kind, op, c, got.IDs, want)
+				t.Fatalf("%s %v(x %v %v): got %v, want %v", name, kind, op, c, got.IDs, want)
 			}
-			wantPath := "scan"
-			if indexed {
-				wantPath = "restricted-vertical"
-			}
-			if got.Stats.Path != wantPath {
-				t.Fatalf("indexed=%v: path %q, want %q", indexed, got.Stats.Path, wantPath)
+			if got.Stats.Path != "scan" || got.Stats.Candidates != rel.Len() {
+				t.Fatalf("%s: path %q over %d candidates, want scan over %d", name, got.Stats.Path, got.Stats.Candidates, rel.Len())
 			}
 		}
 	}
 }
 
-// TestVerticalMaintenance: insert/delete keep the vertical pair in sync.
+// TestVerticalMaintenance: vertical selections follow inserts and deletes.
 func TestVerticalMaintenance(t *testing.T) {
 	rng := rand.New(rand.NewSource(902))
 	rel := constraint.NewRelation(2)
-	ix, err := New(rel, Options{Slopes: EquiangularSlopes(2), Technique: T2, IndexVertical: true})
+	ix, err := New(rel, Options{Slopes: EquiangularSlopes(2), Technique: T2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,9 +94,10 @@ func TestVerticalMaintenance(t *testing.T) {
 	}
 }
 
-// TestQueryTupleUsesVerticalTrees: with the pair, box queries index all
-// four constraints.
-func TestQueryTupleUsesVerticalTrees(t *testing.T) {
+// TestQueryTupleRefinesVerticalConstraints: a box query runs its two
+// horizontal constraints on the trees and leaves its two vertical ones to
+// refinement, and answers exactly.
+func TestQueryTupleRefinesVerticalConstraints(t *testing.T) {
 	rng := rand.New(rand.NewSource(903))
 	rel := constraint.NewRelation(2)
 	for i := 0; i < 150; i++ {
@@ -106,7 +105,7 @@ func TestQueryTupleUsesVerticalTrees(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ix, err := Build(rel, Options{Slopes: EquiangularSlopes(3), Technique: T2, IndexVertical: true})
+	ix, err := Build(rel, Options{Slopes: EquiangularSlopes(3), Technique: T2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,14 +122,15 @@ func TestQueryTupleUsesVerticalTrees(t *testing.T) {
 		if !sameIDs(got.IDs, want) {
 			t.Fatalf("%v(window): got %v, want %v", kind, got.IDs, want)
 		}
-		if got.Stats.ConstraintsIndexed != 4 || got.Stats.ConstraintsSkipped != 0 {
-			t.Fatalf("%v: constraints indexed=%d skipped=%d, want 4/0",
+		if got.Stats.ConstraintsIndexed != 2 || got.Stats.ConstraintsSkipped != 2 {
+			t.Fatalf("%v: constraints indexed=%d skipped=%d, want 2/2",
 				kind, got.Stats.ConstraintsIndexed, got.Stats.ConstraintsSkipped)
 		}
 	}
 }
 
-// TestVerticalPersistence: the pair round-trips through Save/Open.
+// TestVerticalPersistence: a reopened index answers vertical selections as
+// the saved one did.
 func TestVerticalPersistence(t *testing.T) {
 	rng := rand.New(rand.NewSource(904))
 	store := pagestore.NewMemStore(1024)
@@ -139,7 +139,7 @@ func TestVerticalPersistence(t *testing.T) {
 		_, _ = rel.Insert(randTuple(rng, true))
 	}
 	ix, err := Build(rel, Options{
-		Slopes: EquiangularSlopes(2), Technique: T2, IndexVertical: true, Store: store,
+		Slopes: EquiangularSlopes(2), Technique: T2, Store: store,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,8 +161,8 @@ func TestVerticalPersistence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Stats.Path != "restricted-vertical" {
-			t.Fatalf("reopened index lost the vertical pair: path %q", got.Stats.Path)
+		if got.Stats.Path != "scan" {
+			t.Fatalf("reopened index: path %q, want scan", got.Stats.Path)
 		}
 		if !sameIDs(got.IDs, want.IDs) {
 			t.Fatalf("c=%v: %v vs %v", c, got.IDs, want.IDs)

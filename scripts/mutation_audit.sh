@@ -24,8 +24,8 @@
 #
 # The whole list takes about 40 minutes on a 2-core x86-64 container, most
 # of it in the -race runs of internal/core and in the timeouts of the
-# mutations that deadlock every Save; CI's "Mutation smoke" step runs twelve
-# of its rows.
+# mutations that deadlock every Save; CI's "Mutation smoke" step runs
+# thirteen of its rows.
 set -euo pipefail
 repo=$(cd "$(dirname "$0")/.." && pwd)
 work=$(mktemp -d)
@@ -312,6 +312,13 @@ mut catalog-derived-unchecked internal/core/persist.go "derived options: \`Open\
 	}
 	if outer := binary.LittleEndian.Uint64(d[24:32]); outer != math.Float64bits(c.geo.outer) {
 		return catalog{}, fmt.Errorf("%w: outer strip half-width %v, want %v derived from S", ErrCatalog, math.Float64frombits(outer), c.geo.outer)
+	}
+----
+EOF
+
+mut vertical-flag-ignored internal/core/persist.go "catalog: \`Open\` stops refusing a file whose flags byte records a vertical tree pair" <<'EOF'
+	if d[9] != 0 {
+		return catalog{}, fmt.Errorf("%w: flags %#x: the file holds a vertical tree pair this version does not keep; rebuild the index", ErrCatalog, d[9])
 	}
 ----
 EOF
