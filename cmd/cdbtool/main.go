@@ -109,10 +109,6 @@ func (s *session) execLocked(line string) error {
 			id, err = s.dual.Insert(t)
 		} else {
 			id, err = s.rel.Insert(t)
-			if err == nil && s.rplus != nil {
-				// Keep the baseline in sync when it exists without the dual.
-				err = fmt.Errorf("note: R+-tree index is stale; rebuild with 'rindex'")
-			}
 		}
 		if err != nil {
 			return err
@@ -124,15 +120,21 @@ func (s *session) execLocked(line string) error {
 			sat = " (infinite object)"
 		}
 		fmt.Fprintf(s.out, "inserted tuple %d%s\n", id, sat)
+		s.dropRPlus()
 	case "delete":
 		id, err := strconv.Atoi(rest)
 		if err != nil {
 			return fmt.Errorf("delete <tuple-id>")
 		}
 		if s.dual != nil {
-			return s.dual.Delete(dualcdb.TupleID(id))
+			err = s.dual.Delete(dualcdb.TupleID(id))
+		} else {
+			err = s.rel.Delete(dualcdb.TupleID(id))
 		}
-		return s.rel.Delete(dualcdb.TupleID(id))
+		if err != nil {
+			return err
+		}
+		s.dropRPlus()
 	case "list":
 		s.rel.Scan(func(t *dualcdb.Tuple) bool {
 			fmt.Fprintf(s.out, "%4d: %s\n", t.ID(), t)
@@ -188,7 +190,8 @@ func (s *session) help() {
   gen <n> <small|medium> [seed]
                            generate a random relation (replaces current)
   index <k> [t1|t2]        build the dual index with k slopes (default t2)
-  rindex                   build the R+-tree baseline
+  rindex                   build the R+-tree baseline (insert and delete
+                           drop it)
   exist <constraints>      EXIST selection; one constraint runs a half-plane
                            query, a conjunction runs a generalized-tuple
                            query, e.g. exist y >= 0.5x + 2 && x <= 10
@@ -210,6 +213,15 @@ func (s *session) help() {
   stats                    structure + query and commit statistics
   quit                     leave
 `)
+}
+
+// dropRPlus discards the R⁺-tree after a write to the relation: it is
+// built once and does not follow writes, so it must not answer again.
+func (s *session) dropRPlus() {
+	if s.rplus != nil {
+		s.rplus = nil
+		fmt.Fprintln(s.out, "note: R+-tree index dropped (it does not follow writes); rebuild with 'rindex'")
+	}
 }
 
 // save writes one tuple per line in the parseable constraint syntax.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"math"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -78,6 +79,45 @@ func TestSessionGenAndRIndex(t *testing.T) {
 	}
 	if !strings.Contains(out, "path=rplus-EXIST") {
 		t.Errorf("R+ query path missing:\n%s", out)
+	}
+}
+
+// TestSessionWriteDropsRPlus: the R⁺-tree is built once, so a write drops
+// it with one note, and the next query answers from the relation as it
+// now stands — by scan, or by the dual index when there is one.
+func TestSessionWriteDropsRPlus(t *testing.T) {
+	const note = "note: R+-tree index dropped"
+	writes := []string{
+		"insert x >= 0 && y >= 0 && x + y <= 4",
+		"insert x >= 1 && x <= 3 && y >= 5 && y <= 6",
+		"rindex",
+		"delete 1",
+		"insert x >= 6 && x <= 7 && y >= 0 && y <= 1",
+		"exist y >= 0.5x + 1",
+	}
+	out := runScript(t, writes)
+	if !strings.Contains(out, "inserted tuple 3") {
+		t.Errorf("insert after the drop missing:\n%s", out)
+	}
+	if n := strings.Count(out, note); n != 1 {
+		t.Errorf("%d drop notes, want 1:\n%s", n, out)
+	}
+	// The same history without the R⁺-tree is the scan's answer.
+	scan := runScript(t, slices.Delete(slices.Clone(writes), 2, 3))
+	want := scan[strings.LastIndex(strings.TrimSuffix(scan, "\n"), "\n")+1:]
+	if !strings.HasSuffix(out, want) || !strings.Contains(want, "EXIST(y >= 0.5x + 1): [2]") {
+		t.Errorf("answer after the drop is not the scan's %q:\n%s", want, out)
+	}
+
+	out = runScript(t, []string{
+		"insert x >= 0 && y >= 0 && x + y <= 4",
+		"index 2 t2",
+		"rindex",
+		"insert x >= 1 && x <= 3 && y >= 5 && y <= 6",
+		"exist y >= 0.5x + 1",
+	})
+	if !strings.Contains(out, note) || !strings.Contains(out, "EXIST(y >= 0.5x + 1): [1 2]  (path=t2") {
+		t.Errorf("a write beside the dual index must drop the R+-tree:\n%s", out)
 	}
 }
 

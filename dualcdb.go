@@ -213,6 +213,8 @@ type (
 )
 
 // BuildRPlusIndex bulk-loads an R⁺-tree over the relation's bounded tuples.
+// The tree is read-only, as in the paper's experiments: it does not follow
+// later writes to rel, so build a new one after them.
 func BuildRPlusIndex(rel *Relation, opt RPlusOptions) (*RPlusIndex, error) {
 	return rplustree.Build(rel, opt)
 }
@@ -344,11 +346,12 @@ func CreateDatabase(path string, rel *Relation, opt IndexOptions) (*Index, error
 }
 
 // OpenDatabase reopens a database file written by CreateDatabase + Save,
-// returning the restored relation and index.
+// returning the restored relation and index. The index gets the buffer
+// pool CreateDatabase gives one with PoolPages unset.
 func OpenDatabase(path string, pageSize int) (*Relation, *Index, error) {
 	store, err := pagestore.OpenExistingFileStore(path, pageSize)
 	if err != nil {
 		return nil, nil, err
 	}
-	return core.Open(pagestore.NewPool(store, 0))
+	return core.Open(core.DefaultPool(store))
 }

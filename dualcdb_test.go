@@ -3,6 +3,7 @@ package dualcdb_test
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"dualcdb"
@@ -136,5 +137,44 @@ func TestFacadeRefusesTupleOutOfRange(t *testing.T) {
 	}
 	if rel.Len() != 0 || idx.Len() != 0 {
 		t.Fatalf("the refused tuple left %d tuples in the relation, %d in the index", rel.Len(), idx.Len())
+	}
+}
+
+// TestOpenDatabasePoolMatchesCreate: a reopened database gets the same
+// buffer pool, in frames and shards, as the one CreateDatabase built.
+func TestOpenDatabasePoolMatchesCreate(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "db.cdb")
+	rel := dualcdb.NewRelation(2)
+	for _, s := range []string{
+		"x >= 0 && x <= 1 && y >= 0 && y <= 1",
+		"x >= 2 && x <= 4 && y >= 1 && y <= 3",
+	} {
+		tup, err := dualcdb.ParseTuple(s, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rel.Insert(tup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	created, err := dualcdb.CreateDatabase(path, rel, dualcdb.IndexOptions{Slopes: dualcdb.EquiangularSlopes(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { created.Pool().Store().Close() })
+	if err := created.Save(); err != nil {
+		t.Fatal(err)
+	}
+	_, opened, err := dualcdb.OpenDatabase(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { opened.Pool().Store().Close() })
+	cp, op := created.Pool(), opened.Pool()
+	if cc, oc := cp.Residency().Capacity, op.Residency().Capacity; cc != oc {
+		t.Errorf("pool capacity: created %d frames, opened %d", cc, oc)
+	}
+	if cp.Shards() != op.Shards() {
+		t.Errorf("pool shards: created %d, opened %d", cp.Shards(), op.Shards())
 	}
 }

@@ -105,14 +105,25 @@ type OptionsD struct {
 	Observe *obs.Observer
 }
 
+// defaultPoolPages is the buffer-pool capacity in frames when PoolPages is
+// unset.
+const defaultPoolPages = 512
+
 // storageDefaults fills the page-store defaults both constructors share.
 func (o *Options) storageDefaults() {
 	if o.PageSize <= 0 {
 		o.PageSize = pagestore.DefaultPageSize
 	}
 	if o.PoolPages <= 0 {
-		o.PoolPages = 512
+		o.PoolPages = defaultPoolPages
 	}
+}
+
+// DefaultPool returns the buffer pool the constructors give an index on a
+// store it owns when PoolPages is unset: 512 frames over
+// nextPow2(GOMAXPROCS) shards. Reopen a saved database over it with Open.
+func DefaultPool(store pagestore.Store) *pagestore.Pool {
+	return pagestore.NewPoolWithOptions(store, pagestore.PoolOptions{Capacity: defaultPoolPages})
 }
 
 // normalize validates the options and fills defaults, returning the sorted

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Polyhedron is a closed convex polyhedron in E^d in vertex/ray
@@ -596,42 +595,6 @@ func (p Polyhedron) Area2() float64 {
 		return math.Inf(1)
 	}
 	return PolygonArea2(ConvexHull2(p.Verts))
-}
-
-// Centroid returns the arithmetic mean of the generating vertices — a cheap
-// interior representative ("weight-center" in the paper's workload).
-func (p Polyhedron) Centroid() Point {
-	if p.empty || len(p.Verts) == 0 {
-		return nil
-	}
-	c := make(Point, p.dim)
-	for _, v := range p.Verts {
-		for i := range v {
-			c[i] += v[i]
-		}
-	}
-	return c.Scale(1 / float64(len(p.Verts)))
-}
-
-// SortedVerts2 returns the vertices of a 2-D polyhedron in a deterministic
-// order (hull CCW order for bounded full-dimensional ones, lexicographic
-// otherwise), for stable printing and tests.
-func (p Polyhedron) SortedVerts2() []Point {
-	if p.dim != 2 || p.empty {
-		return nil
-	}
-	if len(p.Rays) == 0 && len(p.Verts) >= 3 {
-		return ConvexHull2(p.Verts)
-	}
-	vs := make([]Point, len(p.Verts))
-	copy(vs, p.Verts)
-	sort.Slice(vs, func(i, j int) bool {
-		if vs[i][0] != vs[j][0] { // sort needs a strict weak order over the raw bits
-			return vs[i][0] < vs[j][0]
-		}
-		return vs[i][1] < vs[j][1]
-	})
-	return vs
 }
 
 // String summarizes the polyhedron.

@@ -349,24 +349,6 @@ func TestFromHalfSpaces3DHalfSpaceCone(t *testing.T) {
 	}
 }
 
-func TestCentroidInside(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 100; i++ {
-		p := randomBoundedPoly(rng)
-		if p.IsEmpty() {
-			continue
-		}
-		c := p.Centroid()
-		ok, err := p.Contains(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			t.Fatalf("centroid %v outside %v", c, p.Verts)
-		}
-	}
-}
-
 func TestSolveLinearKnown(t *testing.T) {
 	x, ok := SolveLinear([][]float64{{2, 0}, {0, 4}}, []float64{6, 8})
 	if !ok || math.Abs(x[0]-3) > Eps || math.Abs(x[1]-2) > Eps {

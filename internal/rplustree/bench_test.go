@@ -11,24 +11,7 @@ func BenchmarkBulkBuild(b *testing.B) {
 	items := randItems(rng, 10000, 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Bulk(newPool(1024), items, 0.9); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDynamicInsert(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	tr, err := New(newPool(1024), 0.9)
-	if err != nil {
-		b.Fatal(err)
-	}
-	items := randItems(rng, b.N, 5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it := items[i]
-		it.TID = uint32(i + 1)
-		if err := tr.Insert(it); err != nil {
+		if _, err := Bulk(newPool(1024), items); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -36,7 +19,7 @@ func BenchmarkDynamicInsert(b *testing.B) {
 
 func BenchmarkSearchHalfPlane(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
-	tr, err := Bulk(newPool(1024), randItems(rng, 10000, 3), 0.9)
+	tr, err := Bulk(newPool(1024), randItems(rng, 10000, 3))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -57,7 +40,7 @@ func BenchmarkAblationDuplicationBound(b *testing.B) {
 	items := randItems(rng, 5000, 12)
 	for _, bound := range []float64{1.05, 1.5, 2.5} {
 		b.Run(fmt.Sprintf("bound=%g", bound), func(b *testing.B) {
-			tr, err := BulkBounded(newPool(1024), items, 0.9, bound)
+			tr, err := bulk(newPool(1024), items, bound)
 			if err != nil {
 				b.Fatal(err)
 			}

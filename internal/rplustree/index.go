@@ -18,6 +18,10 @@ import (
 // unbounded tuples cannot be stored, and an ALL selection must be executed
 // as an EXIST traversal plus refinement, because containment cannot be
 // decided from clipped bounding boxes alone.
+//
+// The index is built once over the relation as it stands, as in the
+// paper's experiments; it does not follow later writes to the relation, so
+// a relation that changes needs a new Build.
 type Index struct {
 	rel  *constraint.Relation
 	tree *Tree
@@ -36,13 +40,6 @@ type Options struct {
 	PoolPages int
 	// Pool optionally shares a buffer pool with other structures.
 	Pool *pagestore.Pool
-	// FillFactor is the bulk-load node occupancy in (0,1]; default 0.9.
-	FillFactor float64
-	// DuplicationBound caps one partitioning level's reference growth
-	// (default 1.5 = 50 % duplication); beyond it the build chains pages
-	// instead of subdividing. An ablation knob for the R⁺-tree's clipping
-	// behaviour.
-	DuplicationBound float64
 }
 
 // QueryStats mirrors core.QueryStats for uniform reporting.
@@ -96,7 +93,7 @@ func Build(rel *constraint.Relation, opt Options) (*Index, error) {
 	if buildErr != nil {
 		return nil, buildErr
 	}
-	tree, err := BulkBounded(pool, items, opt.FillFactor, opt.DuplicationBound)
+	tree, err := Bulk(pool, items)
 	if err != nil {
 		return nil, err
 	}
@@ -119,39 +116,6 @@ func itemFor(t *constraint.Tuple) (Item, bool, error) {
 		return Item{}, false, err
 	}
 	return Item{R: Rect{MinX: lo[0], MinY: lo[1], MaxX: hi[0], MaxY: hi[1]}, TID: uint32(t.ID())}, true, nil
-}
-
-// Insert adds a tuple to the relation and, if bounded, to the tree.
-func (ix *Index) Insert(t *constraint.Tuple) (constraint.TupleID, error) {
-	id, err := ix.rel.Insert(t)
-	if err != nil {
-		return 0, err
-	}
-	it, ok, err := itemFor(t)
-	if err != nil {
-		return id, err
-	}
-	if !ok {
-		ix.Skipped++
-		return id, nil
-	}
-	return id, ix.tree.Insert(it)
-}
-
-// Delete removes a tuple from both the tree and the relation.
-func (ix *Index) Delete(id constraint.TupleID) error {
-	t, err := ix.rel.Get(id)
-	if err != nil {
-		return err
-	}
-	if it, ok, err := itemFor(t); err != nil {
-		return err
-	} else if ok {
-		if _, err := ix.tree.Delete(it.R, it.TID); err != nil {
-			return err
-		}
-	}
-	return ix.rel.Delete(id)
 }
 
 // Query answers an ALL or EXIST half-plane selection. Both kinds traverse
@@ -205,6 +169,3 @@ func (ix *Index) Pages() int { return ix.tree.Pages() }
 
 // Pool exposes the buffer pool for I/O accounting.
 func (ix *Index) Pool() *pagestore.Pool { return ix.pool }
-
-// Tree exposes the underlying rectangle tree.
-func (ix *Index) Tree() *Tree { return ix.tree }

@@ -136,42 +136,6 @@ func TestIndexSkipsUnboundedAndEmpty(t *testing.T) {
 	}
 }
 
-func TestIndexInsertDelete(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	rel := constraint.NewRelation(2)
-	ix, err := Build(rel, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ids []constraint.TupleID
-	for i := 0; i < 200; i++ {
-		id, err := ix.Insert(randBoundedTuple(rng, 6))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	for _, id := range ids[:50] {
-		if err := ix.Delete(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for qi := 0; qi < 30; qi++ {
-		q := randHalfPlaneQuery(rng)
-		want, err := q.Eval(rel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ix.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got.IDs) != len(want) {
-			t.Fatalf("%v: got %v, want %v", q, got.IDs, want)
-		}
-	}
-}
-
 func TestALLNeverExceedsEXIST(t *testing.T) {
 	// ALL(q) ⊆ EXIST(q) for the same half-plane: the R⁺-tree executes both
 	// via the same traversal, so candidates agree and ALL pays the same I/O

@@ -2,7 +2,6 @@ package rplustree
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -32,54 +31,23 @@ const (
 	typeInternal = 2
 )
 
-// Tree is a paged R⁺-tree. Node regions are disjoint per level and the
-// root's region is the whole plane, so no insertion ever falls outside the
-// structure.
+// Bulk-build constants: leaves are filled to fillFactor of a page, and
+// duplicationBound caps one partitioning level's reference growth (1.5 =
+// 50 % duplication); beyond it the build chains pages instead of
+// subdividing. The ablation benchmark varies the bound through bulk.
+const (
+	fillFactor       = 0.9
+	duplicationBound = 1.5
+)
+
+// Tree is a paged R⁺-tree, bulk-loaded once and read-only afterwards. Node
+// regions are disjoint per level and the root's region is the whole plane.
 type Tree struct {
 	pool  *pagestore.Pool
 	root  pagestore.PageID
 	size  int // object references, counting duplicates
 	pages int
 	cap   int
-	fill  float64
-	// dupBound caps one partitioning level's reference growth (1.5 = 50 %
-	// duplication); below it the build prefers chaining to subdividing.
-	dupBound float64
-}
-
-// SetDuplicationBound overrides the per-level duplication bound (default
-// 1.5). Values ≤ 1 force pure chaining; large values approximate the
-// original R⁺-tree's unbounded clipping. Call before loading data.
-func (t *Tree) SetDuplicationBound(b float64) {
-	if b > 0 {
-		t.dupBound = b
-	}
-}
-
-// ErrNoValidCut is returned when an internal node cannot be split by any
-// guillotine cut; it indicates a bug, since the build and split rules only
-// ever produce guillotine partitions.
-var ErrNoValidCut = errors.New("rplustree: no valid guillotine cut")
-
-// New creates an empty R⁺-tree (a single empty leaf covering the plane).
-func New(pool *pagestore.Pool, fill float64) (*Tree, error) {
-	if fill <= 0 || fill > 1 {
-		fill = 0.9
-	}
-	t := &Tree{pool: pool, fill: fill, dupBound: 1.5}
-	t.cap = (pool.PageSize() - headerSize) / entrySize
-	if t.cap < 4 {
-		return nil, fmt.Errorf("rplustree: page size %d too small", pool.PageSize())
-	}
-	f, err := pool.NewPage()
-	if err != nil {
-		return nil, err
-	}
-	initNode(f, typeLeaf)
-	t.root = f.ID()
-	t.pages = 1
-	f.Release()
-	return t, nil
 }
 
 func initNode(f *pagestore.Frame, typ byte) {
@@ -132,60 +100,45 @@ func appendEntry(f *pagestore.Frame, r Rect, id uint32) {
 	setNodeCount(f, c+1)
 }
 
-func removeEntryAt(f *pagestore.Frame, i int) {
-	c := nodeCount(f)
-	d := f.Data()
-	copy(d[headerSize+i*entrySize:headerSize+(c-1)*entrySize],
-		d[headerSize+(i+1)*entrySize:headerSize+c*entrySize])
-	setNodeCount(f, c-1)
-	f.MarkDirty()
-}
-
 // Size returns the number of stored object references (duplicates count).
 func (t *Tree) Size() int { return t.size }
 
 // Pages returns the number of pages the tree occupies (Figure 10 metric).
 func (t *Tree) Pages() int { return t.pages }
 
-// Capacity returns the per-node entry capacity.
-func (t *Tree) Capacity() int { return t.cap }
-
 // --- Bulk build ---
 
 // Bulk builds an R⁺-tree over the items by recursive quantile slab
 // partitioning: each internal node slices its region along one axis into
 // disjoint slabs; items straddling a cut are assigned to every slab they
-// intersect (the R⁺-tree duplication rule).
-func Bulk(pool *pagestore.Pool, items []Item, fill float64) (*Tree, error) {
-	return BulkBounded(pool, items, fill, 0)
+// intersect (the R⁺-tree duplication rule). An empty item list gives one
+// empty leaf as the root.
+func Bulk(pool *pagestore.Pool, items []Item) (*Tree, error) {
+	return bulk(pool, items, duplicationBound)
 }
 
-// BulkBounded is Bulk with an explicit per-level duplication bound
-// (0 keeps the default of 1.5).
-func BulkBounded(pool *pagestore.Pool, items []Item, fill, dupBound float64) (*Tree, error) {
-	t, err := New(pool, fill)
-	if err != nil {
-		return nil, err
+// bulk is Bulk with an explicit per-level duplication bound: values ≤ 1
+// force pure chaining, large ones approximate the original R⁺-tree's
+// unbounded clipping.
+func bulk(pool *pagestore.Pool, items []Item, dupBound float64) (*Tree, error) {
+	t := &Tree{pool: pool, cap: (pool.PageSize() - headerSize) / entrySize}
+	if t.cap < 4 {
+		return nil, fmt.Errorf("rplustree: page size %d too small", pool.PageSize())
 	}
-	t.SetDuplicationBound(dupBound)
 	for _, it := range items {
 		if !it.R.Valid() || !it.R.Bounded() {
 			return nil, fmt.Errorf("rplustree: item rectangle %+v must be valid and bounded", it.R)
 		}
 	}
+	var err error
 	if len(items) == 0 {
-		return t, nil
+		t.root, err = t.writeLeafChain(nil)
+	} else {
+		t.root, err = t.buildGrid(items, dupBound)
 	}
-	// Free the placeholder root; the build allocates its own pages.
-	if err := t.pool.FreePage(t.root); err != nil {
-		return nil, err
-	}
-	t.pages--
-	root, err := t.buildGrid(items)
 	if err != nil {
 		return nil, err
 	}
-	t.root = root
 	return t, nil
 }
 
@@ -197,7 +150,7 @@ func BulkBounded(pool *pagestore.Pool, items []Item, fill, dupBound float64) (*T
 // exactly when objects are large relative to the duplication-limited cell
 // size — become overflow chains: the R⁺-tree's documented degradation on
 // large objects (Figure 9).
-func (t *Tree) buildGrid(items []Item) (pagestore.PageID, error) {
+func (t *Tree) buildGrid(items []Item, dupBound float64) (pagestore.PageID, error) {
 	// Budget ~40 % headroom for duplicated references so cells rarely
 	// spill into overflow chains when objects are small.
 	targetCells := (len(items)*14/10 + t.leafTarget() - 1) / t.leafTarget()
@@ -224,7 +177,7 @@ func (t *Tree) buildGrid(items []Item) (pagestore.PageID, error) {
 		if extent <= 0 || span <= 0 {
 			return t.cap
 		}
-		g := int((t.dupBound - 1) * span / extent)
+		g := int((dupBound - 1) * span / extent)
 		if g < 1 {
 			g = 1
 		}
@@ -319,13 +272,7 @@ func (t *Tree) packChildren(children []builtChild, region Rect) (pagestore.PageI
 	return children[0].page, nil
 }
 
-func (t *Tree) leafTarget() int {
-	n := int(float64(t.cap) * t.fill)
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
+func (t *Tree) leafTarget() int { return int(float64(t.cap) * fillFactor) }
 
 // sliceSlabs cuts region into at most k slabs at center quantiles along the
 // axis, assigning every item to each slab it intersects. Cuts that collapse
@@ -386,7 +333,7 @@ func (t *Tree) writeLeafChain(items []Item) (pagestore.PageID, error) {
 	initNode(f, typeLeaf)
 	t.pages++
 	first := f.ID()
-	for i, it := range items {
+	for _, it := range items {
 		if nodeCount(f) == t.cap {
 			nf, err := t.pool.NewPage()
 			if err != nil {
@@ -401,7 +348,6 @@ func (t *Tree) writeLeafChain(items []Item) (pagestore.PageID, error) {
 		}
 		appendEntry(f, it.R, it.TID)
 		t.size++
-		_ = i
 	}
 	f.Release()
 	return first, nil

@@ -54,9 +54,6 @@ func TestRectOps(t *testing.T) {
 	if a.Area() != 4 {
 		t.Errorf("area = %v", a.Area())
 	}
-	if !WorldRect().ContainsPoint(1e17, -1e17) {
-		t.Error("world rect contains everything")
-	}
 }
 
 func TestRectIntersectsHalfPlane(t *testing.T) {
@@ -86,7 +83,7 @@ func TestRectIntersectsHalfPlane(t *testing.T) {
 func TestBulkSearchMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	items := randItems(rng, 2000, 8)
-	tr, err := Bulk(newPool(1024), items, 0.9)
+	tr, err := Bulk(newPool(1024), items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +105,7 @@ func TestBulkSearchMatchesLinearScan(t *testing.T) {
 func TestBulkHalfPlaneSearchComplete(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	items := randItems(rng, 1500, 10)
-	tr, err := Bulk(newPool(1024), items, 0.9)
+	tr, err := Bulk(newPool(1024), items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,57 +130,50 @@ func TestBulkHalfPlaneSearchComplete(t *testing.T) {
 	}
 }
 
-func TestDynamicInsertMatchesLinearScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	tr, err := New(newPool(1024), 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var items []Item
-	for i := 0; i < 1200; i++ {
-		it := randItems(rng, 1, 6)[0]
-		it.TID = uint32(i + 1)
-		items = append(items, it)
-		if err := tr.Insert(it); err != nil {
-			t.Fatalf("insert %d: %v", i, err)
-		}
-		if i%300 == 299 {
-			if err := tr.CheckInvariants(); err != nil {
-				t.Fatalf("after %d inserts: %v", i+1, err)
-			}
-		}
-	}
-	for trial := 0; trial < 40; trial++ {
-		q := randItems(rng, 1, 40)[0].R
-		got := searchAllTIDs(t, tr, q)
-		for _, it := range items {
-			if got[it.TID] != it.R.Intersects(q) {
-				t.Fatalf("tid %d mismatch", it.TID)
-			}
-		}
-	}
-}
-
 func TestInsertIdenticalRectsOverflowChain(t *testing.T) {
-	// Degenerate: many identical rectangles cannot be separated by any cut;
-	// the structure must chain overflow pages and stay correct.
-	tr, err := New(newPool(1024), 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Degenerate: many identical rectangles cannot be separated by any cut.
+	// Every quantile cut falls on their shared center, so each grid cell
+	// holds all of them in a leaf chained over overflow pages, and every
+	// search must walk the whole chain.
 	r := Rect{0, 0, 1, 1}
 	n := 200
-	for i := 0; i < n; i++ {
-		if err := tr.Insert(Item{R: r, TID: uint32(i + 1)}); err != nil {
-			t.Fatal(err)
-		}
+	items := make([]Item, n)
+	for i := range items {
+		items[i] = Item{R: r, TID: uint32(i + 1)}
 	}
-	got := searchAllTIDs(t, tr, Rect{0.5, 0.5, 0.6, 0.6})
-	if len(got) != n {
-		t.Fatalf("found %d of %d identical objects", len(got), n)
+	pool := newPool(1024)
+	tr, err := Bulk(pool, items)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+	if got := searchAllTIDs(t, tr, Rect{0.5, 0.5, 0.6, 0.6}); len(got) != n {
+		t.Fatalf("SearchRect found %d of %d identical objects", len(got), n)
+	}
+	found := make(map[uint32]bool)
+	visited, err := tr.SearchHalfPlane(0, 1, -0.5, false, func(tid uint32, _ Rect) { found[tid] = true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(found) != n {
+		t.Fatalf("SearchHalfPlane found %d of %d identical objects", len(found), n)
+	}
+	cells := tr.Size() / n
+	if cells < 1 || tr.Size() != cells*n {
+		t.Fatalf("Size() = %d references, want every cell to hold all %d objects", tr.Size(), n)
+	}
+	// Each cell is a chain of ⌈n/28⌉ pages (28 entries fit a 1 KiB page);
+	// Pages() counts them all, and a half-plane meeting every object reads
+	// every page.
+	chain := (n + 27) / 28
+	if tr.Pages() != pool.Store().NumAllocated() || tr.Pages() < cells*chain {
+		t.Fatalf("Pages() = %d, store holds %d, want ≥ %d cells × %d chained pages",
+			tr.Pages(), pool.Store().NumAllocated(), cells, chain)
+	}
+	if visited != tr.Pages() {
+		t.Fatalf("SearchHalfPlane visited %d of %d pages", visited, tr.Pages())
 	}
 }
 
@@ -197,57 +187,19 @@ func TestUnboundedItemsRejected(t *testing.T) {
 		{MinX: 0, MinY: 0, MaxX: math.Inf(1), MaxY: 1},
 		{MinX: 0, MinY: math.NaN(), MaxX: 1, MaxY: 1},
 	}
-	tr, err := New(newPool(1024), 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, r := range bad {
-		if err := tr.Insert(Item{R: r, TID: 1}); err == nil {
-			t.Errorf("Insert accepted unbounded/invalid rect %+v", r)
-		}
-	}
-	for _, r := range bad {
-		if _, err := Bulk(newPool(1024), []Item{{R: r, TID: 1}}, 0.9); err == nil {
+		if _, err := Bulk(newPool(1024), []Item{{R: r, TID: 1}}); err == nil {
 			t.Errorf("Bulk accepted unbounded/invalid rect %+v", r)
 		}
 	}
 	// Bounded items still load.
-	if err := tr.Insert(Item{R: Rect{0, 0, 1, 1}, TID: 2}); err != nil {
+	if _, err := Bulk(newPool(1024), []Item{{R: Rect{0, 0, 1, 1}, TID: 2}}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDeleteRemovesReferences(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	items := randItems(rng, 500, 12)
-	tr, err := Bulk(newPool(1024), items, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, it := range items[:100] {
-		n, err := tr.Delete(it.R, it.TID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n < 1 {
-			t.Fatalf("tid %d not found on delete", it.TID)
-		}
-	}
-	got := searchAllTIDs(t, tr, WorldRect())
-	for _, it := range items[:100] {
-		if got[it.TID] {
-			t.Fatalf("deleted tid %d still found", it.TID)
-		}
-	}
-	for _, it := range items[100:] {
-		if !got[it.TID] {
-			t.Fatalf("surviving tid %d lost", it.TID)
-		}
 	}
 }
 
 func TestBulkEmpty(t *testing.T) {
-	tr, err := Bulk(newPool(1024), nil, 0.9)
+	tr, err := Bulk(newPool(1024), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,6 +210,9 @@ func TestBulkEmpty(t *testing.T) {
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+	if tr.Pages() != 1 {
+		t.Fatalf("empty tree occupies %d pages, want its one empty leaf", tr.Pages())
+	}
 }
 
 func TestLargeObjectsDegradeSelectiveQueries(t *testing.T) {
@@ -267,7 +222,7 @@ func TestLargeObjectsDegradeSelectiveQueries(t *testing.T) {
 	// small-object tree.
 	visitFraction := func(maxSide float64) float64 {
 		rng := rand.New(rand.NewSource(15))
-		tr, err := Bulk(newPool(1024), randItems(rng, 2000, maxSide), 0.9)
+		tr, err := Bulk(newPool(1024), randItems(rng, 2000, maxSide))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +243,7 @@ func TestLargeObjectsDegradeSelectiveQueries(t *testing.T) {
 func TestPagesAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	pool := newPool(1024)
-	tr, err := Bulk(pool, randItems(rng, 3000, 5), 0.9)
+	tr, err := Bulk(pool, randItems(rng, 3000, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +255,7 @@ func TestPagesAccounting(t *testing.T) {
 func TestSearchIOCostBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	pool := newPool(1024)
-	tr, err := Bulk(pool, randItems(rng, 5000, 1), 0.9)
+	tr, err := Bulk(pool, randItems(rng, 5000, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

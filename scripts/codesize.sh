@@ -21,7 +21,8 @@ printf '%7d  total\n' "$total"
 echo
 echo "fields per options struct:"
 for t in internal/core.Options internal/core.OptionsD internal/btree.Config \
-	internal/pagestore.PoolOptions internal/core.BatchOptions internal/obs.Options; do
+	internal/pagestore.PoolOptions internal/core.BatchOptions internal/obs.Options \
+	internal/rplustree.Options; do
 	pkg=${t%.*} name=${t##*.}
 	# A field is a line of the struct body that starts, one tab in, with an
 	# exported name (comment lines start with //).

@@ -123,13 +123,13 @@ mut rect-area internal/rplustree/rect.go "credited: \`Rect.Area\`'s 0·Inf guard
 ----
 EOF
 
-mut rplus-bounded internal/rplustree/ops.go "credited: bounded-item check in R⁺-tree \`Insert\` (infguard's allows rely on it)" <<'EOF'
-	if !it.R.Valid() || !it.R.Bounded() {
-		return fmt.Errorf("rplustree: item rectangle %+v must be valid and bounded", it.R)
+mut rplus-bounded internal/rplustree/tree.go "credited: bounded-item check in the R⁺-tree's bulk build (infguard's allows rely on it)" <<'EOF'
+	for _, it := range items {
+		if !it.R.Valid() || !it.R.Bounded() {
+			return nil, fmt.Errorf("rplustree: item rectangle %+v must be valid and bounded", it.R)
+		}
 	}
-	split, err := t.insertInto
 ----
-	split, err := t.insertInto
 EOF
 
 mut slopes-exact internal/core/options.go "credited: Eps-tolerant duplicate-slope check (floatcmp)" <<'EOF'
