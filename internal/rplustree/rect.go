@@ -47,11 +47,6 @@ func (r Rect) Contains(o Rect) bool {
 	return r.MinX <= o.MinX && o.MaxX <= r.MaxX && r.MinY <= o.MinY && o.MaxY <= r.MaxY
 }
 
-// ContainsPoint reports whether (x, y) lies in the closed rectangle.
-func (r Rect) ContainsPoint(x, y float64) bool {
-	return r.MinX <= x && x <= r.MaxX && r.MinY <= y && y <= r.MaxY
-}
-
 // Union returns the bounding box of r and o.
 func (r Rect) Union(o Rect) Rect {
 	return Rect{
