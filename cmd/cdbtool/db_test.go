@@ -81,7 +81,7 @@ func TestSessionQueryStatsLine(t *testing.T) {
 		"EXIST(y >= 0x + 1): [1 2]  (path=restricted, candidates=2, decided=2, falseHits=0, duplicates=0,",
 		"ALL(y <= 0x + 5): [1 3]  (path=restricted, candidates=2, decided=2, falseHits=0, duplicates=0,",
 		"EXIST(y >= 5e-10x + 1): [1 2]  (path=t2, candidates=",
-		"funnel: candidates 2 → duplicates 0 → sure 2 / rejected on key 0 → evaluated 0 → false hits 0 → results 2",
+		"funnel: candidates 2 → duplicates 0 → sure 2 / rejected on key 0 (decided by tangent 0) → evaluated 0 → false hits 0 → results 2",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)

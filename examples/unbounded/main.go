@@ -62,10 +62,10 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\n%v -> %v\n", q, res.IDs)
-	for name, id := range ids {
+	for _, p := range plans { // in plan order: a map's order changes from run to run
 		for _, got := range res.IDs {
-			if got == id {
-				fmt.Printf("  %s can reach the profit region\n", name)
+			if got == ids[p.name] {
+				fmt.Printf("  %s can reach the profit region\n", p.name)
 			}
 		}
 	}

@@ -139,6 +139,15 @@ func (t *Tuple) Bot(slope []float64) (float64, error) {
 	return g.Bot(slope), err
 }
 
+// Tangents returns the x of the vertex attaining TOP^P and BOT^P of a 2-D
+// tuple at the slope b, NaN where the surface is not finite there
+// (geom.Generators.Tangents).
+func (t *Tuple) Tangents(b float64) (top, bot float64, err error) {
+	g, err := t.generators(2)
+	top, bot = g.Tangents(b)
+	return top, bot, err
+}
+
 // Support returns sup c·p over the tuple's extension for a direction c of
 // length dim: +Inf along a recession ray, −Inf for an empty extension.
 func (t *Tuple) Support(c []float64) (float64, error) {

@@ -28,7 +28,7 @@ type Commit struct {
 	// indexed tuples; it folds into the next rootSet at Commit.
 	indexed int
 	// ext is what Commit extends by the batch's inserts: the base version's
-	// extents, or after a handicap rebuild the table it derived afresh.
+	// extents, or after a handicap rebuild the tables it derived afresh.
 	ext extents
 	// inserted and removed count the batch's operations for the observer.
 	inserted, removed int
@@ -185,12 +185,12 @@ func (c *Commit) RebuildHandicaps() error {
 		return errCommitDone
 	}
 	ix := c.ix
-	// The extent table is derived afresh from the live tuples, and the bounds
-	// from it: O(N), as the scan below is, and older versions keep the old
-	// table's backing array.
+	// The extent and tangent tables are derived afresh from the live tuples,
+	// and the bounds from them: O(N), as the scan below is, and older versions
+	// keep the old tables' backing arrays.
 	var ext func(uint32) [2]float64
 	if ix.dim == 2 {
-		c.ext = extents{}.extend(ix.rel.Freeze())
+		c.ext = extents{}.extend(ix.rel.Freeze(), ix.geo)
 		ext = c.ext.of
 	}
 	for _, tr := range ix.trees {

@@ -447,8 +447,9 @@ func (h *faultHistory) reclaimFailures() uint64 {
 
 // finish ends a run: every held snapshot released and a reclamation rerun
 // (which retries what a failed one kept queued), the live answers, then a
-// Save and an Open after which the answers equal the scan and the store
-// holds exactly the reopened version's pages.
+// Save and an Open after which the answers equal the scan, the reopened
+// index keeps its invariants — its trees, and the extent and tangent tables
+// Open derived — and the store holds exactly the reopened version's pages.
 func (h *faultHistory) finish(what string) {
 	h.t.Helper()
 	steps := []sweepStep{
@@ -467,6 +468,7 @@ func (h *faultHistory) finish(what string) {
 		{"query batch", (*faultHistory).queryBatch},
 		{"vertical", (*faultHistory).verticals},
 		{"tuple", (*faultHistory).tuples},
+		{"invariants", func(h *faultHistory) error { return h.ix.CheckInvariants() }},
 		{"store", func(h *faultHistory) error {
 			if got, want := h.store.NumAllocated(), storedPages(h.ix); got != want {
 				return fmt.Errorf("store holds %d pages; the live version references %d", got, want)

@@ -194,7 +194,7 @@ func bulkLoaded(ix *Index, err error) (*Index, error) {
 	// The site trees' bounds come from the extent table, in E².
 	var ext extents
 	if ix.dim == 2 {
-		ext = ext.extend(ix.rel.Freeze())
+		ext = ext.extend(ix.rel.Freeze(), ix.geo)
 	}
 	for i := 0; i < ix.geo.sites(); i++ {
 		if err := ix.buildSite(i, ts, ext); err != nil {
@@ -342,7 +342,7 @@ func (ix *Index) CheckInvariants() error {
 	ix.writeMu.Lock()
 	defer ix.writeMu.Unlock()
 	rs := ix.roots.Load()
-	if err := rs.checkExtents(); err != nil {
+	if err := rs.checkExtents(ix.geo); err != nil {
 		return err
 	}
 	for j, t := range ix.trees {

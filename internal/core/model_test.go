@@ -674,15 +674,16 @@ func (h *engineHistory) checkAll() {
 		tp, _ := h.rel.Get(id)
 		return tp
 	}, h.rel.Scan, *h.current())
-	// Each version's x-extent span holds the extent of every tuple it indexes.
+	// Each version's tables hold the extent and tangents of every tuple it
+	// holds, and each leaf's bound the extent of every entry in it.
 	rs := h.ix.roots.Load()
 	h.checkStore("published version", rs.live, rs.tuples.Get, rs.tuples.Scan, h.live)
-	if err := rs.checkExtents(); err != nil {
+	if err := rs.checkExtents(h.ix.geo); err != nil {
 		h.fatalf("%v", err)
 	}
 	for _, p := range h.pins {
 		h.checkStore(fmt.Sprintf("snapshot %d", p.snap.Version()), p.snap.Tuples(), p.snap.rs.tuples.Get, p.snap.rs.tuples.Scan, p.model)
-		if err := p.snap.rs.checkExtents(); err != nil {
+		if err := p.snap.rs.checkExtents(h.ix.geo); err != nil {
 			h.fatalf("%v", err)
 		}
 	}

@@ -60,7 +60,8 @@ type rootSet struct {
 	extents
 }
 
-// extents are a 2-D version's x-extents (zero on an index of dimension > 2).
+// extents are a 2-D version's x-extents and tangent bytes (zero on an index
+// of dimension > 2).
 type extents struct {
 	// xext[id−1] is the x-extent {infX, supX} of the tuple with that id — what
 	// keyRule turns a site key into a bracket at another slope with, and what
@@ -71,6 +72,13 @@ type extents struct {
 	// deleted tuple's entry simply stays — no tree of a version without the
 	// tuple refers to it, and older versions still read it.
 	xext [][2]float64
+	// tan[(id−1)·stride + j] places, in the tuple's x-extent, the x of the
+	// vertex that attains its key in tree j (tangentByte) — the slope of the
+	// dual line keyRule.tangent bounds the value at the query slope by. One
+	// byte a tree, stride = 2k bytes a tuple, appended beside xext under the
+	// same rule.
+	tan    []uint8
+	stride int
 }
 
 // noExtent is the table entry of an id that is unassigned or whose tuple is
@@ -101,20 +109,59 @@ func xExtent(t *constraint.Tuple) [2]float64 {
 	return x
 }
 
-// extend grows the table (nil: a first one, sized exactly) to the ids of
+// tangentByte quantises xs, an x inside the extent x, to the nearest of 256
+// points evenly spaced from infX to supX (tangentX inverts it): within one
+// step (supX − infX)/255 of xs, counting the rounding of the quotient. A
+// zero-width or unbounded extent, or a NaN xs, gives 0.
+func tangentByte(xs float64, x [2]float64) uint8 {
+	q := math.Round((xs - x[0]) / (x[1] - x[0]) * 255)
+	if !(q > 0) {
+		return 0
+	}
+	return uint8(min(q, 255))
+}
+
+// tangentX is the x the byte q places in the extent x, and the step between
+// two such points.
+func tangentX(q uint8, x [2]float64) (xq, step float64) {
+	step = (x[1] - x[0]) / 255
+	return x[0] + float64(q)*step, step
+}
+
+// appendTangents appends the tangent bytes of the tuple t with extent x at
+// every site of geo, in tree order (TOP, BOT per site); all zero for t nil,
+// an unassigned id.
+func appendTangents(tan []uint8, t *constraint.Tuple, x [2]float64, geo slopeSpace) []uint8 {
+	for i := 0; i < geo.sites(); i++ {
+		var top, bot uint8
+		if t != nil {
+			xt, xb, _ := t.Tangents(geo.site(i)[0]) // on error NaN: byte 0
+			top, bot = tangentByte(xt, x), tangentByte(xb, x)
+		}
+		tan = append(tan, top, bot)
+	}
+	return tan
+}
+
+// extend grows the tables (nil: first ones, sized exactly) to the ids of
 // tuples — gaps (ids deleted since, or that an aborted batch burned) get
-// noExtent — and enters the tuples past len(xext): O(inserts), and it writes
-// nothing a published version can read.
-func (e extents) extend(tuples constraint.View) extents {
+// noExtent and zero bytes — and enters the tuples past len(xext) with their
+// tangents at the sites of geo: O(inserts), and it writes nothing a
+// published version can read.
+func (e extents) extend(tuples constraint.View, geo slopeSpace) extents {
 	if e.xext == nil {
+		e.stride = 2 * geo.sites()
 		e.xext = make([][2]float64, 0, tuples.MaxID())
+		e.tan = make([]uint8, 0, tuples.MaxID()*e.stride)
 	}
 	for id := len(e.xext) + 1; id <= tuples.MaxID(); id++ {
 		x := noExtent
-		if t := tuples.Get(constraint.TupleID(id)); t != nil {
+		t := tuples.Get(constraint.TupleID(id))
+		if t != nil {
 			x = xExtent(t)
 		}
 		e.xext = append(e.xext, x)
+		e.tan = appendTangents(e.tan, t, x, geo)
 	}
 	return e
 }
@@ -125,9 +172,10 @@ func (e extents) of(tid uint32) [2]float64 { return e.xext[tid-1] }
 
 // checkExtents reports a live word of the version that disagrees with its
 // tuples (what refinement checks sure references by), a tuple of the version
-// whose table entry is not its extent, or an entry of one of the version's
+// whose table entry is not its extent or whose tangent bytes are not those
+// of its vertices at the sites of geo, or an entry of one of the version's
 // trees whose tuple's extent its leaf's bound does not hold.
-func (rs *rootSet) checkExtents() error {
+func (rs *rootSet) checkExtents(geo slopeSpace) error {
 	for w := 0; w <= rs.tuples.MaxID()>>6+1; w++ {
 		var live uint64
 		for j := 0; j < 64; j++ {
@@ -142,10 +190,17 @@ func (rs *rootSet) checkExtents() error {
 	if rs.xext == nil {
 		return nil
 	}
+	if len(rs.tan) != len(rs.xext)*rs.stride || rs.stride != 2*geo.sites() {
+		return fmt.Errorf("core: version %d: %d tangent bytes at stride %d for %d extents", rs.version, len(rs.tan), rs.stride, len(rs.xext))
+	}
 	var err error
 	rs.tuples.Scan(func(t *constraint.Tuple) bool {
-		if x := xExtent(t); int(t.ID()) > len(rs.xext) || rs.xext[t.ID()-1] != x { // an entry is a copy of the extent, bit for bit
+		j := int(t.ID()) - 1
+		x := xExtent(t)
+		if j >= len(rs.xext) || rs.xext[j] != x { // an entry is a copy of the extent, bit for bit
 			err = fmt.Errorf("core: version %d: tuple %d has extent %v, its table entry is not that", rs.version, t.ID(), x)
+		} else if want, got := appendTangents(nil, t, x, geo), rs.tan[j*rs.stride:(j+1)*rs.stride]; string(want) != string(got) {
+			err = fmt.Errorf("core: version %d: tuple %d has tangent bytes %v, its table entries %v", rs.version, t.ID(), want, got)
 		}
 		return err == nil
 	})
@@ -171,13 +226,16 @@ func (rs *rootSet) checkExtents() error {
 	return err
 }
 
-// tree returns the B⁺-tree serving queries of q's shape at site i:
+// tree returns the B⁺-tree serving queries of q's shape at site i.
+func (rs *rootSet) tree(i int, q constraint.Query) *btree.Tree { return rs.trees[treeIndex(i, q)] }
+
+// treeIndex is the index of the tree serving queries of q's shape at site i:
 // B^up for EXIST(≥)/ALL(≤), B^down for ALL(≥)/EXIST(≤) (Section 3).
-func (rs *rootSet) tree(i int, q constraint.Query) *btree.Tree {
+func treeIndex(i int, q constraint.Query) int {
 	if q.UsesTop() {
-		return rs.trees[2*i]
+		return 2 * i
 	}
-	return rs.trees[2*i+1]
+	return 2*i + 1
 }
 
 // allIDs appends the id of every tuple of this version to buf — the
@@ -204,7 +262,7 @@ func (ix *Index) publishLocked(version uint64, indexed int, ext extents) *rootSe
 		live:    ix.rel.Len(),
 	}
 	if ix.dim == 2 {
-		rs.extents = ext.extend(rs.tuples)
+		rs.extents = ext.extend(rs.tuples, ix.geo)
 	}
 	for i, t := range ix.trees {
 		rs.trees[i] = t.Handle(t.Meta())

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -363,14 +364,15 @@ func testCountsTrackRelationAcrossBatches(t *testing.T, c engineCase) {
 	}
 }
 
-// TestExtentTableAcrossVersions drives the shared, append-only x-extent
-// table through everything that can move it — a commit growing it past its
-// capacity, an aborted batch burning ids, an insert and delete of one tuple
-// in one batch, an unsatisfiable insert, RebuildHandicaps, readers beside a
-// writer (run it under -race), Save → Open — and requires every snapshot
-// pinned along the way, re-queried after all later commits on the paths
-// that decide entries from the table, to answer as the scan of its own
-// version does.
+// TestExtentTableAcrossVersions drives the shared, append-only x-extent and
+// tangent tables through everything that can move them — a commit growing
+// them past their capacity, an aborted batch burning ids, an insert and
+// delete of one tuple in one batch, an unsatisfiable insert,
+// RebuildHandicaps, readers beside a writer (run it under -race), Save →
+// Open — and requires every snapshot pinned along the way, re-queried after
+// all later commits on the paths that decide entries from the tables, to
+// answer as the scan of its own version does, and a reopened index to derive
+// the same tangent bytes.
 func TestExtentTableAcrossVersions(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	store := pagestore.NewMemStore(1024)
@@ -592,6 +594,28 @@ func TestExtentTableAcrossVersions(t *testing.T) {
 			t.Fatalf("reopened entry of id %d: %v, want %v", i+1, x, want)
 		}
 	}
+	// The tangent table rides along: Open derives the live one's bytes for
+	// every tuple the file holds, and a byte that is not its tuple's fails
+	// the invariants.
+	rs, rs2 := ix.roots.Load(), ix2.roots.Load()
+	if len(rs2.tan) != len(rs.tan) || rs2.stride != rs.stride {
+		t.Fatalf("reopened tangent table: %d bytes at stride %d, live one %d at %d", len(rs2.tan), rs2.stride, len(rs.tan), rs.stride)
+	}
+	for _, id := range rel2.IDs() {
+		j := int(id-1) * rs.stride
+		if got, want := rs2.tan[j:j+rs.stride], rs.tan[j:j+rs.stride]; string(got) != string(want) {
+			t.Fatalf("reopened tangent bytes of id %d: %v, live %v", id, got, want)
+		}
+	}
+	if err := ix2.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	j := (int(rel2.IDs()[0])-1)*rs2.stride + rs2.stride - 1
+	rs2.tan[j] ^= 1
+	if err := ix2.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "tangent bytes") {
+		t.Fatalf("a flipped tangent byte: CheckInvariants says %v", err)
+	}
+	rs2.tan[j] ^= 1
 	rel, ix, pins = rel2, ix2, nil
 	pinNow("reopened")
 	defer pins[0].snap.Release()

@@ -408,7 +408,7 @@ func TestObservedDocumentShapes(t *testing.T) {
 	var traces []map[string]any
 	get("/debug/traces", &traces)
 	tr, sp := first("/debug/traces", traces)
-	check("trace", keys(tr), "candidates decided duplicates false_hits leaves_swept pages path query results spans start sure total_us")
+	check("trace", keys(tr), "candidates decided duplicates false_hits leaves_swept pages path query results spans start sure tangent total_us")
 	check("trace span", keys(sp), "dur_us items pages stage start_us")
 
 	var flight struct {
@@ -450,7 +450,7 @@ func TestObservedDocumentShapes(t *testing.T) {
 		cstage.shadow.freed cstage.shadow.items cstage.shadow.ns cstage.stage.cloned
 		cstage.stage.freed cstage.stage.items cstage.stage.ns mvcc mvcc.snapshot_age_ns
 		path.t2.candidates path.t2.count path.t2.decided path.t2.duplicates path.t2.false_hits
-		path.t2.leaves_swept path.t2.ns path.t2.pages path.t2.results path.t2.sure pool.evictions.old
+		path.t2.leaves_swept path.t2.ns path.t2.pages path.t2.results path.t2.sure path.t2.tangent pool.evictions.old
 		pool.evictions.young pool.logical_reads pool.physical_reads pool.residency pool.snapshots
 		pool.writes queries.errors queries.inflight queries.slow queries.total spans.unclosed stage.dedup.items
 		stage.dedup.ns stage.dedup.pages stage.refine.items stage.refine.ns stage.refine.pages

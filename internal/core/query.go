@@ -247,7 +247,9 @@ type sweep struct {
 // (DESIGN.md §17). An interval wholly beyond `above` or `below` — the
 // intercept plus and minus the margin collectT2 states, widened per leaf by
 // the key's own rounding (atLeaf) — is decided; everything else, and every
-// non-finite key or extent, is the predicate's.
+// non-finite key or extent, is the predicate's. What that leaves, the
+// tangent may settle: the line of the vertex attaining k supports the
+// surface, so TOP at a is at least k − shift·x* and BOT at most that.
 type keyRule struct {
 	// xext is the pinned version's x-extent table (rootSet.xext); nil: no
 	// rule.
@@ -259,6 +261,13 @@ type keyRule struct {
 	// way round for a ≤ one.
 	above, below     float64
 	ifAbove, ifBelow verdict
+	// tan is the pinned version's tangent table (rootSet.tan), whose byte of
+	// the swept tree for the tuple at index j of xext is tan[j·stride + col];
+	// nil: no tangent. top: the tree is a B^up, where the tangent bounds the
+	// value from below; a B^down's bounds it from above.
+	tan         []uint8
+	stride, col int
+	top         bool
 }
 
 // slopeRule is the rule of a query at intercept b (up: a ≥ selection) whose
@@ -359,6 +368,29 @@ func (r *keyRule) decideRange(klo, khi float64, x [2]float64) verdict {
 	return evaluate
 }
 
+// tangent decides an entry with stored key k and extent x that the bracket
+// leaves to the predicate, by the dual line of the vertex v* attaining k: in
+// a B^up TOP(a) ≥ k − shift·x* decides it if above `above`, in a B^down
+// BOT(a) ≤ k − shift·x* if below `below`. The byte q places x* within one
+// step of x′ = tangentX(q, x), which rounds by less than 2⁻⁵⁰·(|infX| +
+// |supX|), so the line is moved by e = |shift|·(step + that) towards the
+// intercept (DESIGN.md §17). A non-finite key, an unbounded extent, a NaN
+// anywhere and an overflow are the predicate's.
+func (r *keyRule) tangent(k float64, x [2]float64, q uint8) verdict {
+	xq, step := tangentX(q, x)
+	e := math.Abs(r.shift) * (step + 0x1p-50*(math.Abs(x[0])+math.Abs(x[1])))
+	t := k - r.shift*xq
+	switch {
+	case !(math.Abs(t)+e < math.MaxFloat64): // ±Inf key or extent (Inf − Inf is NaN), NaN
+		return evaluate
+	case r.top && t-e > r.above:
+		return r.ifAbove
+	case !r.top && t+e < r.below:
+		return r.ifBelow
+	}
+	return evaluate
+}
+
 // firstSweep is the sweep every path starts with, in the direction of the
 // answer set (upward for ≥ selections): it keeps keys ≥ b−tol, resp.
 // ≤ b+tol, to the last leaf on that side.
@@ -398,10 +430,10 @@ func float32Next(k, dir float64) float64 {
 
 // run executes the sweep on tr: every retrieved entry counts into
 // st.Candidates, those settled on their key into st.Decided — the accepted
-// ones go to sc.sure and count into st.Sure, the rejected ones go nowhere —
-// and the rest go to sc.cands; visited leaves count into st and page reads
-// are charged to rc. It returns the number of entries retrieved and the
-// folded handicap.
+// ones go to sc.sure and count into st.Sure, the rejected ones go nowhere,
+// and those the tangent settled count into st.Tangent too — and the rest go
+// to sc.cands; visited leaves count into st and page reads are charged to
+// rc. It returns the number of entries retrieved and the folded handicap.
 //
 // A leaf is read in place (btree.LeafView.Entries): its verdict — sure, no
 // rule, or the rule's on the whole leaf — is taken once, and one loop per
@@ -416,7 +448,7 @@ func (s sweep) run(tr *btree.Tree, rc *pagestore.ReadCounter, sc *scratch, st *Q
 	if !s.asc {
 		bound = hi
 	}
-	cands0, sure0, rejected := len(sc.cands), len(sc.sure), 0
+	cands0, sure0, rejected, tangent := len(sc.cands), len(sc.sure), 0, 0
 	var skip func(btree.Bound) btree.Step
 	if s.rule.xext != nil && s.slot < 0 {
 		skip = func(b btree.Bound) btree.Step { return s.rule.step(b, lo, hi, s.asc) }
@@ -469,7 +501,7 @@ func (s sweep) run(tr *btree.Tree, rc *pagestore.ReadCounter, sc *scratch, st *Q
 					}
 				}
 			default:
-				xext := rule.xext
+				xext, tan := rule.xext, rule.tan
 				for i := 0; i < n; i++ {
 					k := es.Key(i)
 					if !(k >= lo && k <= hi) {
@@ -481,6 +513,11 @@ func (s sweep) run(tr *btree.Tree, rc *pagestore.ReadCounter, sc *scratch, st *Q
 					// stays undecided and refinement reports it.
 					if j := int(tid) - 1; uint(j) < uint(len(xext)) {
 						v = rule.decide(k, xext[j])
+						if v == evaluate && tan != nil {
+							if v = rule.tangent(k, xext[j], tan[j*rule.stride+rule.col]); v != evaluate {
+								tangent++
+							}
+						}
 					}
 					switch v {
 					case accept:
@@ -508,6 +545,7 @@ func (s sweep) run(tr *btree.Tree, rc *pagestore.ReadCounter, sc *scratch, st *Q
 	st.Candidates += retrieved
 	st.Decided += decided
 	st.Sure += sure
+	st.Tangent += tangent
 	return retrieved, h, err
 }
 
@@ -623,14 +661,16 @@ func (ix *Index) collectT1(q constraint.Query, slopes []float64, ec *execCtx, sc
 func t2Slack(m float64) float64 { return 32 * geom.Eps * (1 + m) }
 
 // t2Rule returns T2's tolerance and key rule for q, routed by r, over the
-// extent table xext; with no table (d > 2) the tolerance is Eps and the rule
-// settles nothing.
-func t2Rule(r routing, q constraint.Query, xext [][2]float64) (float64, keyRule) {
-	if xext == nil {
+// extent and tangent tables ext; with no tables (d > 2) the tolerance is Eps
+// and the rule settles nothing.
+func t2Rule(r routing, q constraint.Query, ext extents) (float64, keyRule) {
+	if ext.xext == nil {
 		return geom.Eps, keyRule{}
 	}
 	tol := geom.Eps + t2Slack(math.Abs(q.Slope[0])+math.Abs(r.shift))
-	return tol, slopeRule(xext, q.Intercept, tol, r.shift, q.SweepsUp())
+	rule := slopeRule(ext.xext, q.Intercept, tol, r.shift, q.SweepsUp())
+	rule.tan, rule.stride, rule.col, rule.top = ext.tan, ext.stride, treeIndex(r.site, q), q.UsesTop()
+	return tol, rule
 }
 
 // collectT2 executes the single-tree handicap technique of Sections
@@ -658,7 +698,7 @@ func (ix *Index) collectT2(r routing, q constraint.Query, ec *execCtx, sc *scrat
 	}
 	tr := ec.rs.tree(r.site, q)
 	b, up := q.Intercept, q.SweepsUp()
-	tol, rule := t2Rule(r, q, ec.rs.xext)
+	tol, rule := t2Rule(r, q, ec.rs.extents)
 	first := firstSweep(b, tol, up, slot)
 	first.rule = rule
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"dualcdb/internal/btree"
@@ -368,7 +369,7 @@ func TestChildBoundsKeepTheirMargin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xext := ix.roots.Load().xext
+	ext := ix.roots.Load().extents
 	for _, kind := range []constraint.QueryKind{constraint.EXIST, constraint.ALL} {
 		for _, op := range []geom.Op{geom.GE, geom.LE} {
 			q := constraint.Query2(kind, 3.28e-9, 0, op)
@@ -387,7 +388,7 @@ func TestChildBoundsKeepTheirMargin(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tol, rule := t2Rule(r, q, xext)
+			tol, rule := t2Rule(r, q, ext)
 			far := math.Inf(-1) // the tree's far end: no handicap bounds the sweep
 			if !q.SweepsUp() {
 				far = math.Inf(1)
@@ -465,6 +466,14 @@ func TestSkipKeepsKeyRounding(t *testing.T) {
 // steep slopes outside the strips every selection at such a point's own
 // value, an ulp either side of it and Eps off it must answer as the scan.
 // With the margin cut back to bare Eps the rule rejects some of them.
+//
+// The tangent's margin has a term of its own, |Δ|·step: a triangle whose top
+// vertex (x*, 10), attaining TOP at the site 0, lies 0.45 of a tangent step
+// (100/255) past infX = 0 has byte 0, so the tangent line its byte places is
+// 0.45·step·|Δ| = 0.035 off at Δ = 0.2, where that vertex still attains TOP.
+// Selections in B^up at intercepts within step·|Δ| = 0.078 of its value must
+// answer as the scan — without the step term the rule decides some of them
+// wrongly — and some further away are settled by the tangent.
 func TestT2MarginCoversProductRounding(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	rel := constraint.NewRelation(2)
@@ -477,9 +486,43 @@ func TestT2MarginCoversProductRounding(t *testing.T) {
 		}
 		pts = append(pts, tp)
 	}
+	p, err := geom.FromVertices([]geom.Point{{0, 0}, {100, 0}, {0.45 * 100 / 255, 10}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tri := constraint.FromPolyhedron(p)
+	if _, err := rel.Insert(tri); err != nil {
+		t.Fatal(err)
+	}
 	ix, err := Build(rel, Options{Slopes: []float64{-0.5, 0, 0.5}, Technique: T2})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if q := ix.roots.Load().tan[int(tri.ID()-1)*6+2]; q != 0 { // B^up of site 1, slope 0
+		t.Fatalf("the triangle's TOP byte at slope 0 is %d, want 0", q)
+	}
+	byTangent := 0
+	for _, kind := range []constraint.QueryKind{constraint.EXIST, constraint.ALL} {
+		op := geom.GE // B^up: EXIST(≥), ALL(≤)
+		if kind == constraint.ALL {
+			op = geom.LE
+		}
+		q := constraint.Query2(kind, 0.2, 0, op)
+		v := mustTop(t, tri, 0.2)
+		for _, off := range []float64{0, geom.Eps, -geom.Eps, 0.01, -0.01, 0.03, -0.03, 0.06, -0.06, 0.1, -0.1} {
+			q.Intercept = v + off
+			got, err := ix.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, _ := q.Eval(rel); got.Stats.Path != "t2" || !sameIDs(got.IDs, want) {
+				t.Fatalf("%v [%s]: got %v, the scan %v", q, got.Stats.Path, got.IDs, want)
+			}
+			byTangent += got.Stats.Tangent
+		}
+	}
+	if byTangent == 0 {
+		t.Fatal("the tangent settled nothing")
 	}
 	for i := 0; i < 400; i++ {
 		a := (20 + rng.Float64()*980) * float64(1-2*rng.Intn(2))
@@ -671,7 +714,7 @@ func TestQueryStatsConsistency(t *testing.T) {
 	// A one-slot ring with a 1 ns threshold holds the latest query's trace.
 	o := obs.New(obs.Options{SlowThreshold: 1})
 	_, ix := buildRandomIndex(t, rng, 250, Options{Slopes: EquiangularSlopes(4), Technique: T2, Observe: o}, true)
-	decided := 0
+	decided, byTangent := 0, 0
 	for qi := 0; qi < 60; qi++ {
 		q := randQuery(rng)
 		got, err := ix.Query(q)
@@ -704,10 +747,15 @@ func TestQueryStatsConsistency(t *testing.T) {
 		if st.Sure > st.Decided || st.Sure > st.Results || st.Results-st.Sure > evaluated {
 			t.Fatalf("%v: %d sure of %d decided, %d evaluated, %d results: %+v", q, st.Sure, st.Decided, evaluated, st.Results, st)
 		}
+		// The tangent's are some of the decided ones, and only T2 has one.
+		if st.Tangent < 0 || st.Tangent > st.Decided || (st.Tangent > 0 && !strings.HasPrefix(st.Path, "t2")) {
+			t.Fatalf("%v: %d decided by the tangent of %d decided: %+v", q, st.Tangent, st.Decided, st)
+		}
 		decided += st.Decided
+		byTangent += st.Tangent
 	}
-	if decided == 0 {
-		t.Fatal("no entry was ever decided on its key")
+	if decided == 0 || byTangent == 0 {
+		t.Fatalf("%d entries decided on their key, %d by the tangent: want some of each", decided, byTangent)
 	}
 	// On a site the keys are the answer (Theorem 3.1): only an entry whose
 	// stored key equals the rounded bound is evaluated.

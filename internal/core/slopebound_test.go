@@ -168,13 +168,16 @@ func TestT2BoundaryMatchesScan(t *testing.T) {
 
 // slopeBoundHolds checks keyRule against the predicate for one tuple whose
 // keys were computed at slope s and stored rounded to float32, queried at
-// slope a and intercept b, in all four shapes: a decision — by the rule a
-// sweep applies to a leaf holding that key alone — must be the predicate's,
-// and a non-finite key or extent must never be decided. It returns how many
-// shapes were decided.
-func slopeBoundHolds(tp *constraint.Tuple, s, a, b float64) (int, error) {
+// slope a and intercept b, in all four shapes: a decision — by the rule
+// collectT2 builds over the tables of a version holding that tuple alone,
+// applied as a sweep applies it to a leaf holding that key alone, the bracket
+// first and the tangent on what it leaves — must be the predicate's, and a
+// non-finite key or extent must never be decided. It returns how many shapes
+// were decided, and how many of those by the tangent.
+func slopeBoundHolds(tp *constraint.Tuple, s, a, b float64) (decided, byTangent int, err error) {
 	x := xExtent(tp)
-	decided := 0
+	geo := newSlopeSet([]float64{s})
+	ext := extents{xext: [][2]float64{x}, tan: appendTangents(nil, tp, x, geo), stride: 2}
 	for _, kind := range []constraint.QueryKind{constraint.ALL, constraint.EXIST} {
 		for _, op := range []geom.Op{geom.GE, geom.LE} {
 			q := constraint.Query2(kind, a, b, op)
@@ -184,47 +187,90 @@ func slopeBoundHolds(tp *constraint.Tuple, s, a, b float64) (int, error) {
 			if math.IsInf(m, 0) {
 				m = 0 // finiteKeyBound of a leaf with no finite key
 			}
-			rule := slopeRule(nil, b, t2Margin(s, a), a-s, q.SweepsUp()).atLeaf(m)
-			v := rule.decide(key, x)
+			r, err := geo.route(q.Slope, q.SweepsUp())
+			if err != nil {
+				return decided, byTangent, err
+			}
+			_, rule := t2Rule(r, q, ext)
+			rule = rule.atLeaf(m)
+			v, tangent := rule.decide(key, x), false
+			if v == evaluate {
+				v = rule.tangent(key, x, ext.tan[treeIndex(0, q)])
+				tangent = v != evaluate
+			}
 			if v == evaluate {
 				continue
 			}
 			decided++
+			if tangent {
+				byTangent++
+			}
 			if math.IsInf(key, 0) || math.IsNaN(key) || math.IsInf(x[0], 0) || math.IsInf(x[1], 0) {
-				return decided, fmt.Errorf("%v at site %v: key %v with extent %v was decided", q, s, key, x)
+				return decided, byTangent, fmt.Errorf("%v at site %v: key %v with extent %v was decided (tangent: %v)", q, s, key, x, tangent)
 			}
 			ok, err := q.Matches(tp)
 			if err != nil {
-				return decided, err
+				return decided, byTangent, err
 			}
 			if ok != (v == accept) {
-				return decided, fmt.Errorf("%v at site %v: key %v, extent %v: rule says %v, predicate %v (value %v)",
-					q, s, key, x, v == accept, ok, surfaceOf(tp, q))
+				return decided, byTangent, fmt.Errorf("%v at site %v: key %v, extent %v, tangent byte %d: rule says %v (tangent: %v), predicate %v (value %v)",
+					q, s, key, x, ext.tan[treeIndex(0, q)], v == accept, tangent, ok, surfaceOf(tp, q))
 			}
 		}
 	}
-	return decided, nil
+	return decided, byTangent, nil
 }
 
 // TestKeyRuleLeavesNonFiniteToThePredicate: NaN and ±Inf, as key or as
-// either end of the extent, never decide — on any side of any intercept.
+// either end of the extent, never decide — on any side of any intercept, by
+// the bracket or by the tangent at any byte, in either tree. A zero-width
+// extent is finite: its byte places nothing, and the tangent is the bracket.
 func TestKeyRuleLeavesNonFiniteToThePredicate(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, shift := range []float64{-2, 1e-9, 0.5} {
 		for _, up := range []bool{true, false} {
 			for _, b := range []float64{-1e9, 0, 1e9, inf, -inf} {
-				rule := slopeRule(nil, b, 1e-6, shift, up)
-				for _, c := range []struct {
-					k float64
-					x [2]float64
-				}{
-					{nan, [2]float64{0, 1}}, {inf, [2]float64{0, 1}}, {-inf, [2]float64{0, 1}},
-					{5, [2]float64{nan, 1}}, {5, [2]float64{0, nan}}, {5, [2]float64{nan, nan}},
-					{5, [2]float64{-inf, 1}}, {5, [2]float64{0, inf}}, {5, noExtent},
-					{inf, noExtent}, {nan, noExtent},
-				} {
-					if v := rule.decide(c.k, c.x); v != evaluate {
-						t.Errorf("shift %v, up %v, b %v: key %v extent %v decided (%v)", shift, up, b, c.k, c.x, v)
+				for _, top := range []bool{true, false} {
+					rule := slopeRule(nil, b, 1e-6, shift, up)
+					rule.top = top
+					for _, c := range []struct {
+						k float64
+						x [2]float64
+					}{
+						{nan, [2]float64{0, 1}}, {inf, [2]float64{0, 1}}, {-inf, [2]float64{0, 1}},
+						{5, [2]float64{nan, 1}}, {5, [2]float64{0, nan}}, {5, [2]float64{nan, nan}},
+						{5, [2]float64{-inf, 1}}, {5, [2]float64{0, inf}}, {5, noExtent},
+						{inf, noExtent}, {nan, noExtent}, {inf, [2]float64{3, 3}}, {-inf, [2]float64{3, 3}},
+					} {
+						if v := rule.decide(c.k, c.x); v != evaluate {
+							t.Errorf("shift %v, up %v, b %v: key %v extent %v decided (%v)", shift, up, b, c.k, c.x, v)
+						}
+						for _, q := range []uint8{0, 1, 128, 255} {
+							if v := rule.tangent(c.k, c.x, q); v != evaluate {
+								t.Errorf("shift %v, up %v, top %v, b %v: key %v extent %v byte %d decided by the tangent (%v)", shift, up, top, b, c.k, c.x, q, v)
+							}
+						}
+					}
+					// Zero width: every byte is the extent's one x, and the
+					// tangent decides what the bracket decides, an intercept
+					// well away from the value.
+					x := [2]float64{3, 3}
+					for _, k := range []float64{b - 10, b + 10, -1e9, 1e9} {
+						if math.IsInf(b, 0) || math.Abs(k-b) < 1 {
+							continue
+						}
+						for _, q := range []uint8{0, 1, 128, 255} {
+							if xq, step := tangentX(q, x); xq != 3 || step != 0 {
+								t.Fatalf("byte %d of extent %v places %v, step %v", q, x, xq, step)
+							}
+							v, want := rule.tangent(k, x, q), rule.decide(k, x)
+							if top && want == rule.ifBelow || !top && want == rule.ifAbove {
+								want = evaluate // the other side's bound: not the tangent's
+							}
+							if v != want {
+								t.Errorf("shift %v, up %v, top %v, b %v: key %v, zero-width extent, byte %d: tangent %v, bracket %v", shift, up, top, b, k, q, v, want)
+							}
+						}
 					}
 				}
 			}
@@ -237,7 +283,7 @@ func TestKeyRuleLeavesNonFiniteToThePredicate(t *testing.T) {
 // and around the surface value at the query slope, whenever keyRule decides
 // the predicate agrees.
 func TestSlopeBoundSound(t *testing.T) {
-	decided, undecided := 0, 0
+	decided, undecided, byTangent := 0, 0, 0
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		for _, tp := range shapes2(t, rng) {
@@ -258,13 +304,14 @@ func TestSlopeBoundSound(t *testing.T) {
 					w := math.Abs(a-s) * 10 // the bracket's order of magnitude
 					for _, off := range []float64{0, geom.Eps, -geom.Eps, m, -m, 2 * m, -2 * m,
 						w * rng.Float64(), -w * rng.Float64(), rng.NormFloat64() * 50} {
-						n, err := slopeBoundHolds(tp, s, a, v+off)
+						n, nt, err := slopeBoundHolds(tp, s, a, v+off)
 						if err != nil {
 							t.Errorf("seed %d: %v", seed, err)
 							return false
 						}
 						decided += n
 						undecided += 4 - n
+						byTangent += nt
 					}
 				}
 			}
@@ -274,10 +321,10 @@ func TestSlopeBoundSound(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(20261003))}); err != nil {
 		t.Fatal(err)
 	}
-	if decided == 0 || undecided == 0 {
-		t.Fatalf("%d decided, %d left to the predicate: the property is vacuous on one side", decided, undecided)
+	if decided == 0 || undecided == 0 || byTangent == 0 {
+		t.Fatalf("%d decided (%d by the tangent), %d left to the predicate: the property is vacuous on one side", decided, byTangent, undecided)
 	}
-	t.Logf("%d decided, %d left to the predicate", decided, undecided)
+	t.Logf("%d decided (%d by the tangent), %d left to the predicate", decided, byTangent, undecided)
 }
 
 // FuzzSlopeBound checks keyRule's soundness on arbitrary triangles with an
@@ -340,7 +387,7 @@ func FuzzSlopeBound(f *testing.F) {
 			if math.IsInf(v, 0) {
 				v = 0
 			}
-			if _, err := slopeBoundHolds(tp, s, a, v+off); err != nil {
+			if _, _, err := slopeBoundHolds(tp, s, a, v+off); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -26,7 +26,7 @@ func (s sweep) refRun(tr *btree.Tree, rc *pagestore.ReadCounter, sc *scratch, st
 	if !s.asc {
 		bound = hi
 	}
-	cands0, sure0, rejected := len(sc.cands), len(sc.sure), 0
+	cands0, sure0, rejected, tangent := len(sc.cands), len(sc.sure), 0, 0
 	var skip func(btree.Bound) btree.Step
 	if s.rule.xext != nil && s.slot < 0 {
 		skip = func(b btree.Bound) btree.Step { return s.rule.step(b, lo, hi, s.asc) }
@@ -63,6 +63,11 @@ func (s sweep) refRun(tr *btree.Tree, rc *pagestore.ReadCounter, sc *scratch, st
 				v := evaluate
 				if j := int(tid) - 1; uint(j) < uint(len(rule.xext)) {
 					v = rule.decide(k, rule.xext[j])
+					if v == evaluate && rule.tan != nil {
+						if v = rule.tangent(k, rule.xext[j], rule.tan[j*rule.stride+rule.col]); v != evaluate {
+							tangent++
+						}
+					}
 				}
 				switch v {
 				case accept:
@@ -89,6 +94,7 @@ func (s sweep) refRun(tr *btree.Tree, rc *pagestore.ReadCounter, sc *scratch, st
 	st.Candidates += retrieved
 	st.Decided += decided
 	st.Sure += len(sc.sure) - sure0
+	st.Tangent += tangent
 	return retrieved, h, err
 }
 
@@ -110,10 +116,10 @@ func refFiniteKeyBound(lv btree.LeafView, n int) float64 {
 // pool of stored values — so equal keys run across leaf boundaries and a
 // sweep's rounded bound is often a stored key — plus ±Inf, one key repeated
 // past a leaf's capacity and scattered fresh values; extents that follow the
-// keys, a few x-unbounded; tuple ids past the end of the extent table; two
-// handicap slots; and, in some trees, deletes that merge leaves or empty the
-// tree.
-func kernelTree(t *testing.T, rng *rand.Rand, pageSize, n int, emptyAll bool) (*btree.Tree, [][2]float64, []float64) {
+// keys, a few x-unbounded; tuple ids past the end of the extent table, and a
+// table of random tangent bytes for two trees beside it; two handicap slots;
+// and, in some trees, deletes that merge leaves or empty the tree.
+func kernelTree(t *testing.T, rng *rand.Rand, pageSize, n int, emptyAll bool) (*btree.Tree, extents, []float64) {
 	t.Helper()
 	pool := make([]float64, 0, 48)
 	for i := 0; i < 40; i++ {
@@ -152,9 +158,12 @@ func kernelTree(t *testing.T, rng *rand.Rand, pageSize, n int, emptyAll bool) (*
 		}
 		exts[i] = x
 	}
-	// The tree bounds every entry, the table stops short of the last ids.
-	xext := exts[:n-n/50]
-	ext := func(tid uint32) [2]float64 { return exts[tid-1] }
+	// The tree bounds every entry, the tables stop short of the last ids.
+	ext := extents{xext: exts[:n-n/50], stride: 2}
+	for range 2 * len(ext.xext) {
+		ext.tan = append(ext.tan, uint8(rng.Intn(256)))
+	}
+	of := func(tid uint32) [2]float64 { return exts[tid-1] }
 
 	tr, err := btree.New(pagestore.NewPool(pagestore.NewMemStore(pageSize), 1<<12),
 		btree.Config{HandicapKinds: []btree.SlotKind{btree.MinSlot, btree.MaxSlot}})
@@ -162,12 +171,12 @@ func kernelTree(t *testing.T, rng *rand.Rand, pageSize, n int, emptyAll bool) (*
 		t.Fatal(err)
 	}
 	if rng.Intn(2) == 0 {
-		if err := tr.BulkLoadExt(slices.Clone(entries), ext); err != nil {
+		if err := tr.BulkLoadExt(slices.Clone(entries), of); err != nil {
 			t.Fatal(err)
 		}
 	} else {
 		for _, e := range entries {
-			if err := tr.InsertExt(e.Key, e.TID, ext(e.TID)); err != nil {
+			if err := tr.InsertExt(e.Key, e.TID, of(e.TID)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -198,23 +207,24 @@ func kernelTree(t *testing.T, rng *rand.Rand, pageSize, n int, emptyAll bool) (*
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	return tr, xext, pool
+	return tr, ext, pool
 }
 
 // TestSweepKernelMatchesReference holds sweep.run — entries read in place,
 // one loop per leaf verdict — to the per-entry loop it replaced, on random
 // trees at 1 KiB and 256 B pages, for every kind of sweep: the restricted
 // path's sure sweep, T1's plain one, T2's first sweep folding a handicap
-// slot, T2's second sweep with its skip test and, as in E^d, without a rule
-// — the one bounded sweep that only its own stop test ends. Both must
-// retrieve the same references in the same order, settle and reject the
-// same ones, count the same candidates, decisions and leaves, read the same
-// pages and fold the same handicap.
+// slot, T2's second sweep with its skip test — both mostly with a tangent
+// table — and, as in E^d, without a rule: the one bounded sweep that only its
+// own stop test ends. Both must retrieve the same references in the same
+// order, settle and reject the same ones, count the same candidates,
+// decisions (the tangent's among them) and leaves, read the same pages and
+// fold the same handicap.
 func TestSweepKernelMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	for _, pageSize := range []int{1024, 256} {
 		for trial := 0; trial < 6; trial++ {
-			tr, xext, pool := kernelTree(t, rng, pageSize, 1500+rng.Intn(1500), trial == 5)
+			tr, ext, pool := kernelTree(t, rng, pageSize, 1500+rng.Intn(1500), trial == 5)
 			for q := 0; q < 150; q++ {
 				b := pool[rng.Intn(len(pool)-4)]
 				if rng.Intn(4) == 0 {
@@ -223,7 +233,10 @@ func TestSweepKernelMatchesReference(t *testing.T) {
 				tol := []float64{0, geom.Eps, 1e-3}[rng.Intn(3)]
 				up := rng.Intn(2) == 0
 				shift := []float64{0, rng.Float64()*4 - 2, rng.Float64()*0.02 - 0.01}[rng.Intn(3)]
-				rule := slopeRule(xext, b, tol+rng.Float64()*0.5, shift, up)
+				rule := slopeRule(ext.xext, b, tol+rng.Float64()*0.5, shift, up)
+				if rng.Intn(4) != 0 { // with the tangent of one of the two trees
+					rule.tan, rule.stride, rule.col, rule.top = ext.tan, ext.stride, rng.Intn(2), rng.Intn(2) == 0
+				}
 				slot := 0
 				if !up {
 					slot = 1

@@ -88,7 +88,8 @@ func FuzzTOPBOTEnvelope(f *testing.F) {
 // two vertices' dual lines, the last slope before a ray fires — and is +Inf
 // exactly when the kernel is at every candidate. Against the envelope:
 // within EnvelopeSlack of MaxOn/MinOn wherever the two see the same finite
-// domain, i.e. no ray's domain end lies in or near the half strip.
+// domain, i.e. no ray's domain end lies in or near the half strip. And
+// Tangents at the three slopes names a vertex attaining the kernel.
 func FuzzStripExtrema(f *testing.F) {
 	f.Add(-2.0, 0.0, 2.0, 0.0, 0.0, 1.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.25, 2.0)                // diamond: both minima inside
 	f.Add(-3.0, 1.0, 1.0, 4.0, 4.0, -2.0, 0.5, -3.0, 0.0, 0.0, 0.0, 0.0, -2.0, 0.1, 1.5)                // quadrilateral
@@ -141,6 +142,31 @@ func checkStripExtrema(t *testing.T, verts, rays []Point, s0, s1, s2 float64) {
 	envs := [2]Envelope{TopEnvelope2(p), BotEnvelope2(p)}
 	g := p.Pack()
 	top, bot := g.StripExtrema(s[0], s[1], s[2])
+	// At each of the three slopes Tangents names the x of a vertex whose dual
+	// line takes the kernel's value there, bit for bit, and NaN exactly where
+	// the kernel is not finite.
+	for _, b := range s {
+		var xs [2]float64
+		xs[0], xs[1] = g.Tangents(b)
+		for i, want := range []float64{g.Top([]float64{b}), g.Bot([]float64{b})} {
+			if math.IsInf(want, 0) != math.IsNaN(xs[i]) {
+				t.Fatalf("%s at %v of %v + cone%v: kernel %v, tangent x %v", [2]string{"TOP", "BOT"}[i], b, p.Verts, p.Rays, want, xs[i])
+			}
+			attains := math.IsNaN(xs[i])
+			for _, v := range p.Verts {
+				line, err := FromVertices([]Point{v}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lg := line.Pack()
+				at := [2]float64{lg.Top([]float64{b}), lg.Bot([]float64{b})}[i]
+				attains = attains || v[0] == xs[i] && math.Float64bits(at) == math.Float64bits(want)
+			}
+			if !attains {
+				t.Fatalf("%s at %v of %v + cone%v: no vertex at x = %v takes the kernel's %v", [2]string{"TOP", "BOT"}[i], b, p.Verts, p.Rays, xs[i], want)
+			}
+		}
+	}
 	var X, Y float64
 	for _, v := range p.Verts {
 		X, Y = max(X, math.Abs(v[0])), max(Y, math.Abs(v[1]))

@@ -88,6 +88,21 @@ func (g *Generators) Support(c []float64) float64 {
 func (g *Generators) Top(b []float64) float64 { return g.support(b, -1, 1) }
 func (g *Generators) Bot(b []float64) float64 { return -g.support(b, 1, -1) }
 
+// Tangents returns the x of the vertex whose dual line attains TOP^P and
+// BOT^P of 2-D generators at the slope b — the first, in Top's and Bot's
+// arithmetic bit for bit, so its line's value at b is the kernel's there —
+// and NaN where a ray fires or there is no vertex. That line supports the
+// surface: TOP^P ≥ it and BOT^P ≤ it at every slope (DESIGN.md §17).
+func (g *Generators) Tangents(b float64) (top, bot float64) {
+	at := func(p sample) float64 {
+		if p.v < 0 {
+			return math.NaN()
+		}
+		return g.gen[p.v]
+	}
+	return at(g.sample(-1, 1, b)), at(g.sample(1, -1, b))
+}
+
 // HalfStrips holds a surface's extrema over the two halves [lo, a] and
 // [a, hi] of a strip around the slope a: the half toward the previous slope
 // and the half toward the next.

@@ -30,6 +30,10 @@ type QueryStats struct {
 	// Sure is the number of Decided candidates a sweep put into the answer
 	// unevaluated; the other Decided − Sure were rejected on their key.
 	Sure int
+	// Tangent is the number of Decided candidates the tangent settled: those
+	// the x-extent bracket left to the predicate and the line of the vertex
+	// attaining the key decided (T2 only).
+	Tangent int
 	// Duplicates is the number of tuple references retrieved more than
 	// once (only T1 can produce them; T2 is duplicate-free by design).
 	Duplicates int
@@ -123,6 +127,7 @@ type pathMetrics struct {
 	falseHits   *Counter
 	decided     *Counter
 	sure        *Counter
+	tangent     *Counter
 	duplicates  *Counter
 	leavesSwept *Counter
 }
@@ -218,6 +223,7 @@ func (o *Observer) FinishQuery(tr *Trace, st QueryStats, err error) {
 	pm.falseHits.Add(uint64(st.FalseHits))
 	pm.decided.Add(uint64(st.Decided))
 	pm.sure.Add(uint64(st.Sure))
+	pm.tangent.Add(uint64(st.Tangent))
 	pm.duplicates.Add(uint64(st.Duplicates))
 	pm.leavesSwept.Add(uint64(st.LeavesSwept))
 
@@ -234,6 +240,7 @@ func (o *Observer) FinishQuery(tr *Trace, st QueryStats, err error) {
 			slog.Int("false_hits", st.FalseHits),
 			slog.Int("decided", st.Decided),
 			slog.Int("sure", st.Sure),
+			slog.Int("tangent", st.Tangent),
 			slog.Int("duplicates", st.Duplicates),
 			slog.Int("leaves_swept", st.LeavesSwept),
 		)
@@ -294,6 +301,7 @@ func (o *Observer) path(name string) *pathMetrics {
 		falseHits:   o.reg.Counter("path." + name + ".false_hits"),
 		decided:     o.reg.Counter("path." + name + ".decided"),
 		sure:        o.reg.Counter("path." + name + ".sure"),
+		tangent:     o.reg.Counter("path." + name + ".tangent"),
 		duplicates:  o.reg.Counter("path." + name + ".duplicates"),
 		leavesSwept: o.reg.Counter("path." + name + ".leaves_swept"),
 	}
@@ -386,6 +394,7 @@ type PathSnapshot struct {
 	FalseHits   uint64            `json:"false_hits"`
 	Decided     uint64            `json:"decided"`
 	Sure        uint64            `json:"sure"`
+	Tangent     uint64            `json:"tangent"`
 	Duplicates  uint64            `json:"duplicates"`
 	LeavesSwept uint64            `json:"leaves_swept"`
 	Latency     HistogramSnapshot `json:"latency"`
@@ -468,6 +477,7 @@ func (o *Observer) ObserverSnapshot() *Snapshot {
 			FalseHits:   pm.falseHits.Load(),
 			Decided:     pm.decided.Load(),
 			Sure:        pm.sure.Load(),
+			Tangent:     pm.tangent.Load(),
 			Duplicates:  pm.duplicates.Load(),
 			LeavesSwept: pm.leavesSwept.Load(),
 			Latency:     pm.ns.Snapshot(),
@@ -480,6 +490,7 @@ func (o *Observer) ObserverSnapshot() *Snapshot {
 		s.Totals.FalseHits += ps.FalseHits
 		s.Totals.Decided += ps.Decided
 		s.Totals.Sure += ps.Sure
+		s.Totals.Tangent += ps.Tangent
 		s.Totals.Duplicates += ps.Duplicates
 		s.Totals.LeavesSwept += ps.LeavesSwept
 		s.PathNames = append(s.PathNames, name)

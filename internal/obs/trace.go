@@ -202,6 +202,7 @@ type TraceSnapshot struct {
 	FalseHits   int            `json:"false_hits"`
 	Decided     int            `json:"decided"`
 	Sure        int            `json:"sure"`
+	Tangent     int            `json:"tangent"`
 	Duplicates  int            `json:"duplicates"`
 	LeavesSwept int            `json:"leaves_swept"`
 	Err         string         `json:"err,omitempty"`
@@ -224,6 +225,7 @@ func (t *Trace) querySnapshot() TraceSnapshot {
 		FalseHits:   st.FalseHits,
 		Decided:     st.Decided,
 		Sure:        st.Sure,
+		Tangent:     st.Tangent,
 		Duplicates:  st.Duplicates,
 		LeavesSwept: st.LeavesSwept,
 		Err:         errString(t.err),

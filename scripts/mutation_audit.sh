@@ -25,7 +25,7 @@
 # The whole list takes about 40 minutes on a 2-core x86-64 container, most
 # of it in the -race runs of internal/core and in the timeouts of the
 # mutations that deadlock every Save; CI's "Mutation smoke" step runs
-# thirteen of its rows.
+# fifteen of its rows.
 set -euo pipefail
 repo=$(cd "$(dirname "$0")/.." && pwd)
 work=$(mktemp -d)
@@ -278,6 +278,23 @@ mut kernel-stop internal/core/query.go "sweep kernel: the ascending continue tes
 			return es.Key(0) <= hi
 EOF
 
+# --- the tangent: what the extent bracket leaves, the attaining vertex's line may settle ---
+
+mut tangent-no-step internal/core/query.go "tangent: the rule moves the tangent line by no margin \`e\`" <<'EOF'
+	e := math.Abs(r.shift) * (step + 0x1p-50*(math.Abs(x[0])+math.Abs(x[1])))
+----
+	e := 0.0
+	_ = step
+EOF
+
+mut tangent-wrong-surface internal/core/query.go "tangent: B^down applies TOP's lower bound" <<'EOF'
+	case !r.top && t+e < r.below:
+		return r.ifBelow
+----
+	case !r.top && t-e > r.above:
+		return r.ifAbove
+EOF
+
 # --- sure references: checked a word at a time against the version's live bits ---
 
 mut sure-unchecked internal/core/query.go "sure references: \`mark\` drops the live-word pass" <<'EOF'
@@ -333,7 +350,7 @@ EOF
 
 mut publish-xext internal/core/mvcc.go "frozen: the x-extents filled after \`ix.roots.Store\`" <<'EOF'
 	if ix.dim == 2 {
-		rs.extents = ext.extend(rs.tuples)
+		rs.extents = ext.extend(rs.tuples, ix.geo)
 	}
 	for i, t := range ix.trees {
 		rs.trees[i] = t.Handle(t.Meta())
@@ -345,7 +362,7 @@ mut publish-xext internal/core/mvcc.go "frozen: the x-extents filled after \`ix.
 	}
 	ix.roots.Store(rs)
 	if ix.dim == 2 {
-		rs.extents = ext.extend(rs.tuples)
+		rs.extents = ext.extend(rs.tuples, ix.geo)
 	}
 EOF
 
