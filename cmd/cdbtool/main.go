@@ -379,10 +379,10 @@ func (s *session) query(kind dualcdb.QueryKind, rest string) error {
 		fmt.Fprintf(s.out, "%v: %v  (path=%s, candidates=%d, decided=%d, falseHits=%d, duplicates=%d, pages=%d)\n",
 			q, res.IDs, st.Path, st.Candidates, st.Decided, st.FalseHits, st.Duplicates, st.PagesRead)
 		// The funnel: what the sweeps retrieved, what they settled on the key
-		// (into the answer or out of it) — the tangent some of those — and
-		// what the predicate decided.
+		// (into the answer or out of it) — a tangent line, the own site's or
+		// the neighbour's, some of those — and what the predicate decided.
 		evaluated := st.Candidates - st.Duplicates - st.Decided
-		fmt.Fprintf(s.out, "  funnel: candidates %d → duplicates %d → sure %d / rejected on key %d (decided by tangent %d) → evaluated %d → false hits %d → results %d\n",
+		fmt.Fprintf(s.out, "  funnel: candidates %d → duplicates %d → sure %d / rejected on key %d (decided by a tangent %d) → evaluated %d → false hits %d → results %d\n",
 			st.Candidates, st.Duplicates, st.Sure, st.Decided-st.Sure, st.Tangent, evaluated, evaluated-(st.Results-st.Sure), st.Results)
 	case s.rplus != nil:
 		res, err := s.rplus.Query(q)

@@ -248,8 +248,11 @@ type sweep struct {
 // intercept plus and minus the margin collectT2 states, widened per leaf by
 // the key's own rounding (atLeaf) — is decided; everything else, and every
 // non-finite key or extent, is the predicate's. What that leaves, the
-// tangent may settle: the line of the vertex attaining k supports the
-// surface, so TOP at a is at least k − shift·x* and BOT at most that.
+// tangents may settle: the line of the vertex attaining k supports the
+// surface, so TOP at a is at least k − shift·x* and BOT at most that; and
+// for a between s and the next site s′ on its side the line through k of
+// slope −x′, x′ that of a vertex attaining the surface at s′, bounds the
+// other side: TOP at a is at most k − shift·x′ and BOT at least that.
 type keyRule struct {
 	// xext is the pinned version's x-extent table (rootSet.xext); nil: no
 	// rule.
@@ -268,6 +271,10 @@ type keyRule struct {
 	tan         []uint8
 	stride, col int
 	top         bool
+	// next is the column of the same surface at the neighbour site s′ less
+	// col: 2 (the next site), −2 (the previous one) or 0, no neighbour — the
+	// query slope lies beyond the outermost site on its side.
+	next int
 }
 
 // slopeRule is the rule of a query at intercept b (up: a ≥ selection) whose
@@ -369,15 +376,19 @@ func (r *keyRule) decideRange(klo, khi float64, x [2]float64) verdict {
 }
 
 // tangent decides an entry with stored key k and extent x that the bracket
-// leaves to the predicate, by the dual line of the vertex v* attaining k: in
-// a B^up TOP(a) ≥ k − shift·x* decides it if above `above`, in a B^down
-// BOT(a) ≤ k − shift·x* if below `below`. The byte q places x* within one
-// step of x′ = tangentX(q, x), which rounds by less than 2⁻⁵⁰·(|infX| +
-// |supX|), so the line is moved by e = |shift|·(step + that) towards the
-// intercept (DESIGN.md §17). A non-finite key, an unbounded extent, a NaN
-// anywhere and an overflow are the predicate's.
-func (r *keyRule) tangent(k float64, x [2]float64, q uint8) verdict {
-	xq, step := tangentX(q, x)
+// leaves to the predicate, by the dual lines its tangent bytes row (the
+// tuple's stride bytes of tan) place. First the line of the vertex v*
+// attaining k: in a B^up TOP(a) ≥ k − shift·x* decides it if above `above`,
+// in a B^down BOT(a) ≤ k − shift·x* if below `below`. Then, with a
+// neighbour, the line of slope −x*(s′) through k bounds the other side:
+// TOP(a) ≤ k − shift·x*(s′) decides it if below `below`, BOT(a) ≥ that if
+// above `above`. A byte places its x within one step of x′ = tangentX(q, x),
+// which rounds by less than 2⁻⁵⁰·(|infX| + |supX|), so each line is moved by
+// e = |shift|·(step + that) towards the intercept (DESIGN.md §17). A
+// non-finite key, an unbounded extent, a NaN anywhere and an overflow are
+// the predicate's.
+func (r *keyRule) tangent(k float64, x [2]float64, row []uint8) verdict {
+	xq, step := tangentX(row[r.col], x)
 	e := math.Abs(r.shift) * (step + 0x1p-50*(math.Abs(x[0])+math.Abs(x[1])))
 	t := k - r.shift*xq
 	switch {
@@ -387,6 +398,18 @@ func (r *keyRule) tangent(k float64, x [2]float64, q uint8) verdict {
 		return r.ifAbove
 	case !r.top && t+e < r.below:
 		return r.ifBelow
+	case r.next == 0:
+		return evaluate
+	}
+	xn, _ := tangentX(row[r.col+r.next], x)
+	n := k - r.shift*xn
+	switch {
+	case !(math.Abs(n)+e < math.MaxFloat64):
+		return evaluate
+	case r.top && n+e < r.below:
+		return r.ifBelow
+	case !r.top && n-e > r.above:
+		return r.ifAbove
 	}
 	return evaluate
 }
@@ -431,8 +454,8 @@ func float32Next(k, dir float64) float64 {
 // run executes the sweep on tr: every retrieved entry counts into
 // st.Candidates, those settled on their key into st.Decided — the accepted
 // ones go to sc.sure and count into st.Sure, the rejected ones go nowhere,
-// and those the tangent settled count into st.Tangent too — and the rest go
-// to sc.cands; visited leaves count into st and page reads are charged to
+// and those a tangent line settled count into st.Tangent too — and the rest
+// go to sc.cands; visited leaves count into st and page reads are charged to
 // rc. It returns the number of entries retrieved and the folded handicap.
 //
 // A leaf is read in place (btree.LeafView.Entries): its verdict — sure, no
@@ -514,7 +537,7 @@ func (s sweep) run(tr *btree.Tree, rc *pagestore.ReadCounter, sc *scratch, st *Q
 					if j := int(tid) - 1; uint(j) < uint(len(xext)) {
 						v = rule.decide(k, xext[j])
 						if v == evaluate && tan != nil {
-							if v = rule.tangent(k, xext[j], tan[j*rule.stride+rule.col]); v != evaluate {
+							if v = rule.tangent(k, xext[j], tan[j*rule.stride:(j+1)*rule.stride]); v != evaluate {
 								tangent++
 							}
 						}
@@ -662,7 +685,9 @@ func t2Slack(m float64) float64 { return 32 * geom.Eps * (1 + m) }
 
 // t2Rule returns T2's tolerance and key rule for q, routed by r, over the
 // extent and tangent tables ext; with no tables (d > 2) the tolerance is Eps
-// and the rule settles nothing.
+// and the rule settles nothing. The neighbour is the site next to r.site on
+// the query slope's side, if S has one there: the route is the nearest site,
+// so the slope lies between the two.
 func t2Rule(r routing, q constraint.Query, ext extents) (float64, keyRule) {
 	if ext.xext == nil {
 		return geom.Eps, keyRule{}
@@ -670,6 +695,12 @@ func t2Rule(r routing, q constraint.Query, ext extents) (float64, keyRule) {
 	tol := geom.Eps + t2Slack(math.Abs(q.Slope[0])+math.Abs(r.shift))
 	rule := slopeRule(ext.xext, q.Intercept, tol, r.shift, q.SweepsUp())
 	rule.tan, rule.stride, rule.col, rule.top = ext.tan, ext.stride, treeIndex(r.site, q), q.UsesTop()
+	switch {
+	case r.shift > 0 && r.site+1 < ext.stride/2:
+		rule.next = 2
+	case r.shift < 0 && r.site > 0:
+		rule.next = -2
+	}
 	return tol, rule
 }
 

@@ -467,13 +467,15 @@ func TestSkipKeepsKeyRounding(t *testing.T) {
 // value, an ulp either side of it and Eps off it must answer as the scan.
 // With the margin cut back to bare Eps the rule rejects some of them.
 //
-// The tangent's margin has a term of its own, |Δ|·step: a triangle whose top
-// vertex (x*, 10), attaining TOP at the site 0, lies 0.45 of a tangent step
-// (100/255) past infX = 0 has byte 0, so the tangent line its byte places is
-// 0.45·step·|Δ| = 0.035 off at Δ = 0.2, where that vertex still attains TOP.
-// Selections in B^up at intercepts within step·|Δ| = 0.078 of its value must
-// answer as the scan — without the step term the rule decides some of them
-// wrongly — and some further away are settled by the tangent.
+// The tangents' margin has a term of its own, |Δ|·step: a triangle whose top
+// vertex (x*, 10), attaining TOP at the site 0 and at its neighbour 0.5, lies
+// 0.45 of a tangent step (100/255) past infX = 0 has byte 0 at both, so the
+// own tangent line its byte places is 0.45·step·|Δ| = 0.035 too high at
+// Δ = 0.2; one whose top vertex lies 0.55 of a step past infX has byte 1, so
+// the neighbour's line is 0.45·step·|Δ| too low. Selections in B^up at
+// intercepts within step·|Δ| = 0.078 of either's value must answer as the
+// scan — without the step term the own line (resp. the neighbour's) decides
+// some of them wrongly — and some further away are settled by a tangent.
 func TestT2MarginCoversProductRounding(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	rel := constraint.NewRelation(2)
@@ -486,43 +488,53 @@ func TestT2MarginCoversProductRounding(t *testing.T) {
 		}
 		pts = append(pts, tp)
 	}
-	p, err := geom.FromVertices([]geom.Point{{0, 0}, {100, 0}, {0.45 * 100 / 255, 10}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tri := constraint.FromPolyhedron(p)
-	if _, err := rel.Insert(tri); err != nil {
-		t.Fatal(err)
+	var tris []*constraint.Tuple
+	for _, steps := range []float64{0.45, 0.55} {
+		p, err := geom.FromVertices([]geom.Point{{0, 0}, {100, 0}, {steps * 100 / 255, 10}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tri := constraint.FromPolyhedron(p)
+		if _, err := rel.Insert(tri); err != nil {
+			t.Fatal(err)
+		}
+		tris = append(tris, tri)
 	}
 	ix, err := Build(rel, Options{Slopes: []float64{-0.5, 0, 0.5}, Technique: T2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q := ix.roots.Load().tan[int(tri.ID()-1)*6+2]; q != 0 { // B^up of site 1, slope 0
-		t.Fatalf("the triangle's TOP byte at slope 0 is %d, want 0", q)
+	tan := ix.roots.Load().tan
+	for i, tri := range tris {
+		// B^up of site 1 (slope 0) and of its neighbour, site 2 (slope 0.5).
+		if q, qn := tan[int(tri.ID()-1)*6+2], tan[int(tri.ID()-1)*6+4]; q != uint8(i) || qn != uint8(i) {
+			t.Fatalf("triangle %d's TOP bytes at slopes 0 and 0.5 are %d and %d, want %d", i, q, qn, i)
+		}
 	}
 	byTangent := 0
-	for _, kind := range []constraint.QueryKind{constraint.EXIST, constraint.ALL} {
-		op := geom.GE // B^up: EXIST(≥), ALL(≤)
-		if kind == constraint.ALL {
-			op = geom.LE
-		}
-		q := constraint.Query2(kind, 0.2, 0, op)
-		v := mustTop(t, tri, 0.2)
-		for _, off := range []float64{0, geom.Eps, -geom.Eps, 0.01, -0.01, 0.03, -0.03, 0.06, -0.06, 0.1, -0.1} {
-			q.Intercept = v + off
-			got, err := ix.Query(q)
-			if err != nil {
-				t.Fatal(err)
+	for _, tri := range tris {
+		for _, kind := range []constraint.QueryKind{constraint.EXIST, constraint.ALL} {
+			op := geom.GE // B^up: EXIST(≥), ALL(≤)
+			if kind == constraint.ALL {
+				op = geom.LE
 			}
-			if want, _ := q.Eval(rel); got.Stats.Path != "t2" || !sameIDs(got.IDs, want) {
-				t.Fatalf("%v [%s]: got %v, the scan %v", q, got.Stats.Path, got.IDs, want)
+			q := constraint.Query2(kind, 0.2, 0, op)
+			v := mustTop(t, tri, 0.2)
+			for _, off := range []float64{0, geom.Eps, -geom.Eps, 0.01, -0.01, 0.03, -0.03, 0.06, -0.06, 0.1, -0.1} {
+				q.Intercept = v + off
+				got, err := ix.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want, _ := q.Eval(rel); got.Stats.Path != "t2" || !sameIDs(got.IDs, want) {
+					t.Fatalf("%v [%s]: got %v, the scan %v", q, got.Stats.Path, got.IDs, want)
+				}
+				byTangent += got.Stats.Tangent
 			}
-			byTangent += got.Stats.Tangent
 		}
 	}
 	if byTangent == 0 {
-		t.Fatal("the tangent settled nothing")
+		t.Fatal("the tangents settled nothing")
 	}
 	for i := 0; i < 400; i++ {
 		a := (20 + rng.Float64()*980) * float64(1-2*rng.Intn(2))
@@ -540,6 +552,70 @@ func TestT2MarginCoversProductRounding(t *testing.T) {
 			}
 			if want, _ := q.Eval(rel); !sameIDs(got.IDs, want) {
 				t.Fatalf("%v [%s]: got %d ids, the scan %d", q, got.Stats.Path, len(got.IDs), len(want))
+			}
+		}
+	}
+}
+
+// TestT2RuleNeighbour pins the neighbour site whose tangent bytes t2Rule
+// reads: the next site for a slope above its routed site, the previous one
+// for a slope below it — at a strip's midpoint, which routes to the lower
+// site, and within Eps of a site on either side — and none beyond the
+// outermost sites, in their strips or outside every strip, nor on a site.
+// (TestT2BoundaryMatchesScan answers selections at such slopes as the scan.)
+// An index of dimension > 2 (no tables) gets no neighbour, and a bare
+// keyRule has none: it reads its own column alone and settles nothing on
+// the neighbour's side.
+func TestT2RuleNeighbour(t *testing.T) {
+	geo := newSlopeSet([]float64{-1.5, -0.25, 0.5, 2})
+	ext := extents{xext: [][2]float64{{0, 1}}, tan: make([]uint8, 8), stride: 8}
+	for _, c := range []struct {
+		a          float64
+		site, next int
+	}{
+		{(-0.25 + 0.5) / 2, 1, 2}, // strip midpoints: the lower site, and the next one
+		{(-1.5 - 0.25) / 2, 0, 2},
+		{0.5 + geom.Eps/2, 2, 2}, // within Eps of a site
+		{0.5 - geom.Eps/2, 2, -2},
+		{-1.5 + geom.Eps/2, 0, 2},
+		{-1.5 - geom.Eps/2, 0, 0}, // beyond the outermost sites, in their strips
+		{2 + geom.Eps/2, 3, 0},
+		{2 - 0.3, 3, -2},
+		{2 + 0.3, 3, 0},
+		{40, 3, 0}, // outside every strip
+		{-40, 0, 0},
+		{0.5, 2, 0}, // on a site
+	} {
+		for _, kind := range []constraint.QueryKind{constraint.ALL, constraint.EXIST} {
+			for _, op := range []geom.Op{geom.GE, geom.LE} {
+				q := constraint.Query2(kind, c.a, 0, op)
+				r, err := geo.route(q.Slope, q.SweepsUp())
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, rule := t2Rule(r, q, ext)
+				if r.site != c.site || rule.next != c.next {
+					t.Fatalf("%v: site %d, neighbour %+d; want site %d, neighbour %+d", q, r.site, rule.next, c.site, c.next)
+				}
+				if rule.next != 0 && rule.col+rule.next != treeIndex(c.site+rule.next/2, q) {
+					t.Fatalf("%v: neighbour column %d is not the same surface's at site %d", q, rule.col+rule.next, c.site+rule.next/2)
+				}
+			}
+		}
+	}
+	q := constraint.Query2(constraint.EXIST, 0.125, 0, geom.GE)
+	if _, rule := t2Rule(routing{site: 1, inCell: true, shift: 0.375}, q, extents{}); rule.xext != nil || rule.tan != nil || rule.next != 0 {
+		t.Fatalf("without tables: rule %+v", rule)
+	}
+	// A B^up rule with no neighbour and a one-byte row: only its own line,
+	// which bounds TOP from below, may settle an entry — never on the side
+	// below the intercept.
+	var bare keyRule
+	bare.shift, bare.top, bare.above, bare.below, bare.ifAbove, bare.ifBelow = 0.5, true, 1, -1, accept, reject
+	for _, k := range []float64{-100, -1, 0, 1, 100} {
+		for _, b := range []uint8{0, 128, 255} {
+			if v := bare.tangent(k, [2]float64{-3, 3}, []uint8{b}); v == reject {
+				t.Fatalf("key %v, byte %d: a bare rule rejects", k, b)
 			}
 		}
 	}

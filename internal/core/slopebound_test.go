@@ -72,13 +72,14 @@ func t2Margin(s, a float64) float64 {
 }
 
 // TestT2BoundaryMatchesScan pins T2's filter, second-sweep trigger and
-// decided-by-key rule at their edges. For slopes inside every strip half,
-// a hair beyond a site, on strip borders and outside every strip × ALL/EXIST
-// × ≥/≤ it queries intercepts on, and one Eps, one δ and one margin either
-// side of, every tuple's surface value at the query slope — each also one
-// ulp further in and out — over every shape of shapes2. Answers must be the
-// naive scan's, no reference may come twice, and a whole-tree sweep must
-// retrieve every indexed tuple.
+// decided-by-key rule at their edges. For slopes inside every strip half, a
+// hair beyond a site and within Eps of it on either side (each with its
+// neighbour on that side, if any), on strip borders — a strip's midpoint —
+// and outside every strip × ALL/EXIST × ≥/≤ it queries intercepts on, and
+// one Eps, one δ and one margin either side of, every tuple's surface value
+// at the query slope — each also one ulp further in and out — over every
+// shape of shapes2. Answers must be the naive scan's, no reference may come
+// twice, and a whole-tree sweep must retrieve every indexed tuple.
 func TestT2BoundaryMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261002))
 	slopes := []float64{-1.5, -0.25, 0.5, 2}
@@ -104,6 +105,7 @@ func TestT2BoundaryMatchesScan(t *testing.T) {
 		probes = append(probes,
 			at{s - 0.1, "t2"}, at{s + 0.1, "t2"}, // both strip halves
 			at{s + 3*geom.Eps, "t2"}, at{s - 1e-6, "t2"}, // a hair off the site
+			at{s + geom.Eps/2, "t2"}, at{s - geom.Eps/2, "t2"}, // within Eps of it
 			at{lo, "t2"}, at{hi, "t2"}) // on the strip's borders
 	}
 	first, _ := strips.stripBounds(0)
@@ -166,37 +168,42 @@ func TestT2BoundaryMatchesScan(t *testing.T) {
 	t.Logf("%d boundary queries, %d entries decided on their key", queries, decided)
 }
 
-// slopeBoundHolds checks keyRule against the predicate for one tuple whose
-// keys were computed at slope s and stored rounded to float32, queried at
-// slope a and intercept b, in all four shapes: a decision — by the rule
-// collectT2 builds over the tables of a version holding that tuple alone,
-// applied as a sweep applies it to a leaf holding that key alone, the bracket
-// first and the tangent on what it leaves — must be the predicate's, and a
-// non-finite key or extent must never be decided. It returns how many shapes
-// were decided, and how many of those by the tangent.
-func slopeBoundHolds(tp *constraint.Tuple, s, a, b float64) (decided, byTangent int, err error) {
+// slopeBoundHolds checks keyRule against the predicate for one tuple in an
+// index over the slopes S, queried at slope a and intercept b, in all four
+// shapes: the query is routed as collectT2 routes it, and a decision — by the
+// rule collectT2 builds over the tables of a version holding that tuple
+// alone, applied as a sweep applies it to a leaf holding the tuple's key at
+// the routed site, rounded to float32, alone: the bracket first and the
+// tangents on what it leaves — must be the predicate's, and a non-finite key
+// or extent must never be decided. It returns how many shapes were decided,
+// how many of those by a tangent, and how many of those by the neighbour's.
+func slopeBoundHolds(tp *constraint.Tuple, slopes []float64, a, b float64) (decided, byTangent, byNeighbour int, err error) {
 	x := xExtent(tp)
-	geo := newSlopeSet([]float64{s})
-	ext := extents{xext: [][2]float64{x}, tan: appendTangents(nil, tp, x, geo), stride: 2}
+	geo := newSlopeSet(slopes)
+	ext := extents{xext: [][2]float64{x}, tan: appendTangents(nil, tp, x, geo), stride: 2 * len(slopes)}
 	for _, kind := range []constraint.QueryKind{constraint.ALL, constraint.EXIST} {
 		for _, op := range []geom.Op{geom.GE, geom.LE} {
 			q := constraint.Query2(kind, a, b, op)
+			r, err := geo.route(q.Slope, q.SweepsUp())
+			if err != nil {
+				return decided, byTangent, byNeighbour, err
+			}
+			s := slopes[r.site]
 			// The tree key: the kernel's value at the site, as the tree stores it.
 			key := btree.RoundKey(surfaceOf(tp, constraint.Query2(kind, s, b, op)))
 			m := math.Abs(key)
 			if math.IsInf(m, 0) {
 				m = 0 // finiteKeyBound of a leaf with no finite key
 			}
-			r, err := geo.route(q.Slope, q.SweepsUp())
-			if err != nil {
-				return decided, byTangent, err
-			}
 			_, rule := t2Rule(r, q, ext)
 			rule = rule.atLeaf(m)
-			v, tangent := rule.decide(key, x), false
+			own := rule
+			own.next = 0
+			v, tangent, neighbour := rule.decide(key, x), false, false
 			if v == evaluate {
-				v = rule.tangent(key, x, ext.tan[treeIndex(0, q)])
+				v = rule.tangent(key, x, ext.tan)
 				tangent = v != evaluate
+				neighbour = tangent && own.tangent(key, x, ext.tan) == evaluate
 			}
 			if v == evaluate {
 				continue
@@ -205,70 +212,93 @@ func slopeBoundHolds(tp *constraint.Tuple, s, a, b float64) (decided, byTangent 
 			if tangent {
 				byTangent++
 			}
+			if neighbour {
+				byNeighbour++
+			}
 			if math.IsInf(key, 0) || math.IsNaN(key) || math.IsInf(x[0], 0) || math.IsInf(x[1], 0) {
-				return decided, byTangent, fmt.Errorf("%v at site %v: key %v with extent %v was decided (tangent: %v)", q, s, key, x, tangent)
+				return decided, byTangent, byNeighbour, fmt.Errorf("%v at site %v: key %v with extent %v was decided (tangent: %v, neighbour: %v)", q, s, key, x, tangent, neighbour)
 			}
 			ok, err := q.Matches(tp)
 			if err != nil {
-				return decided, byTangent, err
+				return decided, byTangent, byNeighbour, err
 			}
 			if ok != (v == accept) {
-				return decided, byTangent, fmt.Errorf("%v at site %v: key %v, extent %v, tangent byte %d: rule says %v (tangent: %v), predicate %v (value %v)",
-					q, s, key, x, ext.tan[treeIndex(0, q)], v == accept, tangent, ok, surfaceOf(tp, q))
+				return decided, byTangent, byNeighbour, fmt.Errorf("%v at site %v of %v: key %v, extent %v, tangent bytes %v (column %d, neighbour %+d): rule says %v (tangent: %v, neighbour: %v), predicate %v (value %v)",
+					q, s, slopes, key, x, ext.tan, rule.col, rule.next, v == accept, tangent, neighbour, ok, surfaceOf(tp, q))
 			}
 		}
 	}
-	return decided, byTangent, nil
+	return decided, byTangent, byNeighbour, nil
+}
+
+// sitesAround is the slope set of s and a neighbour either side of it, w
+// times |a − s| away (w ≥ 2; 1 away where that does not leave s): a lies
+// between s and one of them, routed to s — or, at w = 2 and a below s, to the
+// lower site of the tie — with the other as its neighbour.
+func sitesAround(s, a, w float64) []float64 {
+	l := w * math.Abs(a-s)
+	if s-l == s || s+l == s {
+		l = 1
+	}
+	return []float64{s - l, s, s + l}
 }
 
 // TestKeyRuleLeavesNonFiniteToThePredicate: NaN and ±Inf, as key or as
 // either end of the extent, never decide — on any side of any intercept, by
-// the bracket or by the tangent at any byte, in either tree. A zero-width
-// extent is finite: its byte places nothing, and the tangent is the bracket.
+// the bracket or by the tangents at any own and neighbour byte, with the
+// neighbour on either side or none, in either tree. A zero-width extent is
+// finite: its bytes place nothing, and the tangents are the bracket — the
+// own one on its side, the neighbour's on the other.
 func TestKeyRuleLeavesNonFiniteToThePredicate(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
+	bytes := []uint8{0, 1, 128, 255}
 	for _, shift := range []float64{-2, 1e-9, 0.5} {
 		for _, up := range []bool{true, false} {
 			for _, b := range []float64{-1e9, 0, 1e9, inf, -inf} {
 				for _, top := range []bool{true, false} {
-					rule := slopeRule(nil, b, 1e-6, shift, up)
-					rule.top = top
-					for _, c := range []struct {
-						k float64
-						x [2]float64
-					}{
-						{nan, [2]float64{0, 1}}, {inf, [2]float64{0, 1}}, {-inf, [2]float64{0, 1}},
-						{5, [2]float64{nan, 1}}, {5, [2]float64{0, nan}}, {5, [2]float64{nan, nan}},
-						{5, [2]float64{-inf, 1}}, {5, [2]float64{0, inf}}, {5, noExtent},
-						{inf, noExtent}, {nan, noExtent}, {inf, [2]float64{3, 3}}, {-inf, [2]float64{3, 3}},
-					} {
-						if v := rule.decide(c.k, c.x); v != evaluate {
-							t.Errorf("shift %v, up %v, b %v: key %v extent %v decided (%v)", shift, up, b, c.k, c.x, v)
-						}
-						for _, q := range []uint8{0, 1, 128, 255} {
-							if v := rule.tangent(c.k, c.x, q); v != evaluate {
-								t.Errorf("shift %v, up %v, top %v, b %v: key %v extent %v byte %d decided by the tangent (%v)", shift, up, top, b, c.k, c.x, q, v)
+					for _, next := range []int{-2, 0, 2} {
+						rule := slopeRule(nil, b, 1e-6, shift, up)
+						rule.top, rule.col, rule.next = top, 2, next
+						for _, c := range []struct {
+							k float64
+							x [2]float64
+						}{
+							{nan, [2]float64{0, 1}}, {inf, [2]float64{0, 1}}, {-inf, [2]float64{0, 1}},
+							{5, [2]float64{nan, 1}}, {5, [2]float64{0, nan}}, {5, [2]float64{nan, nan}},
+							{5, [2]float64{-inf, 1}}, {5, [2]float64{0, inf}}, {5, noExtent},
+							{inf, noExtent}, {nan, noExtent}, {inf, [2]float64{3, 3}}, {-inf, [2]float64{3, 3}},
+						} {
+							if v := rule.decide(c.k, c.x); v != evaluate {
+								t.Errorf("shift %v, up %v, b %v: key %v extent %v decided (%v)", shift, up, b, c.k, c.x, v)
+							}
+							for _, q := range bytes {
+								for _, qn := range bytes {
+									row := []uint8{qn, qn, q, q, qn, qn}
+									if v := rule.tangent(c.k, c.x, row); v != evaluate {
+										t.Errorf("shift %v, up %v, top %v, b %v, neighbour %+d: key %v extent %v bytes %d, %d decided by a tangent (%v)", shift, up, top, b, next, c.k, c.x, q, qn, v)
+									}
+								}
 							}
 						}
-					}
-					// Zero width: every byte is the extent's one x, and the
-					// tangent decides what the bracket decides, an intercept
-					// well away from the value.
-					x := [2]float64{3, 3}
-					for _, k := range []float64{b - 10, b + 10, -1e9, 1e9} {
-						if math.IsInf(b, 0) || math.Abs(k-b) < 1 {
-							continue
-						}
-						for _, q := range []uint8{0, 1, 128, 255} {
-							if xq, step := tangentX(q, x); xq != 3 || step != 0 {
-								t.Fatalf("byte %d of extent %v places %v, step %v", q, x, xq, step)
+						// Zero width: every byte is the extent's one x, and the
+						// tangents decide what the bracket decides, an intercept
+						// well away from the value.
+						x := [2]float64{3, 3}
+						for _, k := range []float64{b - 10, b + 10, -1e9, 1e9} {
+							if math.IsInf(b, 0) || math.Abs(k-b) < 1 {
+								continue
 							}
-							v, want := rule.tangent(k, x, q), rule.decide(k, x)
-							if top && want == rule.ifBelow || !top && want == rule.ifAbove {
-								want = evaluate // the other side's bound: not the tangent's
-							}
-							if v != want {
-								t.Errorf("shift %v, up %v, top %v, b %v: key %v, zero-width extent, byte %d: tangent %v, bracket %v", shift, up, top, b, k, q, v, want)
+							for _, q := range bytes {
+								if xq, step := tangentX(q, x); xq != 3 || step != 0 {
+									t.Fatalf("byte %d of extent %v places %v, step %v", q, x, xq, step)
+								}
+								v, want := rule.tangent(k, x, []uint8{q, q, q, q, q, q}), rule.decide(k, x)
+								if next == 0 && (top && want == rule.ifBelow || !top && want == rule.ifAbove) {
+									want = evaluate // the other side's bound: the neighbour's, and there is none
+								}
+								if v != want {
+									t.Errorf("shift %v, up %v, top %v, b %v, neighbour %+d: key %v, zero-width extent, byte %d: tangents %v, bracket %v", shift, up, top, b, next, k, q, v, want)
+								}
 							}
 						}
 					}
@@ -283,7 +313,7 @@ func TestKeyRuleLeavesNonFiniteToThePredicate(t *testing.T) {
 // and around the surface value at the query slope, whenever keyRule decides
 // the predicate agrees.
 func TestSlopeBoundSound(t *testing.T) {
-	decided, undecided, byTangent := 0, 0, 0
+	decided, undecided, byTangent, byNeighbour := 0, 0, 0, 0
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		for _, tp := range shapes2(t, rng) {
@@ -292,6 +322,12 @@ func TestSlopeBoundSound(t *testing.T) {
 				s + 3*geom.Eps, s - 1e-6, s + rng.Float64()*0.5, s - rng.Float64()*0.5,
 				s + rng.NormFloat64()*20, math.Tan((rng.Float64() - 0.5) * (math.Pi - 0.02)),
 			} {
+				// One site in four has no neighbour; the others one either side,
+				// from the strip's border (w = 2) to well past it.
+				slopes := []float64{s}
+				if rng.Intn(4) != 0 {
+					slopes = sitesAround(s, a, 2+3*rng.Float64()*float64(rng.Intn(2)))
+				}
 				m := t2Margin(s, a)
 				for _, q := range []constraint.Query{
 					constraint.Query2(constraint.EXIST, a, 0, geom.GE),
@@ -304,7 +340,7 @@ func TestSlopeBoundSound(t *testing.T) {
 					w := math.Abs(a-s) * 10 // the bracket's order of magnitude
 					for _, off := range []float64{0, geom.Eps, -geom.Eps, m, -m, 2 * m, -2 * m,
 						w * rng.Float64(), -w * rng.Float64(), rng.NormFloat64() * 50} {
-						n, nt, err := slopeBoundHolds(tp, s, a, v+off)
+						n, nt, nn, err := slopeBoundHolds(tp, slopes, a, v+off)
 						if err != nil {
 							t.Errorf("seed %d: %v", seed, err)
 							return false
@@ -312,6 +348,7 @@ func TestSlopeBoundSound(t *testing.T) {
 						decided += n
 						undecided += 4 - n
 						byTangent += nt
+						byNeighbour += nn
 					}
 				}
 			}
@@ -321,17 +358,18 @@ func TestSlopeBoundSound(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(20261003))}); err != nil {
 		t.Fatal(err)
 	}
-	if decided == 0 || undecided == 0 || byTangent == 0 {
-		t.Fatalf("%d decided (%d by the tangent), %d left to the predicate: the property is vacuous on one side", decided, byTangent, undecided)
+	if decided == 0 || undecided == 0 || byTangent == 0 || byNeighbour == 0 {
+		t.Fatalf("%d decided (%d by a tangent, %d of them the neighbour's), %d left to the predicate: the property is vacuous on one side", decided, byTangent, byNeighbour, undecided)
 	}
-	t.Logf("%d decided (%d by the tangent), %d left to the predicate", decided, byTangent, undecided)
+	t.Logf("%d decided (%d by a tangent, %d of them the neighbour's), %d left to the predicate", decided, byTangent, byNeighbour, undecided)
 }
 
 // FuzzSlopeBound checks keyRule's soundness on arbitrary triangles with an
 // optional ray — degenerate ones included: whenever the rule decides an
 // entry from its key at site s and its x-extent, for a query at slope a and
 // an intercept off away from the surface value there, the exact predicate
-// agrees, and non-finite keys and extents are never decided. A triangle
+// agrees, and non-finite keys and extents are never decided — with s the one
+// site, and with a neighbour either side of s whose strip border a is. A triangle
 // outside the range the margin is a bound over must be refused by the index
 // instead.
 func FuzzSlopeBound(f *testing.F) {
@@ -387,8 +425,10 @@ func FuzzSlopeBound(f *testing.F) {
 			if math.IsInf(v, 0) {
 				v = 0
 			}
-			if _, _, err := slopeBoundHolds(tp, s, a, v+off); err != nil {
-				t.Fatal(err)
+			for _, slopes := range [][]float64{{s}, sitesAround(s, a, 2)} {
+				if _, _, _, err := slopeBoundHolds(tp, slopes, a, v+off); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	})

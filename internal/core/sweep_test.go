@@ -64,7 +64,7 @@ func (s sweep) refRun(tr *btree.Tree, rc *pagestore.ReadCounter, sc *scratch, st
 				if j := int(tid) - 1; uint(j) < uint(len(rule.xext)) {
 					v = rule.decide(k, rule.xext[j])
 					if v == evaluate && rule.tan != nil {
-						if v = rule.tangent(k, rule.xext[j], rule.tan[j*rule.stride+rule.col]); v != evaluate {
+						if v = rule.tangent(k, rule.xext[j], rule.tan[j*rule.stride:(j+1)*rule.stride]); v != evaluate {
 							tangent++
 						}
 					}
@@ -117,8 +117,9 @@ func refFiniteKeyBound(lv btree.LeafView, n int) float64 {
 // sweep's rounded bound is often a stored key — plus ±Inf, one key repeated
 // past a leaf's capacity and scattered fresh values; extents that follow the
 // keys, a few x-unbounded; tuple ids past the end of the extent table, and a
-// table of random tangent bytes for two trees beside it; two handicap slots;
-// and, in some trees, deletes that merge leaves or empty the tree.
+// table of random tangent bytes for the six trees of three sites beside it;
+// two handicap slots; and, in some trees, deletes that merge leaves or empty
+// the tree.
 func kernelTree(t *testing.T, rng *rand.Rand, pageSize, n int, emptyAll bool) (*btree.Tree, extents, []float64) {
 	t.Helper()
 	pool := make([]float64, 0, 48)
@@ -159,8 +160,8 @@ func kernelTree(t *testing.T, rng *rand.Rand, pageSize, n int, emptyAll bool) (*
 		exts[i] = x
 	}
 	// The tree bounds every entry, the tables stop short of the last ids.
-	ext := extents{xext: exts[:n-n/50], stride: 2}
-	for range 2 * len(ext.xext) {
+	ext := extents{xext: exts[:n-n/50], stride: 6}
+	for range ext.stride * len(ext.xext) {
 		ext.tan = append(ext.tan, uint8(rng.Intn(256)))
 	}
 	of := func(tid uint32) [2]float64 { return exts[tid-1] }
@@ -215,11 +216,11 @@ func kernelTree(t *testing.T, rng *rand.Rand, pageSize, n int, emptyAll bool) (*
 // trees at 1 KiB and 256 B pages, for every kind of sweep: the restricted
 // path's sure sweep, T1's plain one, T2's first sweep folding a handicap
 // slot, T2's second sweep with its skip test — both mostly with a tangent
-// table — and, as in E^d, without a rule: the one bounded sweep that only its
-// own stop test ends. Both must retrieve the same references in the same
-// order, settle and reject the same ones, count the same candidates,
-// decisions (the tangent's among them) and leaves, read the same pages and
-// fold the same handicap.
+// table, and then mostly with a neighbour column — and, as in E^d, without a
+// rule: the one bounded sweep that only its own stop test ends. Both must
+// retrieve the same references in the same order, settle and reject the
+// same ones, count the same candidates, decisions (the tangents' among them)
+// and leaves, read the same pages and fold the same handicap.
 func TestSweepKernelMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	for _, pageSize := range []int{1024, 256} {
@@ -234,8 +235,11 @@ func TestSweepKernelMatchesReference(t *testing.T) {
 				up := rng.Intn(2) == 0
 				shift := []float64{0, rng.Float64()*4 - 2, rng.Float64()*0.02 - 0.01}[rng.Intn(3)]
 				rule := slopeRule(ext.xext, b, tol+rng.Float64()*0.5, shift, up)
-				if rng.Intn(4) != 0 { // with the tangent of one of the two trees
-					rule.tan, rule.stride, rule.col, rule.top = ext.tan, ext.stride, rng.Intn(2), rng.Intn(2) == 0
+				if rng.Intn(4) != 0 { // with the tangent of one of the six trees, and its neighbour's
+					rule.tan, rule.stride, rule.col, rule.top = ext.tan, ext.stride, rng.Intn(ext.stride), rng.Intn(2) == 0
+					if next := []int{-2, 2}[rng.Intn(2)]; rng.Intn(4) != 0 && uint(rule.col+next) < uint(ext.stride) {
+						rule.next = next
+					}
 				}
 				slot := 0
 				if !up {

@@ -30,9 +30,11 @@ type QueryStats struct {
 	// Sure is the number of Decided candidates a sweep put into the answer
 	// unevaluated; the other Decided − Sure were rejected on their key.
 	Sure int
-	// Tangent is the number of Decided candidates the tangent settled: those
-	// the x-extent bracket left to the predicate and the line of the vertex
-	// attaining the key decided (T2 only).
+	// Tangent is the number of Decided candidates a tangent line settled:
+	// those the x-extent bracket left to the predicate and either the line of
+	// the vertex attaining the key or, between two sites, the line through
+	// the key of the vertex attaining the surface at the neighbour site
+	// decided (T2 only).
 	Tangent int
 	// Duplicates is the number of tuple references retrieved more than
 	// once (only T1 can produce them; T2 is duplicate-free by design).

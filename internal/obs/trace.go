@@ -202,7 +202,7 @@ type TraceSnapshot struct {
 	FalseHits   int            `json:"false_hits"`
 	Decided     int            `json:"decided"`
 	Sure        int            `json:"sure"`
-	Tangent     int            `json:"tangent"`
+	Tangent     int            `json:"tangent"` // settled by the own or the neighbour's tangent line (QueryStats.Tangent)
 	Duplicates  int            `json:"duplicates"`
 	LeavesSwept int            `json:"leaves_swept"`
 	Err         string         `json:"err,omitempty"`

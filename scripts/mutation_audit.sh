@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # mutation_audit.sh — does some test catch each of these bugs?
 #
-# Copies the repository (tracked and untracked, not ignored files) to a
-# temporary directory and applies each mutation below in turn: bugs
+# Copies the repository (tracked and untracked, not ignored files, less
+# tracked files deleted from the working tree) to a temporary directory and applies each mutation below in turn: bugs
 # CHANGES.md credits to a since-deleted static analyzer, ROADMAP direction
 # 1's boundary and copy-on-write mutations, bugs of each deleted analyzer's
 # class, and the rows later changes added for their own checks. For each
@@ -25,14 +25,16 @@
 # The whole list takes about 40 minutes on a 2-core x86-64 container, most
 # of it in the -race runs of internal/core and in the timeouts of the
 # mutations that deadlock every Save; CI's "Mutation smoke" step runs
-# fifteen of its rows.
+# seventeen of its rows.
 set -euo pipefail
 repo=$(cd "$(dirname "$0")/.." && pwd)
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 src=$work/src
 mkdir -p "$src"
-(cd "$repo" && git ls-files -co --exclude-standard -z | tar --null -cf - -T -) | tar -xf - -C "$src"
+# A tracked file deleted from the working tree is still listed by -c; tar
+# would stop at it.
+(cd "$repo" && git ls-files -co --exclude-standard -z | grep -zvxF -f <(git ls-files -d) | tar --null -cf - -T -) | tar -xf - -C "$src"
 cd "$src"
 pkgs=$(go list ./...)
 
@@ -278,7 +280,7 @@ mut kernel-stop internal/core/query.go "sweep kernel: the ascending continue tes
 			return es.Key(0) <= hi
 EOF
 
-# --- the tangent: what the extent bracket leaves, the attaining vertex's line may settle ---
+# --- the tangents: what the extent bracket leaves, the attaining vertex's line and the neighbour's may settle ---
 
 mut tangent-no-step internal/core/query.go "tangent: the rule moves the tangent line by no margin \`e\`" <<'EOF'
 	e := math.Abs(r.shift) * (step + 0x1p-50*(math.Abs(x[0])+math.Abs(x[1])))
@@ -293,6 +295,28 @@ mut tangent-wrong-surface internal/core/query.go "tangent: B^down applies TOP's 
 ----
 	case !r.top && t-e > r.above:
 		return r.ifAbove
+EOF
+
+mut neighbour-no-step internal/core/query.go "neighbour: the rule moves the neighbour's tangent line by no margin \`e\`" <<'EOF'
+	case r.top && n+e < r.below:
+		return r.ifBelow
+	case !r.top && n-e > r.above:
+----
+	case r.top && n < r.below:
+		return r.ifBelow
+	case !r.top && n > r.above:
+EOF
+
+mut neighbour-far-side internal/core/query.go "neighbour: the neighbour taken on the other side of the site" <<'EOF'
+	case r.shift > 0 && r.site+1 < ext.stride/2:
+		rule.next = 2
+	case r.shift < 0 && r.site > 0:
+		rule.next = -2
+----
+	case r.shift > 0 && r.site > 0:
+		rule.next = -2
+	case r.shift < 0 && r.site+1 < ext.stride/2:
+		rule.next = 2
 EOF
 
 # --- sure references: checked a word at a time against the version's live bits ---
