@@ -383,7 +383,7 @@ func (s *session) query(kind dualcdb.QueryKind, rest string) error {
 		// the neighbour's, some of those — and what the predicate decided.
 		evaluated := st.Candidates - st.Duplicates - st.Decided
 		fmt.Fprintf(s.out, "  funnel: candidates %d → duplicates %d → sure %d / rejected on key %d (decided by a tangent %d) → evaluated %d → false hits %d → results %d\n",
-			st.Candidates, st.Duplicates, st.Sure, st.Decided-st.Sure, st.Tangent, evaluated, evaluated-(st.Results-st.Sure), st.Results)
+			st.Candidates, st.Duplicates, st.Sure, st.Decided-st.Sure, st.Tangent, evaluated, st.FalseHits, st.Results)
 	case s.rplus != nil:
 		res, err := s.rplus.Query(q)
 		if err != nil {

@@ -271,16 +271,6 @@ func EvalVertical(kind QueryKind, op Op, c float64, rel *Relation) ([]TupleID, e
 	return core.EvalVertical(kind, op, c, rel)
 }
 
-// LineIndex is the interval-tree realization of restricted line-stabbing
-// queries (the paper's footnote 6 alternative).
-type LineIndex = core.LineIndex
-
-// BuildLineIndex constructs interval trees over the relation's dual
-// intervals at each slope in S.
-func BuildLineIndex(rel *Relation, slopes []float64) (*LineIndex, error) {
-	return core.BuildLineIndex(rel, slopes, nil)
-}
-
 // Observability layer (metrics registry, per-query and per-commit
 // tracing, slow-query and slow-commit logs, commit flight recorder,
 // Prometheus exposition, debug server).

@@ -311,6 +311,3 @@ func formatConstraint(h geom.HalfSpace) string {
 	fmt.Fprintf(&sb, " %s %g", h.Op, -h.C)
 	return sb.String()
 }
-
-// FormatConstraint renders a half-space in the parseable textual syntax.
-func FormatConstraint(h geom.HalfSpace) string { return formatConstraint(h) }

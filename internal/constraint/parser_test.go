@@ -147,7 +147,7 @@ func TestFormatRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, h := range cons {
-			text := FormatConstraint(h)
+			text := formatConstraint(h)
 			back, err := ParseConstraints(text, 2)
 			if err != nil {
 				t.Fatalf("reparse %q: %v", text, err)

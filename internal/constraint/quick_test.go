@@ -24,7 +24,7 @@ func TestQuickFormatParseRoundTrip(t *testing.T) {
 			op = geom.LE
 		}
 		h := geom.HalfPlane2(a, b, c, op)
-		text := FormatConstraint(h)
+		text := formatConstraint(h)
 		back, err := ParseConstraints(text, 2)
 		if err != nil || len(back) != 1 {
 			t.Logf("reparse %q: %v", text, err)

@@ -301,9 +301,9 @@ func cellBotExtrema(t *constraint.Tuple, cell geom.Polyhedron) (minBot, maxBotUB
 }
 
 // newSiteSet validates S ⊂ E^{sdim} and computes the clamped Voronoi cell
-// of each site: the points of the slope box [lo, hi] nearer to it than to
-// any other site.
-func newSiteSet(sites []geom.Point, sdim int, lo, hi []float64) (*siteSet, error) {
+// of each site: the points of the slope box (slopeBox) nearer to it than
+// to any other site.
+func newSiteSet(sites []geom.Point, sdim int) (*siteSet, error) {
 	if len(sites) == 0 {
 		return nil, fmt.Errorf("core: empty site set S")
 	}
@@ -317,10 +317,7 @@ func newSiteSet(sites []geom.Point, sdim int, lo, hi []float64) (*siteSet, error
 			}
 		}
 	}
-	lo, hi, err := slopeBox(sites, sdim, lo, hi)
-	if err != nil {
-		return nil, err
-	}
+	lo, hi := slopeBox(sites, sdim)
 	g := &siteSet{s: append([]geom.Point(nil), sites...)}
 	for i, s := range g.s {
 		var hs []geom.HalfSpace
@@ -348,27 +345,16 @@ func newSiteSet(sites []geom.Point, sdim int, lo, hi []float64) (*siteSet, error
 			return nil, fmt.Errorf("core: cell of site %v: %w", s, err)
 		}
 		if cell.IsEmpty() || len(cell.Verts) == 0 {
-			return nil, fmt.Errorf("core: empty Voronoi cell for site %v (outside the slope box?)", s)
+			return nil, fmt.Errorf("core: empty Voronoi cell for site %v", s)
 		}
 		g.cells = append(g.cells, cell)
 	}
 	return g, nil
 }
 
-// slopeBox validates an explicit clamping box or derives the default: the
-// sites' bounding box expanded by the largest inter-site distance.
-func slopeBox(sites []geom.Point, sdim int, lo, hi []float64) ([]float64, []float64, error) {
-	if lo != nil || hi != nil {
-		if len(lo) != sdim || len(hi) != sdim {
-			return nil, nil, fmt.Errorf("core: slope box dimension mismatch")
-		}
-		for i := range lo {
-			if lo[i] >= hi[i] {
-				return nil, nil, fmt.Errorf("core: empty slope box on axis %d", i)
-			}
-		}
-		return lo, hi, nil
-	}
+// slopeBox derives the clamping box of the Voronoi cells: the sites'
+// bounding box expanded by the largest inter-site distance.
+func slopeBox(sites []geom.Point, sdim int) (lo, hi []float64) {
 	lo = make([]float64, sdim)
 	hi = make([]float64, sdim)
 	for i := range lo {
@@ -392,7 +378,7 @@ func slopeBox(sites []geom.Point, sdim int, lo, hi []float64) ([]float64, []floa
 		lo[i] -= maxDist
 		hi[i] += maxDist
 	}
-	return lo, hi, nil
+	return lo, hi
 }
 
 // LatticeSites returns a regular grid of k^sdim sites in [−extent, extent]^sdim,

@@ -84,7 +84,7 @@ func NewD(rel *constraint.Relation, opt OptionsD) (*IndexD, error) {
 	if d < 2 {
 		return nil, fmt.Errorf("core: dimension %d < 2", d)
 	}
-	geo, err := newSiteSet(opt.Sites, d-1, opt.SlopeBoxLo, opt.SlopeBoxHi)
+	geo, err := newSiteSet(opt.Sites, d-1)
 	if err != nil {
 		return nil, err
 	}

@@ -170,8 +170,8 @@ func TestT2NeverDuplicates(t *testing.T) {
 				t.Fatalf("%v [%s]: produced %d duplicates", q, got.Stats.Path, got.Stats.Duplicates)
 			}
 			// Candidate multiset must be duplicate-free too: candidates =
-			// results + false hits with no double counting.
-			if got.Stats.Candidates != got.Stats.Results+got.Stats.FalseHits {
+			// decided + false hits + evaluated results with no double counting.
+			if st := got.Stats; st.Candidates != st.Decided+st.FalseHits+st.Results-st.Sure {
 				t.Fatalf("%v: candidate accounting broken: %+v", q, got.Stats)
 			}
 		}

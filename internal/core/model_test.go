@@ -398,10 +398,13 @@ func (h *engineHistory) checkResult(what string, q constraint.Query, got Result,
 	if !sameIDs(got.IDs, want) {
 		h.fatalf("%s %v [%s]: got %v, the scan %v", what, q, st.Path, got.IDs, want)
 	}
-	if st.Results != len(want) || st.Candidates != st.Results+st.FalseHits+st.Duplicates {
-		h.fatalf("%s %v: accounting %+v for %d results", what, q, st, len(want))
+	if evaluated < 0 { // not measured: what the sweeps left to the predicate
+		evaluated = st.Candidates - st.Duplicates - st.Decided
 	}
-	if evaluated >= 0 && st.Candidates-st.Duplicates != st.Decided+evaluated {
+	if st.Results != len(want) || st.FalseHits < 0 || evaluated != st.FalseHits+st.Results-st.Sure {
+		h.fatalf("%s %v: accounting %+v for %d results, %d evaluated", what, q, st, len(want), evaluated)
+	}
+	if st.Candidates-st.Duplicates != st.Decided+evaluated {
 		h.fatalf("%s %v: %d distinct candidates, %d decided, %d evaluated: %+v", what, q, st.Candidates-st.Duplicates, st.Decided, evaluated, st)
 	}
 	if slack := atRoundedBound(q, model); st.Path == "restricted" && !onSiteSettled(st, slack) {
@@ -414,14 +417,7 @@ func (h *engineHistory) checkResult(what string, q constraint.Query, got Result,
 }
 
 // evaluated reads the latest query's refine span off the observer.
-func (h *engineHistory) evaluated() int {
-	for _, sp := range h.obs.SlowTraces()[0].Spans {
-		if sp.Stage == obs.StageRefine.String() {
-			return sp.Items
-		}
-	}
-	return 0 // a query that failed before refinement would have been fatal
-}
+func (h *engineHistory) evaluated() int { return refineItems(h.obs) }
 
 // query runs q on the published version and on every pinned snapshot.
 func (h *engineHistory) query(q constraint.Query) {

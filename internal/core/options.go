@@ -90,12 +90,11 @@ type Options struct {
 // OptionsD configures a d-dimensional dual index (Section 4.4): the same
 // engine over a site set in slope space E^{d−1} instead of a slope set.
 type OptionsD struct {
-	// Sites is the predefined set S of slope points in E^{d−1}.
+	// Sites is the predefined set S of slope points in E^{d−1}. Their
+	// Voronoi cells, and hence the region where T2 approximation applies,
+	// are clamped to the sites' bounding box expanded by the largest
+	// inter-site distance.
 	Sites []geom.Point
-	// SlopeBoxLo/SlopeBoxHi clamp the Voronoi cells (and hence the region
-	// where T2 approximation applies). Defaults to the sites' bounding box
-	// expanded by the largest inter-site distance.
-	SlopeBoxLo, SlopeBoxHi []float64
 	// PageSize / PoolPages / Pool as in Options.
 	PageSize  int
 	PoolPages int

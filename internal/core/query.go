@@ -776,7 +776,9 @@ func (ec *execCtx) refine(match func(*constraint.Tuple) (bool, error), sc *scrat
 		sc.bits[w] = 0
 	}
 	st.Results = len(ids)
-	st.FalseHits = st.Candidates - st.Duplicates - len(ids)
+	// The evaluated candidates the predicate rejected: entries a sweep
+	// decided on their key never met the predicate.
+	st.FalseHits = (st.Candidates - st.Duplicates - st.Decided) - (len(ids) - st.Sure)
 	st.PagesRead = ec.rc.Physical.Load()
 	putScratch(sc)
 	return Result{IDs: ids, Stats: st}, nil

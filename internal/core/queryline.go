@@ -15,7 +15,9 @@ import (
 // line iff b lies in the interval [BOT^P(a), TOP^P(a)], so the answer is
 // EXIST(y ≥ a·x + b) ∩ EXIST(y ≤ a·x + b). Both selections run on the
 // index (sharing its technique and statistics) and the refined
-// intersection is exact.
+// intersection is exact. Its Stats.Results counts the intersection and
+// PagesRead the stab's reads; its other counts, FalseHits among them, are
+// the sums of the two selections'.
 func (ix *Index) QueryLine(a, b float64) (Result, error) {
 	rs := ix.pinRoots()
 	defer ix.unpinRoots(rs)

@@ -83,7 +83,7 @@ func TestFloat32KeyBoundary(t *testing.T) {
 				if st.Path != path || !sameIDs(got.IDs, want) {
 					t.Fatalf("%s %v [%s, want %s]: got %v, the scan %v", name, q, st.Path, path, got.IDs, want)
 				}
-				if (st.Duplicates != 0 && path != "t1") || st.Candidates != st.Results+st.FalseHits+st.Duplicates {
+				if (st.Duplicates != 0 && path != "t1") || st.Candidates-st.Duplicates-st.Decided != st.FalseHits+st.Results-st.Sure {
 					t.Fatalf("%s %v: accounting %+v", name, q, st)
 				}
 				switch path {

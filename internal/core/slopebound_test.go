@@ -11,6 +11,7 @@ import (
 	"dualcdb/internal/btree"
 	"dualcdb/internal/constraint"
 	"dualcdb/internal/geom"
+	"dualcdb/internal/obs"
 )
 
 // shapes2 lists one 2-D tuple per kind of extension keyRule must get right:
@@ -90,7 +91,9 @@ func TestT2BoundaryMatchesScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ix, err := Build(rel, Options{Slopes: slopes, Technique: T2})
+	// A one-slot ring with a 1 ns threshold holds the latest query's trace.
+	o := obs.New(obs.Options{SlowThreshold: 1})
+	ix, err := Build(rel, Options{Slopes: slopes, Technique: T2, Observe: o})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +153,9 @@ func TestT2BoundaryMatchesScan(t *testing.T) {
 						if !sameIDs(got.IDs, want) {
 							t.Fatalf("%v [%s, site %v, tuple %d at value %v]: got %v, want %v", q, st.Path, slopes[site], tp.ID(), v, got.IDs, want)
 						}
-						if st.Duplicates != 0 || st.Candidates != st.Results+st.FalseHits || st.Decided > st.Candidates {
-							t.Fatalf("%v: accounting %+v", q, st)
+						evaluated := refineItems(o)
+						if st.Duplicates != 0 || st.Candidates != st.Decided+evaluated || evaluated != st.FalseHits+st.Results-st.Sure {
+							t.Fatalf("%v: accounting %+v with %d evaluated", q, st, evaluated)
 						}
 						if st.Path == "t2(outside)" && st.Candidates > ix.Len() {
 							t.Fatalf("%v: %d candidates from a tree of %d", q, st.Candidates, ix.Len())

@@ -1,95 +1,17 @@
 package geom
 
-import "fmt"
-
-// This file implements the explicit dual transformation of Section 2.1 of
-// the paper: non-vertical hyperplanes map to points and points map to
-// hyperplanes, with the key order-reversing property
-//
-//	p lies above H  ⇔  D(H) lies below D(p).
-
-// Hyperplane is a non-vertical hyperplane in slope-intercept form
-// x_d = b1·x1 + … + b_{d−1}·x_{d−1} + b_d.
-type Hyperplane struct {
-	Slope     []float64 // b1..b_{d−1}
-	Intercept float64   // b_d
-}
-
-// NewHyperplane builds a hyperplane from its slope vector and intercept,
-// copying the slice.
-func NewHyperplane(slope []float64, intercept float64) Hyperplane {
-	return Hyperplane{Slope: append([]float64(nil), slope...), Intercept: intercept}
-}
-
-// HyperplaneFromGeneral converts a1·x1 + … + ad·xd + c = 0 (non-vertical)
-// into slope-intercept form: b_i = −a_i/a_d, b_d = −c/a_d.
-//
-// Note: the paper's Section 2.1 states b_d = c/a_d, but its own Example 2.1
-// and Proposition 2.2 require the line y = b1·x + b_d to be the hyperplane
-// itself, which forces b_d = −c/a_d; we follow the self-consistent reading.
-func HyperplaneFromGeneral(a []float64, c float64) (Hyperplane, error) {
-	d := len(a)
-	ad := a[d-1]
-	if ad == 0 {
-		return Hyperplane{}, fmt.Errorf("geom: hyperplane with a_d = 0 is vertical")
-	}
-	slope := make([]float64, d-1)
-	for i := 0; i < d-1; i++ {
-		slope[i] = -a[i] / ad
-	}
-	return Hyperplane{Slope: slope, Intercept: -c / ad}, nil
-}
-
-// Dim returns the dimension of the ambient space of the hyperplane.
-func (h Hyperplane) Dim() int { return len(h.Slope) + 1 }
-
-// F evaluates the paper's F_H(x1..x_{d−1}) = b1·x1 + … + b_{d−1}·x_{d−1} + b_d,
-// the height of the hyperplane over the projection point.
-func (h Hyperplane) F(x []float64) float64 {
-	s := h.Intercept
-	for i, b := range h.Slope {
-		s += b * x[i]
-	}
-	return s
-}
-
-// DualOfHyperplane maps hyperplane x_d = b1·x1 + … + b_d to the dual point
-// (b1, …, b_d) ∈ E^d.
-func DualOfHyperplane(h Hyperplane) Point {
-	p := make(Point, len(h.Slope)+1)
-	copy(p, h.Slope)
-	p[len(h.Slope)] = h.Intercept
-	return p
-}
-
-// DualOfPoint maps point p = (p1, …, pd) to the dual hyperplane
-// x_d = −p1·x1 − … − p_{d−1}·x_{d−1} + p_d.
-func DualOfPoint(p Point) Hyperplane {
-	slope := make([]float64, len(p)-1)
-	for i := 0; i < len(p)-1; i++ {
-		slope[i] = -p[i]
-	}
-	return Hyperplane{Slope: slope, Intercept: p[len(p)-1]}
-}
-
-// Side classifies a point against a hyperplane: +1 above, 0 on (within
-// Eps), −1 below, comparing p_d with F_H(p1..p_{d−1}).
-func (h Hyperplane) Side(p Point) int {
-	v := p[len(p)-1] - h.F(p[:len(p)-1])
-	switch {
-	case v > Eps:
-		return 1
-	case v < -Eps:
-		return -1
-	default:
-		return 0
-	}
-}
-
 // FDual evaluates F_{D(v)} at a slope vector b for a primal point v:
 // F_{D(v)}(b) = −v1·b1 − … − v_{d−1}·b_{d−1} + v_d. For a polyhedron P,
 // TOP^P(b) = max over vertices v of FDual(v, b) (Section 2.1), which is
 // exactly what Polyhedron.Top computes via the support function.
+//
+// The engine never builds the Section 2.1 transform of a hyperplane
+// a1·x1 + … + ad·xd + c = 0 explicitly; its slope-intercept form is
+// x_d = b1·x1 + … + b_d with b_i = −a_i/a_d and b_d = −c/a_d. The paper's
+// Section 2.1 prints b_d = c/a_d, but its own Example 2.1 and
+// Proposition 2.2 require the line y = b1·x + b_d to be the hyperplane
+// itself, which forces b_d = −c/a_d; the engine follows that reading
+// (HalfSpace.SlopeForm).
 func FDual(v Point, b []float64) float64 {
 	s := v[len(v)-1]
 	for i := 0; i < len(v)-1; i++ {

@@ -2,70 +2,8 @@ package geom
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
-
-// TestDualityOrderReversal checks the key property of Section 2.1:
-// a point p lies above hyperplane H iff D(H) lies below D(p).
-func TestDualityOrderReversal(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 2000; trial++ {
-		h := NewHyperplane([]float64{rng.NormFloat64() * 3}, rng.NormFloat64()*10)
-		p := Pt2(rng.NormFloat64()*10, rng.NormFloat64()*10)
-		primal := p[1] - h.F(p[:1]) // >0: p above H
-		dh := DualOfHyperplane(h)
-		dp := DualOfPoint(p)
-		dual := dh[1] - dp.F(dh[:1]) // >0: D(H) above D(p)
-		if primal > Eps && dual >= -Eps && dual > Eps {
-			t.Fatalf("p above H but D(H) not below D(p): primal=%v dual=%v", primal, dual)
-		}
-		if primal < -Eps && dual < -Eps {
-			t.Fatalf("p below H but D(H) not above D(p): primal=%v dual=%v", primal, dual)
-		}
-		if math.Abs(primal) <= Eps && math.Abs(dual) > 1e-6 {
-			t.Fatalf("p on H but D(H) not on D(p): primal=%v dual=%v", primal, dual)
-		}
-	}
-}
-
-// TestDualityInvolution: applying the transform twice returns the original
-// object (D is an involution up to the sign convention used).
-func TestDualityInvolution(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for trial := 0; trial < 500; trial++ {
-		p := Pt2(rng.NormFloat64()*10, rng.NormFloat64()*10)
-		back := DualOfHyperplane(DualOfPoint(p))
-		// D(p) = (x_2 = −p1·x1 + p2); D of that is the point (−p1, p2).
-		if math.Abs(back[0]-(-p[0])) > 1e-9 || math.Abs(back[1]-p[1]) > 1e-9 {
-			t.Fatalf("involution: %v -> %v", p, back)
-		}
-	}
-}
-
-func TestHyperplaneFromGeneral(t *testing.T) {
-	// 2x − y + 3 = 0  ⇔  y = 2x + 3.
-	h, err := HyperplaneFromGeneral([]float64{2, -1}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(h.Slope[0]-2) > Eps || math.Abs(h.Intercept-3) > Eps {
-		t.Fatalf("slope form = %+v", h)
-	}
-	// A point on the line must evaluate to Side 0.
-	if s := h.Side(Pt2(1, 5)); s != 0 {
-		t.Errorf("(1,5) on y=2x+3, Side = %d", s)
-	}
-	if s := h.Side(Pt2(0, 10)); s != 1 {
-		t.Errorf("(0,10) above y=2x+3, Side = %d", s)
-	}
-	if s := h.Side(Pt2(0, 0)); s != -1 {
-		t.Errorf("(0,0) below y=2x+3, Side = %d", s)
-	}
-	if _, err := HyperplaneFromGeneral([]float64{1, 0}, 0); err == nil {
-		t.Error("vertical hyperplane must be rejected")
-	}
-}
 
 // TestExample21 reproduces Example 2.1 of the paper qualitatively: for the
 // polygon of Figure 2, TOP/BOT comparisons decide ALL/EXIST.

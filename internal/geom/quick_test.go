@@ -74,30 +74,6 @@ func TestQuickEnvelopeAgreesWithSupport(t *testing.T) {
 	}
 }
 
-// TestQuickDualityOrderReversal: the Section 2.1 property over the whole
-// quick-generated input space.
-func TestQuickDualityOrderReversal(t *testing.T) {
-	f := func(slopeRaw, icptRaw, pxRaw, pyRaw int16) bool {
-		h := NewHyperplane([]float64{float64(slopeRaw) / 128}, float64(icptRaw)/64)
-		p := Pt2(float64(pxRaw)/64, float64(pyRaw)/64)
-		primal := p[1] - h.F(p[:1])
-		dh := DualOfHyperplane(h)
-		dp := DualOfPoint(p)
-		dual := dh[1] - dp.F(dh[:1])
-		switch {
-		case primal > 1e-9:
-			return dual < 1e-9
-		case primal < -1e-9:
-			return dual > -1e-9
-		default:
-			return math.Abs(dual) < 1e-6
-		}
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestQuickHalfSpaceSlopeFormAgreement: SlopeForm preserves the point set.
 func TestQuickHalfSpaceSlopeFormAgreement(t *testing.T) {
 	f := func(aRaw, bRaw, cRaw, pxRaw, pyRaw int16, le bool) bool {

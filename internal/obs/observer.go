@@ -20,8 +20,9 @@ type QueryStats struct {
 	Candidates int
 	// Results is the number of tuples in the final answer.
 	Results int
-	// FalseHits is the number of distinct candidates not in the answer:
-	// Candidates − Duplicates − Results.
+	// FalseHits is the number of evaluated candidates the predicate
+	// rejected: (Candidates − Duplicates − Decided) − (Results − Sure).
+	// Candidates a sweep rejected on their key are not false hits.
 	FalseHits int
 	// Decided is the number of candidates a sweep settled on their key —
 	// into the answer or out of it — without evaluating the predicate; the
