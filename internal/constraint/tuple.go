@@ -9,6 +9,7 @@ package constraint
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 
@@ -22,30 +23,37 @@ type TupleID uint32
 // Its extension — the set of solution points — is a convex polyhedron,
 // possibly unbounded or empty.
 //
-// A Tuple caches its extension and the extension's packed generators, which
-// every value the index needs is computed from: refinement's TOP^P/BOT^P,
-// the tree keys and (in E²) the handicap routing keys over half strips
-// (StripExtrema). It is immutable after creation and safe for concurrent use.
+// A Tuple is its numbers: its constraints, which save and print it, and the
+// packed generators of its extension, which every value the index needs is
+// computed from — refinement's TOP^P/BOT^P, the tree keys and (in E²) the
+// handicap routing keys over half strips (StripExtrema). The generators are
+// computed once, on first use. Nothing built from either for one caller
+// (a polyhedron, per-constraint slices) is kept: Extension and Constraints
+// build views on every call. A Tuple is immutable after creation and safe
+// for concurrent use.
 type Tuple struct {
-	// dim, once and gen lead the struct: they are all Query.Matches reads.
-	dim  int
+	// once, dim and gen lead the struct: they are all Query.Matches reads.
 	once sync.Once
+	dim  int32
 	gen  geom.Generators
-	err  error
 
-	id   TupleID
-	cons []geom.HalfSpace
-	ext  geom.Polyhedron
-
-	// noHRep: cons does not define ext (FromPolyhedron over generators only).
+	id TupleID
+	// noHRep: the constraints do not define the extension (FromPolyhedron
+	// over generators only).
 	noHRep bool
+	// nums holds the constraints in the order a saved file writes them: per
+	// constraint its constant, then its dim coefficients.
+	nums []float64
+	// ops[i] is constraint i's operator as a saved file writes it: 0 for ≤,
+	// 1 for ≥.
+	ops []byte
 }
 
-// NewTuple builds a generalized tuple in E^dim from the given constraints.
-// The constraint slice is copied. Equality constraints should already be
+// NewTuple builds a generalized tuple in E^dim from the given constraints,
+// whose numbers are copied. Equality constraints should already be
 // normalized into inequality pairs (the parser does this).
 func NewTuple(dim int, cons []geom.HalfSpace) (*Tuple, error) {
-	if dim < 1 {
+	if dim < 1 || dim > math.MaxInt32 {
 		return nil, fmt.Errorf("constraint: invalid dimension %d", dim)
 	}
 	for _, h := range cons {
@@ -53,7 +61,24 @@ func NewTuple(dim int, cons []geom.HalfSpace) (*Tuple, error) {
 			return nil, fmt.Errorf("constraint: constraint %v has dimension %d, want %d", h, h.Dim(), dim)
 		}
 	}
-	return &Tuple{dim: dim, cons: append([]geom.HalfSpace(nil), cons...)}, nil
+	return newTuple(dim, cons), nil
+}
+
+// newTuple lays the constraints out as a tuple's run.
+func newTuple(dim int, cons []geom.HalfSpace) *Tuple {
+	t := &Tuple{dim: int32(dim)}
+	if len(cons) == 0 {
+		return t
+	}
+	t.nums = make([]float64, 0, len(cons)*(dim+1))
+	t.ops = make([]byte, len(cons))
+	for i, h := range cons {
+		t.nums = append(append(t.nums, h.C), h.A...)
+		if h.Op != geom.LE {
+			t.ops[i] = 1
+		}
+	}
+	return t
 }
 
 // FromPolyhedron wraps an existing polyhedron as a tuple. One without an
@@ -61,8 +86,10 @@ func NewTuple(dim int, cons []geom.HalfSpace) (*Tuple, error) {
 // constraints: it evaluates exactly, from its generators, but cannot be
 // written down — HasHRep reports false and String says "true".
 func FromPolyhedron(p geom.Polyhedron) *Tuple {
-	t := &Tuple{dim: p.Dim(), cons: append([]geom.HalfSpace(nil), p.HS...), ext: p, noHRep: p.HS == nil}
-	t.once.Do(t.pack)
+	t := newTuple(p.Dim(), p.HS)
+	t.noHRep = p.HS == nil
+	t.gen = p.Pack()
+	t.once.Do(func() {})
 	return t
 }
 
@@ -70,60 +97,95 @@ func FromPolyhedron(p geom.Polyhedron) *Tuple {
 func (t *Tuple) ID() TupleID { return t.id }
 
 // Dim returns the dimension of the tuple's variable space.
-func (t *Tuple) Dim() int { return t.dim }
+func (t *Tuple) Dim() int { return int(t.dim) }
 
-// Constraints returns the defining constraints (not to be modified).
-func (t *Tuple) Constraints() []geom.HalfSpace { return t.cons }
+// NumConstraints returns the number of defining constraints.
+func (t *Tuple) NumConstraints() int { return len(t.ops) }
+
+// Constraint returns constraint i, its coefficients a view into the tuple
+// (not to be modified). It allocates nothing.
+func (t *Tuple) Constraint(i int) geom.HalfSpace {
+	d := int(t.dim)
+	off := i * (d + 1)
+	return geom.HalfSpace{A: t.nums[off+1 : off+1+d : off+1+d], C: t.nums[off], Op: geom.Op(t.ops[i])}
+}
+
+// Constraints returns the defining constraints (not to be modified), built
+// on every call: a slice of Constraint's views.
+func (t *Tuple) Constraints() []geom.HalfSpace {
+	if len(t.ops) == 0 {
+		return nil
+	}
+	cons := make([]geom.HalfSpace, len(t.ops))
+	for i := range cons {
+		cons[i] = t.Constraint(i)
+	}
+	return cons
+}
 
 // HasHRep reports whether Constraints defines the tuple's extension: always,
 // except for a FromPolyhedron tuple over a polyhedron with no
 // H-representation.
 func (t *Tuple) HasHRep() bool { return !t.noHRep }
 
-// resolve computes the extension and its packed generators once.
-func (t *Tuple) resolve() error {
+// resolve computes the packed generators once. It stays lazy — a tuple is
+// resolved by its first evaluation, not by NewTuple — so that whoever builds
+// or commits tuples pays for their extensions there. It cannot fail:
+// geom.PackHalfSpaces refuses only what NewTuple refused (a dimension
+// below 1, a constraint of another dimension).
+func (t *Tuple) resolve() {
 	t.once.Do(func() {
-		if t.ext, t.err = geom.FromHalfSpaces(t.cons, t.dim); t.err == nil {
-			t.pack()
+		var buf [8]geom.HalfSpace
+		cons := buf[:0]
+		for i := range t.ops {
+			cons = append(cons, t.Constraint(i))
 		}
+		g, err := geom.PackHalfSpaces(cons, int(t.dim))
+		if err != nil {
+			panic("constraint: resolving a tuple NewTuple accepted: " + err.Error())
+		}
+		t.gen = g
 	})
-	return t.err
 }
 
-// pack packs the extension's generators; its vertices and rays then point
-// into that array and its H-representation aliases t.cons: no second copy.
-func (t *Tuple) pack() {
-	t.gen = t.ext.Pack()
-	if t.ext.HS != nil {
-		t.ext.HS = t.cons
-	}
+// Generators returns the packed generators of the tuple's extension (not to
+// be modified), computing them on first use.
+func (t *Tuple) Generators() *geom.Generators {
+	t.resolve()
+	return &t.gen
 }
 
 // Extension returns the tuple's extension as a polyhedron in V- and
-// H-representation. The computation runs once and is cached.
+// H-representation, built on every call from the generators and
+// constraints: views into the tuple, not to be modified. The error is
+// always nil.
 func (t *Tuple) Extension() (geom.Polyhedron, error) {
-	err := t.resolve()
-	return t.ext, err
+	p := t.Generators().Polyhedron()
+	if !p.IsEmpty() && !t.noHRep {
+		p.HS = t.Constraints()
+	}
+	return p, nil
 }
 
 // IsSatisfiable reports whether the tuple's extension is non-empty.
 func (t *Tuple) IsSatisfiable() bool {
-	return t.resolve() == nil && !t.gen.IsEmpty()
+	return !t.Generators().IsEmpty()
 }
 
 // IsBounded reports whether the tuple's extension is bounded (a finite
 // object in the paper's terminology).
 func (t *Tuple) IsBounded() bool {
-	return t.resolve() == nil && t.ext.IsBounded()
+	g := t.Generators()
+	return !g.IsEmpty() && len(g.Rays()) == 0
 }
 
 // generators resolves the tuple for an evaluation in a direction of n
 // coordinates, the tuple's dimension; on error they are the empty set's.
 func (t *Tuple) generators(n int) (*geom.Generators, error) {
-	if n != t.dim {
+	if n != int(t.dim) {
 		return new(geom.Generators), fmt.Errorf("constraint: direction of dimension %d, tuple dimension %d", n, t.dim)
 	}
-	return &t.gen, t.resolve()
+	return t.Generators(), nil
 }
 
 // Top evaluates TOP^P at the query slope vector (length dim−1), with the
@@ -191,12 +253,12 @@ func (t *Tuple) extension2() geom.Polyhedron {
 
 // String renders the tuple in the textual constraint syntax.
 func (t *Tuple) String() string {
-	if len(t.cons) == 0 {
+	if len(t.ops) == 0 {
 		return "true"
 	}
-	parts := make([]string, len(t.cons))
-	for i, h := range t.cons {
-		parts[i] = formatConstraint(h)
+	parts := make([]string, len(t.ops))
+	for i := range parts {
+		parts[i] = formatConstraint(t.Constraint(i))
 	}
 	return strings.Join(parts, " && ")
 }
@@ -353,7 +415,7 @@ func (r *Relation) set(id TupleID, t *Tuple) {
 
 // admit checks that t may enter the relation.
 func (r *Relation) admit(t *Tuple) error {
-	if t.dim != r.dim {
+	if int(t.dim) != r.dim {
 		return fmt.Errorf("constraint: tuple dimension %d != relation dimension %d", t.dim, r.dim)
 	}
 	if t.id != 0 {

@@ -253,7 +253,7 @@ func (g *siteSet) route(slope []float64, sweepsUp bool) (routing, error) {
 // max_v (min over cell vertices of g_v) is a valid lower bound (rays only
 // raise TOP, keeping the bound valid).
 func cellTopExtrema(t *constraint.Tuple, cell geom.Polyhedron) (maxTop, minTopLB float64) {
-	ext, _ := t.Extension() // satisfiable: the cached extension has no error
+	g := t.Generators()
 	maxTop = math.Inf(-1)
 	for _, b := range cell.Verts {
 		if v, _ := t.Top(b); v > maxTop {
@@ -261,7 +261,8 @@ func cellTopExtrema(t *constraint.Tuple, cell geom.Polyhedron) (maxTop, minTopLB
 		}
 	}
 	minTopLB = math.Inf(-1)
-	for _, v := range ext.Verts {
+	for vs := g.Vertices(); len(vs) > 0; vs = vs[g.Dim():] {
+		v := geom.Point(vs[:g.Dim()])
 		minG := math.Inf(1)
 		for _, b := range cell.Verts {
 			if g := geom.FDual(v, b); g < minG {
@@ -278,7 +279,7 @@ func cellTopExtrema(t *constraint.Tuple, cell geom.Polyhedron) (maxTop, minTopLB
 // cellBotExtrema returns the exact minimum and a sound upper bound of the
 // maximum of BOT^P over the cell (the concave mirror of cellTopExtrema).
 func cellBotExtrema(t *constraint.Tuple, cell geom.Polyhedron) (minBot, maxBotUB float64) {
-	ext, _ := t.Extension()
+	g := t.Generators()
 	minBot = math.Inf(1)
 	for _, b := range cell.Verts {
 		if v, _ := t.Bot(b); v < minBot {
@@ -286,7 +287,8 @@ func cellBotExtrema(t *constraint.Tuple, cell geom.Polyhedron) (minBot, maxBotUB
 		}
 	}
 	maxBotUB = math.Inf(1)
-	for _, v := range ext.Verts {
+	for vs := g.Vertices(); len(vs) > 0; vs = vs[g.Dim():] {
+		v := geom.Point(vs[:g.Dim()])
 		maxG := math.Inf(-1)
 		for _, b := range cell.Verts {
 			if g := geom.FDual(v, b); g > maxG {

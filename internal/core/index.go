@@ -144,13 +144,12 @@ var ErrTupleRange = errors.New("core: tuple outside the indexable range")
 // checkRange reports a tuple the index must refuse as an ErrTupleRange; an
 // unsatisfiable one has no generators and passes.
 func checkRange(t *constraint.Tuple) error {
-	ext, _ := t.Extension() // on error: no generators
-	for _, gens := range [2][]geom.Point{ext.Verts, ext.Rays} {
-		for _, g := range gens {
-			for _, c := range g {
-				if !(math.Abs(c) <= geom.MaxCoord) { // NaN fails too
-					return fmt.Errorf("%w: generator %v beyond ±%g", ErrTupleRange, g, float64(geom.MaxCoord))
-				}
+	g := t.Generators()
+	for _, gens := range [2][]float64{g.Vertices(), g.Rays()} {
+		for i, c := range gens {
+			if !(math.Abs(c) <= geom.MaxCoord) { // NaN fails too
+				p := geom.Point(gens[i-i%g.Dim():][:g.Dim()])
+				return fmt.Errorf("%w: generator %v beyond ±%g", ErrTupleRange, p, float64(geom.MaxCoord))
 			}
 		}
 	}
@@ -177,10 +176,6 @@ func bulkLoaded(ix *Index, err error) (*Index, error) {
 	var ts []*constraint.Tuple
 	var buildErr error
 	ix.rel.Scan(func(t *constraint.Tuple) bool {
-		if _, err := t.Extension(); err != nil {
-			buildErr = err
-			return false
-		}
 		if t.IsSatisfiable() { // empty extensions match nothing and are not indexed
 			ts = append(ts, t)
 		}

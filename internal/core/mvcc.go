@@ -91,15 +91,15 @@ var noExtent = [2]float64{math.Inf(-1), math.Inf(1)}
 // slope or at none, and only then do the vertices alone carry the surface
 // from slope to slope.
 func xExtent(t *constraint.Tuple) [2]float64 {
-	ext, err := t.Extension()
-	if err != nil || ext.IsEmpty() {
+	g := t.Generators()
+	if g.IsEmpty() {
 		return noExtent
 	}
 	x := [2]float64{math.Inf(1), math.Inf(-1)}
-	for _, v := range ext.Verts {
+	for v := g.Vertices(); len(v) > 0; v = v[g.Dim():] {
 		x[0], x[1] = min(x[0], v[0]), max(x[1], v[0])
 	}
-	for _, r := range ext.Rays {
+	for r := g.Rays(); len(r) > 0; r = r[g.Dim():] {
 		if r[0] < 0 {
 			x[0] = math.Inf(-1)
 		} else if r[0] > 0 {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"dualcdb/internal/btree"
 	"dualcdb/internal/constraint"
@@ -301,9 +302,9 @@ func encodeRelation(rel *constraint.Relation) ([]byte, int, error) {
 			return false
 		}
 		put32(uint32(t.ID()))
-		cons := t.Constraints()
-		put32(uint32(len(cons)))
-		for _, h := range cons {
+		put32(uint32(t.NumConstraints()))
+		for i := range t.NumConstraints() {
+			h := t.Constraint(i)
 			if h.Op == geom.LE {
 				buf = append(buf, 0)
 			} else {
@@ -322,10 +323,13 @@ func encodeRelation(rel *constraint.Relation) ([]byte, int, error) {
 
 // decodeRelation reverses encodeRelation. An id past the relation's limit is
 // refused (constraint.ErrIDLimit), and a constraint count the stream has no
-// bytes for is refused, before anything is sized by either.
+// bytes for is refused, before anything is sized by either. The constraints
+// are read into one buffer the tuples copy from.
 func decodeRelation(data []byte, count, dim int) (*constraint.Relation, error) {
 	rel := constraint.NewRelation(dim)
 	off := 0
+	var cons []geom.HalfSpace
+	var coef []float64
 	need := func(n int) error {
 		if off+n > len(data) {
 			return fmt.Errorf("truncated at byte %d", off)
@@ -345,7 +349,7 @@ func decodeRelation(data []byte, count, dim int) (*constraint.Relation, error) {
 		if err := need(m * (1 + 8 + 8*dim)); err != nil {
 			return nil, err
 		}
-		cons := make([]geom.HalfSpace, 0, m)
+		cons, coef = cons[:0], slices.Grow(coef[:0], m*dim)
 		for j := 0; j < m; j++ {
 			op := geom.LE
 			if data[off] == 1 {
@@ -354,9 +358,9 @@ func decodeRelation(data []byte, count, dim int) (*constraint.Relation, error) {
 			off++
 			c := math.Float64frombits(binary.LittleEndian.Uint64(data[off : off+8]))
 			off += 8
-			a := make([]float64, dim)
+			a := coef[j*dim : j*dim : (j+1)*dim]
 			for x := 0; x < dim; x++ {
-				a[x] = math.Float64frombits(binary.LittleEndian.Uint64(data[off : off+8]))
+				a = append(a, math.Float64frombits(binary.LittleEndian.Uint64(data[off:off+8])))
 				off += 8
 			}
 			cons = append(cons, geom.HalfSpace{A: a, C: c, Op: op})

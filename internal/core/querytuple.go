@@ -66,16 +66,12 @@ func (s *Snapshot) QueryTuple(kind constraint.QueryKind, qt *constraint.Tuple) (
 func (ix *Index) queryTuple(kind constraint.QueryKind, qt *constraint.Tuple, ec *execCtx) (TupleResult, error) {
 	// The tuple selection owns one trace; every per-constraint sub-query
 	// shares the execCtx and records into it.
-	label := func() string { return fmt.Sprintf("%s(tuple, %d constraints)", kind, len(qt.Constraints())) }
+	label := func() string { return fmt.Sprintf("%s(tuple, %d constraints)", kind, qt.NumConstraints()) }
 	return traced(ec, label, func() (TupleResult, error) {
 		if qt.Dim() != 2 || ix.dim != 2 {
 			return TupleResult{}, fmt.Errorf("core: query tuples are 2-D only; tuple dimension %d, index dimension %d", qt.Dim(), ix.dim)
 		}
-		qext, err := qt.Extension()
-		if err != nil {
-			return TupleResult{}, err
-		}
-		if qext.IsEmpty() {
+		if !qt.IsSatisfiable() {
 			// An unsatisfiable query tuple denotes the empty set: nothing is
 			// contained in it and nothing intersects it.
 			return TupleResult{Stats: QueryTupleStats{QueryStats: QueryStats{Path: "empty-query"}}}, nil
@@ -86,8 +82,8 @@ func (ix *Index) queryTuple(kind constraint.QueryKind, qt *constraint.Tuple, ec 
 		// run as half-plane queries; vertical ones — trivial ones included —
 		// have no slope form and are left to the refinement step.
 		var selections []constraint.Query
-		for _, h := range qt.Constraints() {
-			slope, icpt, op, err := h.SlopeForm()
+		for i := range qt.NumConstraints() {
+			slope, icpt, op, err := qt.Constraint(i).SlopeForm()
 			if err != nil {
 				st.ConstraintsSkipped++
 				continue
@@ -170,11 +166,7 @@ func (ix *Index) queryTuple(kind constraint.QueryKind, qt *constraint.Tuple, ec 
 // selections: it scans the relation applying the exact polyhedral
 // predicates.
 func EvalTuple(kind constraint.QueryKind, qt *constraint.Tuple, rel *constraint.Relation) ([]constraint.TupleID, error) {
-	qext, err := qt.Extension()
-	if err != nil {
-		return nil, err
-	}
-	if qext.IsEmpty() {
+	if !qt.IsSatisfiable() {
 		return nil, nil
 	}
 	var out []constraint.TupleID

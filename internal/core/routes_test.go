@@ -103,10 +103,11 @@ func TestRoutesAllocateNothing(t *testing.T) {
 	}
 }
 
-// TestTupleSize: a tuple holds its constraints, its extension and that
-// extension's packed generators, and nothing built from them for one caller.
+// TestTupleSize: a tuple holds its constraints' numbers and operators and
+// its extension's packed generators, and nothing built from them for one
+// caller (DESIGN.md §16 "A tuple is its numbers").
 func TestTupleSize(t *testing.T) {
-	if n := unsafe.Sizeof(constraint.Tuple{}); n > 208 {
-		t.Fatalf("constraint.Tuple is %d bytes, want at most 208", n)
+	if n := unsafe.Sizeof(constraint.Tuple{}); n > 112 {
+		t.Fatalf("constraint.Tuple is %d bytes, want at most 112 (a size class)", n)
 	}
 }

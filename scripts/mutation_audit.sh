@@ -25,7 +25,7 @@
 # The whole list takes about 40 minutes on a 2-core x86-64 container, most
 # of it in the -race runs of internal/core and in the timeouts of the
 # mutations that deadlock every Save; CI's "Mutation smoke" step runs
-# eighteen of its rows.
+# twenty of its rows.
 set -euo pipefail
 repo=$(cd "$(dirname "$0")/.." && pwd)
 work=$(mktemp -d)
@@ -351,6 +351,21 @@ mut false-hits-on-key internal/core/query.go "statistics: \`FalseHits\` counts e
 	st.FalseHits = (st.Candidates - st.Duplicates - st.Decided) - (len(ids) - st.Sure)
 ----
 	st.FalseHits = st.Candidates - st.Duplicates - len(ids)
+EOF
+
+# --- a tuple is its numbers: the constraint run and the packed generators ---
+
+# 1/(i+1) is 1 for constraint 0 and 0 for every other: one operator flips.
+mut tuple-op-flip internal/constraint/tuple.go "tuple run: constraint 0's operator read negated from the run" <<'EOF'
+	return geom.HalfSpace{A: t.nums[off+1 : off+1+d : off+1+d], C: t.nums[off], Op: geom.Op(t.ops[i])}
+----
+	return geom.HalfSpace{A: t.nums[off+1 : off+1+d : off+1+d], C: t.nums[off], Op: geom.Op(t.ops[i] ^ byte(1/(i+1)))}
+EOF
+
+mut tuple-rays-as-verts internal/geom/generators.go "tuple run: the ray/vertex split one generator early (the last ray packed as a vertex)" <<'EOF'
+	g := Generators{gen: make([]float64, 0, (len(p.Verts)+len(p.Rays))*d), nrays: len(p.Rays) * d, dim: d}
+----
+	g := Generators{gen: make([]float64, 0, (len(p.Verts)+len(p.Rays))*d), nrays: max(len(p.Rays)-1, 0) * d, dim: d}
 EOF
 
 # --- derived options: T1's pivot and the outer strip width ---
