@@ -185,6 +185,54 @@ func TestTupleALLAndEXIST(t *testing.T) {
 	}
 }
 
+// TestTupleEXISTMatchesSatisfiability holds TupleEXIST's fast paths to the
+// satisfiability of the combined constraints on random bounded and unbounded
+// tuples, and checks that a pair its fast paths decide costs no allocation.
+func TestTupleEXISTMatchesSatisfiability(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tuples := make([]*Tuple, 40)
+	for i := range tuples {
+		cons := make([]geom.HalfSpace, 1+rng.Intn(5))
+		for j := range cons {
+			op := geom.LE
+			if rng.Intn(2) == 0 {
+				op = geom.GE
+			}
+			cons[j] = geom.HalfPlane2(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()*3, op)
+		}
+		tp, err := NewTuple(2, cons)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tuples[i] = tp
+	}
+	var fast [2]*Tuple
+	for _, q := range tuples {
+		for _, tp := range tuples {
+			got, err := TupleEXIST(q, tp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := geom.FromHalfSpaces(append(q.Constraints(), tp.Constraints()...), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := !p.IsEmpty(); got != want {
+				t.Fatalf("TupleEXIST(%v, %v) = %v, combined constraints satisfiable: %v", q, tp, got, want)
+			}
+			if got && (q.holdsVertexOf(tp.Generators()) || tp.holdsVertexOf(q.Generators())) {
+				fast = [2]*Tuple{q, tp}
+			}
+		}
+	}
+	if fast[0] == nil {
+		t.Fatal("no pair was decided by a vertex")
+	}
+	if n := testing.AllocsPerRun(100, func() { TupleEXIST(fast[0], fast[1]) }); n != 0 {
+		t.Errorf("TupleEXIST decided by a vertex allocates %v times, want 0", n)
+	}
+}
+
 func TestSurfaceValueAndRouting(t *testing.T) {
 	sq := unitSquare(t, 0, 0, 1)
 	// EXIST(≥) uses TOP and sweeps up; ALL(≥) uses BOT and sweeps up.

@@ -3,6 +3,7 @@ package geom
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -251,30 +252,51 @@ func TestTopBotUnbounded(t *testing.T) {
 	}
 }
 
+// TestMBR checks Generators.Extent, the minimum bounding box a coordinate at
+// a time, on a triangle, a quadrant, a 3-D cone, the empty polyhedron and
+// random polygons (against the vertices' minimum and maximum).
 func TestMBR(t *testing.T) {
-	p, _ := FromHalfSpaces(triangleHS(), 2)
-	lo, hi, err := p.MBR()
+	extents := func(p Polyhedron) [][2]float64 {
+		g := p.Pack()
+		out := make([][2]float64, p.Dim())
+		for i := range out {
+			out[i][0], out[i][1] = g.Extent(i)
+		}
+		return out
+	}
+	inf := math.Inf(1)
+	tri, _ := FromHalfSpaces(triangleHS(), 2)
+	quad, _ := FromHalfSpaces([]HalfSpace{HalfPlane2(1, 0, 0, GE), HalfPlane2(0, 1, 0, GE)}, 2)
+	cone, err := FromVertices([]Point{{0, 0, 0}, {1, 2, 3}, {-1, 4, 2}, {2, -3, 1}}, []Point{{0, 0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !lo.Eq(Point{0, 0}) || !hi.Eq(Point{4, 4}) {
-		t.Errorf("MBR = %v..%v", lo, hi)
+	for _, c := range []struct {
+		name string
+		p    Polyhedron
+		want [][2]float64
+	}{
+		{"triangle", tri, [][2]float64{{0, 4}, {0, 4}}},
+		{"quadrant", quad, [][2]float64{{0, inf}, {0, inf}}},
+		{"cone", cone, [][2]float64{{-1, 2}, {-3, 4}, {0, inf}}},
+		{"empty", EmptyPolyhedron(2), [][2]float64{{inf, -inf}, {inf, -inf}}},
+	} {
+		if got := extents(c.p); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: Extent = %v, want %v", c.name, got, c.want)
+		}
 	}
-
-	q, _ := FromHalfSpaces([]HalfSpace{HalfPlane2(1, 0, 0, GE), HalfPlane2(0, 1, 0, GE)}, 2)
-	lo, hi, err = q.MBR()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(hi[0], 1) || !math.IsInf(hi[1], 1) {
-		t.Errorf("quadrant MBR hi = %v", hi)
-	}
-	if lo[0] != 0 || lo[1] != 0 {
-		t.Errorf("quadrant MBR lo = %v", lo)
-	}
-
-	if _, _, err := EmptyPolyhedron(2).MBR(); err == nil {
-		t.Error("MBR of empty polyhedron must error")
+	rng := rand.New(rand.NewSource(11))
+	for range 50 {
+		p := randomBoundedPoly(rng)
+		want := [][2]float64{{inf, -inf}, {inf, -inf}}
+		for _, v := range p.Verts {
+			for i := range want {
+				want[i] = [2]float64{math.Min(want[i][0], v[i]), math.Max(want[i][1], v[i])}
+			}
+		}
+		if got := extents(p); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: Extent = %v, want %v", p, got, want)
+		}
 	}
 }
 

@@ -36,15 +36,14 @@ func TestQuickTopBotBox(t *testing.T) {
 	f := func(b boxSpec, aRaw int8) bool {
 		p := b.poly()
 		a := float64(aRaw) / 8
-		lo, hi, err := p.MBR()
-		if err != nil {
-			return false
-		}
+		g := p.Pack()
+		x0, x1 := g.Extent(0)
+		y0, y1 := g.Extent(1)
 		// TOP(a) = max over the 4 corners of (y − a·x).
 		want := math.Inf(-1)
 		wantBot := math.Inf(1)
-		for _, x := range []float64{lo[0], hi[0]} {
-			for _, y := range []float64{lo[1], hi[1]} {
+		for _, x := range []float64{x0, x1} {
+			for _, y := range []float64{y0, y1} {
 				v := y - a*x
 				want = math.Max(want, v)
 				wantBot = math.Min(wantBot, v)

@@ -76,23 +76,14 @@ func Build(rel *constraint.Relation, opt Options) (*Index, error) {
 	}
 	ix := &Index{rel: rel, pool: pool}
 	var items []Item
-	var buildErr error
 	rel.Scan(func(t *constraint.Tuple) bool {
-		it, ok, err := itemFor(t)
-		if err != nil {
-			buildErr = err
-			return false
-		}
-		if !ok {
+		if it, ok := itemFor(t); ok {
+			items = append(items, it)
+		} else {
 			ix.Skipped++
-			return true
 		}
-		items = append(items, it)
 		return true
 	})
-	if buildErr != nil {
-		return nil, buildErr
-	}
 	tree, err := Bulk(pool, items)
 	if err != nil {
 		return nil, err
@@ -101,21 +92,16 @@ func Build(rel *constraint.Relation, opt Options) (*Index, error) {
 	return ix, nil
 }
 
-// itemFor derives the MBR item of a tuple; ok is false for tuples the
-// R⁺-tree cannot store (empty or unbounded extensions).
-func itemFor(t *constraint.Tuple) (Item, bool, error) {
-	ext, err := t.Extension()
-	if err != nil {
-		return Item{}, false, err
+// itemFor derives the MBR item of a tuple from its generators; ok is false
+// for tuples the R⁺-tree cannot store (empty or unbounded extensions).
+func itemFor(t *constraint.Tuple) (it Item, ok bool) {
+	if !t.IsBounded() {
+		return Item{}, false
 	}
-	if ext.IsEmpty() || !ext.IsBounded() {
-		return Item{}, false, nil
-	}
-	lo, hi, err := ext.MBR()
-	if err != nil {
-		return Item{}, false, err
-	}
-	return Item{R: Rect{MinX: lo[0], MinY: lo[1], MaxX: hi[0], MaxY: hi[1]}, TID: uint32(t.ID())}, true, nil
+	g := t.Generators()
+	minX, maxX := g.Extent(0)
+	minY, maxY := g.Extent(1)
+	return Item{R: Rect{MinX: minX, MinY: minY, MaxX: maxX, MaxY: maxY}, TID: uint32(t.ID())}, true
 }
 
 // Query answers an ALL or EXIST half-plane selection. Both kinds traverse
