@@ -51,3 +51,38 @@ func TestTupleHeapBytes(t *testing.T) {
 		t.Fatalf("a resolved tuple holds %.0f heap bytes, want at most %d", per, bound)
 	}
 }
+
+// TestResolveAllocatesOnce checks that resolving a fresh workload.Small tuple
+// makes one allocation, its generators' array, and that the array is exactly
+// their size.
+func TestResolveAllocatesOnce(t *testing.T) {
+	const runs = 200
+	gen, err := workload.GenerateRelation(workload.Config{N: runs + 1, Size: workload.Small, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fresh []*constraint.Tuple
+	gen.Scan(func(tup *constraint.Tuple) bool {
+		c, cerr := constraint.NewTuple(2, tup.Constraints())
+		if err = cerr; err != nil {
+			return false
+		}
+		fresh = append(fresh, c)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	if n := testing.AllocsPerRun(runs, func() {
+		fresh[next].Generators()
+		next++
+	}); n != 1 {
+		t.Errorf("resolving a tuple allocates %v times, want 1", n)
+	}
+	for _, c := range fresh {
+		if v := c.Generators().Vertices(); cap(v) != len(v) || len(v) == 0 {
+			t.Fatalf("tuple %v: generator array cap %d, len %d; want equal and non-zero", c, cap(v), len(v))
+		}
+	}
+}

@@ -153,6 +153,8 @@ func TupleALL(q, t *Tuple) (bool, error) {
 // short-circuit the vertex enumeration: disjoint bounding boxes prove
 // emptiness, and a vertex of one extension inside the other proves
 // non-emptiness. Both read the tuples' generators and constraints in place.
+// A pair they leave undecided in which either tuple has no H-representation
+// (HasHRep) has no conjunction to test: geom.ErrNoHRep.
 func TupleEXIST(q, t *Tuple) (bool, error) {
 	if q.Dim() != t.Dim() {
 		return false, fmt.Errorf("constraint: dimension mismatch %d vs %d", q.Dim(), t.Dim())
@@ -170,6 +172,9 @@ func TupleEXIST(q, t *Tuple) (bool, error) {
 	}
 	if q.holdsVertexOf(tg) || t.holdsVertexOf(qg) {
 		return true, nil
+	}
+	if q.noHRep || t.noHRep {
+		return false, geom.ErrNoHRep
 	}
 	combined := make([]geom.HalfSpace, 0, q.NumConstraints()+t.NumConstraints())
 	for _, u := range [2]*Tuple{q, t} {

@@ -1,6 +1,7 @@
 package constraint
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -230,6 +231,41 @@ func TestTupleEXISTMatchesSatisfiability(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { TupleEXIST(fast[0], fast[1]) }); n != 0 {
 		t.Errorf("TupleEXIST decided by a vertex allocates %v times, want 0", n)
+	}
+}
+
+// TestTupleEXISTWithoutHRep checks a tuple with no H-representation against
+// TupleEXIST: the fast paths still answer from its generators, and a pair
+// they leave undecided is geom.ErrNoHRep, not the other tuple's
+// satisfiability.
+func TestTupleEXISTWithoutHRep(t *testing.T) {
+	tri, err := NewTuple(2, []geom.HalfSpace{
+		geom.HalfPlane2(1, 0, 0, geom.GE), geom.HalfPlane2(0, 1, 0, geom.GE), geom.HalfPlane2(1, 1, -1, geom.LE),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ray := func(x, y, dx, dy float64) *Tuple {
+		p, err := geom.FromVertices([]geom.Point{{x, y}}, []geom.Point{{dx, dy}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return FromPolyhedron(p)
+	}
+	// The ray from (0, 5) along (1, −1) stays on x + y = 5: the boxes meet and
+	// no vertex of either lies in the other.
+	for _, pair := range [][2]*Tuple{{tri, ray(0, 5, 1, -1)}, {ray(0, 5, 1, -1), tri}} {
+		if ok, err := TupleEXIST(pair[0], pair[1]); !errors.Is(err, geom.ErrNoHRep) {
+			t.Errorf("TupleEXIST(%v, %v) = %v, %v; want geom.ErrNoHRep", pair[0], pair[1], ok, err)
+		}
+	}
+	// A ray starting inside the triangle is decided by its vertex.
+	if ok, err := TupleEXIST(tri, ray(0.25, 0.25, 1, 0)); err != nil || !ok {
+		t.Errorf("a ray from inside the triangle: %v, %v; want true", ok, err)
+	}
+	// A ray whose box misses the triangle's is decided by the boxes.
+	if ok, err := TupleEXIST(tri, ray(0, 5, 0, 1)); err != nil || ok {
+		t.Errorf("a ray above the triangle: %v, %v; want false", ok, err)
 	}
 }
 

@@ -15,11 +15,20 @@ func benchPolys(n int) []Polyhedron {
 	return out
 }
 
+// BenchmarkFromHalfSpaces2D times the extension alone, over 64 pre-built
+// bounded polygons of 3–6 half-planes.
 func BenchmarkFromHalfSpaces2D(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
+	sets := make([][]HalfSpace, 64)
+	for i := range sets {
+		sets[i] = randomBoundedHalfSpaces(rng)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = randomBoundedPoly(rng)
+		if _, err := FromHalfSpaces(sets[i%len(sets)], 2); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -29,9 +29,13 @@ func (p Polyhedron) Pack() Generators {
 
 // PackHalfSpaces returns the packed generators of FromHalfSpaces(hs, dim),
 // the same numbers in the same order, without building the polyhedron's
-// copy of hs; hs itself is not retained.
+// copy of hs; hs itself is not retained. In E² it allocates once: the
+// generators' array, of exactly their size.
 func PackHalfSpaces(hs []HalfSpace, dim int) (Generators, error) {
-	p, err := fromHalfSpaces(hs, dim)
+	if dim == 2 {
+		return extension2(hs)
+	}
+	p, err := enumerate(hs, dim)
 	if err != nil {
 		return Generators{}, err
 	}

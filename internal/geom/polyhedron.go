@@ -133,8 +133,24 @@ func FromHalfSpaces(hs []HalfSpace, dim int) (Polyhedron, error) {
 }
 
 // fromHalfSpaces is FromHalfSpaces without the H-representation: it reads
-// hs and keeps none of it.
+// hs and keeps none of it. In E² it is extension2's generators; its vertices
+// and rays are views into their one array.
 func fromHalfSpaces(hs []HalfSpace, dim int) (Polyhedron, error) {
+	if dim == 2 {
+		g, err := extension2(hs)
+		if err != nil {
+			return Polyhedron{}, err
+		}
+		return g.Polyhedron(), nil
+	}
+	return enumerate(hs, dim)
+}
+
+// enumerate is the d-generic enumeration behind fromHalfSpaces: every
+// d-subset of boundaries for the vertices, the null spaces of every subset of
+// up to d−1 normals for the rays. In E² it is the reference extension2's
+// differential tests hold it to, bit for bit.
+func enumerate(hs []HalfSpace, dim int) (Polyhedron, error) {
 	if dim < 1 {
 		return Polyhedron{}, fmt.Errorf("geom: invalid dimension %d", dim)
 	}

@@ -190,6 +190,16 @@ func TestSupportDominatesSamples(t *testing.T) {
 // randomBoundedPoly builds a random bounded polygon from tangent half-planes
 // of a random circle, mirroring the paper's 3–6-constraint tuples.
 func randomBoundedPoly(rng *rand.Rand) Polyhedron {
+	p, err := FromHalfSpaces(randomBoundedHalfSpaces(rng), 2)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// randomBoundedHalfSpaces returns 3–6 half-planes tangent to a circle, whose
+// conjunction is a bounded polygon.
+func randomBoundedHalfSpaces(rng *rand.Rand) []HalfSpace {
 	cx, cy := rng.Float64()*100-50, rng.Float64()*100-50
 	r := rng.Float64()*10 + 0.5
 	m := 3 + rng.Intn(4)
@@ -201,11 +211,7 @@ func randomBoundedPoly(rng *rand.Rand) Polyhedron {
 		// nx·x + ny·y ≤ nx·cx + ny·cy + r
 		hs = append(hs, HalfSpace{A: []float64{nx, ny}, C: -(nx*cx + ny*cy + r), Op: LE})
 	}
-	p, err := FromHalfSpaces(hs, 2)
-	if err != nil {
-		panic(err)
-	}
-	return p
+	return hs
 }
 
 func TestTopBotAgainstBruteForce(t *testing.T) {

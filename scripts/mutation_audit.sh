@@ -25,7 +25,7 @@
 # The whole list takes about 40 minutes on a 2-core x86-64 container, most
 # of it in the -race runs of internal/core and in the timeouts of the
 # mutations that deadlock every Save; CI's "Mutation smoke" step runs
-# twenty of its rows.
+# twenty-two of its rows.
 set -euo pipefail
 repo=$(cd "$(dirname "$0")/.." && pwd)
 work=$(mktemp -d)
@@ -613,7 +613,7 @@ mut corner-zero-inf internal/rplustree/rect.go "infguard's class: \`evalCorner\`
 	return c + a*x + b*y
 EOF
 
-mut vertex-exact internal/geom/polyhedron.go "floatcmp: exact vertex dedup in \`FromHalfSpaces\`" <<'EOF'
+mut vertex-exact internal/geom/polyhedron.go "floatcmp: exact vertex dedup in the d-generic enumeration (\`FromHalfSpaces\` in E^d, d ≠ 2)" <<'EOF'
 				if v.Eq(pt) {
 ----
 				if func() bool {
@@ -630,6 +630,21 @@ mut hull-exact internal/geom/hull.go "floatcmp: exact duplicate points in the 2-
 		if !p.Eq(uniq[len(uniq)-1]) {
 ----
 		if p[0] != uniq[len(uniq)-1][0] || p[1] != uniq[len(uniq)-1][1] {
+EOF
+
+# --- the 2-D extension (DESIGN.md §16 "The 2-D extension") ---
+
+mut ext2-no-pivot internal/geom/extension2.go "the 2-D extension's 2×2 solve without its pivot swap" <<'EOF'
+	if math.Abs(m[1][0]) > math.Abs(m[0][0]) {
+		m[0], m[1] = m[1], m[0]
+	}
+----
+EOF
+
+mut ext2-vertex-exact internal/geom/extension2.go "the 2-D extension's vertex dedup by exact bits" <<'EOF'
+			if Point(verts[k][:]).Eq(x[:]) {
+----
+			if verts[k] == x {
 EOF
 
 echo >&2
