@@ -3,7 +3,9 @@ package dualcdb_test
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"dualcdb"
@@ -176,5 +178,98 @@ func TestOpenDatabasePoolMatchesCreate(t *testing.T) {
 	}
 	if cp.Shards() != op.Shards() {
 		t.Errorf("pool shards: created %d, opened %d", cp.Shards(), op.Shards())
+	}
+}
+
+// TestSavedFileSurvivesCommits: commits made after Save and never saved
+// themselves — a process that stops before its next Save — leave the file
+// the saved version. After 1, 8, 100 and 3 000 insert + delete pairs a
+// second handle opens the file, and its relation and answers are the saved
+// ones.
+func TestSavedFileSurvivesCommits(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "db.cdb")
+	rel, err := dualcdb.GenerateRelation(dualcdb.WorkloadConfig{N: 3000, Size: dualcdb.SmallObjects, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra, err := dualcdb.GenerateRelation(dualcdb.WorkloadConfig{N: 3000, Size: dualcdb.SmallObjects, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fresh []string
+	extra.Scan(func(tu *dualcdb.Tuple) bool {
+		fresh = append(fresh, tu.String())
+		return true
+	})
+	idx, err := dualcdb.CreateDatabase(path, rel, dualcdb.IndexOptions{Slopes: dualcdb.EquiangularSlopes(3), PoolPages: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { idx.Pool().Store().Close() })
+	if err := idx.Save(); err != nil {
+		t.Fatal(err)
+	}
+	saved := map[dualcdb.TupleID]string{}
+	live := rel.IDs()
+	rel.Scan(func(tu *dualcdb.Tuple) bool {
+		saved[tu.ID()] = tu.String()
+		return true
+	})
+	queries, err := dualcdb.GenerateQueries(rel, dualcdb.QueryWorkloadConfig{
+		Count: 50, Kind: dualcdb.EXIST, SelectivityLo: 0.05, SelectivityHi: 0.15, Seed: 9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rng := rand.New(rand.NewSource(7))
+	pairs := 0
+	for _, upTo := range []int{1, 8, 100, 3000} {
+		for ; pairs < upTo; pairs++ {
+			tu, err := dualcdb.ParseTuple(fresh[pairs%len(fresh)], 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id, err := idx.Insert(tu)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, id)
+			j := rng.Intn(len(live))
+			if err := idx.Delete(live[j]); err != nil {
+				t.Fatal(err)
+			}
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+		t.Run(fmt.Sprintf("pairs=%d", upTo), func(t *testing.T) {
+			got, opened, err := dualcdb.OpenDatabase(path, 0)
+			if err != nil {
+				t.Fatalf("reopen after %d unsaved pairs: %v", upTo, err)
+			}
+			defer opened.Pool().Store().Close()
+			if got.Len() != len(saved) {
+				t.Fatalf("reopened relation holds %d tuples, saved %d", got.Len(), len(saved))
+			}
+			got.Scan(func(tu *dualcdb.Tuple) bool {
+				if s, ok := saved[tu.ID()]; !ok || s != tu.String() {
+					t.Fatalf("reopened tuple %d = %q, saved %q", tu.ID(), tu.String(), s)
+				}
+				return true
+			})
+			for _, q := range queries {
+				want, err := q.Eval(got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := opened.Query(q)
+				if err != nil {
+					t.Fatalf("%v: %v", q, err)
+				}
+				if !slices.Equal(res.IDs, want) {
+					t.Fatalf("%v: index %d ids, scan %d", q, len(res.IDs), len(want))
+				}
+			}
+		})
 	}
 }

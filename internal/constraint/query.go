@@ -182,11 +182,11 @@ func TupleEXIST(q, t *Tuple) (bool, error) {
 			combined = append(combined, u.Constraint(i))
 		}
 	}
-	p, err := geom.FromHalfSpaces(combined, t.Dim())
+	g, err := geom.PackHalfSpaces(combined, t.Dim())
 	if err != nil {
 		return false, err
 	}
-	return !p.IsEmpty(), nil
+	return !g.IsEmpty(), nil
 }
 
 // holdsVertexOf reports whether some vertex of g satisfies every constraint

@@ -232,6 +232,26 @@ func TestTupleEXISTMatchesSatisfiability(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { TupleEXIST(fast[0], fast[1]) }); n != 0 {
 		t.Errorf("TupleEXIST decided by a vertex allocates %v times, want 0", n)
 	}
+	// Two crossing bars: the boxes meet, neither holds a vertex of the other,
+	// so only the combined constraints decide. Their list and the one
+	// generator array geom.PackHalfSpaces builds are the whole cost.
+	wide, err := ParseTuple("x >= -3 && x <= 3 && y >= -1 && y <= 1", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tall, err := ParseTuple("x >= -1 && x <= 1 && y >= -3 && y <= 3", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wide.holdsVertexOf(tall.Generators()) || tall.holdsVertexOf(wide.Generators()) {
+		t.Fatal("a vertex decides the crossing bars")
+	}
+	if ok, err := TupleEXIST(wide, tall); !ok || err != nil {
+		t.Fatalf("TupleEXIST(crossing bars) = %v, %v; want true", ok, err)
+	}
+	if n := testing.AllocsPerRun(100, func() { TupleEXIST(wide, tall) }); n != 2 {
+		t.Errorf("TupleEXIST decided by the combined constraints allocates %v times, want 2", n)
+	}
 }
 
 // TestTupleEXISTWithoutHRep checks a tuple with no H-representation against

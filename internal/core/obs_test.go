@@ -452,7 +452,7 @@ func TestObservedDocumentShapes(t *testing.T) {
 		path.t2.candidates path.t2.count path.t2.decided path.t2.duplicates path.t2.false_hits
 		path.t2.leaves_swept path.t2.ns path.t2.pages path.t2.results path.t2.sure path.t2.tangent pool.evictions.old
 		pool.evictions.young pool.logical_reads pool.physical_reads pool.residency pool.snapshots
-		pool.writes queries.errors queries.inflight queries.slow queries.total spans.unclosed stage.dedup.items
+		pool.writes pool.writes_flush queries.errors queries.inflight queries.slow queries.total spans.unclosed stage.dedup.items
 		stage.dedup.ns stage.dedup.pages stage.refine.items stage.refine.ns stage.refine.pages
 		stage.route.items stage.route.ns stage.route.pages stage.sweep.items stage.sweep.ns
 		stage.sweep.pages stage.sweep2.items stage.sweep2.ns stage.sweep2.pages sweeps

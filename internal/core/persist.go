@@ -54,6 +54,14 @@ const (
 // Pages that pinned snapshots still hold back from reclamation are
 // allocated in the saved file and referenced by nothing in it: they leak
 // there exactly as freed pages do (OpenExistingFileStore's trade-off).
+//
+// The catalog is the file's one page written in place, and it is written
+// last: Save writes every other dirty page first, then the catalog, then
+// frees the superseded tuple chain, and only then checkpoints the store
+// (Store.Checkpoint), which makes the live pages the saved set. Until the
+// next Save the store holds back every saved page a commit frees, so the
+// file stays the version this Save wrote however many commits follow:
+// a process that stops before its next Save leaves a file Open accepts.
 func (ix *Index) Save() error {
 	ix.writeMu.Lock()
 	defer ix.writeMu.Unlock()
@@ -92,6 +100,10 @@ func (ix *Index) Save() error {
 		return err
 	}
 	ix.tupleChain, ix.dataPages = head, pages
+	// Everything the new catalog reaches is on the device before it is.
+	if err := ix.pool.Flush(); err != nil {
+		return err
+	}
 
 	d := f.Data()
 	for i := range d {
@@ -128,8 +140,10 @@ func (ix *Index) Save() error {
 	return ix.freeStaleChain()
 }
 
-// freeStaleChain frees the pages of superseded tuple chains. A page that
-// fails to free stays queued, with those after it, for the next Save.
+// freeStaleChain frees the pages of superseded tuple chains and then
+// checkpoints the store, releasing the saved pages freed since the last
+// Save. A page that fails to free stays queued, with those after it, for
+// the next Save, which checkpoints in its place.
 func (ix *Index) freeStaleChain() error {
 	for len(ix.staleChain) > 0 {
 		if err := ix.pool.FreePage(ix.staleChain[0]); err != nil {
@@ -137,6 +151,7 @@ func (ix *Index) freeStaleChain() error {
 		}
 		ix.staleChain = ix.staleChain[1:]
 	}
+	ix.pool.Store().Checkpoint()
 	return nil
 }
 

@@ -122,6 +122,7 @@ func (ix *Index) registerGauges() {
 	r.Func("pool.logical_reads", func() any { return ix.pool.Stats().LogicalReads })
 	r.Func("pool.physical_reads", func() any { return ix.pool.Stats().PhysicalReads })
 	r.Func("pool.writes", func() any { return ix.pool.Stats().Writes })
+	r.Func("pool.writes_flush", func() any { return ix.pool.Stats().FlushWrites })
 	r.Func("pool.evictions.young", func() any { return ix.pool.Stats().YoungEvictions })
 	r.Func("pool.evictions.old", func() any { return ix.pool.Stats().OldEvictions })
 	r.Func("pool.residency", func() any { return ix.pool.Residency() })

@@ -144,6 +144,9 @@ func (s *FaultStore) WritePage(id PageID, buf []byte) error {
 	return s.inner.WritePage(id, buf)
 }
 
+// Checkpoint forwards to the inner store.
+func (s *FaultStore) Checkpoint() { s.inner.Checkpoint() }
+
 // NumAllocated forwards to the inner store.
 func (s *FaultStore) NumAllocated() int { return s.inner.NumAllocated() }
 

@@ -283,3 +283,186 @@ func TestFrameOverReleasePanics(t *testing.T) {
 	}()
 	f.Release()
 }
+
+// fileSize is the byte length of a FileStore's file, or -1 for another
+// store.
+func fileSize(t *testing.T, s Store) int64 {
+	t.Helper()
+	fs, ok := s.(*FileStore)
+	if !ok {
+		return -1
+	}
+	fi, err := fs.f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// TestStoreAllocWritesNothing: a fresh or reused id reads zero, through
+// ReadPage and ReadPages, with no device write in between, and a FileStore's
+// Alloc leaves the file's size as it was.
+func TestStoreAllocWritesNothing(t *testing.T) {
+	eachStore(t, func(t *testing.T, s Store) {
+		buf := make([]byte, s.PageSize())
+		for range 3 {
+			id, err := s.Alloc()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fillPattern(buf, id)
+			if err := s.WritePage(id, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Free(2); err != nil {
+			t.Fatal(err)
+		}
+		size := fileSize(t, s)
+		reused, err := s.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := s.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reused != 2 || fresh != 4 {
+			t.Fatalf("Alloc gave %d and %d, want the freed 2 and a fresh 4", reused, fresh)
+		}
+		if got := fileSize(t, s); got != size {
+			t.Fatalf("Alloc changed the file size %d → %d", size, got)
+		}
+		ids := []PageID{1, 2, 3, 4}
+		bufs := make([][]byte, len(ids))
+		for i := range bufs {
+			bufs[i] = make([]byte, s.PageSize())
+			fillPattern(bufs[i], 99) // not what any page holds
+		}
+		if n, err := s.ReadPages(ids, bufs); n != len(ids) || err != nil {
+			t.Fatalf("ReadPages = (%d, %v), want (%d, nil)", n, err, len(ids))
+		}
+		want := make([]byte, s.PageSize())
+		for i, id := range ids {
+			clear(want)
+			if id == 1 || id == 3 {
+				fillPattern(want, id)
+			}
+			if !bytes.Equal(bufs[i], want) {
+				t.Fatalf("ReadPages: page %d holds the wrong bytes", id)
+			}
+			fillPattern(buf, 99)
+			if err := s.ReadPage(id, buf); err != nil || !bytes.Equal(buf, want) {
+				t.Fatalf("ReadPage(%d): %v or the wrong bytes", id, err)
+			}
+		}
+	})
+}
+
+// TestStoreHoldsFreedSavedPages: a page live at the last Checkpoint that is
+// freed is not handed out again, and keeps its bytes on the device, until
+// the next Checkpoint; a page allocated since is reusable at once.
+func TestStoreHoldsFreedSavedPages(t *testing.T) {
+	eachStore(t, func(t *testing.T, s Store) {
+		buf := make([]byte, s.PageSize())
+		for range 3 {
+			id, err := s.Alloc()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fillPattern(buf, id)
+			if err := s.WritePage(id, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Checkpoint()
+		if err := s.Free(2); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Free(2); err == nil {
+			t.Fatal("double free of a held page must fail")
+		}
+		if err := s.ReadPage(2, buf); err == nil {
+			t.Fatal("reading a held page must fail")
+		}
+		id, err := s.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != 4 {
+			t.Fatalf("Alloc after freeing saved page 2 gave %d, want 4", id)
+		}
+		if err := s.Free(id); err != nil {
+			t.Fatal(err)
+		}
+		if again, _ := s.Alloc(); again != 4 {
+			t.Fatalf("an unsaved freed page is reused at once: got %d, want 4", again)
+		}
+		if fs, ok := s.(*FileStore); ok {
+			fillPattern(buf, 99)
+			if _, err := fs.f.ReadAt(buf, int64(1)*int64(s.PageSize())); err != nil {
+				t.Fatal(err)
+			}
+			want := make([]byte, s.PageSize())
+			fillPattern(want, 2)
+			if !bytes.Equal(buf, want) {
+				t.Fatal("the held page's bytes changed on the device")
+			}
+		}
+		s.Checkpoint()
+		if id, _ := s.Alloc(); id != 2 {
+			t.Fatalf("Alloc after the next Checkpoint gave %d, want the released 2", id)
+		}
+		if err := s.ReadPage(2, buf); err != nil || !bytes.Equal(buf, make([]byte, s.PageSize())) {
+			t.Fatalf("released page 2 does not read zero: %v", err)
+		}
+	})
+}
+
+// TestOpenExistingFileStoreSavesEveryPage: every page of a reopened file is
+// saved, so freeing one does not make its id reusable before a Checkpoint.
+func TestOpenExistingFileStoreSavesEveryPage(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pages.db")
+	s, err := OpenFileStore(path, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 128)
+	for range 3 {
+		id, _ := s.Alloc()
+		if err := s.WritePage(id, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	if s, err = OpenExistingFileStore(path, 128); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Free(1); err != nil {
+		t.Fatal(err)
+	}
+	if id, _ := s.Alloc(); id != 4 {
+		t.Fatalf("Alloc after freeing page 1 of a reopened file gave %d, want 4", id)
+	}
+}
+
+// TestMemStoreSteadyStateAllocatesNothing: once a freed page's buffer is
+// recycled, an Alloc, first write and Free cycle allocates nothing.
+func TestMemStoreSteadyStateAllocatesNothing(t *testing.T) {
+	s := NewMemStore(128)
+	buf := make([]byte, 128)
+	cycle := func() {
+		id, _ := s.Alloc()
+		if err := s.WritePage(id, buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Free(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("Alloc/WritePage/Free allocates %v times a cycle, want 0", n)
+	}
+}

@@ -16,6 +16,7 @@ type Stats struct {
 	LogicalReads  uint64 // Get calls
 	PhysicalReads uint64 // pages fetched from the store (cache misses)
 	Writes        uint64 // pages written back to the store
+	FlushWrites   uint64 // of Writes, those Flush and EvictAll made
 	Allocs        uint64 // pages allocated
 	Frees         uint64 // pages freed
 	Clones        uint64 // copy-on-write page clones (ClonePage calls)
@@ -84,6 +85,7 @@ type Pool struct {
 	logicalReads   atomic.Uint64
 	physicalReads  atomic.Uint64
 	writes         atomic.Uint64
+	evictWrites    atomic.Uint64 // the writes ensureRoomLocked made
 	allocs         atomic.Uint64
 	frees          atomic.Uint64
 	youngEvictions atomic.Uint64
@@ -488,6 +490,7 @@ func (sh *poolShard) ensureRoomLocked(p *Pool) error {
 			return err
 		}
 		p.writes.Add(1)
+		p.evictWrites.Add(1)
 		f.dirty.Store(false)
 	}
 	sh.dropLocked(f)
@@ -569,10 +572,15 @@ func (p *Pool) EvictAll() error {
 // consistent cut; per-query accounting should use GetTracked instead of
 // deltas of this snapshot.
 func (p *Pool) Stats() Stats {
+	// Every write-back counts in writes before evictWrites, so loading
+	// evictWrites first keeps the difference from going negative.
+	evict := p.evictWrites.Load()
+	writes := p.writes.Load()
 	return Stats{
 		LogicalReads:   p.logicalReads.Load(),
 		PhysicalReads:  p.physicalReads.Load(),
-		Writes:         p.writes.Load(),
+		Writes:         writes,
+		FlushWrites:    writes - min(evict, writes),
 		Allocs:         p.allocs.Load(),
 		Frees:          p.frees.Load(),
 		Clones:         p.clones.Load(),
@@ -619,6 +627,7 @@ func (p *Pool) ResetStats() {
 	p.logicalReads.Store(0)
 	p.physicalReads.Store(0)
 	p.writes.Store(0)
+	p.evictWrites.Store(0)
 	p.allocs.Store(0)
 	p.frees.Store(0)
 	p.clones.Store(0)

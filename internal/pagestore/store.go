@@ -30,24 +30,40 @@ const InvalidPage PageID = 0
 var ErrPageNotFound = errors.New("pagestore: page not found")
 
 // Store is a raw page device.
+//
+// A page reads zero from its Alloc until its first WritePage, and the
+// device is not written for that: a page that is allocated and freed again
+// before anything writes it never reaches the medium. The pages live at the
+// last Checkpoint are the saved set — for a database file, every page its
+// last saved catalog reaches among them. A saved page that is freed is held
+// back, off the free list, until the next Checkpoint, so no later write
+// lands on the version the device last saved.
 type Store interface {
 	// PageSize returns the fixed page size in bytes.
 	PageSize() int
-	// Alloc reserves a zeroed page and returns its id.
+	// Alloc reserves a page and returns its id. The page reads zero until
+	// it is first written; Alloc itself writes nothing to the device.
 	Alloc() (PageID, error)
-	// Free releases a page for reuse.
+	// Free releases a page. A page of the saved set is reused only after
+	// the next Checkpoint, any other page at once.
 	Free(PageID) error
 	// ReadPage fills buf (of PageSize bytes) with the page contents.
 	ReadPage(id PageID, buf []byte) error
 	// ReadPages fills bufs[i] (each of PageSize bytes) with the contents
 	// of page ids[i] for a maximal prefix of readable pages and returns
 	// how many were filled. A missing or freed page ends the prefix
-	// without error; an I/O failure returns the count read so far and the
-	// error. Implementations coalesce runs of consecutive ids (ascending
-	// or descending) into single device reads where the medium allows.
+	// without error; an allocated page not yet written reads zero and does
+	// not. An I/O failure returns the count read so far and the error.
+	// Implementations coalesce runs of consecutive ids (ascending or
+	// descending) into single device reads where the medium allows.
 	ReadPages(ids []PageID, bufs [][]byte) (int, error)
 	// WritePage persists buf (of PageSize bytes) as the page contents.
 	WritePage(id PageID, buf []byte) error
+	// Checkpoint makes the live pages the saved set and releases the saved
+	// pages freed since the previous Checkpoint for reuse. Call it once
+	// everything the new saved version reaches is written and the pages it
+	// no longer reaches are freed.
+	Checkpoint()
 	// NumAllocated returns the number of live pages — the structure's
 	// space occupancy in pages (Figure 10's metric).
 	NumAllocated() int
@@ -55,15 +71,100 @@ type Store interface {
 	Close() error
 }
 
+// bitset is a set of page ids, one bit an id.
+type bitset []uint64
+
+func (b bitset) has(id PageID) bool {
+	w := int(id / 64)
+	return w < len(b) && b[w]&(1<<(id%64)) != 0
+}
+
+func (b *bitset) set(id PageID) {
+	w := int(id / 64)
+	for len(*b) <= w {
+		*b = append(*b, 0)
+	}
+	(*b)[w] |= 1 << (id % 64)
+}
+
+func (b bitset) clear(id PageID) {
+	if w := int(id / 64); w < len(b) {
+		b[w] &^= 1 << (id % 64)
+	}
+}
+
+// pageTable is the id bookkeeping both stores share: live holds the
+// allocated ids, unwritten those of them not written since their Alloc and
+// saved the ids live at the last Checkpoint. Freed ids are reused last in,
+// first out; held are the saved ids freed since the last Checkpoint.
+type pageTable struct {
+	next      PageID
+	n         int
+	live      bitset
+	unwritten bitset
+	saved     bitset
+	free      []PageID
+	held      []PageID
+}
+
+// newPageTable returns a table whose ids 1..n are live, written and saved.
+func newPageTable(n PageID) pageTable {
+	t := pageTable{next: n + 1, n: int(n)}
+	for id := PageID(1); id <= n; id++ {
+		t.live.set(id)
+	}
+	t.saved = append(bitset(nil), t.live...)
+	return t
+}
+
+func (t *pageTable) alloc() PageID {
+	var id PageID
+	if n := len(t.free); n > 0 {
+		id = t.free[n-1]
+		t.free = t.free[:n-1]
+	} else {
+		id = t.next
+		t.next++
+	}
+	t.live.set(id)
+	t.unwritten.set(id)
+	t.n++
+	return id
+}
+
+// release ends the life of a live id: a saved one is held until the next
+// checkpoint, any other goes on the free list.
+func (t *pageTable) release(id PageID) error {
+	if !t.live.has(id) {
+		return fmt.Errorf("%w: %d", ErrPageNotFound, id)
+	}
+	t.live.clear(id)
+	t.unwritten.clear(id)
+	t.n--
+	if t.saved.has(id) {
+		t.held = append(t.held, id)
+	} else {
+		t.free = append(t.free, id)
+	}
+	return nil
+}
+
+func (t *pageTable) checkpoint() {
+	t.saved = append(t.saved[:0], t.live...)
+	t.free = append(t.free, t.held...)
+	t.held = t.held[:0]
+}
+
 // MemStore is an in-memory page device. It is the default substrate for
 // experiments: "disk" I/O is still counted by the buffer pool, but runs
-// are fast and reproducible.
+// are fast and reproducible. A page gets a buffer on its first write, and
+// a freed page's buffer serves the next first write.
 type MemStore struct {
 	mu       sync.Mutex
 	pageSize int
-	pages    map[PageID][]byte
-	free     []PageID
-	next     PageID
+	ids      pageTable
+	pages    [][]byte // by id; nil while the page is unwritten or free
+	spare    [][]byte // buffers of freed pages
 }
 
 // NewMemStore creates an in-memory store with the given page size
@@ -72,49 +173,54 @@ func NewMemStore(pageSize int) *MemStore {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
 	}
-	return &MemStore{pageSize: pageSize, pages: make(map[PageID][]byte), next: 1}
+	return &MemStore{pageSize: pageSize, ids: newPageTable(0)}
 }
 
 // PageSize returns the page size in bytes.
 func (s *MemStore) PageSize() int { return s.pageSize }
 
-// Alloc reserves a zeroed page.
+// Alloc reserves a page that reads zero until it is written.
 func (s *MemStore) Alloc() (PageID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var id PageID
-	if n := len(s.free); n > 0 {
-		id = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		id = s.next
-		s.next++
-	}
-	s.pages[id] = make([]byte, s.pageSize)
-	return id, nil
+	return s.ids.alloc(), nil
 }
 
-// Free releases a page.
+// Free releases a page and keeps its buffer for a later first write.
 func (s *MemStore) Free(id PageID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.pages[id]; !ok {
-		return ErrPageNotFound
+	if err := s.ids.release(id); err != nil {
+		return err
 	}
-	delete(s.pages, id)
-	s.free = append(s.free, id)
+	if int(id) < len(s.pages) && s.pages[id] != nil {
+		s.spare = append(s.spare, s.pages[id])
+		s.pages[id] = nil
+	}
 	return nil
+}
+
+// readLocked copies page id into buf and reports whether the page is live.
+// Callers hold s.mu.
+func (s *MemStore) readLocked(id PageID, buf []byte) bool {
+	if !s.ids.live.has(id) {
+		return false
+	}
+	if s.ids.unwritten.has(id) {
+		clear(buf[:s.pageSize])
+	} else {
+		copy(buf, s.pages[id])
+	}
+	return true
 }
 
 // ReadPage copies the page contents into buf.
 func (s *MemStore) ReadPage(id PageID, buf []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p, ok := s.pages[id]
-	if !ok {
+	if !s.readLocked(id, buf) {
 		return fmt.Errorf("%w: %d", ErrPageNotFound, id)
 	}
-	copy(buf, p)
 	return nil
 }
 
@@ -124,11 +230,9 @@ func (s *MemStore) ReadPages(ids []PageID, bufs [][]byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i, id := range ids {
-		p, ok := s.pages[id]
-		if !ok {
+		if !s.readLocked(id, bufs[i]) {
 			return i, nil
 		}
-		copy(bufs[i], p)
 	}
 	return len(ids), nil
 }
@@ -137,19 +241,38 @@ func (s *MemStore) ReadPages(ids []PageID, bufs [][]byte) (int, error) {
 func (s *MemStore) WritePage(id PageID, buf []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p, ok := s.pages[id]
-	if !ok {
+	if !s.ids.live.has(id) {
 		return fmt.Errorf("%w: %d", ErrPageNotFound, id)
 	}
+	if int(id) >= len(s.pages) {
+		s.pages = append(s.pages, make([][]byte, int(id)+1-len(s.pages))...)
+	}
+	p := s.pages[id]
+	if p == nil {
+		if n := len(s.spare); n > 0 {
+			p, s.spare = s.spare[n-1], s.spare[:n-1]
+		} else {
+			p = make([]byte, s.pageSize)
+		}
+		s.pages[id] = p
+	}
 	copy(p, buf)
+	s.ids.unwritten.clear(id)
 	return nil
+}
+
+// Checkpoint makes the live pages the saved set and releases the held ones.
+func (s *MemStore) Checkpoint() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.ids.checkpoint()
 }
 
 // NumAllocated returns the number of live pages.
 func (s *MemStore) NumAllocated() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.pages)
+	return s.ids.n
 }
 
 // Close is a no-op for the in-memory store.
@@ -157,14 +280,13 @@ func (s *MemStore) Close() error { return nil }
 
 // FileStore is a file-backed page device. Page n lives at byte offset
 // (n−1)·pageSize. Freed pages are tracked in memory and reused by Alloc;
-// the file is not compacted.
+// the file is not compacted. A page allocated and never written has no
+// bytes in the file, or only those of an earlier occupant, and reads zero.
 type FileStore struct {
 	mu       sync.Mutex
 	f        *os.File
 	pageSize int
-	next     PageID
-	free     []PageID
-	live     map[PageID]bool
+	ids      pageTable
 }
 
 // OpenFileStore creates (truncating) a file-backed store at path.
@@ -176,14 +298,17 @@ func OpenFileStore(path string, pageSize int) (*FileStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pagestore: open %s: %w", path, err)
 	}
-	return &FileStore{f: f, pageSize: pageSize, next: 1, live: make(map[PageID]bool)}, nil
+	return &FileStore{f: f, pageSize: pageSize, ids: newPageTable(0)}, nil
 }
 
 // OpenExistingFileStore reopens a file-backed store written earlier. Every
-// page within the file is considered live: the in-memory free list does
-// not survive restarts, so pages freed before the previous shutdown leak
-// until the database is rebuilt (documented trade-off — the structures
-// above never reference freed pages, so correctness is unaffected).
+// page within the file is live and saved: the ones the file's catalog
+// reaches are kept from reuse until the next Checkpoint, so the version the
+// file holds survives the commits made before the next save. The free list
+// does not survive restarts, so pages freed before the previous shutdown
+// leak until the database is rebuilt (documented trade-off — the
+// structures above never reference freed pages, so correctness is
+// unaffected).
 func OpenExistingFileStore(path string, pageSize int) (*FileStore, error) {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
@@ -203,54 +328,37 @@ func OpenExistingFileStore(path string, pageSize int) (*FileStore, error) {
 			path, fi.Size(), pageSize)
 	}
 	n := PageID(fi.Size() / int64(pageSize))
-	live := make(map[PageID]bool, n)
-	for id := PageID(1); id <= n; id++ {
-		live[id] = true
-	}
-	return &FileStore{f: f, pageSize: pageSize, next: n + 1, live: live}, nil
+	return &FileStore{f: f, pageSize: pageSize, ids: newPageTable(n)}, nil
 }
 
 // PageSize returns the page size in bytes.
 func (s *FileStore) PageSize() int { return s.pageSize }
 
-// Alloc reserves a zeroed page.
+// Alloc reserves a page that reads zero until it is written. The file is
+// not touched.
 func (s *FileStore) Alloc() (PageID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var id PageID
-	if n := len(s.free); n > 0 {
-		id = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		id = s.next
-		s.next++
-	}
-	zero := make([]byte, s.pageSize)
-	if _, err := s.f.WriteAt(zero, int64(id-1)*int64(s.pageSize)); err != nil {
-		return InvalidPage, fmt.Errorf("pagestore: alloc page %d: %w", id, err)
-	}
-	s.live[id] = true
-	return id, nil
+	return s.ids.alloc(), nil
 }
 
 // Free releases a page for reuse.
 func (s *FileStore) Free(id PageID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.live[id] {
-		return ErrPageNotFound
-	}
-	delete(s.live, id)
-	s.free = append(s.free, id)
-	return nil
+	return s.ids.release(id)
 }
 
 // ReadPage fills buf with the page contents.
 func (s *FileStore) ReadPage(id PageID, buf []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.live[id] {
+	if !s.ids.live.has(id) {
 		return fmt.Errorf("%w: %d", ErrPageNotFound, id)
+	}
+	if s.ids.unwritten.has(id) {
+		clear(buf[:s.pageSize])
+		return nil
 	}
 	if _, err := s.f.ReadAt(buf[:s.pageSize], int64(id-1)*int64(s.pageSize)); err != nil {
 		return fmt.Errorf("pagestore: read page %d: %w", id, err)
@@ -259,21 +367,27 @@ func (s *FileStore) ReadPage(id PageID, buf []byte) error {
 }
 
 // ReadPages reads a maximal live prefix of the pages, coalescing each run
-// of consecutive ids — ascending or descending, as leaf sweeps in either
-// direction produce — into a single ReadAt over the covered byte range,
-// so a batch over a bulk-loaded leaf chain costs one syscall instead of
-// one per page.
+// of consecutive written ids — ascending or descending, as leaf sweeps in
+// either direction produce — into a single ReadAt over the covered byte
+// range, so a batch over a bulk-loaded leaf chain costs one syscall instead
+// of one per page. An unwritten page reads zero without a syscall.
 func (s *FileStore) ReadPages(ids []PageID, bufs [][]byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
-	for n < len(ids) && s.live[ids[n]] {
+	for n < len(ids) && s.ids.live.has(ids[n]) {
 		n++
 	}
+	written := func(i int) bool { return !s.ids.unwritten.has(ids[i]) }
 	for start := 0; start < n; {
+		if !written(start) {
+			clear(bufs[start][:s.pageSize])
+			start++
+			continue
+		}
 		end := start + 1
 		step := int64(0)
-		if end < n {
+		if end < n && written(end) {
 			switch int64(ids[end]) - int64(ids[start]) {
 			case 1:
 				step = 1
@@ -282,7 +396,7 @@ func (s *FileStore) ReadPages(ids []PageID, bufs [][]byte) (int, error) {
 			}
 		}
 		if step != 0 {
-			for end < n && int64(ids[end])-int64(ids[end-1]) == step {
+			for end < n && written(end) && int64(ids[end])-int64(ids[end-1]) == step {
 				end++
 			}
 		}
@@ -316,20 +430,28 @@ func (s *FileStore) ReadPages(ids []PageID, bufs [][]byte) (int, error) {
 func (s *FileStore) WritePage(id PageID, buf []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.live[id] {
+	if !s.ids.live.has(id) {
 		return fmt.Errorf("%w: %d", ErrPageNotFound, id)
 	}
 	if _, err := s.f.WriteAt(buf[:s.pageSize], int64(id-1)*int64(s.pageSize)); err != nil {
 		return fmt.Errorf("pagestore: write page %d: %w", id, err)
 	}
+	s.ids.unwritten.clear(id)
 	return nil
+}
+
+// Checkpoint makes the live pages the saved set and releases the held ones.
+func (s *FileStore) Checkpoint() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.ids.checkpoint()
 }
 
 // NumAllocated returns the number of live pages.
 func (s *FileStore) NumAllocated() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.live)
+	return s.ids.n
 }
 
 // Close closes the backing file.

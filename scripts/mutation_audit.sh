@@ -25,7 +25,7 @@
 # The whole list takes about 40 minutes on a 2-core x86-64 container, most
 # of it in the -race runs of internal/core and in the timeouts of the
 # mutations that deadlock every Save; CI's "Mutation smoke" step runs
-# twenty-two of its rows.
+# twenty-four of its rows.
 set -euo pipefail
 repo=$(cd "$(dirname "$0")/.." && pwd)
 work=$(mktemp -d)
@@ -645,6 +645,28 @@ mut ext2-vertex-exact internal/geom/extension2.go "the 2-D extension's vertex de
 			if Point(verts[k][:]).Eq(x[:]) {
 ----
 			if verts[k] == x {
+EOF
+
+# --- a page written once: the saved set held back, unwritten pages read zero (DESIGN.md §20) ---
+
+mut saved-page-reused internal/pagestore/store.go "saved set: \`Free\` puts a saved page straight on the free list" <<'EOF'
+	if t.saved.has(id) {
+		t.held = append(t.held, id)
+	} else {
+		t.free = append(t.free, id)
+	}
+----
+	t.free = append(t.free, id)
+EOF
+
+mut unwritten-reads-device internal/pagestore/store.go "unwritten pages: \`FileStore.ReadPage\` reads the device for a page never written" <<'EOF'
+	if s.ids.unwritten.has(id) {
+		clear(buf[:s.pageSize])
+		return nil
+	}
+	if _, err := s.f.ReadAt(buf[:s.pageSize], int64(id-1)*int64(s.pageSize)); err != nil {
+----
+	if _, err := s.f.ReadAt(buf[:s.pageSize], int64(id-1)*int64(s.pageSize)); err != nil {
 EOF
 
 echo >&2
