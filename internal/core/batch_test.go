@@ -13,7 +13,7 @@ import (
 // shardedPool is a MemStore-backed pool with an explicit shard count, for
 // tests that need cross-shard contention whatever GOMAXPROCS is.
 func shardedPool(pages, shards int) *pagestore.Pool {
-	return pagestore.NewShardedPool(pagestore.NewMemStore(pagestore.DefaultPageSize), pages, shards)
+	return pagestore.NewPoolWithOptions(pagestore.NewMemStore(pagestore.DefaultPageSize), pagestore.PoolOptions{Capacity: pages, Shards: shards})
 }
 
 // TestQueryBatchMatchesSequential: at the default, one and several workers

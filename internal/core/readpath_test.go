@@ -7,6 +7,8 @@ import (
 
 	"dualcdb/internal/constraint"
 	"dualcdb/internal/geom"
+	"dualcdb/internal/pagestore"
+	"dualcdb/internal/workload"
 )
 
 // pointTuple builds the degenerate tuple {(px, py)}.
@@ -234,4 +236,110 @@ func TestConcurrentPagesReadAttribution(t *testing.T) {
 	if misses := ix.Pool().Stats().PhysicalReads; sum != misses {
 		t.Fatalf("attributed PagesRead sum = %d, pool PhysicalReads = %d (attribution not exact)", sum, misses)
 	}
+}
+
+// replayReads is a replay's physical reads a query and a commit.
+type replayReads struct{ query, commit float64 }
+
+// TestPoolReplayReads is the defence of the pool's replacement rule
+// (DESIGN.md §8.2): one fixed stream — N = 12 000 workload.Small tuples,
+// k = 4, T2, 64 queries at 10–15 % selectivity (32 EXIST from seed 13, 32
+// ALL from seed 14) replayed once to warm the pool and 4 times measured,
+// then 200 insert + delete pairs — through a 1-shard pool of 64 to 512
+// frames (the index has 896 pages). One shard keeps the counts
+// independent of GOMAXPROCS. The ceilings are this tree's counts; a rule
+// that reads more at any size fails. A single LRU list reads about twice
+// as much a query at 512 frames (EXPERIMENTS.md "Read-path ablation").
+func TestPoolReplayReads(t *testing.T) {
+	rel, err := workload.GenerateRelation(workload.Config{N: 12000, Size: workload.Small, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var queries []constraint.Query
+	for _, qc := range []workload.QueryConfig{
+		{Count: 32, Kind: constraint.EXIST, SelectivityLo: 0.10, SelectivityHi: 0.15, Seed: 13},
+		{Count: 32, Kind: constraint.ALL, SelectivityLo: 0.10, SelectivityHi: 0.15, Seed: 14},
+	} {
+		qs, err := workload.GenerateQueries(rel, qc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries = append(queries, qs...)
+	}
+	fresh, err := workload.GenerateRelation(workload.Config{N: 200, Size: workload.Small, Seed: 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var templates [][]geom.HalfSpace
+	fresh.Scan(func(tu *constraint.Tuple) bool {
+		templates = append(templates, tu.Constraints())
+		return true
+	})
+	for _, c := range []struct {
+		frames  int
+		ceiling replayReads
+	}{
+		{64, replayReads{22.33, 22.51}},
+		{128, replayReads{15.32, 15.71}},
+		{256, replayReads{11.25, 12.14}},
+		{512, replayReads{2.57, 7.23}},
+	} {
+		got := replayPool(t, rel, c.frames, queries, templates)
+		if got.query > c.ceiling.query || got.commit > c.ceiling.commit {
+			t.Errorf("%d frames: %.4f reads a query, %.4f a commit; ceilings %.2f and %.2f",
+				c.frames, got.query, got.commit, c.ceiling.query, c.ceiling.commit)
+		}
+	}
+}
+
+// replayPool builds and saves an index of saved on a fresh MemStore, opens
+// it through a 1-shard pool of the given size and replays the queries (one
+// warm pass, four measured) and one insert + delete pair a template, the
+// deletes spread over the saved ids. Each size needs its own store: the
+// commits of one replay free saved pages, which the store holds back but
+// no longer reads.
+func replayPool(t *testing.T, saved *constraint.Relation, frames int, queries []constraint.Query, templates [][]geom.HalfSpace) replayReads {
+	t.Helper()
+	store := pagestore.NewMemStore(pagestore.DefaultPageSize)
+	built, err := Build(saved, Options{Slopes: EquiangularSlopes(4), Technique: T2, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := built.Save(); err != nil {
+		t.Fatal(err)
+	}
+	pool := pagestore.NewPoolWithOptions(store, pagestore.PoolOptions{Capacity: frames, Shards: 1})
+	rel, ix, err := Open(pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const passes = 4
+	for pass := 0; pass <= passes; pass++ {
+		if pass == 1 {
+			pool.ResetStats()
+		}
+		for _, q := range queries {
+			if _, err := ix.Query(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var got replayReads
+	got.query = float64(pool.Stats().PhysicalReads) / float64(passes*len(queries))
+	pool.ResetStats()
+	ids := rel.IDs()
+	for i, cons := range templates {
+		tu, err := constraint.NewTuple(2, cons)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ix.Insert(tu); err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.Delete(ids[i*len(ids)/len(templates)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got.commit = float64(pool.Stats().PhysicalReads) / float64(2*len(templates))
+	return got
 }

@@ -21,10 +21,10 @@ type Stats struct {
 	Frees         uint64 // pages freed
 	Clones        uint64 // copy-on-write page clones (ClonePage calls)
 
-	// YoungEvictions and OldEvictions split evictions by the midpoint-LRU
-	// region the victim came from. A leaf sweep over a working set larger
-	// than the pool drains through the young region; OldEvictions staying
-	// flat during sweeps is the scan-resistance signal.
+	// YoungEvictions and OldEvictions split evictions by the LRU region the
+	// victim came from. A leaf sweep over a working set larger than the
+	// pool drains through the young region; OldEvictions staying flat
+	// during sweeps is the scan-resistance signal.
 	YoungEvictions uint64
 	OldEvictions   uint64
 }
@@ -45,12 +45,11 @@ type ReadCounter struct {
 // pinned while in use; unpinned dirty frames are written back on eviction
 // or Flush.
 //
-// Eviction is a midpoint-insertion LRU (young/old sublists per shard): a
-// page enters the young region on first use and is tenured into the old
-// region only on a later pin spaced at least tenureAge distinct-page
-// accesses after its first one, so neither a single long leaf sweep nor a
-// tight re-pin loop can evict the hot inner nodes that every query
-// re-touches.
+// Eviction is a segmented LRU (young/old sublists per shard): a page
+// enters the young region when it is read in and moves to the old region
+// when it is pinned again after a release, so a single long leaf sweep,
+// which touches each leaf once, cannot evict the inner nodes that every
+// query re-touches.
 //
 // Evicted frames (struct and page buffer alike) are recycled through a
 // per-shard freelist, so a steady-state miss/evict cycle — the cold-sweep
@@ -94,8 +93,8 @@ type Pool struct {
 
 // poolShard is one independently locked slice of the pool. Its eviction
 // state is two intrusive LRU lists of resident frames: young holds pages
-// seen once, old holds pages tenured by an age-spaced repeat pin. A frame
-// stays in place while pinned and moves to the front of its list on
+// not pinned again since they were read in, old holds pages that were. A
+// frame stays in place while pinned and moves to the front of its list on
 // release, so the steady-state pin/release cycle allocates nothing.
 // Victims come from the first unpinned frame off the young tail, then the
 // old tail; the old region is capped at oldCap frames, beyond which its
@@ -109,22 +108,13 @@ type poolShard struct {
 	young frameList // guarded by mu
 	old   frameList // guarded by mu
 
-	// tick is the shard's access clock: it advances on each pin or fetch of
-	// a page different from the immediately preceding one, so a tight
-	// re-pin loop on one page cannot age that page. Tenure requires the
-	// re-pin to arrive at least tenureAge ticks after the frame's first
-	// access (InnoDB-style), which keeps both scans and busy loops out of
-	// the old region.
-	tick       uint64 // guarded by mu
-	lastPinned PageID // guarded by mu
-
 	// free recycles evicted frames (chained through lruNext) together with
 	// their page buffers; bounded by capacity.
 	free  *Frame // guarded by mu
 	freeN int    // guarded by mu
 }
 
-// Frame region tags for the midpoint LRU.
+// Frame region tags for the segmented LRU.
 const (
 	regionYoung = iota
 	regionOld
@@ -146,7 +136,6 @@ type Frame struct {
 
 	lruPrev, lruNext *Frame // intrusive young/old list links; guarded by shard.mu
 	region           uint8  // guarded by shard.mu
-	firstTick        uint64 // shard tick at first access; guarded by shard.mu
 
 	// dirty is atomic because MarkDirty is called while pinned without the
 	// shard lock, potentially concurrently with another pinner of the same
@@ -204,15 +193,11 @@ func (l *frameList) len() int     { return l.n }
 // and a new page is requested.
 var ErrPoolFull = errors.New("pagestore: all buffer frames pinned")
 
-// The midpoint-LRU policy, fixed by the recorded read-path ablation
-// (EXPERIMENTS.md): a repeat pin tenures a young frame into the old region
-// only when spaced at least tenureAge distinct-page accesses (per shard)
-// after the frame's first one, and the old region holds at most
-// oldNum/oldDen of each shard's frames.
+// The old region holds at most oldNum/oldDen of each shard's frames, the
+// share the recorded read-path ablation chose (EXPERIMENTS.md).
 const (
-	tenureAge = 8
-	oldNum    = 5
-	oldDen    = 8
+	oldNum = 5
+	oldDen = 8
 )
 
 // PoolOptions configures a buffer pool beyond the store and capacity.
@@ -229,19 +214,13 @@ type PoolOptions struct {
 // (minimum 8) — appropriate for single-threaded workloads and for tests
 // that reason about one global eviction order.
 func NewPool(store Store, capacity int) *Pool {
-	return NewShardedPool(store, capacity, 1)
+	return NewPoolWithOptions(store, PoolOptions{Capacity: capacity, Shards: 1})
 }
 
-// NewShardedPool creates a buffer pool whose frames are distributed over
-// nextPow2(shards) independently locked shards (shards ≤ 0 selects
-// nextPow2(GOMAXPROCS)). The total capacity is divided evenly; every shard
-// holds at least 8 frames, so the effective total can exceed capacity when
-// capacity < 8·shards.
-func NewShardedPool(store Store, capacity, shards int) *Pool {
-	return NewPoolWithOptions(store, PoolOptions{Capacity: capacity, Shards: shards})
-}
-
-// NewPoolWithOptions creates a buffer pool from opt.
+// NewPoolWithOptions creates a buffer pool whose frames are distributed
+// over nextPow2(opt.Shards) independently locked shards. The capacity is
+// divided evenly; every shard holds at least 8 frames, so the effective
+// total can exceed opt.Capacity when it is below 8·shards.
 func NewPoolWithOptions(store Store, opt PoolOptions) *Pool {
 	shards := opt.Shards
 	if shards <= 0 {
@@ -364,7 +343,6 @@ func (sh *poolShard) recycleLocked(f *Frame) {
 	f.id = 0
 	f.pins.Store(0)
 	f.region = regionYoung
-	f.firstTick = 0
 	f.dirty.Store(false)
 	f.lruPrev = nil
 	f.lruNext = sh.free
@@ -373,28 +351,16 @@ func (sh *poolShard) recycleLocked(f *Frame) {
 }
 
 // installLocked registers a frame (fresh or recycled, its data already
-// holding the page image) for id: the frame counts one more install, enters
-// the front of the young list pinned once, and the shard's access clock
-// advances. Callers hold sh.mu.
+// holding the page image) for id: the frame counts one more install and
+// enters the front of the young list pinned once. Callers hold sh.mu.
 func (sh *poolShard) installLocked(f *Frame, id PageID) {
-	sh.touchLocked(id)
 	f.id = id
 	f.installs.Add(1)
 	f.pins.Store(1)
 	f.region = regionYoung
-	f.firstTick = sh.tick
 	f.dirty.Store(false)
 	sh.young.pushFront(f)
 	sh.frames[id] = f
-}
-
-// touchLocked advances the shard's access clock for an access to id; a
-// repeat access to the immediately preceding page does not count.
-func (sh *poolShard) touchLocked(id PageID) {
-	if id != sh.lastPinned {
-		sh.tick++
-		sh.lastPinned = id
-	}
 }
 
 // NewPage allocates a fresh zeroed page and returns it pinned and dirty.
@@ -436,13 +402,11 @@ func (p *Pool) FreePage(id PageID) error {
 	return p.store.Free(id)
 }
 
-// pinLocked pins an in-shard frame. The frame keeps its list position; a
-// repeat pin tenures it into the old region only when spaced at least
-// tenureAge distinct-page accesses after the frame's first one.
+// pinLocked pins an in-shard frame. A young frame pinned again after a
+// release moves to the old region; a nested pin, taken while the frame is
+// still pinned, leaves it where it is.
 func (sh *poolShard) pinLocked(f *Frame) {
-	sh.touchLocked(f.id)
-	f.pins.Add(1)
-	if f.region == regionYoung && sh.tick-f.firstTick >= tenureAge {
+	if f.pins.Add(1) == 1 && f.region == regionYoung {
 		f.region = regionOld
 		sh.young.remove(f)
 		sh.old.pushFront(f)
@@ -591,7 +555,7 @@ func (p *Pool) Stats() Stats {
 
 // Residency is a point-in-time census of the pool's frames — the gauge
 // complement to the monotone Stats counters. Young/Old split the
-// resident frames by midpoint-LRU region; Pinned counts frames currently
+// resident frames by LRU region; Pinned counts frames currently
 // held by a caller.
 type Residency struct {
 	Frames   int `json:"frames"`

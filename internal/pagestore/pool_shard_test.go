@@ -12,14 +12,14 @@ func TestShardedPoolShardCount(t *testing.T) {
 	for _, tc := range []struct{ req, want int }{
 		{1, 1}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {8, 8}, {9, 16},
 	} {
-		if got := NewShardedPool(s, 64, tc.req).Shards(); got != tc.want {
+		if got := NewPoolWithOptions(s, PoolOptions{Capacity: 64, Shards: tc.req}).Shards(); got != tc.want {
 			t.Errorf("shards(%d) = %d, want %d", tc.req, got, tc.want)
 		}
 	}
 	if got := NewPool(s, 64).Shards(); got != 1 {
 		t.Errorf("NewPool shards = %d, want 1", got)
 	}
-	if got := NewShardedPool(s, 64, 0).Shards(); got < 1 {
+	if got := NewPoolWithOptions(s, PoolOptions{Capacity: 64, Shards: 0}).Shards(); got < 1 {
 		t.Errorf("auto shards = %d", got)
 	}
 }
@@ -29,7 +29,7 @@ func TestShardedPoolRoutesConsistently(t *testing.T) {
 	// entry point: write through NewPage, read back through Get, drop via
 	// EvictAll, free via FreePage.
 	s := NewMemStore(32)
-	p := NewShardedPool(s, 256, 8)
+	p := NewPoolWithOptions(s, PoolOptions{Capacity: 256, Shards: 8})
 	shadow := make(map[PageID]byte)
 	for i := 0; i < 200; i++ {
 		f, err := p.NewPage()
@@ -68,7 +68,7 @@ func TestShardedPoolRoutesConsistently(t *testing.T) {
 
 func TestShardedPoolStatsAggregate(t *testing.T) {
 	s := NewMemStore(64)
-	p := NewShardedPool(s, 1024, 4)
+	p := NewPoolWithOptions(s, PoolOptions{Capacity: 1024, Shards: 4})
 	var ids []PageID
 	for i := 0; i < 50; i++ {
 		f, _ := p.NewPage()
@@ -97,7 +97,7 @@ func TestGetTrackedExactAttribution(t *testing.T) {
 	// charged to exactly the tracker that triggered it, and the sum of the
 	// per-tracker Physical counts must equal the pool's PhysicalReads.
 	s := NewMemStore(64)
-	p := NewShardedPool(s, 1024, 4)
+	p := NewPoolWithOptions(s, PoolOptions{Capacity: 1024, Shards: 4})
 	var ids []PageID
 	for i := 0; i < 40; i++ {
 		f, _ := p.NewPage()
@@ -144,7 +144,7 @@ func TestShardedPoolConcurrentReaders(t *testing.T) {
 	// writes to disjoint byte ranges; run under -race in CI. Each goroutine
 	// owns offset g, so concurrent mutation of one page is well-defined.
 	s := NewMemStore(64)
-	p := NewShardedPool(s, 64, 4) // small: forces eviction traffic
+	p := NewPoolWithOptions(s, PoolOptions{Capacity: 64, Shards: 4}) // small: forces eviction traffic
 	var ids []PageID
 	for i := 0; i < 128; i++ {
 		f, err := p.NewPage()
@@ -199,7 +199,7 @@ func TestShardedPoolRandomizedAgainstShadow(t *testing.T) {
 	// The sharded analogue of TestPoolRandomizedAgainstDirectStore: an
 	// eviction-heavy 4-shard pool must always return the last written bytes.
 	s := NewMemStore(32)
-	p := NewShardedPool(s, 32, 4)
+	p := NewPoolWithOptions(s, PoolOptions{Capacity: 32, Shards: 4})
 	rng := rand.New(rand.NewSource(99))
 	shadow := make(map[PageID][]byte)
 	var ids []PageID

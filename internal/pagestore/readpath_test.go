@@ -143,24 +143,6 @@ func pinOnce(t *testing.T, pool *Pool, id PageID) {
 	f.Release()
 }
 
-// tenureAll ages the hot pages into the old region under the tenure
-// window: first access, then enough distinct filler accesses to satisfy
-// the age spacing, then the tenuring re-pin. The fillers must fit in the
-// pool alongside the hot pages and must not be re-pinned afterwards, or
-// they would tenure too.
-func tenureAll(t *testing.T, pool *Pool, hot, filler []PageID) {
-	t.Helper()
-	for _, id := range hot {
-		pinOnce(t, pool, id)
-	}
-	for _, id := range filler {
-		pinOnce(t, pool, id)
-	}
-	for _, id := range hot {
-		pinOnce(t, pool, id)
-	}
-}
-
 func TestMidpointLRUScanResistance(t *testing.T) {
 	store := NewMemStore(64)
 	const capacity = 16
@@ -171,17 +153,18 @@ func TestMidpointLRUScanResistance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Tenure a few "inner node" pages: an aged re-pin moves them into the
-	// old region. Fillers 4..11 provide the distinct-page spacing the
-	// tenure window requires and are not touched again (a later re-pin
-	// would tenure them as well).
+	// Tenure a few "inner node" pages: a pin after a release moves them
+	// into the old region.
 	hot := []PageID{1, 2, 3}
-	filler := []PageID{4, 5, 6, 7, 8, 9, 10, 11}
-	tenureAll(t, pool, hot, filler)
+	for pass := 0; pass < 2; pass++ {
+		for _, id := range hot {
+			pinOnce(t, pool, id)
+		}
+	}
 	pool.ResetStats()
 
 	// One long scan over everything else, touching each page once.
-	for id := PageID(12); id <= total; id++ {
+	for id := PageID(4); id <= total; id++ {
 		f, err := pool.Get(id)
 		if err != nil {
 			t.Fatal(err)
@@ -218,9 +201,8 @@ func TestOldRegionCapDemotesToYoung(t *testing.T) {
 	}
 	// Tenure more pages than the old region can hold; rebalancing must
 	// demote the overflow instead of letting old grow to the whole shard.
-	// Two interleaved passes over 12 resident pages give every re-pin an
-	// age of ~12 distinct accesses, past the tenure window, without
-	// evicting anything (12 < capacity).
+	// Two passes over 12 resident pages re-pin each after its release
+	// without evicting anything (12 < capacity).
 	for pass := 0; pass < 2; pass++ {
 		for id := PageID(1); id <= 12; id++ {
 			pinOnce(t, pool, id)
@@ -238,10 +220,10 @@ func TestOldRegionCapDemotesToYoung(t *testing.T) {
 	}
 }
 
-// TestTenureWindowResistsTightRePinLoops pins the tenure-age fix: a page
-// re-pinned in a tight loop never accumulates distinct-page accesses, so
-// it must stay in the young region however often it is touched.
-func TestTenureWindowResistsTightRePinLoops(t *testing.T) {
+// TestRePinAfterReleaseTenures pins the tenure rule: nested pins of a
+// page, as a rebalance takes them, leave it young however many there are;
+// a pin after its release moves it to the old region.
+func TestRePinAfterReleaseTenures(t *testing.T) {
 	store := NewMemStore(64)
 	for i := 0; i < 8; i++ {
 		if _, err := store.Alloc(); err != nil {
@@ -249,14 +231,31 @@ func TestTenureWindowResistsTightRePinLoops(t *testing.T) {
 		}
 	}
 	pool := NewPoolWithOptions(store, PoolOptions{Capacity: 16, Shards: 1})
-	for i := 0; i < 100; i++ {
-		pinOnce(t, pool, 1)
-	}
 	sh := pool.shards[0]
-	sh.mu.Lock()
-	oldLen := sh.old.len()
-	sh.mu.Unlock()
-	if oldLen != 0 {
-		t.Fatalf("tight re-pin loop tenured %d pages; the age window should keep them young", oldLen)
+	regions := func() (young, old int) {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return sh.young.len(), sh.old.len()
+	}
+	frames := make([]*Frame, 100)
+	for i := range frames {
+		f, err := pool.Get(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames[i] = f
+	}
+	if young, old := regions(); young != 1 || old != 0 {
+		t.Fatalf("after %d nested pins: young %d, old %d; want the page young", len(frames), young, old)
+	}
+	for _, f := range frames {
+		f.Release()
+	}
+	if young, old := regions(); young != 1 || old != 0 {
+		t.Fatalf("after the releases: young %d, old %d; want the page young", young, old)
+	}
+	pinOnce(t, pool, 1)
+	if young, old := regions(); young != 0 || old != 1 {
+		t.Fatalf("after pin, release, pin: young %d, old %d; want the page old", young, old)
 	}
 }

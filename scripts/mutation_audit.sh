@@ -25,7 +25,7 @@
 # The whole list takes about 40 minutes on a 2-core x86-64 container, most
 # of it in the -race runs of internal/core and in the timeouts of the
 # mutations that deadlock every Save; CI's "Mutation smoke" step runs
-# twenty-four of its rows.
+# twenty-five of its rows.
 set -euo pipefail
 repo=$(cd "$(dirname "$0")/.." && pwd)
 work=$(mktemp -d)
@@ -472,7 +472,7 @@ mut evict-unlock internal/pagestore/pool.go "lockset: \`EvictAll\` returns a wri
 			sh.dropLocked(f)
 EOF
 
-mut evict-tick internal/pagestore/pool.go "atomicpub: \`EvictAll\` resets a guarded shard field after unlocking" <<'EOF'
+mut evict-free-count internal/pagestore/pool.go "atomicpub: \`EvictAll\` resets a guarded shard field after unlocking" <<'EOF'
 			sh.dropLocked(f)
 		}
 		sh.mu.Unlock()
@@ -480,7 +480,7 @@ mut evict-tick internal/pagestore/pool.go "atomicpub: \`EvictAll\` resets a guar
 			sh.dropLocked(f)
 		}
 		sh.mu.Unlock()
-		sh.lastPinned = 0
+		sh.freeN = 0
 EOF
 
 mut ring-next internal/obs/trace.go "atomicpub: the trace ring's \`next\` advanced after unlocking" <<'EOF'
@@ -667,6 +667,14 @@ mut unwritten-reads-device internal/pagestore/store.go "unwritten pages: \`FileS
 	if _, err := s.f.ReadAt(buf[:s.pageSize], int64(id-1)*int64(s.pageSize)); err != nil {
 ----
 	if _, err := s.f.ReadAt(buf[:s.pageSize], int64(id-1)*int64(s.pageSize)); err != nil {
+EOF
+
+# --- the pool's replacement rule: a young frame moves to the old region on a pin after a release (DESIGN.md §8.2) ---
+
+mut nested-pin-tenures internal/pagestore/pool.go "segmented LRU: a nested pin tenures a young frame (tenure on any hit)" <<'EOF'
+	if f.pins.Add(1) == 1 && f.region == regionYoung {
+----
+	if f.pins.Add(1) > 0 && f.region == regionYoung {
 EOF
 
 echo >&2
