@@ -66,7 +66,8 @@ func TestSessionDBOpenRefusesPreviousFormat(t *testing.T) {
 
 // TestSessionQueryStatsLine: on a stored slope every retrieved entry is
 // decided on its key and put into the answer, none is evaluated and none is a
-// false hit; within Eps of one the query is an ordinary T2 query.
+// false hit, and no leaf is settled whole; within Eps of one the query is an
+// ordinary T2 query. On a generated relation T2's rule settles leaves whole.
 func TestSessionQueryStatsLine(t *testing.T) {
 	out := runScript(t, []string{
 		"insert x >= 0 && y >= 0 && x + y <= 4",
@@ -76,12 +77,16 @@ func TestSessionQueryStatsLine(t *testing.T) {
 		"exist y >= 1",
 		"all y <= 5",
 		"exist y >= 0.0000000005x + 1",
+		"gen 3000 small 7",
+		"index 3 t2",
+		"exist y >= 0.3x + 10",
 	})
 	for _, want := range []string{
-		"EXIST(y >= 0x + 1): [1 2]  (path=restricted, candidates=2, decided=2, falseHits=0, duplicates=0,",
-		"ALL(y <= 0x + 5): [1 3]  (path=restricted, candidates=2, decided=2, falseHits=0, duplicates=0,",
+		"EXIST(y >= 0x + 1): [1 2]  (path=restricted, candidates=2, decided=2, falseHits=0, duplicates=0, pages=0, leavesWhole=0)",
+		"ALL(y <= 0x + 5): [1 3]  (path=restricted, candidates=2, decided=2, falseHits=0, duplicates=0, pages=0, leavesWhole=0)",
 		"EXIST(y >= 5e-10x + 1): [1 2]  (path=t2, candidates=",
 		"funnel: candidates 2 → duplicates 0 → sure 2 / rejected on key 0 (decided by a tangent 0) → evaluated 0 → false hits 0 → results 2",
+		"(path=t2, candidates=2112, decided=2066, falseHits=38, duplicates=0, pages=0, leavesWhole=8)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)

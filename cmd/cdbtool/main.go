@@ -10,13 +10,14 @@
 //	> insert x >= 0 && y >= 0 && x + y <= 4
 //	inserted tuple 1
 //	> insert y >= 8
-//	inserted tuple 2
+//	inserted tuple 2 (infinite object)
 //	> index 3 t2
 //	dual index built: k=3, technique T2, 6 pages
 //	> exist y >= 0.7x + 1
-//	EXIST(y >= 0.7x + 1): [1 2]  (path=t2, candidates=2, falseHits=0, pages=4)
+//	EXIST(y >= 0.7x + 1): [1 2]  (path=t2, candidates=2, decided=1, falseHits=0, duplicates=0, pages=0, leavesWhole=0)
+//	  funnel: candidates 2 → duplicates 0 → sure 1 / rejected on key 0 (decided by a tangent 0) → evaluated 1 → false hits 0 → results 2
 //	> all y >= 6
-//	ALL(y >= 6): [2]  (path=restricted, ...)
+//	ALL(y >= 0x + 6): [2]  (path=restricted, ...)
 //
 // Commands are also accepted on stdin non-interactively:
 //
@@ -376,8 +377,8 @@ func (s *session) query(kind dualcdb.QueryKind, rest string) error {
 			return err
 		}
 		st := res.Stats
-		fmt.Fprintf(s.out, "%v: %v  (path=%s, candidates=%d, decided=%d, falseHits=%d, duplicates=%d, pages=%d)\n",
-			q, res.IDs, st.Path, st.Candidates, st.Decided, st.FalseHits, st.Duplicates, st.PagesRead)
+		fmt.Fprintf(s.out, "%v: %v  (path=%s, candidates=%d, decided=%d, falseHits=%d, duplicates=%d, pages=%d, leavesWhole=%d)\n",
+			q, res.IDs, st.Path, st.Candidates, st.Decided, st.FalseHits, st.Duplicates, st.PagesRead, st.LeavesWhole)
 		// The funnel: what the sweeps retrieved, what they settled on the key
 		// (into the answer or out of it) — a tangent line, the own site's or
 		// the neighbour's, some of those — and what the predicate decided.

@@ -161,6 +161,16 @@ func (r EntryRegion) TID(i int) uint32 {
 	return binary.LittleEndian.Uint32(r[i*entrySize+4 : i*entrySize+8])
 }
 
+// Entry returns entry i's stored key, widened to float64, and its tuple id,
+// read in one load.
+func (r EntryRegion) Entry(i int) (float64, uint32) {
+	w := binary.LittleEndian.Uint64(r[i*entrySize : i*entrySize+8])
+	return float64(math.Float32frombits(uint32(w))), uint32(w >> 32)
+}
+
+// Slice returns entries i to j−1 as a region of their own.
+func (r EntryRegion) Slice(i, j int) EntryRegion { return r[i*entrySize : j*entrySize] }
+
 // NumHandicaps returns the number of handicap slots stored on the leaf.
 func (lv LeafView) NumHandicaps() int {
 	if viewGuard.Load() {

@@ -63,7 +63,7 @@ func TestObservedBatchReconciles(t *testing.T) {
 	}
 	poolDelta := ix.Pool().Stats().PhysicalReads - poolBefore
 
-	var wantPages, gotCand, gotRes, gotFalse, gotDecided, gotDup, gotLeaves uint64
+	var wantPages, gotCand, gotRes, gotFalse, gotDecided, gotDup, gotLeaves, gotWhole uint64
 	for _, r := range results {
 		wantPages += r.Stats.PagesRead
 		gotCand += uint64(r.Stats.Candidates)
@@ -72,6 +72,7 @@ func TestObservedBatchReconciles(t *testing.T) {
 		gotDecided += uint64(r.Stats.Decided)
 		gotDup += uint64(r.Stats.Duplicates)
 		gotLeaves += uint64(r.Stats.LeavesSwept)
+		gotWhole += uint64(r.Stats.LeavesWhole)
 	}
 	if wantPages == 0 {
 		t.Fatal("batch read no pages; reconciliation is vacuous")
@@ -97,9 +98,9 @@ func TestObservedBatchReconciles(t *testing.T) {
 	}
 	if s.Totals.Candidates != gotCand || s.Totals.Results != gotRes ||
 		s.Totals.FalseHits != gotFalse || s.Totals.Decided != gotDecided || s.Totals.Duplicates != gotDup ||
-		s.Totals.LeavesSwept != gotLeaves {
-		t.Errorf("observer totals %+v disagree with result sums (cand %d res %d false %d decided %d dup %d leaves %d)",
-			s.Totals, gotCand, gotRes, gotFalse, gotDecided, gotDup, gotLeaves)
+		s.Totals.LeavesSwept != gotLeaves || s.Totals.LeavesWhole != gotWhole {
+		t.Errorf("observer totals %+v disagree with result sums (cand %d res %d false %d decided %d dup %d leaves %d whole %d)",
+			s.Totals, gotCand, gotRes, gotFalse, gotDecided, gotDup, gotLeaves, gotWhole)
 	}
 	if gotDecided == 0 {
 		t.Error("no entry of the batch was decided on its key; the Decided reconciliation is vacuous")
@@ -408,7 +409,7 @@ func TestObservedDocumentShapes(t *testing.T) {
 	var traces []map[string]any
 	get("/debug/traces", &traces)
 	tr, sp := first("/debug/traces", traces)
-	check("trace", keys(tr), "candidates decided duplicates false_hits leaves_swept pages path query results spans start sure tangent total_us")
+	check("trace", keys(tr), "candidates decided duplicates false_hits leaves_swept leaves_whole pages path query results spans start sure tangent total_us")
 	check("trace span", keys(sp), "dur_us items pages stage start_us")
 
 	var flight struct {
@@ -450,7 +451,7 @@ func TestObservedDocumentShapes(t *testing.T) {
 		cstage.shadow.freed cstage.shadow.items cstage.shadow.ns cstage.stage.cloned
 		cstage.stage.freed cstage.stage.items cstage.stage.ns mvcc mvcc.snapshot_age_ns
 		path.t2.candidates path.t2.count path.t2.decided path.t2.duplicates path.t2.false_hits
-		path.t2.leaves_swept path.t2.ns path.t2.pages path.t2.results path.t2.sure path.t2.tangent pool.evictions.old
+		path.t2.leaves_swept path.t2.leaves_whole path.t2.ns path.t2.pages path.t2.results path.t2.sure path.t2.tangent pool.evictions.old
 		pool.evictions.young pool.logical_reads pool.physical_reads pool.residency pool.snapshots
 		pool.writes pool.writes_flush queries.errors queries.inflight queries.slow queries.total spans.unclosed stage.dedup.items
 		stage.dedup.ns stage.dedup.pages stage.refine.items stage.refine.ns stage.refine.pages

@@ -17,6 +17,7 @@ import (
 	"dualcdb/internal/btree"
 	"dualcdb/internal/constraint"
 	"dualcdb/internal/pagestore"
+	"dualcdb/internal/workload"
 )
 
 // TestSaveOpenRoundTripMem: save into a memory store, reopen through a new
@@ -645,5 +646,71 @@ func TestInsertWithID(t *testing.T) {
 	}
 	if id <= 7 {
 		t.Fatalf("next id %d must exceed restored id 7", id)
+	}
+}
+
+// TestSavedMemStoreOutlivesCommits: commits after a Save free saved pages,
+// which the store holds back until the next Save; they must still read, so a
+// second Open over the same MemStore — through another pool, with the
+// commits unsaved — restores the saved version and answers as the scan over
+// the saved relation.
+func TestSavedMemStoreOutlivesCommits(t *testing.T) {
+	saved, err := workload.GenerateRelation(workload.Config{N: 3000, Size: workload.Small, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries, err := workload.GenerateQueries(saved, workload.QueryConfig{Count: 32, Kind: constraint.EXIST, SelectivityLo: 0.10, SelectivityHi: 0.15, Seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := workload.GenerateRelation(workload.Config{N: 200, Size: workload.Small, Seed: 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := pagestore.NewMemStore(pagestore.DefaultPageSize)
+	ix, err := Build(saved, Options{Slopes: EquiangularSlopes(4), Technique: T2, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Save(); err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]constraint.TupleID, len(queries))
+	for i, q := range queries {
+		if want[i], err = q.Eval(saved); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids := saved.IDs()
+	i := 0
+	fresh.Scan(func(tu *constraint.Tuple) bool {
+		var nt *constraint.Tuple
+		if nt, err = constraint.NewTuple(2, tu.Constraints()); err == nil {
+			_, err = ix.Insert(nt)
+		}
+		if err == nil {
+			err = ix.Delete(ids[i*len(ids)/fresh.Len()])
+		}
+		i++
+		return err == nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, reopened, err := Open(pagestore.NewPool(store, 256))
+	if err != nil {
+		t.Fatalf("Open after %d unsaved insert + delete pairs: %v", fresh.Len(), err)
+	}
+	if !slices.Equal(rel.IDs(), ids) {
+		t.Fatalf("reopened relation holds %d ids, the saved one %d", rel.Len(), len(ids))
+	}
+	for i, q := range queries {
+		got, err := reopened.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameIDs(got.IDs, want[i]) {
+			t.Fatalf("%v: reopened %v, scan over the saved relation %v", q, got.IDs, want[i])
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -357,22 +358,33 @@ func finiteKeyBound(es btree.EntryRegion) float64 {
 	return 0 // every key is infinite: none is decided
 }
 
+// decide is the x-extent bracket's verdict on an entry with key k and
+// extent x: span, then bracket — 0/1 arithmetic with no branch on the
+// verdict, small enough that the leaf kernel (settle) inlines both, so
+// decide, decideRange and the kernel run the same arithmetic.
 func (r *keyRule) decide(k float64, x [2]float64) verdict { return r.decideRange(k, k, x) }
 
 // decideRange is decide for every entry with a key in [klo, khi] and an
-// extent inside x at once: their values at the query slope all lie in
-// [klo − max(shift·x), khi − min(shift·x)].
+// extent inside x at once.
 func (r *keyRule) decideRange(klo, khi float64, x [2]float64) verdict {
-	lo, hi := klo-r.shift*x[r.far], khi-r.shift*x[1-r.far]
-	switch {
-	case !(hi-lo < math.MaxFloat64): // ±Inf key or extent (Inf − Inf is NaN), NaN
-		return evaluate
-	case lo > r.above:
-		return r.ifAbove
-	case hi < r.below:
-		return r.ifBelow
-	}
-	return evaluate
+	return r.bracket(r.span(klo, khi, &x))
+}
+
+// span is the interval the values at the query slope of the entries with a
+// key in [klo, khi] and an extent inside x lie in:
+// [klo − max(shift·x), khi − min(shift·x)].
+func (r *keyRule) span(klo, khi float64, x *[2]float64) (lo, hi float64) {
+	return klo - r.shift*x[r.far&1], khi - r.shift*x[(r.far^1)&1]
+}
+
+// bracket is the verdict on the interval [lo, hi]: ifAbove wholly beyond
+// `above`, ifBelow wholly beyond `below`, evaluate otherwise and for an
+// interval with a non-finite end.
+func (r *keyRule) bracket(lo, hi float64) verdict {
+	finite := bit(hi-lo < math.MaxFloat64) // ±Inf key or extent (Inf − Inf is NaN), NaN: 0
+	above := finite & bit(lo > r.above)
+	below := finite & bit(hi < r.below) &^ above
+	return verdict(above)*r.ifAbove + verdict(below)*r.ifBelow
 }
 
 // tangent decides an entry with stored key k and extent x that the bracket
@@ -380,38 +392,130 @@ func (r *keyRule) decideRange(klo, khi float64, x [2]float64) verdict {
 // tuple's stride bytes of tan) place. First the line of the vertex v*
 // attaining k: in a B^up TOP(a) ≥ k − shift·x* decides it if above `above`,
 // in a B^down BOT(a) ≤ k − shift·x* if below `below`. Then, with a
-// neighbour, the line of slope −x*(s′) through k bounds the other side:
-// TOP(a) ≤ k − shift·x*(s′) decides it if below `below`, BOT(a) ≥ that if
-// above `above`. A byte places its x within one step of x′ = tangentX(q, x),
-// which rounds by less than 2⁻⁵⁰·(|infX| + |supX|), so each line is moved by
-// e = |shift|·(step + that) towards the intercept (DESIGN.md §17). A
-// non-finite key, an unbounded extent, a NaN anywhere and an overflow are
-// the predicate's.
+// neighbour and only if that line is finite and leaves the entry, the line
+// of slope −x*(s′) through k bounds the other side: TOP(a) ≤ k − shift·x*(s′)
+// decides it if below `below`, BOT(a) ≥ that if above `above`. A byte places
+// its x within one step of x′ = tangentX(q, x), which rounds by less than
+// 2⁻⁵⁰·(|infX| + |supX|), so each line is moved by e = |shift|·(step + that)
+// towards the intercept (DESIGN.md §17).
 func (r *keyRule) tangent(k float64, x [2]float64, row []uint8) verdict {
 	xq, step := tangentX(row[r.col], x)
 	e := math.Abs(r.shift) * (step + 0x1p-50*(math.Abs(x[0])+math.Abs(x[1])))
-	t := k - r.shift*xq
-	switch {
-	case !(math.Abs(t)+e < math.MaxFloat64): // ±Inf key or extent (Inf − Inf is NaN), NaN
-		return evaluate
-	case r.top && t-e > r.above:
-		return r.ifAbove
-	case !r.top && t+e < r.below:
-		return r.ifBelow
-	case r.next == 0:
-		return evaluate
+	v, finite := r.lineVerdict(k-r.shift*xq, e, r.top)
+	if r.next != 0 {
+		xn, _ := tangentX(row[r.col+r.next], x)
+		n, _ := r.lineVerdict(k-r.shift*xn, e, !r.top)
+		v += verdict(bit(finite && v == evaluate)) * n
 	}
-	xn, _ := tangentX(row[r.col+r.next], x)
-	n := k - r.shift*xn
-	switch {
-	case !(math.Abs(n)+e < math.MaxFloat64):
-		return evaluate
-	case r.top && n+e < r.below:
-		return r.ifBelow
-	case !r.top && n-e > r.above:
-		return r.ifAbove
+	return v
+}
+
+// lineVerdict settles an entry by a tangent line of value t and margin e
+// that bounds the surface from below (upper: only a value above `above`
+// decides) or from above (only one below `below` does). A non-finite line —
+// a ±Inf key or extent (Inf − Inf is NaN), a NaN anywhere, an overflow —
+// decides nothing; finite reports whether the line is finite.
+func (r *keyRule) lineVerdict(t, e float64, upper bool) (v verdict, finite bool) {
+	finite = math.Abs(t)+e < math.MaxFloat64
+	hit, v := bit(finite && t+e < r.below), r.ifBelow
+	if upper {
+		hit, v = bit(finite && t-e > r.above), r.ifAbove
 	}
-	return evaluate
+	return verdict(hit) * v, finite
+}
+
+// bit is 1 for true and 0 for false; the compiler makes it a flag move, not
+// a branch.
+func bit(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// kernelBlock is the number of entries the leaf kernel takes through its
+// passes at a time: a block's scratch is two stack arrays of that many bytes
+// at any page size, and a position within a block fits a byte.
+const kernelBlock = 128
+
+// entryCode is where the leaf kernel sends an entry in range with verdict
+// v, one bit a destination: 1 sure (accept), 2 rejected (reject), 4 cands
+// (evaluate). An entry out of range has code 0.
+func entryCode(v verdict) uint8 { return uint8(v) | bit(v == evaluate)<<2 }
+
+// settle is the leaf kernel's per-entry case (DESIGN.md §17 "The per-entry
+// case without a branch on the verdict"): it settles every entry of es whose stored key lies in [lo, hi]
+// by the bracket, then the tangents, as decide and tangent would, appends
+// the accepted references to sure and those left to the predicate to cands,
+// in leaf order, and returns both with the number it rejected and the number
+// a tangent line settled. Nothing branches on a verdict: a block of entries
+// goes through three passes — the bracket over every entry, the tangents
+// over the positions it leaves, and the emit, which writes each reference
+// to both lists and advances each by the entry's code.
+func (r *keyRule) settle(es btree.EntryRegion, lo, hi float64, sure, cands []uint32) ([]uint32, []uint32, int, int) {
+	n := es.Len()
+	ns, nc := len(sure), len(cands)
+	sure, cands = slices.Grow(sure, n)[:ns+n], slices.Grow(cands, n)[:nc+n]
+	rejected, tangent := 0, 0
+	for b := 0; b < n; b += kernelBlock {
+		var codes, open [kernelBlock]uint8
+		blk := es.Slice(b, min(b+kernelBlock, n))
+		c := codes[:blk.Len()]
+		o := r.bracketPass(blk, lo, hi, c, &open)
+		if r.tan != nil {
+			tangent += r.tangentPass(blk, c, o)
+		}
+		ns, nc, rejected = emit(blk, c, sure, cands, ns, nc, rejected)
+	}
+	return sure[:ns], cands[:nc], rejected, tangent
+}
+
+// bracketPass sets the code of every entry of blk by the bracket and returns
+// the positions it leaves to the tangents. A reference past the extent table
+// is past the relation: it stays undecided, and refinement reports it.
+func (r *keyRule) bracketPass(blk btree.EntryRegion, lo, hi float64, codes []uint8, open *[kernelBlock]uint8) []uint8 {
+	nopen := 0
+	for p := range codes {
+		k, tid := blk.Entry(p)
+		j := int(tid) - 1
+		x, known := &noExtent, uint8(0)
+		if uint(j) < uint(len(r.xext)) {
+			x, known = &r.xext[j], 1
+		}
+		c := entryCode(r.bracket(r.span(k, k, x))) & -(bit(k >= lo) & bit(k <= hi))
+		// nopen ≤ p < kernelBlock: the mask changes nothing and spares the
+		// bounds check.
+		codes[p], open[nopen&(kernelBlock-1)] = c, uint8(p)
+		nopen += int(c >> 2 & known)
+	}
+	return open[:min(nopen, kernelBlock)]
+}
+
+// tangentPass settles the entries of blk at the positions open by their
+// tangent lines and returns the number it settled.
+func (r *keyRule) tangentPass(blk btree.EntryRegion, codes, open []uint8) int {
+	tangent := 0
+	for _, p := range open {
+		k, tid := blk.Entry(int(p))
+		j := int(tid) - 1
+		v := r.tangent(k, r.xext[j], r.tan[j*r.stride:])
+		codes[p] = entryCode(v)
+		tangent += int(bit(v != evaluate))
+	}
+	return tangent
+}
+
+// emit writes the reference of every entry of blk to both sure and cands,
+// at ns and nc, and advances each count by the entry's code.
+func emit(blk btree.EntryRegion, codes []uint8, sure, cands []uint32, ns, nc, rejected int) (int, int, int) {
+	for p, c := range codes {
+		_, tid := blk.Entry(p)
+		sure[ns], cands[nc] = tid, tid
+		ns += int(c & 1)
+		rejected += int(c >> 1 & 1)
+		nc += int(c >> 2)
+	}
+	return ns, nc, rejected
 }
 
 // firstSweep is the sweep every path starts with, in the direction of the
@@ -455,12 +559,15 @@ func float32Next(k, dir float64) float64 {
 // st.Candidates, those settled on their key into st.Decided — the accepted
 // ones go to sc.sure and count into st.Sure, the rejected ones go nowhere,
 // and those a tangent line settled count into st.Tangent too — and the rest
-// go to sc.cands; visited leaves count into st and page reads are charged to
-// rc. It returns the number of entries retrieved and the folded handicap.
+// go to sc.cands; visited leaves count into st.LeavesSwept, those the rule
+// settled whole into st.LeavesWhole too, and page reads are charged to rc.
+// It returns the number of entries retrieved and the folded handicap.
 //
 // A leaf is read in place (btree.LeafView.Entries): its verdict — sure, no
 // rule, or the rule's on the whole leaf — is taken once, and one loop per
-// verdict settles its entries in range (DESIGN.md §17 "The leaf kernel").
+// verdict settles its entries in range; a leaf the rule leaves to its
+// entries goes to the leaf kernel, settle (DESIGN.md §17 "The leaf
+// kernel").
 func (s sweep) run(tr *btree.Tree, rc *pagestore.ReadCounter, sc *scratch, st *QueryStats) (int, float64, error) {
 	h := math.Inf(1)
 	if !s.asc {
@@ -512,45 +619,23 @@ func (s sweep) run(tr *btree.Tree, rc *pagestore.ReadCounter, sc *scratch, st *Q
 			rule := s.rule.atLeaf(finiteKeyBound(es))
 			switch rule.decideRange(max(es.Key(0), lo), min(es.Key(n-1), hi), lv.Extent()) {
 			case accept:
+				st.LeavesWhole++
 				for i := 0; i < n; i++ {
 					if k := es.Key(i); k >= lo && k <= hi {
 						sure = append(sure, es.TID(i))
 					}
 				}
 			case reject:
+				st.LeavesWhole++
 				for i := 0; i < n; i++ {
 					if k := es.Key(i); k >= lo && k <= hi {
 						rejected++
 					}
 				}
 			default:
-				xext, tan := rule.xext, rule.tan
-				for i := 0; i < n; i++ {
-					k := es.Key(i)
-					if !(k >= lo && k <= hi) {
-						continue
-					}
-					tid := es.TID(i)
-					v := evaluate
-					// A reference past the table is past the relation: it
-					// stays undecided and refinement reports it.
-					if j := int(tid) - 1; uint(j) < uint(len(xext)) {
-						v = rule.decide(k, xext[j])
-						if v == evaluate && tan != nil {
-							if v = rule.tangent(k, xext[j], tan[j*rule.stride:(j+1)*rule.stride]); v != evaluate {
-								tangent++
-							}
-						}
-					}
-					switch v {
-					case accept:
-						sure = append(sure, tid)
-					case reject:
-						rejected++
-					default:
-						cands = append(cands, tid)
-					}
-				}
+				var r, t int
+				sure, cands, r, t = rule.settle(es, lo, hi, sure, cands)
+				rejected, tangent = rejected+r, tangent+t
 			}
 		}
 		sc.cands, sc.sure = cands, sure

@@ -790,7 +790,7 @@ func TestQueryStatsConsistency(t *testing.T) {
 	// A one-slot ring with a 1 ns threshold holds the latest query's trace.
 	o := obs.New(obs.Options{SlowThreshold: 1})
 	_, ix := buildRandomIndex(t, rng, 250, Options{Slopes: EquiangularSlopes(4), Technique: T2, Observe: o}, true)
-	decided, byTangent := 0, 0
+	decided, byTangent, whole := 0, 0, 0
 	for qi := 0; qi < 60; qi++ {
 		q := randQuery(rng)
 		got, err := ix.Query(q)
@@ -823,11 +823,17 @@ func TestQueryStatsConsistency(t *testing.T) {
 		if st.Tangent < 0 || st.Tangent > st.Decided || (st.Tangent > 0 && !strings.HasPrefix(st.Path, "t2")) {
 			t.Fatalf("%v: %d decided by the tangent of %d decided: %+v", q, st.Tangent, st.Decided, st)
 		}
+		// The leaves settled whole are some of the swept ones, and only T2's
+		// rule settles a leaf whole.
+		if st.LeavesWhole < 0 || st.LeavesWhole > st.LeavesSwept || (st.LeavesWhole > 0 && !strings.HasPrefix(st.Path, "t2")) {
+			t.Fatalf("%v: %d leaves settled whole of %d swept: %+v", q, st.LeavesWhole, st.LeavesSwept, st)
+		}
 		decided += st.Decided
 		byTangent += st.Tangent
+		whole += st.LeavesWhole
 	}
-	if decided == 0 || byTangent == 0 {
-		t.Fatalf("%d entries decided on their key, %d by the tangent: want some of each", decided, byTangent)
+	if decided == 0 || byTangent == 0 || whole == 0 {
+		t.Fatalf("%d entries decided on their key, %d by the tangent, %d leaves settled whole: want some of each", decided, byTangent, whole)
 	}
 	// On a site the keys are the answer (Theorem 3.1): only an entry whose
 	// stored key equals the rounded bound is evaluated.

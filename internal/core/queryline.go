@@ -59,6 +59,7 @@ func (ix *Index) queryLine(a, b float64, ec *execCtx) (Result, error) {
 			Sure:        upper.Stats.Sure + lower.Stats.Sure,
 			Duplicates:  upper.Stats.Duplicates + lower.Stats.Duplicates,
 			LeavesSwept: upper.Stats.LeavesSwept + lower.Stats.LeavesSwept,
+			LeavesWhole: upper.Stats.LeavesWhole + lower.Stats.LeavesWhole,
 			// The shared ReadCounter accumulates across both sub-queries, so
 			// its final value is the stab's exact physical-read total (summing
 			// the sub-results would double-count: each sub-query's PagesRead

@@ -295,9 +295,8 @@ func TestPoolReplayReads(t *testing.T) {
 // replayPool builds and saves an index of saved on a fresh MemStore, opens
 // it through a 1-shard pool of the given size and replays the queries (one
 // warm pass, four measured) and one insert + delete pair a template, the
-// deletes spread over the saved ids. Each size needs its own store: the
-// commits of one replay free saved pages, which the store holds back but
-// no longer reads.
+// deletes spread over the saved ids. Each size gets its own store, so that
+// every replay's commits allocate from the same free space.
 func replayPool(t *testing.T, saved *constraint.Relation, frames int, queries []constraint.Query, templates [][]geom.HalfSpace) replayReads {
 	t.Helper()
 	store := pagestore.NewMemStore(pagestore.DefaultPageSize)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -46,6 +47,9 @@ func (s sweep) refRun(tr *btree.Tree, rc *pagestore.ReadCounter, sc *scratch, st
 		if s.rule.xext != nil && n > 0 {
 			rule = s.rule.atLeaf(refFiniteKeyBound(lv, n))
 			whole = rule.decideRange(max(lv.Key(0), lo), min(lv.Key(n-1), hi), lv.Extent())
+		}
+		if whole != evaluate {
+			st.LeavesWhole++
 		}
 		for i := 0; i < n; i++ {
 			switch k := lv.Key(i); {
@@ -213,7 +217,8 @@ func kernelTree(t *testing.T, rng *rand.Rand, pageSize, n int, emptyAll bool) (*
 
 // TestSweepKernelMatchesReference holds sweep.run — entries read in place,
 // one loop per leaf verdict — to the per-entry loop it replaced, on random
-// trees at 1 KiB and 256 B pages, for every kind of sweep: the restricted
+// trees at 1 KiB, 256 B and 4 KiB pages (508 entries a leaf: four blocks of
+// the leaf kernel), for every kind of sweep: the restricted
 // path's sure sweep, T1's plain one, T2's first sweep folding a handicap
 // slot, T2's second sweep with its skip test — both mostly with a tangent
 // table, and then mostly with a neighbour column — and, as in E^d, without a
@@ -223,7 +228,7 @@ func kernelTree(t *testing.T, rng *rand.Rand, pageSize, n int, emptyAll bool) (*
 // and leaves, read the same pages and fold the same handicap.
 func TestSweepKernelMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
-	for _, pageSize := range []int{1024, 256} {
+	for _, pageSize := range []int{1024, 256, 4096} {
 		for trial := 0; trial < 6; trial++ {
 			tr, ext, pool := kernelTree(t, rng, pageSize, 1500+rng.Intn(1500), trial == 5)
 			for q := 0; q < 150; q++ {
@@ -308,4 +313,127 @@ func compareKernel(t *testing.T, name string, tr *btree.Tree, sw sweep) {
 	case math.Float64bits(got.h) != math.Float64bits(want.h):
 		t.Fatalf("%s: folded handicap %v, reference %v", name, got.h, want.h)
 	}
+}
+
+// refSettle is the per-entry loop the leaf kernel replaced: each entry in
+// [lo, hi] through decide, then tangent, then a switch on its verdict.
+func refSettle(r *keyRule, es btree.EntryRegion, lo, hi float64, sure, cands []uint32) ([]uint32, []uint32, int, int) {
+	rejected, tangent := 0, 0
+	for i := 0; i < es.Len(); i++ {
+		k, tid := es.Key(i), es.TID(i)
+		if !(k >= lo && k <= hi) {
+			continue
+		}
+		v := evaluate
+		if j := int(tid) - 1; uint(j) < uint(len(r.xext)) {
+			v = r.decide(k, r.xext[j])
+			if v == evaluate && r.tan != nil {
+				if v = r.tangent(k, r.xext[j], r.tan[j*r.stride:(j+1)*r.stride]); v != evaluate {
+					tangent++
+				}
+			}
+		}
+		switch v {
+		case accept:
+			sure = append(sure, tid)
+		case reject:
+			rejected++
+		default:
+			cands = append(cands, tid)
+		}
+	}
+	return sure, cands, rejected, tangent
+}
+
+// FuzzLeafKernel holds the leaf kernel (keyRule.settle) to the per-entry
+// loop on one random entry region: the same references in sure and cands,
+// in the same order, and the same numbers rejected and settled by a tangent.
+// seed draws the region, its tables and the range; size sets the number of
+// entries (up to 700: six blocks); bits draw the rule — bits 0–1 the shift
+// (0, positive, negative, within 1e-9 of 0), bits 2–3 the neighbour column
+// (0, +2, −2), bit 4 B^up, bit 5 a ≥ selection (ifAbove accept), bit 6 no
+// tangent table, bit 7 the leaf's rounding widening. The region's keys
+// come from a small pool — ±Inf, the intercept, the range ends and their
+// float32 neighbours — so they run equal and meet every bound; its ids run
+// past the table, 0 included; the extents include noExtent, zero-width and
+// half-infinite ones; the tangent bytes are random.
+func FuzzLeafKernel(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, size uint16, bits uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		const rows, stride = 64, 6
+		xext := make([][2]float64, rows)
+		for j := range xext {
+			x0 := rng.Float64()*20 - 10
+			switch rng.Intn(8) {
+			case 0:
+				xext[j] = noExtent
+			case 1:
+				xext[j] = [2]float64{x0, x0}
+			case 2:
+				xext[j] = [2]float64{math.Inf(-1), x0}
+			case 3:
+				xext[j] = [2]float64{x0, math.Inf(1)}
+			default:
+				xext[j] = [2]float64{x0, x0 + rng.Float64()*5}
+			}
+		}
+		tan := make([]uint8, rows*stride)
+		for i := range tan {
+			tan[i] = uint8(rng.Intn(256))
+		}
+
+		b := btree.RoundKey(rng.Float64()*20 - 10)
+		lo, hi := btree.RoundKey(b-rng.Float64()*15), btree.RoundKey(b+rng.Float64()*15)
+		switch rng.Intn(4) {
+		case 0:
+			lo = math.Inf(-1)
+		case 1:
+			hi = math.Inf(1)
+		}
+		pool := []float64{math.Inf(-1), math.Inf(1), b, lo, hi, float32Next(b, math.Inf(1)), float32Next(b, math.Inf(-1)),
+			float32Next(lo, math.Inf(-1)), float32Next(hi, math.Inf(1))}
+		for range 8 {
+			pool = append(pool, btree.RoundKey(rng.Float64()*40-20))
+		}
+		if rng.Intn(4) == 0 { // keys so large that the leaf's rounding widens the rule past deciding anything
+			pool = append(pool, btree.RoundKey(3e30), btree.RoundKey(-3e30))
+		}
+		n := int(size) % 701
+		entries := make([]btree.Entry, n)
+		for i := range entries {
+			entries[i] = btree.Entry{Key: pool[rng.Intn(len(pool))], TID: uint32(rng.Intn(rows + 8))}
+		}
+		slices.SortFunc(entries, btree.Entry.Compare)
+		es := make(btree.EntryRegion, 0, 8*n)
+		for _, e := range entries {
+			es = binary.LittleEndian.AppendUint32(es, math.Float32bits(float32(e.Key)))
+			es = binary.LittleEndian.AppendUint32(es, e.TID)
+		}
+
+		shift := []float64{0, rng.Float64() * 3, -rng.Float64() * 3, (rng.Float64()*2 - 1) * 1e-9}[bits&3]
+		rule := slopeRule(xext, b, rng.Float64()*0.5, shift, bits&32 != 0)
+		if bits&64 == 0 {
+			rule.tan, rule.stride, rule.top = tan, stride, bits&16 != 0
+			rule.next = []int{0, 2, -2, 0}[bits>>2&3]
+			rule.col = rng.Intn(stride)
+			if uint(rule.col+rule.next) >= stride {
+				rule.col -= rule.next
+			}
+		}
+		if bits&128 != 0 && n > 0 {
+			rule = rule.atLeaf(finiteKeyBound(es))
+		}
+
+		// A reference already in the lists must stay in front of the leaf's.
+		gotSure, gotCands, gotRejected, gotTangent := rule.settle(es, lo, hi, []uint32{7}, []uint32{9})
+		wantSure, wantCands, wantRejected, wantTangent := refSettle(&rule, es, lo, hi, []uint32{7}, []uint32{9})
+		switch {
+		case !slices.Equal(gotSure, wantSure):
+			t.Fatalf("sure %v, per-entry loop %v", gotSure, wantSure)
+		case !slices.Equal(gotCands, wantCands):
+			t.Fatalf("cands %v, per-entry loop %v", gotCands, wantCands)
+		case gotRejected != wantRejected || gotTangent != wantTangent:
+			t.Fatalf("%d rejected, %d by a tangent; per-entry loop %d, %d", gotRejected, gotTangent, wantRejected, wantTangent)
+		}
+	})
 }

@@ -42,6 +42,11 @@ type QueryStats struct {
 	Duplicates int
 	// LeavesSwept is the number of leaf pages visited across all sweeps.
 	LeavesSwept int
+	// LeavesWhole is the number of LeavesSwept whose entries in range a
+	// sweep's rule settled all one way — all accepted or all rejected on
+	// the leaf's key range and extent — without a per-entry verdict (T2
+	// only).
+	LeavesWhole int
 	// PagesRead is the number of physical page reads this query's own
 	// tree traversals triggered, counted exactly via a per-query read
 	// counter (never a delta on the shared pool counters, which would be
@@ -133,6 +138,7 @@ type pathMetrics struct {
 	tangent     *Counter
 	duplicates  *Counter
 	leavesSwept *Counter
+	leavesWhole *Counter
 }
 
 // New builds an Observer. The zero Options is usable: metrics and
@@ -229,6 +235,7 @@ func (o *Observer) FinishQuery(tr *Trace, st QueryStats, err error) {
 	pm.tangent.Add(uint64(st.Tangent))
 	pm.duplicates.Add(uint64(st.Duplicates))
 	pm.leavesSwept.Add(uint64(st.LeavesSwept))
+	pm.leavesWhole.Add(uint64(st.LeavesWhole))
 
 	if o.slowThreshold > 0 && tr.total >= o.slowThreshold {
 		o.slow.Inc()
@@ -246,6 +253,7 @@ func (o *Observer) FinishQuery(tr *Trace, st QueryStats, err error) {
 			slog.Int("tangent", st.Tangent),
 			slog.Int("duplicates", st.Duplicates),
 			slog.Int("leaves_swept", st.LeavesSwept),
+			slog.Int("leaves_whole", st.LeavesWhole),
 		)
 	}
 }
@@ -307,6 +315,7 @@ func (o *Observer) path(name string) *pathMetrics {
 		tangent:     o.reg.Counter("path." + name + ".tangent"),
 		duplicates:  o.reg.Counter("path." + name + ".duplicates"),
 		leavesSwept: o.reg.Counter("path." + name + ".leaves_swept"),
+		leavesWhole: o.reg.Counter("path." + name + ".leaves_whole"),
 	}
 	o.paths[name] = pm
 	return pm
@@ -400,6 +409,7 @@ type PathSnapshot struct {
 	Tangent     uint64            `json:"tangent"`
 	Duplicates  uint64            `json:"duplicates"`
 	LeavesSwept uint64            `json:"leaves_swept"`
+	LeavesWhole uint64            `json:"leaves_whole"`
 	Latency     HistogramSnapshot `json:"latency"`
 }
 
@@ -483,6 +493,7 @@ func (o *Observer) ObserverSnapshot() *Snapshot {
 			Tangent:     pm.tangent.Load(),
 			Duplicates:  pm.duplicates.Load(),
 			LeavesSwept: pm.leavesSwept.Load(),
+			LeavesWhole: pm.leavesWhole.Load(),
 			Latency:     pm.ns.Snapshot(),
 		}
 		s.Paths[name] = ps
@@ -496,6 +507,7 @@ func (o *Observer) ObserverSnapshot() *Snapshot {
 		s.Totals.Tangent += ps.Tangent
 		s.Totals.Duplicates += ps.Duplicates
 		s.Totals.LeavesSwept += ps.LeavesSwept
+		s.Totals.LeavesWhole += ps.LeavesWhole
 		s.PathNames = append(s.PathNames, name)
 	}
 	sort.Strings(s.PathNames)

@@ -205,6 +205,7 @@ type TraceSnapshot struct {
 	Tangent     int            `json:"tangent"` // settled by the own or the neighbour's tangent line (QueryStats.Tangent)
 	Duplicates  int            `json:"duplicates"`
 	LeavesSwept int            `json:"leaves_swept"`
+	LeavesWhole int            `json:"leaves_whole"`
 	Err         string         `json:"err,omitempty"`
 	Spans       []SpanSnapshot `json:"spans"`
 }
@@ -228,6 +229,7 @@ func (t *Trace) querySnapshot() TraceSnapshot {
 		Tangent:     st.Tangent,
 		Duplicates:  st.Duplicates,
 		LeavesSwept: st.LeavesSwept,
+		LeavesWhole: st.LeavesWhole,
 		Err:         errString(t.err),
 		Spans:       make([]SpanSnapshot, 0, len(t.spans)),
 	}

@@ -2,6 +2,7 @@ package pagestore
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -382,8 +383,21 @@ func TestStoreHoldsFreedSavedPages(t *testing.T) {
 		if err := s.Free(2); err == nil {
 			t.Fatal("double free of a held page must fail")
 		}
-		if err := s.ReadPage(2, buf); err == nil {
-			t.Fatal("reading a held page must fail")
+		// A held page still reads what was saved, alone and inside a batch.
+		want := make([]byte, s.PageSize())
+		fillPattern(want, 2)
+		if err := s.ReadPage(2, buf); err != nil || !bytes.Equal(buf, want) {
+			t.Fatalf("held page 2 does not read its saved bytes: %v", err)
+		}
+		bufs := [][]byte{make([]byte, s.PageSize()), make([]byte, s.PageSize()), make([]byte, s.PageSize())}
+		if n, err := s.ReadPages([]PageID{1, 2, 3}, bufs); n != 3 || err != nil {
+			t.Fatalf("ReadPages over held page 2 read %d pages, %v; want 3", n, err)
+		}
+		for i, b := range bufs {
+			fillPattern(want, PageID(i+1))
+			if !bytes.Equal(b, want) {
+				t.Fatalf("ReadPages: page %d does not read its saved bytes", i+1)
+			}
 		}
 		id, err := s.Alloc()
 		if err != nil {
@@ -395,6 +409,9 @@ func TestStoreHoldsFreedSavedPages(t *testing.T) {
 		if err := s.Free(id); err != nil {
 			t.Fatal(err)
 		}
+		if err := s.ReadPage(id, buf); !errors.Is(err, ErrPageNotFound) {
+			t.Fatalf("reading freed unsaved page %d: %v, want ErrPageNotFound", id, err)
+		}
 		if again, _ := s.Alloc(); again != 4 {
 			t.Fatalf("an unsaved freed page is reused at once: got %d, want 4", again)
 		}
@@ -403,7 +420,6 @@ func TestStoreHoldsFreedSavedPages(t *testing.T) {
 			if _, err := fs.f.ReadAt(buf, int64(1)*int64(s.PageSize())); err != nil {
 				t.Fatal(err)
 			}
-			want := make([]byte, s.PageSize())
 			fillPattern(want, 2)
 			if !bytes.Equal(buf, want) {
 				t.Fatal("the held page's bytes changed on the device")

@@ -95,9 +95,11 @@ func (b bitset) clear(id PageID) {
 }
 
 // pageTable is the id bookkeeping both stores share: live holds the
-// allocated ids, unwritten those of them not written since their Alloc and
-// saved the ids live at the last Checkpoint. Freed ids are reused last in,
-// first out; held are the saved ids freed since the last Checkpoint.
+// allocated ids, unwritten those not written since their Alloc (a freed id
+// keeps its bit) and saved the ids live at the last Checkpoint. Freed ids are reused last in,
+// first out; held are the saved ids freed since the last Checkpoint. The
+// readable ids are the live and the saved ones: a held id is not reused
+// before the next Checkpoint, so it still reads what was saved.
 type pageTable struct {
 	next      PageID
 	n         int
@@ -140,7 +142,6 @@ func (t *pageTable) release(id PageID) error {
 		return fmt.Errorf("%w: %d", ErrPageNotFound, id)
 	}
 	t.live.clear(id)
-	t.unwritten.clear(id)
 	t.n--
 	if t.saved.has(id) {
 		t.held = append(t.held, id)
@@ -149,6 +150,9 @@ func (t *pageTable) release(id PageID) error {
 	}
 	return nil
 }
+
+// readable reports whether id reads: it is live, or saved and held.
+func (t *pageTable) readable(id PageID) bool { return t.live.has(id) || t.saved.has(id) }
 
 func (t *pageTable) checkpoint() {
 	t.saved = append(t.saved[:0], t.live...)
@@ -187,24 +191,33 @@ func (s *MemStore) Alloc() (PageID, error) {
 	return s.ids.alloc(), nil
 }
 
-// Free releases a page and keeps its buffer for a later first write.
+// Free releases a page and keeps its buffer for a later first write; a
+// saved page keeps it, and reads, until the next Checkpoint.
 func (s *MemStore) Free(id PageID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.ids.release(id); err != nil {
 		return err
 	}
-	if int(id) < len(s.pages) && s.pages[id] != nil {
-		s.spare = append(s.spare, s.pages[id])
-		s.pages[id] = nil
+	if !s.ids.saved.has(id) {
+		s.recycle(id)
 	}
 	return nil
 }
 
-// readLocked copies page id into buf and reports whether the page is live.
-// Callers hold s.mu.
+// recycle moves page id's buffer, if it has one, to spare. Callers hold
+// s.mu.
+func (s *MemStore) recycle(id PageID) {
+	if int(id) < len(s.pages) && s.pages[id] != nil {
+		s.spare = append(s.spare, s.pages[id])
+		s.pages[id] = nil
+	}
+}
+
+// readLocked copies page id into buf and reports whether the page is
+// readable. Callers hold s.mu.
 func (s *MemStore) readLocked(id PageID, buf []byte) bool {
-	if !s.ids.live.has(id) {
+	if !s.ids.readable(id) {
 		return false
 	}
 	if s.ids.unwritten.has(id) {
@@ -262,10 +275,14 @@ func (s *MemStore) WritePage(id PageID, buf []byte) error {
 	return nil
 }
 
-// Checkpoint makes the live pages the saved set and releases the held ones.
+// Checkpoint makes the live pages the saved set and releases the held ones
+// and their buffers.
 func (s *MemStore) Checkpoint() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	for _, id := range s.ids.held {
+		s.recycle(id)
+	}
 	s.ids.checkpoint()
 }
 
@@ -354,7 +371,7 @@ func (s *FileStore) Free(id PageID) error {
 func (s *FileStore) ReadPage(id PageID, buf []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.ids.live.has(id) {
+	if !s.ids.readable(id) {
 		return fmt.Errorf("%w: %d", ErrPageNotFound, id)
 	}
 	if s.ids.unwritten.has(id) {
@@ -376,7 +393,7 @@ func (s *FileStore) ReadPages(ids []PageID, bufs [][]byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
-	for n < len(ids) && s.ids.live.has(ids[n]) {
+	for n < len(ids) && s.ids.readable(ids[n]) {
 		n++
 	}
 	written := func(i int) bool { return !s.ids.unwritten.has(ids[i]) }

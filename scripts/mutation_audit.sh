@@ -25,7 +25,7 @@
 # The whole list takes about 40 minutes on a 2-core x86-64 container, most
 # of it in the -race runs of internal/core and in the timeouts of the
 # mutations that deadlock every Save; CI's "Mutation smoke" step runs
-# twenty-five of its rows.
+# twenty-seven of its rows.
 set -euo pipefail
 repo=$(cd "$(dirname "$0")/.." && pwd)
 work=$(mktemp -d)
@@ -262,6 +262,7 @@ EOF
 
 mut kernel-range internal/core/query.go "sweep kernel: the whole-accept loop drops its \`[lo, hi]\` test" <<'EOF'
 			case accept:
+				st.LeavesWhole++
 				for i := 0; i < n; i++ {
 					if k := es.Key(i); k >= lo && k <= hi {
 						sure = append(sure, es.TID(i))
@@ -269,6 +270,7 @@ mut kernel-range internal/core/query.go "sweep kernel: the whole-accept loop dro
 				}
 ----
 			case accept:
+				st.LeavesWhole++
 				for i := 0; i < n; i++ {
 					sure = append(sure, es.TID(i))
 				}
@@ -290,21 +292,15 @@ mut tangent-no-step internal/core/query.go "tangent: the rule moves the tangent 
 EOF
 
 mut tangent-wrong-surface internal/core/query.go "tangent: B^down applies TOP's lower bound" <<'EOF'
-	case !r.top && t+e < r.below:
-		return r.ifBelow
+	v, finite := r.lineVerdict(k-r.shift*xq, e, r.top)
 ----
-	case !r.top && t-e > r.above:
-		return r.ifAbove
+	v, finite := r.lineVerdict(k-r.shift*xq, e, true)
 EOF
 
 mut neighbour-no-step internal/core/query.go "neighbour: the rule moves the neighbour's tangent line by no margin \`e\`" <<'EOF'
-	case r.top && n+e < r.below:
-		return r.ifBelow
-	case !r.top && n-e > r.above:
+		n, _ := r.lineVerdict(k-r.shift*xn, e, !r.top)
 ----
-	case r.top && n < r.below:
-		return r.ifBelow
-	case !r.top && n > r.above:
+		n, _ := r.lineVerdict(k-r.shift*xn, 0, !r.top)
 EOF
 
 mut neighbour-far-side internal/core/query.go "neighbour: the neighbour taken on the other side of the site" <<'EOF'
@@ -317,6 +313,22 @@ mut neighbour-far-side internal/core/query.go "neighbour: the neighbour taken on
 		rule.next = -2
 	case r.shift < 0 && r.site+1 < ext.stride/2:
 		rule.next = 2
+EOF
+
+# --- the leaf kernel: the bracket and the tangent lines every entry a leaf leaves goes through ---
+
+mut kernel-finite-mask internal/core/query.go "leaf kernel: the bracket without its finite mask, so a ±Inf key with a finite extent is settled on its key" <<'EOF'
+	finite := bit(hi-lo < math.MaxFloat64)
+----
+	finite := uint8(1)
+EOF
+
+mut kernel-neighbour-unmasked internal/core/query.go "leaf kernel: the neighbour's line taken with no neighbour (\`next == 0\`), the own byte read as the neighbour's" <<'EOF'
+	if r.next != 0 {
+		xn, _ := tangentX(row[r.col+r.next], x)
+----
+	if true {
+		xn, _ := tangentX(row[r.col+r.next], x)
 EOF
 
 # --- sure references: checked a word at a time against the version's live bits ---
