@@ -294,9 +294,9 @@ type (
 	// spans.
 	TraceSnapshot = obs.TraceSnapshot
 	// CommitTraceSnapshot is one retained per-commit trace: the
-	// stage/shadow/publish/reclaim spans with per-stage page
-	// clone/free attribution, plus the batch outcome (published
-	// version, or abort with its cause).
+	// stage/shadow/publish/reclaim spans (and stage's keys/trees/merge
+	// children) with per-stage page clone/free attribution, plus the
+	// batch outcome (published version, or abort with its cause).
 	CommitTraceSnapshot = obs.CommitTraceSnapshot
 	// FlightDump is the /debug/flight document: recent commit traces
 	// plus the slow-or-aborted subset.

@@ -23,7 +23,11 @@ import (
 // from leaf to leaf through the parents on its cursor's path (cursor.go),
 // and BeginCOW, CommitCOW and Handle copy nothing that grows with the tree.
 
-// cowState is an open copy-on-write batch.
+// cowState is the bookkeeping of a copy-on-write batch. A tree keeps one for
+// its lifetime and reuses it batch after batch: the owned set is empty and
+// the superseded list has length 0 at every BeginCOW, because CommitCOW and
+// AbortCOW empty both, so a commit allocates no bookkeeping once the map and
+// the list have grown to a batch's size.
 type cowState struct {
 	// owned marks pages allocated by this batch: no published version can
 	// reach them, so the batch mutates them in place.
@@ -45,20 +49,54 @@ func (t *Tree) BeginCOW() {
 	if t.cow != nil {
 		panic("btree: BeginCOW with a batch already open")
 	}
-	t.cow = &cowState{owned: make(map[pagestore.PageID]bool), savedMeta: t.Meta(), savedExt: t.rootExt}
+	b := t.batch
+	if b == nil {
+		b = &cowState{owned: make(map[pagestore.PageID]bool)}
+		t.batch = b
+	}
+	if len(b.owned) != 0 || len(b.superseded) != 0 {
+		panic("btree: BeginCOW over the bookkeeping of an unfinished batch")
+	}
+	b.savedMeta, b.savedExt = t.Meta(), t.rootExt
+	t.cow = b
+}
+
+// ownedKeep bounds the owned set a tree keeps for its next batch. Clearing a
+// map costs its capacity, not its length: on go1.24/amd64, clearing a map
+// that once held 64 ids costs about what a fresh map of three does (0.1 µs),
+// one that held 256 five times that and one that held 10 000 15 µs. A
+// larger set — a handicap rebuild shadows the whole tree — is dropped, so
+// one big batch does not tax every commit after it.
+const ownedKeep = 64
+
+// finishCOW empties the batch's bookkeeping for the next BeginCOW and closes
+// the batch.
+func (t *Tree) finishCOW() {
+	if len(t.cow.owned) > ownedKeep {
+		t.cow.owned = make(map[pagestore.PageID]bool)
+	} else {
+		clear(t.cow.owned)
+	}
+	t.cow.superseded = t.cow.superseded[:0]
+	t.cow = nil
 }
 
 // CommitCOW closes the batch keeping its mutations and returns the
-// superseded pages. The caller must publish the new root set before
-// handing them to Pool.DeferFrees, so no late snapshot can pin the old
-// version after its pages are queued behind it.
-func (t *Tree) CommitCOW() []pagestore.PageID {
+// superseded pages in a slice of their own. The caller must publish the new
+// root set before handing them to Pool.DeferFrees, so no late snapshot can
+// pin the old version after its pages are queued behind it.
+func (t *Tree) CommitCOW() []pagestore.PageID { return t.CommitCOWAppend(nil) }
+
+// CommitCOWAppend is CommitCOW appending the superseded pages to dst and
+// returning the extended slice, so a writer closing many trees' batches
+// gathers their pages in one buffer; the tree keeps no reference to it.
+func (t *Tree) CommitCOWAppend(dst []pagestore.PageID) []pagestore.PageID {
 	if t.cow == nil {
 		panic("btree: CommitCOW without an open batch")
 	}
-	s := t.cow.superseded
-	t.cow = nil
-	return s
+	dst = append(dst, t.cow.superseded...)
+	t.finishCOW()
+	return dst
 }
 
 // AbortCOW discards the batch: every batch-owned page is freed and the
@@ -85,7 +123,7 @@ func (t *Tree) AbortCOW() error {
 	m := t.cow.savedMeta
 	t.root, t.hgt, t.size, t.pages, t.rootExt = m.Root, m.Height, m.Size, m.Pages, t.cow.savedExt
 	t.pendingFree = t.pendingFree[:0]
-	t.cow = nil
+	t.finishCOW()
 	return err
 }
 
@@ -95,9 +133,10 @@ func (t *Tree) InCOW() bool { return t.cow != nil }
 // Handle returns a read-only view of the tree frozen at root metadata m —
 // the per-version tree a snapshot sweeps. It shares the pool, config and
 // traversal counters with t; it must not be mutated. Its root bound is
-// NoExtent: a sweep never reads the root's bound, only its children's.
-func (t *Tree) Handle(m Meta) *Tree {
-	return &Tree{
+// NoExtent: a sweep never reads the root's bound, only its children's. It
+// is a value, so a version can hold all its trees' handles in one array.
+func (t *Tree) Handle(m Meta) Tree {
+	return Tree{
 		pool:    t.pool,
 		cfg:     t.cfg,
 		root:    m.Root,
@@ -121,7 +160,7 @@ func (t *Tree) writable(n node) (node, error) {
 		return n, nil
 	}
 	old := n.id()
-	f, err := t.pool.ClonePage(old)
+	f, err := t.pool.ClonePage(n.frame)
 	if err != nil {
 		n.release()
 		return node{}, err

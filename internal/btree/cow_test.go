@@ -10,7 +10,10 @@ import (
 
 // handleOf freezes the tree's current version as a read handle, the way a
 // published root set does.
-func handleOf(tr *Tree) *Tree { return tr.Handle(tr.Meta()) }
+func handleOf(tr *Tree) *Tree {
+	h := tr.Handle(tr.Meta())
+	return &h
+}
 
 func entriesOf(t *testing.T, tr *Tree) []Entry {
 	t.Helper()

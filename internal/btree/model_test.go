@@ -537,7 +537,7 @@ func runCOWHistory(t testing.TB, data []byte, cov *coverage) {
 					h.unpin(0)
 				}
 				pool.PinVersion(h.ver)
-				h.pins = append(h.pins, pinnedVersion{h: tr.Handle(tr.Meta()), model: slices.Clone(h.live), slots: slotsOf(walkLeaves(t, tr)), ver: h.ver})
+				h.pins = append(h.pins, pinnedVersion{h: handleOf(tr), model: slices.Clone(h.live), slots: slotsOf(walkLeaves(t, tr)), ver: h.ver})
 			}
 		case opUnpin:
 			if len(h.pins) > 0 {

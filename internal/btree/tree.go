@@ -50,9 +50,10 @@ type Tree struct {
 	// pointer).
 	stats *treeStats
 
-	// cow, when non-nil, is the open copy-on-write batch; nil selects the
-	// legacy in-place mutation mode.
-	cow *cowState
+	// cow, when non-nil, is the open copy-on-write batch — it points at
+	// batch, the bookkeeping the tree reuses from batch to batch; nil selects
+	// the legacy in-place mutation mode.
+	cow, batch *cowState
 
 	leafCap int
 	intCap  int

@@ -14,7 +14,7 @@ import (
 // figures' currency — candidates, false hits and duplicates per query —
 // alongside time.
 
-func benchIndex(b *testing.B, n, k int, tech Technique) (*constraint.Relation, *Index, []constraint.Query) {
+func benchIndex(b testing.TB, n, k int, tech Technique) (*constraint.Relation, *Index, []constraint.Query) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(77))
 	rel := constraint.NewRelation(2)

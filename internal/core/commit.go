@@ -2,11 +2,11 @@ package core
 
 import (
 	"errors"
+	"slices"
 
 	"dualcdb/internal/btree"
 	"dualcdb/internal/constraint"
 	"dualcdb/internal/obs"
-	"dualcdb/internal/pagestore"
 )
 
 // Commit batches index mutations into one atomic version step. Between
@@ -36,11 +36,14 @@ type Commit struct {
 
 	// Observability (all zero when Options.Observe is nil, and the bare
 	// write path stays allocation-free): the commit trace, the open
-	// mutation-staging span, the op label the one-op wrappers stamp for
-	// the flight recorder, and the first mutation fault — what lets
-	// Abort report its cause (fault vs explicit).
+	// mutation-staging span, the clones and frees its child spans (keys,
+	// trees, merge) counted, which the staging span leaves out of its own,
+	// the op label the one-op wrappers stamp for the flight recorder, and
+	// the first mutation fault — what lets Abort report its cause (fault vs
+	// explicit).
 	tr      *obs.Trace
 	span    obs.SpanTimer
+	nested  [2]uint64
 	op      string
 	failErr error
 }
@@ -76,16 +79,36 @@ func (c *Commit) beginSpan(stage obs.Stage) obs.SpanTimer {
 	return c.tr.Begin(stage, pool.CloneCount(), pool.ReclaimedCount())
 }
 
-// endSpan closes a commit-stage span with the pool counters now. On the
-// bare path the span is the zero timer and End returns immediately, so
-// the pool counters are never read and no stage is recorded.
-func (c *Commit) endSpan(sp obs.SpanTimer, items int) {
+// endSpan closes a commit-stage span with the pool counters now and
+// returns the clones and frees it counted. On the bare path the span is the
+// zero timer and End returns immediately, so the pool counters are never
+// read and no stage is recorded.
+func (c *Commit) endSpan(sp obs.SpanTimer, items int) [2]uint64 {
 	if c.tr == nil {
-		sp.End(0, 0, 0)
-		return
+		return sp.End(0, 0, 0)
 	}
 	pool := c.ix.pool
-	sp.End(pool.CloneCount(), pool.ReclaimedCount(), items)
+	return sp.End(pool.CloneCount(), pool.ReclaimedCount(), items)
+}
+
+// endChild closes a child span of the staging span — keys, trees or merge,
+// which an operation runs one after another — and charges its clones and
+// frees to it alone: endStaging leaves them out of the staging span's own.
+func (c *Commit) endChild(sp obs.SpanTimer, items int) {
+	d := c.endSpan(sp, items)
+	c.nested[0] += d[0]
+	c.nested[1] += d[1]
+}
+
+// endStaging closes the mutation-staging span with the clones and frees no
+// child span counted — a handicap rebuild's — and zeroes it so it cannot be
+// closed twice.
+func (c *Commit) endStaging() {
+	if c.tr != nil {
+		pool := c.ix.pool
+		c.span.End(pool.CloneCount()-c.nested[0], pool.ReclaimedCount()-c.nested[1], c.inserted+c.removed)
+	}
+	c.span = obs.SpanTimer{}
 }
 
 // fail records err as the batch's first mutation fault so Abort can
@@ -98,13 +121,15 @@ func (c *Commit) fail(err error) error {
 }
 
 // treeKeys returns the key t is stored under in every live tree, in tree
-// order: TOP and BOT at each site.
+// order: TOP and BOT at each site. The keys are written into ix.keyBuf, so
+// they hold until the writer's next call.
 func (ix *Index) treeKeys(t *constraint.Tuple) []float64 {
-	keys := make([]float64, 0, len(ix.trees))
+	keys := ix.keyBuf[:0]
 	for i := 0; i < ix.geo.sites(); i++ {
 		top, bot := ix.keys(t, i)
 		keys = append(keys, top, bot)
 	}
+	ix.keyBuf = keys
 	return keys
 }
 
@@ -131,6 +156,7 @@ func (c *Commit) Insert(t *constraint.Tuple) (constraint.TupleID, error) {
 	if !t.IsSatisfiable() {
 		return id, nil // empty extensions match nothing and are not indexed
 	}
+	sp := c.beginSpan(obs.StageKeys)
 	keys := ix.treeKeys(t)
 	// The trees of E² bound their children by x-extent; the trees in E^d
 	// keep no bound.
@@ -138,12 +164,19 @@ func (c *Commit) Insert(t *constraint.Tuple) (constraint.TupleID, error) {
 	if ix.dim == 2 {
 		sx = xExtent(t)
 	}
+	c.endChild(sp, len(keys))
+	sp = c.beginSpan(obs.StageTrees)
 	for j, tr := range ix.trees {
 		if err := tr.InsertExt(keys[j], uint32(id), sx); err != nil {
+			c.endChild(sp, j)
 			return id, c.fail(err)
 		}
 	}
-	if err := ix.mergeHandicaps(t, keys); err != nil {
+	c.endChild(sp, len(keys))
+	sp = c.beginSpan(obs.StageMerge)
+	err = ix.mergeHandicaps(t, keys)
+	c.endChild(sp, len(keys))
+	if err != nil {
 		return id, c.fail(err)
 	}
 	c.indexed++
@@ -163,12 +196,17 @@ func (c *Commit) Delete(id constraint.TupleID) error {
 		return c.fail(err)
 	}
 	if t.IsSatisfiable() { // exactly the satisfiable tuples are indexed
+		sp := c.beginSpan(obs.StageKeys)
 		keys := ix.treeKeys(t)
+		c.endChild(sp, len(keys))
+		sp = c.beginSpan(obs.StageTrees)
 		for j, tr := range ix.trees {
 			if _, err := tr.Delete(keys[j], uint32(id)); err != nil {
+				c.endChild(sp, j)
 				return c.fail(err)
 			}
 		}
+		c.endChild(sp, len(keys))
 		c.indexed--
 	}
 	if err := ix.rel.Delete(id); err != nil {
@@ -230,16 +268,19 @@ func (c *Commit) Commit() error {
 	}
 	ix := c.ix
 	// The mutation-staging span ends here: every COW clone the batch
-	// will make has been made. Zero it so a hypothetical later Abort
-	// cannot double-close it.
-	c.endSpan(c.span, c.inserted+c.removed)
-	c.span = obs.SpanTimer{}
+	// will make has been made.
+	c.endStaging()
 
 	shadowSpan := c.beginSpan(obs.StageShadow)
-	var superseded []pagestore.PageID
+	// Every tree's superseded ids gather in the writer's buffer, and
+	// DeferFrees, which may keep its slice until a snapshot releases, gets a
+	// copy of exactly their number.
+	buf := ix.supBuf[:0]
 	for _, t := range ix.trees {
-		superseded = append(superseded, t.CommitCOW()...)
+		buf = t.CommitCOWAppend(buf)
 	}
+	ix.supBuf = buf
+	superseded := slices.Clone(buf)
 	c.endSpan(shadowSpan, len(superseded))
 
 	publishSpan := c.beginSpan(obs.StagePublish)
@@ -282,8 +323,7 @@ func (c *Commit) Abort() error {
 	}
 	c.done = true
 	ix := c.ix
-	c.endSpan(c.span, c.inserted+c.removed)
-	c.span = obs.SpanTimer{}
+	c.endStaging()
 	var firstErr error
 	for _, t := range ix.trees {
 		if err := t.AbortCOW(); err != nil && firstErr == nil {

@@ -39,6 +39,11 @@ type Index struct {
 	// dual point (footnote 4) and scan. A rootSet lists a version's frozen
 	// handles in the same order.
 	trees []*btree.Tree // guarded by writeMu
+	// keyBuf and supBuf are the writer's scratch: one operation's tree keys
+	// (treeKeys) and one commit's superseded pages, gathered from every
+	// tree before DeferFrees gets a copy.
+	keyBuf []float64          // guarded by writeMu
+	supBuf []pagestore.PageID // guarded by writeMu
 
 	// roots is the current published rootSet (mvcc.go): readers load it
 	// with one atomic pointer read and never lock. writeMu serializes
@@ -320,8 +325,9 @@ func (ix *Index) RebuildHandicaps() error {
 // the current version — the space metric of Figure 10.
 func (ix *Index) Pages() int {
 	n := 0
-	for _, t := range ix.roots.Load().trees {
-		n += t.Pages()
+	rs := ix.roots.Load()
+	for i := range rs.trees {
+		n += rs.trees[i].Pages()
 	}
 	return n
 }

@@ -40,8 +40,9 @@ import (
 type rootSet struct {
 	version uint64
 
-	// trees holds the frozen read handles in the order of Index.trees.
-	trees []*btree.Tree
+	// trees holds the frozen read handles in the order of Index.trees, in
+	// one array.
+	trees []btree.Tree
 
 	// indexed counts the satisfiable tuples of this version — exactly the
 	// tuples every site tree holds. It is carried from commit to commit
@@ -204,7 +205,8 @@ func (rs *rootSet) checkExtents(geo slopeSpace) error {
 		}
 		return err == nil
 	})
-	for j, tr := range rs.trees {
+	for j := range rs.trees {
+		tr := &rs.trees[j]
 		if err != nil {
 			break
 		}
@@ -227,7 +229,7 @@ func (rs *rootSet) checkExtents(geo slopeSpace) error {
 }
 
 // tree returns the B⁺-tree serving queries of q's shape at site i.
-func (rs *rootSet) tree(i int, q constraint.Query) *btree.Tree { return rs.trees[treeIndex(i, q)] }
+func (rs *rootSet) tree(i int, q constraint.Query) *btree.Tree { return &rs.trees[treeIndex(i, q)] }
 
 // treeIndex is the index of the tree serving queries of q's shape at site i:
 // B^up for EXIST(≥)/ALL(≤), B^down for ALL(≥)/EXIST(≤) (Section 3).
@@ -256,7 +258,7 @@ func (rs *rootSet) allIDs(buf []uint32) []uint32 {
 func (ix *Index) publishLocked(version uint64, indexed int, ext extents) *rootSet {
 	rs := &rootSet{
 		version: version,
-		trees:   make([]*btree.Tree, len(ix.trees)),
+		trees:   make([]btree.Tree, len(ix.trees)),
 		indexed: indexed,
 		tuples:  ix.rel.Freeze(),
 		live:    ix.rel.Len(),

@@ -437,19 +437,22 @@ func TestObservedDocumentShapes(t *testing.T) {
 	for name, st := range snap.CommitStages {
 		check("commit_stages."+name, keys(st), "cloned count freed items latency")
 	}
-	if len(snap.Stages) == 0 || len(snap.CommitStages) != 4 {
-		t.Errorf("%d query stages, %d commit stages; want some and 4", len(snap.Stages), len(snap.CommitStages))
+	if len(snap.Stages) == 0 || len(snap.CommitStages) != 7 {
+		t.Errorf("%d query stages, %d commit stages; want some and 7", len(snap.Stages), len(snap.CommitStages))
 	}
 
 	// The Prometheus names are derived from the registry's.
 	check("registry", strings.Join(o.Registry().Names(), " "), strings.Join(strings.Fields(`
 		batches.latency_ns batches.total commits.aborted commits.aborted.explicit
 		commits.aborted.fault commits.clone_fanout commits.inflight commits.latency_ns
-		commits.slow commits.superseded_pages commits.total cstage.publish.cloned
+		commits.slow commits.superseded_pages commits.total cstage.keys.cloned
+		cstage.keys.freed cstage.keys.items cstage.keys.ns cstage.merge.cloned
+		cstage.merge.freed cstage.merge.items cstage.merge.ns cstage.publish.cloned
 		cstage.publish.freed cstage.publish.items cstage.publish.ns cstage.reclaim.cloned
 		cstage.reclaim.freed cstage.reclaim.items cstage.reclaim.ns cstage.shadow.cloned
 		cstage.shadow.freed cstage.shadow.items cstage.shadow.ns cstage.stage.cloned
-		cstage.stage.freed cstage.stage.items cstage.stage.ns mvcc mvcc.snapshot_age_ns
+		cstage.stage.freed cstage.stage.items cstage.stage.ns cstage.trees.cloned
+		cstage.trees.freed cstage.trees.items cstage.trees.ns mvcc mvcc.snapshot_age_ns
 		path.t2.candidates path.t2.count path.t2.decided path.t2.duplicates path.t2.false_hits
 		path.t2.leaves_swept path.t2.leaves_whole path.t2.ns path.t2.pages path.t2.results path.t2.sure path.t2.tangent pool.evictions.old
 		pool.evictions.young pool.logical_reads pool.physical_reads pool.residency pool.snapshots

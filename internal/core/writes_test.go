@@ -487,3 +487,65 @@ func TestSaveRefusesTupleWithoutConstraints(t *testing.T) {
 		t.Error("Save → Open moved an answer")
 	}
 }
+
+// opCost sums what one kind of one-op commit costs: heap allocations, pool
+// reads and page clones.
+type opCost struct{ ops, allocs, reads, clones uint64 }
+
+// measure runs op and adds its allocations, pool reads and clones.
+func (c *opCost) measure(pool *pagestore.Pool, op func()) {
+	var before, after runtime.MemStats
+	s0 := pool.Stats()
+	runtime.ReadMemStats(&before)
+	op()
+	runtime.ReadMemStats(&after)
+	s1 := pool.Stats()
+	c.ops++
+	c.allocs += after.Mallocs - before.Mallocs
+	c.reads += s1.LogicalReads - s0.LogicalReads
+	c.clones += s1.Clones - s0.Clones
+}
+
+func (c opCost) per(v uint64) float64 { return float64(v) / float64(c.ops) }
+
+// TestOneOpCommitAllocations guards what a warm one-op commit costs at the
+// benchmark's scale (N = 12 000, k = 4, eight trees three levels tall): a
+// Delete allocates at most 12 objects and an Insert 16, because a commit
+// reuses each tree's copy-on-write bookkeeping and holds a version's handles
+// in one array; and a Delete reads at most 32 pages through the pool and an
+// Insert 120, because a clone copies from the frame its descent holds
+// (DESIGN.md §13).
+func TestOneOpCommitAllocations(t *testing.T) {
+	_, ix, _ := benchIndex(t, 12000, 4, T2)
+	rng := rand.New(rand.NewSource(97))
+	churnPairs(t, ix, rng, 16) // warm the pool, the free lists and the writer's buffers
+	var ins, del opCost
+	pool := ix.Pool()
+	for i := 0; i < 64; i++ {
+		tup := randTuple(rng, false)
+		var id constraint.TupleID
+		var err error
+		ins.measure(pool, func() { id, err = ix.Insert(tup) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		del.measure(pool, func() { err = ix.Delete(id) })
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		op            string
+		cost          opCost
+		allocs, reads float64
+	}{{"Insert", ins, 16, 120}, {"Delete", del, 12, 32}} {
+		a, r := c.cost.per(c.cost.allocs), c.cost.per(c.cost.reads)
+		t.Logf("%s: %.1f allocs, %.1f pool reads, %.1f clones a commit", c.op, a, r, c.cost.per(c.cost.clones))
+		if a > c.allocs {
+			t.Errorf("a one-op %s commit allocates %.1f objects, want ≤ %.0f", c.op, a, c.allocs)
+		}
+		if r > c.reads {
+			t.Errorf("a one-op %s commit reads %.1f pages through the pool, want ≤ %.0f", c.op, r, c.reads)
+		}
+	}
+}

@@ -434,7 +434,7 @@ type Snapshot struct {
 
 	// Write-path aggregates. AbortsFault/AbortsExplicit split
 	// CommitAborts by cause; CommitStages is keyed by stage name
-	// (stage/shadow/publish/reclaim).
+	// (stage/shadow/publish/reclaim, and stage's keys/trees/merge).
 	Commits        uint64                         `json:"commits"`
 	CommitAborts   uint64                         `json:"commit_aborts"`
 	AbortsFault    uint64                         `json:"aborts_fault"`

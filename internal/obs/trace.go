@@ -18,7 +18,11 @@ import (
 // superseded originals; publish derives the frozen relation view and
 // swaps the new root set in; reclaim hands the superseded pages to the
 // pool's deferred-free queue and frees whatever the snapshot watermark
-// already allows.
+// already allows. Inside stage, each insert or delete opens child spans
+// one after another: keys computes the tuple's key in every tree, trees
+// inserts or deletes its entry in every tree copy-on-write, and merge (an
+// insert's) folds it into the handicap slots. A child's clones and frees
+// count in the child alone; stage keeps those no child counted.
 type Stage uint8
 
 // The stage taxonomy: the query stages, then from StageStaging on the
@@ -33,10 +37,13 @@ const (
 	StageShadow
 	StagePublish
 	StageReclaim
+	StageKeys
+	StageTrees
+	StageMerge
 	NumStages
 )
 
-var stageNames = [NumStages]string{"route", "sweep", "sweep2", "dedup", "refine", "stage", "shadow", "publish", "reclaim"}
+var stageNames = [NumStages]string{"route", "sweep", "sweep2", "dedup", "refine", "stage", "shadow", "publish", "reclaim", "keys", "trees", "merge"}
 
 // String returns the short stage name used in metrics and trace dumps.
 func (s Stage) String() string {
@@ -121,10 +128,11 @@ type SpanTimer struct {
 }
 
 // End closes the span: c0 and c1 are the caller's counts now (Delta =
-// now - at Begin), items the stage payload size.
-func (s SpanTimer) End(c0, c1 uint64, items int) {
+// now - at Begin), items the stage payload size. It returns the Delta it
+// recorded (zero on the zero timer).
+func (s SpanTimer) End(c0, c1 uint64, items int) [2]uint64 {
 	if s.tr == nil {
-		return
+		return [2]uint64{}
 	}
 	sp := Span{
 		Stage: s.stage,
@@ -136,6 +144,7 @@ func (s SpanTimer) End(c0, c1 uint64, items int) {
 	s.tr.mu.Lock()
 	s.tr.spans = append(s.tr.spans, sp)
 	s.tr.mu.Unlock()
+	return sp.Delta
 }
 
 // finish stamps the total latency and returns the recorded spans and the

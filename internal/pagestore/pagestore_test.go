@@ -173,6 +173,70 @@ func TestPoolEvictionWritesBackDirty(t *testing.T) {
 	}
 }
 
+// TestPoolRecycledFrames: NewPage and ClonePage hand out frames the pool
+// recycled from evicted pages, so NewPage must clear the old occupant's
+// bytes and ClonePage must overwrite every one with its source's. The clone
+// takes no pin on its source: the caller's pin is the only one.
+func TestPoolRecycledFrames(t *testing.T) {
+	s := NewMemStore(64)
+	p := NewPool(s, 8)
+	// fill dirties every frame of the pool with non-zero bytes and evicts
+	// them all, so the freelist holds eight frames of garbage.
+	fill := func(b byte) {
+		t.Helper()
+		for i := 0; i < 8; i++ {
+			f, err := p.NewPage()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range f.Data() {
+				f.Data()[j] = b
+			}
+			f.MarkDirty()
+			f.Release()
+		}
+		if err := p.EvictAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fill(0xA5)
+	f, err := p.NewPage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, b := range f.Data() {
+		if b != 0 {
+			t.Fatalf("NewPage over a recycled frame: byte %d is %#x, want 0", j, b)
+		}
+	}
+	for j := range f.Data() {
+		f.Data()[j] = byte(j)
+	}
+	f.Release()
+
+	src, err := p.Get(f.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(0x5A)
+	clones := p.CloneCount()
+	c, err := p.ClonePage(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.ID() == src.ID() || string(c.Data()) != string(src.Data()) {
+		t.Fatalf("clone %d of page %d: bytes %x, want %x", c.ID(), src.ID(), c.Data(), src.Data())
+	}
+	if p.CloneCount() != clones+1 {
+		t.Fatalf("CloneCount grew by %d, want 1", p.CloneCount()-clones)
+	}
+	c.Release()
+	src.Release()
+	if r := p.Residency(); r.Pinned != 0 {
+		t.Fatalf("%d frames pinned after the clone and its source were released", r.Pinned)
+	}
+}
+
 func TestPoolAllPinned(t *testing.T) {
 	s := NewMemStore(64)
 	p := NewPool(s, 8)

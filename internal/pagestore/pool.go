@@ -364,7 +364,12 @@ func (sh *poolShard) installLocked(f *Frame, id PageID) {
 }
 
 // NewPage allocates a fresh zeroed page and returns it pinned and dirty.
-func (p *Pool) NewPage() (*Frame, error) {
+func (p *Pool) NewPage() (*Frame, error) { return p.newPage(nil) }
+
+// newPage allocates a page and installs it pinned and dirty in a frame
+// holding a copy of src, or zeros when src is nil. The frame may be a
+// recycled one, so every byte is written before the page is handed out.
+func (p *Pool) newPage(src []byte) (*Frame, error) {
 	id, err := p.store.Alloc()
 	if err != nil {
 		return nil, err
@@ -379,7 +384,11 @@ func (p *Pool) NewPage() (*Frame, error) {
 	}
 	p.allocs.Add(1)
 	f := sh.takeFrameLocked(p.store.PageSize())
-	clear(f.data)
+	if src == nil {
+		clear(f.data)
+	} else {
+		copy(f.data, src)
+	}
 	sh.installLocked(f, id)
 	f.dirty.Store(true)
 	return f, nil

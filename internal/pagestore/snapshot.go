@@ -14,22 +14,17 @@ package pagestore
 // sweep can step onto the page. With no snapshots active the watermark is
 // +∞ and superseded pages free immediately.
 
-// ClonePage allocates a fresh page, copies src's current bytes into it,
-// and returns the clone pinned and dirty. The source page is untouched,
-// which is what keeps views of the original valid for concurrent snapshot
-// readers.
-func (p *Pool) ClonePage(src PageID) (*Frame, error) {
-	sf, err := p.Get(src)
+// ClonePage allocates a fresh page holding a copy of src's bytes and
+// returns it pinned and dirty. src is a frame the caller holds pinned — the
+// node a copy-on-write descent is about to shadow — so the clone takes no
+// pin of its own on it, and the copy writes every byte of the new frame, so
+// nothing clears it first. The source page is untouched, which is what keeps
+// views of the original valid for concurrent snapshot readers.
+func (p *Pool) ClonePage(src *Frame) (*Frame, error) {
+	nf, err := p.newPage(src.data)
 	if err != nil {
 		return nil, err
 	}
-	nf, err := p.NewPage()
-	if err != nil {
-		sf.Release()
-		return nil, err
-	}
-	copy(nf.Data(), sf.Data())
-	sf.Release()
 	p.clones.Add(1)
 	return nf, nil
 }

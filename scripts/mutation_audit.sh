@@ -25,7 +25,7 @@
 # The whole list takes about 40 minutes on a 2-core x86-64 container, most
 # of it in the -race runs of internal/core and in the timeouts of the
 # mutations that deadlock every Save; CI's "Mutation smoke" step runs
-# twenty-seven of its rows.
+# twenty-nine of its rows.
 set -euo pipefail
 repo=$(cd "$(dirname "$0")/.." && pwd)
 work=$(mktemp -d)
@@ -687,6 +687,23 @@ mut nested-pin-tenures internal/pagestore/pool.go "segmented LRU: a nested pin t
 	if f.pins.Add(1) == 1 && f.region == regionYoung {
 ----
 	if f.pins.Add(1) > 0 && f.region == regionYoung {
+EOF
+
+# --- a commit pins each page once: reused copy-on-write bookkeeping, clones over recycled frames (DESIGN.md §13, §11.3) ---
+
+mut cow-owned-kept internal/btree/cow.go "copy-on-write: \`CommitCOW\`/\`AbortCOW\` leave the reused owned set uncleared" <<'EOF'
+	clear(t.cow.owned)
+----
+EOF
+
+mut newpage-unzeroed internal/pagestore/pool.go "pool: \`NewPage\` hands out a recycled frame without clearing it" <<'EOF'
+	if src == nil {
+		clear(f.data)
+	} else {
+		copy(f.data, src)
+	}
+----
+	copy(f.data, src)
 EOF
 
 echo >&2
