@@ -177,7 +177,9 @@ type (
 	QueryTupleStats = core.QueryTupleStats
 )
 
-// NewIndexD creates an empty d-dimensional dual index over rel.
+// NewIndexD creates an empty d-dimensional dual index over rel, which must
+// hold no tuple: the index covers only the tuples inserted through it, so a
+// relation that already has tuples is an error — BuildIndexD indexes them.
 func NewIndexD(rel *Relation, opt IndexDOptions) (*IndexD, error) { return core.NewD(rel, opt) }
 
 // BuildIndexD bulk-loads a d-dimensional dual index.
@@ -194,7 +196,9 @@ func EvalTuple(kind QueryKind, qt *Tuple, rel *Relation) ([]TupleID, error) {
 	return core.EvalTuple(kind, qt, rel)
 }
 
-// NewIndex creates an empty dual index over rel.
+// NewIndex creates an empty dual index over rel, which must hold no tuple:
+// the index covers only the tuples inserted through it, so a relation that
+// already has tuples is an error — BuildIndex indexes them.
 func NewIndex(rel *Relation, opt IndexOptions) (*Index, error) { return core.New(rel, opt) }
 
 // BuildIndex bulk-loads a dual index from the relation's current tuples.

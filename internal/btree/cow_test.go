@@ -197,8 +197,9 @@ func TestAbortCOWRestores(t *testing.T) {
 	}
 }
 
-// TestCOWHandicapsShadow checks MergeHandicap and ResetHandicaps shadow
-// their paths: the frozen handle keeps the old slot values.
+// TestCOWHandicapsShadow checks MergeHandicap and a reset — SetHandicaps
+// with no merge — shadow their paths: the frozen handle keeps the old slot
+// values.
 func TestCOWHandicapsShadow(t *testing.T) {
 	tr, _ := newTestTree(t, 256, []SlotKind{MinSlot, MaxSlot})
 	for i := 0; i < 120; i++ {
@@ -223,7 +224,7 @@ func TestCOWHandicapsShadow(t *testing.T) {
 	h := handleOf(tr)
 
 	tr.BeginCOW()
-	if err := tr.ResetHandicaps(nil); err != nil {
+	if err := tr.SetHandicaps(nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.MergeHandicap(10, 0, -7); err != nil {

@@ -272,7 +272,7 @@ func (t *Tree) VisitLeavesAsc(from float64, visit func(LeafView) bool) error {
 	return t.Sweep(from, true, nil, nil, visit)
 }
 
-// ScanAll returns every entry in key order (tests and rebuilds).
+// ScanAll returns every entry in key order (tests).
 func (t *Tree) ScanAll() ([]Entry, error) {
 	var out []Entry
 	err := t.VisitLeavesAsc(math.Inf(-1), func(lv LeafView) bool {
@@ -335,21 +335,32 @@ func (t *Tree) mergeSlots(e Entry, vals []float64) error {
 	return nil
 }
 
-// HandicapMerge is one MergeHandicap call held back for FoldHandicaps.
+// HandicapMerge is one MergeHandicap call held back for SetHandicaps.
 type HandicapMerge struct {
 	RouteKey float64
 	Slot     int
 	Value    float64
 }
 
-// FoldHandicaps leaves every slot with the bits that calling MergeHandicap
-// for each element of ms, in any order, would — min and max are associative,
-// commutative and idempotent over these values — without a descent per
-// element. It bins each route key over the tree's separators in key order by
-// the descent's own rule (a leaf owns the entries not less than the separator
-// before it and less than the one after), combines the values per leaf and
-// slot, and writes each leaf that received any once, through mergeSlots.
-func (t *Tree) FoldHandicaps(ms []HandicapMerge) error {
+// SetHandicaps is the one whole-tree writer of the handicap slots and the
+// child bounds. It sets each leaf's slots to the fold of the merges in ms that
+// route to it, rounded once as MergeHandicap rounds, and to their identities
+// where no merge routes. These are the bits one MergeHandicap call per merge,
+// in any order, leaves in slots that start at their identities, since min and
+// max are associative, commutative and idempotent over these values. With ext
+// non-nil it also derives every child's bound exactly from ext, the x-extent
+// of the entry with each tuple id: the union over the subtree, rounded
+// outward. With ext nil the bounds stay as they are. SetHandicaps(nil, nil)
+// resets every slot.
+//
+// It bins each route key over the tree's separators by the descent's own rule
+// (a leaf owns the entries not less than the separator before it and less
+// than the one after, so a route key equal to a separator's goes left) and
+// then walks the tree once top-down, each page pinned once and made writable
+// on the way: under an open copy-on-write batch that shadows the whole tree,
+// each clone linked into its parent as the walk unwinds; outside a batch
+// writable is the identity and the nodes are rewritten in place.
+func (t *Tree) SetHandicaps(ms []HandicapMerge, ext func(tid uint32) [2]float64) error {
 	seps, err := t.appendSeparators(nil, t.root, t.hgt)
 	if err != nil {
 		return err
@@ -359,61 +370,13 @@ func (t *Tree) FoldHandicaps(ms []HandicapMerge) error {
 	for i := range acc {
 		acc[i] = kinds[i%len(kinds)].Identity()
 	}
-	routed := make([]bool, len(seps)+1)
 	for _, m := range ms {
 		e := Entry{Key: RoundKey(m.RouteKey), TID: 0}
 		leaf := sort.Search(len(seps), func(i int) bool { return e.Less(seps[i]) })
 		at := leaf*len(kinds) + m.Slot
 		acc[at] = kinds[m.Slot].Combine(acc[at], m.Value)
-		routed[leaf] = true
 	}
-	for leaf, hit := range routed {
-		if !hit {
-			continue
-		}
-		owner := Entry{Key: math.Inf(-1), TID: 0}
-		if leaf > 0 {
-			owner = seps[leaf-1] // a descent sends a separator to the leaf on its right
-		}
-		if err := t.mergeSlots(owner, acc[leaf*len(kinds):(leaf+1)*len(kinds)]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// appendSeparators appends the separators of the subtree at id, height levels
-// tall, in key order: one between every two neighbouring leaves. Leaves are
-// not read.
-func (t *Tree) appendSeparators(seps []Entry, id pagestore.PageID, height int) ([]Entry, error) {
-	if height <= 1 {
-		return seps, nil
-	}
-	n, err := t.getAt(id, height)
-	if err != nil {
-		return nil, err
-	}
-	defer n.release()
-	for i := 0; i <= n.count(); i++ {
-		if i > 0 {
-			seps = append(seps, n.sep(i-1))
-		}
-		if seps, err = t.appendSeparators(seps, n.child(i), height-1); err != nil {
-			return nil, err
-		}
-	}
-	return seps, nil
-}
-
-// ResetHandicaps restores every leaf's handicap slots to their identity
-// values, ahead of an exact rebuild, and derives every child's bound exactly
-// from ext, the x-extent of the entry with each tuple id — the union over the
-// subtree, rounded outward; with ext nil it leaves the bounds as they are.
-// The walk is top-down with every node made writable on the way: under an
-// open copy-on-write batch that shadows the whole tree, each clone linked
-// into its parent as the walk unwinds; outside a batch writable is the
-// identity and the nodes are rewritten in place.
-func (t *Tree) ResetHandicaps(ext func(tid uint32) [2]float64) error {
+	slots := acc // the next leaf's, in key order
 	var walk func(id pagestore.PageID, height int) (pagestore.PageID, [2]float64, error)
 	walk = func(id pagestore.PageID, height int) (pagestore.PageID, [2]float64, error) {
 		x := emptyExtent
@@ -427,9 +390,10 @@ func (t *Tree) ResetHandicaps(ext func(tid uint32) [2]float64) error {
 		self := n.id()
 		defer n.release()
 		if n.isLeaf() {
-			for s, k := range t.cfg.HandicapKinds {
-				n.setHandicap(s, k.Identity())
+			for s, k := range kinds {
+				n.setHandicap(s, k.round(slots[s]))
 			}
+			slots = slots[len(kinds):]
 			if ext != nil {
 				for i := 0; i < n.count(); i++ {
 					x = Union(x, ext(n.entry(i).TID))
@@ -460,15 +424,35 @@ func (t *Tree) ResetHandicaps(ext func(tid uint32) [2]float64) error {
 	return err
 }
 
+// appendSeparators appends the separators of the subtree at id, height levels
+// tall, in key order: one between every two neighbouring leaves. Leaves are
+// not read.
+func (t *Tree) appendSeparators(seps []Entry, id pagestore.PageID, height int) ([]Entry, error) {
+	if height <= 1 {
+		return seps, nil
+	}
+	n, err := t.getAt(id, height)
+	if err != nil {
+		return nil, err
+	}
+	defer n.release()
+	for i := 0; i <= n.count(); i++ {
+		if i > 0 {
+			seps = append(seps, n.sep(i-1))
+		}
+		if seps, err = t.appendSeparators(seps, n.child(i), height-1); err != nil {
+			return nil, err
+		}
+	}
+	return seps, nil
+}
+
 // BulkLoad builds the tree from entries in any order: it rounds their keys in
 // place (RoundKey) and sorts them in composite order of the stored keys. The
 // tree must be empty. Leaves are packed to the configured fill factor, which
-// is how the experiment trees are built. Every bound is NoExtent.
-func (t *Tree) BulkLoad(entries []Entry) error { return t.BulkLoadExt(entries, nil) }
-
-// BulkLoadExt is BulkLoad with every child's bound derived exactly from ext,
-// the x-extent of the entry with each tuple id (nil: NoExtent for all).
-func (t *Tree) BulkLoadExt(entries []Entry, ext func(tid uint32) [2]float64) error {
+// is how the experiment trees are built. Every bound is NoExtent and every
+// slot its identity until SetHandicaps sets them.
+func (t *Tree) BulkLoad(entries []Entry) error {
 	if t.size != 0 {
 		return ErrNotEmpty
 	}
@@ -494,7 +478,6 @@ func (t *Tree) BulkLoadExt(entries []Entry, ext func(tid uint32) [2]float64) err
 	type levelEntry struct {
 		sep  Entry // smallest entry in the subtree (first leaf entry)
 		page pagestore.PageID
-		x    [2]float64 // the subtree's bound
 	}
 	var leaves []levelEntry
 	cur := first
@@ -510,18 +493,11 @@ func (t *Tree) BulkLoadExt(entries []Entry, ext func(tid uint32) [2]float64) err
 				n = rem // < 2·minLeaf ≤ leafCap
 			}
 		}
-		x := NoExtent
-		if ext != nil {
-			x = emptyExtent
-		}
 		for j := 0; j < n; j++ {
 			cur.setEntry(j, entries[i+j])
-			if ext != nil {
-				x = Union(x, ext(entries[i+j].TID))
-			}
 		}
 		cur.setCount(n)
-		leaves = append(leaves, levelEntry{sep: entries[i], page: cur.id(), x: x})
+		leaves = append(leaves, levelEntry{sep: entries[i], page: cur.id()})
 		i += n
 		if i < len(entries) {
 			next, err := t.newLeaf()
@@ -558,20 +534,18 @@ func (t *Tree) BulkLoadExt(entries []Entry, ext func(tid uint32) [2]float64) err
 				return err
 			}
 			in.setChild(0, level[i].page)
-			in.setChildExt(0, level[i].x)
-			x := level[i].x
+			in.setChildExt(0, NoExtent)
 			for j := 1; j < n; j++ {
-				in.insertSepAt(j-1, level[i+j].sep, level[i+j].page, level[i+j].x)
-				x = Union(x, level[i+j].x)
+				in.insertSepAt(j-1, level[i+j].sep, level[i+j].page, NoExtent)
 			}
-			up = append(up, levelEntry{sep: level[i].sep, page: in.id(), x: x})
+			up = append(up, levelEntry{sep: level[i].sep, page: in.id()})
 			in.release()
 			i += n
 		}
 		level = up
 		t.hgt++
 	}
-	t.root, t.rootExt = level[0].page, roundOut(level[0].x)
+	t.root, t.rootExt = level[0].page, NoExtent
 	return nil
 }
 

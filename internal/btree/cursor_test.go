@@ -199,7 +199,7 @@ func TestResetHandicaps(t *testing.T) {
 	}
 	_ = tr.MergeHandicap(0, 0, -100)
 	_ = tr.MergeHandicap(299, 1, 100)
-	if err := tr.ResetHandicaps(nil); err != nil {
+	if err := tr.SetHandicaps(nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	_ = tr.VisitLeavesAsc(math.Inf(-1), func(lv LeafView) bool {
@@ -299,12 +299,14 @@ func TestSweepsAllocateNothing(t *testing.T) {
 	}
 }
 
-// TestFoldHandicapsMatchesMerges folds a few thousand merges — route keys at
-// both infinities, between keys, on stored keys and on every separator's own
-// key — and requires every slot of every leaf to carry the bits that one
-// MergeHandicap call per merge leaves in a twin tree: in place, in a batch
-// over shared pages (where the version frozen before keeps its slots), and
-// when nothing is left to move (no page may be cloned).
+// TestFoldHandicapsMatchesMerges sets a few thousand merges through
+// SetHandicaps — route keys at both infinities, between keys, on stored keys
+// and on every separator's own key — and requires every slot of every leaf to
+// carry the bits that one MergeHandicap call per merge leaves in a twin tree
+// whose slots start at their identities: in place, over the slots an earlier
+// set left (which the walk must overwrite, not combine into), and in a batch
+// over shared pages, where the walk clones every page once and the version
+// frozen before keeps its slots.
 func TestFoldHandicapsMatchesMerges(t *testing.T) {
 	kinds := []SlotKind{MinSlot, MinSlot, MaxSlot, MaxSlot}
 	build := func() (*Tree, *pagestore.Pool) {
@@ -317,7 +319,6 @@ func TestFoldHandicapsMatchesMerges(t *testing.T) {
 		return tr, pool
 	}
 	folded, pool := build()
-	merged, _ := build()
 	leaves := walkLeaves(t, folded)
 	if folded.Height() < 3 || len(leaves) < 20 {
 		t.Fatalf("height %d with %d leaves: too small to bin over", folded.Height(), len(leaves))
@@ -340,9 +341,10 @@ func TestFoldHandicapsMatchesMerges(t *testing.T) {
 	}
 	apply := func(ms []HandicapMerge) {
 		t.Helper()
-		if err := folded.FoldHandicaps(ms); err != nil {
+		if err := folded.SetHandicaps(ms, nil); err != nil {
 			t.Fatal(err)
 		}
+		merged, _ := build()
 		rng.Shuffle(len(ms), func(i, j int) { ms[i], ms[j] = ms[j], ms[i] }) // the order must not matter
 		for _, m := range ms {
 			if err := merged.MergeHandicap(m.RouteKey, m.Slot, m.Value); err != nil {
@@ -350,44 +352,49 @@ func TestFoldHandicapsMatchesMerges(t *testing.T) {
 			}
 		}
 		if got, want := slotsOf(walkLeaves(t, folded)), slotsOf(walkLeaves(t, merged)); !sameSlots(got, want) {
-			t.Fatalf("folded slots %v, merged one by one %v", got, want)
+			t.Fatalf("set slots %v, merged one by one %v", got, want)
 		}
 	}
 
-	first := batch(3000)
-	apply(first)
+	apply(batch(3000))
+	apply(batch(3000)) // over the first set's slots
 	frozen := handleOf(folded)
 	was := slotsOf(walkLeaves(t, frozen))
 
 	folded.BeginCOW()
 	clones := pool.CloneCount()
-	if err := folded.FoldHandicaps(first); err != nil { // every value is already in its slot
-		t.Fatal(err)
-	}
-	if n := pool.CloneCount() - clones; n != 0 {
-		t.Errorf("a fold that moves no slot cloned %d pages", n)
-	}
 	apply(batch(500))
-	if n, all := int(pool.CloneCount()-clones), folded.Pages(); n == 0 || n >= all {
-		t.Errorf("a fold of 500 merges over settled slots cloned %d of %d pages", n, all)
+	if n, all := pool.CloneCount()-clones, folded.Pages(); n != uint64(all) {
+		t.Errorf("a set in a batch cloned %d pages of %d, want each once", n, all)
+	}
+	clones = pool.CloneCount()
+	apply(batch(500))
+	if n := pool.CloneCount() - clones; n != 0 {
+		t.Errorf("a second set in the same batch cloned %d pages", n)
 	}
 	folded.CommitCOW()
 	if got := slotsOf(walkLeaves(t, frozen)); !sameSlots(got, was) {
-		t.Errorf("the frozen version's slots moved under the batch's fold")
+		t.Errorf("the frozen version's slots moved under the batch's set")
 	}
 	if err := folded.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 
-	// An empty fold and a fold over a single leaf.
-	if err := folded.FoldHandicaps(nil); err != nil {
+	// An empty set resets every slot; a set over a single leaf.
+	if err := folded.SetHandicaps(nil, nil); err != nil {
 		t.Fatal(err)
 	}
+	identity := []float64{math.Inf(1), math.Inf(1), math.Inf(-1), math.Inf(-1)}
+	for _, got := range slotsOf(walkLeaves(t, folded)) {
+		if !sameSlots([][]float64{got}, [][]float64{identity}) {
+			t.Fatalf("slots after an empty set: %v", got)
+		}
+	}
 	one, _ := newTestTree(t, 256, kinds)
-	if err := one.FoldHandicaps([]HandicapMerge{{7, 0, 2}, {-7, 0, 1}, {math.Inf(1), 3, 9}}); err != nil {
+	if err := one.SetHandicaps([]HandicapMerge{{7, 0, 2}, {-7, 0, 1}, {math.Inf(1), 3, 9}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := slotsOf(walkLeaves(t, one)); !sameSlots(got, [][]float64{{1, math.Inf(1), math.Inf(-1), 9}}) {
-		t.Errorf("single leaf after a fold: %v", got)
+		t.Errorf("single leaf after a set: %v", got)
 	}
 }

@@ -31,7 +31,10 @@ func FuzzPageDecode(f *testing.F) {
 			entries[i] = Entry{Key: float64(i), TID: uint32(i + 1)}
 		}
 		ext := func(tid uint32) [2]float64 { return [2]float64{float64(tid%97) / 3, float64(tid%97)/3 + 1} }
-		if err := tr.BulkLoadExt(entries, ext); err != nil {
+		if err := tr.BulkLoad(entries); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.SetHandicaps(nil, ext); err != nil {
 			t.Fatal(err)
 		}
 		levels := nodesByLevel(t, tr)

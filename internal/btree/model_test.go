@@ -408,15 +408,21 @@ func (h *cowHistory) skipSweep(what string, tr *Tree, model []Entry, asc bool, f
 }
 
 // fold decodes n merges — route keys at −Inf, +Inf, between stored keys, on a
-// stored key, on a separator — applies them through FoldHandicaps (or, mode
+// stored key, on a separator — applies them through SetHandicaps (or, mode
 // odd, one MergeHandicap each) and requires of every leaf the bits of a
 // reference fold: each value combined into the leaf whose separator bounds
-// own (routeKey, 0).
+// own (routeKey, 0), starting from identity slots for SetHandicaps and from
+// the slots held before for MergeHandicap.
 func (h *cowHistory) fold(mode, n int) {
 	before := walkLeaves(h.t, h.tr)
 	want := make([][]float64, len(before))
 	for i, l := range before {
 		want[i] = slices.Clone(l.slots)
+		if mode&1 == 0 {
+			for s, k := range h.tr.cfg.HandicapKinds {
+				want[i][s] = k.Identity()
+			}
+		}
 	}
 	ms := make([]HandicapMerge, n)
 	for j := range ms {
@@ -443,8 +449,8 @@ func (h *cowHistory) fold(mode, n int) {
 	}
 	h.mutate(func() {
 		if mode&1 == 0 {
-			if err := h.tr.FoldHandicaps(ms); err != nil {
-				h.t.Fatalf("fold: %v", err)
+			if err := h.tr.SetHandicaps(ms, nil); err != nil {
+				h.t.Fatalf("set: %v", err)
 			}
 			return
 		}
@@ -563,7 +569,7 @@ func runCOWHistory(t testing.TB, data []byte, cov *coverage) {
 			}
 		case opReset:
 			h.mutate(func() {
-				if err := tr.ResetHandicaps(nil); err != nil {
+				if err := tr.SetHandicaps(nil, nil); err != nil {
 					t.Fatalf("reset: %v", err)
 				}
 			})
@@ -600,7 +606,7 @@ func cowSeeds() [][]byte {
 	folds := []byte{
 		opFold, 0, 6, 0, 0, 10, 1, 0, 201, 2, 90, 30, 3, 91, 251, 4, 60, 20, 4, 200, 131,
 		opFold, 1, 4, 4, 128, 0, 4, 128, 255, 3, 17, 40, 2, 17, 41,
-		opFold, 0, 2, 0, 0, 10, 1, 0, 201, // nothing moves: the same values again
+		opFold, 0, 2, 0, 0, 10, 1, 0, 201, // a set of the first fold's first two merges: every other value goes
 	}
 	cat := func(parts ...[]byte) []byte { return slices.Concat(parts...) }
 	return [][]byte{

@@ -231,11 +231,6 @@ func (c *Commit) RebuildHandicaps() error {
 		c.ext = extents{}.extend(ix.rel.Freeze(), ix.geo)
 		ext = c.ext.of
 	}
-	for _, tr := range ix.trees {
-		if err := tr.ResetHandicaps(ext); err != nil {
-			return c.fail(err)
-		}
-	}
 	var ts []*constraint.Tuple
 	ix.rel.Scan(func(t *constraint.Tuple) bool {
 		if t.IsSatisfiable() {
@@ -243,16 +238,8 @@ func (c *Commit) RebuildHandicaps() error {
 		}
 		return true
 	})
-	var up, down []btree.HandicapMerge
-	for i := 0; i < ix.geo.sites(); i++ {
-		up, down = up[:0], down[:0]
-		for _, t := range ts {
-			top, bot := ix.keys(t, i)
-			up, down = ix.handicapMerges(up, down, i, t, top, bot)
-		}
-		if err := ix.foldHandicaps(i, up, down); err != nil {
-			return c.fail(err)
-		}
+	if err := ix.setSites(ts, false, ext); err != nil {
+		return c.fail(err)
 	}
 	return nil
 }

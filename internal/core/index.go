@@ -70,8 +70,18 @@ type Index struct {
 // selections) returns an error on an index of dimension > 2.
 type IndexD = Index
 
-// New creates an empty 2-D dual index over rel with the given options.
+// New creates an empty 2-D dual index over rel with the given options. The
+// index covers only what is inserted through it, so rel must hold no tuple
+// (Build indexes one that does).
 func New(rel *constraint.Relation, opt Options) (*Index, error) {
+	if n := rel.Len(); n > 0 {
+		return nil, fmt.Errorf("core: the relation holds %d tuples an empty index would not cover; use Build", n)
+	}
+	return newSlopeIndex(rel, opt)
+}
+
+// newSlopeIndex is New over a relation that may hold tuples (Build's path).
+func newSlopeIndex(rel *constraint.Relation, opt Options) (*Index, error) {
 	if rel.Dim() != 2 {
 		return nil, fmt.Errorf("core: Index is 2-dimensional; use NewD for dimension %d", rel.Dim())
 	}
@@ -83,8 +93,17 @@ func New(rel *constraint.Relation, opt Options) (*Index, error) {
 }
 
 // NewD creates an empty d-dimensional dual index (d ≥ 2 works, but the
-// slope-set geometry of New is tighter there).
+// slope-set geometry of New is tighter there) over a relation that, as for
+// New, holds no tuple (BuildD indexes one that does).
 func NewD(rel *constraint.Relation, opt OptionsD) (*IndexD, error) {
+	if n := rel.Len(); n > 0 {
+		return nil, fmt.Errorf("core: the relation holds %d tuples an empty index would not cover; use BuildD", n)
+	}
+	return newSiteIndex(rel, opt)
+}
+
+// newSiteIndex is NewD over a relation that may hold tuples (BuildD's path).
+func newSiteIndex(rel *constraint.Relation, opt OptionsD) (*IndexD, error) {
 	d := rel.Dim()
 	if d < 2 {
 		return nil, fmt.Errorf("core: dimension %d < 2", d)
@@ -164,12 +183,12 @@ func checkRange(t *constraint.Tuple) error {
 // Build bulk-loads a 2-D index from every satisfiable tuple currently in
 // the relation.
 func Build(rel *constraint.Relation, opt Options) (*Index, error) {
-	return bulkLoaded(New(rel, opt))
+	return bulkLoaded(newSlopeIndex(rel, opt))
 }
 
 // BuildD bulk-loads a d-dimensional dual index from the relation.
 func BuildD(rel *constraint.Relation, opt OptionsD) (*IndexD, error) {
-	return bulkLoaded(NewD(rel, opt))
+	return bulkLoaded(newSiteIndex(rel, opt))
 }
 
 // bulkLoaded fills a freshly created, not yet shared index from its
@@ -193,13 +212,13 @@ func bulkLoaded(ix *Index, err error) (*Index, error) {
 
 	// The site trees' bounds come from the extent table, in E².
 	var ext extents
+	var of func(uint32) [2]float64
 	if ix.dim == 2 {
 		ext = ext.extend(ix.rel.Freeze(), ix.geo)
+		of = ext.of
 	}
-	for i := 0; i < ix.geo.sites(); i++ {
-		if err := ix.buildSite(i, ts, ext); err != nil {
-			return nil, err
-		}
+	if err := ix.setSites(ts, true, of); err != nil {
+		return nil, err
 	}
 	// Re-publish version 1 over the bulk-loaded trees. The index has not
 	// escaped to any reader yet, so mutating the trees in place between
@@ -208,57 +227,45 @@ func bulkLoaded(ix *Index, err error) (*Index, error) {
 	return ix, nil
 }
 
-// buildSite bulk-loads the tree pair of site i, bounded by the extents in
-// ext, and folds every tuple's cell extrema into that pair's handicap slots
-// (the paper's preprocessing step, restricted to one site).
-func (ix *Index) buildSite(i int, ts []*constraint.Tuple, ext extents) error {
-	upEntries := make([]btree.Entry, 0, len(ts))
-	downEntries := make([]btree.Entry, 0, len(ts))
+// setSites sets every site tree from ts, the indexed tuples: the paper's
+// preprocessing step. Per site it evaluates each tuple's keys and routes once
+// and builds the tree pair's entries and handicap merges: per slot, the
+// tuple's tree key (top in B^up, bot in B^down) goes to the leaf its routing
+// key, the geometry's cell extremum, selects. With load it bulk-loads the
+// entries first (Build); then SetHandicaps sets each tree's slots, and its
+// bounds from ext unless ext is nil, in one walk.
+func (ix *Index) setSites(ts []*constraint.Tuple, load bool, ext func(uint32) [2]float64) error {
 	slots := len(ix.geo.slotKinds())
-	up := make([]btree.HandicapMerge, 0, slots*len(ts))
-	down := make([]btree.HandicapMerge, 0, slots*len(ts))
-	for _, t := range ts {
-		top, bot := ix.keys(t, i)
-		upEntries = append(upEntries, btree.Entry{Key: top, TID: uint32(t.ID())})
-		downEntries = append(downEntries, btree.Entry{Key: bot, TID: uint32(t.ID())})
-		up, down = ix.handicapMerges(up, down, i, t, top, bot)
+	var entries [2][]btree.Entry
+	var merges [2][]btree.HandicapMerge
+	for i := 0; i < ix.geo.sites(); i++ {
+		entries = [2][]btree.Entry{entries[0][:0], entries[1][:0]}
+		merges = [2][]btree.HandicapMerge{merges[0][:0], merges[1][:0]}
+		for _, t := range ts {
+			top, bot := ix.keys(t, i)
+			up, down := ix.geo.routes(t, i)
+			entries[0] = append(entries[0], btree.Entry{Key: top, TID: uint32(t.ID())})
+			entries[1] = append(entries[1], btree.Entry{Key: bot, TID: uint32(t.ID())})
+			for slot := range slots {
+				merges[0] = append(merges[0], btree.HandicapMerge{RouteKey: up[slot], Slot: slot, Value: top})
+				merges[1] = append(merges[1], btree.HandicapMerge{RouteKey: down[slot], Slot: slot, Value: bot})
+			}
+		}
+		for j, tr := range ix.trees[2*i : 2*i+2] {
+			if load {
+				if err := tr.BulkLoad(entries[j]); err != nil {
+					return err
+				}
+			}
+			if err := tr.SetHandicaps(merges[j], ext); err != nil {
+				return err
+			}
+		}
 	}
-	var of func(uint32) [2]float64
-	if ext.xext != nil {
-		of = ext.of
-	}
-	if err := ix.trees[2*i].BulkLoadExt(upEntries, of); err != nil {
-		return err
-	}
-	if err := ix.trees[2*i+1].BulkLoadExt(downEntries, of); err != nil {
-		return err
-	}
-	return ix.foldHandicaps(i, up, down)
+	return nil
 }
 
-// handicapMerges appends t's contribution to the handicap slots of site i's
-// tree pair to up and down: per slot, the tuple's tree key (top in B^up, bot
-// in B^down — its keys at site i) goes to the leaf its routing key, the
-// geometry's cell extremum, selects.
-func (ix *Index) handicapMerges(up, down []btree.HandicapMerge, i int, t *constraint.Tuple, top, bot float64) ([]btree.HandicapMerge, []btree.HandicapMerge) {
-	upRoutes, downRoutes := ix.geo.routes(t, i)
-	for slot := range ix.geo.slotKinds() {
-		up = append(up, btree.HandicapMerge{RouteKey: upRoutes[slot], Slot: slot, Value: top})
-		down = append(down, btree.HandicapMerge{RouteKey: downRoutes[slot], Slot: slot, Value: bot})
-	}
-	return up, down
-}
-
-// foldHandicaps folds the merges of many tuples into the handicap slots of
-// site i's tree pair, one pass per tree.
-func (ix *Index) foldHandicaps(i int, up, down []btree.HandicapMerge) error {
-	if err := ix.trees[2*i].FoldHandicaps(up); err != nil {
-		return err
-	}
-	return ix.trees[2*i+1].FoldHandicaps(down)
-}
-
-// mergeHandicaps folds one tuple's contribution (handicapMerges) into every
+// mergeHandicaps folds one tuple's contribution (setSites' merges) into every
 // site tree's handicap slots, a descent per slot; keys are its tree keys in
 // tree order (treeKeys).
 func (ix *Index) mergeHandicaps(t *constraint.Tuple, keys []float64) error {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"dualcdb/internal/btree"
@@ -118,6 +119,61 @@ func TestIndexMatchesGroundTruth(t *testing.T) {
 						q, tech, len(opt.Slopes), got.IDs, want, got.Stats)
 				}
 			}
+		}
+	}
+}
+
+// TestNewRefusesTuples: an index from New or NewD covers only what is
+// inserted through it, so over a relation that already holds tuples each
+// fails, naming the constructor that indexes them, instead of answering
+// without those tuples; a relation with none live is accepted, and the index
+// answers as the scan after inserts through it.
+func TestNewRefusesTuples(t *testing.T) {
+	rng := rand.New(rand.NewSource(103))
+	rel2, rel3 := constraint.NewRelation(2), constraint.NewRelation(3)
+	for range 20 {
+		if _, err := rel2.Insert(randTuple(rng, false)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rel3.Insert(randTuple3(rng, false)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := New(rel2, Options{Slopes: EquiangularSlopes(3)}); err == nil || !strings.Contains(err.Error(), "use Build") {
+		t.Errorf("New over 20 tuples: err %v, want a refusal naming Build", err)
+	}
+	if _, err := NewD(rel3, OptionsD{Sites: LatticeSites(2, 2, 1)}); err == nil || !strings.Contains(err.Error(), "use BuildD") {
+		t.Errorf("NewD over 20 tuples: err %v, want a refusal naming BuildD", err)
+	}
+	if _, err := Build(rel2, Options{Slopes: EquiangularSlopes(3)}); err != nil {
+		t.Errorf("Build over the relation New refused: %v", err)
+	}
+
+	emptied := constraint.NewRelation(2)
+	id, err := emptied.Insert(randTuple(rng, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := emptied.Delete(id); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := New(emptied, Options{Slopes: EquiangularSlopes(3)})
+	if err != nil {
+		t.Fatalf("New over a relation with no live tuple: %v", err)
+	}
+	for range 20 {
+		if _, err := ix.Insert(randTuple(rng, false)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 20 {
+		q := randQuery(rng)
+		want, err := q.Eval(emptied)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ix.Query(q); err != nil || !sameIDs(got.IDs, want) {
+			t.Fatalf("%v after inserts: got %v (%v), want %v", q, got.IDs, err, want)
 		}
 	}
 }

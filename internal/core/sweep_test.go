@@ -176,7 +176,10 @@ func kernelTree(t *testing.T, rng *rand.Rand, pageSize, n int, emptyAll bool) (*
 		t.Fatal(err)
 	}
 	if rng.Intn(2) == 0 {
-		if err := tr.BulkLoadExt(slices.Clone(entries), of); err != nil {
+		if err := tr.BulkLoad(slices.Clone(entries)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.SetHandicaps(nil, of); err != nil {
 			t.Fatal(err)
 		}
 	} else {

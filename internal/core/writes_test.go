@@ -47,16 +47,16 @@ func leafSlots(t *testing.T, ix *Index) (slots [][]uint64, sepKeys map[float64]b
 }
 
 // TestHandicapFoldsAreBitIdentical requires every slot of every leaf of every
-// tree to carry the same bits after (a) Build's fold, (b) RebuildHandicaps in
-// a batch and (c) the reference the folds replaced — the slots reset and one
-// MergeHandicap call per tuple, site and slot — over a 2-D relation of
-// bounded, unbounded and degenerate tuples (route keys at ±Inf and rounding
-// onto separators' own keys, both counted) and over 3-D lattice sites, on
-// bulk-loaded trees and on trees 200 deletes have reshaped.
+// tree to carry the same bits after (a) Build's SetHandicaps walk, (b)
+// RebuildHandicaps in a batch and (c) the reference the walk replaced — the
+// slots reset and one MergeHandicap call per tuple, site and slot — over a
+// 2-D relation of bounded, unbounded and degenerate tuples (route keys at ±Inf
+// and rounding onto separators' own keys, both counted) and over 3-D lattice
+// sites, on bulk-loaded trees and on trees 200 deletes have reshaped.
 func TestHandicapFoldsAreBitIdentical(t *testing.T) {
 	reference := func(ix *Index) {
 		for _, tr := range ix.trees[:2*ix.geo.sites()] {
-			if err := tr.ResetHandicaps(nil); err != nil {
+			if err := tr.SetHandicaps(nil, nil); err != nil { // every slot to its identity
 				t.Fatal(err)
 			}
 		}
@@ -514,13 +514,35 @@ func (c opCost) per(v uint64) float64 { return float64(v) / float64(c.ops) }
 // reuses each tree's copy-on-write bookkeeping and holds a version's handles
 // in one array; and a Delete reads at most 32 pages through the pool and an
 // Insert 120, because a clone copies from the frame its descent holds
-// (DESIGN.md §13).
+// (DESIGN.md §13). Ahead of them it holds Build to 936 pool reads and
+// RebuildHandicaps to 928 and 896 clones: one SetHandicaps walk a tree reads
+// each of the 896 pages once — the rebuild's batch clones each once — the
+// separators' binning reads the 32 internal nodes once more, and BulkLoad
+// reads each tree's empty root leaf.
 func TestOneOpCommitAllocations(t *testing.T) {
 	_, ix, _ := benchIndex(t, 12000, 4, T2)
+	pool := ix.Pool()
+	built := pool.Stats().LogicalReads // the pool is Build's own
+	s0 := pool.Stats()
+	if err := ix.RebuildHandicaps(); err != nil {
+		t.Fatal(err)
+	}
+	s1 := pool.Stats()
+	rebuilt, clones, pages := s1.LogicalReads-s0.LogicalReads, s1.Clones-s0.Clones, uint64(ix.Pages())
+	t.Logf("Build: %d pool reads; RebuildHandicaps: %d pool reads, %d clones; %d pages", built, rebuilt, clones, pages)
+	if built > 936 {
+		t.Errorf("Build reads %d pages through the pool, want ≤ 936", built)
+	}
+	if rebuilt > 928 {
+		t.Errorf("RebuildHandicaps reads %d pages through the pool, want ≤ 928", rebuilt)
+	}
+	if clones != pages {
+		t.Errorf("RebuildHandicaps cloned %d pages, want each of the %d once", clones, pages)
+	}
+
 	rng := rand.New(rand.NewSource(97))
 	churnPairs(t, ix, rng, 16) // warm the pool, the free lists and the writer's buffers
 	var ins, del opCost
-	pool := ix.Pool()
 	for i := 0; i < 64; i++ {
 		tup := randTuple(rng, false)
 		var id constraint.TupleID

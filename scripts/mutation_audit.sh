@@ -25,7 +25,7 @@
 # The whole list takes about 40 minutes on a 2-core x86-64 container, most
 # of it in the -race runs of internal/core and in the timeouts of the
 # mutations that deadlock every Save; CI's "Mutation smoke" step runs
-# twenty-nine of its rows.
+# thirty-one of its rows.
 set -euo pipefail
 repo=$(cd "$(dirname "$0")/.." && pwd)
 work=$(mktemp -d)
@@ -704,6 +704,20 @@ mut newpage-unzeroed internal/pagestore/pool.go "pool: \`NewPage\` hands out a r
 	}
 ----
 	copy(f.data, src)
+EOF
+
+# --- one walk sets every handicap slot and child bound (DESIGN.md §20 "Folds") ---
+
+mut set-combines internal/btree/cursor.go "one walk: \`SetHandicaps\` combines a leaf's fold into its old slots instead of setting them" <<'EOF'
+				n.setHandicap(s, k.round(slots[s]))
+----
+				n.setHandicap(s, k.Combine(n.handicap(s), k.round(slots[s])))
+EOF
+
+mut set-separator-right internal/btree/cursor.go "one walk: a route key equal to a separator's is binned to the leaf on its right" <<'EOF'
+		leaf := sort.Search(len(seps), func(i int) bool { return e.Less(seps[i]) })
+----
+		leaf := sort.Search(len(seps), func(i int) bool { return e.Key < seps[i].Key })
 EOF
 
 echo >&2
