@@ -158,9 +158,9 @@ func BenchmarkFig10Space(b *testing.B) {
 
 // BenchmarkQueryBatchParallel measures QueryBatch throughput on the
 // Figure 9 (medium objects) workload at 1/2/4/8 query workers over a warm
-// sharded buffer pool. The workers=1 row is the sequential baseline the
-// speedup is read against; on a multi-core host the 4-worker row is
-// expected to clear 2× its queries/sec.
+// buffer pool. The workers=1 row is the sequential baseline the speedup is
+// read against; every worker pins pages through the pool's one lock, so a
+// row beyond the core count shows what that lock costs (DESIGN.md §6).
 func BenchmarkQueryBatchParallel(b *testing.B) {
 	rel, err := dualcdb.GenerateRelation(dualcdb.WorkloadConfig{
 		N: benchN, Size: dualcdb.MediumObjects, Seed: 7,

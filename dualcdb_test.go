@@ -143,7 +143,7 @@ func TestFacadeRefusesTupleOutOfRange(t *testing.T) {
 }
 
 // TestOpenDatabasePoolMatchesCreate: a reopened database gets the same
-// buffer pool, in frames and shards, as the one CreateDatabase built.
+// buffer pool, in frames, as the one CreateDatabase built.
 func TestOpenDatabasePoolMatchesCreate(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.cdb")
 	rel := dualcdb.NewRelation(2)
@@ -175,9 +175,6 @@ func TestOpenDatabasePoolMatchesCreate(t *testing.T) {
 	cp, op := created.Pool(), opened.Pool()
 	if cc, oc := cp.Residency().Capacity, op.Residency().Capacity; cc != oc {
 		t.Errorf("pool capacity: created %d frames, opened %d", cc, oc)
-	}
-	if cp.Shards() != op.Shards() {
-		t.Errorf("pool shards: created %d, opened %d", cp.Shards(), op.Shards())
 	}
 }
 

@@ -466,10 +466,7 @@ func (t *Tree) BulkLoad(entries []Entry) error {
 		entries[i].Key = RoundKey(entries[i].Key)
 	}
 	slices.SortFunc(entries, Entry.Compare)
-	perLeaf := int(float64(t.leafCap) * t.cfg.FillFactor)
-	if perLeaf < 1 {
-		perLeaf = 1
-	}
+	perLeaf := int(float64(t.leafCap) * DefaultFillFactor) // leafCap ≥ 3, so ≥ 2
 	// Reuse the existing empty root leaf as the first leaf.
 	first, err := t.get(t.root)
 	if err != nil {

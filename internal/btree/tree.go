@@ -14,13 +14,9 @@ type Config struct {
 	// slot, fixing how values merge (MinSlot or MaxSlot). May be empty for
 	// a plain B⁺-tree. At most maxHandicaps slots.
 	HandicapKinds []SlotKind
-	// FillFactor is the target leaf occupancy for bulk loading, in (0, 1];
-	// the default is DefaultFillFactor.
-	FillFactor float64
 }
 
-// DefaultFillFactor is the bulk-load leaf occupancy of a Config that names
-// none.
+// DefaultFillFactor is the leaf occupancy BulkLoad fills to.
 const DefaultFillFactor = 0.9
 
 // maxHandicaps bounds Config.HandicapKinds.
@@ -97,14 +93,10 @@ func New(pool *pagestore.Pool, cfg Config) (*Tree, error) {
 	return t, nil
 }
 
-// configure validates the config, defaults its fill factor and sizes the
-// nodes for the pool's pages.
+// configure validates the config and sizes the nodes for the pool's pages.
 func (t *Tree) configure() error {
 	if len(t.cfg.HandicapKinds) > maxHandicaps {
 		return fmt.Errorf("btree: too many handicap slots (%d)", len(t.cfg.HandicapKinds))
-	}
-	if t.cfg.FillFactor <= 0 || t.cfg.FillFactor > 1 {
-		t.cfg.FillFactor = DefaultFillFactor
 	}
 	ps := t.pool.PageSize()
 	t.leafCap = (ps - headerSize - slotSize*len(t.cfg.HandicapKinds)) / entrySize

@@ -251,29 +251,27 @@ func TestBulkLoadMatchesInserts(t *testing.T) {
 // (counts just above one leaf's load used to split into an underfull first
 // leaf and a minimal second).
 func TestBulkLoadEveryCountIsLegal(t *testing.T) {
-	for _, fill := range []float64{0.5, 0.9, 1.0} {
-		for _, pageSize := range []int{256, 1024} {
-			newTree := func() *Tree {
-				pool := pagestore.NewPool(pagestore.NewMemStore(pageSize), 64)
-				tr, err := New(pool, Config{HandicapKinds: []SlotKind{MinSlot}, FillFactor: fill})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return tr
+	for _, pageSize := range []int{256, 1024} {
+		newTree := func() *Tree {
+			pool := pagestore.NewPool(pagestore.NewMemStore(pageSize), 64)
+			tr, err := New(pool, Config{HandicapKinds: []SlotKind{MinSlot}})
+			if err != nil {
+				t.Fatal(err)
 			}
-			leafCap := newTree().LeafCapacity()
-			for n := 1; n <= 3*leafCap; n++ {
-				tr := newTree()
-				entries := make([]Entry, n)
-				for i := range entries {
-					entries[i] = Entry{Key: float64(i), TID: uint32(i + 1)}
-				}
-				if err := tr.BulkLoad(entries); err != nil {
-					t.Fatal(err)
-				}
-				if err := tr.CheckInvariants(); err != nil {
-					t.Fatalf("fill %.1f, page %d, %d entries (leaf capacity %d): %v", fill, pageSize, n, leafCap, err)
-				}
+			return tr
+		}
+		leafCap := newTree().LeafCapacity()
+		for n := 1; n <= 3*leafCap; n++ {
+			tr := newTree()
+			entries := make([]Entry, n)
+			for i := range entries {
+				entries[i] = Entry{Key: float64(i), TID: uint32(i + 1)}
+			}
+			if err := tr.BulkLoad(entries); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.CheckInvariants(); err != nil {
+				t.Fatalf("page %d, %d entries (leaf capacity %d): %v", pageSize, n, leafCap, err)
 			}
 		}
 	}

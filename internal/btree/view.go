@@ -48,7 +48,7 @@ type nodeView struct {
 
 // view overlays the pinned node n's parsed header onto its bytes. All view
 // construction funnels through here (and through Tree.leafView), which is
-// what lets the borrow analyzer tie each view to the frame it borrows.
+// what lets the runtime view guard tie each view to the frame it borrows.
 func (n node) view() nodeView {
 	return nodeView{frame: n.frame, data: n.data, page: n.frame.ID(), installs: n.frame.Installs(), meta: parseMeta(n.data)}
 }
@@ -61,8 +61,9 @@ var viewGuard atomic.Bool
 // EnableViewGuard switches the runtime view-borrow guard on or off
 // (process-wide). With the guard on, reading a LeafView after its backing
 // frame was released — or after the frame was recycled for another page —
-// panics instead of silently returning another page's bytes. Tests use
-// this to pin down the failure mode the static checker prevents.
+// panics instead of silently returning another page's bytes. There is no
+// static check of the borrow; every btree and core test runs with the
+// guard on, and that is the check.
 func EnableViewGuard(on bool) { viewGuard.Store(on) }
 
 // check panics when the view's borrow has ended: the frame is gone,

@@ -180,7 +180,7 @@ func TestViewGuardCatchesUseAfterRelease(t *testing.T) {
 	}
 	// repin recycles the leaked view's frame for page id and returns it
 	// pinned: with only that frame resident, EvictAll pushes it last onto
-	// the shard's freelist, and the next miss pops it.
+	// the pool's freelist, and the next miss pops it.
 	repin := func(lv LeafView, id pagestore.PageID) *pagestore.Frame {
 		held, err := pool.Get(lv.Page)
 		if err != nil {

@@ -22,9 +22,10 @@ type BatchOptions struct {
 // runs against one pinned snapshot, so it is safe — and consistent — to
 // mutate the index concurrently: every query sees the version current
 // when the batch started (see the MVCC model in DESIGN.md §13). Queries
-// only pin pages in the sharded buffer pool, read the frozen tree pages
-// and evaluate cached tuple extensions, so readers never block each
-// other except on buffer-pool shard misses.
+// only pin pages in the buffer pool, read the frozen tree pages and
+// evaluate cached tuple extensions, so readers wait for each other only on
+// the pool's one lock, held for a frame-table lookup on a hit and for the
+// store read on a miss.
 //
 // Each query carries its own exact I/O counter, so every Result's
 // QueryStats.PagesRead is the number of page misses that query itself

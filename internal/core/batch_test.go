@@ -10,10 +10,9 @@ import (
 	"dualcdb/internal/pagestore"
 )
 
-// shardedPool is a MemStore-backed pool with an explicit shard count, for
-// tests that need cross-shard contention whatever GOMAXPROCS is.
-func shardedPool(pages, shards int) *pagestore.Pool {
-	return pagestore.NewPoolWithOptions(pagestore.NewMemStore(pagestore.DefaultPageSize), pagestore.PoolOptions{Capacity: pages, Shards: shards})
+// memPool is a MemStore-backed pool of the given frames.
+func memPool(pages int) *pagestore.Pool {
+	return pagestore.NewPool(pagestore.NewMemStore(pagestore.DefaultPageSize), pages)
 }
 
 // TestQueryBatchMatchesSequential: at the default, one and several workers
@@ -21,7 +20,7 @@ func shardedPool(pages, shards int) *pagestore.Pool {
 func TestQueryBatchMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(402))
 	_, ix := buildRandomIndex(t, rng, 300, Options{
-		Slopes: EquiangularSlopes(3), Technique: T2, Pool: shardedPool(1<<12, 4),
+		Slopes: EquiangularSlopes(3), Technique: T2, Pool: memPool(1 << 12),
 	}, true)
 	qs := make([]constraint.Query, 40)
 	want := make([][]constraint.TupleID, len(qs))
@@ -128,7 +127,7 @@ func TestQueryBatchStress(t *testing.T) {
 func TestQueryBatchPagesReadExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(523))
 	_, ix := buildRandomIndex(t, rng, 400, Options{
-		Slopes: EquiangularSlopes(3), Technique: T2, Pool: shardedPool(1<<14, 8),
+		Slopes: EquiangularSlopes(3), Technique: T2, Pool: memPool(1 << 14),
 	}, true)
 	qs := make([]constraint.Query, 32)
 	for i := range qs {

@@ -236,7 +236,7 @@ func (h *faultHistory) save() error { return h.ix.Save() }
 // open reopens the store through a fresh pool; the reopened relation must
 // hold the model's tuples under their ids.
 func (h *faultHistory) open() error {
-	p := pagestore.NewPoolWithOptions(h.store, pagestore.PoolOptions{Capacity: sweepPool})
+	p := pagestore.NewPool(h.store, sweepPool)
 	h.pools = append(h.pools, p)
 	rel, ix, err := Open(p)
 	if err != nil {
@@ -572,7 +572,7 @@ func (h *faultHistory) openAfterFailedSave(what string) {
 	h.t.Helper()
 	err := h.within(what+": open after the failed save", func() error {
 		h.store.Disarm()
-		p := pagestore.NewPoolWithOptions(h.store, pagestore.PoolOptions{Capacity: sweepPool})
+		p := pagestore.NewPool(h.store, sweepPool)
 		if _, _, err := Open(p); err != nil {
 			if r := p.Residency(); r.Pinned != 0 {
 				return fmt.Errorf("a refused Open left %d frames pinned (%v)", r.Pinned, err)

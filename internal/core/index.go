@@ -133,7 +133,7 @@ func newIndex(rel *constraint.Relation, opt Options, geo slopeSpace) (*Index, er
 		if store == nil {
 			store = pagestore.NewMemStore(opt.PageSize)
 		}
-		pool = pagestore.NewPoolWithOptions(store, pagestore.PoolOptions{Capacity: opt.PoolPages})
+		pool = pagestore.NewPool(store, opt.PoolPages)
 	}
 	ix := &Index{rel: rel, opt: opt, dim: rel.Dim(), geo: geo, pool: pool}
 	if owned {

@@ -65,9 +65,9 @@ type Options struct {
 	// PageSize is the page size of the backing store in bytes (default
 	// 1024, the paper's setting). Ignored when Pool is set.
 	PageSize int
-	// PoolPages is the buffer-pool capacity in frames (default 512),
-	// spread over nextPow2(GOMAXPROCS) shards so concurrent queries don't
-	// serialize on one pool mutex. Ignored when Pool is set.
+	// PoolPages is the buffer-pool capacity in frames (default 512, at
+	// least 8): one segmented LRU under one lock, whatever the core count.
+	// Ignored when Pool is set.
 	PoolPages int
 	// Pool optionally supplies a shared buffer pool (so several structures
 	// can be compared on one store); when nil a MemStore-backed pool is
@@ -119,10 +119,10 @@ func (o *Options) storageDefaults() {
 }
 
 // DefaultPool returns the buffer pool the constructors give an index on a
-// store it owns when PoolPages is unset: 512 frames over
-// nextPow2(GOMAXPROCS) shards. Reopen a saved database over it with Open.
+// store it owns when PoolPages is unset: 512 frames. Reopen a saved
+// database over it with Open.
 func DefaultPool(store pagestore.Store) *pagestore.Pool {
-	return pagestore.NewPoolWithOptions(store, pagestore.PoolOptions{Capacity: defaultPoolPages})
+	return pagestore.NewPool(store, defaultPoolPages)
 }
 
 // normalize validates the options and fills defaults, returning the sorted

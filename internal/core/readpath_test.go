@@ -130,7 +130,7 @@ func TestConcurrentPagesReadAttribution(t *testing.T) {
 	rel, ix := buildRandomIndex(t, rng, 300, Options{
 		Slopes:    EquiangularSlopes(3),
 		Technique: T2,
-		Pool:      shardedPool(1<<14, 8),
+		Pool:      memPool(1 << 14),
 	}, true)
 
 	type workload struct {
@@ -245,9 +245,8 @@ type replayReads struct{ query, commit float64 }
 // (DESIGN.md §8.2): one fixed stream — N = 12 000 workload.Small tuples,
 // k = 4, T2, 64 queries at 10–15 % selectivity (32 EXIST from seed 13, 32
 // ALL from seed 14) replayed once to warm the pool and 4 times measured,
-// then 200 insert + delete pairs — through a 1-shard pool of 64 to 512
-// frames (the index has 896 pages). One shard keeps the counts
-// independent of GOMAXPROCS. The ceilings are this tree's counts; a rule
+// then 200 insert + delete pairs — through a pool of 64 to 512 frames (the
+// index has 896 pages). The ceilings are this tree's counts; a rule
 // that reads more at any size fails. A single LRU list reads about twice
 // as much a query at 512 frames (EXPERIMENTS.md "Read-path ablation").
 func TestPoolReplayReads(t *testing.T) {
@@ -293,7 +292,7 @@ func TestPoolReplayReads(t *testing.T) {
 }
 
 // replayPool builds and saves an index of saved on a fresh MemStore, opens
-// it through a 1-shard pool of the given size and replays the queries (one
+// it through a pool of the given size and replays the queries (one
 // warm pass, four measured) and one insert + delete pair a template, the
 // deletes spread over the saved ids. Each size gets its own store, so that
 // every replay's commits allocate from the same free space.
@@ -307,7 +306,7 @@ func replayPool(t *testing.T, saved *constraint.Relation, frames int, queries []
 	if err := built.Save(); err != nil {
 		t.Fatal(err)
 	}
-	pool := pagestore.NewPoolWithOptions(store, pagestore.PoolOptions{Capacity: frames, Shards: 1})
+	pool := pagestore.NewPool(store, frames)
 	rel, ix, err := Open(pool)
 	if err != nil {
 		t.Fatal(err)

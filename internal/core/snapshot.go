@@ -83,8 +83,8 @@ func (ix *Index) SweepStats() btree.SweepStats {
 // StatsSnapshot assembles the unified view. Safe to call concurrently
 // with queries and commits: the index shape is read from the published
 // root set (one atomic load), and every other source is an atomic
-// counter, a per-shard census, or the observer's own lock-protected
-// state.
+// counter, the pool's census under its lock, or the observer's own
+// lock-protected state.
 func (ix *Index) StatsSnapshot() StatsSnapshot {
 	rs := ix.roots.Load()
 	return StatsSnapshot{

@@ -3,7 +3,6 @@ package pagestore
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -38,35 +37,49 @@ type ReadCounter struct {
 	Physical atomic.Uint64 // cache misses this counter's Gets triggered
 }
 
-// Pool is a buffer pool over a Store, split into power-of-two many shards
-// keyed by a PageID hash. Each shard has its own mutex, frame table and
-// eviction lists, so concurrent readers touching different pages rarely
-// contend; the I/O counters are atomics shared by all shards. Frames are
-// pinned while in use; unpinned dirty frames are written back on eviction
-// or Flush.
+// Pool is a buffer pool over a Store: one mutex guards one frame table, one
+// segmented LRU and one frame freelist, so every page competes for the same
+// capacity frames whatever the core count. The I/O counters are atomics, so
+// Stats reads them without the lock. Frames are pinned while in use;
+// unpinned dirty frames are written back on eviction or Flush.
 //
-// Eviction is a segmented LRU (young/old sublists per shard): a page
-// enters the young region when it is read in and moves to the old region
-// when it is pinned again after a release, so a single long leaf sweep,
-// which touches each leaf once, cannot evict the inner nodes that every
-// query re-touches.
+// Eviction is a segmented LRU of two intrusive lists of resident frames:
+// young holds pages not pinned again since they were read in, old holds
+// pages that were. A page enters the young region when it is read in and
+// moves to the old region when it is pinned again after a release, so a
+// single long leaf sweep, which touches each leaf once, cannot evict the
+// inner nodes that every query re-touches. A frame stays in place while
+// pinned and moves to the front of its list on release, so the steady-state
+// pin/release cycle allocates nothing. Victims come from the first unpinned
+// frame off the young tail, then the old tail; the old region is capped at
+// oldCap frames, beyond which its tail is demoted back to young.
 //
-// Evicted frames (struct and page buffer alike) are recycled through a
-// per-shard freelist, so a steady-state miss/evict cycle — the cold-sweep
-// read path — allocates nothing. Recycling is what makes the view borrow
-// discipline strict: a []byte view over a frame's buffer observes the
-// *next* occupant's bytes once the frame is released and reused, which is
-// why views must never outlive their frame's Release (checked at runtime by
-// the btree view guard, which every btree and core test runs with).
+// Evicted frames (struct and page buffer alike) are recycled through the
+// freelist, so a steady-state miss/evict cycle — the cold-sweep read path —
+// allocates nothing. Recycling is what makes the view borrow discipline
+// strict: a []byte view over a frame's buffer observes the *next*
+// occupant's bytes once the frame is released and reused, which is why
+// views must never outlive their frame's Release (checked at runtime by the
+// btree view guard, which every btree and core test runs with).
 type Pool struct {
-	store  Store
-	shards []*poolShard
-	shift  uint // 32 - log2(len(shards)); hash>>shift indexes the shard
+	store    Store
+	capacity int
+	oldCap   int
+
+	mu     sync.Mutex
+	frames map[PageID]*Frame // guarded by mu
+	// young/old order most-recently released frames first.
+	young frameList // guarded by mu
+	old   frameList // guarded by mu
+	// free recycles evicted frames (chained through lruNext) together with
+	// their page buffers; bounded by capacity.
+	free  *Frame // guarded by mu
+	freeN int    // guarded by mu
 
 	// MVCC snapshot bookkeeping (snapshot.go): reference counts per pinned
 	// commit version and pages superseded by copy-on-write commits, held
 	// back until the min-referenced-version watermark passes their death
-	// version. Guarded by snapMu; snapMu never nests inside a shard lock.
+	// version. Guarded by snapMu; snapMu is never taken while mu is held.
 	snapMu       sync.Mutex
 	snapRefs     map[uint64]int  // guarded by snapMu
 	deferred     []deferredFrees // guarded by snapMu
@@ -91,29 +104,6 @@ type Pool struct {
 	oldEvictions   atomic.Uint64
 }
 
-// poolShard is one independently locked slice of the pool. Its eviction
-// state is two intrusive LRU lists of resident frames: young holds pages
-// not pinned again since they were read in, old holds pages that were. A
-// frame stays in place while pinned and moves to the front of its list on
-// release, so the steady-state pin/release cycle allocates nothing.
-// Victims come from the first unpinned frame off the young tail, then the
-// old tail; the old region is capped at oldCap frames, beyond which its
-// tail is demoted back to young.
-type poolShard struct {
-	mu       sync.Mutex
-	capacity int
-	oldCap   int
-	frames   map[PageID]*Frame // guarded by mu
-	// young/old order most-recently released frames first.
-	young frameList // guarded by mu
-	old   frameList // guarded by mu
-
-	// free recycles evicted frames (chained through lruNext) together with
-	// their page buffers; bounded by capacity.
-	free  *Frame // guarded by mu
-	freeN int    // guarded by mu
-}
-
 // Frame region tags for the segmented LRU.
 const (
 	regionYoung = iota
@@ -125,20 +115,20 @@ const (
 // its Data buffer — may be recycled for a different page at any time, so
 // no slice of Data may be retained past the Release.
 type Frame struct {
-	shard *poolShard
-	id    PageID
-	data  []byte
+	pool *Pool
+	id   PageID
+	data []byte
 
-	// pins and installs are written only under shard.mu but read lock-free
+	// pins and installs are written only under pool.mu but read lock-free
 	// by Pinned and Installs, the runtime anchors of the view borrow guard.
 	pins     atomic.Int32
 	installs atomic.Uint32
 
-	lruPrev, lruNext *Frame // intrusive young/old list links; guarded by shard.mu
-	region           uint8  // guarded by shard.mu
+	lruPrev, lruNext *Frame // intrusive young/old list links; guarded by pool.mu
+	region           uint8  // guarded by pool.mu
 
 	// dirty is atomic because MarkDirty is called while pinned without the
-	// shard lock, potentially concurrently with another pinner of the same
+	// pool lock, potentially concurrently with another pinner of the same
 	// frame.
 	dirty atomic.Bool
 }
@@ -189,92 +179,40 @@ func (l *frameList) moveToFront(f *Frame) {
 func (l *frameList) back() *Frame { return l.tail }
 func (l *frameList) len() int     { return l.n }
 
-// ErrPoolFull is returned when every frame of the page's shard is pinned
-// and a new page is requested.
+// ErrPoolFull is returned when every frame is pinned and a new page is
+// requested.
 var ErrPoolFull = errors.New("pagestore: all buffer frames pinned")
 
-// The old region holds at most oldNum/oldDen of each shard's frames, the
+// The old region holds at most oldNum/oldDen of the pool's frames, the
 // share the recorded read-path ablation chose (EXPERIMENTS.md).
 const (
 	oldNum = 5
 	oldDen = 8
 )
 
-// PoolOptions configures a buffer pool beyond the store and capacity.
-type PoolOptions struct {
-	// Capacity is the total frame budget, divided evenly over the shards
-	// (minimum 8 frames per shard).
-	Capacity int
-	// Shards is rounded up to a power of two; ≤ 0 selects
-	// nextPow2(GOMAXPROCS).
-	Shards int
-}
-
-// NewPool creates a single-shard buffer pool with the given frame capacity
-// (minimum 8) — appropriate for single-threaded workloads and for tests
-// that reason about one global eviction order.
+// NewPool creates a buffer pool of max(capacity, 8) frames.
 func NewPool(store Store, capacity int) *Pool {
-	return NewPoolWithOptions(store, PoolOptions{Capacity: capacity, Shards: 1})
-}
-
-// NewPoolWithOptions creates a buffer pool whose frames are distributed
-// over nextPow2(opt.Shards) independently locked shards. The capacity is
-// divided evenly; every shard holds at least 8 frames, so the effective
-// total can exceed opt.Capacity when it is below 8·shards.
-func NewPoolWithOptions(store Store, opt PoolOptions) *Pool {
-	shards := opt.Shards
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	n := nextPow2(shards)
-	per := opt.Capacity / n
-	if per < 8 {
-		per = 8
-	}
-	p := &Pool{
+	capacity = max(capacity, 8)
+	return &Pool{
 		store:    store,
-		shards:   make([]*poolShard, n),
-		shift:    32 - log2(n),
+		capacity: capacity,
+		oldCap:   capacity * oldNum / oldDen, // capacity ≥ 8, so 1 ≤ oldCap < capacity
+		frames:   make(map[PageID]*Frame),
 		snapRefs: make(map[uint64]int),
 	}
-	for i := range p.shards {
-		p.shards[i] = &poolShard{
-			capacity: per,
-			oldCap:   per * oldNum / oldDen, // per ≥ 8, so 1 ≤ oldCap < per
-			frames:   make(map[PageID]*Frame),
-		}
-	}
-	return p
 }
 
-// nextPow2 returns the smallest power of two ≥ n (and ≥ 1).
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
+// PoolOptions is the argument of NewPoolWithOptions.
+//
+// Deprecated: call NewPool.
+type PoolOptions struct {
+	Capacity int // frames, as NewPool's capacity
 }
 
-// log2 of a power of two.
-func log2(n int) uint {
-	var s uint
-	for n > 1 {
-		n >>= 1
-		s++
-	}
-	return s
-}
-
-// shardOf routes a page id to its shard by Fibonacci hashing: the high
-// bits of id·2654435761 index the shard table. For a single-shard pool the
-// shift is 32, which Go defines to yield 0.
-func (p *Pool) shardOf(id PageID) *poolShard {
-	return p.shards[(uint32(id)*2654435761)>>p.shift]
-}
-
-// Shards returns the number of shards.
-func (p *Pool) Shards() int { return len(p.shards) }
+// NewPoolWithOptions is NewPool(store, opt.Capacity).
+//
+// Deprecated: call NewPool.
+func NewPoolWithOptions(store Store, opt PoolOptions) *Pool { return NewPool(store, opt.Capacity) }
 
 // Store returns the underlying page device.
 func (p *Pool) Store() Store { return p.store }
@@ -298,46 +236,45 @@ func (p *Pool) GetTracked(id PageID, rc *ReadCounter) (*Frame, error) {
 	if rc != nil {
 		rc.Logical.Add(1)
 	}
-	sh := p.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if f, ok := sh.frames[id]; ok {
-		sh.pinLocked(f)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if f, ok := p.frames[id]; ok {
+		p.pinLocked(f)
 		return f, nil
 	}
-	if err := sh.ensureRoomLocked(p); err != nil {
+	if err := p.ensureRoomLocked(); err != nil {
 		return nil, err
 	}
-	f := sh.takeFrameLocked(p.store.PageSize())
+	f := p.takeFrameLocked()
 	if err := p.store.ReadPage(id, f.data); err != nil {
-		sh.recycleLocked(f)
+		p.recycleLocked(f)
 		return nil, err
 	}
 	p.physicalReads.Add(1)
 	if rc != nil {
 		rc.Physical.Add(1)
 	}
-	sh.installLocked(f, id)
+	p.installLocked(f, id)
 	return f, nil
 }
 
-// takeFrameLocked pops a recycled frame off the shard's freelist — buffer
-// and all — or allocates a fresh one. Callers hold sh.mu.
-func (sh *poolShard) takeFrameLocked(pageSize int) *Frame {
-	if f := sh.free; f != nil {
-		sh.free = f.lruNext
-		sh.freeN--
+// takeFrameLocked pops a recycled frame off the freelist — buffer and all —
+// or allocates a fresh one. Callers hold p.mu.
+func (p *Pool) takeFrameLocked() *Frame {
+	if f := p.free; f != nil {
+		p.free = f.lruNext
+		p.freeN--
 		f.lruNext = nil
 		return f
 	}
-	return &Frame{shard: sh, data: make([]byte, pageSize)}
+	return &Frame{pool: p, data: make([]byte, p.store.PageSize())}
 }
 
 // recycleLocked pushes a frame (not in any list or map) onto the freelist,
 // clearing its identity so nothing can mistake it for a live page. The
-// freelist is bounded by the shard capacity; overflow is left to the GC.
-func (sh *poolShard) recycleLocked(f *Frame) {
-	if sh.freeN >= sh.capacity {
+// freelist is bounded by the pool capacity; overflow is left to the GC.
+func (p *Pool) recycleLocked(f *Frame) {
+	if p.freeN >= p.capacity {
 		return
 	}
 	f.id = 0
@@ -345,22 +282,22 @@ func (sh *poolShard) recycleLocked(f *Frame) {
 	f.region = regionYoung
 	f.dirty.Store(false)
 	f.lruPrev = nil
-	f.lruNext = sh.free
-	sh.free = f
-	sh.freeN++
+	f.lruNext = p.free
+	p.free = f
+	p.freeN++
 }
 
 // installLocked registers a frame (fresh or recycled, its data already
 // holding the page image) for id: the frame counts one more install and
-// enters the front of the young list pinned once. Callers hold sh.mu.
-func (sh *poolShard) installLocked(f *Frame, id PageID) {
+// enters the front of the young list pinned once. Callers hold p.mu.
+func (p *Pool) installLocked(f *Frame, id PageID) {
 	f.id = id
 	f.installs.Add(1)
 	f.pins.Store(1)
 	f.region = regionYoung
 	f.dirty.Store(false)
-	sh.young.pushFront(f)
-	sh.frames[id] = f
+	p.young.pushFront(f)
+	p.frames[id] = f
 }
 
 // NewPage allocates a fresh zeroed page and returns it pinned and dirty.
@@ -374,22 +311,21 @@ func (p *Pool) newPage(src []byte) (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	sh := p.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if err := sh.ensureRoomLocked(p); err != nil {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err := p.ensureRoomLocked(); err != nil {
 		// Undo the allocation so the store does not leak the page.
 		_ = p.store.Free(id)
 		return nil, err
 	}
 	p.allocs.Add(1)
-	f := sh.takeFrameLocked(p.store.PageSize())
+	f := p.takeFrameLocked()
 	if src == nil {
 		clear(f.data)
 	} else {
 		copy(f.data, src)
 	}
-	sh.installLocked(f, id)
+	p.installLocked(f, id)
 	f.dirty.Store(true)
 	return f, nil
 }
@@ -397,43 +333,42 @@ func (p *Pool) newPage(src []byte) (*Frame, error) {
 // FreePage removes the page from the pool and the store. The page must not
 // be pinned.
 func (p *Pool) FreePage(id PageID) error {
-	sh := p.shardOf(id)
-	sh.mu.Lock()
-	if f, ok := sh.frames[id]; ok {
+	p.mu.Lock()
+	if f, ok := p.frames[id]; ok {
 		if f.pins.Load() > 0 {
-			sh.mu.Unlock()
+			p.mu.Unlock()
 			return fmt.Errorf("pagestore: freeing pinned page %d", id)
 		}
-		sh.dropLocked(f)
+		p.dropLocked(f)
 	}
-	sh.mu.Unlock()
+	p.mu.Unlock()
 	p.frees.Add(1)
 	return p.store.Free(id)
 }
 
-// pinLocked pins an in-shard frame. A young frame pinned again after a
+// pinLocked pins a resident frame. A young frame pinned again after a
 // release moves to the old region; a nested pin, taken while the frame is
 // still pinned, leaves it where it is.
-func (sh *poolShard) pinLocked(f *Frame) {
+func (p *Pool) pinLocked(f *Frame) {
 	if f.pins.Add(1) == 1 && f.region == regionYoung {
 		f.region = regionOld
-		sh.young.remove(f)
-		sh.old.pushFront(f)
-		sh.rebalanceLocked()
+		p.young.remove(f)
+		p.old.pushFront(f)
+		p.rebalanceLocked()
 	}
 }
 
 // listFor returns the eviction list the frame belongs to when unpinned.
-func (sh *poolShard) listFor(f *Frame) *frameList {
+func (p *Pool) listFor(f *Frame) *frameList {
 	if f.region == regionOld {
-		return &sh.old
+		return &p.old
 	}
-	return &sh.young
+	return &p.young
 }
 
 // victimLocked returns the least-recently released unpinned frame of a
 // list, or nil if every frame in it is pinned.
-func (sh *poolShard) victimLocked(l *frameList) *Frame {
+func victimLocked(l *frameList) *Frame {
 	for f := l.back(); f != nil; f = f.lruPrev {
 		if f.pins.Load() == 0 {
 			return f
@@ -442,17 +377,17 @@ func (sh *poolShard) victimLocked(l *frameList) *Frame {
 	return nil
 }
 
-// ensureRoomLocked evicts one unpinned frame when the shard is at
-// capacity: the young region's tail first, the old region's only when no
-// young frame is evictable.
-func (sh *poolShard) ensureRoomLocked(p *Pool) error {
-	if len(sh.frames) < sh.capacity {
+// ensureRoomLocked evicts one unpinned frame when the pool is at capacity:
+// the young region's tail first, the old region's only when no young frame
+// is evictable.
+func (p *Pool) ensureRoomLocked() error {
+	if len(p.frames) < p.capacity {
 		return nil
 	}
-	f := sh.victimLocked(&sh.young)
+	f := victimLocked(&p.young)
 	fromOld := false
 	if f == nil {
-		f = sh.victimLocked(&sh.old)
+		f = victimLocked(&p.old)
 		fromOld = true
 	}
 	if f == nil {
@@ -466,7 +401,7 @@ func (sh *poolShard) ensureRoomLocked(p *Pool) error {
 		p.evictWrites.Add(1)
 		f.dirty.Store(false)
 	}
-	sh.dropLocked(f)
+	p.dropLocked(f)
 	if fromOld {
 		p.oldEvictions.Add(1)
 	} else {
@@ -477,66 +412,62 @@ func (sh *poolShard) ensureRoomLocked(p *Pool) error {
 
 // dropLocked removes a resident frame from its list and the frame table and
 // recycles the frame through the freelist.
-func (sh *poolShard) dropLocked(f *Frame) {
-	sh.listFor(f).remove(f)
-	delete(sh.frames, f.id)
-	sh.recycleLocked(f)
+func (p *Pool) dropLocked(f *Frame) {
+	p.listFor(f).remove(f)
+	delete(p.frames, f.id)
+	p.recycleLocked(f)
 }
 
 // rebalanceLocked demotes the old region's tail back into the young
 // region while the old region exceeds its cap, keeping a bounded share of
-// the shard for tenured pages.
-func (sh *poolShard) rebalanceLocked() {
-	for sh.old.len() > sh.oldCap {
-		f := sh.old.back()
-		sh.old.remove(f)
+// the pool for tenured pages.
+func (p *Pool) rebalanceLocked() {
+	for p.old.len() > p.oldCap {
+		f := p.old.back()
+		p.old.remove(f)
 		f.region = regionYoung
-		sh.young.pushFront(f)
+		p.young.pushFront(f)
 	}
 }
 
 // Flush writes back all dirty frames (pinned or not) without evicting them.
 func (p *Pool) Flush() error {
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		for id, f := range sh.frames {
-			if f.dirty.Load() {
-				if err := p.store.WritePage(id, f.data); err != nil {
-					sh.mu.Unlock()
-					return err
-				}
-				p.writes.Add(1)
-				f.dirty.Store(false)
+	p.mu.Lock()
+	for id, f := range p.frames {
+		if f.dirty.Load() {
+			if err := p.store.WritePage(id, f.data); err != nil {
+				p.mu.Unlock()
+				return err
 			}
+			p.writes.Add(1)
+			f.dirty.Store(false)
 		}
-		sh.mu.Unlock()
 	}
+	p.mu.Unlock()
 	return nil
 }
 
 // EvictAll flushes and drops every unpinned frame — a "cold cache" reset so
 // the next query's PhysicalReads counts each touched page exactly once.
-// Dropped frames land on the shard freelists, so the refill after an
-// EvictAll reuses their buffers instead of allocating.
+// Dropped frames land on the freelist, so the refill after an EvictAll
+// reuses their buffers instead of allocating.
 func (p *Pool) EvictAll() error {
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		for id, f := range sh.frames {
-			if f.pins.Load() > 0 {
-				continue
-			}
-			if f.dirty.Load() {
-				if err := p.store.WritePage(id, f.data); err != nil {
-					sh.mu.Unlock()
-					return err
-				}
-				p.writes.Add(1)
-				f.dirty.Store(false)
-			}
-			sh.dropLocked(f)
+	p.mu.Lock()
+	for id, f := range p.frames {
+		if f.pins.Load() > 0 {
+			continue
 		}
-		sh.mu.Unlock()
+		if f.dirty.Load() {
+			if err := p.store.WritePage(id, f.data); err != nil {
+				p.mu.Unlock()
+				return err
+			}
+			p.writes.Add(1)
+			f.dirty.Store(false)
+		}
+		p.dropLocked(f)
 	}
+	p.mu.Unlock()
 	return nil
 }
 
@@ -574,23 +505,16 @@ type Residency struct {
 	Capacity int `json:"capacity"`
 }
 
-// Residency counts the resident frames, summing over shards under each
-// shard's lock in turn. The census is per-shard consistent but not a
-// single cut across shards — fine for gauges, not for invariants.
+// Residency counts the resident frames under the pool lock: one
+// consistent cut.
 func (p *Pool) Residency() Residency {
-	var r Residency
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		r.Frames += len(sh.frames)
-		r.Young += sh.young.len()
-		r.Old += sh.old.len()
-		for _, f := range sh.frames {
-			if f.pins.Load() > 0 {
-				r.Pinned++
-			}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	r := Residency{Frames: len(p.frames), Young: p.young.len(), Old: p.old.len(), Capacity: p.capacity}
+	for _, f := range p.frames {
+		if f.pins.Load() > 0 {
+			r.Pinned++
 		}
-		r.Capacity += sh.capacity
-		sh.mu.Unlock()
 	}
 	return r
 }
@@ -617,7 +541,7 @@ func (f *Frame) ID() PageID { return f.id }
 func (f *Frame) Data() []byte { return f.data }
 
 // Pinned reports whether the frame currently holds at least one pin. It
-// reads the pin count without the shard lock, so the answer is advisory
+// reads the pin count without the pool lock, so the answer is advisory
 // under concurrency — exactly what the btree view guard needs: a view
 // whose frame reports Pinned()==false has certainly outlived its borrow.
 func (f *Frame) Pinned() bool { return f.pins.Load() > 0 }
@@ -626,7 +550,7 @@ func (f *Frame) Pinned() bool { return f.pins.Load() > 0 }
 // installs a page in the frame — a miss or a NewPage — and never otherwise,
 // so a borrow that recorded it at pin time sees a different count once the
 // frame was recycled, even for the same page id read back. Like Pinned it
-// reads without the shard lock, for the btree view guard.
+// reads without the pool lock, for the btree view guard.
 func (f *Frame) Installs() uint32 { return f.installs.Load() }
 
 // MarkDirty records that the page bytes changed.
@@ -635,13 +559,13 @@ func (f *Frame) MarkDirty() { f.dirty.Store(true) }
 // Release unpins the frame. Unpinned frames become eviction candidates,
 // and any view over the frame's bytes dies with the pin.
 func (f *Frame) Release() {
-	sh := f.shard
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	p := f.pool
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if f.pins.Load() == 0 {
 		panic(fmt.Sprintf("pagestore: over-release of page %d", f.id))
 	}
 	if f.pins.Add(-1) == 0 {
-		sh.listFor(f).moveToFront(f)
+		p.listFor(f).moveToFront(f)
 	}
 }

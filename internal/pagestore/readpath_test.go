@@ -192,7 +192,7 @@ func TestMidpointLRUScanResistance(t *testing.T) {
 
 func TestOldRegionCapDemotesToYoung(t *testing.T) {
 	store := NewMemStore(64)
-	pool := NewPoolWithOptions(store, PoolOptions{Capacity: 16, Shards: 1})
+	pool := NewPool(store, 16)
 	const total = 40
 	for i := 0; i < total; i++ {
 		if _, err := store.Alloc(); err != nil {
@@ -200,7 +200,7 @@ func TestOldRegionCapDemotesToYoung(t *testing.T) {
 		}
 	}
 	// Tenure more pages than the old region can hold; rebalancing must
-	// demote the overflow instead of letting old grow to the whole shard.
+	// demote the overflow instead of letting old grow to the whole pool.
 	// Two passes over 12 resident pages re-pin each after its release
 	// without evicting anything (12 < capacity).
 	for pass := 0; pass < 2; pass++ {
@@ -208,10 +208,9 @@ func TestOldRegionCapDemotesToYoung(t *testing.T) {
 			pinOnce(t, pool, id)
 		}
 	}
-	sh := pool.shards[0]
-	sh.mu.Lock()
-	oldLen, youngLen, oldCap := sh.old.len(), sh.young.len(), sh.oldCap
-	sh.mu.Unlock()
+	pool.mu.Lock()
+	oldLen, youngLen, oldCap := pool.old.len(), pool.young.len(), pool.oldCap
+	pool.mu.Unlock()
 	if oldLen > oldCap {
 		t.Fatalf("old region %d exceeds its cap %d", oldLen, oldCap)
 	}
@@ -230,12 +229,10 @@ func TestRePinAfterReleaseTenures(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pool := NewPoolWithOptions(store, PoolOptions{Capacity: 16, Shards: 1})
-	sh := pool.shards[0]
+	pool := NewPool(store, 16)
 	regions := func() (young, old int) {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		return sh.young.len(), sh.old.len()
+		r := pool.Residency()
+		return r.Young, r.Old
 	}
 	frames := make([]*Frame, 100)
 	for i := range frames {

@@ -86,8 +86,8 @@ func (p *Pool) DeferFrees(deadAt uint64, ids []PageID) int {
 }
 
 // reclaimLocked frees every deferred batch the watermark has passed and
-// returns the number of pages freed. Requires snapMu; takes shard locks
-// via FreePage (snapMu is always outer, never acquired with a shard lock
+// returns the number of pages freed. Requires snapMu; takes the pool lock
+// via FreePage (snapMu is always outer, never acquired with the pool lock
 // held). A FreePage failure keeps the remaining ids queued for the next
 // reclamation attempt and is counted in SnapshotCensus.ReclaimFailures
 // rather than surfaced: reclamation runs on reader-release paths that

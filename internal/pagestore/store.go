@@ -1,7 +1,7 @@
 // Package pagestore provides the secondary-storage substrate shared by the
 // index structures: fixed-size pages, an in-memory and a file-backed page
-// device, and a sharded buffer pool — a segmented LRU of a young and an
-// old region per shard — with I/O accounting.
+// device, and a buffer pool — one segmented LRU of a young and an old
+// region under one lock — with I/O accounting.
 //
 // The paper's experiments (Section 5) measure page accesses with a page
 // size of 1024 bytes; DefaultPageSize follows that. All index structures

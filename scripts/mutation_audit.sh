@@ -456,43 +456,43 @@ mut reclaim-requeue internal/pagestore/snapshot.go "lockset: a failed reclaim re
 				p.DeferFrees(d.deadAt, []PageID{id})
 EOF
 
-mut freepage-unlock internal/pagestore/pool.go "lockset: \`FreePage\` of a pinned page returns holding the shard lock" <<'EOF'
+mut freepage-unlock internal/pagestore/pool.go "lockset: \`FreePage\` of a pinned page returns holding the pool lock" <<'EOF'
 		if f.pins.Load() > 0 {
-			sh.mu.Unlock()
+			p.mu.Unlock()
 			return fmt.Errorf("pagestore: freeing pinned page %d", id)
 ----
 		if f.pins.Load() > 0 {
 			return fmt.Errorf("pagestore: freeing pinned page %d", id)
 EOF
 
-mut evict-unlock internal/pagestore/pool.go "lockset: \`EvictAll\` returns a write error holding the shard lock" <<'EOF'
-				if err := p.store.WritePage(id, f.data); err != nil {
-					sh.mu.Unlock()
-					return err
-				}
-				p.writes.Add(1)
-				f.dirty.Store(false)
+mut evict-unlock internal/pagestore/pool.go "lockset: \`EvictAll\` returns a write error holding the pool lock" <<'EOF'
+			if err := p.store.WritePage(id, f.data); err != nil {
+				p.mu.Unlock()
+				return err
 			}
-			sh.dropLocked(f)
+			p.writes.Add(1)
+			f.dirty.Store(false)
+		}
+		p.dropLocked(f)
 ----
-				if err := p.store.WritePage(id, f.data); err != nil {
-					return err
-				}
-				p.writes.Add(1)
-				f.dirty.Store(false)
+			if err := p.store.WritePage(id, f.data); err != nil {
+				return err
 			}
-			sh.dropLocked(f)
+			p.writes.Add(1)
+			f.dirty.Store(false)
+		}
+		p.dropLocked(f)
 EOF
 
-mut evict-free-count internal/pagestore/pool.go "atomicpub: \`EvictAll\` resets a guarded shard field after unlocking" <<'EOF'
-			sh.dropLocked(f)
-		}
-		sh.mu.Unlock()
+mut evict-free-count internal/pagestore/pool.go "atomicpub: \`EvictAll\` resets a guarded pool field after unlocking" <<'EOF'
+		p.dropLocked(f)
+	}
+	p.mu.Unlock()
 ----
-			sh.dropLocked(f)
-		}
-		sh.mu.Unlock()
-		sh.freeN = 0
+		p.dropLocked(f)
+	}
+	p.mu.Unlock()
+	p.freeN = 0
 EOF
 
 mut ring-next internal/obs/trace.go "atomicpub: the trace ring's \`next\` advanced after unlocking" <<'EOF'
@@ -504,26 +504,26 @@ mut ring-next internal/obs/trace.go "atomicpub: the trace ring's \`next\` advanc
 EOF
 
 mut flush-drop internal/pagestore/pool.go "atomicpub: \`Flush\` drops a frame it could not write after unlocking" <<'EOF'
-				if err := p.store.WritePage(id, f.data); err != nil {
-					sh.mu.Unlock()
-					return err
-				}
-				p.writes.Add(1)
-				f.dirty.Store(false)
+			if err := p.store.WritePage(id, f.data); err != nil {
+				p.mu.Unlock()
+				return err
 			}
+			p.writes.Add(1)
+			f.dirty.Store(false)
 		}
-		sh.mu.Unlock()
+	}
+	p.mu.Unlock()
 ----
-				if err := p.store.WritePage(id, f.data); err != nil {
-					sh.mu.Unlock()
-					sh.dropLocked(f)
-					return err
-				}
-				p.writes.Add(1)
-				f.dirty.Store(false)
+			if err := p.store.WritePage(id, f.data); err != nil {
+				p.mu.Unlock()
+				p.dropLocked(f)
+				return err
 			}
+			p.writes.Add(1)
+			f.dirty.Store(false)
 		}
-		sh.mu.Unlock()
+	}
+	p.mu.Unlock()
 EOF
 
 mut catalog-pin internal/core/persist.go "pinleak: \`Open\` keeps the catalog page pinned on a bad catalog" <<'EOF'
