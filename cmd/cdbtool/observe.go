@@ -101,7 +101,7 @@ func (s *session) traces() error {
 	}
 	for _, tr := range trs {
 		fmt.Fprintf(s.out, "%s  path=%s total=%dus pages=%d candidates=%d falseHits=%d\n",
-			tr.Query, tr.Path, tr.TotalUs, tr.Pages, tr.Candidates, tr.FalseHits)
+			tr.Query, tr.Path, tr.TotalUs, tr.PagesRead, tr.Candidates, tr.FalseHits)
 		for _, sp := range tr.Spans {
 			fmt.Fprintf(s.out, "  %-7s +%6dus %6dus  pages=%d items=%d\n",
 				sp.Stage, sp.StartUs, sp.DurUs, sp.Pages, sp.Items)
@@ -172,7 +172,7 @@ func (s *session) stats() {
 				fmt.Fprintf(s.out, "  path %-12s %5d queries  p50=%s p99=%s  pages=%d candidates=%d falseHits=%d\n",
 					name, ps.Count,
 					time.Duration(ps.Latency.P50), time.Duration(ps.Latency.P99),
-					ps.Pages, ps.Candidates, ps.FalseHits)
+					ps.PagesRead, ps.Candidates, ps.FalseHits)
 			}
 		}
 	}

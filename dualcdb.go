@@ -335,7 +335,6 @@ func CreateDatabase(path string, rel *Relation, opt IndexOptions) (*Index, error
 		return nil, err
 	}
 	opt.Store = store
-	opt.Pool = nil
 	return core.Build(rel, opt)
 }
 

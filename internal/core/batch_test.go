@@ -10,17 +10,12 @@ import (
 	"dualcdb/internal/pagestore"
 )
 
-// memPool is a MemStore-backed pool of the given frames.
-func memPool(pages int) *pagestore.Pool {
-	return pagestore.NewPool(pagestore.NewMemStore(pagestore.DefaultPageSize), pages)
-}
-
 // TestQueryBatchMatchesSequential: at the default, one and several workers
 // QueryBatch must return exactly the sequential Query answers, in order.
 func TestQueryBatchMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(402))
 	_, ix := buildRandomIndex(t, rng, 300, Options{
-		Slopes: EquiangularSlopes(3), Technique: T2, Pool: memPool(1 << 12),
+		Slopes: EquiangularSlopes(3), Technique: T2, PoolPages: 1 << 12,
 	}, true)
 	qs := make([]constraint.Query, 40)
 	want := make([][]constraint.TupleID, len(qs))
@@ -127,7 +122,7 @@ func TestQueryBatchStress(t *testing.T) {
 func TestQueryBatchPagesReadExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(523))
 	_, ix := buildRandomIndex(t, rng, 400, Options{
-		Slopes: EquiangularSlopes(3), Technique: T2, Pool: memPool(1 << 14),
+		Slopes: EquiangularSlopes(3), Technique: T2, PoolPages: 1 << 14,
 	}, true)
 	qs := make([]constraint.Query, 32)
 	for i := range qs {

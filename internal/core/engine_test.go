@@ -43,11 +43,7 @@ var engineCases = []engineCase{
 	{
 		name: "3d-sites", dim: 3, tuple: randTuple3, query: randQuery3,
 		build: func(rel *constraint.Relation, store pagestore.Store) (*Index, error) {
-			opt := OptionsD{Sites: LatticeSites(2, 3, 1.5), PoolPages: 1 << 12}
-			if store != nil {
-				opt.Pool = pagestore.NewPool(store, 1<<12)
-			}
-			return BuildD(rel, opt)
+			return BuildD(rel, OptionsD{Sites: LatticeSites(2, 3, 1.5), Store: store, PoolPages: 1 << 12})
 		},
 		scan: constraint.NewQuery(constraint.EXIST, []float64{50, -50}, 0, geom.GE),
 	},

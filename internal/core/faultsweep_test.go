@@ -341,7 +341,7 @@ func (h *faultHistory) verticals() error {
 }
 
 // tuples runs a generalized-tuple selection of each kind; the vertical
-// constraint runs on the index's vertical pair.
+// constraint is applied during refinement only.
 func (h *faultHistory) tuples() error {
 	for _, c := range []struct {
 		kind constraint.QueryKind

@@ -55,10 +55,9 @@ type Index struct {
 	writeMu sync.Mutex
 
 	// Persistence bookkeeping (see persist.go). catalog is the catalog
-	// page (InvalidPage when the index shares a pool and cannot persist);
-	// tupleChain heads the serialized-relation page chain after a Save, of
-	// dataPages pages; staleChain holds pages of superseded chains a Save
-	// has yet to free.
+	// page; tupleChain heads the serialized-relation page chain after a
+	// Save, of dataPages pages; staleChain holds pages of superseded chains
+	// a Save has yet to free.
 	catalog    pagestore.PageID
 	tupleChain pagestore.PageID
 	dataPages  int
@@ -116,36 +115,31 @@ func newSiteIndex(rel *constraint.Relation, opt OptionsD) (*IndexD, error) {
 		Technique: T2,
 		PageSize:  opt.PageSize,
 		PoolPages: opt.PoolPages,
-		Pool:      opt.Pool,
+		Store:     opt.Store,
 		Observe:   opt.Observe,
 	}
 	o.storageDefaults()
 	return newIndex(rel, o, geo)
 }
 
-// newIndex creates the empty engine over a geometry: the page pool, one
-// tree pair per site and the first published version.
+// newIndex creates the empty engine over a geometry: the page pool over
+// the index's own store, the catalog page, one tree pair per site and the
+// first published version.
 func newIndex(rel *constraint.Relation, opt Options, geo slopeSpace) (*Index, error) {
-	pool := opt.Pool
-	owned := pool == nil
-	if owned {
-		store := opt.Store
-		if store == nil {
-			store = pagestore.NewMemStore(opt.PageSize)
-		}
-		pool = pagestore.NewPool(store, opt.PoolPages)
+	store := opt.Store
+	if store == nil {
+		store = pagestore.NewMemStore(opt.PageSize)
 	}
+	pool := pagestore.NewPool(store, opt.PoolPages)
 	ix := &Index{rel: rel, opt: opt, dim: rel.Dim(), geo: geo, pool: pool}
-	if owned {
-		// Reserve the catalog page (page 1 of the dedicated store) so the
-		// database can be persisted with Save (see persist.go).
-		f, err := pool.NewPage()
-		if err != nil {
-			return nil, err
-		}
-		ix.catalog = f.ID()
-		f.Release()
+	// Reserve the catalog page (page 1 of the store) so the database can be
+	// persisted with Save (see persist.go).
+	f, err := pool.NewPage()
+	if err != nil {
+		return nil, err
 	}
+	ix.catalog = f.ID()
+	f.Release()
 	cfg := btree.Config{HandicapKinds: geo.slotKinds()}
 	for range 2 * geo.sites() {
 		t, err := btree.New(pool, cfg)

@@ -512,11 +512,7 @@ func (h *engineHistory) reopen() {
 // storedPages is what an index references in its store: its trees' pages,
 // the catalog page and the saved tuple chain.
 func storedPages(ix *Index) int {
-	n := ix.Pages() + ix.dataPages
-	if ix.catalog != pagestore.InvalidPage {
-		n++
-	}
-	return n
+	return ix.Pages() + ix.dataPages + 1
 }
 
 // answers runs one selection on the published version and on every pinned

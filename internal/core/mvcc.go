@@ -15,8 +15,8 @@ import (
 // MVCC root sets and reader snapshots.
 //
 // Every query runs against a rootSet: one immutable, version-stamped view
-// of the whole index — frozen read handles for all 2k trees (plus the
-// vertical pair), the indexed-tuple count, and the relation contents. The
+// of the whole index — frozen read handles for all 2k trees, the
+// indexed-tuple count, and the relation contents. The
 // current rootSet is published through ix.roots with a single atomic
 // pointer swap, so readers acquire a consistent view with one load and no
 // lock; writers batch their mutations into a Commit (commit.go) that

@@ -63,17 +63,17 @@ func TestObservedBatchReconciles(t *testing.T) {
 	}
 	poolDelta := ix.Pool().Stats().PhysicalReads - poolBefore
 
-	var wantPages, gotCand, gotRes, gotFalse, gotDecided, gotDup, gotLeaves, gotWhole uint64
+	// want sums every result's counters; perPath sums them by path.
+	var want QueryStats
+	perPath := make(map[string]*QueryStats)
 	for _, r := range results {
-		wantPages += r.Stats.PagesRead
-		gotCand += uint64(r.Stats.Candidates)
-		gotRes += uint64(r.Stats.Results)
-		gotFalse += uint64(r.Stats.FalseHits)
-		gotDecided += uint64(r.Stats.Decided)
-		gotDup += uint64(r.Stats.Duplicates)
-		gotLeaves += uint64(r.Stats.LeavesSwept)
-		gotWhole += uint64(r.Stats.LeavesWhole)
+		want.Add(r.Stats)
+		if perPath[r.Stats.Path] == nil {
+			perPath[r.Stats.Path] = new(QueryStats)
+		}
+		perPath[r.Stats.Path].Add(r.Stats)
 	}
+	wantPages := want.PagesRead
 	if wantPages == 0 {
 		t.Fatal("batch read no pages; reconciliation is vacuous")
 	}
@@ -93,17 +93,32 @@ func TestObservedBatchReconciles(t *testing.T) {
 	if s.Totals.Count != uint64(len(queries)) {
 		t.Errorf("path counts sum to %d, want %d", s.Totals.Count, len(queries))
 	}
-	if s.Totals.Pages != wantPages {
-		t.Errorf("observer pages %d != sum of per-query PagesRead %d", s.Totals.Pages, wantPages)
+	if s.Totals.QueryStats != want {
+		t.Errorf("observer totals %+v disagree with the sum of the results' stats %+v", s.Totals.QueryStats, want)
 	}
-	if s.Totals.Candidates != gotCand || s.Totals.Results != gotRes ||
-		s.Totals.FalseHits != gotFalse || s.Totals.Decided != gotDecided || s.Totals.Duplicates != gotDup ||
-		s.Totals.LeavesSwept != gotLeaves || s.Totals.LeavesWhole != gotWhole {
-		t.Errorf("observer totals %+v disagree with result sums (cand %d res %d false %d decided %d dup %d leaves %d whole %d)",
-			s.Totals, gotCand, gotRes, gotFalse, gotDecided, gotDup, gotLeaves, gotWhole)
+	if want.Decided == 0 || want.Sure == 0 || want.Tangent == 0 {
+		t.Errorf("batch decided %d entries on their key, %d sure, %d by a tangent; the reconciliation is vacuous", want.Decided, want.Sure, want.Tangent)
 	}
-	if gotDecided == 0 {
-		t.Error("no entry of the batch was decided on its key; the Decided reconciliation is vacuous")
+	// Each path's registry counters hold its results' sums, under the names
+	// that are QueryStats' JSON keys.
+	reg := o.Registry().Snapshot()
+	for path, sum := range perPath {
+		data, err := json.Marshal(sum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var counts map[string]uint64
+		if err := json.Unmarshal(data, &counts); err != nil {
+			t.Fatal(err)
+		}
+		if len(counts) != 10 {
+			t.Errorf("%s: %d counters, want 10", data, len(counts))
+		}
+		for name, v := range counts {
+			if got := reg["path."+path+"."+name]; got != v {
+				t.Errorf("registry path.%s.%s = %v, want the results' sum %d", path, name, got, v)
+			}
+		}
 	}
 	// Histogram counts must agree with the counters they accompany.
 	var histCount uint64
@@ -136,8 +151,8 @@ func TestObservedBatchReconciles(t *testing.T) {
 		for _, sp := range tr.Spans {
 			sum += sp.Pages
 		}
-		if sum != tr.Pages {
-			t.Errorf("trace %q: span pages %d != trace pages %d", tr.Query, sum, tr.Pages)
+		if sum != tr.PagesRead {
+			t.Errorf("trace %q: span pages %d != trace pages %d", tr.Query, sum, tr.PagesRead)
 		}
 	}
 }
@@ -203,8 +218,8 @@ func TestObservedParallelSweepSpansReconcile(t *testing.T) {
 				sweeps++
 			}
 		}
-		if sum != tr.Pages {
-			t.Errorf("trace %q: span pages %d != trace pages %d", tr.Query, sum, tr.Pages)
+		if sum != tr.PagesRead {
+			t.Errorf("trace %q: span pages %d != trace pages %d", tr.Query, sum, tr.PagesRead)
 		}
 		if sweeps == 2 {
 			twoSweeps++
@@ -217,7 +232,10 @@ func TestObservedParallelSweepSpansReconcile(t *testing.T) {
 
 // TestObservedCompoundQueries checks that line stabs, vertical selections
 // and generalized query tuples each record exactly one trace (their
-// sub-queries share it) with exact page attribution.
+// sub-queries share it) with exact page attribution, and that a line stab's
+// and a query tuple's counters are the sums of their selections'. The line
+// and the window's sloped sides lie off S, so the T2 sweeps decide entries
+// by a tangent and Tangent must be summed too.
 func TestObservedCompoundQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	rel := constraint.NewRelation(2)
@@ -247,7 +265,7 @@ func TestObservedCompoundQueries(t *testing.T) {
 	if _, err := ix.QueryVertical(constraint.EXIST, geom.GE, 5); err != nil {
 		t.Fatal(err)
 	}
-	window, err := constraint.ParseTuple("x >= -20 && x <= 20 && y >= -20 && y <= 20", 2)
+	window, err := constraint.ParseTuple("x >= -20 && x <= 20 && y >= -0.3x - 20 && y <= 0.4x + 20", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,13 +283,56 @@ func TestObservedCompoundQueries(t *testing.T) {
 		for _, sp := range tr.Spans {
 			sum += sp.Pages
 		}
-		if sum != tr.Pages {
-			t.Errorf("trace %q: span pages %d != trace pages %d", tr.Query, sum, tr.Pages)
+		if sum != tr.PagesRead {
+			t.Errorf("trace %q: span pages %d != trace pages %d", tr.Query, sum, tr.PagesRead)
 		}
 	}
 	if lineRes.Stats.PagesRead == 0 && tupRes.Stats.PagesRead == 0 {
 		t.Error("compound queries read no pages on an evicted pool")
 	}
+
+	// sum adds the stats of qs's answers; pages and the answer itself are
+	// the compound query's own, so only the other counters are compared.
+	sum := func(qs ...constraint.Query) QueryStats {
+		t.Helper()
+		var st QueryStats
+		for _, q := range qs {
+			res, err := ix.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.Add(res.Stats)
+		}
+		return st
+	}
+	same := func(what string, got, want QueryStats, falseHits bool) {
+		t.Helper()
+		if want.Tangent == 0 {
+			t.Errorf("%s: its selections decided no entry by a tangent; the check is vacuous", what)
+		}
+		if !falseHits {
+			got.FalseHits, want.FalseHits = 0, 0
+		}
+		got.Path, got.Results, got.PagesRead = "", 0, 0
+		want.Results, want.PagesRead = 0, 0
+		if got != want {
+			t.Errorf("%s: counters %+v, want the sums over its selections %+v", what, got, want)
+		}
+	}
+	same("line stab", lineRes.Stats, sum(
+		constraint.Query2(constraint.EXIST, 0.4, -3, geom.GE),
+		constraint.Query2(constraint.EXIST, 0.4, -3, geom.LE)), true)
+	var selections []constraint.Query
+	for i := range window.NumConstraints() {
+		if slope, icpt, op, err := window.Constraint(i).SlopeForm(); err == nil {
+			selections = append(selections, constraint.NewQuery(constraint.EXIST, slope, icpt, op))
+		}
+	}
+	if tupRes.Stats.ConstraintsIndexed != len(selections) {
+		t.Fatalf("query tuple ran %d selections, want %d", tupRes.Stats.ConstraintsIndexed, len(selections))
+	}
+	// A tuple query's false hits are the candidates its exact test rejects.
+	same("query tuple", tupRes.Stats.QueryStats, sum(selections...), false)
 }
 
 // TestFailedQueryClosesRefineSpan pins the error-path span discipline: a

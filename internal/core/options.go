@@ -63,20 +63,16 @@ type Options struct {
 	// Technique picks the approximation technique for slopes outside S.
 	Technique Technique
 	// PageSize is the page size of the backing store in bytes (default
-	// 1024, the paper's setting). Ignored when Pool is set.
+	// 1024, the paper's setting).
 	PageSize int
-	// PoolPages is the buffer-pool capacity in frames (default 512, at
-	// least 8): one segmented LRU under one lock, whatever the core count.
-	// Ignored when Pool is set.
+	// PoolPages is the capacity in frames (default 512, at least 8) of the
+	// buffer pool the index builds over its store and owns: one segmented
+	// LRU under one lock, whatever the core count.
 	PoolPages int
-	// Pool optionally supplies a shared buffer pool (so several structures
-	// can be compared on one store); when nil a MemStore-backed pool is
-	// created from PageSize/PoolPages. Indexes on shared pools cannot be
-	// persisted (no catalog page).
-	Pool *pagestore.Pool
-	// Store optionally supplies a dedicated page device (e.g. a
-	// pagestore.FileStore for an on-disk database); ignored when Pool is
-	// set. The store must be fresh — its page 1 becomes the catalog.
+	// Store optionally supplies the index's page device (e.g. a
+	// pagestore.FileStore for an on-disk database); nil gives it a fresh
+	// MemStore of PageSize pages. The store must be fresh — its page 1
+	// becomes the catalog, which Save writes.
 	Store pagestore.Store
 	// Observe attaches a metrics-and-tracing observer to every query this
 	// index executes: per-path counters and latency histograms, stage
@@ -95,10 +91,10 @@ type OptionsD struct {
 	// are clamped to the sites' bounding box expanded by the largest
 	// inter-site distance.
 	Sites []geom.Point
-	// PageSize / PoolPages / Pool as in Options.
+	// PageSize / PoolPages / Store as in Options.
 	PageSize  int
 	PoolPages int
-	Pool      *pagestore.Pool
+	Store     pagestore.Store
 	// Observe as in Options: attaches per-query metrics and tracing; nil
 	// keeps the query path allocation-free.
 	Observe *obs.Observer

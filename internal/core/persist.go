@@ -39,9 +39,8 @@ const (
 	chainHeaderLen = 4  // next-page pointer
 )
 
-// Save writes the catalog and the relation into the index's store. The
-// index must own its store (created via New/Build without a shared Pool),
-// so that the catalog sits at page 1.
+// Save writes the catalog and the relation into the index's store, whose
+// page 1 the constructor reserved for the catalog.
 //
 // A tuple whose constraints do not define it (constraint.FromPolyhedron over
 // vertices and a ray) would reopen as the whole plane under the keys of what
@@ -65,9 +64,6 @@ const (
 func (ix *Index) Save() error {
 	ix.writeMu.Lock()
 	defer ix.writeMu.Unlock()
-	if ix.catalog == pagestore.InvalidPage {
-		return fmt.Errorf("core: index has no catalog page (built on a shared pool?)")
-	}
 	g, ok := ix.geo.(*slopeSet)
 	if !ok {
 		return fmt.Errorf("core: only the 2-D slope-set index can be persisted")

@@ -185,19 +185,6 @@ func TestSaveTwiceReclaimsChain(t *testing.T) {
 	}
 }
 
-// TestSaveRequiresOwnedStore: an index on a shared pool cannot persist.
-func TestSaveRequiresOwnedStore(t *testing.T) {
-	pool := pagestore.NewPool(pagestore.NewMemStore(1024), 64)
-	rel := constraint.NewRelation(2)
-	ix, err := Build(rel, Options{Slopes: EquiangularSlopes(2), Pool: pool})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Save(); err == nil {
-		t.Fatal("Save on a shared pool must fail")
-	}
-}
-
 // TestOpenRejectsGarbage: opening a store without a catalog fails cleanly.
 func TestOpenRejectsGarbage(t *testing.T) {
 	store := pagestore.NewMemStore(1024)

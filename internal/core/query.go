@@ -214,8 +214,8 @@ func (ix *Index) queryExec(q constraint.Query, ec *execCtx) (Result, error) {
 // beyond the range's far end. A stored key is its value rounded to float32
 // (btree.RoundKey), and rounding is monotone, so the range holds every entry
 // whose value lies in [lo, hi], and perhaps a few more whose value rounds to
-// an end. Every path — restricted, T1's app-queries, both T2 sweeps, the
-// vertical pair, in any dimension — is one or two of these.
+// an end. Every path — restricted, T1's app-queries, both T2 sweeps, in any
+// dimension — is one or two of these.
 type sweep struct {
 	from   float64
 	asc    bool

@@ -50,22 +50,15 @@ func (ix *Index) queryLine(a, b float64, ec *execCtx) (Result, error) {
 		dd := ec.span(obs.StageDedup)
 		ids := intersect(ec.rs, upper.IDs, lower.IDs) // ascending, as lower.IDs is
 		ec.endSpan(dd, len(ids))
-		st := QueryStats{
-			Path:        fmt.Sprintf("line(%s∩%s)", upper.Stats.Path, lower.Stats.Path),
-			Candidates:  upper.Stats.Candidates + lower.Stats.Candidates,
-			Results:     len(ids),
-			FalseHits:   upper.Stats.FalseHits + lower.Stats.FalseHits,
-			Decided:     upper.Stats.Decided + lower.Stats.Decided,
-			Sure:        upper.Stats.Sure + lower.Stats.Sure,
-			Duplicates:  upper.Stats.Duplicates + lower.Stats.Duplicates,
-			LeavesSwept: upper.Stats.LeavesSwept + lower.Stats.LeavesSwept,
-			LeavesWhole: upper.Stats.LeavesWhole + lower.Stats.LeavesWhole,
-			// The shared ReadCounter accumulates across both sub-queries, so
-			// its final value is the stab's exact physical-read total (summing
-			// the sub-results would double-count: each sub-query's PagesRead
-			// is a cumulative snapshot of the same counter).
-			PagesRead: ec.rc.Physical.Load(),
-		}
+		st := upper.Stats
+		st.Add(lower.Stats)
+		st.Path = fmt.Sprintf("line(%s∩%s)", upper.Stats.Path, lower.Stats.Path)
+		st.Results = len(ids)
+		// The shared ReadCounter accumulates across both sub-queries, so its
+		// final value is the stab's exact physical-read total (summing the
+		// sub-results would double-count: each sub-query's PagesRead is a
+		// cumulative snapshot of the same counter).
+		st.PagesRead = ec.rc.Physical.Load()
 		return Result{IDs: ids, Stats: st}, nil
 	})
 }

@@ -26,7 +26,10 @@ import (
 // are applied during refinement only. A query tuple with no usable
 // constraint degenerates to a relation scan.
 
-// QueryTupleStats extends QueryStats with the decomposition's shape.
+// QueryTupleStats extends QueryStats with the decomposition's shape. Its
+// counters sum those of the per-constraint selections, except Results,
+// FalseHits (the candidates the exact polyhedral test rejected) and
+// PagesRead (the tuple query's own reads).
 type QueryTupleStats struct {
 	QueryStats
 	// ConstraintsIndexed is how many of the query tuple's constraints ran
@@ -110,10 +113,7 @@ func (ix *Index) queryTuple(kind constraint.QueryKind, qt *constraint.Tuple, ec 
 				if err != nil {
 					return TupleResult{}, err
 				}
-				st.LeavesSwept += res.Stats.LeavesSwept
-				st.Candidates += res.Stats.Candidates
-				st.Decided += res.Stats.Decided
-				st.Sure += res.Stats.Sure
+				st.Add(res.Stats)
 				if i == 0 {
 					candidate = res.IDs
 				} else {
@@ -130,7 +130,7 @@ func (ix *Index) queryTuple(kind constraint.QueryKind, qt *constraint.Tuple, ec 
 		// test the exact polyhedral predicate.
 		needRefine := kind == constraint.EXIST || st.ConstraintsSkipped > 0 || len(selections) == 0
 		rf := ec.span(obs.StageRefine)
-		ids := candidate[:0]
+		ids, falseHits := candidate[:0], 0
 		for _, id := range candidate {
 			if needRefine {
 				// The lookup and the predicate share one error return, which
@@ -149,15 +149,14 @@ func (ix *Index) queryTuple(kind constraint.QueryKind, qt *constraint.Tuple, ec 
 					return TupleResult{}, err
 				}
 				if !ok {
-					st.FalseHits++
+					falseHits++
 					continue
 				}
 			}
 			ids = append(ids, id)
 		}
 		ec.endSpan(rf, len(candidate))
-		st.Results = len(ids)
-		st.PagesRead = ec.rc.Physical.Load()
+		st.Results, st.FalseHits, st.PagesRead = len(ids), falseHits, ec.rc.Physical.Load()
 		return TupleResult{IDs: ids, Stats: st}, nil
 	})
 }

@@ -130,7 +130,7 @@ func TestConcurrentPagesReadAttribution(t *testing.T) {
 	rel, ix := buildRandomIndex(t, rng, 300, Options{
 		Slopes:    EquiangularSlopes(3),
 		Technique: T2,
-		Pool:      memPool(1 << 14),
+		PoolPages: 1 << 14,
 	}, true)
 
 	type workload struct {

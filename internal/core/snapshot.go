@@ -71,7 +71,7 @@ func (ix *Index) MVCCStats() MVCCStats {
 }
 
 // SweepStats sums the descent and leaf-visit counters over every tree of
-// the index (the vertical pair included).
+// the index.
 func (ix *Index) SweepStats() btree.SweepStats {
 	var s btree.SweepStats
 	for _, t := range ix.trees {

@@ -119,10 +119,10 @@ func TestObserverAggregates(t *testing.T) {
 		t.Fatalf("queries=%d inflight=%d", s.Queries, s.Inflight)
 	}
 	t2 := s.Paths["t2"]
-	if t2.Count != 3 || t2.Pages != 12 || t2.Candidates != 60 || t2.FalseHits != 9 {
+	if t2.Count != 3 || t2.PagesRead != 12 || t2.Candidates != 60 || t2.FalseHits != 9 {
 		t.Fatalf("t2 path snapshot: %+v", t2)
 	}
-	if s.Totals.Count != 4 || s.Totals.Pages != 13 || s.Totals.Results != 56 {
+	if s.Totals.Count != 4 || s.Totals.PagesRead != 13 || s.Totals.Results != 56 {
 		t.Fatalf("totals: %+v", s.Totals)
 	}
 	sweep := s.Stages[StageSweep.String()]
@@ -135,6 +135,59 @@ func TestObserverAggregates(t *testing.T) {
 	}
 	if t2.Latency.Count != 3 {
 		t.Fatalf("t2 latency count = %d", t2.Latency.Count)
+	}
+}
+
+// TestQueryStatsCounterList pins the one list of QueryStats counters: the
+// name counterNames gives a counter is its JSON key and its name in the
+// registry and the slow-query log, counts and add take the counters in that
+// order, and Add sums every counter and keeps the receiver's Path.
+func TestQueryStatsCounterList(t *testing.T) {
+	st := QueryStats{Path: "t2", PagesRead: 1, Candidates: 2, Results: 3, FalseHits: 4, Decided: 5,
+		Sure: 6, Tangent: 7, Duplicates: 8, LeavesSwept: 9, LeavesWhole: 10}
+	var want [numCounts]uint64
+	for i := range want {
+		want[i] = uint64(i + 1)
+	}
+	if got := st.counts(); got != want {
+		t.Fatalf("counts() = %v, want %v", got, want)
+	}
+	var added QueryStats
+	added.add(want)
+	if added.Path = st.Path; added != st {
+		t.Fatalf("add(%v) = %+v, want %+v", want, added, st)
+	}
+
+	sum := QueryStats{Path: "line"}
+	sum.Add(st)
+	sum.Add(st)
+	if double := (QueryStats{Path: "line", PagesRead: 2, Candidates: 4, Results: 6, FalseHits: 8, Decided: 10,
+		Sure: 12, Tangent: 14, Duplicates: 16, LeavesSwept: 18, LeavesWhole: 20}); sum != double {
+		t.Fatalf("Add twice: %+v, want %+v", sum, double)
+	}
+
+	var buf bytes.Buffer
+	o := New(Options{SlowThreshold: time.Nanosecond, Logger: slog.New(slog.NewJSONHandler(&buf, nil))})
+	o.FinishQuery(o.StartQuery("q"), st, nil)
+	var doc, rec map[string]any
+	data, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc) != numCounts+1 {
+		t.Errorf("JSON %s: %d keys, want the path and %d counters", data, len(doc), numCounts)
+	}
+	reg := o.Registry().Snapshot()
+	for i, name := range counterNames {
+		if doc[name] != float64(i+1) || rec[name] != float64(i+1) || reg["path.t2."+name] != uint64(i+1) {
+			t.Errorf("%s: JSON %v, slow log %v, registry %v; want %d", name, doc[name], rec[name], reg["path.t2."+name], i+1)
+		}
 	}
 }
 
@@ -234,7 +287,7 @@ func TestObserverConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	s := o.ObserverSnapshot()
-	if s.Queries != 8*500 || s.Totals.Count != 8*500 || s.Totals.Pages != 8*500 {
+	if s.Queries != 8*500 || s.Totals.Count != 8*500 || s.Totals.PagesRead != 8*500 {
 		t.Fatalf("concurrent totals: queries=%d totals=%+v", s.Queries, s.Totals)
 	}
 }
@@ -281,7 +334,7 @@ func TestDebugMux(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&trs); err != nil {
 		t.Fatal(err)
 	}
-	if len(trs) != 1 || trs[0].Query != "exist y >= 2x" || trs[0].Pages != 7 {
+	if len(trs) != 1 || trs[0].Query != "exist y >= 2x" || trs[0].PagesRead != 7 {
 		t.Fatalf("/debug/traces: %+v", trs)
 	}
 }

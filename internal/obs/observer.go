@@ -10,43 +10,44 @@ import (
 
 // QueryStats describes how one selection was executed: what the engine
 // returns with every answer and what the observer aggregates per path.
+// counterNames lists its counters once; counts and add alone name them.
 type QueryStats struct {
 	// Path is the execution route: "restricted", "t1", "t2", and for a T2
 	// query slope outside every cell "t2(outside)" on a slope-set index or
-	// "scan" on a site-set one.
-	Path string
+	// "scan" on a site-set one. A failed query has none.
+	Path string `json:"path,omitempty"`
 	// Candidates is the number of tuple references retrieved from the
 	// trees before refinement (T1 counts duplicates once each).
-	Candidates int
+	Candidates int `json:"candidates"`
 	// Results is the number of tuples in the final answer.
-	Results int
+	Results int `json:"results"`
 	// FalseHits is the number of evaluated candidates the predicate
 	// rejected: (Candidates − Duplicates − Decided) − (Results − Sure).
 	// Candidates a sweep rejected on their key are not false hits.
-	FalseHits int
+	FalseHits int `json:"false_hits"`
 	// Decided is the number of candidates a sweep settled on their key —
 	// into the answer or out of it — without evaluating the predicate; the
 	// other Candidates − Duplicates − Decided were evaluated.
-	Decided int
+	Decided int `json:"decided"`
 	// Sure is the number of Decided candidates a sweep put into the answer
 	// unevaluated; the other Decided − Sure were rejected on their key.
-	Sure int
+	Sure int `json:"sure"`
 	// Tangent is the number of Decided candidates a tangent line settled:
 	// those the x-extent bracket left to the predicate and either the line of
 	// the vertex attaining the key or, between two sites, the line through
 	// the key of the vertex attaining the surface at the neighbour site
 	// decided (T2 only).
-	Tangent int
+	Tangent int `json:"tangent"`
 	// Duplicates is the number of tuple references retrieved more than
 	// once (only T1 can produce them; T2 is duplicate-free by design).
-	Duplicates int
+	Duplicates int `json:"duplicates"`
 	// LeavesSwept is the number of leaf pages visited across all sweeps.
-	LeavesSwept int
+	LeavesSwept int `json:"leaves_swept"`
 	// LeavesWhole is the number of LeavesSwept whose entries in range a
 	// sweep's rule settled all one way — all accepted or all rejected on
 	// the leaf's key range and extent — without a per-entry verdict (T2
 	// only).
-	LeavesWhole int
+	LeavesWhole int `json:"leaves_whole"`
 	// PagesRead is the number of physical page reads this query's own
 	// tree traversals triggered, counted exactly via a per-query read
 	// counter (never a delta on the shared pool counters, which would be
@@ -55,8 +56,40 @@ type QueryStats struct {
 	// in a concurrent batch over a warm shared pool it reports the misses
 	// this query itself faulted in — pages another in-flight query loaded
 	// first are, by design, charged to that query.
-	PagesRead uint64
+	PagesRead uint64 `json:"pages"`
 }
+
+// counterNames are the names of QueryStats' counters — their JSON keys, and
+// path.<path>.<name> in the registry — in the order counts returns them and
+// add takes them.
+var counterNames = [...]string{"pages", "candidates", "results", "false_hits", "decided", "sure", "tangent", "duplicates", "leaves_swept", "leaves_whole"}
+
+const numCounts = len(counterNames)
+
+// counts returns the counters in counterNames' order.
+func (s *QueryStats) counts() [numCounts]uint64 {
+	return [numCounts]uint64{s.PagesRead, uint64(s.Candidates), uint64(s.Results), uint64(s.FalseHits),
+		uint64(s.Decided), uint64(s.Sure), uint64(s.Tangent), uint64(s.Duplicates), uint64(s.LeavesSwept), uint64(s.LeavesWhole)}
+}
+
+// add adds c, in counterNames' order, to the counters.
+func (s *QueryStats) add(c [numCounts]uint64) {
+	s.PagesRead += c[0]
+	s.Candidates += int(c[1])
+	s.Results += int(c[2])
+	s.FalseHits += int(c[3])
+	s.Decided += int(c[4])
+	s.Sure += int(c[5])
+	s.Tangent += int(c[6])
+	s.Duplicates += int(c[7])
+	s.LeavesSwept += int(c[8])
+	s.LeavesWhole += int(c[9])
+}
+
+// Add sums every counter of o into s. s keeps its Path: a sum of selections
+// is labelled by whoever sums them — a compound query names its own path,
+// and the observer's totals have none.
+func (s *QueryStats) Add(o QueryStats) { s.add(o.counts()) }
 
 // Options configures an Observer.
 type Options struct {
@@ -126,19 +159,12 @@ type stageMetrics struct {
 	items    *Counter
 }
 
+// pathMetrics aggregates one path: its query count, latency and the sums
+// of its QueryStats counters, in counterNames' order.
 type pathMetrics struct {
-	count       *Counter
-	ns          *Histogram
-	pages       *Counter
-	candidates  *Counter
-	results     *Counter
-	falseHits   *Counter
-	decided     *Counter
-	sure        *Counter
-	tangent     *Counter
-	duplicates  *Counter
-	leavesSwept *Counter
-	leavesWhole *Counter
+	count  *Counter
+	ns     *Histogram
+	counts [numCounts]*Counter
 }
 
 // New builds an Observer. The zero Options is usable: metrics and
@@ -226,35 +252,23 @@ func (o *Observer) FinishQuery(tr *Trace, st QueryStats, err error) {
 	pm := o.path(st.Path)
 	pm.count.Inc()
 	pm.ns.RecordDuration(tr.total)
-	pm.pages.Add(st.PagesRead)
-	pm.candidates.Add(uint64(st.Candidates))
-	pm.results.Add(uint64(st.Results))
-	pm.falseHits.Add(uint64(st.FalseHits))
-	pm.decided.Add(uint64(st.Decided))
-	pm.sure.Add(uint64(st.Sure))
-	pm.tangent.Add(uint64(st.Tangent))
-	pm.duplicates.Add(uint64(st.Duplicates))
-	pm.leavesSwept.Add(uint64(st.LeavesSwept))
-	pm.leavesWhole.Add(uint64(st.LeavesWhole))
+	counts := st.counts()
+	for i, c := range counts {
+		pm.counts[i].Add(c)
+	}
 
 	if o.slowThreshold > 0 && tr.total >= o.slowThreshold {
 		o.slow.Inc()
 		o.slowQueries.add(tr)
-		o.logSlow("slow query", spans, err,
+		outcome := []slog.Attr{
 			slog.String("query", tr.query),
 			slog.String("path", st.Path),
 			slog.Duration("total", tr.total),
-			slog.Uint64("pages_read", st.PagesRead),
-			slog.Int("candidates", st.Candidates),
-			slog.Int("results", st.Results),
-			slog.Int("false_hits", st.FalseHits),
-			slog.Int("decided", st.Decided),
-			slog.Int("sure", st.Sure),
-			slog.Int("tangent", st.Tangent),
-			slog.Int("duplicates", st.Duplicates),
-			slog.Int("leaves_swept", st.LeavesSwept),
-			slog.Int("leaves_whole", st.LeavesWhole),
-		)
+		}
+		for i, c := range counts {
+			outcome = append(outcome, slog.Uint64(counterNames[i], c))
+		}
+		o.logSlow("slow query", spans, err, outcome...)
 	}
 }
 
@@ -303,19 +317,10 @@ func (o *Observer) path(name string) *pathMetrics {
 	if pm := o.paths[name]; pm != nil {
 		return pm
 	}
-	pm = &pathMetrics{
-		count:       o.reg.Counter("path." + name + ".count"),
-		ns:          o.reg.Histogram("path." + name + ".ns"),
-		pages:       o.reg.Counter("path." + name + ".pages"),
-		candidates:  o.reg.Counter("path." + name + ".candidates"),
-		results:     o.reg.Counter("path." + name + ".results"),
-		falseHits:   o.reg.Counter("path." + name + ".false_hits"),
-		decided:     o.reg.Counter("path." + name + ".decided"),
-		sure:        o.reg.Counter("path." + name + ".sure"),
-		tangent:     o.reg.Counter("path." + name + ".tangent"),
-		duplicates:  o.reg.Counter("path." + name + ".duplicates"),
-		leavesSwept: o.reg.Counter("path." + name + ".leaves_swept"),
-		leavesWhole: o.reg.Counter("path." + name + ".leaves_whole"),
+	prefix := "path." + name + "."
+	pm = &pathMetrics{count: o.reg.Counter(prefix + "count"), ns: o.reg.Histogram(prefix + "ns")}
+	for i, c := range counterNames {
+		pm.counts[i] = o.reg.Counter(prefix + c)
 	}
 	o.paths[name] = pm
 	return pm
@@ -397,20 +402,12 @@ type StageSnapshot struct {
 }
 
 // PathSnapshot aggregates one technique route across all observed
-// queries.
+// queries: their count, the sums of their QueryStats counters (Path is
+// empty: Snapshot.Paths is keyed by it) and their latency.
 type PathSnapshot struct {
-	Count       uint64            `json:"count"`
-	Pages       uint64            `json:"pages"`
-	Candidates  uint64            `json:"candidates"`
-	Results     uint64            `json:"results"`
-	FalseHits   uint64            `json:"false_hits"`
-	Decided     uint64            `json:"decided"`
-	Sure        uint64            `json:"sure"`
-	Tangent     uint64            `json:"tangent"`
-	Duplicates  uint64            `json:"duplicates"`
-	LeavesSwept uint64            `json:"leaves_swept"`
-	LeavesWhole uint64            `json:"leaves_whole"`
-	Latency     HistogramSnapshot `json:"latency"`
+	Count uint64 `json:"count"`
+	QueryStats
+	Latency HistogramSnapshot `json:"latency"`
 }
 
 // Snapshot is a point-in-time read of everything the observer has
@@ -482,32 +479,15 @@ func (o *Observer) ObserverSnapshot() *Snapshot {
 	}
 	o.mu.RUnlock()
 	for name, pm := range paths {
-		ps := PathSnapshot{
-			Count:       pm.count.Load(),
-			Pages:       pm.pages.Load(),
-			Candidates:  pm.candidates.Load(),
-			Results:     pm.results.Load(),
-			FalseHits:   pm.falseHits.Load(),
-			Decided:     pm.decided.Load(),
-			Sure:        pm.sure.Load(),
-			Tangent:     pm.tangent.Load(),
-			Duplicates:  pm.duplicates.Load(),
-			LeavesSwept: pm.leavesSwept.Load(),
-			LeavesWhole: pm.leavesWhole.Load(),
-			Latency:     pm.ns.Snapshot(),
+		ps := PathSnapshot{Count: pm.count.Load(), Latency: pm.ns.Snapshot()}
+		var counts [numCounts]uint64
+		for i, c := range pm.counts {
+			counts[i] = c.Load()
 		}
+		ps.add(counts)
 		s.Paths[name] = ps
 		s.Totals.Count += ps.Count
-		s.Totals.Pages += ps.Pages
-		s.Totals.Candidates += ps.Candidates
-		s.Totals.Results += ps.Results
-		s.Totals.FalseHits += ps.FalseHits
-		s.Totals.Decided += ps.Decided
-		s.Totals.Sure += ps.Sure
-		s.Totals.Tangent += ps.Tangent
-		s.Totals.Duplicates += ps.Duplicates
-		s.Totals.LeavesSwept += ps.LeavesSwept
-		s.Totals.LeavesWhole += ps.LeavesWhole
+		s.Totals.Add(ps.QueryStats)
 		s.PathNames = append(s.PathNames, name)
 	}
 	sort.Strings(s.PathNames)

@@ -201,46 +201,25 @@ type SpanSnapshot struct {
 // TraceSnapshot is the JSON form of a finished query trace, served at
 // /debug/traces.
 type TraceSnapshot struct {
-	Query       string         `json:"query"`
-	Path        string         `json:"path"`
-	Start       time.Time      `json:"start"`
-	TotalUs     int64          `json:"total_us"`
-	Pages       uint64         `json:"pages"`
-	Candidates  int            `json:"candidates"`
-	Results     int            `json:"results"`
-	FalseHits   int            `json:"false_hits"`
-	Decided     int            `json:"decided"`
-	Sure        int            `json:"sure"`
-	Tangent     int            `json:"tangent"` // settled by the own or the neighbour's tangent line (QueryStats.Tangent)
-	Duplicates  int            `json:"duplicates"`
-	LeavesSwept int            `json:"leaves_swept"`
-	LeavesWhole int            `json:"leaves_whole"`
-	Err         string         `json:"err,omitempty"`
-	Spans       []SpanSnapshot `json:"spans"`
+	Query string `json:"query"`
+	QueryStats
+	Start   time.Time      `json:"start"`
+	TotalUs int64          `json:"total_us"`
+	Err     string         `json:"err,omitempty"`
+	Spans   []SpanSnapshot `json:"spans"`
 }
 
 // querySnapshot renders a finished query trace for serialization.
 func (t *Trace) querySnapshot() TraceSnapshot {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	st := t.stats
 	ts := TraceSnapshot{
-		Query:       t.query,
-		Path:        st.Path,
-		Start:       t.begun,
-		TotalUs:     t.total.Microseconds(),
-		Pages:       st.PagesRead,
-		Candidates:  st.Candidates,
-		Results:     st.Results,
-		FalseHits:   st.FalseHits,
-		Decided:     st.Decided,
-		Sure:        st.Sure,
-		Tangent:     st.Tangent,
-		Duplicates:  st.Duplicates,
-		LeavesSwept: st.LeavesSwept,
-		LeavesWhole: st.LeavesWhole,
-		Err:         errString(t.err),
-		Spans:       make([]SpanSnapshot, 0, len(t.spans)),
+		Query:      t.query,
+		QueryStats: t.stats,
+		Start:      t.begun,
+		TotalUs:    t.total.Microseconds(),
+		Err:        errString(t.err),
+		Spans:      make([]SpanSnapshot, 0, len(t.spans)),
 	}
 	for _, sp := range t.spans {
 		ts.Spans = append(ts.Spans, SpanSnapshot{

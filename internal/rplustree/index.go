@@ -34,15 +34,15 @@ type Index struct {
 
 // Options configures an R⁺-tree index.
 type Options struct {
-	// PageSize in bytes (default 1024). Ignored when Pool is set.
+	// PageSize in bytes (default 1024) of the index's MemStore.
 	PageSize int
-	// PoolPages is the buffer-pool capacity in frames (default 512).
+	// PoolPages is the capacity in frames (default 512) of the buffer pool
+	// the index builds over that store and owns.
 	PoolPages int
-	// Pool optionally shares a buffer pool with other structures.
-	Pool *pagestore.Pool
 }
 
-// QueryStats mirrors core.QueryStats for uniform reporting.
+// QueryStats reports how one R⁺-tree selection ran, in the terms the
+// experiments compare with the dual index's (NodesVisited is its own).
 type QueryStats struct {
 	Path         string
 	Candidates   int // object references touched (duplicates included)
@@ -70,10 +70,7 @@ func Build(rel *constraint.Relation, opt Options) (*Index, error) {
 	if opt.PoolPages <= 0 {
 		opt.PoolPages = 512
 	}
-	pool := opt.Pool
-	if pool == nil {
-		pool = pagestore.NewPool(pagestore.NewMemStore(opt.PageSize), opt.PoolPages)
-	}
+	pool := pagestore.NewPool(pagestore.NewMemStore(opt.PageSize), opt.PoolPages)
 	ix := &Index{rel: rel, pool: pool}
 	var items []Item
 	rel.Scan(func(t *constraint.Tuple) bool {

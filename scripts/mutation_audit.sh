@@ -25,7 +25,7 @@
 # The whole list takes about 40 minutes on a 2-core x86-64 container, most
 # of it in the -race runs of internal/core and in the timeouts of the
 # mutations that deadlock every Save; CI's "Mutation smoke" step runs
-# thirty-one of its rows.
+# thirty-three of its rows.
 set -euo pipefail
 repo=$(cd "$(dirname "$0")/.." && pwd)
 work=$(mktemp -d)
@@ -438,14 +438,14 @@ EOF
 mut save-rebuild internal/core/persist.go "lockset: \`Save\` calls the exported \`RebuildHandicaps\` under \`writeMu\`" <<'EOF'
 	ix.writeMu.Lock()
 	defer ix.writeMu.Unlock()
-	if ix.catalog == pagestore.InvalidPage {
+	g, ok := ix.geo.(*slopeSet)
 ----
 	ix.writeMu.Lock()
 	defer ix.writeMu.Unlock()
 	if err := ix.RebuildHandicaps(); err != nil {
 		return err
 	}
-	if ix.catalog == pagestore.InvalidPage {
+	g, ok := ix.geo.(*slopeSet)
 EOF
 
 mut reclaim-requeue internal/pagestore/snapshot.go "lockset: a failed reclaim re-queued through the exported \`DeferFrees\` under \`snapMu\`" <<'EOF'
@@ -718,6 +718,20 @@ mut set-separator-right internal/btree/cursor.go "one walk: a route key equal to
 		leaf := sort.Search(len(seps), func(i int) bool { return e.Less(seps[i]) })
 ----
 		leaf := sort.Search(len(seps), func(i int) bool { return e.Key < seps[i].Key })
+EOF
+
+# --- one list of the QueryStats counters (DESIGN.md §9.1) ---
+
+mut stats-add-skips-tangent internal/obs/observer.go "one counter list: \`QueryStats.Add\` leaves \`Tangent\` out" <<'EOF'
+func (s *QueryStats) Add(o QueryStats) { s.add(o.counts()) }
+----
+func (s *QueryStats) Add(o QueryStats) { t := s.Tangent; s.add(o.counts()); s.Tangent = t }
+EOF
+
+mut counter-names-swapped internal/obs/observer.go "one counter list: two neighbouring names exchanged" <<'EOF'
+"decided", "sure",
+----
+"sure", "decided",
 EOF
 
 echo >&2
