@@ -154,7 +154,7 @@ func (t *Tree) Handle(m Meta) Tree {
 // place: n itself when no batch is open (legacy in-place mode) or when the
 // batch already owns it, and otherwise a fresh clone, which the caller
 // links into its (writable) parent. On success the returned node replaces
-// n (whose frame is released if a clone was made); on error n is released.
+// n (a clone takes over n's pin); on error n is released.
 func (t *Tree) writable(n node) (node, error) {
 	if t.cow == nil || t.cow.owned[n.id()] {
 		return n, nil
@@ -168,7 +168,6 @@ func (t *Tree) writable(n node) (node, error) {
 	c := wrap(f)
 	t.cow.owned[c.id()] = true
 	t.cow.superseded = append(t.cow.superseded, old)
-	n.release()
 	return c, nil
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"slices"
 
 	"dualcdb/internal/btree"
 	"dualcdb/internal/constraint"
@@ -259,15 +258,13 @@ func (c *Commit) Commit() error {
 	c.endStaging()
 
 	shadowSpan := c.beginSpan(obs.StageShadow)
-	// Every tree's superseded ids gather in the writer's buffer, and
-	// DeferFrees, which may keep its slice until a snapshot releases, gets a
-	// copy of exactly their number.
-	buf := ix.supBuf[:0]
+	// Every tree's superseded ids gather in the writer's buffer;
+	// DeferFrees keeps no reference to it.
+	superseded := ix.supBuf[:0]
 	for _, t := range ix.trees {
-		buf = t.CommitCOWAppend(buf)
+		superseded = t.CommitCOWAppend(superseded)
 	}
-	ix.supBuf = buf
-	superseded := slices.Clone(buf)
+	ix.supBuf = superseded
 	c.endSpan(shadowSpan, len(superseded))
 
 	publishSpan := c.beginSpan(obs.StagePublish)

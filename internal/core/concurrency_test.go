@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dualcdb/internal/constraint"
@@ -69,7 +70,11 @@ func TestConcurrentQueries(t *testing.T) {
 // stats reads for as long as the writer runs. Before the copy-on-write root
 // sets this raced on the trees' pages, ix.indexed and the relation map; now
 // every reader pins a version with one atomic load and must see internally
-// consistent answers no matter how commits interleave. One reader runs only
+// consistent answers no matter how commits interleave. Every answer whose
+// version is known — a pinned snapshot's, or a per-call query's when no
+// commit landed around it — must equal the naive scan of that version's own
+// tuples: a pin handed over twice, or a reclaim that frees a page a reader
+// still sweeps, shows as a wrong answer here. One reader runs only
 // 2-D queries at slopes outside every strip, whose sweeps read the pinned
 // version's x-extent table: a field a commit wrote after publishing the
 // version races with it.
@@ -89,6 +94,40 @@ func testConcurrentReadersWithWriter(t *testing.T, ec engineCase) {
 	)
 	var wg sync.WaitGroup
 	writing := make(chan struct{})
+
+	// check compares an answer taken on version rs with the naive scan of
+	// rs's tuples; checked counts the answers it compared.
+	var checked atomic.Int64
+	check := func(who string, rs *rootSet, q constraint.Query, got []constraint.TupleID) bool {
+		checked.Add(1)
+		want, err := scanAnswer(rs, q)
+		if err != nil {
+			t.Errorf("%s: scan: %v", who, err)
+			return false
+		}
+		if !sameIDs(got, want) {
+			t.Errorf("%s on v%d: query %v: got %v, the version's scan %v", who, rs.version, q, got, want)
+			return false
+		}
+		return true
+	}
+	// perCall runs query, which pins a version of its own, between a
+	// snapshot and a look at the current version. When both show one
+	// version no commit landed in between, so query read that version: it
+	// returns the snapshot, which the caller checks against and releases.
+	// Otherwise it returns nil.
+	perCall := func(query func() error) (*Snapshot, error) {
+		s := ix.Snapshot()
+		if err := query(); err != nil {
+			s.Release()
+			return nil, err
+		}
+		if ix.roots.Load().version != s.Version() {
+			s.Release()
+			return nil, nil
+		}
+		return s, nil
+	}
 
 	// Writer: mostly single-op commits, with the occasional multi-op
 	// batch, against the live index.
@@ -152,10 +191,18 @@ func testConcurrentReadersWithWriter(t *testing.T, ec engineCase) {
 				}
 				q := ec.query(rrng)
 				q.Slope[0] = (30 + 20*rrng.Float64()) * float64(1-2*rrng.Intn(2))
-				res, err := ix.Query(q)
+				var res Result
+				s, err := perCall(func() (err error) { res, err = ix.Query(q); return err })
 				if err != nil {
 					t.Errorf("outside reader: %v", err)
 					return
+				}
+				if s != nil {
+					ok := check("outside reader", s.rs, q, res.IDs)
+					s.Release()
+					if !ok {
+						return
+					}
 				}
 				if ix.opt.Technique == T2 && res.Stats.Path != "t2(outside)" {
 					t.Errorf("outside reader: %v ran on path %q", q, res.Stats.Path)
@@ -167,7 +214,7 @@ func testConcurrentReadersWithWriter(t *testing.T, ec engineCase) {
 
 	// Readers: every query path pins a version (explicitly or per call),
 	// and re-running a query on a pinned snapshot must be bit-identical
-	// even while commits land underneath.
+	// even while commits land underneath, and equal to the version's scan.
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func(seed int64) {
@@ -182,9 +229,18 @@ func testConcurrentReadersWithWriter(t *testing.T, ec engineCase) {
 				q := ec.query(rrng)
 				switch i % 4 {
 				case 0: // per-call snapshot
-					if _, err := ix.Query(q); err != nil {
+					var res Result
+					s, err := perCall(func() (err error) { res, err = ix.Query(q); return err })
+					if err != nil {
 						t.Errorf("reader query: %v", err)
 						return
+					}
+					if s != nil {
+						ok := check("reader query", s.rs, q, res.IDs)
+						s.Release()
+						if !ok {
+							return
+						}
 					}
 				case 1: // pinned snapshot: repeatable reads
 					s := ix.Snapshot()
@@ -204,12 +260,31 @@ func testConcurrentReadersWithWriter(t *testing.T, ec engineCase) {
 						t.Errorf("snapshot v%d not repeatable: %v then %v",
 							s.Version(), r1.IDs, r2.IDs)
 					}
+					ok := check("reader snapshot", s.rs, q, r1.IDs)
 					s.Release()
+					if !ok {
+						return
+					}
 				case 2: // batch sharing one pinned version
 					qs := []constraint.Query{q, ec.query(rrng), ec.query(rrng)}
-					if _, err := ix.QueryBatch(qs, BatchOptions{Workers: 2}); err != nil {
+					var res []Result
+					s, err := perCall(func() (err error) {
+						res, err = ix.QueryBatch(qs, BatchOptions{Workers: 2})
+						return err
+					})
+					if err != nil {
 						t.Errorf("reader batch: %v", err)
 						return
+					}
+					if s != nil {
+						ok := true
+						for j, bq := range qs {
+							ok = ok && check("reader batch", s.rs, bq, res[j].IDs)
+						}
+						s.Release()
+						if !ok {
+							return
+						}
 					}
 				default: // metadata reads are lock-free too
 					_ = ix.Len()
@@ -220,6 +295,7 @@ func testConcurrentReadersWithWriter(t *testing.T, ec engineCase) {
 		}(int64(100 + r))
 	}
 	wg.Wait()
+	t.Logf("%d answers taken during the stress matched their version's scan", checked.Load())
 
 	if c := ix.Pool().SnapshotCensus(); c.Active != 0 || c.DeferredPages != 0 {
 		t.Fatalf("census after quiesce: %+v", c)
@@ -232,17 +308,10 @@ func testConcurrentReadersWithWriter(t *testing.T, ec engineCase) {
 	rs := ix.roots.Load()
 	for i := 0; i < 20; i++ {
 		q := ec.query(rng)
-		var want []constraint.TupleID
-		rs.tuples.Scan(func(tp *constraint.Tuple) bool {
-			ok, err := q.Matches(tp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ok {
-				want = append(want, tp.ID())
-			}
-			return true
-		})
+		want, err := scanAnswer(rs, q)
+		if err != nil {
+			t.Fatal(err)
+		}
 		got, err := ix.Query(q)
 		if err != nil {
 			t.Fatal(err)
@@ -251,4 +320,23 @@ func testConcurrentReadersWithWriter(t *testing.T, ec engineCase) {
 			t.Fatalf("post-stress query %v: got %v, want %v", q, got.IDs, want)
 		}
 	}
+}
+
+// scanAnswer is the naive answer of q: a scan of every tuple of the
+// version rs.
+func scanAnswer(rs *rootSet, q constraint.Query) ([]constraint.TupleID, error) {
+	var ids []constraint.TupleID
+	var err error
+	rs.tuples.Scan(func(tp *constraint.Tuple) bool {
+		ok, merr := q.Matches(tp)
+		if merr != nil {
+			err = merr
+			return false
+		}
+		if ok {
+			ids = append(ids, tp.ID())
+		}
+		return true
+	})
+	return ids, err
 }

@@ -41,7 +41,7 @@ type Index struct {
 	trees []*btree.Tree // guarded by writeMu
 	// keyBuf and supBuf are the writer's scratch: one operation's tree keys
 	// (treeKeys) and one commit's superseded pages, gathered from every
-	// tree before DeferFrees gets a copy.
+	// tree for DeferFrees, which keeps no reference to it.
 	keyBuf []float64          // guarded by writeMu
 	supBuf []pagestore.PageID // guarded by writeMu
 

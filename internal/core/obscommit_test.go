@@ -2,7 +2,10 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"dualcdb/internal/constraint"
 	"dualcdb/internal/obs"
@@ -263,10 +266,15 @@ func TestNilObserverCommitAddsNoAllocs(t *testing.T) {
 // BenchmarkCommitBare and BenchmarkCommitObserved are the write-side
 // perf guard: the observed commits must track the bare ones
 // (TestNilObserverCommitAddsNoAllocs pins the bare path's allocations; the
-// latency ratio's acceptance bar is 5 %). Each has an /insert and a
-// /delete case: an iteration commits an insert and then the delete of the
-// tuple it inserted, so the trees keep their size, and times only the
-// case's commit.
+// latency ratio's acceptance bar is 5 %, read off the two benchmarks'
+// p50-ns/op). Each has an /insert and a /delete case: an iteration commits
+// an insert and then the delete of the tuple it inserted, so the trees keep
+// their size. The case's commit alone is timed, with time.Now, and its
+// median reported as p50-ns/op; ns/op, the mean of whole iterations, is
+// suppressed. allocs/op and B/op are the case's commit alone too, counted
+// by one MemStats pair around a separate run of such commits: the timed
+// loop never stops the world, as a Start/StopTimer pair under ReportAllocs
+// would at every commit.
 func BenchmarkCommitBare(b *testing.B)     { benchCommit(b, false) }
 func BenchmarkCommitObserved(b *testing.B) { benchCommit(b, true) }
 
@@ -289,29 +297,72 @@ func benchCommit(b *testing.B, observed bool) {
 	}
 	for _, op := range []string{"insert", "delete"} {
 		b.Run(op, func(b *testing.B) {
-			b.ReportAllocs()
-			b.StopTimer()
-			for i := 0; i < b.N; i++ {
+			ns := make([]time.Duration, b.N)
+			for i := range ns {
 				tup := randTuple(rng, false)
-				if op == "insert" {
-					b.StartTimer()
-				}
+				t0 := time.Now()
 				id, err := ix.Insert(tup)
+				t1 := time.Now()
 				if err != nil {
 					b.Fatal(err)
-				}
-				if op == "insert" {
-					b.StopTimer()
-				} else {
-					b.StartTimer()
 				}
 				if err := ix.Delete(id); err != nil {
 					b.Fatal(err)
 				}
-				if op == "delete" {
-					b.StopTimer()
+				if op == "insert" {
+					ns[i] = t1.Sub(t0)
+				} else {
+					ns[i] = time.Since(t1)
 				}
 			}
+			b.StopTimer()
+			slices.Sort(ns)
+			b.ReportMetric(float64(ns[len(ns)/2]), "p50-ns/op")
+			b.ReportMetric(0, "ns/op")
+			allocs, bytes := commitAllocs(b, ix, rng, op)
+			b.ReportMetric(allocs, "allocs/op")
+			b.ReportMetric(bytes, "B/op")
 		})
 	}
+}
+
+// commitAllocs returns the heap objects and bytes one commit of op (insert
+// or delete) allocates, averaged over 64 such commits between one MemStats
+// pair. The other half of each insert/delete pair runs outside the pair.
+func commitAllocs(b *testing.B, ix *Index, rng *rand.Rand, op string) (allocs, bytes float64) {
+	const n = 64
+	tups := make([]*constraint.Tuple, n)
+	for i := range tups {
+		tups[i] = randTuple(rng, false)
+	}
+	ids := make([]constraint.TupleID, n)
+	var before, after runtime.MemStats
+	inserts := func() {
+		for i, tup := range tups {
+			id, err := ix.Insert(tup)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ids[i] = id
+		}
+	}
+	deletes := func() {
+		for _, id := range ids {
+			if err := ix.Delete(id); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if op == "insert" {
+		runtime.ReadMemStats(&before)
+		inserts()
+		runtime.ReadMemStats(&after)
+		deletes()
+	} else {
+		inserts()
+		runtime.ReadMemStats(&before)
+		deletes()
+		runtime.ReadMemStats(&after)
+	}
+	return float64(after.Mallocs-before.Mallocs) / n, float64(after.TotalAlloc-before.TotalAlloc) / n
 }

@@ -510,11 +510,14 @@ func (c opCost) per(v uint64) float64 { return float64(v) / float64(c.ops) }
 
 // TestOneOpCommitAllocations guards what a warm one-op commit costs at the
 // benchmark's scale (N = 12 000, k = 4, eight trees three levels tall): a
-// Delete allocates at most 12 objects and an Insert 16, because a commit
-// reuses each tree's copy-on-write bookkeeping and holds a version's handles
-// in one array; and a Delete reads at most 32 pages through the pool and an
-// Insert 120, because a clone copies from the frame its descent holds
-// (DESIGN.md §13). Ahead of them it holds Build to 936 pool reads and
+// Delete allocates at most 5 objects and an Insert 6, because a commit
+// reuses each tree's copy-on-write bookkeeping, holds a version's handles
+// in one array and hands DeferFrees the writer's own buffer; and a Delete
+// reads at most 32 pages through the pool and an Insert 120, because a clone
+// copies from the frame its descent holds (DESIGN.md §13). No operation
+// leaves a frame pinned: a clone takes over its source's pin, and a pin
+// handed over twice or never shows here. Ahead of them it holds Build to
+// 936 pool reads and
 // RebuildHandicaps to 928 and 896 clones: one SetHandicaps walk a tree reads
 // each of the 896 pages once — the rebuild's batch clones each once — the
 // separators' binning reads the 32 internal nodes once more, and BulkLoad
@@ -551,16 +554,22 @@ func TestOneOpCommitAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if r := pool.Residency(); r.Pinned != 0 {
+			t.Fatalf("insert %d leaves %d frames pinned", i, r.Pinned)
+		}
 		del.measure(pool, func() { err = ix.Delete(id) })
 		if err != nil {
 			t.Fatal(err)
+		}
+		if r := pool.Residency(); r.Pinned != 0 {
+			t.Fatalf("delete %d leaves %d frames pinned", i, r.Pinned)
 		}
 	}
 	for _, c := range []struct {
 		op            string
 		cost          opCost
 		allocs, reads float64
-	}{{"Insert", ins, 16, 120}, {"Delete", del, 12, 32}} {
+	}{{"Insert", ins, 6, 120}, {"Delete", del, 5, 32}} {
 		a, r := c.cost.per(c.cost.allocs), c.cost.per(c.cost.reads)
 		t.Logf("%s: %.1f allocs, %.1f pool reads, %.1f clones a commit", c.op, a, r, c.cost.per(c.cost.clones))
 		if a > c.allocs {

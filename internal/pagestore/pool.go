@@ -43,6 +43,13 @@ type ReadCounter struct {
 // Stats reads them without the lock. Frames are pinned while in use;
 // unpinned dirty frames are written back on eviction or Flush.
 //
+// The frame table is a slice indexed by page id: both stores hand out dense
+// ids (a freed id is reused before a new one is minted), so the table holds
+// one pointer per id the store has handed out — 8 B a page of the store —
+// and a page event indexes it instead of hashing. Each page event (a Get, a
+// Release, a clone, a free or a whole reclaimed batch) takes the pool lock
+// once.
+//
 // Eviction is a segmented LRU of two intrusive lists of resident frames:
 // young holds pages not pinned again since they were read in, old holds
 // pages that were. A page enters the young region when it is read in and
@@ -66,8 +73,11 @@ type Pool struct {
 	capacity int
 	oldCap   int
 
-	mu     sync.Mutex
-	frames map[PageID]*Frame // guarded by mu
+	mu sync.Mutex
+	// frames is the frame table by page id, nil where the page is not
+	// resident; it grows on install. resident counts its non-nil slots.
+	frames   []*Frame // guarded by mu
+	resident int      // guarded by mu
 	// young/old order most-recently released frames first.
 	young frameList // guarded by mu
 	old   frameList // guarded by mu
@@ -197,7 +207,6 @@ func NewPool(store Store, capacity int) *Pool {
 		store:    store,
 		capacity: capacity,
 		oldCap:   capacity * oldNum / oldDen, // capacity ≥ 8, so 1 ≤ oldCap < capacity
-		frames:   make(map[PageID]*Frame),
 		snapRefs: make(map[uint64]int),
 	}
 }
@@ -238,7 +247,7 @@ func (p *Pool) GetTracked(id PageID, rc *ReadCounter) (*Frame, error) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if f, ok := p.frames[id]; ok {
+	if f := p.frameLocked(id); f != nil {
 		p.pinLocked(f)
 		return f, nil
 	}
@@ -254,8 +263,17 @@ func (p *Pool) GetTracked(id PageID, rc *ReadCounter) (*Frame, error) {
 	if rc != nil {
 		rc.Physical.Add(1)
 	}
-	p.installLocked(f, id)
+	p.installLocked(f, id, false)
 	return f, nil
+}
+
+// frameLocked returns the resident frame of page id, or nil. Callers hold
+// p.mu.
+func (p *Pool) frameLocked(id PageID) *Frame {
+	if int(id) < len(p.frames) {
+		return p.frames[id]
+	}
+	return nil
 }
 
 // takeFrameLocked pops a recycled frame off the freelist — buffer and all —
@@ -270,17 +288,16 @@ func (p *Pool) takeFrameLocked() *Frame {
 	return &Frame{pool: p, data: make([]byte, p.store.PageSize())}
 }
 
-// recycleLocked pushes a frame (not in any list or map) onto the freelist,
-// clearing its identity so nothing can mistake it for a live page. The
-// freelist is bounded by the pool capacity; overflow is left to the GC.
+// recycleLocked pushes a frame (not in any list or table slot) onto the
+// freelist, clearing its identity so nothing can mistake it for a live page.
+// A frame leaves the table only unpinned, and installLocked sets every other
+// field, so nothing else is reset here. The freelist is bounded by the pool
+// capacity; overflow is left to the GC.
 func (p *Pool) recycleLocked(f *Frame) {
 	if p.freeN >= p.capacity {
 		return
 	}
 	f.id = 0
-	f.pins.Store(0)
-	f.region = regionYoung
-	f.dirty.Store(false)
 	f.lruPrev = nil
 	f.lruNext = p.free
 	p.free = f
@@ -288,25 +305,32 @@ func (p *Pool) recycleLocked(f *Frame) {
 }
 
 // installLocked registers a frame (fresh or recycled, its data already
-// holding the page image) for id: the frame counts one more install and
-// enters the front of the young list pinned once. Callers hold p.mu.
-func (p *Pool) installLocked(f *Frame, id PageID) {
+// holding the page image) for id: the frame counts one more install, takes
+// its dirty bit and enters the front of the young list pinned once. Callers
+// hold p.mu.
+func (p *Pool) installLocked(f *Frame, id PageID, dirty bool) {
 	f.id = id
 	f.installs.Add(1)
 	f.pins.Store(1)
 	f.region = regionYoung
-	f.dirty.Store(false)
+	f.dirty.Store(dirty)
 	p.young.pushFront(f)
+	if int(id) >= len(p.frames) {
+		p.frames = append(p.frames, make([]*Frame, int(id)+1-len(p.frames))...)
+	}
 	p.frames[id] = f
+	p.resident++
 }
 
 // NewPage allocates a fresh zeroed page and returns it pinned and dirty.
 func (p *Pool) NewPage() (*Frame, error) { return p.newPage(nil) }
 
 // newPage allocates a page and installs it pinned and dirty in a frame
-// holding a copy of src, or zeros when src is nil. The frame may be a
-// recycled one, so every byte is written before the page is handed out.
-func (p *Pool) newPage(src []byte) (*Frame, error) {
+// holding a copy of src's page, or zeros when src is nil. The frame may be a
+// recycled one, so every byte is written before the page is handed out. A
+// src frame hands its caller's pin over to the new page: it is unpinned in
+// the same critical section, on success only.
+func (p *Pool) newPage(src *Frame) (*Frame, error) {
 	id, err := p.store.Alloc()
 	if err != nil {
 		return nil, err
@@ -323,27 +347,51 @@ func (p *Pool) newPage(src []byte) (*Frame, error) {
 	if src == nil {
 		clear(f.data)
 	} else {
-		copy(f.data, src)
+		copy(f.data, src.data)
+		p.unpinLocked(src)
 	}
-	p.installLocked(f, id)
-	f.dirty.Store(true)
+	p.installLocked(f, id, true)
 	return f, nil
 }
 
 // FreePage removes the page from the pool and the store. The page must not
 // be pinned.
 func (p *Pool) FreePage(id PageID) error {
+	_, err := p.freePages([]PageID{id})
+	return err
+}
+
+// freePages removes pages from the pool and the store in one critical
+// section: each id's resident frame is dropped and the store frees the id
+// (the lock order is pool, then store, as for reads and write-backs). A
+// pinned page is refused and stays allocated. The ids not freed — refused,
+// or failed in the store — are returned in failed, and err is the first
+// error. ids is only read.
+func (p *Pool) freePages(ids []PageID) (failed []PageID, err error) {
+	n := 0
 	p.mu.Lock()
-	if f, ok := p.frames[id]; ok {
-		if f.pins.Load() > 0 {
-			p.mu.Unlock()
-			return fmt.Errorf("pagestore: freeing pinned page %d", id)
+	for _, id := range ids {
+		if f := p.frameLocked(id); f != nil {
+			if f.pins.Load() > 0 {
+				failed = append(failed, id)
+				if err == nil {
+					err = fmt.Errorf("pagestore: freeing pinned page %d", id)
+				}
+				continue
+			}
+			p.dropLocked(f)
 		}
-		p.dropLocked(f)
+		n++
+		if ferr := p.store.Free(id); ferr != nil {
+			failed = append(failed, id)
+			if err == nil {
+				err = ferr
+			}
+		}
 	}
 	p.mu.Unlock()
-	p.frees.Add(1)
-	return p.store.Free(id)
+	p.frees.Add(uint64(n))
+	return failed, err
 }
 
 // pinLocked pins a resident frame. A young frame pinned again after a
@@ -381,7 +429,7 @@ func victimLocked(l *frameList) *Frame {
 // the young region's tail first, the old region's only when no young frame
 // is evictable.
 func (p *Pool) ensureRoomLocked() error {
-	if len(p.frames) < p.capacity {
+	if p.resident < p.capacity {
 		return nil
 	}
 	f := victimLocked(&p.young)
@@ -410,11 +458,12 @@ func (p *Pool) ensureRoomLocked() error {
 	return nil
 }
 
-// dropLocked removes a resident frame from its list and the frame table and
-// recycles the frame through the freelist.
+// dropLocked removes a resident, unpinned frame from its list and the frame
+// table and recycles the frame through the freelist.
 func (p *Pool) dropLocked(f *Frame) {
 	p.listFor(f).remove(f)
-	delete(p.frames, f.id)
+	p.frames[f.id] = nil
+	p.resident--
 	p.recycleLocked(f)
 }
 
@@ -433,9 +482,9 @@ func (p *Pool) rebalanceLocked() {
 // Flush writes back all dirty frames (pinned or not) without evicting them.
 func (p *Pool) Flush() error {
 	p.mu.Lock()
-	for id, f := range p.frames {
-		if f.dirty.Load() {
-			if err := p.store.WritePage(id, f.data); err != nil {
+	for _, f := range p.frames {
+		if f != nil && f.dirty.Load() {
+			if err := p.store.WritePage(f.id, f.data); err != nil {
 				p.mu.Unlock()
 				return err
 			}
@@ -453,12 +502,12 @@ func (p *Pool) Flush() error {
 // reuses their buffers instead of allocating.
 func (p *Pool) EvictAll() error {
 	p.mu.Lock()
-	for id, f := range p.frames {
-		if f.pins.Load() > 0 {
+	for _, f := range p.frames {
+		if f == nil || f.pins.Load() > 0 {
 			continue
 		}
 		if f.dirty.Load() {
-			if err := p.store.WritePage(id, f.data); err != nil {
+			if err := p.store.WritePage(f.id, f.data); err != nil {
 				p.mu.Unlock()
 				return err
 			}
@@ -510,9 +559,9 @@ type Residency struct {
 func (p *Pool) Residency() Residency {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	r := Residency{Frames: len(p.frames), Young: p.young.len(), Old: p.old.len(), Capacity: p.capacity}
+	r := Residency{Frames: p.resident, Young: p.young.len(), Old: p.old.len(), Capacity: p.capacity}
 	for _, f := range p.frames {
-		if f.pins.Load() > 0 {
+		if f != nil && f.pins.Load() > 0 {
 			r.Pinned++
 		}
 	}
@@ -562,6 +611,12 @@ func (f *Frame) Release() {
 	p := f.pool
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.unpinLocked(f)
+}
+
+// unpinLocked drops one pin; the frame's last pin moves it to the front of
+// its list, where it waits as an eviction candidate. Callers hold p.mu.
+func (p *Pool) unpinLocked(f *Frame) {
 	if f.pins.Load() == 0 {
 		panic(fmt.Sprintf("pagestore: over-release of page %d", f.id))
 	}

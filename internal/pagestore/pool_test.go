@@ -2,6 +2,7 @@ package pagestore
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -162,7 +163,10 @@ func TestGetTrackedExactAttribution(t *testing.T) {
 func TestPoolConcurrentReaders(t *testing.T) {
 	// Hammer the pool from many goroutines with mixed reads and writes to
 	// disjoint byte ranges; run under -race in CI. Each goroutine owns
-	// offset g, so concurrent mutation of one page is well-defined.
+	// offset g, so concurrent mutation of one page is well-defined. One
+	// more goroutine empties the pool beside them, as a cold-cache reset
+	// beside running queries does: EvictAll skips the frames they hold
+	// pinned, and the frame table and freelist it edits stay the lock's.
 	s := NewMemStore(64)
 	p := NewPool(s, 64) // small: forces eviction traffic
 	var ids []PageID
@@ -198,7 +202,31 @@ func TestPoolConcurrentReaders(t *testing.T) {
 			}
 		}(g)
 	}
+	stop := make(chan struct{})
+	evicted := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				evicted <- nil
+				return
+			default:
+			}
+			if err := p.EvictAll(); err != nil {
+				evicted <- err
+				return
+			}
+			if r := p.Residency(); r.Frames > r.Capacity || r.Pinned > goroutines {
+				evicted <- fmt.Errorf("residency beside the readers: %+v", r)
+				return
+			}
+		}
+	}()
 	wg.Wait()
+	close(stop)
+	if err := <-evicted; err != nil {
+		t.Fatal(err)
+	}
 	close(errc)
 	for err := range errc {
 		t.Fatal(err)

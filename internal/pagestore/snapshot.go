@@ -14,14 +14,19 @@ package pagestore
 // sweep can step onto the page. With no snapshots active the watermark is
 // +∞ and superseded pages free immediately.
 
+import "slices"
+
 // ClonePage allocates a fresh page holding a copy of src's bytes and
 // returns it pinned and dirty. src is a frame the caller holds pinned — the
-// node a copy-on-write descent is about to shadow — so the clone takes no
-// pin of its own on it, and the copy writes every byte of the new frame, so
-// nothing clears it first. The source page is untouched, which is what keeps
-// views of the original valid for concurrent snapshot readers.
+// node a copy-on-write descent is about to shadow — and the clone takes over
+// that pin: on success src is unpinned in the same critical section that
+// installs the clone, exactly as a Release would, so the caller must not
+// release it again; on error src stays pinned and the caller releases it.
+// The copy writes every byte of the new frame, so nothing clears it first.
+// The source page is untouched, which is what keeps views of the original
+// valid for concurrent snapshot readers.
 func (p *Pool) ClonePage(src *Frame) (*Frame, error) {
-	nf, err := p.newPage(src.data)
+	nf, err := p.newPage(src)
 	if err != nil {
 		return nil, err
 	}
@@ -64,7 +69,7 @@ func (p *Pool) UnpinVersion(v uint64) {
 	} else {
 		p.snapRefs[v] = n
 	}
-	p.reclaimLocked()
+	p.reclaimLocked(0, nil)
 }
 
 // DeferFrees schedules pages superseded by the commit that produced
@@ -73,7 +78,8 @@ func (p *Pool) UnpinVersion(v uint64) {
 // Snapshot can no longer pin a version < deadAt. The return value is the
 // number of deferred pages freed during this call (from this batch or
 // older ones the advanced watermark released) — the commit trace's exact
-// reclaim-stage attribution.
+// reclaim-stage attribution. DeferFrees keeps no reference to ids: it
+// copies them only when they have to wait behind a snapshot.
 func (p *Pool) DeferFrees(deadAt uint64, ids []PageID) int {
 	if len(ids) == 0 {
 		return 0
@@ -81,23 +87,31 @@ func (p *Pool) DeferFrees(deadAt uint64, ids []PageID) int {
 	p.deferredTotal.Add(uint64(len(ids)))
 	p.snapMu.Lock()
 	defer p.snapMu.Unlock()
-	p.deferred = append(p.deferred, deferredFrees{deadAt: deadAt, ids: ids})
-	return p.reclaimLocked()
+	return p.reclaimLocked(deadAt, ids)
 }
 
-// reclaimLocked frees every deferred batch the watermark has passed and
-// returns the number of pages freed. Requires snapMu; takes the pool lock
-// via FreePage (snapMu is always outer, never acquired with the pool lock
-// held). A FreePage failure keeps the remaining ids queued for the next
-// reclamation attempt and is counted in SnapshotCensus.ReclaimFailures
-// rather than surfaced: reclamation runs on reader-release paths that
-// have no error channel of their own.
-func (p *Pool) reclaimLocked() int {
+// reclaimLocked queues ids, superseded at version deadAt (none for a
+// retry), behind the queued batches, frees every batch the watermark has
+// passed and returns the number of pages freed. A batch is freed in one
+// pool critical section (freePages); one the watermark has not passed stays
+// queued, ids as a copy, so the caller's slice is read during the call only.
+// Requires snapMu; snapMu is always outer, never acquired with the pool lock
+// held. A page that fails to free — refused as pinned, or failed in the
+// store — stays queued for the next reclamation attempt and is counted in
+// SnapshotCensus.ReclaimFailures rather than surfaced: reclamation runs on
+// reader-release paths that have no error channel of their own.
+func (p *Pool) reclaimLocked(deadAt uint64, ids []PageID) int {
 	watermark := ^uint64(0)
 	for v := range p.snapRefs {
 		if v < watermark {
 			watermark = v
 		}
+	}
+	if len(ids) > 0 {
+		if deadAt > watermark {
+			ids = slices.Clone(ids)
+		}
+		p.deferred = append(p.deferred, deferredFrees{deadAt: deadAt, ids: ids})
 	}
 	freed := 0
 	kept := p.deferred[:0]
@@ -106,19 +120,14 @@ func (p *Pool) reclaimLocked() int {
 			kept = append(kept, d)
 			continue
 		}
-		var failed []PageID
-		for _, id := range d.ids {
-			if err := p.FreePage(id); err != nil {
-				p.reclaimFails.Add(1)
-				failed = append(failed, id)
-			} else {
-				freed++
-			}
-		}
+		failed, _ := p.freePages(d.ids)
 		if len(failed) > 0 {
+			p.reclaimFails.Add(uint64(len(failed)))
 			kept = append(kept, deferredFrees{deadAt: d.deadAt, ids: failed})
 		}
+		freed += len(d.ids) - len(failed)
 	}
+	clear(p.deferred[len(kept):]) // drops the caller's ids, freed above
 	p.deferred = kept
 	if freed > 0 {
 		p.reclaimed.Add(uint64(freed))

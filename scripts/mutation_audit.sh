@@ -25,7 +25,7 @@
 # The whole list takes about 40 minutes on a 2-core x86-64 container, most
 # of it in the -race runs of internal/core and in the timeouts of the
 # mutations that deadlock every Save; CI's "Mutation smoke" step runs
-# thirty-three of its rows.
+# thirty-six of its rows.
 set -euo pipefail
 repo=$(cd "$(dirname "$0")/.." && pwd)
 work=$(mktemp -d)
@@ -449,24 +449,27 @@ mut save-rebuild internal/core/persist.go "lockset: \`Save\` calls the exported 
 EOF
 
 mut reclaim-requeue internal/pagestore/snapshot.go "lockset: a failed reclaim re-queued through the exported \`DeferFrees\` under \`snapMu\`" <<'EOF'
-				p.reclaimFails.Add(1)
-				failed = append(failed, id)
+			kept = append(kept, deferredFrees{deadAt: d.deadAt, ids: failed})
 ----
-				p.reclaimFails.Add(1)
-				p.DeferFrees(d.deadAt, []PageID{id})
+			p.DeferFrees(d.deadAt, failed)
 EOF
 
 mut freepage-unlock internal/pagestore/pool.go "lockset: \`FreePage\` of a pinned page returns holding the pool lock" <<'EOF'
 		if f.pins.Load() > 0 {
-			p.mu.Unlock()
-			return fmt.Errorf("pagestore: freeing pinned page %d", id)
+			failed = append(failed, id)
+			if err == nil {
+				err = fmt.Errorf("pagestore: freeing pinned page %d", id)
+			}
+			continue
+		}
 ----
 		if f.pins.Load() > 0 {
-			return fmt.Errorf("pagestore: freeing pinned page %d", id)
+			return append(failed, id), fmt.Errorf("pagestore: freeing pinned page %d", id)
+		}
 EOF
 
 mut evict-unlock internal/pagestore/pool.go "lockset: \`EvictAll\` returns a write error holding the pool lock" <<'EOF'
-			if err := p.store.WritePage(id, f.data); err != nil {
+			if err := p.store.WritePage(f.id, f.data); err != nil {
 				p.mu.Unlock()
 				return err
 			}
@@ -475,7 +478,7 @@ mut evict-unlock internal/pagestore/pool.go "lockset: \`EvictAll\` returns a wri
 		}
 		p.dropLocked(f)
 ----
-			if err := p.store.WritePage(id, f.data); err != nil {
+			if err := p.store.WritePage(f.id, f.data); err != nil {
 				return err
 			}
 			p.writes.Add(1)
@@ -488,11 +491,13 @@ mut evict-free-count internal/pagestore/pool.go "atomicpub: \`EvictAll\` resets 
 		p.dropLocked(f)
 	}
 	p.mu.Unlock()
+	return nil
 ----
 		p.dropLocked(f)
 	}
 	p.mu.Unlock()
 	p.freeN = 0
+	return nil
 EOF
 
 mut ring-next internal/obs/trace.go "atomicpub: the trace ring's \`next\` advanced after unlocking" <<'EOF'
@@ -504,7 +509,7 @@ mut ring-next internal/obs/trace.go "atomicpub: the trace ring's \`next\` advanc
 EOF
 
 mut flush-drop internal/pagestore/pool.go "atomicpub: \`Flush\` drops a frame it could not write after unlocking" <<'EOF'
-			if err := p.store.WritePage(id, f.data); err != nil {
+			if err := p.store.WritePage(f.id, f.data); err != nil {
 				p.mu.Unlock()
 				return err
 			}
@@ -514,7 +519,7 @@ mut flush-drop internal/pagestore/pool.go "atomicpub: \`Flush\` drops a frame it
 	}
 	p.mu.Unlock()
 ----
-			if err := p.store.WritePage(id, f.data); err != nil {
+			if err := p.store.WritePage(f.id, f.data); err != nil {
 				p.mu.Unlock()
 				p.dropLocked(f)
 				return err
@@ -700,10 +705,38 @@ mut newpage-unzeroed internal/pagestore/pool.go "pool: \`NewPage\` hands out a r
 	if src == nil {
 		clear(f.data)
 	} else {
-		copy(f.data, src)
+		copy(f.data, src.data)
+		p.unpinLocked(src)
 	}
 ----
-	copy(f.data, src)
+	if src != nil {
+		copy(f.data, src.data)
+		p.unpinLocked(src)
+	}
+EOF
+
+# --- one pool critical section a page event: the dense frame table, the clone's pin hand-over, the batched reclaim (DESIGN.md §11.3, §13) ---
+
+mut clone-keeps-source-pin internal/pagestore/pool.go "pin hand-over: \`ClonePage\` installs the clone but leaves its source pinned" <<'EOF'
+		copy(f.data, src.data)
+		p.unpinLocked(src)
+----
+		copy(f.data, src.data)
+EOF
+
+mut drop-keeps-slot internal/pagestore/pool.go "frame table: \`dropLocked\` recycles the frame but leaves its table slot set" <<'EOF'
+	p.listFor(f).remove(f)
+	p.frames[f.id] = nil
+----
+	p.listFor(f).remove(f)
+EOF
+
+mut reclaim-drops-pinned internal/pagestore/pool.go "batched reclaim: a frame whose pin count is above 0 is dropped, not refused" <<'EOF'
+		if f.pins.Load() > 0 {
+			failed = append(failed, id)
+----
+		if f.pins.Load() < 0 {
+			failed = append(failed, id)
 EOF
 
 # --- one walk sets every handicap slot and child bound (DESIGN.md §20 "Folds") ---
