@@ -10,6 +10,7 @@ package dualcdb_test
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"dualcdb"
@@ -245,22 +246,86 @@ func BenchmarkThm31RestrictedQuery(b *testing.B) {
 	b.ReportMetric(float64(pages)/float64(b.N), "pages/query")
 }
 
-// BenchmarkIndexBuild measures bulk-loading the dual index.
+// freshTuples copies rel's tuples as constraints only: a Build over the copy
+// resolves every tuple, as a first load does, where one over rel itself finds
+// them resolved by the last.
+func freshTuples(b *testing.B, rel *dualcdb.Relation) *dualcdb.Relation {
+	b.Helper()
+	out := dualcdb.NewRelation(rel.Dim())
+	for _, id := range rel.IDs() {
+		t, err := rel.Get(id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fresh, err := dualcdb.NewTuple(rel.Dim(), t.Constraints())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := out.Insert(fresh); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return out
+}
+
+// BenchmarkIndexBuild measures a first bulk load of the dual index — every
+// tuple resolved, keyed and routed, the trees written — on fresh tuples each
+// iteration (copied outside the timer), at N = 2 000, k = 3 and at the
+// benchmark module's scale, N = 12 000, k = 4. It reports ns per tuple.
 func BenchmarkIndexBuild(b *testing.B) {
-	rel, err := dualcdb.GenerateRelation(dualcdb.WorkloadConfig{
-		N: 2000, Size: dualcdb.SmallObjects, Seed: 7,
-	})
+	for _, c := range []struct{ n, k int }{{2000, 3}, {12000, 4}} {
+		b.Run(fmt.Sprintf("N=%d/k=%d", c.n, c.k), func(b *testing.B) {
+			rel, err := dualcdb.GenerateRelation(dualcdb.WorkloadConfig{N: c.n, Size: dualcdb.SmallObjects, Seed: 7})
+			if err != nil {
+				b.Fatal(err)
+			}
+			opt := dualcdb.IndexOptions{Slopes: dualcdb.EquiangularSlopes(c.k), Technique: dualcdb.T2}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				fresh := freshTuples(b, rel)
+				b.StartTimer()
+				if _, err := dualcdb.BuildIndex(fresh, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.n), "ns/tuple")
+		})
+	}
+}
+
+// BenchmarkOpenDatabase measures reopening a saved database file at the
+// benchmark module's scale (N = 12 000, k = 4): the file is written once,
+// and each iteration opens it — the catalog, the tuple chain, one prepare
+// pass over the relation — and closes it. It reports ns per tuple.
+func BenchmarkOpenDatabase(b *testing.B) {
+	const n = 12000
+	rel, err := dualcdb.GenerateRelation(dualcdb.WorkloadConfig{N: n, Size: dualcdb.SmallObjects, Seed: 7})
 	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "bench.cdb")
+	idx, err := dualcdb.CreateDatabase(path, rel, dualcdb.IndexOptions{Slopes: dualcdb.EquiangularSlopes(4), Technique: dualcdb.T2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := idx.Save(); err != nil {
+		b.Fatal(err)
+	}
+	if err := idx.Pool().Store().Close(); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dualcdb.BuildIndex(rel, dualcdb.IndexOptions{
-			Slopes: dualcdb.EquiangularSlopes(3), Technique: dualcdb.T2,
-		}); err != nil {
+		_, opened, err := dualcdb.OpenDatabase(path, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := opened.Pool().Store().Close(); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/tuple")
 }
 
 // BenchmarkIndexInsert measures incremental insertion (trees plus

@@ -3,8 +3,8 @@ package btree
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
-	"sort"
 
 	"dualcdb/internal/pagestore"
 )
@@ -355,11 +355,12 @@ type HandicapMerge struct {
 //
 // It bins each route key over the tree's separators by the descent's own rule
 // (a leaf owns the entries not less than the separator before it and less
-// than the one after, so a route key equal to a separator's goes left) and
-// then walks the tree once top-down, each page pinned once and made writable
-// on the way: under an open copy-on-write batch that shadows the whole tree,
-// each clone linked into its parent as the walk unwinds; outside a batch
-// writable is the identity and the nodes are rewritten in place.
+// than the one after, so a route key equal to a separator's goes left), eight
+// at a time by a branch-free search over the separators packed as integers
+// (leavesOf), and then walks the tree once top-down, each page pinned once and
+// made writable on the way: under an open copy-on-write batch that shadows the
+// whole tree, each clone linked into its parent as the walk unwinds; outside a
+// batch writable is the identity and the nodes are rewritten in place.
 func (t *Tree) SetHandicaps(ms []HandicapMerge, ext func(tid uint32) [2]float64) error {
 	seps, err := t.appendSeparators(nil, t.root, t.hgt)
 	if err != nil {
@@ -370,11 +371,18 @@ func (t *Tree) SetHandicaps(ms []HandicapMerge, ext func(tid uint32) [2]float64)
 	for i := range acc {
 		acc[i] = kinds[i%len(kinds)].Identity()
 	}
-	for _, m := range ms {
-		e := Entry{Key: RoundKey(m.RouteKey), TID: 0}
-		leaf := sort.Search(len(seps), func(i int) bool { return e.Less(seps[i]) })
-		at := leaf*len(kinds) + m.Slot
-		acc[at] = kinds[m.Slot].Combine(acc[at], m.Value)
+	for len(ms) > 0 {
+		batch := ms[:min(len(ms), 8)]
+		var probes [8]uint64
+		for i, m := range batch {
+			probes[i] = probe(m.RouteKey)
+		}
+		leaves := leavesOf(seps, &probes)
+		for i, m := range batch {
+			at := leaves[i]*len(kinds) + m.Slot
+			acc[at] = kinds[m.Slot].Combine(acc[at], m.Value)
+		}
+		ms = ms[len(batch):]
 	}
 	slots := acc // the next leaf's, in key order
 	var walk func(id pagestore.PageID, height int) (pagestore.PageID, [2]float64, error)
@@ -424,10 +432,138 @@ func (t *Tree) SetHandicaps(ms []HandicapMerge, ext func(tid uint32) [2]float64)
 	return err
 }
 
+// sortKey packs the entry {key, tid}, key a stored key and not NaN, into one
+// integer whose unsigned order is Entry.Less's: the key's float32 bits mapped
+// so that they order as the numbers do, above the TID. −0 packs as +0 — Less
+// holds the two equal and orders them by TID.
+func sortKey(key float64, tid uint32) uint64 {
+	b := math.Float32bits(float32(key))
+	if b == 1<<31 {
+		b = 0
+	}
+	if b>>31 != 0 {
+		b = ^b // negative: a larger magnitude orders lower
+	} else {
+		b |= 1 << 31
+	}
+	return uint64(b)<<32 | uint64(tid)
+}
+
+// keyOf is the stored key sortKey packed into k (a −0 key comes back +0).
+func keyOf(k uint64) float64 {
+	b := uint32(k >> 32)
+	if b>>31 != 0 {
+		b &^= 1 << 31
+	} else {
+		b = ^b
+	}
+	return float64(math.Float32frombits(b))
+}
+
+// sortEntries sorts entries, their keys stored keys, in composite order
+// (Entry.Compare): it sorts their sortKeys (radixSort), and the −0 keys, which
+// pack as +0, get their sign back from a list of their TIDs in the same order.
+// Entries already in order are left as they are, after one pass.
+func sortEntries(entries []Entry) {
+	inOrder := true
+	for i := 1; i < len(entries) && inOrder; i++ {
+		inOrder = !entries[i].Less(entries[i-1])
+	}
+	if inOrder {
+		return
+	}
+	packed := make([]uint64, len(entries))
+	var negZero []uint32
+	for i, e := range entries {
+		if math.Float64bits(e.Key) == 1<<63 {
+			negZero = append(negZero, e.TID)
+		}
+		packed[i] = sortKey(e.Key, e.TID)
+	}
+	radixSort(packed)
+	slices.Sort(negZero)
+	for i, k := range packed {
+		e := Entry{Key: keyOf(k), TID: uint32(k)}
+		if len(negZero) > 0 && e.Key == 0 && e.TID == negZero[0] {
+			e.Key, negZero = math.Copysign(0, -1), negZero[1:]
+		}
+		entries[i] = e
+	}
+}
+
+// radixSort sorts a in ascending order: a stable counting pass a byte, from
+// the lowest, skipping a byte every element shares (the high bytes of small
+// TIDs).
+func radixSort(a []uint64) {
+	if len(a) < 2 {
+		return
+	}
+	var counts [8][256]int
+	for _, v := range a {
+		for d := range counts {
+			counts[d][byte(v>>(8*d))]++
+		}
+	}
+	src, dst := a, make([]uint64, len(a))
+	for d := range counts {
+		c, shift := &counts[d], 8*d
+		if c[byte(a[0]>>shift)] == len(a) {
+			continue
+		}
+		at := 0
+		for b, n := range c {
+			c[b], at = at, at+n
+		}
+		for _, v := range src {
+			b := byte(v >> shift)
+			dst[c[b]] = v
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	copy(a, src)
+}
+
+// probe packs the entry {RoundKey(key), TID 0} a route key stands for, as
+// sortKey packs a stored entry; a NaN key, which Entry.Less orders after no
+// entry, packs as the largest integer.
+func probe(key float64) uint64 {
+	if key != key {
+		return math.MaxUint64
+	}
+	return sortKey(RoundKey(key), 0)
+}
+
+// leavesOf returns, for each probe, the leaf — counted from 0 in key order —
+// that owns it in a tree whose separators are seps, packed by sortKey: the
+// number of separators that do not follow it, so that a route key equal to a
+// separator's key goes to the leaf before it, as the descent sends it. The
+// searches are branch-free and run side by side, so that one's loads need not
+// wait for another's.
+func leavesOf(seps []uint64, probes *[8]uint64) (leaves [8]int) {
+	if len(seps) == 0 {
+		return leaves
+	}
+	for n := len(seps); n > 1; n -= n >> 1 {
+		half := n >> 1
+		for i, p := range probes {
+			// borrow is 1 when the separator follows the probe.
+			_, borrow := bits.Sub64(p, seps[leaves[i]+half], 0)
+			leaves[i] += half &^ -int(borrow)
+		}
+	}
+	for i, p := range probes {
+		if seps[leaves[i]] <= p {
+			leaves[i]++
+		}
+	}
+	return leaves
+}
+
 // appendSeparators appends the separators of the subtree at id, height levels
-// tall, in key order: one between every two neighbouring leaves. Leaves are
-// not read.
-func (t *Tree) appendSeparators(seps []Entry, id pagestore.PageID, height int) ([]Entry, error) {
+// tall, in key order, packed by sortKey: one between every two neighbouring
+// leaves. Leaves are not read.
+func (t *Tree) appendSeparators(seps []uint64, id pagestore.PageID, height int) ([]uint64, error) {
 	if height <= 1 {
 		return seps, nil
 	}
@@ -438,7 +574,8 @@ func (t *Tree) appendSeparators(seps []Entry, id pagestore.PageID, height int) (
 	defer n.release()
 	for i := 0; i <= n.count(); i++ {
 		if i > 0 {
-			seps = append(seps, n.sep(i-1))
+			s := n.sep(i - 1)
+			seps = append(seps, sortKey(s.Key, s.TID))
 		}
 		if seps, err = t.appendSeparators(seps, n.child(i), height-1); err != nil {
 			return nil, err
@@ -465,7 +602,7 @@ func (t *Tree) BulkLoad(entries []Entry) error {
 	for i := range entries {
 		entries[i].Key = RoundKey(entries[i].Key)
 	}
-	slices.SortFunc(entries, Entry.Compare)
+	sortEntries(entries)
 	perLeaf := int(float64(t.leafCap) * DefaultFillFactor) // leafCap ≥ 3, so ≥ 2
 	// Reuse the existing empty root leaf as the first leaf.
 	first, err := t.get(t.root)

@@ -221,26 +221,15 @@ func (c *Commit) RebuildHandicaps() error {
 	if c.done {
 		return errCommitDone
 	}
-	ix := c.ix
-	// The extent and tangent tables are derived afresh from the live tuples,
-	// and the bounds from them: O(N), as the scan below is, and older versions
+	// One prepare pass over the live tuples derives the extent and tangent
+	// tables afresh, and the bounds come from them: O(N), and older versions
 	// keep the old tables' backing arrays.
-	var ext func(uint32) [2]float64
-	if ix.dim == 2 {
-		c.ext = extents{}.extend(ix.rel.Freeze(), ix.geo)
-		ext = c.ext.of
-	}
-	var ts []*constraint.Tuple
-	ix.rel.Scan(func(t *constraint.Tuple) bool {
-		if t.IsSatisfiable() {
-			ts = append(ts, t)
-		}
-		return true
-	})
-	if err := ix.setSites(ts, false, ext); err != nil {
+	p, err := c.ix.prepare(c.ix.rel.Freeze(), true)
+	if err != nil {
 		return c.fail(err)
 	}
-	return nil
+	c.ext = p.ext
+	return c.fail(c.ix.setSites(p, false))
 }
 
 // Commit publishes the batch as the next version: trees close their

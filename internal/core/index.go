@@ -76,7 +76,7 @@ func New(rel *constraint.Relation, opt Options) (*Index, error) {
 	if n := rel.Len(); n > 0 {
 		return nil, fmt.Errorf("core: the relation holds %d tuples an empty index would not cover; use Build", n)
 	}
-	return newSlopeIndex(rel, opt)
+	return started(newSlopeIndex(rel, opt))
 }
 
 // newSlopeIndex is New over a relation that may hold tuples (Build's path).
@@ -98,7 +98,7 @@ func NewD(rel *constraint.Relation, opt OptionsD) (*IndexD, error) {
 	if n := rel.Len(); n > 0 {
 		return nil, fmt.Errorf("core: the relation holds %d tuples an empty index would not cover; use BuildD", n)
 	}
-	return newSiteIndex(rel, opt)
+	return started(newSiteIndex(rel, opt))
 }
 
 // newSiteIndex is NewD over a relation that may hold tuples (BuildD's path).
@@ -123,8 +123,9 @@ func newSiteIndex(rel *constraint.Relation, opt OptionsD) (*IndexD, error) {
 }
 
 // newIndex creates the empty engine over a geometry: the page pool over
-// the index's own store, the catalog page, one tree pair per site and the
-// first published version.
+// the index's own store, the catalog page and one tree pair per site. It
+// publishes no version: its caller does, once the trees are what version 1
+// holds (start).
 func newIndex(rel *constraint.Relation, opt Options, geo slopeSpace) (*Index, error) {
 	store := opt.Store
 	if store == nil {
@@ -148,8 +149,28 @@ func newIndex(rel *constraint.Relation, opt Options, geo slopeSpace) (*Index, er
 		}
 		ix.trees = append(ix.trees, t)
 	}
-	ix.publishLocked(1, 0, extents{})
+	return ix, nil
+}
+
+// start publishes version 1 over the trees as they stand, with the indexed
+// count and the extent tables of p, the prepared relation, and registers the
+// index's gauges: the index is ready for readers.
+func (ix *Index) start(p *prepared) {
+	ix.publishLocked(1, p.indexed, p.ext)
 	ix.registerGauges()
+}
+
+// started starts a new index over a relation that holds no tuple (New's and
+// NewD's path), passing a constructor error through.
+func started(ix *Index, err error) (*Index, error) {
+	if err != nil {
+		return nil, err
+	}
+	p, err := ix.prepare(ix.rel.Freeze(), false)
+	if err != nil {
+		return nil, err
+	}
+	ix.start(p)
 	return ix, nil
 }
 
@@ -186,74 +207,60 @@ func BuildD(rel *constraint.Relation, opt OptionsD) (*IndexD, error) {
 }
 
 // bulkLoaded fills a freshly created, not yet shared index from its
-// relation (and passes a constructor error through).
+// relation and starts it (and passes a constructor error through): one
+// prepare pass over the relation, then the trees' pages, serially.
 func bulkLoaded(ix *Index, err error) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ts []*constraint.Tuple
-	var buildErr error
-	ix.rel.Scan(func(t *constraint.Tuple) bool {
-		if t.IsSatisfiable() { // empty extensions match nothing and are not indexed
-			ts = append(ts, t)
-		}
-		buildErr = checkRange(t)
-		return buildErr == nil
-	})
-	if buildErr != nil {
-		return nil, buildErr
-	}
-
-	// The site trees' bounds come from the extent table, in E².
-	var ext extents
-	var of func(uint32) [2]float64
-	if ix.dim == 2 {
-		ext = ext.extend(ix.rel.Freeze(), ix.geo)
-		of = ext.of
-	}
-	if err := ix.setSites(ts, true, of); err != nil {
+	p, err := ix.prepare(ix.rel.Freeze(), true)
+	if err != nil {
 		return nil, err
 	}
-	// Re-publish version 1 over the bulk-loaded trees. The index has not
-	// escaped to any reader yet, so mutating the trees in place between
-	// newIndex's publish and this one is unobservable.
-	ix.publishLocked(1, len(ts), ext)
+	if err := ix.setSites(p, true); err != nil {
+		return nil, err
+	}
+	ix.start(p)
 	return ix, nil
 }
 
-// setSites sets every site tree from ts, the indexed tuples: the paper's
-// preprocessing step. Per site it evaluates each tuple's keys and routes once
-// and builds the tree pair's entries and handicap merges: per slot, the
-// tuple's tree key (top in B^up, bot in B^down) goes to the leaf its routing
-// key, the geometry's cell extremum, selects. With load it bulk-loads the
-// entries first (Build); then SetHandicaps sets each tree's slots, and its
-// bounds from ext unless ext is nil, in one walk.
-func (ix *Index) setSites(ts []*constraint.Tuple, load bool, ext func(uint32) [2]float64) error {
-	slots := len(ix.geo.slotKinds())
-	var entries [2][]btree.Entry
-	var merges [2][]btree.HandicapMerge
-	for i := 0; i < ix.geo.sites(); i++ {
-		entries = [2][]btree.Entry{entries[0][:0], entries[1][:0]}
-		merges = [2][]btree.HandicapMerge{merges[0][:0], merges[1][:0]}
-		for _, t := range ts {
-			top, bot := ix.keys(t, i)
-			up, down := ix.geo.routes(t, i)
-			entries[0] = append(entries[0], btree.Entry{Key: top, TID: uint32(t.ID())})
-			entries[1] = append(entries[1], btree.Entry{Key: bot, TID: uint32(t.ID())})
-			for slot := range slots {
-				merges[0] = append(merges[0], btree.HandicapMerge{RouteKey: up[slot], Slot: slot, Value: top})
-				merges[1] = append(merges[1], btree.HandicapMerge{RouteKey: down[slot], Slot: slot, Value: bot})
+// setSites sets every site tree from p, the prepared tuples: the paper's
+// preprocessing step. Per tree, in tree order, it gathers the entries and the
+// handicap merges of the satisfiable tuples from p's keys and routes — per
+// slot, the tuple's tree key (top in B^up, bot in B^down) goes to the leaf its
+// routing key, the geometry's cell extremum, selects. With load it bulk-loads
+// the entries first (Build); then SetHandicaps sets the tree's slots, and in
+// E² its bounds from p's extent table, in one walk. Only this touches pages,
+// on one goroutine and in the order the trees were always set in, so a
+// relation gets the same page ids, and a saved file the same bytes, however
+// the pass was split.
+func (ix *Index) setSites(p *prepared, load bool) error {
+	n, slots := len(p.ts), len(ix.geo.slotKinds())
+	var ext func(uint32) [2]float64
+	if ix.dim == 2 {
+		ext = p.ext.of
+	}
+	entries := make([]btree.Entry, 0, p.indexed)
+	merges := make([]btree.HandicapMerge, 0, p.indexed*slots)
+	for j, tr := range ix.trees {
+		entries, merges = entries[:0], merges[:0]
+		keys, routes := p.keys[j*n:(j+1)*n], p.routes[j*n*slots:(j+1)*n*slots]
+		for q, t := range p.ts {
+			if !t.IsSatisfiable() {
+				continue
+			}
+			entries = append(entries, btree.Entry{Key: keys[q], TID: uint32(t.ID())})
+			for slot, r := range routes[q*slots : (q+1)*slots] {
+				merges = append(merges, btree.HandicapMerge{RouteKey: r, Slot: slot, Value: keys[q]})
 			}
 		}
-		for j, tr := range ix.trees[2*i : 2*i+2] {
-			if load {
-				if err := tr.BulkLoad(entries[j]); err != nil {
-					return err
-				}
-			}
-			if err := tr.SetHandicaps(merges[j], ext); err != nil {
+		if load {
+			if err := tr.BulkLoad(entries); err != nil {
 				return err
 			}
+		}
+		if err := tr.SetHandicaps(merges, ext); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -144,17 +144,12 @@ func appendTangents(tan []uint8, t *constraint.Tuple, x [2]float64, geo slopeSpa
 	return tan
 }
 
-// extend grows the tables (nil: first ones, sized exactly) to the ids of
-// tuples — gaps (ids deleted since, or that an aborted batch burned) get
-// noExtent and zero bytes — and enters the tuples past len(xext) with their
-// tangents at the sites of geo: O(inserts), and it writes nothing a
-// published version can read.
+// extend grows the tables, which the prepare pass derived whole for an
+// earlier version, to the ids of tuples — gaps (ids deleted since, or that an
+// aborted batch burned) get noExtent and zero bytes — and enters the tuples
+// past len(xext) with their tangents at the sites of geo: O(inserts), and it
+// writes nothing a published version can read.
 func (e extents) extend(tuples constraint.View, geo slopeSpace) extents {
-	if e.xext == nil {
-		e.stride = 2 * geo.sites()
-		e.xext = make([][2]float64, 0, tuples.MaxID())
-		e.tan = make([]uint8, 0, tuples.MaxID()*e.stride)
-	}
 	for id := len(e.xext) + 1; id <= tuples.MaxID(); id++ {
 		x := noExtent
 		t := tuples.Get(constraint.TupleID(id))
@@ -252,8 +247,7 @@ func (rs *rootSet) allIDs(buf []uint32) []uint32 {
 
 // publishLocked freezes the live trees and the relation into a new rootSet
 // and publishes it. ext holds the x-extent table to extend: the base
-// version's, one a bulk operation or a handicap rebuild derived, or the zero
-// value, from which it is derived afresh.
+// version's, or one a prepare pass derived (set-up or a handicap rebuild).
 // Requires writeMu (or a not-yet-shared index during construction).
 func (ix *Index) publishLocked(version uint64, indexed int, ext extents) *rootSet {
 	rs := &rootSet{

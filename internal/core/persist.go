@@ -271,21 +271,14 @@ func Open(pool *pagestore.Pool) (*constraint.Relation, *Index, error) {
 		}
 		ix.trees = append(ix.trees, t)
 	}
-	// Indexed count: exactly the satisfiable tuples (Insert's invariant),
-	// none of which Insert would have refused.
-	indexed := 0
-	rel.Scan(func(t *constraint.Tuple) bool {
-		if t.IsSatisfiable() {
-			indexed++
-		}
-		err = checkRange(t)
-		return err == nil
-	})
+	// One prepare pass counts the indexed tuples — exactly the satisfiable
+	// ones (Insert's invariant), none of which Insert would have refused —
+	// and derives the extent tables.
+	p, err := ix.prepare(rel.Freeze(), false)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: corrupt tuple stream: %w", err)
 	}
-	ix.publishLocked(1, indexed, extents{})
-	ix.registerGauges()
+	ix.start(p)
 	return rel, ix, nil
 }
 

@@ -25,7 +25,7 @@
 # The whole list takes about 40 minutes on a 2-core x86-64 container, most
 # of it in the -race runs of internal/core and in the timeouts of the
 # mutations that deadlock every Save; CI's "Mutation smoke" step runs
-# thirty-six of its rows.
+# thirty-eight of its rows.
 set -euo pipefail
 repo=$(cd "$(dirname "$0")/.." && pwd)
 work=$(mktemp -d)
@@ -748,9 +748,24 @@ mut set-combines internal/btree/cursor.go "one walk: \`SetHandicaps\` combines a
 EOF
 
 mut set-separator-right internal/btree/cursor.go "one walk: a route key equal to a separator's is binned to the leaf on its right" <<'EOF'
-		leaf := sort.Search(len(seps), func(i int) bool { return e.Less(seps[i]) })
+	return sortKey(RoundKey(key), 0)
 ----
-		leaf := sort.Search(len(seps), func(i int) bool { return e.Key < seps[i].Key })
+	return sortKey(RoundKey(key), math.MaxUint32)
+EOF
+
+# --- one prepare pass, then serial page writes (DESIGN.md §20 "Set-up") ---
+
+mut prep-chunk-drops-last internal/core/prepare.go "prepare pass: a chunk's upper bound one short, so one tuple a chunk is never prepared" <<'EOF'
+		lo, hi := w*n/workers, (w+1)*n/workers
+----
+		lo, hi := w*n/workers, (w+1)*n/workers-1
+EOF
+
+mut sort-signed-zero internal/btree/cursor.go "packed sort: a −0 key keeps its sign bit in the packed integer and sorts before every +0" <<'EOF'
+	if b == 1<<31 {
+		b = 0
+	}
+----
 EOF
 
 # --- one list of the QueryStats counters (DESIGN.md §9.1) ---
